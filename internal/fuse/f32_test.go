@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"agnn/internal/fuse"
-	"agnn/internal/par"
 	"agnn/internal/tensor"
 )
 
@@ -95,46 +94,11 @@ func TestPlanF32BackwardGradsMatchF64(t *testing.T) {
 	}
 }
 
-// TestPlanF32SteadyStateAllocs: f32 plans must be as allocation-free in
-// steady state as the f64 plans — including the fused-attention inference
-// op, whose score rows live in per-worker scratch.
-func TestPlanF32SteadyStateAllocs(t *testing.T) {
-	old := par.Workers()
-	par.SetWorkers(1)
-	defer par.SetWorkers(old)
-
-	rng := rand.New(rand.NewSource(94))
-	a := weightedGraph(64, 256, 95)
-	const k = 8
-	w := randParam(rng, "W", k, k)
-	beta := randParam(rng, "beta", 1, 1)
-	h := randDense(rng, a.Rows, k)
-	r := randDense(rng, a.Rows, k)
-
-	infer := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{DType: tensor.F32})
-	if infer.Stats().AttnFused == 0 {
-		t.Fatal("f32 inference plan did not fuse the attention chain")
-	}
-	infer.Forward(h) // warm up per-worker scratch
-	if af := testing.AllocsPerRun(20, func() { infer.Forward(h) }); af != 0 {
-		t.Errorf("f32 fused inference Forward allocates %.1f objects/op, want 0", af)
-	}
-
-	train := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{Train: true, DType: tensor.F32})
-	train.Forward(h)
-	train.Backward(r)
-	if af := testing.AllocsPerRun(20, func() { train.Forward(h) }); af != 0 {
-		t.Errorf("f32 training Forward allocates %.1f objects/op, want 0", af)
-	}
-	if ab := testing.AllocsPerRun(20, func() { train.Backward(r) }); ab != 0 {
-		t.Errorf("f32 training Backward allocates %.1f objects/op, want 0", ab)
-	}
-}
-
 // TestAttnFusedBitwiseIdenticalF64: the fused SDDMM+softmax+SpMM sweep must
 // reproduce the unfused opSample→opSoftmax→opSpMM sequence bit for bit, in
 // both the training shape (scores written to the value buffer mid-sweep)
-// and the inference shape (scores confined to per-worker scratch).
+// and the inference shape (scores confined to per-worker scratch) — at
+// float64 (the rows that gave the test its name) and at float32.
 func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	a := weightedGraph(48, 200, 97)
@@ -154,33 +118,39 @@ func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
 		{"agnn", func(wp fuse.ParamRef) *fuse.Graph { return buildAGNN(a, wp, beta, k) }},
 		{"gat", func(wp fuse.ParamRef) *fuse.Graph { return buildGAT(a, wp, a1, a2, k, 0.2) }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name+"/inference", func(t *testing.T) {
-			fused := tc.build(w).MustCompile(fuse.Options{})
-			unfused := tc.build(w).MustCompile(fuse.Options{NoAttnFuse: true})
-			if fused.Stats().AttnFused == 0 {
-				t.Fatal("default compile did not fuse the attention chain")
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		for _, tc := range cases {
+			name := tc.name
+			if dt != tensor.F64 {
+				name = dt.String() + "/" + name
 			}
-			if unfused.Stats().AttnFused != 0 {
-				t.Fatal("NoAttnFuse plan still reports fused chains")
-			}
-			if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
-				t.Fatalf("fused inference deviates by %g, want bitwise identity", d)
-			}
-		})
-		t.Run(tc.name+"/train", func(t *testing.T) {
-			wf, wu := cloneParam(w), cloneParam(w)
-			fused := tc.build(wf).MustCompile(fuse.Options{Train: true})
-			unfused := tc.build(wu).MustCompile(fuse.Options{Train: true, NoAttnFuse: true})
-			if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
-				t.Fatalf("fused training forward deviates by %g, want bitwise identity", d)
-			}
-			if d := fused.Backward(gOut).MaxAbsDiff(unfused.Backward(gOut)); d != 0 {
-				t.Fatalf("fused backward input grad deviates by %g, want bitwise identity", d)
-			}
-			if d := wf.Grad.MaxAbsDiff(wu.Grad); d != 0 {
-				t.Fatalf("fused backward W grad deviates by %g, want bitwise identity", d)
-			}
-		})
+			t.Run(name+"/inference", func(t *testing.T) {
+				fused := tc.build(w).MustCompile(fuse.Options{DType: dt})
+				unfused := tc.build(w).MustCompile(fuse.Options{DType: dt, NoAttnFuse: true})
+				if fused.Stats().AttnFused == 0 {
+					t.Fatal("default compile did not fuse the attention chain")
+				}
+				if unfused.Stats().AttnFused != 0 {
+					t.Fatal("NoAttnFuse plan still reports fused chains")
+				}
+				if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
+					t.Fatalf("fused inference deviates by %g, want bitwise identity", d)
+				}
+			})
+			t.Run(name+"/train", func(t *testing.T) {
+				wf, wu := cloneParam(w), cloneParam(w)
+				fused := tc.build(wf).MustCompile(fuse.Options{Train: true, DType: dt})
+				unfused := tc.build(wu).MustCompile(fuse.Options{Train: true, DType: dt, NoAttnFuse: true})
+				if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
+					t.Fatalf("fused training forward deviates by %g, want bitwise identity", d)
+				}
+				if d := fused.Backward(gOut).MaxAbsDiff(unfused.Backward(gOut)); d != 0 {
+					t.Fatalf("fused backward input grad deviates by %g, want bitwise identity", d)
+				}
+				if d := wf.Grad.MaxAbsDiff(wu.Grad); d != 0 {
+					t.Fatalf("fused backward W grad deviates by %g, want bitwise identity", d)
+				}
+			})
+		}
 	}
 }

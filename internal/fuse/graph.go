@@ -14,10 +14,6 @@ import (
 // mirrors the prebuilt model DAGs of models.go, so the fusion analysis and
 // the runtime always see the same graph.
 
-// ScoreFunc evaluates one entry (i, j) of a virtual score matrix; it is the
-// same contract as kernels.ScoreFunc (i and j are global vertex indices).
-type ScoreFunc = func(i, j int32) float64
-
 // ParamRef points at a trainable tensor and its gradient accumulator
 // without importing the gnn package (which imports fuse). The plan reads
 // Value on every step (so optimizer updates are observed) and accumulates
@@ -35,11 +31,10 @@ type Act struct {
 	DF   func(float64) float64
 }
 
-// spec carries the execution-level state of one DAG node: its shape, its
-// buffers (allocated once at compile time from the plan's arena), the
-// composed score closure for virtual nodes, and the cotangent buffers used
-// by the derived backward pass.
-type spec struct {
+// meta is the width-independent description of one DAG node: its shape and
+// the op attributes the builder recorded. Compile pairs every meta with a
+// spec — the node's buffers at the plan's element width.
+type meta struct {
 	node       *Node
 	rows, cols int // dense shape; rows doubles as vector length
 
@@ -49,17 +44,6 @@ type spec struct {
 	slope    float64 // lrelu nodes
 	weighted bool    // mask nodes: multiply A's stored values in
 	agg      string  // spmm nodes: "" (real), "max", "min", "mean"
-
-	dense *tensor.Dense // dense value (params alias Value; input bound per call)
-	vec   []float64     // vector value
-	vals  []float64     // sparse value buffer on the pattern
-	view  *sparse.CSR   // pattern view over vals
-	score ScoreFunc     // virtual evaluator, composed at compile time
-
-	gdense *tensor.Dense // cotangent buffers (training plans only)
-	gvec   []float64
-	gvals  []float64
-	gview  *sparse.CSR
 }
 
 // Graph is a buildable, compilable execution DAG over one sparsity pattern.
@@ -70,7 +54,7 @@ type Graph struct {
 	dag    *DAG
 	pat    *sparse.CSR
 	rowOff int
-	specs  map[*Node]*spec
+	meta   map[*Node]*meta
 	adj    *Node
 	input  *Node
 	aux    []*Node // additional dense inputs (InputDenseAux), bound per call
@@ -79,9 +63,9 @@ type Graph struct {
 
 // NewGraph starts a graph over adjacency pattern (and values) pat.
 func NewGraph(name string, pat *sparse.CSR) *Graph {
-	g := &Graph{Name: name, dag: NewDAG(name), pat: pat, specs: make(map[*Node]*spec)}
+	g := &Graph{Name: name, dag: NewDAG(name), pat: pat, meta: make(map[*Node]*meta)}
 	g.adj = g.dag.Input("A", Sparse)
-	g.specs[g.adj] = &spec{node: g.adj, rows: pat.Rows, cols: pat.Cols, view: pat}
+	g.meta[g.adj] = &meta{node: g.adj, rows: pat.Rows, cols: pat.Cols}
 	return g
 }
 
@@ -97,18 +81,18 @@ func (g *Graph) Adj() *Node { return g.adj }
 // be full-height. Row offsets are inference-only.
 func (g *Graph) SetRowOffset(off int) { g.rowOff = off }
 
-func (g *Graph) sp(v *Node) *spec {
-	s, ok := g.specs[v]
+func (g *Graph) md(v *Node) *meta {
+	s, ok := g.meta[v]
 	if !ok {
 		panic(fmt.Sprintf("fuse: node %q does not belong to graph %q", v.ID, g.Name))
 	}
 	return s
 }
 
-func (g *Graph) add(id, op string, kind Kind, s *spec, inputs ...*Node) *Node {
+func (g *Graph) add(id, op string, kind Kind, s *meta, inputs ...*Node) *Node {
 	n := g.dag.Add(id, op, kind, inputs...)
 	s.node = n
-	g.specs[n] = s
+	g.meta[n] = s
 	return n
 }
 
@@ -119,7 +103,7 @@ func (g *Graph) InputDense(id string, rows, cols int) *Node {
 		panic("fuse: graph already has a dense input")
 	}
 	n := g.dag.Input(id, Dense)
-	g.specs[n] = &spec{node: n, rows: rows, cols: cols}
+	g.meta[n] = &meta{node: n, rows: rows, cols: cols}
 	g.input = n
 	return n
 }
@@ -130,7 +114,7 @@ func (g *Graph) InputDense(id string, rows, cols int) *Node {
 // broadcast block on the columns). Aux inputs are inference-only.
 func (g *Graph) InputDenseAux(id string, rows, cols int) *Node {
 	n := g.dag.Input(id, Dense)
-	g.specs[n] = &spec{node: n, rows: rows, cols: cols}
+	g.meta[n] = &meta{node: n, rows: rows, cols: cols}
 	g.aux = append(g.aux, n)
 	return n
 }
@@ -138,12 +122,12 @@ func (g *Graph) InputDenseAux(id string, rows, cols int) *Node {
 // ParamNode declares a trainable parameter leaf.
 func (g *Graph) ParamNode(id string, p ParamRef) *Node {
 	n := g.dag.Input(id, Param)
-	g.specs[n] = &spec{node: n, rows: p.Value.Rows, cols: p.Value.Cols,
-		param: p, hasParam: true, dense: p.Value}
+	g.meta[n] = &meta{node: n, rows: p.Value.Rows, cols: p.Value.Cols,
+		param: p, hasParam: true}
 	return n
 }
 
-func (g *Graph) virtual(id, op string, s *spec, inputs ...*Node) *Node {
+func (g *Graph) virtual(id, op string, s *meta, inputs ...*Node) *Node {
 	s.rows, s.cols = g.pat.Rows, g.pat.Cols
 	return g.add(id, op, Virtual, s, inputs...)
 }
@@ -151,18 +135,18 @@ func (g *Graph) virtual(id, op string, s *spec, inputs ...*Node) *Node {
 // DotScores builds the virtual X·Yᵀ score matrix (op "mmt"): entry (i, j)
 // is X[i,:]·Y[j,:].
 func (g *Graph) DotScores(id string, x, y *Node) *Node {
-	xs, ys := g.sp(x), g.sp(y)
+	xs, ys := g.md(x), g.md(y)
 	if xs.cols != ys.cols {
 		panic(fmt.Sprintf("fuse: DotScores inner dim mismatch %d vs %d", xs.cols, ys.cols))
 	}
-	return g.virtual(id, "mmt", &spec{}, x, y)
+	return g.virtual(id, "mmt", &meta{}, x, y)
 }
 
 // OuterScores builds the virtual outer product a·bᵀ of two vectors.
 func (g *Graph) OuterScores(id string, a, b *Node) *Node {
 	g.wantKind(a, Vector, "OuterScores")
 	g.wantKind(b, Vector, "OuterScores")
-	return g.virtual(id, "outer", &spec{}, a, b)
+	return g.virtual(id, "outer", &meta{}, a, b)
 }
 
 // DivScores builds the virtual element-wise quotient num ⊘ den; entries
@@ -170,43 +154,43 @@ func (g *Graph) OuterScores(id string, a, b *Node) *Node {
 func (g *Graph) DivScores(id string, num, den *Node) *Node {
 	g.wantKind(num, Virtual, "DivScores")
 	g.wantKind(den, Virtual, "DivScores")
-	return g.virtual(id, "divide", &spec{}, num, den)
+	return g.virtual(id, "divide", &meta{}, num, den)
 }
 
 // ScaleScores multiplies a virtual matrix by a scalar parameter (AGNN's β).
 func (g *Graph) ScaleScores(id string, x, beta *Node) *Node {
 	g.wantKind(x, Virtual, "ScaleScores")
-	bs := g.sp(beta)
+	bs := g.md(beta)
 	if !bs.hasParam || bs.rows != 1 || bs.cols != 1 {
 		panic("fuse: ScaleScores needs a 1×1 parameter")
 	}
-	return g.virtual(id, "scale", &spec{}, x, beta)
+	return g.virtual(id, "scale", &meta{}, x, beta)
 }
 
 // RepRow broadcasts vector u over columns: the virtual u·1ᵀ (op "rep").
 func (g *Graph) RepRow(id string, u *Node) *Node {
 	g.wantKind(u, Vector, "RepRow")
-	return g.virtual(id, "rep", &spec{}, u)
+	return g.virtual(id, "rep", &meta{}, u)
 }
 
 // RepCol broadcasts vector v over rows: the virtual 1·vᵀ (op "repT").
 func (g *Graph) RepCol(id string, v *Node) *Node {
 	g.wantKind(v, Vector, "RepCol")
-	return g.virtual(id, "repT", &spec{}, v)
+	return g.virtual(id, "repT", &meta{}, v)
 }
 
 // AddScores builds the virtual element-wise sum of two virtual matrices.
 func (g *Graph) AddScores(id string, a, b *Node) *Node {
 	g.wantKind(a, Virtual, "AddScores")
 	g.wantKind(b, Virtual, "AddScores")
-	return g.virtual(id, "add", &spec{}, a, b)
+	return g.virtual(id, "add", &meta{}, a, b)
 }
 
 // LReLUScores applies LeakyReLU with the given negative slope to a virtual
 // matrix (GAT's score non-linearity).
 func (g *Graph) LReLUScores(id string, x *Node, slope float64) *Node {
 	g.wantKind(x, Virtual, "LReLUScores")
-	return g.virtual(id, "lrelu", &spec{slope: slope}, x)
+	return g.virtual(id, "lrelu", &meta{slope: slope}, x)
 }
 
 // Mask samples a virtual matrix through the adjacency pattern — the
@@ -215,53 +199,53 @@ func (g *Graph) LReLUScores(id string, x *Node, slope float64) *Node {
 // A ⊙ C); without, only the pattern is used (GAT's convention).
 func (g *Graph) Mask(id string, virt *Node, weighted bool) *Node {
 	g.wantKind(virt, Virtual, "Mask")
-	s := &spec{rows: g.pat.Rows, cols: g.pat.Cols, weighted: weighted}
+	s := &meta{rows: g.pat.Rows, cols: g.pat.Cols, weighted: weighted}
 	return g.add(id, "mask", Sparse, s, g.adj, virt)
 }
 
 // Softmax applies the per-row (per-neighborhood) softmax to a sparse node.
 func (g *Graph) Softmax(id string, s *Node) *Node {
 	g.wantKind(s, Sparse, "Softmax")
-	sp := &spec{rows: g.pat.Rows, cols: g.pat.Cols}
+	sp := &meta{rows: g.pat.Rows, cols: g.pat.Cols}
 	return g.add(id, "softmax", Sparse, sp, s)
 }
 
 // RowNormsNode computes the row L2 norms of a dense node.
 func (g *Graph) RowNormsNode(id string, x *Node) *Node {
-	xs := g.sp(x)
-	return g.add(id, "rownorm", Vector, &spec{rows: xs.rows}, x)
+	xs := g.md(x)
+	return g.add(id, "rownorm", Vector, &meta{rows: xs.rows}, x)
 }
 
 // MatVecNode computes X·a for a k×1 parameter a (GAT's u = H'·a₁).
 func (g *Graph) MatVecNode(id string, x, a *Node) *Node {
-	xs, as := g.sp(x), g.sp(a)
+	xs, as := g.md(x), g.md(a)
 	if !as.hasParam || as.rows != xs.cols || as.cols != 1 {
 		panic(fmt.Sprintf("fuse: MatVecNode needs a %d×1 parameter", xs.cols))
 	}
-	return g.add(id, "matvec", Vector, &spec{rows: xs.rows}, x, a)
+	return g.add(id, "matvec", Vector, &meta{rows: xs.rows}, x, a)
 }
 
 // MM multiplies a dense node by a parameter: X·W.
 func (g *Graph) MM(id string, x, w *Node) *Node {
-	xs, ws := g.sp(x), g.sp(w)
+	xs, ws := g.md(x), g.md(w)
 	if !ws.hasParam {
 		panic("fuse: MM weight must be a parameter node")
 	}
 	if xs.cols != ws.rows {
 		panic(fmt.Sprintf("fuse: MM inner dim mismatch %d vs %d", xs.cols, ws.rows))
 	}
-	return g.add(id, "mm", Dense, &spec{rows: xs.rows, cols: ws.cols}, x, w)
+	return g.add(id, "mm", Dense, &meta{rows: xs.rows, cols: ws.cols}, x, w)
 }
 
 // SpMM aggregates a dense node through a sparse node (or the adjacency
 // leaf) over the real semiring: Ψ·X.
 func (g *Graph) SpMM(id string, s, x *Node) *Node {
 	g.wantKind(s, Sparse, "SpMM")
-	xs := g.sp(x)
+	xs := g.md(x)
 	if xs.rows != g.pat.Cols {
 		panic(fmt.Sprintf("fuse: SpMM feature height %d != pattern cols %d", xs.rows, g.pat.Cols))
 	}
-	return g.add(id, "spmm", Dense, &spec{rows: g.pat.Rows, cols: xs.cols}, s, x)
+	return g.add(id, "spmm", Dense, &meta{rows: g.pat.Rows, cols: xs.cols}, s, x)
 }
 
 // SpMMSemiring aggregates over a non-real semiring ("max", "min", "mean" —
@@ -273,29 +257,29 @@ func (g *Graph) SpMMSemiring(id string, s, x *Node, kind string) *Node {
 		panic(fmt.Sprintf("fuse: unknown semiring %q", kind))
 	}
 	g.wantKind(s, Sparse, "SpMMSemiring")
-	xs := g.sp(x)
-	sp := &spec{rows: g.pat.Rows, cols: xs.cols, agg: kind}
+	xs := g.md(x)
+	sp := &meta{rows: g.pat.Rows, cols: xs.cols, agg: kind}
 	return g.add(id, "spmm-"+kind, Dense, sp, s, x)
 }
 
 // GINCombine builds GIN's pre-MLP combination agg + (1+ε)·h with a scalar
 // parameter ε.
 func (g *Graph) GINCombine(id string, agg, h, eps *Node) *Node {
-	as, hs := g.sp(agg), g.sp(h)
-	es := g.sp(eps)
+	as, hs := g.md(agg), g.md(h)
+	es := g.md(eps)
 	if as.rows != hs.rows || as.cols != hs.cols {
 		panic("fuse: GINCombine shape mismatch")
 	}
 	if !es.hasParam || es.rows != 1 || es.cols != 1 {
 		panic("fuse: GINCombine needs a 1×1 parameter ε")
 	}
-	return g.add(id, "gin-combine", Dense, &spec{rows: as.rows, cols: as.cols}, agg, h, eps)
+	return g.add(id, "gin-combine", Dense, &meta{rows: as.rows, cols: as.cols}, agg, h, eps)
 }
 
 // Sigma applies an element-wise activation to a dense node.
 func (g *Graph) Sigma(id string, z *Node, act Act) *Node {
-	zs := g.sp(z)
-	return g.add(id, "sigma", Dense, &spec{rows: zs.rows, cols: zs.cols, act: act}, z)
+	zs := g.md(z)
+	return g.add(id, "sigma", Dense, &meta{rows: zs.rows, cols: zs.cols, act: act}, z)
 }
 
 // SetOutput marks the graph's output node (must be dense).
@@ -305,7 +289,7 @@ func (g *Graph) SetOutput(v *Node) {
 }
 
 func (g *Graph) wantKind(v *Node, k Kind, op string) {
-	if g.sp(v).node.Kind != k {
+	if g.md(v).node.Kind != k {
 		panic(fmt.Sprintf("fuse: %s wants a %s node, got %s %q", op, k, v.Kind, v.ID))
 	}
 }

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"math"
+	"unsafe"
 
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
@@ -19,6 +20,85 @@ import (
 // property the alloc-regression tests pin down). The loop shapes mirror
 // the hand-written kernels in internal/kernels, internal/sparse and
 // internal/tensor.
+//
+// Every op body exists once, generic over the element type: Compile
+// instantiates the whole stack at float64 or float32 (Options.DType). The
+// two instantiations perform the same operations in the same order at their
+// own width; golden_test.go pins the bits of both. Non-arithmetic functions
+// (sqrt, transcendental activations) evaluate through float64 — at float32
+// that costs only register-width conversions while the memory traffic, the
+// thing float32 buys, stays halved. The one op-level branch on width is exp.
+
+// elem is the element type a plan is instantiated over.
+type elem = tensor.Elem
+
+// score evaluates one entry (i, j) of a virtual score matrix; i and j are
+// global vertex indices (the kernels.ScoreFunc contract, at the plan's
+// element width).
+type score[T elem] func(i, j int32) T
+
+// spec carries the execution-side state of one DAG node at the plan's
+// element width: its buffers (acquired once at compile time from the plan's
+// arena), the composed score closure for virtual nodes, and the cotangent
+// buffers of the derived backward pass. At float64 the input, parameter and
+// parameter-gradient matrices alias the caller's storage; at float32 they
+// are plan-owned copies kept in step by the plan boundary (plan.go).
+type spec[T elem] struct {
+	*meta
+
+	dense *tensor.Mat[T] // dense value
+	vec   []T            // vector value
+	vals  []T            // sparse value buffer on the pattern
+	score score[T]       // virtual evaluator, composed at compile time
+
+	gdense *tensor.Mat[T] // cotangent buffers (training plans only)
+	gvec   []T
+	gvals  []T
+	grad   *tensor.Mat[T] // parameter gradient accumulator (param nodes)
+}
+
+// exp is the softmax exponential at the plan's element width: math.Exp at
+// float64, the polynomial exp32 at float32. unsafe.Sizeof of a type
+// parameter is resolved per instantiation, so the branch costs nothing.
+func exp[T elem](x T) T {
+	if unsafe.Sizeof(x) == 4 {
+		return T(exp32(float32(x)))
+	}
+	return T(math.Exp(float64(x)))
+}
+
+// exp32 is a single-precision exponential (Cephes expf scheme): argument
+// reduction against ln2 in two steps, a degree-5 minimax polynomial on the
+// reduced interval, and the power of two assembled directly in the exponent
+// field. Accurate to ~2 ulp in float32 — indistinguishable from rounding
+// math.Exp — at a fraction of the cost, which matters because the softmax
+// sweeps evaluate it once per edge. The softmax callers always pass
+// max-subtracted arguments (≤ 0), so the positive range never overflows.
+func exp32(x float32) float32 {
+	const (
+		log2e = 1.44269504088896341
+		c1    = 0.693359375    // ln2 high part
+		c2    = -2.12194440e-4 // ln2 low part
+		p0    = 1.9875691500e-4
+		p1    = 1.3981999507e-3
+		p2    = 8.3334519073e-3
+		p3    = 4.1665795894e-2
+		p4    = 1.6666665459e-1
+		p5    = 5.0000001201e-1
+	)
+	if x > 88.72283 {
+		return float32(math.Inf(1))
+	}
+	if x < -87.33655 {
+		return 0
+	}
+	fn := float32(math.Floor(float64(x)*log2e + 0.5))
+	r := x - fn*c1
+	r -= fn * c2
+	z := r * r
+	p := (((((p0*r+p1)*r+p2)*r+p3)*r+p4)*r+p5)*z + r + 1
+	return p * math.Float32frombits(uint32(int32(fn)+127)<<23)
+}
 
 // planOp is one executable step of a compiled plan. The metric handles and
 // cost estimates are resolved at compile time so recording a step is a
@@ -52,22 +132,25 @@ type opFns struct {
 	rows int
 }
 
-// redScratch accumulates per-worker partial sums for scalar-parameter
-// gradients (β, ε). Slots stay zero between calls.
-type redScratch struct{ sums []float64 }
-
-func (r *redScratch) ensure() []float64 {
-	// One extra slot: the weighted scheduler may emit Workers()+1 chunks.
-	if need := par.Workers() + 1; len(r.sums) < need {
-		grown := make([]float64, need)
-		copy(grown, r.sums)
-		r.sums = grown
+// workerSlots grows a per-worker scratch slice to the current worker cap.
+// One extra slot: the weighted scheduler may emit Workers()+1 chunks.
+func workerSlots[S any](slots []S) []S {
+	if need := par.Workers() + 1; len(slots) < need {
+		grown := make([]S, need)
+		copy(grown, slots)
+		return grown
 	}
-	return r.sums
+	return slots
 }
 
-func (r *redScratch) fold() float64 {
-	total := 0.0
+// redScratch accumulates per-worker partial sums for scalar-parameter
+// gradients (β, ε). Slots stay zero between calls.
+type redScratch[T elem] struct{ sums []T }
+
+func (r *redScratch[T]) ensure() { r.sums = workerSlots(r.sums) }
+
+func (r *redScratch[T]) fold() T {
+	var total T
 	for i, v := range r.sums {
 		if v != 0 {
 			total += v
@@ -80,14 +163,10 @@ func (r *redScratch) fold() float64 {
 // partialsScratch holds per-worker dense accumulators for the Aᵀ·B weight
 // gradients. Buffers are allocated lazily on first use (the warm-up step)
 // and stay zero between calls.
-type partialsScratch struct{ mats []*tensor.Dense }
+type partialsScratch[T elem] struct{ mats []*tensor.Mat[T] }
 
-func (s *partialsScratch) ensure(k, m int) []*tensor.Dense {
-	if need := par.Workers() + 1; len(s.mats) < need {
-		grown := make([]*tensor.Dense, need)
-		copy(grown, s.mats)
-		s.mats = grown
-	}
+func (s *partialsScratch[T]) ensure(k, m int) []*tensor.Mat[T] {
+	s.mats = workerSlots(s.mats)
 	for i, p := range s.mats {
 		if p != nil && (p.Rows != k || p.Cols != m) {
 			s.mats[i] = nil
@@ -105,7 +184,7 @@ func nnzWeight(pat *sparse.CSR) func(int) int64 {
 // non-zero of the pattern. weights (the adjacency values) multiply each
 // score when the mask is weighted; with softmax, the row softmax is folded
 // into the same sweep (the FusedSoftmaxScores shape).
-func opSample(pat *sparse.CSR, cuts *par.Cuts, dst []float64, f ScoreFunc, weights []float64, rowOff int32, softmax bool) opFns {
+func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) opFns {
 	var each func(i int)
 	if softmax {
 		each = func(i int) {
@@ -114,7 +193,7 @@ func opSample(pat *sparse.CSR, cuts *par.Cuts, dst []float64, f ScoreFunc, weigh
 				return
 			}
 			gi := int32(i) + rowOff
-			m := math.Inf(-1)
+			m := T(math.Inf(-1))
 			for p := b; p < e; p++ {
 				v := f(gi, pat.Col[p])
 				if weights != nil {
@@ -125,9 +204,9 @@ func opSample(pat *sparse.CSR, cuts *par.Cuts, dst []float64, f ScoreFunc, weigh
 					m = v
 				}
 			}
-			sum := 0.0
+			var sum T
 			for p := b; p < e; p++ {
-				v := math.Exp(dst[p] - m)
+				v := exp(dst[p] - m)
 				dst[p] = v
 				sum += v
 			}
@@ -164,21 +243,21 @@ func rowSweep(each func(i int)) func(worker, lo, hi int) {
 
 // opRowSoftmax is the standalone row softmax (used when the peephole could
 // not fold it into the sampler).
-func opRowSoftmax(pat *sparse.CSR, cuts *par.Cuts, src, dst []float64) opFns {
+func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) opFns {
 	each := func(i int) {
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 		if b == e {
 			return
 		}
-		m := math.Inf(-1)
+		m := T(math.Inf(-1))
 		for p := b; p < e; p++ {
 			if src[p] > m {
 				m = src[p]
 			}
 		}
-		sum := 0.0
+		var sum T
 		for p := b; p < e; p++ {
-			v := math.Exp(src[p] - m)
+			v := exp(src[p] - m)
 			dst[p] = v
 			sum += v
 		}
@@ -191,56 +270,55 @@ func opRowSoftmax(pat *sparse.CSR, cuts *par.Cuts, src, dst []float64) opFns {
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
 
-// opSpMM computes out = S·X where sv's value slice aliases the sparse
-// node's buffer.
-func opSpMM(sv *sparse.CSR, cuts *par.Cuts, x, out *spec) opFns {
+// opSpMM computes out = S·X over the shared pattern, with svals the sparse
+// node's value buffer (or the adjacency's own values).
+func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T]) opFns {
 	each := func(i int) {
 		xd, od := x.dense, out.dense
 		k := od.Cols
 		orow := od.Data[i*k : (i+1)*k]
-		for t := range orow {
-			orow[t] = 0
-		}
-		for p := sv.RowPtr[i]; p < sv.RowPtr[i+1]; p++ {
-			v := sv.Val[p]
-			xrow := xd.Data[int(sv.Col[p])*k : int(sv.Col[p])*k+k]
+		clear(orow)
+		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
+			v := svals[p]
+			xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
 			for t, xv := range xrow {
 				orow[t] += v * xv
 			}
 		}
 	}
 	body := rowSweep(each)
-	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: sv.Rows}
+	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
 
-// opSemiring delegates to the semiring SpMM kernels. Semiring aggregation
-// is inference-only and not on the zero-alloc path, so the delegation
-// (which allocates its result) is acceptable.
-func opSemiring(sv *sparse.CSR, x, out *spec, kind string) opFns {
+// opSemiring delegates to the float64 semiring SpMM kernels (Compile
+// refuses semiring graphs at any other width). Semiring aggregation is
+// inference-only and not on the zero-alloc path, so the delegation (which
+// allocates its result) is acceptable.
+func opSemiring[T elem](pat *sparse.CSR, svals []T, x, out *spec[T], kind string) opFns {
+	sv := pat.WithValues(any(svals).([]float64))
 	return opFns{run: func() {
+		xd := dense64(x.dense)
 		var r *tensor.Dense
 		switch kind {
 		case "max":
-			r = sv.MulDenseMax(x.dense)
+			r = sv.MulDenseMax(xd)
 		case "min":
-			r = sv.MulDenseMin(x.dense)
+			r = sv.MulDenseMin(xd)
 		case "mean":
-			r = sv.MulDenseMean(x.dense)
+			r = sv.MulDenseMean(xd)
 		}
-		out.dense.CopyFrom(r)
+		dense64(out.dense).CopyFrom(r)
 	}}
 }
 
 // opMM computes out = X·W (W a parameter).
-func opMM(x, w, out *spec) opFns {
+func opMM[T elem](x, w, out *spec[T]) opFns {
 	each := func(i int) {
 		xd, wd, od := x.dense, w.dense, out.dense
 		k, m := xd.Cols, od.Cols
 		xrow := xd.Data[i*k : (i+1)*k]
 		orow := od.Data[i*m : (i+1)*m]
-		for j := range orow {
-			orow[j] = 0
-		}
+		clear(orow)
 		for t := 0; t < k; t++ {
 			xv := xrow[t]
 			if xv == 0 {
@@ -258,12 +336,12 @@ func opMM(x, w, out *spec) opFns {
 }
 
 // opMatVec computes out = X·a for a k×1 parameter a.
-func opMatVec(x, a, out *spec) opFns {
+func opMatVec[T elem](x, a, out *spec[T]) opFns {
 	each := func(i int) {
 		xd, av := x.dense, a.dense.Data
 		k := xd.Cols
 		row := xd.Data[i*k : (i+1)*k]
-		s := 0.0
+		var s T
 		for t, v := range row {
 			s += v * av[t]
 		}
@@ -275,30 +353,53 @@ func opMatVec(x, a, out *spec) opFns {
 }
 
 // opRowNorms computes the row L2 norms of X.
-func opRowNorms(x, out *spec) opFns {
+func opRowNorms[T elem](x, out *spec[T]) opFns {
 	each := func(i int) {
 		xd := x.dense
 		k := xd.Cols
 		row := xd.Data[i*k : (i+1)*k]
-		s := 0.0
+		var s T
 		for _, v := range row {
 			s += v * v
 		}
-		out.vec[i] = math.Sqrt(s)
+		out.vec[i] = T(math.Sqrt(float64(s)))
 	}
 	body := rowSweep(each)
 	rows := out.rows
 	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
 }
 
+// isIdentity reports the no-op activation (a zero Act included, the
+// convention the layer constructors use for "no activation").
+func (a Act) isIdentity() bool { return a.Name == "identity" || a.F == nil }
+
 // opSigma applies the activation element-wise, swept row-by-row so the
-// partitioner can gate output rows on chunk arrival.
-func opSigma(z, out *spec, f func(float64) float64) opFns {
+// partitioner can gate output rows on chunk arrival. The piecewise-linear
+// activations (relu, identity) are exact at either width and get native
+// bodies — skipping the closure call per element matters on an op this
+// memory-thin. Everything else evaluates through the float64 contract.
+func opSigma[T elem](z, out *spec[T]) opFns {
 	cols := out.cols
-	each := func(i int) {
-		zd, od := z.dense.Data, out.dense.Data
-		for t := i * cols; t < (i+1)*cols; t++ {
-			od[t] = f(zd[t])
+	var each func(i int)
+	switch act := out.act; {
+	case act.Name == "relu":
+		each = func(i int) {
+			zd, od := z.dense.Data, out.dense.Data
+			for t := i * cols; t < (i+1)*cols; t++ {
+				od[t] = max(zd[t], 0) // branchless, like math.Max
+			}
+		}
+	case act.isIdentity():
+		each = func(i int) {
+			copy(out.dense.Data[i*cols:(i+1)*cols], z.dense.Data[i*cols:(i+1)*cols])
+		}
+	default:
+		f := act.F
+		each = func(i int) {
+			zd, od := z.dense.Data, out.dense.Data
+			for t := i * cols; t < (i+1)*cols; t++ {
+				od[t] = T(f(float64(zd[t])))
+			}
 		}
 	}
 	body := rowSweep(each)
@@ -308,10 +409,10 @@ func opSigma(z, out *spec, f func(float64) float64) opFns {
 
 // opGINCombine computes out = agg + (1+ε)·h, reading ε at run time so
 // optimizer updates are observed.
-func opGINCombine(agg, h, eps, out *spec) opFns {
+func opGINCombine[T elem](agg, h, eps, out *spec[T]) opFns {
 	cols := out.cols
 	each := func(i int) {
-		c := 1 + eps.param.Value.Data[0]
+		c := 1 + eps.dense.Data[0]
 		ad, hd, od := agg.dense.Data, h.dense.Data, out.dense.Data
 		for t := i * cols; t < (i+1)*cols; t++ {
 			od[t] = ad[t] + c*hd[t]
@@ -325,12 +426,34 @@ func opGINCombine(agg, h, eps, out *spec) opFns {
 // --- backward op bodies (reverse-traversal VJPs) ---
 
 // opSigmaVJP accumulates z̄ += ḡ ⊙ σ'(z), with σ' evaluated at the stored
-// pre-activation (the gnn.Activation contract).
-func opSigmaVJP(z, out *spec, df func(float64) float64) func() {
-	body := func(_, lo, hi int) {
-		zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
-		for i := lo; i < hi; i++ {
-			zg[i] += og[i] * df(zd[i])
+// pre-activation (the gnn.Activation contract) and the same native bodies
+// as opSigma for the piecewise-linear activations.
+func opSigmaVJP[T elem](z, out *spec[T]) func() {
+	var body func(worker, lo, hi int)
+	switch act := out.act; {
+	case act.Name == "relu":
+		body = func(_, lo, hi int) {
+			zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				if zd[i] > 0 {
+					zg[i] += og[i]
+				}
+			}
+		}
+	case act.isIdentity():
+		body = func(_, lo, hi int) {
+			zg, og := z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				zg[i] += og[i]
+			}
+		}
+	default:
+		df := act.DF
+		body = func(_, lo, hi int) {
+			zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				zg[i] += og[i] * T(df(float64(zd[i])))
+			}
 		}
 	}
 	n := out.rows * out.cols
@@ -339,7 +462,7 @@ func opSigmaVJP(z, out *spec, df func(float64) float64) func() {
 
 // opMMVJP accumulates X̄ += Ḡ·Wᵀ and W̄ += Xᵀ·Ḡ (per-worker partials,
 // folded and re-zeroed after the sweep).
-func opMMVJP(x, w, out *spec, ps *partialsScratch) func() {
+func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 	xBody := func(_, lo, hi int) {
 		wd, og, xg := w.dense, out.gdense, x.gdense
 		k, m := xg.Cols, og.Cols
@@ -348,7 +471,7 @@ func opMMVJP(x, w, out *spec, ps *partialsScratch) func() {
 			xrow := xg.Data[i*k : (i+1)*k]
 			for t := 0; t < k; t++ {
 				wrow := wd.Data[t*m : (t+1)*m]
-				s := 0.0
+				var s T
 				for j, gv := range grow {
 					s += gv * wrow[j]
 				}
@@ -361,7 +484,7 @@ func opMMVJP(x, w, out *spec, ps *partialsScratch) func() {
 		k, m := xd.Cols, og.Cols
 		acc := ps.mats[worker]
 		if acc == nil {
-			acc = tensor.NewDense(k, m)
+			acc = tensor.NewMat[T](k, m)
 			ps.mats[worker] = acc
 		}
 		for i := lo; i < hi; i++ {
@@ -379,7 +502,7 @@ func opMMVJP(x, w, out *spec, ps *partialsScratch) func() {
 		}
 	}
 	rows := out.rows
-	grad := w.param.Grad
+	grad := w.grad
 	return func() {
 		par.Range(rows, xBody)
 		mats := ps.ensure(x.cols, out.cols)
@@ -399,10 +522,10 @@ func opMMVJP(x, w, out *spec, ps *partialsScratch) func() {
 // opSpMMVJP handles Z = S·X: the sampler cotangent S̄_ij = Z̄[i,:]·X[j,:]
 // (written onto the pattern — the SDDMM of the backward pass) and the
 // feature cotangent X̄ += Sᵀ·Z̄ via the transposed pattern. For the
-// adjacency leaf only the feature half runs (A is not trainable), using
-// the transpose's own values; for sparse value nodes the current values
-// are permuted into the shared tvals scratch first.
-func opSpMMVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []float64, perm []int64, tvals []float64, x, out *spec) func() {
+// adjacency leaf (svals and sgvals nil) only the feature half runs (A is
+// not trainable), over adjT, the transpose's own values; for sparse value
+// nodes the current values are permuted into the shared tvals scratch first.
+func opSpMMVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T, perm []int64, tvals, adjT []T, x, out *spec[T]) func() {
 	var samplerBody func(int, int, int)
 	if sgvals != nil {
 		samplerBody = func(_, lo, hi int) {
@@ -412,7 +535,7 @@ func opSpMMVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []flo
 				grow := og.Data[i*k : (i+1)*k]
 				for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
 					xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-					s := 0.0
+					var s T
 					for t, gv := range grow {
 						s += gv * xrow[t]
 					}
@@ -421,7 +544,7 @@ func opSpMMVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []flo
 			}
 		}
 	}
-	vals := patT.Val
+	vals := adjT
 	var permBody func(int, int, int)
 	if svals != nil {
 		vals = tvals
@@ -459,11 +582,11 @@ func opSpMMVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []flo
 
 // opSoftmaxVJP writes the softmax cotangent onto the input's value-grad
 // buffer: S̄_ij = P_ij·(Ḡ_ij − ρ_i), ρ_i = Σ_j Ḡ_ij·P_ij.
-func opSoftmaxVJP(pat *sparse.CSR, cuts *par.Cuts, pvals, pgvals, dst []float64) func() {
+func opSoftmaxVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, pvals, pgvals, dst []T) func() {
 	body := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			rho := 0.0
+			var rho T
 			for p := b; p < e; p++ {
 				rho += pgvals[p] * pvals[p]
 			}
@@ -478,7 +601,7 @@ func opSoftmaxVJP(pat *sparse.CSR, cuts *par.Cuts, pvals, pgvals, dst []float64)
 // opMaskVJP propagates the mask cotangent to the virtual input: the
 // weighted mask multiplies A's values back in, the pattern-only mask is a
 // pass-through.
-func opMaskVJP(src, dst, weights []float64) func() {
+func opMaskVJP[T elem](src, dst, weights []T) func() {
 	n := len(src)
 	if weights == nil {
 		return func() { copy(dst, src) }
@@ -494,7 +617,7 @@ func opMaskVJP(src, dst, weights []float64) func() {
 // opDotVJP handles the virtual C = X·Yᵀ: X̄ += C̄·Y and Ȳ += C̄ᵀ·X, both
 // restricted to the pattern (C̄ lives on it). Aliased X == Y (the H·Hᵀ
 // self-attention case) is safe: the two accumulations run sequentially.
-func opDotVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []float64, perm []int64, tvals []float64, x, y *spec) func() {
+func opDotVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, x, y *spec[T]) func() {
 	xBody := func(_, lo, hi int) {
 		yd, xg := y.dense, x.gdense
 		k := xg.Cols
@@ -538,11 +661,11 @@ func opDotVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []float64, per
 
 // opOuterVJP handles the virtual C = a·bᵀ: ā_i += Σ_j C̄_ij·b_j and
 // b̄_j += Σ_i C̄_ij·a_i (column sums via the transposed pattern).
-func opOuterVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []float64, perm []int64, tvals []float64, a, b *spec) func() {
+func opOuterVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, a, b *spec[T]) func() {
 	aBody := func(_, lo, hi int) {
 		bv, ag := b.vec, a.gvec
 		for i := lo; i < hi; i++ {
-			s := 0.0
+			var s T
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
 				s += gvals[p] * bv[pat.Col[p]]
 			}
@@ -557,7 +680,7 @@ func opOuterVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []float64, p
 	bBody := func(_, lo, hi int) {
 		av, bg := a.vec, b.gvec
 		for j := lo; j < hi; j++ {
-			s := 0.0
+			var s T
 			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
 				s += tvals[p] * av[patT.Col[p]]
 			}
@@ -575,7 +698,7 @@ func opOuterVJP(pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []float64, p
 // opDivVJP handles C = N ⊘ D on the pattern, recomputing the virtual
 // operands entry-wise: N̄ = C̄ ⊘ D, D̄ = −C̄ ⊙ N ⊘ D². Zero denominators
 // (the zero-norm guard) contribute zero cotangent.
-func opDivVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, num, den *spec) func() {
+func opDivVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, num, den *spec[T]) func() {
 	body := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gi := int32(i)
@@ -599,10 +722,10 @@ func opDivVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, num, den *spec) 
 // opScaleVJP handles C = β·X: X̄ = β·C̄ and β̄ += Σ C̄ ⊙ X, the latter
 // re-evaluating the virtual X entry-wise and reducing over per-worker
 // partial sums.
-func opScaleVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, x *spec, beta ParamRef, rs *redScratch) func() {
+func opScaleVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x, beta *spec[T], rs *redScratch[T]) func() {
 	body := func(worker, lo, hi int) {
-		bv := beta.Value.Data[0]
-		local := 0.0
+		bv := beta.dense.Data[0]
+		var local T
 		for i := lo; i < hi; i++ {
 			gi := int32(i)
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
@@ -615,19 +738,20 @@ func opScaleVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, x *spec, beta 
 		}
 		rs.sums[worker] += local
 	}
+	grad := beta.grad
 	return func() {
 		rs.ensure()
 		par.RangeCuts(cuts, body)
-		beta.Grad.Data[0] += rs.fold()
+		grad.Data[0] += rs.fold()
 	}
 }
 
 // opRepVJP handles C = u·1ᵀ: ū_i += Σ_j C̄_ij (row sums).
-func opRepVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, u *spec) func() {
+func opRepVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, u *spec[T]) func() {
 	body := func(_, lo, hi int) {
 		ug := u.gvec
 		for i := lo; i < hi; i++ {
-			s := 0.0
+			var s T
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
 				s += gvals[p]
 			}
@@ -639,7 +763,7 @@ func opRepVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, u *spec) func() 
 
 // opRepTVJP handles C = 1·vᵀ: v̄_j += Σ_i C̄_ij (column sums via the
 // transposed pattern).
-func opRepTVJP(patT *sparse.CSR, cutsT *par.Cuts, gvals []float64, perm []int64, tvals []float64, v *spec) func() {
+func opRepTVJP[T elem](patT *sparse.CSR, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, v *spec[T]) func() {
 	permBody := func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			tvals[perm[p]] = gvals[p]
@@ -648,7 +772,7 @@ func opRepTVJP(patT *sparse.CSR, cutsT *par.Cuts, gvals []float64, perm []int64,
 	body := func(_, lo, hi int) {
 		vg := v.gvec
 		for j := lo; j < hi; j++ {
-			s := 0.0
+			var s T
 			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
 				s += tvals[p]
 			}
@@ -664,7 +788,7 @@ func opRepTVJP(patT *sparse.CSR, cutsT *par.Cuts, gvals []float64, perm []int64,
 
 // opAddVJP handles C = A + B on virtual operands: both cotangents are the
 // incoming one (overwrite semantics — each virtual has a single consumer).
-func opAddVJP(gvals []float64, a, b *spec) func() {
+func opAddVJP[T elem](gvals []T, a, b *spec[T]) func() {
 	return func() {
 		copy(a.gvals, gvals)
 		copy(b.gvals, gvals)
@@ -673,12 +797,12 @@ func opAddVJP(gvals []float64, a, b *spec) func() {
 
 // opLReLUVJP handles C = LeakyReLU(X): X̄ = C̄ ⊙ (X < 0 ? slope : 1),
 // re-evaluating the virtual input's sign entry-wise.
-func opLReLUVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, x *spec, slope float64) func() {
+func opLReLUVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x *spec[T], slope T) func() {
 	body := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gi := int32(i)
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				d := 1.0
+				d := T(1)
 				if x.score(gi, pat.Col[p]) < 0 {
 					d = slope
 				}
@@ -691,7 +815,7 @@ func opLReLUVJP(pat *sparse.CSR, cuts *par.Cuts, gvals []float64, x *spec, slope
 
 // opMatVecVJP handles u = X·a: X̄ += ū·aᵀ (a rank-1 row update) and
 // ā += Xᵀ·ū (short k-vector, accumulated serially like tensor.VecMat).
-func opMatVecVJP(x, a, out *spec) func() {
+func opMatVecVJP[T elem](x, a, out *spec[T]) func() {
 	rowBody := func(_, lo, hi int) {
 		av, xg := a.dense.Data, x.gdense
 		k := xg.Cols
@@ -707,7 +831,7 @@ func opMatVecVJP(x, a, out *spec) func() {
 		}
 	}
 	rows := out.rows
-	grad := a.param.Grad
+	grad := a.grad
 	return func() {
 		par.Range(rows, rowBody)
 		xd := x.dense
@@ -727,7 +851,7 @@ func opMatVecVJP(x, a, out *spec) func() {
 
 // opRowNormsVJP handles n_i = ‖X[i,:]‖₂: X̄[i,:] += (n̄_i / n_i)·X[i,:],
 // skipping zero-norm rows (subgradient 0, matching the forward guard).
-func opRowNormsVJP(x, out *spec) func() {
+func opRowNormsVJP[T elem](x, out *spec[T]) func() {
 	body := func(_, lo, hi int) {
 		xd, xg := x.dense, x.gdense
 		k := xd.Cols
@@ -753,11 +877,11 @@ func opRowNormsVJP(x, out *spec) func() {
 
 // opGINCombineVJP handles Z = agg + (1+ε)·H: both dense cotangents
 // accumulate, and ε̄ += Σ Z̄ ⊙ H reduces over per-worker partials.
-func opGINCombineVJP(agg, h, eps, out *spec, rs *redScratch) func() {
+func opGINCombineVJP[T elem](agg, h, eps, out *spec[T], rs *redScratch[T]) func() {
 	body := func(worker, lo, hi int) {
-		c := 1 + eps.param.Value.Data[0]
+		c := 1 + eps.dense.Data[0]
 		og, ag, hg, hd := out.gdense.Data, agg.gdense.Data, h.gdense.Data, h.dense.Data
-		local := 0.0
+		var local T
 		for i := lo; i < hi; i++ {
 			g := og[i]
 			ag[i] += g
@@ -767,7 +891,7 @@ func opGINCombineVJP(agg, h, eps, out *spec, rs *redScratch) func() {
 		rs.sums[worker] += local
 	}
 	n := out.rows * out.cols
-	grad := eps.param.Grad
+	grad := eps.grad
 	return func() {
 		rs.ensure()
 		par.Range(n, body)

@@ -74,7 +74,7 @@ func (p *Plan) Partition(avail []RowRange) (*PartitionedPlan, error) {
 	if p.released {
 		return nil, fmt.Errorf("fuse: Partition on a released plan")
 	}
-	if p.f32 != nil {
+	if p.stats.DType != tensor.F64 {
 		return nil, fmt.Errorf("fuse: Partition requires an f64 plan (f32 plans cast at the Forward boundary and cannot rebind arrival fragments)")
 	}
 	if len(avail) == 0 {
@@ -207,7 +207,7 @@ func (pp *PartitionedPlan) Bind(h *tensor.Dense) {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
 			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
 	}
-	p.input.dense = h
+	p.x.bind(h)
 }
 
 // RunStep executes step t's op fragments (plan topological order inside the
@@ -249,4 +249,4 @@ func (pp *PartitionedPlan) flush() {
 
 // Output returns the plan's output buffer — valid after the last step has
 // run, owned by the plan and overwritten by the next execution.
-func (pp *PartitionedPlan) Output() *tensor.Dense { return pp.p.output.dense }
+func (pp *PartitionedPlan) Output() *tensor.Dense { return pp.p.x.result() }

@@ -69,23 +69,21 @@ func (s PlanStats) WorkspaceBytes() int64 { return s.DType.Size() * s.WorkspaceW
 // and runs the op list; Backward (training plans) runs the reverse-derived
 // VJP list and returns the input cotangent. All returned tensors are owned
 // by the plan and are overwritten by the next step.
+//
+// The public contract is float64 at either Options.DType: the typed buffers
+// live behind the plan's boundary (exec), which is the one place that knows
+// whether the plan aliases the caller's storage or casts across it.
 type Plan struct {
 	Name   string
 	train  bool
 	rowOff int
 
 	pat           *sparse.CSR // the sparsity pattern every sparse op runs over
-	input, output *spec
-	aux           map[string]*spec // additional dense inputs, bound via BindDense
+	input, output *meta
+	aux           map[string]*meta // additional dense inputs, bound via BindDense
 	fwd, bwd      []planOp
 
-	zeroDense []*tensor.Dense // cotangent buffers zeroed before each backward
-	zeroVecs  [][]float64
-
-	denseBufs []*tensor.Dense // everything acquired from the workspace,
-	floatBufs [][]float64     // for Release
-
-	f32 *planF32 // float32 execution state (DType == F32 plans only)
+	x boundary
 
 	ws    *tensor.Arena
 	stats PlanStats
@@ -94,13 +92,128 @@ type Plan struct {
 	released   bool
 }
 
+// boundary is the float64 face of a plan's typed execution state.
+type boundary interface {
+	bind(h *tensor.Dense)               // make h the input of the coming forward sweep
+	bindAux(id string, h *tensor.Dense) // float64 plans only
+	result() *tensor.Dense              // the forward output
+	seed(g *tensor.Dense)               // reset cotangents, load the output cotangent
+	inputGrad() *tensor.Dense           // settle parameter gradients, return the input cotangent
+	release(ws *tensor.Arena)
+}
+
+// exec is the execution state of a plan instantiated at element type T, and
+// the plan boundary. At float64 the boundary copies nothing: the input is
+// bound per call, parameters and their gradient accumulators alias the
+// master ParamRef storage, and the output buffer is returned as is. At any
+// narrower width the plan is mixed-precision: the input and the parameter
+// values are rounded into plan-owned buffers on every Forward (so optimizer
+// updates are observed), gradients accumulate in zeroed shadows that are
+// flushed with Grad[i] += float64(shadow[i]) after every Backward
+// (preserving the accumulate semantics across layers and steps), and
+// results are widened into reusable float64 buffers.
+type exec[T elem] struct {
+	input, output *spec[T]
+	aux           map[string]*spec[T]
+
+	// Casting plans only; empty when T is float64.
+	outF, ginF *tensor.Dense // widened forward result / input cotangent
+	shadows    []shadow[T]   // parameter masters → rounded working copies
+	flushes    []shadow[T]   // gradient shadows → master Grad accumulators
+
+	zeroMats []*tensor.Mat[T] // cotangent buffers zeroed before each backward
+	zeroVecs [][]T
+
+	mats   []*tensor.Mat[T] // everything acquired from the workspace,
+	slices [][]T            // for release
+}
+
+// shadow pairs a float64 master with the plan-owned copy at width T.
+type shadow[T elem] struct {
+	master *tensor.Dense
+	local  *tensor.Mat[T]
+}
+
+// alias views d as a matrix of T when T is float64 — same layout, same
+// storage, same identity. At any other width it reports false and the
+// boundary has to copy.
+func alias[T elem](d *tensor.Dense) (*tensor.Mat[T], bool) {
+	m, ok := any((*tensor.Mat[float64])(d)).(*tensor.Mat[T])
+	return m, ok
+}
+
+// dense64 is the inverse of alias: it hands a float64 plan's buffer out as
+// the public matrix type, uncopied.
+func dense64[T elem](m *tensor.Mat[T]) *tensor.Dense {
+	return (*tensor.Dense)(any(m).(*tensor.Mat[float64]))
+}
+
+func (e *exec[T]) bind(h *tensor.Dense) {
+	if m, ok := alias[T](h); ok {
+		e.input.dense = m
+		return
+	}
+	tensor.Cast(e.input.dense.Data, h.Data)
+	for _, s := range e.shadows {
+		tensor.Cast(s.local.Data, s.master.Data)
+	}
+}
+
+func (e *exec[T]) bindAux(id string, h *tensor.Dense) {
+	e.aux[id].dense, _ = alias[T](h)
+}
+
+func (e *exec[T]) result() *tensor.Dense {
+	if e.outF == nil {
+		return dense64(e.output.dense)
+	}
+	tensor.Cast(e.outF.Data, e.output.dense.Data)
+	return e.outF
+}
+
+func (e *exec[T]) seed(g *tensor.Dense) {
+	for _, m := range e.zeroMats {
+		clear(m.Data)
+	}
+	for _, v := range e.zeroVecs {
+		clear(v)
+	}
+	tensor.Cast(e.output.gdense.Data, g.Data)
+}
+
+func (e *exec[T]) inputGrad() *tensor.Dense {
+	if e.ginF == nil {
+		return dense64(e.input.gdense)
+	}
+	for _, s := range e.flushes {
+		for i, v := range s.local.Data {
+			s.master.Data[i] += float64(v)
+		}
+	}
+	tensor.Cast(e.ginF.Data, e.input.gdense.Data)
+	return e.ginF
+}
+
+func (e *exec[T]) release(ws *tensor.Arena) {
+	for _, m := range e.mats {
+		tensor.ReleaseMat(ws, m)
+	}
+	for _, s := range e.slices {
+		tensor.ReleaseSlice(ws, s)
+	}
+	ws.ReleaseDense(e.outF)
+	ws.ReleaseDense(e.ginF)
+	e.mats, e.slices, e.outF, e.ginF = nil, nil, nil, nil
+}
+
 // Compile lowers the graph into an executable plan: it runs the Section 6.2
 // fusion analysis, fuses mask→softmax pairs into single sampling sweeps (a
 // peephole beyond the paper's rule, matching the hand-written
 // FusedSoftmaxScores kernel), allocates every intermediate once from the
 // workspace arena, composes the virtual score closures, and emits the
 // forward op list plus — for training plans — the reverse-traversal
-// backward op list.
+// backward op list. The whole lowering exists once, generic over the
+// element type, and is instantiated here per Options.DType.
 func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.output == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no output", g.Name)
@@ -108,34 +221,33 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.input == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no dense input", g.Name)
 	}
-	if opt.DType == tensor.F32 {
-		return g.compile32(opt)
-	}
+	casting := opt.DType != tensor.F64
 	if opt.Train && g.rowOff != 0 {
 		return nil, fmt.Errorf("fuse: graph %q: row-offset plans are inference-only", g.Name)
 	}
-	if opt.Train && len(g.aux) > 0 {
-		return nil, fmt.Errorf("fuse: graph %q: auxiliary dense inputs are inference-only", g.Name)
+	if len(g.aux) > 0 && (opt.Train || casting) {
+		return nil, fmt.Errorf("fuse: graph %q: auxiliary dense inputs need an f64 inference plan (they are bound by reference)", g.Name)
 	}
 	cons := g.dag.consumers()
-	if opt.Train {
-		for _, n := range g.dag.Nodes() {
-			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) {
-				continue
-			}
-			if len(cons[n]) > 1 {
-				return nil, fmt.Errorf("fuse: graph %q: %s node %q has %d consumers; training plans require single-consumer sparse/virtual nodes",
-					g.Name, n.Kind, n.ID, len(cons[n]))
+	for _, n := range g.dag.Nodes() {
+		switch n.Op {
+		case "spmm-max", "spmm-min", "spmm-mean":
+			if opt.Train || casting {
+				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q needs an f64 inference plan", g.Name, n.ID)
 			}
 		}
-		for _, n := range g.dag.Nodes() {
-			switch n.Op {
-			case "spmm-max", "spmm-min", "spmm-mean":
-				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q is inference-only", g.Name, n.ID)
-			}
+		if opt.Train && n != g.adj && (n.Kind == Sparse || n.Kind == Virtual) && len(cons[n]) > 1 {
+			return nil, fmt.Errorf("fuse: graph %q: %s node %q has %d consumers; training plans require single-consumer sparse/virtual nodes",
+				g.Name, n.Kind, n.ID, len(cons[n]))
 		}
 	}
+	if casting {
+		return compile[float32](g, opt, cons)
+	}
+	return compile[float64](g, opt, cons)
+}
 
+func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, error) {
 	groups := Analyze(g.dag) // panics if a virtual escapes — a builder bug
 
 	// Peephole: a softmax whose only producer chain is a single-consumer
@@ -167,29 +279,68 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if ws == nil {
 		ws = tensor.NewArena()
 	}
+	// aliased: at float64 the boundary aliases caller storage (inputs,
+	// parameters, adjacency values); at any other width it casts into
+	// plan-owned buffers.
+	_, aliased := alias[T](nil)
+	e := &exec[T]{}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
-		input: g.sp(g.input), output: g.sp(g.output), ws: ws}
+		input: g.md(g.input), output: g.md(g.output), x: e, ws: ws}
+
+	// sp returns (creating on demand) the typed state of a node. Creation
+	// order does not matter: op closures capture the pointer, the
+	// allocation loop below fills the fields.
+	specs := make(map[*Node]*spec[T], len(g.meta))
+	sp := func(n *Node) *spec[T] {
+		s := specs[n]
+		if s == nil {
+			s = &spec[T]{meta: g.md(n)}
+			specs[n] = s
+		}
+		return s
+	}
+	e.input, e.output = sp(g.input), sp(g.output)
 	auxSet := make(map[*Node]bool, len(g.aux))
 	if len(g.aux) > 0 {
-		p.aux = make(map[string]*spec, len(g.aux))
+		p.aux = make(map[string]*meta, len(g.aux))
+		e.aux = make(map[string]*spec[T], len(g.aux))
 		for _, n := range g.aux {
 			auxSet[n] = true
-			p.aux[n.ID] = g.sp(n)
+			p.aux[n.ID] = g.md(n)
+			e.aux[n.ID] = sp(n)
 		}
 	}
 
+	// words counts the held workspace in elements of T (WorkspaceBytes
+	// multiplies by DType.Size()); the float64 boundary buffers of a
+	// casting plan count at their own width.
 	var words int64
-	dense := func(r, c int) *tensor.Dense {
-		m := ws.AcquireDense(r, c)
-		p.denseBufs = append(p.denseBufs, m)
+	mat := func(r, c int) *tensor.Mat[T] {
+		m := tensor.AcquireMat[T](ws, r, c)
+		e.mats = append(e.mats, m)
 		words += int64(r) * int64(c)
 		return m
 	}
-	floats := func(n int) []float64 {
-		s := ws.AcquireFloats(n)
-		p.floatBufs = append(p.floatBufs, s)
+	floats := func(n int) []T {
+		s := tensor.AcquireSlice[T](ws, n)
+		e.slices = append(e.slices, s)
 		words += int64(n)
 		return s
+	}
+	widened := func(m *meta) *tensor.Dense {
+		words += int64(m.rows) * int64(m.cols) * 8 / opt.DType.Size()
+		return ws.AcquireDense(m.rows, m.cols)
+	}
+	// values hands out float64 sparse values at width T: aliased at float64,
+	// converted once into a workspace buffer otherwise.
+	values := func(src []float64) []T {
+		if aliased {
+			v, _ := any(src).([]T)
+			return v
+		}
+		v := floats(len(src))
+		tensor.Cast(v, src)
+		return v
 	}
 
 	pat := g.pat
@@ -198,24 +349,56 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	// once per pattern here so steady-state ops pay zero scan cost.
 	cuts := par.NewCuts(pat.Rows, nnzWeight(pat))
 
+	// The adjacency values (weighted masks, adjacency SpMM), resolved on
+	// first use and shared by every op that needs them.
+	var adj []T
+	adjVals := func() []T {
+		if adj == nil {
+			adj = values(pat.Val)
+		}
+		return adj
+	}
+	maskWeights := func(mask *spec[T]) []T {
+		if mask.weighted {
+			return adjVals()
+		}
+		return nil
+	}
+
 	// Allocate buffers and compose virtual score closures, in topological
 	// (insertion) order so every node's inputs are ready.
 	for _, n := range g.dag.Nodes() {
-		s := g.sp(n)
+		s := sp(n)
 		switch {
 		case n == g.adj:
-			// pattern view already set
+			// values resolve lazily via adjVals
 		case n == g.input:
+			if !aliased {
+				s.dense = mat(s.rows, s.cols) // the rounding target for Forward's h
+			}
 			if opt.Train {
-				s.gdense = dense(s.rows, s.cols)
-				p.zeroDense = append(p.zeroDense, s.gdense)
+				s.gdense = mat(s.rows, s.cols)
+				e.zeroMats = append(e.zeroMats, s.gdense)
 			}
 		case auxSet[n]:
 			// dense bound per execution via BindDense; no buffer
 		case s.hasParam:
-			// dense aliases the parameter value; gradients go to param.Grad
+			if aliased {
+				// dense aliases the parameter value; gradients go
+				// straight to param.Grad
+				s.dense, _ = alias[T](s.param.Value)
+				s.grad, _ = alias[T](s.param.Grad)
+				break
+			}
+			s.dense = mat(s.rows, s.cols)
+			e.shadows = append(e.shadows, shadow[T]{master: s.param.Value, local: s.dense})
+			if opt.Train {
+				s.grad = mat(s.rows, s.cols)
+				e.zeroMats = append(e.zeroMats, s.grad)
+				e.flushes = append(e.flushes, shadow[T]{master: s.param.Grad, local: s.grad})
+			}
 		case n.Kind == Virtual:
-			s.score = composeScore(g, n)
+			s.score = composeScore(sp, n)
 			if opt.Train {
 				s.gvals = floats(nnz)
 			}
@@ -225,7 +408,6 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			// scores in per-row scratch inside the fused sweep.
 			if !fusedMask[n] && !(attnSrc[n] && !opt.Train) {
 				s.vals = floats(nnz)
-				s.view = pat.WithValues(s.vals)
 			}
 			if opt.Train {
 				s.gvals = floats(nnz)
@@ -234,14 +416,20 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			s.vec = floats(s.rows)
 			if opt.Train {
 				s.gvec = floats(s.rows)
-				p.zeroVecs = append(p.zeroVecs, s.gvec)
+				e.zeroVecs = append(e.zeroVecs, s.gvec)
 			}
 		default: // dense compute node
-			s.dense = dense(s.rows, s.cols)
+			s.dense = mat(s.rows, s.cols)
 			if opt.Train {
-				s.gdense = dense(s.rows, s.cols)
-				p.zeroDense = append(p.zeroDense, s.gdense)
+				s.gdense = mat(s.rows, s.cols)
+				e.zeroMats = append(e.zeroMats, s.gdense)
 			}
+		}
+	}
+	if !aliased {
+		e.outF = widened(p.output)
+		if opt.Train {
+			e.ginF = widened(p.input)
 		}
 	}
 
@@ -252,12 +440,18 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	var patT *sparse.CSR
 	var cutsT *par.Cuts
 	var perm []int64
-	var tvals []float64
+	var tvals, adjT []T
 	if opt.Train {
 		patT = pat.Transpose()
 		cutsT = par.NewCuts(patT.Rows, nnzWeight(patT))
 		perm = pat.TransposePerm()
 		tvals = floats(nnz)
+		for _, n := range g.dag.Nodes() {
+			if n.Op == "spmm" && n.Inputs[0] == g.adj {
+				adjT = values(patT.Val)
+				break
+			}
+		}
 	}
 
 	rowOff := int32(g.rowOff)
@@ -279,16 +473,23 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			lane:   lane,
 			fcode:  flight.Code(span),
 			flops:  flops,
-			bytes:  opBytes(g, n, op, nnz, backward, 8),
+			bytes:  opBytes(g, n, op, nnz, backward, opt.Train, opt.DType.Size()),
 			nnz:    swept,
 		})
 	}
-	bare := func(run func()) opFns { return opFns{run: run} }
+	// sparseVals resolves the value buffer an spmm reads: the adjacency's
+	// own values for the leaf, the node's buffer otherwise.
+	sparseVals := func(n *Node) []T {
+		if n == g.adj {
+			return adjVals()
+		}
+		return sp(n).vals
+	}
 
 	// Forward op list, in topological order. Virtual nodes and fused masks
 	// emit nothing — they live inside their sampler's sweep.
 	for _, n := range g.dag.Nodes() {
-		s := g.sp(n)
+		s := sp(n)
 		switch n.Op {
 		case "input":
 			continue
@@ -296,21 +497,20 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 			if fusedMask[n] || attnSrc[n] {
 				continue
 			}
-			virt := g.sp(n.Inputs[1])
+			virt := sp(n.Inputs[1])
 			emit(&p.fwd, n, "", "mask",
-				opSample(pat, cuts, s.vals, virt.score, maskWeights(pat, s), rowOff, false))
+				opSample(pat, cuts, s.vals, virt.score, maskWeights(s), rowOff, false))
 		case "softmax":
 			if attnSrc[n] {
 				continue
 			}
 			in := n.Inputs[0]
 			if fusedMask[in] {
-				m := g.sp(in)
-				virt := g.sp(in.Inputs[1])
+				virt := sp(in.Inputs[1])
 				emit(&p.fwd, n, "", "fused-softmax",
-					opSample(pat, cuts, s.vals, virt.score, maskWeights(pat, m), rowOff, true))
+					opSample(pat, cuts, s.vals, virt.score, maskWeights(sp(in)), rowOff, true))
 			} else {
-				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, g.sp(in).vals, s.vals))
+				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, sp(in).vals, s.vals))
 			}
 		case "spmm":
 			if src, ok := attnAgg[n]; ok {
@@ -320,29 +520,26 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 					maskN = src.Inputs[0]
 					softmax = true
 				}
-				m := g.sp(maskN)
-				virt := g.sp(maskN.Inputs[1])
+				virt := sp(maskN.Inputs[1])
 				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, g.sp(src).vals, virt.score, maskWeights(pat, m),
-						rowOff, softmax, g.sp(n.Inputs[1]), s))
+					opAttnFused(pat, cuts, sp(src).vals, virt.score, maskWeights(sp(maskN)),
+						rowOff, softmax, sp(n.Inputs[1]), s))
 				continue
 			}
-			sv := g.sp(n.Inputs[0]).view
-			emit(&p.fwd, n, "", "spmm", opSpMM(sv, cuts, g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "spmm", opSpMM(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s))
 		case "spmm-max", "spmm-min", "spmm-mean":
-			sv := g.sp(n.Inputs[0]).view
-			emit(&p.fwd, n, "", n.Op, opSemiring(sv, g.sp(n.Inputs[1]), s, s.agg))
+			emit(&p.fwd, n, "", n.Op, opSemiring(pat, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s, s.agg))
 		case "mm":
-			emit(&p.fwd, n, "", "mm", opMM(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "mm", opMM(sp(n.Inputs[0]), sp(n.Inputs[1]), s))
 		case "matvec":
-			emit(&p.fwd, n, "", "matvec", opMatVec(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s))
+			emit(&p.fwd, n, "", "matvec", opMatVec(sp(n.Inputs[0]), sp(n.Inputs[1]), s))
 		case "rownorm":
-			emit(&p.fwd, n, "", "rownorm", opRowNorms(g.sp(n.Inputs[0]), s))
+			emit(&p.fwd, n, "", "rownorm", opRowNorms(sp(n.Inputs[0]), s))
 		case "sigma":
-			emit(&p.fwd, n, "", "sigma", opSigma(g.sp(n.Inputs[0]), s, s.act.F))
+			emit(&p.fwd, n, "", "sigma", opSigma(sp(n.Inputs[0]), s))
 		case "gin-combine":
 			emit(&p.fwd, n, "", "gin-combine",
-				opGINCombine(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), g.sp(n.Inputs[2]), s))
+				opGINCombine(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s))
 		default:
 			if n.Kind == Virtual {
 				continue
@@ -358,67 +555,50 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 		nodes := g.dag.Nodes()
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
-			s := g.sp(n)
+			s := sp(n)
+			var vjp func()
 			switch n.Op {
 			case "input":
 				continue
 			case "sigma":
-				emit(&p.bwd, n, ".bwd", "sigma",
-					bare(opSigmaVJP(g.sp(n.Inputs[0]), s, s.act.DF)))
+				vjp = opSigmaVJP(sp(n.Inputs[0]), s)
 			case "mm":
-				emit(&p.bwd, n, ".bwd", "mm",
-					bare(opMMVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s, &partialsScratch{})))
+				vjp = opMMVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s, &partialsScratch[T]{})
 			case "matvec":
-				emit(&p.bwd, n, ".bwd", "matvec",
-					bare(opMatVecVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), s)))
+				vjp = opMatVecVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s)
 			case "rownorm":
-				emit(&p.bwd, n, ".bwd", "rownorm", bare(opRowNormsVJP(g.sp(n.Inputs[0]), s)))
+				vjp = opRowNormsVJP(sp(n.Inputs[0]), s)
 			case "gin-combine":
-				emit(&p.bwd, n, ".bwd", "gin-combine",
-					bare(opGINCombineVJP(g.sp(n.Inputs[0]), g.sp(n.Inputs[1]), g.sp(n.Inputs[2]), s, &redScratch{})))
+				vjp = opGINCombineVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, &redScratch[T]{})
 			case "spmm":
-				sam := g.sp(n.Inputs[0])
-				x := g.sp(n.Inputs[1])
-				if n.Inputs[0] == g.adj {
-					emit(&p.bwd, n, ".bwd", "spmm",
-						bare(opSpMMVJP(pat, patT, cuts, cutsT, nil, nil, perm, tvals, x, s)))
-				} else {
-					emit(&p.bwd, n, ".bwd", "spmm",
-						bare(opSpMMVJP(pat, patT, cuts, cutsT, sam.vals, sam.gvals, perm, tvals, x, s)))
-				}
+				// The adjacency leaf has neither values nor a cotangent of
+				// its own: only the feature half runs, over adjT.
+				sam := sp(n.Inputs[0])
+				vjp = opSpMMVJP(pat, patT, cuts, cutsT, sam.vals, sam.gvals, perm, tvals, adjT, sp(n.Inputs[1]), s)
 			case "softmax":
-				in := g.sp(n.Inputs[0])
-				emit(&p.bwd, n, ".bwd", "softmax",
-					bare(opSoftmaxVJP(pat, cuts, s.vals, s.gvals, in.gvals)))
+				vjp = opSoftmaxVJP(pat, cuts, s.vals, s.gvals, sp(n.Inputs[0]).gvals)
 			case "mask":
-				virt := g.sp(n.Inputs[1])
-				emit(&p.bwd, n, ".bwd", "mask", bare(opMaskVJP(s.gvals, virt.gvals, maskWeights(pat, s))))
+				vjp = opMaskVJP(s.gvals, sp(n.Inputs[1]).gvals, maskWeights(s))
 			case "mmt":
-				emit(&p.bwd, n, ".bwd", "mmt",
-					bare(opDotVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				vjp = opDotVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "outer":
-				emit(&p.bwd, n, ".bwd", "outer",
-					bare(opOuterVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				vjp = opOuterVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "divide":
-				emit(&p.bwd, n, ".bwd", "divide",
-					bare(opDivVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				vjp = opDivVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "scale":
-				emit(&p.bwd, n, ".bwd", "scale",
-					bare(opScaleVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]).param, &redScratch{})))
+				vjp = opScaleVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]), &redScratch[T]{})
 			case "rep":
-				emit(&p.bwd, n, ".bwd", "rep", bare(opRepVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]))))
+				vjp = opRepVJP(pat, cuts, s.gvals, sp(n.Inputs[0]))
 			case "repT":
-				emit(&p.bwd, n, ".bwd", "repT",
-					bare(opRepTVJP(patT, cutsT, s.gvals, perm, tvals, g.sp(n.Inputs[0]))))
+				vjp = opRepTVJP(patT, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]))
 			case "add":
-				emit(&p.bwd, n, ".bwd", "add",
-					bare(opAddVJP(s.gvals, g.sp(n.Inputs[0]), g.sp(n.Inputs[1]))))
+				vjp = opAddVJP(s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "lrelu":
-				emit(&p.bwd, n, ".bwd", "lrelu",
-					bare(opLReLUVJP(pat, cuts, s.gvals, g.sp(n.Inputs[0]), s.slope)))
+				vjp = opLReLUVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), T(s.slope))
 			default:
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
+			emit(&p.bwd, n, ".bwd", n.Op, opFns{run: vjp})
 		}
 	}
 
@@ -429,6 +609,7 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 		AttnFused:      len(attnAgg),
 		OpCounts:       make(map[string]int),
 		WorkspaceWords: words,
+		DType:          opt.DType,
 	}
 	for _, grp := range groups {
 		p.stats.FusedVirtual += len(grp.Virtual)
@@ -454,13 +635,6 @@ func (g *Graph) MustCompile(opt Options) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-func maskWeights(pat *sparse.CSR, mask *spec) []float64 {
-	if mask.weighted {
-		return pat.Val
-	}
-	return nil
 }
 
 // attnFusion finds the spmm nodes the attention-fusion rule applies to:
@@ -496,28 +670,71 @@ func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disa
 
 // composeScore builds the closure evaluating one entry of a virtual node by
 // composing its inputs' evaluators — the runtime realization of "evaluate
-// the virtual values on the fly inside the sampler's sweep".
-func composeScore(g *Graph, n *Node) ScoreFunc {
+// the virtual values on the fly inside the sampler's sweep". Parameter
+// operands are read through their spec at call time, so the "scale" β is
+// the same value the kernels see.
+func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
+	// Peepholes for the standard attention-score chains: the generic
+	// composition nests one closure per virtual node, and on the scalar
+	// per-edge sweeps that dynamic-call depth is pure overhead. Collapsing
+	// the GAT chain lrelu(u·1ᵀ + 1·vᵀ) and the AGNN chain β·(X·Yᵀ ⊘ a·bᵀ)
+	// into single closures performs the same operations in the same order —
+	// only the call tree changes.
+	if n.Op == "lrelu" {
+		if a := n.Inputs[0]; a.Op == "add" && a.Inputs[0].Op == "rep" && a.Inputs[1].Op == "repT" {
+			us, vs := sp(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
+			slope := T(sp(n).slope)
+			return func(i, j int32) T {
+				s := us.vec[i] + vs.vec[j]
+				if s < 0 {
+					s *= slope
+				}
+				return s
+			}
+		}
+	}
+	if n.Op == "scale" {
+		if d := n.Inputs[0]; d.Op == "divide" && d.Inputs[0].Op == "mmt" && d.Inputs[1].Op == "outer" {
+			xs, ys := sp(d.Inputs[0].Inputs[0]), sp(d.Inputs[0].Inputs[1])
+			as, bs := sp(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
+			beta := sp(n.Inputs[1])
+			return func(i, j int32) T {
+				den := as.vec[i] * bs.vec[j]
+				if den == 0 {
+					return 0
+				}
+				xd, yd := xs.dense, ys.dense
+				k := xd.Cols
+				xrow := xd.Data[int(i)*k : int(i)*k+k]
+				yrow := yd.Data[int(j)*k : int(j)*k+k]
+				var acc T
+				for t, v := range xrow {
+					acc += v * yrow[t]
+				}
+				return beta.dense.Data[0] * (acc / den)
+			}
+		}
+	}
 	switch n.Op {
 	case "mmt":
-		xs, ys := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 {
+		xs, ys := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T {
 			xd, yd := xs.dense, ys.dense
 			k := xd.Cols
 			xrow := xd.Data[int(i)*k : int(i)*k+k]
 			yrow := yd.Data[int(j)*k : int(j)*k+k]
-			acc := 0.0
+			var acc T
 			for t, v := range xrow {
 				acc += v * yrow[t]
 			}
 			return acc
 		}
 	case "outer":
-		as, bs := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 { return as.vec[i] * bs.vec[j] }
+		as, bs := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T { return as.vec[i] * bs.vec[j] }
 	case "divide":
-		num, den := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 {
+		num, den := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T {
 			d := den.score(i, j)
 			if d == 0 {
 				return 0
@@ -525,22 +742,21 @@ func composeScore(g *Graph, n *Node) ScoreFunc {
 			return num.score(i, j) / d
 		}
 	case "scale":
-		xs := g.sp(n.Inputs[0])
-		beta := g.sp(n.Inputs[1]).param
-		return func(i, j int32) float64 { return beta.Value.Data[0] * xs.score(i, j) }
+		xs, beta := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T { return beta.dense.Data[0] * xs.score(i, j) }
 	case "rep":
-		us := g.sp(n.Inputs[0])
-		return func(i, _ int32) float64 { return us.vec[i] }
+		us := sp(n.Inputs[0])
+		return func(i, _ int32) T { return us.vec[i] }
 	case "repT":
-		vs := g.sp(n.Inputs[0])
-		return func(_, j int32) float64 { return vs.vec[j] }
+		vs := sp(n.Inputs[0])
+		return func(_, j int32) T { return vs.vec[j] }
 	case "add":
-		as, bs := g.sp(n.Inputs[0]), g.sp(n.Inputs[1])
-		return func(i, j int32) float64 { return as.score(i, j) + bs.score(i, j) }
+		as, bs := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T { return as.score(i, j) + bs.score(i, j) }
 	case "lrelu":
-		xs := g.sp(n.Inputs[0])
-		slope := g.sp(n).slope
-		return func(i, j int32) float64 {
+		xs := sp(n.Inputs[0])
+		slope := T(sp(n).slope)
+		return func(i, j int32) T {
 			s := xs.score(i, j)
 			if s < 0 {
 				s *= slope
@@ -571,7 +787,7 @@ func (p *Plan) BindDense(id string, h *tensor.Dense) {
 		panic(fmt.Sprintf("fuse: plan %q aux %q shape %d×%d, got %d×%d",
 			p.Name, id, s.rows, s.cols, h.Rows, h.Cols))
 	}
-	s.dense = h
+	p.x.bindAux(id, h)
 }
 
 // Forward binds h as the input feature matrix and executes the op list.
@@ -585,13 +801,10 @@ func (p *Plan) Forward(h *tensor.Dense) *tensor.Dense {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
 			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
 	}
-	if p.f32 != nil {
-		return p.forward32(h)
-	}
-	p.input.dense = h
+	p.x.bind(h)
 	runOps(p.fwd)
 	p.ranForward = true
-	return p.output.dense
+	return p.x.result()
 }
 
 // runOps executes an op list, recording each op's wall time into its
@@ -624,12 +837,12 @@ func runOps(list []planOp) {
 // double the forward work (two sweeps: operand cotangent + parameter/value
 // cotangent).
 func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept int64) {
-	s := g.sp(n)
+	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
 	switch op {
 	case "mm":
-		k := int64(g.sp(n.Inputs[0]).cols)
+		k := int64(g.md(n.Inputs[0]).cols)
 		flops = 2 * r * k * c
 	case "spmm", "spmm-max", "spmm-min", "spmm-mean":
 		flops, swept = 2*nz*c, nz
@@ -649,7 +862,7 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 		}
 		swept = nz
 	case "matvec", "rownorm":
-		k := int64(g.sp(n.Inputs[0]).cols)
+		k := int64(g.md(n.Inputs[0]).cols)
 		flops = 2 * r * k
 	case "sigma":
 		flops = r * c
@@ -680,23 +893,9 @@ func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
 		panic(fmt.Sprintf("fuse: plan %q output shape %d×%d, got cotangent %d×%d",
 			p.Name, p.output.rows, p.output.cols, g.Rows, g.Cols))
 	}
-	if p.f32 != nil {
-		return p.backward32(g)
-	}
-	for _, m := range p.zeroDense {
-		d := m.Data
-		for i := range d {
-			d[i] = 0
-		}
-	}
-	for _, v := range p.zeroVecs {
-		for i := range v {
-			v[i] = 0
-		}
-	}
-	copy(p.output.gdense.Data, g.Data)
+	p.x.seed(g)
 	runOps(p.bwd)
-	return p.input.gdense
+	return p.x.inputGrad()
 }
 
 // Release returns every buffer the plan holds to its workspace arena. The
@@ -707,22 +906,7 @@ func (p *Plan) Release() {
 		return
 	}
 	p.released = true
-	for _, m := range p.denseBufs {
-		p.ws.ReleaseDense(m)
-	}
-	for _, s := range p.floatBufs {
-		p.ws.ReleaseFloats(s)
-	}
-	p.denseBufs, p.floatBufs = nil, nil
-	if f := p.f32; f != nil {
-		for _, m := range f.denseBufs {
-			p.ws.ReleaseDense32(m)
-		}
-		for _, s := range f.floatBufs {
-			p.ws.ReleaseFloats32(s)
-		}
-		f.denseBufs, f.floatBufs = nil, nil
-	}
+	p.x.release(p.ws)
 }
 
 // String renders a compact plan summary.

@@ -239,7 +239,9 @@ func TestPlanBackwardFiniteDifference(t *testing.T) {
 }
 
 // TestPlanSteadyStateAllocs pins the tentpole property: once warmed up, a
-// compiled plan's forward and backward steps allocate nothing.
+// compiled plan's forward and backward steps allocate nothing — at either
+// element width, the boundary casts of f32 plans and the fused-attention
+// inference op (whose score rows live in per-worker scratch) included.
 func TestPlanSteadyStateAllocs(t *testing.T) {
 	old := par.Workers()
 	par.SetWorkers(1)
@@ -253,15 +255,27 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 	h := randDense(rng, a.Rows, k)
 	r := randDense(rng, a.Rows, k)
 
-	p := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{Train: true})
-	p.Forward(h)
-	p.Backward(r) // warm up lazily-grown per-worker scratch
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		t.Run(dt.String(), func(t *testing.T) {
+			infer := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{DType: dt})
+			if infer.Stats().AttnFused == 0 {
+				t.Fatal("inference plan did not fuse the attention chain")
+			}
+			infer.Forward(h) // warm up per-worker scratch
+			if af := testing.AllocsPerRun(20, func() { infer.Forward(h) }); af != 0 {
+				t.Errorf("fused inference Forward allocates %.1f objects/op, want 0", af)
+			}
 
-	if af := testing.AllocsPerRun(20, func() { p.Forward(h) }); af != 0 {
-		t.Errorf("steady-state Forward allocates %.1f objects/op, want 0", af)
-	}
-	if ab := testing.AllocsPerRun(20, func() { p.Backward(r) }); ab != 0 {
-		t.Errorf("steady-state Backward allocates %.1f objects/op, want 0", ab)
+			train := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{Train: true, DType: dt})
+			train.Forward(h)
+			train.Backward(r) // warm up lazily-grown per-worker scratch
+			if af := testing.AllocsPerRun(20, func() { train.Forward(h) }); af != 0 {
+				t.Errorf("steady-state Forward allocates %.1f objects/op, want 0", af)
+			}
+			if ab := testing.AllocsPerRun(20, func() { train.Backward(r) }); ab != 0 {
+				t.Errorf("steady-state Backward allocates %.1f objects/op, want 0", ab)
+			}
+		})
 	}
 }
 

@@ -19,16 +19,17 @@ const indexBytes = 4
 // feature row per non-zero) for sparse sweeps, operand reads + result
 // writes for dense kernels. fb is the float element width of the plan's
 // dtype (8 for f64, 4 for f32) — the lever that halves every value-traffic
-// term on the f32 path. Backward variants approximately double the forward
-// traffic, mirroring opCost.
-func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, fb int64) int64 {
-	s := g.sp(n)
+// term on the f32 path; train says the plan materializes the scores its
+// fused sweeps normalize. Backward variants approximately double the
+// forward traffic, mirroring opCost.
+func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int64) int64 {
+	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
 	var b int64
 	switch op {
 	case "mm":
-		k := int64(g.sp(n.Inputs[0]).cols)
+		k := int64(g.md(n.Inputs[0]).cols)
 		b = fb * (r*k + k*c + r*c)
 	case "spmm", "spmm-max", "spmm-min", "spmm-mean":
 		// Values + indices in, one gathered X row per non-zero, output out.
@@ -55,14 +56,14 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, fb int64) int
 		if n.Inputs[0].Op == "softmax" {
 			b += 2 * fb * nz
 		}
-		if g.sp(n.Inputs[0]).vals != nil {
+		if train {
 			b += fb * nz
 		}
 	case "matvec":
-		k := int64(g.sp(n.Inputs[0]).cols)
+		k := int64(g.md(n.Inputs[0]).cols)
 		b = fb * (r*k + k + r)
 	case "rownorm":
-		k := int64(g.sp(n.Inputs[0]).cols)
+		k := int64(g.md(n.Inputs[0]).cols)
 		b = fb * (r*k + r)
 	case "sigma":
 		b = 2 * fb * r * c

@@ -8,6 +8,7 @@ import (
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
+	"agnn/internal/tensor"
 )
 
 func opFamilySum(fam map[string]int64) int64 {
@@ -120,5 +121,71 @@ func TestOpBytesModelShapes(t *testing.T) {
 	}
 	if s0.BackwardBytes < s0.ForwardBytes {
 		t.Errorf("backward traffic %d below forward %d; VJP model should dominate", s0.BackwardBytes, s0.ForwardBytes)
+	}
+}
+
+// TestRooflineBytesScaleWithDType: one traffic model serves both element
+// widths, so an f32 plan's byte estimate is the f64 plan's with every value
+// term at 4 B instead of 8 B and the int32 index traffic unchanged — for
+// training and inference plans, forward and backward. Index traffic is
+// counted independently here: 4 B per non-zero per pattern sweep (doubled
+// for backward ops, like every backward estimate). The training-only term
+// is checked on its own: a fused-attn sweep of a training plan additionally
+// writes the normalized scores, one value per non-zero, at either width.
+func TestRooflineBytesScaleWithDType(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	a := weightedGraph(40, 160, 24)
+	const k = 4
+	nnz := int64(a.NNZ())
+	w := randParam(rng, "W", k, k)
+	beta := randParam(rng, "beta", 1, 1)
+	a1, a2 := randParam(rng, "a1", k, 1), randParam(rng, "a2", k, 1)
+
+	// Ops whose sweep reads the pattern's column indices once.
+	fwdSweeps := []string{"spmm", "mask", "fused-softmax", "fused-attn"}
+	bwdSweeps := map[string]bool{"spmm": true, "mask": true, "mmt": true, "outer": true,
+		"divide": true, "scale": true, "rep": true, "repT": true, "add": true, "lrelu": true}
+
+	for _, tc := range []struct {
+		name  string
+		build func() *fuse.Graph
+	}{
+		{"va", func() *fuse.Graph { return buildVA(a, w, k) }},
+		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }},
+		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }},
+		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }},
+	} {
+		stats := map[tensor.DType]map[bool]fuse.PlanStats{tensor.F64: {}, tensor.F32: {}}
+		for _, train := range []bool{true, false} {
+			for dt := range stats {
+				stats[dt][train] = tc.build().MustCompile(fuse.Options{Train: train, DType: dt}).Stats()
+			}
+			s64, s32 := stats[tensor.F64][train], stats[tensor.F32][train]
+
+			var idxFwd, idxBwd int64
+			for _, op := range fwdSweeps {
+				idxFwd += 4 * nnz * int64(s64.OpCounts[op])
+			}
+			if train {
+				for _, n := range tc.build().DAG().Nodes() {
+					if bwdSweeps[n.Op] {
+						idxBwd += 2 * 4 * nnz
+					}
+				}
+			}
+			if got, want := s64.ForwardBytes-idxFwd, 2*(s32.ForwardBytes-idxFwd); got != want || got <= 0 {
+				t.Errorf("%s train=%v: f64 forward value bytes %d, want twice f32's = %d", tc.name, train, got, want)
+			}
+			if got, want := s64.BackwardBytes-idxBwd, 2*(s32.BackwardBytes-idxBwd); got != want || (train && got <= 0) {
+				t.Errorf("%s train=%v: f64 backward value bytes %d, want twice f32's = %d", tc.name, train, got, want)
+			}
+		}
+		for dt, byMode := range stats {
+			want := dt.Size() * nnz * int64(byMode[true].AttnFused)
+			if got := byMode[true].ForwardBytes - byMode[false].ForwardBytes; got != want {
+				t.Errorf("%s %s: training forward moves %d more bytes than inference, want %d (score write per fused sweep)",
+					tc.name, dt, got, want)
+			}
+		}
 	}
 }

@@ -124,7 +124,7 @@ func writeParamsBody(w io.Writer, params []*Param, dt tensor.DType) error {
 		}
 		if dt == tensor.F32 {
 			data32 := make([]float32, len(p.Value.Data))
-			tensor.Floats64To32(data32, p.Value.Data)
+			tensor.Cast(data32, p.Value.Data)
 			if err := binary.Write(w, binary.LittleEndian, data32); err != nil {
 				return err
 			}
@@ -246,7 +246,7 @@ func readParamsBody(r io.Reader, params []*Param, dt tensor.DType) error {
 			if err := binary.Read(r, binary.LittleEndian, data32); err != nil {
 				return fmt.Errorf("gnn: truncated checkpoint: %w", err)
 			}
-			tensor.Floats32To64(p.Value.Data, data32)
+			tensor.Cast(p.Value.Data, data32)
 		} else if err := binary.Read(r, binary.LittleEndian, p.Value.Data); err != nil {
 			return fmt.Errorf("gnn: truncated checkpoint: %w", err)
 		}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"agnn/internal/obs"
 	"agnn/internal/obs/metrics"
@@ -12,24 +13,45 @@ import (
 // intermediate it needs once, at compile time, and reuses the buffers on
 // every subsequent step, so steady-state training does no per-step
 // allocations on the hot path. Buffers released back to the arena are
-// recycled for later acquisitions of the same shape, which lets
-// non-overlapping intermediates share storage. Float32 buffers (f32
-// compiled plans) live in their own pools and are tracked at their true
-// 4-byte element width.
+// recycled for later acquisitions of the same shape and element type, which
+// lets non-overlapping intermediates share storage. Every buffer is tracked
+// at its true element width, so the arena gauges reflect the halved
+// footprint of float32 plans.
 //
 // An Arena is not safe for concurrent use; plans acquire at compile time
 // and execute single-threaded op lists (the kernels themselves parallelize
 // internally).
 type Arena struct {
-	freeDense    map[[2]int][]*Dense
-	freeFloats   map[int][][]float64
-	freeDense32  map[[2]int][]*Dense32
-	freeFloats32 map[int][][]float32
+	f64 pool[float64]
+	f32 pool[float32]
 
-	denseOut  int // buffers handed out and not released (all pools)
-	floatsOut int
+	out       int   // buffers handed out and not released (all pools)
 	bytes     int64 // total bytes ever allocated by this arena
 	liveBytes int64 // bytes currently held by acquirers
+}
+
+// pool holds the free lists of one element type.
+type pool[T Elem] struct {
+	mats   map[[2]int][]*Mat[T]
+	slices map[int][][]T
+}
+
+func newPool[T Elem]() pool[T] {
+	return pool[T]{mats: make(map[[2]int][]*Mat[T]), slices: make(map[int][][]T)}
+}
+
+// poolOf selects the arena's free lists for element type T.
+func poolOf[T Elem](a *Arena) *pool[T] {
+	if p, ok := any(&a.f64).(*pool[T]); ok {
+		return p
+	}
+	return any(&a.f32).(*pool[T])
+}
+
+// elemBytes returns n elements of T in bytes.
+func elemBytes[T Elem](n int) int64 {
+	var z T
+	return int64(unsafe.Sizeof(z)) * int64(n)
 }
 
 // trackLive mirrors this arena's held-buffer delta into the process-wide
@@ -45,115 +67,75 @@ func (a *Arena) trackLive(deltaBytes int64) {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{
-		freeDense:    make(map[[2]int][]*Dense),
-		freeFloats:   make(map[int][][]float64),
-		freeDense32:  make(map[[2]int][]*Dense32),
-		freeFloats32: make(map[int][][]float32),
-	}
+	return &Arena{f64: newPool[float64](), f32: newPool[float32]()}
 }
 
-// AcquireDense returns a zeroed r×c matrix, recycling a released buffer of
-// the same shape when one is available.
-func (a *Arena) AcquireDense(r, c int) *Dense {
-	a.denseOut++
-	a.trackLive(8 * int64(r) * int64(c))
+// AcquireMat returns a zeroed r×c matrix of T, recycling a released buffer
+// of the same shape and element type when one is available.
+func AcquireMat[T Elem](a *Arena, r, c int) *Mat[T] {
+	p := poolOf[T](a)
+	a.out++
+	a.trackLive(elemBytes[T](r * c))
 	key := [2]int{r, c}
-	if l := a.freeDense[key]; len(l) > 0 {
+	if l := p.mats[key]; len(l) > 0 {
 		m := l[len(l)-1]
-		a.freeDense[key] = l[:len(l)-1]
-		return m.Zero()
+		p.mats[key] = l[:len(l)-1]
+		clear(m.Data)
+		return m
 	}
-	a.bytes += 8 * int64(r) * int64(c)
-	return NewDense(r, c)
+	a.bytes += elemBytes[T](r * c)
+	return NewMat[T](r, c)
 }
+
+// ReleaseMat returns m to the shape-keyed free list for reuse.
+func ReleaseMat[T Elem](a *Arena, m *Mat[T]) {
+	if m == nil {
+		return
+	}
+	p := poolOf[T](a)
+	a.out--
+	a.trackLive(-elemBytes[T](m.Rows * m.Cols))
+	key := [2]int{m.Rows, m.Cols}
+	p.mats[key] = append(p.mats[key], m)
+}
+
+// AcquireSlice returns a zeroed length-n slice of T, recycling when possible.
+func AcquireSlice[T Elem](a *Arena, n int) []T {
+	p := poolOf[T](a)
+	a.out++
+	a.trackLive(elemBytes[T](n))
+	if l := p.slices[n]; len(l) > 0 {
+		s := l[len(l)-1]
+		p.slices[n] = l[:len(l)-1]
+		clear(s)
+		return s
+	}
+	a.bytes += elemBytes[T](n)
+	return make([]T, n)
+}
+
+// ReleaseSlice returns s to the free list for reuse.
+func ReleaseSlice[T Elem](a *Arena, s []T) {
+	if s == nil {
+		return
+	}
+	p := poolOf[T](a)
+	a.out--
+	a.trackLive(-elemBytes[T](len(s)))
+	p.slices[len(s)] = append(p.slices[len(s)], s)
+}
+
+// AcquireDense is AcquireMat for the float64 public matrix type.
+func (a *Arena) AcquireDense(r, c int) *Dense { return (*Dense)(AcquireMat[float64](a, r, c)) }
 
 // ReleaseDense returns m to the shape-keyed free list for reuse.
-func (a *Arena) ReleaseDense(m *Dense) {
-	if m == nil {
-		return
-	}
-	a.denseOut--
-	a.trackLive(-8 * int64(m.Rows) * int64(m.Cols))
-	key := [2]int{m.Rows, m.Cols}
-	a.freeDense[key] = append(a.freeDense[key], m)
-}
+func (a *Arena) ReleaseDense(m *Dense) { ReleaseMat(a, (*Mat[float64])(m)) }
 
 // AcquireFloats returns a zeroed length-n slice, recycling when possible.
-func (a *Arena) AcquireFloats(n int) []float64 {
-	a.floatsOut++
-	a.trackLive(8 * int64(n))
-	if l := a.freeFloats[n]; len(l) > 0 {
-		s := l[len(l)-1]
-		a.freeFloats[n] = l[:len(l)-1]
-		clear(s)
-		return s
-	}
-	a.bytes += 8 * int64(n)
-	return make([]float64, n)
-}
+func (a *Arena) AcquireFloats(n int) []float64 { return AcquireSlice[float64](a, n) }
 
 // ReleaseFloats returns s to the free list for reuse.
-func (a *Arena) ReleaseFloats(s []float64) {
-	if s == nil {
-		return
-	}
-	a.floatsOut--
-	a.trackLive(-8 * int64(len(s)))
-	a.freeFloats[len(s)] = append(a.freeFloats[len(s)], s)
-}
-
-// AcquireDense32 returns a zeroed r×c float32 matrix, recycling when
-// possible. f32 workspace is tracked at 4 bytes per element, so the arena
-// gauges and PeakArenaBytes reflect the halved footprint of f32 plans.
-func (a *Arena) AcquireDense32(r, c int) *Dense32 {
-	a.denseOut++
-	a.trackLive(4 * int64(r) * int64(c))
-	key := [2]int{r, c}
-	if l := a.freeDense32[key]; len(l) > 0 {
-		m := l[len(l)-1]
-		a.freeDense32[key] = l[:len(l)-1]
-		return m.Zero()
-	}
-	a.bytes += 4 * int64(r) * int64(c)
-	return NewDense32(r, c)
-}
-
-// ReleaseDense32 returns m to the shape-keyed free list for reuse.
-func (a *Arena) ReleaseDense32(m *Dense32) {
-	if m == nil {
-		return
-	}
-	a.denseOut--
-	a.trackLive(-4 * int64(m.Rows) * int64(m.Cols))
-	key := [2]int{m.Rows, m.Cols}
-	a.freeDense32[key] = append(a.freeDense32[key], m)
-}
-
-// AcquireFloats32 returns a zeroed length-n float32 slice, recycling when
-// possible.
-func (a *Arena) AcquireFloats32(n int) []float32 {
-	a.floatsOut++
-	a.trackLive(4 * int64(n))
-	if l := a.freeFloats32[n]; len(l) > 0 {
-		s := l[len(l)-1]
-		a.freeFloats32[n] = l[:len(l)-1]
-		clear(s)
-		return s
-	}
-	a.bytes += 4 * int64(n)
-	return make([]float32, n)
-}
-
-// ReleaseFloats32 returns s to the free list for reuse.
-func (a *Arena) ReleaseFloats32(s []float32) {
-	if s == nil {
-		return
-	}
-	a.floatsOut--
-	a.trackLive(-4 * int64(len(s)))
-	a.freeFloats32[len(s)] = append(a.freeFloats32[len(s)], s)
-}
+func (a *Arena) ReleaseFloats(s []float64) { ReleaseSlice(a, s) }
 
 // Bytes returns the total workspace footprint allocated through the arena.
 func (a *Arena) Bytes() int64 { return a.bytes }
@@ -162,7 +144,7 @@ func (a *Arena) Bytes() int64 { return a.bytes }
 func (a *Arena) LiveBytes() int64 { return a.liveBytes }
 
 // Live returns the number of buffers currently held by acquirers.
-func (a *Arena) Live() int { return a.denseOut + a.floatsOut }
+func (a *Arena) Live() int { return a.out }
 
 // String summarizes the arena for workspace reports.
 func (a *Arena) String() string {

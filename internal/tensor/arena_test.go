@@ -52,3 +52,30 @@ func TestArenaSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state acquire/release allocated %v times", allocs)
 	}
 }
+
+// TestArenaPoolsByElementType: float32 and float64 buffers of one shape live
+// in separate free lists and are tracked at their own width.
+func TestArenaPoolsByElementType(t *testing.T) {
+	a := NewArena()
+	m32 := AcquireMat[float32](a, 4, 3)
+	if a.Bytes() != 4*3*4 || a.LiveBytes() != 4*3*4 {
+		t.Fatalf("f32 4×3 tracked as %d/%d bytes, want 48", a.Bytes(), a.LiveBytes())
+	}
+	m32.Data[0] = 1
+	ReleaseMat(a, m32)
+	a.AcquireDense(4, 3) // same shape, other width: must not recycle m32
+	if a.Bytes() != 4*3*(4+8) {
+		t.Fatalf("Bytes = %d after f64 acquire, want %d", a.Bytes(), 4*3*(4+8))
+	}
+	if again := AcquireMat[float32](a, 4, 3); again != m32 || again.Data[0] != 0 {
+		t.Fatal("f32 buffer not recycled zeroed from its own pool")
+	}
+	s := AcquireSlice[float32](a, 10)
+	ReleaseSlice(a, s)
+	if s2 := AcquireSlice[float32](a, 10); &s2[0] != &s[0] {
+		t.Fatal("f32 slice not recycled")
+	}
+	if a.Live() != 3 {
+		t.Fatalf("Live = %d, want 3", a.Live())
+	}
+}

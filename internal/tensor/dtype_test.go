@@ -98,47 +98,55 @@ func TestMMIntoTiledBitwiseIdentical(t *testing.T) {
 	}
 }
 
-func TestDense32RoundTrip(t *testing.T) {
+// TestCastRoundTrip: Cast is the one rounding/widening conversion the plan
+// boundary and the float32 weights format are built from.
+func TestCastRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	src := RandN(7, 5, 1, rng)
-	m := NewDense32(7, 5)
-	m.CopyFromDense(src)
+	m := NewMat[float32](7, 5)
+	Cast(m.Data, src.Data)
 	back := NewDense(7, 5)
-	m.CopyToDense(back)
+	Cast(back.Data, m.Data)
 	for i, v := range src.Data {
 		if back.Data[i] != float64(float32(v)) {
 			t.Fatalf("elem %d: %v round-tripped to %v", i, v, back.Data[i])
 		}
 	}
-
-	// The slice helpers are the same cast on raw slices.
-	xs32 := make([]float32, len(src.Data))
-	Floats64To32(xs32, src.Data)
-	xs64 := make([]float64, len(src.Data))
-	Floats32To64(xs64, xs32)
-	for i := range xs64 {
-		if xs64[i] != float64(float32(src.Data[i])) {
-			t.Fatalf("slice elem %d: %v -> %v", i, src.Data[i], xs64[i])
+	same := make([]float64, len(src.Data))
+	Cast(same, src.Data)
+	for i, v := range src.Data {
+		if same[i] != v {
+			t.Fatalf("same-width Cast changed elem %d: %v -> %v", i, v, same[i])
 		}
 	}
 }
 
-func TestDense32ShapeMismatchPanics(t *testing.T) {
-	m := NewDense32(2, 3)
-	d := NewDense(3, 2)
+func TestCastLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"CopyFromDense": func() { m.CopyFromDense(d) },
-		"CopyToDense":   func() { m.CopyToDense(d) },
-		"Floats64To32":  func() { Floats64To32(make([]float32, 2), make([]float64, 3)) },
-		"Floats32To64":  func() { Floats32To64(make([]float64, 2), make([]float32, 3)) },
+		"narrow": func() { Cast(make([]float32, 2), make([]float64, 3)) },
+		"widen":  func() { Cast(make([]float64, 2), make([]float32, 3)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: shape mismatch must panic", name)
+					t.Errorf("%s: length mismatch must panic", name)
 				}
 			}()
 			f()
 		}()
+	}
+}
+
+// TestMatAliasesDense: Mat[float64] has Dense's layout, so the conversion
+// the float64 plans rely on shares storage and identity in both directions.
+func TestMatAliasesDense(t *testing.T) {
+	d := NewDense(2, 3)
+	m := (*Mat[float64])(d)
+	m.Data[4] = 7
+	if d.At(1, 1) != 7 || m.Rows != 2 || m.Cols != 3 {
+		t.Fatalf("Mat view does not alias Dense: %+v vs %+v", m, d)
+	}
+	if (*Dense)(m) != d {
+		t.Fatal("round-trip conversion lost pointer identity")
 	}
 }
