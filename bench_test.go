@@ -361,11 +361,10 @@ func BenchmarkLayoutAblation(b *testing.B) {
 // BenchmarkMultiHeadGAT measures the K-head extension's forward pass.
 func BenchmarkMultiHeadGAT(b *testing.B) {
 	a := graph.Kronecker(12, 8, 26)
-	at := a.Transpose()
 	h := benchDense(a.Rows, 32, 27)
 	for _, heads := range []int{1, 4, 8} {
 		rng := rand.New(rand.NewSource(28))
-		l := gnn.NewMultiHeadGATLayer(a, at, 32, 8, heads, true, gnn.ELU(1), 0.2, rng)
+		l := gnn.NewMultiHeadGATLayer(a, 32, 8, heads, true, gnn.ELU(1), 0.2, rng)
 		b.Run(fmt.Sprintf("heads-%d", heads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l.Forward(h, false)

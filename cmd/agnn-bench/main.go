@@ -49,7 +49,6 @@ func main() {
 	flag.Int64Var(&s.Seed, "s", 0, "random number generator seed")
 	flag.StringVar(&s.DType, "dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision)")
 	flag.Int64Var(&s.TileBudget, "tile", 0, "per-core cache budget in bytes for the kernels' column tiles (0 = package default)")
-	flag.BoolVar(&s.PlanInfer, "planned", false, "single-rank inference: execute compiled inference plans (fused attention, no per-edge score tensor) instead of the direct kernels")
 	flag.StringVar(&s.Faults, "faults", "", "fault-injection spec for distributed runs, e.g. 'delay:p=0.01,ms=1;drop:p=0.005' (docs/ROBUSTNESS.md)")
 	flag.Int64Var(&s.FaultSeed, "fault-seed", 0, "seed for the fault injector's RNG streams")
 	flag.StringVar(&csvPath, "csv", "", "append the result row to this CSV file")

@@ -26,28 +26,27 @@ func main() {
 
 	// 1. Dot-product attention with softmax (VA + sm) and the standard sum
 	//    aggregation — assembled, not hard-coded.
-	vaLike := &gnn.GenericLayer{
-		A:        a,
+	vaLike := gnn.NewGenericLayer(a, gnn.GenericLayer{
 		Psi:      gnn.SoftmaxDotPsi(),
 		Agg:      gnn.SumAgg(),
 		Phi:      gnn.LinearPhi(w),
 		Act:      gnn.ReLU(),
 		PhiFirst: true, // Φ∘⊕ order flexibility of Section 4.4
-	}
+	})
 	out := vaLike.Forward(h, false)
 	fmt.Printf("softmax-dot attention + sum aggregation: %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
 
 	// 2. The same attention with *max* aggregation — a sparse-dense product
 	//    over the tropical-max semiring (ℝ∪{−∞}, max, +, −∞, 0).
-	maxModel := &gnn.GenericLayer{A: a, Psi: gnn.SoftmaxDotPsi(), Agg: gnn.MaxAgg(), Act: gnn.ReLU()}
+	maxModel := gnn.NewGenericLayer(a, gnn.GenericLayer{Psi: gnn.SoftmaxDotPsi(), Agg: gnn.MaxAgg(), Act: gnn.ReLU()})
 	out = maxModel.Forward(h, false)
 	fmt.Printf("tropical-max aggregation:                %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
 
 	// 3. Average aggregation over the paper's ℝ² tuple semiring: tuples
 	//    (value, weight) merged by weighted mean.
-	meanModel := &gnn.GenericLayer{A: a, Psi: gnn.AdjacencyPsi(), Agg: gnn.MeanAgg()}
+	meanModel := gnn.NewGenericLayer(a, gnn.GenericLayer{Psi: gnn.AdjacencyPsi(), Agg: gnn.MeanAgg()})
 	out = meanModel.Forward(h, false)
 	fmt.Printf("ℝ²-semiring average aggregation:         %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
@@ -65,14 +64,13 @@ func main() {
 		}
 		return kernels.FusedSoftmaxScores(a, score)
 	}
-	gaussModel := &gnn.GenericLayer{
-		A:   a,
+	gaussModel := gnn.NewGenericLayer(a, gnn.GenericLayer{
 		Psi: gnn.CustomPsi(gaussianPsi),
 		Agg: gnn.SumAgg(),
 		// GIN-style MLP update Φ: two projections with a ReLU between.
 		Phi: gnn.MLPPhi(gnn.ReLU(), tensor.GlorotInit(8, 16, rng), tensor.GlorotInit(16, 8, rng)),
 		Act: gnn.Tanh(),
-	}
+	})
 	out = gaussModel.Forward(h, false)
 	fmt.Printf("custom Gaussian-kernel attention + MLP Φ: %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())

@@ -60,7 +60,10 @@ func main() {
 	// process-wide plan cache (internal/fuse) each subgraph's plans compile
 	// on first sight and every later epoch is a pure cache hit.
 	mb := newModel()
-	processed := mb.Layers[0].(*gnn.GATLayer).A // adjacency incl. self loops
+	processed, err := mb.Adjacency() // adjacency incl. self loops
+	if err != nil {
+		log.Fatal(err)
+	}
 	g := local.FromCSR(processed)
 	sampler := local.NewSampler(g, 256, 2, 13)
 	type miniBatch struct {

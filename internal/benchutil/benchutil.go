@@ -79,15 +79,6 @@ type Spec struct {
 	// TileBudget overrides the per-core cache budget (bytes) that sizes the
 	// kernels' column tiles; 0 keeps the tensor package default.
 	TileBudget int64 `json:",omitempty"`
-	// PlanInfer routes single-rank attention-model inference through
-	// compiled inference plans (gnn.Model.SetPlanInference): the attention
-	// chain runs as one fused sweep that never materializes the per-edge
-	// score tensor, and the roofline figures are populated. Off by default,
-	// which keeps inference on the direct kernels exactly as earlier
-	// releases measured it; required for f32 inference, which has no
-	// direct-kernel path.
-	PlanInfer bool `json:",omitempty"`
-
 	// Faults optionally injects deterministic faults into the distributed
 	// runs (docs/ROBUSTNESS.md grammar, e.g. "delay:p=0.01,ms=1"). Runs
 	// that abort with a rank failure surface as errors.
@@ -227,23 +218,11 @@ func RunSpec(s Spec) (Result, error) {
 	if s.TileBudget > 0 {
 		tensor.SetTileBudget(s.TileBudget)
 	}
-	if s.PlanInfer {
-		if !s.Inference || s.Ranks != 1 || (s.Engine != EngineGlobal && s.Engine != EngineRows) {
-			return Result{}, fmt.Errorf("benchutil: -planned requires single-rank inference on the global or rows engine")
-		}
-		if kind == gnn.GCN {
-			return Result{}, fmt.Errorf("benchutil: -planned needs an attention model (VA, AGNN or GAT); GCN inference has no attention chain to fuse")
-		}
-	}
-	if dt != tensor.F64 {
-		// Every f32 path runs compiled plans. Refuse configurations that
-		// would silently execute the direct f64 kernels under an f32 stamp.
-		switch {
-		case s.Engine == EngineLocal || s.Engine == EngineMiniBatch:
-			return Result{}, fmt.Errorf("benchutil: engine=%s runs the direct f64 message-passing kernels (got -dtype %s)", s.Engine, s.DType)
-		case s.Ranks == 1 && s.Engine != EngineServe && s.Inference && !s.PlanInfer:
-			return Result{}, fmt.Errorf("benchutil: single-rank inference runs the direct f64 kernels; add -planned to execute compiled %s inference plans", s.DType)
-		}
+	if dt != tensor.F64 && (s.Engine == EngineLocal || s.Engine == EngineMiniBatch) {
+		// Every other engine runs compiled plans at the requested width.
+		// Refuse the one that would silently execute f64 kernels under an
+		// f32 stamp.
+		return Result{}, fmt.Errorf("benchutil: engine=%s runs the direct f64 message-passing kernels (got -dtype %s)", s.Engine, s.DType)
 	}
 	a, err := BuildGraph(s)
 	if err != nil {
@@ -361,9 +340,6 @@ func runSingle(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []
 		if model, err = local.Mirror(model); err != nil {
 			return nil, err
 		}
-	}
-	if s.PlanInfer {
-		model.SetPlanInference(true)
 	}
 	loss := &gnn.CrossEntropyLoss{Labels: labels}
 	opt := gnn.NewSGD(1e-4, 0)

@@ -137,10 +137,6 @@ func TestRunSpecRefusesSilentF64(t *testing.T) {
 		{"bad dtype", func(s *Spec) { s.DType = "f16" }, "unknown dtype"},
 		{"f32 local engine", func(s *Spec) { s.DType = "f32"; s.Engine = EngineLocal }, "direct f64"},
 		{"f32 minibatch engine", func(s *Spec) { s.DType = "f32"; s.Engine = EngineMiniBatch }, "direct f64"},
-		{"f32 inference without planned", func(s *Spec) { s.DType = "f32"; s.Inference = true }, "-planned"},
-		{"planned without inference", func(s *Spec) { s.PlanInfer = true }, "-planned requires"},
-		{"planned multi-rank", func(s *Spec) { s.PlanInfer = true; s.Inference = true; s.Ranks = 4 }, "-planned requires"},
-		{"planned GCN", func(s *Spec) { s.Model = "GCN"; s.PlanInfer = true; s.Inference = true }, "attention model"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,11 +153,11 @@ func TestRunSpecRefusesSilentF64(t *testing.T) {
 	}
 }
 
-// TestRunSpecF32PlannedStampsRoofline: the supported f32 shape — planned
-// single-rank inference — runs and reports dtype-aware roofline figures.
+// TestRunSpecF32PlannedStampsRoofline: f32 single-rank inference runs the
+// compiled inference plans and reports dtype-aware roofline figures.
 func TestRunSpecF32PlannedStampsRoofline(t *testing.T) {
 	res, err := RunSpec(Spec{Model: "AGNN", Dataset: "uniform", Vertices: 64, Edges: 256,
-		Features: 4, Layers: 1, Inference: true, PlanInfer: true, DType: "f32",
+		Features: 4, Layers: 1, Inference: true, DType: "f32",
 		Repeat: 1, Warmup: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +166,47 @@ func TestRunSpecF32PlannedStampsRoofline(t *testing.T) {
 		t.Errorf("result dtype %q, want the canonical f32 stamp", res.DType)
 	}
 	if res.BytesPerEdge <= 0 || res.GFPerSec <= 0 {
-		t.Errorf("planned f32 inference left roofline figures empty: bpe=%v gf=%v",
+		t.Errorf("f32 inference left roofline figures empty: bpe=%v gf=%v",
 			res.BytesPerEdge, res.GFPerSec)
+	}
+}
+
+// TestCommittedBench9StillGates: BENCH_9.json was captured when Spec still
+// carried a PlanInfer switch. The record must keep decoding (the stale key
+// is ignored), its spec must still run — f32 single-rank inference needs no
+// switch — and a fresh record of that spec, scaled down here, must be
+// comparable: same dtype stamp, the frozen twin ratios checked, and every
+// figure the baseline gates on present in the fresh run.
+func TestCommittedBench9StillGates(t *testing.T) {
+	base, err := ReadRecordFile("../../BENCH_9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := base.Result.Spec
+	if spec.DType != "f32" || !spec.Inference || spec.Ranks != 1 {
+		t.Fatalf("BENCH_9.json is no longer the f32 single-rank inference record: %+v", spec)
+	}
+	spec.Vertices, spec.Edges, spec.Repeat, spec.Warmup = 256, 2048, 1, 0
+	res, err := RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := GateCompare(base, NewRecord(res), DefaultTolerances())
+	fresh := make(map[string]GateCheck)
+	for _, c := range rep.Checks {
+		fresh[c.Metric] = c
+	}
+	if c, refused := fresh["DType"]; refused {
+		t.Fatalf("comparison refused: %s", c.Reason)
+	}
+	for _, m := range []string{"F32BytesPerEdgeX", "F32GFPerSecX"} {
+		if c, ok := fresh[m]; !ok || c.Skipped || !c.OK {
+			t.Errorf("frozen twin check %s: %+v", m, c)
+		}
+	}
+	for _, m := range []string{"MedianSec", "PeakArenaBytes", "GFPerSec"} {
+		if c, ok := fresh[m]; !ok || c.Skipped || c.Fresh <= 0 {
+			t.Errorf("fresh record does not carry %s: %+v", m, c)
+		}
 	}
 }

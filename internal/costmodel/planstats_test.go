@@ -16,11 +16,10 @@ import (
 // kind.
 func TestProfilePlanReadsCompiledCounts(t *testing.T) {
 	a := graph.ErdosRenyi(30, 90, 1)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(2))
 	h := tensor.RandN(30, 4, 1, rng)
 
-	agnn := gnn.NewAGNNLayer(a, at, 4, 3, gnn.Tanh(), rng)
+	agnn := gnn.NewAGNNLayer(a, 4, 3, gnn.Tanh(), rng)
 	agnn.Forward(h, true)
 	prof := ProfilePlan(agnn.Plan())
 	if !prof.Train {
@@ -56,7 +55,7 @@ func TestProfilePlanReadsCompiledCounts(t *testing.T) {
 		}
 	}
 
-	gat := gnn.NewGATLayer(a, at, 4, 3, gnn.Tanh(), 0.2, rng)
+	gat := gnn.NewGATLayer(a, 4, 3, gnn.Tanh(), 0.2, rng)
 	gat.Forward(h, true)
 	gprof := ProfilePlan(gat.Plan())
 	// GAT forward: mm, matvec×2, fused attention, sigma = 5.

@@ -55,7 +55,6 @@ func TestRowEngineF32MatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single.SetPlanInference(true)
 		want := single.Forward(h, false)
 		for _, p := range []int{1, 4} {
 			var got *tensor.Dense

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"agnn/internal/dist"
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 	"agnn/internal/sparse"
@@ -56,6 +57,12 @@ type gridLayer interface {
 	forward(e *GlobalEngine, xd *tensor.Dense, training bool) *tensor.Dense
 	backward(e *GlobalEngine, gd *tensor.Dense) *tensor.Dense
 	params() []*gnn.Param
+}
+
+// rowRef adapts a gnn.Param to the fuse runtime for the block plans of
+// gridmodels.go.
+func rowRef(p *gnn.Param) fuse.ParamRef {
+	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix

@@ -40,9 +40,11 @@ type RowEngine struct {
 }
 
 type rowLayer struct {
-	w, a1, a2 *gnn.Param // a1/a2 GAT only
-	beta      *gnn.Param // AGNN only
-	act       gnn.Activation
+	// def is the layer's definition — parameters, options and DAG — shared
+	// with the single-node model; the engine owns the binding (row block,
+	// row offset, global-height input), so def itself is bound to no
+	// adjacency.
+	def gnn.DAGLayer
 
 	// plan is the compiled per-rank inference plan over the owned row block:
 	// the layer's DAG with SetRowOffset(Lo), so score closures index the
@@ -53,19 +55,6 @@ type rowLayer struct {
 	plan  *fuse.Plan
 	// pp is the arrival-gated partition of plan, present when overlap is on.
 	pp *fuse.PartitionedPlan
-}
-
-// rowRef and rowAct adapt gnn types to the fuse runtime (mirrors the
-// unexported adapters inside package gnn).
-func rowRef(p *gnn.Param) fuse.ParamRef {
-	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
-}
-
-func rowAct(a gnn.Activation) fuse.Act {
-	if a.F == nil {
-		a = gnn.Identity()
-	}
-	return fuse.Act{Name: a.Name, F: a.F, DF: a.DF}
 }
 
 // NewRowEngine builds the 1D engine (SPMD; adjacency replicated at setup
@@ -107,30 +96,21 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 			out = cfg.OutDim
 			act = gnn.Identity()
 		}
-		rl := rowLayer{w: gnn.NewParam("W", tensor.GlorotInit(in, out, rng)), act: act}
-		switch cfg.Model {
-		case gnn.AGNN:
-			rl.beta = gnn.NewScalarParam("beta", 1)
-		case gnn.GAT:
-			rl.a1 = gnn.NewParam("a1", tensor.GlorotInit(out, 1, rng))
-			rl.a2 = gnn.NewParam("a2", tensor.GlorotInit(out, 1, rng))
+		def, err := gnn.NewLayer(cfg.Model, nil, in, out, act, cfg.NegSlope, rng)
+		if err != nil {
+			return nil, err
 		}
-		rl.lease = fuse.Shared.Get(fuse.KeyFor(e.aRows, in, cfg.DType, e.layerSig(rl, l, in)),
-			func(ws *tensor.Arena) *fuse.Plan { return e.compileLayerPlan(rl, in, ws) })
+		rl := rowLayer{def: def}
+		// The signature adds what the plan bakes in beyond the definition:
+		// rank and row offset (SetRowOffset(Lo) in the score closures) and
+		// the full height.
+		sig := fmt.Sprintf("row|l%d|rank=%d|off=%d|n=%d|%s", l, c.Rank(), lo, part.N, def.Signature(false))
+		rl.lease = fuse.Shared.Get(fuse.KeyFor(e.aRows, in, cfg.DType, sig),
+			func(ws *tensor.Arena) *fuse.Plan { return e.compileLayerPlan(def, in, ws) })
 		rl.plan = rl.lease.Plan()
 		e.layers = append(e.layers, rl)
 	}
 	return e, nil
-}
-
-// layerSig is the plan-cache signature of one per-rank layer plan: model,
-// rank and row offset (the plan bakes SetRowOffset(Lo) into its score
-// closures), full height, activation, options, and the identities of the
-// parameters the plan closes over.
-func (e *RowEngine) layerSig(rl rowLayer, layer, in int) string {
-	return fmt.Sprintf("row|%v|l%d|rank=%d|off=%d|n=%d|act=%s|slope=%g|%p|%p|%p|%p",
-		e.cfg.Model, layer, e.C.Rank(), e.Lo, e.Part.N, rowAct(rl.act).Name,
-		e.cfg.NegSlope, rl.w, rl.a1, rl.a2, rl.beta)
 }
 
 // Close releases the engine's plan leases back to the shared cache, where
@@ -144,42 +124,14 @@ func (e *RowEngine) Close() {
 	}
 }
 
-// compileLayerPlan builds one layer's execution DAG over the owned row
-// block and compiles it into a reusable inference plan. The row offset
-// shifts local pattern rows into global indices, so the virtual score
-// closures read the full-height allgathered factors directly.
-func (e *RowEngine) compileLayerPlan(rl rowLayer, in int, ws *tensor.Arena) *fuse.Plan {
+// compileLayerPlan lowers one layer's DAG onto the owned row block and
+// compiles it into a reusable inference plan. The row offset shifts local
+// pattern rows into global indices, so the virtual score closures read the
+// full-height allgathered factors directly.
+func (e *RowEngine) compileLayerPlan(def gnn.DAGLayer, in int, ws *tensor.Arena) *fuse.Plan {
 	g := fuse.NewGraph(fmt.Sprintf("row-%v", e.cfg.Model), e.aRows)
 	g.SetRowOffset(e.Lo)
-	h := g.InputDense("H", e.Part.N, in)
-	wn := g.ParamNode("W", rowRef(rl.w))
-	act := rowAct(rl.act)
-	switch e.cfg.Model {
-	case gnn.GCN:
-		g.SetOutput(g.Sigma("Hout", g.SpMM("Z", g.Adj(), g.MM("HW", h, wn)), act))
-	case gnn.VA:
-		psi := g.Mask("Psi", g.DotScores("HHt", h, h), true)
-		g.SetOutput(g.Sigma("Hout", g.SpMM("Z", psi, g.MM("HW", h, wn)), act))
-	case gnn.AGNN:
-		bn := g.ParamNode("beta", rowRef(rl.beta))
-		norms := g.RowNormsNode("n", h)
-		cos := g.DivScores("C", g.DotScores("HHt", h, h), g.OuterScores("nnT", norms, norms))
-		s := g.Mask("S", g.ScaleScores("betaC", cos, bn), true)
-		psi := g.Softmax("Psi", s)
-		g.SetOutput(g.Sigma("Hout", g.SpMM("Z", psi, g.MM("HW", h, wn)), act))
-	case gnn.GAT:
-		a1n := g.ParamNode("a1", rowRef(rl.a1))
-		a2n := g.ParamNode("a2", rowRef(rl.a2))
-		hp := g.MM("Hp", h, wn)
-		u := g.MatVecNode("u", hp, a1n)
-		v := g.MatVecNode("v", hp, a2n)
-		c := g.AddScores("C", g.RepRow("u1T", u), g.RepCol("1vT", v))
-		msk := g.Mask("E", g.LReLUScores("lreluC", c, e.cfg.NegSlope), false)
-		psi := g.Softmax("Psi", msk)
-		g.SetOutput(g.Sigma("Hout", g.SpMM("Z", psi, hp), act))
-	default:
-		panic("unreachable")
-	}
+	def.DAG(g, g.InputDense("H", e.Part.N, in))
 	// NoAttnFuse: the fused attention inference op is row-indivisible, and
 	// EnableOverlap must be able to Partition every plan it already compiled.
 	return g.MustCompile(fuse.Options{SpanPrefix: fmt.Sprintf("row%d.", e.C.Rank()),

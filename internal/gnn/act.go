@@ -12,11 +12,7 @@
 // SpMM, sparse softmax, virtual-matrix score kernels).
 package gnn
 
-import (
-	"math"
-
-	"agnn/internal/tensor"
-)
+import "math"
 
 // Activation is an element-wise non-linearity σ with its derivative σ',
 // both taking the pre-activation value.
@@ -126,9 +122,3 @@ func ActivationByName(name string) (Activation, bool) {
 	}
 	return Activation{}, false
 }
-
-// apply returns σ(Z) as a new matrix.
-func (a Activation) apply(z *tensor.Dense) *tensor.Dense { return z.Apply(a.F) }
-
-// derivAt returns σ'(Z) as a new matrix.
-func (a Activation) derivAt(z *tensor.Dense) *tensor.Dense { return z.Apply(a.DF) }

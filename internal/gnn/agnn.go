@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"agnn/internal/fuse"
-	"agnn/internal/kernels"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -18,54 +17,25 @@ import (
 //	           Z    = Ψ·H·W
 //	           H'   = σ(Z)
 //
-//	Backward (derived with the paper's VJP building blocks; ∂Ψ/∂W = 0 as
-//	stated in Section 5.2, but ∂Ψ/∂β ≠ 0 and ∂Ψ/∂H ≠ 0):
-//	           Ψ̄    = SDDMM(A, G, H·W)           from Z = Ψ·(H·W)
-//	           T̄    = softmax-VJP(Ψ, Ψ̄)
-//	           β̄    = Σ T̄ ⊙ C
-//	           C̄    = β·T̄
-//	           S̄    = C̄ ⊘ n·nᵀ ⊙ A               grad into the H·Hᵀ factor
-//	           n̄_i  = −(1/n_i)·Σ_j (C̄⊙C)_{ij} + (C̄⊙C)_{ji}
-//	           Γ    = Ψᵀ·G·Wᵀ + S̄·H + S̄ᵀ·H + diag(n̄⊘n)·H
+// ∂Ψ/∂W = 0 as stated in Section 5.2, but ∂Ψ/∂β ≠ 0 and ∂Ψ/∂H ≠ 0: the
+// derived backward carries the softmax VJP into β, the dot products and
+// the norms.
 type AGNNLayer struct {
-	A, AT *sparse.CSR
-	W     *Param
-	Beta  *Param
-	Act   Activation
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// kernel path.
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType).
-	DType tensor.DType
-
-	// PlanInference routes non-training Forward through a compiled
-	// inference plan (see VALayer.PlanInference).
-	PlanInference bool
-
-	pc  planCache
-	ipc planCache // inference plans (PlanInference)
-
-	// cached intermediates (direct training-mode forward)
-	h     *tensor.Dense
-	hp    *tensor.Dense
-	norms []float64
-	inv   []float64
-	cos   *sparse.CSR // C (pre-β cosine scores)
-	psi   *sparse.CSR // softmax output
-	z     *tensor.Dense
+	planned
+	W    *Param
+	Beta *Param
+	Act  Activation
 }
 
 // NewAGNNLayer constructs an AGNN layer with β initialized to 1.
-func NewAGNNLayer(a, at *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *AGNNLayer {
-	return &AGNNLayer{
-		A: a, AT: at,
+func NewAGNNLayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *AGNNLayer {
+	l := &AGNNLayer{
 		W:    NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
 		Beta: NewScalarParam("beta", 1),
 		Act:  act,
 	}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -74,65 +44,10 @@ func (l *AGNNLayer) Name() string { return "agnn" }
 // Params implements Layer.
 func (l *AGNNLayer) Params() []*Param { return []*Param{l.W, l.Beta} }
 
-// Forward implements Layer.
-func (l *AGNNLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	beta := l.Beta.Scalar()
-	if !training {
-		if l.PlanInference && !l.Direct {
-			return l.ensureInferPlan(h.Cols).Forward(h)
-		}
-		// Fully fused inference: score evaluation, softmax and aggregation
-		// in one kernel; Ψ never stored.
-		norms := tensor.RowNorms(h)
-		hp := tensor.MM(h, l.W.Value)
-		score := kernels.AGNNEdgeScore(h, norms, beta)
-		return l.Act.apply(kernels.FusedSoftmaxApply(l.A, score, hp))
-	}
-	if !l.Direct {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	l.h = h
-	l.norms = tensor.RowNorms(h)
-	l.inv = make([]float64, len(l.norms))
-	for i, v := range l.norms {
-		if v > 0 {
-			l.inv[i] = 1 / v
-		}
-	}
-	s := sparse.SDDMMScaled(l.A, h, h)           // A ⊙ H·Hᵀ
-	l.cos = s.ScaleRowsCols(l.inv, l.inv)        // ⊘ n·nᵀ (virtual outer product)
-	l.psi = sparse.RowSoftmax(l.cos.Scale(beta)) // Ψ = sm(β·C)
-	l.hp = tensor.MM(h, l.W.Value)
-	l.z = l.psi.MulDense(l.hp)
-	return l.Act.apply(l.z)
-}
-
-// ensurePlan compiles AGNN's DAG into a reusable training plan. The whole
-// virtual chain H·Hᵀ ⊘ n·nᵀ scaled by β collapses into the softmax sampling
-// sweep (mask+softmax fuse into one kernel), matching the Figure 5 analysis.
-func (l *AGNNLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("agnn", true, l.Act, "", l.W, l.Beta)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{Train: true, SpanPrefix: "agnn.", Workspace: ws, DType: l.DType})
-	})
-}
-
-// ensureInferPlan compiles the same DAG as an inference plan (see
-// VALayer.ensureInferPlan).
-func (l *AGNNLayer) ensureInferPlan(in int) *fuse.Plan {
-	return l.ipc.get(l.A, in, l.DType, func() string {
-		return planSig("agnn", false, l.Act, "", l.W, l.Beta)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{SpanPrefix: "agnn.", Workspace: ws, DType: l.DType})
-	})
-}
-
-func (l *AGNNLayer) buildGraph(in int) *fuse.Graph {
-	g := fuse.NewGraph("agnn", l.A)
-	h := g.InputDense("H", l.A.Rows, in)
+// DAG implements DAGLayer. The whole virtual chain H·Hᵀ ⊘ n·nᵀ scaled by β
+// collapses into the softmax sampling sweep (mask+softmax fuse into one
+// kernel), matching the Figure 5 analysis.
+func (l *AGNNLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	wn := g.ParamNode("W", planRef(l.W))
 	bn := g.ParamNode("beta", planRef(l.Beta))
 	norms := g.RowNormsNode("n", h)
@@ -141,64 +56,9 @@ func (l *AGNNLayer) buildGraph(in int) *fuse.Graph {
 	psi := g.Softmax("Psi", s)
 	z := g.SpMM("Z", psi, g.MM("HW", h, wn))
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-	return g
 }
 
-// Plan returns the compiled training plan (nil before the first planned
-// training-mode Forward).
-func (l *AGNNLayer) Plan() *fuse.Plan { return l.pc.plan }
+// Signature implements DAGLayer.
+func (l *AGNNLayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
 
-func (l *AGNNLayer) releasePlans() { l.pc.release(); l.ipc.release() }
-
-// Backward implements Layer.
-func (l *AGNNLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.Direct {
-		if l.pc.plan == nil {
-			panic("gnn: AGNNLayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: AGNNLayer.Backward before training-mode Forward")
-	}
-	beta := l.Beta.Scalar()
-	g := gOut.Hadamard(l.Act.derivAt(l.z))
-
-	// Z = Ψ·Hp.
-	psiBar := sparse.SDDMM(l.A, g, l.hp)
-	psiT := l.psi.Transpose()
-	hpBar := psiT.MulDense(g)
-	// Hp = H·W.
-	hbar := tensor.MM(hpBar, l.W.Value.T())
-	l.W.Grad.AddInPlace(tensor.TMM(l.h, hpBar))
-
-	// Ψ = softmax(β·C).
-	tBar := sparse.RowSoftmaxBackward(l.psi, psiBar)
-	// β̄ = Σ T̄ ⊙ C.
-	betaGrad := 0.0
-	for p := range tBar.Val {
-		betaGrad += tBar.Val[p] * l.cos.Val[p]
-	}
-	l.Beta.AddScalarGrad(betaGrad)
-	cBar := tBar.Scale(beta)
-
-	// C = (A ⊙ H·Hᵀ) ⊘ n·nᵀ: grad into the raw dot products.
-	sBar := cBar.ScaleRowsCols(l.inv, l.inv).HadamardSamePattern(l.A)
-	hbar.AddInPlace(sBar.MulDense(l.h))
-	hbar.AddInPlace(sBar.Transpose().MulDense(l.h))
-
-	// Norm gradient: n̄_i = −inv_i · (Σ_j D_ij + Σ_j D_ji) with D = C̄ ⊙ C,
-	// then H̄[i,:] += n̄_i · inv_i · H[i,:].
-	d := cBar.HadamardSamePattern(l.cos)
-	rows := d.RowSums()
-	cols := d.ColSums()
-	for i := 0; i < hbar.Rows; i++ {
-		nb := -l.inv[i] * (rows[i] + cols[i])
-		coef := nb * l.inv[i]
-		if coef == 0 {
-			continue
-		}
-		tensor.Axpy(coef, l.h.Row(i), hbar.Row(i))
-	}
-	return hbar
-}
+func (l *AGNNLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

@@ -21,36 +21,25 @@ import (
 //
 // with a trainable ε (as in GIN-ε).
 type GINLayer struct {
-	A, AT  *sparse.CSR
+	planned
 	W1, W2 *Param
 	Eps    *Param
 	ActMLP Activation // the MLP's internal non-linearity
 	Act    Activation // the layer output non-linearity σ
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// kernel path.
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType).
-	DType tensor.DType
-
-	pc planCache
-
-	h, pre, mid1, mid2, z *tensor.Dense
 }
 
 // NewGINLayer constructs a GIN layer with a 2-layer MLP of the given
 // hidden width and ε initialized to 0.
-func NewGINLayer(a, at *sparse.CSR, inDim, hidden, outDim int, act Activation, rng *rand.Rand) *GINLayer {
-	return &GINLayer{
-		A: a, AT: at,
+func NewGINLayer(a *sparse.CSR, inDim, hidden, outDim int, act Activation, rng *rand.Rand) *GINLayer {
+	l := &GINLayer{
 		W1:     NewParam("W1", tensor.GlorotInit(inDim, hidden, rng)),
 		W2:     NewParam("W2", tensor.GlorotInit(hidden, outDim, rng)),
 		Eps:    NewScalarParam("eps", 0),
 		ActMLP: ReLU(),
 		Act:    act,
 	}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -59,79 +48,24 @@ func (l *GINLayer) Name() string { return "gin" }
 // Params implements Layer.
 func (l *GINLayer) Params() []*Param { return []*Param{l.W1, l.W2, l.Eps} }
 
-// ensurePlan compiles GIN's DAG — aggregation, the (1+ε) combine, and the
-// two-layer MLP — into a reusable training plan.
-func (l *GINLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("gin", true, l.Act, "mlpact="+planAct(l.ActMLP).Name, l.W1, l.W2, l.Eps)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		g := fuse.NewGraph("gin", l.A)
-		h := g.InputDense("H", l.A.Rows, in)
-		w1 := g.ParamNode("W1", planRef(l.W1))
-		w2 := g.ParamNode("W2", planRef(l.W2))
-		eps := g.ParamNode("eps", planRef(l.Eps))
-		pre := g.GINCombine("pre", g.SpMM("AH", g.Adj(), h), h, eps)
-		mid := g.Sigma("mid2", g.MM("mid1", pre, w1), planAct(l.ActMLP))
-		z := g.MM("Z", mid, w2)
-		g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-		return g.MustCompile(fuse.Options{Train: true, SpanPrefix: "gin.", Workspace: ws, DType: l.DType})
-	})
+// DAG implements DAGLayer: aggregation, the (1+ε) combine, and the
+// two-layer MLP.
+func (l *GINLayer) DAG(g *fuse.Graph, h *fuse.Node) {
+	w1 := g.ParamNode("W1", planRef(l.W1))
+	w2 := g.ParamNode("W2", planRef(l.W2))
+	eps := g.ParamNode("eps", planRef(l.Eps))
+	pre := g.GINCombine("pre", g.SpMM("AH", g.Adj(), h), h, eps)
+	mid := g.Sigma("mid2", g.MM("mid1", pre, w1), planAct(l.ActMLP))
+	z := g.MM("Z", mid, w2)
+	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Plan returns the compiled training plan (nil before the first planned
-// training-mode Forward).
-func (l *GINLayer) Plan() *fuse.Plan { return l.pc.plan }
-
-func (l *GINLayer) releasePlans() { l.pc.release() }
-
-// Forward implements Layer.
-func (l *GINLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if training && !l.Direct {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	eps := l.Eps.Scalar()
-	pre := l.A.MulDense(h)             // Σ_{j∈N(i)} h_j
-	pre.AxpyInPlace(1+eps, h)          // + (1+ε)h_i
-	mid1 := tensor.MM(pre, l.W1.Value) // MLP layer 1 pre-activation
-	mid2 := mid1.Apply(l.ActMLP.F)
-	z := tensor.MM(mid2, l.W2.Value)
-	if training {
-		l.h, l.pre, l.mid1, l.mid2, l.z = h, pre, mid1, mid2, z
-	}
-	return z.Apply(l.Act.F)
+// Signature implements DAGLayer.
+func (l *GINLayer) Signature(train bool) string {
+	return planSig(l, train, l.Act, "mlpact="+planAct(l.ActMLP).Name)
 }
 
-// Backward implements Layer.
-func (l *GINLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.Direct {
-		if l.pc.plan == nil {
-			panic("gnn: GINLayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: GINLayer.Backward before training-mode Forward")
-	}
-	eps := l.Eps.Scalar()
-	g := gOut.Hadamard(l.z.Apply(l.Act.DF))
-	// Z = mid2·W2.
-	l.W2.Grad.AddInPlace(tensor.TMM(l.mid2, g))
-	gMid2 := tensor.MM(g, l.W2.Value.T())
-	// mid2 = σm(mid1).
-	gMid1 := gMid2.Hadamard(l.mid1.Apply(l.ActMLP.DF))
-	// mid1 = pre·W1.
-	l.W1.Grad.AddInPlace(tensor.TMM(l.pre, gMid1))
-	gPre := tensor.MM(gMid1, l.W1.Value.T())
-	// pre = (1+ε)·H + A·H.
-	epsGrad := 0.0
-	for i, v := range gPre.Data {
-		epsGrad += v * l.h.Data[i]
-	}
-	l.Eps.AddScalarGrad(epsGrad)
-	hbar := l.AT.MulDense(gPre)
-	hbar.AxpyInPlace(1+eps, gPre)
-	return hbar
-}
+func (l *GINLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }
 
 // SGCLayer implements Simple Graph Convolution: K propagation hops with the
 // symmetric-normalized adjacency and one projection,
@@ -141,33 +75,21 @@ func (l *GINLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 // the "simple graph convolution model" of the paper's Section 8.4
 // verification, with no non-linearity between hops.
 type SGCLayer struct {
-	A, AT *sparse.CSR // expected pre-normalized
-	K     int
-	W     *Param
-	Act   Activation
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// kernel path.
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType).
-	DType tensor.DType
-
-	pc planCache
-
-	hk *tensor.Dense // Â^K·H
-	z  *tensor.Dense
+	planned // A is expected pre-normalized
+	K       int
+	W       *Param
+	Act     Activation
 }
 
 // NewSGCLayer constructs a K-hop SGC layer; a should carry the GCN
 // normalization.
-func NewSGCLayer(a, at *sparse.CSR, k, inDim, outDim int, act Activation, rng *rand.Rand) *SGCLayer {
+func NewSGCLayer(a *sparse.CSR, k, inDim, outDim int, act Activation, rng *rand.Rand) *SGCLayer {
 	if k < 1 {
 		panic("gnn: SGC needs K >= 1 hops")
 	}
-	return &SGCLayer{A: a, AT: at, K: k,
-		W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l := &SGCLayer{K: k, W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -176,63 +98,20 @@ func (l *SGCLayer) Name() string { return "sgc" }
 // Params implements Layer.
 func (l *SGCLayer) Params() []*Param { return []*Param{l.W} }
 
-// ensurePlan compiles SGC's DAG — K chained propagation hops and one
-// projection — into a reusable training plan.
-func (l *SGCLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("sgc", true, l.Act, fmt.Sprintf("K=%d", l.K), l.W)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		g := fuse.NewGraph("sgc", l.A)
-		h := g.InputDense("H", l.A.Rows, in)
-		wn := g.ParamNode("W", planRef(l.W))
-		cur := h
-		for t := 0; t < l.K; t++ {
-			cur = g.SpMM(fmt.Sprintf("A%d", t+1), g.Adj(), cur)
-		}
-		z := g.MM("Z", cur, wn)
-		g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-		return g.MustCompile(fuse.Options{Train: true, SpanPrefix: "sgc.", Workspace: ws, DType: l.DType})
-	})
-}
-
-// Plan returns the compiled training plan (nil before the first planned
-// training-mode Forward).
-func (l *SGCLayer) Plan() *fuse.Plan { return l.pc.plan }
-
-func (l *SGCLayer) releasePlans() { l.pc.release() }
-
-// Forward implements Layer.
-func (l *SGCLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if training && !l.Direct {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	hk := h
+// DAG implements DAGLayer: K chained propagation hops and one projection.
+func (l *SGCLayer) DAG(g *fuse.Graph, h *fuse.Node) {
+	wn := g.ParamNode("W", planRef(l.W))
+	cur := h
 	for t := 0; t < l.K; t++ {
-		hk = l.A.MulDense(hk)
+		cur = g.SpMM(fmt.Sprintf("A%d", t+1), g.Adj(), cur)
 	}
-	z := tensor.MM(hk, l.W.Value)
-	if training {
-		l.hk, l.z = hk, z
-	}
-	return z.Apply(l.Act.F)
+	z := g.MM("Z", cur, wn)
+	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Backward implements Layer.
-func (l *SGCLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.Direct {
-		if l.pc.plan == nil {
-			panic("gnn: SGCLayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: SGCLayer.Backward before training-mode Forward")
-	}
-	g := gOut.Hadamard(l.z.Apply(l.Act.DF))
-	l.W.Grad.AddInPlace(tensor.TMM(l.hk, g))
-	hbar := tensor.MM(g, l.W.Value.T())
-	for t := 0; t < l.K; t++ {
-		hbar = l.AT.MulDense(hbar)
-	}
-	return hbar
+// Signature implements DAGLayer.
+func (l *SGCLayer) Signature(train bool) string {
+	return planSig(l, train, l.Act, fmt.Sprintf("K=%d", l.K))
 }
+
+func (l *SGCLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

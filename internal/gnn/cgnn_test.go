@@ -10,9 +10,8 @@ import (
 
 func TestGINForwardDefinition(t *testing.T) {
 	a := testGraph(10, 600)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(601))
-	l := NewGINLayer(a, at, 3, 5, 2, Identity(), rng)
+	l := NewGINLayer(a, 3, 5, 2, Identity(), rng)
 	l.Eps.Value.Set(0, 0, 0.5)
 	h := tensor.RandN(10, 3, 1, rng)
 	got := l.Forward(h, false)
@@ -25,9 +24,8 @@ func TestGINForwardDefinition(t *testing.T) {
 
 func TestGINGradCheck(t *testing.T) {
 	a := testGraph(9, 602)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(603))
-	l := NewGINLayer(a, at, 3, 4, 2, Tanh(), rng)
+	l := NewGINLayer(a, 3, 4, 2, Tanh(), rng)
 	l.ActMLP = Tanh() // smooth MLP non-linearity for finite differences
 	m := &Model{Layers: []Layer{l}}
 	h := tensor.RandN(9, 3, 0.7, rng)
@@ -38,10 +36,9 @@ func TestGINGradCheck(t *testing.T) {
 func TestGINTrains(t *testing.T) {
 	adj, labels := graph.PlantedPartition(50, 2, 0.3, 0.02, 604)
 	rng := rand.New(rand.NewSource(605))
-	at := adj.Transpose()
 	m := &Model{Layers: []Layer{
-		NewGINLayer(adj, at, 4, 8, 8, ReLU(), rng),
-		NewGINLayer(adj, at, 8, 8, 2, Identity(), rng),
+		NewGINLayer(adj, 4, 8, 8, ReLU(), rng),
+		NewGINLayer(adj, 8, 8, 2, Identity(), rng),
 	}}
 	h := tensor.RandN(50, 4, 0.5, rng)
 	for i := range labels {
@@ -63,9 +60,8 @@ func TestGINTrains(t *testing.T) {
 func TestSGCForwardIsKHopGCNWithoutNonlinearity(t *testing.T) {
 	raw := testGraph(12, 606)
 	a := graph.NormalizeGCN(raw)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(607))
-	l := NewSGCLayer(a, at, 3, 4, 2, Identity(), rng)
+	l := NewSGCLayer(a, 3, 4, 2, Identity(), rng)
 	h := tensor.RandN(12, 4, 1, rng)
 	got := l.Forward(h, false)
 	want := tensor.MM(a.MulDense(a.MulDense(a.MulDense(h))), l.W.Value)
@@ -77,9 +73,8 @@ func TestSGCForwardIsKHopGCNWithoutNonlinearity(t *testing.T) {
 func TestSGCGradCheck(t *testing.T) {
 	raw := testGraph(8, 608)
 	a := graph.NormalizeGCN(raw)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(609))
-	l := NewSGCLayer(a, at, 2, 3, 2, Tanh(), rng)
+	l := NewSGCLayer(a, 2, 3, 2, Tanh(), rng)
 	m := &Model{Layers: []Layer{l}}
 	h := tensor.RandN(8, 3, 1, rng)
 	loss := &MSELoss{Target: tensor.RandN(8, 2, 1, rng)}
@@ -89,9 +84,8 @@ func TestSGCGradCheck(t *testing.T) {
 func TestSGCKOneEqualsGCNForward(t *testing.T) {
 	raw := testGraph(15, 610)
 	a := graph.NormalizeGCN(raw)
-	at := a.Transpose()
-	sgc := NewSGCLayer(a, at, 1, 4, 3, ReLU(), rand.New(rand.NewSource(611)))
-	gcn := NewGCNLayer(a, at, 4, 3, ReLU(), rand.New(rand.NewSource(612)))
+	sgc := NewSGCLayer(a, 1, 4, 3, ReLU(), rand.New(rand.NewSource(611)))
+	gcn := NewGCNLayer(a, 4, 3, ReLU(), rand.New(rand.NewSource(612)))
 	gcn.W.Value.CopyFrom(sgc.W.Value)
 	h := tensor.RandN(15, 4, 1, rand.New(rand.NewSource(613)))
 	// GCN computes Â·(H·W); SGC computes (Â·H)·W — associativity makes
@@ -108,16 +102,15 @@ func TestSGCRejectsZeroHops(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSGCLayer(a, a.Transpose(), 0, 2, 2, ReLU(), rand.New(rand.NewSource(615)))
+	NewSGCLayer(a, 0, 2, 2, ReLU(), rand.New(rand.NewSource(615)))
 }
 
 func TestCGNNBackwardBeforeForwardPanics(t *testing.T) {
 	a := testGraph(5, 616)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(617))
 	for _, l := range []Layer{
-		NewGINLayer(a, at, 2, 3, 2, ReLU(), rng),
-		NewSGCLayer(a, at, 2, 2, 2, ReLU(), rng),
+		NewGINLayer(a, 2, 3, 2, ReLU(), rng),
+		NewSGCLayer(a, 2, 2, 2, ReLU(), rng),
 	} {
 		func() {
 			defer func() {

@@ -99,10 +99,27 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// NewLayer constructs one built-in single-head layer of the given kind on
+// adjacency a (already preprocessed per the kind's convention). A nil a
+// yields an unbound definition for engines that lower the layer's DAG onto
+// their own graph.
+func NewLayer(kind Kind, a *sparse.CSR, in, out int, act Activation, negSlope float64, rng *rand.Rand) (DAGLayer, error) {
+	switch kind {
+	case VA:
+		return NewVALayer(a, in, out, act, rng), nil
+	case AGNN:
+		return NewAGNNLayer(a, in, out, act, rng), nil
+	case GAT:
+		return NewGATLayer(a, in, out, act, negSlope, rng), nil
+	case GCN:
+		return NewGCNLayer(a, in, out, act, rng), nil
+	}
+	return nil, fmt.Errorf("gnn: unknown model kind %v", kind)
+}
+
 // New builds a model of cfg.Model on adjacency a. The adjacency matrix is
 // preprocessed per model convention: self loops for GAT/GCN (when
-// SelfLoops), symmetric normalization for GCN. The transpose is built once
-// and shared by all layers for the backward pass.
+// SelfLoops), symmetric normalization for GCN.
 func New(cfg Config, a *sparse.CSR) (*Model, error) {
 	cfg = cfg.Defaults()
 	if cfg.Layers < 1 {
@@ -122,7 +139,6 @@ func New(cfg Config, a *sparse.CSR) (*Model, error) {
 			a = graph.AddSelfLoops(a)
 		}
 	}
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	m := &Model{DType: cfg.DType}
@@ -137,80 +153,25 @@ func New(cfg Config, a *sparse.CSR) (*Model, error) {
 		}
 		out := cfg.HiddenDim
 		act := cfg.Activation
-		if l == cfg.Layers-1 {
+		last := l == cfg.Layers-1
+		if last {
 			out = cfg.OutDim
 			act = Identity()
 		}
 		var layer Layer
-		switch cfg.Model {
-		case VA:
-			layer = NewVALayer(a, at, in, out, act, rng)
-		case AGNN:
-			layer = NewAGNNLayer(a, at, in, out, act, rng)
-		case GAT:
-			if multiHead {
-				if l == cfg.Layers-1 {
-					// Final layer: average the heads into OutDim.
-					layer = NewMultiHeadGATLayer(a, at, in, out, cfg.Heads, false, act, cfg.NegSlope, rng)
-				} else {
-					layer = NewMultiHeadGATLayer(a, at, in, cfg.HiddenDim, cfg.Heads, true, act, cfg.NegSlope, rng)
-				}
-			} else {
-				layer = NewGATLayer(a, at, in, out, act, cfg.NegSlope, rng)
+		if multiHead {
+			// Hidden layers concatenate the heads; the final layer averages
+			// them into OutDim.
+			layer = NewMultiHeadGATLayer(a, in, out, cfg.Heads, !last, act, cfg.NegSlope, rng)
+		} else {
+			dl, err := NewLayer(cfg.Model, a, in, out, act, cfg.NegSlope, rng)
+			if err != nil {
+				return nil, err
 			}
-		case GCN:
-			layer = NewGCNLayer(a, at, in, out, act, rng)
-		default:
-			return nil, fmt.Errorf("gnn: unknown model kind %v", cfg.Model)
+			layer = dl
 		}
-		setLayerDType(layer, cfg.DType)
+		eachCore(layer, func(c *planned) { c.DType = cfg.DType })
 		m.Layers = append(m.Layers, layer)
 	}
 	return m, nil
-}
-
-// SetPlanInference flips the attention layers' planned-inference routing
-// (see VALayer.PlanInference) across the whole model: non-training Forward
-// then executes compiled inference plans — fused attention sweeps with no
-// per-edge score tensor — instead of the direct kernels.
-func (m *Model) SetPlanInference(on bool) {
-	for _, l := range m.Layers {
-		switch t := l.(type) {
-		case *VALayer:
-			t.PlanInference = on
-		case *AGNNLayer:
-			t.PlanInference = on
-		case *GATLayer:
-			t.PlanInference = on
-		case *MultiHeadGATLayer:
-			for _, h := range t.Heads {
-				h.PlanInference = on
-			}
-		}
-	}
-}
-
-// setLayerDType threads the model-level plan dtype into a plan-carrying
-// layer (multi-head layers fan it out to every head).
-func setLayerDType(l Layer, dt tensor.DType) {
-	switch t := l.(type) {
-	case *VALayer:
-		t.DType = dt
-	case *AGNNLayer:
-		t.DType = dt
-	case *GATLayer:
-		t.DType = dt
-	case *GCNLayer:
-		t.DType = dt
-	case *GINLayer:
-		t.DType = dt
-	case *SGCLayer:
-		t.DType = dt
-	case *GenericLayer:
-		t.DType = dt
-	case *MultiHeadGATLayer:
-		for _, h := range t.Heads {
-			h.DType = dt
-		}
-	}
 }

@@ -100,7 +100,7 @@ func TestDropoutInModelStack(t *testing.T) {
 	if hist[len(hist)-1] >= hist[0] {
 		t.Fatalf("dropout model did not train: %v → %v", hist[0], hist[len(hist)-1])
 	}
-	o1 := m.Forward(h, false)
+	o1 := m.Forward(h, false).Clone() // plan-owned: the next forward overwrites it
 	o2 := m.Forward(h, false)
 	if !o1.ApproxEqual(o2, 0) {
 		t.Fatal("inference must be deterministic")

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"agnn/internal/kernels"
 	"agnn/internal/par"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -31,9 +33,7 @@ func maxRelDev(a, b *tensor.Dense) float64 {
 
 // TestModelF32ForwardMatchesF64 runs the mixed-precision differential
 // across every built-in model kind and across worker counts: the f32 plans
-// must track the f64 path within single-precision rounding both in training
-// mode and through the planned-inference route (the only inference path
-// with an f32 variant).
+// must track the f64 path within single-precision rounding in both modes.
 func TestModelF32ForwardMatchesF64(t *testing.T) {
 	prev := par.Workers()
 	defer par.SetWorkers(prev)
@@ -62,13 +62,9 @@ func TestModelF32ForwardMatchesF64(t *testing.T) {
 				t.Errorf("%v heads=%d workers=%d: f32 training forward deviates by %.3g relative, want <= %g",
 					tc.kind, tc.heads, workers, d, tol)
 			}
-			if tc.kind == GCN {
-				continue // no attention chain; inference plans are attention-only
-			}
-			m32.SetPlanInference(true)
 			got, want = m32.Forward(h, false), m64.Forward(h, false)
 			if d := maxRelDev(got, want); d > tol {
-				t.Errorf("%v heads=%d workers=%d: f32 planned inference deviates by %.3g relative, want <= %g",
+				t.Errorf("%v heads=%d workers=%d: f32 inference deviates by %.3g relative, want <= %g",
 					tc.kind, tc.heads, workers, d, tol)
 			}
 		}
@@ -152,25 +148,37 @@ func TestGradCheckF32(t *testing.T) {
 	check("input", h0.Data, inGrad.Data)
 }
 
-// TestPlanInferenceMatchesDirectF64: flipping the f64 default onto compiled
-// inference plans must reproduce the direct kernels' answers — same
-// arithmetic, different executor.
+// TestPlanInferenceMatchesDirectF64: the f64 inference plans must reproduce
+// the hand-fused direct kernels of internal/kernels and internal/sparse —
+// same arithmetic, different executor. The kernels are what the benchmark
+// ladder times one level below the plan ops, so the two have to agree.
 func TestPlanInferenceMatchesDirectF64(t *testing.T) {
 	a := testGraph(22, 80)
 	h := tensor.RandN(22, 4, 0.8, rand.New(rand.NewSource(81)))
 	for _, kind := range []Kind{VA, AGNN, GAT} {
-		direct, err := New(dtypeCfg(kind, 1, tensor.F64), a)
+		m, err := New(dtypeCfg(kind, 1, tensor.F64), a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := New(dtypeCfg(kind, 1, tensor.F64), a)
-		if err != nil {
-			t.Fatal(err)
+		want := h
+		for _, l := range m.Layers {
+			var z *tensor.Dense
+			var act Activation
+			switch ll := l.(type) {
+			case *VALayer:
+				z, act = sparse.SDDMMScaled(ll.A, want, want).MulDense(tensor.MM(want, ll.W.Value)), ll.Act
+			case *AGNNLayer:
+				score := kernels.AGNNEdgeScore(want, tensor.RowNorms(want), ll.Beta.Scalar())
+				z, act = kernels.FusedSoftmaxApply(ll.A, score, tensor.MM(want, ll.W.Value)), ll.Act
+			case *GATLayer:
+				hp := tensor.MM(want, ll.W.Value)
+				score := kernels.GATEdgeScore(tensor.MatVec(hp, ll.A1.Value.Data), tensor.MatVec(hp, ll.A2.Value.Data), ll.NegSlope)
+				z, act = kernels.FusedSoftmaxApply(ll.A, score, hp), ll.Act
+			}
+			want = z.Apply(act.F)
 		}
-		planned.SetPlanInference(true)
-		got, want := planned.Forward(h, false), direct.Forward(h, false)
-		if !got.ApproxEqual(want, 1e-10) {
-			t.Errorf("%v: planned inference deviates from direct kernels by %g", kind, got.MaxAbsDiff(want))
+		if got := m.Forward(h, false); !got.ApproxEqual(want, 1e-10) {
+			t.Errorf("%v: planned inference deviates from the direct kernels by %g", kind, got.MaxAbsDiff(want))
 		}
 	}
 }

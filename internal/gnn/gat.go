@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"agnn/internal/fuse"
-	"agnn/internal/kernels"
-	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -22,55 +20,29 @@ import (
 //	           Z  = Ψ·H'
 //	           Hᵒ = σ(Z)
 //
-//	Backward (∂Ψ/∂W ≠ 0 — the second term of Eq. (7) is live for GAT):
-//	           Ψ̄  = SDDMM(A, G, H')
-//	           Ē  = softmax-VJP(Ψ, Ψ̄)
-//	           C̄  = Ē ⊙ lrelu'(u_i + v_j)      fused, virtual C again
-//	           ū  = sum(C̄),  v̄ = sumᵀ(C̄)
-//	           H̄' = Ψᵀ·G + ū·a₁ᵀ + v̄·a₂ᵀ
-//	           ā₁ = H'ᵀ·ū,  ā₂ = H'ᵀ·v̄
-//	           Γ  = H̄'·Wᵀ,  Y = Hᵀ·H̄'
+// ∂Ψ/∂W ≠ 0 — the second term of Eq. (7) is live for GAT: the derived
+// backward routes the softmax VJP through the virtual C again into ū, v̄
+// and from there into H', a₁ and a₂.
 type GATLayer struct {
-	A, AT    *sparse.CSR
+	planned
 	W        *Param
 	A1, A2   *Param // the two halves of the attention vector a
 	Act      Activation
 	NegSlope float64
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// kernel path.
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType).
-	DType tensor.DType
-
-	// PlanInference routes non-training Forward through a compiled
-	// inference plan (see VALayer.PlanInference).
-	PlanInference bool
-
-	pc  planCache
-	ipc planCache // inference plans (PlanInference)
-
-	// cached intermediates (direct training-mode forward)
-	h    *tensor.Dense
-	hp   *tensor.Dense
-	u, v []float64
-	psi  *sparse.CSR
-	z    *tensor.Dense
 }
 
 // NewGATLayer constructs a single-head GAT layer. The attention vector
 // halves are initialized with Glorot fan-in k.
-func NewGATLayer(a, at *sparse.CSR, inDim, outDim int, act Activation, negSlope float64, rng *rand.Rand) *GATLayer {
-	return &GATLayer{
-		A: a, AT: at,
+func NewGATLayer(a *sparse.CSR, inDim, outDim int, act Activation, negSlope float64, rng *rand.Rand) *GATLayer {
+	l := &GATLayer{
 		W:        NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
 		A1:       NewParam("a1", tensor.GlorotInit(outDim, 1, rng)),
 		A2:       NewParam("a2", tensor.GlorotInit(outDim, 1, rng)),
 		Act:      act,
 		NegSlope: negSlope,
 	}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -79,31 +51,9 @@ func (l *GATLayer) Name() string { return "gat" }
 // Params implements Layer.
 func (l *GATLayer) Params() []*Param { return []*Param{l.W, l.A1, l.A2} }
 
-// ensurePlan compiles GAT's DAG into a reusable training plan. The virtual
-// chain u·1ᵀ + 1·vᵀ → LeakyReLU fuses into the softmax sampling sweep.
-func (l *GATLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("gat", true, l.Act, fmt.Sprintf("slope=%g", l.NegSlope), l.W, l.A1, l.A2)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{Train: true, SpanPrefix: "gat.", Workspace: ws, DType: l.DType})
-	})
-}
-
-// ensureInferPlan compiles the same DAG as an inference plan (see
-// VALayer.ensureInferPlan).
-func (l *GATLayer) ensureInferPlan(in int) *fuse.Plan {
-	return l.ipc.get(l.A, in, l.DType, func() string {
-		return planSig("gat", false, l.Act, fmt.Sprintf("slope=%g", l.NegSlope), l.W, l.A1, l.A2)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{SpanPrefix: "gat.", Workspace: ws, DType: l.DType})
-	})
-}
-
-func (l *GATLayer) buildGraph(in int) *fuse.Graph {
-	g := fuse.NewGraph("gat", l.A)
-	h := g.InputDense("H", l.A.Rows, in)
+// DAG implements DAGLayer. The virtual chain u·1ᵀ + 1·vᵀ → LeakyReLU fuses
+// into the softmax sampling sweep.
+func (l *GATLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	wn := g.ParamNode("W", planRef(l.W))
 	a1n := g.ParamNode("a1", planRef(l.A1))
 	a2n := g.ParamNode("a2", planRef(l.A2))
@@ -115,94 +65,11 @@ func (l *GATLayer) buildGraph(in int) *fuse.Graph {
 	psi := g.Softmax("Psi", e)
 	z := g.SpMM("Z", psi, hp)
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-	return g
 }
 
-// Plan returns the compiled training plan (nil before the first planned
-// training-mode Forward).
-func (l *GATLayer) Plan() *fuse.Plan { return l.pc.plan }
-
-func (l *GATLayer) releasePlans() { l.pc.release(); l.ipc.release() }
-
-// Forward implements Layer.
-func (l *GATLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if training && !l.Direct {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	if !training && l.PlanInference && !l.Direct {
-		return l.ensureInferPlan(h.Cols).Forward(h)
-	}
-	hp := tensor.MM(h, l.W.Value)
-	u := tensor.MatVec(hp, l.A1.Value.Data)
-	v := tensor.MatVec(hp, l.A2.Value.Data)
-	score := kernels.GATEdgeScore(u, v, l.NegSlope)
-	if !training {
-		return l.Act.apply(kernels.FusedSoftmaxApply(l.A, score, hp))
-	}
-	l.h, l.hp, l.u, l.v = h, hp, u, v
-	l.psi = kernels.FusedSoftmaxScores(l.A, score) // sm(A ⊙ σ(C)), C virtual
-	l.z = l.psi.MulDense(hp)
-	return l.Act.apply(l.z)
+// Signature implements DAGLayer.
+func (l *GATLayer) Signature(train bool) string {
+	return planSig(l, train, l.Act, fmt.Sprintf("slope=%g", l.NegSlope))
 }
 
-// Backward implements Layer.
-func (l *GATLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.Direct {
-		if l.pc.plan == nil {
-			panic("gnn: GATLayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: GATLayer.Backward before training-mode Forward")
-	}
-	g := gOut.Hadamard(l.Act.derivAt(l.z))
-
-	// Z = Ψ·H'.
-	psiBar := sparse.SDDMM(l.A, g, l.hp)
-	hpBar := l.psi.Transpose().MulDense(g)
-
-	// Softmax VJP, then the LeakyReLU mask on the virtual C = u·1ᵀ + 1·vᵀ.
-	eBar := sparse.RowSoftmaxBackward(l.psi, psiBar)
-	cBar := l.lreluMask(eBar)
-
-	// Score gradients through the rep/sum building blocks: ū = sum(C̄),
-	// v̄ = sumᵀ(C̄).
-	uBar := cBar.RowSums()
-	vBar := cBar.ColSums()
-
-	// H̄' accumulates the aggregation path and the two score paths.
-	tensor.AddOuterInPlace(hpBar, 1, uBar, l.A1.Value.Data)
-	tensor.AddOuterInPlace(hpBar, 1, vBar, l.A2.Value.Data)
-
-	// Attention-vector gradients ā₁ = H'ᵀ·ū, ā₂ = H'ᵀ·v̄.
-	a1g := tensor.VecMat(uBar, l.hp)
-	a2g := tensor.VecMat(vBar, l.hp)
-	for i := range a1g {
-		l.A1.Grad.Data[i] += a1g[i]
-		l.A2.Grad.Data[i] += a2g[i]
-	}
-
-	// H' = H·W.
-	l.W.Grad.AddInPlace(tensor.TMM(l.h, hpBar))
-	return tensor.MM(hpBar, l.W.Value.T())
-}
-
-// lreluMask multiplies each stored entry of eBar by lrelu'(u_i + v_j),
-// re-evaluating the virtual pre-activation scores instead of having stored
-// them — the same fusion the forward pass uses.
-func (l *GATLayer) lreluMask(eBar *sparse.CSR) *sparse.CSR {
-	vals := make([]float64, eBar.NNZ())
-	par.RangeWeighted(eBar.Rows, func(i int) int64 { return int64(eBar.RowNNZ(i)) }, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for p := eBar.RowPtr[i]; p < eBar.RowPtr[i+1]; p++ {
-				d := 1.0
-				if l.u[i]+l.v[eBar.Col[p]] < 0 {
-					d = l.NegSlope
-				}
-				vals[p] = eBar.Val[p] * d
-			}
-		}
-	})
-	return eBar.WithValues(vals)
-}
+func (l *GATLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

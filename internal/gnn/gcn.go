@@ -13,32 +13,17 @@ import (
 // degenerates to Â itself, so — as the paper notes in Section 4.4 — once Ψ
 // is fixed, the execution strategy is identical to the A-GNNs'.
 type GCNLayer struct {
-	A, AT *sparse.CSR // expected pre-normalized (graph.NormalizeGCN)
-	W     *Param
-	Act   Activation
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// kernel path.
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType).
-	DType tensor.DType
-
-	pc planCache
-
-	h *tensor.Dense
-	z *tensor.Dense
+	planned // A is expected pre-normalized (graph.NormalizeGCN)
+	W       *Param
+	Act     Activation
 }
 
 // NewGCNLayer constructs a GCN layer; a should already carry the symmetric
 // normalization (graph.NormalizeGCN).
-func NewGCNLayer(a, at *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *GCNLayer {
-	return &GCNLayer{
-		A: a, AT: at,
-		W:   NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
-		Act: act,
-	}
+func NewGCNLayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *GCNLayer {
+	l := &GCNLayer{W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -47,53 +32,14 @@ func (l *GCNLayer) Name() string { return "gcn" }
 // Params implements Layer.
 func (l *GCNLayer) Params() []*Param { return []*Param{l.W} }
 
-// ensurePlan compiles Z = Â·(H·W), σ into a reusable training plan.
-func (l *GCNLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("gcn", true, l.Act, "", l.W)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		g := fuse.NewGraph("gcn", l.A)
-		h := g.InputDense("H", l.A.Rows, in)
-		w := g.ParamNode("W", planRef(l.W))
-		z := g.SpMM("Z", g.Adj(), g.MM("HW", h, w))
-		g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-		return g.MustCompile(fuse.Options{Train: true, SpanPrefix: "gcn.", Workspace: ws, DType: l.DType})
-	})
+// DAG implements DAGLayer: Z = Â·(H·W), σ.
+func (l *GCNLayer) DAG(g *fuse.Graph, h *fuse.Node) {
+	w := g.ParamNode("W", planRef(l.W))
+	z := g.SpMM("Z", g.Adj(), g.MM("HW", h, w))
+	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Plan returns the compiled training plan (nil before the first planned
-// training-mode Forward).
-func (l *GCNLayer) Plan() *fuse.Plan { return l.pc.plan }
+// Signature implements DAGLayer.
+func (l *GCNLayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
 
-func (l *GCNLayer) releasePlans() { l.pc.release() }
-
-// Forward implements Layer.
-func (l *GCNLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if training && !l.Direct {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	hp := tensor.MM(h, l.W.Value)
-	z := l.A.MulDense(hp)
-	if training {
-		l.h, l.z = h, z
-	}
-	return l.Act.apply(z)
-}
-
-// Backward implements Layer.
-func (l *GCNLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.Direct {
-		if l.pc.plan == nil {
-			panic("gnn: GCNLayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: GCNLayer.Backward before training-mode Forward")
-	}
-	g := gOut.Hadamard(l.Act.derivAt(l.z))
-	// Z = Â·(H·W): H̄p = Âᵀ·G; W̄ += Hᵀ·H̄p; H̄ = H̄p·Wᵀ.
-	hpBar := l.AT.MulDense(g)
-	l.W.Grad.AddInPlace(tensor.TMM(l.h, hpBar))
-	return tensor.MM(hpBar, l.W.Value.T())
-}
+func (l *GCNLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

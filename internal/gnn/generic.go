@@ -67,28 +67,35 @@ type Phi struct {
 // because the projection shrinks the feature dimension before the sparse
 // product.
 //
-// When Ψ, ⊕ and Φ are all built-ins, training-mode forward/backward run
-// through a compiled fuse.Plan; otherwise the layer executes the closures
-// directly and is inference-only (CanTrain explains why).
+// When Ψ, ⊕ and Φ are all built-ins the layer is its DAG like every other
+// layer: both modes run compiled plans (DType F32 requires sum aggregation —
+// semiring ⊕ compiles only to f64 forward-only plans). Any custom piece
+// makes it execute the closures instead, inference-only (CanTrain explains
+// why). Build one with NewGenericLayer.
 type GenericLayer struct {
-	A        *sparse.CSR
+	planned
 	Psi      Psi
 	Agg      Agg
 	Phi      Phi
 	Act      Activation
 	PhiFirst bool
 
-	// Direct bypasses the compiled plan and always executes the closures
-	// (inference-only, the pre-plan behavior).
-	Direct bool
-
-	// DType selects the element width of the layer's compiled plans (see
-	// VALayer.DType). F32 requires sum aggregation — semiring ⊕ compiles
-	// only to f64 plans.
-	DType tensor.DType
-
-	pc     planCache
 	params []*Param
+}
+
+// NewGenericLayer binds the Ψ/⊕/Φ assembly described by spec's exported
+// fields to adjacency a.
+func NewGenericLayer(a *sparse.CSR, spec GenericLayer) *GenericLayer {
+	l := &spec
+	l.params = nil
+	switch l.Phi.Kind {
+	case "linear", "mlp":
+		for i, w := range l.Phi.Ws {
+			l.params = append(l.params, NewParam(fmt.Sprintf("W%d", i+1), w))
+		}
+	}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -96,28 +103,11 @@ func (l *GenericLayer) Name() string { return "generic" }
 
 // Params implements Layer: the wrapped Φ projection matrices for built-in
 // linear/MLP updates; user-supplied closures own their parameters.
-func (l *GenericLayer) Params() []*Param { return l.phiParams() }
-
-func (l *GenericLayer) phiParams() []*Param {
-	switch l.Phi.Kind {
-	case "linear", "mlp":
-	default:
-		return nil
-	}
-	if l.params == nil {
-		for i, w := range l.Phi.Ws {
-			l.params = append(l.params, NewParam(fmt.Sprintf("W%d", i+1), w))
-		}
-	}
-	return l.params
-}
+func (l *GenericLayer) Params() []*Param { return l.params }
 
 // CanTrain implements TrainableLayer: it reports, before any backward pass
 // runs, whether this Ψ/⊕/Φ assembly has a plan-derived backward.
 func (l *GenericLayer) CanTrain() error {
-	if l.Direct {
-		return fmt.Errorf("Direct mode executes raw closures with no backward; unset Direct to train")
-	}
 	switch l.Psi.Kind {
 	case "", "adjacency", "dot", "softmax-dot":
 	default:
@@ -163,83 +153,77 @@ func (l *GenericLayer) plannable() bool {
 	return true
 }
 
-// ensurePlan compiles the assembled Ψ/⊕/Φ DAG. The plan is a training plan
-// exactly when CanTrain passes; otherwise (semiring ⊕) it is forward-only.
-func (l *GenericLayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		extra := fmt.Sprintf("psi=%s|agg=%s|phi=%s|phiFirst=%t|phiAct=%s",
-			l.Psi.Kind, l.Agg.Kind, l.Phi.Kind, l.PhiFirst, planAct(l.Phi.Act).Name)
-		return planSig("generic", l.CanTrain() == nil, l.Act, extra, l.phiParams()...)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		train := l.CanTrain() == nil
-		g := fuse.NewGraph("generic", l.A)
-		h := g.InputDense("H", l.A.Rows, in)
-
-		phi := func(x *fuse.Node) *fuse.Node {
-			params := l.phiParams()
-			for i, p := range params {
-				w := g.ParamNode(p.Name, planRef(p))
-				x = g.MM(fmt.Sprintf("phi%d", i+1), x, w)
-				if i < len(params)-1 {
-					x = g.Sigma(fmt.Sprintf("phiAct%d", i+1), x, planAct(l.Phi.Act))
-				}
+// DAG implements DAGLayer for assemblies of built-in pieces.
+func (l *GenericLayer) DAG(g *fuse.Graph, h *fuse.Node) {
+	phi := func(x *fuse.Node) *fuse.Node {
+		for i, p := range l.params {
+			w := g.ParamNode(p.Name, planRef(p))
+			x = g.MM(fmt.Sprintf("phi%d", i+1), x, w)
+			if i < len(l.params)-1 {
+				x = g.Sigma(fmt.Sprintf("phiAct%d", i+1), x, planAct(l.Phi.Act))
 			}
-			return x
 		}
+		return x
+	}
 
-		var psi *fuse.Node
-		switch l.Psi.Kind {
-		case "", "adjacency":
-			psi = g.Adj()
-		case "dot":
-			psi = g.Mask("Psi", g.DotScores("HHt", h, h), true)
-		case "softmax-dot":
-			psi = g.Softmax("Psi", g.Mask("S", g.DotScores("HHt", h, h), true))
-		}
+	var psi *fuse.Node
+	switch l.Psi.Kind {
+	case "", "adjacency":
+		psi = g.Adj()
+	case "dot":
+		psi = g.Mask("Psi", g.DotScores("HHt", h, h), true)
+	case "softmax-dot":
+		psi = g.Softmax("Psi", g.Mask("S", g.DotScores("HHt", h, h), true))
+	}
 
-		x := h
-		if l.PhiFirst {
-			x = phi(x)
-		}
-		var z *fuse.Node
-		switch l.Agg.Kind {
-		case "", "sum":
-			z = g.SpMM("Z", psi, x)
-		default:
-			z = g.SpMMSemiring("Z", psi, x, l.Agg.Kind)
-		}
-		if !l.PhiFirst {
-			z = phi(z)
-		}
-		g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: "generic.", Workspace: ws, DType: l.DType})
-	})
+	x := h
+	if l.PhiFirst {
+		x = phi(x)
+	}
+	var z *fuse.Node
+	switch l.Agg.Kind {
+	case "", "sum":
+		z = g.SpMM("Z", psi, x)
+	default:
+		z = g.SpMMSemiring("Z", psi, x, l.Agg.Kind)
+	}
+	if !l.PhiFirst {
+		z = phi(z)
+	}
+	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Plan returns the compiled plan (nil before the first planned Forward).
-func (l *GenericLayer) Plan() *fuse.Plan { return l.pc.plan }
+// Signature implements DAGLayer.
+func (l *GenericLayer) Signature(train bool) string {
+	return planSig(l, train, l.Act, fmt.Sprintf("psi=%s|agg=%s|phi=%s|phiFirst=%t|phiAct=%s",
+		l.Psi.Kind, l.Agg.Kind, l.Phi.Kind, l.PhiFirst, planAct(l.Phi.Act).Name))
+}
 
-func (l *GenericLayer) releasePlans() { l.pc.release() }
+func (l *GenericLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }
 
-// Forward implements Layer (Eq. 1).
+// Forward implements Layer (Eq. 1). Forward-only assemblies (semiring ⊕)
+// have no training plan, so training mode runs their inference plan.
 func (l *GenericLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if training && !l.Direct && l.plannable() {
-		return l.ensurePlan(h.Cols).Forward(h)
+	if !l.plannable() {
+		return l.closureForward(h)
 	}
+	return l.planned.Forward(h, training && l.CanTrain() == nil)
+}
+
+// closureForward evaluates Eq. 1 by calling the Ψ, ⊕ and Φ closures — the
+// only execution a custom piece has, and what the plan of a built-in
+// assembly is fuzzed against.
+func (l *GenericLayer) closureForward(h *tensor.Dense) *tensor.Dense {
 	psi := l.psiFn()(l.A, h)
 	agg := l.aggFn()
 	phi := l.phiFn()
-	act := l.Act
-	if act.F == nil {
-		act = Identity()
-	}
 	var z *tensor.Dense
 	if l.PhiFirst {
 		z = agg(psi, phi(h))
 	} else {
 		z = phi(agg(psi, h))
 	}
-	return act.apply(z)
+	return z.Apply(planAct(l.Act).F)
 }
 
 // Backward implements Layer: the plan-derived backward for trainable
@@ -249,10 +233,7 @@ func (l *GenericLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 	if err := l.CanTrain(); err != nil {
 		panic("gnn: GenericLayer.Backward: " + err.Error())
 	}
-	if l.pc.plan == nil || !l.pc.plan.Train() {
-		panic("gnn: GenericLayer.Backward before training-mode Forward")
-	}
-	return l.pc.plan.Backward(gOut)
+	return l.planned.Backward(gOut)
 }
 
 // psiFn resolves the executable Ψ closure (constructor-supplied, or rebuilt

@@ -15,13 +15,13 @@ func TestGenericLayerMatchesVAForward(t *testing.T) {
 	h := tensor.RandN(15, 4, 1, rng)
 	w := tensor.GlorotInit(4, 3, rand.New(rand.NewSource(42)))
 
-	va := NewVALayer(a, a.Transpose(), 4, 3, ReLU(), rand.New(rand.NewSource(43)))
+	va := NewVALayer(a, 4, 3, ReLU(), rand.New(rand.NewSource(43)))
 	va.W.Value.CopyFrom(w)
 
-	gen := &GenericLayer{
-		A: a, Psi: DotPsi(), Agg: SumAgg(), Phi: LinearPhi(w),
+	gen := NewGenericLayer(a, GenericLayer{
+		Psi: DotPsi(), Agg: SumAgg(), Phi: LinearPhi(w),
 		Act: ReLU(), PhiFirst: true,
-	}
+	})
 	if !gen.Forward(h, false).ApproxEqual(va.Forward(h, false), 1e-10) {
 		t.Fatal("generic VA != built-in VA")
 	}
@@ -32,7 +32,7 @@ func TestGenericLayerMatchesGCNForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	h := tensor.RandN(12, 3, 1, rng)
 	w := tensor.GlorotInit(3, 2, rng)
-	gen := &GenericLayer{A: a, Psi: AdjacencyPsi(), Agg: SumAgg(), Phi: LinearPhi(w), Act: ReLU()}
+	gen := NewGenericLayer(a, GenericLayer{Psi: AdjacencyPsi(), Agg: SumAgg(), Phi: LinearPhi(w), Act: ReLU()})
 	want := tensor.MM(a.MulDense(h), w).Apply(ReLU().F)
 	if !gen.Forward(h, false).ApproxEqual(want, 1e-10) {
 		t.Fatal("generic GCN forward wrong")
@@ -47,8 +47,8 @@ func TestGenericPhiOrderEquivalenceForLinearPhi(t *testing.T) {
 	h := tensor.RandN(10, 4, 1, rng)
 	w := tensor.GlorotInit(4, 4, rng)
 	mk := func(first bool) *GenericLayer {
-		return &GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: SumAgg(),
-			Phi: LinearPhi(w), Act: Identity(), PhiFirst: first}
+		return NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: SumAgg(),
+			Phi: LinearPhi(w), Act: Identity(), PhiFirst: first})
 	}
 	x := mk(true).Forward(h, false)
 	y := mk(false).Forward(h, false)
@@ -63,10 +63,10 @@ func TestGenericSemiringAggregations(t *testing.T) {
 	h := tensor.RandN(10, 3, 1, rng)
 	psi := SoftmaxDotPsi().F(a, h)
 
-	maxOut := (&GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: MaxAgg()}).Forward(h, false)
-	minOut := (&GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: MinAgg()}).Forward(h, false)
-	meanOut := (&GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: MeanAgg()}).Forward(h, false)
-	sumOut := (&GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: SumAgg()}).Forward(h, false)
+	maxOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MaxAgg()}).Forward(h, false)
+	minOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MinAgg()}).Forward(h, false)
+	meanOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MeanAgg()}).Forward(h, false)
+	sumOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: SumAgg()}).Forward(h, false)
 
 	// max ≥ mean-of-features ≥ min per vertex neighborhood (feature-wise).
 	for i := 0; i < 10; i++ {
@@ -94,7 +94,7 @@ func TestGenericDefaultsAndBackwardPanics(t *testing.T) {
 	a := testGraph(6, 50)
 	h := tensor.RandN(6, 2, 1, rand.New(rand.NewSource(51)))
 	// nil Agg/Phi/Act default to sum/identity/identity.
-	gen := &GenericLayer{A: a, Psi: AdjacencyPsi()}
+	gen := NewGenericLayer(a, GenericLayer{Psi: AdjacencyPsi()})
 	want := a.MulDense(h)
 	if !gen.Forward(h, false).ApproxEqual(want, 1e-12) {
 		t.Fatal("defaults wrong")

@@ -74,15 +74,6 @@ func TestGradCheckVA(t *testing.T) {
 	gradCheckModel(t, m, h0, loss, 2e-4)
 }
 
-func TestGradCheckVAReferenceBackward(t *testing.T) {
-	m, h0 := modelForGradcheck(t, VA, 2)
-	for _, l := range m.Layers {
-		l.(*VALayer).UseReferenceBackward = true
-	}
-	loss := &MSELoss{Target: tensor.RandN(10, 2, 1, rand.New(rand.NewSource(7)))}
-	gradCheckModel(t, m, h0, loss, 2e-4)
-}
-
 func TestGradCheckAGNN(t *testing.T) {
 	m, h0 := modelForGradcheck(t, AGNN, 3)
 	loss := &CrossEntropyLoss{Labels: []int{1, 0, 1, 0, 1, 0, 1, 0, 1, 0}}
@@ -117,42 +108,15 @@ func TestGradCheckSingleLayerMSE(t *testing.T) {
 	}
 }
 
-// TestVAFusedBackwardMatchesReference asserts that the Eq.-(11) fused
-// backward pass and the op-by-op VJP composition produce identical
-// gradients — validation strategy #4 of DESIGN.md.
-func TestVAFusedBackwardMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	a := testGraph(30, 21)
-	at := a.Transpose()
-	h0 := tensor.RandN(30, 5, 1, rng)
-	gOut := tensor.RandN(30, 4, 1, rng)
-
-	mk := func(ref bool) (*VALayer, *tensor.Dense) {
-		l := NewVALayer(a, at, 5, 4, Tanh(), rand.New(rand.NewSource(22)))
-		l.UseReferenceBackward = ref
-		l.Forward(h0, true)
-		return l, l.Backward(gOut)
-	}
-	fused, gFused := mk(false)
-	ref, gRef := mk(true)
-	if !gFused.ApproxEqual(gRef, 1e-10) {
-		t.Fatalf("input grads differ by %g", gFused.MaxAbsDiff(gRef))
-	}
-	if !fused.W.Grad.ApproxEqual(ref.W.Grad, 1e-10) {
-		t.Fatalf("W grads differ by %g", fused.W.Grad.MaxAbsDiff(ref.W.Grad))
-	}
-}
-
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	a := testGraph(5, 30)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(31))
 	g := tensor.NewDense(5, 2)
 	layers := []Layer{
-		NewVALayer(a, at, 2, 2, ReLU(), rng),
-		NewAGNNLayer(a, at, 2, 2, ReLU(), rng),
-		NewGATLayer(a, at, 2, 2, ReLU(), 0.2, rng),
-		NewGCNLayer(a, at, 2, 2, ReLU(), rng),
+		NewVALayer(a, 2, 2, ReLU(), rng),
+		NewAGNNLayer(a, 2, 2, ReLU(), rng),
+		NewGATLayer(a, 2, 2, ReLU(), 0.2, rng),
+		NewGCNLayer(a, 2, 2, ReLU(), rng),
 	}
 	for _, l := range layers {
 		func() {

@@ -11,10 +11,13 @@ import (
 // training == true caches whatever intermediates the backward pass needs
 // (Ψ, Z, projected features …), matching the paper's GnnLayer classes whose
 // forward methods "allow caching of intermediate results for training";
-// with training == false layers may use fused inference-only kernels that
-// never materialize the attention matrix.
+// with training == false layers run fused inference-only sweeps that never
+// materialize the attention matrix.
 type Layer interface {
-	// Forward computes the layer output σ(Z).
+	// Forward computes the layer output σ(Z). In both modes the result may
+	// be a buffer the layer owns (the built-in layers return their compiled
+	// plan's output): it is valid until the next Forward of the same layer
+	// or Model.ReleasePlans — copy it to keep it longer.
 	Forward(h *tensor.Dense, training bool) *tensor.Dense
 	// Backward consumes ∂L/∂H_out, accumulates parameter gradients, and
 	// returns ∂L/∂H_in. It must be called after a training-mode Forward.
@@ -59,7 +62,9 @@ func (m *Model) CheckTrainable() error {
 	return nil
 }
 
-// Forward runs all layers on the input feature matrix.
+// Forward runs all layers on the input feature matrix. The result is owned
+// by the last layer (see Layer.Forward): valid until the next Forward of
+// this model or ReleasePlans.
 func (m *Model) Forward(h *tensor.Dense, training bool) *tensor.Dense {
 	for _, l := range m.Layers {
 		h = l.Forward(h, training)

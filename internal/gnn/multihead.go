@@ -37,14 +37,14 @@ func ensureBuf(buf **tensor.Dense, rows, cols int) *tensor.Dense {
 
 // NewMultiHeadGATLayer builds a K-head GAT layer. With Concat the output
 // dimensionality is heads·headDim; with averaging it is headDim.
-func NewMultiHeadGATLayer(a, at *sparse.CSR, inDim, headDim, heads int, concat bool,
+func NewMultiHeadGATLayer(a *sparse.CSR, inDim, headDim, heads int, concat bool,
 	act Activation, negSlope float64, rng *rand.Rand) *MultiHeadGATLayer {
 	if heads < 1 {
 		panic(fmt.Sprintf("gnn: %d heads", heads))
 	}
 	l := &MultiHeadGATLayer{Concat: concat, headDim: headDim}
 	for h := 0; h < heads; h++ {
-		l.Heads = append(l.Heads, NewGATLayer(a, at, inDim, headDim, act, negSlope, rng))
+		l.Heads = append(l.Heads, NewGATLayer(a, inDim, headDim, act, negSlope, rng))
 	}
 	return l
 }

@@ -9,11 +9,10 @@ import (
 
 func TestMultiHeadShapes(t *testing.T) {
 	a := testGraph(12, 60)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(61))
 	h := tensor.RandN(12, 5, 1, rng)
 
-	concat := NewMultiHeadGATLayer(a, at, 5, 4, 3, true, Tanh(), 0.2, rng)
+	concat := NewMultiHeadGATLayer(a, 5, 4, 3, true, Tanh(), 0.2, rng)
 	if concat.OutDim() != 12 {
 		t.Fatalf("concat OutDim = %d", concat.OutDim())
 	}
@@ -22,7 +21,7 @@ func TestMultiHeadShapes(t *testing.T) {
 		t.Fatalf("concat output %d×%d", out.Rows, out.Cols)
 	}
 
-	avg := NewMultiHeadGATLayer(a, at, 5, 4, 3, false, Tanh(), 0.2, rng)
+	avg := NewMultiHeadGATLayer(a, 5, 4, 3, false, Tanh(), 0.2, rng)
 	if avg.OutDim() != 4 {
 		t.Fatalf("avg OutDim = %d", avg.OutDim())
 	}
@@ -41,10 +40,9 @@ func TestMultiHeadShapes(t *testing.T) {
 func TestMultiHeadSingleHeadEqualsGAT(t *testing.T) {
 	// One concat head must behave exactly like a plain GAT layer.
 	a := testGraph(15, 62)
-	at := a.Transpose()
 	h := tensor.RandN(15, 4, 1, rand.New(rand.NewSource(63)))
-	mh := NewMultiHeadGATLayer(a, at, 4, 3, 1, true, Tanh(), 0.2, rand.New(rand.NewSource(64)))
-	plain := NewGATLayer(a, at, 4, 3, Tanh(), 0.2, rand.New(rand.NewSource(64)))
+	mh := NewMultiHeadGATLayer(a, 4, 3, 1, true, Tanh(), 0.2, rand.New(rand.NewSource(64)))
+	plain := NewGATLayer(a, 4, 3, Tanh(), 0.2, rand.New(rand.NewSource(64)))
 	if !mh.Forward(h, false).ApproxEqual(plain.Forward(h, false), 1e-12) {
 		t.Fatal("1-head multi-head != single-head GAT")
 	}
@@ -52,9 +50,8 @@ func TestMultiHeadSingleHeadEqualsGAT(t *testing.T) {
 
 func TestMultiHeadAverageIsHeadMean(t *testing.T) {
 	a := testGraph(10, 65)
-	at := a.Transpose()
 	h := tensor.RandN(10, 4, 1, rand.New(rand.NewSource(66)))
-	mh := NewMultiHeadGATLayer(a, at, 4, 3, 4, false, Tanh(), 0.2, rand.New(rand.NewSource(67)))
+	mh := NewMultiHeadGATLayer(a, 4, 3, 4, false, Tanh(), 0.2, rand.New(rand.NewSource(67)))
 	out := mh.Forward(h, false)
 	want := tensor.NewDense(10, 3)
 	for _, head := range mh.Heads {
@@ -70,10 +67,9 @@ func TestMultiHeadGradCheck(t *testing.T) {
 	// Full finite-difference validation of the multi-head backward pass,
 	// both concat and average variants, stacked into a 2-layer model.
 	a := testGraph(8, 68)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(69))
-	l1 := NewMultiHeadGATLayer(a, at, 3, 2, 2, true, Tanh(), 0.2, rng) // out 4
-	l2 := NewMultiHeadGATLayer(a, at, 4, 2, 3, false, Identity(), 0.2, rng)
+	l1 := NewMultiHeadGATLayer(a, 3, 2, 2, true, Tanh(), 0.2, rng) // out 4
+	l2 := NewMultiHeadGATLayer(a, 4, 2, 3, false, Identity(), 0.2, rng)
 	m := &Model{Layers: []Layer{l1, l2}}
 	h0 := tensor.RandN(8, 3, 0.8, rng)
 	loss := &MSELoss{Target: tensor.RandN(8, 2, 1, rng)}
@@ -82,11 +78,10 @@ func TestMultiHeadGradCheck(t *testing.T) {
 
 func TestMultiHeadTrainsOnClassification(t *testing.T) {
 	a := testGraph(30, 70)
-	at := a.Transpose()
 	rng := rand.New(rand.NewSource(71))
 	m := &Model{Layers: []Layer{
-		NewMultiHeadGATLayer(a, at, 6, 4, 2, true, ELU(1), 0.2, rng), // out 8
-		NewMultiHeadGATLayer(a, at, 8, 3, 2, false, Identity(), 0.2, rng),
+		NewMultiHeadGATLayer(a, 6, 4, 2, true, ELU(1), 0.2, rng), // out 8
+		NewMultiHeadGATLayer(a, 8, 3, 2, false, Identity(), 0.2, rng),
 	}}
 	h := tensor.RandN(30, 6, 0.5, rng)
 	labels := make([]int, 30)
@@ -110,7 +105,7 @@ func TestMultiHeadPanicsOnZeroHeads(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMultiHeadGATLayer(a, a.Transpose(), 2, 2, 0, true, ReLU(), 0.2, rand.New(rand.NewSource(73)))
+	NewMultiHeadGATLayer(a, 2, 2, 0, true, ReLU(), 0.2, rand.New(rand.NewSource(73)))
 }
 
 func TestConfigHeadsBuildsMultiHeadModel(t *testing.T) {

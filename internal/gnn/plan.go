@@ -9,42 +9,125 @@ import (
 	"agnn/internal/tensor"
 )
 
-// This file adapts the gnn layer types to the executable plan runtime of
-// internal/fuse. Every built-in layer describes its tensor-op DAG once with
-// the fuse.Graph builder; Compile applies the Section 6.2 fusion rule,
-// preallocates every intermediate from a shape-keyed arena, and derives the
-// backward pass by reverse traversal. Training-mode Forward/Backward then
-// execute the compiled op list with zero steady-state allocations.
+// A layer is its DAG. Every built-in layer (and every GenericLayer
+// assembled from named pieces) describes its tensor ops once, by appending
+// nodes to a fuse.Graph; the plan-backed core in this file is the only
+// executor. Compile applies the Section 6.2 fusion rule, preallocates every
+// intermediate from a shape-keyed arena, and — for training plans — derives
+// the backward pass by reverse traversal. Both modes execute compiled op
+// lists with zero steady-state allocations: training-mode Forward/Backward
+// run the training plan, inference-mode Forward runs the plan compiled from
+// the same DAG without a backward (the attention chain collapses into one
+// fused sweep that never materializes the per-edge score tensor).
 
-// planRef adapts a Param to the fuse runtime's package-neutral handle. The
-// plan reads Value on every step (optimizer updates are mutations of the
-// shared buffer, so they are observed) and accumulates into Grad.
-func planRef(p *Param) fuse.ParamRef {
-	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
+// DAGLayer is a layer defined by its tensor-op DAG. The per-rank row engine
+// lowers the same definition onto its own graph (row offset, global-height
+// input), which is why DAG and Signature are exported; the unexported
+// methods tie the interface to layers embedding this package's plan-backed
+// core.
+type DAGLayer interface {
+	Layer
+	// DAG appends the layer's nodes to g, reading the features from the
+	// dense input node h, and marks the output node. Node names and
+	// construction order are part of the compiled plan's identity.
+	DAG(g *fuse.Graph, h *fuse.Node)
+	// Signature renders the plan-cache signature of the layer's plan in
+	// the given mode: layer kind, structural options, and the identities
+	// of the parameters the plan closes over.
+	Signature(train bool) string
+
+	core() *planned
+	// rebound returns a copy of the layer — same parameters and options —
+	// bound to adjacency a, holding no plan leases.
+	rebound(a *sparse.CSR) DAGLayer
 }
 
-// planAct adapts an Activation; a zero Activation defaults to identity, the
-// same convention the direct paths use.
-func planAct(a Activation) fuse.Act {
-	if a.F == nil {
-		a = Identity()
+// planned is the plan-backed core every DAG layer embeds: the adjacency
+// binding, the plan element width, and one leased plan per mode. It
+// implements Forward, Backward, Plan and the lease lifecycle for all of
+// them.
+type planned struct {
+	// A is the adjacency the layer is bound to, with the model's
+	// preprocessing (self loops, GCN normalization) already applied.
+	A *sparse.CSR
+	// DType selects the element width the layer's compiled plans run at.
+	// F64 (the zero value) is the default double-precision path; F32
+	// compiles mixed-precision plans (f64 master weights, f32 kernels).
+	DType tensor.DType
+
+	def          DAGLayer // the layer embedding this core
+	train, infer planLease
+}
+
+// bind (re)initializes the core for layer def on adjacency a, keeping the
+// dtype. It drops — without releasing — whatever leases the struct held, so
+// it is also what detaches a copied layer from its source's plans.
+func (p *planned) bind(a *sparse.CSR, def DAGLayer) {
+	*p = planned{A: a, DType: p.DType, def: def}
+}
+
+func (p *planned) core() *planned { return p }
+
+// Forward implements Layer for every DAG layer: training mode executes the
+// training plan (which caches what Backward needs), inference mode the
+// inference plan.
+func (p *planned) Forward(h *tensor.Dense, training bool) *tensor.Dense {
+	return p.plan(h.Cols, training).Forward(h)
+}
+
+// Backward implements Layer through the training plan's reverse-derived op
+// list.
+func (p *planned) Backward(gOut *tensor.Dense) *tensor.Dense {
+	if p.train.plan == nil {
+		panic("gnn: " + p.def.Name() + " layer: Backward before training-mode Forward")
 	}
-	return fuse.Act{Name: a.Name, F: a.F, DF: a.DF}
+	return p.train.plan.Backward(gOut)
 }
 
-// planCache resolves one layer's compiled plan through the process-wide
-// fuse.Shared cache. The steady-state path is a pointer comparison: as long
-// as the layer keeps seeing the same adjacency pointer and input width, the
-// leased plan is returned with zero allocations and zero hashing. Only a
-// rebind (new adjacency pointer) or a width change goes to the shared
+// Plan returns the compiled training plan, or nil before the first
+// training-mode Forward. Cost-model and observability consumers read its
+// Stats.
+func (p *planned) Plan() *fuse.Plan { return p.train.plan }
+
+func (p *planned) releasePlans() { p.train.release(); p.infer.release() }
+
+// plan resolves the layer's compiled plan for one mode through the
+// process-wide fuse.Shared cache. The steady-state path is a pointer
+// comparison: as long as the layer keeps seeing the same adjacency pointer,
+// input width and dtype, the leased plan is returned with zero allocations
+// and zero hashing. Only a rebind or a width change goes to the shared
 // cache, where the adjacency's content fingerprint × input width × layer
 // signature either finds an already compiled plan (mini-batch rotation,
 // serving fan-out) or compiles one into the cache.
 //
-// The layer signature is computed once per layer instance (layer kind,
-// structural options and parameter identities are fixed after
-// construction) and memoized.
-type planCache struct {
+// The signature is computed once per layer instance and mode (layer kind,
+// structural options and parameter identities are fixed after construction)
+// and memoized.
+func (p *planned) plan(in int, train bool) *fuse.Plan {
+	c := &p.infer
+	if train {
+		c = &p.train
+	}
+	if c.plan != nil && c.a == p.A && c.in == in && c.dt == p.DType {
+		return c.plan
+	}
+	if c.sig == "" {
+		c.sig = p.def.Signature(train)
+	}
+	c.release()
+	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, c.sig), func(ws *tensor.Arena) *fuse.Plan {
+		name := p.def.Name()
+		g := fuse.NewGraph(name, p.A)
+		p.def.DAG(g, g.InputDense("H", p.A.Rows, in))
+		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
+	})
+	c.plan = c.lease.Plan()
+	c.a, c.in, c.dt = p.A, in, p.DType
+	return c.plan
+}
+
+// planLease is one mode's leased plan together with what it was leased for.
+type planLease struct {
 	lease fuse.Lease
 	plan  *fuse.Plan
 	a     *sparse.CSR
@@ -53,24 +136,10 @@ type planCache struct {
 	sig   string
 }
 
-func (c *planCache) get(a *sparse.CSR, in int, dt tensor.DType, sig func() string, build func(ws *tensor.Arena) *fuse.Plan) *fuse.Plan {
-	if c.plan != nil && c.a == a && c.in == in && c.dt == dt {
-		return c.plan
-	}
-	if c.sig == "" {
-		c.sig = sig()
-	}
-	c.release()
-	c.lease = fuse.Shared.Get(fuse.KeyFor(a, in, dt, c.sig), build)
-	c.plan = c.lease.Plan()
-	c.a, c.in, c.dt = a, in, dt
-	return c.plan
-}
-
-// release returns the leased plan to the shared cache. The layer keeps its
-// memoized signature; the next Forward re-leases (a cache hit when the
-// same structure comes around again).
-func (c *planCache) release() {
+// release returns the leased plan to the shared cache. The memoized
+// signature stays; the next Forward re-leases (a cache hit when the same
+// structure comes around again).
+func (c *planLease) release() {
 	if c.plan == nil {
 		return
 	}
@@ -80,19 +149,34 @@ func (c *planCache) release() {
 	c.in = 0
 }
 
+// planRef adapts a Param to the fuse runtime's package-neutral handle. The
+// plan reads Value on every step (optimizer updates are mutations of the
+// shared buffer, so they are observed) and accumulates into Grad.
+func planRef(p *Param) fuse.ParamRef {
+	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
+}
+
+// planAct adapts an Activation; a zero Activation defaults to identity.
+func planAct(a Activation) fuse.Act {
+	if a.F == nil {
+		a = Identity()
+	}
+	return fuse.Act{Name: a.Name, F: a.F, DF: a.DF}
+}
+
 // planSig renders a layer signature: the layer kind, its structural
 // options, and the identities of the parameters the plan closes over.
 // Parameter identity (pointer, not value) is what keeps two models with
 // identical shapes from sharing plans — a compiled plan reads and writes
 // the specific Value/Grad buffers it captured.
-func planSig(kind string, train bool, act Activation, extra string, params ...*Param) string {
+func planSig(l Layer, train bool, act Activation, extra string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|train=%t|act=%s", kind, train, planAct(act).Name)
+	fmt.Fprintf(&b, "%s|train=%t|act=%s", l.Name(), train, planAct(act).Name)
 	if extra != "" {
 		b.WriteByte('|')
 		b.WriteString(extra)
 	}
-	for _, p := range params {
+	for _, p := range l.Params() {
 		fmt.Fprintf(&b, "|%p", p)
 	}
 	return b.String()
@@ -103,13 +187,12 @@ type planReleaser interface {
 	releasePlans()
 }
 
-// PlannedForward runs one inference pass through the layers' compiled
-// plans — the serving execution path. It is Forward with two differences:
-// dropout layers are skipped (inference semantics) and every other layer
-// takes its plan-backed branch, so repeated structures resolve through the
-// process-wide plan cache instead of re-executing the direct kernels. The
-// returned matrix is plan-owned: copy out the rows you need before calling
-// ReleasePlans or running another batch.
+// PlannedForward runs one inference pass through the layers' training-mode
+// plans — the serving execution path. It is Forward(h, true) with dropout
+// layers skipped (inference semantics), so repeated structures resolve
+// through the process-wide plan cache under the same keys training uses.
+// The returned matrix is plan-owned: copy out the rows you need before
+// calling ReleasePlans or running another batch.
 func (m *Model) PlannedForward(h *tensor.Dense) *tensor.Dense {
 	for _, l := range m.Layers {
 		if _, ok := l.(*DropoutLayer); ok {
@@ -132,3 +215,9 @@ func (m *Model) ReleasePlans() {
 		}
 	}
 }
+
+// SetPlanInference does nothing: inference-mode Forward always executes
+// compiled inference plans.
+//
+// Deprecated: it exists only because the frozen bench/surface.go calls it.
+func (m *Model) SetPlanInference(bool) {}

@@ -6,86 +6,40 @@ import (
 
 	"agnn/internal/graph"
 	"agnn/internal/par"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
-// planLayerFixtures builds one instance of every plan-backed built-in layer
-// (deterministic per seed).
-func planLayerFixtures(seed int64) (layers []Layer, h *tensor.Dense) {
-	a := testGraph(12, seed)
-	at := a.Transpose()
+// planLayersOn builds one instance of every plan-backed built-in layer on
+// adjacency a (deterministic per seed).
+func planLayersOn(a *sparse.CSR, in, out int, seed int64) []Layer {
 	an := graph.NormalizeGCN(a)
-	ant := an.Transpose()
 	mk := func() *rand.Rand { return rand.New(rand.NewSource(seed + 1)) }
-	layers = []Layer{
-		NewVALayer(a, at, 4, 3, Tanh(), mk()),
-		NewGCNLayer(an, ant, 4, 3, Tanh(), mk()),
-		NewAGNNLayer(a, at, 4, 3, Tanh(), mk()),
-		NewGATLayer(a, at, 4, 3, Tanh(), 0.2, mk()),
-		NewGINLayer(a, at, 4, 5, 3, Tanh(), mk()),
-		NewSGCLayer(an, ant, 2, 4, 3, Tanh(), mk()),
+	gin := NewGINLayer(a, in, in+1, out, Tanh(), mk())
+	gin.ActMLP = Tanh()
+	return []Layer{
+		NewVALayer(a, in, out, Tanh(), mk()),
+		NewGCNLayer(an, in, out, Tanh(), mk()),
+		NewAGNNLayer(a, in, out, Tanh(), mk()),
+		NewGATLayer(a, in, out, Tanh(), 0.2, mk()),
+		gin,
+		NewSGCLayer(an, 2, in, out, Tanh(), mk()),
 	}
-	layers[4].(*GINLayer).ActMLP = Tanh()
+}
+
+// planLayerFixtures is planLayersOn over a 12-vertex test graph with 4 → 3
+// features, plus a matching input.
+func planLayerFixtures(seed int64) (layers []Layer, h *tensor.Dense) {
+	layers = planLayersOn(testGraph(12, seed), 4, 3, seed)
 	h = tensor.RandN(12, 4, 0.8, rand.New(rand.NewSource(seed+2)))
 	return layers, h
 }
 
-// setDirect flips a built-in layer onto the hand-written kernel path.
-func setDirect(l Layer) {
-	switch ll := l.(type) {
-	case *VALayer:
-		ll.Direct = true
-	case *GCNLayer:
-		ll.Direct = true
-	case *AGNNLayer:
-		ll.Direct = true
-	case *GATLayer:
-		ll.Direct = true
-	case *GINLayer:
-		ll.Direct = true
-	case *SGCLayer:
-		ll.Direct = true
-	}
-}
-
-// TestPlanBackwardMatchesDirectBackward differentially tests the compiled
-// plans against the hand-derived Section 5 backward passes: identical
-// layers, one planned and one direct, must produce matching outputs,
-// parameter gradients, and input gradients.
-func TestPlanBackwardMatchesDirectBackward(t *testing.T) {
-	const seed = 800
-	planned, h := planLayerFixtures(seed)
-	direct, _ := planLayerFixtures(seed)
-	gOut := tensor.RandN(12, 3, 1, rand.New(rand.NewSource(seed+3)))
-
-	for i := range planned {
-		p, d := planned[i], direct[i]
-		setDirect(d)
-		outP := p.Forward(h, true)
-		outD := d.Forward(h, true)
-		if !outP.ApproxEqual(outD, 1e-10) {
-			t.Fatalf("%s: plan forward differs from direct by %g", p.Name(), outP.MaxAbsDiff(outD))
-		}
-		gInP := p.Backward(gOut)
-		gInD := d.Backward(gOut)
-		if !gInP.ApproxEqual(gInD, 1e-9) {
-			t.Fatalf("%s: plan input grad differs from direct by %g", p.Name(), gInP.MaxAbsDiff(gInD))
-		}
-		pp, dp := p.Params(), d.Params()
-		for j := range pp {
-			if !pp[j].Grad.ApproxEqual(dp[j].Grad, 1e-9) {
-				t.Fatalf("%s: plan %s grad differs from direct by %g",
-					p.Name(), pp[j].Name, pp[j].Grad.MaxAbsDiff(dp[j].Grad))
-			}
-		}
-	}
-}
-
 // TestPlannedLayerSteadyStateAllocs: after the first (compiling, warm-up)
-// step, the planned forward/backward hot path must run with zero
-// allocations — every intermediate lives in the plan's preallocated
-// workspace. Pinned to one worker because the parallel runtime allocates
-// goroutine bookkeeping when fanning out.
+// step, the planned hot path must run with zero allocations in both modes —
+// every intermediate lives in the plan's preallocated workspace. Pinned to
+// one worker because the parallel runtime allocates goroutine bookkeeping
+// when fanning out.
 func TestPlannedLayerSteadyStateAllocs(t *testing.T) {
 	prev := par.Workers()
 	par.SetWorkers(1)
@@ -98,21 +52,79 @@ func TestPlannedLayerSteadyStateAllocs(t *testing.T) {
 	for _, l := range layers {
 		l.Forward(h, true) // compile + warm up lazily allocated scratch
 		l.Backward(gOut)
+		l.Forward(h, false)
 		if n := testing.AllocsPerRun(20, func() { l.Forward(h, true) }); n > 0 {
 			t.Fatalf("%s: planned forward allocates %v per step", l.Name(), n)
 		}
 		if n := testing.AllocsPerRun(20, func() { l.Forward(h, true); l.Backward(gOut) }); n > 0 {
 			t.Fatalf("%s: planned forward+backward allocates %v per step", l.Name(), n)
 		}
+		if n := testing.AllocsPerRun(20, func() { l.Forward(h, false) }); n > 0 {
+			t.Fatalf("%s: inference forward allocates %v per step", l.Name(), n)
+		}
+	}
+}
+
+// TestInferencePlanMatchesTrainingForward: both modes compile the same DAG,
+// so inference-mode Forward must reproduce training-mode Forward bit for
+// bit — for the attention kinds that is the fused sweep against the
+// unfused sample→softmax→SpMM sequence, at both widths and across worker
+// counts.
+func TestInferencePlanMatchesTrainingForward(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			layers, h := planLayerFixtures(802)
+			for _, l := range layers {
+				eachCore(l, func(c *planned) { c.DType = dt })
+				want := l.Forward(h, true).Clone()
+				got := l.Forward(h, false)
+				for i, v := range got.Data {
+					if v != want.Data[i] {
+						t.Fatalf("%s %v workers=%d: inference differs from training forward at %d: %v != %v",
+							l.Name(), dt, workers, i, v, want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInferenceOutputIsPlanOwned documents the aliasing contract of
+// Layer.Forward / Model.Forward: the result is the plan's output buffer in
+// both modes, so a second forward of the same model overwrites it.
+func TestInferenceOutputIsPlanOwned(t *testing.T) {
+	a := testGraph(14, 803)
+	m, err := New(Config{Model: GAT, Layers: 2, InDim: 3, HiddenDim: 4, OutDim: 2, SelfLoops: true, Seed: 804}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(805))
+	h1, h2 := tensor.RandN(14, 3, 1, rng), tensor.RandN(14, 3, 1, rng)
+
+	out1 := m.Forward(h1, false)
+	kept := out1.Clone()
+	out2 := m.Forward(h2, false)
+	if &out1.Data[0] != &out2.Data[0] {
+		t.Fatal("inference forwards of one model must return the same plan-owned buffer")
+	}
+	if out1.ApproxEqual(kept, 0) {
+		t.Fatal("second forward on different input left the held output untouched")
+	}
+	// A caller that needs the first result across the second forward copies it.
+	if !m.Forward(h1, false).ApproxEqual(kept, 0) {
+		t.Fatal("copied output does not reproduce")
 	}
 }
 
 func TestMultiHeadGATGradCheckPlanned(t *testing.T) {
 	for _, concat := range []bool{true, false} {
 		a := testGraph(9, 810)
-		at := a.Transpose()
 		rng := rand.New(rand.NewSource(811))
-		mh := NewMultiHeadGATLayer(a, at, 3, 2, 3, concat, Tanh(), 0.2, rng)
+		mh := NewMultiHeadGATLayer(a, 3, 2, 3, concat, Tanh(), 0.2, rng)
 		m := &Model{Layers: []Layer{mh}}
 		h := tensor.RandN(9, 3, 0.8, rng)
 		loss := &MSELoss{Target: tensor.RandN(9, mh.OutDim(), 1, rng)}
@@ -131,17 +143,17 @@ func TestGenericGradCheckPlanned(t *testing.T) {
 		mk   func() *GenericLayer
 	}{
 		{"dot+linear+phiFirst", func() *GenericLayer {
-			return &GenericLayer{A: a, Psi: DotPsi(), Agg: SumAgg(),
-				Phi: LinearPhi(tensor.GlorotInit(3, 2, rng)), Act: Tanh(), PhiFirst: true}
+			return NewGenericLayer(a, GenericLayer{Psi: DotPsi(), Agg: SumAgg(),
+				Phi: LinearPhi(tensor.GlorotInit(3, 2, rng)), Act: Tanh(), PhiFirst: true})
 		}},
 		{"softmaxdot+linear", func() *GenericLayer {
-			return &GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: SumAgg(),
-				Phi: LinearPhi(tensor.GlorotInit(3, 2, rng)), Act: Tanh()}
+			return NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: SumAgg(),
+				Phi: LinearPhi(tensor.GlorotInit(3, 2, rng)), Act: Tanh()})
 		}},
 		{"adjacency+mlp", func() *GenericLayer {
-			return &GenericLayer{A: a, Psi: AdjacencyPsi(), Agg: SumAgg(),
+			return NewGenericLayer(a, GenericLayer{Psi: AdjacencyPsi(), Agg: SumAgg(),
 				Phi: MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
-				Act: Tanh()}
+				Act: Tanh()})
 		}},
 	}
 	for _, tc := range cases {
@@ -163,7 +175,7 @@ func TestUntrainableGenericIsReportedNotPanicked(t *testing.T) {
 	a := testGraph(8, 830)
 	h := tensor.RandN(8, 3, 1, rand.New(rand.NewSource(831)))
 	m := &Model{Layers: []Layer{
-		&GenericLayer{A: a, Psi: SoftmaxDotPsi(), Agg: MaxAgg()},
+		NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MaxAgg()}),
 	}}
 	if err := m.CheckTrainable(); err == nil {
 		t.Fatal("semiring aggregation must be reported as untrainable")
@@ -173,13 +185,13 @@ func TestUntrainableGenericIsReportedNotPanicked(t *testing.T) {
 		t.Fatalf("Train must refuse untrainable models, got hist=%v err=%v", hist, err)
 	}
 	// Custom closures are equally untrainable — and say so.
-	custom := &GenericLayer{A: a, Psi: CustomPsi(AdjacencyPsi().F)}
+	custom := NewGenericLayer(a, GenericLayer{Psi: CustomPsi(AdjacencyPsi().F)})
 	if err := custom.CanTrain(); err == nil {
 		t.Fatal("custom Ψ must be reported as untrainable")
 	}
 	// A trainable stack passes the check.
-	ok := &Model{Layers: []Layer{&GenericLayer{A: a, Psi: DotPsi(), Agg: SumAgg(),
-		Phi: LinearPhi(tensor.GlorotInit(3, 3, rand.New(rand.NewSource(832))))}}}
+	ok := &Model{Layers: []Layer{NewGenericLayer(a, GenericLayer{Psi: DotPsi(), Agg: SumAgg(),
+		Phi: LinearPhi(tensor.GlorotInit(3, 3, rand.New(rand.NewSource(832))))})}}
 	if err := ok.CheckTrainable(); err != nil {
 		t.Fatalf("trainable generic reported untrainable: %v", err)
 	}
@@ -204,64 +216,43 @@ func FuzzGenericPlanVsDirect(f *testing.F) {
 			LinearPhi(tensor.GlorotInit(3, 2, rng)),
 			MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
 		}
-		mk := func() *GenericLayer {
-			return &GenericLayer{
-				A:        a,
-				Psi:      psis[int(psiSel)%len(psis)],
-				Agg:      aggs[int(aggSel)%len(aggs)],
-				Phi:      phis[int(phiSel)%len(phis)],
-				Act:      acts[int(actSel)%len(acts)],
-				PhiFirst: phiFirst,
+		gen := NewGenericLayer(a, GenericLayer{
+			Psi:      psis[int(psiSel)%len(psis)],
+			Agg:      aggs[int(aggSel)%len(aggs)],
+			Phi:      phis[int(phiSel)%len(phis)],
+			Act:      acts[int(actSel)%len(acts)],
+			PhiFirst: phiFirst,
+		})
+		want := gen.closureForward(h)
+		for _, training := range []bool{true, false} {
+			got := gen.Forward(h, training)
+			if !got.ApproxEqual(want, 1e-10) {
+				t.Fatalf("training=%v: plan deviates from closures by %g (psi=%q agg=%q phi=%q first=%v)",
+					training, got.MaxAbsDiff(want), gen.Psi.Kind, gen.Agg.Kind, gen.Phi.Kind, phiFirst)
 			}
-		}
-		planned := mk()
-		direct := mk()
-		direct.Direct = true
-		got := planned.Forward(h, true)
-		want := direct.Forward(h, true)
-		if !got.ApproxEqual(want, 1e-10) {
-			t.Fatalf("plan deviates from closures by %g (psi=%q agg=%q phi=%q first=%v)",
-				got.MaxAbsDiff(want), planned.Psi.Kind, planned.Agg.Kind, planned.Phi.Kind, phiFirst)
 		}
 	})
 }
 
-// BenchmarkPlanVsHandwritten compares one training step (forward +
-// backward) through the compiled plan against the hand-written kernel
-// path. The plan's advantage is allocation-free steady state; the kernels
-// themselves are shared.
-func BenchmarkPlanVsHandwritten(b *testing.B) {
-	a := graph.Kronecker(10, 8, 1) // 1024 vertices
-	at := a.Transpose()
-	h := tensor.RandN(a.Rows, 16, 1, rand.New(rand.NewSource(2)))
-	gOut := tensor.RandN(a.Rows, 16, 1, rand.New(rand.NewSource(3)))
-	for _, mode := range []string{"plan", "direct"} {
-		b.Run(mode, func(b *testing.B) {
-			l := NewAGNNLayer(a, at, 16, 16, Tanh(), rand.New(rand.NewSource(4)))
-			l.Direct = mode == "direct"
-			l.Forward(h, true)
-			l.Backward(gOut)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.Forward(h, true)
-				l.Backward(gOut)
-			}
-		})
-	}
-}
-
-// BenchmarkPlannedForwardAllocs isolates the planned forward hot path for
-// the CI allocation gate.
+// BenchmarkPlannedForwardAllocs isolates the planned forward hot path, in
+// both modes and for every built-in kind, for the CI allocation gate.
 func BenchmarkPlannedForwardAllocs(b *testing.B) {
 	a := graph.Kronecker(9, 8, 1)
-	at := a.Transpose()
 	h := tensor.RandN(a.Rows, 16, 1, rand.New(rand.NewSource(5)))
-	l := NewGATLayer(a, at, 16, 16, Tanh(), 0.2, rand.New(rand.NewSource(6)))
-	l.Forward(h, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Forward(h, true)
+	for _, l := range planLayersOn(a, 16, 16, 6) {
+		for _, training := range []bool{true, false} {
+			mode := "infer"
+			if training {
+				mode = "train"
+			}
+			b.Run(l.Name()+"/"+mode, func(b *testing.B) {
+				l.Forward(h, training)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l.Forward(h, training)
+				}
+			})
+		}
 	}
 }

@@ -18,35 +18,33 @@ import (
 
 // sweepModel builds a single-layer model of the given kind over adjacency a
 // with deterministic weights.
-func sweepModel(t *testing.T, kind string, a *graphAdj, in, out int) *Model {
+func sweepModel(t *testing.T, kind string, a *sparse.CSR, in, out int) *Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	switch kind {
 	case "va":
-		return &Model{Layers: []Layer{NewVALayer(a.A, a.AT, in, out, Tanh(), rng)}}
+		return &Model{Layers: []Layer{NewVALayer(a, in, out, Tanh(), rng)}}
 	case "agnn":
-		return &Model{Layers: []Layer{NewAGNNLayer(a.A, a.AT, in, out, Tanh(), rng)}}
+		return &Model{Layers: []Layer{NewAGNNLayer(a, in, out, Tanh(), rng)}}
 	case "gat":
-		return &Model{Layers: []Layer{NewGATLayer(a.A, a.AT, in, out, Tanh(), 0.2, rng)}}
+		return &Model{Layers: []Layer{NewGATLayer(a, in, out, Tanh(), 0.2, rng)}}
 	case "gcn":
-		return &Model{Layers: []Layer{NewGCNLayer(a.A, a.AT, in, out, Tanh(), rng)}}
+		return &Model{Layers: []Layer{NewGCNLayer(a, in, out, Tanh(), rng)}}
 	case "gin":
-		return &Model{Layers: []Layer{NewGINLayer(a.A, a.AT, in, 5, out, Tanh(), rng)}}
+		return &Model{Layers: []Layer{NewGINLayer(a, in, 5, out, Tanh(), rng)}}
 	case "sgc":
-		return &Model{Layers: []Layer{NewSGCLayer(a.A, a.AT, 2, in, out, Tanh(), rng)}}
+		return &Model{Layers: []Layer{NewSGCLayer(a, 2, in, out, Tanh(), rng)}}
 	case "generic":
 		w := tensor.GlorotInit(in, out, rng)
-		return &Model{Layers: []Layer{&GenericLayer{
-			A: a.A, Psi: SoftmaxDotPsi(), Agg: SumAgg(), Phi: LinearPhi(w), Act: Tanh(),
-		}}}
+		return &Model{Layers: []Layer{NewGenericLayer(a, GenericLayer{
+			Psi: SoftmaxDotPsi(), Agg: SumAgg(), Phi: LinearPhi(w), Act: Tanh(),
+		})}}
 	case "multihead":
-		return &Model{Layers: []Layer{NewMultiHeadGATLayer(a.A, a.AT, in, out, 2, true, Tanh(), 0.2, rng)}}
+		return &Model{Layers: []Layer{NewMultiHeadGATLayer(a, in, out, 2, true, Tanh(), 0.2, rng)}}
 	}
 	t.Fatalf("unknown sweep kind %q", kind)
 	return nil
 }
-
-type graphAdj struct{ A, AT *sparse.CSR }
 
 func TestPlanCacheRebindSweep(t *testing.T) {
 	const (
@@ -71,7 +69,7 @@ func TestPlanCacheRebindSweep(t *testing.T) {
 
 	for kind, nPlans := range plansPer {
 		t.Run(kind, func(t *testing.T) {
-			src := sweepModel(t, kind, &graphAdj{A: full, AT: full.Transpose()}, in, out)
+			src := sweepModel(t, kind, full, in, out)
 			rng := rand.New(rand.NewSource(11))
 			feats := make([]*tensor.Dense, K)
 			for k := range feats {

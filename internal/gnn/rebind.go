@@ -6,46 +6,44 @@ import (
 	"agnn/internal/sparse"
 )
 
+// eachCore calls f on the plan-backed core(s) of l — the layer's own, or
+// one per head of a multi-head layer — and reports whether l is a layer
+// kind it knows how to traverse (dropout has no core and is fine).
+func eachCore(l Layer, f func(*planned)) bool {
+	switch ll := l.(type) {
+	case DAGLayer:
+		f(ll.core())
+	case *MultiHeadGATLayer:
+		for _, head := range ll.Heads {
+			f(&head.planned)
+		}
+	case *DropoutLayer:
+	default:
+		return false
+	}
+	return true
+}
+
 // RebindAdjacency builds a new model over a different adjacency matrix that
 // *shares* the parameter objects of src. This is the global-formulation
 // side of mini-batch training (the paper's "one can straightforwardly
 // extend most of our routines to mini-batching"): extract the induced
 // subgraph of an expanded seed batch (graph.InducedSubgraph), rebind the
 // model to it, and train — gradients accumulate into the shared buffers.
-// The matrix a must already carry the model's preprocessing (self loops /
-// normalization), as it does when it is an induced subgraph of a processed
-// layer adjacency.
+// Every layer is a copy of its source — same parameters, options and dtype —
+// bound to a and holding no plan leases. The matrix a must already carry
+// the model's preprocessing (self loops / normalization), as it does when
+// it is an induced subgraph of a processed layer adjacency.
 func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
-	at := a.Transpose()
-	out := &Model{}
+	out := &Model{DType: src.DType}
 	for _, l := range src.Layers {
 		switch ll := l.(type) {
-		case *VALayer:
-			out.Layers = append(out.Layers, &VALayer{A: a, AT: at, W: ll.W, Act: ll.Act,
-				UseReferenceBackward: ll.UseReferenceBackward})
-		case *AGNNLayer:
-			out.Layers = append(out.Layers, &AGNNLayer{A: a, AT: at, W: ll.W, Beta: ll.Beta, Act: ll.Act})
-		case *GATLayer:
-			out.Layers = append(out.Layers, &GATLayer{A: a, AT: at, W: ll.W, A1: ll.A1, A2: ll.A2,
-				Act: ll.Act, NegSlope: ll.NegSlope})
-		case *GCNLayer:
-			out.Layers = append(out.Layers, &GCNLayer{A: a, AT: at, W: ll.W, Act: ll.Act})
-		case *GINLayer:
-			out.Layers = append(out.Layers, &GINLayer{A: a, AT: at, W1: ll.W1, W2: ll.W2,
-				Eps: ll.Eps, ActMLP: ll.ActMLP, Act: ll.Act})
-		case *SGCLayer:
-			out.Layers = append(out.Layers, &SGCLayer{A: a, AT: at, K: ll.K, W: ll.W, Act: ll.Act})
-		case *GenericLayer:
-			// phiParams is forced before copying so both models share the
-			// same *Param objects (and therefore the same plan signature).
-			ll.phiParams()
-			out.Layers = append(out.Layers, &GenericLayer{A: a, Psi: ll.Psi, Agg: ll.Agg,
-				Phi: ll.Phi, Act: ll.Act, PhiFirst: ll.PhiFirst, params: ll.params})
+		case DAGLayer:
+			out.Layers = append(out.Layers, ll.rebound(a))
 		case *MultiHeadGATLayer:
 			mh := &MultiHeadGATLayer{Concat: ll.Concat, headDim: ll.headDim}
 			for _, head := range ll.Heads {
-				mh.Heads = append(mh.Heads, &GATLayer{A: a, AT: at, W: head.W,
-					A1: head.A1, A2: head.A2, Act: head.Act, NegSlope: head.NegSlope})
+				mh.Heads = append(mh.Heads, head.rebound(a).(*GATLayer))
 			}
 			out.Layers = append(out.Layers, mh)
 		case *DropoutLayer:
@@ -64,64 +62,26 @@ func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
 // input graph, so that rebinding preserves the layer semantics.
 func (m *Model) Adjacency() (*sparse.CSR, error) {
 	for _, l := range m.Layers {
-		switch ll := l.(type) {
-		case *VALayer:
-			return ll.A, nil
-		case *AGNNLayer:
-			return ll.A, nil
-		case *GATLayer:
-			return ll.A, nil
-		case *GCNLayer:
-			return ll.A, nil
-		case *GINLayer:
-			return ll.A, nil
-		case *SGCLayer:
-			return ll.A, nil
-		case *GenericLayer:
-			return ll.A, nil
-		case *MultiHeadGATLayer:
-			if len(ll.Heads) > 0 {
-				return ll.Heads[0].A, nil
-			}
-		case *DropoutLayer:
-			continue
+		var a *sparse.CSR
+		eachCore(l, func(c *planned) { a = c.A }) // heads share one adjacency
+		if a != nil {
+			return a, nil
 		}
 	}
 	return nil, fmt.Errorf("gnn: model has no adjacency-bound layer")
 }
 
 // Rebind swaps the model's adjacency in place: every layer keeps its
-// parameters, options and plan-cache signature, and only the (A, Aᵀ) pair
-// changes. Combined with the process-wide plan cache this makes subgraph
-// rotation recompile-free: each layer releases its current plan lease back
-// to the cache and, on the next planned Forward, leases the plan for the
-// new adjacency — a cache hit whenever that structure has been executed
-// before. Prefer this over RebindAdjacency in loops; the latter allocates
-// fresh layer structs whose leases die with them.
+// parameters, options and plan-cache signature, and only A changes.
+// Combined with the process-wide plan cache this makes subgraph rotation
+// recompile-free: on its next Forward each layer releases its current plan
+// lease back to the cache and leases the plan for the new adjacency — a
+// cache hit whenever that structure has been executed before. Prefer this
+// over RebindAdjacency in loops; the latter allocates fresh layer structs
+// whose leases die with them.
 func (m *Model) Rebind(a *sparse.CSR) error {
-	at := a.Transpose()
 	for _, l := range m.Layers {
-		switch ll := l.(type) {
-		case *VALayer:
-			ll.A, ll.AT = a, at
-		case *AGNNLayer:
-			ll.A, ll.AT = a, at
-		case *GATLayer:
-			ll.A, ll.AT = a, at
-		case *GCNLayer:
-			ll.A, ll.AT = a, at
-		case *GINLayer:
-			ll.A, ll.AT = a, at
-		case *SGCLayer:
-			ll.A, ll.AT = a, at
-		case *GenericLayer:
-			ll.A = a
-		case *MultiHeadGATLayer:
-			for _, head := range ll.Heads {
-				head.A, head.AT = a, at
-			}
-		case *DropoutLayer:
-		default:
+		if !eachCore(l, func(c *planned) { c.A = a }) {
 			return fmt.Errorf("gnn: cannot rebind layer type %T", l)
 		}
 	}

@@ -30,6 +30,45 @@ func TestRebindSharesParams(t *testing.T) {
 	}
 }
 
+// TestRebindAdjacencyKeepsDType: a rebound model is a copy of its source
+// with only the adjacency swapped, so an f32 model must rebind to f32 —
+// stamped on the model, compiled into every layer's plans, and bitwise
+// equal to the source on the same adjacency — for every plan-backed kind.
+func TestRebindAdjacencyKeepsDType(t *testing.T) {
+	full := testGraph(30, 110)
+	h := tensor.RandN(30, 4, 0.5, rand.New(rand.NewSource(111)))
+	for _, kind := range []string{"va", "agnn", "gat", "gcn", "gin", "sgc", "generic", "multihead"} {
+		src := sweepModel(t, kind, full, 4, 3)
+		src.DType = tensor.F32
+		for _, l := range src.Layers {
+			eachCore(l, func(c *planned) { c.DType = tensor.F32 })
+		}
+		rb, err := RebindAdjacency(src, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb.DType != tensor.F32 {
+			t.Errorf("%s: rebound Model.DType = %v, want f32", kind, rb.DType)
+		}
+		want := src.Forward(h, true).Clone()
+		got := rb.Forward(h, true)
+		for i, v := range got.Data {
+			if v != want.Data[i] {
+				t.Fatalf("%s: rebound output differs from the f32 source at %d: %v != %v", kind, i, v, want.Data[i])
+			}
+		}
+		for i, l := range rb.Layers {
+			eachCore(l, func(c *planned) {
+				if dt := c.Plan().Stats().DType; dt != tensor.F32 {
+					t.Errorf("%s: rebound layer %d compiled %v plans, want f32", kind, i, dt)
+				}
+			})
+		}
+		src.ReleasePlans()
+		rb.ReleasePlans()
+	}
+}
+
 // unknownLayer is a Layer implementation RebindAdjacency has no case for.
 type unknownLayer struct{}
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"agnn/internal/fuse"
-	"agnn/internal/kernels"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -15,59 +14,20 @@ import (
 //	           Z = Ψ·H·W                 (SpMMM; computed as Ψ·(H·W))
 //	           H' = σ(Z)
 //
-//	Backward (Eq. 11–13):
-//	           M  = G·Wᵀ
-//	           N  = A ⊙ (M·Hᵀ)
-//	           Γ  = N₊·H + (Aᵀ ⊙ H×)·M   with N₊ = N + Nᵀ, Aᵀ⊙H× = Ψᵀ
-//	           Y  = Hᵀ·(Aᵀ ⊙ H×)·G       (MSpMM)
-//
-// The layer keeps two interchangeable backward implementations: the fused
-// Eq.-11 formulation (default) and an op-by-op vector-Jacobian composition
-// (UseReferenceBackward) used to validate it.
+// The backward pass of Eq. (11)–(13) is derived from this DAG by the plan
+// compiler's reverse traversal.
 type VALayer struct {
-	A, AT *sparse.CSR
-	W     *Param
-	Act   Activation
-
-	// Direct bypasses the compiled plan and trains through the hand-written
-	// Eq.-11 kernels (the pre-plan code path, kept as an escape hatch and as
-	// a differential-testing oracle).
-	Direct bool
-	// UseReferenceBackward switches to the op-composed backward pass
-	// (implies Direct).
-	UseReferenceBackward bool
-
-	// DType selects the element width the layer's compiled plans run at.
-	// F64 (the zero value) is the default double-precision path; F32
-	// compiles mixed-precision plans (f64 master weights, f32 kernels).
-	// The direct escape hatches always run f64.
-	DType tensor.DType
-
-	// PlanInference routes non-training Forward through a compiled
-	// inference plan instead of the direct fused kernels. Inference plans
-	// compile the attention chain into one fused sweep that never
-	// materializes the per-edge score tensor, and they are the only
-	// inference path with an f32 variant. Off by default: the direct
-	// kernels remain the layer's historical inference arithmetic.
-	PlanInference bool
-
-	pc  planCache
-	ipc planCache // inference plans (PlanInference)
-
-	// cached intermediates (direct training-mode forward)
-	h   *tensor.Dense
-	psi *sparse.CSR
-	z   *tensor.Dense
+	planned
+	W   *Param
+	Act Activation
 }
 
-// NewVALayer constructs a VA layer on adjacency a (and its transpose) with
-// Glorot-initialized weights.
-func NewVALayer(a, at *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *VALayer {
-	return &VALayer{
-		A: a, AT: at,
-		W:   NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
-		Act: act,
-	}
+// NewVALayer constructs a VA layer on adjacency a with Glorot-initialized
+// weights.
+func NewVALayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *VALayer {
+	l := &VALayer{W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.bind(a, l)
+	return l
 }
 
 // Name implements Layer.
@@ -76,122 +36,17 @@ func (l *VALayer) Name() string { return "va" }
 // Params implements Layer.
 func (l *VALayer) Params() []*Param { return []*Param{l.W} }
 
-func (l *VALayer) direct() bool { return l.Direct || l.UseReferenceBackward }
-
-// ensurePlan compiles the layer's execution DAG into a reusable training
-// plan: Ψ = A ⊙ (H·Hᵀ) fuses into a single SDDMM-like sampling kernel, and
-// the backward op list is derived by reverse traversal.
-func (l *VALayer) ensurePlan(in int) *fuse.Plan {
-	return l.pc.get(l.A, in, l.DType, func() string {
-		return planSig("va", true, l.Act, "", l.W)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{Train: true, SpanPrefix: "va.", Workspace: ws, DType: l.DType})
-	})
-}
-
-// ensureInferPlan compiles the same DAG as an inference plan: the fused
-// attention sweep evaluates scores, softmax and aggregation per row in
-// worker-local scratch, so no Ψ value array exists.
-func (l *VALayer) ensureInferPlan(in int) *fuse.Plan {
-	return l.ipc.get(l.A, in, l.DType, func() string {
-		return planSig("va", false, l.Act, "", l.W)
-	}, func(ws *tensor.Arena) *fuse.Plan {
-		return l.buildGraph(in).MustCompile(
-			fuse.Options{SpanPrefix: "va.", Workspace: ws, DType: l.DType})
-	})
-}
-
-func (l *VALayer) buildGraph(in int) *fuse.Graph {
-	g := fuse.NewGraph("va", l.A)
-	h := g.InputDense("H", l.A.Rows, in)
+// DAG implements DAGLayer: Ψ = A ⊙ (H·Hᵀ) fuses into a single SDDMM-like
+// sampling kernel; in inference plans the whole chain through Z is one
+// fused sweep and no Ψ value array exists.
+func (l *VALayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	w := g.ParamNode("W", planRef(l.W))
 	psi := g.Mask("Psi", g.DotScores("HHt", h, h), true)
 	z := g.SpMM("Z", psi, g.MM("HW", h, w))
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-	return g
 }
 
-// Plan returns the compiled training plan, or nil before the first planned
-// training-mode Forward. Cost-model and observability consumers read its
-// Stats.
-func (l *VALayer) Plan() *fuse.Plan { return l.pc.plan }
+// Signature implements DAGLayer.
+func (l *VALayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
 
-func (l *VALayer) releasePlans() { l.pc.release(); l.ipc.release() }
-
-// Forward implements Layer.
-func (l *VALayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	if !training {
-		if l.PlanInference && !l.direct() {
-			return l.ensureInferPlan(h.Cols).Forward(h)
-		}
-		// Inference fast path: Ψ applied through the fused kernel, scores
-		// evaluated on the fly (scaled by A's values), Φ applied first.
-		hp := tensor.MM(h, l.W.Value)
-		score := kernels.VAEdgeScore(h)
-		psi := scaleByPattern(kernels.FusedScores(l.A, score), l.A)
-		return l.Act.apply(psi.MulDense(hp))
-	}
-	if !l.direct() {
-		return l.ensurePlan(h.Cols).Forward(h)
-	}
-	l.h = h
-	l.psi = sparse.SDDMMScaled(l.A, h, h) // Ψ = A ⊙ H·Hᵀ
-	hp := tensor.MM(h, l.W.Value)         // Φ before ⊕ (Section 4.4)
-	l.z = l.psi.MulDense(hp)              // ⊕: SpMM
-	return l.Act.apply(l.z)
-}
-
-// Backward implements Layer.
-func (l *VALayer) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if !l.direct() {
-		if l.pc.plan == nil {
-			panic("gnn: VALayer.Backward before training-mode Forward")
-		}
-		return l.pc.plan.Backward(gOut)
-	}
-	if l.z == nil {
-		panic("gnn: VALayer.Backward before training-mode Forward")
-	}
-	g := gOut.Hadamard(l.Act.derivAt(l.z)) // G = ∂L/∂Z
-	if l.UseReferenceBackward {
-		return l.backwardReference(g)
-	}
-	// Fused Eq. (11)–(13).
-	psiT := l.psi.Transpose() // Aᵀ ⊙ H× for symmetric-valued H·Hᵀ
-	m := tensor.MM(g, l.W.Value.T())
-	n := sparse.SDDMMScaled(l.A, m, l.h) // N = A ⊙ (M·Hᵀ)
-	nPlus := n.AddTranspose()
-	hbar := nPlus.MulDense(l.h)
-	hbar.AddInPlace(psiT.MulDense(m)) // Γ = N₊H + ΨᵀM
-
-	// Y = Hᵀ·Ψᵀ·G via the fused MSpMM kernel.
-	l.W.Grad.AddInPlace(kernels.MSpMM(l.h, psiT, g))
-	return hbar
-}
-
-// backwardReference recomputes the backward pass as a plain composition of
-// per-operation vector-Jacobian products: Z = Ψ·(H·W) with Ψ = A ⊙ (H·Hᵀ).
-// It must produce results identical to the Eq.-11 path; the equality is
-// asserted by tests, demonstrating the paper's derivation op by op.
-func (l *VALayer) backwardReference(g *tensor.Dense) *tensor.Dense {
-	hp := tensor.MM(l.h, l.W.Value)
-	// Z = Ψ·Hp: Ψ̄ = (G·Hpᵀ) sampled on Ψ's pattern; H̄p = Ψᵀ·G.
-	psiBar := sparse.SDDMM(l.A, g, hp)
-	hpBar := l.psi.Transpose().MulDense(g)
-	// Hp = H·W: H̄ += H̄p·Wᵀ; W̄ += Hᵀ·H̄p.
-	hbar := tensor.MM(hpBar, l.W.Value.T())
-	l.W.Grad.AddInPlace(tensor.TMM(l.h, hpBar))
-	// Ψ = A ⊙ (H·Hᵀ): grad into the dense factor is Ψ̄ ⊙ A (values), and
-	// H̄ += S̄·H + S̄ᵀ·H for the symmetric product H·Hᵀ.
-	sBar := scaleByPattern(psiBar, l.A)
-	hbar.AddInPlace(sBar.MulDense(l.h))
-	hbar.AddInPlace(sBar.Transpose().MulDense(l.h))
-	return hbar
-}
-
-// scaleByPattern multiplies s's values element-wise by pat's values (same
-// pattern); used to account for non-unit adjacency weights.
-func scaleByPattern(s, pat *sparse.CSR) *sparse.CSR {
-	return s.HadamardSamePattern(pat)
-}
+func (l *VALayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

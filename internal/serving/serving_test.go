@@ -82,8 +82,10 @@ func TestCheckpointRoundTripServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the original model's full-graph inference.
-	ref := m.Forward(ds.Features, false)
+	// Reference: the original model's full-graph inference. The output is
+	// plan-owned, so keep a copy and hand the leases back.
+	ref := m.Forward(ds.Features, false).Clone()
+	m.ReleasePlans()
 
 	e := newTestEngine(t, restored, ds, time.Millisecond)
 	// Serve every vertex with the full graph as its neighborhood: hops

@@ -56,26 +56,19 @@ func RowSoftmaxInto(vals []float64, s *CSR) {
 	})
 }
 
-// RowSoftmaxBackward computes the vector-Jacobian product of RowSoftmax:
-// given P = RowSoftmax(S) and the upstream gradient Ḡ (same pattern), it
-// returns S̄ with
+// RowSoftmaxBackwardInto computes the vector-Jacobian product of
+// RowSoftmax into a pre-allocated value buffer (same pattern as p): given
+// P = RowSoftmax(S) and the upstream gradient Ḡ (same pattern), it writes
+// S̄ with
 //
 //	S̄_ij = P_ij · (Ḡ_ij − ρ_i),   ρ_i = Σ_j Ḡ_ij · P_ij
 //
 // which is the per-neighborhood softmax Jacobian restricted to the sparsity
 // pattern. This is the Γ sub-expression shared by the AGNN and GAT backward
 // passes.
-func RowSoftmaxBackward(p, g *CSR) *CSR {
-	vals := make([]float64, p.NNZ())
-	RowSoftmaxBackwardInto(vals, p, g)
-	return p.WithValues(vals)
-}
-
-// RowSoftmaxBackwardInto computes the softmax VJP into a pre-allocated
-// value buffer (same pattern as p).
 func RowSoftmaxBackwardInto(vals []float64, p, g *CSR) {
 	if !p.SamePattern(g) {
-		panic("sparse: RowSoftmaxBackward pattern mismatch")
+		panic("sparse: RowSoftmaxBackwardInto pattern mismatch")
 	}
 	defer obs.Start("row_softmax_bwd").End()
 	if len(vals) != p.NNZ() {

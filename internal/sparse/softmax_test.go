@@ -95,8 +95,8 @@ func TestRowSoftmaxShiftInvariance(t *testing.T) {
 	}
 }
 
-// numericalSoftmaxJacobian checks RowSoftmaxBackward against central finite
-// differences of RowSoftmax.
+// TestRowSoftmaxBackwardFiniteDifference checks RowSoftmaxBackwardInto
+// against central finite differences of RowSoftmax.
 func TestRowSoftmaxBackwardFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s := randSparse(8, 8, 0.4, rng)
@@ -106,7 +106,8 @@ func TestRowSoftmaxBackwardFiniteDifference(t *testing.T) {
 	for q := range g.Val {
 		g.Val[q] = rng.NormFloat64()
 	}
-	back := RowSoftmaxBackward(p, g)
+	back := p.WithValues(make([]float64, p.NNZ()))
+	RowSoftmaxBackwardInto(back.Val, p, g)
 
 	const eps = 1e-6
 	for q := 0; q < s.NNZ(); q++ {
@@ -135,5 +136,5 @@ func TestRowSoftmaxBackwardPatternMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RowSoftmaxBackward(a, b)
+	RowSoftmaxBackwardInto(make([]float64, a.NNZ()), a, b)
 }
