@@ -1,8 +1,6 @@
 package fuse
 
 import (
-	"math"
-
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 )
@@ -11,13 +9,10 @@ import (
 // sequence writes nnz normalized scores in one sweep and re-reads them in
 // the next; the fused op samples the composed virtual scores, normalizes
 // the row and aggregates the gathered feature rows while the row's scores
-// are still cache-hot. Per-row arithmetic matches the opSample→opSpMM
-// sequence operation-for-operation, so fused and unfused plans produce
-// bitwise-identical results at either element width — the property the
-// fused-vs-unfused identity tests pin down. The sweep is written out rather
-// than composed from opSample's and opSpMM's row bodies: handing the score
-// row between two per-row closures measured 10–25 % slower single-threaded
-// on the inference sweeps (R-MAT 15 / ER 32k, k = 32).
+// are still cache-hot. It is opSample's row body followed by opSpMM's —
+// rowSampler, then sparse.GatherAxpy — on one row, so fused and unfused
+// plans produce bitwise-identical results at either element width (the
+// property the fused-vs-unfused identity tests pin down).
 
 // attnScratch holds one per-worker score row (sized to the pattern's
 // maximum row degree) for the inference variant, which materializes no
@@ -48,57 +43,18 @@ func (s *attnScratch[T]) row(worker int) []T {
 // the nnz-sized buffer is never allocated. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
 // aggregate directly (VA).
-func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) opFns {
+func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f scoreRow[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) opFns {
+	sample := rowSampler(pat, f, weights, rowOff, softmax)
+	// attend computes output row i with row as the score storage.
+	attend := func(i int, row []T) {
+		k := out.dense.Cols
+		orow := out.dense.Data[i*k : (i+1)*k]
+		clear(orow)
+		sample(i, row)
+		sparse.GatherAxpy(orow, row, pat.Col[pat.RowPtr[i]:pat.RowPtr[i+1]], x.dense.Data, k, 0)
+	}
 	if vals != nil {
-		each := func(i int) {
-			xd, od := x.dense, out.dense
-			k := od.Cols
-			orow := od.Data[i*k : (i+1)*k]
-			clear(orow)
-			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			if b == e {
-				return
-			}
-			gi := int32(i) + rowOff
-			if softmax {
-				m := T(math.Inf(-1))
-				for p := b; p < e; p++ {
-					v := f(gi, pat.Col[p])
-					if weights != nil {
-						v *= weights[p]
-					}
-					vals[p] = v
-					if v > m {
-						m = v
-					}
-				}
-				var sum T
-				for p := b; p < e; p++ {
-					v := exp(vals[p] - m)
-					vals[p] = v
-					sum += v
-				}
-				inv := 1 / sum
-				for p := b; p < e; p++ {
-					vals[p] *= inv
-				}
-			} else {
-				for p := b; p < e; p++ {
-					v := f(gi, pat.Col[p])
-					if weights != nil {
-						v *= weights[p]
-					}
-					vals[p] = v
-				}
-			}
-			for p := b; p < e; p++ {
-				v := vals[p]
-				xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-				for t, xv := range xrow {
-					orow[t] += v * xv
-				}
-			}
-		}
+		each := func(i int) { attend(i, vals[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 		body := rowSweep(each)
 		return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 	}
@@ -110,55 +66,8 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 	scratch := &attnScratch[T]{maxRow: pat.MaxRowNNZ()}
 	body := func(worker, lo, hi int) {
 		buf := scratch.row(worker)
-		xd, od := x.dense, out.dense
-		k := od.Cols
 		for i := lo; i < hi; i++ {
-			orow := od.Data[i*k : (i+1)*k]
-			clear(orow)
-			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			if b == e {
-				continue
-			}
-			gi := int32(i) + rowOff
-			row := buf[:e-b]
-			if softmax {
-				m := T(math.Inf(-1))
-				for p := b; p < e; p++ {
-					v := f(gi, pat.Col[p])
-					if weights != nil {
-						v *= weights[p]
-					}
-					row[p-b] = v
-					if v > m {
-						m = v
-					}
-				}
-				var sum T
-				for q, v := range row {
-					v = exp(v - m)
-					row[q] = v
-					sum += v
-				}
-				inv := 1 / sum
-				for q := range row {
-					row[q] *= inv
-				}
-			} else {
-				for p := b; p < e; p++ {
-					v := f(gi, pat.Col[p])
-					if weights != nil {
-						v *= weights[p]
-					}
-					row[p-b] = v
-				}
-			}
-			for p := b; p < e; p++ {
-				v := row[p-b]
-				xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-				for t, xv := range xrow {
-					orow[t] += v * xv
-				}
-			}
+			attend(i, buf[:pat.RowNNZ(i)])
 		}
 	}
 	return opFns{run: func() {

@@ -17,9 +17,10 @@ import (
 // when they are created, so building them per step would put one
 // allocation per kernel on the hot path. With prebuilt bodies the
 // steady-state forward/backward pass performs no allocations at all (the
-// property the alloc-regression tests pin down). The loop shapes mirror
-// the hand-written kernels in internal/kernels, internal/sparse and
-// internal/tensor.
+// property the alloc-regression tests pin down). Every sweep over the
+// sparsity pattern hands its rows to the two row primitives of
+// internal/sparse (GatherDots to sample, GatherAxpy to aggregate); no op
+// carries its own copy of those loops.
 //
 // Every op body exists once, generic over the element type: Compile
 // instantiates the whole stack at float64 or float32 (Options.DType). The
@@ -32,14 +33,22 @@ import (
 // elem is the element type a plan is instantiated over.
 type elem = tensor.Elem
 
-// score evaluates one entry (i, j) of a virtual score matrix; i and j are
-// global vertex indices (the kernels.ScoreFunc contract, at the plan's
-// element width).
-type score[T elem] func(i, j int32) T
+// scoreRow evaluates one row of a virtual score matrix on the pattern:
+// dst[q] = score(i, cols[q]), with i and cols global vertex indices. A row
+// at a time is the granularity at which per-vertex terms hoist out of the
+// per-edge loop and the dot products reach sparse.GatherDots; composeScore
+// lowers every sampled chain to one.
+type scoreRow[T elem] func(i int32, cols []int32, dst []T)
+
+// scoreEntry evaluates the single entry (i, j) of a virtual score matrix
+// (the kernels.ScoreFunc contract, at the plan's element width). The
+// virtual-node VJPs re-evaluate their operands through it, and chains
+// without a row lowering of their own are swept by looping it.
+type scoreEntry[T elem] func(i, j int32) T
 
 // spec carries the execution-side state of one DAG node at the plan's
 // element width: its buffers (acquired once at compile time from the plan's
-// arena), the composed score closure for virtual nodes, and the cotangent
+// arena), the composed entry evaluator for virtual nodes, and the cotangent
 // buffers of the derived backward pass. At float64 the input, parameter and
 // parameter-gradient matrices alias the caller's storage; at float32 they
 // are plan-owned copies kept in step by the plan boundary (plan.go).
@@ -49,7 +58,7 @@ type spec[T elem] struct {
 	dense *tensor.Mat[T] // dense value
 	vec   []T            // vector value
 	vals  []T            // sparse value buffer on the pattern
-	score score[T]       // virtual evaluator, composed at compile time
+	entry scoreEntry[T]  // virtual evaluator, composed at compile time
 
 	gdense *tensor.Mat[T] // cotangent buffers (training plans only)
 	gvec   []T
@@ -179,54 +188,58 @@ func nnzWeight(pat *sparse.CSR) func(int) int64 {
 	return func(i int) int64 { return int64(pat.RowNNZ(i)) }
 }
 
-// opSample is the fused SDDMM-like sampler that terminates a fusion group
-// (Section 6.2): it evaluates the composed virtual score closure on every
-// non-zero of the pattern. weights (the adjacency values) multiply each
-// score when the mask is weighted; with softmax, the row softmax is folded
-// into the same sweep (the FusedSoftmaxScores shape).
-func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) opFns {
-	var each func(i int)
-	if softmax {
-		each = func(i int) {
-			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			if b == e {
-				return
-			}
-			gi := int32(i) + rowOff
-			m := T(math.Inf(-1))
-			for p := b; p < e; p++ {
-				v := f(gi, pat.Col[p])
-				if weights != nil {
-					v *= weights[p]
-				}
-				dst[p] = v
-				if v > m {
-					m = v
-				}
-			}
-			var sum T
-			for p := b; p < e; p++ {
-				v := exp(dst[p] - m)
-				dst[p] = v
-				sum += v
-			}
-			inv := 1 / sum
-			for p := b; p < e; p++ {
-				dst[p] *= inv
+// rowSampler builds the per-row body every sampling sweep shares: evaluate
+// the composed scores of pattern row i into row (one slot per non-zero),
+// multiply in the adjacency values when the mask is weighted, and — with
+// softmax — normalize the row in place.
+func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int32, softmax bool) func(i int, row []T) {
+	return func(i int, row []T) {
+		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+		if b == e {
+			return
+		}
+		f(int32(i)+rowOff, pat.Col[b:e], row)
+		if weights != nil {
+			for q, w := range weights[b:e] {
+				row[q] *= w
 			}
 		}
-	} else {
-		each = func(i int) {
-			gi := int32(i) + rowOff
-			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				v := f(gi, pat.Col[p])
-				if weights != nil {
-					v *= weights[p]
-				}
-				dst[p] = v
-			}
+		if softmax {
+			softmaxRow(row, row)
 		}
 	}
+}
+
+// softmaxRow writes the softmax of the non-empty row src to dst (dst may be
+// src): max, exp and sum, normalize — three passes over a row that is
+// cache-hot after the first.
+func softmaxRow[T elem](dst, src []T) {
+	m := T(math.Inf(-1))
+	for _, v := range src {
+		if v > m {
+			m = v
+		}
+	}
+	var sum T
+	for q, v := range src {
+		v = exp(v - m)
+		dst[q] = v
+		sum += v
+	}
+	inv := 1 / sum
+	for q := range dst {
+		dst[q] *= inv
+	}
+}
+
+// opSample is the fused SDDMM-like sampler that terminates a fusion group
+// (Section 6.2): it evaluates the composed virtual score rows on the
+// pattern. weights (the adjacency values) multiply each score when the mask
+// is weighted; with softmax, the row softmax is folded into the same sweep
+// (the FusedSoftmaxScores shape).
+func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f scoreRow[T], weights []T, rowOff int32, softmax bool) opFns {
+	sample := rowSampler(pat, f, weights, rowOff, softmax)
+	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 	body := rowSweep(each)
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
@@ -245,25 +258,8 @@ func rowSweep(each func(i int)) func(worker, lo, hi int) {
 // not fold it into the sampler).
 func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) opFns {
 	each := func(i int) {
-		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-		if b == e {
-			return
-		}
-		m := T(math.Inf(-1))
-		for p := b; p < e; p++ {
-			if src[p] > m {
-				m = src[p]
-			}
-		}
-		var sum T
-		for p := b; p < e; p++ {
-			v := exp(src[p] - m)
-			dst[p] = v
-			sum += v
-		}
-		inv := 1 / sum
-		for p := b; p < e; p++ {
-			dst[p] *= inv
+		if b, e := pat.RowPtr[i], pat.RowPtr[i+1]; b < e {
+			softmaxRow(dst[b:e], src[b:e])
 		}
 	}
 	body := rowSweep(each)
@@ -278,13 +274,8 @@ func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T])
 		k := od.Cols
 		orow := od.Data[i*k : (i+1)*k]
 		clear(orow)
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			v := svals[p]
-			xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-			for t, xv := range xrow {
-				orow[t] += v * xv
-			}
-		}
+		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+		sparse.GatherAxpy(orow, svals[b:e], pat.Col[b:e], xd.Data, k, 0)
 	}
 	body := rowSweep(each)
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
@@ -532,15 +523,8 @@ func opSpMMVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgva
 			og, xd := out.gdense, x.dense
 			k := og.Cols
 			for i := lo; i < hi; i++ {
-				grow := og.Data[i*k : (i+1)*k]
-				for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-					xrow := xd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-					var s T
-					for t, gv := range grow {
-						s += gv * xrow[t]
-					}
-					sgvals[p] = s
-				}
+				b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+				sparse.GatherDots(sgvals[b:e], og.Data[i*k:(i+1)*k], pat.Col[b:e], xd.Data, k, 0)
 			}
 		}
 	}
@@ -558,14 +542,8 @@ func opSpMMVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgva
 		og, xg := out.gdense, x.gdense
 		k := xg.Cols
 		for j := lo; j < hi; j++ {
-			xrow := xg.Data[j*k : (j+1)*k]
-			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
-				v := vals[p]
-				grow := og.Data[int(patT.Col[p])*k : int(patT.Col[p])*k+k]
-				for t, gv := range grow {
-					xrow[t] += v * gv
-				}
-			}
+			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
+			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], vals[b:e], patT.Col[b:e], og.Data, k, 0)
 		}
 	}
 	n := len(perm)
@@ -622,14 +600,8 @@ func opDotVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, p
 		yd, xg := y.dense, x.gdense
 		k := xg.Cols
 		for i := lo; i < hi; i++ {
-			xrow := xg.Data[i*k : (i+1)*k]
-			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				v := gvals[p]
-				yrow := yd.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-				for t, yv := range yrow {
-					xrow[t] += v * yv
-				}
-			}
+			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+			sparse.GatherAxpy(xg.Data[i*k:(i+1)*k], gvals[b:e], pat.Col[b:e], yd.Data, k, 0)
 		}
 	}
 	permBody := func(_, lo, hi int) {
@@ -641,14 +613,8 @@ func opDotVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, p
 		xd, yg := x.dense, y.gdense
 		k := yg.Cols
 		for j := lo; j < hi; j++ {
-			yrow := yg.Data[j*k : (j+1)*k]
-			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
-				v := tvals[p]
-				xrow := xd.Data[int(patT.Col[p])*k : int(patT.Col[p])*k+k]
-				for t, xv := range xrow {
-					yrow[t] += v * xv
-				}
-			}
+			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
+			sparse.GatherAxpy(yg.Data[j*k:(j+1)*k], tvals[b:e], patT.Col[b:e], xd.Data, k, 0)
 		}
 	}
 	n := len(perm)
@@ -703,14 +669,14 @@ func opDivVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, num, den *spec
 		for i := lo; i < hi; i++ {
 			gi := int32(i)
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				de := den.score(gi, pat.Col[p])
+				de := den.entry(gi, pat.Col[p])
 				if de == 0 {
 					num.gvals[p] = 0
 					den.gvals[p] = 0
 					continue
 				}
 				g := gvals[p]
-				ne := num.score(gi, pat.Col[p])
+				ne := num.entry(gi, pat.Col[p])
 				num.gvals[p] = g / de
 				den.gvals[p] = -g * ne / (de * de)
 			}
@@ -732,7 +698,7 @@ func opScaleVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x, beta *spe
 				g := gvals[p]
 				x.gvals[p] = bv * g
 				if g != 0 {
-					local += g * x.score(gi, pat.Col[p])
+					local += g * x.entry(gi, pat.Col[p])
 				}
 			}
 		}
@@ -803,7 +769,7 @@ func opLReLUVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x *spec[T], 
 			gi := int32(i)
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
 				d := T(1)
-				if x.score(gi, pat.Col[p]) < 0 {
+				if x.entry(gi, pat.Col[p]) < 0 {
 					d = slope
 				}
 				x.gvals[p] = gvals[p] * d

@@ -210,7 +210,7 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 // fusion analysis, fuses mask→softmax pairs into single sampling sweeps (a
 // peephole beyond the paper's rule, matching the hand-written
 // FusedSoftmaxScores kernel), allocates every intermediate once from the
-// workspace arena, composes the virtual score closures, and emits the
+// workspace arena, composes the virtual score evaluators, and emits the
 // forward op list plus — for training plans — the reverse-traversal
 // backward op list. The whole lowering exists once, generic over the
 // element type, and is instantiated here per Options.DType.
@@ -365,7 +365,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		return nil
 	}
 
-	// Allocate buffers and compose virtual score closures, in topological
+	// Allocate buffers and compose virtual entry evaluators, in topological
 	// (insertion) order so every node's inputs are ready.
 	for _, n := range g.dag.Nodes() {
 		s := sp(n)
@@ -398,7 +398,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				e.flushes = append(e.flushes, shadow[T]{master: s.param.Grad, local: s.grad})
 			}
 		case n.Kind == Virtual:
-			s.score = composeScore(sp, n)
+			s.entry = composeEntry(sp, n)
 			if opt.Train {
 				s.gvals = floats(nnz)
 			}
@@ -497,18 +497,16 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			if fusedMask[n] || attnSrc[n] {
 				continue
 			}
-			virt := sp(n.Inputs[1])
 			emit(&p.fwd, n, "", "mask",
-				opSample(pat, cuts, s.vals, virt.score, maskWeights(s), rowOff, false))
+				opSample(pat, cuts, s.vals, composeScore(sp, n.Inputs[1]), maskWeights(s), rowOff, false))
 		case "softmax":
 			if attnSrc[n] {
 				continue
 			}
 			in := n.Inputs[0]
 			if fusedMask[in] {
-				virt := sp(in.Inputs[1])
 				emit(&p.fwd, n, "", "fused-softmax",
-					opSample(pat, cuts, s.vals, virt.score, maskWeights(sp(in)), rowOff, true))
+					opSample(pat, cuts, s.vals, composeScore(sp, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
 			} else {
 				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, sp(in).vals, s.vals))
 			}
@@ -520,9 +518,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 					maskN = src.Inputs[0]
 					softmax = true
 				}
-				virt := sp(maskN.Inputs[1])
 				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, sp(src).vals, virt.score, maskWeights(sp(maskN)),
+					opAttnFused(pat, cuts, sp(src).vals, composeScore(sp, maskN.Inputs[1]), maskWeights(sp(maskN)),
 						rowOff, softmax, sp(n.Inputs[1]), s))
 				continue
 			}
@@ -668,53 +665,77 @@ func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disa
 	return agg, src
 }
 
-// composeScore builds the closure evaluating one entry of a virtual node by
-// composing its inputs' evaluators — the runtime realization of "evaluate
-// the virtual values on the fly inside the sampler's sweep". Parameter
-// operands are read through their spec at call time, so the "scale" β is
-// the same value the kernels see.
-func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
-	// Peepholes for the standard attention-score chains: the generic
-	// composition nests one closure per virtual node, and on the scalar
-	// per-edge sweeps that dynamic-call depth is pure overhead. Collapsing
-	// the GAT chain lrelu(u·1ᵀ + 1·vᵀ) and the AGNN chain β·(X·Yᵀ ⊘ a·bᵀ)
-	// into single closures performs the same operations in the same order —
-	// only the call tree changes.
-	if n.Op == "lrelu" {
-		if a := n.Inputs[0]; a.Op == "add" && a.Inputs[0].Op == "rep" && a.Inputs[1].Op == "repT" {
-			us, vs := sp(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
-			slope := T(sp(n).slope)
-			return func(i, j int32) T {
-				s := us.vec[i] + vs.vec[j]
+// composeScore lowers the virtual chain rooted at n to the row evaluator a
+// sampling sweep calls once per pattern row — the runtime realization of
+// "evaluate the virtual values on the fly inside the sampler's sweep". The
+// three standard attention chains get flat row loops with every per-vertex
+// term hoisted: GAT's lrelu(u·1ᵀ + 1·vᵀ) is u[i] + v[cols[q]] and a sign
+// test, VA's X·Yᵀ is sparse.GatherDots, AGNN's β·(X·Yᵀ ⊘ a·bᵀ) is
+// GatherDots followed by the scaling. Any other chain loops its entry-wise
+// composition. Each entry is computed by the same operations in the same
+// order either way. Parameter operands are read through their spec at call
+// time, so the "scale" β is the same value the kernels see.
+func composeScore[T elem](sp func(*Node) *spec[T], n *Node) scoreRow[T] {
+	// dots returns the row evaluator of the virtual X·Yᵀ node m.
+	dots := func(m *Node) scoreRow[T] {
+		xs, ys := sp(m.Inputs[0]), sp(m.Inputs[1])
+		return func(i int32, cols []int32, dst []T) {
+			xd := xs.dense
+			k := xd.Cols
+			sparse.GatherDots(dst, xd.Data[int(i)*k:int(i)*k+k], cols, ys.dense.Data, k, 0)
+		}
+	}
+	switch {
+	case n.Op == "mmt":
+		return dots(n)
+	case n.Op == "lrelu" && n.Inputs[0].Op == "add" &&
+		n.Inputs[0].Inputs[0].Op == "rep" && n.Inputs[0].Inputs[1].Op == "repT":
+		a := n.Inputs[0]
+		us, vs := sp(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
+		slope := T(sp(n).slope)
+		return func(i int32, cols []int32, dst []T) {
+			u, v := us.vec[i], vs.vec
+			dst = dst[:len(cols)]
+			for q, j := range cols {
+				s := u + v[j]
 				if s < 0 {
 					s *= slope
 				}
-				return s
+				dst[q] = s
+			}
+		}
+	case n.Op == "scale" && n.Inputs[0].Op == "divide" &&
+		n.Inputs[0].Inputs[0].Op == "mmt" && n.Inputs[0].Inputs[1].Op == "outer":
+		d := n.Inputs[0]
+		dot := dots(d.Inputs[0])
+		as, bs := sp(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
+		beta := sp(n.Inputs[1])
+		return func(i int32, cols []int32, dst []T) {
+			dot(i, cols, dst)
+			a, b, bt := as.vec[i], bs.vec, beta.dense.Data[0]
+			dst = dst[:len(cols)]
+			for q, j := range cols {
+				den := a * b[j]
+				if den == 0 { // the zero-norm guard
+					dst[q] = 0
+					continue
+				}
+				dst[q] = bt * (dst[q] / den)
 			}
 		}
 	}
-	if n.Op == "scale" {
-		if d := n.Inputs[0]; d.Op == "divide" && d.Inputs[0].Op == "mmt" && d.Inputs[1].Op == "outer" {
-			xs, ys := sp(d.Inputs[0].Inputs[0]), sp(d.Inputs[0].Inputs[1])
-			as, bs := sp(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
-			beta := sp(n.Inputs[1])
-			return func(i, j int32) T {
-				den := as.vec[i] * bs.vec[j]
-				if den == 0 {
-					return 0
-				}
-				xd, yd := xs.dense, ys.dense
-				k := xd.Cols
-				xrow := xd.Data[int(i)*k : int(i)*k+k]
-				yrow := yd.Data[int(j)*k : int(j)*k+k]
-				var acc T
-				for t, v := range xrow {
-					acc += v * yrow[t]
-				}
-				return beta.dense.Data[0] * (acc / den)
-			}
+	entry := sp(n).entry
+	return func(i int32, cols []int32, dst []T) {
+		dst = dst[:len(cols)]
+		for q, j := range cols {
+			dst[q] = entry(i, j)
 		}
 	}
+}
+
+// composeEntry builds the closure evaluating one entry of a virtual node by
+// composing its inputs' evaluators.
+func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
 	switch n.Op {
 	case "mmt":
 		xs, ys := sp(n.Inputs[0]), sp(n.Inputs[1])
@@ -735,15 +756,15 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 	case "divide":
 		num, den := sp(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T {
-			d := den.score(i, j)
+			d := den.entry(i, j)
 			if d == 0 {
 				return 0
 			}
-			return num.score(i, j) / d
+			return num.entry(i, j) / d
 		}
 	case "scale":
 		xs, beta := sp(n.Inputs[0]), sp(n.Inputs[1])
-		return func(i, j int32) T { return beta.dense.Data[0] * xs.score(i, j) }
+		return func(i, j int32) T { return beta.dense.Data[0] * xs.entry(i, j) }
 	case "rep":
 		us := sp(n.Inputs[0])
 		return func(i, _ int32) T { return us.vec[i] }
@@ -752,12 +773,12 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 		return func(_, j int32) T { return vs.vec[j] }
 	case "add":
 		as, bs := sp(n.Inputs[0]), sp(n.Inputs[1])
-		return func(i, j int32) T { return as.score(i, j) + bs.score(i, j) }
+		return func(i, j int32) T { return as.entry(i, j) + bs.entry(i, j) }
 	case "lrelu":
 		xs := sp(n.Inputs[0])
 		slope := T(sp(n).slope)
 		return func(i, j int32) T {
-			s := xs.score(i, j)
+			s := xs.entry(i, j)
 			if s < 0 {
 				s *= slope
 			}

@@ -53,6 +53,10 @@ func buildVA(a *sparse.CSR, w fuse.ParamRef, k int) *fuse.Graph {
 }
 
 func buildAGNN(a *sparse.CSR, w, beta fuse.ParamRef, k int) *fuse.Graph {
+	return buildAGNNAct(a, w, beta, k, tanhAct)
+}
+
+func buildAGNNAct(a *sparse.CSR, w, beta fuse.ParamRef, k int, act fuse.Act) *fuse.Graph {
 	g := fuse.NewGraph("agnn", a)
 	h := g.InputDense("H", a.Rows, k)
 	wn := g.ParamNode("W", w)
@@ -62,11 +66,15 @@ func buildAGNN(a *sparse.CSR, w, beta fuse.ParamRef, k int) *fuse.Graph {
 	s := g.Mask("S", g.ScaleScores("betaC", cos, bn), true)
 	psi := g.Softmax("Psi", s)
 	z := g.SpMM("Z", psi, g.MM("HW", h, wn))
-	g.SetOutput(g.Sigma("Hout", z, tanhAct))
+	g.SetOutput(g.Sigma("Hout", z, act))
 	return g
 }
 
 func buildGAT(a *sparse.CSR, w, a1, a2 fuse.ParamRef, k int, slope float64) *fuse.Graph {
+	return buildGATAct(a, w, a1, a2, k, slope, tanhAct)
+}
+
+func buildGATAct(a *sparse.CSR, w, a1, a2 fuse.ParamRef, k int, slope float64, act fuse.Act) *fuse.Graph {
 	g := fuse.NewGraph("gat", a)
 	h := g.InputDense("H", a.Rows, k)
 	wn := g.ParamNode("W", w)
@@ -79,7 +87,7 @@ func buildGAT(a *sparse.CSR, w, a1, a2 fuse.ParamRef, k int, slope float64) *fus
 	e := g.Mask("E", g.LReLUScores("lreluC", c, slope), false)
 	psi := g.Softmax("Psi", e)
 	z := g.SpMM("Z", psi, hp)
-	g.SetOutput(g.Sigma("Hout", z, tanhAct))
+	g.SetOutput(g.Sigma("Hout", z, act))
 	return g
 }
 

@@ -14,6 +14,24 @@ package fuse
 // type whose width does not change with the plan dtype.
 const indexBytes = 4
 
+// dotWidth returns the feature width k of the X·Yᵀ product ("mmt") in the
+// virtual chain an op rooted at n evaluates per non-zero, or 0 when the
+// chain has none. GAT's u[i] + v[j] scores read two scalars per non-zero;
+// a dot-product chain (VA, AGNN) additionally gathers the k-wide row Y[j].
+func dotWidth(g *Graph, n *Node) int64 {
+	if n.Op == "mmt" {
+		return int64(g.md(n.Inputs[0]).cols)
+	}
+	for _, in := range n.Inputs {
+		if in.Kind == Sparse || in.Kind == Virtual {
+			if k := dotWidth(g, in); k > 0 {
+				return k
+			}
+		}
+	}
+	return 0
+}
+
 // opBytes estimates, from compile-time shapes, the memory traffic of one
 // execution of an op: CSR traffic (values + column indices + one gathered
 // feature row per non-zero) for sparse sweeps, operand reads + result
@@ -36,23 +54,29 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		b = (fb+indexBytes)*nz + fb*(nz*c+r*c)
 	case "mask":
 		// Pattern sweep: indices in, two composed-score operands per entry
-		// (the dominant shape), values out.
+		// plus the gathered row of a dot-product chain, values out. (The
+		// mask VJP only copies or re-weights the cotangent.)
 		b = indexBytes*nz + 3*fb*nz
+		if !backward {
+			b += fb * nz * dotWidth(g, n)
+		}
 	case "softmax":
 		// Three passes over the row values: max (read), exp+sum
 		// (read+write), normalize (read+write).
 		b = 5 * fb * nz
 	case "fused-softmax":
-		// Sampling sweep (indices + two score operands in, values out)
-		// plus the in-place softmax passes over the freshly written values.
-		b = indexBytes*nz + 7*fb*nz
+		// Sampling sweep (indices + two score operands + the gathered row
+		// of a dot-product chain in, values out) plus the in-place softmax
+		// passes over the freshly written values.
+		b = indexBytes*nz + 7*fb*nz + fb*nz*dotWidth(g, n)
 	case "fused-attn":
-		// One sweep: indices + two score operands in, one gathered X row
-		// per non-zero, output rows out. Softmax passes run over the
-		// row's scores while they are cache-hot; training plans
-		// additionally write the normalized scores to the value buffer
-		// (inference never materializes them — the fusion's saving).
-		b = indexBytes*nz + 2*fb*nz + fb*(nz*c+r*c)
+		// One sweep: indices + two score operands (+ the gathered row of a
+		// dot-product chain) in, one gathered X row per non-zero, output
+		// rows out. Softmax passes run over the row's scores while they
+		// are cache-hot; training plans additionally write the normalized
+		// scores to the value buffer (inference never materializes them —
+		// the fusion's saving).
+		b = indexBytes*nz + 2*fb*nz + fb*nz*dotWidth(g, n) + fb*(nz*c+r*c)
 		if n.Inputs[0].Op == "softmax" {
 			b += 2 * fb * nz
 		}
@@ -71,8 +95,9 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		b = 3 * fb * r * c
 	default:
 		// Virtual-node VJP sweeps: one pattern pass re-evaluating scores
-		// entry-wise (indices + two operands in, cotangent out).
-		b = indexBytes*nz + 3*fb*nz
+		// entry-wise (indices + two operands + the gathered row of a
+		// dot-product chain in, cotangent out).
+		b = indexBytes*nz + 3*fb*nz + fb*nz*dotWidth(g, n)
 	}
 	if backward {
 		b *= 2

@@ -103,8 +103,9 @@ func TestPlanRooflineAccounting(t *testing.T) {
 }
 
 // TestOpBytesModelShapes pins the relative structure of the traffic model:
-// sparse sweeps scale with nnz·k, dense kernels with r·k·c, and backward
-// doubles forward.
+// sparse sweeps scale with nnz·k, dense kernels with r·k·c, backward
+// doubles forward, and a dot-product score chain gathers a k-wide row per
+// non-zero on top of the aggregation's.
 func TestOpBytesModelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const k = 4
@@ -122,6 +123,26 @@ func TestOpBytesModelShapes(t *testing.T) {
 	if s0.BackwardBytes < s0.ForwardBytes {
 		t.Errorf("backward traffic %d below forward %d; VJP model should dominate", s0.BackwardBytes, s0.ForwardBytes)
 	}
+
+	// The VA inference plan is mm → fused-attn → sigma. Its sweep reads,
+	// per non-zero, the index, two score operands, the Y row of H·Hᵀ and
+	// the aggregated HW row — the dot-score term is what separates it from
+	// a GAT-shaped sweep, whose scores are two scalars.
+	r, nz := int64(small.Rows), int64(small.NNZ())
+	const fb = 8
+	mm := fb * (r*k + k*k + r*k)
+	attn := 4*nz + 2*fb*nz + fb*nz*k + fb*(nz*k+r*k)
+	sigma := 2 * fb * r * k
+	va := buildVA(small, randParam(rng, "W", k, k), k).MustCompile(fuse.Options{}).Stats()
+	if va.ForwardBytes != mm+attn+sigma {
+		t.Errorf("VA inference forward bytes = %d, want mm %d + fused-attn %d + sigma %d", va.ForwardBytes, mm, attn, sigma)
+	}
+	gat := buildGAT(small, randParam(rng, "W", k, k), randParam(rng, "a1", k, 1), randParam(rng, "a2", k, 1), k, 0.2).
+		MustCompile(fuse.Options{}).Stats()
+	matvecs := 2 * fb * (r*k + k + r)
+	if want := mm + matvecs + attn - fb*nz*k + 2*fb*nz + sigma; gat.ForwardBytes != want {
+		t.Errorf("GAT inference forward bytes = %d, want %d (no gathered score row, two softmax passes)", gat.ForwardBytes, want)
+	}
 }
 
 // TestRooflineBytesScaleWithDType: one traffic model serves both element
@@ -132,6 +153,8 @@ func TestOpBytesModelShapes(t *testing.T) {
 // for backward ops, like every backward estimate). The training-only term
 // is checked on its own: a fused-attn sweep of a training plan additionally
 // writes the normalized scores, one value per non-zero, at either width.
+// With the index traffic included the f32 estimate must stay within 0.6× of
+// the f64 one — the F32BytesPerEdgeX band of `make bench-gate`.
 func TestRooflineBytesScaleWithDType(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := weightedGraph(40, 160, 24)
@@ -175,6 +198,9 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 			}
 			if got, want := s64.ForwardBytes-idxFwd, 2*(s32.ForwardBytes-idxFwd); got != want || got <= 0 {
 				t.Errorf("%s train=%v: f64 forward value bytes %d, want twice f32's = %d", tc.name, train, got, want)
+			}
+			if ratio := float64(s32.ForwardBytes) / float64(s64.ForwardBytes); ratio > 0.6 {
+				t.Errorf("%s train=%v: f32 forward moves %.3f× the f64 bytes, want <= 0.6×", tc.name, train, ratio)
 			}
 			if got, want := s64.BackwardBytes-idxBwd, 2*(s32.BackwardBytes-idxBwd); got != want || (train && got <= 0) {
 				t.Errorf("%s train=%v: f64 backward value bytes %d, want twice f32's = %d", tc.name, train, got, want)

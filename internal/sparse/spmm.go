@@ -31,24 +31,7 @@ func (s *CSR) MulDenseInto(out, x *tensor.Dense) {
 			out.Rows, out.Cols, s.Rows, s.Cols, x.Rows, x.Cols))
 	}
 	defer obs.Start("spmm").End()
-	k := x.Cols
-	tc := tensor.TileCols(x.Rows, k, 8)
-	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
-		clear(out.Data[lo*k : hi*k])
-		for c0 := 0; c0 < k; c0 += tc {
-			c1 := min(c0+tc, k)
-			for i := lo; i < hi; i++ {
-				orow := out.Data[i*k+c0 : i*k+c1]
-				for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-					v := s.Val[p]
-					xrow := x.Data[int(s.Col[p])*k+c0 : int(s.Col[p])*k+c1]
-					for t, xv := range xrow {
-						orow[t] += v * xv
-					}
-				}
-			}
-		}
-	})
+	s.mulDenseTiled(out, x, true)
 }
 
 // MulDenseAccumulate computes out += S·X, column-tiled like MulDenseInto.
@@ -56,20 +39,24 @@ func (s *CSR) MulDenseAccumulate(out, x *tensor.Dense) {
 	if s.Cols != x.Rows || out.Rows != s.Rows || out.Cols != x.Cols {
 		panic("sparse: MulDenseAccumulate shape mismatch")
 	}
+	s.mulDenseTiled(out, x, false)
+}
+
+// mulDenseTiled is the column-tiled sweep behind both SpMM entry points:
+// one GatherAxpy per pattern row and column stripe, onto zeroed or existing
+// output rows.
+func (s *CSR) mulDenseTiled(out, x *tensor.Dense, zero bool) {
 	k := x.Cols
 	tc := tensor.TileCols(x.Rows, k, 8)
 	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
+		if zero {
+			clear(out.Data[lo*k : hi*k])
+		}
 		for c0 := 0; c0 < k; c0 += tc {
 			c1 := min(c0+tc, k)
 			for i := lo; i < hi; i++ {
-				orow := out.Data[i*k+c0 : i*k+c1]
-				for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-					v := s.Val[p]
-					xrow := x.Data[int(s.Col[p])*k+c0 : int(s.Col[p])*k+c1]
-					for t, xv := range xrow {
-						orow[t] += v * xv
-					}
-				}
+				b, e := s.RowPtr[i], s.RowPtr[i+1]
+				GatherAxpy(out.Data[i*k+c0:i*k+c1], s.Val[b:e], s.Col[b:e], x.Data, k, c0)
 			}
 		}
 	})
@@ -107,15 +94,8 @@ func SDDMM(pat *CSR, x, y *tensor.Dense) *CSR {
 	vals := make([]float64, pat.NNZ())
 	par.RangeWeighted(pat.Rows, func(i int) int64 { return int64(pat.RowNNZ(i)) }, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			xrow := x.Data[i*k : (i+1)*k]
-			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				yrow := y.Data[int(pat.Col[p])*k : int(pat.Col[p])*k+k]
-				acc := 0.0
-				for t, xv := range xrow {
-					acc += xv * yrow[t]
-				}
-				vals[p] = acc
-			}
+			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+			GatherDots(vals[b:e], x.Data[i*k:(i+1)*k], pat.Col[b:e], y.Data, k, 0)
 		}
 	})
 	return pat.WithValues(vals)
