@@ -14,19 +14,20 @@ import (
 // plans produce bitwise-identical results at either element width (the
 // property the fused-vs-unfused identity tests pin down).
 
-// attnScratch holds one per-worker score row (sized to the pattern's
-// maximum row degree) for the inference variant, which materializes no
-// per-edge score tensor at all. Rows are allocated lazily on first use so
-// steady-state execution stays allocation-free; the slot table is grown
-// before the sweep, so workers only ever touch their own slot.
-type attnScratch[T elem] struct {
+// rowScratch holds one row of maxRow elements per worker: the score row of
+// the inference variant (sized to the pattern's maximum row degree), which
+// materializes no per-edge score tensor at all, and the dot products of
+// opMMVJP. Rows are allocated lazily on first use so steady-state execution
+// stays allocation-free; the slot table is grown before the sweep, so
+// workers only ever touch their own slot.
+type rowScratch[T elem] struct {
 	rows   [][]T
 	maxRow int
 }
 
-func (s *attnScratch[T]) ensure() { s.rows = workerSlots(s.rows) }
+func (s *rowScratch[T]) ensure() { s.rows = workerSlots(s.rows) }
 
-func (s *attnScratch[T]) row(worker int) []T {
+func (s *rowScratch[T]) row(worker int) []T {
 	r := s.rows[worker]
 	if r == nil {
 		r = make([]T, s.maxRow)
@@ -63,7 +64,7 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f scoreRow[T
 	// worker id for its scratch row, so it exposes no single-row body —
 	// inference fused plans are row-indivisible (partitioning callers
 	// compile with NoAttnFuse).
-	scratch := &attnScratch[T]{maxRow: pat.MaxRowNNZ()}
+	scratch := &rowScratch[T]{maxRow: pat.MaxRowNNZ()}
 	body := func(worker, lo, hi int) {
 		buf := scratch.row(worker)
 		for i := lo; i < hi; i++ {

@@ -1,0 +1,196 @@
+package fuse_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"agnn/internal/fuse"
+	"agnn/internal/par"
+	"agnn/internal/sparse"
+	"agnn/internal/tensor"
+)
+
+// The dense projection runs on sparse.GatherAxpy / GatherDots with the
+// identity index. These tests hold it to the hand-written loops it replaced.
+
+// mmGraph is the one-op graph H·W over n rows (the pattern is not used).
+func mmGraph(n, k int, w fuse.ParamRef) *fuse.Graph {
+	g := fuse.NewGraph("mm", sparse.FromCOO(sparse.NewCOO(n, n, 0)))
+	g.SetOutput(g.MM("HW", g.InputDense("H", n, k), g.ParamNode("W", w)))
+	return g
+}
+
+// loopMM is the deleted forward loop of opMM, zero-feature skip included.
+func loopMM[T tensor.Elem](out, x, w []T, n, k, m int) {
+	for i := 0; i < n; i++ {
+		orow := out[i*m : (i+1)*m]
+		clear(orow)
+		for t := 0; t < k; t++ {
+			xv := x[i*k+t]
+			if xv == 0 {
+				continue
+			}
+			for j, wv := range w[t*m : (t+1)*m] {
+				orow[j] += xv * wv
+			}
+		}
+	}
+}
+
+// loopMMVJPInput is the deleted input-cotangent loop of opMMVJP:
+// X̄[i,t] += Σ_j Ḡ[i,j]·W[t,j], X̄ zero on entry.
+func loopMMVJPInput[T tensor.Elem](xg, g, w []T, n, k, m int) {
+	for i := 0; i < n; i++ {
+		grow := g[i*m : (i+1)*m]
+		for t := 0; t < k; t++ {
+			wrow := w[t*m : (t+1)*m]
+			var s T
+			for j, gv := range grow {
+				s += gv * wrow[j]
+			}
+			xg[i*k+t] += s
+		}
+	}
+}
+
+// viaLoops evaluates the two loops at width T on float64 data the way a plan
+// of that width does: round in, compute, widen out.
+func viaLoops[T tensor.Elem](h, w, g *tensor.Dense) (out, gin []float64) {
+	n, k, m := h.Rows, h.Cols, w.Cols
+	ht, wt, gt := make([]T, n*k), make([]T, k*m), make([]T, n*m)
+	tensor.Cast(ht, h.Data)
+	tensor.Cast(wt, w.Data)
+	tensor.Cast(gt, g.Data)
+	ot, xg := make([]T, n*m), make([]T, n*k)
+	loopMM(ot, ht, wt, n, k, m)
+	loopMMVJPInput(xg, gt, wt, n, k, m)
+	out, gin = make([]float64, n*m), make([]float64, n*k)
+	tensor.Cast(out, ot)
+	tensor.Cast(gin, xg)
+	return out, gin
+}
+
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMMMatchesDeletedLoops: forward output and input cotangent of a
+// compiled H·W equal the deleted hand loops bit for bit on finite data —
+// zero and negative-zero features included, which the old forward loop
+// skipped — at both widths, for shapes on every side of the kernels' seams
+// (k under and over eight rows of W; m under a vector register, whole
+// registers, a whole strip, strips plus registers plus columns over).
+func TestMMMatchesDeletedLoops(t *testing.T) {
+	old := par.Workers()
+	defer par.SetWorkers(old)
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		for _, shape := range []struct{ k, m int }{{32, 32}, {6, 6}, {12, 20}, {8, 7}, {5, 40}, {40, 72}, {33, 31}, {16, 8}} {
+			rng := rand.New(rand.NewSource(int64(100*shape.k + shape.m)))
+			const n = 300
+			h, g := randDense(rng, n, shape.k), randDense(rng, n, shape.m)
+			for i := range h.Data {
+				switch rng.Intn(6) {
+				case 0:
+					h.Data[i] = 0
+				case 1:
+					h.Data[i] = math.Copysign(0, -1)
+				}
+			}
+			for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+				w := randParam(rng, "W", shape.k, shape.m)
+				p := mmGraph(n, shape.k, w).MustCompile(fuse.Options{Train: true, DType: dt})
+				out := p.Forward(h)
+				gin := p.Backward(g)
+				wantOut, wantGin := viaLoops[float64](h, w.Value, g)
+				if dt == tensor.F32 {
+					wantOut, wantGin = viaLoops[float32](h, w.Value, g)
+				}
+				name := fmt.Sprintf("k=%d m=%d %s workers=%d", shape.k, shape.m, dt, workers)
+				if i := firstBitDiff(out.Data, wantOut); i >= 0 {
+					t.Errorf("%s: out[%d] = %v, deleted loop %v", name, i, out.Data[i], wantOut[i])
+				}
+				if i := firstBitDiff(gin.Data, wantGin); i >= 0 {
+					t.Errorf("%s: input cotangent[%d] = %v, deleted loop %v", name, i, gin.Data[i], wantGin[i])
+				}
+				p.Release()
+			}
+		}
+	}
+}
+
+// TestMMPropagatesNonFinite: a non-finite weight must reach every output row,
+// also those whose matching feature is zero — 0·Inf is NaN. The loop opMM
+// had before it ran on GatherAxpy skipped zero features and hid it.
+func TestMMPropagatesNonFinite(t *testing.T) {
+	for _, shape := range []struct{ k, m int }{{32, 32}, {6, 5}} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			rng := rand.New(rand.NewSource(7))
+			const n = 9
+			w := randParam(rng, "W", shape.k, shape.m)
+			w.Value.Data[2*shape.m+3] = math.Inf(1) // W[2,3]
+			h := randDense(rng, n, shape.k)
+			h.Data[4*shape.k+2] = 0 // H[4,2]
+			out := mmGraph(n, shape.k, w).MustCompile(fuse.Options{DType: dt}).Forward(h)
+			for i := 0; i < n; i++ {
+				got := out.Data[i*shape.m+3]
+				if i == 4 && !math.IsNaN(got) {
+					t.Errorf("k=%d m=%d %s: out[4,3] = %v with H[4,2] = 0 and W[2,3] = +Inf, want NaN", shape.k, shape.m, dt, got)
+				}
+				if i != 4 && !math.IsInf(got, 0) {
+					t.Errorf("k=%d m=%d %s: out[%d,3] = %v, want ±Inf", shape.k, shape.m, dt, i, got)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMM times the dense projection through the plan op, next to
+// BenchmarkGatherDots/Axpy of internal/sparse: the forward H·W and, on a
+// training plan, forward plus backward (input cotangent through GatherDots,
+// weight gradient through its own loop), at the two BENCHMARK.json shapes.
+// ns/row counts one row of H per direction; GB/s is the traffic of those
+// rows (H and the output, read or written once; W stays in cache).
+func BenchmarkMM(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		dt   tensor.DType
+	}{{"hub-f32", 1 << 16, tensor.F32}, {"flat-f64", 1 << 15, tensor.F64}} {
+		for _, train := range []bool{false, true} {
+			name := c.name
+			if train {
+				name += "-train"
+			}
+			b.Run(name, func(b *testing.B) {
+				const k = 32
+				rng := rand.New(rand.NewSource(3))
+				h, g := randDense(rng, c.n, k), randDense(rng, c.n, k)
+				p := mmGraph(c.n, k, randParam(rng, "W", k, k)).MustCompile(fuse.Options{Train: train, DType: c.dt})
+				defer p.Release()
+				p.Forward(h)
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					p.Forward(h)
+					if train {
+						p.Backward(g)
+					}
+				}
+				sweeps := 1.0
+				if train {
+					sweeps = 3 // forward, input cotangent, weight gradient
+				}
+				rows := float64(b.N) * float64(c.n) * sweeps
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/rows, "ns/row")
+				b.ReportMetric(rows*2*k*float64(c.dt.Size())/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+	}
+}

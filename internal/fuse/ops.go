@@ -18,9 +18,9 @@ import (
 // allocation per kernel on the hot path. With prebuilt bodies the
 // steady-state forward/backward pass performs no allocations at all (the
 // property the alloc-regression tests pin down). Every sweep over the
-// sparsity pattern hands its rows to the two row primitives of
-// internal/sparse (GatherDots to sample, GatherAxpy to aggregate); no op
-// carries its own copy of those loops.
+// sparsity pattern, and the dense projection with it, hands its rows to the
+// two row primitives of internal/sparse (GatherDots to sample, GatherAxpy to
+// aggregate); no op carries its own copy of those loops.
 //
 // Every op body exists once, generic over the element type: Compile
 // instantiates the whole stack at float64 or float32 (Options.DType). The
@@ -302,24 +302,30 @@ func opSemiring[T elem](pat *sparse.CSR, svals []T, x, out *spec[T], kind string
 	}}
 }
 
-// opMM computes out = X·W (W a parameter).
+// rowIndex is 0, 1, …, n−1: the "pattern row" under which the dense
+// projection reaches the two row primitives (every row of W, in order).
+func rowIndex(n int) []int32 {
+	idx := make([]int32, n)
+	for t := range idx {
+		idx[t] = int32(t)
+	}
+	return idx
+}
+
+// opMM computes out = X·W (W a parameter): output row i is the rows of W
+// gathered in order and weighted by X[i,:], which is sparse.GatherAxpy with
+// the identity index — the projection runs on the kernel the aggregation
+// runs on. A zero feature is multiplied like any other, so a non-finite
+// weight reaches every output row (0·Inf is NaN, as IEEE 754 has it); with
+// finite weights the sum starts at +0 and a ±0 product cannot change it.
 func opMM[T elem](x, w, out *spec[T]) opFns {
+	wrows := rowIndex(x.cols)
 	each := func(i int) {
 		xd, wd, od := x.dense, w.dense, out.dense
 		k, m := xd.Cols, od.Cols
-		xrow := xd.Data[i*k : (i+1)*k]
 		orow := od.Data[i*m : (i+1)*m]
 		clear(orow)
-		for t := 0; t < k; t++ {
-			xv := xrow[t]
-			if xv == 0 {
-				continue
-			}
-			wrow := wd.Data[t*m : (t+1)*m]
-			for j, wv := range wrow {
-				orow[j] += xv * wv
-			}
-		}
+		sparse.GatherAxpy(orow, xd.Data[i*k:(i+1)*k], wrows, wd.Data, m, 0)
 	}
 	body := rowSweep(each)
 	rows := out.rows
@@ -451,22 +457,22 @@ func opSigmaVJP[T elem](z, out *spec[T]) func() {
 	return func() { par.Range(n, body) }
 }
 
-// opMMVJP accumulates X̄ += Ḡ·Wᵀ and W̄ += Xᵀ·Ḡ (per-worker partials,
-// folded and re-zeroed after the sweep).
+// opMMVJP accumulates X̄ += Ḡ·Wᵀ — row i of Ḡ against every row of W,
+// sparse.GatherDots with the identity index, into a per-worker k-vector that
+// is then added to X̄[i,:] — and W̄ += Xᵀ·Ḡ (per-worker partials, folded and
+// re-zeroed after the sweep).
 func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
-	xBody := func(_, lo, hi int) {
+	wrows := rowIndex(x.cols)
+	dots := &rowScratch[T]{maxRow: x.cols}
+	xBody := func(worker, lo, hi int) {
 		wd, og, xg := w.dense, out.gdense, x.gdense
 		k, m := xg.Cols, og.Cols
+		s := dots.row(worker)
 		for i := lo; i < hi; i++ {
-			grow := og.Data[i*m : (i+1)*m]
+			sparse.GatherDots(s, og.Data[i*m:(i+1)*m], wrows, wd.Data, m, 0)
 			xrow := xg.Data[i*k : (i+1)*k]
-			for t := 0; t < k; t++ {
-				wrow := wd.Data[t*m : (t+1)*m]
-				var s T
-				for j, gv := range grow {
-					s += gv * wrow[j]
-				}
-				xrow[t] += s
+			for t, v := range s {
+				xrow[t] += v
 			}
 		}
 	}
@@ -495,6 +501,7 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 	rows := out.rows
 	grad := w.grad
 	return func() {
+		dots.ensure()
 		par.Range(rows, xBody)
 		mats := ps.ensure(x.cols, out.cols)
 		par.Range(rows, wBody)

@@ -120,6 +120,8 @@ type exec[T elem] struct {
 	outF, ginF *tensor.Dense // widened forward result / input cotangent
 	shadows    []shadow[T]   // parameter masters → rounded working copies
 	flushes    []shadow[T]   // gradient shadows → master Grad accumulators
+	narrow     castSweep[T, float64]
+	widen      castSweep[float64, T]
 
 	zeroMats []*tensor.Mat[T] // cotangent buffers zeroed before each backward
 	zeroVecs [][]T
@@ -132,6 +134,31 @@ type exec[T elem] struct {
 type shadow[T elem] struct {
 	master *tensor.Dense
 	local  *tensor.Mat[T]
+}
+
+// castSweep is tensor.Cast split over par.Range. A casting plan converts an
+// n×k matrix on every crossing of its boundary (input and result of a
+// forward, output cotangent and input cotangent of a backward); one worker
+// doing that is a visible share of a step once the sweeps between the
+// crossings are fast. Element-wise, so the split cannot change a bit. The
+// loop body is built on first use and kept, so a steady-state crossing
+// allocates nothing.
+type castSweep[D, S elem] struct {
+	dst  []D
+	src  []S
+	body func(worker, lo, hi int)
+}
+
+func (c *castSweep[D, S]) run(dst []D, src []S) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("fuse: cast length mismatch %d vs %d", len(dst), len(src)))
+	}
+	if c.body == nil {
+		c.body = func(_, lo, hi int) { tensor.Cast(c.dst[lo:hi], c.src[lo:hi]) }
+	}
+	c.dst, c.src = dst, src
+	par.Range(len(src), c.body)
+	c.dst, c.src = nil, nil // keep no hold on the caller's matrix
 }
 
 // alias views d as a matrix of T when T is float64 — same layout, same
@@ -153,9 +180,9 @@ func (e *exec[T]) bind(h *tensor.Dense) {
 		e.input.dense = m
 		return
 	}
-	tensor.Cast(e.input.dense.Data, h.Data)
+	e.narrow.run(e.input.dense.Data, h.Data)
 	for _, s := range e.shadows {
-		tensor.Cast(s.local.Data, s.master.Data)
+		e.narrow.run(s.local.Data, s.master.Data)
 	}
 }
 
@@ -167,7 +194,7 @@ func (e *exec[T]) result() *tensor.Dense {
 	if e.outF == nil {
 		return dense64(e.output.dense)
 	}
-	tensor.Cast(e.outF.Data, e.output.dense.Data)
+	e.widen.run(e.outF.Data, e.output.dense.Data)
 	return e.outF
 }
 
@@ -178,7 +205,7 @@ func (e *exec[T]) seed(g *tensor.Dense) {
 	for _, v := range e.zeroVecs {
 		clear(v)
 	}
-	tensor.Cast(e.output.gdense.Data, g.Data)
+	e.narrow.run(e.output.gdense.Data, g.Data)
 }
 
 func (e *exec[T]) inputGrad() *tensor.Dense {
@@ -190,7 +217,7 @@ func (e *exec[T]) inputGrad() *tensor.Dense {
 			s.master.Data[i] += float64(v)
 		}
 	}
-	tensor.Cast(e.ginF.Data, e.input.gdense.Data)
+	e.widen.run(e.ginF.Data, e.input.gdense.Data)
 	return e.ginF
 }
 

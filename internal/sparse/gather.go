@@ -1,25 +1,118 @@
 package sparse
 
-import "agnn/internal/tensor"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+
+	"agnn/internal/tensor"
+)
 
 // The two row primitives under every sparse sweep of the repository (DGL's
-// g-SDDMM / g-SpMM pair, cut down to one pattern row): GatherDots samples,
-// GatherAxpy aggregates. Both walk a row's column indices four edges per
-// pass, so four gathered rows — four cache misses, four floating-point
-// dependency chains — are in flight at once where a one-edge loop has one.
-// Only the grouping of edges changes: every individual sum is still formed
-// in its original order (t ascending inside a dot, q ascending inside an
-// output element), so every result that is not a NaN is bitwise-identical
-// to the one-edge loops they replace (a NaN stays a NaN; its payload is the
-// register allocator's to pick). Two edges per pass measured a third slower
-// than four and eight no faster (EXPERIMENTS.md), so four it is.
+// g-SDDMM / g-SpMM pair, cut down to one pattern row) and under the dense
+// projection: GatherDots samples, GatherAxpy aggregates. On an amd64 CPU
+// with AVX2 a row runs in the assembly of gather_amd64.s; the Go loops below
+// are the only path everywhere else, take what the assembly does not (rows
+// under eight edges, the columns of an accumulator beyond its last whole ymm
+// register, dot products over a width the transposes cannot step through)
+// and are the oracle the tests hold the assembly to.
+//
+// The Go loops walk a row's column indices four edges per pass, so four
+// gathered rows — four cache misses, four floating-point dependency chains —
+// are in flight at once where a one-edge loop has one. The assembly maps
+// lanes to output columns (GatherAxpy) or to edges (GatherDots). Either way
+// only the grouping changes: every individual sum is still formed in its
+// original order (t ascending inside a dot, q ascending inside an output
+// element) from separately rounded products, so every result that is not a
+// NaN is bitwise-identical to the one-edge loops (a NaN stays a NaN; its
+// payload is the register allocator's to pick). Two edges per pass measured
+// a third slower than four and eight no faster (EXPERIMENTS.md), so four it
+// is for the Go loops.
 //
 // M is row-major with leading dimension ld; the gathered row j is the
 // column window M[j*ld+off : j*ld+off+w], w the length of x resp. acc. The
 // window is what lets CSR.MulDenseInto tile the feature dimension.
 
-// GatherDots computes dst[q] = Σ_t x[t]·Y[cols[q], off+t] for every q.
+// The assembly kernels by element width (0: float32, 1: float64), set during
+// package initialisation where the CPU has them (gather_amd64.go) and nil
+// everywhere else. Sizes and strides are in bytes. An axpy kernel takes all n
+// edges over the first wb bytes of acc, wb a multiple of 32; a dots kernel
+// takes all n ≥ 8 edges over a window of wb bytes, wb a multiple of 16.
+type (
+	axpyKernel func(acc unsafe.Pointer, wb int, vals unsafe.Pointer, cols *int32, n int, x unsafe.Pointer, ldb int)
+	dotsKernel func(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer, ldb int)
+)
+
+var (
+	asmAxpy [2]axpyKernel
+	asmDots [2]dotsKernel
+)
+
+const (
+	asmMinEdges = 8  // shorter rows stay in Go; the edges of one dots pass
+	ymmBytes    = 32 // one accumulator register of the axpy kernels
+	dotsStep    = 16 // bytes of every gathered row one transpose step consumes
+)
+
+// windowsInRange reports whether every window m[c*ld+off : c*ld+off+w], c in
+// cols, lies inside a slice of n elements — the check the Go loops make edge
+// by edge when they slice a row, made for the whole row up front so that the
+// assembly never forms an address outside m.
+func windowsInRange(cols []int32, n, ld, off, w int) bool {
+	room := n - off - w
+	if ld < 0 || off < 0 || room < 0 {
+		return false
+	}
+	// The largest index, a negative one reading as above MaxInt32; four
+	// running maxima so that the scan is not one compare-and-move chain.
+	var t0, t1, t2, t3 uint32
+	for ; len(cols) >= 4; cols = cols[4:] {
+		t0, t1 = max(t0, uint32(cols[0])), max(t1, uint32(cols[1]))
+		t2, t3 = max(t2, uint32(cols[2])), max(t3, uint32(cols[3]))
+	}
+	for _, c := range cols {
+		t0 = max(t0, uint32(c))
+	}
+	top := max(t0, t1, t2, t3)
+	hi, last := bits.Mul64(uint64(top), uint64(ld))
+	return top <= math.MaxInt32 && hi == 0 && last <= uint64(room)
+}
+
+// base is the address of a slice's first element, for the kernels.
+func base[T any](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
+
+// GatherDots computes dst[q] = Σ_t x[t]·Y[cols[q], off+t] for every q. dst
+// must not overlap x or y.
 func GatherDots[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
+	dst = dst[:len(cols)]
+	size := int(unsafe.Sizeof(*new(T)))
+	if kernel := asmDots[size/8]; kernel != nil && len(cols) >= asmMinEdges && len(x) > 0 && len(x)*size%dotsStep == 0 &&
+		windowsInRange(cols, len(y), ld, off, len(x)) {
+		kernel(base(dst), base(x), len(x)*size, unsafe.SliceData(cols), len(cols), base(y[off:]), ld*size)
+		return
+	}
+	gatherDotsGo(dst, x, cols, y, ld, off)
+}
+
+// GatherAxpy accumulates acc[t] += vals[q]·X[cols[q], off+t], q ascending
+// for every t. acc must not overlap x.
+func GatherAxpy[T tensor.Elem](acc, vals []T, cols []int32, x []T, ld, off int) {
+	vals = vals[:len(cols)]
+	size := int(unsafe.Sizeof(*new(T)))
+	w := len(acc) &^ (ymmBytes/size - 1)
+	if kernel := asmAxpy[size/8]; kernel != nil && len(cols) >= asmMinEdges && w > 0 &&
+		windowsInRange(cols, len(x), ld, off, len(acc)) {
+		kernel(base(acc), w*size, base(vals), unsafe.SliceData(cols), len(cols), base(x[off:]), ld*size)
+		if w == len(acc) {
+			return
+		}
+		acc, off = acc[w:], off+w
+	}
+	gatherAxpyGo(acc, vals, cols, x, ld, off)
+}
+
+// gatherDotsGo is GatherDots in Go, four edges per pass.
+func gatherDotsGo[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
 	dst = dst[:len(cols)]
 	for len(cols) >= 4 {
 		c, d := cols[:4], dst[:4]
@@ -46,9 +139,8 @@ func GatherDots[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
 	}
 }
 
-// GatherAxpy accumulates acc[t] += vals[q]·X[cols[q], off+t], q ascending
-// for every t. acc must not overlap x.
-func GatherAxpy[T tensor.Elem](acc, vals []T, cols []int32, x []T, ld, off int) {
+// gatherAxpyGo is GatherAxpy in Go, four edges per pass.
+func gatherAxpyGo[T tensor.Elem](acc, vals []T, cols []int32, x []T, ld, off int) {
 	vals = vals[:len(cols)]
 	for len(cols) >= 4 {
 		c, v := cols[:4], vals[:4]

@@ -2,8 +2,10 @@ package sparse
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -11,8 +13,9 @@ import (
 )
 
 // refDots and refAxpy are the one-edge-at-a-time loops the primitives
-// replaced, kept here as the oracle: the primitives regroup edges, never
-// the order inside a sum, so they must agree with these bit for bit.
+// replaced, kept here as the oracle: the primitives regroup edges (the Go
+// loops) or map them to vector lanes (the assembly), never the order inside
+// a sum, so all three must agree bit for bit.
 func refDots[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
 	for q, c := range cols {
 		yrow := y[int(c)*ld+off : int(c)*ld+off+len(x)]
@@ -67,36 +70,78 @@ func randVals[T tensor.Elem](rng *rand.Rand, n int, special bool) []T {
 	return out
 }
 
-// checkGatherRow runs both primitives and both oracles on one row and
-// reports the first differing bit pattern.
+// fenced copies s into the middle of a larger array of sentinels and returns
+// the copy, its capacity clipped, with a check that every sentinel is still
+// in place: a kernel that stores one element before or after its output is
+// caught even though the store lands in memory the process owns.
+func fenced[T tensor.Elem](s []T) ([]T, func() bool) {
+	const pad, mark = 16, -7.25
+	buf := make([]T, len(s)+2*pad)
+	for i := range buf {
+		buf[i] = mark
+	}
+	v := buf[pad : pad+len(s) : pad+len(s)]
+	copy(v, s)
+	return v, func() bool {
+		for i := 0; i < pad; i++ {
+			if buf[i] != mark || buf[pad+len(s)+i] != mark {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// checkGatherRow runs one row through the exported primitives (assembly
+// where the CPU has it, else the Go loops), through the Go loops called
+// directly and through the one-edge oracles, and reports the first bit
+// pattern on which the three do not agree.
 func checkGatherRow[T tensor.Elem](t testing.TB, x, vals []T, cols []int32, m []T, ld, off int) {
 	t.Helper()
 	w := len(x)
-	got, want := make([]T, len(cols)), make([]T, len(cols))
+	loop, want := make([]T, len(cols)), make([]T, len(cols))
+	got, intact := fenced(want)
 	GatherDots(got, x, cols, m, ld, off)
+	if !intact() {
+		t.Fatalf("dots len=%d w=%d ld=%d off=%d: GatherDots wrote outside dst", len(cols), w, ld, off)
+	}
+	gatherDotsGo(loop, x, cols, m, ld, off)
 	refDots(want, x, cols, m, ld, off)
 	for q := range want {
-		if !sameBits(got[q], want[q]) {
-			t.Fatalf("GatherDots len=%d w=%d ld=%d off=%d: dst[%d] = %v, reference %v", len(cols), w, ld, off, q, got[q], want[q])
+		if !sameBits(got[q], want[q]) || !sameBits(loop[q], want[q]) {
+			t.Fatalf("dots len=%d w=%d ld=%d off=%d: dst[%d] = %v (GatherDots), %v (Go loop), reference %v",
+				len(cols), w, ld, off, q, got[q], loop[q], want[q])
 		}
 	}
 	// The accumulator starts from x, so pre-existing contents are covered.
-	acc, ref := append([]T(nil), x...), append([]T(nil), x...)
+	accLoop, ref := append([]T(nil), x...), append([]T(nil), x...)
+	acc, intact := fenced(x)
 	GatherAxpy(acc, vals, cols, m, ld, off)
+	if !intact() {
+		t.Fatalf("axpy len=%d w=%d ld=%d off=%d: GatherAxpy wrote outside acc", len(cols), w, ld, off)
+	}
+	gatherAxpyGo(accLoop, vals, cols, m, ld, off)
 	refAxpy(ref, vals, cols, m, ld, off)
 	for c := range ref {
-		if !sameBits(acc[c], ref[c]) {
-			t.Fatalf("GatherAxpy len=%d w=%d ld=%d off=%d: acc[%d] = %v, reference %v", len(cols), w, ld, off, c, acc[c], ref[c])
+		if !sameBits(acc[c], ref[c]) || !sameBits(accLoop[c], ref[c]) {
+			t.Fatalf("axpy len=%d w=%d ld=%d off=%d: acc[%d] = %v (GatherAxpy), %v (Go loop), reference %v",
+				len(cols), w, ld, off, c, acc[c], accLoop[c], ref[c])
 		}
 	}
 }
 
 func testGatherRows[T tensor.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 10007}
-	for _, w := range []int{1, 7, 32, 33} {
-		// Whole rows, then a window inside wider rows.
-		for _, win := range []struct{ ld, off int }{{w, 0}, {w + 5, 3}} {
+	// Around the Go loops' four-edge pass, the assembly's eight-edge pass and
+	// its overlapping last pass, and a hub-sized row.
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 10007}
+	// Below a vector register, whole registers, whole four-register strips,
+	// strips plus registers plus left-over columns, and widths the dot
+	// kernels' transposes cannot step through (odd; 4k+2 at float32).
+	for _, w := range []int{0, 1, 6, 7, 8, 16, 24, 31, 32, 33, 40, 64, 72} {
+		// Whole rows; a window inside wider rows whose offset is no multiple
+		// of a vector register (unaligned loads, ld > w); a one-element shift.
+		for _, win := range []struct{ ld, off int }{{w, 0}, {w + 5, 3}, {w + 1, 1}} {
 			for _, special := range []bool{false, true} {
 				// Seven source rows: every row longer than that repeats
 				// column indices, adjacent ones included.
@@ -114,27 +159,100 @@ func testGatherRows[T tensor.Elem](t *testing.T) {
 	}
 }
 
-// TestGatherRowsBitwise: the four-edges-per-pass primitives against the
-// one-edge loops, at both widths, across the block boundary (row lengths
-// 0–9, 63–65, a hub-sized row), odd and even feature widths, a column
-// window, repeated columns, and inputs with ±0, ±Inf and NaN.
+// TestGatherRowsBitwise: the exported primitives, the Go loops and the
+// one-edge loops agree bit for bit at both widths — across every seam of
+// the two implementations in row length and feature width, on column
+// windows, repeated columns, and inputs with ±0, ±Inf and NaN.
 func TestGatherRowsBitwise(t *testing.T) {
 	t.Run("f32", testGatherRows[float32])
 	t.Run("f64", testGatherRows[float64])
 }
 
+// TestGatherRowsNamedElem: an element type that is only float32 underneath
+// takes the same path as float32 itself.
+func TestGatherRowsNamedElem(t *testing.T) {
+	type weight float32
+	rng := rand.New(rand.NewSource(16))
+	cols := make([]int32, 21)
+	for q := range cols {
+		cols[q] = int32(rng.Intn(7))
+	}
+	checkGatherRow(t, randVals[weight](rng, 40, true), randVals[weight](rng, len(cols), true), cols, randVals[weight](rng, 7*43, true), 43, 2)
+}
+
+// mustPanic runs f and fails unless it panics with a runtime error (an
+// index or slice bound, not a fault: a wild read would kill the process).
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if _, ok := recover().(runtime.Error); !ok {
+			t.Errorf("%s: no bounds panic", what)
+		}
+	}()
+	f()
+}
+
+func testGatherBounds[T tensor.Elem](t *testing.T) {
+	const rows, w, ld, off = 5, 32, 35, 3
+	backing := make([]T, 64*ld)
+	m := backing[: rows*ld : rows*ld]
+	x, acc := make([]T, w), make([]T, w)
+	for _, n := range []int{8, 9, 16, 40} {
+		for _, bad := range []int32{rows, rows + 40, -1, math.MinInt32, math.MaxInt32} {
+			for _, at := range []int{0, n / 2, n - 1} {
+				cols := make([]int32, n)
+				cols[at] = bad
+				mustPanic(t, fmt.Sprintf("GatherDots n=%d cols[%d]=%d", n, at, bad), func() {
+					GatherDots(make([]T, n), x, cols, m, ld, off)
+				})
+				mustPanic(t, fmt.Sprintf("GatherAxpy n=%d cols[%d]=%d", n, at, bad), func() {
+					GatherAxpy(acc, make([]T, n), cols, m, ld, off)
+				})
+			}
+		}
+		// The last row's window must end inside m: one column too many.
+		cols := make([]int32, n)
+		cols[n-1] = rows - 1
+		mustPanic(t, "GatherDots window past the end", func() { GatherDots(make([]T, n), x, cols, m, ld, off+1) })
+		mustPanic(t, "GatherAxpy window past the end", func() { GatherAxpy(acc, make([]T, n), cols, m, ld, off+1) })
+		// Scores shorter than the row.
+		mustPanic(t, "GatherDots short dst", func() { GatherDots(make([]T, n-1), x, cols, m, ld, off) })
+		mustPanic(t, "GatherAxpy short vals", func() { GatherAxpy(acc, make([]T, n-1), cols, m, ld, off) })
+	}
+}
+
+// TestGatherRowsBounds: a column index whose window leaves the operand must
+// panic as it does in the Go loops, wherever in the row it sits and whatever
+// path the rest of the row takes; so must scores shorter than the row. The
+// operand is the front of a larger array, so a kernel that read past it
+// would not fault and would go unnoticed without this test.
+func TestGatherRowsBounds(t *testing.T) {
+	t.Run("f32", testGatherBounds[float32])
+	t.Run("f64", testGatherBounds[float64])
+}
+
 // FuzzGatherRows decodes a row from raw bytes — width, window, column
 // indices, then float64 bit patterns taken as they come, so every NaN
-// payload, subnormal and infinity is reachable — and checks both widths
-// against the oracles.
+// payload, subnormal and infinity is reachable — and checks both widths,
+// primitive against Go loop against oracle.
 func FuzzGatherRows(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 5, 0, 1, 2, 3, 4})
-	seed := []byte{32, 2, 9, 0, 0, 1, 1, 2, 6, 6, 6, 3}
-	for _, v := range specials {
-		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	// {w−1, off, n, ld slack, cols…}: a strip plus a register plus columns
+	// over (w = 72) on an unaligned window, 8 + 3 edges; one register and an
+	// overlapping last pass; a width only the Go loops take.
+	for _, seed := range [][]byte{
+		{31, 2, 9, 0, 0, 1, 1, 2, 6, 6, 6, 3},
+		{71, 3, 11, 2, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3},
+		{7, 1, 17, 1, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4},
+		{30, 0, 24, 0, 3, 3, 3},
+	} {
+		for _, v := range specials {
+			seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+		}
+		f.Add(seed)
 	}
-	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -145,7 +263,7 @@ func FuzzGatherRows(f *testing.F) {
 			return int(b)
 		}
 		const rows = 7
-		w, off, n := 1+next()%40, next()%4, next()%70
+		w, off, n := 1+next()%80, next()%4, next()%70
 		ld := w + off + next()%3
 		cols := make([]int32, n)
 		for q := range cols {
@@ -233,18 +351,24 @@ func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather func(a, b [
 }
 
 // BenchmarkGatherDots and BenchmarkGatherAxpy are the kernel-level record of
-// the four-edges-per-pass grouping: each shape runs the primitive and, as
-// "scalar", the one-edge loop it replaced (EXPERIMENTS.md holds a run).
+// the two primitives: each shape runs the exported primitive (the assembly
+// where the CPU has it), as "go" the four-edges-per-pass Go loop under it
+// and as "scalar" the one-edge loop that one replaced (EXPERIMENTS.md holds
+// a run, next to the plan's MM line from internal/fuse).
 func BenchmarkGatherDots(b *testing.B) {
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, true, GatherDots[float32]) })
+	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, true, gatherDotsGo[float32]) })
 	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, true, refDots[float32]) })
 	b.Run("flat-f64", func(b *testing.B) { benchGather(b, false, true, GatherDots[float64]) })
+	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, true, gatherDotsGo[float64]) })
 	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, true, refDots[float64]) })
 }
 
 func BenchmarkGatherAxpy(b *testing.B) {
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, false, GatherAxpy[float32]) })
+	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, false, gatherAxpyGo[float32]) })
 	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, false, refAxpy[float32]) })
 	b.Run("flat-f64", func(b *testing.B) { benchGather(b, false, false, GatherAxpy[float64]) })
+	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, false, gatherAxpyGo[float64]) })
 	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, false, refAxpy[float64]) })
 }
