@@ -46,7 +46,7 @@ func main() {
 	seed := flag.Int64("s", 0, "random seed")
 	trainFrac := flag.Float64("train", 0.7, "training-mask fraction (synthetic dataset)")
 	heads := flag.Int("heads", 1, "GAT attention heads (>1 enables the multi-head extension)")
-	dtype := flag.String("dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision; single-node only)")
+	dtype := flag.String("dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision; single node or a square process grid)")
 	savePath := flag.String("save", "", "write a weight checkpoint here after training")
 	loadPath := flag.String("load", "", "initialize weights from this checkpoint")
 	profile := flag.Bool("profile", false, "print the per-layer wall-time table after training")

@@ -50,6 +50,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
+			defer e.Close()
 			xd := e.SliceOwnedBlock(h)
 			opt := gnn.NewSGD(1e-3, 0)
 			c.Barrier()

@@ -487,6 +487,7 @@ func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labe
 				record(err)
 				return
 			}
+			defer e.Close()
 			xd := e.SliceOwnedBlock(h)
 			opt := gnn.NewSGD(1e-4, 0)
 			for r := 0; r < runs; r++ {

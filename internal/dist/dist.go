@@ -327,9 +327,10 @@ func (w *World) Failed() (bool, int, error) {
 }
 
 // survivorErr is the error a non-failing rank unwinds with once the world
-// is marked failed.
+// is marked failed. It wraps the cause, so errors.Is finds a receive timeout
+// whichever of two ranks starving each other expired first.
 func (w *World) survivorErr() error {
-	return fmt.Errorf("%w: aborted after failure on rank %d: %v", ErrRankFailed, w.failRank, w.failCause)
+	return fmt.Errorf("%w: aborted after failure on rank %d: %w", ErrRankFailed, w.failRank, w.failCause)
 }
 
 // rankFailure is the internal unwind sentinel: Comm methods panic with it

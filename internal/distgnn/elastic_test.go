@@ -12,6 +12,7 @@ import (
 	"agnn/internal/dist"
 	"agnn/internal/dist/faults"
 	distnet "agnn/internal/dist/net"
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 )
 
@@ -256,44 +257,52 @@ func TestSurvivorsNameFailedRank(t *testing.T) {
 
 // TestTrainWorkerOverChanTransport: the per-process TrainWorker entry run
 // over the in-process channel transport produces the same losses as the
-// monolithic TryRun path at the same world size, bitwise.
+// monolithic TryRun path at the same world size, bitwise — on the 1D local
+// engine (p = 2) and on the 2D grid (p = 4), whose plan leases every worker
+// must have returned by the time it does.
 func TestTrainWorkerOverChanTransport(t *testing.T) {
-	const p, epochs = 2, 3
-	spec := resilientSpec(t, p, epochs)
-	want, err := TrainResilient(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const epochs = 3
+	for _, p := range []int{2, 4} {
+		spec := resilientSpec(t, p, epochs)
+		want, err := TrainResilient(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	cw, err := distnet.NewChanWorld(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]*TrainResult, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s := spec
-			s.RecvTimeout = 20 * time.Second
-			results[r], errs[r] = TrainWorker(s, cw.Endpoint(r))
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatalf("worker %d: %v", r, errs[r])
+		leased := fuse.Shared.Leased()
+		cw, err := distnet.NewChanWorld(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if results[r].FinalWorld != p {
-			t.Errorf("worker %d FinalWorld = %d", r, results[r].FinalWorld)
+		results := make([]*TrainResult, p)
+		errs := make([]error, p)
+		var wg sync.WaitGroup
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				s := spec
+				s.RecvTimeout = 20 * time.Second
+				results[r], errs[r] = TrainWorker(s, cw.Endpoint(r))
+			}(r)
 		}
-	}
-	for ep := 0; ep < epochs; ep++ {
-		if results[0].Losses[ep] != want.Losses[ep] {
-			t.Errorf("epoch %d: worker loss %v vs in-process %v — transports diverge",
-				ep, results[0].Losses[ep], want.Losses[ep])
+		wg.Wait()
+		for r := 0; r < p; r++ {
+			if errs[r] != nil {
+				t.Fatalf("p=%d worker %d: %v", p, r, errs[r])
+			}
+			if results[r].FinalWorld != p {
+				t.Errorf("p=%d worker %d FinalWorld = %d", p, r, results[r].FinalWorld)
+			}
+		}
+		for ep := 0; ep < epochs; ep++ {
+			if results[0].Losses[ep] != want.Losses[ep] {
+				t.Errorf("p=%d epoch %d: worker loss %v vs in-process %v — transports diverge",
+					p, ep, results[0].Losses[ep], want.Losses[ep])
+			}
+		}
+		if now := fuse.Shared.Leased(); now != leased {
+			t.Errorf("p=%d: %d plans still leased after TrainWorker returned", p, now-leased)
 		}
 	}
 }

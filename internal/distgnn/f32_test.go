@@ -39,15 +39,41 @@ func TestPackWords32RoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowEngineF32MatchesSingleNode: the 1D engine's f32 mode — f32 plans
-// plus the packed float32 allgather wire — must agree with the single-node
-// f32 planned-inference path. The packed wire rounds exactly where the f32
-// plan input boundary would, so the distribution changes no kernel input
-// bit; only the plans' fused-vs-unfused op grouping differs, which is
-// arithmetic-order-identical.
+// TestRowEngineF32MatchesSingleNode: the distributed engines' f32 modes —
+// the 1D engine's f32 plans plus the packed float32 allgather wire, and the
+// 2D grid's f32 plans, whose collective ops widen to the f64 wire and narrow
+// back — must agree with the single-node f32 planned-inference path. Neither
+// wire changes a kernel input bit (the packed one rounds exactly where the
+// f32 plan input boundary would, the widened one is exact); only the op
+// grouping and, on the grid, the order of the cross-rank sums differ.
 func TestRowEngineF32MatchesSingleNode(t *testing.T) {
 	a := graph.ErdosRenyi(26, 80, 54)
 	h := testFeatures(26, 4)
+	engines := map[string]func(c *dist.Comm, cfg gnn.Config) *tensor.Dense{
+		"row": func(c *dist.Comm, cfg gnn.Config) *tensor.Dense {
+			e, err := NewRowEngine(c, a, cfg)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer e.Close()
+			out, err := e.Forward(h.SliceRows(e.Lo, e.Hi).Clone())
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return e.GatherOutput(out)
+		},
+		"grid": func(c *dist.Comm, cfg gnn.Config) *tensor.Dense {
+			e, err := NewGlobalEngine(c, a, cfg)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer e.Close()
+			return e.GatherOutput(e.Forward(e.SliceOwnedBlock(h), false), cfg.OutDim)
+		},
+	}
 	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT} {
 		cfg := testCfg(kind, 2, 4, 5, 3)
 		cfg.DType = tensor.F32
@@ -56,29 +82,20 @@ func TestRowEngineF32MatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := single.Forward(h, false)
-		for _, p := range []int{1, 4} {
-			var got *tensor.Dense
-			var mu sync.Mutex
-			dist.Run(p, func(c *dist.Comm) {
-				e, err := NewRowEngine(c, a, cfg)
-				if err != nil {
-					t.Error(err)
-					return
+		for name, run := range engines {
+			for _, p := range []int{1, 4} {
+				var got *tensor.Dense
+				var mu sync.Mutex
+				dist.Run(p, func(c *dist.Comm) {
+					if full := run(c, cfg); full != nil {
+						mu.Lock()
+						got = full
+						mu.Unlock()
+					}
+				})
+				if !got.ApproxEqual(want, 1e-5) {
+					t.Fatalf("%v %s p=%d: f32 engine differs from single-node f32 by %g", kind, name, p, got.MaxAbsDiff(want))
 				}
-				out, err := e.Forward(h.SliceRows(e.Lo, e.Hi).Clone())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				full := e.GatherOutput(out)
-				if full != nil {
-					mu.Lock()
-					got = full
-					mu.Unlock()
-				}
-			})
-			if !got.ApproxEqual(want, 1e-5) {
-				t.Fatalf("%v p=%d: f32 1D engine differs from single-node f32 by %g", kind, p, got.MaxAbsDiff(want))
 			}
 		}
 	}

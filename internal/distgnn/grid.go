@@ -18,7 +18,6 @@ package distgnn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"agnn/internal/dist"
 	"agnn/internal/fuse"
@@ -31,7 +30,10 @@ import (
 // GlobalEngine is one rank's endpoint of the distributed global-formulation
 // execution. All ranks construct it with identical arguments (SPMD); the
 // constructor slices out this rank's stationary adjacency block and derives
-// the row/column communicators.
+// the row/column communicators. The model is the one gnn.New builds — same
+// layers, same parameters in the same order — bound to the block and the
+// grid: each layer's DAG is lowered by fuse with the grid's collectives as
+// plan ops (fuse/grid.go), so the engine itself holds no model arithmetic.
 type GlobalEngine struct {
 	C        *dist.Comm
 	S        int // grid side √p
@@ -42,27 +44,12 @@ type GlobalEngine struct {
 	Row, Col *dist.Comm // row and column sub-communicators
 	Diag     bool       // i == j: owns feature block GridRow
 
-	ABlk   *sparse.CSR // stationary block A_{ij}, B×B
-	Cfg    gnn.Config
-	layers []gridLayer
+	ABlk  *sparse.CSR // stationary block A_{ij}, B×B
+	Cfg   gnn.Config
+	model *gnn.Model
 
 	// Precomputed span names so the traced path does no formatting.
 	spanFwd, spanBwd []string
-}
-
-// gridLayer is one distributed layer. Every rank calls forward/backward;
-// xd / gd are the diagonal-owned feature blocks (nil on off-diagonal
-// ranks), and the return value follows the same convention.
-type gridLayer interface {
-	forward(e *GlobalEngine, xd *tensor.Dense, training bool) *tensor.Dense
-	backward(e *GlobalEngine, gd *tensor.Dense) *tensor.Dense
-	params() []*gnn.Param
-}
-
-// rowRef adapts a gnn.Param to the fuse runtime for the block plans of
-// gridmodels.go.
-func rowRef(p *gnn.Param) fuse.ParamRef {
-	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix
@@ -72,9 +59,6 @@ func rowRef(p *gnn.Param) fuse.ParamRef {
 // convenience that does not touch the measured per-layer communication.
 func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine, error) {
 	cfg = cfg.Defaults()
-	if cfg.DType != tensor.F64 {
-		return nil, fmt.Errorf("distgnn: the global 2D engine requires f64 (got DType=%s); f32 plans cover the single-node layers and the 1D row engine", cfg.DType)
-	}
 	s, err := graph.SquareGrid(c.Size())
 	if err != nil {
 		return nil, err
@@ -82,15 +66,7 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("distgnn: adjacency must be square")
 	}
-	// Model-specific preprocessing, identical to gnn.New.
-	switch cfg.Model {
-	case gnn.GCN:
-		a = graph.NormalizeGCN(a)
-	default:
-		if cfg.SelfLoops {
-			a = graph.AddSelfLoops(a)
-		}
-	}
+	a = cfg.Preprocess(a)
 	n := a.Rows
 	npad := graph.PadTo(n, s)
 	b := npad / s
@@ -114,47 +90,59 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	// Replicated parameters: every rank seeds the same RNG, so weights are
 	// bit-identical without any broadcast (the paper replicates W and a
 	// across all processes).
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.HiddenDim
-		if cfg.Model == gnn.GAT && cfg.Heads > 1 {
-			in = cfg.Heads * cfg.HiddenDim
-		}
-		if l == 0 {
-			in = cfg.InDim
-		}
-		out := cfg.HiddenDim
-		act := cfg.Activation
-		if l == cfg.Layers-1 {
-			out = cfg.OutDim
-			act = gnn.Identity()
-		}
-		var gl gridLayer
-		switch cfg.Model {
-		case gnn.VA:
-			gl = newGridVA(in, out, act, rng)
-		case gnn.AGNN:
-			gl = newGridAGNN(in, out, act, rng)
-		case gnn.GAT:
-			if cfg.Heads > 1 {
-				if l == cfg.Layers-1 {
-					gl = newGridMultiGAT(in, out, cfg.Heads, false, act, cfg.NegSlope, rng)
-				} else {
-					gl = newGridMultiGAT(in, cfg.HiddenDim, cfg.Heads, true, act, cfg.NegSlope, rng)
-				}
-			} else {
-				gl = newGridGAT(in, out, act, cfg.NegSlope, rng)
-			}
-		case gnn.GCN:
-			gl = newGridGCN(in, out, act, rng)
-		default:
-			return nil, fmt.Errorf("distgnn: unsupported model %v", cfg.Model)
-		}
-		e.layers = append(e.layers, gl)
+	if e.model, err = gnn.NewBound(cfg, e.ABlk, &blockGrid{e}); err != nil {
+		return nil, err
+	}
+	for l := range e.model.Layers {
 		e.spanFwd = append(e.spanFwd, fmt.Sprintf("layer%d.forward(%s)", l, cfg.Model))
 		e.spanBwd = append(e.spanBwd, fmt.Sprintf("layer%d.backward(%s)", l, cfg.Model))
 	}
 	return e, nil
+}
+
+// Close returns the engine's plan leases to the shared cache. The plans
+// close over this rank's communicators, so an engine that is done — or whose
+// world has failed — must not leave them checked out. The engine must not
+// run after Close.
+func (e *GlobalEngine) Close() { e.model.ReleasePlans() }
+
+// blockGrid is fuse.Grid over the engine's row and column communicators:
+// everything a lowered layer plan sends. Every broadcast and reduce moves
+// O(B·k) = O(nk/√p) words per rank, the softmax statistics B; parameter
+// gradients contribute the +k² term via AllreduceGrads.
+type blockGrid struct{ e *GlobalEngine }
+
+func (g *blockGrid) Diag() bool { return g.e.Diag }
+
+// along returns the communicator of an axis and the diagonal rank's index in
+// it: rank (i, i) is column i of row i and row j of column j.
+func (g *blockGrid) along(ax fuse.Axis) (*dist.Comm, int) {
+	if ax == fuse.AlongRow {
+		return g.e.Row, g.e.GridRow
+	}
+	return g.e.Col, g.e.GridCol
+}
+
+func (g *blockGrid) Bcast(ax fuse.Axis, buf []float64) {
+	c, root := g.along(ax)
+	if g.e.Diag {
+		c.Bcast(buf, root)
+		return
+	}
+	copy(buf, c.Bcast(nil, root))
+}
+
+func (g *blockGrid) ReduceToDiag(ax fuse.Axis, buf []float64) {
+	c, root := g.along(ax)
+	copy(buf, c.Reduce(buf, root)) // nil off the diagonal
+}
+
+func (g *blockGrid) AllreduceRow(buf []float64, max bool) {
+	op := dist.OpSum
+	if max {
+		op = dist.OpMax
+	}
+	copy(buf, g.e.Row.AllreduceOp(buf, op))
 }
 
 // OwnedRange returns the [lo, hi) global vertex range of the feature block
@@ -188,9 +176,9 @@ func (e *GlobalEngine) SliceOwnedBlock(h *tensor.Dense) *tensor.Dense {
 // Forward runs all layers; xd is the diagonal-owned input block (nil
 // off-diagonal) and the return value is the diagonal-owned output block.
 func (e *GlobalEngine) Forward(xd *tensor.Dense, training bool) *tensor.Dense {
-	for i, l := range e.layers {
+	for i, l := range e.model.Layers {
 		sp := e.C.StartSpan(e.spanFwd[i])
-		xd = l.forward(e, xd, training)
+		xd = l.Forward(xd, training)
 		sp.End()
 	}
 	return xd
@@ -199,29 +187,19 @@ func (e *GlobalEngine) Forward(xd *tensor.Dense, training bool) *tensor.Dense {
 // Backward propagates the diagonal-owned output gradient through all layers
 // and returns the input-feature gradient block.
 func (e *GlobalEngine) Backward(gd *tensor.Dense) *tensor.Dense {
-	for i := len(e.layers) - 1; i >= 0; i-- {
+	for i := len(e.model.Layers) - 1; i >= 0; i-- {
 		sp := e.C.StartSpan(e.spanBwd[i])
-		gd = e.layers[i].backward(e, gd)
+		gd = e.model.Layers[i].Backward(gd)
 		sp.End()
 	}
 	return gd
 }
 
 // Params returns this rank's (replicated) parameters.
-func (e *GlobalEngine) Params() []*gnn.Param {
-	var ps []*gnn.Param
-	for _, l := range e.layers {
-		ps = append(ps, l.params()...)
-	}
-	return ps
-}
+func (e *GlobalEngine) Params() []*gnn.Param { return e.model.Params() }
 
 // ZeroGrad clears all parameter gradients.
-func (e *GlobalEngine) ZeroGrad() {
-	for _, p := range e.Params() {
-		p.ZeroGrad()
-	}
-}
+func (e *GlobalEngine) ZeroGrad() { e.model.ZeroGrad() }
 
 // AllreduceGrads sums parameter gradients across all ranks (volume O(k²)
 // per parameter matrix — the +k² term of the communication bound). After
@@ -272,73 +250,4 @@ func (e *GlobalEngine) GatherOutput(out *tensor.Dense, cols int) *tensor.Dense {
 		}
 	}
 	return full
-}
-
-// --- shared collective helpers -------------------------------------------
-
-// bcastRowBlock broadcasts the diagonal rank's matrix block along this
-// rank's grid row: after the call every rank (i, *) holds block_i.
-func (e *GlobalEngine) bcastRowBlock(m *tensor.Dense, cols int) *tensor.Dense {
-	var data []float64
-	if e.Diag {
-		data = m.Data
-	}
-	out := e.Row.Bcast(data, e.GridRow) // root: rank (i, i) is column i of row i
-	return tensor.NewDenseFrom(e.B, cols, out)
-}
-
-// bcastColBlock broadcasts the diagonal rank's matrix block along this
-// rank's grid column: after the call every rank (*, j) holds block_j.
-func (e *GlobalEngine) bcastColBlock(m *tensor.Dense, cols int) *tensor.Dense {
-	var data []float64
-	if e.Diag {
-		data = m.Data
-	}
-	out := e.Col.Bcast(data, e.GridCol) // root: rank (j, j) is row j of column j
-	return tensor.NewDenseFrom(e.B, cols, out)
-}
-
-// bcastRowVec / bcastColVec broadcast length-B vectors the same way.
-func (e *GlobalEngine) bcastRowVec(v []float64) []float64 {
-	var data []float64
-	if e.Diag {
-		data = v
-	}
-	return e.Row.Bcast(data, e.GridRow)
-}
-
-func (e *GlobalEngine) bcastColVec(v []float64) []float64 {
-	var data []float64
-	if e.Diag {
-		data = v
-	}
-	return e.Col.Bcast(data, e.GridCol)
-}
-
-// reduceRowToDiag sums per-rank matrices along the grid row onto the
-// diagonal rank (i, i); off-diagonal ranks return nil.
-func (e *GlobalEngine) reduceRowToDiag(m *tensor.Dense, cols int) *tensor.Dense {
-	res := e.Row.Reduce(m.Data, e.GridRow)
-	if res == nil {
-		return nil
-	}
-	return tensor.NewDenseFrom(e.B, cols, res)
-}
-
-// reduceColToDiag sums along the grid column onto rank (j, j).
-func (e *GlobalEngine) reduceColToDiag(m *tensor.Dense, cols int) *tensor.Dense {
-	res := e.Col.Reduce(m.Data, e.GridCol)
-	if res == nil {
-		return nil
-	}
-	return tensor.NewDenseFrom(e.B, cols, res)
-}
-
-// reduceRowVecToDiag / reduceColVecToDiag reduce length-B vectors.
-func (e *GlobalEngine) reduceRowVecToDiag(v []float64) []float64 {
-	return e.Row.Reduce(v, e.GridRow)
-}
-
-func (e *GlobalEngine) reduceColVecToDiag(v []float64) []float64 {
-	return e.Col.Reduce(v, e.GridCol)
 }

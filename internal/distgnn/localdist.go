@@ -2,8 +2,6 @@ package distgnn
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 
 	"agnn/internal/dist"
@@ -46,14 +44,7 @@ func NewLocalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*LocalEngine, 
 	if cfg.DType != tensor.F64 {
 		return nil, fmt.Errorf("distgnn: the local-formulation baseline requires f64 (got DType=%s)", cfg.DType)
 	}
-	switch cfg.Model {
-	case gnn.GCN:
-		a = graph.NormalizeGCN(a)
-	default:
-		if cfg.SelfLoops {
-			a = graph.AddSelfLoops(a)
-		}
-	}
+	a = cfg.Preprocess(a)
 	p := c.Size()
 	part := graph.Partition1D(a.Rows, p)
 	lo, hi := part.Range(c.Rank())
@@ -106,43 +97,17 @@ func NewLocalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*LocalEngine, 
 	}
 	e.extGraph = local.FromCSR(sparse.FromCOO(coo))
 
-	// Replicated weights drawn in the same order as gnn.New so the engine
-	// is bit-compatible with the single-node models.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	e.model = &gnn.Model{}
-	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.HiddenDim
-		if l == 0 {
-			in = cfg.InDim
-		}
-		out := cfg.HiddenDim
-		act := cfg.Activation
-		if l == cfg.Layers-1 {
-			out = cfg.OutDim
-			act = gnn.Identity()
-		}
-		var layer gnn.Layer
-		switch cfg.Model {
-		case gnn.VA:
-			layer = &local.VALayer{G: e.extGraph,
-				W: gnn.NewParam("W", tensor.GlorotInit(in, out, rng)), Act: act}
-		case gnn.AGNN:
-			layer = &local.AGNNLayer{G: e.extGraph,
-				W:    gnn.NewParam("W", tensor.GlorotInit(in, out, rng)),
-				Beta: gnn.NewScalarParam("beta", 1), Act: act}
-		case gnn.GAT:
-			layer = &local.GATLayer{G: e.extGraph,
-				W:   gnn.NewParam("W", tensor.GlorotInit(in, out, rng)),
-				A1:  gnn.NewParam("a1", tensor.GlorotInit(out, 1, rng)),
-				A2:  gnn.NewParam("a2", tensor.GlorotInit(out, 1, rng)),
-				Act: act, NegSlope: cfg.NegSlope}
-		case gnn.GCN:
-			layer = &local.GCNLayer{G: e.extGraph,
-				W: gnn.NewParam("W", tensor.GlorotInit(in, out, rng)), Act: act}
-		default:
-			return nil, fmt.Errorf("distgnn: unsupported model %v", cfg.Model)
-		}
-		e.model.Layers = append(e.model.Layers, layer)
+	// Replicated weights: the layers gnn.New builds, so the engine is
+	// bit-compatible with the single-node models, mirrored onto the extended
+	// graph.
+	defs, err := gnn.NewBound(cfg, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if e.model, err = local.MirrorOn(defs, e.extGraph); err != nil {
+		return nil, err
+	}
+	for l := range e.model.Layers {
 		e.spanFwd = append(e.spanFwd, fmt.Sprintf("layer%d.forward(%s)", l, cfg.Model))
 	}
 	return e, nil
@@ -261,34 +226,7 @@ func (e *LocalEngine) TrainStep(hOwned *tensor.Dense, labels []int, mask []bool,
 	// Masked cross-entropy over owned vertices; only the (sum, count) pair
 	// crosses the network, mirroring GlobalEngine.EvalLoss.
 	ls := e.C.StartSpan("loss")
-	localLoss, localCount := 0.0, 0.0
-	grad := tensor.NewDense(nOwned, h.Cols)
-	for i := 0; i < nOwned; i++ {
-		gv := i + e.Lo
-		if mask != nil && !mask[gv] {
-			continue
-		}
-		y := labels[gv]
-		row := h.Row(i)
-		m := math.Inf(-1)
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - m)
-		}
-		logZ := m + math.Log(sum)
-		localLoss += logZ - row[y]
-		localCount++
-		grow := grad.Row(i)
-		for j, v := range row {
-			grow[j] = math.Exp(v - logZ)
-		}
-		grow[y] -= 1
-	}
+	localLoss, localCount, grad := (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(h, e.Lo, nOwned)
 	tot := e.C.Allreduce([]float64{localLoss, localCount})
 	if tot[1] > 0 {
 		grad.ScaleInPlace(1 / tot[1])

@@ -175,30 +175,34 @@ type trainEngine interface {
 // engine. Both draw the same replicated parameters from Cfg.Seed (names W,
 // beta, a1, a2 in layer order), so a checkpoint written under either layout
 // restores under the other — the property elastic recovery relies on when
-// p=4 shrinks to p=3. Returns the engine and this rank's input block.
-func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, error) {
+// p=4 shrinks to p=3. Returns the engine, this rank's input block, and what
+// gives the engine's plan leases back (the local engine holds none).
+func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, func(), error) {
 	if _, err := graph.SquareGrid(c.Size()); err == nil {
 		e, err := NewGlobalEngine(c, spec.A, spec.Cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return e, e.SliceOwnedBlock(spec.X), nil
+		return e, e.SliceOwnedBlock(spec.X), e.Close, nil
 	}
 	e, err := NewLocalEngine(c, spec.A, spec.Cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return e, spec.X.SliceRows(e.Lo, e.Hi).Clone(), nil
+	return e, spec.X.SliceRows(e.Lo, e.Hi).Clone(), func() {}, nil
 }
 
 // trainRanks is the per-rank body: build the engine, apply the checkpoint,
 // run epochs [from, spec.Epochs), checkpointing at every boundary multiple
 // of `every`.
 func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, res *TrainResult, mu *sync.Mutex) error {
-	e, xd, err := newTrainEngine(c, spec)
+	e, xd, closeEngine, err := newTrainEngine(c, spec)
 	if err != nil {
 		return err
 	}
+	// Deferred, so it also runs when a rank failure unwinds this body: the
+	// next attempt's engines then start from a cache with nothing leased.
+	defer closeEngine()
 	opt := spec.NewOpt()
 	params := e.Params()
 

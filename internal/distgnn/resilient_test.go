@@ -8,6 +8,7 @@ import (
 	"agnn/internal/ckpt"
 	"agnn/internal/dist"
 	"agnn/internal/dist/faults"
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 )
@@ -63,8 +64,11 @@ func assertBitwiseEqual(t *testing.T, ctx string, got, want []*gnn.Param) {
 // crash mid-training is detected, every survivor unwinds with ErrRankFailed
 // (no deadlock), the world is rebuilt, and training resumes from the last
 // checkpoint to the SAME final weights as an uninterrupted twin — bitwise.
+// The grid plans close over the failed world's communicators, so every
+// attempt, the crashed one included, must hand its plan leases back.
 func TestTrainResilientCrashRecovery(t *testing.T) {
 	const epochs = 6
+	leased := fuse.Shared.Leased()
 	for _, p := range []int{4, 16} {
 		// Uninterrupted twin.
 		want, err := TrainResilient(resilientSpec(t, p, epochs))
@@ -92,6 +96,9 @@ func TestTrainResilientCrashRecovery(t *testing.T) {
 			t.Fatalf("p=%d: crash fault never fired (0 restarts)", p)
 		}
 		assertBitwiseEqual(t, "crash-recovery", finalWeights(t, got), finalWeights(t, want))
+		if now := fuse.Shared.Leased(); now != leased {
+			t.Fatalf("p=%d: %d plans still leased after crash recovery", p, now-leased)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package distgnn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"agnn/internal/dist"
@@ -40,16 +39,11 @@ type RowEngine struct {
 }
 
 type rowLayer struct {
-	// def is the layer's definition — parameters, options and DAG — shared
-	// with the single-node model; the engine owns the binding (row block,
-	// row offset, global-height input), so def itself is bound to no
-	// adjacency.
-	def gnn.DAGLayer
-
 	// plan is the compiled per-rank inference plan over the owned row block:
-	// the layer's DAG with SetRowOffset(Lo), so score closures index the
-	// full-height (allgathered) factors with global row ids. It is leased
-	// from the process-wide plan cache (fuse.Shared) for the engine's
+	// the DAG of the layer's definition (shared with the single-node model,
+	// itself bound to no adjacency) with SetRowOffset(Lo), so score closures
+	// index the full-height (allgathered) factors with global row ids. It is
+	// leased from the process-wide plan cache (fuse.Shared) for the engine's
 	// lifetime; Close returns the leases.
 	lease fuse.Lease
 	plan  *fuse.Plan
@@ -61,16 +55,13 @@ type rowLayer struct {
 // like the other engines).
 func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, error) {
 	cfg = cfg.Defaults()
-	switch cfg.Model {
-	case gnn.GCN:
-		a = graph.NormalizeGCN(a)
-	case gnn.VA, gnn.AGNN, gnn.GAT:
-		if cfg.SelfLoops {
-			a = graph.AddSelfLoops(a)
-		}
-	default:
-		return nil, fmt.Errorf("distgnn: unsupported model %v", cfg.Model)
+	// The layers are gnn.New's, left unbound: the engine lowers each one's
+	// DAG onto its own row block below.
+	model, err := gnn.NewBound(cfg, nil, nil)
+	if err != nil {
+		return nil, err
 	}
+	a = cfg.Preprocess(a)
 	part := graph.Partition1D(a.Rows, c.Size())
 	lo, hi := part.Range(c.Rank())
 	e := &RowEngine{C: c, Part: part, Lo: lo, Hi: hi, cfg: cfg}
@@ -84,23 +75,14 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 	}
 	e.aRows = sparse.FromCOO(coo)
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.HiddenDim
-		if l == 0 {
-			in = cfg.InDim
+	in := cfg.InDim
+	for l, layer := range model.Layers {
+		def, ok := layer.(gnn.DAGLayer)
+		if !ok {
+			e.Close()
+			return nil, fmt.Errorf("distgnn: the 1D row engine lowers one DAG per layer; layer %d (%s, Heads=%d) is not one — use the 2D grid engine", l, layer.Name(), cfg.Heads)
 		}
-		out := cfg.HiddenDim
-		act := cfg.Activation
-		if l == cfg.Layers-1 {
-			out = cfg.OutDim
-			act = gnn.Identity()
-		}
-		def, err := gnn.NewLayer(cfg.Model, nil, in, out, act, cfg.NegSlope, rng)
-		if err != nil {
-			return nil, err
-		}
-		rl := rowLayer{def: def}
+		var rl rowLayer
 		// The signature adds what the plan bakes in beyond the definition:
 		// rank and row offset (SetRowOffset(Lo) in the score closures) and
 		// the full height.
@@ -109,6 +91,7 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 			func(ws *tensor.Arena) *fuse.Plan { return e.compileLayerPlan(def, in, ws) })
 		rl.plan = rl.lease.Plan()
 		e.layers = append(e.layers, rl)
+		in = cfg.HiddenDim
 	}
 	return e, nil
 }
@@ -197,13 +180,9 @@ func (e *RowEngine) Forward(hOwned *tensor.Dense) (*tensor.Dense, error) {
 		} else {
 			full = tensor.NewDenseFrom(e.Part.N, h.Cols, e.C.Allgather(h.Data))
 		}
-		h = e.layerForward(l, full)
+		h = l.plan.Forward(full)
 	}
 	return h, nil
-}
-
-func (e *RowEngine) layerForward(l rowLayer, full *tensor.Dense) *tensor.Dense {
-	return l.plan.Forward(full)
 }
 
 // allgatherPacked32 is the f32 wire: each rank rounds its owned feature

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agnn/internal/dist"
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 	"agnn/internal/tensor"
@@ -110,12 +111,30 @@ func TestRowEngineVolumeIndependentOfP(t *testing.T) {
 	}
 }
 
+// TestRowEngineRejectsUnknownModel: what the 1D engines (row and local
+// baseline) cannot run they must refuse — an unknown kind, and multi-head
+// GAT, which they used to build silently as single-head layers of the wrong
+// input width (a different model from the one gnn.New builds for the same
+// config).
 func TestRowEngineRejectsUnknownModel(t *testing.T) {
 	a := graph.ErdosRenyi(10, 30, 53)
+	multiHead := testCfg(gnn.GAT, 2, 2, 2, 2)
+	multiHead.Heads = 2
+	leased := fuse.Shared.Leased()
 	dist.Run(2, func(c *dist.Comm) {
-		cfg := testCfg(gnn.Kind(99), 1, 2, 2, 2)
-		if _, err := NewRowEngine(c, a, cfg); err == nil {
-			t.Error("unknown model accepted")
+		for name, cfg := range map[string]gnn.Config{
+			"unknown model":  testCfg(gnn.Kind(99), 1, 2, 2, 2),
+			"multi-head GAT": multiHead,
+		} {
+			if _, err := NewRowEngine(c, a, cfg); err == nil {
+				t.Errorf("row engine: %s accepted", name)
+			}
+			if _, err := NewLocalEngine(c, a, cfg); err == nil {
+				t.Errorf("local engine: %s accepted", name)
+			}
 		}
 	})
+	if got := fuse.Shared.Leased(); got != leased {
+		t.Errorf("refused engines left %d plans leased", got-leased)
+	}
 }

@@ -74,7 +74,7 @@ func TestGridTrainingTrace(t *testing.T) {
 	}
 	// Kernel spans fired inside rank goroutines must be attributed to rank
 	// tracks (gid binding), and the collective spans must carry bytes.
-	if counts["fused_scores"] == 0 || counts["bcast"] == 0 {
+	if counts["gat.Psi"] == 0 || counts["bcast"] == 0 {
 		t.Fatalf("kernel or collective spans missing: %v", counts)
 	}
 

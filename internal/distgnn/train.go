@@ -1,8 +1,6 @@
 package distgnn
 
 import (
-	"math"
-
 	"agnn/internal/gnn"
 	"agnn/internal/tensor"
 )
@@ -13,45 +11,21 @@ import (
 // masked count) cross the network. Returns the global mean loss and the
 // gradient block for this rank's owned rows (nil off-diagonal).
 func (e *GlobalEngine) EvalLoss(out *tensor.Dense, labels []int, mask []bool) (float64, *tensor.Dense) {
-	localLoss, localCount := 0.0, 0.0
+	var local [2]float64
 	var grad *tensor.Dense
 	if e.Diag {
-		grad = tensor.NewDense(e.B, out.Cols)
 		lo, hi := e.OwnedRange()
-		for r := lo; r < hi; r++ {
-			if mask != nil && !mask[r] {
-				continue
-			}
-			y := labels[r]
-			row := out.Row(r - lo)
-			m := math.Inf(-1)
-			for _, v := range row {
-				if v > m {
-					m = v
-				}
-			}
-			sum := 0.0
-			for _, v := range row {
-				sum += math.Exp(v - m)
-			}
-			logZ := m + math.Log(sum)
-			localLoss += logZ - row[y]
-			localCount++
-			grow := grad.Row(r - lo)
-			for j, v := range row {
-				grow[j] = math.Exp(v - logZ)
-			}
-			grow[y] -= 1
-		}
+		local[0], local[1], grad = (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(out, lo, hi-lo)
 	}
-	tot := e.C.Allreduce([]float64{localLoss, localCount})
+	tot := e.C.Allreduce(local[:])
 	if tot[1] == 0 {
 		return 0, grad
 	}
+	inv := 1 / tot[1]
 	if grad != nil {
-		grad.ScaleInPlace(1 / tot[1])
+		grad.ScaleInPlace(inv)
 	}
-	return tot[0] / tot[1], grad
+	return tot[0] * inv, grad
 }
 
 // TrainStep runs one distributed full-batch training iteration: forward,

@@ -131,7 +131,11 @@ func (c *PlanCache) shardLimit() int64 {
 	return b / cacheShards
 }
 
-// shard selects the shard for a key via FNV-1a over all key fields.
+// shard selects the shard for a key via FNV-1a over what sizes its plan's
+// buffers — adjacency, input width, dtype — and not over the signature: that
+// carries parameter addresses, which change whenever a model or an engine is
+// rebuilt, and the rebuilt one should compile on the shard whose arena holds
+// the buffers its predecessor released rather than grow another arena.
 func (c *PlanCache) shard(k CacheKey) *cacheShard {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -144,10 +148,6 @@ func (c *PlanCache) shard(k CacheKey) *cacheShard {
 	mix(uint64(k.NNZ))
 	mix(uint64(k.In))
 	mix(uint64(k.DType))
-	for i := 0; i < len(k.Sig); i++ {
-		h ^= uint64(k.Sig[i])
-		h *= prime64
-	}
 	return &c.shards[h%cacheShards]
 }
 

@@ -57,8 +57,10 @@ type Graph struct {
 	meta   map[*Node]*meta
 	adj    *Node
 	input  *Node
-	aux    []*Node // additional dense inputs (InputDenseAux), bound per call
 	output *Node
+
+	grid    Grid               // non-nil: pat is this rank's block of a process grid (grid.go)
+	crossed map[crossing]*Node // broadcasts already lowered, one per (node, axis)
 }
 
 // NewGraph starts a graph over adjacency pattern (and values) pat.
@@ -108,17 +110,6 @@ func (g *Graph) InputDense(id string, rows, cols int) *Node {
 	return n
 }
 
-// InputDenseAux declares an additional dense input bound per execution via
-// Plan.BindDense — the second operand the 2D grid engines need (a block
-// plan reads the row-broadcast block on the score rows and the column-
-// broadcast block on the columns). Aux inputs are inference-only.
-func (g *Graph) InputDenseAux(id string, rows, cols int) *Node {
-	n := g.dag.Input(id, Dense)
-	g.meta[n] = &meta{node: n, rows: rows, cols: cols}
-	g.aux = append(g.aux, n)
-	return n
-}
-
 // ParamNode declares a trainable parameter leaf.
 func (g *Graph) ParamNode(id string, p ParamRef) *Node {
 	n := g.dag.Input(id, Param)
@@ -139,14 +130,14 @@ func (g *Graph) DotScores(id string, x, y *Node) *Node {
 	if xs.cols != ys.cols {
 		panic(fmt.Sprintf("fuse: DotScores inner dim mismatch %d vs %d", xs.cols, ys.cols))
 	}
-	return g.virtual(id, "mmt", &meta{}, x, y)
+	return g.virtual(id, "mmt", &meta{}, g.cross(x, AlongRow), g.cross(y, AlongCol))
 }
 
 // OuterScores builds the virtual outer product a·bᵀ of two vectors.
 func (g *Graph) OuterScores(id string, a, b *Node) *Node {
 	g.wantKind(a, Vector, "OuterScores")
 	g.wantKind(b, Vector, "OuterScores")
-	return g.virtual(id, "outer", &meta{}, a, b)
+	return g.virtual(id, "outer", &meta{}, g.cross(a, AlongRow), g.cross(b, AlongCol))
 }
 
 // DivScores builds the virtual element-wise quotient num ⊘ den; entries
@@ -170,13 +161,13 @@ func (g *Graph) ScaleScores(id string, x, beta *Node) *Node {
 // RepRow broadcasts vector u over columns: the virtual u·1ᵀ (op "rep").
 func (g *Graph) RepRow(id string, u *Node) *Node {
 	g.wantKind(u, Vector, "RepRow")
-	return g.virtual(id, "rep", &meta{}, u)
+	return g.virtual(id, "rep", &meta{}, g.cross(u, AlongRow))
 }
 
 // RepCol broadcasts vector v over rows: the virtual 1·vᵀ (op "repT").
 func (g *Graph) RepCol(id string, v *Node) *Node {
 	g.wantKind(v, Vector, "RepCol")
-	return g.virtual(id, "repT", &meta{}, v)
+	return g.virtual(id, "repT", &meta{}, g.cross(v, AlongCol))
 }
 
 // AddScores builds the virtual element-wise sum of two virtual matrices.
@@ -245,7 +236,12 @@ func (g *Graph) SpMM(id string, s, x *Node) *Node {
 	if xs.rows != g.pat.Cols {
 		panic(fmt.Sprintf("fuse: SpMM feature height %d != pattern cols %d", xs.rows, g.pat.Cols))
 	}
-	return g.add(id, "spmm", Dense, &meta{rows: g.pat.Rows, cols: xs.cols}, s, x)
+	z := &meta{rows: g.pat.Rows, cols: xs.cols}
+	if g.grid == nil {
+		return g.add(id, "spmm", Dense, z, s, x)
+	}
+	part := g.add(id+".part", "spmm", Dense, z, s, g.cross(x, AlongCol))
+	return g.add(id, reduceOps[AlongRow], Dense, &meta{rows: z.rows, cols: z.cols}, part)
 }
 
 // SpMMSemiring aggregates over a non-real semiring ("max", "min", "mean" —

@@ -212,23 +212,36 @@ func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int3
 
 // softmaxRow writes the softmax of the non-empty row src to dst (dst may be
 // src): max, exp and sum, normalize — three passes over a row that is
-// cache-hot after the first.
+// cache-hot after the first. (On a process grid the same three run as three
+// sweeps with the row statistics exchanged in between: opSoftmaxGrid.)
 func softmaxRow[T elem](dst, src []T) {
+	scaleRow(dst, 1/expSum(dst, src, rowMax(src)))
+}
+
+func rowMax[T elem](row []T) T {
 	m := T(math.Inf(-1))
-	for _, v := range src {
+	for _, v := range row {
 		if v > m {
 			m = v
 		}
 	}
+	return m
+}
+
+// expSum writes exp(src − m) to dst and returns its sum.
+func expSum[T elem](dst, src []T, m T) T {
 	var sum T
 	for q, v := range src {
 		v = exp(v - m)
 		dst[q] = v
 		sum += v
 	}
-	inv := 1 / sum
-	for q := range dst {
-		dst[q] *= inv
+	return sum
+}
+
+func scaleRow[T elem](row []T, c T) {
+	for q := range row {
+		row[q] *= c
 	}
 }
 
@@ -388,7 +401,9 @@ func opSigma[T elem](z, out *spec[T]) opFns {
 		}
 	case act.isIdentity():
 		each = func(i int) {
-			copy(out.dense.Data[i*cols:(i+1)*cols], z.dense.Data[i*cols:(i+1)*cols])
+			if out.dense != z.dense { // not in place
+				copy(out.dense.Data[i*cols:(i+1)*cols], z.dense.Data[i*cols:(i+1)*cols])
+			}
 		}
 	default:
 		f := act.F
@@ -517,13 +532,38 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 	}
 }
 
+// transposedRows reads values stored on the pattern through its transpose
+// (sparse.Transposed): row j of Sᵀ gathered, in Sᵀ's order, into a per-worker
+// scratch row. The backward sweeps that run over columns — X̄ += Sᵀ·Z̄ and
+// its kin — hand that row to the same primitives the forward uses, without a
+// transposed copy of the values.
+type transposedRows[T elem] struct {
+	patT    *sparse.CSR
+	src     []int64
+	scratch rowScratch[T]
+}
+
+func newTransposedRows[T elem](t *sparse.Transposed) *transposedRows[T] {
+	return &transposedRows[T]{patT: t.Pat, src: t.Src, scratch: rowScratch[T]{maxRow: t.Pat.MaxRowNNZ()}}
+}
+
+// row returns the columns and the gathered values of row j of Sᵀ.
+func (t *transposedRows[T]) row(worker, j int, vals []T) ([]int32, []T) {
+	b, e := t.patT.RowPtr[j], t.patT.RowPtr[j+1]
+	row := t.scratch.row(worker)[:e-b]
+	for q, p := range t.src[b:e] {
+		row[q] = vals[p]
+	}
+	return t.patT.Col[b:e], row
+}
+
 // opSpMMVJP handles Z = S·X: the sampler cotangent S̄_ij = Z̄[i,:]·X[j,:]
 // (written onto the pattern — the SDDMM of the backward pass) and the
-// feature cotangent X̄ += Sᵀ·Z̄ via the transposed pattern. For the
+// feature cotangent X̄ += Sᵀ·Z̄ over the transposed pattern. For the
 // adjacency leaf (svals and sgvals nil) only the feature half runs (A is
-// not trainable), over adjT, the transpose's own values; for sparse value
-// nodes the current values are permuted into the shared tvals scratch first.
-func opSpMMVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T, perm []int64, tvals, adjT []T, x, out *spec[T]) func() {
+// not trainable), over adjT, A's values in Aᵀ's order; a sparse value node's
+// current values are read through the transpose row by row.
+func opSpMMVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T, tr *transposedRows[T], adjT []T, x, out *spec[T]) func() {
 	var samplerBody func(int, int, int)
 	if sgvals != nil {
 		samplerBody = func(_, lo, hi int) {
@@ -535,74 +575,88 @@ func opSpMMVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgva
 			}
 		}
 	}
-	vals := adjT
-	var permBody func(int, int, int)
-	if svals != nil {
-		vals = tvals
-		permBody = func(_, lo, hi int) {
-			for p := lo; p < hi; p++ {
-				tvals[perm[p]] = svals[p]
-			}
-		}
-	}
-	accBody := func(_, lo, hi int) {
+	patT := tr.patT
+	accBody := func(worker, lo, hi int) {
 		og, xg := out.gdense, x.gdense
 		k := xg.Cols
 		for j := lo; j < hi; j++ {
-			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], vals[b:e], patT.Col[b:e], og.Data, k, 0)
+			var cols []int32
+			var vals []T
+			if svals != nil {
+				cols, vals = tr.row(worker, j, svals)
+			} else {
+				b, e := patT.RowPtr[j], patT.RowPtr[j+1]
+				cols, vals = patT.Col[b:e], adjT[b:e]
+			}
+			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], vals, cols, og.Data, k, 0)
 		}
 	}
-	n := len(perm)
 	return func() {
 		if samplerBody != nil {
 			par.RangeCuts(cuts, samplerBody)
 		}
-		if permBody != nil {
-			par.Range(n, permBody)
-		}
+		tr.scratch.ensure()
 		par.RangeCuts(cutsT, accBody)
 	}
 }
 
-// opSoftmaxVJP writes the softmax cotangent onto the input's value-grad
-// buffer: S̄_ij = P_ij·(Ḡ_ij − ρ_i), ρ_i = Σ_j Ḡ_ij·P_ij.
-func opSoftmaxVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, pvals, pgvals, dst []T) func() {
-	body := func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			var rho T
-			for p := b; p < e; p++ {
-				rho += pgvals[p] * pvals[p]
-			}
-			for p := b; p < e; p++ {
-				dst[p] = pvals[p] * (pgvals[p] - rho)
-			}
+// opSoftmaxVJP rewrites the softmax cotangent in place — the scores under
+// the softmax share its buffer: Ḡ_ij ← P_ij·(Ḡ_ij − ρ_i), ρ_i = Σ_j Ḡ_ij·P_ij.
+// On a process grid (w non-nil) row i spans the grid row: the two loops run
+// as two sweeps, with ρ summed along the row in between.
+func opSoftmaxVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, pvals, gvals []T, w *wire[T], stat []T) func() {
+	rho := func(i int) (r T) {
+		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
+			r += gvals[p] * pvals[p]
+		}
+		return r
+	}
+	apply := func(i int, rho T) {
+		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
+			gvals[p] = pvals[p] * (gvals[p] - rho)
 		}
 	}
-	return func() { par.RangeCuts(cuts, body) }
+	if w == nil {
+		body := func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				apply(i, rho(i))
+			}
+		}
+		return func() { par.RangeCuts(cuts, body) }
+	}
+	rhos := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			stat[i] = rho(i)
+		}
+	}
+	applies := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			apply(i, stat[i])
+		}
+	}
+	return func() {
+		par.RangeCuts(cuts, rhos)
+		w.run(stat, allreduceSum)
+		par.RangeCuts(cuts, applies)
+	}
 }
 
-// opMaskVJP propagates the mask cotangent to the virtual input: the
-// weighted mask multiplies A's values back in, the pattern-only mask is a
-// pass-through.
-func opMaskVJP[T elem](src, dst, weights []T) func() {
-	n := len(src)
-	if weights == nil {
-		return func() { copy(dst, src) }
-	}
+// opMaskVJP propagates a weighted mask's cotangent to its virtual input by
+// multiplying A's values back in — in place: the two share the buffer.
+func opMaskVJP[T elem](gvals, weights []T) func() {
 	body := func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			dst[p] = src[p] * weights[p]
+			gvals[p] *= weights[p]
 		}
 	}
+	n := len(gvals)
 	return func() { par.Range(n, body) }
 }
 
 // opDotVJP handles the virtual C = X·Yᵀ: X̄ += C̄·Y and Ȳ += C̄ᵀ·X, both
 // restricted to the pattern (C̄ lives on it). Aliased X == Y (the H·Hᵀ
 // self-attention case) is safe: the two accumulations run sequentially.
-func opDotVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, x, y *spec[T]) func() {
+func opDotVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, tr *transposedRows[T], x, y *spec[T]) func() {
 	xBody := func(_, lo, hi int) {
 		yd, xg := y.dense, x.gdense
 		k := xg.Cols
@@ -611,30 +665,24 @@ func opDotVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, p
 			sparse.GatherAxpy(xg.Data[i*k:(i+1)*k], gvals[b:e], pat.Col[b:e], yd.Data, k, 0)
 		}
 	}
-	permBody := func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			tvals[perm[p]] = gvals[p]
-		}
-	}
-	yBody := func(_, lo, hi int) {
+	yBody := func(worker, lo, hi int) {
 		xd, yg := x.dense, y.gdense
 		k := yg.Cols
 		for j := lo; j < hi; j++ {
-			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-			sparse.GatherAxpy(yg.Data[j*k:(j+1)*k], tvals[b:e], patT.Col[b:e], xd.Data, k, 0)
+			cols, vals := tr.row(worker, j, gvals)
+			sparse.GatherAxpy(yg.Data[j*k:(j+1)*k], vals, cols, xd.Data, k, 0)
 		}
 	}
-	n := len(perm)
 	return func() {
 		par.RangeCuts(cuts, xBody)
-		par.Range(n, permBody)
+		tr.scratch.ensure()
 		par.RangeCuts(cutsT, yBody)
 	}
 }
 
 // opOuterVJP handles the virtual C = a·bᵀ: ā_i += Σ_j C̄_ij·b_j and
-// b̄_j += Σ_i C̄_ij·a_i (column sums via the transposed pattern).
-func opOuterVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, a, b *spec[T]) func() {
+// b̄_j += Σ_i C̄_ij·a_i (column sums through the transposed pattern).
+func opOuterVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, tr *transposedRows[T], a, b *spec[T]) func() {
 	aBody := func(_, lo, hi int) {
 		bv, ag := b.vec, a.gvec
 		for i := lo; i < hi; i++ {
@@ -645,25 +693,19 @@ func opOuterVJP[T elem](pat, patT *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T,
 			ag[i] += s
 		}
 	}
-	permBody := func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			tvals[perm[p]] = gvals[p]
-		}
-	}
+	patT, src := tr.patT, tr.src
 	bBody := func(_, lo, hi int) {
 		av, bg := a.vec, b.gvec
 		for j := lo; j < hi; j++ {
 			var s T
-			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
-				s += tvals[p] * av[patT.Col[p]]
+			for q := patT.RowPtr[j]; q < patT.RowPtr[j+1]; q++ {
+				s += gvals[src[q]] * av[patT.Col[q]]
 			}
 			bg[j] += s
 		}
 	}
-	n := len(perm)
 	return func() {
 		par.RangeCuts(cuts, aBody)
-		par.Range(n, permBody)
 		par.RangeCuts(cutsT, bBody)
 	}
 }
@@ -734,38 +776,21 @@ func opRepVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, u *spec[T]) fu
 	return func() { par.RangeCuts(cuts, body) }
 }
 
-// opRepTVJP handles C = 1·vᵀ: v̄_j += Σ_i C̄_ij (column sums via the
+// opRepTVJP handles C = 1·vᵀ: v̄_j += Σ_i C̄_ij (column sums through the
 // transposed pattern).
-func opRepTVJP[T elem](patT *sparse.CSR, cutsT *par.Cuts, gvals []T, perm []int64, tvals []T, v *spec[T]) func() {
-	permBody := func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			tvals[perm[p]] = gvals[p]
-		}
-	}
+func opRepTVJP[T elem](cutsT *par.Cuts, gvals []T, tr *transposedRows[T], v *spec[T]) func() {
+	patT, src := tr.patT, tr.src
 	body := func(_, lo, hi int) {
 		vg := v.gvec
 		for j := lo; j < hi; j++ {
 			var s T
-			for p := patT.RowPtr[j]; p < patT.RowPtr[j+1]; p++ {
-				s += tvals[p]
+			for _, p := range src[patT.RowPtr[j]:patT.RowPtr[j+1]] {
+				s += gvals[p]
 			}
 			vg[j] += s
 		}
 	}
-	n := len(perm)
-	return func() {
-		par.Range(n, permBody)
-		par.RangeCuts(cutsT, body)
-	}
-}
-
-// opAddVJP handles C = A + B on virtual operands: both cotangents are the
-// incoming one (overwrite semantics — each virtual has a single consumer).
-func opAddVJP[T elem](gvals []T, a, b *spec[T]) func() {
-	return func() {
-		copy(a.gvals, gvals)
-		copy(b.gvals, gvals)
-	}
+	return func() { par.RangeCuts(cutsT, body) }
 }
 
 // opLReLUVJP handles C = LeakyReLU(X): X̄ = C̄ ⊙ (X < 0 ? slope : 1),

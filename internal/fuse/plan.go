@@ -80,8 +80,10 @@ type Plan struct {
 
 	pat           *sparse.CSR // the sparsity pattern every sparse op runs over
 	input, output *meta
-	aux           map[string]*meta // additional dense inputs, bound via BindDense
 	fwd, bwd      []planOp
+	// offDiag: the plan runs on an off-diagonal rank of a process grid, which
+	// holds no dense block — Forward and Backward take and return nil there.
+	offDiag bool
 
 	x boundary
 
@@ -94,11 +96,10 @@ type Plan struct {
 
 // boundary is the float64 face of a plan's typed execution state.
 type boundary interface {
-	bind(h *tensor.Dense)               // make h the input of the coming forward sweep
-	bindAux(id string, h *tensor.Dense) // float64 plans only
-	result() *tensor.Dense              // the forward output
-	seed(g *tensor.Dense)               // reset cotangents, load the output cotangent
-	inputGrad() *tensor.Dense           // settle parameter gradients, return the input cotangent
+	bind(h *tensor.Dense)     // make h the input of the coming forward sweep
+	result() *tensor.Dense    // the forward output
+	seed(g *tensor.Dense)     // reset cotangents, load the output cotangent
+	inputGrad() *tensor.Dense // settle parameter gradients, return the input cotangent
 	release(ws *tensor.Arena)
 }
 
@@ -111,10 +112,15 @@ type boundary interface {
 // updates are observed), gradients accumulate in zeroed shadows that are
 // flushed with Grad[i] += float64(shadow[i]) after every Backward
 // (preserving the accumulate semantics across layers and steps), and
-// results are widened into reusable float64 buffers.
+// results are widened into reusable float64 buffers. On an off-diagonal rank
+// of a process grid (offDiag) the input and output nodes do not exist: only
+// the parameters cross the boundary.
 type exec[T elem] struct {
 	input, output *spec[T]
-	aux           map[string]*spec[T]
+	offDiag       bool
+	// seedByRef: the output cotangent is read from the caller's matrix, as
+	// the input is — float64 plans whose output feeds nothing inside the DAG.
+	seedByRef bool
 
 	// Casting plans only; empty when T is float64.
 	outF, ginF *tensor.Dense // widened forward result / input cotangent
@@ -128,6 +134,7 @@ type exec[T elem] struct {
 
 	mats   []*tensor.Mat[T] // everything acquired from the workspace,
 	slices [][]T            // for release
+	wire   []float64        // staging words of a casting grid plan's collectives
 }
 
 // shadow pairs a float64 master with the plan-owned copy at width T.
@@ -180,18 +187,19 @@ func (e *exec[T]) bind(h *tensor.Dense) {
 		e.input.dense = m
 		return
 	}
-	e.narrow.run(e.input.dense.Data, h.Data)
+	if !e.offDiag {
+		e.narrow.run(e.input.dense.Data, h.Data)
+	}
 	for _, s := range e.shadows {
 		e.narrow.run(s.local.Data, s.master.Data)
 	}
 }
 
-func (e *exec[T]) bindAux(id string, h *tensor.Dense) {
-	e.aux[id].dense, _ = alias[T](h)
-}
-
 func (e *exec[T]) result() *tensor.Dense {
-	if e.outF == nil {
+	switch {
+	case e.offDiag:
+		return nil
+	case e.outF == nil:
 		return dense64(e.output.dense)
 	}
 	e.widen.run(e.outF.Data, e.output.dense.Data)
@@ -205,17 +213,26 @@ func (e *exec[T]) seed(g *tensor.Dense) {
 	for _, v := range e.zeroVecs {
 		clear(v)
 	}
-	e.narrow.run(e.output.gdense.Data, g.Data)
+	switch {
+	case e.offDiag:
+	case e.seedByRef:
+		e.output.gdense, _ = alias[T](g)
+	default:
+		e.narrow.run(e.output.gdense.Data, g.Data)
+	}
 }
 
 func (e *exec[T]) inputGrad() *tensor.Dense {
-	if e.ginF == nil {
-		return dense64(e.input.gdense)
-	}
 	for _, s := range e.flushes {
 		for i, v := range s.local.Data {
 			s.master.Data[i] += float64(v)
 		}
+	}
+	switch {
+	case e.offDiag:
+		return nil
+	case e.ginF == nil:
+		return dense64(e.input.gdense)
 	}
 	e.widen.run(e.ginF.Data, e.input.gdense.Data)
 	return e.ginF
@@ -228,9 +245,10 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 	for _, s := range e.slices {
 		tensor.ReleaseSlice(ws, s)
 	}
+	tensor.ReleaseSlice(ws, e.wire)
 	ws.ReleaseDense(e.outF)
 	ws.ReleaseDense(e.ginF)
-	e.mats, e.slices, e.outF, e.ginF = nil, nil, nil, nil
+	e.mats, e.slices, e.wire, e.outF, e.ginF = nil, nil, nil, nil, nil
 }
 
 // Compile lowers the graph into an executable plan: it runs the Section 6.2
@@ -252,15 +270,16 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if opt.Train && g.rowOff != 0 {
 		return nil, fmt.Errorf("fuse: graph %q: row-offset plans are inference-only", g.Name)
 	}
-	if len(g.aux) > 0 && (opt.Train || casting) {
-		return nil, fmt.Errorf("fuse: graph %q: auxiliary dense inputs need an f64 inference plan (they are bound by reference)", g.Name)
+	if g.grid != nil && (g.pat.Rows != g.pat.Cols || g.rowOff != 0) {
+		return nil, fmt.Errorf("fuse: graph %q: a grid block is square and takes no row offset, got %d×%d at offset %d",
+			g.Name, g.pat.Rows, g.pat.Cols, g.rowOff)
 	}
 	cons := g.dag.consumers()
 	for _, n := range g.dag.Nodes() {
 		switch n.Op {
 		case "spmm-max", "spmm-min", "spmm-mean":
-			if opt.Train || casting {
-				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q needs an f64 inference plan", g.Name, n.ID)
+			if opt.Train || casting || g.grid != nil {
+				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q needs a single-node f64 inference plan", g.Name, n.ID)
 			}
 		}
 		if opt.Train && n != g.adj && (n.Kind == Sparse || n.Kind == Virtual) && len(cons[n]) > 1 {
@@ -310,9 +329,15 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	// parameters, adjacency values); at any other width it casts into
 	// plan-owned buffers.
 	_, aliased := alias[T](nil)
-	e := &exec[T]{}
+	// On a process grid every rank compiles the same DAG; here says which
+	// dense and vector nodes this rank holds (grid.go).
+	grid := g.grid
+	diag := grid == nil || grid.Diag()
+	here := func(n *Node) bool { return diag || !onDiagonal(n) }
+	_, _, outColl := collective(g.output.Op) // a reduce's cotangent is its partial's
+	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
-		input: g.md(g.input), output: g.md(g.output), x: e, ws: ws}
+		input: g.md(g.input), output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
 
 	// sp returns (creating on demand) the typed state of a node. Creation
 	// order does not matter: op closures capture the pointer, the
@@ -327,16 +352,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		return s
 	}
 	e.input, e.output = sp(g.input), sp(g.output)
-	auxSet := make(map[*Node]bool, len(g.aux))
-	if len(g.aux) > 0 {
-		p.aux = make(map[string]*meta, len(g.aux))
-		e.aux = make(map[string]*spec[T], len(g.aux))
-		for _, n := range g.aux {
-			auxSet[n] = true
-			p.aux[n.ID] = g.md(n)
-			e.aux[n.ID] = sp(n)
-		}
-	}
 
 	// words counts the held workspace in elements of T (WorkspaceBytes
 	// multiplies by DType.Size()); the float64 boundary buffers of a
@@ -358,30 +373,23 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		words += int64(m.rows) * int64(m.cols) * 8 / opt.DType.Size()
 		return ws.AcquireDense(m.rows, m.cols)
 	}
-	// values hands out float64 sparse values at width T: aliased at float64,
-	// converted once into a workspace buffer otherwise.
-	values := func(src []float64) []T {
-		if aliased {
-			v, _ := any(src).([]T)
-			return v
-		}
-		v := floats(len(src))
-		tensor.Cast(v, src)
-		return v
-	}
-
 	pat := g.pat
 	nnz := pat.NNZ()
 	// The nnz-balanced chunk boundaries every sparse sweep uses, computed
 	// once per pattern here so steady-state ops pay zero scan cost.
 	cuts := par.NewCuts(pat.Rows, nnzWeight(pat))
 
-	// The adjacency values (weighted masks, adjacency SpMM), resolved on
-	// first use and shared by every op that needs them.
+	// The adjacency values (weighted masks, adjacency SpMM) at width T,
+	// resolved on first use and shared by every op that needs them: A's own
+	// at float64, converted once into a workspace buffer otherwise.
 	var adj []T
 	adjVals := func() []T {
+		if v, ok := any(pat.Val).([]T); ok {
+			return v
+		}
 		if adj == nil {
-			adj = values(pat.Val)
+			adj = floats(nnz)
+			tensor.Cast(adj, pat.Val)
 		}
 		return adj
 	}
@@ -392,11 +400,32 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		return nil
 	}
 
+	// value and cotangent acquire the storage of a dense or vector node.
+	value := func(s *spec[T]) {
+		if s.node.Kind == Vector {
+			s.vec = floats(s.rows)
+		} else {
+			s.dense = mat(s.rows, s.cols)
+		}
+	}
+	cotangent := func(s *spec[T]) {
+		if s.node.Kind == Vector {
+			s.gvec = floats(s.rows)
+			e.zeroVecs = append(e.zeroVecs, s.gvec)
+		} else {
+			s.gdense = mat(s.rows, s.cols)
+			e.zeroMats = append(e.zeroMats, s.gdense)
+		}
+	}
+
 	// Allocate buffers and compose virtual entry evaluators, in topological
 	// (insertion) order so every node's inputs are ready.
 	for _, n := range g.dag.Nodes() {
 		s := sp(n)
+		_, bcast, coll := collective(n.Op)
 		switch {
+		case !here(n):
+			// lives on the diagonal rank of this grid row/column
 		case n == g.adj:
 			// values resolve lazily via adjVals
 		case n == g.input:
@@ -404,11 +433,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				s.dense = mat(s.rows, s.cols) // the rounding target for Forward's h
 			}
 			if opt.Train {
-				s.gdense = mat(s.rows, s.cols)
-				e.zeroMats = append(e.zeroMats, s.gdense)
+				cotangent(s)
 			}
-		case auxSet[n]:
-			// dense bound per execution via BindDense; no buffer
 		case s.hasParam:
 			if aliased {
 				// dense aliases the parameter value; gradients go
@@ -426,9 +452,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			}
 		case n.Kind == Virtual:
 			s.entry = composeEntry(sp, n)
-			if opt.Train {
-				s.gvals = floats(nnz)
-			}
 		case n.Kind == Sparse:
 			// Attention-fused sparse nodes materialize values only for
 			// training (the backward pass reads them); inference keeps the
@@ -436,46 +459,102 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			if !fusedMask[n] && !(attnSrc[n] && !opt.Train) {
 				s.vals = floats(nnz)
 			}
-			if opt.Train {
-				s.gvals = floats(nnz)
+		case coll && diag:
+			// On the diagonal a collective node is its operand, value and
+			// cotangent: a broadcast copy there is the source itself, and
+			// the ranks' cotangents reduce into the source's in place; a
+			// partial sum's only consumer is the reduce that overwrites it.
+			// (A broadcast's value is bound per step — opBcastForward — as
+			// the source may be the plan input.)
+			src := sp(n.Inputs[0])
+			s.gdense, s.gvec = src.gdense, src.gvec
+			if !bcast {
+				s.dense = src.dense
 			}
-		case n.Kind == Vector:
-			s.vec = floats(s.rows)
-			if opt.Train {
-				s.gvec = floats(s.rows)
-				e.zeroVecs = append(e.zeroVecs, s.gvec)
+		default: // dense or vector compute node
+			if n.Op == "sigma" && (s.act.Name == "relu" || s.act.isIdentity()) &&
+				n.Inputs[0].Op != "input" && len(cons[n.Inputs[0]]) == 1 {
+				// Piecewise-linear σ over a pre-activation nobody else reads
+				// runs in place: σ′ is as readable off max(z, 0) as off z.
+				s.dense = sp(n.Inputs[0]).dense
+			} else {
+				value(s)
 			}
-		default: // dense compute node
-			s.dense = mat(s.rows, s.cols)
-			if opt.Train {
-				s.gdense = mat(s.rows, s.cols)
-				e.zeroMats = append(e.zeroMats, s.gdense)
+			switch {
+			case !opt.Train, n == g.output && e.seedByRef:
+			case !diag && n.Op == "spmm":
+				// Off the diagonal a partial sum is dead once reduced and
+				// its cotangent arrives whole, by broadcast: one buffer
+				// holds first the one, then the other.
+				s.gdense = s.dense
+			default:
+				cotangent(s)
 			}
 		}
 	}
-	if !aliased {
+	// Cotangents of the sparse and virtual nodes, consumers first. Each has
+	// one consumer (checked in Compile), whose VJP writes it once, and its
+	// own VJP reads it once; where that VJP is element-wise onto an operand's
+	// cotangent the operand shares the buffer and the VJP runs in place
+	// (cotangentOperands) — an attention chain threads one nnz-sized buffer
+	// from Ψ̄ down to its vector operands.
+	if opt.Train {
+		nodes := g.dag.Nodes()
+		for idx := len(nodes) - 1; idx >= 0; idx-- {
+			n := nodes[idx]
+			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) {
+				continue
+			}
+			s := sp(n)
+			if s.gvals == nil {
+				s.gvals = floats(nnz)
+			}
+			for _, in := range cotangentOperands(n) {
+				sp(in).gvals = s.gvals
+			}
+		}
+	}
+	if !aliased && diag {
 		e.outF = widened(p.output)
 		if opt.Train {
 			e.ginF = widened(p.input)
 		}
 	}
+	// The grid plan's collectives, and the row-statistics vector its softmax
+	// sweeps exchange through them.
+	var w *wire[T]
+	var rowStat []T
+	if grid != nil {
+		w = &wire[T]{grid: grid}
+		if !aliased {
+			widest := 1
+			for _, m := range g.meta {
+				widest = max(widest, m.cols)
+			}
+			e.wire = tensor.AcquireSlice[float64](ws, pat.Rows*widest)
+			w.words = e.wire
+			words += int64(len(e.wire)) * 8 / opt.DType.Size()
+		}
+		rowStat = floats(pat.Rows)
+	}
 
-	// Shared transpose machinery for the backward pass: Sᵀ·X products run
-	// over the transposed pattern, permuting the sparse node's current
-	// values into a shared scratch. The adjacency transpose carries A's own
-	// values, so adjacency SpMM backward needs no permutation.
-	var patT *sparse.CSR
+	// The backward pass's column sweeps (Sᵀ·X products, column sums) run
+	// over the transposed pattern, which is the adjacency object's own —
+	// computed once, shared by every training plan over it — and read the
+	// sparse node's current values through it. Only an adjacency SpMM wants
+	// A's values laid out in Aᵀ's order, once, as adjT.
+	var tr *transposedRows[T]
 	var cutsT *par.Cuts
-	var perm []int64
-	var tvals, adjT []T
+	var adjT []T
 	if opt.Train {
-		patT = pat.Transpose()
-		cutsT = par.NewCuts(patT.Rows, nnzWeight(patT))
-		perm = pat.TransposePerm()
-		tvals = floats(nnz)
+		tr = newTransposedRows[T](pat.TransposedPattern())
+		cutsT = par.NewCuts(tr.patT.Rows, nnzWeight(tr.patT))
 		for _, n := range g.dag.Nodes() {
 			if n.Op == "spmm" && n.Inputs[0] == g.adj {
-				adjT = values(patT.Val)
+				adjT = floats(nnz)
+				for q, v := 0, adjVals(); q < nnz; q++ {
+					adjT[q] = v[tr.src[q]]
+				}
 				break
 			}
 		}
@@ -517,9 +596,17 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	// emit nothing — they live inside their sampler's sweep.
 	for _, n := range g.dag.Nodes() {
 		s := sp(n)
+		ax, _, coll := collective(n.Op)
+		if !here(n) && !coll {
+			continue // a diagonal rank's op; collectives run on every rank
+		}
 		switch n.Op {
 		case "input":
 			continue
+		case bcastOps[ax]:
+			emit(&p.fwd, n, "", n.Op, opFns{run: opBcastForward(w, ax, sp(n.Inputs[0]), s)})
+		case reduceOps[ax]:
+			emit(&p.fwd, n, "", n.Op, opFns{run: opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax))})
 		case "mask":
 			if fusedMask[n] || attnSrc[n] {
 				continue
@@ -531,10 +618,19 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				continue
 			}
 			in := n.Inputs[0]
-			if fusedMask[in] {
+			switch {
+			case grid != nil:
+				op, src := "softmax", sp(in).vals
+				sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
+				if fusedMask[in] {
+					op = "fused-softmax"
+					sample = rowSampler(pat, composeScore(sp, in.Inputs[1]), maskWeights(sp(in)), rowOff, false)
+				}
+				emit(&p.fwd, n, "", op, opFns{run: opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat)})
+			case fusedMask[in]:
 				emit(&p.fwd, n, "", "fused-softmax",
 					opSample(pat, cuts, s.vals, composeScore(sp, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
-			} else {
+			default:
 				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, sp(in).vals, s.vals))
 			}
 		case "spmm":
@@ -580,10 +676,18 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
 			s := sp(n)
+			ax, _, coll := collective(n.Op)
+			if !here(n) && !coll {
+				continue
+			}
 			var vjp func()
 			switch n.Op {
 			case "input":
 				continue
+			case bcastOps[ax]: // mirror pairs: the Aᵀ of Section 5.2
+				vjp = opCollective(w, s, true, reduceAlong(ax))
+			case reduceOps[ax]:
+				vjp = opCollective(w, sp(n.Inputs[0]), true, bcastAlong(ax))
 			case "sigma":
 				vjp = opSigmaVJP(sp(n.Inputs[0]), s)
 			case "mm":
@@ -598,15 +702,18 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				// The adjacency leaf has neither values nor a cotangent of
 				// its own: only the feature half runs, over adjT.
 				sam := sp(n.Inputs[0])
-				vjp = opSpMMVJP(pat, patT, cuts, cutsT, sam.vals, sam.gvals, perm, tvals, adjT, sp(n.Inputs[1]), s)
+				vjp = opSpMMVJP(pat, cuts, cutsT, sam.vals, sam.gvals, tr, adjT, sp(n.Inputs[1]), s)
 			case "softmax":
-				vjp = opSoftmaxVJP(pat, cuts, s.vals, s.gvals, sp(n.Inputs[0]).gvals)
+				vjp = opSoftmaxVJP(pat, cuts, s.vals, s.gvals, w, rowStat)
 			case "mask":
-				vjp = opMaskVJP(s.gvals, sp(n.Inputs[1]).gvals, maskWeights(s))
+				// In place; a pattern-only mask passes its cotangent through.
+				if weights := maskWeights(s); weights != nil {
+					vjp = opMaskVJP(s.gvals, weights)
+				}
 			case "mmt":
-				vjp = opDotVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = opDotVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "outer":
-				vjp = opOuterVJP(pat, patT, cuts, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = opOuterVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "divide":
 				vjp = opDivVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "scale":
@@ -614,15 +721,17 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			case "rep":
 				vjp = opRepVJP(pat, cuts, s.gvals, sp(n.Inputs[0]))
 			case "repT":
-				vjp = opRepTVJP(patT, cutsT, s.gvals, perm, tvals, sp(n.Inputs[0]))
+				vjp = opRepTVJP(cutsT, s.gvals, tr, sp(n.Inputs[0]))
 			case "add":
-				vjp = opAddVJP(s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				// Both operands' cotangents are this node's: no work.
 			case "lrelu":
 				vjp = opLReLUVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), T(s.slope))
 			default:
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
-			emit(&p.bwd, n, ".bwd", n.Op, opFns{run: vjp})
+			if vjp != nil {
+				emit(&p.bwd, n, ".bwd", n.Op, opFns{run: vjp})
+			}
 		}
 	}
 
@@ -682,7 +791,9 @@ func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disa
 		}
 		switch in.Op {
 		case "softmax":
-			if m := in.Inputs[0]; m.Op == "mask" && fusedMask[m] {
+			// Not on a grid: the softmax there exchanges row statistics
+			// between its sweeps, so it cannot sit inside a one-pass row.
+			if m := in.Inputs[0]; m.Op == "mask" && fusedMask[m] && g.grid == nil {
 				agg[n], src[in] = in, true
 			}
 		case "mask":
@@ -690,6 +801,24 @@ func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disa
 		}
 	}
 	return agg, src
+}
+
+// cotangentOperands lists the operands of a sparse or virtual node whose
+// cotangent is an element-wise function of the node's own — so the two can
+// share one buffer, the VJP running in place: the scores under a mask or a
+// softmax, the argument of lrelu and scale, both terms of a sum, and the
+// numerator of a quotient (its denominator's cotangent needs the numerator's
+// value as well, and is written to a buffer of its own in the same pass).
+func cotangentOperands(n *Node) []*Node {
+	switch n.Op {
+	case "softmax", "lrelu", "scale", "divide":
+		return n.Inputs[:1]
+	case "mask":
+		return n.Inputs[1:]
+	case "add":
+		return n.Inputs
+	}
+	return nil
 }
 
 // composeScore lowers the virtual chain rooted at n to the row evaluator a
@@ -824,20 +953,6 @@ func (p *Plan) Train() bool { return p.train }
 // InputDims returns the expected input shape.
 func (p *Plan) InputDims() (rows, cols int) { return p.input.rows, p.input.cols }
 
-// BindDense binds an auxiliary dense input (declared with InputDenseAux)
-// for subsequent Forward calls. The binding persists until rebound.
-func (p *Plan) BindDense(id string, h *tensor.Dense) {
-	s, ok := p.aux[id]
-	if !ok {
-		panic(fmt.Sprintf("fuse: plan %q has no auxiliary input %q", p.Name, id))
-	}
-	if h.Rows != s.rows || h.Cols != s.cols {
-		panic(fmt.Sprintf("fuse: plan %q aux %q shape %d×%d, got %d×%d",
-			p.Name, id, s.rows, s.cols, h.Rows, h.Cols))
-	}
-	p.x.bindAux(id, h)
-}
-
 // Forward binds h as the input feature matrix and executes the op list.
 // The returned matrix is owned by the plan and overwritten by the next
 // step.
@@ -845,7 +960,7 @@ func (p *Plan) Forward(h *tensor.Dense) *tensor.Dense {
 	if p.released {
 		panic("fuse: Forward on a released plan")
 	}
-	if h.Rows != p.input.rows || h.Cols != p.input.cols {
+	if !p.offDiag && (h.Rows != p.input.rows || h.Cols != p.input.cols) {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
 			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
 	}
@@ -888,6 +1003,14 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
+	if _, bcast, ok := collective(op); ok {
+		// The local half only — the wire is dist's to count: a reduce adds
+		// the payload once, a broadcast does no arithmetic.
+		if !bcast {
+			flops = r * max(c, 1)
+		}
+		return flops, 0
+	}
 	switch op {
 	case "mm":
 		k := int64(g.md(n.Inputs[0]).cols)
@@ -937,7 +1060,7 @@ func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
 	if !p.ranForward {
 		panic(fmt.Sprintf("fuse: plan %q: Backward before Forward", p.Name))
 	}
-	if g.Rows != p.output.rows || g.Cols != p.output.cols {
+	if !p.offDiag && (g.Rows != p.output.rows || g.Cols != p.output.cols) {
 		panic(fmt.Sprintf("fuse: plan %q output shape %d×%d, got cotangent %d×%d",
 			p.Name, p.output.rows, p.output.cols, g.Rows, g.Cols))
 	}

@@ -1,8 +1,10 @@
 package fuse_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"agnn/internal/fuse"
@@ -457,4 +459,122 @@ func sliceRows(s *sparse.CSR, lo, hi int) *sparse.CSR {
 		}
 	}
 	return sparse.FromCOO(coo)
+}
+
+// oneRankGrid is a 1×1 process grid: every collective is the identity, and
+// the calls are counted by name.
+type oneRankGrid map[string]int
+
+func (g oneRankGrid) Diag() bool { return true }
+func (g oneRankGrid) Bcast(ax fuse.Axis, _ []float64) {
+	g[fmt.Sprintf("bcast%d", ax)]++
+}
+func (g oneRankGrid) ReduceToDiag(ax fuse.Axis, _ []float64) {
+	g[fmt.Sprintf("reduce%d", ax)]++
+}
+func (g oneRankGrid) AllreduceRow(_ []float64, max bool) {
+	g[fmt.Sprintf("allreduce-max=%t", max)]++
+}
+
+// TestGridLoweringOnOneRank checks the lowering rule of grid.go where it can
+// be observed without a network: on a 1×1 grid the lowered GAT and VA plans
+// must issue exactly the collectives the rule says (forward, and their
+// mirrors backward), keep VA one fused sweep while splitting GAT's at the
+// softmax, and produce the single-node plan's bits at both widths. The
+// multi-rank equivalences live in internal/distgnn.
+func TestGridLoweringOnOneRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := weightedGraph(40, 200, 31)
+	const k = 4
+	w, a1, a2 := randParam(rng, "W", k, k), randParam(rng, "a1", k, 1), randParam(rng, "a2", k, 1)
+	h, gOut := randDense(rng, a.Rows, k), randDense(rng, a.Rows, k)
+
+	gat := func(grid fuse.Grid) *fuse.Graph {
+		g := fuse.NewGraph("gat", a)
+		g.SetGrid(grid)
+		x := g.InputDense("H", a.Rows, k)
+		hp := g.MM("Hp", x, g.ParamNode("W", w))
+		u := g.MatVecNode("u", hp, g.ParamNode("a1", a1))
+		v := g.MatVecNode("v", hp, g.ParamNode("a2", a2))
+		c := g.AddScores("C", g.RepRow("u1T", u), g.RepCol("1vT", v))
+		psi := g.Softmax("Psi", g.Mask("E", g.LReLUScores("lreluC", c, 0.2), false))
+		g.SetOutput(g.Sigma("Hout", g.SpMM("Z", psi, hp), tanhAct))
+		return g
+	}
+	va := func(grid fuse.Grid) *fuse.Graph {
+		g := fuse.NewGraph("va", a)
+		g.SetGrid(grid)
+		x := g.InputDense("H", a.Rows, k)
+		psi := g.Mask("Psi", g.DotScores("HHt", x, x), true)
+		z := g.SpMM("Z", psi, g.MM("HW", x, g.ParamNode("W", w)))
+		g.SetOutput(g.Sigma("Hout", z, tanhAct))
+		return g
+	}
+	for _, tc := range []struct {
+		name      string
+		build     func(fuse.Grid) *fuse.Graph
+		attnFused int
+		fwd, bwd  oneRankGrid // collectives of one forward / one backward
+	}{
+		// GAT: Hp and v go down the columns, u along the rows, the softmax
+		// exchanges max and sum, Z's partials are reduced; backward, Z̄ goes
+		// along the rows, ρ is summed, ū comes back along the rows and v̄,
+		// H̄p up the columns.
+		{"gat", gat, 0,
+			oneRankGrid{"bcast1": 2, "bcast0": 1, "allreduce-max=true": 1, "allreduce-max=false": 1, "reduce0": 1},
+			oneRankGrid{"bcast0": 1, "allreduce-max=false": 1, "reduce0": 1, "reduce1": 2}},
+		// VA: H crosses on both sides, HW down the columns, no softmax.
+		{"va", va, 1,
+			oneRankGrid{"bcast0": 1, "bcast1": 2, "reduce0": 1},
+			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 2}},
+	} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, p := range []fuse.ParamRef{w, a1, a2} {
+				p.Grad.Zero()
+			}
+			single := tc.build(nil).MustCompile(fuse.Options{Train: true, DType: dt})
+			wantOut := single.Forward(h).Clone()
+			wantIn := single.Backward(gOut).Clone()
+			wantW := w.Grad.Clone()
+
+			calls := oneRankGrid{}
+			plan := tc.build(calls).MustCompile(fuse.Options{Train: true, DType: dt})
+			if got := plan.Stats().AttnFused; got != tc.attnFused {
+				t.Errorf("%s %s: %d fused attention sweeps on the grid, want %d", tc.name, dt, got, tc.attnFused)
+			}
+			w.Grad.Zero()
+			out := plan.Forward(h)
+			if !reflect.DeepEqual(calls, tc.fwd) {
+				t.Errorf("%s %s: forward collectives %v, want %v", tc.name, dt, calls, tc.fwd)
+			}
+			clear(calls)
+			in := plan.Backward(gOut)
+			if !reflect.DeepEqual(calls, tc.bwd) {
+				t.Errorf("%s %s: backward collectives %v, want %v", tc.name, dt, calls, tc.bwd)
+			}
+			for what, pair := range map[string][2]*tensor.Dense{"output": {out, wantOut}, "input cotangent": {in, wantIn}, "W gradient": {w.Grad, wantW}} {
+				if i := firstBitDiff(pair[0].Data, pair[1].Data); i >= 0 {
+					t.Errorf("%s %s: %s differs from the single-node plan at word %d", tc.name, dt, what, i)
+				}
+			}
+			if _, err := plan.Partition([]fuse.RowRange{{Lo: 0, Hi: a.Rows}}); err == nil {
+				t.Errorf("%s %s: a plan with collectives partitioned", tc.name, dt)
+			}
+		}
+	}
+
+	// What a grid block cannot be.
+	for name, g := range map[string]*fuse.Graph{
+		"row offset": func() *fuse.Graph { g := va(oneRankGrid{}); g.SetRowOffset(3); return g }(),
+		"semiring": func() *fuse.Graph {
+			g := fuse.NewGraph("sr", a)
+			g.SetGrid(oneRankGrid{})
+			g.SetOutput(g.SpMMSemiring("Z", g.Adj(), g.InputDense("H", a.Rows, k), "max"))
+			return g
+		}(),
+	} {
+		if _, err := g.Compile(fuse.Options{}); err == nil {
+			t.Errorf("%s compiled on a grid", name)
+		}
+	}
 }

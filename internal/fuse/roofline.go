@@ -45,6 +45,14 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
 	var b int64
+	if _, bcast, ok := collective(op); ok {
+		// The payload written (broadcast) or read and written (reduce).
+		b = fb * r * max(c, 1)
+		if !bcast {
+			b *= 2
+		}
+		return b
+	}
 	switch op {
 	case "mm":
 		k := int64(g.md(n.Inputs[0]).cols)

@@ -166,17 +166,20 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 
 	// Ops whose sweep reads the pattern's column indices once.
 	fwdSweeps := []string{"spmm", "mask", "fused-softmax", "fused-attn"}
+	// A sum's VJP is no sweep at all (both operands share its cotangent
+	// buffer), and neither is a pattern-only mask's — GAT's.
 	bwdSweeps := map[string]bool{"spmm": true, "mask": true, "mmt": true, "outer": true,
-		"divide": true, "scale": true, "rep": true, "repT": true, "add": true, "lrelu": true}
+		"divide": true, "scale": true, "rep": true, "repT": true, "lrelu": true}
 
 	for _, tc := range []struct {
-		name  string
-		build func() *fuse.Graph
+		name         string
+		build        func() *fuse.Graph
+		weightedMask bool
 	}{
-		{"va", func() *fuse.Graph { return buildVA(a, w, k) }},
-		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }},
-		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }},
-		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }},
+		{"va", func() *fuse.Graph { return buildVA(a, w, k) }, true},
+		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }, true},
+		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }, false},
+		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }, true},
 	} {
 		stats := map[tensor.DType]map[bool]fuse.PlanStats{tensor.F64: {}, tensor.F32: {}}
 		for _, train := range []bool{true, false} {
@@ -191,7 +194,7 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 			}
 			if train {
 				for _, n := range tc.build().DAG().Nodes() {
-					if bwdSweeps[n.Op] {
+					if bwdSweeps[n.Op] && (n.Op != "mask" || tc.weightedMask) {
 						idxBwd += 2 * 4 * nnz
 					}
 				}

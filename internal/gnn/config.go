@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"agnn/internal/fuse"
 	"agnn/internal/graph"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -117,27 +118,41 @@ func NewLayer(kind Kind, a *sparse.CSR, in, out int, act Activation, negSlope fl
 	return nil, fmt.Errorf("gnn: unknown model kind %v", kind)
 }
 
-// New builds a model of cfg.Model on adjacency a. The adjacency matrix is
-// preprocessed per model convention: self loops for GAT/GCN (when
-// SelfLoops), symmetric normalization for GCN.
+// Preprocess applies the model's adjacency convention: symmetric
+// normalization (self loops included) for GCN, self loops for the others
+// when SelfLoops is set.
+func (c Config) Preprocess(a *sparse.CSR) *sparse.CSR {
+	switch {
+	case c.Model == GCN:
+		return graph.NormalizeGCN(a)
+	case c.SelfLoops:
+		return graph.AddSelfLoops(a)
+	}
+	return a
+}
+
+// New builds a model of cfg.Model on adjacency a, preprocessed per model
+// convention (Config.Preprocess).
 func New(cfg Config, a *sparse.CSR) (*Model, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("gnn: adjacency matrix must be square, got %d×%d", a.Rows, a.Cols)
+	}
+	return NewBound(cfg, cfg.Preprocess(a), nil)
+}
+
+// NewBound builds cfg's layer stack — the one place that turns a Config into
+// layers, so every engine draws the same parameters from cfg.Seed in the same
+// order — bound to a exactly as given: a already carries cfg.Preprocess. With
+// a grid, a is this rank's stationary block of it (planned.Grid). A nil a
+// yields unbound definitions for an engine that lowers the layers' DAGs onto
+// its own graph.
+func NewBound(cfg Config, a *sparse.CSR, grid fuse.Grid) (*Model, error) {
 	cfg = cfg.Defaults()
 	if cfg.Layers < 1 {
 		return nil, fmt.Errorf("gnn: need at least one layer, got %d", cfg.Layers)
 	}
 	if cfg.InDim < 1 || cfg.HiddenDim < 1 || cfg.OutDim < 1 {
 		return nil, fmt.Errorf("gnn: non-positive feature dimensions %d/%d/%d", cfg.InDim, cfg.HiddenDim, cfg.OutDim)
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("gnn: adjacency matrix must be square, got %d×%d", a.Rows, a.Cols)
-	}
-	switch cfg.Model {
-	case GCN:
-		a = graph.NormalizeGCN(a) // includes self loops
-	default:
-		if cfg.SelfLoops {
-			a = graph.AddSelfLoops(a)
-		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -170,7 +185,7 @@ func New(cfg Config, a *sparse.CSR) (*Model, error) {
 			}
 			layer = dl
 		}
-		eachCore(layer, func(c *planned) { c.DType = cfg.DType })
+		eachCore(layer, func(c *planned) { c.DType, c.Grid, c.in = cfg.DType, grid, in })
 		m.Layers = append(m.Layers, layer)
 	}
 	return m, nil

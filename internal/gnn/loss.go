@@ -36,14 +36,28 @@ func (l *CrossEntropyLoss) Eval(out *tensor.Dense) (float64, *tensor.Dense) {
 	if l.Mask != nil && len(l.Mask) != out.Rows {
 		panic("gnn: mask length mismatch")
 	}
-	grad := tensor.NewDense(out.Rows, out.Cols)
-	total := 0.0
-	count := 0
-	for i := 0; i < out.Rows; i++ {
-		if l.Mask != nil && !l.Mask[i] {
+	total, count, grad := l.Sums(out, 0, out.Rows)
+	if count == 0 {
+		return 0, grad
+	}
+	inv := 1 / count
+	grad.ScaleInPlace(inv)
+	return total * inv, grad
+}
+
+// Sums evaluates the loss over vertices [lo, lo+n), whose logits are the
+// first n rows of out, before the mean is taken: the loss sum, the number of
+// masked-in vertices, and the gradient of the sum (shaped like out; rows past
+// n stay zero). The loss decomposes over vertices, so a distributed engine
+// calls it per owned block and divides by the global count — the same
+// arithmetic, in the same order, as Eval on one node.
+func (l *CrossEntropyLoss) Sums(out *tensor.Dense, lo, n int) (total, count float64, grad *tensor.Dense) {
+	grad = tensor.NewDense(out.Rows, out.Cols)
+	for i := 0; i < n; i++ {
+		if l.Mask != nil && !l.Mask[lo+i] {
 			continue
 		}
-		y := l.Labels[i]
+		y := l.Labels[lo+i]
 		if y < 0 || y >= out.Cols {
 			panic(fmt.Sprintf("gnn: label %d out of range [0,%d)", y, out.Cols))
 		}
@@ -67,12 +81,7 @@ func (l *CrossEntropyLoss) Eval(out *tensor.Dense) (float64, *tensor.Dense) {
 		}
 		grow[y] -= 1
 	}
-	if count == 0 {
-		return 0, grad
-	}
-	inv := 1 / float64(count)
-	grad.ScaleInPlace(inv)
-	return total * inv, grad
+	return total, count, grad
 }
 
 // MSELoss is the mean squared error ‖out − Target‖²/(n·k), used for

@@ -17,7 +17,9 @@ type Layer interface {
 	// Forward computes the layer output σ(Z). In both modes the result may
 	// be a buffer the layer owns (the built-in layers return their compiled
 	// plan's output): it is valid until the next Forward of the same layer
-	// or Model.ReleasePlans — copy it to keep it longer.
+	// or Model.ReleasePlans — copy it to keep it longer. Layers bound to a
+	// process grid (NewBound) take and return, here and in Backward, the
+	// diagonal rank's block, and nil on every other rank.
 	Forward(h *tensor.Dense, training bool) *tensor.Dense
 	// Backward consumes ∂L/∂H_out, accumulates parameter gradients, and
 	// returns ∂L/∂H_in. It must be called after a training-mode Forward.

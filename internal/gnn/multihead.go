@@ -81,6 +81,9 @@ func (l *MultiHeadGATLayer) Forward(h *tensor.Dense, training bool) *tensor.Dens
 	for i, head := range l.Heads {
 		outs[i] = head.Forward(h, training)
 	}
+	if h == nil {
+		return nil // a grid rank off the diagonal: the heads only communicated
+	}
 	if l.Concat {
 		out := ensureBuf(&l.out, h.Rows, len(l.Heads)*l.headDim)
 		for i, o := range outs {
@@ -100,6 +103,12 @@ func (l *MultiHeadGATLayer) Forward(h *tensor.Dense, training bool) *tensor.Dens
 
 // Backward implements Layer.
 func (l *MultiHeadGATLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
+	if gOut == nil { // a grid rank off the diagonal, as in Forward
+		for _, head := range l.Heads {
+			head.Backward(nil)
+		}
+		return nil
+	}
 	var gHead *tensor.Dense
 	if l.Concat {
 		gHead = ensureBuf(&l.gHead, gOut.Rows, l.headDim)

@@ -54,16 +54,23 @@ type planned struct {
 	// F64 (the zero value) is the default double-precision path; F32
 	// compiles mixed-precision plans (f64 master weights, f32 kernels).
 	DType tensor.DType
+	// Grid, when set, makes A this rank's stationary block of a square
+	// process grid: the layer's plans are lowered with the grid's collectives
+	// (fuse/grid.go), Forward and Backward take and return the diagonal
+	// rank's feature block, and nil on the other ranks.
+	Grid fuse.Grid
+	in   int // input width, for the grid ranks that are handed no features to read it from
 
 	def          DAGLayer // the layer embedding this core
 	train, infer planLease
 }
 
 // bind (re)initializes the core for layer def on adjacency a, keeping the
-// dtype. It drops — without releasing — whatever leases the struct held, so
-// it is also what detaches a copied layer from its source's plans.
+// dtype and the grid. It drops — without releasing — whatever leases the
+// struct held, so it is also what detaches a copied layer from its source's
+// plans.
 func (p *planned) bind(a *sparse.CSR, def DAGLayer) {
-	*p = planned{A: a, DType: p.DType, def: def}
+	*p = planned{A: a, DType: p.DType, Grid: p.Grid, in: p.in, def: def}
 }
 
 func (p *planned) core() *planned { return p }
@@ -72,7 +79,11 @@ func (p *planned) core() *planned { return p }
 // training plan (which caches what Backward needs), inference mode the
 // inference plan.
 func (p *planned) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	return p.plan(h.Cols, training).Forward(h)
+	in := p.in
+	if h != nil {
+		in = h.Cols
+	}
+	return p.plan(in, training).Forward(h)
 }
 
 // Backward implements Layer through the training plan's reverse-derived op
@@ -113,11 +124,16 @@ func (p *planned) plan(in int, train bool) *fuse.Plan {
 	}
 	if c.sig == "" {
 		c.sig = p.def.Signature(train)
+		if p.Grid != nil {
+			// The plan closes over this rank's communicators.
+			c.sig += fmt.Sprintf("|grid=%p", p.Grid)
+		}
 	}
 	c.release()
 	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, c.sig), func(ws *tensor.Arena) *fuse.Plan {
 		name := p.def.Name()
 		g := fuse.NewGraph(name, p.A)
+		g.SetGrid(p.Grid)
 		p.def.DAG(g, g.InputDense("H", p.A.Rows, in))
 		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
 	})

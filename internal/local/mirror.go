@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"agnn/internal/gnn"
+	"agnn/internal/sparse"
 )
 
 // Mirror builds a local-formulation model semantically equivalent to a
@@ -15,20 +16,31 @@ import (
 // Note: the global model's adjacency preprocessing (self loops, GCN
 // normalization) already happened inside gnn.New, so the mirror reads the
 // processed matrix back from the layers.
-func Mirror(m *gnn.Model) (*gnn.Model, error) {
+func Mirror(m *gnn.Model) (*gnn.Model, error) { return MirrorOn(m, nil) }
+
+// MirrorOn is Mirror over graph g instead of the layers' own adjacency
+// (nil: theirs) — how the distributed baseline puts the layers gnn builds
+// from a Config, unbound, onto its halo-extended local graph.
+func MirrorOn(m *gnn.Model, g *Graph) (*gnn.Model, error) {
+	on := func(a *sparse.CSR) *Graph {
+		if g != nil {
+			return g
+		}
+		return FromCSR(a)
+	}
 	out := &gnn.Model{}
 	for _, l := range m.Layers {
 		switch gl := l.(type) {
 		case *gnn.VALayer:
-			out.Layers = append(out.Layers, NewVALayer(FromCSR(gl.A), gl.W.Value, gl.Act))
+			out.Layers = append(out.Layers, NewVALayer(on(gl.A), gl.W.Value, gl.Act))
 		case *gnn.AGNNLayer:
 			out.Layers = append(out.Layers,
-				NewAGNNLayer(FromCSR(gl.A), gl.W.Value, gl.Beta.Scalar(), gl.Act))
+				NewAGNNLayer(on(gl.A), gl.W.Value, gl.Beta.Scalar(), gl.Act))
 		case *gnn.GATLayer:
 			out.Layers = append(out.Layers,
-				NewGATLayer(FromCSR(gl.A), gl.W.Value, gl.A1.Value, gl.A2.Value, gl.Act, gl.NegSlope))
+				NewGATLayer(on(gl.A), gl.W.Value, gl.A1.Value, gl.A2.Value, gl.Act, gl.NegSlope))
 		case *gnn.GCNLayer:
-			out.Layers = append(out.Layers, NewGCNLayer(FromCSR(gl.A), gl.W.Value, gl.Act))
+			out.Layers = append(out.Layers, NewGCNLayer(on(gl.A), gl.W.Value, gl.Act))
 		default:
 			return nil, fmt.Errorf("local: cannot mirror layer type %T", l)
 		}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"agnn/internal/par"
 	"agnn/internal/tensor"
@@ -20,6 +21,9 @@ type CSR struct {
 	RowPtr     []int64 // len Rows+1
 	Col        []int32 // len NNZ
 	Val        []float64
+
+	transposed     *Transposed // TransposedPattern's memo
+	transposedOnce sync.Once
 }
 
 // NNZ returns the number of stored entries.
@@ -116,11 +120,17 @@ func (s *CSR) SamePattern(b *CSR) bool {
 }
 
 // Transpose returns Sᵀ in CSR form (counting-sort construction, O(nnz)).
-func (s *CSR) Transpose() *CSR {
+func (s *CSR) Transpose() *CSR { return s.transpose(nil) }
+
+// transpose builds Sᵀ with its values or, src non-nil, with the position in
+// S of each of its entries instead.
+func (s *CSR) transpose(src []int64) *CSR {
 	out := &CSR{Rows: s.Cols, Cols: s.Rows,
 		RowPtr: make([]int64, s.Cols+1),
-		Col:    make([]int32, s.NNZ()),
-		Val:    make([]float64, s.NNZ())}
+		Col:    make([]int32, s.NNZ())}
+	if src == nil {
+		out.Val = make([]float64, s.NNZ())
+	}
 	for _, j := range s.Col {
 		out.RowPtr[j+1]++
 	}
@@ -134,46 +144,34 @@ func (s *CSR) Transpose() *CSR {
 			q := next[j]
 			next[j]++
 			out.Col[q] = int32(i)
-			out.Val[q] = s.Val[p]
+			if src != nil {
+				src[q] = p
+			} else {
+				out.Val[q] = s.Val[p]
+			}
 		}
 	}
 	return out
 }
 
-// TransposePerm returns the value permutation of Transpose: entry p of s
-// lands at position perm[p] of Sᵀ's value array. Computing the permutation
-// once lets callers re-transpose a same-pattern matrix's values into a
-// pre-allocated buffer with PermuteVals — the compiled plans use this to
-// run Ψᵀ·G products every step without rebuilding the transpose.
-func (s *CSR) TransposePerm() []int64 {
-	rowPtr := make([]int64, s.Cols+1)
-	for _, j := range s.Col {
-		rowPtr[j+1]++
-	}
-	for i := 0; i < s.Cols; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	perm := make([]int64, s.NNZ())
-	next := rowPtr[:s.Cols]
-	for i := 0; i < s.Rows; i++ {
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			j := s.Col[p]
-			perm[p] = next[j]
-			next[j]++
-		}
-	}
-	return perm
+// Transposed is the pattern of Sᵀ together with where each of its entries
+// sits in S, which is all it takes to sweep any matrix on S's pattern by
+// columns: entry q of Sᵀ's row j carries value vals[Src[q]].
+type Transposed struct {
+	Pat *CSR    // Sᵀ's pattern — Rows, Cols, RowPtr, Col; Val is nil
+	Src []int64 // entry q of Sᵀ is entry Src[q] of S
 }
 
-// PermuteVals scatters src through perm into dst: dst[perm[p]] = src[p].
-// With perm = TransposePerm, dst becomes the transposed value array.
-func PermuteVals(dst, src []float64, perm []int64) {
-	if len(dst) != len(src) || len(perm) != len(src) {
-		panic("sparse: PermuteVals length mismatch")
-	}
-	for p, v := range src {
-		dst[perm[p]] = v
-	}
+// TransposedPattern returns the transposed pattern of S, computed on first
+// use and shared by every later caller (read-only): the compiled training
+// plans of all layers over one adjacency sweep the same copy. The pattern
+// (RowPtr, Col) must not change afterwards; Val may.
+func (s *CSR) TransposedPattern() *Transposed {
+	s.transposedOnce.Do(func() {
+		src := make([]int64, s.NNZ())
+		s.transposed = &Transposed{Pat: s.transpose(src), Src: src}
+	})
+	return s.transposed
 }
 
 // IsSymmetricPattern reports whether the sparsity pattern equals that of the
