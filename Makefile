@@ -1,24 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-gate fuzz figures figures-full examples clean
-
-# Perf-regression gate: re-run the committed baseline's spec and compare
-# within tolerance bands; the diff lands in gate-diff.json (the CI artifact).
-BENCH_BASELINE ?= BENCH_4.json
-
-# The serving-latency baseline gates ServeP99Sec and CacheHitRate.
-SERVE_BASELINE ?= BENCH_7.json
-
-# The mixed-precision baseline: an f32 fused-attention inference record with
-# its f64 twin embedded, gating the dtype contrast (f32 must move ≤0.6× the
-# bytes per edge and deliver ≥1.3× the throughput of its f64 twin) on top of
-# the usual drift bands.
-DTYPE_BASELINE ?= BENCH_9.json
-
-bench-gate:
-	$(GO) run ./cmd/agnn-gate -baseline $(BENCH_BASELINE) -out gate-diff.json
-	$(GO) run ./cmd/agnn-gate -baseline $(SERVE_BASELINE) -out gate-serve-diff.json
-	$(GO) run ./cmd/agnn-gate -baseline $(DTYPE_BASELINE) -out gate-dtype-diff.json
+.PHONY: all build test race cover bench fuzz figures figures-full examples clean
 
 all: build test
 
@@ -59,4 +41,4 @@ examples:
 	$(GO) run ./examples/graphblas
 
 clean:
-	rm -rf results results_full test_output.txt bench_output.txt gate-diff.json gate-serve-diff.json gate-dtype-diff.json
+	rm -rf results results_full test_output.txt bench_output.txt

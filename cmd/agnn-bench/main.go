@@ -40,7 +40,7 @@ func main() {
 	flag.IntVar(&s.Features, "features", 16, "number of features k")
 	flag.IntVar(&s.Layers, "l", 3, "number of GNN layers")
 	flag.IntVar(&s.Ranks, "p", 1, "simulated process count (1 = shared memory; >1 must be a perfect square for the global engine)")
-	engine := flag.String("engine", "global", "execution engine: global, rows, local, minibatch, serve")
+	engine := flag.String("engine", "global", "execution engine: global, rows, local, minibatch")
 	flag.BoolVar(&s.Inference, "inference", false, "run inference only (no intermediate matrices stored)")
 	flag.BoolVar(&s.Overlap, "overlap", false, "engine=rows: overlap the feature allgather with arrival-gated plan fragments")
 	flag.IntVar(&s.Repeat, "repeat", 10, "number of timed repetitions")
@@ -48,11 +48,9 @@ func main() {
 	flag.IntVar(&s.BatchSize, "batch", 16384, "mini-batch seed count (engine=minibatch)")
 	flag.Int64Var(&s.Seed, "s", 0, "random number generator seed")
 	flag.StringVar(&s.DType, "dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision)")
-	flag.Int64Var(&s.TileBudget, "tile", 0, "per-core cache budget in bytes for the kernels' column tiles (0 = package default)")
 	flag.StringVar(&s.Faults, "faults", "", "fault-injection spec for distributed runs, e.g. 'delay:p=0.01,ms=1;drop:p=0.005' (docs/ROBUSTNESS.md)")
 	flag.Int64Var(&s.FaultSeed, "fault-seed", 0, "seed for the fault injector's RNG streams")
 	flag.StringVar(&csvPath, "csv", "", "append the result row to this CSV file")
-	jsonPath := flag.String("json", "", "write the result + metrics snapshot as a BENCH_*.json baseline here")
 	planOnly := flag.Bool("plan", false, "print the cost-model execution plan and exit (no benchmark)")
 	var o obs.CLI
 	o.Register(flag.CommandLine)
@@ -97,14 +95,6 @@ func main() {
 	fmt.Printf("n=%d m=%d maxdeg=%d k=%d L=%d p=%d\n",
 		res.N, res.M, res.MaxDegree, res.Features, res.Layers, res.Ranks)
 	fmt.Printf("median=%.6fs std=%.6fs\n", res.MedianSec, res.StdSec)
-	if res.Engine == benchutil.EngineServe {
-		fmt.Printf("serving: p50=%.6fs p99=%.6fs per query, plan-cache hit rate %.3f\n",
-			res.ServeP50Sec, res.ServeP99Sec, res.CacheHitRate)
-	}
-	if res.GFPerSec > 0 {
-		fmt.Printf("roofline: %.3f GF/s aggregate, %.1f bytes moved per edge (%d op classes)\n",
-			res.GFPerSec, res.BytesPerEdge, len(res.OpRoofline))
-	}
 	if res.Ranks > 1 {
 		fmt.Printf("comm: max per-rank %d bytes, %d msgs per execution (α-β model: %.6fs)\n",
 			res.CommBytesMax, res.CommMsgsMax, res.NetModelSec)
@@ -116,48 +106,16 @@ func main() {
 			fmt.Printf("overlap: hidden %.6fs per rank per execution, local fraction %.2f\n",
 				res.OverlapHiddenSec, res.OverlapLocalFrac)
 		}
+		if res.CritPathSec > 0 {
+			fmt.Printf("critical path: %.6fs per execution, %.6fs of it blocked (measured/predicted %.2f)\n",
+				res.CritPathSec, res.CritPathWaitSec, res.CritPathRatio)
+		}
 	}
 	if csvPath != "" {
 		if err := appendCSV(csvPath, res); err != nil {
 			fmt.Fprintln(os.Stderr, "agnn-bench:", err)
 			os.Exit(1)
 		}
-	}
-	if *jsonPath != "" {
-		rec := benchutil.NewRecord(res)
-		if s.Overlap {
-			// Overlapped baselines carry their sequential twin, so one file
-			// holds the on/off per-layer wall-clock comparison.
-			seq := s
-			seq.Overlap = false
-			seqRes, err := benchutil.RunSpec(seq)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "agnn-bench:", err)
-				os.Exit(1)
-			}
-			rec.Baseline = &seqRes
-			fmt.Printf("sequential baseline: median=%.6fs layer=%.6fs\n",
-				seqRes.MedianSec, seqRes.MeanLayerSec)
-		} else if res.DType != "f64" {
-			// Reduced-precision baselines carry their f64 twin (same spec,
-			// dtype flipped), so the gate can ratio the mixed-precision win
-			// on figures measured back-to-back on one machine.
-			twin := s
-			twin.DType = "f64"
-			twinRes, err := benchutil.RunSpec(twin)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "agnn-bench:", err)
-				os.Exit(1)
-			}
-			rec.Baseline = &twinRes
-			fmt.Printf("f64 twin: median=%.6fs, %.3f GF/s, %.1f bytes per edge\n",
-				twinRes.MedianSec, twinRes.GFPerSec, twinRes.BytesPerEdge)
-		}
-		if err := benchutil.WriteRecordFile(*jsonPath, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "agnn-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }
 

@@ -9,12 +9,10 @@
 package benchutil
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"agnn/internal/costmodel"
@@ -27,7 +25,6 @@ import (
 	"agnn/internal/obs"
 	"agnn/internal/obs/causal"
 	"agnn/internal/obs/metrics"
-	"agnn/internal/serving"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -46,11 +43,6 @@ const (
 	EngineRows      Engine = "rows"
 	EngineLocal     Engine = "local"
 	EngineMiniBatch Engine = "minibatch"
-	// EngineServe measures online-inference serving (internal/serving):
-	// a fixed mix of per-vertex queries answered by micro-batched
-	// compiled-plan executions through the process-wide plan cache.
-	// Single-rank only; reports ServeP50Sec/ServeP99Sec/CacheHitRate.
-	EngineServe Engine = "serve"
 )
 
 // Spec describes one benchmark configuration, mirroring the command-line
@@ -73,12 +65,8 @@ type Spec struct {
 	Seed      int64
 
 	// DType is the element width of the compiled plans ("f64" default,
-	// "f32" for the mixed-precision kernels). The stamp rides into every
-	// Result so the regression gate never compares across dtypes.
+	// "f32" for the mixed-precision kernels).
 	DType string
-	// TileBudget overrides the per-core cache budget (bytes) that sizes the
-	// kernels' column tiles; 0 keeps the tensor package default.
-	TileBudget int64 `json:",omitempty"`
 	// Faults optionally injects deterministic faults into the distributed
 	// runs (docs/ROBUSTNESS.md grammar, e.g. "delay:p=0.01,ms=1"). Runs
 	// that abort with a rank failure surface as errors.
@@ -131,7 +119,6 @@ type Result struct {
 	PredictedWords float64 // costmodel prediction for this engine
 	MeasuredWords  float64 // max per-rank words per execution (CommBytesMax/8)
 	CommRatio      float64 // measured / predicted words (0 when p = 1)
-	PeakArenaBytes int64   // high-water mark of live workspace bytes
 
 	// Latency-side validation (Ranks > 1; see costmodel.ValidateTime).
 	MeanLayerSec      float64 // measured median wall time per layer
@@ -140,28 +127,12 @@ type Result struct {
 	OverlapHiddenSec  float64 // comm wall time hidden per rank per execution (Overlap)
 	OverlapLocalFrac  float64 // fraction of rows runnable before the first remote chunk
 
-	// Roofline accounting, derived from the compiled plans' static
-	// bytes/flops model and measured op wall times. Populated whenever the
-	// run executes compiled fuse plans — single-rank training and the
-	// distributed grid/rows engines; direct-kernel inference paths leave
-	// these zero. Distributed runs aggregate across ranks per execution.
-	GFPerSec     float64      // aggregate estimated flops / measured plan-op seconds
-	BytesPerEdge float64      // estimated bytes moved per adjacency non-zero per execution
-	OpRoofline   []OpRoofline `json:",omitempty"` // per op class
-
-	// Serving-latency measurements (engine=serve): per-query latency
-	// quantiles over the timed runs and the plan-cache hit rate once the
-	// warmup sweep has populated the cache.
-	ServeP50Sec  float64 `json:",omitempty"`
-	ServeP99Sec  float64 `json:",omitempty"`
-	CacheHitRate float64 `json:",omitempty"`
-
 	// Cross-rank critical path (Ranks > 1 with tracing on; reconstructed
 	// from the causal message log, see internal/obs/causal and
 	// costmodel.ValidateCriticalPath).
-	CritPathSec     float64 `json:",omitempty"` // mean critical-path wall time per timed execution
-	CritPathWaitSec float64 `json:",omitempty"` // mean blocked-wait seconds on the path per execution
-	CritPathRatio   float64 `json:",omitempty"` // measured path / α-β-γ predicted epoch time
+	CritPathSec     float64 // mean critical-path wall time per timed execution
+	CritPathWaitSec float64 // mean blocked-wait seconds on the path per execution
+	CritPathRatio   float64 // measured path / α-β-γ predicted epoch time
 }
 
 // BuildGraph materializes the Spec's dataset.
@@ -214,14 +185,16 @@ func RunSpec(s Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.DType = dt.String() // canonical spelling in the stamp
-	if s.TileBudget > 0 {
-		tensor.SetTileBudget(s.TileBudget)
+	s.DType = dt.String() // canonical spelling in the Result
+	switch s.Engine {
+	case EngineGlobal, EngineRows, EngineLocal, EngineMiniBatch:
+	default:
+		return Result{}, fmt.Errorf("benchutil: unknown engine %q", s.Engine)
 	}
 	if dt != tensor.F64 && (s.Engine == EngineLocal || s.Engine == EngineMiniBatch) {
 		// Every other engine runs compiled plans at the requested width.
 		// Refuse the one that would silently execute f64 kernels under an
-		// f32 stamp.
+		// f32 label.
 		return Result{}, fmt.Errorf("benchutil: engine=%s runs the direct f64 message-passing kernels (got -dtype %s)", s.Engine, s.DType)
 	}
 	a, err := BuildGraph(s)
@@ -246,16 +219,9 @@ func RunSpec(s Spec) (Result, error) {
 	var maxBytes, maxMsgs int64
 	runs := s.Warmup + s.Repeat
 	hidden0 := metrics.OverlapHiddenSeconds.Value()
-	snap0 := metrics.Default.Snapshot()
-	switch {
-	case s.Engine == EngineServe:
-		if s.Ranks != 1 {
-			return Result{}, fmt.Errorf("benchutil: engine=serve is single-rank (got p=%d)", s.Ranks)
-		}
-		times, err = runServe(s, cfg, a, h, runs, &res)
-	case s.Ranks == 1:
+	if s.Ranks == 1 {
 		times, err = runSingle(s, cfg, a, h, labels, runs)
-	default:
+	} else {
 		times, maxBytes, maxMsgs, err = runDistributed(s, cfg, a, h, labels, runs)
 	}
 	if err != nil {
@@ -278,14 +244,9 @@ func RunSpec(s Spec) (Result, error) {
 		if s.Ranks > 1 {
 			res.PredictedWords = float64(s.Layers) * float64(st.N) * float64(s.Features)
 		}
-	case EngineServe:
-		// Single-rank serving: no communication model.
 	default:
 		res.PredictedWords = float64(s.Layers) * costmodel.LocalVolume(st.N, s.Features, st.MaxDeg, s.Ranks)
 	}
-	res.PeakArenaBytes = int64(metrics.ArenaPeakBytes.Value())
-	res.OpRoofline, res.GFPerSec, res.BytesPerEdge =
-		rooflineFromDeltas(snap0, metrics.Default.Snapshot(), runs, st.M)
 	if s.Ranks > 1 {
 		res.MeasuredWords = float64(maxBytes) / 8
 		res.CommRatio = costmodel.ValidateComm(res.PredictedWords, res.MeasuredWords).Ratio
@@ -308,7 +269,7 @@ func RunSpec(s Spec) (Result, error) {
 		}
 		res.LayerTimeRatio = costmodel.ValidateTime(res.PredictedLayerSec, res.MeanLayerSec).Ratio
 
-		// Causal critical path: the runDistributed loops mark every timed
+		// Causal critical path: the runDistributed loop marks every timed
 		// execution as an epoch window on rank 0, so the reconstruction
 		// (when -trace/-metrics enabled causal stamping) yields one
 		// per-execution path; validate its mean against the α-β-γ epoch
@@ -362,78 +323,6 @@ func runSingle(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []
 	return times, nil
 }
 
-// runServe measures online serving: a deterministic mix of per-vertex
-// queries answered sequentially through a serving.Engine. One "execution"
-// (for MedianSec) is a full sweep of the query mix; per-query latencies
-// from the timed runs yield the p50/p99, and the plan-cache hit/miss
-// deltas after the warmup sweep yield the hit rate — warmup compiles every
-// distinct query structure, so the timed sweeps should be all hits.
-func runServe(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, runs int, res *Result) ([]float64, error) {
-	model, err := gnn.New(cfg, a)
-	if err != nil {
-		return nil, err
-	}
-	adj, err := model.Adjacency()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := serving.NewEngine(serving.Config{Model: model, Adj: adj, Features: h,
-		Window: 50 * time.Microsecond})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Stop()
-
-	// The query mix: 16 distinct 8-seed queries, fixed across runs.
-	rng := rand.New(rand.NewSource(s.Seed + 2))
-	const queries, seedsPer = 16, 8
-	qs := make([][]int, queries)
-	for i := range qs {
-		seen := make(map[int]bool, seedsPer)
-		for len(qs[i]) < seedsPer {
-			if v := rng.Intn(adj.Rows); !seen[v] {
-				seen[v] = true
-				qs[i] = append(qs[i], v)
-			}
-		}
-	}
-
-	ctx := context.Background()
-	var times, lats []float64
-	var hits0, misses0 int64
-	for r := 0; r < runs; r++ {
-		if r == s.Warmup {
-			hits0, misses0 = metrics.PlanCacheHits.Value(), metrics.PlanCacheMisses.Value()
-		}
-		t0 := time.Now()
-		for _, q := range qs {
-			q0 := time.Now()
-			if _, err := eng.Predict(ctx, q); err != nil {
-				return nil, err
-			}
-			if r >= s.Warmup {
-				lats = append(lats, time.Since(q0).Seconds())
-			}
-		}
-		times = append(times, time.Since(t0).Seconds())
-	}
-	hits := float64(metrics.PlanCacheHits.Value() - hits0)
-	misses := float64(metrics.PlanCacheMisses.Value() - misses0)
-	if hits+misses > 0 {
-		res.CacheHitRate = hits / (hits + misses)
-	}
-	sort.Float64s(lats)
-	if n := len(lats); n > 0 {
-		res.ServeP50Sec = lats[n/2]
-		i99 := int(math.Ceil(0.99*float64(n))) - 1
-		if i99 < 0 {
-			i99 = 0
-		}
-		res.ServeP99Sec = lats[i99]
-	}
-	return times, nil
-}
-
 // epochMarker brackets each timed execution as a causal epoch window on
 // rank 0 — the analysis windows of the critical-path reconstruction.
 // Warmup executions are not marked; epoch e is timed execution e.
@@ -457,7 +346,11 @@ func (m *epochMarker) end(r int) {
 }
 
 // runDistributed executes the multi-rank configurations on the simulated
-// runtime, timing rank 0 between barriers.
+// runtime, timing rank 0 between barriers. The returned volume is the
+// per-execution maximum over ranks of what the run loop itself sent: the
+// counters are read around the loop, so traffic an engine sends while it is
+// constructed (the local engine's halo-request exchange) is not amortised
+// into it and the figure does not depend on Repeat.
 func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []int, runs int) ([]float64, int64, int64, error) {
 	var opts dist.Options
 	if s.Faults != "" {
@@ -468,114 +361,35 @@ func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labe
 		opts.Faults = faults.New(spec, s.FaultSeed, s.Ranks)
 		opts.RecvTimeout = 30 * time.Second
 	}
-	var times []float64
-	var mu sync.Mutex
-	var firstErr error
-	cs, rankErrs, runErr := dist.TryRun(s.Ranks, opts, func(c *dist.Comm) (_ error) {
-		record := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+	var times []float64                    // appended by rank 0 only
+	sent := make([]dist.Counters, s.Ranks) // each rank writes its own element
+	_, rankErrs, runErr := dist.TryRun(s.Ranks, opts, func(c *dist.Comm) error {
+		step, closeEngine, err := newRankStep(s, c, cfg, a, h, labels)
+		if err != nil {
+			return err
 		}
+		defer closeEngine()
 		em := epochMarker{clog: causal.Get(), rank: c.Rank(), warm: s.Warmup}
-		switch s.Engine {
-		case EngineGlobal:
-			e, err := distgnn.NewGlobalEngine(c, a, cfg)
-			if err != nil {
-				record(err)
-				return
+		before := c.Counters()
+		for r := 0; r < runs; r++ {
+			c.Barrier()
+			em.begin(r)
+			sp := c.StartSpan("execution")
+			t0 := time.Now()
+			if err := step(); err != nil {
+				return err
 			}
-			defer e.Close()
-			xd := e.SliceOwnedBlock(h)
-			opt := gnn.NewSGD(1e-4, 0)
-			for r := 0; r < runs; r++ {
-				c.Barrier()
-				em.begin(r)
-				sp := c.StartSpan("execution")
-				t0 := time.Now()
-				if s.Inference {
-					e.Forward(xd, false)
-				} else {
-					e.TrainStep(xd, labels, nil, opt)
-				}
-				sp.End()
-				c.Barrier()
-				em.end(r)
-				if c.Rank() == 0 {
-					mu.Lock()
-					times = append(times, time.Since(t0).Seconds())
-					mu.Unlock()
-				}
+			sp.End()
+			c.Barrier()
+			em.end(r)
+			if c.Rank() == 0 {
+				times = append(times, time.Since(t0).Seconds())
 			}
-		case EngineRows:
-			if !s.Inference {
-				record(fmt.Errorf("benchutil: engine=rows is inference-only (pass -inference)"))
-				return
-			}
-			e, err := distgnn.NewRowEngine(c, a, cfg)
-			if err != nil {
-				record(err)
-				return
-			}
-			if s.Overlap {
-				if err := e.EnableOverlap(); err != nil {
-					record(err)
-					return
-				}
-			}
-			hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
-			for r := 0; r < runs; r++ {
-				c.Barrier()
-				em.begin(r)
-				sp := c.StartSpan("execution")
-				t0 := time.Now()
-				if _, err := e.Forward(hOwned); err != nil {
-					record(err)
-					return
-				}
-				sp.End()
-				c.Barrier()
-				em.end(r)
-				if c.Rank() == 0 {
-					mu.Lock()
-					times = append(times, time.Since(t0).Seconds())
-					mu.Unlock()
-				}
-			}
-		case EngineLocal, EngineMiniBatch:
-			e, err := distgnn.NewLocalEngine(c, a, cfg)
-			if err != nil {
-				record(err)
-				return
-			}
-			hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
-			opt := gnn.NewSGD(1e-4, 0)
-			rng := rand.New(rand.NewSource(s.Seed + int64(c.Rank())))
-			for r := 0; r < runs; r++ {
-				c.Barrier()
-				em.begin(r)
-				sp := c.StartSpan("execution")
-				t0 := time.Now()
-				switch {
-				case s.Engine == EngineLocal || s.Inference:
-					e.Forward(hOwned)
-				default:
-					seeds := sampleSeeds(e.Lo, e.Hi, s.BatchSize/s.Ranks, rng)
-					e.MiniBatchStep(hOwned, labels, seeds, opt)
-				}
-				sp.End()
-				c.Barrier()
-				em.end(r)
-				if c.Rank() == 0 {
-					mu.Lock()
-					times = append(times, time.Since(t0).Seconds())
-					mu.Unlock()
-				}
-			}
-		default:
-			record(fmt.Errorf("benchutil: unknown engine %q", s.Engine))
+		}
+		after := c.Counters()
+		sent[c.Rank()] = dist.Counters{
+			BytesSent: after.BytesSent - before.BytesSent,
+			MsgsSent:  after.MsgsSent - before.MsgsSent,
 		}
 		return nil
 	})
@@ -585,12 +399,66 @@ func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labe
 	if err := dist.FirstError(rankErrs); err != nil {
 		return nil, 0, 0, err
 	}
-	if firstErr != nil {
-		return nil, 0, 0, firstErr
-	}
-	m := dist.MaxCounters(cs)
-	// Per-execution volume: total across warmup+timed runs divided by runs.
+	m := dist.MaxCounters(sent)
 	return times, m.BytesSent / int64(runs), m.MsgsSent / int64(runs), nil
+}
+
+// newRankStep builds the Spec's engine on rank c and returns the function
+// that runs one execution on it, with the engine's release.
+func newRankStep(s Spec, c *dist.Comm, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []int) (step func() error, closeEngine func(), err error) {
+	switch s.Engine {
+	case EngineGlobal:
+		e, err := distgnn.NewGlobalEngine(c, a, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		xd := e.SliceOwnedBlock(h)
+		opt := gnn.NewSGD(1e-4, 0)
+		return func() error {
+			if s.Inference {
+				e.Forward(xd, false)
+			} else {
+				e.TrainStep(xd, labels, nil, opt)
+			}
+			return nil
+		}, e.Close, nil
+	case EngineRows:
+		if !s.Inference {
+			return nil, nil, fmt.Errorf("benchutil: engine=rows is inference-only (pass -inference)")
+		}
+		e, err := distgnn.NewRowEngine(c, a, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if s.Overlap {
+			if err := e.EnableOverlap(); err != nil {
+				e.Close()
+				return nil, nil, err
+			}
+		}
+		hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
+		return func() error {
+			_, err := e.Forward(hOwned)
+			return err
+		}, e.Close, nil
+	default: // EngineLocal, EngineMiniBatch: RunSpec admits no other
+		e, err := distgnn.NewLocalEngine(c, a, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
+		opt := gnn.NewSGD(1e-4, 0)
+		rng := rand.New(rand.NewSource(s.Seed + int64(c.Rank())))
+		return func() error {
+			if s.Engine == EngineLocal || s.Inference {
+				e.Forward(hOwned)
+			} else {
+				seeds := sampleSeeds(e.Lo, e.Hi, s.BatchSize/s.Ranks, rng)
+				e.MiniBatchStep(hOwned, labels, seeds, opt)
+			}
+			return nil
+		}, func() {}, nil
+	}
 }
 
 func sampleSeeds(lo, hi, n int, rng *rand.Rand) []int32 {

@@ -70,13 +70,20 @@ func TestRunSpecSingleNode(t *testing.T) {
 	}
 }
 
+// TestRunSpecDistributed runs every engine on four ranks. The volume is per
+// execution, so for the engines whose executions all send the same (every
+// one but the sampled mini-batch) it must not depend on Repeat: what an
+// engine sends while it is constructed — the local engine's halo-request
+// Alltoallv — is not part of it.
 func TestRunSpecDistributed(t *testing.T) {
 	cases := []struct {
 		engine Engine
 		inf    bool
+		fixed  bool // every execution sends the same volume
 	}{
-		{EngineGlobal, true}, {EngineGlobal, false},
-		{EngineLocal, true}, {EngineMiniBatch, false},
+		{EngineGlobal, true, true}, {EngineGlobal, false, true},
+		{EngineRows, true, true},
+		{EngineLocal, true, true}, {EngineMiniBatch, false, false},
 	}
 	for _, c := range cases {
 		s := quickSpec()
@@ -84,6 +91,7 @@ func TestRunSpecDistributed(t *testing.T) {
 		s.Engine = c.engine
 		s.Inference = c.inf
 		s.BatchSize = 64
+		s.Repeat = 1
 		r, err := RunSpec(s)
 		if err != nil {
 			t.Fatalf("%s inf=%v: %v", c.engine, c.inf, err)
@@ -94,6 +102,18 @@ func TestRunSpecDistributed(t *testing.T) {
 		if r.MedianSec <= 0 || r.NetModelSec <= 0 {
 			t.Fatalf("%s: bad timing %v / %v", c.engine, r.MedianSec, r.NetModelSec)
 		}
+		if !c.fixed {
+			continue
+		}
+		s.Repeat = 7
+		r7, err := RunSpec(s)
+		if err != nil {
+			t.Fatalf("%s inf=%v repeat=7: %v", c.engine, c.inf, err)
+		}
+		if r7.CommBytesMax != r.CommBytesMax || r7.CommMsgsMax != r.CommMsgsMax {
+			t.Errorf("%s inf=%v: volume depends on Repeat: %d B / %d msgs at 1, %d B / %d msgs at 7",
+				c.engine, c.inf, r.CommBytesMax, r.CommMsgsMax, r7.CommBytesMax, r7.CommMsgsMax)
+		}
 	}
 }
 
@@ -102,6 +122,11 @@ func TestRunSpecRejectsBadModel(t *testing.T) {
 	s.Model = "GIN"
 	if _, err := RunSpec(s); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+	s = quickSpec()
+	s.Engine = "serve" // at one rank an unknown engine used to run as global
+	if _, err := RunSpec(s); err == nil {
+		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -246,5 +271,35 @@ func TestRunSpecRowsEngineRejections(t *testing.T) {
 	s.Overlap = true // engine stays global
 	if _, err := RunSpec(s); err == nil {
 		t.Error("overlap with a non-rows engine accepted")
+	}
+}
+
+// TestRunSpecRefusesSilentF64 pins down the f32 configuration guards: every
+// combination that would execute direct f64 kernels under an f32 label must
+// be refused before any work runs.
+func TestRunSpecRefusesSilentF64(t *testing.T) {
+	base := Spec{Model: "AGNN", Vertices: 64, Edges: 256, Features: 4, Layers: 1,
+		Repeat: 1, Warmup: 0}
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+		frag   string
+	}{
+		{"bad dtype", func(s *Spec) { s.DType = "f16" }, "unknown dtype"},
+		{"f32 local engine", func(s *Spec) { s.DType = "f32"; s.Engine = EngineLocal }, "direct f64"},
+		{"f32 minibatch engine", func(s *Spec) { s.DType = "f32"; s.Engine = EngineMiniBatch }, "direct f64"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base
+			tc.mutate(&s)
+			_, err := RunSpec(s)
+			if err == nil {
+				t.Fatal("RunSpec accepted the configuration")
+			}
+			if !strings.Contains(err.Error(), tc.frag) {
+				t.Fatalf("error %q does not mention %q", err, tc.frag)
+			}
+		})
 	}
 }

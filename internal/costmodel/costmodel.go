@@ -116,8 +116,7 @@ func (v Validation) Within(f float64) bool {
 // ValidateComm compares a predicted max per-rank word count against the
 // measured one and publishes both sides to the live metrics registry
 // (agnn_comm_predicted_words / agnn_comm_measured_words), so the /metrics
-// endpoint, run reports and BENCH_*.json records all carry the
-// model-vs-measurement ratio.
+// endpoint and -metrics run-reports carry the model-vs-measurement ratio.
 func ValidateComm(predictedWords, measuredWords float64) Validation {
 	metrics.CommPredictedWords.Set(predictedWords)
 	metrics.CommMeasuredWords.Set(measuredWords)

@@ -131,7 +131,7 @@ func (c *Comm) AllgatherChunks(data []float64, lens []int) (*ChunkedGather, erro
 		}()
 		track := c.w.gatherTrack(c.global)
 		whole := track.Start("allgather_chunks")
-		before := c.snapshot()
+		before := c.Counters()
 		var held *Chunk // reorder fault: notification held back one hop
 		for t := 0; t < g-1; t++ {
 			sendIdx := (c.me - t + g) % g
@@ -168,7 +168,7 @@ func (c *Comm) AllgatherChunks(data []float64, lens []int) (*ChunkedGather, erro
 			cg.ch <- *held
 		}
 		if whole.Active() {
-			after := c.snapshot()
+			after := c.Counters()
 			obs.Sample("comm bytes", c.w.totalBytes.Load())
 			whole.End(obs.Int64("bytes", after.BytesSent-before.BytesSent),
 				obs.Int64("msgs", after.MsgsSent-before.MsgsSent))

@@ -824,8 +824,10 @@ func (c *Comm) round() {
 // unconditionally.
 func (c *Comm) StartSpan(name string) obs.Span { return c.track.Start(name) }
 
-// snapshot returns this rank's current counters.
-func (c *Comm) snapshot() Counters {
+// Counters returns this rank's counters so far, traffic on its
+// sub-communicators included; the difference of two reads is the volume of
+// what ran between them.
+func (c *Comm) Counters() Counters {
 	c.w.mu[c.global].Lock()
 	out := c.w.counters[c.global]
 	c.w.mu[c.global].Unlock()
@@ -845,7 +847,7 @@ func (c *Comm) beginCollective(name string) (obs.Span, Counters) {
 	// (allreduce wraps reduce-scatter) restore the outer code on end.
 	c.collStack = append(c.collStack, c.curColl)
 	c.curColl = flight.Code(name)
-	return sp, c.snapshot()
+	return sp, c.Counters()
 }
 
 // endCollective completes one collective call: it records the per-call
@@ -861,7 +863,7 @@ func (c *Comm) endCollective(name string, sp obs.Span, before Counters) {
 	} else {
 		c.curColl = 0
 	}
-	after := c.snapshot()
+	after := c.Counters()
 	bytes := after.BytesSent - before.BytesSent
 	metrics.CollectiveBytes.With(name).Observe(float64(bytes))
 	c.w.flanes[c.global].Record(flight.KindComm, flight.Code(name),

@@ -77,9 +77,10 @@ func TestRowEngineOverlapBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestRowEngineOverlapMetrics checks the overlap instrumentation: the chunk
-// counter advances by exactly ranks×layers×chunks and the hidden-seconds
-// gauge never decreases.
+// TestRowEngineOverlapMetrics checks the overlap instrumentation: a
+// sequential run touches none of it (exactly 0 s hidden, local fraction
+// left alone), an overlapped one advances the chunk counter by exactly
+// ranks×layers×chunks and hides some communication behind its fragments.
 func TestRowEngineOverlapMetrics(t *testing.T) {
 	a := graph.Kronecker(6, 8, 63)
 	h := testFeatures(64, 5)
@@ -88,13 +89,25 @@ func TestRowEngineOverlapMetrics(t *testing.T) {
 
 	chunks0 := metrics.OverlapChunksTotal.Value()
 	hidden0 := metrics.OverlapHiddenSeconds.Value()
+	metrics.OverlapLocalFraction.Set(-1) // a value no run writes
+	runRowEngine(t, p, a, cfg, h, false)
+	if d := metrics.OverlapHiddenSeconds.Value() - hidden0; d != 0 {
+		t.Errorf("sequential run hid %v s of communication, want exactly 0", d)
+	}
+	if d := metrics.OverlapChunksTotal.Value() - chunks0; d != 0 {
+		t.Errorf("sequential run counted %d overlap chunks", d)
+	}
+	if lf := metrics.OverlapLocalFraction.Value(); lf != -1 {
+		t.Errorf("sequential run set the local fraction gauge to %v", lf)
+	}
+
 	runRowEngine(t, p, a, cfg, h, true)
 	wantChunks := int64(p * cfg.Layers * p) // per rank, per layer, p chunks
 	if d := metrics.OverlapChunksTotal.Value() - chunks0; d != wantChunks {
 		t.Errorf("overlap chunk counter advanced by %d, want %d", d, wantChunks)
 	}
-	if metrics.OverlapHiddenSeconds.Value() < hidden0 {
-		t.Errorf("hidden-seconds gauge decreased: %v -> %v", hidden0, metrics.OverlapHiddenSeconds.Value())
+	if d := metrics.OverlapHiddenSeconds.Value() - hidden0; d <= 0 {
+		t.Errorf("overlapped run hid %v s of communication, want > 0", d)
 	}
 	if lf := metrics.OverlapLocalFraction.Value(); lf < 0 || lf > 1 {
 		t.Errorf("local fraction gauge %v out of [0,1]", lf)

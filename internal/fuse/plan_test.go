@@ -308,6 +308,45 @@ func TestPlanWorkspaceRecycling(t *testing.T) {
 	}
 }
 
+// TestPlanArenaPeakIsStatsWorkspace: a plan acquires its whole workspace at
+// compile time, so the arena's high-water mark is a property of the plan,
+// not of the run: it equals what PlanStats reports, stepping the plan moves
+// neither the live nor the allocated bytes, and a second compile of the same
+// graph lands on the same figure.
+func TestPlanArenaPeakIsStatsWorkspace(t *testing.T) {
+	a := weightedGraph(40, 160, 13)
+	const k = 4
+	h := tensor.RandN(a.Rows, k, 0.5, rand.New(rand.NewSource(9)))
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		for _, train := range []bool{false, true} {
+			var held [2]int64
+			for run := range held {
+				ws := tensor.NewArena()
+				w := randParam(rand.New(rand.NewSource(7)), "W", k, k)
+				p := buildVA(a, w, k).MustCompile(fuse.Options{Train: train, DType: dt, Workspace: ws})
+				held[run] = ws.LiveBytes()
+				if want := p.Stats().WorkspaceBytes(); held[run] != want || ws.Bytes() != want {
+					t.Errorf("%v train=%v: arena holds %d B (%d allocated), PlanStats says %d",
+						dt, train, held[run], ws.Bytes(), want)
+				}
+				for step := 0; step < 2; step++ {
+					out := p.Forward(h)
+					if train {
+						p.Backward(out)
+					}
+				}
+				if ws.LiveBytes() != held[run] || ws.Bytes() != held[run] {
+					t.Errorf("%v train=%v: stepping moved the arena: %d B live, %d allocated, %d after compile",
+						dt, train, ws.LiveBytes(), ws.Bytes(), held[run])
+				}
+			}
+			if held[0] != held[1] {
+				t.Errorf("%v train=%v: workspace differs across runs: %d vs %d B", dt, train, held[0], held[1])
+			}
+		}
+	}
+}
+
 func TestPlanCompileErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := weightedGraph(20, 60, 14)

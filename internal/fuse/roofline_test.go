@@ -154,7 +154,8 @@ func TestOpBytesModelShapes(t *testing.T) {
 // is checked on its own: a fused-attn sweep of a training plan additionally
 // writes the normalized scores, one value per non-zero, at either width.
 // With the index traffic included the f32 estimate must stay within 0.6× of
-// the f64 one — the F32BytesPerEdgeX band of `make bench-gate`.
+// the f64 one: the byte half of the mixed-precision claim, exact because the
+// model is static (infer-hub's step_s_p10 in bench/ holds the time half).
 func TestRooflineBytesScaleWithDType(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	a := weightedGraph(40, 160, 24)

@@ -2,8 +2,8 @@ package metrics
 
 // Go runtime/metrics bridge: GC pauses, scheduler latency, heap size and
 // goroutine count land in the Default registry as agnn_go_* gauges, so
-// every /metrics scrape, -metrics run-report and BENCH_*.json baseline
-// carries the runtime-health context next to the workload metrics — a
+// every /metrics scrape and -metrics run-report carries the
+// runtime-health context next to the workload metrics — a
 // regression in allocation behavior shows up beside the op latencies it
 // perturbs. Refreshed by a registry collector (RegisterCollector), i.e.
 // exactly when the registry is read; nothing polls in the background.

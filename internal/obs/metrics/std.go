@@ -82,7 +82,7 @@ var (
 	NetBytesTotal = Default.CounterVec("agnn_net_bytes_total",
 		"Frame bytes moved over the wire transport, by direction (tx, rx).", "dir")
 
-	// Cost-model validation (internal/costmodel, benchutil).
+	// Cost-model validation: set by internal/costmodel's Validate* calls.
 	CommPredictedWords = Default.Gauge("agnn_comm_predicted_words",
 		"Cost-model predicted max per-rank words for the run's configuration.")
 	CommMeasuredWords = Default.Gauge("agnn_comm_measured_words",
@@ -135,7 +135,7 @@ var (
 
 	// Cross-rank causal critical path (internal/obs/causal;
 	// docs/OBSERVABILITY.md). Published when a causally traced run is
-	// summarized (CLI Stop, /report, benchutil).
+	// summarized (CLI Stop, /report, a distributed benchutil.RunSpec).
 	CritPathSeconds = Default.Gauge("agnn_critpath_seconds",
 		"Total reconstructed critical-path time across the analyzed windows.")
 	CritPathComputeSeconds = Default.Gauge("agnn_critpath_compute_seconds",

@@ -4,11 +4,11 @@ import "sync/atomic"
 
 // Cache tiling for the bandwidth-bound kernels. The dense MM path and the
 // CSR SpMM path both stream a k-wide (or m-wide) operand per row; once that
-// operand outgrows L2 the inner loops fall off the roofline that
-// BENCH_*.json measures. Tiling the feature/column dimension keeps the hot
-// operand block resident: MM re-uses a k×w block of B across a worker's
-// row range, SpMM confines the randomly indexed X rows to an n×w column
-// stripe. Tiling splits only the *output* columns — every output element
+// operand outgrows L2 the inner loops fall off the roofline (the
+// host.stream_gbs ceiling bench/ measures). Tiling the feature/column
+// dimension keeps the hot operand block resident: MM re-uses a k×w block of
+// B across a worker's row range, SpMM confines the randomly indexed X rows
+// to an n×w column stripe. Tiling splits only the *output* columns — every output element
 // still accumulates its contributions in the original order, so tiled
 // kernels are bitwise-identical to the untiled loops.
 
