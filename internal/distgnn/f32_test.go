@@ -45,7 +45,8 @@ func TestPackWords32RoundTrip(t *testing.T) {
 // back — must agree with the single-node f32 planned-inference path. Neither
 // wire changes a kernel input bit (the packed one rounds exactly where the
 // f32 plan input boundary would, the widened one is exact); only the op
-// grouping and, on the grid, the order of the cross-rank sums differ.
+// grouping and, on the grid, the order of the cross-rank sums differ — a few
+// float32 ulp of the largest output, which is what the bound is relative to.
 func TestRowEngineF32MatchesSingleNode(t *testing.T) {
 	a := graph.ErdosRenyi(26, 80, 54)
 	h := testFeatures(26, 4)
@@ -93,8 +94,8 @@ func TestRowEngineF32MatchesSingleNode(t *testing.T) {
 						mu.Unlock()
 					}
 				})
-				if !got.ApproxEqual(want, 1e-5) {
-					t.Fatalf("%v %s p=%d: f32 engine differs from single-node f32 by %g", kind, name, p, got.MaxAbsDiff(want))
+				if d := got.MaxRelDiff(want); d > 2e-6 {
+					t.Fatalf("%v %s p=%d: f32 engine differs from single-node f32 by %g of the largest output", kind, name, p, d)
 				}
 			}
 		}

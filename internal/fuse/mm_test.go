@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"agnn/internal/fuse"
+	"agnn/internal/graph"
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -190,6 +191,38 @@ func BenchmarkMM(b *testing.B) {
 				rows := float64(b.N) * float64(c.n) * sweeps
 				b.ReportMetric(b.Elapsed().Seconds()*1e9/rows, "ns/row")
 				b.ReportMetric(rows*2*k*float64(c.dt.Size())/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+	}
+}
+
+// BenchmarkProjectOrder times one f32 AGNN inference layer in the two orders
+// of Z = Ψ·H·W on a heavy-tailed graph (2^15 vertices, 0.5 M edges): Ψ·(H·W)
+// gathers an in-wide row of H for the score and an out-wide row of H·W for
+// the aggregation, (Ψ·H)·W gathers the same in-wide row for both and projects
+// n rows afterwards. Square, narrowing and widening W — what the rule in
+// gnn.aggregateProject is read off (EXPERIMENTS.md "One row fetch per edge").
+func BenchmarkProjectOrder(b *testing.B) {
+	a := graph.Kronecker(15, 16, 5)
+	for _, dims := range [][2]int{{32, 32}, {64, 32}, {128, 16}, {32, 64}, {16, 128}} {
+		in, out := dims[0], dims[1]
+		for _, aggFirst := range []bool{false, true} {
+			name := fmt.Sprintf("%dx%d/project-first", in, out)
+			if aggFirst {
+				name = fmt.Sprintf("%dx%d/aggregate-first", in, out)
+			}
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(6))
+				h := randDense(rng, a.Rows, in)
+				g := buildAGNNOrder(a, randParam(rng, "W", in, out), randParam(rng, "beta", 1, 1), in, reluAct, aggFirst)
+				p := g.MustCompile(fuse.Options{DType: tensor.F32})
+				defer p.Release()
+				p.Forward(h)
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					p.Forward(h)
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(a.NNZ())), "ns/edge")
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package fuse
 
 import (
 	"math"
-	"unsafe"
 
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
@@ -19,8 +18,9 @@ import (
 // steady-state forward/backward pass performs no allocations at all (the
 // property the alloc-regression tests pin down). Every sweep over the
 // sparsity pattern, and the dense projection with it, hands its rows to the
-// two row primitives of internal/sparse (GatherDots to sample, GatherAxpy to
-// aggregate); no op carries its own copy of those loops.
+// row primitives of internal/sparse (GatherDots to sample, GatherAxpy to
+// aggregate, ExpRow for the float32 softmax in between); no op carries its
+// own copy of those loops.
 //
 // Every op body exists once, generic over the element type: Compile
 // instantiates the whole stack at float64 or float32 (Options.DType). The
@@ -28,7 +28,8 @@ import (
 // own width; golden_test.go pins the bits of both. Non-arithmetic functions
 // (sqrt, transcendental activations) evaluate through float64 — at float32
 // that costs only register-width conversions while the memory traffic, the
-// thing float32 buys, stays halved. The one op-level branch on width is exp.
+// thing float32 buys, stays halved. The one op-level branch on width is the
+// softmax exponential (expSum).
 
 // elem is the element type a plan is instantiated over.
 type elem = tensor.Elem
@@ -64,49 +65,6 @@ type spec[T elem] struct {
 	gvec   []T
 	gvals  []T
 	grad   *tensor.Mat[T] // parameter gradient accumulator (param nodes)
-}
-
-// exp is the softmax exponential at the plan's element width: math.Exp at
-// float64, the polynomial exp32 at float32. unsafe.Sizeof of a type
-// parameter is resolved per instantiation, so the branch costs nothing.
-func exp[T elem](x T) T {
-	if unsafe.Sizeof(x) == 4 {
-		return T(exp32(float32(x)))
-	}
-	return T(math.Exp(float64(x)))
-}
-
-// exp32 is a single-precision exponential (Cephes expf scheme): argument
-// reduction against ln2 in two steps, a degree-5 minimax polynomial on the
-// reduced interval, and the power of two assembled directly in the exponent
-// field. Accurate to ~2 ulp in float32 — indistinguishable from rounding
-// math.Exp — at a fraction of the cost, which matters because the softmax
-// sweeps evaluate it once per edge. The softmax callers always pass
-// max-subtracted arguments (≤ 0), so the positive range never overflows.
-func exp32(x float32) float32 {
-	const (
-		log2e = 1.44269504088896341
-		c1    = 0.693359375    // ln2 high part
-		c2    = -2.12194440e-4 // ln2 low part
-		p0    = 1.9875691500e-4
-		p1    = 1.3981999507e-3
-		p2    = 8.3334519073e-3
-		p3    = 4.1665795894e-2
-		p4    = 1.6666665459e-1
-		p5    = 5.0000001201e-1
-	)
-	if x > 88.72283 {
-		return float32(math.Inf(1))
-	}
-	if x < -87.33655 {
-		return 0
-	}
-	fn := float32(math.Floor(float64(x)*log2e + 0.5))
-	r := x - fn*c1
-	r -= fn * c2
-	z := r * r
-	p := (((((p0*r+p1)*r+p2)*r+p3)*r+p4)*r+p5)*z + r + 1
-	return p * math.Float32frombits(uint32(int32(fn)+127)<<23)
 }
 
 // planOp is one executable step of a compiled plan. The metric handles and
@@ -228,11 +186,22 @@ func rowMax[T elem](row []T) T {
 	return m
 }
 
-// expSum writes exp(src − m) to dst and returns its sum.
+// expSum writes exp(src − m) to dst and returns its sum, formed in q order
+// from +0 at either width. At float64 the exponential is math.Exp, edge by
+// edge; at float32 it is the polynomial of sparse.ExpRow, taken over the
+// whole row first — eight lanes at a time where the CPU allows — and summed
+// in a second pass over the row just written.
 func expSum[T elem](dst, src []T, m T) T {
 	var sum T
+	if s32, ok := any(src).([]float32); ok {
+		sparse.ExpRow(any(dst).([]float32), s32, float32(m))
+		for _, v := range dst[:len(src)] {
+			sum += v
+		}
+		return sum
+	}
 	for q, v := range src {
-		v = exp(v - m)
+		v = T(math.Exp(float64(v - m)))
 		dst[q] = v
 		sum += v
 	}

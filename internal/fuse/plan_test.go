@@ -44,13 +44,26 @@ func weightedGraph(n, m int, seed int64) *sparse.CSR {
 	return a.WithValues(vals)
 }
 
+// project builds Z = Ψ·H·W in one of its two multiplication orders:
+// Ψ·(H·W), the order the golden hashes and most tests here were recorded
+// with, or — aggFirst — (Ψ·H)·W, the order gnn's VA and AGNN layers use.
+func project(g *fuse.Graph, psi, h, wn *fuse.Node, aggFirst bool) *fuse.Node {
+	if aggFirst {
+		return g.MM("Z", g.SpMM("PsiH", psi, h), wn)
+	}
+	return g.SpMM("Z", psi, g.MM("HW", h, wn))
+}
+
 func buildVA(a *sparse.CSR, w fuse.ParamRef, k int) *fuse.Graph {
+	return buildVAOrder(a, w, k, false)
+}
+
+func buildVAOrder(a *sparse.CSR, w fuse.ParamRef, k int, aggFirst bool) *fuse.Graph {
 	g := fuse.NewGraph("va", a)
 	h := g.InputDense("H", a.Rows, k)
 	wn := g.ParamNode("W", w)
 	psi := g.Mask("Psi", g.DotScores("HHt", h, h), true)
-	z := g.SpMM("Z", psi, g.MM("HW", h, wn))
-	g.SetOutput(g.Sigma("Hout", z, tanhAct))
+	g.SetOutput(g.Sigma("Hout", project(g, psi, h, wn, aggFirst), tanhAct))
 	return g
 }
 
@@ -59,6 +72,10 @@ func buildAGNN(a *sparse.CSR, w, beta fuse.ParamRef, k int) *fuse.Graph {
 }
 
 func buildAGNNAct(a *sparse.CSR, w, beta fuse.ParamRef, k int, act fuse.Act) *fuse.Graph {
+	return buildAGNNOrder(a, w, beta, k, act, false)
+}
+
+func buildAGNNOrder(a *sparse.CSR, w, beta fuse.ParamRef, k int, act fuse.Act, aggFirst bool) *fuse.Graph {
 	g := fuse.NewGraph("agnn", a)
 	h := g.InputDense("H", a.Rows, k)
 	wn := g.ParamNode("W", w)
@@ -67,8 +84,7 @@ func buildAGNNAct(a *sparse.CSR, w, beta fuse.ParamRef, k int, act fuse.Act) *fu
 	cos := g.DivScores("C", g.DotScores("HHt", h, h), g.OuterScores("nnT", norms, norms))
 	s := g.Mask("S", g.ScaleScores("betaC", cos, bn), true)
 	psi := g.Softmax("Psi", s)
-	z := g.SpMM("Z", psi, g.MM("HW", h, wn))
-	g.SetOutput(g.Sigma("Hout", z, act))
+	g.SetOutput(g.Sigma("Hout", project(g, psi, h, wn, aggFirst), act))
 	return g
 }
 
@@ -545,7 +561,7 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		g.SetGrid(grid)
 		x := g.InputDense("H", a.Rows, k)
 		psi := g.Mask("Psi", g.DotScores("HHt", x, x), true)
-		z := g.SpMM("Z", psi, g.MM("HW", x, g.ParamNode("W", w)))
+		z := g.MM("Z", g.SpMM("PsiH", psi, x), g.ParamNode("W", w))
 		g.SetOutput(g.Sigma("Hout", z, tanhAct))
 		return g
 	}
@@ -562,10 +578,12 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		{"gat", gat, 0,
 			oneRankGrid{"bcast1": 2, "bcast0": 1, "allreduce-max=true": 1, "allreduce-max=false": 1, "reduce0": 1},
 			oneRankGrid{"bcast0": 1, "allreduce-max=false": 1, "reduce0": 1, "reduce1": 2}},
-		// VA: H crosses on both sides, HW down the columns, no softmax.
+		// VA as gnn.VALayer builds it, (Ψ·H)·W: H crosses once per axis —
+		// the column copy the scores read is the one Ψ aggregates — and the
+		// projection runs on the diagonal after the reduce; no softmax.
 		{"va", va, 1,
-			oneRankGrid{"bcast0": 1, "bcast1": 2, "reduce0": 1},
-			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 2}},
+			oneRankGrid{"bcast0": 1, "bcast1": 1, "reduce0": 1},
+			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 1}},
 	} {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			for _, p := range []fuse.ParamRef{w, a1, a2} {

@@ -14,20 +14,28 @@ package fuse
 // type whose width does not change with the plan dtype.
 const indexBytes = 4
 
-// dotWidth returns the feature width k of the X·Yᵀ product ("mmt") in the
-// virtual chain an op rooted at n evaluates per non-zero, or 0 when the
-// chain has none. GAT's u[i] + v[j] scores read two scalars per non-zero;
-// a dot-product chain (VA, AGNN) additionally gathers the k-wide row Y[j].
-func dotWidth(g *Graph, n *Node) int64 {
+// dotNode returns the X·Yᵀ product ("mmt") in the virtual chain an op rooted
+// at n evaluates per non-zero, or nil when the chain has none.
+func dotNode(n *Node) *Node {
 	if n.Op == "mmt" {
-		return int64(g.md(n.Inputs[0]).cols)
+		return n
 	}
 	for _, in := range n.Inputs {
 		if in.Kind == Sparse || in.Kind == Virtual {
-			if k := dotWidth(g, in); k > 0 {
-				return k
+			if d := dotNode(in); d != nil {
+				return d
 			}
 		}
+	}
+	return nil
+}
+
+// dotWidth returns the feature width k of that product, or 0 without one.
+// GAT's u[i] + v[j] scores read two scalars per non-zero; a dot-product chain
+// (VA, AGNN) additionally gathers the k-wide row Y[j].
+func dotWidth(g *Graph, n *Node) int64 {
+	if d := dotNode(n); d != nil {
+		return int64(g.md(d.Inputs[0]).cols)
 	}
 	return 0
 }
@@ -83,8 +91,13 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		// rows out. Softmax passes run over the row's scores while they
 		// are cache-hot; training plans additionally write the normalized
 		// scores to the value buffer (inference never materializes them —
-		// the fusion's saving).
-		b = indexBytes*nz + 2*fb*nz + fb*nz*dotWidth(g, n) + fb*(nz*c+r*c)
+		// the fusion's saving). Where the sweep aggregates the very rows it
+		// took the dot products with — Ψ·H under scores H·Hᵀ, the (Ψ·H)·W
+		// order — row j comes from memory once per non-zero, not twice.
+		b = indexBytes*nz + 2*fb*nz + fb*(nz*c+r*c)
+		if d := dotNode(n); d != nil && d.Inputs[1] != n.Inputs[1] {
+			b += fb * nz * dotWidth(g, d)
+		}
 		if n.Inputs[0].Op == "softmax" {
 			b += 2 * fb * nz
 		}

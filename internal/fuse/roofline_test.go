@@ -137,6 +137,20 @@ func TestOpBytesModelShapes(t *testing.T) {
 	if va.ForwardBytes != mm+attn+sigma {
 		t.Errorf("VA inference forward bytes = %d, want mm %d + fused-attn %d + sigma %d", va.ForwardBytes, mm, attn, sigma)
 	}
+	// In the (Ψ·H)·W order — gnn's VA and AGNN — the sweep aggregates the rows
+	// it took the dot products with: one k-wide row per non-zero, not two.
+	// AGNN's sweep adds the two softmax passes, and its norms run first.
+	shared := attn - fb*nz*k
+	vaAgg := buildVAOrder(small, randParam(rng, "W", k, k), k, true).MustCompile(fuse.Options{}).Stats()
+	if vaAgg.ForwardBytes != shared+mm+sigma {
+		t.Errorf("(Ψ·H)·W VA inference forward bytes = %d, want fused-attn %d + mm %d + sigma %d", vaAgg.ForwardBytes, shared, mm, sigma)
+	}
+	agnnAgg := buildAGNNOrder(small, randParam(rng, "W", k, k), randParam(rng, "beta", 1, 1), k, tanhAct, true).
+		MustCompile(fuse.Options{}).Stats()
+	rownorm := fb * (r*k + r)
+	if want := rownorm + shared + 2*fb*nz + mm + sigma; agnnAgg.ForwardBytes != want {
+		t.Errorf("(Ψ·H)·W AGNN inference forward bytes = %d, want %d", agnnAgg.ForwardBytes, want)
+	}
 	gat := buildGAT(small, randParam(rng, "W", k, k), randParam(rng, "a1", k, 1), randParam(rng, "a2", k, 1), k, 0.2).
 		MustCompile(fuse.Options{}).Stats()
 	matvecs := 2 * fb * (r*k + k + r)
@@ -179,6 +193,8 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 	}{
 		{"va", func() *fuse.Graph { return buildVA(a, w, k) }, true},
 		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }, true},
+		{"va (Ψ·H)·W", func() *fuse.Graph { return buildVAOrder(a, w, k, true) }, true},
+		{"agnn (Ψ·H)·W", func() *fuse.Graph { return buildAGNNOrder(a, w, beta, k, tanhAct, true) }, true},
 		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }, false},
 		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }, true},
 	} {

@@ -14,12 +14,14 @@ import (
 //	Forward:   n    = row L2 norms of H
 //	           C    = (A ⊙ H·Hᵀ) ⊘ (n·nᵀ)      cosine scores; n·nᵀ virtual
 //	           Ψ    = sm(β·C)                    graph softmax, β learnable
-//	           Z    = Ψ·H·W
+//	           Z    = Ψ·H·W                      computed as (Ψ·H)·W
 //	           H'   = σ(Z)
 //
-// ∂Ψ/∂W = 0 as stated in Section 5.2, but ∂Ψ/∂β ≠ 0 and ∂Ψ/∂H ≠ 0: the
-// derived backward carries the softmax VJP into β, the dot products and
-// the norms.
+// The aggregation comes first so that it gathers the rows of H the cosine
+// scores just read — one row fetch per edge — unless W narrows
+// (aggregateProject). ∂Ψ/∂W = 0 as stated in Section 5.2, but ∂Ψ/∂β ≠ 0 and
+// ∂Ψ/∂H ≠ 0: the derived backward carries the softmax VJP into β, the dot
+// products and the norms.
 type AGNNLayer struct {
 	planned
 	W    *Param
@@ -48,14 +50,12 @@ func (l *AGNNLayer) Params() []*Param { return []*Param{l.W, l.Beta} }
 // collapses into the softmax sampling sweep (mask+softmax fuse into one
 // kernel), matching the Figure 5 analysis.
 func (l *AGNNLayer) DAG(g *fuse.Graph, h *fuse.Node) {
-	wn := g.ParamNode("W", planRef(l.W))
 	bn := g.ParamNode("beta", planRef(l.Beta))
 	norms := g.RowNormsNode("n", h)
 	cos := g.DivScores("C", g.DotScores("HHt", h, h), g.OuterScores("nnT", norms, norms))
 	s := g.Mask("S", g.ScaleScores("betaC", cos, bn), true)
 	psi := g.Softmax("Psi", s)
-	z := g.SpMM("Z", psi, g.MM("HW", h, wn))
-	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
+	g.SetOutput(g.Sigma("Hout", aggregateProject(g, psi, h, l.W), planAct(l.Act)))
 }
 
 // Signature implements DAGLayer.

@@ -93,18 +93,24 @@ func TestGradCheckGCN(t *testing.T) {
 }
 
 func TestGradCheckSingleLayerMSE(t *testing.T) {
-	// One-layer variants catch sign errors that two-layer chains can mask.
+	// One-layer variants catch sign errors that two-layer chains can mask;
+	// a widening, a square and a narrowing W each, since the order in which a
+	// layer multiplies Ψ·H·W — and so its derived backward — may depend on W's
+	// shape.
 	for _, kind := range []Kind{VA, AGNN, GAT, GCN} {
-		a := testGraph(8, 11)
-		cfg := Config{Model: kind, Layers: 1, InDim: 3, HiddenDim: 3, OutDim: 3,
-			Activation: Tanh(), SelfLoops: true, Seed: 11}
-		m, err := New(cfg, a)
-		if err != nil {
-			t.Fatal(err)
+		for _, dims := range [][2]int{{3, 5}, {3, 3}, {5, 2}} {
+			in, out := dims[0], dims[1]
+			a := testGraph(8, 11)
+			cfg := Config{Model: kind, Layers: 1, InDim: in, HiddenDim: out, OutDim: out,
+				Activation: Tanh(), SelfLoops: true, Seed: 11}
+			m, err := New(cfg, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h0 := tensor.RandN(8, in, 1, rand.New(rand.NewSource(12)))
+			loss := &MSELoss{Target: tensor.RandN(8, out, 1, rand.New(rand.NewSource(13)))}
+			gradCheckModel(t, m, h0, loss, 3e-4)
 		}
-		h0 := tensor.RandN(8, 3, 1, rand.New(rand.NewSource(12)))
-		loss := &MSELoss{Target: tensor.RandN(8, 3, 1, rand.New(rand.NewSource(13)))}
-		gradCheckModel(t, m, h0, loss, 3e-4)
 	}
 }
 

@@ -180,6 +180,24 @@ func planAct(a Activation) fuse.Act {
 	return fuse.Act{Name: a.Name, F: a.F, DF: a.DF}
 }
 
+// aggregateProject builds Z = Ψ·H·W for the layers whose scores are H·Hᵀ (VA,
+// AGNN), in the cheaper of the two orders the SpMMM leaves open. (Ψ·H)·W
+// aggregates the very rows of H whose dot products the scores just took: one
+// row fetch per edge, the second read a cache hit, and on a process grid the
+// column broadcast of H the scores need anyway is the one Ψ aggregates.
+// Ψ·(H·W) fetches a second, different row per edge and broadcasts H·W as well,
+// but adds out-wide rows where the first order adds in-wide ones — which
+// wins once W narrows (BenchmarkProjectOrder in internal/fuse; EXPERIMENTS.md
+// "One row fetch per edge": a tie at 64→32, 14 % at 128→16). The order is a
+// function of W's shape and nothing else.
+func aggregateProject(g *fuse.Graph, psi, h *fuse.Node, w *Param) *fuse.Node {
+	wn := g.ParamNode("W", planRef(w))
+	if w.Value.Cols < w.Value.Rows {
+		return g.SpMM("Z", psi, g.MM("HW", h, wn))
+	}
+	return g.MM("Z", g.SpMM("PsiH", psi, h), wn)
+}
+
 // planSig renders a layer signature: the layer kind, its structural
 // options, and the identities of the parameters the plan closes over.
 // Parameter identity (pointer, not value) is what keeps two models with

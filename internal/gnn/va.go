@@ -11,11 +11,14 @@ import (
 // VALayer is the vanilla-attention model (Figure 1, "VA"):
 //
 //	Forward:   Ψ = A ⊙ (H·Hᵀ)            (SDDMM on the adjacency pattern)
-//	           Z = Ψ·H·W                 (SpMMM; computed as Ψ·(H·W))
+//	           Z = Ψ·H·W                 (SpMMM; computed as (Ψ·H)·W)
 //	           H' = σ(Z)
 //
-// The backward pass of Eq. (11)–(13) is derived from this DAG by the plan
-// compiler's reverse traversal.
+// Aggregating first makes the SpMM gather the rows of H the scores just read;
+// a W that narrows keeps Ψ·(H·W) (aggregateProject). The backward pass of
+// Eq. (11)–(13) is derived from this DAG by the plan compiler's reverse
+// traversal: W̄ = (Ψ·H)ᵀ·Ḡ, and H̄ picks up Ψᵀ·(Ḡ·Wᵀ) beside the two score
+// terms.
 type VALayer struct {
 	planned
 	W   *Param
@@ -40,10 +43,8 @@ func (l *VALayer) Params() []*Param { return []*Param{l.W} }
 // sampling kernel; in inference plans the whole chain through Z is one
 // fused sweep and no Ψ value array exists.
 func (l *VALayer) DAG(g *fuse.Graph, h *fuse.Node) {
-	w := g.ParamNode("W", planRef(l.W))
 	psi := g.Mask("Psi", g.DotScores("HHt", h, h), true)
-	z := g.SpMM("Z", psi, g.MM("HW", h, w))
-	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
+	g.SetOutput(g.Sigma("Hout", aggregateProject(g, psi, h, l.W), planAct(l.Act)))
 }
 
 // Signature implements DAGLayer.

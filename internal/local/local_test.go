@@ -54,7 +54,10 @@ func TestFromCSRRequiresSquare(t *testing.T) {
 
 // TestLocalMatchesGlobalForward: validation strategy #1 (forward). The
 // local message-passing implementation and the global tensor formulation
-// must agree on every model.
+// must agree on every model — to rounding: the two sum in different orders
+// (the global VA and AGNN aggregate before they project, the local ones
+// project each message), and VA's unnormalised scores reach 1e15 by layer 3,
+// so the bound is relative to the largest output.
 func TestLocalMatchesGlobalForward(t *testing.T) {
 	a := testAdj(30, 1)
 	h := tensor.RandN(30, 5, 1, rand.New(rand.NewSource(2)))
@@ -70,8 +73,8 @@ func TestLocalMatchesGlobalForward(t *testing.T) {
 		}
 		og := global.Forward(h, true)
 		ol := loc.Forward(h, true)
-		if !og.ApproxEqual(ol, 1e-9) {
-			t.Fatalf("%v: local forward differs from global by %g", kind, og.MaxAbsDiff(ol))
+		if d := ol.MaxRelDiff(og); d > 1e-12 {
+			t.Fatalf("%v: local forward differs from global by %g of the largest output", kind, d)
 		}
 	}
 }

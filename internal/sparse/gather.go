@@ -12,10 +12,10 @@ import (
 // g-SDDMM / g-SpMM pair, cut down to one pattern row) and under the dense
 // projection: GatherDots samples, GatherAxpy aggregates. On an amd64 CPU
 // with AVX2 a row runs in the assembly of gather_amd64.s; the Go loops below
-// are the only path everywhere else, take what the assembly does not (rows
-// under eight edges, the columns of an accumulator beyond its last whole ymm
-// register, dot products over a width the transposes cannot step through)
-// and are the oracle the tests hold the assembly to.
+// are the only path everywhere else, take what the assembly does not (the
+// columns of an accumulator beyond its last whole ymm register, dot products
+// over a width the transposes cannot step through, dot products of the few
+// shortest rows) and are the oracle the tests hold the assembly to.
 //
 // The Go loops walk a row's column indices four edges per pass, so four
 // gathered rows — four cache misses, four floating-point dependency chains —
@@ -35,24 +35,34 @@ import (
 
 // The assembly kernels by element width (0: float32, 1: float64), set during
 // package initialisation where the CPU has them (gather_amd64.go) and nil
-// everywhere else. Sizes and strides are in bytes. An axpy kernel takes all n
-// edges over the first wb bytes of acc, wb a multiple of 32; a dots kernel
-// takes all n ≥ 8 edges over a window of wb bytes, wb a multiple of 16.
+// everywhere else. Sizes and strides are in bytes. An axpy kernel takes all
+// n ≥ 1 edges over the first wb bytes of acc, wb a multiple of 32; a dots
+// kernel takes all n ≥ dotsPass edges over a window of wb bytes, wb a multiple
+// of 16, and its short twin the rows of 1 ≤ n < dotsPass edges.
 type (
 	axpyKernel func(acc unsafe.Pointer, wb int, vals unsafe.Pointer, cols *int32, n int, x unsafe.Pointer, ldb int)
 	dotsKernel func(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer, ldb int)
 )
 
 var (
-	asmAxpy [2]axpyKernel
-	asmDots [2]dotsKernel
+	asmAxpy      [2]axpyKernel
+	asmDots      [2]dotsKernel
+	asmDotsShort [2]dotsKernel
 )
 
 const (
-	asmMinEdges = 8  // shorter rows stay in Go; the edges of one dots pass
-	ymmBytes    = 32 // one accumulator register of the axpy kernels
-	dotsStep    = 16 // bytes of every gathered row one transpose step consumes
+	ymmBytes = 32 // one accumulator register of the axpy kernels
+	dotsStep = 16 // bytes of every gathered row one transpose step consumes
+	dotsPass = 8  // edges of one pass of the dots kernels
 )
+
+// dotsMinEdges is the shortest row the dots kernels take, by element width;
+// shorter ones stay in the Go loops. A row under dotsPass edges is padded to a
+// whole pass, so the kernel has to beat n Go dot products with eight of its
+// own: BenchmarkGatherDots' short rows have it lose below these lengths
+// (EXPERIMENTS.md "One row fetch per edge"). The axpy kernels win from the
+// first edge on and have no such cut.
+var dotsMinEdges = [2]int{5, 6}
 
 // windowsInRange reports whether every window m[c*ld+off : c*ld+off+w], c in
 // cols, lies inside a slice of n elements — the check the Go loops make edge
@@ -86,8 +96,11 @@ func base[T any](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(
 func GatherDots[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
 	dst = dst[:len(cols)]
 	size := int(unsafe.Sizeof(*new(T)))
-	if kernel := asmDots[size/8]; kernel != nil && len(cols) >= asmMinEdges && len(x) > 0 && len(x)*size%dotsStep == 0 &&
+	if kernel := asmDots[size/8]; kernel != nil && len(cols) >= dotsMinEdges[size/8] && len(x) > 0 && len(x)*size%dotsStep == 0 &&
 		windowsInRange(cols, len(y), ld, off, len(x)) {
+		if len(cols) < dotsPass {
+			kernel = asmDotsShort[size/8]
+		}
 		kernel(base(dst), base(x), len(x)*size, unsafe.SliceData(cols), len(cols), base(y[off:]), ld*size)
 		return
 	}
@@ -100,7 +113,7 @@ func GatherAxpy[T tensor.Elem](acc, vals []T, cols []int32, x []T, ld, off int) 
 	vals = vals[:len(cols)]
 	size := int(unsafe.Sizeof(*new(T)))
 	w := len(acc) &^ (ymmBytes/size - 1)
-	if kernel := asmAxpy[size/8]; kernel != nil && len(cols) >= asmMinEdges && w > 0 &&
+	if kernel := asmAxpy[size/8]; kernel != nil && len(cols) > 0 && w > 0 &&
 		windowsInRange(cols, len(x), ld, off, len(acc)) {
 		kernel(base(acc), w*size, base(vals), unsafe.SliceData(cols), len(cols), base(x[off:]), ld*size)
 		if w == len(acc) {

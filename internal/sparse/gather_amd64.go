@@ -2,7 +2,8 @@ package sparse
 
 import "unsafe"
 
-// The assembly of gather_amd64.s. None of the kernels keeps a pointer.
+// The assembly of gather_amd64.s and exprow_amd64.s. None of the kernels
+// keeps a pointer.
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -19,6 +20,31 @@ func dotsF32(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer
 
 //go:noescape
 func dotsF64(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer, ldb int)
+
+//go:noescape
+func expF32(dst, src unsafe.Pointer, n int, m float32)
+
+// dotsShort is the dots kernel of a row of 1 ≤ n < dotsPass edges: the row is
+// padded to one whole pass by repeating its last column, so the kernel
+// recomputes that edge's product — to the same bits — in the lanes nobody
+// reads, and the first n results are copied out. The padded row and its
+// results live on this frame, which is why the kernels are called by name:
+// through a func value the arrays would escape to the heap, one allocation
+// per short row.
+func dotsShort[T float32 | float64](dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer, ldb int) {
+	var c [dotsPass]int32
+	var d [dotsPass]T
+	copy(c[:], unsafe.Slice(cols, n))
+	for q := n; q < dotsPass; q++ {
+		c[q] = c[n-1]
+	}
+	if unsafe.Sizeof(d[0]) == 4 {
+		dotsF32(unsafe.Pointer(&d), x, wb, &c[0], dotsPass, y, ldb)
+	} else {
+		dotsF64(unsafe.Pointer(&d), x, wb, &c[0], dotsPass, y, ldb)
+	}
+	copy(unsafe.Slice((*T)(dst), n), d[:n])
+}
 
 // hasAVX2 reports whether the CPU implements AVX2 and the operating system
 // saves the ymm registers across context switches.
@@ -47,5 +73,7 @@ func init() {
 	if hasAVX2() {
 		asmAxpy = [2]axpyKernel{axpyF32, axpyF64}
 		asmDots = [2]dotsKernel{dotsF32, dotsF64}
+		asmDotsShort = [2]dotsKernel{dotsShort[float32], dotsShort[float64]}
+		asmExp = expF32
 	}
 }

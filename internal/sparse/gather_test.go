@@ -133,7 +133,10 @@ func checkGatherRow[T tensor.Elem](t testing.TB, x, vals []T, cols []int32, m []
 func testGatherRows[T tensor.Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	// Around the Go loops' four-edge pass, the assembly's eight-edge pass and
-	// its overlapping last pass, and a hub-sized row.
+	// its overlapping last pass, and a hub-sized row. Under eight edges the
+	// dots kernel runs on a padded copy of the row: checkGatherRow's dst ends
+	// at element n−1 with the fence right behind it, so a pass that stored
+	// its padding lanes would be caught.
 	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 10007}
 	// Below a vector register, whole registers, whole four-register strips,
 	// strips plus registers plus left-over columns, and widths the dot
@@ -198,7 +201,9 @@ func testGatherBounds[T tensor.Elem](t *testing.T) {
 	backing := make([]T, 64*ld)
 	m := backing[: rows*ld : rows*ld]
 	x, acc := make([]T, w), make([]T, w)
-	for _, n := range []int{8, 9, 16, 40} {
+	// From one edge up: the short rows (axpy kernel from the first edge,
+	// padded dots pass, Go loops) check their windows like the long ones.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 40} {
 		for _, bad := range []int32{rows, rows + 40, -1, math.MinInt32, math.MaxInt32} {
 			for _, at := range []int{0, n / 2, n - 1} {
 				cols := make([]int32, n)
@@ -350,12 +355,45 @@ func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather func(a, b [
 	b.ReportMetric(edges*(4+fb*k+fb)/b.Elapsed().Seconds()/1e9, "GB/s")
 }
 
+// benchShort times a row primitive on rows of exactly n edges, n = 1…7 — what
+// gather.go's dotsMinEdges (and the absence of an axpy cut) is read off: 2^16
+// rows at k = 32 with uniform endpoints, one after the other on one thread.
+func benchShort[T tensor.Elem](b *testing.B, name string, dots bool, gather func(a, b []T, cols []int32, m []T, ld, off int)) {
+	const k, rows = 32, 1 << 16
+	rng := rand.New(rand.NewSource(4))
+	h := randVals[T](rng, rows*k, false)
+	out := make([]T, rows*k)
+	for n := 1; n < dotsPass; n++ {
+		cols := make([]int32, rows*n)
+		for q := range cols {
+			cols[q] = int32(rng.Intn(rows))
+		}
+		scores := randVals[T](rng, len(cols), false)
+		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				for i := 0; i < rows; i++ {
+					if dots {
+						gather(scores[i*n:(i+1)*n], h[i*k:(i+1)*k], cols[i*n:(i+1)*n], h, k, 0)
+					} else {
+						gather(out[i*k:(i+1)*k], scores[i*n:(i+1)*n], cols[i*n:(i+1)*n], h, k, 0)
+					}
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*rows), "ns/row")
+		})
+	}
+}
+
 // BenchmarkGatherDots and BenchmarkGatherAxpy are the kernel-level record of
 // the two primitives: each shape runs the exported primitive (the assembly
 // where the CPU has it), as "go" the four-edges-per-pass Go loop under it
 // and as "scalar" the one-edge loop that one replaced (EXPERIMENTS.md holds
 // a run, next to the plan's MM line from internal/fuse).
 func BenchmarkGatherDots(b *testing.B) {
+	benchShort(b, "short-f32", true, GatherDots[float32])
+	benchShort(b, "short-f32-go", true, gatherDotsGo[float32])
+	benchShort(b, "short-f64", true, GatherDots[float64])
+	benchShort(b, "short-f64-go", true, gatherDotsGo[float64])
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, true, GatherDots[float32]) })
 	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, true, gatherDotsGo[float32]) })
 	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, true, refDots[float32]) })
@@ -365,6 +403,10 @@ func BenchmarkGatherDots(b *testing.B) {
 }
 
 func BenchmarkGatherAxpy(b *testing.B) {
+	benchShort(b, "short-f32", false, GatherAxpy[float32])
+	benchShort(b, "short-f32-go", false, gatherAxpyGo[float32])
+	benchShort(b, "short-f64", false, GatherAxpy[float64])
+	benchShort(b, "short-f64-go", false, gatherAxpyGo[float64])
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, false, GatherAxpy[float32]) })
 	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, false, gatherAxpyGo[float32]) })
 	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, false, refAxpy[float32]) })

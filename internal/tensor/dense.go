@@ -233,6 +233,22 @@ func (m *Dense) MaxAbsDiff(b *Dense) float64 {
 	return d
 }
 
+// MaxRelDiff returns max |m − ref| as a fraction of max |ref| — the measure
+// for two evaluation orders of one formula, whose rounding differences scale
+// with the values (a few ulp of 1e15 is more than 1). 0 when m equals ref;
+// +Inf when they differ and ref is all zero.
+func (m *Dense) MaxRelDiff(ref *Dense) float64 {
+	d := m.MaxAbsDiff(ref)
+	if d == 0 {
+		return 0
+	}
+	top := 0.0
+	for _, v := range ref.Data {
+		top = math.Max(top, math.Abs(v))
+	}
+	return d / top
+}
+
 // ApproxEqual reports whether every element differs by at most tol.
 func (m *Dense) ApproxEqual(b *Dense, tol float64) bool {
 	if m.Rows != b.Rows || m.Cols != b.Cols {

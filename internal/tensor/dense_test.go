@@ -180,6 +180,12 @@ func TestFrobeniusNormAndMaxAbsDiff(t *testing.T) {
 	if got := m.MaxAbsDiff(b); got != 3 {
 		t.Fatalf("MaxAbsDiff = %v", got)
 	}
+	if got := m.MaxRelDiff(b); got != 3.0/7 {
+		t.Fatalf("MaxRelDiff = %v, want 3/7", got)
+	}
+	if z := NewDense(1, 2); z.MaxRelDiff(z) != 0 || !math.IsInf(m.MaxRelDiff(z), 1) {
+		t.Fatal("MaxRelDiff against zeros: want 0 for equal, +Inf otherwise")
+	}
 	if m.ApproxEqual(NewDense(2, 1), 1) {
 		t.Fatal("ApproxEqual must be false for different shapes")
 	}
