@@ -20,10 +20,20 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# Every fuzz target of the module, one package and one target per line
+# (go test -fuzz takes one of each). CI runs the seed corpora only.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = \
+	internal/graph:FuzzReadCOOText internal/graph:FuzzReadCOOBinary internal/graph:FuzzReadDataset \
+	internal/sparse:FuzzGatherRows internal/sparse:FuzzExpRow \
+	internal/gnn:FuzzGenericPlanVsDirect internal/gnn:FuzzLoadWeights \
+	internal/ckpt:FuzzRead internal/dist/faults:FuzzParse internal/dist/net:FuzzDecodeFrames
+
 fuzz:
-	$(GO) test -fuzz FuzzReadCOOText -fuzztime 30s ./internal/graph/
-	$(GO) test -fuzz FuzzReadCOOBinary -fuzztime 30s ./internal/graph/
-	$(GO) test -fuzz FuzzReadDataset -fuzztime 30s ./internal/graph/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}/; \
+	done
 
 # Regenerate every reproduced figure's data series (smoke scale).
 figures:

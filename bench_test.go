@@ -23,6 +23,7 @@ import (
 	"agnn/internal/kernels"
 	"agnn/internal/local"
 	"agnn/internal/par"
+	"agnn/internal/semiring"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -125,17 +126,21 @@ func BenchmarkKernelSemiringSpMM(b *testing.B) {
 	})
 	b.Run("generic-real", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a.MulDenseReal(h)
+			sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.Real(), func(v float64) float64 { return v })
 		}
 	})
 	b.Run("tropical-max", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			a.MulDenseMax(h)
+			sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMax(), func(float64) float64 { return 0 })
 		}
 	})
 	b.Run("average-pair", func(b *testing.B) {
+		lifted := make([]semiring.Pair, len(h.Data))
+		for i, v := range h.Data {
+			lifted[i] = semiring.LiftFeature(v)
+		}
 		for i := 0; i < b.N; i++ {
-			a.MulDenseMean(h)
+			sparse.SpMMSemiring(a, lifted, h.Cols, semiring.Average(), semiring.LiftEdge)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Programmability: assemble custom A-GNN models from the Ψ/⊕/Φ pieces of
 // the paper's generic global formulation (Eq. 1) — including semiring
 // aggregations (max / min / average over tropical and ℝ² semirings,
-// Section 4.3) and an MLP update (GIN-style Φ).
+// Section 4.3), an MLP update (GIN-style Φ) and a Ψ of one's own, written as
+// a DAG fragment and trained through plan autodiff.
 //
 //	go run ./examples/custom_model
 package main
@@ -10,10 +11,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/kernels"
-	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -51,21 +51,18 @@ func main() {
 	fmt.Printf("ℝ²-semiring average aggregation:         %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
 
-	// 4. A brand-new Ψ: distance-decayed attention exp(−‖h_i − h_j‖²),
-	//    written directly against the fused virtual-matrix kernel — the
-	//    score matrix is never materialized, exactly like GAT's C.
-	gaussianPsi := func(a *sparse.CSR, h *tensor.Dense) *sparse.CSR {
-		norms := tensor.RowNorms(h)
-		score := func(i, j int32) float64 {
-			// ‖h_i − h_j‖² = ‖h_i‖² + ‖h_j‖² − 2·h_i·h_j
-			dot := tensor.Dot(h.Row(int(i)), h.Row(int(j)))
-			d2 := norms[i]*norms[i] + norms[j]*norms[j] - 2*dot
-			return -d2
-		}
-		return kernels.FusedSoftmaxScores(a, score)
-	}
+	// 4. A brand-new Ψ: distance-decayed attention sm(A ⊙ γ·‖h_i − h_j‖²)
+	//    with a learnable bandwidth γ, written as a DAG fragment over the
+	//    builder's virtual nodes — the score matrix is never materialized,
+	//    exactly like GAT's C, and the fragment is all there is to write:
+	//    fusion, the backward pass, float32 and the engines follow from it.
+	gamma := gnn.NewScalarParam("gamma", -1)
+	gaussianPsi := gnn.CustomPsi("gaussian", func(g *fuse.Graph, h *fuse.Node) *fuse.Node {
+		d2 := g.SqDistScores("D2", h, h)
+		return g.Softmax("Psi", g.Mask("S", g.ScaleScores("gammaD2", d2, gamma.Node(g)), false))
+	}, gamma)
 	gaussModel := gnn.NewGenericLayer(a, gnn.GenericLayer{
-		Psi: gnn.CustomPsi(gaussianPsi),
+		Psi: gaussianPsi,
 		Agg: gnn.SumAgg(),
 		// GIN-style MLP update Φ: two projections with a ReLU between.
 		Phi: gnn.MLPPhi(gnn.ReLU(), tensor.GlorotInit(8, 16, rng), tensor.GlorotInit(16, 8, rng)),
@@ -74,10 +71,19 @@ func main() {
 	out = gaussModel.Forward(h, false)
 	fmt.Printf("custom Gaussian-kernel attention + MLP Φ: %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
-
 	// 5. Stack heterogeneous layers into one model.
 	stack := &gnn.Model{Layers: []gnn.Layer{vaLike, gaussModel, meanModel}}
 	out = stack.Forward(h, false)
 	fmt.Printf("3-layer heterogeneous stack:             %d×%d, ‖out‖=%.3f\n",
 		out.Rows, out.Cols, out.FrobeniusNorm())
+
+	// 6. The custom piece trains: γ and the MLP weights, through the derived
+	//    backward.
+	target := tensor.RandN(n, 8, 0.5, rng)
+	hist, err := (&gnn.Model{Layers: []gnn.Layer{gaussModel}}).Train(h, &gnn.MSELoss{Target: target}, gnn.NewAdam(0.02), 10)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("Gaussian Ψ, 10 steps of plan autodiff:   loss %.4f → %.4f, γ %.3f\n",
+		hist[0], hist[len(hist)-1], gamma.Scalar())
 }

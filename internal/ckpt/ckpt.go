@@ -272,7 +272,7 @@ func writeOptState(w io.Writer, st *gnn.OptState) error {
 	return nil
 }
 
-func readOptState(r io.Reader) (*gnn.OptState, error) {
+func readOptState(r io.Reader, size int64) (*gnn.OptState, error) {
 	var present byte
 	if err := binary.Read(r, binary.LittleEndian, &present); err != nil {
 		return nil, fmt.Errorf("ckpt: truncated optimizer section: %w", err)
@@ -304,7 +304,7 @@ func readOptState(r io.Reader) (*gnn.OptState, error) {
 		if err := binary.Read(r, binary.LittleEndian, &ntensors); err != nil {
 			return nil, err
 		}
-		if ntensors < 0 || ntensors > 1<<20 {
+		if ntensors < 0 || ntensors > size/16 { // a tensor is at least its shape
 			return nil, fmt.Errorf("ckpt: corrupt tensor count %d in slot %q", ntensors, name)
 		}
 		slot := make([]*tensor.Dense, ntensors)
@@ -313,7 +313,7 @@ func readOptState(r io.Reader) (*gnn.OptState, error) {
 			if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 				return nil, err
 			}
-			if hdr[0] < 0 || hdr[1] < 0 || hdr[0]*hdr[1] > 1<<30 {
+			if hdr[0] < 0 || hdr[1] < 0 || (hdr[0] > 0 && hdr[1] > size/8/hdr[0]) {
 				return nil, fmt.Errorf("ckpt: corrupt tensor shape %d×%d", hdr[0], hdr[1])
 			}
 			tns := tensor.NewDense(int(hdr[0]), int(hdr[1]))
@@ -340,7 +340,14 @@ func Load(path string, params []*gnn.Param) (State, error) {
 }
 
 func read(r io.Reader, params []*gnn.Param) (State, error) {
-	br := bufio.NewReader(r)
+	// The whole file first: every count a header declares is then checked
+	// against the bytes there are before anything is sized by it.
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return State{}, err
+	}
+	size := int64(len(raw))
+	br := bytes.NewReader(raw)
 	cr := &crcReader{r: br, h: crc32.New(crcTable), on: true}
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(cr, got); err != nil {
@@ -360,7 +367,7 @@ func read(r io.Reader, params []*gnn.Param) (State, error) {
 			return State{}, fmt.Errorf("ckpt: truncated header: %w", err)
 		}
 	}
-	opt, err := readOptState(cr)
+	opt, err := readOptState(cr, size)
 	if err != nil {
 		return State{}, err
 	}
@@ -369,7 +376,7 @@ func read(r io.Reader, params []*gnn.Param) (State, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &wlen); err != nil {
 		return State{}, fmt.Errorf("ckpt: truncated weights section: %w", err)
 	}
-	if wlen < 0 || wlen > 1<<34 {
+	if wlen < 0 || wlen > size {
 		return State{}, fmt.Errorf("ckpt: corrupt weights length %d", wlen)
 	}
 	wblob := make([]byte, wlen)

@@ -1,6 +1,10 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,10 +12,11 @@ import (
 	"testing"
 
 	"agnn/internal/gnn"
+	"agnn/internal/graph"
 	"agnn/internal/tensor"
 )
 
-func testParams(t *testing.T, seed int64) []*gnn.Param {
+func testParams(t testing.TB, seed int64) []*gnn.Param {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	names := []string{"layer0/W", "layer0/a", "layer1/W"}
@@ -191,4 +196,72 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 			t.Fatalf("temp file %q left behind", e.Name())
 		}
 	}
+}
+
+// TestParentMultiHeadCheckpointLoads: a checkpoint the parent commit wrote
+// for a 2-head GAT model (three Adam steps; see gnn.parentTwoHead, whose
+// fixture this mirrors) restores into today's one-DAG multi-head layers —
+// same parameter inventory, same optimizer slots — and the model computes
+// the parent's output bit for bit.
+func TestParentMultiHeadCheckpointLoads(t *testing.T) {
+	m, err := gnn.New(gnn.Config{Model: gnn.GAT, Layers: 2, InDim: 3, HiddenDim: 2, OutDim: 2, Heads: 2,
+		Activation: gnn.Tanh(), SelfLoops: true, Seed: 2102}, graph.ErdosRenyi(16, 48, 2101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(filepath.Join("testdata", "parent_2head.agnn"), m.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch != 3 || st.Seed != 2102 {
+		t.Fatalf("state = %+v", st)
+	}
+	if err := gnn.NewAdam(0.05).ImportState(m.Params(), st.Opt); err != nil {
+		t.Fatalf("optimizer state does not fit the parameters: %v", err)
+	}
+	out := m.Forward(tensor.RandN(16, 3, 1, rand.New(rand.NewSource(2103))), false)
+	sum := fnv.New64a()
+	for _, v := range out.Data {
+		sum.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	if got := sum.Sum64(); got != 0xae9e83f8eeda3693 {
+		t.Fatalf("output hash %#x after loading the parent's checkpoint, the parent computed 0xae9e83f8eeda3693", got)
+	}
+}
+
+// FuzzRead: a checkpoint is bytes from a disk. Whatever they are, read
+// returns — an error, or the state of a file that verifies — without a
+// panic, without sizing an allocation from an unverified header field, and
+// without touching the parameters unless the whole file verified. Seeds:
+// checkpoints as Save writes them (Adam, SGD and no optimizer state), the
+// parent-commit fixture, and truncations.
+func FuzzRead(f *testing.F) {
+	for i, opt := range []gnn.Optimizer{gnn.NewAdam(0.01), gnn.NewSGD(0.1, 0.9), nil} {
+		ps := testParams(f, 430)
+		st := State{Epoch: int64(i), Seed: 430, World: 4}
+		if opt != nil {
+			step(ps, opt, rand.New(rand.NewSource(431)))
+			st.Opt = opt.(gnn.StatefulOptimizer).ExportState(ps)
+		}
+		var buf bytes.Buffer
+		if err := write(&buf, st, ps); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/3])
+	}
+	if raw, err := os.ReadFile(filepath.Join("testdata", "parent_2head.agnn")); err == nil {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ps := testParams(t, 432)
+		before := append([]float64(nil), ps[0].Value.Data...)
+		if _, err := read(bytes.NewReader(raw), ps); err != nil {
+			for i, v := range before {
+				if ps[0].Value.Data[i] != v {
+					t.Fatal("a rejected checkpoint mutated the parameters")
+				}
+			}
+		}
+	})
 }

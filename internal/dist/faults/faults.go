@@ -24,6 +24,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -176,6 +177,14 @@ func Parse(s string) (Spec, error) {
 			}
 			return f, nil
 		}
+		// toDur converts ms to a duration, or to 0 when ms is not a positive
+		// span time.Duration can hold (NaN, 1e20, a fraction of a nanosecond).
+		toDur := func(ms float64) time.Duration {
+			if !(ms > 0 && ms <= float64(math.MaxInt64/int64(time.Millisecond))) {
+				return 0
+			}
+			return time.Duration(ms * float64(time.Millisecond))
+		}
 		c := Clause{Kind: Kind(strings.TrimSpace(kind)), Rank: -1}
 		var err error
 		switch c.Kind {
@@ -203,10 +212,9 @@ func Parse(s string) (Spec, error) {
 			if rank, err = getInt("rank", -1); err != nil {
 				return Spec{}, err
 			}
-			if ms <= 0 {
+			if c.Dur = toDur(ms); c.Dur == 0 {
 				return Spec{}, fmt.Errorf("faults: clause %q: delay needs ms>0", raw)
 			}
-			c.Dur = time.Duration(ms * float64(time.Millisecond))
 			c.Rank = int(rank)
 		case Drop:
 			var max int64
@@ -257,10 +265,9 @@ func Parse(s string) (Spec, error) {
 			if rank, err = getInt("rank", -1); err != nil {
 				return Spec{}, err
 			}
-			if ms <= 0 {
+			if c.Dur = toDur(ms); c.Dur == 0 {
 				return Spec{}, fmt.Errorf("faults: clause %q: slowsock needs ms>0", raw)
 			}
-			c.Dur = time.Duration(ms * float64(time.Millisecond))
 			c.Rank = int(rank)
 		case Partition:
 			var ms float64
@@ -271,11 +278,10 @@ func Parse(s string) (Spec, error) {
 			if ms, err = getFloat("ms", 0); err != nil {
 				return Spec{}, err
 			}
-			if rank < 0 || ms <= 0 {
+			if c.Dur = toDur(ms); rank < 0 || c.Dur == 0 {
 				return Spec{}, fmt.Errorf("faults: clause %q: partition needs rank= and ms>0", raw)
 			}
 			c.Rank = int(rank)
-			c.Dur = time.Duration(ms * float64(time.Millisecond))
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown fault kind %q in clause %q", kind, raw)
 		}
@@ -284,7 +290,7 @@ func Parse(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("faults: clause %q: unknown parameter %q", raw, k)
 			}
 		}
-		if c.P < 0 || c.P > 1 {
+		if !(c.P >= 0 && c.P <= 1) { // NaN included
 			return Spec{}, fmt.Errorf("faults: clause %q: probability %g outside [0,1]", raw, c.P)
 		}
 		spec.Clauses = append(spec.Clauses, c)

@@ -153,3 +153,31 @@ func TestSpecStringContainsKinds(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: a fault spec is a string from a command line or an environment
+// variable. Whatever it is, Parse returns a spec or an error — no panic —
+// and a spec it accepts survives String → Parse with its clause count.
+// Seeds: the round-trip and error tables above and in wire_test.go.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"crash:rank=3,round=12;delay:p=0.01,ms=5;drop:p=0.005,max=2;reorder:p=0.1",
+		"conndrop:p=0.2,max=3;slowsock:p=0.5,ms=2,rank=1;partition:rank=0,ms=40",
+		"  ", "boom:p=1", "delay:p 0.1", "delay:p=2,ms=1", "crash:rank=1,round=xy", "reorder:",
+		"delay:p=1e309,ms=1e309", "crash:rank=99999999999999999999,round=1", ";;:=,=;",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := Parse(s)
+		if err != nil {
+			return
+		}
+		again, err := Parse(spec.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not re-parse: %v", s, spec.String(), err)
+		}
+		if len(again.Clauses) != len(spec.Clauses) {
+			t.Fatalf("Parse(%q): %d clauses, %d after String → Parse", s, len(spec.Clauses), len(again.Clauses))
+		}
+	})
+}

@@ -135,8 +135,8 @@ func decodeAddrs(p []byte) ([]string, error) {
 	}
 	le := binary.LittleEndian
 	count := int(le.Uint32(p[1:]))
-	if count < 0 || count > 1<<16 {
-		return nil, fmt.Errorf("net: addrs frame declares %d entries", count)
+	if count > (len(p)-5)/2 { // every entry is at least its u16 length
+		return nil, fmt.Errorf("net: addrs frame declares %d entries in %d bytes", count, len(p))
 	}
 	addrs := make([]string, count)
 	off := 5

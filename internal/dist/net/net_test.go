@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	gonet "net"
@@ -453,4 +454,40 @@ func TestDialTCPValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "rendezvous") {
 		t.Errorf("missing rendezvous accepted (err=%v)", err)
 	}
+}
+
+// FuzzDecodeFrames: a frame payload is bytes from a peer. Whatever they are,
+// every decoder returns a value or an error — no panic, no allocation sized
+// by a count the payload's own length does not back — and what decodeData
+// accepts re-encodes to the same bytes. Seeds: the frames the round-trip
+// tests above encode, whole and cut short.
+func FuzzDecodeFrames(f *testing.F) {
+	for _, frame := range [][]byte{
+		encodeData(nil, 12345, Message{Data: []float64{1.5, -2.25, 0, 3e300}, Hdr: causal.Header{Src: 3, Seq: 41, Step: 7, Clock: 99}}),
+		encodeData(nil, 0, Message{}),
+		encodeHello(3, "127.0.0.1:9999"),
+		encodeAddrs([]string{"a:1", "b:2", "c:3"}),
+		encodeFail(2, "boom"),
+		encodeBye(1),
+		encodeAck(77),
+		encodeHeartbeat(),
+	} {
+		f.Add(frame[4:]) // the payload readFrame hands to the decoders
+		f.Add(frame[4 : 4+(len(frame)-4)/2])
+	}
+	f.Add([]byte{frameAddrs, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if seq, m, err := decodeData(p); err == nil {
+			if again := encodeData(nil, seq, m)[4:]; !bytes.Equal(again[1:], p[1:]) {
+				t.Fatalf("data frame does not survive decode → encode")
+			}
+		}
+		_, _, _ = decodeHello(p)
+		if addrs, err := decodeAddrs(p); err == nil && len(addrs) > len(p) {
+			t.Fatalf("%d addresses out of %d bytes", len(addrs), len(p))
+		}
+		_, _, _ = decodeFail(p)
+		_, _ = decodeBye(p)
+		_, _ = decodeAck(p)
+	})
 }

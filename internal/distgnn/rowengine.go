@@ -77,11 +77,7 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 
 	in := cfg.InDim
 	for l, layer := range model.Layers {
-		def, ok := layer.(gnn.DAGLayer)
-		if !ok {
-			e.Close()
-			return nil, fmt.Errorf("distgnn: the 1D row engine lowers one DAG per layer; layer %d (%s, Heads=%d) is not one — use the 2D grid engine", l, layer.Name(), cfg.Heads)
-		}
+		def := layer.(gnn.DAGLayer) // every layer NewBound builds is one
 		var rl rowLayer
 		// The signature adds what the plan bakes in beyond the definition:
 		// rank and row offset (SetRowOffset(Lo) in the score closures) and
@@ -91,7 +87,7 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 			func(ws *tensor.Arena) *fuse.Plan { return e.compileLayerPlan(def, in, ws) })
 		rl.plan = rl.lease.Plan()
 		e.layers = append(e.layers, rl)
-		in = cfg.HiddenDim
+		_, in = rl.plan.OutputDims()
 	}
 	return e, nil
 }

@@ -1,49 +1,32 @@
 package distgnn
 
 import (
-	"sync"
 	"testing"
 
 	"agnn/internal/dist"
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/tensor"
 )
 
+// TestRowEngineMatchesSingleNode: the 1D engine lowers the single-node
+// model's own DAGs — the four kinds and 2-head GAT — and reproduces it,
+// sequential and overlapped.
 func TestRowEngineMatchesSingleNode(t *testing.T) {
 	a := graph.ErdosRenyi(26, 80, 50)
 	h := testFeatures(26, 4)
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT, gnn.GCN} {
-		cfg := testCfg(kind, 2, 4, 5, 3)
+	for name, cfg := range gridModels(2, 4, 5, 3) {
 		single, err := gnn.New(cfg, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := single.Forward(h, false)
 		for _, p := range []int{1, 3, 4} {
-			var got *tensor.Dense
-			var mu sync.Mutex
-			dist.Run(p, func(c *dist.Comm) {
-				e, err := NewRowEngine(c, a, cfg)
-				if err != nil {
-					t.Error(err)
-					return
+			for _, overlap := range []bool{false, p > 1} {
+				got := runRowEngine(t, p, a, cfg, h, overlap)
+				if got == nil || !got.ApproxEqual(want, 1e-9) {
+					t.Fatalf("%s p=%d overlap=%v: 1D engine differs by %g", name, p, overlap, got.MaxAbsDiff(want))
 				}
-				out, err := e.Forward(h.SliceRows(e.Lo, e.Hi).Clone())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				full := e.GatherOutput(out)
-				if full != nil {
-					mu.Lock()
-					got = full
-					mu.Unlock()
-				}
-			})
-			if !got.ApproxEqual(want, 1e-9) {
-				t.Fatalf("%v p=%d: 1D engine differs by %g", kind, p, got.MaxAbsDiff(want))
 			}
 		}
 	}
@@ -128,24 +111,21 @@ func TestRowEngineVolumeIndependentOfP(t *testing.T) {
 	}
 }
 
-// TestRowEngineRejectsUnknownModel: what the 1D engines (row and local
-// baseline) cannot run they must refuse — an unknown kind, and multi-head
-// GAT, which they used to build silently as single-head layers of the wrong
-// input width (a different model from the one gnn.New builds for the same
-// config).
+// TestRowEngineRejectsUnknownModel: what the 1D engines cannot run they
+// must refuse — an unknown kind, and, on the hand-written local baseline
+// only, multi-head GAT, which has no local-formulation layer (mirroring one
+// head would be a different model from the one gnn.New builds).
 func TestRowEngineRejectsUnknownModel(t *testing.T) {
 	a := graph.ErdosRenyi(10, 30, 53)
+	unknown := testCfg(gnn.Kind(99), 1, 2, 2, 2)
 	multiHead := testCfg(gnn.GAT, 2, 2, 2, 2)
 	multiHead.Heads = 2
 	leased := fuse.Shared.Leased()
 	dist.Run(2, func(c *dist.Comm) {
-		for name, cfg := range map[string]gnn.Config{
-			"unknown model":  testCfg(gnn.Kind(99), 1, 2, 2, 2),
-			"multi-head GAT": multiHead,
-		} {
-			if _, err := NewRowEngine(c, a, cfg); err == nil {
-				t.Errorf("row engine: %s accepted", name)
-			}
+		if _, err := NewRowEngine(c, a, unknown); err == nil {
+			t.Error("row engine: unknown model accepted")
+		}
+		for name, cfg := range map[string]gnn.Config{"unknown model": unknown, "multi-head GAT": multiHead} {
 			if _, err := NewLocalEngine(c, a, cfg); err == nil {
 				t.Errorf("local engine: %s accepted", name)
 			}

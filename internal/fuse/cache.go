@@ -289,6 +289,21 @@ func (c *PlanCache) Len() int {
 	return n
 }
 
+// Keys returns the key of every entry the cache holds, idle or leased
+// (diagnostic, like Leased: what has this process compiled plans for).
+func (c *PlanCache) Keys() []CacheKey {
+	var keys []CacheKey
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for k := range s.entries {
+			keys = append(keys, k)
+		}
+		s.mu.Unlock()
+	}
+	return keys
+}
+
 // Leased returns the number of plans currently checked out across all
 // shards (diagnostic; used by tests to assert full drain).
 func (c *PlanCache) Leased() int {

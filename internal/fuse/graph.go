@@ -133,6 +133,16 @@ func (g *Graph) DotScores(id string, x, y *Node) *Node {
 	return g.virtual(id, "mmt", &meta{}, g.cross(x, AlongRow), g.cross(y, AlongCol))
 }
 
+// SqDistScores builds the virtual squared-distance matrix (op "sqdist"):
+// entry (i, j) is ‖X[i,:] − Y[j,:]‖², the score of distance-decayed
+// (Gaussian-kernel) attention.
+func (g *Graph) SqDistScores(id string, x, y *Node) *Node {
+	if xs, ys := g.md(x), g.md(y); xs.cols != ys.cols {
+		panic(fmt.Sprintf("fuse: SqDistScores width mismatch %d vs %d", xs.cols, ys.cols))
+	}
+	return g.virtual(id, "sqdist", &meta{}, g.cross(x, AlongRow), g.cross(y, AlongCol))
+}
+
 // OuterScores builds the virtual outer product a·bᵀ of two vectors.
 func (g *Graph) OuterScores(id string, a, b *Node) *Node {
 	g.wantKind(a, Vector, "OuterScores")
@@ -245,7 +255,9 @@ func (g *Graph) SpMM(id string, s, x *Node) *Node {
 }
 
 // SpMMSemiring aggregates over a non-real semiring ("max", "min", "mean" —
-// Section 4.3). Semiring aggregations are forward-only.
+// Section 4.3): the aggregation primitive with its reducer as a parameter.
+// Semiring aggregations are forward-only and single-node (Compile refuses
+// them in training plans and on a grid).
 func (g *Graph) SpMMSemiring(id string, s, x *Node, kind string) *Node {
 	switch kind {
 	case "max", "min", "mean":
@@ -270,6 +282,30 @@ func (g *Graph) GINCombine(id string, agg, h, eps *Node) *Node {
 		panic("fuse: GINCombine needs a 1×1 parameter ε")
 	}
 	return g.add(id, "gin-combine", Dense, &meta{rows: as.rows, cols: as.cols}, agg, h, eps)
+}
+
+// ConcatCols joins dense nodes of one height side by side, [X₁ ‖ X₂ ‖ …] —
+// how a hidden layer combines its attention heads.
+func (g *Graph) ConcatCols(id string, xs ...*Node) *Node { return g.combine(id, "concat", xs) }
+
+// Mean averages dense nodes of one shape element-wise — how a final layer
+// combines its attention heads.
+func (g *Graph) Mean(id string, xs ...*Node) *Node { return g.combine(id, "mean", xs) }
+
+func (g *Graph) combine(id, op string, xs []*Node) *Node {
+	first, cols := g.md(xs[0]), 0
+	for _, x := range xs {
+		g.wantKind(x, Dense, op)
+		s := g.md(x)
+		if s.rows != first.rows || (op == "mean" && s.cols != first.cols) {
+			panic(fmt.Sprintf("fuse: %s operand %q is %d×%d, the first %d×%d", op, x.ID, s.rows, s.cols, first.rows, first.cols))
+		}
+		cols += s.cols
+	}
+	if op == "mean" {
+		cols = first.cols
+	}
+	return g.add(id, op, Dense, &meta{rows: first.rows, cols: cols}, xs...)
 }
 
 // Sigma applies an element-wise activation to a dense node.

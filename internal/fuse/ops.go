@@ -263,25 +263,85 @@ func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T])
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
 
-// opSemiring delegates to the float64 semiring SpMM kernels (Compile
-// refuses semiring graphs at any other width). Semiring aggregation is
-// inference-only and not on the zero-alloc path, so the delegation (which
-// allocates its result) is acceptable.
-func opSemiring[T elem](pat *sparse.CSR, svals []T, x, out *spec[T], kind string) opFns {
-	sv := pat.WithValues(any(svals).([]float64))
-	return opFns{run: func() {
-		xd := dense64(x.dense)
-		var r *tensor.Dense
-		switch kind {
-		case "max":
-			r = sv.MulDenseMax(xd)
-		case "min":
-			r = sv.MulDenseMin(xd)
-		case "mean":
-			r = sv.MulDenseMean(xd)
+// opSemiring is opSpMM over a non-real semiring (Section 4.3), the reducer
+// chosen here, once. Max and min are tropical: ⊗ adds the edge's unit (0,
+// whatever its stored value) to the feature, ⊕ is math.Max / math.Min, an
+// empty row keeps ⊕'s identity ∓Inf. Mean is the ℝ² averaging semiring with
+// the running weight w kept beside the row: an edge of weight s merges
+// feature x as (v·w + x·s)/(w + s), and a zero total weight resets the row.
+// Every entry sees the operations of sparse.SpMMSemiring over the matching
+// internal/semiring instance in its order — at float64, its bits.
+func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T], kind string) opFns {
+	pick, identity := math.Max, math.Inf(-1)
+	if kind == "min" {
+		pick, identity = math.Min, math.Inf(1)
+	}
+	var unit T // the tropical ⊗-identity every edge maps to
+	// fold merges one edge — weight s, gathered row xrow — into orow and
+	// returns the row's running weight (the mean's; the tropical pair has none).
+	fold := func(orow, xrow []T, _, _ T) T {
+		for c, xv := range xrow {
+			orow[c] = T(pick(float64(orow[c]), float64(unit+xv)))
 		}
-		dense64(out.dense).CopyFrom(r)
-	}}
+		return 0
+	}
+	if kind == "mean" {
+		identity = 0
+		fold = func(orow, xrow []T, s, w T) T {
+			sum := w + s
+			if sum == 0 {
+				clear(orow)
+				return 0
+			}
+			for c, xv := range xrow {
+				orow[c] = (orow[c]*w + xv*s) / sum
+			}
+			return sum
+		}
+	}
+	each := func(i int) {
+		xd, k := x.dense.Data, out.cols
+		orow := out.dense.Data[i*k : (i+1)*k]
+		for c := range orow {
+			orow[c] = T(identity)
+		}
+		var w T
+		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
+			j := int(pat.Col[p])
+			w = fold(orow, xd[j*k:(j+1)*k], svals[p], w)
+		}
+	}
+	body := rowSweep(each)
+	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+}
+
+// opConcat copies the rows of xs side by side into out.
+func opConcat[T elem](xs []*spec[T], out *spec[T]) opFns {
+	each := func(i int) {
+		orow := out.dense.Data[i*out.cols : (i+1)*out.cols]
+		for _, x := range xs {
+			orow = orow[copy(orow, x.dense.Data[i*x.cols:(i+1)*x.cols]):]
+		}
+	}
+	body := rowSweep(each)
+	return opFns{run: func() { par.Range(out.rows, body) }, each: each, rows: out.rows}
+}
+
+// opMean computes out = (X₁ + X₂ + …)/K, summed in operand order.
+func opMean[T elem](xs []*spec[T], out *spec[T]) opFns {
+	cols, inv := out.cols, T(1/float64(len(xs)))
+	each := func(i int) {
+		orow := out.dense.Data[i*cols : (i+1)*cols]
+		copy(orow, xs[0].dense.Data[i*cols:(i+1)*cols])
+		for _, x := range xs[1:] {
+			for c, v := range x.dense.Data[i*cols : (i+1)*cols] {
+				orow[c] += v
+			}
+		}
+		scaleRow(orow, inv)
+	}
+	body := rowSweep(each)
+	return opFns{run: func() { par.Range(out.rows, body) }, each: each, rows: out.rows}
 }
 
 // rowIndex is 0, 1, …, n−1: the "pattern row" under which the dense
@@ -778,6 +838,73 @@ func opLReLUVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x *spec[T], 
 		}
 	}
 	return func() { par.RangeCuts(cuts, body) }
+}
+
+// opSqDistVJP handles the virtual C = ‖X[i,:] − Y[j,:]‖²: X̄[i,:] +=
+// Σ_j 2·C̄_ij·(X[i,:] − Y[j,:]) over the pattern and Ȳ[j,:] += Σ_i 2·C̄_ij·
+// (Y[j,:] − X[i,:]) over its transpose. Aliased X == Y is safe, as in
+// opDotVJP.
+func opSqDistVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, tr *transposedRows[T], x, y *spec[T]) func() {
+	// pull adds Σ_q 2·vals[q]·(self − other[cols[q],:]) to grad.
+	pull := func(grad, self []T, vals []T, cols []int32, other []T) {
+		k := len(self)
+		for q, j := range cols {
+			g := 2 * vals[q]
+			for t, v := range other[int(j)*k : (int(j)+1)*k] {
+				grad[t] += g * (self[t] - v)
+			}
+		}
+	}
+	xBody := func(_, lo, hi int) {
+		xd, yd, xg := x.dense.Data, y.dense.Data, x.gdense.Data
+		k := x.cols
+		for i := lo; i < hi; i++ {
+			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+			pull(xg[i*k:(i+1)*k], xd[i*k:(i+1)*k], gvals[b:e], pat.Col[b:e], yd)
+		}
+	}
+	yBody := func(worker, lo, hi int) {
+		xd, yd, yg := x.dense.Data, y.dense.Data, y.gdense.Data
+		k := y.cols
+		for j := lo; j < hi; j++ {
+			cols, vals := tr.row(worker, j, gvals)
+			pull(yg[j*k:(j+1)*k], yd[j*k:(j+1)*k], vals, cols, xd)
+		}
+	}
+	return func() {
+		par.RangeCuts(cuts, xBody)
+		tr.scratch.ensure()
+		par.RangeCuts(cutsT, yBody)
+	}
+}
+
+// opConcatVJP hands each operand its columns of the cotangent.
+func opConcatVJP[T elem](xs []*spec[T], out *spec[T]) func() {
+	body := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			grow := out.gdense.Data[i*out.cols : (i+1)*out.cols]
+			for _, x := range xs {
+				for c, g := range grow[:x.cols] {
+					x.gdense.Data[i*x.cols+c] += g
+				}
+				grow = grow[x.cols:]
+			}
+		}
+	}
+	return func() { par.Range(out.rows, body) }
+}
+
+// opMeanVJP hands every operand the cotangent over K.
+func opMeanVJP[T elem](xs []*spec[T], out *spec[T]) func() {
+	inv := T(1 / float64(len(xs)))
+	body := func(_, lo, hi int) {
+		for _, x := range xs {
+			for t := lo; t < hi; t++ {
+				x.gdense.Data[t] += out.gdense.Data[t] * inv
+			}
+		}
+	}
+	return func() { par.Range(out.rows*out.cols, body) }
 }
 
 // opMatVecVJP handles u = X·a: X̄ += ū·aᵀ (a rank-1 row update) and

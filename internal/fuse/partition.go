@@ -69,7 +69,7 @@ type ppFrag struct {
 // are bucketed by the latest-arriving row they read — the row's own global
 // index (score closures read the row side) joined with its adjacency
 // column set. An error is returned when any forward op is row-indivisible
-// (e.g. semiring aggregation); callers fall back to the sequential path.
+// (the fused inference attention sweep: compile with NoAttnFuse).
 func (p *Plan) Partition(avail []RowRange) (*PartitionedPlan, error) {
 	if p.released {
 		return nil, fmt.Errorf("fuse: Partition on a released plan")

@@ -1,6 +1,8 @@
 package fuse_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,6 +49,35 @@ func buildRankGAT(full *sparse.CSR, lo, hi, k int, w, a1, a2 fuse.ParamRef) *fus
 	return g
 }
 
+// assertSteppedBitwise runs plan once sequentially and once partitioned by
+// avail, revealing the input range by range right before each RunStep, and
+// fails on any differing bit.
+func assertSteppedBitwise(t *testing.T, what string, plan *fuse.Plan, avail []fuse.RowRange, h *tensor.Dense) {
+	t.Helper()
+	want := plan.Forward(h).Clone()
+	pp, err := plan.Partition(avail)
+	if err != nil {
+		t.Fatalf("%s: Partition: %v", what, err)
+	}
+	if lf := pp.LocalFraction(); lf < 0 || lf > 1 {
+		t.Fatalf("%s: LocalFraction %v out of [0,1]", what, lf)
+	}
+	k := h.Cols
+	staged := tensor.NewDense(h.Rows, k)
+	pp.Bind(staged)
+	for st := 0; st < pp.Steps(); st++ {
+		r := avail[st]
+		copy(staged.Data[r.Lo*k:r.Hi*k], h.Data[r.Lo*k:r.Hi*k])
+		pp.RunStep(st)
+	}
+	got := pp.Output()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: partitioned output differs at %d: %v vs %v", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // TestPartitionBitwiseIdentical checks that stepped execution with
 // incrementally revealed input rows produces a bitwise-identical output to
 // the sequential Forward, across rank positions and chunk counts. The input
@@ -67,33 +98,7 @@ func TestPartitionBitwiseIdentical(t *testing.T) {
 			lo, hi := me*full.Rows/g, (me+1)*full.Rows/g
 			graph := buildRankGAT(full, lo, hi, k, w, a1, a2)
 			plan := graph.MustCompile(fuse.Options{NoAttnFuse: true})
-
-			want := tensor.NewDense(hi-lo, k)
-			want.CopyFrom(plan.Forward(h))
-
-			avail := ringArrival(full.Rows, g, me)
-			pp, err := plan.Partition(avail)
-			if err != nil {
-				t.Fatalf("g=%d me=%d: Partition: %v", g, me, err)
-			}
-			if lf := pp.LocalFraction(); lf < 0 || lf > 1 {
-				t.Fatalf("g=%d me=%d: LocalFraction %v out of [0,1]", g, me, lf)
-			}
-
-			staged := tensor.NewDense(full.Rows, k)
-			pp.Bind(staged)
-			for st := 0; st < pp.Steps(); st++ {
-				r := avail[st]
-				copy(staged.Data[r.Lo*k:r.Hi*k], h.Data[r.Lo*k:r.Hi*k])
-				pp.RunStep(st)
-			}
-			got := pp.Output()
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("g=%d me=%d: partitioned output differs at %d: %v vs %v",
-						g, me, i, got.Data[i], want.Data[i])
-				}
-			}
+			assertSteppedBitwise(t, fmt.Sprintf("g=%d me=%d", g, me), plan, ringArrival(full.Rows, g, me), h)
 		}
 	}
 }
@@ -123,27 +128,27 @@ func TestPartitionAGNNBitwiseIdentical(t *testing.T) {
 	z := gr.SpMM("Z", psi, gr.MM("HW", hn, wn))
 	gr.SetOutput(gr.Sigma("Hout", z, tanhAct))
 	plan := gr.MustCompile(fuse.Options{NoAttnFuse: true})
+	assertSteppedBitwise(t, "agnn", plan, ringArrival(full.Rows, g, me), h)
+}
 
-	want := tensor.NewDense(hi-lo, k)
-	want.CopyFrom(plan.Forward(h))
-
-	avail := ringArrival(full.Rows, g, me)
-	pp, err := plan.Partition(avail)
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
-	staged := tensor.NewDense(full.Rows, k)
-	pp.Bind(staged)
-	for st := 0; st < pp.Steps(); st++ {
-		r := avail[st]
-		copy(staged.Data[r.Lo*k:r.Hi*k], h.Data[r.Lo*k:r.Hi*k])
-		pp.RunStep(st)
-	}
-	got := pp.Output()
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("partitioned AGNN output differs at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
+// TestPartitionSemiringBitwiseIdentical: a semiring ⊕ is a row op like the
+// sum — softmax attention aggregated by max, min and mean on a rank's row
+// block, under its row offset, partitions bit for bit.
+func TestPartitionSemiringBitwiseIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	full := weightedGraph(60, 280, 31)
+	const k, g, me = 4, 4, 1
+	w := randParam(rng, "W", k, k)
+	h := randDense(rng, full.Rows, k)
+	lo, hi := me*full.Rows/g, (me+1)*full.Rows/g
+	for _, kind := range []string{"max", "min", "mean"} {
+		gr := fuse.NewGraph("sr-rank", sliceRows(full, lo, hi))
+		gr.SetRowOffset(lo)
+		hn := gr.InputDense("H", full.Rows, k)
+		psi := gr.Softmax("Psi", gr.Mask("S", gr.DotScores("HHt", hn, hn), true))
+		z := gr.SpMMSemiring("Z", psi, gr.MM("HW", hn, gr.ParamNode("W", w)), kind)
+		gr.SetOutput(gr.Sigma("Hout", z, tanhAct))
+		assertSteppedBitwise(t, kind, gr.MustCompile(fuse.Options{NoAttnFuse: true}), ringArrival(full.Rows, g, me), h)
 	}
 }
 
@@ -155,16 +160,10 @@ func TestPartitionErrors(t *testing.T) {
 	const k = 3
 	w := randParam(rng, "W", k, k)
 
-	t.Run("semiring is row-indivisible", func(t *testing.T) {
-		g := fuse.NewGraph("sr", a)
-		h := g.InputDense("H", a.Rows, k)
-		wn := g.ParamNode("W", w)
-		psi := g.Mask("Psi", g.DotScores("HHt", h, h), true)
-		z := g.SpMMSemiring("Z", psi, g.MM("HW", h, wn), "max")
-		g.SetOutput(g.Sigma("Hout", z, tanhAct))
-		p := g.MustCompile(fuse.Options{NoAttnFuse: true})
+	t.Run("fused attention is row-indivisible", func(t *testing.T) {
+		p := buildVA(a, w, k).MustCompile(fuse.Options{})
 		if _, err := p.Partition([]fuse.RowRange{{Lo: 0, Hi: a.Rows}}); err == nil {
-			t.Fatal("expected row-indivisible error for semiring plan")
+			t.Fatal("expected row-indivisible error for a plan compiled without NoAttnFuse")
 		}
 	})
 

@@ -278,8 +278,8 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	for _, n := range g.dag.Nodes() {
 		switch n.Op {
 		case "spmm-max", "spmm-min", "spmm-mean":
-			if opt.Train || casting || g.grid != nil {
-				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q needs a single-node f64 inference plan", g.Name, n.ID)
+			if opt.Train || g.grid != nil {
+				return nil, fmt.Errorf("fuse: graph %q: semiring aggregation %q has no VJP and no grid reducer: it needs a single-node inference plan", g.Name, n.ID)
 			}
 		}
 		if opt.Train && n != g.adj && (n.Kind == Sparse || n.Kind == Virtual) && len(cons[n]) > 1 {
@@ -591,6 +591,14 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		}
 		return sp(n).vals
 	}
+	// operands resolves the typed state of all of a node's inputs.
+	operands := func(n *Node) []*spec[T] {
+		xs := make([]*spec[T], len(n.Inputs))
+		for i, in := range n.Inputs {
+			xs[i] = sp(in)
+		}
+		return xs
+	}
 
 	// Forward op list, in topological order. Virtual nodes and fused masks
 	// emit nothing — they live inside their sampler's sweep.
@@ -648,7 +656,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			}
 			emit(&p.fwd, n, "", "spmm", opSpMM(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s))
 		case "spmm-max", "spmm-min", "spmm-mean":
-			emit(&p.fwd, n, "", n.Op, opSemiring(pat, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s, s.agg))
+			emit(&p.fwd, n, "", n.Op, opSemiring(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s, s.agg))
+		case "concat":
+			emit(&p.fwd, n, "", "concat", opConcat(operands(n), s))
+		case "mean":
+			emit(&p.fwd, n, "", "mean", opMean(operands(n), s))
 		case "mm":
 			emit(&p.fwd, n, "", "mm", opMM(sp(n.Inputs[0]), sp(n.Inputs[1]), s))
 		case "matvec":
@@ -698,6 +710,10 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				vjp = opRowNormsVJP(sp(n.Inputs[0]), s)
 			case "gin-combine":
 				vjp = opGINCombineVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, &redScratch[T]{})
+			case "concat":
+				vjp = opConcatVJP(operands(n), s)
+			case "mean":
+				vjp = opMeanVJP(operands(n), s)
 			case "spmm":
 				// The adjacency leaf has neither values nor a cotangent of
 				// its own: only the feature half runs, over adjT.
@@ -712,6 +728,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				}
 			case "mmt":
 				vjp = opDotVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
+			case "sqdist":
+				vjp = opSqDistVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "outer":
 				vjp = opOuterVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
 			case "divide":
@@ -906,6 +924,18 @@ func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
 			}
 			return acc
 		}
+	case "sqdist":
+		xs, ys := sp(n.Inputs[0]), sp(n.Inputs[1])
+		return func(i, j int32) T {
+			k := xs.cols
+			yrow := ys.dense.Data[int(j)*k : int(j)*k+k]
+			var acc T
+			for t, v := range xs.dense.Data[int(i)*k : int(i)*k+k] {
+				d := v - yrow[t]
+				acc += d * d
+			}
+			return acc
+		}
 	case "outer":
 		as, bs := sp(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T { return as.vec[i] * bs.vec[j] }
@@ -952,6 +982,9 @@ func (p *Plan) Train() bool { return p.train }
 
 // InputDims returns the expected input shape.
 func (p *Plan) InputDims() (rows, cols int) { return p.input.rows, p.input.cols }
+
+// OutputDims returns the shape of the forward result.
+func (p *Plan) OutputDims() (rows, cols int) { return p.output.rows, p.output.cols }
 
 // Forward binds h as the input feature matrix and executes the op list.
 // The returned matrix is owned by the plan and overwritten by the next
@@ -1039,9 +1072,12 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 		flops = r * c
 	case "gin-combine":
 		flops = 3 * r * c
+	case "concat": // copies only
+	case "mean":
+		flops = r * c * int64(len(n.Inputs))
 	default:
-		// Virtual-node VJPs (mmt, outer, divide, scale, rep, repT, add,
-		// lrelu): one pattern sweep re-evaluating scores entry-wise.
+		// Virtual-node VJPs (mmt, sqdist, outer, divide, scale, rep, repT,
+		// add, lrelu): one pattern sweep re-evaluating scores entry-wise.
 		flops, swept = 4*nz, nz
 	}
 	if backward {

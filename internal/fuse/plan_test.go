@@ -11,6 +11,7 @@ import (
 	"agnn/internal/graph"
 	"agnn/internal/kernels"
 	"agnn/internal/par"
+	"agnn/internal/semiring"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -410,28 +411,56 @@ func TestPlanCompileErrors(t *testing.T) {
 	})
 }
 
+// semiringOracle is Section 4.3's generalized product through
+// sparse.SpMMSemiring over the matching internal/semiring instance — what
+// the spmm-max/min/mean plan ops are pinned to.
+func semiringOracle(a *sparse.CSR, h *tensor.Dense, kind string) *tensor.Dense {
+	unit := func(float64) float64 { return 0 }
+	switch kind {
+	case "max":
+		return tensor.NewDenseFrom(a.Rows, h.Cols, sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMax(), unit))
+	case "min":
+		return tensor.NewDenseFrom(a.Rows, h.Cols, sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMin(), unit))
+	}
+	lifted := make([]semiring.Pair, len(h.Data))
+	for i, v := range h.Data {
+		lifted[i] = semiring.LiftFeature(v)
+	}
+	out := tensor.NewDense(a.Rows, h.Cols)
+	for i, p := range sparse.SpMMSemiring(a, lifted, h.Cols, semiring.Average(), semiring.LiftEdge) {
+		out.Data[i] = p.V
+	}
+	return out
+}
+
+// TestPlanSemiringForwardMatchesDirect: the semiring ⊕ ops equal the generic
+// semiring kernel bit for bit at float64 — signed zeros, NaN, ±Inf, empty
+// rows and zero-weight edges included — and run at float32.
 func TestPlanSemiringForwardMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := weightedGraph(30, 90, 15)
+	a.Val[0], a.Val[1] = 0, 0 // a zero total weight resets the running mean
 	const k = 4
 	h := randDense(rng, a.Rows, k)
+	negZero := math.Copysign(0, -1)
+	copy(h.Data, []float64{negZero, 0, math.NaN(), math.Inf(1), math.Inf(-1), negZero})
 	for _, kind := range []string{"max", "min", "mean"} {
-		g := fuse.NewGraph("sr-"+kind, a)
-		hn := g.InputDense("H", a.Rows, k)
-		g.SetOutput(g.SpMMSemiring("Z", g.Adj(), hn, kind))
-		p := g.MustCompile(fuse.Options{})
-		got := p.Forward(h)
-		var want *tensor.Dense
-		switch kind {
-		case "max":
-			want = a.MulDenseMax(h)
-		case "min":
-			want = a.MulDenseMin(h)
-		case "mean":
-			want = a.MulDenseMean(h)
+		build := func() *fuse.Graph {
+			g := fuse.NewGraph("sr-"+kind, a)
+			g.SetOutput(g.SpMMSemiring("Z", g.Adj(), g.InputDense("H", a.Rows, k), kind))
+			return g
 		}
-		if !got.ApproxEqual(want, 1e-12) {
-			t.Errorf("semiring %s deviates by %g", kind, got.MaxAbsDiff(want))
+		got, want := build().MustCompile(fuse.Options{}).Forward(h), semiringOracle(a, h, kind)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("semiring %s: entry %d is %v, the generic kernel has %v", kind, i, got.Data[i], want.Data[i])
+			}
+		}
+		got32 := build().MustCompile(fuse.Options{DType: tensor.F32}).Forward(h)
+		for i, w := range want.Data {
+			if g := got32.Data[i]; g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > 1e-5*(1+math.Abs(w)) {
+				t.Fatalf("semiring %s at f32: entry %d is %v, want %v", kind, i, g, w)
+			}
 		}
 	}
 }

@@ -14,10 +14,11 @@ package fuse
 // type whose width does not change with the plan dtype.
 const indexBytes = 4
 
-// dotNode returns the X·Yᵀ product ("mmt") in the virtual chain an op rooted
-// at n evaluates per non-zero, or nil when the chain has none.
+// dotNode returns the X·Yᵀ product ("mmt") — or the squared distance
+// ("sqdist"), which reads the same two rows — in the virtual chain an op
+// rooted at n evaluates per non-zero, or nil when the chain has none.
 func dotNode(n *Node) *Node {
-	if n.Op == "mmt" {
+	if n.Op == "mmt" || n.Op == "sqdist" {
 		return n
 	}
 	for _, in := range n.Inputs {
@@ -114,6 +115,10 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		b = 2 * fb * r * c
 	case "gin-combine":
 		b = 3 * fb * r * c
+	case "concat":
+		b = 2 * fb * r * c
+	case "mean":
+		b = fb * r * c * int64(len(n.Inputs)+1)
 	default:
 		// Virtual-node VJP sweeps: one pattern pass re-evaluating scores
 		// entry-wise (indices + two operands + the gathered row of a

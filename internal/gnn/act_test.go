@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -57,8 +58,24 @@ func TestKindStringAndParse(t *testing.T) {
 			t.Errorf("ParseKind(%v) = %v, %v", k, got, err)
 		}
 	}
-	if _, err := ParseKind("GIN"); err == nil {
-		t.Error("ParseKind should reject unknown models")
+	// A name without a Config kind is refused — SGC included, which used to
+	// parse, silently, as GCN — and the error lists exactly the names that
+	// parse.
+	for _, name := range []string{"GIN", "SGC", "sgc"} {
+		_, err := ParseKind(name)
+		if err == nil {
+			t.Fatalf("ParseKind(%q) must be rejected", name)
+		}
+		_, list, _ := strings.Cut(err.Error(), "want one of ")
+		names := strings.Split(strings.TrimSuffix(list, ")"), ", ")
+		if len(names) != 4 {
+			t.Errorf("error lists %q, want the four accepted names", names)
+		}
+		for _, n := range names {
+			if _, err := ParseKind(n); err != nil {
+				t.Errorf("error text offers %q, which does not parse", n)
+			}
+		}
 	}
 	if k, err := ParseKind("gat"); err != nil || k != GAT {
 		t.Error("ParseKind must be case-insensitive")

@@ -38,19 +38,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind resolves a model name (case-insensitive) to its Kind.
+// ParseKind resolves a model name (case-insensitive) to its Kind. The error
+// lists exactly the names it accepts.
 func ParseKind(s string) (Kind, error) {
-	switch strings.ToUpper(s) {
-	case "VA":
-		return VA, nil
-	case "AGNN":
-		return AGNN, nil
-	case "GAT":
-		return GAT, nil
-	case "GCN", "SGC":
-		return GCN, nil
+	kinds := []Kind{VA, AGNN, GAT, GCN}
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		if names[i] = k.String(); strings.EqualFold(s, names[i]) {
+			return k, nil
+		}
 	}
-	return 0, fmt.Errorf("gnn: unknown model %q (want VA, AGNN, GAT, or GCN)", s)
+	return 0, fmt.Errorf("gnn: unknown model %q (want one of %s)", s, strings.Join(names, ", "))
 }
 
 // Config describes a full GNN model. Dims follow the paper's convention:
@@ -173,19 +171,19 @@ func NewBound(cfg Config, a *sparse.CSR, grid fuse.Grid) (*Model, error) {
 			out = cfg.OutDim
 			act = Identity()
 		}
-		var layer Layer
+		var layer DAGLayer
 		if multiHead {
 			// Hidden layers concatenate the heads; the final layer averages
 			// them into OutDim.
 			layer = NewMultiHeadGATLayer(a, in, out, cfg.Heads, !last, act, cfg.NegSlope, rng)
 		} else {
-			dl, err := NewLayer(cfg.Model, a, in, out, act, cfg.NegSlope, rng)
-			if err != nil {
+			var err error
+			if layer, err = NewLayer(cfg.Model, a, in, out, act, cfg.NegSlope, rng); err != nil {
 				return nil, err
 			}
-			layer = dl
 		}
-		eachCore(layer, func(c *planned) { c.DType, c.Grid, c.in = cfg.DType, grid, in })
+		c := layer.core()
+		c.DType, c.Grid, c.in = cfg.DType, grid, in
 		m.Layers = append(m.Layers, layer)
 	}
 	return m, nil

@@ -25,22 +25,30 @@ import (
 // and from there into H', a₁ and a₂.
 type GATLayer struct {
 	planned
-	W        *Param
-	A1, A2   *Param // the two halves of the attention vector a
+	GATHead
 	Act      Activation
 	NegSlope float64
 }
 
-// NewGATLayer constructs a single-head GAT layer. The attention vector
-// halves are initialized with Glorot fan-in k.
-func NewGATLayer(a *sparse.CSR, inDim, outDim int, act Activation, negSlope float64, rng *rand.Rand) *GATLayer {
-	l := &GATLayer{
-		W:        NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
-		A1:       NewParam("a1", tensor.GlorotInit(outDim, 1, rng)),
-		A2:       NewParam("a2", tensor.GlorotInit(outDim, 1, rng)),
-		Act:      act,
-		NegSlope: negSlope,
+// GATHead is the parameters of one attention head: the projection W and the
+// two halves of the attention vector a.
+type GATHead struct {
+	W, A1, A2 *Param
+}
+
+// newGATHead draws one head's parameters — W, a₁, a₂, in that order — with
+// the attention vector halves initialized with Glorot fan-in k.
+func newGATHead(inDim, outDim int, rng *rand.Rand) GATHead {
+	return GATHead{
+		W:  NewParam("W", tensor.GlorotInit(inDim, outDim, rng)),
+		A1: NewParam("a1", tensor.GlorotInit(outDim, 1, rng)),
+		A2: NewParam("a2", tensor.GlorotInit(outDim, 1, rng)),
 	}
+}
+
+// NewGATLayer constructs a single-head GAT layer.
+func NewGATLayer(a *sparse.CSR, inDim, outDim int, act Activation, negSlope float64, rng *rand.Rand) *GATLayer {
+	l := &GATLayer{GATHead: newGATHead(inDim, outDim, rng), Act: act, NegSlope: negSlope}
 	l.bind(a, l)
 	return l
 }
@@ -51,20 +59,27 @@ func (l *GATLayer) Name() string { return "gat" }
 // Params implements Layer.
 func (l *GATLayer) Params() []*Param { return []*Param{l.W, l.A1, l.A2} }
 
-// DAG implements DAGLayer. The virtual chain u·1ᵀ + 1·vᵀ → LeakyReLU fuses
-// into the softmax sampling sweep.
+// attend appends the head's chain of the formulation above, from H' to
+// σ(Z), to g and returns σ(Z). The virtual chain u·1ᵀ + 1·vᵀ → LeakyReLU
+// fuses into the softmax sampling sweep. Node ids carry sfx: empty for the
+// single-head layer, one per head otherwise.
+func (hd GATHead) attend(g *fuse.Graph, h *fuse.Node, negSlope float64, act Activation, sfx string) *fuse.Node {
+	wn := g.ParamNode("W"+sfx, planRef(hd.W))
+	a1n := g.ParamNode("a1"+sfx, planRef(hd.A1))
+	a2n := g.ParamNode("a2"+sfx, planRef(hd.A2))
+	hp := g.MM("Hp"+sfx, h, wn)
+	u := g.MatVecNode("u"+sfx, hp, a1n)
+	v := g.MatVecNode("v"+sfx, hp, a2n)
+	c := g.AddScores("C"+sfx, g.RepRow("u1T"+sfx, u), g.RepCol("1vT"+sfx, v))
+	e := g.Mask("E"+sfx, g.LReLUScores("lreluC"+sfx, c, negSlope), false)
+	psi := g.Softmax("Psi"+sfx, e)
+	z := g.SpMM("Z"+sfx, psi, hp)
+	return g.Sigma("Hout"+sfx, z, planAct(act))
+}
+
+// DAG implements DAGLayer.
 func (l *GATLayer) DAG(g *fuse.Graph, h *fuse.Node) {
-	wn := g.ParamNode("W", planRef(l.W))
-	a1n := g.ParamNode("a1", planRef(l.A1))
-	a2n := g.ParamNode("a2", planRef(l.A2))
-	hp := g.MM("Hp", h, wn)
-	u := g.MatVecNode("u", hp, a1n)
-	v := g.MatVecNode("v", hp, a2n)
-	c := g.AddScores("C", g.RepRow("u1T", u), g.RepCol("1vT", v))
-	e := g.Mask("E", g.LReLUScores("lreluC", c, l.NegSlope), false)
-	psi := g.Softmax("Psi", e)
-	z := g.SpMM("Z", psi, hp)
-	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
+	g.SetOutput(l.attend(g, h, l.NegSlope, l.Act, ""))
 }
 
 // Signature implements DAGLayer.

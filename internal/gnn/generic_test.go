@@ -1,11 +1,99 @@
 package gnn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"agnn/internal/fuse"
+	"agnn/internal/kernels"
+	"agnn/internal/semiring"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
+
+// gaussianPsi is the custom Ψ of examples/custom_model: distance-decayed
+// attention sm(A ⊙ γ·‖h_i − h_j‖²) with a learnable bandwidth γ.
+func gaussianPsi() Psi {
+	gamma := NewScalarParam("gamma", -1)
+	return CustomPsi("gaussian", func(g *fuse.Graph, h *fuse.Node) *fuse.Node {
+		d2 := g.SqDistScores("D2", h, h)
+		return g.Softmax("Psi", g.Mask("S", g.ScaleScores("gammaD2", d2, gamma.Node(g)), false))
+	}, gamma)
+}
+
+// closureForward evaluates Eq. 1 for an assembly of built-in pieces (and the
+// Gaussian Ψ) by composing direct tensor kernels, one closure per piece —
+// the executor GenericLayer had before its pieces became DAG fragments, kept
+// as the oracle the compiled plans are fuzzed against.
+func closureForward(l *GenericLayer, h *tensor.Dense) *tensor.Dense {
+	var psi *sparse.CSR
+	switch l.Psi.Kind {
+	case "", "adjacency":
+		psi = l.A
+	case "dot":
+		psi = sparse.SDDMMScaled(l.A, h, h)
+	case "softmax-dot":
+		psi = sparse.RowSoftmax(sparse.SDDMMScaled(l.A, h, h))
+	case "gaussian":
+		gamma := l.Psi.Params[0].Scalar()
+		psi = kernels.FusedSoftmaxScores(l.A, func(i, j int32) float64 {
+			d2 := 0.0
+			for t, v := range h.Row(int(i)) {
+				d2 += (v - h.At(int(j), t)) * (v - h.At(int(j), t))
+			}
+			return gamma * d2
+		})
+	default:
+		panic(fmt.Sprintf("no closure for Ψ kind %q", l.Psi.Kind))
+	}
+	agg := func(x *tensor.Dense) *tensor.Dense {
+		unit := func(float64) float64 { return 0 }
+		switch l.Agg.Kind {
+		case "", "sum":
+			return psi.MulDense(x)
+		case "max":
+			return tensor.NewDenseFrom(psi.Rows, x.Cols, sparse.SpMMSemiring(psi, x.Data, x.Cols, semiring.TropicalMax(), unit))
+		case "min":
+			return tensor.NewDenseFrom(psi.Rows, x.Cols, sparse.SpMMSemiring(psi, x.Data, x.Cols, semiring.TropicalMin(), unit))
+		case "mean":
+			return meanAggregate(psi, x)
+		}
+		panic(fmt.Sprintf("no closure for ⊕ kind %q", l.Agg.Kind))
+	}
+	phi := func(x *tensor.Dense) *tensor.Dense {
+		inner := Identity()
+		if l.Phi.Kind == "mlp/tanh" {
+			inner = Tanh()
+		}
+		for i, p := range l.Phi.Params {
+			if x = tensor.MM(x, p.Value); i < len(l.Phi.Params)-1 {
+				x = x.Apply(inner.F)
+			}
+		}
+		return x
+	}
+	var z *tensor.Dense
+	if l.PhiFirst {
+		z = agg(phi(h))
+	} else {
+		z = phi(agg(h))
+	}
+	return z.Apply(planAct(l.Act).F)
+}
+
+// meanAggregate is the ℝ² averaging-semiring product of Section 4.3.
+func meanAggregate(psi *sparse.CSR, x *tensor.Dense) *tensor.Dense {
+	lifted := make([]semiring.Pair, len(x.Data))
+	for i, v := range x.Data {
+		lifted[i] = semiring.LiftFeature(v)
+	}
+	out := tensor.NewDense(psi.Rows, x.Cols)
+	for i, p := range sparse.SpMMSemiring(psi, lifted, x.Cols, semiring.Average(), semiring.LiftEdge) {
+		out.Data[i] = p.V
+	}
+	return out
+}
 
 func TestGenericLayerMatchesVAForward(t *testing.T) {
 	// A GenericLayer assembled from DotPsi + SumAgg + LinearPhi must equal
@@ -61,7 +149,7 @@ func TestGenericSemiringAggregations(t *testing.T) {
 	a := testGraph(10, 48)
 	rng := rand.New(rand.NewSource(49))
 	h := tensor.RandN(10, 3, 1, rng)
-	psi := SoftmaxDotPsi().F(a, h)
+	psi := sparse.RowSoftmax(sparse.SDDMMScaled(a, h, h))
 
 	maxOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MaxAgg()}).Forward(h, false)
 	minOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MinAgg()}).Forward(h, false)
@@ -84,7 +172,7 @@ func TestGenericSemiringAggregations(t *testing.T) {
 	}
 	// Sum with softmax-normalized Ψ equals the Ψ-weighted mean only when
 	// weights sum to one — which they do, so sum == weighted mean.
-	want := psi.MulDenseMean(h)
+	want := meanAggregate(psi, h)
 	if !sumOut.ApproxEqual(want, 1e-9) {
 		t.Fatalf("softmax-weighted sum != weighted mean: %g", sumOut.MaxAbsDiff(want))
 	}
@@ -111,12 +199,15 @@ func TestGenericDefaultsAndBackwardPanics(t *testing.T) {
 }
 
 func TestMLPPhi(t *testing.T) {
+	// Φ alone: over the identity adjacency Ψ·X = X, so the layer is its Φ.
 	rng := rand.New(rand.NewSource(52))
 	x := tensor.RandN(5, 3, 1, rng)
 	w1 := tensor.GlorotInit(3, 4, rng)
 	w2 := tensor.GlorotInit(4, 2, rng)
-	phi := MLPPhi(ReLU(), w1, w2)
-	got := phi.F(x)
+	apply := func(phi Phi) *tensor.Dense {
+		return NewGenericLayer(sparse.Identity(5), GenericLayer{Phi: phi}).Forward(x, false).Clone()
+	}
+	got := apply(MLPPhi(ReLU(), w1, w2))
 	want := tensor.MM(tensor.MM(x, w1).Apply(ReLU().F), w2)
 	if !got.ApproxEqual(want, 1e-12) {
 		t.Fatal("MLPPhi composition wrong")
@@ -125,7 +216,10 @@ func TestMLPPhi(t *testing.T) {
 		t.Fatal("MLPPhi shape wrong")
 	}
 	// Single-matrix MLP == LinearPhi.
-	if !MLPPhi(ReLU(), w1).F(x).ApproxEqual(LinearPhi(w1).F(x), 0) {
+	if !apply(MLPPhi(ReLU(), w1)).ApproxEqual(apply(LinearPhi(w1)), 0) {
 		t.Fatal("single-layer MLP != linear")
+	}
+	if ps := MLPPhi(ReLU(), w1, w2).Params; len(ps) != 2 || ps[0].Name != "W1" || ps[1].Value != w2 {
+		t.Fatal("MLPPhi must wrap its matrices, in order, as W1, W2")
 	}
 }

@@ -31,8 +31,7 @@ type Layer interface {
 }
 
 // TrainableLayer is implemented by layers that may refuse training — e.g. a
-// GenericLayer assembled from custom closures or a semiring aggregation has
-// no plan-derived backward. Model.CheckTrainable (and Train) surface the
+// GenericLayer with a semiring aggregation has no plan-derived backward. Model.CheckTrainable (and Train) surface the
 // refusal as a descriptive error before any backward pass can panic
 // mid-epoch. Layers that do not implement the interface are assumed
 // trainable.

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,18 +49,41 @@ func TestMultiHeadSingleHeadEqualsGAT(t *testing.T) {
 	}
 }
 
+// TestMultiHeadAverageIsHeadMean: the one-DAG layer equals, bit for bit, K
+// single-head GAT layers over the same parameters combined by hand — the
+// column concat of their outputs (hidden layers) or their mean, summed in
+// head order and scaled by 1/K (final layer) — in both modes.
 func TestMultiHeadAverageIsHeadMean(t *testing.T) {
 	a := testGraph(10, 65)
 	h := tensor.RandN(10, 4, 1, rand.New(rand.NewSource(66)))
-	mh := NewMultiHeadGATLayer(a, 4, 3, 4, false, Tanh(), 0.2, rand.New(rand.NewSource(67)))
-	out := mh.Forward(h, false)
-	want := tensor.NewDense(10, 3)
-	for _, head := range mh.Heads {
-		want.AddInPlace(head.Forward(h, false))
-	}
-	want.ScaleInPlace(0.25)
-	if !out.ApproxEqual(want, 1e-12) {
-		t.Fatal("average != mean of head outputs")
+	for _, concat := range []bool{false, true} {
+		mh := NewMultiHeadGATLayer(a, 4, 3, 4, concat, Tanh(), 0.2, rand.New(rand.NewSource(67)))
+		for _, training := range []bool{false, true} {
+			want := tensor.NewDense(10, mh.OutDim())
+			for i, head := range mh.Heads {
+				single := NewGATLayer(a, 4, 3, Tanh(), 0.2, rand.New(rand.NewSource(68)))
+				single.GATHead = head
+				o := single.Forward(h, training)
+				for r := 0; r < 10; r++ {
+					if concat {
+						copy(want.Row(r)[3*i:], o.Row(r))
+					} else {
+						for c, v := range o.Row(r) {
+							want.Row(r)[c] += v
+						}
+					}
+				}
+			}
+			if !concat {
+				want.ScaleInPlace(0.25)
+			}
+			got := mh.Forward(h, training)
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("concat=%v training=%v: entry %d is %v, K single-head layers give %v", concat, training, i, got.Data[i], v)
+				}
+			}
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"agnn/internal/tensor"
 )
 
-// A layer is its DAG. Every built-in layer (and every GenericLayer
-// assembled from named pieces) describes its tensor ops once, by appending
-// nodes to a fuse.Graph; the plan-backed core in this file is the only
-// executor. Compile applies the Section 6.2 fusion rule, preallocates every
+// A layer is its DAG. Every layer but dropout — multi-head GAT and every
+// GenericLayer, custom pieces included — describes its tensor ops once, by
+// appending nodes to a fuse.Graph; the plan-backed core in this file is the
+// only executor. Compile applies the Section 6.2 fusion rule, preallocates every
 // intermediate from a shape-keyed arena, and — for training plans — derives
 // the backward pass by reverse traversal. Both modes execute compiled op
 // lists with zero steady-state allocations: training-mode Forward/Backward
@@ -172,6 +172,10 @@ func planRef(p *Param) fuse.ParamRef {
 	return fuse.ParamRef{Name: p.Name, Value: p.Value, Grad: p.Grad}
 }
 
+// Node declares p as a parameter leaf of g under its own name — how a
+// GenericLayer fragment reads a parameter it listed in its piece's Params.
+func (p *Param) Node(g *fuse.Graph) *fuse.Node { return g.ParamNode(p.Name, planRef(p)) }
+
 // planAct adapts an Activation; a zero Activation defaults to identity.
 func planAct(a Activation) fuse.Act {
 	if a.F == nil {
@@ -216,25 +220,11 @@ func planSig(l Layer, train bool, act Activation, extra string) string {
 	return b.String()
 }
 
-// planReleaser is implemented by layers that hold cached-plan leases.
-type planReleaser interface {
-	releasePlans()
-}
-
-// PlannedForward runs one inference pass through the layers' training-mode
-// plans — the serving execution path. It is Forward(h, true) with dropout
-// layers skipped (inference semantics), so repeated structures resolve
-// through the process-wide plan cache under the same keys training uses.
-// The returned matrix is plan-owned: copy out the rows you need before
-// calling ReleasePlans or running another batch.
+// PlannedForward is Forward(h, false): inference has one path.
+//
+// Deprecated: it exists only because the frozen bench/surface.go calls it.
 func (m *Model) PlannedForward(h *tensor.Dense) *tensor.Dense {
-	for _, l := range m.Layers {
-		if _, ok := l.(*DropoutLayer); ok {
-			continue
-		}
-		h = l.Forward(h, true)
-	}
-	return h
+	return m.Forward(h, false)
 }
 
 // ReleasePlans returns every layer's leased plan to the shared cache. Call
@@ -244,8 +234,8 @@ func (m *Model) PlannedForward(h *tensor.Dense) *tensor.Dense {
 // them without recompiling.
 func (m *Model) ReleasePlans() {
 	for _, l := range m.Layers {
-		if r, ok := l.(planReleaser); ok {
-			r.releasePlans()
+		if dl, ok := l.(DAGLayer); ok {
+			dl.core().releasePlans()
 		}
 	}
 }

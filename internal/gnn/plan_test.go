@@ -10,8 +10,9 @@ import (
 	"agnn/internal/tensor"
 )
 
-// planLayersOn builds one instance of every plan-backed built-in layer on
-// adjacency a (deterministic per seed).
+// planLayersOn builds one instance of every plan-backed layer kind on
+// adjacency a (deterministic per seed): the built-ins, a 2-head GAT and a
+// generic layer with a custom Ψ fragment.
 func planLayersOn(a *sparse.CSR, in, out int, seed int64) []Layer {
 	an := graph.NormalizeGCN(a)
 	mk := func() *rand.Rand { return rand.New(rand.NewSource(seed + 1)) }
@@ -24,6 +25,8 @@ func planLayersOn(a *sparse.CSR, in, out int, seed int64) []Layer {
 		NewGATLayer(a, in, out, Tanh(), 0.2, mk()),
 		gin,
 		NewSGCLayer(an, 2, in, out, Tanh(), mk()),
+		NewMultiHeadGATLayer(a, in, out, 2, false, Tanh(), 0.2, mk()),
+		NewGenericLayer(a, GenericLayer{Psi: gaussianPsi(), Phi: LinearPhi(tensor.GlorotInit(in, out, mk())), Act: Tanh()}),
 	}
 }
 
@@ -79,7 +82,7 @@ func TestInferencePlanMatchesTrainingForward(t *testing.T) {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			layers, h := planLayerFixtures(802)
 			for _, l := range layers {
-				eachCore(l, func(c *planned) { c.DType = dt })
+				l.(DAGLayer).core().DType = dt
 				want := l.Forward(h, true).Clone()
 				got := l.Forward(h, false)
 				for i, v := range got.Data {
@@ -155,6 +158,13 @@ func TestGenericGradCheckPlanned(t *testing.T) {
 				Phi: MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
 				Act: Tanh()})
 		}},
+		// A custom Ψ fragment (examples/custom_model's) trains like a
+		// built-in: γ, the MLP and the input all pass the check.
+		{"custom gaussian Ψ+mlp", func() *GenericLayer {
+			return NewGenericLayer(a, GenericLayer{Psi: gaussianPsi(),
+				Phi: MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
+				Act: Tanh()})
+		}},
 	}
 	for _, tc := range cases {
 		gen := tc.mk()
@@ -184,10 +194,9 @@ func TestUntrainableGenericIsReportedNotPanicked(t *testing.T) {
 	if err == nil || hist != nil {
 		t.Fatalf("Train must refuse untrainable models, got hist=%v err=%v", hist, err)
 	}
-	// Custom closures are equally untrainable — and say so.
-	custom := NewGenericLayer(a, GenericLayer{Psi: CustomPsi(AdjacencyPsi().F)})
-	if err := custom.CanTrain(); err == nil {
-		t.Fatal("custom Ψ must be reported as untrainable")
+	// A custom fragment is a DAG like any other: trainable.
+	if err := NewGenericLayer(a, GenericLayer{Psi: gaussianPsi()}).CanTrain(); err != nil {
+		t.Fatalf("custom Ψ fragment reported untrainable: %v", err)
 	}
 	// A trainable stack passes the check.
 	ok := &Model{Layers: []Layer{NewGenericLayer(a, GenericLayer{Psi: DotPsi(), Agg: SumAgg(),
@@ -197,15 +206,17 @@ func TestUntrainableGenericIsReportedNotPanicked(t *testing.T) {
 	}
 }
 
-// FuzzGenericPlanVsDirect cross-checks the compiled plan against the raw
-// closure composition for arbitrary built-in Ψ/⊕/Φ assemblies.
+// FuzzGenericPlanVsDirect cross-checks the compiled plans — inference at
+// both widths, training where the assembly has a backward — against the raw
+// closure composition (closureForward) for arbitrary Ψ/⊕/Φ assemblies.
 func FuzzGenericPlanVsDirect(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), false, uint8(0))
 	f.Add(uint8(1), uint8(0), uint8(1), true, uint8(1))
 	f.Add(uint8(2), uint8(1), uint8(2), false, uint8(2))
 	f.Add(uint8(2), uint8(3), uint8(0), false, uint8(1))
+	f.Add(uint8(3), uint8(2), uint8(2), true, uint8(1))
 	f.Fuzz(func(t *testing.T, psiSel, aggSel, phiSel uint8, phiFirst bool, actSel uint8) {
-		psis := []Psi{AdjacencyPsi(), DotPsi(), SoftmaxDotPsi()}
+		psis := []Psi{AdjacencyPsi(), DotPsi(), SoftmaxDotPsi(), gaussianPsi()}
 		aggs := []Agg{SumAgg(), MaxAgg(), MinAgg(), MeanAgg()}
 		acts := []Activation{Identity(), Tanh(), ReLU()}
 		rng := rand.New(rand.NewSource(900))
@@ -223,13 +234,23 @@ func FuzzGenericPlanVsDirect(f *testing.F) {
 			Act:      acts[int(actSel)%len(acts)],
 			PhiFirst: phiFirst,
 		})
-		want := gen.closureForward(h)
-		for _, training := range []bool{true, false} {
-			got := gen.Forward(h, training)
-			if !got.ApproxEqual(want, 1e-10) {
-				t.Fatalf("training=%v: plan deviates from closures by %g (psi=%q agg=%q phi=%q first=%v)",
-					training, got.MaxAbsDiff(want), gen.Psi.Kind, gen.Agg.Kind, gen.Phi.Kind, phiFirst)
+		want := closureForward(gen, h)
+		check := func(mode string, got *tensor.Dense, tol float64) {
+			if !got.ApproxEqual(want, tol) {
+				t.Fatalf("%s: plan deviates from closures by %g (psi=%q agg=%q phi=%q first=%v)",
+					mode, got.MaxAbsDiff(want), gen.Psi.Kind, gen.Agg.Kind, gen.Phi.Kind, phiFirst)
 			}
+		}
+		check("inference", gen.Forward(h, false), 1e-10)
+		if gen.CanTrain() == nil { // a semiring ⊕ has no training plan
+			check("training", gen.Forward(h, true), 1e-10)
+		}
+		// At float32 every assembly runs; the comparison skips the one that is
+		// ill-conditioned at any width — an average under signed weights
+		// divides by a sum that may cancel.
+		gen.DType = tensor.F32
+		if got := gen.Forward(h, false); gen.Psi.Kind != "dot" || gen.Agg.Kind != "mean" {
+			check("f32 inference", got, 1e-4)
 		}
 	})
 }

@@ -62,10 +62,10 @@ func TestPlanCacheRebindSweep(t *testing.T) {
 		subs[k] = graph.InducedSubgraph(full, vs)
 	}
 
-	// plansPer maps layer kind → compiled plans per model (multihead has one
-	// plan per head).
+	// plansPer maps layer kind → compiled plans per model: a layer is one
+	// DAG, multi-head included.
 	plansPer := map[string]int64{"va": 1, "agnn": 1, "gat": 1, "gcn": 1,
-		"gin": 1, "sgc": 1, "generic": 1, "multihead": 2}
+		"gin": 1, "sgc": 1, "generic": 1, "multihead": 1}
 
 	for kind, nPlans := range plansPer {
 		t.Run(kind, func(t *testing.T) {
@@ -88,7 +88,7 @@ func TestPlanCacheRebindSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := bm.PlannedForward(feats[k])
+					got := bm.Forward(feats[k], false)
 					if round == 0 {
 						fresh[k] = append([]float64(nil), got.Data...)
 					} else {

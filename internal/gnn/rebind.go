@@ -6,24 +6,6 @@ import (
 	"agnn/internal/sparse"
 )
 
-// eachCore calls f on the plan-backed core(s) of l — the layer's own, or
-// one per head of a multi-head layer — and reports whether l is a layer
-// kind it knows how to traverse (dropout has no core and is fine).
-func eachCore(l Layer, f func(*planned)) bool {
-	switch ll := l.(type) {
-	case DAGLayer:
-		f(ll.core())
-	case *MultiHeadGATLayer:
-		for _, head := range ll.Heads {
-			f(&head.planned)
-		}
-	case *DropoutLayer:
-	default:
-		return false
-	}
-	return true
-}
-
 // RebindAdjacency builds a new model over a different adjacency matrix that
 // *shares* the parameter objects of src. This is the global-formulation
 // side of mini-batch training (the paper's "one can straightforwardly
@@ -40,12 +22,6 @@ func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
 		switch ll := l.(type) {
 		case DAGLayer:
 			out.Layers = append(out.Layers, ll.rebound(a))
-		case *MultiHeadGATLayer:
-			mh := &MultiHeadGATLayer{Concat: ll.Concat, headDim: ll.headDim}
-			for _, head := range ll.Heads {
-				mh.Heads = append(mh.Heads, head.rebound(a).(*GATLayer))
-			}
-			out.Layers = append(out.Layers, mh)
 		case *DropoutLayer:
 			out.Layers = append(out.Layers, ll)
 		default:
@@ -62,10 +38,8 @@ func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
 // input graph, so that rebinding preserves the layer semantics.
 func (m *Model) Adjacency() (*sparse.CSR, error) {
 	for _, l := range m.Layers {
-		var a *sparse.CSR
-		eachCore(l, func(c *planned) { a = c.A }) // heads share one adjacency
-		if a != nil {
-			return a, nil
+		if dl, ok := l.(DAGLayer); ok && dl.core().A != nil {
+			return dl.core().A, nil
 		}
 	}
 	return nil, fmt.Errorf("gnn: model has no adjacency-bound layer")
@@ -81,7 +55,11 @@ func (m *Model) Adjacency() (*sparse.CSR, error) {
 // whose leases die with them.
 func (m *Model) Rebind(a *sparse.CSR) error {
 	for _, l := range m.Layers {
-		if !eachCore(l, func(c *planned) { c.A = a }) {
+		switch ll := l.(type) {
+		case DAGLayer:
+			ll.core().A = a
+		case *DropoutLayer:
+		default:
 			return fmt.Errorf("gnn: cannot rebind layer type %T", l)
 		}
 	}

@@ -41,7 +41,7 @@ func TestRebindAdjacencyKeepsDType(t *testing.T) {
 		src := sweepModel(t, kind, full, 4, 3)
 		src.DType = tensor.F32
 		for _, l := range src.Layers {
-			eachCore(l, func(c *planned) { c.DType = tensor.F32 })
+			l.(DAGLayer).core().DType = tensor.F32
 		}
 		rb, err := RebindAdjacency(src, full)
 		if err != nil {
@@ -58,11 +58,9 @@ func TestRebindAdjacencyKeepsDType(t *testing.T) {
 			}
 		}
 		for i, l := range rb.Layers {
-			eachCore(l, func(c *planned) {
-				if dt := c.Plan().Stats().DType; dt != tensor.F32 {
-					t.Errorf("%s: rebound layer %d compiled %v plans, want f32", kind, i, dt)
-				}
-			})
+			if dt := l.(DAGLayer).core().Plan().Stats().DType; dt != tensor.F32 {
+				t.Errorf("%s: rebound layer %d compiled %v plans, want f32", kind, i, dt)
+			}
 		}
 		src.ReleasePlans()
 		rb.ReleasePlans()

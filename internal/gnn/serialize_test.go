@@ -2,10 +2,14 @@ package gnn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
+	"agnn/internal/graph"
 	"agnn/internal/tensor"
 )
 
@@ -170,4 +174,73 @@ func TestCheckpointPortableToLocalEngine(t *testing.T) {
 	if !dst.Forward(h, false).ApproxEqual(src.Forward(h, false), 0) {
 		t.Fatal("checkpoint not portable")
 	}
+}
+
+// parentTwoHead is the 2-head GAT model whose weights file and checkpoint
+// (testdata/parent_2head.wts, internal/ckpt/testdata/parent_2head.agnn) were
+// written after three Adam steps by the commit before multi-head layers
+// became one DAG — when a layer was K separate GATLayers — together with the
+// FNV-64a hash of its inference output's float64 bits on parentTwoHeadInput.
+func parentTwoHead(t *testing.T) (*Model, *tensor.Dense) {
+	t.Helper()
+	m, err := New(Config{Model: GAT, Layers: 2, InDim: 3, HiddenDim: 2, OutDim: 2, Heads: 2,
+		Activation: Tanh(), SelfLoops: true, Seed: 2102}, graph.ErdosRenyi(16, 48, 2101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, tensor.RandN(16, 3, 1, rand.New(rand.NewSource(2103)))
+}
+
+const parentTwoHeadOutputHash = 0xae9e83f8eeda3693
+
+func hashBits(d *tensor.Dense) uint64 {
+	h := fnv.New64a()
+	for _, v := range d.Data {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	return h.Sum64()
+}
+
+// TestParentMultiHeadWeightsLoad: parameter order and names of a multi-head
+// layer are what they were, so the parent's weights file loads unchanged and
+// the model computes the parent's output bit for bit.
+func TestParentMultiHeadWeightsLoad(t *testing.T) {
+	m, h := parentTwoHead(t)
+	if err := LoadWeightsFile(filepath.Join("testdata", "parent_2head.wts"), m); err != nil {
+		t.Fatal(err)
+	}
+	if got := hashBits(m.Forward(h, false)); got != parentTwoHeadOutputHash {
+		t.Fatalf("output hash %#x after loading the parent's weights, the parent computed %#x", got, uint64(parentTwoHeadOutputHash))
+	}
+}
+
+// FuzzLoadWeights: a weights file is bytes from a disk. Whatever they are,
+// at either dtype the loader returns — an error, or nil for a file that
+// verifies — and never panics or sizes an allocation from a header field
+// (buffers are the model's shapes; a name is capped at 64 KiB). Seeds: the
+// three format versions as the round-trip tests write them.
+func FuzzLoadWeights(f *testing.F) {
+	params := func() []*Param {
+		rng := rand.New(rand.NewSource(230))
+		return []*Param{NewParam("W", tensor.RandN(3, 2, 1, rng)), NewScalarParam("beta", 0.5)}
+	}
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} { // v2, v3
+		var buf bytes.Buffer
+		if err := SaveParamsDType(&buf, params(), dt); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	v1 := bytes.NewBufferString(weightsMagicV1)
+	if err := writeParamsBody(v1, params(), tensor.F64); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	f.Add([]byte(weightsMagicV3 + "\x07"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			_ = LoadParamsDType(bytes.NewReader(raw), params(), dt)
+		}
+	})
 }

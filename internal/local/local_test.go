@@ -151,6 +151,13 @@ func TestMirrorRejectsUnknownLayer(t *testing.T) {
 	if _, err := Rebind(m, nil); err == nil {
 		t.Fatal("Rebind must reject unknown layer types")
 	}
+	// A multi-head layer has no local-formulation counterpart: it must be
+	// refused whole, never mirrored as one of its heads.
+	a := graph.ErdosRenyi(8, 20, 3)
+	mh := gnn.NewMultiHeadGATLayer(a, 3, 2, 2, true, gnn.Tanh(), 0.2, rand.New(rand.NewSource(4)))
+	if _, err := Mirror(&gnn.Model{Layers: []gnn.Layer{mh}}); err == nil {
+		t.Fatal("Mirror must reject a multi-head GAT layer")
+	}
 }
 
 func TestNeighborhoodExpand(t *testing.T) {

@@ -146,6 +146,7 @@ func NewTraceID() string {
 
 // request is one enqueued query: answer these seeds at this radius.
 type request struct {
+	ctx   context.Context // the caller's: done means nobody reads the reply
 	seeds []int
 	hops  int
 	reply chan result
@@ -263,7 +264,7 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 			return nil, tm, fmt.Errorf("%w: vertex %d outside [0,%d)", ErrBadRequest, v, n)
 		}
 	}
-	r := request{seeds: vertices, hops: hops, reply: make(chan result, 1),
+	r := request{ctx: ctx, seeds: vertices, hops: hops, reply: make(chan result, 1),
 		trace: trace, enq: time.Now()}
 	select {
 	case <-e.done:
@@ -337,11 +338,21 @@ func (e *Engine) runBatch(batch []request) {
 	}
 }
 
-// runGroup executes one micro-batch: union the seeds, expand to the h-hop
-// induced subgraph, rebind, run the compiled plans once, and slice each
-// request's rows out of the shared output.
+// runGroup executes one micro-batch: drop the requests whose caller has gone
+// (submit already returned ctx.Err() to it), union the seeds of the rest,
+// expand to the h-hop induced subgraph, rebind, run the compiled inference
+// plans once, and slice each request's rows out of the shared output.
 func (e *Engine) runGroup(group []request, hops int) {
 	start := time.Now()
+	live := group[:0]
+	for _, r := range group {
+		if r.ctx.Err() == nil {
+			live = append(live, r)
+		}
+	}
+	if group = live; len(group) == 0 {
+		return
+	}
 	// Union of seeds in first-seen order — the subgraph's leading rows.
 	var seeds []int32
 	index := make(map[int32]int)
@@ -386,7 +397,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 		}
 		return
 	}
-	out := bm.PlannedForward(feats)
+	out := bm.Forward(feats, false)
 	// The output matrix is plan-owned: copy the seed rows before the
 	// leases go back to the cache.
 	logits := make([][]float64, len(seeds))

@@ -140,6 +140,7 @@ func mustAdj(t *testing.T, m *gnn.Model) *sparse.CSR {
 // no recompilation) and bitwise-identical.
 func TestServingDeterministicAndCached(t *testing.T) {
 	m, ds, cfg := trainTiny(t)
+	fuse.Shared.Purge() // the training plans trainTiny left idle
 	e := newTestEngine(t, m, ds, time.Millisecond)
 	rng := rand.New(rand.NewSource(43))
 	mix := make([][]int, 16)
@@ -175,6 +176,46 @@ func TestServingDeterministicAndCached(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// Serving is inference: every plan it compiled is an inference plan.
+	keys := fuse.Shared.Keys()
+	if len(keys) == 0 {
+		t.Fatal("the sweeps left no plan in the cache")
+	}
+	for _, k := range keys {
+		if !strings.Contains(k.Sig, "train=false") {
+			t.Errorf("serving compiled a plan under %q, want train=false only", k.Sig)
+		}
+	}
+}
+
+// TestServingDropsCancelledRequests: a request whose caller gave up while it
+// sat in the queue or in an open batch (submit has already returned
+// ctx.Err() to it) is dropped before the seed union — its vertices are never
+// expanded and do not enlarge the execution the live request behind it pays
+// for — and a batch of nothing but cancelled requests executes nothing.
+func TestServingDropsCancelledRequests(t *testing.T) {
+	m, ds, _ := trainTiny(t)
+	e := newTestEngine(t, m, ds, 50*time.Millisecond) // one runner; the window holds a batch open
+	executions := metrics.ServeBatchVertices.Count()
+	for round := int64(1); round <= 2; round++ {
+		// The cancelled request is admitted first; whether the live one
+		// joins its batch or opens the next, it must run alone.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := e.Predict(ctx, []int{1, 2, 3, 4, 5}); err != context.Canceled {
+			t.Fatalf("cancelled Predict returned %v", err)
+		}
+		preds, tm, err := e.PredictTraced(context.Background(), []int{70}, "")
+		if err != nil || len(preds) != 1 || preds[0].Vertex != 70 {
+			t.Fatalf("live request: %v %v", preds, err)
+		}
+		if tm.Seeds != 1 {
+			t.Fatalf("the live request's execution had %d seeds, want its own 1 (the cancelled request's 5 dropped)", tm.Seeds)
+		}
+		if got := metrics.ServeBatchVertices.Count() - executions; got != round {
+			t.Fatalf("%d executions after %d live requests", got, round)
 		}
 	}
 }

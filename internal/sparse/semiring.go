@@ -5,7 +5,6 @@ import (
 
 	"agnn/internal/par"
 	"agnn/internal/semiring"
-	"agnn/internal/tensor"
 )
 
 // SpMMSemiring computes the generalized sparse-dense product of Section 4.3
@@ -38,49 +37,4 @@ func SpMMSemiring[T any](s *CSR, x []T, xCols int, sr semiring.Semiring[T], edge
 		}
 	})
 	return out
-}
-
-// MulDenseMin computes per-feature min aggregation over neighborhoods using
-// the tropical-min semiring: Y[i,c] = min_{j ∈ N(i)} X[j,c]. Rows with no
-// neighbors yield +Inf.
-func (s *CSR) MulDenseMin(x *tensor.Dense) *tensor.Dense {
-	sr := semiring.TropicalMin()
-	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(float64) float64 { return 0 })
-	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
-}
-
-// MulDenseMax computes per-feature max aggregation via the tropical-max
-// semiring: Y[i,c] = max_{j ∈ N(i)} X[j,c]. Rows with no neighbors yield
-// -Inf.
-func (s *CSR) MulDenseMax(x *tensor.Dense) *tensor.Dense {
-	sr := semiring.TropicalMax()
-	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(float64) float64 { return 0 })
-	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
-}
-
-// MulDenseMean computes edge-weighted average aggregation via the paper's
-// ℝ² averaging semiring: Y[i,c] = Σ_j S_ij·X[j,c] / Σ_j S_ij. Rows with no
-// neighbors yield 0.
-func (s *CSR) MulDenseMean(x *tensor.Dense) *tensor.Dense {
-	sr := semiring.Average()
-	lifted := make([]semiring.Pair, len(x.Data))
-	for i, v := range x.Data {
-		lifted[i] = semiring.LiftFeature(v)
-	}
-	pairs := SpMMSemiring(s, lifted, x.Cols, sr, semiring.LiftEdge)
-	out := tensor.NewDense(s.Rows, x.Cols)
-	for i, p := range pairs {
-		out.Data[i] = p.V
-	}
-	return out
-}
-
-// MulDenseReal computes Y = S·X through the generic semiring kernel with
-// the real semiring. It must agree with the specialized MulDense; the
-// difference in throughput is the "generic vs specialized" ablation of
-// DESIGN.md.
-func (s *CSR) MulDenseReal(x *tensor.Dense) *tensor.Dense {
-	sr := semiring.Real()
-	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(v float64) float64 { return v })
-	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
 }

@@ -9,6 +9,54 @@ import (
 	"agnn/internal/tensor"
 )
 
+// The dense-matrix faces of SpMMSemiring the tests below (and the plan op
+// fuse.opSemiring, which is pinned to their bits) are stated in.
+
+// MulDenseMin computes per-feature min aggregation over neighborhoods using
+// the tropical-min semiring: Y[i,c] = min_{j ∈ N(i)} X[j,c]. Rows with no
+// neighbors yield +Inf.
+func (s *CSR) MulDenseMin(x *tensor.Dense) *tensor.Dense {
+	sr := semiring.TropicalMin()
+	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(float64) float64 { return 0 })
+	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
+}
+
+// MulDenseMax computes per-feature max aggregation via the tropical-max
+// semiring: Y[i,c] = max_{j ∈ N(i)} X[j,c]. Rows with no neighbors yield
+// -Inf.
+func (s *CSR) MulDenseMax(x *tensor.Dense) *tensor.Dense {
+	sr := semiring.TropicalMax()
+	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(float64) float64 { return 0 })
+	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
+}
+
+// MulDenseMean computes edge-weighted average aggregation via the paper's
+// ℝ² averaging semiring: Y[i,c] = Σ_j S_ij·X[j,c] / Σ_j S_ij. Rows with no
+// neighbors yield 0.
+func (s *CSR) MulDenseMean(x *tensor.Dense) *tensor.Dense {
+	sr := semiring.Average()
+	lifted := make([]semiring.Pair, len(x.Data))
+	for i, v := range x.Data {
+		lifted[i] = semiring.LiftFeature(v)
+	}
+	pairs := SpMMSemiring(s, lifted, x.Cols, sr, semiring.LiftEdge)
+	out := tensor.NewDense(s.Rows, x.Cols)
+	for i, p := range pairs {
+		out.Data[i] = p.V
+	}
+	return out
+}
+
+// MulDenseReal computes Y = S·X through the generic semiring kernel with
+// the real semiring. It must agree with the specialized MulDense; the
+// difference in throughput is the "generic vs specialized" ablation of
+// DESIGN.md.
+func (s *CSR) MulDenseReal(x *tensor.Dense) *tensor.Dense {
+	sr := semiring.Real()
+	out := SpMMSemiring(s, x.Data, x.Cols, sr, func(v float64) float64 { return v })
+	return tensor.NewDenseFrom(s.Rows, x.Cols, out)
+}
+
 // threeStarGraph: vertex 0 has neighbors 1, 2, 3.
 func threeStarGraph() *CSR {
 	c := NewCOO(4, 4, 3)
