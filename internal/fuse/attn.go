@@ -44,19 +44,34 @@ func (s *rowScratch[T]) row(worker int) []T {
 // the nnz-sized buffer is never allocated. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
 // aggregate directly (VA).
-func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f scoreRow[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) opFns {
-	sample := rowSampler(pat, f, weights, rowOff, softmax)
+func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) opFns {
+	idx := pat.Index()
+	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
 	// attend computes output row i with row as the score storage.
 	attend := func(i int, row []T) {
 		k := out.dense.Cols
 		orow := out.dense.Data[i*k : (i+1)*k]
 		clear(orow)
 		sample(i, row)
-		sparse.GatherAxpy(orow, row, pat.Col[pat.RowPtr[i]:pat.RowPtr[i+1]], x.dense.Data, k, 0)
+		sparse.GatherAxpy(orow, row, idx.Slice(pat.RowPtr[i], pat.RowPtr[i+1]), x.dense.Data, k, 0)
+	}
+	// ahead asks for what row i+prefetchAhead gathers: the rows it aggregates
+	// and, where they are rows of another matrix, those its scores are dot
+	// products with.
+	ahead := func(i int) {
+		prefetchRow(pat, idx, i, x.dense)
+		if f.gathers != nil && f.gathers != x {
+			prefetchRow(pat, idx, i, f.gathers.dense)
+		}
 	}
 	if vals != nil {
 		each := func(i int) { attend(i, vals[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
-		body := rowSweep(each)
+		body := func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ahead(i)
+				each(i)
+			}
+		}
 		return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 	}
 
@@ -68,6 +83,7 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f scoreRow[T
 	body := func(worker, lo, hi int) {
 		buf := scratch.row(worker)
 		for i := lo; i < hi; i++ {
+			ahead(i)
 			attend(i, buf[:pat.RowNNZ(i)])
 		}
 	}

@@ -81,12 +81,16 @@ type cacheShard struct {
 // is out (so releases always find their pool) and is dropped once it is
 // both idle-empty and lease-free.
 type cacheEntry struct {
-	key       CacheKey
-	elem      *list.Element
-	idle      []*Plan
-	out       int
-	planBytes int64 // workspace bytes of one plan for this key
+	key  CacheKey
+	elem *list.Element
+	idle []*Plan
+	out  int
 }
+
+// idleBytes is what an idle plan counts against the budget: its workspace,
+// read while nobody executes it (a float32 plan's grows by the conversion
+// buffers it acquires on first use).
+func idleBytes(p *Plan) int64 { return p.stats.WorkspaceBytes() }
 
 // NewPlanCache returns an empty cache with the given total byte budget
 // (<= 0 means unlimited).
@@ -181,8 +185,8 @@ func (c *PlanCache) Get(key CacheKey, build func(ws *tensor.Arena) *Plan) Lease 
 		e.idle[len(e.idle)-1] = nil
 		e.idle = e.idle[:len(e.idle)-1]
 		e.out++
-		s.bytes -= e.planBytes
-		metrics.PlanCacheBytes.Add(-float64(e.planBytes))
+		s.bytes -= idleBytes(p)
+		metrics.PlanCacheBytes.Add(-float64(idleBytes(p)))
 		s.lru.MoveToFront(e.elem)
 		metrics.PlanCacheHits.Inc()
 		return Lease{c: c, s: s, e: e, plan: p}
@@ -190,7 +194,7 @@ func (c *PlanCache) Get(key CacheKey, build func(ws *tensor.Arena) *Plan) Lease 
 	metrics.PlanCacheMisses.Inc()
 	p := build(s.arena)
 	if e == nil {
-		e = &cacheEntry{key: key, planBytes: p.Stats().WorkspaceBytes()}
+		e = &cacheEntry{key: key}
 		e.elem = s.lru.PushFront(e)
 		s.entries[key] = e
 	} else {
@@ -214,8 +218,8 @@ func (l *Lease) Release() {
 	e := l.e
 	e.out--
 	e.idle = append(e.idle, l.plan)
-	s.bytes += e.planBytes
-	metrics.PlanCacheBytes.Add(float64(e.planBytes))
+	s.bytes += idleBytes(l.plan)
+	metrics.PlanCacheBytes.Add(float64(idleBytes(l.plan)))
 	s.lru.MoveToFront(e.elem)
 	s.enforce(l.c.shardLimit())
 	l.plan = nil
@@ -234,9 +238,9 @@ func (s *cacheShard) enforce(limit int64) {
 			p := e.idle[len(e.idle)-1]
 			e.idle[len(e.idle)-1] = nil
 			e.idle = e.idle[:len(e.idle)-1]
+			s.bytes -= idleBytes(p)
+			metrics.PlanCacheBytes.Add(-float64(idleBytes(p)))
 			p.Release()
-			s.bytes -= e.planBytes
-			metrics.PlanCacheBytes.Add(-float64(e.planBytes))
 			metrics.PlanCacheEvictions.Inc()
 		}
 		if len(e.idle) == 0 && e.out == 0 {

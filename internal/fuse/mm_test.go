@@ -56,21 +56,51 @@ func loopMMVJPInput[T tensor.Elem](xg, g, w []T, n, k, m int) {
 	}
 }
 
-// viaLoops evaluates the two loops at width T on float64 data the way a plan
-// of that width does: round in, compute, widen out.
-func viaLoops[T tensor.Elem](h, w, g *tensor.Dense) (out, gin []float64) {
+// loopMMVJPWeight is the deleted weight-gradient loop of opMMVJP — rank-1
+// updates row by row, zero features skipped, into one partial per worker of
+// par.Range, the partials then added to W̄ (zero on entry) in worker order.
+func loopMMVJPWeight[T tensor.Elem](wg, x, g []T, n, k, m int) {
+	parts := make([][]T, par.Workers()+1)
+	par.Range(n, func(worker, lo, hi int) {
+		acc := make([]T, k*m)
+		parts[worker] = acc
+		for i := lo; i < hi; i++ {
+			grow := g[i*m : (i+1)*m]
+			for t, xv := range x[i*k : (i+1)*k] {
+				if xv == 0 {
+					continue
+				}
+				arow := acc[t*m : (t+1)*m]
+				for j, gv := range grow {
+					arow[j] += xv * gv
+				}
+			}
+		}
+	})
+	for _, part := range parts {
+		for i, v := range part {
+			wg[i] += v
+		}
+	}
+}
+
+// viaLoops evaluates the three loops at width T on float64 data the way a
+// plan of that width does: round in, compute, widen out.
+func viaLoops[T tensor.Elem](h, w, g *tensor.Dense) (out, gin, wgrad []float64) {
 	n, k, m := h.Rows, h.Cols, w.Cols
 	ht, wt, gt := make([]T, n*k), make([]T, k*m), make([]T, n*m)
 	tensor.Cast(ht, h.Data)
 	tensor.Cast(wt, w.Data)
 	tensor.Cast(gt, g.Data)
-	ot, xg := make([]T, n*m), make([]T, n*k)
+	ot, xg, wg := make([]T, n*m), make([]T, n*k), make([]T, k*m)
 	loopMM(ot, ht, wt, n, k, m)
 	loopMMVJPInput(xg, gt, wt, n, k, m)
-	out, gin = make([]float64, n*m), make([]float64, n*k)
+	loopMMVJPWeight(wg, ht, gt, n, k, m)
+	out, gin, wgrad = make([]float64, n*m), make([]float64, n*k), make([]float64, k*m)
 	tensor.Cast(out, ot)
 	tensor.Cast(gin, xg)
-	return out, gin
+	tensor.Cast(wgrad, wg)
+	return out, gin, wgrad
 }
 
 func firstBitDiff(a, b []float64) int {
@@ -82,12 +112,14 @@ func firstBitDiff(a, b []float64) int {
 	return -1
 }
 
-// TestMMMatchesDeletedLoops: forward output and input cotangent of a
-// compiled H·W equal the deleted hand loops bit for bit on finite data —
-// zero and negative-zero features included, which the old forward loop
-// skipped — at both widths, for shapes on every side of the kernels' seams
-// (k under and over eight rows of W; m under a vector register, whole
-// registers, a whole strip, strips plus registers plus columns over).
+// TestMMMatchesDeletedLoops: forward output, input cotangent and weight
+// gradient of a compiled H·W equal the deleted hand loops bit for bit on
+// finite data — zero and negative-zero features included, which the old
+// forward and weight-gradient loops skipped — at both widths, for shapes on
+// every side of the kernels' seams (k under and over eight rows of W; m under
+// a vector register, whole registers, a whole strip, strips plus registers
+// plus columns over). The 300 rows are two whole blocks of the weight
+// gradient's transpose and a part of one on one worker, three parts on three.
 func TestMMMatchesDeletedLoops(t *testing.T) {
 	old := par.Workers()
 	defer par.SetWorkers(old)
@@ -110,9 +142,9 @@ func TestMMMatchesDeletedLoops(t *testing.T) {
 				p := mmGraph(n, shape.k, w).MustCompile(fuse.Options{Train: true, DType: dt})
 				out := p.Forward(h)
 				gin := p.Backward(g)
-				wantOut, wantGin := viaLoops[float64](h, w.Value, g)
+				wantOut, wantGin, wantGrad := viaLoops[float64](h, w.Value, g)
 				if dt == tensor.F32 {
-					wantOut, wantGin = viaLoops[float32](h, w.Value, g)
+					wantOut, wantGin, wantGrad = viaLoops[float32](h, w.Value, g)
 				}
 				name := fmt.Sprintf("k=%d m=%d %s workers=%d", shape.k, shape.m, dt, workers)
 				if i := firstBitDiff(out.Data, wantOut); i >= 0 {
@@ -120,6 +152,9 @@ func TestMMMatchesDeletedLoops(t *testing.T) {
 				}
 				if i := firstBitDiff(gin.Data, wantGin); i >= 0 {
 					t.Errorf("%s: input cotangent[%d] = %v, deleted loop %v", name, i, gin.Data[i], wantGin[i])
+				}
+				if i := firstBitDiff(w.Grad.Data, wantGrad); i >= 0 {
+					t.Errorf("%s: weight gradient[%d] = %v, deleted loop %v", name, i, w.Grad.Data[i], wantGrad[i])
 				}
 				p.Release()
 			}
@@ -153,42 +188,72 @@ func TestMMPropagatesNonFinite(t *testing.T) {
 	}
 }
 
+// TestMMVJPPropagatesNonFinite: a non-finite output cotangent must reach the
+// weight gradient also through a zero feature, as a non-finite weight reaches
+// the output (above) and the input cotangent: the rank-1 loop the weight
+// gradient had before it ran on GatherAxpy skipped zero features and hid it.
+func TestMMVJPPropagatesNonFinite(t *testing.T) {
+	for _, shape := range []struct{ k, m int }{{32, 32}, {6, 5}} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			rng := rand.New(rand.NewSource(8))
+			const n = 200
+			w := randParam(rng, "W", shape.k, shape.m)
+			h, g := randDense(rng, n, shape.k), randDense(rng, n, shape.m)
+			h.Data[150*shape.k+2] = 0           // H[150,2]
+			g.Data[150*shape.m+3] = math.Inf(1) // Ḡ[150,3]
+			p := mmGraph(n, shape.k, w).MustCompile(fuse.Options{Train: true, DType: dt})
+			p.Forward(h)
+			p.Backward(g)
+			for tt := 0; tt < shape.k; tt++ {
+				got := w.Grad.Data[tt*shape.m+3]
+				if tt == 2 && !math.IsNaN(got) {
+					t.Errorf("k=%d m=%d %s: W̄[2,3] = %v with H[150,2] = 0 and Ḡ[150,3] = +Inf, want NaN", shape.k, shape.m, dt, got)
+				}
+				if tt != 2 && !math.IsInf(got, 0) {
+					t.Errorf("k=%d m=%d %s: W̄[%d,3] = %v, want ±Inf", shape.k, shape.m, dt, tt, got)
+				}
+			}
+			p.Release()
+		}
+	}
+}
+
 // BenchmarkMM times the dense projection through the plan op, next to
-// BenchmarkGatherDots/Axpy of internal/sparse: the forward H·W and, on a
-// training plan, forward plus backward (input cotangent through GatherDots,
-// weight gradient through its own loop), at the two BENCHMARK.json shapes.
-// ns/row counts one row of H per direction; GB/s is the traffic of those
-// rows (H and the output, read or written once; W stays in cache).
+// BenchmarkGatherDots/Axpy of internal/sparse, at the two BENCHMARK.json
+// shapes: the forward H·W; on a training plan forward plus backward; and as
+// "bwd" the backward pass alone — the input cotangent through GatherDots and
+// the weight gradient through GatherAxpy over transposed blocks of H, the
+// half of a training step this op spends on the scatter side. ns/row counts
+// one row of H per sweep; GB/s is the traffic of those rows (H and the
+// output, read or written once; W stays in cache).
 func BenchmarkMM(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		n    int
 		dt   tensor.DType
 	}{{"hub-f32", 1 << 16, tensor.F32}, {"flat-f64", 1 << 15, tensor.F64}} {
-		for _, train := range []bool{false, true} {
-			name := c.name
-			if train {
-				name += "-train"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, mode := range []struct {
+			suffix   string
+			fwd, bwd bool
+			sweeps   float64
+		}{{"", true, false, 1}, {"-train", true, true, 3}, {"-bwd", false, true, 2}} {
+			b.Run(c.name+mode.suffix, func(b *testing.B) {
 				const k = 32
 				rng := rand.New(rand.NewSource(3))
 				h, g := randDense(rng, c.n, k), randDense(rng, c.n, k)
-				p := mmGraph(c.n, k, randParam(rng, "W", k, k)).MustCompile(fuse.Options{Train: train, DType: c.dt})
+				p := mmGraph(c.n, k, randParam(rng, "W", k, k)).MustCompile(fuse.Options{Train: mode.bwd, DType: c.dt})
 				defer p.Release()
 				p.Forward(h)
 				b.ResetTimer()
 				for it := 0; it < b.N; it++ {
-					p.Forward(h)
-					if train {
+					if mode.fwd {
+						p.Forward(h)
+					}
+					if mode.bwd {
 						p.Backward(g)
 					}
 				}
-				sweeps := 1.0
-				if train {
-					sweeps = 3 // forward, input cotangent, weight gradient
-				}
-				rows := float64(b.N) * float64(c.n) * sweeps
+				rows := float64(b.N) * float64(c.n) * mode.sweeps
 				b.ReportMetric(b.Elapsed().Seconds()*1e9/rows, "ns/row")
 				b.ReportMetric(rows*2*k*float64(c.dt.Size())/b.Elapsed().Seconds()/1e9, "GB/s")
 			})

@@ -19,8 +19,12 @@ import (
 // property the alloc-regression tests pin down). Every sweep over the
 // sparsity pattern, and the dense projection with it, hands its rows to the
 // row primitives of internal/sparse (GatherDots to sample, GatherAxpy to
-// aggregate, ExpRow for the float32 softmax in between); no op carries its
-// own copy of those loops.
+// aggregate, ExpRow for the float32 softmax in between, CosineRow for AGNN's
+// normalisation); no op carries its own copy of those loops. The primitives
+// gather through a sparse.Index: the pattern's own (CSR.Index, scanned once
+// per pattern, like its transpose's), out of which every sweep slices its
+// rows; and before a sweep works on a row it asks for the operand rows of the
+// one after (prefetchRow).
 //
 // Every op body exists once, generic over the element type: Compile
 // instantiates the whole stack at float64 or float32 (Options.DType). The
@@ -39,7 +43,15 @@ type elem = tensor.Elem
 // at a time is the granularity at which per-vertex terms hoist out of the
 // per-edge loop and the dot products reach sparse.GatherDots; composeScore
 // lowers every sampled chain to one.
-type scoreRow[T elem] func(i int32, cols []int32, dst []T)
+type scoreRow[T elem] func(i int32, cols sparse.Index, dst []T)
+
+// score is a sampled chain as composeScore lowers it: the row evaluator and,
+// where that takes dot products against gathered rows, the dense node whose
+// rows they are — what a sweep asks for ahead of itself.
+type score[T elem] struct {
+	row     scoreRow[T]
+	gathers *spec[T]
+}
 
 // scoreEntry evaluates the single entry (i, j) of a virtual score matrix
 // (the kernels.ScoreFunc contract, at the plan's element width). The
@@ -146,17 +158,50 @@ func nnzWeight(pat *sparse.CSR) func(int) int64 {
 	return func(i int) int64 { return int64(pat.RowNNZ(i)) }
 }
 
+// prefetchAhead is how many pattern rows ahead of the one it is working on a
+// sparse sweep asks for the operand rows it will gather. Most rows of a graph
+// are a few edges long: their gathers all miss, and a row that short has
+// nothing to overlap the misses with, so the sweep starts them from the row
+// before. Distance and window cap (sparse.PrefetchRows) are read off the
+// table in EXPERIMENTS.md "The glue between the kernels".
+const prefetchAhead = 1
+
+// prefetchRow issues the hint for the rows of x that pattern row
+// i+prefetchAhead gathers, if the pattern has such a row.
+func prefetchRow[T elem](pat *sparse.CSR, idx sparse.Index, i int, x *tensor.Mat[T]) {
+	if i += prefetchAhead; i < pat.Rows {
+		sparse.PrefetchRows(idx.Slice(pat.RowPtr[i], pat.RowPtr[i+1]), x.Data, x.Cols, 0, x.Cols)
+	}
+}
+
+// gatherSweep is rowSweep for a row body that gathers rows of x through the
+// pattern (x nil: it gathers none, and this is rowSweep).
+func gatherSweep[T elem](pat *sparse.CSR, x *spec[T], each func(i int)) func(worker, lo, hi int) {
+	if x == nil {
+		return rowSweep(each)
+	}
+	idx := pat.Index()
+	return func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			prefetchRow(pat, idx, i, x.dense)
+			each(i)
+		}
+	}
+}
+
 // rowSampler builds the per-row body every sampling sweep shares: evaluate
 // the composed scores of pattern row i into row (one slot per non-zero),
-// multiply in the adjacency values when the mask is weighted, and — with
-// softmax — normalize the row in place.
+// multiply in the adjacency values when the mask is weighted (weights nil:
+// it is not, or they are all 1), and — with softmax — normalize the row in
+// place.
 func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int32, softmax bool) func(i int, row []T) {
+	idx := pat.Index()
 	return func(i int, row []T) {
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 		if b == e {
 			return
 		}
-		f(int32(i)+rowOff, pat.Col[b:e], row)
+		f(int32(i)+rowOff, idx.Slice(b, e), row)
 		if weights != nil {
 			for q, w := range weights[b:e] {
 				row[q] *= w
@@ -219,10 +264,10 @@ func scaleRow[T elem](row []T, c T) {
 // pattern. weights (the adjacency values) multiply each score when the mask
 // is weighted; with softmax, the row softmax is folded into the same sweep
 // (the FusedSoftmaxScores shape).
-func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f scoreRow[T], weights []T, rowOff int32, softmax bool) opFns {
-	sample := rowSampler(pat, f, weights, rowOff, softmax)
+func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) opFns {
+	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
 	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
-	body := rowSweep(each)
+	body := gatherSweep(pat, f.gathers, each)
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
 
@@ -251,15 +296,16 @@ func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) opFns {
 // opSpMM computes out = S·X over the shared pattern, with svals the sparse
 // node's value buffer (or the adjacency's own values).
 func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T]) opFns {
+	idx := pat.Index()
 	each := func(i int) {
 		xd, od := x.dense, out.dense
 		k := od.Cols
 		orow := od.Data[i*k : (i+1)*k]
 		clear(orow)
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-		sparse.GatherAxpy(orow, svals[b:e], pat.Col[b:e], xd.Data, k, 0)
+		sparse.GatherAxpy(orow, svals[b:e], idx.Slice(b, e), xd.Data, k, 0)
 	}
-	body := rowSweep(each)
+	body := gatherSweep(pat, x, each)
 	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
 }
 
@@ -361,7 +407,7 @@ func rowIndex(n int) []int32 {
 // weight reaches every output row (0·Inf is NaN, as IEEE 754 has it); with
 // finite weights the sum starts at +0 and a ±0 product cannot change it.
 func opMM[T elem](x, w, out *spec[T]) opFns {
-	wrows := rowIndex(x.cols)
+	wrows := sparse.NewIndex(rowIndex(x.cols))
 	each := func(i int) {
 		xd, wd, od := x.dense, w.dense, out.dense
 		k, m := xd.Cols, od.Cols
@@ -501,12 +547,24 @@ func opSigmaVJP[T elem](z, out *spec[T]) func() {
 	return func() { par.Range(n, body) }
 }
 
+// mmBlock is how many rows of X the weight half of opMMVJP transposes at a
+// time: long enough that the accumulator strip of GatherAxpy stays in
+// registers over many rows, short enough that the transposed block (mmBlock
+// values per column of X) stays in the first-level cache.
+const mmBlock = 128
+
 // opMMVJP accumulates X̄ += Ḡ·Wᵀ — row i of Ḡ against every row of W,
 // sparse.GatherDots with the identity index, into a per-worker k-vector that
-// is then added to X̄[i,:] — and W̄ += Xᵀ·Ḡ (per-worker partials, folded and
-// re-zeroed after the sweep).
+// is then added to X̄[i,:] — and W̄ += Xᵀ·Ḡ into per-worker partials, folded
+// and re-zeroed after the sweep. The weight half runs on sparse.GatherAxpy as
+// well: a block of mmBlock rows of X is transposed into per-worker scratch,
+// and column t of the block — X[i, t] for the block's i, ascending — is the
+// score row under which the block's rows of Ḡ are added into W̄[t, :]. Every
+// sum receives its terms in i order, and a zero feature is multiplied like any
+// other, so a non-finite cotangent reaches W̄ as it reaches X̄ and, in the
+// forward pass, the output.
 func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
-	wrows := rowIndex(x.cols)
+	wrows := sparse.NewIndex(rowIndex(x.cols))
 	dots := &rowScratch[T]{maxRow: x.cols}
 	xBody := func(worker, lo, hi int) {
 		wd, og, xg := w.dense, out.gdense, x.gdense
@@ -520,6 +578,8 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 			}
 		}
 	}
+	blockRows := rowIndex(mmBlock)
+	blocks := &rowScratch[T]{maxRow: x.cols * mmBlock}
 	wBody := func(worker, lo, hi int) {
 		xd, og := x.dense, out.gdense
 		k, m := xd.Cols, og.Cols
@@ -528,17 +588,17 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 			acc = tensor.NewMat[T](k, m)
 			ps.mats[worker] = acc
 		}
-		for i := lo; i < hi; i++ {
-			xrow := xd.Data[i*k : (i+1)*k]
-			grow := og.Data[i*m : (i+1)*m]
-			for t, xv := range xrow {
-				if xv == 0 {
-					continue
+		xt := blocks.row(worker)
+		for i0 := lo; i0 < hi; i0 += mmBlock {
+			nb := min(mmBlock, hi-i0)
+			for r := 0; r < nb; r++ {
+				for t, xv := range xd.Data[(i0+r)*k : (i0+r+1)*k] {
+					xt[t*mmBlock+r] = xv
 				}
-				arow := acc.Data[t*m : (t+1)*m]
-				for j, gv := range grow {
-					arow[j] += xv * gv
-				}
+			}
+			rows, grows := sparse.NewIndex(blockRows[:nb]), og.Data[i0*m:(i0+nb)*m]
+			for t := 0; t < k; t++ {
+				sparse.GatherAxpy(acc.Data[t*m:(t+1)*m], xt[t*mmBlock:t*mmBlock+nb], rows, grows, m, 0)
 			}
 		}
 	}
@@ -548,6 +608,7 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 		dots.ensure()
 		par.Range(rows, xBody)
 		mats := ps.ensure(x.cols, out.cols)
+		blocks.ensure()
 		par.Range(rows, wBody)
 		for _, p := range mats {
 			if p == nil {
@@ -568,22 +629,23 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 // transposed copy of the values.
 type transposedRows[T elem] struct {
 	patT    *sparse.CSR
+	idxT    sparse.Index
 	src     []int64
 	scratch rowScratch[T]
 }
 
 func newTransposedRows[T elem](t *sparse.Transposed) *transposedRows[T] {
-	return &transposedRows[T]{patT: t.Pat, src: t.Src, scratch: rowScratch[T]{maxRow: t.Pat.MaxRowNNZ()}}
+	return &transposedRows[T]{patT: t.Pat, idxT: t.Pat.Index(), src: t.Src, scratch: rowScratch[T]{maxRow: t.Pat.MaxRowNNZ()}}
 }
 
 // row returns the columns and the gathered values of row j of Sᵀ.
-func (t *transposedRows[T]) row(worker, j int, vals []T) ([]int32, []T) {
+func (t *transposedRows[T]) row(worker, j int, vals []T) (sparse.Index, []T) {
 	b, e := t.patT.RowPtr[j], t.patT.RowPtr[j+1]
 	row := t.scratch.row(worker)[:e-b]
 	for q, p := range t.src[b:e] {
 		row[q] = vals[p]
 	}
-	return t.patT.Col[b:e], row
+	return t.idxT.Slice(b, e), row
 }
 
 // opSpMMVJP handles Z = S·X: the sampler cotangent S̄_ij = Z̄[i,:]·X[j,:]
@@ -593,29 +655,32 @@ func (t *transposedRows[T]) row(worker, j int, vals []T) ([]int32, []T) {
 // not trainable), over adjT, A's values in Aᵀ's order; a sparse value node's
 // current values are read through the transpose row by row.
 func opSpMMVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T, tr *transposedRows[T], adjT []T, x, out *spec[T]) func() {
+	idx := pat.Index()
 	var samplerBody func(int, int, int)
 	if sgvals != nil {
 		samplerBody = func(_, lo, hi int) {
 			og, xd := out.gdense, x.dense
 			k := og.Cols
 			for i := lo; i < hi; i++ {
+				prefetchRow(pat, idx, i, xd)
 				b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-				sparse.GatherDots(sgvals[b:e], og.Data[i*k:(i+1)*k], pat.Col[b:e], xd.Data, k, 0)
+				sparse.GatherDots(sgvals[b:e], og.Data[i*k:(i+1)*k], idx.Slice(b, e), xd.Data, k, 0)
 			}
 		}
 	}
-	patT := tr.patT
+	patT, idxT := tr.patT, tr.idxT
 	accBody := func(worker, lo, hi int) {
 		og, xg := out.gdense, x.gdense
 		k := xg.Cols
 		for j := lo; j < hi; j++ {
-			var cols []int32
+			prefetchRow(patT, idxT, j, og)
+			var cols sparse.Index
 			var vals []T
 			if svals != nil {
 				cols, vals = tr.row(worker, j, svals)
 			} else {
 				b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-				cols, vals = patT.Col[b:e], adjT[b:e]
+				cols, vals = idxT.Slice(b, e), adjT[b:e]
 			}
 			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], vals, cols, og.Data, k, 0)
 		}
@@ -686,18 +751,21 @@ func opMaskVJP[T elem](gvals, weights []T) func() {
 // restricted to the pattern (C̄ lives on it). Aliased X == Y (the H·Hᵀ
 // self-attention case) is safe: the two accumulations run sequentially.
 func opDotVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, tr *transposedRows[T], x, y *spec[T]) func() {
+	idx := pat.Index()
 	xBody := func(_, lo, hi int) {
 		yd, xg := y.dense, x.gdense
 		k := xg.Cols
 		for i := lo; i < hi; i++ {
+			prefetchRow(pat, idx, i, yd)
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			sparse.GatherAxpy(xg.Data[i*k:(i+1)*k], gvals[b:e], pat.Col[b:e], yd.Data, k, 0)
+			sparse.GatherAxpy(xg.Data[i*k:(i+1)*k], gvals[b:e], idx.Slice(b, e), yd.Data, k, 0)
 		}
 	}
 	yBody := func(worker, lo, hi int) {
 		xd, yg := x.dense, y.gdense
 		k := yg.Cols
 		for j := lo; j < hi; j++ {
+			prefetchRow(tr.patT, tr.idxT, j, xd)
 			cols, vals := tr.row(worker, j, gvals)
 			sparse.GatherAxpy(yg.Data[j*k:(j+1)*k], vals, cols, xd.Data, k, 0)
 		}
@@ -868,7 +936,7 @@ func opSqDistVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, gvals []T, tr *
 		k := y.cols
 		for j := lo; j < hi; j++ {
 			cols, vals := tr.row(worker, j, gvals)
-			pull(yg[j*k:(j+1)*k], yd[j*k:(j+1)*k], vals, cols, xd)
+			pull(yg[j*k:(j+1)*k], yd[j*k:(j+1)*k], vals, cols.Cols(), xd)
 		}
 	}
 	return func() {

@@ -207,7 +207,7 @@ func (pp *PartitionedPlan) Bind(h *tensor.Dense) {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
 			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
 	}
-	p.x.bind(h)
+	p.x.bind(tensor.Typed{F64: h})
 }
 
 // RunStep executes step t's op fragments (plan topological order inside the
@@ -249,4 +249,4 @@ func (pp *PartitionedPlan) flush() {
 
 // Output returns the plan's output buffer — valid after the last step has
 // run, owned by the plan and overwritten by the next execution.
-func (pp *PartitionedPlan) Output() *tensor.Dense { return pp.p.x.result() }
+func (pp *PartitionedPlan) Output() *tensor.Dense { return pp.p.Output() }

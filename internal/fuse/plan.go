@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,9 +71,12 @@ func (s PlanStats) WorkspaceBytes() int64 { return s.DType.Size() * s.WorkspaceW
 // VJP list and returns the input cotangent. All returned tensors are owned
 // by the plan and are overwritten by the next step.
 //
-// The public contract is float64 at either Options.DType: the typed buffers
-// live behind the plan's boundary (exec), which is the one place that knows
-// whether the plan aliases the caller's storage or casts across it.
+// A plan takes and returns matrices at its own width (ForwardTyped,
+// BackwardTyped — what the consecutive plans of a model hand each other) or
+// as float64, the public matrix type (Forward, Backward, Output, InputGrad).
+// The typed buffers live behind the plan's boundary (exec), which is the one
+// place that knows whether the plan aliases the caller's storage or casts
+// across it.
 type Plan struct {
 	Name   string
 	train  bool
@@ -94,28 +98,33 @@ type Plan struct {
 	released   bool
 }
 
-// boundary is the float64 face of a plan's typed execution state.
+// boundary is the face of a plan's typed execution state.
 type boundary interface {
-	bind(h *tensor.Dense)     // make h the input of the coming forward sweep
-	result() *tensor.Dense    // the forward output
-	seed(g *tensor.Dense)     // reset cotangents, load the output cotangent
-	inputGrad() *tensor.Dense // settle parameter gradients, return the input cotangent
+	bind(h tensor.Typed)           // make h the input of the coming forward sweep
+	seed(g tensor.Typed)           // reset cotangents, load the output cotangent
+	settle()                       // flush parameter gradients into their float64 masters
+	native(back bool) tensor.Typed // the forward result — back: the input cotangent — at the plan's width
+	dense(back bool) *tensor.Dense // the same as float64
 	release(ws *tensor.Arena)
 }
 
 // exec is the execution state of a plan instantiated at element type T, and
-// the plan boundary. At float64 the boundary copies nothing: the input is
-// bound per call, parameters and their gradient accumulators alias the
-// master ParamRef storage, and the output buffer is returned as is. At any
-// narrower width the plan is mixed-precision: the input and the parameter
-// values are rounded into plan-owned buffers on every Forward (so optimizer
-// updates are observed), gradients accumulate in zeroed shadows that are
-// flushed with Grad[i] += float64(shadow[i]) after every Backward
-// (preserving the accumulate semantics across layers and steps), and
-// results are widened into reusable float64 buffers. On an off-diagonal rank
-// of a process grid (offDiag) the input and output nodes do not exist: only
-// the parameters cross the boundary.
+// the plan boundary. A matrix that arrives at width T is bound, not copied:
+// the input of a forward sweep always, the output cotangent where nothing
+// inside the DAG accumulates into it. At float64 that is every matrix, and
+// parameters and their gradient accumulators alias the master ParamRef
+// storage as well. At any narrower width the plan is mixed-precision: the
+// parameter values are rounded into plan-owned buffers on every Forward (so
+// optimizer updates are observed), gradients accumulate in zeroed shadows
+// that are flushed with Grad[i] += float64(shadow[i]) after every Backward
+// (preserving the accumulate semantics across layers and steps), and a
+// float64 matrix crosses through a conversion buffer — the narrowed input,
+// the widened result, the widened input cotangent — acquired when one first
+// crosses there: a layer between two others of its width never holds any.
+// On an off-diagonal rank of a process grid (offDiag) the input and output
+// nodes do not exist: only the parameters cross the boundary.
 type exec[T elem] struct {
+	plan          *Plan // whose workspace the conversion buffers come from, and count in
 	input, output *spec[T]
 	offDiag       bool
 	// seedByRef: the output cotangent is read from the caller's matrix, as
@@ -123,11 +132,13 @@ type exec[T elem] struct {
 	seedByRef bool
 
 	// Casting plans only; empty when T is float64.
-	outF, ginF *tensor.Dense // widened forward result / input cotangent
-	shadows    []shadow[T]   // parameter masters → rounded working copies
-	flushes    []shadow[T]   // gradient shadows → master Grad accumulators
+	inN        *tensor.Mat[T] // narrowed input
+	outF, ginF *tensor.Dense  // widened forward result / input cotangent
+	shadows    []shadow[T]    // parameter masters → rounded working copies
+	flushes    []shadow[T]    // gradient shadows → master Grad accumulators
 	narrow     castSweep[T, float64]
 	widen      castSweep[float64, T]
+	same       castSweep[T, T] // an output cotangent arriving at width T
 
 	zeroMats []*tensor.Mat[T] // cotangent buffers zeroed before each backward
 	zeroVecs [][]T
@@ -144,12 +155,10 @@ type shadow[T elem] struct {
 }
 
 // castSweep is tensor.Cast split over par.Range. A casting plan converts an
-// n×k matrix on every crossing of its boundary (input and result of a
-// forward, output cotangent and input cotangent of a backward); one worker
-// doing that is a visible share of a step once the sweeps between the
-// crossings are fast. Element-wise, so the split cannot change a bit. The
-// loop body is built on first use and kept, so a steady-state crossing
-// allocates nothing.
+// n×k matrix wherever a float64 one crosses its boundary; one worker doing
+// that is a visible share of a step once the sweeps between the crossings
+// are fast. Element-wise, so the split cannot change a bit. The loop body is
+// built on first use and kept, so a steady-state crossing allocates nothing.
 type castSweep[D, S elem] struct {
 	dst  []D
 	src  []S
@@ -176,66 +185,103 @@ func alias[T elem](d *tensor.Dense) (*tensor.Mat[T], bool) {
 	return m, ok
 }
 
-// dense64 is the inverse of alias: it hands a float64 plan's buffer out as
-// the public matrix type, uncopied.
-func dense64[T elem](m *tensor.Mat[T]) *tensor.Dense {
-	return (*tensor.Dense)(any(m).(*tensor.Mat[float64]))
+// asNative views v as a matrix of T when it is one.
+func asNative[T elem](v tensor.Typed) (*tensor.Mat[T], bool) {
+	if v.F32 != nil {
+		m, ok := any(v.F32).(*tensor.Mat[T])
+		return m, ok
+	}
+	return alias[T](v.F64)
 }
 
-func (e *exec[T]) bind(h *tensor.Dense) {
-	if m, ok := alias[T](h); ok {
-		e.input.dense = m
-		return
+// typed hands a plan's matrix out under its width tag, uncopied.
+func typed[T elem](m *tensor.Mat[T]) tensor.Typed {
+	if m32, ok := any(m).(*tensor.Mat[float32]); ok {
+		return tensor.Typed{F32: m32}
 	}
+	return tensor.Typed{F64: (*tensor.Dense)(any(m).(*tensor.Mat[float64]))}
+}
+
+// words adds n elements of the given width to the workspace the plan reports.
+func (e *exec[T]) words(n int, width int64) {
+	e.plan.stats.WorkspaceWords += int64(n) * width / e.plan.stats.DType.Size()
+}
+
+func (e *exec[T]) bind(h tensor.Typed) {
 	if !e.offDiag {
-		e.narrow.run(e.input.dense.Data, h.Data)
+		m, ok := asNative[T](h)
+		if !ok {
+			if e.inN == nil {
+				e.inN = tensor.AcquireMat[T](e.plan.ws, h.F64.Rows, h.F64.Cols)
+				e.mats = append(e.mats, e.inN)
+				e.words(len(e.inN.Data), e.plan.stats.DType.Size())
+			}
+			m = e.inN
+			e.narrow.run(m.Data, h.F64.Data)
+		}
+		e.input.dense = m
 	}
 	for _, s := range e.shadows {
 		e.narrow.run(s.local.Data, s.master.Data)
 	}
 }
 
-func (e *exec[T]) result() *tensor.Dense {
-	switch {
-	case e.offDiag:
-		return nil
-	case e.outF == nil:
-		return dense64(e.output.dense)
-	}
-	e.widen.run(e.outF.Data, e.output.dense.Data)
-	return e.outF
-}
-
-func (e *exec[T]) seed(g *tensor.Dense) {
+func (e *exec[T]) seed(g tensor.Typed) {
 	for _, m := range e.zeroMats {
 		clear(m.Data)
 	}
 	for _, v := range e.zeroVecs {
 		clear(v)
 	}
+	if e.offDiag {
+		return
+	}
+	m, ok := asNative[T](g)
 	switch {
-	case e.offDiag:
 	case e.seedByRef:
-		e.output.gdense, _ = alias[T](g)
+		e.output.gdense = m
+	case ok:
+		e.same.run(e.output.gdense.Data, m.Data)
 	default:
-		e.narrow.run(e.output.gdense.Data, g.Data)
+		e.narrow.run(e.output.gdense.Data, g.F64.Data)
 	}
 }
 
-func (e *exec[T]) inputGrad() *tensor.Dense {
+func (e *exec[T]) settle() {
 	for _, s := range e.flushes {
 		for i, v := range s.local.Data {
 			s.master.Data[i] += float64(v)
 		}
 	}
+}
+
+func (e *exec[T]) native(back bool) tensor.Typed {
 	switch {
 	case e.offDiag:
-		return nil
-	case e.ginF == nil:
-		return dense64(e.input.gdense)
+		return tensor.Typed{}
+	case back:
+		return typed(e.input.gdense)
 	}
-	e.widen.run(e.ginF.Data, e.input.gdense.Data)
-	return e.ginF
+	return typed(e.output.dense)
+}
+
+func (e *exec[T]) dense(back bool) *tensor.Dense {
+	if e.offDiag {
+		return nil
+	}
+	src, buf := e.output.dense, &e.outF
+	if back {
+		src, buf = e.input.gdense, &e.ginF
+	}
+	if d, ok := any(src).(*tensor.Mat[float64]); ok {
+		return (*tensor.Dense)(d)
+	}
+	if *buf == nil {
+		*buf = e.plan.ws.AcquireDense(src.Rows, src.Cols)
+		e.words(len(src.Data), 8)
+	}
+	e.widen.run((*buf).Data, src.Data)
+	return *buf
 }
 
 func (e *exec[T]) release(ws *tensor.Arena) {
@@ -248,7 +294,7 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 	tensor.ReleaseSlice(ws, e.wire)
 	ws.ReleaseDense(e.outF)
 	ws.ReleaseDense(e.ginF)
-	e.mats, e.slices, e.wire, e.outF, e.ginF = nil, nil, nil, nil, nil
+	e.mats, e.slices, e.wire, e.inN, e.outF, e.ginF = nil, nil, nil, nil, nil, nil
 }
 
 // Compile lowers the graph into an executable plan: it runs the Section 6.2
@@ -338,6 +384,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
 		input: g.md(g.input), output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
+	e.plan = p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
 	// order does not matter: op closures capture the pointer, the
@@ -354,8 +401,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	e.input, e.output = sp(g.input), sp(g.output)
 
 	// words counts the held workspace in elements of T (WorkspaceBytes
-	// multiplies by DType.Size()); the float64 boundary buffers of a
-	// casting plan count at their own width.
+	// multiplies by DType.Size()); the float64 buffers of a casting plan
+	// count at their own width.
 	var words int64
 	mat := func(r, c int) *tensor.Mat[T] {
 		m := tensor.AcquireMat[T](ws, r, c)
@@ -369,14 +416,12 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		words += int64(n)
 		return s
 	}
-	widened := func(m *meta) *tensor.Dense {
-		words += int64(m.rows) * int64(m.cols) * 8 / opt.DType.Size()
-		return ws.AcquireDense(m.rows, m.cols)
-	}
 	pat := g.pat
 	nnz := pat.NNZ()
 	// The nnz-balanced chunk boundaries every sparse sweep uses, computed
-	// once per pattern here so steady-state ops pay zero scan cost.
+	// once per pattern here so steady-state ops pay zero scan cost. (The
+	// checked column index the sweeps gather through is the pattern's own,
+	// pat.Index(), scanned once as well.)
 	cuts := par.NewCuts(pat.Rows, nnzWeight(pat))
 
 	// The adjacency values (weighted masks, adjacency SpMM) at width T,
@@ -393,11 +438,15 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		}
 		return adj
 	}
+	// A weighted mask multiplies A's values in, unless every one of them is
+	// exactly 1: x·1 is x to the bit, so such a mask compiles as a pattern-only
+	// one — no multiply per edge, no VJP, no copy of the values at width T.
+	// The values are part of the plan-cache key, so the decision is too.
 	maskWeights := func(mask *spec[T]) []T {
-		if mask.weighted {
-			return adjVals()
+		if !mask.weighted || !slices.ContainsFunc(pat.Val, func(v float64) bool { return v != 1 }) {
+			return nil
 		}
-		return nil
+		return adjVals()
 	}
 
 	// value and cotangent acquire the storage of a dense or vector node.
@@ -429,9 +478,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		case n == g.adj:
 			// values resolve lazily via adjVals
 		case n == g.input:
-			if !aliased {
-				s.dense = mat(s.rows, s.cols) // the rounding target for Forward's h
-			}
+			// The value is bound per step (exec.bind).
 			if opt.Train {
 				cotangent(s)
 			}
@@ -512,12 +559,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			for _, in := range cotangentOperands(n) {
 				sp(in).gvals = s.gvals
 			}
-		}
-	}
-	if !aliased && diag {
-		e.outF = widened(p.output)
-		if opt.Train {
-			e.ginF = widened(p.input)
 		}
 	}
 	// The grid plan's collectives, and the row-statistics vector its softmax
@@ -632,7 +673,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 				sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 				if fusedMask[in] {
 					op = "fused-softmax"
-					sample = rowSampler(pat, composeScore(sp, in.Inputs[1]), maskWeights(sp(in)), rowOff, false)
+					sample = rowSampler(pat, composeScore(sp, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false)
 				}
 				emit(&p.fwd, n, "", op, opFns{run: opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat)})
 			case fusedMask[in]:
@@ -722,7 +763,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			case "softmax":
 				vjp = opSoftmaxVJP(pat, cuts, s.vals, s.gvals, w, rowStat)
 			case "mask":
-				// In place; a pattern-only mask passes its cotangent through.
+				// In place; a pattern-only mask — unit weights included — passes
+				// its cotangent through.
 				if weights := maskWeights(s); weights != nil {
 					vjp = opMaskVJP(s.gvals, weights)
 				}
@@ -845,19 +887,19 @@ func cotangentOperands(n *Node) []*Node {
 // three standard attention chains get flat row loops with every per-vertex
 // term hoisted: GAT's lrelu(u·1ᵀ + 1·vᵀ) is u[i] + v[cols[q]] and a sign
 // test, VA's X·Yᵀ is sparse.GatherDots, AGNN's β·(X·Yᵀ ⊘ a·bᵀ) is
-// GatherDots followed by the scaling. Any other chain loops its entry-wise
-// composition. Each entry is computed by the same operations in the same
-// order either way. Parameter operands are read through their spec at call
-// time, so the "scale" β is the same value the kernels see.
-func composeScore[T elem](sp func(*Node) *spec[T], n *Node) scoreRow[T] {
+// GatherDots followed by sparse.CosineRow. Any other chain loops its
+// entry-wise composition. Each entry is computed by the same operations in
+// the same order either way. Parameter operands are read through their spec
+// at call time, so the "scale" β is the same value the kernels see.
+func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 	// dots returns the row evaluator of the virtual X·Yᵀ node m.
-	dots := func(m *Node) scoreRow[T] {
+	dots := func(m *Node) score[T] {
 		xs, ys := sp(m.Inputs[0]), sp(m.Inputs[1])
-		return func(i int32, cols []int32, dst []T) {
+		return score[T]{gathers: ys, row: func(i int32, cols sparse.Index, dst []T) {
 			xd := xs.dense
 			k := xd.Cols
 			sparse.GatherDots(dst, xd.Data[int(i)*k:int(i)*k+k], cols, ys.dense.Data, k, 0)
-		}
+		}}
 	}
 	switch {
 	case n.Op == "mmt":
@@ -867,44 +909,35 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) scoreRow[T] {
 		a := n.Inputs[0]
 		us, vs := sp(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
 		slope := T(sp(n).slope)
-		return func(i int32, cols []int32, dst []T) {
+		return score[T]{row: func(i int32, cols sparse.Index, dst []T) {
 			u, v := us.vec[i], vs.vec
-			dst = dst[:len(cols)]
-			for q, j := range cols {
+			dst = dst[:cols.Len()]
+			for q, j := range cols.Cols() {
 				s := u + v[j]
 				if s < 0 {
 					s *= slope
 				}
 				dst[q] = s
 			}
-		}
+		}}
 	case n.Op == "scale" && n.Inputs[0].Op == "divide" &&
 		n.Inputs[0].Inputs[0].Op == "mmt" && n.Inputs[0].Inputs[1].Op == "outer":
 		d := n.Inputs[0]
 		dot := dots(d.Inputs[0])
 		as, bs := sp(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
 		beta := sp(n.Inputs[1])
-		return func(i int32, cols []int32, dst []T) {
-			dot(i, cols, dst)
-			a, b, bt := as.vec[i], bs.vec, beta.dense.Data[0]
-			dst = dst[:len(cols)]
-			for q, j := range cols {
-				den := a * b[j]
-				if den == 0 { // the zero-norm guard
-					dst[q] = 0
-					continue
-				}
-				dst[q] = bt * (dst[q] / den)
-			}
-		}
+		return score[T]{gathers: dot.gathers, row: func(i int32, cols sparse.Index, dst []T) {
+			dot.row(i, cols, dst)
+			sparse.CosineRow(dst, cols, bs.vec, as.vec[i], beta.dense.Data[0])
+		}}
 	}
 	entry := sp(n).entry
-	return func(i int32, cols []int32, dst []T) {
-		dst = dst[:len(cols)]
-		for q, j := range cols {
+	return score[T]{row: func(i int32, cols sparse.Index, dst []T) {
+		dst = dst[:cols.Len()]
+		for q, j := range cols.Cols() {
 			dst[q] = entry(i, j)
 		}
-	}
+	}}
 }
 
 // composeEntry builds the closure evaluating one entry of a virtual node by
@@ -990,17 +1023,41 @@ func (p *Plan) OutputDims() (rows, cols int) { return p.output.rows, p.output.co
 // The returned matrix is owned by the plan and overwritten by the next
 // step.
 func (p *Plan) Forward(h *tensor.Dense) *tensor.Dense {
+	p.ForwardTyped(tensor.Typed{F64: h})
+	return p.Output()
+}
+
+// ForwardTyped is Forward on a matrix at either width, returning the result
+// at the plan's: a float32 plan binds a float32 input as a float64 plan binds
+// a float64 one, and hands its output buffer on as it is. Any plan takes a
+// float64 input; a float32 one into a float64 plan is the caller's to widen.
+func (p *Plan) ForwardTyped(h tensor.Typed) tensor.Typed {
 	if p.released {
 		panic("fuse: Forward on a released plan")
 	}
-	if !p.offDiag && (h.Rows != p.input.rows || h.Cols != p.input.cols) {
-		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
-			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
-	}
+	p.checkShape("input", h, p.input)
 	p.x.bind(h)
 	runOps(p.fwd)
 	p.ranForward = true
-	return p.x.result()
+	return p.x.native(false)
+}
+
+// Output returns the result of the latest forward sweep as float64: the
+// plan's own buffer at that width, a widened copy (in a buffer acquired on
+// first use) at float32.
+func (p *Plan) Output() *tensor.Dense { return p.x.dense(false) }
+
+// checkShape panics unless v is what the plan can bind at node m.
+func (p *Plan) checkShape(what string, v tensor.Typed, m *meta) {
+	if p.offDiag {
+		return
+	}
+	if rows, cols, _ := v.Dims(); rows != m.rows || cols != m.cols {
+		panic(fmt.Sprintf("fuse: plan %q %s shape %d×%d, got %d×%d", p.Name, what, m.rows, m.cols, rows, cols))
+	}
+	if v.F32 != nil && p.stats.DType != tensor.F32 {
+		panic(fmt.Sprintf("fuse: plan %q runs at %s and was handed a float32 %s", p.Name, p.stats.DType, what))
+	}
 }
 
 // runOps executes an op list, recording each op's wall time into its
@@ -1090,20 +1147,29 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 // the plan's output, accumulates parameter gradients into their Grad
 // buffers, and returns the cotangent of the input (owned by the plan).
 func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
+	p.BackwardTyped(tensor.Typed{F64: g})
+	return p.InputGrad()
+}
+
+// BackwardTyped is Backward on a cotangent at either width, returning the
+// input cotangent at the plan's (see ForwardTyped).
+func (p *Plan) BackwardTyped(g tensor.Typed) tensor.Typed {
 	if !p.train {
 		panic(fmt.Sprintf("fuse: plan %q is inference-only", p.Name))
 	}
 	if !p.ranForward {
 		panic(fmt.Sprintf("fuse: plan %q: Backward before Forward", p.Name))
 	}
-	if !p.offDiag && (g.Rows != p.output.rows || g.Cols != p.output.cols) {
-		panic(fmt.Sprintf("fuse: plan %q output shape %d×%d, got cotangent %d×%d",
-			p.Name, p.output.rows, p.output.cols, g.Rows, g.Cols))
-	}
+	p.checkShape("output cotangent", g, p.output)
 	p.x.seed(g)
 	runOps(p.bwd)
-	return p.x.inputGrad()
+	p.x.settle()
+	return p.x.native(true)
 }
+
+// InputGrad returns the input cotangent of the latest backward sweep as
+// float64 (see Output).
+func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 
 // Release returns every buffer the plan holds to its workspace arena. The
 // plan is unusable afterwards; recompiling against the same arena (an

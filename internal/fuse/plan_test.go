@@ -325,40 +325,139 @@ func TestPlanWorkspaceRecycling(t *testing.T) {
 	}
 }
 
-// TestPlanArenaPeakIsStatsWorkspace: a plan acquires its whole workspace at
-// compile time, so the arena's high-water mark is a property of the plan,
-// not of the run: it equals what PlanStats reports, stepping the plan moves
-// neither the live nor the allocated bytes, and a second compile of the same
-// graph lands on the same figure.
+// TestPlanArenaPeakIsStatsWorkspace: what a plan holds of its arena is what
+// PlanStats reports, at every moment — after compile, and after the first
+// step, when a float32 plan handed float64 matrices has acquired the buffers
+// it converts them through (a float64 plan acquires nothing). From then on
+// the high-water mark is a property of the plan, not of the run: stepping
+// moves neither the live nor the allocated bytes, and a second compile of the
+// same graph lands on the same figures.
 func TestPlanArenaPeakIsStatsWorkspace(t *testing.T) {
 	a := weightedGraph(40, 160, 13)
 	const k = 4
 	h := tensor.RandN(a.Rows, k, 0.5, rand.New(rand.NewSource(9)))
 	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 		for _, train := range []bool{false, true} {
-			var held [2]int64
-			for run := range held {
+			var compiled, stepped [2]int64
+			for run := range compiled {
 				ws := tensor.NewArena()
 				w := randParam(rand.New(rand.NewSource(7)), "W", k, k)
 				p := buildVA(a, w, k).MustCompile(fuse.Options{Train: train, DType: dt, Workspace: ws})
-				held[run] = ws.LiveBytes()
-				if want := p.Stats().WorkspaceBytes(); held[run] != want || ws.Bytes() != want {
-					t.Errorf("%v train=%v: arena holds %d B (%d allocated), PlanStats says %d",
-						dt, train, held[run], ws.Bytes(), want)
+				held := func(when string) int64 {
+					if want := p.Stats().WorkspaceBytes(); ws.LiveBytes() != want || ws.Bytes() != want {
+						t.Errorf("%v train=%v %s: arena holds %d B (%d allocated), PlanStats says %d",
+							dt, train, when, ws.LiveBytes(), ws.Bytes(), want)
+					}
+					return ws.LiveBytes()
 				}
-				for step := 0; step < 2; step++ {
+				step := func() {
 					out := p.Forward(h)
 					if train {
 						p.Backward(out)
 					}
 				}
-				if ws.LiveBytes() != held[run] || ws.Bytes() != held[run] {
-					t.Errorf("%v train=%v: stepping moved the arena: %d B live, %d allocated, %d after compile",
-						dt, train, ws.LiveBytes(), ws.Bytes(), held[run])
+				compiled[run] = held("after compile")
+				step()
+				stepped[run] = held("after the first step")
+				if dt == tensor.F64 && stepped[run] != compiled[run] {
+					t.Errorf("%v train=%v: the first step acquired %d B", dt, train, stepped[run]-compiled[run])
+				}
+				step()
+				if held("after the second step") != stepped[run] {
+					t.Errorf("%v train=%v: the second step moved the arena: %d B live, %d after the first",
+						dt, train, ws.LiveBytes(), stepped[run])
 				}
 			}
-			if held[0] != held[1] {
-				t.Errorf("%v train=%v: workspace differs across runs: %d vs %d B", dt, train, held[0], held[1])
+			if compiled[0] != compiled[1] || stepped[0] != stepped[1] {
+				t.Errorf("%v train=%v: workspace differs across runs: %d/%d vs %d/%d B",
+					dt, train, compiled[0], stepped[0], compiled[1], stepped[1])
+			}
+		}
+	}
+}
+
+// TestUnitMaskIsPatternOnly: a weighted mask over an adjacency whose values
+// are all exactly 1 compiles as a pattern-only mask — no multiply per edge in
+// the sampling sweep, no mask VJP in the backward list, no copy of A's values
+// at float32 — and a single value other than 1 brings all three back. What
+// the unit plan computes is to the bit what the weighted one does: held
+// against the same pattern with one value set to 2, on every output row but
+// that edge's, and, with that row's output cotangent zeroed, on the input
+// cotangent and every parameter gradient (the doubled score reaches them only
+// through products with zero). The golden hashes pin the weighted path itself.
+func TestUnitMaskIsPatternOnly(t *testing.T) {
+	const n, k = 300, 6
+	unit := graph.ErdosRenyi(n, 1500, 31)
+	const edge = 700 // the one value the weighted twin changes
+	vals := append([]float64(nil), unit.Val...)
+	vals[edge] = 2
+	two := unit.WithValues(vals)
+	row := 0
+	for int(unit.RowPtr[row+1]) <= edge {
+		row++
+	}
+	models := map[string]func(a *sparse.CSR, rng *rand.Rand) (*fuse.Graph, []fuse.ParamRef){
+		"va": func(a *sparse.CSR, rng *rand.Rand) (*fuse.Graph, []fuse.ParamRef) {
+			w := randParam(rng, "W", k, k)
+			return buildVA(a, w, k), []fuse.ParamRef{w}
+		},
+		"agnn": func(a *sparse.CSR, rng *rand.Rand) (*fuse.Graph, []fuse.ParamRef) {
+			w, beta := randParam(rng, "W", k, k), randParam(rng, "beta", 1, 1)
+			return buildAGNN(a, w, beta, k), []fuse.ParamRef{w, beta}
+		},
+	}
+	for name, build := range models {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, train := range []bool{false, true} {
+				for _, noFuse := range []bool{false, true} {
+					what := fmt.Sprintf("%s %v train=%v unfused=%v", name, dt, train, noFuse)
+					// run executes one step on adjacency a and returns the
+					// plan's statistics and every matrix the step produced.
+					run := func(a *sparse.CSR) (fuse.PlanStats, []*tensor.Dense) {
+						rng := rand.New(rand.NewSource(5))
+						g, params := build(a, rng)
+						h, gOut := randDense(rng, n, k), randDense(rng, n, k)
+						h.ScaleInPlace(0.3) // keep the tanh of VA's unnormalised sums off its float32 plateau
+						clear(gOut.Data[row*k : (row+1)*k])
+						p := g.MustCompile(fuse.Options{Train: train, DType: dt, NoAttnFuse: noFuse})
+						defer p.Release()
+						got := []*tensor.Dense{p.Forward(h).Clone()}
+						if train {
+							got = append(got, p.Backward(gOut).Clone())
+							for _, pr := range params {
+								got = append(got, pr.Grad)
+							}
+						}
+						return p.Stats(), got
+					}
+					unitStats, unitGot := run(unit)
+					twoStats, twoGot := run(two)
+					if train && twoStats.BackwardOps != unitStats.BackwardOps+1 {
+						t.Errorf("%s: %d backward ops with unit weights, %d with one weight of 2: want exactly the mask VJP apart",
+							what, unitStats.BackwardOps, twoStats.BackwardOps)
+					}
+					wantCopy := int64(0)
+					if dt == tensor.F32 {
+						wantCopy = int64(unit.NNZ())
+					}
+					if d := twoStats.WorkspaceWords - unitStats.WorkspaceWords; d != wantCopy {
+						t.Errorf("%s: the weighted plan holds %d words more than the unit one, want %d (A's values at the plan's width)",
+							what, d, wantCopy)
+					}
+					for m := range unitGot {
+						u, w := unitGot[m].Data, twoGot[m].Data
+						if m == 0 { // the forward output: every row but the edge's
+							u = append(append([]float64(nil), u[:row*k]...), u[(row+1)*k:]...)
+							w = append(append([]float64(nil), w[:row*k]...), w[(row+1)*k:]...)
+						}
+						if i := firstBitDiff(u, w); i >= 0 {
+							t.Errorf("%s: matrix %d differs at %d: %v with unit weights, %v under the multiply", what, m, i, u[i], w[i])
+						}
+					}
+					if firstBitDiff(unitGot[0].Data, twoGot[0].Data) < 0 {
+						t.Errorf("%s: the weight of 2 did not reach the output: the multiply is gone from the weighted plan too", what)
+					}
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -268,5 +269,94 @@ func TestWeightsF64StaysV2(t *testing.T) {
 	}
 	if !bytes.Equal(viaModel.Bytes(), viaParams.Bytes()) {
 		t.Fatal("f64 SaveWeights bytes differ from the dtype-unaware SaveParams format")
+	}
+}
+
+// sameBitsDense reports the first element at which two matrices differ by
+// bit pattern, or -1.
+func sameBitsDense(a, b *tensor.Dense) int {
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestModelTypedHandoffMatchesLayerChain: Model.Forward and Model.Backward
+// hand the activation from plan to plan at the plans' width; calling the
+// layers one after the other hands every one a float64 matrix. float32 →
+// float64 → float32 is exact, so the two must agree bit for bit — forward
+// output in both modes, input cotangent and every parameter gradient — on a
+// three-layer stack (every boundary typed) and on a five-layer one with a
+// DropoutLayer and a profiledLayer in the middle, which are handed a
+// *tensor.Dense either way and sit between typed boundaries.
+func TestModelTypedHandoffMatchesLayerChain(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+	a := testGraph(300, 81)
+	h := tensor.RandN(300, 4, 0.8, rand.New(rand.NewSource(82)))
+	gOut := tensor.RandN(300, 3, 0.5, rand.New(rand.NewSource(83)))
+
+	// build returns the stack; mixed puts the two non-plan layers in.
+	build := func(kind Kind, dt tensor.DType, layers int, mixed bool) *Model {
+		cfg := dtypeCfg(kind, 1, dt)
+		cfg.Layers = layers
+		m, err := New(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mixed {
+			l := m.Layers
+			m.Layers = []Layer{l[0], l[1], NewDropout(0.25, 84),
+				&profiledLayer{inner: l[2], stats: &LayerStats{}, spanFwd: "fwd", spanBwd: "bwd"}, l[3], l[4]}
+		}
+		return m
+	}
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		for _, kind := range []Kind{AGNN, GAT, GCN} {
+			for _, dt := range []tensor.DType{tensor.F32, tensor.F64} {
+				for _, mixed := range []bool{false, true} {
+					layers := 3
+					if mixed {
+						layers = 5
+					}
+					model, chain := build(kind, dt, layers, mixed), build(kind, dt, layers, mixed)
+					what := func(s string) string {
+						return fmt.Sprintf("%v %v workers=%d mixed=%v: %s", kind, dt, workers, mixed, s)
+					}
+					x := h
+					for _, l := range chain.Layers {
+						x = l.Forward(x, false)
+					}
+					if i := sameBitsDense(model.Forward(h, false), x); i >= 0 {
+						t.Error(what("inference output"), "differs at", i)
+					}
+					x = h
+					for _, l := range chain.Layers {
+						x = l.Forward(x, true)
+					}
+					if i := sameBitsDense(model.Forward(h, true), x); i >= 0 {
+						t.Error(what("training output"), "differs at", i)
+					}
+					g := gOut
+					for l := len(chain.Layers) - 1; l >= 0; l-- {
+						g = chain.Layers[l].Backward(g)
+					}
+					if i := sameBitsDense(model.Backward(gOut), g); i >= 0 {
+						t.Error(what("input cotangent"), "differs at", i)
+					}
+					mp, cp := model.Params(), chain.Params()
+					for p := range mp {
+						if i := sameBitsDense(mp[p].Grad, cp[p].Grad); i >= 0 {
+							t.Error(what("gradient of parameter "+mp[p].Name), p, "differs at", i)
+						}
+					}
+					model.ReleasePlans()
+					chain.ReleasePlans()
+				}
+			}
+		}
 	}
 }

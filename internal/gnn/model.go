@@ -65,22 +65,37 @@ func (m *Model) CheckTrainable() error {
 
 // Forward runs all layers on the input feature matrix. The result is owned
 // by the last layer (see Layer.Forward): valid until the next Forward of
-// this model or ReleasePlans.
+// this model or ReleasePlans. Between two DAG layers of one width the
+// activation stays at that width — the next plan binds the previous one's
+// output buffer — so a float32 model converts once on the way in and once on
+// the way out; any other layer is handed a float64 matrix.
 func (m *Model) Forward(h *tensor.Dense, training bool) *tensor.Dense {
+	x := handoff{m: tensor.Typed{F64: h}}
 	for _, l := range m.Layers {
-		h = l.Forward(h, training)
+		if dl, ok := l.(DAGLayer); ok && x.fits(dl.core().DType) {
+			x = dl.core().forward(x.m, training)
+		} else {
+			x = handoff{m: tensor.Typed{F64: l.Forward(x.dense(false), training)}}
+		}
 	}
-	return h
+	return x.dense(false)
 }
 
 // Backward propagates ∇_{H^L}L through all layers in reverse, accumulating
 // parameter gradients, and returns the gradient with respect to the input
-// features (useful for gradient checking and for stacking models).
+// features (useful for gradient checking and for stacking models). The
+// cotangent travels as the activation does in Forward.
 func (m *Model) Backward(g *tensor.Dense) *tensor.Dense {
+	x := handoff{m: tensor.Typed{F64: g}}
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		g = m.Layers[i].Backward(g)
+		l := m.Layers[i]
+		if dl, ok := l.(DAGLayer); ok && x.fits(dl.core().DType) {
+			x = dl.core().backward(x.m)
+		} else {
+			x = handoff{m: tensor.Typed{F64: l.Backward(x.dense(true))}}
+		}
 	}
-	return g
+	return x.dense(true)
 }
 
 // Params returns all trainable parameters, layer order preserved.

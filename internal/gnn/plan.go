@@ -77,22 +77,60 @@ func (p *planned) core() *planned { return p }
 
 // Forward implements Layer for every DAG layer: training mode executes the
 // training plan (which caches what Backward needs), inference mode the
-// inference plan.
+// inference plan. It is the typed forward, then widen.
 func (p *planned) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	in := p.in
-	if h != nil {
-		in = h.Cols
-	}
-	return p.plan(in, training).Forward(h)
+	return p.forward(tensor.Typed{F64: h}, training).dense(false)
 }
 
 // Backward implements Layer through the training plan's reverse-derived op
 // list.
 func (p *planned) Backward(gOut *tensor.Dense) *tensor.Dense {
-	if p.train.plan == nil {
+	return p.backward(tensor.Typed{F64: gOut}).dense(true)
+}
+
+// handoff is what one layer of a model passes to the next: a matrix at the
+// width of the plan that produced it and that plan, which owns the float64
+// buffer the matrix is widened into should the next layer — or the caller —
+// want one. from is nil beside a float64 matrix that is the caller's, or a
+// layer's without a plan.
+type handoff struct {
+	m    tensor.Typed
+	from *fuse.Plan
+}
+
+// dense returns the matrix as float64: from's forward result or, back, its
+// input cotangent.
+func (x handoff) dense(back bool) *tensor.Dense {
+	switch {
+	case x.m.F32 == nil:
+		return x.m.F64
+	case back:
+		return x.from.InputGrad()
+	}
+	return x.from.Output()
+}
+
+// fits reports whether a plan at dt binds the matrix as it is: any plan takes
+// a float64 one, a float32 one goes to float32 plans.
+func (x handoff) fits(dt tensor.DType) bool { return x.m.F32 == nil || dt == tensor.F32 }
+
+// forward and backward are Forward and Backward on the activation a Model
+// hands from layer to layer.
+func (p *planned) forward(h tensor.Typed, training bool) handoff {
+	in := p.in
+	if _, cols, ok := h.Dims(); ok {
+		in = cols
+	}
+	pl := p.plan(in, training)
+	return handoff{m: pl.ForwardTyped(h), from: pl}
+}
+
+func (p *planned) backward(g tensor.Typed) handoff {
+	pl := p.train.plan
+	if pl == nil {
 		panic("gnn: " + p.def.Name() + " layer: Backward before training-mode Forward")
 	}
-	return p.train.plan.Backward(gOut)
+	return handoff{m: pl.BackwardTyped(g), from: pl}
 }
 
 // Plan returns the compiled training plan, or nil before the first

@@ -256,10 +256,24 @@ func FuzzGenericPlanVsDirect(f *testing.F) {
 }
 
 // BenchmarkPlannedForwardAllocs isolates the planned forward hot path, in
-// both modes and for every built-in kind, for the CI allocation gate.
+// both modes and for every built-in kind, for the CI allocation gate — and a
+// whole float32 model, whose layers hand each other typed activations.
 func BenchmarkPlannedForwardAllocs(b *testing.B) {
 	a := graph.Kronecker(9, 8, 1)
 	h := tensor.RandN(a.Rows, 16, 1, rand.New(rand.NewSource(5)))
+	b.Run("model-f32/infer", func(b *testing.B) {
+		m, err := New(Config{Model: AGNN, Layers: 3, InDim: 16, HiddenDim: 16, OutDim: 16, Seed: 6, DType: tensor.F32}, a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.ReleasePlans()
+		m.Forward(h, false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Forward(h, false)
+		}
+	})
 	for _, l := range planLayersOn(a, 16, 16, 6) {
 		for _, training := range []bool{true, false} {
 			mode := "infer"

@@ -24,6 +24,8 @@ type CSR struct {
 
 	transposed     *Transposed // TransposedPattern's memo
 	transposedOnce sync.Once
+	index          Index // Index's memo
+	indexOnce      sync.Once
 }
 
 // NNZ returns the number of stored entries.
@@ -172,6 +174,15 @@ func (s *CSR) TransposedPattern() *Transposed {
 		s.transposed = &Transposed{Pat: s.transpose(src), Src: src}
 	})
 	return s.transposed
+}
+
+// Index returns Col as the checked index the row primitives gather through
+// (NewIndex), scanned on first use and shared by every later caller: the
+// sweeps over this matrix slice their rows out of it. Like TransposedPattern
+// it holds the matrix to the convention that Col does not change.
+func (s *CSR) Index() Index {
+	s.indexOnce.Do(func() { s.index = NewIndex(s.Col) })
+	return s.index
 }
 
 // IsSymmetricPattern reports whether the sparsity pattern equals that of the

@@ -30,16 +30,17 @@ DATA expc<>+64(SB)/4, $0x7f800000        // +Inf
 GLOBL expc<>(SB), RODATA|NOPTR, $68
 
 // Eight set lanes, then eight clear ones: the 32 bytes that start 4·r bytes
-// before the middle are the mask of a partial pass of r lanes.
-DATA expmask<>+0(SB)/8, $0xffffffffffffffff
-DATA expmask<>+8(SB)/8, $0xffffffffffffffff
-DATA expmask<>+16(SB)/8, $0xffffffffffffffff
-DATA expmask<>+24(SB)/8, $0xffffffffffffffff
-DATA expmask<>+32(SB)/8, $0
-DATA expmask<>+40(SB)/8, $0
-DATA expmask<>+48(SB)/8, $0
-DATA expmask<>+56(SB)/8, $0
-GLOBL expmask<>(SB), RODATA|NOPTR, $64
+// before the middle are the mask of a partial pass of r lanes. (Shared with
+// cosine_amd64.s, hence not file-local.)
+DATA ·lanemask+0(SB)/8, $0xffffffffffffffff
+DATA ·lanemask+8(SB)/8, $0xffffffffffffffff
+DATA ·lanemask+16(SB)/8, $0xffffffffffffffff
+DATA ·lanemask+24(SB)/8, $0xffffffffffffffff
+DATA ·lanemask+32(SB)/8, $0
+DATA ·lanemask+40(SB)/8, $0
+DATA ·lanemask+48(SB)/8, $0
+DATA ·lanemask+56(SB)/8, $0
+GLOBL ·lanemask(SB), RODATA|NOPTR, $64
 
 // EXP8 turns the eight scores in Y0 into Y4 = exp32(Y0 − m). Registers: Y15
 // m, Y14 log2e, Y13 0.5, Y12 c1, Y11 c2, Y10–Y6 p0–p4; the other constants
@@ -138,7 +139,7 @@ pass:
 partial:
 	TESTQ BX, BX
 	JZ    done
-	LEAQ  expmask<>+32(SB), R8
+	LEAQ  ·lanemask+32(SB), R8
 	SHLQ  $2, BX
 	SUBQ  BX, R8
 	VMOVDQU    (R8), Y5

@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"math"
-	"math/bits"
 	"unsafe"
 
 	"agnn/internal/tensor"
@@ -32,6 +30,11 @@ import (
 // M is row-major with leading dimension ld; the gathered row j is the
 // column window M[j*ld+off : j*ld+off+w], w the length of x resp. acc. The
 // window is what lets CSR.MulDenseInto tile the feature dimension.
+//
+// The column indices arrive as an Index (index.go): scanned once per pattern,
+// so that what a call checks before the assembly is one product against the
+// operand's length, not the row. A caller holding a bare slice builds the
+// Index on the spot, NewIndex(cols), which is that scan.
 
 // The assembly kernels by element width (0: float32, 1: float64), set during
 // package initialisation where the CPU has them (gather_amd64.go) and nil
@@ -48,6 +51,8 @@ var (
 	asmAxpy      [2]axpyKernel
 	asmDots      [2]dotsKernel
 	asmDotsShort [2]dotsKernel
+	// asmPrefetch asks for the wb bytes at m + cols[q]·ldb + offb, q < n.
+	asmPrefetch func(m unsafe.Pointer, cols *int32, n int, ldb, offb, wb int)
 )
 
 const (
@@ -64,64 +69,62 @@ const (
 // first edge on and have no such cut.
 var dotsMinEdges = [2]int{5, 6}
 
-// windowsInRange reports whether every window m[c*ld+off : c*ld+off+w], c in
-// cols, lies inside a slice of n elements — the check the Go loops make edge
-// by edge when they slice a row, made for the whole row up front so that the
-// assembly never forms an address outside m.
-func windowsInRange(cols []int32, n, ld, off, w int) bool {
-	room := n - off - w
-	if ld < 0 || off < 0 || room < 0 {
-		return false
-	}
-	// The largest index, a negative one reading as above MaxInt32; four
-	// running maxima so that the scan is not one compare-and-move chain.
-	var t0, t1, t2, t3 uint32
-	for ; len(cols) >= 4; cols = cols[4:] {
-		t0, t1 = max(t0, uint32(cols[0])), max(t1, uint32(cols[1]))
-		t2, t3 = max(t2, uint32(cols[2])), max(t3, uint32(cols[3]))
-	}
-	for _, c := range cols {
-		t0 = max(t0, uint32(c))
-	}
-	top := max(t0, t1, t2, t3)
-	hi, last := bits.Mul64(uint64(top), uint64(ld))
-	return top <= math.MaxInt32 && hi == 0 && last <= uint64(room)
-}
-
 // base is the address of a slice's first element, for the kernels.
 func base[T any](s []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s)) }
 
 // GatherDots computes dst[q] = Σ_t x[t]·Y[cols[q], off+t] for every q. dst
 // must not overlap x or y.
-func GatherDots[T tensor.Elem](dst, x []T, cols []int32, y []T, ld, off int) {
-	dst = dst[:len(cols)]
+func GatherDots[T tensor.Elem](dst, x []T, cols Index, y []T, ld, off int) {
+	n := len(cols.cols)
+	dst = dst[:n]
 	size := int(unsafe.Sizeof(*new(T)))
-	if kernel := asmDots[size/8]; kernel != nil && len(cols) >= dotsMinEdges[size/8] && len(x) > 0 && len(x)*size%dotsStep == 0 &&
-		windowsInRange(cols, len(y), ld, off, len(x)) {
-		if len(cols) < dotsPass {
+	if kernel := asmDots[size/8]; kernel != nil && n >= dotsMinEdges[size/8] && len(x) > 0 && len(x)*size%dotsStep == 0 &&
+		cols.windowsIn(len(y), ld, off, len(x)) {
+		if n < dotsPass {
 			kernel = asmDotsShort[size/8]
 		}
-		kernel(base(dst), base(x), len(x)*size, unsafe.SliceData(cols), len(cols), base(y[off:]), ld*size)
+		kernel(base(dst), base(x), len(x)*size, unsafe.SliceData(cols.cols), n, base(y[off:]), ld*size)
 		return
 	}
-	gatherDotsGo(dst, x, cols, y, ld, off)
+	gatherDotsGo(dst, x, cols.cols, y, ld, off)
 }
 
 // GatherAxpy accumulates acc[t] += vals[q]·X[cols[q], off+t], q ascending
 // for every t. acc must not overlap x.
-func GatherAxpy[T tensor.Elem](acc, vals []T, cols []int32, x []T, ld, off int) {
-	vals = vals[:len(cols)]
+func GatherAxpy[T tensor.Elem](acc, vals []T, cols Index, x []T, ld, off int) {
+	n := len(cols.cols)
+	vals = vals[:n]
 	size := int(unsafe.Sizeof(*new(T)))
 	w := len(acc) &^ (ymmBytes/size - 1)
-	if kernel := asmAxpy[size/8]; kernel != nil && len(cols) > 0 && w > 0 &&
-		windowsInRange(cols, len(x), ld, off, len(acc)) {
-		kernel(base(acc), w*size, base(vals), unsafe.SliceData(cols), len(cols), base(x[off:]), ld*size)
+	if kernel := asmAxpy[size/8]; kernel != nil && n > 0 && w > 0 &&
+		cols.windowsIn(len(x), ld, off, len(acc)) {
+		kernel(base(acc), w*size, base(vals), unsafe.SliceData(cols.cols), n, base(x[off:]), ld*size)
 		if w == len(acc) {
 			return
 		}
 		acc, off = acc[w:], off+w
 	}
-	gatherAxpyGo(acc, vals, cols, x, ld, off)
+	gatherAxpyGo(acc, vals, cols.cols, x, ld, off)
+}
+
+// prefetchCap is how many of a row's gathered windows PrefetchRows asks for.
+// A row of that many edges or fewer is in flight as a whole before its sweep
+// reaches it; a longer one is long enough for the kernels' own look-ahead
+// (AXPY_AHEAD, DOTS_AHEAD) to cover the rest (EXPERIMENTS.md "The glue
+// between the kernels").
+const prefetchCap = 8
+
+// PrefetchRows hints that the windows m[c*ld+off : c*ld+off+w] of the first
+// few indices c are about to be gathered: a sweep issues it for a row some
+// rows ahead of the one it is working on, so that the short rows — whose
+// gathers are all cache misses with nothing in the row to hide them behind —
+// find their operands on the way. A hint reads nothing and cannot fault,
+// whatever the indices; where there is no such instruction it does nothing.
+func PrefetchRows[T tensor.Elem](cols Index, m []T, ld, off, w int) {
+	if n := min(len(cols.cols), prefetchCap); asmPrefetch != nil && n > 0 {
+		size := int(unsafe.Sizeof(*new(T)))
+		asmPrefetch(base(m), unsafe.SliceData(cols.cols), n, ld*size, off*size, w*size)
+	}
 }
 
 // gatherDotsGo is GatherDots in Go, four edges per pass.

@@ -2,8 +2,8 @@ package sparse
 
 import "unsafe"
 
-// The assembly of gather_amd64.s and exprow_amd64.s. None of the kernels
-// keeps a pointer.
+// The assembly of gather_amd64.s, exprow_amd64.s and cosine_amd64.s. None of
+// the kernels keeps a pointer.
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -22,7 +22,13 @@ func dotsF32(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer
 func dotsF64(dst, x unsafe.Pointer, wb int, cols *int32, n int, y unsafe.Pointer, ldb int)
 
 //go:noescape
+func prefetchRows(m unsafe.Pointer, cols *int32, n int, ldb, offb, wb int)
+
+//go:noescape
 func expF32(dst, src unsafe.Pointer, n int, m float32)
+
+//go:noescape
+func cosineF32(dst unsafe.Pointer, cols *int32, n int, b unsafe.Pointer, a, beta float32)
 
 // dotsShort is the dots kernel of a row of 1 ≤ n < dotsPass edges: the row is
 // padded to one whole pass by repeating its last column, so the kernel
@@ -74,6 +80,8 @@ func init() {
 		asmAxpy = [2]axpyKernel{axpyF32, axpyF64}
 		asmDots = [2]dotsKernel{dotsF32, dotsF64}
 		asmDotsShort = [2]dotsKernel{dotsShort[float32], dotsShort[float64]}
+		asmPrefetch = prefetchRows
 		asmExp = expF32
+		asmCosine = cosineF32
 	}
 }

@@ -26,6 +26,37 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
+// func prefetchRows(m unsafe.Pointer, cols *int32, n int, ldb, offb, wb int)
+//
+// PREFETCHT0 over the n ≥ 1 windows of wb bytes at m + cols[q]·ldb + offb:
+// every 64th byte from the first one on, then the last. A prefetch of an
+// address the process does not own does nothing, so no index can make this
+// fault and none is checked.
+TEXT ·prefetchRows(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), DI
+	MOVQ cols+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ ldb+24(FP), R9
+	MOVQ wb+40(FP), R11
+	ADDQ offb+32(FP), DI
+
+prefrow:
+	MOVLQSX (SI), AX
+	IMULQ   R9, AX
+	ADDQ    DI, AX
+	LEAQ    -1(AX)(R11*1), DX
+
+prefline:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, DX
+	JLS        prefline
+	PREFETCHT0 (DX)
+	ADDQ       $4, SI
+	DECQ       CX
+	JNZ        prefrow
+	RET
+
 // ---- GatherAxpy: lane = output column --------------------------------
 //
 // A strip of the accumulator (four ymm = 128 bytes, then single ymm = 32

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -92,40 +93,72 @@ func fenced[T tensor.Elem](s []T) ([]T, func() bool) {
 	}
 }
 
+// rowIndexes returns cols as the row primitives can be handed it: an index
+// built for this call; the row sliced out of the index of a longer run whose
+// largest entry is rows−1 (how a compiled plan passes a pattern row — the
+// bound is the pattern's, not the row's); and the row sliced out of an index
+// whose bound no operand satisfies, which must take the Go loops to the same
+// bits.
+func rowIndexes(cols []int32, rows int) []namedIndex {
+	loose := append(append([]int32(nil), cols...), math.MaxInt32)
+	return []namedIndex{
+		{"per-call index", NewIndex(cols)},
+		{"pattern index", patternIndex(cols, int32(rows-1))},
+		{"loose bound", NewIndex(loose).Slice(0, int64(len(cols)))},
+	}
+}
+
+type namedIndex struct {
+	how string
+	idx Index
+}
+
+// patternIndex returns cols as a slice of the index of a longer run that also
+// holds other.
+func patternIndex(cols []int32, other int32) Index {
+	pad := []int32{other, 0, other}
+	whole := append(append(append([]int32(nil), pad...), cols...), pad...)
+	return NewIndex(whole).Slice(int64(len(pad)), int64(len(pad)+len(cols)))
+}
+
 // checkGatherRow runs one row through the exported primitives (assembly
-// where the CPU has it, else the Go loops), through the Go loops called
-// directly and through the one-edge oracles, and reports the first bit
-// pattern on which the three do not agree.
-func checkGatherRow[T tensor.Elem](t testing.TB, x, vals []T, cols []int32, m []T, ld, off int) {
+// where the CPU has it, else the Go loops) under each of rowIndexes' forms,
+// through the Go loops called directly and through the one-edge oracles, and
+// reports the first bit pattern on which they do not all agree. m holds
+// rows gathered rows.
+func checkGatherRow[T tensor.Elem](t testing.TB, x, vals []T, cols []int32, m []T, rows, ld, off int) {
 	t.Helper()
 	w := len(x)
 	loop, want := make([]T, len(cols)), make([]T, len(cols))
-	got, intact := fenced(want)
-	GatherDots(got, x, cols, m, ld, off)
-	if !intact() {
-		t.Fatalf("dots len=%d w=%d ld=%d off=%d: GatherDots wrote outside dst", len(cols), w, ld, off)
-	}
 	gatherDotsGo(loop, x, cols, m, ld, off)
 	refDots(want, x, cols, m, ld, off)
-	for q := range want {
-		if !sameBits(got[q], want[q]) || !sameBits(loop[q], want[q]) {
-			t.Fatalf("dots len=%d w=%d ld=%d off=%d: dst[%d] = %v (GatherDots), %v (Go loop), reference %v",
-				len(cols), w, ld, off, q, got[q], loop[q], want[q])
-		}
-	}
 	// The accumulator starts from x, so pre-existing contents are covered.
 	accLoop, ref := append([]T(nil), x...), append([]T(nil), x...)
-	acc, intact := fenced(x)
-	GatherAxpy(acc, vals, cols, m, ld, off)
-	if !intact() {
-		t.Fatalf("axpy len=%d w=%d ld=%d off=%d: GatherAxpy wrote outside acc", len(cols), w, ld, off)
-	}
 	gatherAxpyGo(accLoop, vals, cols, m, ld, off)
 	refAxpy(ref, vals, cols, m, ld, off)
-	for c := range ref {
-		if !sameBits(acc[c], ref[c]) || !sameBits(accLoop[c], ref[c]) {
-			t.Fatalf("axpy len=%d w=%d ld=%d off=%d: acc[%d] = %v (GatherAxpy), %v (Go loop), reference %v",
-				len(cols), w, ld, off, c, acc[c], accLoop[c], ref[c])
+	for _, form := range rowIndexes(cols, rows) {
+		how, idx := form.how, form.idx
+		got, intact := fenced(make([]T, len(cols)))
+		GatherDots(got, x, idx, m, ld, off)
+		if !intact() {
+			t.Fatalf("dots (%s) len=%d w=%d ld=%d off=%d: GatherDots wrote outside dst", how, len(cols), w, ld, off)
+		}
+		for q := range want {
+			if !sameBits(got[q], want[q]) || !sameBits(loop[q], want[q]) {
+				t.Fatalf("dots (%s) len=%d w=%d ld=%d off=%d: dst[%d] = %v (GatherDots), %v (Go loop), reference %v",
+					how, len(cols), w, ld, off, q, got[q], loop[q], want[q])
+			}
+		}
+		acc, intact := fenced(x)
+		GatherAxpy(acc, vals, idx, m, ld, off)
+		if !intact() {
+			t.Fatalf("axpy (%s) len=%d w=%d ld=%d off=%d: GatherAxpy wrote outside acc", how, len(cols), w, ld, off)
+		}
+		for c := range ref {
+			if !sameBits(acc[c], ref[c]) || !sameBits(accLoop[c], ref[c]) {
+				t.Fatalf("axpy (%s) len=%d w=%d ld=%d off=%d: acc[%d] = %v (GatherAxpy), %v (Go loop), reference %v",
+					how, len(cols), w, ld, off, c, acc[c], accLoop[c], ref[c])
+			}
 		}
 	}
 }
@@ -155,7 +188,7 @@ func testGatherRows[T tensor.Elem](t *testing.T) {
 					for q := range cols {
 						cols[q] = int32(rng.Intn(rows))
 					}
-					checkGatherRow(t, randVals[T](rng, w, special), randVals[T](rng, n, special), cols, m, win.ld, win.off)
+					checkGatherRow(t, randVals[T](rng, w, special), randVals[T](rng, n, special), cols, m, rows, win.ld, win.off)
 				}
 			}
 		}
@@ -180,7 +213,7 @@ func TestGatherRowsNamedElem(t *testing.T) {
 	for q := range cols {
 		cols[q] = int32(rng.Intn(7))
 	}
-	checkGatherRow(t, randVals[weight](rng, 40, true), randVals[weight](rng, len(cols), true), cols, randVals[weight](rng, 7*43, true), 43, 2)
+	checkGatherRow(t, randVals[weight](rng, 40, true), randVals[weight](rng, len(cols), true), cols, randVals[weight](rng, 7*43, true), 7, 43, 2)
 }
 
 // mustPanic runs f and fails unless it panics with a runtime error (an
@@ -208,33 +241,61 @@ func testGatherBounds[T tensor.Elem](t *testing.T) {
 			for _, at := range []int{0, n / 2, n - 1} {
 				cols := make([]int32, n)
 				cols[at] = bad
-				mustPanic(t, fmt.Sprintf("GatherDots n=%d cols[%d]=%d", n, at, bad), func() {
-					GatherDots(make([]T, n), x, cols, m, ld, off)
-				})
-				mustPanic(t, fmt.Sprintf("GatherAxpy n=%d cols[%d]=%d", n, at, bad), func() {
-					GatherAxpy(acc, make([]T, n), cols, m, ld, off)
-				})
+				// The index was built over the bad column either way — for
+				// this call, or with the pattern the row is a slice of — so
+				// its bound sends the row to the Go loops, which panic at it.
+				for _, form := range []namedIndex{{"per-call", NewIndex(cols)}, {"pattern", patternIndex(cols, 0)}} {
+					mustPanic(t, fmt.Sprintf("GatherDots (%s index) n=%d cols[%d]=%d", form.how, n, at, bad), func() {
+						GatherDots(make([]T, n), x, form.idx, m, ld, off)
+					})
+					mustPanic(t, fmt.Sprintf("GatherAxpy (%s index) n=%d cols[%d]=%d", form.how, n, at, bad), func() {
+						GatherAxpy(acc, make([]T, n), form.idx, m, ld, off)
+					})
+				}
 			}
 		}
 		// The last row's window must end inside m: one column too many.
 		cols := make([]int32, n)
 		cols[n-1] = rows - 1
-		mustPanic(t, "GatherDots window past the end", func() { GatherDots(make([]T, n), x, cols, m, ld, off+1) })
-		mustPanic(t, "GatherAxpy window past the end", func() { GatherAxpy(acc, make([]T, n), cols, m, ld, off+1) })
+		idx := NewIndex(cols)
+		mustPanic(t, "GatherDots window past the end", func() { GatherDots(make([]T, n), x, idx, m, ld, off+1) })
+		mustPanic(t, "GatherAxpy window past the end", func() { GatherAxpy(acc, make([]T, n), idx, m, ld, off+1) })
 		// Scores shorter than the row.
-		mustPanic(t, "GatherDots short dst", func() { GatherDots(make([]T, n-1), x, cols, m, ld, off) })
-		mustPanic(t, "GatherAxpy short vals", func() { GatherAxpy(acc, make([]T, n-1), cols, m, ld, off) })
+		mustPanic(t, "GatherDots short dst", func() { GatherDots(make([]T, n-1), x, idx, m, ld, off) })
+		mustPanic(t, "GatherAxpy short vals", func() { GatherAxpy(acc, make([]T, n-1), idx, m, ld, off) })
+		// The norms of a cosine row are gathered one element at a time.
+		norms := backing[:rows:rows]
+		for _, bad := range []int32{rows, -1, math.MaxInt32} {
+			cols := make([]int32, n)
+			cols[n/2] = bad
+			mustPanic(t, fmt.Sprintf("CosineRow n=%d cols[%d]=%d", n, n/2, bad), func() {
+				CosineRow(make([]T, n), NewIndex(cols), norms, 1, 1)
+			})
+		}
+		mustPanic(t, "CosineRow short dst", func() { CosineRow(make([]T, n-1), idx, norms, 1, 1) })
 	}
 }
 
 // TestGatherRowsBounds: a column index whose window leaves the operand must
-// panic as it does in the Go loops, wherever in the row it sits and whatever
-// path the rest of the row takes; so must scores shorter than the row. The
-// operand is the front of a larger array, so a kernel that read past it
-// would not fault and would go unnoticed without this test.
+// panic as it does in the Go loops, wherever in the row it sits, whatever
+// path the rest of the row takes and however the index was come by; so must
+// scores shorter than the row. The operand is the front of a larger array, so
+// a kernel that read past it would not fault and would go unnoticed without
+// this test. And there is no way round the scan: Index has no exported field
+// to set, and the one Index a caller can write down without NewIndex is
+// empty.
 func TestGatherRowsBounds(t *testing.T) {
 	t.Run("f32", testGatherBounds[float32])
 	t.Run("f64", testGatherBounds[float64])
+	typ := reflect.TypeOf(Index{})
+	for f := 0; f < typ.NumField(); f++ {
+		if typ.Field(f).IsExported() {
+			t.Errorf("Index.%s is exported: an index could be built around the scan", typ.Field(f).Name)
+		}
+	}
+	if (Index{}).Len() != 0 {
+		t.Error("the zero Index is not empty")
+	}
 }
 
 // FuzzGatherRows decodes a row from raw bytes — width, window, column
@@ -288,12 +349,12 @@ func FuzzGatherRows(f *testing.F) {
 				s[i] = value()
 			}
 		}
-		checkGatherRow(t, x64, vals64, cols, m64, ld, off)
+		checkGatherRow(t, x64, vals64, cols, m64, rows, ld, off)
 		x32, vals32, m32 := make([]float32, w), make([]float32, n), make([]float32, rows*ld)
 		tensor.Cast(x32, x64)
 		tensor.Cast(vals32, vals64)
 		tensor.Cast(m32, m64)
-		checkGatherRow(t, x32, vals32, cols, m32, ld, off)
+		checkGatherRow(t, x32, vals32, cols, m32, rows, ld, off)
 	})
 }
 
@@ -331,9 +392,10 @@ func benchPattern(hub bool) *CSR {
 // traffic rate: per edge one column index, one gathered k-wide row and one
 // score, written (dots) or read (axpy). The dots sweep is the SDDMM H·Hᵀ on
 // the pattern, the axpy sweep the SpMM onto an n×k output.
-func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather func(a, b []T, cols []int32, m []T, ld, off int)) {
+func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather gatherFunc[T]) {
 	const k = 32
 	pat := benchPattern(hub)
+	idx := pat.Index()
 	rng := rand.New(rand.NewSource(2))
 	h := randVals[T](rng, pat.Cols*k, false)
 	out := make([]T, pat.Rows*k)
@@ -343,9 +405,9 @@ func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather func(a, b [
 		for i := 0; i < pat.Rows; i++ {
 			lo, hi := pat.RowPtr[i], pat.RowPtr[i+1]
 			if dots {
-				gather(scores[lo:hi], h[i*k:(i+1)*k], pat.Col[lo:hi], h, k, 0)
+				gather(scores[lo:hi], h[i*k:(i+1)*k], idx.Slice(lo, hi), h, k, 0)
 			} else {
-				gather(out[i*k:(i+1)*k], scores[lo:hi], pat.Col[lo:hi], h, k, 0)
+				gather(out[i*k:(i+1)*k], scores[lo:hi], idx.Slice(lo, hi), h, k, 0)
 			}
 		}
 	}
@@ -355,10 +417,23 @@ func benchGather[T tensor.Elem](b *testing.B, hub, dots bool, gather func(a, b [
 	b.ReportMetric(edges*(4+fb*k+fb)/b.Elapsed().Seconds()/1e9, "GB/s")
 }
 
+// gatherFunc is the signature GatherDots and GatherAxpy share; goLoop lifts a
+// loop over bare column indices to it.
+type gatherFunc[T tensor.Elem] func(a, b []T, cols Index, m []T, ld, off int)
+
+func goLoop[T tensor.Elem](loop func(a, b []T, cols []int32, m []T, ld, off int)) gatherFunc[T] {
+	return func(a, b []T, cols Index, m []T, ld, off int) { loop(a, b, cols.Cols(), m, ld, off) }
+}
+
 // benchShort times a row primitive on rows of exactly n edges, n = 1…7 — what
 // gather.go's dotsMinEdges (and the absence of an axpy cut) is read off: 2^16
 // rows at k = 32 with uniform endpoints, one after the other on one thread.
-func benchShort[T tensor.Elem](b *testing.B, name string, dots bool, gather func(a, b []T, cols []int32, m []T, ld, off int)) {
+// The operand is 8 MB at float32 and the columns are uniform, so every
+// gathered row is a miss of the private caches with nothing in a row this
+// short to hide it behind; with ahead ≥ 1 the sweep issues PrefetchRows for
+// row i+ahead before it works on row i, as the plan sweeps of internal/fuse
+// do, and the difference between the two is what the hint buys.
+func benchShort[T tensor.Elem](b *testing.B, name string, dots bool, ahead int, gather gatherFunc[T]) {
 	const k, rows = 32, 1 << 16
 	rng := rand.New(rand.NewSource(4))
 	h := randVals[T](rng, rows*k, false)
@@ -368,14 +443,19 @@ func benchShort[T tensor.Elem](b *testing.B, name string, dots bool, gather func
 		for q := range cols {
 			cols[q] = int32(rng.Intn(rows))
 		}
+		idx := NewIndex(cols)
+		row := func(i int) Index { return idx.Slice(int64(i*n), int64((i+1)*n)) }
 		scores := randVals[T](rng, len(cols), false)
 		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				for i := 0; i < rows; i++ {
+					if j := i + ahead; ahead > 0 && j < rows {
+						PrefetchRows(row(j), h, k, 0, k)
+					}
 					if dots {
-						gather(scores[i*n:(i+1)*n], h[i*k:(i+1)*k], cols[i*n:(i+1)*n], h, k, 0)
+						gather(scores[i*n:(i+1)*n], h[i*k:(i+1)*k], row(i), h, k, 0)
 					} else {
-						gather(out[i*k:(i+1)*k], scores[i*n:(i+1)*n], cols[i*n:(i+1)*n], h, k, 0)
+						gather(out[i*k:(i+1)*k], scores[i*n:(i+1)*n], row(i), h, k, 0)
 					}
 				}
 			}
@@ -390,27 +470,31 @@ func benchShort[T tensor.Elem](b *testing.B, name string, dots bool, gather func
 // and as "scalar" the one-edge loop that one replaced (EXPERIMENTS.md holds
 // a run, next to the plan's MM line from internal/fuse).
 func BenchmarkGatherDots(b *testing.B) {
-	benchShort(b, "short-f32", true, GatherDots[float32])
-	benchShort(b, "short-f32-go", true, gatherDotsGo[float32])
-	benchShort(b, "short-f64", true, GatherDots[float64])
-	benchShort(b, "short-f64-go", true, gatherDotsGo[float64])
+	benchShort(b, "short-f32", true, 0, GatherDots[float32])
+	benchShort(b, "short-f32-ahead", true, 1, GatherDots[float32])
+	benchShort(b, "short-f32-go", true, 0, goLoop(gatherDotsGo[float32]))
+	benchShort(b, "short-f64", true, 0, GatherDots[float64])
+	benchShort(b, "short-f64-ahead", true, 1, GatherDots[float64])
+	benchShort(b, "short-f64-go", true, 0, goLoop(gatherDotsGo[float64]))
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, true, GatherDots[float32]) })
-	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, true, gatherDotsGo[float32]) })
-	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, true, refDots[float32]) })
+	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, true, goLoop(gatherDotsGo[float32])) })
+	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, true, goLoop(refDots[float32])) })
 	b.Run("flat-f64", func(b *testing.B) { benchGather(b, false, true, GatherDots[float64]) })
-	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, true, gatherDotsGo[float64]) })
-	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, true, refDots[float64]) })
+	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, true, goLoop(gatherDotsGo[float64])) })
+	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, true, goLoop(refDots[float64])) })
 }
 
 func BenchmarkGatherAxpy(b *testing.B) {
-	benchShort(b, "short-f32", false, GatherAxpy[float32])
-	benchShort(b, "short-f32-go", false, gatherAxpyGo[float32])
-	benchShort(b, "short-f64", false, GatherAxpy[float64])
-	benchShort(b, "short-f64-go", false, gatherAxpyGo[float64])
+	benchShort(b, "short-f32", false, 0, GatherAxpy[float32])
+	benchShort(b, "short-f32-ahead", false, 1, GatherAxpy[float32])
+	benchShort(b, "short-f32-go", false, 0, goLoop(gatherAxpyGo[float32]))
+	benchShort(b, "short-f64", false, 0, GatherAxpy[float64])
+	benchShort(b, "short-f64-ahead", false, 1, GatherAxpy[float64])
+	benchShort(b, "short-f64-go", false, 0, goLoop(gatherAxpyGo[float64]))
 	b.Run("hub-f32", func(b *testing.B) { benchGather(b, true, false, GatherAxpy[float32]) })
-	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, false, gatherAxpyGo[float32]) })
-	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, false, refAxpy[float32]) })
+	b.Run("hub-f32-go", func(b *testing.B) { benchGather(b, true, false, goLoop(gatherAxpyGo[float32])) })
+	b.Run("hub-f32-scalar", func(b *testing.B) { benchGather(b, true, false, goLoop(refAxpy[float32])) })
 	b.Run("flat-f64", func(b *testing.B) { benchGather(b, false, false, GatherAxpy[float64]) })
-	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, false, gatherAxpyGo[float64]) })
-	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, false, refAxpy[float64]) })
+	b.Run("flat-f64-go", func(b *testing.B) { benchGather(b, false, false, goLoop(gatherAxpyGo[float64])) })
+	b.Run("flat-f64-scalar", func(b *testing.B) { benchGather(b, false, false, goLoop(refAxpy[float64])) })
 }

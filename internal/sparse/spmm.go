@@ -48,6 +48,7 @@ func (s *CSR) MulDenseAccumulate(out, x *tensor.Dense) {
 func (s *CSR) mulDenseTiled(out, x *tensor.Dense, zero bool) {
 	k := x.Cols
 	tc := tensor.TileCols(x.Rows, k, 8)
+	idx := s.Index()
 	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
 		if zero {
 			clear(out.Data[lo*k : hi*k])
@@ -56,7 +57,7 @@ func (s *CSR) mulDenseTiled(out, x *tensor.Dense, zero bool) {
 			c1 := min(c0+tc, k)
 			for i := lo; i < hi; i++ {
 				b, e := s.RowPtr[i], s.RowPtr[i+1]
-				GatherAxpy(out.Data[i*k+c0:i*k+c1], s.Val[b:e], s.Col[b:e], x.Data, k, c0)
+				GatherAxpy(out.Data[i*k+c0:i*k+c1], s.Val[b:e], idx.Slice(b, e), x.Data, k, c0)
 			}
 		}
 	})
@@ -92,10 +93,11 @@ func SDDMM(pat *CSR, x, y *tensor.Dense) *CSR {
 	defer obs.Start("sddmm").End()
 	k := x.Cols
 	vals := make([]float64, pat.NNZ())
+	idx := pat.Index()
 	par.RangeWeighted(pat.Rows, func(i int) int64 { return int64(pat.RowNNZ(i)) }, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			GatherDots(vals[b:e], x.Data[i*k:(i+1)*k], pat.Col[b:e], y.Data, k, 0)
+			GatherDots(vals[b:e], x.Data[i*k:(i+1)*k], idx.Slice(b, e), y.Data, k, 0)
 		}
 	})
 	return pat.WithValues(vals)

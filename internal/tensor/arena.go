@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 	"unsafe"
 
 	"agnn/internal/obs"
@@ -18,10 +19,11 @@ import (
 // at its true element width, so the arena gauges reflect the halved
 // footprint of float32 plans.
 //
-// An Arena is not safe for concurrent use; plans acquire at compile time
-// and execute single-threaded op lists (the kernels themselves parallelize
-// internally).
+// An Arena may be used from several goroutines at once: the plans of a cache
+// shard share one, and while one of them is being compiled another may be
+// acquiring a boundary buffer on its first execution.
 type Arena struct {
+	mu  sync.Mutex
 	f64 pool[float64]
 	f32 pool[float32]
 
@@ -73,6 +75,8 @@ func NewArena() *Arena {
 // AcquireMat returns a zeroed r×c matrix of T, recycling a released buffer
 // of the same shape and element type when one is available.
 func AcquireMat[T Elem](a *Arena, r, c int) *Mat[T] {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	p := poolOf[T](a)
 	a.out++
 	a.trackLive(elemBytes[T](r * c))
@@ -92,6 +96,8 @@ func ReleaseMat[T Elem](a *Arena, m *Mat[T]) {
 	if m == nil {
 		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	p := poolOf[T](a)
 	a.out--
 	a.trackLive(-elemBytes[T](m.Rows * m.Cols))
@@ -101,6 +107,8 @@ func ReleaseMat[T Elem](a *Arena, m *Mat[T]) {
 
 // AcquireSlice returns a zeroed length-n slice of T, recycling when possible.
 func AcquireSlice[T Elem](a *Arena, n int) []T {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	p := poolOf[T](a)
 	a.out++
 	a.trackLive(elemBytes[T](n))
@@ -119,6 +127,8 @@ func ReleaseSlice[T Elem](a *Arena, s []T) {
 	if s == nil {
 		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	p := poolOf[T](a)
 	a.out--
 	a.trackLive(-elemBytes[T](len(s)))
@@ -138,13 +148,25 @@ func (a *Arena) AcquireFloats(n int) []float64 { return AcquireSlice[float64](a,
 func (a *Arena) ReleaseFloats(s []float64) { ReleaseSlice(a, s) }
 
 // Bytes returns the total workspace footprint allocated through the arena.
-func (a *Arena) Bytes() int64 { return a.bytes }
+func (a *Arena) Bytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.bytes
+}
 
 // LiveBytes returns the bytes currently held by acquirers of this arena.
-func (a *Arena) LiveBytes() int64 { return a.liveBytes }
+func (a *Arena) LiveBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.liveBytes
+}
 
 // Live returns the number of buffers currently held by acquirers.
-func (a *Arena) Live() int { return a.out }
+func (a *Arena) Live() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.out
+}
 
 // String summarizes the arena for workspace reports.
 func (a *Arena) String() string {

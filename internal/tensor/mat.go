@@ -25,6 +25,26 @@ func NewMat[T Elem](r, c int) *Mat[T] {
 	return &Mat[T]{Rows: r, Cols: c, Data: make([]T, r*c)}
 }
 
+// Typed is a dense matrix at one of the two element widths: the activation
+// one compiled plan hands to the next, which at float32 need not make the
+// detour through the float64 public type. At most one field is set; neither
+// is "no matrix", what an off-diagonal rank of a process grid holds.
+type Typed struct {
+	F64 *Dense
+	F32 *Mat[float32]
+}
+
+// Dims returns the shape of the matrix, and false when there is none.
+func (v Typed) Dims() (rows, cols int, ok bool) {
+	switch {
+	case v.F64 != nil:
+		return v.F64.Rows, v.F64.Cols, true
+	case v.F32 != nil:
+		return v.F32.Rows, v.F32.Cols, true
+	}
+	return 0, 0, false
+}
+
 // Cast converts src element-wise into dst (equal lengths): rounding when D
 // is narrower than S, widening when it is wider, a plain copy when they are
 // the same. This is the one conversion the plan boundary and the float32
