@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"agnn/internal/obs"
-	"agnn/internal/obs/causal"
 	"agnn/internal/obs/metrics"
 )
 
@@ -67,6 +66,9 @@ func main() {
 // per-rank counters, cost-model validation).
 func reportMetrics(w io.Writer, path string, rep *obs.Report) {
 	fmt.Fprintf(w, "\n## %s\n\n", path)
+	if rep.DroppedEvents > 0 {
+		fmt.Fprintf(w, "warning: the recorded logs dropped %d events at their cap; the tables below undercount the run\n\n", rep.DroppedEvents)
+	}
 	fmt.Fprintln(w, "| span | calls | total | mean | max | bytes | msgs |")
 	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
 	for _, s := range rep.Spans {
@@ -112,7 +114,7 @@ func reportMetrics(w io.Writer, path string, rep *obs.Report) {
 // (internal/obs/causal): the per-class time split, the top contributors
 // with their rank/superstep attribution, the per-rank blocked-wait
 // fractions, and the share of collective time hidden by overlap.
-func renderCriticalPath(w io.Writer, s *causal.Summary) {
+func renderCriticalPath(w io.Writer, s *obs.CritPath) {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "### critical path (cross-rank)")
 	fmt.Fprintln(w)

@@ -37,7 +37,7 @@ import (
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/obs/flight"
+	"agnn/internal/obs"
 	"agnn/internal/obs/serve"
 	"agnn/internal/serving"
 	"agnn/internal/tensor"
@@ -69,11 +69,11 @@ func main() {
 	flag.Parse()
 
 	if *flightDir != "" {
-		flight.SetDumpDir(*flightDir)
+		obs.SetDumpDir(*flightDir)
 	}
 	// SIGQUIT dumps the flight recorder's recent-event ring — the
 	// postmortem for a hung server.
-	flight.NotifySignal(syscall.SIGQUIT)
+	obs.NotifySignal(syscall.SIGQUIT)
 
 	kind, err := gnn.ParseKind(*model)
 	fatal(err)
@@ -144,7 +144,7 @@ func main() {
 	eng.Stop()
 	// Clean shutdown leaves the same agnn-flight/v1 artifact the crash path
 	// writes, so request history is inspectable either way.
-	if path := flight.OnShutdown(); path != "" {
+	if path := obs.OnShutdown(); path != "" {
 		fmt.Printf("flight dump: %s\n", path)
 	}
 }

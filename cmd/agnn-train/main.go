@@ -141,26 +141,14 @@ func main() {
 		return
 	}
 
-	// The instrumented view shares layers and parameters with m; it adds
-	// per-layer wall-time accounting and, when -trace/-metrics are on,
-	// obs spans nesting the kernel spans.
-	run := m
-	var prof *gnn.Profile
-	if *profile || o.Tracing() {
-		run, prof = gnn.Instrument(m)
-	}
-
 	loss := &gnn.CrossEntropyLoss{Labels: ds.Labels, Mask: ds.TrainMask}
 	testMask := ds.TestMask()
 	opt := gnn.NewAdam(*lr)
 	edges := float64(ds.Adj.NNZ())
 	for e := 1; e <= *epochs; e++ {
-		sp := obs.Start("epoch")
-		t0 := time.Now()
-		l := run.TrainStep(ds.Features, loss, opt)
-		dt := time.Since(t0).Seconds()
-		sp.End()
-		metrics.EpochSeconds.Observe(dt)
+		t0 := obs.Now()
+		l := m.TrainStep(ds.Features, loss, opt)
+		dt := obs.TrainEpoch(obs.Main(), e, t0)
 		metrics.TrainEpoch.Set(float64(e))
 		metrics.TrainLoss.Set(l)
 		metrics.TrainGradNorm.Set(gnn.GradNorm(m.Params()))
@@ -168,7 +156,7 @@ func main() {
 			metrics.TrainEdgesPerSec.Set(edges / dt)
 		}
 		if e%10 == 0 || e == 1 || e == *epochs {
-			out := run.Forward(ds.Features, false)
+			out := m.Forward(ds.Features, false)
 			fmt.Printf("epoch %3d  loss %.4f  train-acc %.3f  test-acc %.3f\n",
 				e, l, gnn.Accuracy(out, ds.Labels, ds.TrainMask),
 				gnn.Accuracy(out, ds.Labels, testMask))
@@ -178,8 +166,8 @@ func main() {
 		fatal(gnn.SaveWeightsFile(*savePath, m))
 		fmt.Printf("saved weights to %s\n", *savePath)
 	}
-	if *profile && prof != nil {
-		fmt.Print(prof.String())
+	if *profile {
+		fmt.Print(m.Profile().String())
 	}
 	fatal(o.Stop())
 }

@@ -23,7 +23,6 @@ import (
 	"agnn/internal/graph"
 	"agnn/internal/local"
 	"agnn/internal/obs"
-	"agnn/internal/obs/causal"
 	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -269,10 +268,10 @@ func RunSpec(s Spec) (Result, error) {
 		}
 		res.LayerTimeRatio = costmodel.ValidateTime(res.PredictedLayerSec, res.MeanLayerSec).Ratio
 
-		// Causal critical path: the runDistributed loop marks every timed
+		// Critical path: the runDistributed loop marks every timed
 		// execution as an epoch window on rank 0, so the reconstruction
-		// (when -trace/-metrics enabled causal stamping) yields one
-		// per-execution path; validate its mean against the α-β-γ epoch
+		// (when -trace/-metrics recorded the run) yields one per-execution
+		// path; validate its mean against the α-β-γ epoch
 		// prediction and publish the agnn_critpath_* gauges.
 		if sum := obs.CriticalPath(); sum != nil && len(sum.Epochs) > 0 {
 			var winNs, waitNs int64
@@ -304,13 +303,9 @@ func runSingle(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []
 	}
 	loss := &gnn.CrossEntropyLoss{Labels: labels}
 	opt := gnn.NewSGD(1e-4, 0)
-	if obs.Enabled() {
-		// Instrumented layers emit per-layer spans nesting the kernel spans.
-		model, _ = gnn.Instrument(model)
-	}
 	var times []float64
 	for r := 0; r < runs; r++ {
-		sp := obs.Start("execution")
+		sp := obs.Main().Start("execution")
 		t0 := time.Now()
 		if s.Inference {
 			model.Forward(h, false)
@@ -323,27 +318,7 @@ func runSingle(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []
 	return times, nil
 }
 
-// epochMarker brackets each timed execution as a causal epoch window on
-// rank 0 — the analysis windows of the critical-path reconstruction.
-// Warmup executions are not marked; epoch e is timed execution e.
-type epochMarker struct {
-	clog *causal.Log
-	rank int
-	warm int
-	t0   int64
-}
-
-func (m *epochMarker) begin(r int) {
-	if m.clog != nil && m.rank == 0 && r >= m.warm {
-		m.t0 = m.clog.Now()
-	}
-}
-
-func (m *epochMarker) end(r int) {
-	if m.clog != nil && m.rank == 0 && r >= m.warm {
-		m.clog.Rank(0).MarkEpoch(int64(r-m.warm), m.t0, m.clog.Now())
-	}
-}
+var codeExecution = obs.Code("execution")
 
 // runDistributed executes the multi-rank configurations on the simulated
 // runtime, timing rank 0 between barriers. The returned volume is the
@@ -369,19 +344,25 @@ func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labe
 			return err
 		}
 		defer closeEngine()
-		em := epochMarker{clog: causal.Get(), rank: c.Rank(), warm: s.Warmup}
 		before := c.Counters()
 		for r := 0; r < runs; r++ {
 			c.Barrier()
-			em.begin(r)
-			sp := c.StartSpan("execution")
+			// Rank 0 brackets each timed execution, closing barrier
+			// included, as an epoch — an analysis window of the
+			// critical-path reconstruction; the other ranks, and warm-up
+			// executions, leave a plain span.
+			var sp obs.Span
+			if c.Rank() == 0 && r >= s.Warmup {
+				sp = c.Log().Begin(obs.KindEpoch, codeExecution)
+			} else {
+				sp = c.StartSpan("execution")
+			}
 			t0 := time.Now()
 			if err := step(); err != nil {
 				return err
 			}
-			sp.End()
 			c.Barrier()
-			em.end(r)
+			sp.EndWith(int64(r-s.Warmup), 0, 0) // the epoch number; a plain span's payload is not read
 			if c.Rank() == 0 {
 				times = append(times, time.Since(t0).Seconds())
 			}

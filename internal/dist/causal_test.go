@@ -4,27 +4,28 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	distnet "agnn/internal/dist/net"
 	"agnn/internal/obs"
 	"agnn/internal/obs/causal"
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/metrics"
 )
 
-// withCausal installs a fresh process-wide causal log for one test.
-func withCausal(t *testing.T) *causal.Log {
+// recorded switches recording on for one test.
+func recorded(t *testing.T) {
 	t.Helper()
-	prev := causal.Get()
-	l := causal.New()
-	causal.Enable(l)
-	t.Cleanup(func() { causal.Enable(prev) })
-	return l
+	obs.StartRecording()
+	t.Cleanup(obs.StopRecording)
 }
 
-func filterKind(evs []causal.Event, kind uint8) []causal.Event {
-	var out []causal.Event
-	for _, e := range evs {
+// messages returns the send or receive records of a rank's recorded log.
+func messages(rank int, kind evlog.Kind) []evlog.Record {
+	var out []evlog.Record
+	for _, e := range obs.Rank(rank).Events() {
 		if e.Kind == kind {
 			out = append(out, e)
 		}
@@ -33,11 +34,11 @@ func filterKind(evs []causal.Event, kind uint8) []causal.Event {
 }
 
 // Every send must appear in the sender's log and its stamped header in
-// the receiver's, linkable via (Src, Seq); the receiver's recv interval
-// must contain the send time.
+// the receiver's, linkable via (source, sequence number); the receiver's
+// recv interval must contain the send time.
 func TestCausalStampingRecordsSendRecvPairs(t *testing.T) {
-	l := withCausal(t)
-	Run(2, func(c *Comm) {
+	recorded(t)
+	cs := Run(2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, []float64{1, 2, 3})
@@ -47,97 +48,104 @@ func TestCausalStampingRecordsSendRecvPairs(t *testing.T) {
 			c.Recv(0)
 		}
 	})
-	sends := filterKind(l.Rank(0).Events(), causal.KindSend)
-	recvs := filterKind(l.Rank(1).Events(), causal.KindRecv)
+	sends := messages(0, evlog.KindSend)
+	recvs := messages(1, evlog.KindRecv)
 	if len(sends) != 2 || len(recvs) != 2 {
 		t.Fatalf("got %d sends, %d recvs, want 2 and 2", len(sends), len(recvs))
 	}
 	for i := range sends {
 		s, r := sends[i], recvs[i]
-		if s.Seq != uint64(i+1) {
-			t.Errorf("send %d: seq %d, want %d", i, s.Seq, i+1)
+		if s.A != int64(i+1) {
+			t.Errorf("send %d: seq %d, want %d", i, s.A, i+1)
 		}
-		if s.Peer != 1 {
-			t.Errorf("send %d: peer %d, want 1", i, s.Peer)
+		if s.B != 1 {
+			t.Errorf("send %d: peer %d, want 1", i, s.B)
 		}
-		if r.Peer != 0 || r.Seq != s.Seq || r.Clock != s.Clock {
-			t.Errorf("recv %d: (peer,seq,clock)=(%d,%d,%d) does not match send (0,%d,%d)",
-				i, r.Peer, r.Seq, r.Clock, s.Seq, s.Clock)
+		if r.B != 0 || r.A != s.A || r.C != s.C {
+			t.Errorf("recv %d: (peer,seq,step)=(%d,%d,%d) does not match send (0,%d,%d)",
+				i, r.B, r.A, r.C, s.A, s.C)
 		}
-		if r.T1 < s.T1 {
-			t.Errorf("recv %d arrived at %d before send completed at %d", i, r.T1, s.T1)
+		if r.T0+r.Dur < s.T0 {
+			t.Errorf("recv %d arrived at %d before send completed at %d", i, r.T0+r.Dur, s.T0)
 		}
-		if r.T0 > r.T1 {
-			t.Errorf("recv %d: T0 %d > T1 %d", i, r.T0, r.T1)
+		if r.Dur < 0 {
+			t.Errorf("recv %d: negative wait %d", i, r.Dur)
 		}
 	}
-	if sends[0].Bytes != 24 || sends[1].Bytes != 8 {
-		t.Errorf("send bytes (%d,%d), want (24,8)", sends[0].Bytes, sends[1].Bytes)
+	// The bytes are counted once, in the rank's counters, not on the record.
+	if cs[0].BytesSent != 32 || cs[0].MsgsSent != 2 {
+		t.Errorf("rank 0 counters %+v, want 32 bytes in 2 messages", cs[0])
 	}
 }
 
 // The Lamport clock must strictly increase along every message edge:
 // a message sent after receiving another carries a larger clock.
 func TestCausalLamportClockMergesAcrossRanks(t *testing.T) {
-	l := withCausal(t)
-	Run(3, func(c *Comm) {
-		// 0 → 1 → 2 relay: rank 1's forward happens-after rank 0's send.
-		switch c.Rank() {
-		case 0:
-			c.Send(1, []float64{1})
-		case 1:
-			v := c.Recv(0)
-			c.Send(2, v)
-		case 2:
-			c.Recv(1)
-		}
-	})
-	s0 := filterKind(l.Rank(0).Events(), causal.KindSend)
-	s1 := filterKind(l.Rank(1).Events(), causal.KindSend)
-	if len(s0) != 1 || len(s1) != 1 {
-		t.Fatalf("got %d/%d sends on ranks 0/1, want 1/1", len(s0), len(s1))
+	w, err := NewWorld(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s1[0].Clock <= s0[0].Clock {
-		t.Errorf("relayed send clock %d not after original send clock %d",
-			s1[0].Clock, s0[0].Clock)
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			// 0 → 1 → 2 relay: rank 1's forward happens-after rank 0's send.
+			w.runRank(rank, func(c *Comm) error {
+				switch rank {
+				case 0:
+					c.Send(1, []float64{1})
+				case 1:
+					c.Send(2, c.Recv(0))
+				case 2:
+					c.Recv(1)
+				}
+				return nil
+			})
+		}(r)
+	}
+	wg.Wait()
+	// Send ticks rank 0 to 1; the receive lifts rank 1 past it and its own
+	// send ticks again; rank 2's receive lands past that.
+	c0, c1, c2 := w.clock[0].Load(), w.clock[1].Load(), w.clock[2].Load()
+	if !(c0 < c1 && c1 < c2) {
+		t.Errorf("clocks %d, %d, %d along the relay, want strictly increasing", c0, c1, c2)
 	}
 }
 
 // Collective messages must carry the collective's superstep and an
 // interned code naming it, so the critical-path walk can attribute hops.
 func TestCausalCollectiveMessagesCarryStepAndCode(t *testing.T) {
-	l := withCausal(t)
+	recorded(t)
 	Run(2, func(c *Comm) {
 		c.Allreduce([]float64{float64(c.Rank())})
 		c.Barrier()
 	})
-	evs := l.Rank(0).Events()
+	evs := append(messages(0, evlog.KindSend), messages(0, evlog.KindRecv)...)
 	if len(evs) == 0 {
-		t.Fatal("no causal events recorded for rank 0")
+		t.Fatal("no message records for rank 0")
 	}
-	var coded int
+	names := map[string]bool{}
+	var lastStep int64
 	for _, e := range evs {
-		if e.Code != 0 {
-			coded++
-		}
+		names[e.Name()] = true
+		lastStep = max(lastStep, e.C)
 	}
-	if coded == 0 {
-		t.Error("no event carries a collective code")
+	if !names["reduce_scatter"] || !names["barrier"] {
+		t.Errorf("messages name collectives %v, want the innermost of each call", names)
 	}
-	// Barrier follows the allreduce round, so late events must carry a
+	// Barrier follows the allreduce rounds, so late messages must carry a
 	// positive superstep.
-	last := evs[len(evs)-1]
-	if last.Step == 0 {
-		t.Errorf("final event superstep = 0, want > 0 (rounds advance stepNow)")
+	if lastStep == 0 {
+		t.Errorf("final message superstep = 0, want > 0 (rounds advance stepNow)")
 	}
 }
 
-// With no process-wide log, stamping must stay silent (clocks still run).
+// With recording off, messages must leave nothing — not even in the
+// always-on ring (clocks still run).
 func TestCausalDisabledRecordsNothing(t *testing.T) {
-	prev := causal.Get()
-	causal.Disable()
-	t.Cleanup(func() { causal.Enable(prev) })
-	l := causal.New() // never installed
+	obs.StopRecording()
+	before := obs.Rank(0).Recorded() + obs.Rank(1).Recorded()
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, []float64{1})
@@ -145,17 +153,17 @@ func TestCausalDisabledRecordsNothing(t *testing.T) {
 			c.Recv(0)
 		}
 	})
-	if evs := l.Rank(0).Events(); len(evs) != 0 {
-		t.Fatalf("uninstalled log has %d events", len(evs))
+	if got := obs.Rank(0).Recorded() + obs.Rank(1).Recorded(); got != before {
+		t.Fatalf("unrecorded messages left %d records", got-before)
 	}
 }
 
-// The Send/Recv hot path must not allocate when causal tracing is on:
-// the header travels by value and the log appends into its preallocated
-// buffer. Empty payloads keep the message copy itself allocation-free,
-// isolating the stamping overhead.
+// The Send/Recv hot path must not allocate on a recorded run: the header
+// travels by value and the log appends into its first allocation. Empty
+// payloads keep the message copy itself allocation-free, isolating the
+// stamping overhead.
 func TestCausalStampedSendRecvZeroAlloc(t *testing.T) {
-	withCausal(t)
+	recorded(t)
 	w, err := NewWorld(2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,13 +177,14 @@ func TestCausalStampedSendRecvZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("stamped Send+Recv allocates %.1f times per op, want 0", allocs)
 	}
+	if got := len(obs.Rank(0).Events()); got != 2*1001 {
+		t.Fatalf("recorded %d message records, want %d", got, 2*1001)
+	}
 }
 
-// Same assertion with causal tracing off — the baseline must not regress.
+// Same assertion with recording off — the baseline must not regress.
 func TestUnstampedSendRecvZeroAlloc(t *testing.T) {
-	prev := causal.Get()
-	causal.Disable()
-	t.Cleanup(func() { causal.Enable(prev) })
+	obs.StopRecording()
 	w, err := NewWorld(2)
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +200,11 @@ func TestUnstampedSendRecvZeroAlloc(t *testing.T) {
 	}
 }
 
-// Chrome-trace flow events: a traced run must emit one "s"/"f" pair per
+// Chrome-trace flow events: a recorded run must emit one "s"/"f" pair per
 // message, sharing an ID, on the sender and receiver rank tracks.
 func TestCausalFlowEventsInChromeTrace(t *testing.T) {
-	withCausal(t)
-	tr := obs.New()
-	cs := RunTraced(2, tr, func(c *Comm) {
+	recorded(t)
+	cs := Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, []float64{1, 2})
 		} else {
@@ -207,11 +215,11 @@ func TestCausalFlowEventsInChromeTrace(t *testing.T) {
 		t.Fatalf("want 2 ranks, got %d", len(cs))
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"ph": "s"`, `"ph": "f"`, `"cat": "msg"`, `"bp": "e"`} {
+	for _, want := range []string{`"ph": "s"`, `"ph": "f"`, `"cat": "msg"`, `"bp": "e"`, `"id": "0x1"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chrome trace missing %s:\n%s", want, out)
 		}
@@ -268,4 +276,92 @@ func stragglerCount(p int) int64 {
 		total += metrics.StragglersTotal.With(strconv.Itoa(r)).Value()
 	}
 	return total
+}
+
+// TestNetWorldIsRecorded: a world wrapped around a transport endpoint — a
+// TCP rank, a launcher worker — has the telemetry an in-process world has:
+// under recording its rank's log holds the collective spans, the message
+// pairs that draw as flow arrows, and its part of the critical path.
+func TestNetWorldIsRecorded(t *testing.T) {
+	recorded(t)
+	const p = 2
+	cw, err := distnet.NewChanWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			w, err := NewNetWorld(cw.Endpoint(rank), Options{RecvTimeout: 10 * time.Second})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := w.TryRunLocal(func(c *Comm) error {
+				sp := c.Log().Begin(obs.KindEpoch, obs.Code("epoch"))
+				c.Allreduce([]float64{float64(rank), 1})
+				sp.End()
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// Each rank's log: the allreduce span with its bytes, and sends whose
+	// flow ids the peer's receives carry.
+	flow := func(rank int, kind evlog.Kind) map[uint64]bool {
+		ids := map[uint64]bool{}
+		for _, m := range messages(rank, kind) {
+			src := int32(rank)
+			if kind == evlog.KindRecv {
+				src = int32(m.B)
+			}
+			ids[causal.Header{Src: src, Seq: uint64(m.A)}.FlowID()] = true
+		}
+		return ids
+	}
+	for r := 0; r < p; r++ {
+		var allreduce []evlog.Record
+		for _, e := range obs.Rank(r).Events() {
+			if e.Kind == evlog.KindCollective && e.Name() == "allreduce" {
+				allreduce = append(allreduce, e)
+			}
+		}
+		if len(allreduce) != 1 || allreduce[0].A == 0 || allreduce[0].B == 0 {
+			t.Fatalf("rank %d: allreduce records %+v, want one carrying bytes and messages", r, allreduce)
+		}
+		sent, got := flow(r, evlog.KindSend), flow(1-r, evlog.KindRecv)
+		if len(sent) == 0 || len(sent) != len(got) {
+			t.Fatalf("rank %d sent %d messages, rank %d received %d", r, len(sent), 1-r, len(got))
+		}
+		for id := range sent {
+			if !got[id] {
+				t.Fatalf("rank %d's message %#x has no receive on rank %d", r, id, 1-r)
+			}
+		}
+	}
+	sum := obs.CriticalPath()
+	if sum == nil || sum.Ranks != p || sum.PathNs == 0 || len(sum.Segments) == 0 {
+		t.Fatalf("critical path of the net worlds: %+v", sum)
+	}
+	named := false
+	for _, s := range sum.Segments {
+		named = named || s.Class == "collective"
+	}
+	if !named {
+		t.Fatalf("no critical-path segment is attributed to a collective span: %+v", sum.Segments)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name": "rank 0"`, `"name": "rank 1"`, `"name": "allreduce"`, `"ph": "s"`, `"ph": "f"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("chrome trace of the net worlds missing %s", want)
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"agnn/internal/obs"
-	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
 
@@ -19,11 +18,6 @@ import (
 // and one chunk-sized message per ring hop — but attributed per chunk, so
 // the BSP counters and the per-collective byte histogram expose the
 // pipelined structure instead of one opaque call.
-
-// codeGatherHop stamps the chunked ring's messages; it matches the
-// "gather.hop" span name so path attribution classifies hops as
-// collective time.
-var codeGatherHop = flight.Code("gather.hop")
 
 // Chunk announces that a contiguous word range of the gather output has
 // landed and may be read.
@@ -129,25 +123,21 @@ func (c *Comm) AllgatherChunks(data []float64, lens []int) (*ChunkedGather, erro
 				cg.err.Store(&rf.err)
 			}
 		}()
-		track := c.w.gatherTrack(c.global)
-		whole := track.Start("allgather_chunks")
-		before := c.Counters()
+		// The helper runs concurrently with rank compute: it must not touch
+		// the rank-owned curColl, so the ring's messages carry the hop
+		// kind's code explicitly and neither call stacks one.
+		hopCode := c.tel.coll[collGatherHop].Code()
+		whole := collCall{kind: collGatherChunks, t0: obs.Now(), before: c.Counters()}
 		var held *Chunk // reorder fault: notification held back one hop
 		for t := 0; t < g-1; t++ {
 			sendIdx := (c.me - t + g) % g
 			recvIdx := (c.me - 1 - t + 2*g) % g
 			c.round()
-			hop := track.Start("gather.hop")
-			// Explicit causal code: the helper runs concurrently with rank
-			// compute, so it must not read the rank-owned curColl.
-			c.sendCoded(right, cg.out[bounds[sendIdx]:bounds[sendIdx+1]], codeGatherHop)
-			chunk := c.recvCoded(left, codeGatherHop)
+			t0 := obs.Now()
+			c.sendCoded(right, cg.out[bounds[sendIdx]:bounds[sendIdx+1]], hopCode)
+			chunk := c.recvCoded(left, hopCode)
 			copy(cg.out[bounds[recvIdx]:bounds[recvIdx+1]], chunk)
-			bytes := int64(8 * len(chunk))
-			metrics.CollectiveBytes.With("allgather_chunk").Observe(float64(bytes))
-			if hop.Active() {
-				hop.End(obs.Int64("bytes", bytes), obs.Int64("src", int64(recvIdx)))
-			}
+			c.tel.coll[collGatherHop].Done(t0, int64(8*len(chunk)), 1, int64(recvIdx)+1)
 			note := Chunk{Step: t + 1, Src: recvIdx, Lo: bounds[recvIdx], Hi: bounds[recvIdx+1]}
 			switch {
 			case held != nil:
@@ -167,12 +157,7 @@ func (c *Comm) AllgatherChunks(data []float64, lens []int) (*ChunkedGather, erro
 		if held != nil {
 			cg.ch <- *held
 		}
-		if whole.Active() {
-			after := c.Counters()
-			obs.Sample("comm bytes", c.w.totalBytes.Load())
-			whole.End(obs.Int64("bytes", after.BytesSent-before.BytesSent),
-				obs.Int64("msgs", after.MsgsSent-before.MsgsSent))
-		}
+		c.endCall(whole)
 	}()
 	return cg, nil
 }

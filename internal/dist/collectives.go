@@ -25,8 +25,7 @@ func chunkBounds(n, g int) []int {
 // Barrier synchronizes the group with a two-pass token ring: the first
 // circulation proves every rank has entered, the second releases them.
 func (c *Comm) Barrier() {
-	sp, c0 := c.beginCollective("barrier")
-	defer c.endCollective("barrier", sp, c0)
+	defer c.endCollective(c.beginCollective(collBarrier))
 	g := c.Size()
 	if g == 1 {
 		return
@@ -51,8 +50,7 @@ func (c *Comm) Barrier() {
 // copy (root returns its input). Implemented as direct scatter from root
 // followed by a ring allgather: root sends ≈n words, everyone else ≈n.
 func (c *Comm) Bcast(data []float64, root int) []float64 {
-	sp, c0 := c.beginCollective("bcast")
-	defer c.endCollective("bcast", sp, c0)
+	defer c.endCollective(c.beginCollective(collBcast))
 	g := c.Size()
 	if g == 1 {
 		return data
@@ -110,8 +108,7 @@ func (c *Comm) ringAllgather(out []float64, bounds []int) {
 // Allgather concatenates every rank's (equal-length or varying) vector in
 // group-rank order and returns the full concatenation.
 func (c *Comm) Allgather(data []float64) []float64 {
-	sp, c0 := c.beginCollective("allgather")
-	defer c.endCollective("allgather", sp, c0)
+	defer c.endCollective(c.beginCollective(collAllgather))
 	g := c.Size()
 	if g == 1 {
 		cp := make([]float64, len(data))
@@ -169,8 +166,7 @@ func (c *Comm) ReduceScatter(data []float64) []float64 {
 
 // ReduceScatterOp is ReduceScatter with an arbitrary reduction operator.
 func (c *Comm) ReduceScatterOp(data []float64, op ReduceOp) []float64 {
-	sp, c0 := c.beginCollective("reduce_scatter")
-	defer c.endCollective("reduce_scatter", sp, c0)
+	defer c.endCollective(c.beginCollective(collReduceScatter))
 	g := c.Size()
 	bounds := chunkBounds(len(data), g)
 	if g == 1 {
@@ -206,8 +202,7 @@ func (c *Comm) Allreduce(data []float64) []float64 {
 
 // AllreduceOp is Allreduce with an arbitrary reduction operator.
 func (c *Comm) AllreduceOp(data []float64, op ReduceOp) []float64 {
-	sp, c0 := c.beginCollective("allreduce")
-	defer c.endCollective("allreduce", sp, c0)
+	defer c.endCollective(c.beginCollective(collAllreduce))
 	g := c.Size()
 	if g == 1 {
 		cp := make([]float64, len(data))
@@ -226,8 +221,7 @@ func (c *Comm) AllreduceOp(data []float64, op ReduceOp) []float64 {
 // Reduce sums the group's vectors onto root (reduce-scatter + gather).
 // Non-root ranks return nil.
 func (c *Comm) Reduce(data []float64, root int) []float64 {
-	sp, c0 := c.beginCollective("reduce")
-	defer c.endCollective("reduce", sp, c0)
+	defer c.endCollective(c.beginCollective(collReduce))
 	g := c.Size()
 	if g == 1 {
 		cp := make([]float64, len(data))
@@ -256,8 +250,7 @@ func (c *Comm) Reduce(data []float64, root int) []float64 {
 // Gatherv collects every rank's vector on root in group-rank order;
 // non-root ranks return nil.
 func (c *Comm) Gatherv(data []float64, root int) [][]float64 {
-	sp, c0 := c.beginCollective("gatherv")
-	defer c.endCollective("gatherv", sp, c0)
+	defer c.endCollective(c.beginCollective(collGatherv))
 	g := c.Size()
 	if g == 1 {
 		cp := make([]float64, len(data))
@@ -284,8 +277,7 @@ func (c *Comm) Gatherv(data []float64, root int) [][]float64 {
 // Scatterv sends chunks[r] to each group rank r from root and returns the
 // local chunk. Non-root callers pass nil.
 func (c *Comm) Scatterv(chunks [][]float64, root int) []float64 {
-	sp, c0 := c.beginCollective("scatterv")
-	defer c.endCollective("scatterv", sp, c0)
+	defer c.endCollective(c.beginCollective(collScatterv))
 	g := c.Size()
 	if g == 1 {
 		cp := make([]float64, len(chunks[0]))
@@ -309,8 +301,7 @@ func (c *Comm) Scatterv(chunks [][]float64, root int) []float64 {
 // Alltoallv sends out[r] to each rank r and returns the vectors received
 // from every rank (in group-rank order).
 func (c *Comm) Alltoallv(out [][]float64) [][]float64 {
-	sp, c0 := c.beginCollective("alltoallv")
-	defer c.endCollective("alltoallv", sp, c0)
+	defer c.endCollective(c.beginCollective(collAlltoallv))
 	g := c.Size()
 	in := make([][]float64, g)
 	if g == 1 {

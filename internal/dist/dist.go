@@ -23,7 +23,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,6 @@ import (
 	distnet "agnn/internal/dist/net"
 	"agnn/internal/obs"
 	"agnn/internal/obs/causal"
-	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
 
@@ -41,6 +39,16 @@ type Counters struct {
 	BytesSent int64 // 8 bytes per float64 word
 	MsgsSent  int64
 	Rounds    int64 // communication rounds (BSP supersteps entered)
+}
+
+// rankCounters is a rank's live Counters: the one place a message's bytes
+// and a round are counted. Everything else that reports communication
+// volume — Comm.Counters, a collective's per-call delta, the
+// agnn_comm_*_total families (commtotals.go) — reads it.
+type rankCounters struct{ bytes, msgs, rounds atomic.Int64 }
+
+func (c *rankCounters) load() Counters {
+	return Counters{BytesSent: c.bytes.Load(), MsgsSent: c.msgs.Load(), Rounds: c.rounds.Load()}
 }
 
 // Add merges two counter sets.
@@ -134,8 +142,7 @@ type World struct {
 	eps      []distnet.Endpoint         // eps[rank]; only eps[local] in a net world
 	inbox    [][]<-chan distnet.Message // inbox[to][from], cached so Recv keeps direct channel selects
 	local    int                        // -1: all ranks in-process; else this process's rank
-	counters []Counters
-	mu       []sync.Mutex // protects counters[i] against torn reads in MaxCounters
+	counters []rankCounters
 
 	// Failure broadcast: the first rank to fail records itself and closes
 	// failCh; every rank blocked in Send/Recv selects on failCh and unwinds
@@ -146,35 +153,53 @@ type World struct {
 	failRank  int
 	failCause error
 
-	// Live-registry instruments, resolved once per rank at construction so
-	// the per-message fast path is two atomic adds.
-	mBytes, mMsgs, mRounds []*metrics.Counter
-	totalBytes             atomic.Int64 // world-wide cumulative, for the trace timeline
+	// tel is the world's telemetry: per locally hosted rank, the rank's
+	// event log and the instruments of the sites the runtime emits from,
+	// resolved once at construction (wireRank) — for a net world's one rank
+	// exactly as for an in-process world's p.
+	tel []rankTel
 
-	// Straggler diagnostics (straggler.go): per-rank wait histograms and
-	// straggler counters, the flight-recorder lanes, and the per-superstep
-	// wait accumulators the Recv hot path feeds.
-	mWait    []*metrics.Histogram
-	mStrag   []*metrics.Counter
-	flanes   []*flight.Lane
+	// Straggler diagnostics (straggler.go): the per-superstep wait
+	// accumulators the Recv hot path feeds.
 	waitNs   []atomic.Int64 // wait accumulated during the current superstep
 	lastWait []atomic.Int64 // wait of the last completed superstep
 
-	// Causal stamping (internal/obs/causal): per-rank Lamport clocks,
-	// send sequence numbers and current superstep. The atomics are
-	// always on — they are the message headers' source of truth — while
-	// the per-rank causal logs are resolved at construction from the
-	// process-wide causal.Log and stay nil when causal tracing is off.
+	// Causal stamping: per-rank Lamport clocks, send sequence numbers and
+	// current superstep. Always on — they are the message headers' source
+	// of truth, whether or not the run is recorded.
 	clock   []atomic.Uint64
 	sendSeq []atomic.Uint64
 	stepNow []atomic.Int64
-	clog    *causal.Log
-	clogs   []*causal.RankLog
+}
 
-	tracer  *obs.Tracer  // nil when tracing is off
-	tracks  []*obs.Track // one per rank when tracing
-	gmu     sync.Mutex   // guards gtracks
-	gtracks []*obs.Track // per-rank gather tracks, created on first chunked gather
+// The collective kinds, indexing a rank's instruments.
+const (
+	collBarrier = iota
+	collBcast
+	collAllgather
+	collReduceScatter
+	collAllreduce
+	collReduce
+	collGatherv
+	collScatterv
+	collAlltoallv
+	collGatherChunks // a whole chunked allgather: its hops are what the byte histogram observes
+	collGatherHop    // one ring hop of it
+	numColl
+)
+
+// collNames are the kinds' record names and, but for the chunked gather's
+// two (wireRank), their labels in the agnn_collective_bytes histogram.
+var collNames = [numColl]string{"barrier", "bcast", "allgather", "reduce_scatter", "allreduce",
+	"reduce", "gatherv", "scatterv", "alltoallv", "allgather_chunks", "gather.hop"}
+
+// rankTel is one rank's telemetry: its sites (log, wait histogram,
+// straggler counter) and one instrument per collective kind. The chunked
+// gather's two run on a helper goroutine beside the rank's compute, so
+// their records go on the rank's side timeline.
+type rankTel struct {
+	obs.RankSites
+	coll [numColl]obs.Collective
 }
 
 // NewWorld creates a fault-free p-rank world.
@@ -226,43 +251,35 @@ func NewNetWorld(ep distnet.Endpoint, opts Options) (*World, error) {
 func newWorldShell(p, local int, opts Options) *World {
 	w := &World{
 		P: p, opts: opts, local: local,
-		counters: make([]Counters, p),
-		mu:       make([]sync.Mutex, p),
+		counters: make([]rankCounters, p),
 		failCh:   make(chan struct{}),
 	}
 	w.eps = make([]distnet.Endpoint, p)
 	w.inbox = make([][]<-chan distnet.Message, p)
-	w.mBytes = make([]*metrics.Counter, p)
-	w.mMsgs = make([]*metrics.Counter, p)
-	w.mRounds = make([]*metrics.Counter, p)
-	w.mWait = make([]*metrics.Histogram, p)
-	w.mStrag = make([]*metrics.Counter, p)
-	w.flanes = make([]*flight.Lane, p)
+	w.tel = make([]rankTel, p)
 	w.waitNs = make([]atomic.Int64, p)
 	w.lastWait = make([]atomic.Int64, p)
 	w.clock = make([]atomic.Uint64, p)
 	w.sendSeq = make([]atomic.Uint64, p)
 	w.stepNow = make([]atomic.Int64, p)
-	if cl := causal.Get(); cl != nil {
-		w.clog = cl
-		w.clogs = make([]*causal.RankLog, p)
-	}
 	return w
 }
 
-// wireRank resolves the live-registry instruments, flight lane and causal
-// log of one locally hosted rank, so the per-message fast path is a couple
-// of atomic adds on pre-resolved handles.
+// wireRank resolves the telemetry of one locally hosted rank: its log and
+// site instruments, and one instrument per collective kind, so that no
+// message, round or collective call looks anything up.
 func (w *World) wireRank(rank int) {
-	r := strconv.Itoa(rank)
-	w.mBytes[rank] = metrics.CommBytesTotal.With(r)
-	w.mMsgs[rank] = metrics.CommMsgsTotal.With(r)
-	w.mRounds[rank] = metrics.CommRoundsTotal.With(r)
-	w.mWait[rank] = metrics.RankWaitSeconds.With(r)
-	w.mStrag[rank] = metrics.StragglersTotal.With(r)
-	w.flanes[rank] = flight.Default.Lane(rank)
-	if w.clogs != nil {
-		w.clogs[rank] = w.clog.Rank(rank)
+	t := &w.tel[rank]
+	t.RankSites = obs.SitesFor(rank)
+	for k, name := range collNames {
+		label, side := name, false
+		switch k {
+		case collGatherChunks:
+			label, side = "", true
+		case collGatherHop:
+			label, side = "allgather_chunk", true
+		}
+		t.coll[k] = t.Collective(name, label, side)
 	}
 }
 
@@ -300,14 +317,10 @@ func (w *World) fail(rank int, cause error) {
 		w.failRank = rank
 		w.failCause = cause
 		w.failed.Store(true)
-		metrics.RankFailuresTotal.Inc()
-		w.mu[rank].Lock()
-		lastRound := w.counters[rank].Rounds
-		w.mu[rank].Unlock()
-		// Postmortem: leave a failure event on the rank's lane and, when a
+		// Postmortem: leave a failure event on the rank's log and, when a
 		// dump directory is configured, write the black-box artifact naming
 		// the failed rank and its last superstep before survivors unwind.
-		flight.OnRankFailure(rank, lastRound, cause)
+		obs.RankFailed(rank, w.counters[rank].rounds.Load(), cause)
 		close(w.failCh)
 		// Poison the transport so blocked senders unwind, and (on a wire
 		// transport) broadcast the failure to peer processes.
@@ -353,51 +366,12 @@ func (c *Comm) abortSurvivor() {
 	panic(rankFailure{rank: c.global, err: c.w.survivorErr()})
 }
 
-// EnableTracing attaches one trace track per rank ("rank 0" … "rank p-1")
-// to the world. Rank goroutines started by Run/RunTraced bind themselves to
-// their track, so both the collective spans recorded by Comm and any kernel
-// spans fired inside rank code land on the rank's timeline.
-func (w *World) EnableTracing(t *obs.Tracer) {
-	if t == nil {
-		return
-	}
-	w.tracer = t
-	w.tracks = make([]*obs.Track, w.P)
-	w.gtracks = make([]*obs.Track, w.P)
-	for r := 0; r < w.P; r++ {
-		w.tracks[r] = t.Track(fmt.Sprintf("rank %d", r))
-	}
-}
-
-// gatherTrack returns rank's gather trace track, creating it on first use.
-// Chunked gathers run concurrently with rank compute, so their spans get a
-// sibling track ("rank N gather") — both timelines stay well-nested and the
-// trace shows the gather and compute tracks interleaved. Lazy creation
-// keeps traces of non-overlapped runs free of empty tracks.
-func (w *World) gatherTrack(rank int) *obs.Track {
-	if w.tracer == nil {
-		return nil
-	}
-	w.gmu.Lock()
-	defer w.gmu.Unlock()
-	if w.gtracks[rank] == nil {
-		w.gtracks[rank] = w.tracer.Track(fmt.Sprintf("rank %d gather", rank))
-	}
-	return w.gtracks[rank]
-}
-
 // Run executes f on every rank of a fresh fault-free p-rank world
-// concurrently and returns the per-rank communication counters. When
-// process-wide tracing is enabled (obs.Enable), every rank gets its own
-// track automatically. Run is the SPMD test/benchmark harness: an invalid
-// world size panics; use TryRun for recoverable failure handling.
+// concurrently and returns the per-rank communication counters. Run is the
+// SPMD test/benchmark harness: an invalid world size panics; use TryRun for
+// recoverable failure handling.
 func Run(p int, f func(c *Comm)) []Counters {
-	return RunTraced(p, obs.Get(), f)
-}
-
-// RunTraced is Run with an explicit tracer (nil disables tracing).
-func RunTraced(p int, tr *obs.Tracer, f func(c *Comm)) []Counters {
-	cs, errs, err := tryRunTraced(p, Options{}, tr, func(c *Comm) error {
+	cs, errs, err := TryRun(p, Options{}, func(c *Comm) error {
 		f(c)
 		return nil
 	})
@@ -421,39 +395,42 @@ func RunTraced(p int, tr *obs.Tracer, f func(c *Comm)) []Counters {
 // exhaustion, and the survivors they abort — land in errs, every one
 // matching errors.Is(err, ErrRankFailed).
 func TryRun(p int, opts Options, f func(c *Comm) error) ([]Counters, []error, error) {
-	return tryRunTraced(p, opts, obs.Get(), f)
-}
-
-func tryRunTraced(p int, opts Options, tr *obs.Tracer, f func(c *Comm) error) ([]Counters, []error, error) {
 	w, err := NewWorldOpts(p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	w.EnableTracing(tr)
+	w.enter()
+	defer w.retire()
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if rf, ok := rec.(rankFailure); ok {
-						errs[rank] = rf.err
-						return
-					}
-					panic(rec)
-				}
-			}()
-			if w.tracer != nil {
-				w.tracer.BindGoroutine(w.tracks[rank])
-				defer w.tracer.UnbindGoroutine()
-			}
-			errs[rank] = f(w.Comm(rank))
+			errs[rank] = w.runRank(rank, f)
 		}(r)
 	}
 	wg.Wait()
 	return w.Counters(), errs, nil
+}
+
+// runRank runs f as one rank on the calling goroutine: the goroutine is
+// bound to the rank's event log, so whatever f wires — engines, models,
+// compiled plans — records there, and a rank-failure unwind comes back as
+// the error.
+func (w *World) runRank(rank int, f func(c *Comm) error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			rf, ok := rec.(rankFailure)
+			if !ok {
+				panic(rec)
+			}
+			err = rf.err
+		}
+	}()
+	obs.Bind(w.tel[rank].Log)
+	defer obs.Unbind()
+	return f(w.Comm(rank))
 }
 
 // TryRunLocal executes f on the net world's own rank — the per-process
@@ -465,31 +442,13 @@ func (w *World) TryRunLocal(f func(c *Comm) error) (Counters, error) {
 	if w.local < 0 {
 		return Counters{}, errors.New("dist: TryRunLocal requires a net-backed world (use TryRun for in-process worlds)")
 	}
-	var err error
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rf, ok := rec.(rankFailure); ok {
-					err = rf.err
-					return
-				}
-				panic(rec)
-			}
-		}()
-		c := w.Comm(w.local)
-		if w.tracer != nil {
-			w.tracer.BindGoroutine(w.tracks[w.local])
-			defer w.tracer.UnbindGoroutine()
-		}
-		err = f(c)
-	}()
+	w.enter()
+	defer w.retire()
+	err := w.runRank(w.local, f)
 	if err == nil {
 		w.eps[w.local].Goodbye()
 	}
-	w.mu[w.local].Lock()
-	out := w.counters[w.local]
-	w.mu[w.local].Unlock()
-	return out, err
+	return w.counters[w.local].load(), err
 }
 
 // LocalRank returns the world's locally hosted rank (-1 when all ranks are
@@ -512,20 +471,14 @@ func (w *World) Comm(rank int) *Comm {
 	for i := range group {
 		group[i] = i
 	}
-	c := &Comm{w: w, global: rank, group: group, me: rank}
-	if w.tracks != nil {
-		c.track = w.tracks[rank]
-	}
-	return c
+	return &Comm{w: w, global: rank, group: group, me: rank, tel: &w.tel[rank]}
 }
 
 // Counters returns a snapshot of all per-rank counters.
 func (w *World) Counters() []Counters {
 	out := make([]Counters, w.P)
 	for i := range out {
-		w.mu[i].Lock()
-		out[i] = w.counters[i]
-		w.mu[i].Unlock()
+		out[i] = w.counters[i].load()
 	}
 	return out
 }
@@ -562,15 +515,15 @@ func TotalCounters(cs []Counters) Counters {
 // sub-communicators for the 2D process grid.
 type Comm struct {
 	w      *World
-	global int        // my global rank
-	group  []int      // global ranks of the group, in group order
-	me     int        // my index within group
-	track  *obs.Track // this rank's trace track (nil when tracing is off)
-	med    []int64    // median scratch for superstep wait stats, lazily sized to P
+	global int      // my global rank
+	group  []int    // global ranks of the group, in group order
+	me     int      // my index within group
+	tel    *rankTel // my rank's telemetry (the world's, shared with sub-communicators)
+	med    []int64  // median scratch for superstep wait stats, lazily sized to P
 
-	// curColl is the flight code of the collective currently executing on
-	// this communicator (0 between collectives); sends stamp it into the
-	// causal log so path segments name their collective hop. Nested
+	// curColl is the interned name of the collective currently executing on
+	// this communicator (0 between collectives); message records carry it
+	// so path segments and flow arrows name their collective hop. Nested
 	// collectives (allreduce = reduce-scatter + allgather) stack codes so
 	// the innermost wins. Owned by the rank goroutine — the concurrent
 	// chunked-gather helper passes its code explicitly instead.
@@ -602,7 +555,7 @@ func (c *Comm) Group(local []int) *Comm {
 	if me < 0 {
 		return nil
 	}
-	return &Comm{w: c.w, global: c.global, group: globals, me: me, track: c.track}
+	return &Comm{w: c.w, global: c.global, group: globals, me: me, tel: c.tel}
 }
 
 // Send transfers a copy of data to group rank `to`. It never blocks as long
@@ -614,9 +567,9 @@ func (c *Comm) Group(local []int) *Comm {
 // world.
 func (c *Comm) Send(to int, data []float64) { c.sendCoded(to, data, c.curColl) }
 
-// sendCoded is Send with an explicit causal/flight code naming the
-// enclosing collective; the chunked-gather helper goroutine uses it to
-// avoid racing on the rank's curColl.
+// sendCoded is Send with an explicit code naming the enclosing collective;
+// the chunked-gather helper goroutine uses it to avoid racing on the rank's
+// curColl.
 func (c *Comm) sendCoded(to int, data []float64, code uint32) {
 	if inj := c.w.opts.Faults; inj != nil {
 		for attempt := 1; ; attempt++ {
@@ -642,31 +595,18 @@ func (c *Comm) sendCoded(to int, data []float64, code uint32) {
 	}
 	cp := make([]float64, len(data))
 	copy(cp, data)
-	bytes := int64(8 * len(data))
-	c.w.mu[c.global].Lock()
-	c.w.counters[c.global].BytesSent += bytes
-	c.w.counters[c.global].MsgsSent++
-	c.w.mu[c.global].Unlock()
-	c.w.mBytes[c.global].Add(bytes)
-	c.w.mMsgs[c.global].Inc()
-	c.w.totalBytes.Add(bytes)
+	cnt := &c.w.counters[c.global]
+	cnt.bytes.Add(int64(8 * len(data)))
+	cnt.msgs.Add(1)
 	// Causal stamp: sequence and Lamport ticks are always-on atomics; the
-	// header rides the channel message by value. Log/flight/flow records
-	// fire only when causal tracing is enabled.
+	// header rides the channel message by value.
 	hdr := causal.Header{
 		Src:   int32(c.global),
 		Seq:   c.w.sendSeq[c.global].Add(1),
 		Step:  c.w.stepNow[c.global].Load(),
 		Clock: c.w.clock[c.global].Add(1),
 	}
-	if c.w.clogs != nil {
-		c.w.clogs[c.global].Send(c.w.clog.Now(), hdr, int32(c.group[to]), bytes, code)
-		c.w.flanes[c.global].Record(flight.KindCausalSend, code,
-			int64(hdr.Seq), int64(c.group[to]), hdr.Step)
-		if c.track != nil {
-			c.track.FlowOut(flowName(code), hdr.FlowID())
-		}
-	}
+	c.tel.Sent(code, hdr.Seq, c.group[to], hdr.Step)
 	if err := c.w.eps[c.global].Send(c.group[to], distnet.Message{Data: cp, Hdr: hdr}); err != nil {
 		c.sendFailed(c.group[to], err)
 	}
@@ -684,21 +624,12 @@ func (c *Comm) sendFailed(to int, err error) {
 	panic(rankFailure{rank: c.global, err: cause})
 }
 
-// flowName names a message's Chrome-trace flow arrow after its enclosing
-// collective ("msg" outside any collective).
-func flowName(code uint32) string {
-	if n := flight.CodeName(code); n != "" {
-		return n
-	}
-	return "msg"
-}
-
 // Recv blocks until a message from group rank `from` arrives, the world's
 // receive deadline expires (the rank then aborts with ErrRecvTimeout), or
 // another rank fails (the rank unwinds with ErrRankFailed).
 func (c *Comm) Recv(from int) []float64 { return c.recvCoded(from, c.curColl) }
 
-// recvCoded is Recv with an explicit causal/flight code (see sendCoded).
+// recvCoded is Recv with an explicit collective code (see sendCoded).
 func (c *Comm) recvCoded(from int, code uint32) []float64 {
 	if c.w.failed.Load() {
 		c.abortSurvivor()
@@ -707,11 +638,11 @@ func (c *Comm) recvCoded(from int, code uint32) []float64 {
 	// Fast path: a queued message costs no wait and no clock reads.
 	select {
 	case m := <-box:
-		return c.accept(m, time.Time{}, code)
+		return c.accept(m, 0, code)
 	default:
 	}
-	t0 := time.Now()
-	defer func() { c.w.noteWait(c.global, time.Since(t0).Nanoseconds()) }()
+	t0 := obs.Now()
+	defer func() { c.w.noteWait(c.global, obs.Now()-t0) }()
 	if d := c.w.opts.RecvTimeout; d > 0 {
 		timer := acquireTimer(d)
 		defer releaseTimer(timer)
@@ -765,10 +696,10 @@ func releaseTimer(t *time.Timer) {
 
 // accept finishes one receive: it merges the sender's Lamport clock into
 // this rank's (always on — the clocks order events across ranks even when
-// logging is off) and, under causal tracing, records the arrival with its
-// blocked interval. t0 is when the receiver started blocking (zero Time
-// for the queued-message fast path). Allocation-free.
-func (c *Comm) accept(m distnet.Message, t0 time.Time, code uint32) []float64 {
+// nothing is recorded) and records the arrival with its blocked interval.
+// t0 is when the receiver started blocking (0 for the queued-message fast
+// path). Allocation-free.
+func (c *Comm) accept(m distnet.Message, t0 int64, code uint32) []float64 {
 	clk := &c.w.clock[c.global]
 	for {
 		cur := clk.Load()
@@ -780,21 +711,11 @@ func (c *Comm) accept(m distnet.Message, t0 time.Time, code uint32) []float64 {
 			break
 		}
 	}
-	if c.w.clogs != nil {
-		t1 := c.w.clog.Now()
-		t0ns := t1
-		var waited int64
-		if !t0.IsZero() {
-			waited = time.Since(t0).Nanoseconds()
-			t0ns = t1 - waited
-		}
-		c.w.clogs[c.global].Recv(t0ns, t1, m.Hdr, int64(8*len(m.Data)), code)
-		c.w.flanes[c.global].Record(flight.KindCausalRecv, code,
-			int64(m.Hdr.Seq), int64(m.Hdr.Src), waited)
-		if c.track != nil && m.Hdr.Seq != 0 {
-			c.track.FlowIn(flowName(code), m.Hdr.FlowID())
-		}
+	var waited int64
+	if t0 != 0 {
+		waited = obs.Now() - t0
 	}
+	c.tel.Received(code, waited, m.Hdr.Seq, m.Hdr.Src, m.Hdr.Step)
 	return m.Data
 }
 
@@ -803,11 +724,7 @@ func (c *Comm) accept(m distnet.Message, t0 time.Time, code uint32) []float64 {
 // its crash point: a rank scheduled to crash at round r halts here,
 // broadcasting the failure to the world.
 func (c *Comm) round() {
-	c.w.mu[c.global].Lock()
-	c.w.counters[c.global].Rounds++
-	rounds := c.w.counters[c.global].Rounds
-	c.w.mu[c.global].Unlock()
-	c.w.mRounds[c.global].Inc()
+	rounds := c.w.counters[c.global].rounds.Add(1)
 	c.w.stepNow[c.global].Store(rounds)
 	if c.med == nil {
 		c.med = make([]int64, c.w.P) // first superstep on this communicator
@@ -819,58 +736,61 @@ func (c *Comm) round() {
 	}
 }
 
-// StartSpan begins a span on this rank's trace track. It is a no-op (one
-// nil check) when tracing is off, so engines can instrument compute steps
-// unconditionally.
-func (c *Comm) StartSpan(name string) obs.Span { return c.track.Start(name) }
+// Log returns this rank's event log, for the marks an engine writes itself
+// (epochs, checkpoints).
+func (c *Comm) Log() *obs.Log { return c.tel.Log }
+
+// StartSpan begins a span on this rank's event log: engines instrument
+// their step-sized phases with it unconditionally.
+func (c *Comm) StartSpan(name string) obs.Span { return c.tel.Log.Start(name) }
 
 // Counters returns this rank's counters so far, traffic on its
 // sub-communicators included; the difference of two reads is the volume of
 // what ran between them.
-func (c *Comm) Counters() Counters {
-	c.w.mu[c.global].Lock()
-	out := c.w.counters[c.global]
-	c.w.mu[c.global].Unlock()
-	return out
+func (c *Comm) Counters() Counters { return c.w.counters[c.global].load() }
+
+// collCall is one collective call in flight: its kind, when it began and
+// the rank's counters then.
+type collCall struct {
+	kind   int
+	t0     int64
+	before Counters
 }
 
-// beginCollective opens a span for a collective and snapshots the counters
-// so endCollective can attach the bytes/messages moved by this call. The
-// snapshot is taken even with tracing off: the per-call byte delta feeds
-// the live per-collective histogram in the metrics registry.
-func (c *Comm) beginCollective(name string) (obs.Span, Counters) {
-	var sp obs.Span
-	if c.track != nil {
-		sp = c.track.Start(name)
-	}
-	// Stack the collective's code for causal stamping: nested collectives
-	// (allreduce wraps reduce-scatter) restore the outer code on end.
+// beginCollective starts a collective call of the given kind: it snapshots
+// the clock and the counters, so endCollective can credit the call with the
+// bytes and messages it moved, and stacks the kind's code for message
+// stamping — nested collectives (allreduce wraps reduce-scatter) restore
+// the outer code on end.
+func (c *Comm) beginCollective(kind int) collCall {
 	c.collStack = append(c.collStack, c.curColl)
-	c.curColl = flight.Code(name)
-	return sp, c.Counters()
+	c.curColl = c.tel.coll[kind].Code()
+	return collCall{kind: kind, t0: obs.Now(), before: c.Counters()}
 }
 
-// endCollective completes one collective call: it records the per-call
-// byte delta into the collective's latency-style histogram (the "words per
-// rank per superstep" distribution the Section 7 BSP analysis bounds),
-// samples the world-wide cumulative byte count onto the trace's "comm
-// bytes" counter timeline, and — when tracing — attaches the byte and
-// message deltas as span attributes.
-func (c *Comm) endCollective(name string, sp obs.Span, before Counters) {
-	if n := len(c.collStack); n > 0 {
-		c.curColl = c.collStack[n-1]
-		c.collStack = c.collStack[:n-1]
-	} else {
-		c.curColl = 0
-	}
+// endCollective completes one collective call through the kind's
+// instrument: the per-call byte delta lands in the collective's histogram
+// (the "words per rank per superstep" distribution the Section 7 BSP
+// analysis bounds) and on the call's one record, with the message count.
+func (c *Comm) endCollective(call collCall) {
+	n := len(c.collStack)
+	c.curColl, c.collStack = c.collStack[n-1], c.collStack[:n-1]
+	c.endCall(call)
+}
+
+// endCall credits a collective call that stacked no code (the chunked
+// gather runs beside the rank's own collectives) and, on a recorded run,
+// samples the world's cumulative bytes onto the trace's "comm bytes"
+// counter timeline.
+func (c *Comm) endCall(call collCall) {
 	after := c.Counters()
-	bytes := after.BytesSent - before.BytesSent
-	metrics.CollectiveBytes.With(name).Observe(float64(bytes))
-	c.w.flanes[c.global].Record(flight.KindComm, flight.Code(name),
-		bytes, after.MsgsSent-before.MsgsSent, 0)
-	if sp.Active() {
-		obs.Sample("comm bytes", c.w.totalBytes.Load())
-		sp.End(obs.Int64("bytes", bytes),
-			obs.Int64("msgs", after.MsgsSent-before.MsgsSent))
+	c.tel.coll[call.kind].Done(call.t0, after.BytesSent-call.before.BytesSent,
+		after.MsgsSent-call.before.MsgsSent, 0)
+	if obs.Recording() {
+		var total int64
+		for r := range c.w.counters {
+			total += c.w.counters[r].bytes.Load()
+		}
+		obs.Sample("comm bytes", total)
 	}
 }

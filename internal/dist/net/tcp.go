@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"agnn/internal/obs/flight"
+	"agnn/internal/obs"
 	"agnn/internal/obs/metrics"
 )
 
@@ -147,12 +147,21 @@ type TCPEndpoint struct {
 	bytesTx, bytesRx, framesTx, framesRx atomic.Uint64
 	dialRetries, reconnects, writeNanos  atomic.Uint64
 
-	lane            *flight.Lane
+	log             *obs.Log // this rank's event log: connection events land in its ring
 	mTx, mRx, mDial *metrics.Counter
-	codeDialRetry   uint32
-	codeReconnect   uint32
-	codeConnLost    uint32
-	codePeerTimeout uint32
+}
+
+// The transport's connection events, interned once.
+var (
+	codeDialRetry   = obs.Code("net.dial-retry")
+	codeReconnect   = obs.Code("net.reconnect")
+	codeConnLost    = obs.Code("net.conn-lost")
+	codePeerTimeout = obs.Code("net.peer-timeout")
+)
+
+// event leaves a connection event about a peer (or a count) on the rank's log.
+func (e *TCPEndpoint) event(code uint32, a int64) {
+	e.log.Record(obs.KindCounter, code, obs.Now(), 0, a, 0, 0)
 }
 
 // DialTCP bootstraps this rank into the world and blocks until the full
@@ -171,17 +180,13 @@ func DialTCP(cfg TCPConfig) (*TCPEndpoint, error) {
 	}
 
 	e := &TCPEndpoint{
-		cfg:             cfg,
-		stopCh:          make(chan struct{}),
-		firstAttach:     make(chan struct{}, cfg.Size),
-		lane:            flight.Default.Lane(cfg.Rank),
-		mTx:             metrics.NetBytesTotal.With("tx"),
-		mRx:             metrics.NetBytesTotal.With("rx"),
-		mDial:           metrics.NetDialRetriesTotal,
-		codeDialRetry:   flight.Code("net.dial-retry"),
-		codeReconnect:   flight.Code("net.reconnect"),
-		codeConnLost:    flight.Code("net.conn-lost"),
-		codePeerTimeout: flight.Code("net.peer-timeout"),
+		cfg:         cfg,
+		stopCh:      make(chan struct{}),
+		firstAttach: make(chan struct{}, cfg.Size),
+		log:         obs.Rank(cfg.Rank),
+		mTx:         metrics.NetBytesTotal.With("tx"),
+		mRx:         metrics.NetBytesTotal.With("rx"),
+		mDial:       metrics.NetDialRetriesTotal,
 	}
 	e.peers = make([]*tcpPeer, cfg.Size)
 	for r := 0; r < cfg.Size; r++ {
@@ -506,14 +511,14 @@ func (e *TCPEndpoint) connLost(p *tcpPeer, conn gonet.Conn, err error) {
 	p.conn = nil
 	if p.grace == nil {
 		cause := fmt.Errorf("net: lost connection to rank %d: %w", p.rank, err)
-		e.lane.Record(flight.KindCounter, e.codeConnLost, int64(p.rank), 0, 0)
+		e.event(codeConnLost, int64(p.rank))
 		p.grace = time.AfterFunc(e.cfg.PeerTimeout, func() {
 			p.mu.Lock()
 			dead := p.conn == nil
 			p.grace = nil
 			p.mu.Unlock()
 			if dead && !e.closed.Load() && !e.down.Load() && !p.departed.Load() {
-				e.lane.Record(flight.KindCounter, e.codePeerTimeout, int64(p.rank), 0, 0)
+				e.event(codePeerTimeout, int64(p.rank))
 				e.peerFailed(p.rank, cause)
 			}
 		})
@@ -675,7 +680,7 @@ func (e *TCPEndpoint) redialLocked(p *tcpPeer, backoff *time.Duration) (gonet.Co
 		return nil, err
 	}
 	e.reconnects.Add(1)
-	e.lane.Record(flight.KindCounter, e.codeReconnect, int64(p.rank), 0, 0)
+	e.event(codeReconnect, int64(p.rank))
 	go e.readLoop(p, conn)
 	return conn, nil
 }
@@ -779,7 +784,7 @@ func (e *TCPEndpoint) heartbeatLoop() {
 							p.conn = nil
 						} else {
 							e.reconnects.Add(1)
-							e.lane.Record(flight.KindCounter, e.codeReconnect, int64(p.rank), 0, 0)
+							e.event(codeReconnect, int64(p.rank))
 							go e.readLoop(p, conn)
 						}
 					} else {
@@ -883,5 +888,5 @@ func (e *TCPEndpoint) noteRx(n int) {
 func (e *TCPEndpoint) noteDialRetry() {
 	e.dialRetries.Add(1)
 	e.mDial.Inc()
-	e.lane.Record(flight.KindCounter, e.codeDialRetry, 1, 0, 0)
+	e.event(codeDialRetry, 1)
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"agnn/internal/obs"
@@ -82,21 +83,22 @@ func TestRoundsCountersAccumulate(t *testing.T) {
 	}
 }
 
-// TestRunTracedRecordsPerRankCollectives checks the tracing integration:
-// each rank gets its own track, collective spans carry byte/message deltas,
-// and the per-track byte totals in the report match the rank counters.
+// TestRunTracedRecordsPerRankCollectives checks the recorded run of a
+// world: each rank gets its own track, collective spans carry byte/message
+// deltas, and the per-track byte totals in the report match the rank
+// counters.
 func TestRunTracedRecordsPerRankCollectives(t *testing.T) {
 	const p = 4
-	tr := obs.New()
-	cs := RunTraced(p, tr, func(c *Comm) {
+	obs.StartRecording()
+	cs := Run(p, func(c *Comm) {
 		c.Allreduce(seq(32, float64(c.Rank())))
 	})
+	obs.StopRecording()
 
-	tracks := tr.Tracks()
-	if len(tracks) != p+1 { // main + one per rank
-		t.Fatalf("got %d tracks, want %d", len(tracks), p+1)
+	rep := obs.BuildReport()
+	if len(rep.Tracks) != p+1 { // main + one per rank
+		t.Fatalf("got %d tracks, want %d", len(rep.Tracks), p+1)
 	}
-	rep := tr.Report()
 	spanStats := map[string]obs.SpanStat{}
 	for _, s := range rep.Spans {
 		spanStats[s.Name] = s
@@ -113,7 +115,7 @@ func TestRunTracedRecordsPerRankCollectives(t *testing.T) {
 		byTrack[ts.Track] = ts
 	}
 	for r := 0; r < p; r++ {
-		name := tracks[r+1].Name()
+		name := fmt.Sprintf("rank %d", r)
 		ts, ok := byTrack[name]
 		if !ok {
 			t.Fatalf("no track stats for %q", name)

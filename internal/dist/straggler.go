@@ -5,7 +5,7 @@ package dist
 // accumulated wait is published as a per-rank histogram, compared against
 // the cross-rank median, and — when one rank waited far longer than its
 // peers — flagged as a straggler in both the metrics registry and the
-// flight recorder. This is the runtime answer to "which rank stalled and
+// rank's event log. This is the runtime answer to "which rank stalled and
 // by how much" for overlap and fault runs (docs/OBSERVABILITY.md): a rank
 // that waits is a rank whose *peers* are slow, so the straggler event
 // names the victim and the dump shows the perpetrator's lane.
@@ -13,7 +13,6 @@ package dist
 import (
 	"time"
 
-	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
 
@@ -52,17 +51,16 @@ func (w *World) noteWait(rank int, ns int64) {
 }
 
 // superstep closes rank's current superstep: it drains the wait
-// accumulator into the per-rank histogram and flight lane, then compares
+// accumulator into the rank's superstep site, then compares
 // the wait against the cross-rank median of last-superstep waits (scratch
 // is the caller's preallocated sort buffer, so the steady state does not
 // allocate). Detected stragglers increment the rank's counter and leave a
-// straggler event on its lane; the max/median ratio lands on the
+// straggler event on its log; the max/median ratio lands on the
 // imbalance gauge.
 func (w *World) superstep(rank int, round int64, scratch []int64) {
 	wait := w.waitNs[rank].Swap(0)
 	w.lastWait[rank].Store(wait)
-	w.mWait[rank].Observe(float64(wait) / 1e9)
-	w.flanes[rank].Record(flight.KindSuperstep, codeSuperstep, round, wait, 0)
+	w.tel[rank].Superstep(round, wait)
 	if w.local >= 0 {
 		// Wire-transport world: peer waits live in other processes, so the
 		// cross-rank median is unknowable here. Per-rank wait histograms and
@@ -94,14 +92,6 @@ func (w *World) superstep(rank int, round int64, scratch []int64) {
 	// a rank blocked past the absolute floor while the median rank sails
 	// through is the sharpest straggler signal there is.
 	if wait >= w.opts.stragglerFloorNs() && float64(wait) > w.opts.stragglerFactor()*float64(median) {
-		w.mStrag[rank].Inc()
-		w.flanes[rank].Record(flight.KindStraggler, codeStraggler, wait, median, round)
+		w.tel[rank].Straggler(wait, median, round)
 	}
 }
-
-// Interned flight codes for the runtime's event names, resolved once at
-// package init so hot paths carry plain integers.
-var (
-	codeSuperstep = flight.Code("superstep")
-	codeStraggler = flight.Code("straggler-wait")
-)

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"agnn/internal/dist/faults"
+	"agnn/internal/obs"
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
@@ -58,7 +60,7 @@ func TestStragglerDetectionFlagsWaitingRank(t *testing.T) {
 	recBefore := make([]uint64, p)
 	for r := 0; r < p; r++ {
 		before[r] = metrics.StragglersTotal.With(strconv.Itoa(r)).Value()
-		recBefore[r] = flight.Default.Lane(r).Recorded()
+		recBefore[r] = obs.Rank(r).Recorded()
 	}
 
 	// Ring pattern: rank 0 sleeps before sending, so rank 1 blocks hard in
@@ -82,9 +84,11 @@ func TestStragglerDetectionFlagsWaitingRank(t *testing.T) {
 		if metrics.StragglersTotal.With(strconv.Itoa(r)).Value() > before[r] {
 			flagged++
 			found := false
-			for _, ev := range flight.Default.Lane(r).Events() {
-				if ev.Kind == "straggler" && ev.A > ev.B && ev.C > 0 {
-					found = true
+			for _, lane := range flight.Capture(evlog.Default, "manual").Lanes {
+				for _, ev := range lane.Events {
+					if lane.Rank == r && ev.Kind == "straggler" && ev.A > ev.B && ev.C > 0 {
+						found = true
+					}
 				}
 			}
 			if !found {
@@ -101,7 +105,7 @@ func TestStragglerDetectionFlagsWaitingRank(t *testing.T) {
 		t.Errorf("imbalance gauge %v, want >= 1 when set", v)
 	}
 	for r := 0; r < p; r++ {
-		if flight.Default.Lane(r).Recorded() == recBefore[r] {
+		if obs.Rank(r).Recorded() == recBefore[r] {
 			t.Errorf("rank %d recorded no flight events", r)
 		}
 	}

@@ -47,9 +47,6 @@ type GlobalEngine struct {
 	ABlk  *sparse.CSR // stationary block A_{ij}, B×B
 	Cfg   gnn.Config
 	model *gnn.Model
-
-	// Precomputed span names so the traced path does no formatting.
-	spanFwd, spanBwd []string
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix
@@ -92,10 +89,6 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	// across all processes).
 	if e.model, err = gnn.NewBound(cfg, e.ABlk, &blockGrid{e}); err != nil {
 		return nil, err
-	}
-	for l := range e.model.Layers {
-		e.spanFwd = append(e.spanFwd, fmt.Sprintf("layer%d.forward(%s)", l, cfg.Model))
-		e.spanBwd = append(e.spanBwd, fmt.Sprintf("layer%d.backward(%s)", l, cfg.Model))
 	}
 	return e, nil
 }
@@ -173,26 +166,17 @@ func (e *GlobalEngine) SliceOwnedBlock(h *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// Forward runs all layers; xd is the diagonal-owned input block (nil
-// off-diagonal) and the return value is the diagonal-owned output block.
+// Forward runs all layers — the model's own loop, every layer's plan lowered
+// onto the grid; xd is the diagonal-owned input block (nil off-diagonal)
+// and the return value is the diagonal-owned output block.
 func (e *GlobalEngine) Forward(xd *tensor.Dense, training bool) *tensor.Dense {
-	for i, l := range e.model.Layers {
-		sp := e.C.StartSpan(e.spanFwd[i])
-		xd = l.Forward(xd, training)
-		sp.End()
-	}
-	return xd
+	return e.model.Forward(xd, training)
 }
 
 // Backward propagates the diagonal-owned output gradient through all layers
 // and returns the input-feature gradient block.
 func (e *GlobalEngine) Backward(gd *tensor.Dense) *tensor.Dense {
-	for i := len(e.model.Layers) - 1; i >= 0; i-- {
-		sp := e.C.StartSpan(e.spanBwd[i])
-		gd = e.model.Layers[i].Backward(gd)
-		sp.End()
-	}
-	return gd
+	return e.model.Backward(gd)
 }
 
 // Params returns this rank's (replicated) parameters.

@@ -33,7 +33,6 @@ type LocalEngine struct {
 	sendTo   [][]int32 // per remote rank: our owned ids they pull
 	model    *gnn.Model
 	cfg      gnn.Config
-	spanFwd  []string // precomputed per-layer span names
 }
 
 // NewLocalEngine builds the baseline engine; like NewGlobalEngine it takes
@@ -107,9 +106,6 @@ func NewLocalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*LocalEngine, 
 	if e.model, err = local.MirrorOn(defs, e.extGraph); err != nil {
 		return nil, err
 	}
-	for l := range e.model.Layers {
-		e.spanFwd = append(e.spanFwd, fmt.Sprintf("layer%d.forward(%s)", l, cfg.Model))
-	}
 	return e, nil
 }
 
@@ -155,11 +151,8 @@ func (e *LocalEngine) haloExchange(h *tensor.Dense) *tensor.Dense {
 func (e *LocalEngine) Forward(hOwned *tensor.Dense) *tensor.Dense {
 	nOwned := e.Hi - e.Lo
 	h := hOwned
-	for i, l := range e.model.Layers {
-		ext := e.haloExchange(h)
-		sp := e.C.StartSpan(e.spanFwd[i])
-		out := l.Forward(ext, false)
-		sp.End()
+	for i := range e.model.Layers {
+		out := e.model.LayerForward(i, e.haloExchange(h), false)
 		h = out.SliceRows(0, nOwned).Clone()
 	}
 	return h
@@ -215,11 +208,8 @@ func (e *LocalEngine) TrainStep(hOwned *tensor.Dense, labels []int, mask []bool,
 	// Forward with caching: each layer sees the extended [owned ++ halo]
 	// matrix and caches its intermediates for Backward.
 	h := hOwned
-	for i, l := range e.model.Layers {
-		ext := e.haloExchange(h)
-		fsp := e.C.StartSpan(e.spanFwd[i])
-		out := l.Forward(ext, true)
-		fsp.End()
+	for i := range e.model.Layers {
+		out := e.model.LayerForward(i, e.haloExchange(h), true)
 		h = out.SliceRows(0, nOwned).Clone()
 	}
 
@@ -244,7 +234,7 @@ func (e *LocalEngine) TrainStep(hOwned *tensor.Dense, labels []int, mask []bool,
 		for r := 0; r < nOwned; r++ {
 			copy(ext.Row(r), g.Row(r))
 		}
-		g = e.haloReduce(e.model.Layers[i].Backward(ext))
+		g = e.haloReduce(e.model.LayerBackward(i, ext))
 	}
 	bw.End()
 

@@ -11,7 +11,7 @@ import (
 	"agnn/internal/dist/faults"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/obs/causal"
+	"agnn/internal/obs"
 	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -221,12 +221,8 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 		}
 	}
 
-	clog := causal.Get()
 	for epoch := from; epoch < spec.Epochs; epoch++ {
-		var et0 int64
-		if clog != nil && c.Rank() == 0 {
-			et0 = clog.Now()
-		}
+		et0 := obs.Now()
 		loss := e.TrainStep(xd, spec.Labels, spec.Mask, opt)
 		if c.Rank() == 0 {
 			mu.Lock()
@@ -238,11 +234,9 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 		}
 		done := epoch + 1
 		if spec.CheckpointDir != "" && (done%every == 0 || done == spec.Epochs) {
-			sp := c.StartSpan("checkpoint")
-			var ct0 int64
-			if clog != nil {
-				ct0 = clog.Now()
-			}
+			// One mark per rank brackets the save and the barrier: a span in
+			// the trace, checkpoint time on the critical path.
+			sp := c.Log().Begin(obs.KindCheckpoint, codeCheckpoint)
 			// Weights are replicated, so rank 0's snapshot is everyone's.
 			if c.Rank() == 0 {
 				st := ckpt.State{Epoch: int64(done), Seed: spec.Cfg.Seed,
@@ -255,16 +249,13 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 			// No rank crosses the boundary until the checkpoint is durable:
 			// a failure in epoch done+1 can then always restart from `done`.
 			c.Barrier()
-			if clog != nil {
-				clog.Rank(c.Rank()).MarkCheckpoint(ct0, clog.Now())
-			}
 			sp.End()
 		}
-		// Rank 0's epoch marks delimit the analysis windows of the causal
+		// Rank 0's epoch marks delimit the analysis windows of the
 		// critical-path reconstruction (internal/obs/causal); the window
 		// includes the checkpoint barrier so its cost is attributed too.
-		if clog != nil && c.Rank() == 0 {
-			clog.Rank(0).MarkEpoch(int64(epoch), et0, clog.Now())
+		if c.Rank() == 0 {
+			obs.TrainEpoch(c.Log(), epoch, et0)
 		}
 	}
 
@@ -275,6 +266,8 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 	}
 	return nil
 }
+
+var codeCheckpoint = obs.Code("checkpoint")
 
 func snapshotParams(params []*gnn.Param) []*gnn.Param {
 	out := make([]*gnn.Param, len(params))

@@ -27,13 +27,12 @@ func TestGridTrainingTrace(t *testing.T) {
 		labels[i] = i % 3
 	}
 
-	// Enable the tracer process-wide too, exactly as the CLI wiring does:
-	// kernel spans fired via obs.Start inside rank goroutines resolve the
-	// global tracer, then land on the rank track bound by RunTraced.
-	tr := obs.New()
-	obs.Enable(tr)
-	defer obs.Disable()
-	dist.RunTraced(p, tr, func(c *dist.Comm) {
+	// Record the run, exactly as the CLI wiring does: the engines, models
+	// and plans a rank goroutine wires bind to the rank's log, so layer and
+	// plan-op records land on the rank's track.
+	obs.StartRecording()
+	defer obs.StopRecording()
+	dist.Run(p, func(c *dist.Comm) {
 		e, err := NewGlobalEngine(c, a, cfg)
 		if err != nil {
 			t.Error(err)
@@ -44,11 +43,11 @@ func TestGridTrainingTrace(t *testing.T) {
 	})
 
 	// One track per rank (plus the main track).
-	if got := len(tr.Tracks()); got != p+1 {
+	rep := obs.BuildReport()
+	if got := len(rep.Tracks); got != p+1 {
 		t.Fatalf("got %d tracks, want %d", got, p+1)
 	}
 
-	rep := tr.Report()
 	byTrack := map[string]obs.TrackStat{}
 	for _, ts := range rep.Tracks {
 		byTrack[ts.Track] = ts
@@ -67,13 +66,14 @@ func TestGridTrainingTrace(t *testing.T) {
 		counts[s.Name] = s.Count
 	}
 	for _, want := range []string{"train_step", "forward", "backward",
-		"layer0.forward(GAT)", "layer1.backward(GAT)", "allreduce_grads"} {
+		"layer0.forward(gat)", "layer1.backward(gat)", "allreduce_grads"} {
 		if counts[want] != p {
 			t.Fatalf("span %q count = %d, want %d (have %v)", want, counts[want], p, counts)
 		}
 	}
-	// Kernel spans fired inside rank goroutines must be attributed to rank
-	// tracks (gid binding), and the collective spans must carry bytes.
+	// Plan ops compiled inside rank goroutines must be attributed to rank
+	// tracks (the binding at compile time), and the collective spans must
+	// carry bytes.
 	if counts["gat.Psi"] == 0 || counts["bcast"] == 0 {
 		t.Fatalf("kernel or collective spans missing: %v", counts)
 	}
@@ -81,7 +81,7 @@ func TestGridTrainingTrace(t *testing.T) {
 	// The Chrome export of this trace must be loadable JSON with collective
 	// spans carrying byte args.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -3,8 +3,7 @@ package fuse
 import (
 	"math"
 
-	"agnn/internal/obs/flight"
-	"agnn/internal/obs/metrics"
+	"agnn/internal/obs"
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -79,25 +78,18 @@ type spec[T elem] struct {
 	grad   *tensor.Mat[T] // parameter gradient accumulator (param nodes)
 }
 
-// planOp is one executable step of a compiled plan. The metric handles and
-// cost estimates are resolved at compile time so recording a step is a
-// handful of atomic operations — nothing on the hot path allocates or
-// locks (the property the alloc-regression tests pin down).
+// planOp is one executable step of a compiled plan. Its instrument — the op
+// class's metric handles, the static cost estimates and the compiling rank's
+// event log — is resolved at compile time, so crediting a step is a handful
+// of atomic operations: nothing on the hot path allocates or locks (the
+// property the alloc-regression tests pin down).
 type planOp struct {
-	span   string // obs span name, precomputed
-	op     string // op vocabulary name, for Stats
-	run    func()
-	each   func(i int)        // per-row execution over the op's row domain (nil: row-indivisible)
-	rows   int                // row-domain size for each (0: row-indivisible)
-	lat    *metrics.Histogram // latency histogram for this op kind
-	ops    *metrics.Counter   // executions of this op kind
-	flopsC *metrics.Counter   // per-op-class flop counter (roofline numerator)
-	bytesC *metrics.Counter   // per-op-class byte counter (roofline denominator)
-	lane   *flight.Lane       // flight-recorder lane (process lane)
-	fcode  uint32             // interned flight code for the span name
-	flops  int64              // estimated flops per execution (Section 6 op counts)
-	bytes  int64              // estimated bytes moved per execution (roofline.go)
-	nnz    int64              // sparse non-zeros swept per execution
+	span string // record name, precomputed
+	op   string // op vocabulary name, for Stats
+	run  func()
+	each func(i int) // per-row execution over the op's row domain (nil: row-indivisible)
+	rows int         // row-domain size for each (0: row-indivisible)
+	site obs.Op      // the op's one telemetry handle
 }
 
 // opFns is what a forward op builder returns: the whole-op sweep plus — for

@@ -2,10 +2,8 @@ package fuse
 
 import (
 	"fmt"
-	"time"
 
-	"agnn/internal/obs/flight"
-	"agnn/internal/obs/metrics"
+	"agnn/internal/obs"
 	"agnn/internal/par"
 	"agnn/internal/tensor"
 )
@@ -42,15 +40,19 @@ type PartitionedPlan struct {
 	p     *Plan
 	steps [][]ppFrag // steps[t]: op fragments, plan topological order
 
-	// accNs accumulates each op's fragment wall time (indexed like p.fwd)
-	// across the steps of one execution; the final step flushes the sums
-	// into the op instruments, so an overlapped execution accounts exactly
-	// like an unfragmented Plan.Forward.
-	accNs []int64
+	// acc holds, per op (indexed like p.fwd), when its first fragment of the
+	// current execution began and the wall time its fragments have summed
+	// to; the final step credits each op's instrument once, so an overlapped
+	// execution accounts exactly like an unfragmented Plan.Forward.
+	acc []fragTime
 
 	patRows   int // total pattern (block) rows
 	localRows int // pattern rows executable at step 0
 }
+
+// fragTime is one op's share of a stepped execution: t0 is 0 until the op's
+// first fragment runs.
+type fragTime struct{ t0, ns int64 }
 
 // ppFrag is one op's row fragment for one arrival step.
 type ppFrag struct {
@@ -138,7 +140,7 @@ func (p *Plan) Partition(avail []RowRange) (*PartitionedPlan, error) {
 	pp := &PartitionedPlan{
 		p:         p,
 		steps:     make([][]ppFrag, len(avail)),
-		accNs:     make([]int64, len(p.fwd)),
+		acc:       make([]fragTime, len(p.fwd)),
 		patRows:   pat.Rows,
 		localRows: len(buckets[0]),
 	}
@@ -214,36 +216,30 @@ func (pp *PartitionedPlan) Bind(h *tensor.Dense) {
 // step). Call only after the rows of avail[t] are present in the bound
 // input. Individual fragment latencies are never observed — a partial sweep
 // would skew the per-op histograms — but each op's fragment times are
-// accumulated and flushed as one whole-sweep observation (plus the static
-// roofline bytes/flops and a flight span) when the final step completes, so
-// overlapped executions account exactly like Plan.Forward.
+// accumulated and credited to its instrument as one whole-sweep execution
+// when the final step completes (the same obs.Op.Done runOps calls), so
+// overlapped executions account exactly like Plan.Forward; the op's record
+// starts at its first fragment and lasts the time its fragments summed to.
 func (pp *PartitionedPlan) RunStep(t int) {
 	for _, f := range pp.steps[t] {
-		t0 := time.Now()
+		a := &pp.acc[f.idx]
+		t0 := obs.Now()
 		f.run()
-		pp.accNs[f.idx] += time.Since(t0).Nanoseconds()
+		a.ns += obs.Now() - t0
+		if a.t0 == 0 {
+			a.t0 = t0
+		}
 	}
 	if t == len(pp.steps)-1 {
-		pp.flush()
+		for i := range pp.p.fwd {
+			a := pp.acc[i]
+			if a.t0 == 0 { // no row of the op in any step
+				a.t0 = obs.Now()
+			}
+			pp.p.fwd[i].site.Done(a.t0, a.ns)
+			pp.acc[i] = fragTime{}
+		}
 		pp.p.ranForward = true
-	}
-}
-
-// flush credits one full stepped execution to the plan's op instruments.
-// Atomics only — no allocations on the overlap critical path.
-func (pp *PartitionedPlan) flush() {
-	for i := range pp.p.fwd {
-		op := &pp.p.fwd[i]
-		ns := pp.accNs[i]
-		pp.accNs[i] = 0
-		op.lat.Observe(float64(ns) / 1e9)
-		op.ops.Inc()
-		op.flopsC.Add(op.flops)
-		op.bytesC.Add(op.bytes)
-		metrics.PlanFlopsTotal.Add(op.flops)
-		metrics.PlanBytesTotal.Add(op.bytes)
-		metrics.PlanNNZTotal.Add(op.nnz)
-		op.lane.Record(flight.KindSpan, op.fcode, ns, op.bytes, op.flops)
 	}
 }
 

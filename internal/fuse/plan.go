@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"agnn/internal/obs"
-	"agnn/internal/obs/flight"
-	"agnn/internal/obs/metrics"
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -602,26 +599,19 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	}
 
 	rowOff := int32(g.rowOff)
-	lane := flight.Process()
+	log := obs.Current() // the ops record on the log of the rank compiling them
 	emit := func(list *[]planOp, n *Node, suffix, op string, f opFns) {
 		backward := suffix != ""
 		flops, swept := opCost(g, n, op, nnz, backward)
 		span := opt.SpanPrefix + n.ID + suffix
 		*list = append(*list, planOp{
-			span:   span,
-			op:     op,
-			run:    f.run,
-			each:   f.each,
-			rows:   f.rows,
-			lat:    metrics.PlanOpSeconds.With(op),
-			ops:    metrics.PlanOpsTotal.With(op),
-			flopsC: metrics.OpFlopsTotal.With(op),
-			bytesC: metrics.OpBytesTotal.With(op),
-			lane:   lane,
-			fcode:  flight.Code(span),
-			flops:  flops,
-			bytes:  opBytes(g, n, op, nnz, backward, opt.Train, opt.DType.Size()),
-			nnz:    swept,
+			span: span,
+			op:   op,
+			run:  f.run,
+			each: f.each,
+			rows: f.rows,
+			site: obs.NewOp(log, span, op, flops,
+				opBytes(g, n, op, nnz, backward, opt.Train, opt.DType.Size()), swept),
 		})
 	}
 	// sparseVals resolves the value buffer an spmm reads: the adjacency's
@@ -810,12 +800,12 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	}
 	for _, op := range p.fwd {
 		p.stats.OpCounts[op.op]++
-		p.stats.ForwardFlops += op.flops
-		p.stats.ForwardBytes += op.bytes
+		p.stats.ForwardFlops += op.site.Flops
+		p.stats.ForwardBytes += op.site.Bytes
 	}
 	for _, op := range p.bwd {
-		p.stats.BackwardFlops += op.flops
-		p.stats.BackwardBytes += op.bytes
+		p.stats.BackwardFlops += op.site.Flops
+		p.stats.BackwardBytes += op.site.Bytes
 	}
 	return p, nil
 }
@@ -1060,27 +1050,16 @@ func (p *Plan) checkShape(what string, v tensor.Typed, m *meta) {
 	}
 }
 
-// runOps executes an op list, recording each op's wall time into its
-// latency histogram, its estimated flop/byte/nnz cost into the process and
-// per-op-class roofline totals, and a span event into the flight
-// recorder. Only atomic operations touch the instruments — no allocations
-// (every handle and flight code is resolved at compile time).
+// runOps executes an op list, crediting each op's wall time to its
+// instrument (obs.Op.Done: the latency histogram, the roofline totals and
+// the op's one record). Only atomic operations touch the instrument — no
+// allocations, nothing looked up.
 func runOps(list []planOp) {
 	for i := range list {
 		op := &list[i]
-		sp := obs.Start(op.span)
-		t0 := time.Now()
+		t0 := obs.Now()
 		op.run()
-		d := time.Since(t0)
-		op.lat.Observe(d.Seconds())
-		sp.End()
-		op.ops.Inc()
-		op.flopsC.Add(op.flops)
-		op.bytesC.Add(op.bytes)
-		metrics.PlanFlopsTotal.Add(op.flops)
-		metrics.PlanBytesTotal.Add(op.bytes)
-		metrics.PlanNNZTotal.Add(op.nnz)
-		op.lane.Record(flight.KindSpan, op.fcode, d.Nanoseconds(), op.bytes, op.flops)
+		op.site.Done(t0, obs.Now()-t0)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"agnn/internal/fuse"
+	"agnn/internal/obs"
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
@@ -22,7 +24,7 @@ func opFamilySum(fam map[string]int64) int64 {
 // TestPlanRooflineAccounting checks that the static traffic model is wired
 // end to end: Stats totals, the process byte/flop counters, and the
 // per-op-class roofline families all agree after one forward+backward
-// step, and the flight recorder holds a span event per executed op.
+// step, and the process log's ring holds a span event per executed op.
 func TestPlanRooflineAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := weightedGraph(40, 160, 21)
@@ -46,7 +48,7 @@ func TestPlanRooflineAccounting(t *testing.T) {
 	before := metrics.Default.Snapshot()
 	bytes0 := metrics.PlanBytesTotal.Value()
 	flops0 := metrics.PlanFlopsTotal.Value()
-	spans0 := flight.Process().Recorded()
+	spans0 := obs.Main().Recorded()
 
 	p.Forward(h)
 	p.Backward(r)
@@ -85,16 +87,19 @@ func TestPlanRooflineAccounting(t *testing.T) {
 		}
 	}
 
-	// Every executed op left a span event on the process flight lane
-	// carrying its bytes/flops payload.
+	// Every executed op left one event on the process log — the plan was
+	// compiled on a goroutine bound to no rank — whose flight dump carries
+	// its bytes/flops payload.
 	wantSpans := uint64(st.ForwardOps + st.BackwardOps)
-	if got := flight.Process().Recorded() - spans0; got != wantSpans {
+	if got := obs.Main().Recorded() - spans0; got != wantSpans {
 		t.Errorf("flight span events = %d, want %d", got, wantSpans)
 	}
 	found := false
-	for _, ev := range flight.Process().Events() {
-		if ev.Kind == "span" && ev.Name == "roofline.Z" && ev.B > 0 && ev.C > 0 {
-			found = true
+	for _, lane := range flight.Capture(evlog.Default, "manual").Lanes {
+		for _, ev := range lane.Events {
+			if lane.Rank == -1 && ev.Kind == "span" && ev.Name == "roofline.Z" && ev.B > 0 && ev.C > 0 {
+				found = true
+			}
 		}
 	}
 	if !found {

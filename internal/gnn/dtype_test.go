@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"agnn/internal/fuse"
 	"agnn/internal/kernels"
+	"agnn/internal/obs"
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -283,14 +285,99 @@ func sameBitsDense(a, b *tensor.Dense) int {
 	return -1
 }
 
+// opaqueLayer hides a layer's DAG: the model can only call its Forward and
+// Backward.
+type opaqueLayer struct{ Layer }
+
+// planState is what identifies the program a model's last step ran: each
+// layer's training plan and the workspace it holds.
+func planState(m *Model) (plans []*fuse.Plan, workspace []int64) {
+	for _, l := range m.Layers {
+		p := l.(DAGLayer).core().Plan()
+		plans = append(plans, p)
+		workspace = append(workspace, p.Stats().WorkspaceBytes())
+	}
+	return
+}
+
+// recordedStepMatches steps model — which has just run a training step on
+// (h, gOut) unrecorded — once more with recording on, and requires the same
+// bits from the same plans with the same conversion buffers, the layer
+// records on the log, and every lease back in the cache afterwards.
+func recordedStepMatches(t *testing.T, what func(string) string, model *Model, h, gOut *tensor.Dense) {
+	t.Helper()
+	model.ZeroGrad()
+	out := model.Forward(h, true).Clone()
+	gin := model.Backward(gOut).Clone()
+	plans, workspace := planState(model)
+	var grads []*tensor.Dense
+	for _, p := range model.Params() {
+		grads = append(grads, p.Grad.Clone())
+		p.ZeroGrad()
+	}
+	leased := fuse.Shared.Leased()
+
+	obs.StartRecording()
+	defer obs.StopRecording()
+	if i := sameBitsDense(model.Forward(h, true), out); i >= 0 {
+		t.Error(what("recorded training output"), "differs at", i)
+	}
+	if i := sameBitsDense(model.Backward(gOut), gin); i >= 0 {
+		t.Error(what("recorded input cotangent"), "differs at", i)
+	}
+	for p, param := range model.Params() {
+		if i := sameBitsDense(param.Grad, grads[p]); i >= 0 {
+			t.Error(what("recorded gradient of parameter "+param.Name), p, "differs at", i)
+		}
+	}
+	rplans, rworkspace := planState(model)
+	for l := range plans {
+		if rplans[l] != plans[l] || rworkspace[l] != workspace[l] {
+			t.Error(what("recorded step"), "ran layer", l, "on plan", rplans[l], "with", rworkspace[l],
+				"workspace bytes; unrecorded:", plans[l], workspace[l])
+		}
+	}
+	spans := map[string]int64{}
+	for _, s := range obs.BuildReport().Spans {
+		spans[s.Name] = s.Count
+	}
+	kind := model.Layers[0].Name()
+	for want, n := range map[string]int64{"layer0.forward(" + kind + ")": 1, "layer2.backward(" + kind + ")": 1,
+		kind + ".Hout": int64(len(plans))} {
+		if spans[want] != n {
+			t.Error(what("recorded step"), "left", spans[want], "records named", want, "— want", n, "of", spans)
+		}
+	}
+	if got := fuse.Shared.Leased(); got != leased {
+		t.Error(what("recorded step"), "changed the leased plans from", leased, "to", got)
+	}
+	held := 0 // the model's own leases: a training and an inference plan per layer
+	for _, l := range model.Layers {
+		for _, c := range []*planLease{&l.(DAGLayer).core().train, &l.(DAGLayer).core().infer} {
+			if c.plan != nil {
+				held++
+			}
+		}
+	}
+	model.ReleasePlans()
+	if got, want := fuse.Shared.Leased(), leased-held; got != want || held != 2*len(plans) {
+		t.Error(what("ReleasePlans after a recorded step"), "left", got, "plans leased, want", want, "after releasing", held)
+	}
+}
+
 // TestModelTypedHandoffMatchesLayerChain: Model.Forward and Model.Backward
 // hand the activation from plan to plan at the plans' width; calling the
 // layers one after the other hands every one a float64 matrix. float32 →
 // float64 → float32 is exact, so the two must agree bit for bit — forward
 // output in both modes, input cotangent and every parameter gradient — on a
 // three-layer stack (every boundary typed) and on a five-layer one with a
-// DropoutLayer and a profiledLayer in the middle, which are handed a
-// *tensor.Dense either way and sit between typed boundaries.
+// DropoutLayer and a layer that is not a DAGLayer in the middle, which are
+// handed a *tensor.Dense either way and sit between typed boundaries.
+//
+// Recording a run must not change the program: the same model stepped again
+// with recording on gives the same bits from the same plans, and crosses the
+// float64 boundary where it did before — a plan acquires each conversion
+// buffer where one first crosses, so its workspace says which casts ran.
 func TestModelTypedHandoffMatchesLayerChain(t *testing.T) {
 	prev := par.Workers()
 	defer par.SetWorkers(prev)
@@ -308,8 +395,7 @@ func TestModelTypedHandoffMatchesLayerChain(t *testing.T) {
 		}
 		if mixed {
 			l := m.Layers
-			m.Layers = []Layer{l[0], l[1], NewDropout(0.25, 84),
-				&profiledLayer{inner: l[2], stats: &LayerStats{}, spanFwd: "fwd", spanBwd: "bwd"}, l[3], l[4]}
+			m.Layers = []Layer{l[0], l[1], NewDropout(0.25, 84), opaqueLayer{l[2]}, l[3], l[4]}
 		}
 		return m
 	}
@@ -352,6 +438,9 @@ func TestModelTypedHandoffMatchesLayerChain(t *testing.T) {
 						if i := sameBitsDense(mp[p].Grad, cp[p].Grad); i >= 0 {
 							t.Error(what("gradient of parameter "+mp[p].Name), p, "differs at", i)
 						}
+					}
+					if !mixed {
+						recordedStepMatches(t, what, model, h, gOut)
 					}
 					model.ReleasePlans()
 					chain.ReleasePlans()

@@ -3,7 +3,9 @@ package gnn
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
+	"agnn/internal/obs"
 	"agnn/internal/tensor"
 )
 
@@ -48,6 +50,9 @@ type Model struct {
 	// New from Config.DType). Checkpoints stamp it so a resume across
 	// dtypes fails loudly instead of silently changing numerics.
 	DType tensor.DType
+
+	// sites are the layers' instruments, wired on first use (profile.go).
+	sites atomic.Pointer[[]*obs.Layer]
 }
 
 // CheckTrainable reports whether every layer supports training, identifying
@@ -71,14 +76,48 @@ func (m *Model) CheckTrainable() error {
 // the way out; any other layer is handed a float64 matrix.
 func (m *Model) Forward(h *tensor.Dense, training bool) *tensor.Dense {
 	x := handoff{m: tensor.Typed{F64: h}}
-	for _, l := range m.Layers {
-		if dl, ok := l.(DAGLayer); ok && x.fits(dl.core().DType) {
-			x = dl.core().forward(x.m, training)
-		} else {
-			x = handoff{m: tensor.Typed{F64: l.Forward(x.dense(false), training)}}
-		}
+	for i := range m.Layers {
+		x = m.forwardLayer(i, x, training)
 	}
 	return x.dense(false)
+}
+
+// forwardLayer runs layer i on the activation x, credited to the layer's
+// instrument: the one place a layer's forward pass is timed, whoever drives
+// the loop.
+func (m *Model) forwardLayer(i int, x handoff, training bool) handoff {
+	site, t0 := m.layerSites()[i], obs.Now()
+	if dl, ok := m.Layers[i].(DAGLayer); ok && x.fits(dl.core().DType) {
+		x = dl.core().forward(x.m, training)
+	} else {
+		x = handoff{m: tensor.Typed{F64: m.Layers[i].Forward(x.dense(false), training)}}
+	}
+	site.Forward(t0)
+	return x
+}
+
+// backwardLayer is forwardLayer for the cotangent.
+func (m *Model) backwardLayer(i int, x handoff) handoff {
+	site, t0 := m.layerSites()[i], obs.Now()
+	if dl, ok := m.Layers[i].(DAGLayer); ok && x.fits(dl.core().DType) {
+		x = dl.core().backward(x.m)
+	} else {
+		x = handoff{m: tensor.Typed{F64: m.Layers[i].Backward(x.dense(true))}}
+	}
+	site.Backward(t0)
+	return x
+}
+
+// LayerForward and LayerBackward run one layer of the model on a float64
+// matrix, for an engine that moves data between layers itself (the
+// halo-exchanging local engine): the layer is timed as in Forward and
+// Backward.
+func (m *Model) LayerForward(i int, h *tensor.Dense, training bool) *tensor.Dense {
+	return m.forwardLayer(i, handoff{m: tensor.Typed{F64: h}}, training).dense(false)
+}
+
+func (m *Model) LayerBackward(i int, g *tensor.Dense) *tensor.Dense {
+	return m.backwardLayer(i, handoff{m: tensor.Typed{F64: g}}).dense(true)
 }
 
 // Backward propagates ∇_{H^L}L through all layers in reverse, accumulating
@@ -88,12 +127,7 @@ func (m *Model) Forward(h *tensor.Dense, training bool) *tensor.Dense {
 func (m *Model) Backward(g *tensor.Dense) *tensor.Dense {
 	x := handoff{m: tensor.Typed{F64: g}}
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		l := m.Layers[i]
-		if dl, ok := l.(DAGLayer); ok && x.fits(dl.core().DType) {
-			x = dl.core().backward(x.m)
-		} else {
-			x = handoff{m: tensor.Typed{F64: l.Backward(x.dense(true))}}
-		}
+		x = m.backwardLayer(i, x)
 	}
 	return x.dense(true)
 }

@@ -7,18 +7,46 @@ import (
 	"time"
 
 	"agnn/internal/obs"
-	"agnn/internal/tensor"
 )
 
-// Per-layer profiling: Instrument wraps every layer of a model so forward
-// and backward wall times accumulate per layer — the shared-memory
-// performance-analysis counterpart of the distributed engines' byte
-// counters. The decorator is backed by internal/obs: when process-wide
-// tracing is on, every forward/backward additionally emits a span (e.g.
-// "layer0.forward(gat)") that nests the kernel spans fired inside it, so
-// the Chrome trace shows layer boundaries around the SpMM/SDDMM work.
+// Per-layer profiling: a model times each of its layers where it runs it
+// (Model.forwardLayer / backwardLayer), through one obs.Layer instrument
+// per layer. The instrument accumulates the forward and backward wall times
+// the -profile table prints — the shared-memory performance-analysis
+// counterpart of the distributed engines' byte counters — and writes the
+// "layer0.forward(gat)" records that, in a trace, nest the layer's plan-op
+// spans.
 
-// LayerStats accumulates timings for one layer.
+// layerSites returns the layers' instruments, wiring them on first use on
+// the calling goroutine's log: a model stepped by a rank belongs to that
+// rank. Serving runners rebind one model concurrently, hence the atomic
+// pointer; two that race both wire a set and one set is kept.
+func (m *Model) layerSites() []*obs.Layer {
+	if p := m.sites.Load(); p != nil && len(*p) == len(m.Layers) {
+		return *p
+	}
+	sites := make([]*obs.Layer, len(m.Layers))
+	log := obs.Current()
+	for i, l := range m.Layers {
+		sites[i] = obs.NewLayer(log, i, l.Name())
+	}
+	m.sites.Store(&sites)
+	return sites
+}
+
+// Profile returns the per-layer wall times accumulated so far by this model
+// and the models rebound from it.
+func (m *Model) Profile() *Profile {
+	prof := &Profile{}
+	for i, site := range m.layerSites() {
+		s := &LayerStats{Index: i, Name: m.Layers[i].Name()}
+		s.Forward, s.Backward, s.Calls = site.Totals()
+		prof.Stats = append(prof.Stats, s)
+	}
+	return prof
+}
+
+// LayerStats is the accumulated timing of one layer.
 type LayerStats struct {
 	Index    int
 	Name     string
@@ -27,7 +55,7 @@ type LayerStats struct {
 	Calls    int
 }
 
-// Profile holds the per-layer statistics of an instrumented model.
+// Profile is a snapshot of a model's per-layer statistics.
 type Profile struct {
 	Stats []*LayerStats
 }
@@ -59,13 +87,6 @@ func (p *Profile) TotalCalls() int {
 	return n
 }
 
-// Reset clears all accumulated timings.
-func (p *Profile) Reset() {
-	for _, s := range p.Stats {
-		s.Forward, s.Backward, s.Calls = 0, 0, 0
-	}
-}
-
 // String renders a table sorted by total time, heaviest first.
 func (p *Profile) String() string {
 	rows := append([]*LayerStats(nil), p.Stats...)
@@ -83,57 +104,4 @@ func (p *Profile) String() string {
 		p.TotalForward().Round(time.Microsecond), p.TotalBackward().Round(time.Microsecond),
 		p.TotalCalls())
 	return b.String()
-}
-
-// profiledLayer decorates a Layer with timing and obs spans.
-type profiledLayer struct {
-	inner Layer
-	stats *LayerStats
-	// Span names are precomputed so the enabled path does no formatting.
-	spanFwd, spanBwd string
-}
-
-// Name implements Layer.
-func (l *profiledLayer) Name() string { return l.inner.Name() }
-
-// Params implements Layer.
-func (l *profiledLayer) Params() []*Param { return l.inner.Params() }
-
-// Forward implements Layer.
-func (l *profiledLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
-	sp := obs.Start(l.spanFwd)
-	t0 := time.Now()
-	out := l.inner.Forward(h, training)
-	l.stats.Forward += time.Since(t0)
-	l.stats.Calls++
-	sp.End()
-	return out
-}
-
-// Backward implements Layer.
-func (l *profiledLayer) Backward(g *tensor.Dense) *tensor.Dense {
-	sp := obs.Start(l.spanBwd)
-	t0 := time.Now()
-	out := l.inner.Backward(g)
-	l.stats.Backward += time.Since(t0)
-	sp.End()
-	return out
-}
-
-// Instrument wraps every layer of m with timing decorators and returns the
-// instrumented model together with its live Profile. The original model is
-// not modified; both share the same layer objects and parameters.
-func Instrument(m *Model) (*Model, *Profile) {
-	prof := &Profile{}
-	out := &Model{}
-	for i, l := range m.Layers {
-		s := &LayerStats{Index: i, Name: l.Name()}
-		prof.Stats = append(prof.Stats, s)
-		out.Layers = append(out.Layers, &profiledLayer{
-			inner: l, stats: s,
-			spanFwd: fmt.Sprintf("layer%d.forward(%s)", i, l.Name()),
-			spanBwd: fmt.Sprintf("layer%d.backward(%s)", i, l.Name()),
-		})
-	}
-	return out, prof
 }

@@ -18,13 +18,18 @@ func TestInstrumentPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := tensor.RandN(15, 3, 1, rand.New(rand.NewSource(402)))
-	want := m.Forward(h, false).Clone() // im shares m's layers, and with them the output buffer
-	im, prof := Instrument(m)
-	got := im.Forward(h, false)
-	if !got.ApproxEqual(want, 0) {
-		t.Fatal("instrumented model changed outputs")
+	if calls := m.Profile().TotalCalls(); calls != 0 {
+		t.Fatalf("a model that has not run reports %d calls", calls)
 	}
-	if len(prof.Stats) != 2 || prof.Stats[0].Calls != 1 {
+	want := m.Forward(h, false).Clone() // the output buffer is the last layer's
+	obs.StartRecording()
+	got := m.Forward(h, false)
+	obs.StopRecording()
+	if !got.ApproxEqual(want, 0) {
+		t.Fatal("recording changed outputs")
+	}
+	prof := m.Profile()
+	if len(prof.Stats) != 2 || prof.Stats[0].Calls != 2 {
 		t.Fatalf("profile stats wrong: %+v", prof.Stats)
 	}
 	if prof.TotalForward() <= 0 {
@@ -42,26 +47,28 @@ func TestInstrumentRecordsBackwardAndShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, prof := Instrument(m)
 	h := tensor.RandN(12, 3, 1, rand.New(rand.NewSource(405)))
 	loss := &MSELoss{Target: tensor.RandN(12, 2, 1, rand.New(rand.NewSource(406)))}
-	im.TrainStep(h, loss, NewSGD(0.01, 0))
+	m.TrainStep(h, loss, NewSGD(0.01, 0))
+	prof := m.Profile()
 	if prof.TotalBackward() <= 0 {
 		t.Fatal("no backward time recorded")
 	}
-	// Parameters are shared: the training step must have updated the
-	// original model's weights too.
-	if m.Params()[0].Grad == nil {
-		t.Fatal("params not shared")
+	// A model rebound to another adjacency shares its source's layer
+	// instruments: the profile covers both.
+	rm, err := RebindAdjacency(m, m.Layers[0].(DAGLayer).core().A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm.Forward(h, false)
+	rm.ReleasePlans()
+	if got := m.Profile().Stats[0].Calls; got != 2 {
+		t.Fatalf("layer 0 calls after a rebound model's step = %d, want 2", got)
 	}
 	// String table renders all layers and a total row.
 	s := prof.String()
 	if !strings.Contains(s, "va") || !strings.Contains(s, "total") {
 		t.Fatalf("profile table missing content:\n%s", s)
-	}
-	prof.Reset()
-	if prof.TotalForward() != 0 || prof.Stats[0].Calls != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -82,9 +89,8 @@ func TestProfileTotalRowIncludesCalls(t *testing.T) {
 }
 
 func TestInstrumentEmitsObsSpans(t *testing.T) {
-	tr := obs.New()
-	obs.Enable(tr)
-	defer obs.Disable()
+	obs.StartRecording()
+	defer obs.StopRecording()
 
 	a := testGraph(12, 407)
 	m, err := New(Config{Model: GAT, Layers: 2, InDim: 3, HiddenDim: 4, OutDim: 2,
@@ -92,13 +98,12 @@ func TestInstrumentEmitsObsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im, _ := Instrument(m)
 	h := tensor.RandN(12, 3, 1, rand.New(rand.NewSource(409)))
 	loss := &MSELoss{Target: tensor.RandN(12, 2, 1, rand.New(rand.NewSource(410)))}
-	im.TrainStep(h, loss, NewSGD(0.01, 0))
+	m.TrainStep(h, loss, NewSGD(0.01, 0))
 
 	counts := map[string]int64{}
-	for _, s := range tr.Report().Spans {
+	for _, s := range obs.BuildReport().Spans {
 		counts[s.Name] = s.Count
 	}
 	for _, want := range []string{

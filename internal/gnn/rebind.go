@@ -13,11 +13,15 @@ import (
 // subgraph of an expanded seed batch (graph.InducedSubgraph), rebind the
 // model to it, and train — gradients accumulate into the shared buffers.
 // Every layer is a copy of its source — same parameters, options and dtype —
-// bound to a and holding no plan leases. The matrix a must already carry
+// bound to a and holding no plan leases; the copies share their source's
+// layer instruments, so a profile covers the model and its mini-batch or
+// ego-network views together. The matrix a must already carry
 // the model's preprocessing (self loops / normalization), as it does when
 // it is an induced subgraph of a processed layer adjacency.
 func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
 	out := &Model{DType: src.DType}
+	sites := src.layerSites()
+	out.sites.Store(&sites)
 	for _, l := range src.Layers {
 		switch ll := l.(type) {
 		case DAGLayer:

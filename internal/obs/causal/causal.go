@@ -1,25 +1,14 @@
-// Package causal records the cross-rank message edges of a distributed
-// run so the per-rank span timelines (internal/obs) can be stitched into
-// one BSP dependency DAG and walked for the critical path
-// (docs/OBSERVABILITY.md, "Causal tracing & critical path").
+// Package causal stitches the per-rank event logs (internal/obs/evlog) of
+// a distributed run into one BSP dependency DAG and walks it for the
+// critical path (docs/OBSERVABILITY.md, "Critical path").
 //
 // Every dist.Comm send carries a Header — the sender's global rank, a
 // sender-local sequence number, the superstep and a Lamport logical
 // clock — and every receive merges that clock. The headers travel by
-// value inside the runtime's channel messages, and the per-rank logs
-// append into preallocated buffers, so stamping adds zero allocations
-// to the Send/Recv hot path.
-//
-// The log is process-global and opt-in, mirroring obs.Enable: when no
-// log is installed the runtime still maintains clocks (they are plain
-// atomics) but records nothing.
+// value inside the runtime's channel messages and wire frames; the send
+// and receive records a recorded run leaves on each rank's log name their
+// message by (rank, sequence number), which is what Analyze joins on.
 package causal
-
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
 
 // Header is the causal stamp carried by every runtime message. It is a
 // small value type: embedding it in the channel message adds no
@@ -37,167 +26,3 @@ type Header struct {
 func (h Header) FlowID() uint64 {
 	return uint64(uint32(h.Src))<<40 | (h.Seq & (1<<40 - 1))
 }
-
-// Event kinds recorded in a RankLog.
-const (
-	// KindSend: one message sent. T0==T1 is the send completion time,
-	// Peer the destination rank.
-	KindSend uint8 = 1 + iota
-	// KindRecv: one message received. T0 is when the receiver started
-	// waiting, T1 when the message arrived, Peer the source rank.
-	KindRecv
-	// KindEpoch: a rank-0 marker bracketing one training epoch /
-	// timed benchmark execution; Seq carries the epoch number. Epoch
-	// marks define the analysis windows and never appear on the path.
-	KindEpoch
-	// KindCheckpoint: a marker bracketing a blocking checkpoint save.
-	KindCheckpoint
-)
-
-// Event is one record in a per-rank causal log. Times are nanoseconds
-// since the owning Log's epoch.
-type Event struct {
-	Kind  uint8
-	Peer  int32
-	T0    int64
-	T1    int64
-	Seq   uint64
-	Step  int64
-	Clock uint64
-	Bytes int64
-	Code  uint32 // flight.Code of the enclosing collective (0 = none)
-}
-
-// initialEvents is the per-rank preallocation; sized so short runs and
-// the alloc-regression tests never grow the buffer.
-const initialEvents = 4096
-
-// maxEventsPerRank bounds memory on very long runs; past it new events
-// are counted but dropped.
-const maxEventsPerRank = 1 << 21
-
-// RankLog is one rank's append-only causal event log. Appends take a
-// per-rank mutex (uncontended: each rank goroutine owns its log) and
-// stay allocation-free while within the buffer's capacity.
-type RankLog struct {
-	rank    int
-	mu      sync.Mutex
-	events  []Event
-	dropped int64
-}
-
-func (l *RankLog) add(e Event) {
-	l.mu.Lock()
-	if len(l.events) < maxEventsPerRank {
-		l.events = append(l.events, e)
-	} else {
-		l.dropped++
-	}
-	l.mu.Unlock()
-}
-
-// Send records a stamped message departure at time t.
-func (l *RankLog) Send(t int64, hdr Header, dst int32, bytes int64, code uint32) {
-	l.add(Event{Kind: KindSend, Peer: dst, T0: t, T1: t,
-		Seq: hdr.Seq, Step: hdr.Step, Clock: hdr.Clock, Bytes: bytes, Code: code})
-}
-
-// Recv records a stamped message arrival: the receiver started waiting
-// at t0 and the message (stamped with hdr by its sender) arrived at t1.
-func (l *RankLog) Recv(t0, t1 int64, hdr Header, bytes int64, code uint32) {
-	l.add(Event{Kind: KindRecv, Peer: hdr.Src, T0: t0, T1: t1,
-		Seq: hdr.Seq, Step: hdr.Step, Clock: hdr.Clock, Bytes: bytes, Code: code})
-}
-
-// MarkEpoch brackets one epoch (or timed benchmark execution) spanning
-// [t0, t1]. Recorded by global rank 0 only; defines an analysis window.
-func (l *RankLog) MarkEpoch(epoch int64, t0, t1 int64) {
-	l.add(Event{Kind: KindEpoch, T0: t0, T1: t1, Seq: uint64(epoch)})
-}
-
-// MarkCheckpoint brackets a blocking checkpoint save spanning [t0, t1].
-func (l *RankLog) MarkCheckpoint(t0, t1 int64) {
-	l.add(Event{Kind: KindCheckpoint, T0: t0, T1: t1})
-}
-
-// Events returns a copy of the log.
-func (l *RankLog) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Dropped reports how many events were discarded at the buffer cap.
-func (l *RankLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Log collects per-rank causal logs against a shared time epoch.
-type Log struct {
-	epoch time.Time
-	mu    sync.Mutex
-	ranks map[int]*RankLog
-	cache sync.Map // rank → *RankLog fast path
-}
-
-// New returns a Log whose timestamps count from now.
-func New() *Log { return NewAt(time.Now()) }
-
-// NewAt returns a Log whose timestamps count from epoch. Pass the
-// tracer's epoch so causal times and span times share one time base.
-func NewAt(epoch time.Time) *Log {
-	return &Log{epoch: epoch, ranks: make(map[int]*RankLog)}
-}
-
-// Epoch returns the log's time base.
-func (l *Log) Epoch() time.Time { return l.epoch }
-
-// Now returns nanoseconds since the log's epoch.
-func (l *Log) Now() int64 { return int64(time.Since(l.epoch)) }
-
-// Rank returns (creating on first use) the log for one global rank.
-func (l *Log) Rank(r int) *RankLog {
-	if v, ok := l.cache.Load(r); ok {
-		return v.(*RankLog)
-	}
-	l.mu.Lock()
-	rl, ok := l.ranks[r]
-	if !ok {
-		rl = &RankLog{rank: r, events: make([]Event, 0, initialEvents)}
-		l.ranks[r] = rl
-	}
-	l.mu.Unlock()
-	l.cache.Store(r, rl)
-	return rl
-}
-
-// snapshot copies every rank's events.
-func (l *Log) snapshot() map[int][]Event {
-	l.mu.Lock()
-	logs := make([]*RankLog, 0, len(l.ranks))
-	for _, rl := range l.ranks {
-		logs = append(logs, rl)
-	}
-	l.mu.Unlock()
-	out := make(map[int][]Event, len(logs))
-	for _, rl := range logs {
-		out[rl.rank] = rl.Events()
-	}
-	return out
-}
-
-var global atomic.Pointer[Log]
-
-// Enable installs l as the process-wide causal log picked up by worlds
-// created afterwards (dist.NewWorld resolves it at construction).
-func Enable(l *Log) { global.Store(l) }
-
-// Disable removes the process-wide log.
-func Disable() { global.Store(nil) }
-
-// Get returns the process-wide log, or nil when causal tracing is off.
-func Get() *Log { return global.Load() }

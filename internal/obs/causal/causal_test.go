@@ -3,7 +3,33 @@ package causal
 import (
 	"testing"
 	"time"
+
+	"agnn/internal/obs/evlog"
 )
+
+// recordingSet returns a fresh set with recording on.
+func recordingSet() *evlog.Set {
+	s := evlog.NewSet(64)
+	s.StartRecording()
+	return s
+}
+
+// The records a dist rank leaves on its log, with explicit times.
+func send(l *evlog.Log, t int64, h Header, dst int64) {
+	l.Record(evlog.KindSend, 0, t, 0, int64(h.Seq), dst, h.Step)
+}
+func recv(l *evlog.Log, t0, t1 int64, h Header) {
+	l.Record(evlog.KindRecv, 0, t0, t1-t0, int64(h.Seq), int64(h.Src), h.Step)
+}
+func markEpoch(l *evlog.Log, n, t0, t1 int64) {
+	l.Record(evlog.KindEpoch, evlog.Code("epoch"), t0, t1-t0, n, 0, 0)
+}
+func markCheckpoint(l *evlog.Log, t0, t1 int64) {
+	l.Record(evlog.KindCheckpoint, evlog.Code("checkpoint"), t0, t1-t0, 0, 0, 0)
+}
+func span(l *evlog.Log, name string, t0, t1 int64) {
+	l.Record(evlog.KindSpan, evlog.Code(name), t0, t1-t0, 0, 0, 0)
+}
 
 func TestFlowIDPacksSrcAndSeq(t *testing.T) {
 	h := Header{Src: 3, Seq: 41}
@@ -20,44 +46,56 @@ func TestFlowIDPacksSrcAndSeq(t *testing.T) {
 }
 
 func TestLogRankReuseAndEvents(t *testing.T) {
-	l := NewAt(time.Now())
-	if l.Rank(2) != l.Rank(2) {
-		t.Fatal("Rank must return a stable per-rank log")
+	s := recordingSet()
+	if s.Log(2) != s.Log(2) {
+		t.Fatal("Log must return a stable per-rank log")
 	}
-	rl := l.Rank(0)
-	rl.Send(10, Header{Src: 0, Seq: 1, Clock: 5}, 1, 64, 0)
-	rl.Recv(20, 30, Header{Src: 1, Seq: 7, Clock: 9}, 32, 0)
-	rl.MarkEpoch(3, 0, 100)
-	rl.MarkCheckpoint(40, 60)
+	rl := s.Log(0)
+	send(rl, 10, Header{Src: 0, Seq: 1, Step: 2}, 1)
+	recv(rl, 20, 30, Header{Src: 1, Seq: 7})
+	markEpoch(rl, 3, 0, 100)
+	markCheckpoint(rl, 40, 60)
 	evs := rl.Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	if evs[0].Kind != KindSend || evs[0].Peer != 1 || evs[0].Clock != 5 {
+	if evs[0].Kind != evlog.KindSend || evs[0].B != 1 || evs[0].C != 2 {
 		t.Fatalf("bad send event: %+v", evs[0])
 	}
-	if evs[1].Kind != KindRecv || evs[1].Peer != 1 || evs[1].Seq != 7 {
+	if evs[1].Kind != evlog.KindRecv || evs[1].B != 1 || evs[1].A != 7 || evs[1].Dur != 10 {
 		t.Fatalf("bad recv event: %+v", evs[1])
 	}
-	if evs[2].Kind != KindEpoch || evs[2].Seq != 3 {
+	if evs[2].Kind != evlog.KindEpoch || evs[2].A != 3 {
 		t.Fatalf("bad epoch mark: %+v", evs[2])
 	}
-	if evs[3].Kind != KindCheckpoint || evs[3].T0 != 40 {
+	if evs[3].Kind != evlog.KindCheckpoint || evs[3].T0 != 40 {
 		t.Fatalf("bad checkpoint mark: %+v", evs[3])
+	}
+	// One window, one checkpoint inside it: the reader sees what was written.
+	if sum := Analyze(s, Options{}); sum == nil || len(sum.Epochs) != 1 || sum.Epochs[0].Epoch != 3 || sum.CheckpointNs != 20 {
+		t.Fatalf("analysis of the log: %+v", sum)
 	}
 }
 
+// TestEnableDisable: the one recording switch gates what Analyze can see —
+// nothing recorded while off, a restart empties the log.
 func TestEnableDisable(t *testing.T) {
-	prev := Get()
-	defer Enable(prev)
-	l := New()
-	Enable(l)
-	if Get() != l {
-		t.Fatal("Get after Enable")
+	s := evlog.NewSet(64)
+	l := s.Log(0)
+	markEpoch(l, 0, 0, 100)
+	if s.Recording() || len(l.Events()) != 0 || Analyze(s, Options{}) != nil {
+		t.Fatal("a set that is not recording must keep no log")
 	}
-	Disable()
-	if Get() != nil {
-		t.Fatal("Get after Disable")
+	s.StartRecording()
+	markEpoch(l, 0, 0, 100)
+	s.StopRecording()
+	markEpoch(l, 1, 100, 200)
+	if sum := Analyze(s, Options{}); sum == nil || len(sum.Epochs) != 1 {
+		t.Fatalf("recorded run: %+v", sum)
+	}
+	s.StartRecording()
+	if len(l.Events()) != 0 {
+		t.Fatal("StartRecording must empty the recorded log")
 	}
 }
 
@@ -66,24 +104,23 @@ func TestEnableDisable(t *testing.T) {
 // [0,40µs], blocks on the recv from 40µs until the 100µs arrival, then
 // computes [100µs,150µs]. The critical path must be rank 1 compute +
 // collective → wait hop → rank 0 compute.
-func syntheticRun(t *testing.T) (*Log, map[int][]Span) {
+func syntheticRun(t *testing.T) *evlog.Set {
 	t.Helper()
 	const us = int64(time.Microsecond)
-	l := NewAt(time.Now())
+	s := recordingSet()
 	h := Header{Src: 1, Seq: 1, Step: 1, Clock: 3}
-	l.Rank(1).Send(95*us, h, 0, 1024, 0)
-	l.Rank(0).Recv(40*us, 100*us, h, 1024, 0)
-	l.Rank(0).MarkEpoch(0, 0, 150*us)
-	spans := map[int][]Span{
-		0: {{Name: "spmm", T0: 0, T1: 40 * us}, {Name: "softmax", T0: 100 * us, T1: 150 * us}},
-		1: {{Name: "sddmm", T0: 0, T1: 90 * us}, {Name: "allgather", T0: 90 * us, T1: 95 * us}},
-	}
-	return l, spans
+	send(s.Log(1), 95*us, h, 0)
+	recv(s.Log(0), 40*us, 100*us, h)
+	markEpoch(s.Log(0), 0, 0, 150*us)
+	span(s.Log(0), "spmm", 0, 40*us)
+	span(s.Log(0), "softmax", 100*us, 150*us)
+	span(s.Log(1), "sddmm", 0, 90*us)
+	span(s.Log(1), "allgather", 90*us, 95*us)
+	return s
 }
 
 func TestAnalyzeBlockedRecvJumpsToSender(t *testing.T) {
-	l, spans := syntheticRun(t)
-	sum := Analyze(l, spans, Options{})
+	sum := Analyze(syntheticRun(t), Options{})
 	if sum == nil {
 		t.Fatal("nil summary")
 	}
@@ -141,12 +178,12 @@ func TestAnalyzeBlockedRecvJumpsToSender(t *testing.T) {
 
 func TestAnalyzeWaitWithoutMatchingSend(t *testing.T) {
 	const us = int64(time.Microsecond)
-	l := NewAt(time.Now())
+	s := recordingSet()
 	// Recv with no recorded send (e.g. sender's log dropped): charge the
 	// blocked time to the receiver as wait.
-	l.Rank(0).Recv(10*us, 90*us, Header{Src: 1, Seq: 9}, 8, 0)
-	l.Rank(0).MarkEpoch(0, 0, 100*us)
-	sum := Analyze(l, nil, Options{})
+	recv(s.Log(0), 10*us, 90*us, Header{Src: 1, Seq: 9})
+	markEpoch(s.Log(0), 0, 0, 100*us)
+	sum := Analyze(s, Options{})
 	if sum == nil {
 		t.Fatal("nil summary")
 	}
@@ -163,10 +200,10 @@ func TestAnalyzeWaitWithoutMatchingSend(t *testing.T) {
 
 func TestAnalyzeCheckpointClass(t *testing.T) {
 	const us = int64(time.Microsecond)
-	l := NewAt(time.Now())
-	l.Rank(0).MarkCheckpoint(20*us, 70*us)
-	l.Rank(0).MarkEpoch(0, 0, 100*us)
-	sum := Analyze(l, nil, Options{})
+	s := recordingSet()
+	markCheckpoint(s.Log(0), 20*us, 70*us)
+	markEpoch(s.Log(0), 0, 0, 100*us)
+	sum := Analyze(s, Options{})
 	if sum == nil {
 		t.Fatal("nil summary")
 	}
@@ -176,23 +213,27 @@ func TestAnalyzeCheckpointClass(t *testing.T) {
 }
 
 func TestAnalyzeEmptyLog(t *testing.T) {
-	if Analyze(New(), nil, Options{}) != nil {
-		t.Fatal("empty log must yield nil")
+	if Analyze(recordingSet(), Options{}) != nil {
+		t.Fatal("empty set must yield nil")
 	}
-	if Analyze(nil, nil, Options{}) != nil {
-		t.Fatal("nil log must yield nil")
+	// Spans alone, or events on the process log alone, are no run to walk.
+	s := recordingSet()
+	span(s.Log(0), "spmm", 0, 10)
+	markEpoch(s.Log(-1), 0, 0, 100)
+	if Analyze(s, Options{}) != nil {
+		t.Fatal("a set with no rank event must yield nil")
 	}
 }
 
 func TestAnalyzeZeroDurationEventsTerminate(t *testing.T) {
-	l := NewAt(time.Now())
+	s := recordingSet()
 	h := Header{Src: 0, Seq: 1}
 	// Degenerate: all events at the same instant.
-	l.Rank(0).Send(50, h, 0, 0, 0)
-	l.Rank(0).Recv(50, 50, h, 0, 0)
-	l.Rank(0).MarkEpoch(0, 0, 100)
+	send(s.Log(0), 50, h, 0)
+	recv(s.Log(0), 50, 50, h)
+	markEpoch(s.Log(0), 0, 0, 100)
 	done := make(chan *Summary, 1)
-	go func() { done <- Analyze(l, nil, Options{}) }()
+	go func() { done <- Analyze(s, Options{}) }()
 	select {
 	case sum := <-done:
 		if sum == nil {
@@ -223,8 +264,7 @@ func TestFlattenInnermostWins(t *testing.T) {
 }
 
 func TestSummaryTopContributors(t *testing.T) {
-	l, spans := syntheticRun(t)
-	sum := Analyze(l, spans, Options{TopK: 2})
+	sum := Analyze(syntheticRun(t), Options{TopK: 2})
 	if len(sum.Top) != 2 {
 		t.Fatalf("topk: %+v", sum.Top)
 	}

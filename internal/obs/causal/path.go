@@ -2,15 +2,28 @@ package causal
 
 import (
 	"sort"
+
+	"agnn/internal/obs/evlog"
 )
 
-// Span is one named interval on a rank's timeline, in nanoseconds since
-// the log's epoch. The obs tracer's per-rank tracks convert into these
-// for attribution (obs.CriticalPath does the epoch alignment).
+// Span is one named interval on a rank's timeline — a timed record other
+// than an epoch window — in nanoseconds since the set's epoch.
 type Span struct {
 	Name string
 	T0   int64
 	T1   int64
+}
+
+// Event is a record the walk steps over: a send, a receive, a checkpoint
+// or an epoch window (Seq is then the epoch number). A receive waited from
+// T0 to T1 for message Seq of rank Peer.
+type Event struct {
+	Kind evlog.Kind
+	Peer int32
+	T0   int64
+	T1   int64
+	Seq  uint64
+	Step int64
 }
 
 // Options tunes the critical-path reconstruction.
@@ -150,7 +163,7 @@ type flatIv struct {
 
 // analyzer holds the indexed run state shared by the window walks.
 type analyzer struct {
-	walkEvs map[int][]Event // per rank, KindEpoch removed, sorted by T1
+	walkEvs map[int][]Event // per rank, epoch windows removed, sorted by T1
 	sends   map[msgKey]Event
 	flat    map[int][]flatIv
 	opt     Options
@@ -165,13 +178,12 @@ type rawSeg struct {
 	a, b  int64
 }
 
-// Analyze reconstructs the critical path of the run captured in l,
-// attributing local time with the per-rank spans (times in l's epoch).
-// Returns nil when the log holds no events.
-func Analyze(l *Log, spans map[int][]Span, opt Options) *Summary {
-	if l == nil {
-		return nil
-	}
+// Analyze reconstructs the critical path of the run recorded in s: the
+// send, receive, checkpoint and epoch records of every rank's log are the
+// walk's events, the timed records other than epochs attribute local time.
+// The process log (rank -1) belongs to no rank and is not read. Returns nil
+// when no rank recorded a message or a mark.
+func Analyze(s *evlog.Set, opt Options) *Summary {
 	if opt.TopK <= 0 {
 		opt.TopK = defaultTopK
 	}
@@ -181,10 +193,32 @@ func Analyze(l *Log, spans map[int][]Span, opt Options) *Summary {
 	if opt.MaxSegments <= 0 {
 		opt.MaxSegments = defaultMaxSegments
 	}
-	events := l.snapshot()
+	events := map[int][]Event{}
+	spans := map[int][]Span{}
 	total := 0
-	for _, evs := range events {
-		total += len(evs)
+	var dropped int64
+	for _, l := range s.Logs() {
+		recs := l.Events()
+		if l.Rank() < 0 || len(recs) == 0 {
+			continue
+		}
+		r := l.Rank()
+		events[r] = nil // a rank that only computed still counts
+		dropped += l.Dropped()
+		for _, rec := range recs {
+			kind, t1 := rec.Kind&^evlog.Side, rec.T0+rec.Dur
+			switch kind {
+			case evlog.KindSend, evlog.KindRecv:
+				events[r] = append(events[r], Event{Kind: kind, Peer: int32(rec.B),
+					T0: rec.T0, T1: t1, Seq: uint64(rec.A), Step: rec.C})
+			case evlog.KindEpoch, evlog.KindCheckpoint:
+				events[r] = append(events[r], Event{Kind: kind, T0: rec.T0, T1: t1, Seq: uint64(rec.A)})
+			}
+			if kind.Timed() && kind != evlog.KindEpoch {
+				spans[r] = append(spans[r], Span{Name: rec.Name(), T0: rec.T0, T1: t1})
+			}
+		}
+		total += len(events[r])
 	}
 	if total == 0 {
 		return nil
@@ -208,10 +242,10 @@ func Analyze(l *Log, spans map[int][]Span, opt Options) *Summary {
 				maxT = e.T1
 			}
 			switch e.Kind {
-			case KindEpoch:
+			case evlog.KindEpoch:
 				epochs = append(epochs, e)
 				continue
-			case KindSend:
+			case evlog.KindSend:
 				az.sends[msgKey{int32(r), e.Seq}] = e
 			}
 			keep = append(keep, e)
@@ -333,7 +367,7 @@ func Analyze(l *Log, spans map[int][]Span, opt Options) *Summary {
 	for _, r := range ranks {
 		var blocked int64
 		for _, e := range events[r] {
-			if e.Kind != KindRecv || e.T1-e.T0 < opt.BlockedMinNs {
+			if e.Kind != evlog.KindRecv || e.T1-e.T0 < opt.BlockedMinNs {
 				continue
 			}
 			for _, w := range windows {
@@ -385,12 +419,6 @@ func Analyze(l *Log, spans map[int][]Span, opt Options) *Summary {
 		}
 		sum.OverlapHiddenPct = 100 * float64(hidden) / float64(collTotal)
 	}
-	var dropped int64
-	l.mu.Lock()
-	for _, rl := range l.ranks {
-		dropped += rl.Dropped()
-	}
-	l.mu.Unlock()
 	sum.DroppedEvents = dropped
 	return sum
 }
@@ -422,7 +450,7 @@ func (az *analyzer) walk(ws, we int64) ([]Segment, int) {
 			continue
 		}
 		switch {
-		case e.Kind == KindRecv && e.T1-e.T0 >= az.opt.BlockedMinNs:
+		case e.Kind == evlog.KindRecv && e.T1-e.T0 >= az.opt.BlockedMinNs:
 			// Blocked receive: the path came from the sender.
 			if s, ok := az.sends[msgKey{e.Peer, e.Seq}]; ok && s.T1 < t {
 				jt := s.T1
@@ -446,7 +474,7 @@ func (az *analyzer) walk(ws, we int64) ([]Segment, int) {
 			raw = append(raw, rawSeg{rank: rank, step: e.Step,
 				class: ClassWait, name: "blocked-recv", a: st, b: t})
 			t = st
-		case e.Kind == KindCheckpoint:
+		case e.Kind == evlog.KindCheckpoint:
 			nt := e.T0
 			if nt < ws {
 				nt = ws

@@ -2,133 +2,167 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strconv"
+
+	"agnn/internal/obs/causal"
+	"agnn/internal/obs/evlog"
 )
 
 // Chrome trace-event export: the JSON object format understood by
-// chrome://tracing and https://ui.perfetto.dev. Every track becomes a
-// thread (tid) of a single process; spans are "X" (complete) events with
-// microsecond timestamps relative to the tracer epoch, and span attributes
-// become event args.
+// chrome://tracing and https://ui.perfetto.dev. Every timeline of the
+// recorded logs becomes a thread (tid) of a single process; timed records
+// are "X" (complete) events with microsecond timestamps relative to the
+// logs' epoch, and a collective's payload words become event args.
 
-// chromeEvent is one entry of the traceEvents array.
+// chromeEvent is one entry of the traceEvents array: a metadata ("M") event
+// naming the process or a thread (string args, no timestamp), a span, a flow
+// endpoint or a counter point (integer args).
 type chromeEvent struct {
-	Name string           `json:"name"`
-	Ph   string           `json:"ph"`
-	Pid  int              `json:"pid"`
-	Tid  int              `json:"tid"`
-	Ts   float64          `json:"ts"`
-	Dur  *float64         `json:"dur,omitempty"`
-	Cat  string           `json:"cat,omitempty"` // flow events: binding category
-	ID   string           `json:"id,omitempty"`  // flow events: shared pair id
-	BP   string           `json:"bp,omitempty"`  // flow end: "e" binds enclosing slice
-	Args map[string]int64 `json:"args,omitempty"`
-}
-
-// chromeMeta is a metadata ("M") event naming a process or thread.
-type chromeMeta struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args"`
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Pid  int      `json:"pid"`
+	Tid  int      `json:"tid"`
+	Ts   *float64 `json:"ts,omitempty"`
+	Dur  *float64 `json:"dur,omitempty"`
+	Cat  string   `json:"cat,omitempty"` // flow events: binding category
+	ID   string   `json:"id,omitempty"`  // flow events: shared pair id
+	BP   string   `json:"bp,omitempty"`  // flow end: "e" binds enclosing slice
+	Args any      `json:"args,omitempty"`
 }
 
 // chromeTrace is the top-level JSON object.
 type chromeTrace struct {
-	TraceEvents     []json.RawMessage `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace serializes every completed span as Chrome trace-event
-// JSON. Safe to call while tracing continues; it snapshots each track under
-// its lock.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	out := chromeTrace{DisplayTimeUnit: "ms"}
-	add := func(v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
+// lane is one timeline of a recorded run: a log's own records, or the ones
+// its rank's concurrent helper wrote (the Side bit) — a trace thread, a
+// report track.
+type lane struct {
+	name string
+	rank int
+	open int64
+	recs []evlog.Record
+}
+
+// lanes splits the set's recorded logs into timelines, the process log
+// ("main") first and always, then in rank order every rank that recorded
+// anything or has a span in flight: "rank N", then "rank N gather" when the
+// rank's chunked-gather helper wrote records.
+func lanes(set *evlog.Set) []lane {
+	out := []lane{{name: "main", rank: -1}}
+	for _, l := range set.Logs() {
+		var own, side []evlog.Record
+		for _, r := range l.Events() {
+			if r.Kind&evlog.Side != 0 {
+				side = append(side, r)
+			} else {
+				own = append(own, r)
+			}
 		}
-		out.TraceEvents = append(out.TraceEvents, raw)
+		if l.Rank() < 0 {
+			out[0].open, out[0].recs = l.Open(), own
+			continue
+		}
+		if len(own) > 0 || l.Open() > 0 {
+			out = append(out, lane{name: fmt.Sprintf("rank %d", l.Rank()), rank: l.Rank(), open: l.Open(), recs: own})
+		}
+		if len(side) > 0 {
+			out = append(out, lane{name: fmt.Sprintf("rank %d gather", l.Rank()), rank: l.Rank(), recs: side})
+		}
+	}
+	return out
+}
+
+// attrs names the payload words a timed record shows as span arguments:
+// the bytes and messages of a collective call, and the source of a ring
+// hop's chunk.
+func attrs(r evlog.Record) map[string]int64 {
+	if r.Kind&^evlog.Side != evlog.KindCollective {
 		return nil
 	}
-	if err := add(chromeMeta{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]string{"name": "agnn"}}); err != nil {
-		return err
+	if r.C != 0 {
+		return map[string]int64{"bytes": r.A, "src": r.C - 1}
 	}
-	for _, tr := range t.Tracks() {
-		if err := add(chromeMeta{Name: "thread_name", Ph: "M", Pid: 0, Tid: tr.id,
-			Args: map[string]string{"name": tr.name}}); err != nil {
-			return err
+	return map[string]int64{"bytes": r.A, "msgs": r.B}
+}
+
+// WriteChromeTrace serializes the recorded run of the process-wide logs as
+// Chrome trace-event JSON. Safe to call while recording continues.
+func WriteChromeTrace(w io.Writer) error { return writeChromeTrace(w, evlog.Default) }
+
+func writeChromeTrace(w io.Writer, set *evlog.Set) error {
+	us := func(ns int64) *float64 { v := float64(ns) / 1e3; return &v }
+	named := func(name string) map[string]string { return map[string]string{"name": name} }
+	events := []chromeEvent{{Name: "process_name", Ph: "M", Args: named("agnn")}}
+	// Counter timelines (Sample) become "C" events, which Perfetto renders
+	// as per-process value graphs — the memory and communication timelines
+	// drawn alongside the span tracks. They follow the tracks, one series
+	// after another in order of first appearance.
+	var series []uint32
+	samples := map[uint32][]chromeEvent{}
+	for tid, ln := range lanes(set) {
+		events = append(events, chromeEvent{Name: "thread_name", Ph: "M", Tid: tid, Args: named(ln.name)})
+		first := len(events)
+		for _, r := range ln.recs {
+			kind := r.Kind &^ evlog.Side
+			switch {
+			case kind.Timed():
+				e := chromeEvent{Name: r.Name(), Ph: "X", Tid: tid, Ts: us(r.T0), Dur: us(r.Dur)}
+				if a := attrs(r); a != nil {
+					e.Args = a
+				}
+				events = append(events, e)
+			case kind == evlog.KindSend || kind == evlog.KindRecv && r.A != 0:
+				// Causal message edge: an "s"/"f" pair sharing (cat, id)
+				// renders as an arrow from the sender's track at departure to
+				// the receiver's at arrival, named after the enclosing
+				// collective.
+				fe := chromeEvent{Name: r.Name(), Ph: "s", Cat: "msg", Tid: tid, Ts: us(r.T0)}
+				hdr := causal.Header{Src: int32(ln.rank), Seq: uint64(r.A)}
+				if kind == evlog.KindRecv {
+					fe.Ph, fe.BP, fe.Ts = "f", "e", us(r.T0+r.Dur)
+					hdr.Src = int32(r.B)
+				}
+				if fe.Name == "" {
+					fe.Name = "msg"
+				}
+				fe.ID = "0x" + strconv.FormatUint(hdr.FlowID(), 16)
+				events = append(events, fe)
+			case kind == evlog.KindSample:
+				if _, ok := samples[r.Code]; !ok {
+					series = append(series, r.Code)
+				}
+				samples[r.Code] = append(samples[r.Code], chromeEvent{Name: r.Name(), Ph: "C",
+					Ts: us(r.T0), Args: map[string]int64{"value": r.A}})
+			}
 		}
-		tr.mu.Lock()
-		evs := append([]event(nil), tr.events...)
-		tr.mu.Unlock()
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].start < evs[j].start })
-		for _, e := range evs {
-			if e.flow != flowNone {
-				// Causal message edge: "s"/"f" pairs sharing (cat, id)
-				// render as arrows across the rank tracks.
-				fe := chromeEvent{Name: e.name, Ph: "s", Cat: "msg", Pid: 0, Tid: tr.id,
-					Ts: float64(e.start.Nanoseconds()) / 1e3,
-					ID: "0x" + strconv.FormatUint(e.flowID, 16)}
-				if e.flow == flowIn {
-					fe.Ph = "f"
-					fe.BP = "e"
-				}
-				if err := add(fe); err != nil {
-					return err
-				}
-				continue
-			}
-			dur := float64(e.dur.Nanoseconds()) / 1e3
-			ce := chromeEvent{Name: e.name, Ph: "X", Pid: 0, Tid: tr.id,
-				Ts: float64(e.start.Nanoseconds()) / 1e3, Dur: &dur}
-			if len(e.attrs) > 0 {
-				ce.Args = make(map[string]int64, len(e.attrs))
-				for _, a := range e.attrs {
-					ce.Args[a.Key] = a.Val
-				}
-			}
-			if err := add(ce); err != nil {
-				return err
-			}
-		}
+		track := events[first:]
+		sort.SliceStable(track, func(i, j int) bool { return *track[i].Ts < *track[j].Ts })
 	}
-	// Counter timelines (Tracer.Sample) become "C" events, which Perfetto
-	// renders as per-process value graphs — the memory and communication
-	// timelines drawn alongside the span tracks.
-	t.seriesMu.Lock()
-	allSeries := append([]*series(nil), t.series...)
-	t.seriesMu.Unlock()
-	for _, s := range allSeries {
-		s.mu.Lock()
-		samples := append([]counterSample(nil), s.samples...)
-		s.mu.Unlock()
-		for _, smp := range samples {
-			if err := add(chromeEvent{Name: s.name, Ph: "C", Pid: 0, Tid: 0,
-				Ts:   float64(smp.ts.Nanoseconds()) / 1e3,
-				Args: map[string]int64{"value": smp.val}}); err != nil {
-				return err
-			}
-		}
+	for _, code := range series {
+		events = append(events, samples[code]...)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
 // WriteChromeTraceFile writes the Chrome trace to path.
-func (t *Tracer) WriteChromeTraceFile(path string) error {
+func WriteChromeTraceFile(path string) error { return writeFile(path, WriteChromeTrace) }
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"agnn/internal/obs/evlog"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,28 +22,24 @@ func osStat(p string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// deterministicTracer builds a fixed little trace: a nested pair on the
-// main track, one attributed collective span on a rank track, and a
-// two-point counter timeline.
-func deterministicTracer() *Tracer {
-	tr := New()
-	fakeClock(tr, time.Millisecond)
-	r0 := tr.Track("rank 0")
-	outer := tr.Main().Start("train")
-	k := tr.Main().Start("spmm")
-	k.End()
-	outer.End()
-	c := r0.Start("allreduce")
-	c.End(Int64("bytes", 1024), Int64("msgs", 4))
-	tr.Sample("arena bytes", 4096)
-	tr.Sample("arena bytes", 8192)
-	tr.Sample("comm bytes", 1024)
-	return tr
+// deterministicRun records a fixed little run: a nested pair on the main
+// log, one collective on a rank's, and a two-point counter timeline.
+func deterministicRun() *evlog.Set {
+	const ms = int64(time.Millisecond)
+	set := recordingSet()
+	main := set.Log(-1)
+	main.Record(evlog.KindSpan, Code("spmm"), 2*ms, ms, 0, 0, 0) // ends first
+	main.Record(evlog.KindSpan, Code("train"), ms, 3*ms, 0, 0, 0)
+	collective(set.Log(0), "allreduce", 5*ms, ms, 1024, 4)
+	main.Record(evlog.KindSample, Code("arena bytes"), 7*ms, 0, 4096, 0, 0)
+	main.Record(evlog.KindSample, Code("arena bytes"), 8*ms, 0, 8192, 0, 0)
+	main.Record(evlog.KindSample, Code("comm bytes"), 9*ms, 0, 1024, 0, 0)
+	return set
 }
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := deterministicTracer().WriteChromeTrace(&buf); err != nil {
+	if err := writeChromeTrace(&buf, deterministicRun()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -64,7 +62,7 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := deterministicTracer().WriteChromeTrace(&buf); err != nil {
+	if err := writeChromeTrace(&buf, deterministicRun()); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"agnn/internal/obs/causal"
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 	"agnn/internal/obs/serve"
@@ -34,9 +33,9 @@ type CLI struct {
 	MetricsFinal string // Prometheus snapshot written when the server shuts down
 	FlightDir    string // directory for flight-recorder dumps (failures, SIGQUIT)
 
-	tracer  *Tracer
-	cpuFile *os.File
-	server  *serve.Server
+	recording bool
+	cpuFile   *os.File
+	server    *serve.Server
 }
 
 // Register adds the -trace, -metrics, -cpuprofile, -memprofile and -serve
@@ -51,25 +50,15 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.FlightDir, "flight-dir", "", "write flight-recorder dumps (rank failures, SIGQUIT) to this directory (default $AGNN_FLIGHT_DIR)")
 }
 
-// Active reports whether any observability output was requested.
-func (c *CLI) Active() bool {
-	return c.Trace != "" || c.Metrics != "" || c.CPUProfile != "" || c.MemProfile != "" || c.Serve != ""
-}
+// records reports whether the flags ask for the run to be recorded (-trace,
+// -metrics or -serve; the live /report endpoint reads the recorded logs too).
+func (c *CLI) records() bool { return c.Trace != "" || c.Metrics != "" || c.Serve != "" }
 
-// Tracing reports whether span collection is on (-trace, -metrics or
-// -serve; the live /report endpoint snapshots the tracer too).
-func (c *CLI) Tracing() bool { return c.Trace != "" || c.Metrics != "" || c.Serve != "" }
-
-// report aggregates the tracer's spans (empty when tracing is off) and
+// report aggregates the recorded run (empty when nothing was recorded) and
 // attaches the live metrics snapshot — the payload of both the -metrics
 // file and the /report endpoint.
 func (c *CLI) report() *Report {
-	var rep *Report
-	if t := Get(); t != nil {
-		rep = t.Report()
-	} else {
-		rep = &Report{}
-	}
+	rep := BuildReport()
 	// Critical path before the snapshot, so the agnn_critpath_* gauges it
 	// publishes land in the same metrics payload.
 	if sum := CriticalPath(); sum != nil {
@@ -80,16 +69,16 @@ func (c *CLI) report() *Report {
 	return rep
 }
 
-// Start begins CPU profiling, enables the process-wide tracer, arms the
-// SIGQUIT flight-dump handler, and starts the diagnostics server, as
-// requested by the flags.
+// Start begins CPU profiling, switches recording on, arms the SIGQUIT
+// flight-dump handler, and starts the diagnostics server, as requested by
+// the flags.
 func (c *CLI) Start() error {
 	if c.FlightDir != "" {
 		flight.SetDumpDir(c.FlightDir)
 	}
-	// Always-on: SIGQUIT dumps the flight recorder's recent-event ring
-	// (to -flight-dir / $AGNN_FLIGHT_DIR when set, stderr otherwise) —
-	// the postmortem for a hung run that never reaches Stop.
+	// Always-on: SIGQUIT dumps the logs' recent-event rings (to -flight-dir
+	// / $AGNN_FLIGHT_DIR when set, stderr otherwise) — the postmortem for a
+	// hung run that never reaches Stop.
 	flight.NotifySignal(syscall.SIGQUIT)
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
@@ -102,12 +91,9 @@ func (c *CLI) Start() error {
 		}
 		c.cpuFile = f
 	}
-	if c.Tracing() {
-		c.tracer = New()
-		Enable(c.tracer)
-		// Causal stamping shares the tracer's epoch, so message edges and
-		// spans line up without time-base conversion.
-		causal.Enable(causal.NewAt(c.tracer.epoch))
+	if c.records() {
+		StartRecording()
+		c.recording = true
 	}
 	if c.Serve != "" {
 		s, err := serve.Start(c.Serve, serve.Options{
@@ -124,18 +110,10 @@ func (c *CLI) Start() error {
 	return nil
 }
 
-// ServeAddr returns the bound diagnostics address ("" when -serve is off).
-func (c *CLI) ServeAddr() string {
-	if c.server == nil {
-		return ""
-	}
-	return c.server.Addr()
-}
-
 // Stop flushes every requested output: stops the CPU profile, writes the
 // heap profile, the Chrome trace and the run-report, shuts down the
-// diagnostics server, and disables the process-wide tracer. Returns the
-// first error encountered but attempts all outputs.
+// diagnostics server, and switches recording off. Returns the first error
+// encountered but attempts all outputs.
 func (c *CLI) Stop() error {
 	var first error
 	keep := func(err error) {
@@ -148,21 +126,18 @@ func (c *CLI) Stop() error {
 		keep(c.cpuFile.Close())
 		c.cpuFile = nil
 	}
-	if c.tracer != nil {
+	if c.recording {
+		StopRecording()
+		c.recording = false
 		// Publish the critical-path gauges even without -metrics, so the
 		// -metrics-final Prometheus snapshot carries them.
-		PublishCriticalPath(criticalPath(c.tracer, causal.Get()))
+		PublishCriticalPath(CriticalPath())
+		if c.Trace != "" {
+			keep(WriteChromeTraceFile(c.Trace))
+		}
 	}
 	if c.Metrics != "" {
-		keep(writeReportFile(c.Metrics, c.report()))
-	}
-	if c.tracer != nil {
-		Disable()
-		causal.Disable()
-		if c.Trace != "" {
-			keep(c.tracer.WriteChromeTraceFile(c.Trace))
-		}
-		c.tracer = nil
+		keep(c.report().WriteFile(c.Metrics))
 	}
 	if c.server != nil {
 		// Graceful: let an in-flight scrape finish, bounded so a stuck
@@ -183,17 +158,4 @@ func (c *CLI) Stop() error {
 		}
 	}
 	return first
-}
-
-// writeReportFile writes an already-built report to path.
-func writeReportFile(path string, rep *Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

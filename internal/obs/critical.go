@@ -1,58 +1,20 @@
 package obs
 
 import (
-	"fmt"
-
 	"agnn/internal/obs/causal"
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/metrics"
 )
 
-// Cross-rank critical path: the causal log (internal/obs/causal) carries
-// the message edges, the tracer's per-rank tracks carry the named spans;
-// this file joins the two — converting "rank N" / "rank N gather" track
-// events into causal.Spans on the log's time base — and publishes the
-// reconstruction as agnn_critpath_* gauges.
-
-// CriticalPath reconstructs the run's cross-rank critical path from the
-// process-wide causal log and tracer. Returns nil when causal tracing is
-// off or nothing was recorded.
-func CriticalPath() *causal.Summary {
-	return criticalPath(Get(), causal.Get())
-}
-
-func criticalPath(t *Tracer, l *causal.Log) *causal.Summary {
-	if l == nil {
-		return nil
-	}
-	spans := map[int][]causal.Span{}
-	if t != nil {
-		// Span times count from the tracer epoch, causal times from the
-		// log epoch; offset converts (zero when the CLI created both).
-		off := t.epoch.Sub(l.Epoch()).Nanoseconds()
-		for _, tr := range t.Tracks() {
-			var r int
-			// Matches both "rank N" and "rank N gather".
-			if n, _ := fmt.Sscanf(tr.name, "rank %d", &r); n != 1 {
-				continue
-			}
-			tr.mu.Lock()
-			for _, e := range tr.events {
-				if e.flow != flowNone {
-					continue
-				}
-				spans[r] = append(spans[r], causal.Span{Name: e.name,
-					T0: e.start.Nanoseconds() + off,
-					T1: (e.start + e.dur).Nanoseconds() + off})
-			}
-			tr.mu.Unlock()
-		}
-	}
-	return causal.Analyze(l, spans, causal.Options{})
-}
+// CriticalPath reconstructs the cross-rank critical path of the recorded
+// run (internal/obs/causal reads the rank logs: message records are the
+// edges, timed records the attribution). Returns nil when no rank recorded
+// a message or a mark.
+func CriticalPath() *CritPath { return causal.Analyze(evlog.Default, causal.Options{}) }
 
 // PublishCriticalPath sets the agnn_critpath_* gauges from a summary.
 // No-op on nil.
-func PublishCriticalPath(s *causal.Summary) {
+func PublishCriticalPath(s *CritPath) {
 	if s == nil {
 		return
 	}

@@ -1,3 +1,11 @@
+// Package flight is the postmortem reader of the per-rank event logs
+// (internal/obs/evlog; docs/OBSERVABILITY.md): it serializes the logs'
+// always-on rings — the last few thousand plan ops, supersteps, collective
+// calls, straggler detections and counter deltas of every rank — to a JSON
+// dump when something goes wrong (a rank failure, a SIGQUIT poke, a clean
+// shutdown, or a /debug/flight request on the diagnostics server). It owns
+// the dump's format and where dumps land; the one record it writes is the
+// failure mark of OnRankFailure.
 package flight
 
 import (
@@ -7,10 +15,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"agnn/internal/obs/evlog"
 )
 
 // Dump is the JSON artifact written when the black box is cracked open:
@@ -18,7 +27,7 @@ import (
 // superstep) plus every lane's recent events.
 type Dump struct {
 	Schema        string     `json:"schema"` // "agnn-flight/v1"
-	Reason        string     `json:"reason"` // "rank-failure" | "signal" | "request" | "manual"
+	Reason        string     `json:"reason"` // "rank-failure" | "signal" | "request" | "shutdown" | "manual"
 	CapturedAt    time.Time  `json:"captured_at"`
 	GoVersion     string     `json:"go_version"`
 	FailedRank    *int       `json:"failed_rank,omitempty"`
@@ -27,36 +36,68 @@ type Dump struct {
 	Lanes         []LaneDump `json:"lanes"`
 }
 
-// LaneDump is one lane's contribution to a Dump.
+// LaneDump is one rank's ring in a Dump. Recorded counts everything the
+// rank ever logged; Recorded - len(Events) of it has been overwritten.
 type LaneDump struct {
-	Rank     int     `json:"rank"` // -1 = process lane
+	Rank     int     `json:"rank"` // -1 = process log
 	Recorded uint64  `json:"recorded"`
 	Events   []Event `json:"events"`
+}
+
+// Event is one decoded ring entry, ordered by Seq within its lane. A/B/C
+// depend on Kind: span (duration ns, bytes, flops), layer (duration ns,
+// index, 1 if backward), comm (bytes, messages, duration ns), causal-send
+// (sequence number, destination, superstep), causal-recv (sequence number,
+// source, blocked ns), superstep (round, wait ns), straggler (wait ns,
+// median ns, round), epoch (duration ns, number), checkpoint (duration ns),
+// failure (last superstep), counter (delta, value), sample (value).
+type Event struct {
+	Seq    uint64 `json:"seq"`
+	TimeNs int64  `json:"t_ns"` // ns since the set's epoch, at the event's end
+	Kind   string `json:"kind"`
+	Name   string `json:"name,omitempty"`
+	A      int64  `json:"a"`
+	B      int64  `json:"b,omitempty"`
+	C      int64  `json:"c,omitempty"`
 }
 
 // DumpSchema identifies the flight-dump JSON layout.
 const DumpSchema = "agnn-flight/v1"
 
-// Capture snapshots every lane of the recorder. reason is recorded in the
-// header verbatim.
-func (r *Recorder) Capture(reason string) *Dump {
-	r.mu.Lock()
-	lanes := make([]*Lane, 0, len(r.lanes))
-	for _, l := range r.lanes {
-		lanes = append(lanes, l)
+// event renders one ring record. The dump has no duration field, so the
+// timed kinds carry theirs in a payload word.
+func event(r evlog.Record) Event {
+	ev := Event{Seq: r.Seq, TimeNs: r.T0 + r.Dur, Kind: r.Kind.String(), Name: r.Name(),
+		A: r.A, B: r.B, C: r.C}
+	switch r.Kind &^ evlog.Side {
+	case evlog.KindSpan, evlog.KindOp, evlog.KindLayer, evlog.KindEpoch, evlog.KindCheckpoint:
+		ev.A, ev.B, ev.C = r.Dur, r.A, r.B
+	case evlog.KindCollective, evlog.KindRecv:
+		ev.C = r.Dur
 	}
-	r.mu.Unlock()
-	sort.Slice(lanes, func(i, j int) bool { return lanes[i].rank < lanes[j].rank })
+	return ev
+}
 
+// Capture snapshots the ring of every log in the set that has recorded
+// anything. reason is recorded in the header verbatim.
+func Capture(s *evlog.Set, reason string) *Dump {
 	d := &Dump{
 		Schema:     DumpSchema,
 		Reason:     reason,
 		CapturedAt: time.Now().UTC(),
 		GoVersion:  runtime.Version(),
-		Lanes:      make([]LaneDump, 0, len(lanes)),
+		Lanes:      []LaneDump{},
 	}
-	for _, l := range lanes {
-		d.Lanes = append(d.Lanes, LaneDump{Rank: l.rank, Recorded: l.Recorded(), Events: l.Events()})
+	for _, l := range s.Logs() {
+		if l.Recorded() == 0 {
+			continue
+		}
+		ring := l.Ring()
+		lane := LaneDump{Rank: l.Rank(), Recorded: l.Recorded(), Events: make([]Event, len(ring))}
+		for i, r := range ring {
+			lane.Events[i] = event(r)
+		}
+		d.Lanes = append(d.Lanes, lane)
 	}
 	return d
 }
@@ -110,19 +151,20 @@ func (d *Dump) WriteFile(dir string) (string, error) {
 	return path, nil
 }
 
-// OnRankFailure records a failure event on the rank's lane and, when a
-// dump directory is configured, writes a postmortem dump naming the failed
-// rank, its last superstep, and the cause. Called from the ErrRankFailed
-// unwind in internal/dist; allocation on this path is fine — the run is
-// already dead. Returns the dump path ("" when file output is disabled).
+// OnRankFailure is the rank-failure site: it leaves a failure record on the
+// rank's log in the Default set and, when a dump directory is configured,
+// writes a postmortem dump naming the failed rank, its last superstep, and
+// the cause. Called on the ErrRankFailed unwind; allocation on this path is
+// fine — the run is already dead. Returns the dump path ("" when file
+// output is disabled).
 func OnRankFailure(rank int, lastSuperstep int64, cause error) string {
-	l := Default.Lane(rank)
-	l.Record(KindFailure, 0, lastSuperstep, 0, 0)
+	l := evlog.Default.Log(rank)
+	l.Record(evlog.KindFailure, 0, l.Now(), 0, lastSuperstep, 0, 0)
 	dir := DumpDir()
 	if dir == "" {
 		return ""
 	}
-	d := Default.Capture("rank-failure")
+	d := Capture(evlog.Default, "rank-failure")
 	d.FailedRank = &rank
 	d.LastSuperstep = &lastSuperstep
 	if cause != nil {
@@ -137,7 +179,7 @@ func OnRankFailure(rank int, lastSuperstep int64, cause error) string {
 	return path
 }
 
-// OnShutdown writes a clean-shutdown dump of the Default recorder to the
+// OnShutdown writes a clean-shutdown dump of the Default set to the
 // configured dump directory, mirroring the rank-failure path so graceful
 // exits leave the same postmortem artifact a crash would. No-op (returns
 // "") when no dump directory is configured. Callers provide once-only
@@ -147,7 +189,7 @@ func OnShutdown() string {
 	if dir == "" {
 		return ""
 	}
-	path, err := Default.Capture("shutdown").WriteFile(dir)
+	path, err := Capture(evlog.Default, "shutdown").WriteFile(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flight: failed to write shutdown dump: %v\n", err)
 		return ""
@@ -155,23 +197,23 @@ func OnShutdown() string {
 	return path
 }
 
-// Handler serves the recorder's current contents as a Dump with reason
-// "request" — mounted at /debug/flight by internal/obs/serve.
-func (r *Recorder) Handler() http.Handler {
+// Handler serves the set's current rings as a Dump with reason "request" —
+// mounted at /debug/flight by internal/obs/serve.
+func Handler(s *evlog.Set) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(r.Capture("request")) //nolint:errcheck // client gone mid-write is fine
+		enc.Encode(Capture(s, "request")) //nolint:errcheck // client gone mid-write is fine
 	})
 }
 
 var signalOnce sync.Once
 
 // NotifySignal arranges for sig (conventionally SIGQUIT) to write a dump
-// of the Default recorder to the configured dump directory (stderr when
-// none is configured). The process keeps running — the signal is a
-// diagnostic poke, not a kill. Installed at most once per process.
+// of the Default set to the configured dump directory (stderr when none is
+// configured). The process keeps running — the signal is a diagnostic
+// poke, not a kill. Installed at most once per process.
 func NotifySignal(sig os.Signal) {
 	signalOnce.Do(func() { go watchSignal(sig) })
 }

@@ -9,33 +9,47 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"agnn/internal/obs/evlog"
 )
 
+// lane returns the dump of one rank's ring in a capture of s.
+func lane(t *testing.T, s *evlog.Set, rank int) LaneDump {
+	t.Helper()
+	for _, l := range Capture(s, "manual").Lanes {
+		if l.Rank == rank {
+			return l
+		}
+	}
+	t.Fatalf("no lane for rank %d", rank)
+	return LaneDump{}
+}
+
 func TestCodeInternAndResolve(t *testing.T) {
-	a := Code("spmm")
-	b := Code("mm")
+	a := evlog.Code("spmm")
+	b := evlog.Code("mm")
 	if a == 0 || b == 0 || a == b {
 		t.Fatalf("codes must be distinct and non-zero: %d %d", a, b)
 	}
-	if Code("spmm") != a {
+	if evlog.Code("spmm") != a {
 		t.Fatal("re-interning must be stable")
 	}
-	if CodeName(a) != "spmm" || CodeName(b) != "mm" {
-		t.Fatalf("resolve: %q %q", CodeName(a), CodeName(b))
+	if evlog.CodeName(a) != "spmm" || evlog.CodeName(b) != "mm" {
+		t.Fatalf("resolve: %q %q", evlog.CodeName(a), evlog.CodeName(b))
 	}
-	if CodeName(0) != "" || CodeName(1<<30) != "" {
+	if evlog.CodeName(0) != "" || evlog.CodeName(1<<30) != "" {
 		t.Fatal("unknown codes must resolve to empty")
 	}
 }
 
 func TestRecordAndEventsOrdered(t *testing.T) {
-	r := New(8)
-	l := r.Lane(3)
-	c := Code("test-ev")
+	s := evlog.NewSet(8)
+	l := s.Log(3)
+	c := evlog.Code("test-ev")
 	for i := int64(1); i <= 5; i++ {
-		l.Record(KindSuperstep, c, i, i*10, 0)
+		l.Record(evlog.KindSuperstep, c, l.Now(), 0, i, i*10, 0)
 	}
-	evs := l.Events()
+	evs := lane(t, s, 3).Events
 	if len(evs) != 5 {
 		t.Fatalf("got %d events, want 5", len(evs))
 	}
@@ -53,12 +67,12 @@ func TestRecordAndEventsOrdered(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := New(4)
-	l := r.Lane(0)
+	s := evlog.NewSet(4)
+	l := s.Log(0)
 	for i := int64(1); i <= 10; i++ {
-		l.Record(KindSpan, 0, i, 0, 0)
+		l.Record(evlog.KindSpan, 0, 0, i, 0, 0, 0) // a span's A is its duration
 	}
-	evs := l.Events()
+	evs := lane(t, s, 0).Events
 	if len(evs) != 4 {
 		t.Fatalf("ring must cap at 4, got %d", len(evs))
 	}
@@ -67,55 +81,55 @@ func TestRingOverwritesOldest(t *testing.T) {
 			t.Fatalf("event %d = %d, want %d (most recent survive)", i, ev.A, want)
 		}
 	}
-	if l.Recorded() != 10 {
-		t.Fatalf("recorded = %d, want 10", l.Recorded())
+	if d := lane(t, s, 0); d.Recorded != 10 {
+		t.Fatalf("recorded = %d, want 10 (the dump says how many the ring lost)", d.Recorded)
 	}
 }
 
 func TestNilLaneIsInert(t *testing.T) {
-	var l *Lane
-	l.Record(KindSpan, 0, 1, 2, 3) // must not panic
-	if l.Events() != nil || l.Recorded() != 0 || l.Rank() != -1 {
-		t.Fatal("nil lane must be a no-op")
+	var l *evlog.Log
+	l.Record(evlog.KindSpan, 0, 0, 1, 2, 3, 0) // must not panic
+	if l.Ring() != nil || l.Events() != nil || l.Recorded() != 0 || l.Rank() != -1 {
+		t.Fatal("nil log must be a no-op")
 	}
 }
 
 func TestRecordZeroAllocs(t *testing.T) {
-	r := New(64)
-	l := r.Lane(0)
-	c := Code("alloc-test")
+	s := evlog.NewSet(64)
+	l := s.Log(0)
+	c := evlog.Code("alloc-test")
 	if n := testing.AllocsPerRun(100, func() {
-		l.Record(KindSpan, c, 1, 2, 3)
+		l.Record(evlog.KindSpan, c, 0, 1, 2, 3, 0)
 	}); n != 0 {
 		t.Fatalf("Record allocates: %v allocs/op", n)
 	}
-	// The cached-lane lookup must also be allocation-free so hot paths that
+	// The cached-log lookup must also be allocation-free so hot paths that
 	// re-resolve are still safe.
 	if n := testing.AllocsPerRun(100, func() {
-		r.Lane(0).Record(KindSpan, c, 1, 2, 3)
+		s.Log(0).Record(evlog.KindSpan, c, 0, 1, 2, 3, 0)
 	}); n != 0 {
-		t.Fatalf("Lane+Record allocates: %v allocs/op", n)
+		t.Fatalf("Log+Record allocates: %v allocs/op", n)
 	}
 }
 
 func TestConcurrentRecordAndCapture(t *testing.T) {
-	r := New(32)
+	r := evlog.NewSet(32)
 	var wg sync.WaitGroup
 	for rank := 0; rank < 4; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			l := r.Lane(rank)
-			c := Code("race-ev")
+			l := r.Log(rank)
+			c := evlog.Code("race-ev")
 			for i := int64(0); i < 2000; i++ {
-				l.Record(KindComm, c, i, 0, 0)
+				l.Record(evlog.KindCollective, c, 0, 0, i, 0, 0)
 			}
 		}(rank)
 	}
 	// Capture concurrently with the writers: the seqlock must keep every
 	// surfaced event internally consistent (A is the only varying field).
 	for i := 0; i < 20; i++ {
-		d := r.Capture("manual")
+		d := Capture(r, "manual")
 		for _, lane := range d.Lanes {
 			for _, ev := range lane.Events {
 				if ev.Kind != "comm" && ev.Kind != "unknown" {
@@ -125,7 +139,7 @@ func TestConcurrentRecordAndCapture(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := len(r.Capture("manual").Lanes); got != 4 {
+	if got := len(Capture(r, "manual").Lanes); got != 4 {
 		t.Fatalf("lanes = %d, want 4", got)
 	}
 }
@@ -135,8 +149,7 @@ func TestOnRankFailureWritesDump(t *testing.T) {
 	prev := SetDumpDir(dir)
 	defer SetDumpDir(prev)
 
-	l := Default.Lane(2)
-	l.Record(KindSuperstep, Code("round"), 11, 0, 0)
+	evlog.Default.Log(2).Record(evlog.KindSuperstep, evlog.Code("round"), 0, 0, 11, 0, 0)
 	path := OnRankFailure(2, 12, errors.New("injected crash: rank=2 round=12"))
 	if path == "" {
 		t.Fatal("no dump written")
@@ -180,20 +193,20 @@ func TestOnRankFailureWritesDump(t *testing.T) {
 func TestOnRankFailureNoDirStillRecords(t *testing.T) {
 	prev := SetDumpDir("")
 	defer SetDumpDir(prev)
-	before := Default.Lane(7).Recorded()
+	before := evlog.Default.Log(7).Recorded()
 	if path := OnRankFailure(7, 3, nil); path != "" {
 		t.Fatalf("dump written with no dir: %s", path)
 	}
-	if Default.Lane(7).Recorded() != before+1 {
+	if evlog.Default.Log(7).Recorded() != before+1 {
 		t.Fatal("failure event not recorded")
 	}
 }
 
 func TestHandlerServesDump(t *testing.T) {
-	r := New(8)
-	r.Lane(0).Record(KindSpan, Code("handler-ev"), 42, 0, 0)
+	r := evlog.NewSet(8)
+	r.Log(0).Record(evlog.KindCounter, evlog.Code("handler-ev"), 0, 0, 42, 0, 0)
 	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight", nil))
+	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -223,7 +236,7 @@ func TestSignalDumpFallsBackWithoutDir(t *testing.T) {
 
 func TestWriteFileCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "flight")
-	d := New(4).Capture("manual")
+	d := Capture(evlog.NewSet(4), "manual")
 	path, err := d.WriteFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -234,25 +247,24 @@ func TestWriteFileCreatesDir(t *testing.T) {
 }
 
 func BenchmarkRecord(b *testing.B) {
-	r := New(DefaultLaneSize)
-	l := r.Lane(0)
-	c := Code("bench")
+	l := evlog.NewSet(evlog.DefaultRingSize).Log(0)
+	c := evlog.Code("bench")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Record(KindSpan, c, int64(i), 64, 128)
+		l.Record(evlog.KindOp, c, 0, int64(i), 64, 128, 0)
 	}
 }
 
 // TestOnShutdownWritesDump: a clean shutdown with a configured dump dir
 // must produce the same agnn-flight/v1 artifact as the crash path, with
-// reason "shutdown" and the recorder's lanes intact.
+// reason "shutdown" and the set's lanes intact.
 func TestOnShutdownWritesDump(t *testing.T) {
 	dir := t.TempDir()
 	prev := SetDumpDir(dir)
 	defer SetDumpDir(prev)
 
-	Default.Lane(3).Record(KindSpan, Code("serve-req"), 7, 0, 0)
+	evlog.Default.Log(3).Record(evlog.KindSpan, evlog.Code("serve-req"), 0, 7, 0, 0, 0)
 	path := OnShutdown()
 	if path == "" {
 		t.Fatal("no shutdown dump written")

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+
+	"agnn/internal/obs/evlog"
 )
 
 // watchSignal blocks on sig forever, writing one dump per delivery. Split
@@ -17,11 +19,11 @@ func watchSignal(sig os.Signal) {
 	}
 }
 
-// dumpOnSignal captures the Default recorder with reason "signal" and
+// dumpOnSignal captures the Default set with reason "signal" and
 // writes it to the dump directory, falling back to stderr so a SIGQUIT
 // always yields something even in unconfigured processes.
 func dumpOnSignal() {
-	d := Default.Capture("signal")
+	d := Capture(evlog.Default, "signal")
 	if dir := DumpDir(); dir != "" {
 		if path, err := d.WriteFile(dir); err == nil {
 			fmt.Fprintf(os.Stderr, "flight: signal dump written to %s\n", path)

@@ -1,295 +1,134 @@
-// Package obs is the unified tracing and metrics substrate of the
-// repository: cheap start/stop spans over a monotonic clock, one track per
-// rank (or per bound goroutine) so BSP supersteps line up visually across
-// ranks, a Chrome trace-event exporter loadable in chrome://tracing or
-// Perfetto, and an aggregated run-report that cmd/agnn-report summarizes.
+// Package obs is the instrumentation surface of the repository
+// (docs/OBSERVABILITY.md). There is one store — a per-rank event log
+// (internal/obs/evlog: an always-on ring plus a log that fills while a run
+// is recorded) — and one instrument per site: a compiled-plan op, a layer,
+// a collective, a message, a superstep, an epoch or checkpoint mark each
+// make one call that advances the site's aggregates in the metrics registry
+// and writes the site's one record (sites.go). Everything a run leaves
+// behind is a reader of those logs: the flight dump of the rings
+// (internal/obs/flight), the Chrome trace (chrome.go), the run-report
+// (report.go) and the cross-rank critical path (internal/obs/causal,
+// critical.go).
 //
-// The package is zero-dependency (stdlib only) and safe to leave compiled
-// into every hot path: the global tracer defaults to disabled, and a span
-// on the disabled path costs one atomic load and allocates nothing. Enable
-// tracing for a region with
+// Sites resolve their log once, where they resolve their metric handles —
+// plan compile, world construction, a model's first step — so recording an
+// event never looks anything up. A site created on a goroutine bound to a
+// rank's log (internal/dist binds every rank goroutine) belongs to that
+// rank; any other belongs to the process log, "main". Bare Start calls in
+// the direct kernels resolve the binding per span and are inert unless a
+// run is being recorded.
 //
-//	tr := obs.New()
-//	obs.Enable(tr)
-//	defer obs.Disable()
+// Record a run with
+//
+//	obs.StartRecording()
 //	...
-//	tr.WriteChromeTraceFile("trace.json")
+//	obs.StopRecording()
+//	obs.WriteChromeTraceFile("trace.json")
 //
 // or, in the CLI binaries, with the shared -trace/-metrics flags (see CLI).
-//
-// Spans started through the package-level Start land on the track bound to
-// the calling goroutine (Tracer.BindGoroutine), falling back to the "main"
-// track. internal/dist binds one track per simulated rank, so kernel spans
-// fired inside rank goroutines are attributed to the right rank
-// automatically.
 package obs
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"agnn/internal/obs/evlog"
 )
 
-// Attr is one integer span attribute (communication bytes, message counts,
-// nnz …). Attributes are attached at End and exported both as Chrome trace
-// args and as per-span-name sums in the aggregated report.
-type Attr struct {
-	Key string
-	Val int64
-}
+// Log is one rank's event log.
+type Log = evlog.Log
 
-// Int64 constructs a span attribute.
-func Int64(key string, val int64) Attr { return Attr{Key: key, Val: val} }
+// Span is an in-flight timed region of a Log.
+type Span = evlog.Span
 
-// Flow-event markers (event.flow): a flow pair shares an id and draws an
-// arrow between tracks in the Chrome trace — the causal message edges of
-// internal/obs/causal.
+// The record kinds sites outside this package write directly.
 const (
-	flowNone uint8 = iota
-	flowOut        // "s": flow starts here (message send)
-	flowIn         // "f": flow ends here (message receive)
+	KindEpoch      = evlog.KindEpoch
+	KindCheckpoint = evlog.KindCheckpoint
+	KindCounter    = evlog.KindCounter
 )
 
-// event is one completed span on a track, or a flow endpoint (flow !=
-// flowNone; dur and attrs unused).
-type event struct {
-	name   string
-	start  time.Duration // since tracer epoch (monotonic)
-	dur    time.Duration
-	attrs  []Attr
-	flow   uint8
-	flowID uint64
+// Code interns an event name; sites do it once, at wiring time.
+func Code(name string) uint32 { return evlog.Code(name) }
+
+// Now returns nanoseconds since the process-wide epoch every record is
+// timed against.
+func Now() int64 { return evlog.Default.Now() }
+
+// Rank returns the process-wide log of one rank.
+func Rank(r int) *Log { return evlog.Default.Log(r) }
+
+// Main returns the process log, for events no rank owns.
+func Main() *Log { return mainLog }
+
+var mainLog = evlog.Default.Log(-1)
+
+// StartRecording empties the recorded logs and switches recording on: from
+// here every record also lands on its rank's recorded log, which is what
+// the Chrome trace, the run-report and the critical path read.
+func StartRecording() { evlog.Default.StartRecording() }
+
+// StopRecording switches recording off; the recorded run stays readable
+// until the next StartRecording.
+func StopRecording() { evlog.Default.StopRecording() }
+
+// Recording reports whether a run is being recorded.
+func Recording() bool { return evlog.Default.Recording() }
+
+// byGID maps a goroutine id to the log bound to it; bound counts the
+// entries, so a process that runs no ranks never asks for a goroutine id.
+var (
+	byGID sync.Map
+	bound atomic.Int64
+)
+
+// Bind makes l the current goroutine's log: sites created on it (Current)
+// and bare Start calls made from it belong to l. internal/dist binds each
+// rank goroutine to its rank's log. Pair every Bind with an Unbind.
+func Bind(l *Log) {
+	byGID.Store(gid(), l)
+	bound.Add(1)
 }
 
-// Track is an ordered sequence of spans rendered as one horizontal timeline
-// (one Chrome trace tid). Tracks are cheap; create one per rank or per
-// logical thread of activity. All methods are safe for concurrent use, but
-// spans on a single track should be well-nested (the natural shape when one
-// goroutine owns the track).
-type Track struct {
-	tracer *Tracer
-	id     int
-	name   string
-
-	open atomic.Int64 // spans started but not yet ended
-
-	mu     sync.Mutex
-	events []event
+// Unbind removes the current goroutine's binding.
+func Unbind() {
+	byGID.Delete(gid())
+	bound.Add(-1)
 }
 
-// Name returns the track's display name.
-func (t *Track) Name() string { return t.name }
-
-// ID returns the track's numeric id (the Chrome trace tid).
-func (t *Track) ID() int { return t.id }
-
-// Start begins a span on the track. Starting on a nil track returns an
-// inert span, so handles threaded through un-traced runs cost only a nil
-// check.
-func (t *Track) Start(name string) Span {
-	if t == nil {
-		return Span{}
-	}
-	t.open.Add(1)
-	return Span{track: t, name: name, start: t.tracer.now()}
-}
-
-// FlowOut records the sending endpoint of a cross-track flow arrow; the
-// matching FlowIn on the receiver's track shares id. No-op on nil tracks.
-func (t *Track) FlowOut(name string, id uint64) { t.flowEvent(name, flowOut, id) }
-
-// FlowIn records the receiving endpoint of a cross-track flow arrow.
-func (t *Track) FlowIn(name string, id uint64) { t.flowEvent(name, flowIn, id) }
-
-func (t *Track) flowEvent(name string, kind uint8, id uint64) {
-	if t == nil {
-		return
-	}
-	now := t.tracer.now()
-	t.mu.Lock()
-	t.events = append(t.events, event{name: name, start: now, flow: kind, flowID: id})
-	t.mu.Unlock()
-}
-
-// Open returns the number of spans started on the track that have not
-// ended yet. Live snapshots (the /report endpoint) surface it so a
-// mid-superstep report is not mistaken for a complete one.
-func (t *Track) Open() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.open.Load()
-}
-
-// Span is an in-flight timed region. The zero value is inert: End on it
-// does nothing, which is what the disabled path returns.
-type Span struct {
-	track *Track
-	name  string
-	start time.Duration
-}
-
-// Active reports whether the span records anything. Use it to skip
-// attribute computation on un-traced runs.
-func (s Span) Active() bool { return s.track != nil }
-
-// End completes the span, attaching any attributes. Calling End() with no
-// attributes does not allocate.
-func (s Span) End(attrs ...Attr) {
-	if s.track == nil {
-		return
-	}
-	d := s.track.tracer.now() - s.start
-	s.track.mu.Lock()
-	s.track.events = append(s.track.events, event{name: s.name, start: s.start, dur: d, attrs: attrs})
-	s.track.mu.Unlock()
-	s.track.open.Add(-1)
-}
-
-// Tracer owns a set of tracks plus the epoch all spans are timed against.
-type Tracer struct {
-	epoch time.Time
-	nowFn func() time.Duration // test hook; defaults to time.Since(epoch)
-
-	mu     sync.Mutex
-	tracks []*Track
-	main   *Track
-
-	seriesMu sync.Mutex
-	series   []*series
-	byName   map[string]*series
-
-	byGID sync.Map // goroutine id (uint64) → *Track
-}
-
-// counterSample is one point of a counter timeline.
-type counterSample struct {
-	ts  time.Duration
-	val int64
-}
-
-// series is one named counter timeline, rendered by the Chrome exporter as
-// "C" (counter) events — the memory/communication graphs Perfetto draws
-// alongside the span tracks.
-type series struct {
-	name string
-
-	mu      sync.Mutex
-	samples []counterSample
-}
-
-// Sample appends one point to the named counter timeline. Instrumented
-// gauges (arena bytes, cumulative communication bytes) call this on every
-// update while tracing is enabled.
-func (t *Tracer) Sample(name string, val int64) {
-	t.seriesMu.Lock()
-	s := t.byName[name]
-	if s == nil {
-		if t.byName == nil {
-			t.byName = make(map[string]*series)
+// Current resolves the calling goroutine's log (Main when unbound). With
+// ranks bound it parses the goroutine id out of a stack header — microseconds,
+// more on a deep stack: call it where a site is wired, not where it fires.
+func Current() *Log {
+	if bound.Load() > 0 {
+		if l, ok := byGID.Load(gid()); ok {
+			return l.(*Log)
 		}
-		s = &series{name: name}
-		t.byName[name] = s
-		t.series = append(t.series, s)
 	}
-	t.seriesMu.Unlock()
-	now := t.now()
-	s.mu.Lock()
-	s.samples = append(s.samples, counterSample{ts: now, val: val})
-	s.mu.Unlock()
+	return Main()
 }
 
-// Sample records a counter point on the process-wide tracer; a no-op (one
-// atomic load) when tracing is disabled.
-func Sample(name string, val int64) {
-	if t := global.Load(); t != nil {
-		t.Sample(name, val)
-	}
-}
-
-// New creates a Tracer with a "main" default track.
-func New() *Tracer {
-	t := &Tracer{epoch: time.Now()}
-	t.main = t.Track("main")
-	return t
-}
-
-// now returns the monotonic time since the tracer epoch.
-func (t *Tracer) now() time.Duration {
-	if t.nowFn != nil {
-		return t.nowFn()
-	}
-	return time.Since(t.epoch)
-}
-
-// Track creates a new track. Track ids are assigned in creation order, so
-// ranks created 0..p-1 render in rank order.
-func (t *Tracer) Track(name string) *Track {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr := &Track{tracer: t, id: len(t.tracks), name: name}
-	t.tracks = append(t.tracks, tr)
-	return tr
-}
-
-// Tracks returns a snapshot of all tracks in id order.
-func (t *Tracer) Tracks() []*Track {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Track(nil), t.tracks...)
-}
-
-// Main returns the default track used by unbound goroutines.
-func (t *Tracer) Main() *Track { return t.main }
-
-// BindGoroutine routes package-level Start calls made from the current
-// goroutine to tr. internal/dist binds each rank goroutine to its rank
-// track so kernel spans nest under the rank's timeline.
-func (t *Tracer) BindGoroutine(tr *Track) { t.byGID.Store(gid(), tr) }
-
-// UnbindGoroutine removes the current goroutine's binding.
-func (t *Tracer) UnbindGoroutine() { t.byGID.Delete(gid()) }
-
-// current resolves the calling goroutine's track (main when unbound).
-func (t *Tracer) current() *Track {
-	if tr, ok := t.byGID.Load(gid()); ok {
-		return tr.(*Track)
-	}
-	return t.main
-}
-
-// global is the process-wide tracer; nil means tracing is disabled and
-// instrumented hot paths pay exactly one atomic load.
-var global atomic.Pointer[Tracer]
-
-// Enable installs t as the process-wide tracer.
-func Enable(t *Tracer) { global.Store(t) }
-
-// Disable turns process-wide tracing off.
-func Disable() { global.Store(nil) }
-
-// Enabled reports whether a process-wide tracer is installed.
-func Enabled() bool { return global.Load() != nil }
-
-// Get returns the process-wide tracer, or nil when disabled.
-func Get() *Tracer { return global.Load() }
-
-// Start begins a span on the calling goroutine's track of the process-wide
-// tracer. When tracing is disabled it returns an inert span after a single
-// atomic load and does not allocate.
+// Start begins a span on the calling goroutine's log — the instrument of
+// the direct kernels, which have no wiring step to resolve a log in. It is
+// inert (one atomic load, no allocation) unless a run is being recorded.
 func Start(name string) Span {
-	t := global.Load()
-	if t == nil {
+	if !Recording() {
 		return Span{}
 	}
-	return t.current().Start(name)
+	return Current().Start(name)
+}
+
+// Sample appends one point to the named counter timeline of a recorded run
+// (the "C" events of the Chrome trace); a no-op (one atomic load) otherwise.
+func Sample(name string, val int64) {
+	if Recording() {
+		Main().Record(evlog.KindSample, Code(name), Now(), 0, val, 0, 0)
+	}
 }
 
 // gid returns the current goroutine id, parsed from the runtime stack
-// header ("goroutine N [status]:"). This costs on the order of a
-// microsecond and is paid only on the enabled path, where spans wrap
-// kernel- or collective-sized work.
+// header ("goroutine N [status]:").
 func gid() uint64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)

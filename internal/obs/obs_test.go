@@ -2,86 +2,84 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"agnn/internal/obs/evlog"
 )
 
-// fakeClock drives a tracer deterministically: every call to now advances
-// by step.
-func fakeClock(t *Tracer, step time.Duration) {
-	var tick time.Duration
-	t.nowFn = func() time.Duration {
-		tick += step
-		return tick
-	}
+// recordingSet returns a private set with recording on, so a test's records
+// are the only ones its readers see.
+func recordingSet() *evlog.Set {
+	s := evlog.NewSet(64)
+	s.StartRecording()
+	return s
+}
+
+// collective writes one collective record with explicit times.
+func collective(l *Log, name string, t0, dur, bytes, msgs int64) {
+	l.Record(evlog.KindCollective, Code(name), t0, dur, bytes, msgs, 0)
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New()
-	fakeClock(tr, time.Millisecond)
-	outer := tr.Main().Start("outer")
-	inner := tr.Main().Start("inner")
+	main := recordingSet().Log(-1)
+	outer := main.Start("outer")
+	inner := main.Start("inner")
 	inner.End()
 	outer.End()
 
-	evs := tr.Main().events
+	evs := main.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
 	// End order: inner completes first.
 	in, out := evs[0], evs[1]
-	if in.name != "inner" || out.name != "outer" {
-		t.Fatalf("event order wrong: %q, %q", in.name, out.name)
+	if in.Name() != "inner" || out.Name() != "outer" {
+		t.Fatalf("event order wrong: %q, %q", in.Name(), out.Name())
 	}
-	if in.start <= out.start {
-		t.Fatalf("inner must start after outer: %v vs %v", in.start, out.start)
+	if in.T0 < out.T0 {
+		t.Fatalf("inner must not start before outer: %v vs %v", in.T0, out.T0)
 	}
-	if in.start+in.dur > out.start+out.dur {
+	if in.T0+in.Dur > out.T0+out.Dur {
 		t.Fatalf("inner must end before outer: inner ends %v, outer ends %v",
-			in.start+in.dur, out.start+out.dur)
+			in.T0+in.Dur, out.T0+out.Dur)
 	}
 }
 
 func TestConcurrentRanksDisjointTracks(t *testing.T) {
-	tr := New()
-	Enable(tr)
-	defer Disable()
+	StartRecording()
+	defer StopRecording()
 
 	const p = 8
-	tracks := make([]*Track, p)
-	for r := 0; r < p; r++ {
-		tracks[r] = tr.Track(fmt.Sprintf("rank %d", r))
-	}
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			tr.BindGoroutine(tracks[rank])
-			defer tr.UnbindGoroutine()
+			Bind(Rank(rank))
+			defer Unbind()
 			for i := 0; i < 10; i++ {
-				// Package-level Start must resolve to this rank's track.
-				sp := Start("step")
-				sp.End(Int64("rank", int64(rank)))
+				// Package-level Start must resolve to this rank's log.
+				Start("step").EndWith(int64(rank), 0, 0)
 			}
 		}(r)
 	}
 	wg.Wait()
 
-	if got := len(tr.Tracks()); got != p+1 { // + main
+	if got := len(lanes(evlog.Default)); got != p+1 { // + main
 		t.Fatalf("got %d tracks, want %d", got, p+1)
 	}
-	if n := len(tr.Main().events); n != 0 {
-		t.Fatalf("main track has %d stray events", n)
+	if n := len(Main().Events()); n != 0 {
+		t.Fatalf("main log has %d stray events", n)
 	}
-	for r, trk := range tracks {
-		if len(trk.events) != 10 {
-			t.Fatalf("rank %d: got %d events, want 10", r, len(trk.events))
+	for r := 0; r < p; r++ {
+		evs := Rank(r).Events()
+		if len(evs) != 10 {
+			t.Fatalf("rank %d: got %d events, want 10", r, len(evs))
 		}
-		for _, e := range trk.events {
-			if len(e.attrs) != 1 || e.attrs[0].Val != int64(r) {
+		for _, e := range evs {
+			if e.A != int64(r) {
 				t.Fatalf("rank %d: event leaked from another goroutine: %+v", r, e)
 			}
 		}
@@ -89,40 +87,44 @@ func TestConcurrentRanksDisjointTracks(t *testing.T) {
 }
 
 func TestDisabledPathDoesNotAllocate(t *testing.T) {
-	Disable()
+	StopRecording()
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := Start("hot")
 		sp.End()
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled span path allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("unrecorded span path allocates %.1f times per op, want 0", allocs)
 	}
-	// Nil-track handles (the un-traced distributed path) are free too.
-	var trk *Track
+	// Handles on no log are free too.
+	var l *Log
 	allocs = testing.AllocsPerRun(200, func() {
-		sp := trk.Start("hot")
+		sp := l.Start("hot")
 		sp.End()
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-track span path allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("nil-log span path allocates %.1f times per op, want 0", allocs)
+	}
+	// And a span on a log whose set is not recording reaches the ring alone.
+	l = evlog.NewSet(64).Log(0)
+	allocs = testing.AllocsPerRun(200, func() {
+		sp := l.Start("hot")
+		sp.End()
+	})
+	if allocs != 0 || len(l.Events()) != 0 || l.Recorded() == 0 {
+		t.Fatalf("always-on span: %.1f allocs/op, %d logged, %d in the ring", allocs, len(l.Events()), l.Recorded())
 	}
 }
 
 func TestReportAggregation(t *testing.T) {
-	tr := New()
-	fakeClock(tr, time.Millisecond)
-	r0 := tr.Track("rank 0")
-	r1 := tr.Track("rank 1")
-	for i := 0; i < 3; i++ {
-		sp := r0.Start("allreduce")
-		sp.End(Int64("bytes", 100), Int64("msgs", 2))
+	set := recordingSet()
+	const ms = int64(time.Millisecond)
+	for i := int64(0); i < 3; i++ {
+		collective(set.Log(0), "allreduce", 2*i*ms, ms, 100, 2)
 	}
-	sp := r1.Start("allreduce")
-	sp.End(Int64("bytes", 50), Int64("msgs", 1))
-	sp = r1.Start("spmm")
-	sp.End()
+	collective(set.Log(1), "allreduce", 0, 2*ms, 50, 1)
+	set.Log(1).Record(evlog.KindSpan, Code("spmm"), 2*ms, ms, 0, 0, 0)
 
-	rep := tr.Report()
+	rep := buildReport(set)
 	stats := map[string]SpanStat{}
 	for _, s := range rep.Spans {
 		stats[s.Name] = s
@@ -134,7 +136,7 @@ func TestReportAggregation(t *testing.T) {
 	if ar.Attrs["bytes"] != 350 || ar.Attrs["msgs"] != 7 {
 		t.Fatalf("allreduce attrs wrong: %v", ar.Attrs)
 	}
-	if ar.TotalNs <= 0 || ar.MaxNs <= 0 || ar.MaxNs > ar.TotalNs {
+	if ar.TotalNs != 5*ms || ar.MaxNs != 2*ms {
 		t.Fatalf("allreduce timing stats wrong: %+v", ar)
 	}
 	if stats["spmm"].Count != 1 {
@@ -155,15 +157,14 @@ func TestReportAggregation(t *testing.T) {
 // TestReportCountsOpenSpans: a live snapshot must not silently drop spans
 // that are still in flight — they show up in the per-track open count.
 func TestReportCountsOpenSpans(t *testing.T) {
-	tr := New()
-	fakeClock(tr, time.Millisecond)
-	r0 := tr.Track("rank 0")
+	set := recordingSet()
+	r0 := set.Log(0)
 	done := r0.Start("allreduce")
 	done.End()
 	inFlight := r0.Start("spmm") // never ended before the snapshot
-	alsoInFlight := tr.Main().Start("epoch")
+	alsoInFlight := set.Log(-1).Start("epoch")
 
-	rep := tr.Report()
+	rep := buildReport(set)
 	byTrack := map[string]TrackStat{}
 	for _, ts := range rep.Tracks {
 		byTrack[ts.Track] = ts
@@ -178,18 +179,17 @@ func TestReportCountsOpenSpans(t *testing.T) {
 	// After the spans end, a fresh snapshot reports them closed.
 	inFlight.End()
 	alsoInFlight.End()
-	rep = tr.Report()
+	rep = buildReport(set)
 	for _, ts := range rep.Tracks {
 		if ts.Open != 0 {
 			t.Fatalf("track %q still reports %d open spans after End", ts.Track, ts.Open)
 		}
 	}
 	// And the open count survives the JSON round trip.
-	tr2 := New()
-	fakeClock(tr2, time.Millisecond)
-	tr2.Main().Start("pending") // left open
+	set2 := recordingSet()
+	set2.Log(-1).Start("pending") // left open
 	var buf bytes.Buffer
-	if err := tr2.Report().WriteJSON(&buf); err != nil {
+	if err := buildReport(set2).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := ReadReport(&buf)
@@ -201,21 +201,40 @@ func TestReportCountsOpenSpans(t *testing.T) {
 	}
 }
 
+// TestReportCountsDroppedEvents: what the recorded log refuses at its cap
+// is counted and reported, and the ring still has it.
+func TestReportCountsDroppedEvents(t *testing.T) {
+	set := recordingSet()
+	l := set.Log(0)
+	for i := 0; i < evlog.MaxRecorded+3; i++ {
+		l.Record(evlog.KindSpan, 0, int64(i), 1, 0, 0, 0)
+	}
+	if got := len(l.Events()); got != evlog.MaxRecorded {
+		t.Fatalf("recorded log holds %d events, want the cap %d", got, evlog.MaxRecorded)
+	}
+	rep := buildReport(set)
+	if rep.DroppedEvents != 3 {
+		t.Fatalf("dropped_events = %d, want 3", rep.DroppedEvents)
+	}
+	if ring := l.Ring(); ring[len(ring)-1].Seq != evlog.MaxRecorded+3 {
+		t.Fatalf("ring's newest event is %d, want %d", ring[len(ring)-1].Seq, evlog.MaxRecorded+3)
+	}
+}
+
 func TestSampleDisabledIsNoop(t *testing.T) {
-	Disable()
+	StopRecording()
+	before := Main().Recorded()
 	allocs := testing.AllocsPerRun(200, func() { Sample("arena bytes", 1) })
-	if allocs != 0 {
-		t.Fatalf("disabled Sample allocates %.1f times per op, want 0", allocs)
+	if allocs != 0 || Main().Recorded() != before {
+		t.Fatalf("unrecorded Sample: %.1f allocs/op, %d records, want none", allocs, Main().Recorded()-before)
 	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	tr := New()
-	fakeClock(tr, time.Millisecond)
-	sp := tr.Main().Start("work")
-	sp.End(Int64("bytes", 7))
+	set := recordingSet()
+	collective(set.Log(-1), "work", 0, 5, 7, 1)
 	path := t.TempDir() + "/report.json"
-	if err := tr.WriteReportFile(path); err != nil {
+	if err := buildReport(set).WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ReadReportFile(path)
@@ -238,8 +257,8 @@ func TestCLIWritesAllOutputs(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if !Enabled() {
-		t.Fatal("CLI.Start did not enable tracing")
+	if !Recording() {
+		t.Fatal("CLI.Start did not switch recording on")
 	}
 	sp := Start("work")
 	time.Sleep(time.Millisecond)
@@ -247,12 +266,16 @@ func TestCLIWritesAllOutputs(t *testing.T) {
 	if err := c.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if Enabled() {
-		t.Fatal("CLI.Stop did not disable tracing")
+	if Recording() {
+		t.Fatal("CLI.Stop did not switch recording off")
 	}
 	for _, p := range []string{c.Trace, c.Metrics, c.CPUProfile, c.MemProfile} {
 		if fi, err := osStat(p); err != nil || fi == 0 {
 			t.Fatalf("output %s missing or empty (err %v, size %d)", p, err, fi)
 		}
+	}
+	rep, err := ReadReportFile(c.Metrics)
+	if err != nil || len(rep.Spans) != 1 || rep.Spans[0].Name != "work" {
+		t.Fatalf("run-report does not hold the recorded span: %+v (err %v)", rep, err)
 	}
 }

@@ -7,14 +7,15 @@ import (
 	"sort"
 
 	"agnn/internal/obs/causal"
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/metrics"
 )
 
 // Aggregated run-report: the compact JSON summary written by -metrics and
-// consumed by cmd/agnn-report. It collapses the trace into per-span-name
-// statistics (count, total, max, summed integer attributes) plus per-track
-// totals, which for distributed runs are the per-rank communication bytes
-// and message counts.
+// consumed by cmd/agnn-report. It collapses the recorded run into
+// per-span-name statistics (count, total, max, summed integer attributes)
+// plus per-track totals, which for distributed runs are the per-rank
+// communication bytes and message counts.
 
 // SpanStat aggregates every span sharing one name.
 type SpanStat struct {
@@ -45,47 +46,52 @@ type Report struct {
 	Spans  []SpanStat  `json:"spans"`
 	Tracks []TrackStat `json:"tracks"`
 	// CriticalPath is the cross-rank causal reconstruction (present when
-	// the run had causal tracing enabled and recorded messages).
-	CriticalPath *causal.Summary   `json:"critical_path,omitempty"`
+	// the recorded run had ranks exchanging messages).
+	CriticalPath *CritPath         `json:"critical_path,omitempty"`
 	Metrics      *metrics.Snapshot `json:"metrics,omitempty"`
+	// DroppedEvents counts what the recorded logs refused at their cap: a
+	// report with a non-zero count undercounts the run.
+	DroppedEvents int64 `json:"dropped_events,omitempty"`
 }
 
-// Report aggregates the tracer's completed spans. Span stats are sorted by
-// total time, heaviest first; tracks stay in id order.
-func (t *Tracer) Report() *Report {
+// CritPath is the critical-path summary of a recorded run.
+type CritPath = causal.Summary
+
+// BuildReport aggregates the timed records of the process-wide recorded
+// run. Span stats are sorted by total time, heaviest first; tracks stay in
+// rank order.
+func BuildReport() *Report { return buildReport(evlog.Default) }
+
+func buildReport(set *evlog.Set) *Report {
 	byName := map[string]*SpanStat{}
 	var order []string
-	rep := &Report{}
-	for _, tr := range t.Tracks() {
-		tr.mu.Lock()
-		evs := append([]event(nil), tr.events...)
-		tr.mu.Unlock()
-		ts := TrackStat{Track: tr.name, Open: tr.Open()}
-		for _, e := range evs {
-			if e.flow != flowNone {
-				continue // flow endpoints are not spans
+	rep := &Report{DroppedEvents: set.Dropped()}
+	for _, ln := range lanes(set) {
+		ts := TrackStat{Track: ln.name, Open: ln.open}
+		for _, r := range ln.recs {
+			if !r.Kind.Timed() {
+				continue // messages, marks and samples are not spans
 			}
-			s := byName[e.name]
+			name := r.Name()
+			s := byName[name]
 			if s == nil {
-				s = &SpanStat{Name: e.name}
-				byName[e.name] = s
-				order = append(order, e.name)
+				s = &SpanStat{Name: name}
+				byName[name] = s
+				order = append(order, name)
 			}
 			s.Count++
-			s.TotalNs += e.dur.Nanoseconds()
-			if ns := e.dur.Nanoseconds(); ns > s.MaxNs {
-				s.MaxNs = ns
-			}
+			s.TotalNs += r.Dur
+			s.MaxNs = max(s.MaxNs, r.Dur)
 			ts.Spans++
-			for _, a := range e.attrs {
+			for k, v := range attrs(r) {
 				if s.Attrs == nil {
 					s.Attrs = map[string]int64{}
 				}
-				s.Attrs[a.Key] += a.Val
+				s.Attrs[k] += v
 				if ts.Attrs == nil {
 					ts.Attrs = map[string]int64{}
 				}
-				ts.Attrs[a.Key] += a.Val
+				ts.Attrs[k] += v
 			}
 		}
 		rep.Tracks = append(rep.Tracks, ts)
@@ -106,18 +112,8 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteReportFile aggregates and writes the run-report to path.
-func (t *Tracer) WriteReportFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Report().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// WriteFile writes the report to path.
+func (r *Report) WriteFile(path string) error { return writeFile(path, r.WriteJSON) }
 
 // ReadReport parses a run-report previously written by WriteReportFile.
 func ReadReport(r io.Reader) (*Report, error) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
@@ -53,11 +54,11 @@ func TestBuildinfoEndpoint(t *testing.T) {
 	}
 }
 
-// The /debug/flight endpoint serves the live event ring of the process's
-// Default recorder as a reason="request" dump.
+// The /debug/flight endpoint serves the live event rings of the process's
+// Default set as a reason="request" dump.
 func TestDebugFlightEndpoint(t *testing.T) {
-	code := flight.Code("serve-endpoint-test")
-	flight.Process().Record(flight.KindCounter, code, 11, 0, 0)
+	main := evlog.Default.Log(-1)
+	main.Record(evlog.KindCounter, evlog.Code("serve-endpoint-test"), main.Now(), 0, 11, 0, 0)
 
 	s, err := Start("127.0.0.1:0", Options{Registry: metrics.NewRegistry()})
 	if err != nil {

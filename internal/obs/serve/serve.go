@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"agnn/internal/obs/evlog"
 	"agnn/internal/obs/flight"
 	"agnn/internal/obs/metrics"
 )
@@ -91,7 +92,7 @@ func Handler(opt Options) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/debug/flight", flight.Default.Handler())
+	mux.Handle("/debug/flight", flight.Handler(evlog.Default))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
