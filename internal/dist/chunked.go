@@ -138,6 +138,7 @@ func (c *Comm) AllgatherChunks(data []float64, lens []int) (*ChunkedGather, erro
 			chunk := c.recvCoded(left, hopCode)
 			copy(cg.out[bounds[recvIdx]:bounds[recvIdx+1]], chunk)
 			c.tel.coll[collGatherHop].Done(t0, int64(8*len(chunk)), 1, int64(recvIdx)+1)
+			c.recycle(chunk)
 			note := Chunk{Step: t + 1, Src: recvIdx, Lo: bounds[recvIdx], Hi: bounds[recvIdx+1]}
 			switch {
 			case held != nil:

@@ -1,5 +1,7 @@
 package dist
 
+import "fmt"
+
 // Collective operations. All use volume-optimal algorithms: per-rank volume
 // is O(n) words for an n-word vector regardless of group size (ring
 // reduce-scatter / allgather, scatter + ring-allgather broadcast), matching
@@ -7,20 +9,40 @@ package dist
 // the rings — the BSP superstep bound of O(log p) could be recovered with
 // recursive doubling, but the paper's bounds are on *volume*, which is what
 // the simulated counters must reproduce.
+//
+// The broadcast, reduce and allreduce a lowered plan issues run in place
+// (BcastInto, ReduceInto, AllreduceInto): every chunk is sent from, reduced
+// into and received into the caller's buffer, and every received payload is
+// borrowed — copied or reduced, then handed back to the endpoint — so a
+// step's words cross from one plan buffer to the peer's without a
+// collective allocating. The returning forms are wrappers that run the same
+// code on a fresh copy.
 
-// chunkBounds splits n words into g nearly equal chunks.
-func chunkBounds(n, g int) []int {
-	b := make([]int, g+1)
-	base, rem := n/g, n%g
-	for i := 0; i < g; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		b[i+1] = b[i] + sz
-	}
-	return b
+// split is how an n-word vector divides among a group of g: evenly, the
+// first n%g chunks one word longer (computed on demand, so a collective
+// keeps no bounds slice), or at explicit offsets (Allgather's varying
+// lengths).
+type split struct {
+	n, g int
+	at   []int // chunk i is [at[i], at[i+1]); nil: even
 }
+
+// chunk returns the [lo, hi) word range of chunk i.
+func (s split) chunk(i int) (lo, hi int) {
+	if s.at != nil {
+		return s.at[i], s.at[i+1]
+	}
+	base, rem := s.n/s.g, s.n%s.g
+	lo = i*base + min(i, rem)
+	hi = lo + base
+	if i < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// clone returns a fresh copy of x (never nil).
+func clone(x []float64) []float64 { return append(make([]float64, 0, len(x)), x...) }
 
 // Barrier synchronizes the group with a two-pass token ring: the first
 // circulation proves every rank has entered, the second releases them.
@@ -46,62 +68,75 @@ func (c *Comm) Barrier() {
 	c.Send(right, nil)
 }
 
-// Bcast broadcasts root's data to every group member and returns the local
-// copy (root returns its input). Implemented as direct scatter from root
+// Bcast broadcasts root's data to every group member and returns a fresh
+// copy on every rank, root included. Implemented as direct scatter from root
 // followed by a ring allgather: root sends ≈n words, everyone else ≈n.
-func (c *Comm) Bcast(data []float64, root int) []float64 {
+func (c *Comm) Bcast(data []float64, root int) []float64 { return c.bcast(data, root, false) }
+
+// BcastInto is Bcast in place: buf, as long on every rank as on root, ends
+// up holding root's words everywhere.
+func (c *Comm) BcastInto(buf []float64, root int) { c.bcast(buf, root, true) }
+
+func (c *Comm) bcast(buf []float64, root int, inPlace bool) []float64 {
 	defer c.endCollective(c.beginCollective(collBcast))
+	if !inPlace && c.me == root {
+		buf = clone(buf)
+	}
 	g := c.Size()
 	if g == 1 {
-		return data
+		return buf
 	}
 	c.round()
-	// Length exchange: root tells everyone the size (counted as one small
-	// message within the scatter below; we piggyback by sending the chunk
-	// with an explicit first element header-free — lengths are agreed upon
-	// by the SPMD program, so ranks must pass a correctly sized buffer).
-	var n int
+	// Length exchange: root tells everyone the size in a one-word message
+	// of its own, counted with the scatter below; the in-place form checks
+	// it against the buffer the SPMD program sized.
+	n := len(buf)
 	if c.me == root {
-		n = len(data)
-		hdr := []float64{float64(n)}
+		c.word[0] = float64(n)
 		for r := 0; r < g; r++ {
 			if r != root {
-				c.Send(r, hdr)
+				c.Send(r, c.word[:])
 			}
 		}
 	} else {
-		n = int(c.Recv(root)[0])
+		hdr := c.Recv(root)
+		n = int(hdr[0])
+		c.recycle(hdr)
+		switch {
+		case !inPlace:
+			buf = make([]float64, n)
+		case n != len(buf):
+			panic(fmt.Sprintf("dist: BcastInto a %d-word buffer, root %d broadcasts %d", len(buf), root, n))
+		}
 	}
-	bounds := chunkBounds(n, g)
-	out := make([]float64, n)
+	sp := split{n: n, g: g}
 	// Scatter: root sends chunk r to rank r.
 	if c.me == root {
-		copy(out, data)
 		for r := 0; r < g; r++ {
 			if r != root {
-				c.Send(r, data[bounds[r]:bounds[r+1]])
+				lo, hi := sp.chunk(r)
+				c.Send(r, buf[lo:hi])
 			}
 		}
 	} else {
-		chunk := c.Recv(root)
-		copy(out[bounds[c.me]:bounds[c.me+1]], chunk)
+		lo, hi := sp.chunk(c.me)
+		c.recvInto(root, buf[lo:hi])
 	}
 	// Ring allgather of the chunks.
-	c.ringAllgather(out, bounds)
-	return out
+	c.ringAllgather(buf, sp)
+	return buf
 }
 
 // ringAllgather completes `out` given that each rank holds its own chunk.
-func (c *Comm) ringAllgather(out []float64, bounds []int) {
+func (c *Comm) ringAllgather(out []float64, sp split) {
 	g := c.Size()
 	right := (c.me + 1) % g
 	left := (c.me - 1 + g) % g
 	for t := 0; t < g-1; t++ {
-		sendIdx := (c.me - t + g) % g
-		recvIdx := (c.me - 1 - t + 2*g) % g
-		c.Send(right, out[bounds[sendIdx]:bounds[sendIdx+1]])
-		chunk := c.Recv(left)
-		copy(out[bounds[recvIdx]:bounds[recvIdx+1]], chunk)
+		lo, hi := sp.chunk((c.me - t + g) % g)
+		c.Send(right, out[lo:hi])
+		lo, hi = sp.chunk((c.me - 1 - t + 2*g) % g)
+		c.recvInto(left, out[lo:hi])
 	}
 }
 
@@ -111,9 +146,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	defer c.endCollective(c.beginCollective(collAllgather))
 	g := c.Size()
 	if g == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
+		return clone(data)
 	}
 	c.round()
 	// Exchange lengths around the ring first (g-1 tiny messages).
@@ -124,8 +157,11 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	for t := 0; t < g-1; t++ {
 		sendIdx := (c.me - t + g) % g
 		recvIdx := (c.me - 1 - t + 2*g) % g
-		c.Send(right, []float64{float64(lens[sendIdx])})
-		lens[recvIdx] = int(c.Recv(left)[0])
+		c.word[0] = float64(lens[sendIdx])
+		c.Send(right, c.word[:])
+		in := c.Recv(left)
+		lens[recvIdx] = int(in[0])
+		c.recycle(in)
 	}
 	bounds := make([]int, g+1)
 	for i := 0; i < g; i++ {
@@ -133,7 +169,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	}
 	out := make([]float64, bounds[g])
 	copy(out[bounds[c.me]:bounds[c.me+1]], data)
-	c.ringAllgather(out, bounds)
+	c.ringAllgather(out, split{at: bounds})
 	return out
 }
 
@@ -158,40 +194,45 @@ var (
 )
 
 // ReduceScatter sums the group's equal-length vectors element-wise and
-// returns this rank's chunk of the result (chunk boundaries from
-// chunkBounds). Ring algorithm: per-rank volume ≈ n words.
+// returns this rank's chunk of the result (the even split: the first n mod
+// size chunks one word longer). Ring algorithm: per-rank volume ≈ n words.
 func (c *Comm) ReduceScatter(data []float64) []float64 {
 	return c.ReduceScatterOp(data, OpSum)
 }
 
 // ReduceScatterOp is ReduceScatter with an arbitrary reduction operator.
 func (c *Comm) ReduceScatterOp(data []float64, op ReduceOp) []float64 {
+	acc := clone(data)
+	lo, hi := c.reduceScatter(acc, op).chunk(c.me)
+	return acc[lo:hi:hi]
+}
+
+// reduceScatter is the ring reduce-scatter in place: afterwards this rank's
+// chunk of buf holds the group's reduction, the other chunks partial ones.
+// Each received chunk is reduced into buf as dst = op(dst, received), the
+// order every sum of the runtime has always had.
+func (c *Comm) reduceScatter(buf []float64, op ReduceOp) split {
 	defer c.endCollective(c.beginCollective(collReduceScatter))
 	g := c.Size()
-	bounds := chunkBounds(len(data), g)
+	sp := split{n: len(buf), g: g}
 	if g == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
+		return sp
 	}
 	c.round()
-	acc := make([]float64, len(data))
-	copy(acc, data)
 	right := (c.me + 1) % g
 	left := (c.me - 1 + g) % g
 	for t := 0; t < g-1; t++ {
-		sendIdx := (c.me - 1 - t + 2*g) % g
-		recvIdx := (c.me - 2 - t + 3*g) % g
-		c.Send(right, acc[bounds[sendIdx]:bounds[sendIdx+1]])
-		chunk := c.Recv(left)
-		dst := acc[bounds[recvIdx]:bounds[recvIdx+1]]
-		for i, v := range chunk {
+		lo, hi := sp.chunk((c.me - 1 - t + 2*g) % g)
+		c.Send(right, buf[lo:hi])
+		lo, hi = sp.chunk((c.me - 2 - t + 3*g) % g)
+		in := c.Recv(left)
+		dst := buf[lo:hi]
+		for i, v := range in {
 			dst[i] = op(dst[i], v)
 		}
+		c.recycle(in)
 	}
-	mine := make([]float64, bounds[c.me+1]-bounds[c.me])
-	copy(mine, acc[bounds[c.me]:bounds[c.me+1]])
-	return mine
+	return sp
 }
 
 // Allreduce returns the element-wise sum of the group's equal-length
@@ -202,49 +243,58 @@ func (c *Comm) Allreduce(data []float64) []float64 {
 
 // AllreduceOp is Allreduce with an arbitrary reduction operator.
 func (c *Comm) AllreduceOp(data []float64, op ReduceOp) []float64 {
-	defer c.endCollective(c.beginCollective(collAllreduce))
-	g := c.Size()
-	if g == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
-	}
-	mine := c.ReduceScatterOp(data, op)
-	bounds := chunkBounds(len(data), g)
-	out := make([]float64, len(data))
-	copy(out[bounds[c.me]:bounds[c.me+1]], mine)
-	c.round()
-	c.ringAllgather(out, bounds)
+	out := clone(data)
+	c.AllreduceOpInto(out, op)
 	return out
+}
+
+// AllreduceInto is Allreduce in place: every rank's buf ends up holding the
+// sum.
+func (c *Comm) AllreduceInto(buf []float64) { c.AllreduceOpInto(buf, OpSum) }
+
+// AllreduceOpInto is AllreduceOp in place.
+func (c *Comm) AllreduceOpInto(buf []float64, op ReduceOp) {
+	defer c.endCollective(c.beginCollective(collAllreduce))
+	if c.Size() == 1 {
+		return
+	}
+	sp := c.reduceScatter(buf, op)
+	c.round()
+	c.ringAllgather(buf, sp)
 }
 
 // Reduce sums the group's vectors onto root (reduce-scatter + gather).
 // Non-root ranks return nil.
 func (c *Comm) Reduce(data []float64, root int) []float64 {
+	out := clone(data)
+	c.ReduceInto(out, root)
+	if c.me != root {
+		return nil
+	}
+	return out
+}
+
+// ReduceInto is Reduce in place: root's buf ends up holding the sum, the
+// other ranks' partial sums.
+func (c *Comm) ReduceInto(buf []float64, root int) {
 	defer c.endCollective(c.beginCollective(collReduce))
 	g := c.Size()
 	if g == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp
+		return
 	}
-	mine := c.ReduceScatter(data)
-	bounds := chunkBounds(len(data), g)
+	sp := c.reduceScatter(buf, OpSum)
 	c.round()
-	if c.me == root {
-		out := make([]float64, len(data))
-		copy(out[bounds[root]:bounds[root+1]], mine)
-		for r := 0; r < g; r++ {
-			if r == root {
-				continue
-			}
-			chunk := c.Recv(r)
-			copy(out[bounds[r]:bounds[r+1]], chunk)
-		}
-		return out
+	if c.me != root {
+		lo, hi := sp.chunk(c.me)
+		c.Send(root, buf[lo:hi])
+		return
 	}
-	c.Send(root, mine)
-	return nil
+	for r := 0; r < g; r++ {
+		if r != root {
+			lo, hi := sp.chunk(r)
+			c.recvInto(r, buf[lo:hi])
+		}
+	}
 }
 
 // Gatherv collects every rank's vector on root in group-rank order;
@@ -253,9 +303,7 @@ func (c *Comm) Gatherv(data []float64, root int) [][]float64 {
 	defer c.endCollective(c.beginCollective(collGatherv))
 	g := c.Size()
 	if g == 1 {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return [][]float64{cp}
+		return [][]float64{clone(data)}
 	}
 	c.round()
 	if c.me != root {
@@ -263,9 +311,7 @@ func (c *Comm) Gatherv(data []float64, root int) [][]float64 {
 		return nil
 	}
 	out := make([][]float64, g)
-	cp := make([]float64, len(data))
-	copy(cp, data)
-	out[root] = cp
+	out[root] = clone(data)
 	for r := 0; r < g; r++ {
 		if r != root {
 			out[r] = c.Recv(r)
@@ -280,9 +326,7 @@ func (c *Comm) Scatterv(chunks [][]float64, root int) []float64 {
 	defer c.endCollective(c.beginCollective(collScatterv))
 	g := c.Size()
 	if g == 1 {
-		cp := make([]float64, len(chunks[0]))
-		copy(cp, chunks[0])
-		return cp
+		return clone(chunks[0])
 	}
 	c.round()
 	if c.me == root {
@@ -291,9 +335,7 @@ func (c *Comm) Scatterv(chunks [][]float64, root int) []float64 {
 				c.Send(r, chunks[r])
 			}
 		}
-		cp := make([]float64, len(chunks[root]))
-		copy(cp, chunks[root])
-		return cp
+		return clone(chunks[root])
 	}
 	return c.Recv(root)
 }
@@ -305,17 +347,13 @@ func (c *Comm) Alltoallv(out [][]float64) [][]float64 {
 	g := c.Size()
 	in := make([][]float64, g)
 	if g == 1 {
-		cp := make([]float64, len(out[0]))
-		copy(cp, out[0])
-		in[0] = cp
+		in[0] = clone(out[0])
 		return in
 	}
 	c.round()
 	for r := 0; r < g; r++ {
 		if r == c.me {
-			cp := make([]float64, len(out[r]))
-			copy(cp, out[r])
-			in[r] = cp
+			in[r] = clone(out[r])
 			continue
 		}
 		c.Send(r, out[r])

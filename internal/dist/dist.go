@@ -515,11 +515,12 @@ func TotalCounters(cs []Counters) Counters {
 // sub-communicators for the 2D process grid.
 type Comm struct {
 	w      *World
-	global int      // my global rank
-	group  []int    // global ranks of the group, in group order
-	me     int      // my index within group
-	tel    *rankTel // my rank's telemetry (the world's, shared with sub-communicators)
-	med    []int64  // median scratch for superstep wait stats, lazily sized to P
+	global int        // my global rank
+	group  []int      // global ranks of the group, in group order
+	me     int        // my index within group
+	tel    *rankTel   // my rank's telemetry (the world's, shared with sub-communicators)
+	med    []int64    // median scratch for superstep wait stats, lazily sized to P
+	word   [1]float64 // the one-word length messages of Bcast and Allgather
 
 	// curColl is the interned name of the collective currently executing on
 	// this communicator (0 between collectives); message records carry it
@@ -558,8 +559,10 @@ func (c *Comm) Group(local []int) *Comm {
 	return &Comm{w: c.w, global: c.global, group: globals, me: me, tel: c.tel}
 }
 
-// Send transfers a copy of data to group rank `to`. It never blocks as long
-// as fewer than mailboxCap messages are outstanding on the (from, to) pair.
+// Send transfers a copy of data to group rank `to`: the transport reads data
+// during the call only, so the caller may overwrite it on return. It never
+// blocks as long as fewer than mailboxCap messages are outstanding on the
+// (from, to) pair.
 // Under an injector, sends may be delayed (stragglers) or transiently
 // dropped; drops are retransmitted with linear backoff up to the world's
 // retry budget, after which the rank aborts. If another rank has already
@@ -593,8 +596,6 @@ func (c *Comm) sendCoded(to int, data []float64, code uint32) {
 	if c.w.failed.Load() {
 		c.abortSurvivor()
 	}
-	cp := make([]float64, len(data))
-	copy(cp, data)
 	cnt := &c.w.counters[c.global]
 	cnt.bytes.Add(int64(8 * len(data)))
 	cnt.msgs.Add(1)
@@ -607,7 +608,7 @@ func (c *Comm) sendCoded(to int, data []float64, code uint32) {
 		Clock: c.w.clock[c.global].Add(1),
 	}
 	c.tel.Sent(code, hdr.Seq, c.group[to], hdr.Step)
-	if err := c.w.eps[c.global].Send(c.group[to], distnet.Message{Data: cp, Hdr: hdr}); err != nil {
+	if err := c.w.eps[c.global].Send(c.group[to], distnet.Message{Data: data, Hdr: hdr}); err != nil {
 		c.sendFailed(c.group[to], err)
 	}
 }
@@ -626,8 +627,21 @@ func (c *Comm) sendFailed(to int, err error) {
 
 // Recv blocks until a message from group rank `from` arrives, the world's
 // receive deadline expires (the rank then aborts with ErrRecvTimeout), or
-// another rank fails (the rank unwinds with ErrRankFailed).
+// another rank fails (the rank unwinds with ErrRankFailed). The returned
+// buffer is the caller's to keep.
 func (c *Comm) Recv(from int) []float64 { return c.recvCoded(from, c.curColl) }
+
+// recvInto is the collectives' receive: the payload is borrowed — copied
+// into dst and handed straight back to the endpoint for the next arrival.
+func (c *Comm) recvInto(from int, dst []float64) {
+	in := c.Recv(from)
+	copy(dst, in)
+	c.recycle(in)
+}
+
+// recycle hands a received payload the collective has copied or reduced
+// back to the rank's endpoint.
+func (c *Comm) recycle(in []float64) { c.w.eps[c.global].Recycle(in) }
 
 // recvCoded is Recv with an explicit collective code (see sendCoded).
 func (c *Comm) recvCoded(from int, code uint32) []float64 {

@@ -120,14 +120,14 @@ func TestReduceScatterAndAllreduce(t *testing.T) {
 					return
 				}
 			}
-			bounds := chunkBounds(n, p)
+			lo, hi := split{n: n, g: p}.chunk(c.Rank())
 			mine := c.ReduceScatter(data)
-			if len(mine) != bounds[c.Rank()+1]-bounds[c.Rank()] {
+			if len(mine) != hi-lo {
 				t.Errorf("p=%d: reduce-scatter chunk length %d", p, len(mine))
 				return
 			}
 			for i, v := range mine {
-				if math.Abs(v-wantAt(bounds[c.Rank()]+i)) > 1e-12 {
+				if math.Abs(v-wantAt(lo+i)) > 1e-12 {
 					t.Errorf("p=%d rank %d: rs[%d] = %v", p, c.Rank(), i, v)
 					return
 				}
@@ -330,12 +330,83 @@ func TestReduceScatterOpMax(t *testing.T) {
 			data[i] = float64(c.Rank()*10 + i)
 		}
 		mine := c.ReduceScatterOp(data, OpMax)
-		bounds := chunkBounds(8, 4)
+		lo, _ := split{n: 8, g: 4}.chunk(c.Rank())
 		for i, v := range mine {
-			want := float64(30 + bounds[c.Rank()] + i) // rank 3 dominates
+			want := float64(30 + lo + i) // rank 3 dominates
 			if v != want {
 				t.Errorf("rank %d rsmax[%d] = %v want %v", c.Rank(), i, v, want)
 			}
 		}
 	})
+}
+
+// TestInPlaceCollectivesMatchReturning: the in-place forms a lowered plan
+// calls leave in the caller's buffer exactly the bits the returning forms
+// return — every sum reduced in the same order — and move the same bytes,
+// messages and rounds. Values span twelve decades, so a changed summation
+// order would show in the bits.
+func TestInPlaceCollectivesMatchReturning(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		for _, n := range []int{0, 1, 5, 1003} {
+			data := func(rank int) []float64 {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = math.Sin(float64(7*rank+3*i+1)) * math.Pow(10, float64((i+rank)%13-6))
+				}
+				return v
+			}
+			root := p - 1
+			run := func(inPlace bool) ([][4][]float64, []Counters) {
+				res := make([][4][]float64, p)
+				cs := Run(p, func(c *Comm) {
+					r := c.Rank()
+					var out [4][]float64
+					if inPlace {
+						out[0] = make([]float64, n)
+						if r == root {
+							out[0] = data(root)
+						}
+						c.BcastInto(out[0], root)
+						out[1] = data(r)
+						c.ReduceInto(out[1], root)
+						out[2], out[3] = data(r), data(r)
+						c.AllreduceInto(out[2])
+						c.AllreduceOpInto(out[3], OpMax)
+					} else {
+						var in []float64
+						if r == root {
+							in = data(root)
+						}
+						out[0] = c.Bcast(in, root)
+						out[1] = c.Reduce(data(r), root)
+						out[2] = c.Allreduce(data(r))
+						out[3] = c.AllreduceOp(data(r), OpMax)
+					}
+					if r != root {
+						out[1] = nil // partial sums in place, nil returned
+					}
+					res[r] = out
+				})
+				return res, cs
+			}
+			want, wantCs := run(false)
+			got, gotCs := run(true)
+			for r := 0; r < p; r++ {
+				if gotCs[r] != wantCs[r] {
+					t.Errorf("p=%d n=%d rank %d: counters %+v in place, %+v returning", p, n, r, gotCs[r], wantCs[r])
+				}
+				for k, name := range []string{"bcast", "reduce", "allreduce", "allreduce-max"} {
+					g, w := got[r][k], want[r][k]
+					if len(g) != len(w) {
+						t.Fatalf("p=%d n=%d rank %d %s: %d words in place, %d returning", p, n, r, name, len(g), len(w))
+					}
+					for i := range g {
+						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+							t.Fatalf("p=%d n=%d rank %d %s[%d]: %v in place, %v returning", p, n, r, name, i, g[i], w[i])
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"agnn/internal/obs/causal"
 )
@@ -44,28 +45,35 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// encodeData builds a complete data frame (length prefix included) into
-// buf, reusing its capacity.
+// dataFrameLen is the length of a data frame of n words, prefix included.
+func dataFrameLen(n int) int { return 4 + dataFrameHeaderLen + 8*n }
+
+// encodeData writes a complete data frame (length prefix included) into
+// buf, which is exactly dataFrameLen(len(m.Data)) long or else replaced by
+// a buffer that is, and returns the frame.
 func encodeData(buf []byte, wireSeq uint64, m Message) []byte {
-	n := dataFrameHeaderLen + 8*len(m.Data)
-	buf = buf[:0]
-	buf = appendU32(buf, uint32(n))
-	buf = append(buf, frameData)
-	buf = appendU64(buf, wireSeq)
-	buf = appendU32(buf, uint32(m.Hdr.Src))
-	buf = appendU64(buf, m.Hdr.Seq)
-	buf = appendU64(buf, uint64(m.Hdr.Step))
-	buf = appendU64(buf, m.Hdr.Clock)
-	buf = appendU32(buf, uint32(len(m.Data)))
-	for _, v := range m.Data {
-		buf = appendU64(buf, math.Float64bits(v))
+	if len(buf) != dataFrameLen(len(m.Data)) {
+		buf = make([]byte, dataFrameLen(len(m.Data)))
 	}
+	le := binary.LittleEndian
+	le.PutUint32(buf, uint32(dataFrameHeaderLen+8*len(m.Data)))
+	p := buf[4:]
+	p[0] = frameData
+	le.PutUint64(p[1:], wireSeq)
+	le.PutUint32(p[9:], uint32(m.Hdr.Src))
+	le.PutUint64(p[13:], m.Hdr.Seq)
+	le.PutUint64(p[21:], uint64(m.Hdr.Step))
+	le.PutUint64(p[29:], m.Hdr.Clock)
+	le.PutUint32(p[37:], uint32(len(m.Data)))
+	putWords(p[dataFrameHeaderLen:], m.Data)
 	return buf
 }
 
-// decodeData parses a data frame payload (kind byte already verified).
-// The returned Message owns freshly allocated Data.
-func decodeData(p []byte) (wireSeq uint64, m Message, err error) {
+// decodeData parses a data frame payload (kind byte already verified). The
+// words land in a buffer from words (freshly allocated when words is nil),
+// taken only once the header has been checked: a frame whose word count
+// disagrees with its length is rejected before any buffer is written.
+func decodeData(p []byte, words *recycler[float64]) (wireSeq uint64, m Message, err error) {
 	if len(p) < dataFrameHeaderLen {
 		return 0, m, fmt.Errorf("net: short data frame (%d bytes)", len(p))
 	}
@@ -81,11 +89,55 @@ func decodeData(p []byte) (wireSeq uint64, m Message, err error) {
 	if nwords < 0 || dataFrameHeaderLen+8*nwords != len(p) {
 		return 0, m, fmt.Errorf("net: data frame declares %d words in %d bytes", nwords, len(p))
 	}
-	m.Data = make([]float64, nwords)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(le.Uint64(p[dataFrameHeaderLen+8*i:]))
-	}
+	m.Data = words.get(nwords)
+	getWords(m.Data, p[dataFrameHeaderLen:])
 	return wireSeq, m, nil
+}
+
+// The payload codec: words travel as little-endian float64 bits. On a
+// little-endian host those bytes are the words' own memory, so a payload
+// crosses between a plan buffer and a frame in one memmove; elsewhere the
+// per-word loops convert. The host decides once, at init.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// putWords writes src into dst (8 bytes per word).
+func putWords(dst []byte, src []float64) {
+	if littleEndianHost {
+		copy(dst, wordBytes(src))
+		return
+	}
+	putWordsLE(dst, src)
+}
+
+// getWords reads len(dst) words from src.
+func getWords(dst []float64, src []byte) {
+	if littleEndianHost {
+		copy(wordBytes(dst), src)
+		return
+	}
+	getWordsLE(dst, src)
+}
+
+// wordBytes views words as their bytes in host order.
+func wordBytes(w []float64) []byte {
+	if len(w) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), 8*len(w))
+}
+
+// putWordsLE and getWordsLE are the per-word codec: the big-endian host's
+// path and the memmove's test oracle.
+func putWordsLE(dst []byte, src []float64) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+func getWordsLE(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // encodeHello builds a hello frame: the dialing rank introduces itself and
@@ -217,13 +269,16 @@ func decodeAck(p []byte) (uint64, error) {
 }
 
 // readFrame reads one length-prefixed frame payload into buf (grown as
-// needed) and returns the payload slice, which aliases buf.
+// needed; the prefix is read into it too, so a read allocates nothing once
+// buf has grown) and returns the payload slice, which aliases buf.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(lenb[:]))
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if n < 1 || n > maxFrameBytes {
 		return nil, buf, fmt.Errorf("net: frame length %d outside (0, %d]", n, maxFrameBytes)
 	}

@@ -37,6 +37,10 @@ import (
 // Message is one point-to-point transfer: the payload words (float64, or
 // packed-f32 pairs from the row engine's packWords32 — the transport does
 // not care) plus the causal header stamped by the sender.
+//
+// Data is borrowed, never handed over: Send reads the sender's words during
+// the call only, and an arrival's Data is a buffer of the receiving
+// endpoint's, which the receiver owns until it hands it back with Recycle.
 type Message struct {
 	Data []float64
 	Hdr  causal.Header
@@ -69,12 +73,19 @@ type Endpoint interface {
 	Size() int
 	// Rank returns the local rank in [0, p).
 	Rank() int
-	// Send transfers m to peer rank `to`. The implementation owns m.Data
-	// after the call returns (callers pass a private copy).
+	// Send transfers m to peer rank `to`. It borrows m.Data for the call
+	// only — the channel world copies the words into a recycled buffer, TCP
+	// encodes them into the frame — so the caller may overwrite them as
+	// soon as Send returns.
 	Send(to int, m Message) error
 	// Inbox returns the arrival channel for messages from peer `from`.
 	// Messages from one peer are delivered in send order, exactly once.
 	Inbox(from int) <-chan Message
+	// Recycle hands back the Data of a message taken from an inbox once the
+	// caller has copied or reduced it, so a later arrival can land in the
+	// same storage; the caller must not touch it afterwards. Data never
+	// handed back simply stays the caller's.
+	Recycle(data []float64)
 	// Abort broadcasts that failedRank is down — this rank itself, or a
 	// relay of a failure detected locally — and poisons the endpoint so
 	// blocked sends unwind. Idempotent.

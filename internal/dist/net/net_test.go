@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	gonet "net"
 	"strings"
 	"sync"
@@ -23,7 +24,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	}
 	frame := encodeData(nil, 12345, m)
 	payload := frame[4:] // strip the length prefix readFrame consumes
-	seq, got, err := decodeData(payload)
+	seq, got, err := decodeData(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +49,102 @@ func TestDataFrameRejectsCorruption(t *testing.T) {
 	frame := encodeData(nil, 7, m)
 	payload := frame[4:]
 
-	if _, _, err := decodeData(payload[:len(payload)-3]); err == nil {
+	if _, _, err := decodeData(payload[:len(payload)-3], nil); err == nil {
 		t.Error("truncated frame accepted")
 	}
-	if _, _, err := decodeData(payload[:dataFrameHeaderLen-2]); err == nil {
+	if _, _, err := decodeData(payload[:dataFrameHeaderLen-2], nil); err == nil {
 		t.Error("truncated header accepted")
 	}
 	// Inflate the word count without supplying the words.
 	bad := append([]byte(nil), payload...)
 	bad[dataFrameHeaderLen-4] = 0xff
-	if _, _, err := decodeData(bad); err == nil {
+	if _, _, err := decodeData(bad, nil); err == nil {
 		t.Error("word-count mismatch accepted")
+	}
+}
+
+// specialWords are the float64 bit patterns a conversion could disturb:
+// both zeros, both infinities, quiet, signalling and negative NaNs with
+// payloads, subnormals, the extremes.
+var specialWords = []uint64{
+	0, 1 << 63, 0x7ff0000000000000, 0xfff0000000000000,
+	0x7ff8000000000001, 0x7ff0000000000001, 0xfff8dead0000beef,
+	1, 0x000fffffffffffff, 0x8000000000000001, 0x7fefffffffffffff, 0x3ff0000000000000,
+}
+
+// testWords returns n words: the specials, then a bit-mixing sequence.
+func testWords(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		bits := uint64(i+1) * 0x9e3779b97f4a7c15
+		if i < len(specialWords) {
+			bits = specialWords[i]
+		}
+		w[i] = math.Float64frombits(bits)
+	}
+	return w
+}
+
+// TestWordCodecMatchesPerWord: the memmove codec writes and reads exactly
+// the bytes of the per-word little-endian codec, at every length around the
+// copy's edges and inside a frame, where the words start unaligned.
+func TestWordCodecMatchesPerWord(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 10007}
+	for _, n := range lengths {
+		src := testWords(n)
+		got, want := make([]byte, 8*n), make([]byte, 8*n)
+		putWords(got, src)
+		putWordsLE(want, src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: putWords differs from the per-word codec", n)
+		}
+		back, oracle := make([]float64, n), make([]float64, n)
+		getWords(back, got)
+		getWordsLE(oracle, want)
+		for i := range src {
+			if b := math.Float64bits(src[i]); math.Float64bits(back[i]) != b || math.Float64bits(oracle[i]) != b {
+				t.Fatalf("n=%d word %d: %#x decoded as %#x (per-word %#x)", n, i, b,
+					math.Float64bits(back[i]), math.Float64bits(oracle[i]))
+			}
+		}
+		frame := encodeData(nil, 5, Message{Data: src})
+		if len(frame) != dataFrameLen(n) || !bytes.Equal(frame[4+dataFrameHeaderLen:], want) {
+			t.Fatalf("n=%d: frame payload differs from the per-word codec", n)
+		}
+		var words recycler[float64]
+		words.put(make([]float64, n))
+		if _, m, err := decodeData(frame[4:], &words); err != nil || !bytes.Equal(wordBytes(m.Data), wordBytes(back)) {
+			t.Fatalf("n=%d: frame does not decode to its words (err %v)", n, err)
+		}
+	}
+}
+
+// TestRecyclerExactCapacity: a buffer comes back only for its own length,
+// and the free list stops growing at recycleKeep, dropping the oldest.
+func TestRecyclerExactCapacity(t *testing.T) {
+	var r recycler[float64]
+	a, b := r.get(8), r.get(16)
+	r.put(a)
+	r.put(b)
+	if got := r.get(8); &got[0] != &a[0] {
+		t.Error("an 8-word get did not reuse the 8-word buffer")
+	}
+	if got := r.get(12); &got[0] == &b[0] || len(got) != 12 {
+		t.Error("a 12-word get took the 16-word buffer")
+	}
+	if r.get(0) != nil {
+		t.Error("a 0-word get returned a buffer")
+	}
+	first := make([]float64, 1)
+	r.put(first)
+	for i := 0; i < recycleKeep; i++ {
+		r.put(make([]float64, 2))
+	}
+	if len(r.free) != recycleKeep {
+		t.Fatalf("free list holds %d buffers, want %d", len(r.free), recycleKeep)
+	}
+	if got := r.get(1); &got[0] == &first[0] {
+		t.Error("the oldest buffer survived the bound")
 	}
 }
 
@@ -299,59 +385,139 @@ func TestTCPConnDropResend(t *testing.T) {
 // TestTCPConnDropBidirectionalNoLoss (regression): a connection drop
 // initiated by ONE side also discards the OTHER side's in-flight frames —
 // frames whose Write already succeeded, so that sender has no failure to
-// react to. Only the ACK-pruned retransmit buffer replayed on reconnect
-// recovers them; before it existed this test starved on the reverse
-// direction. Both ranks stream concurrently while rank 0 keeps dropping
-// its connection mid-stream.
+// react to. Only the ACK-pruned replay queue replayed on reconnect recovers
+// them; before it existed this test starved on the reverse direction. Both
+// ranks stream concurrently while rank 0 keeps dropping its connection
+// mid-stream — from the first frame, and after ACKs have already popped and
+// recycled part of both replay queues, so the frames of the later stream
+// are written into recycled buffers while a replay may still need the
+// frames behind them.
 func TestTCPConnDropBidirectionalNoLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		clean int // messages each way before the first drop
+	}{{"from-start", 0}, {"after-acks-recycled", 100}} {
+		t.Run(tc.name, func(t *testing.T) { connDropNoLoss(t, tc.clean) })
+	}
+}
+
+func connDropNoLoss(t *testing.T, clean int) {
 	const msgs = 200
 	var writes atomic.Int64
+	var dropping atomic.Bool
+	dropping.Store(clean == 0)
 	eps := dialWorld(t, 2, func(cfg *TCPConfig) {
 		if cfg.Rank == 0 {
 			cfg.OnWire = func(attempt int) (bool, time.Duration) {
 				// Drop the first attempt of every 20th frame: repeated
 				// mid-stream connection loss under full-duplex traffic.
-				if attempt == 1 && writes.Add(1)%20 == 0 {
+				if dropping.Load() && attempt == 1 && writes.Add(1)%20 == 0 {
 					return true, 0
 				}
 				return false, 0
 			}
 		}
 	})
-	var wg sync.WaitGroup
-	sendErrs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < msgs; i++ {
-				if err := eps[r].Send(1-r, Message{Data: []float64{float64(i)}}); err != nil {
-					sendErrs[r] = err
-					return
+	stream := func(lo, hi int) {
+		var wg sync.WaitGroup
+		sendErrs := make([]error, 2)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					if err := eps[r].Send(1-r, Message{Data: []float64{float64(i)}}); err != nil {
+						sendErrs[r] = err
+						return
+					}
+				}
+			}(r)
+		}
+		for r := 0; r < 2; r++ {
+			for i := lo; i < hi; i++ {
+				select {
+				case m := <-eps[r].Inbox(1 - r):
+					if m.Data[0] != float64(i) {
+						t.Fatalf("rank %d message %d: got payload %v (lost, duplicated, or reordered)", r, i, m.Data[0])
+					}
+					eps[r].Recycle(m.Data)
+				case <-time.After(10 * time.Second):
+					t.Fatalf("rank %d message %d never arrived: in-flight frame lost across reconnect", r, i)
 				}
 			}
-		}(r)
-	}
-	for r := 0; r < 2; r++ {
-		for i := 0; i < msgs; i++ {
-			select {
-			case m := <-eps[r].Inbox(1 - r):
-				if m.Data[0] != float64(i) {
-					t.Fatalf("rank %d message %d: got payload %v (lost, duplicated, or reordered)", r, i, m.Data[0])
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("rank %d message %d never arrived: in-flight frame lost across reconnect", r, i)
+		}
+		wg.Wait()
+		for r, err := range sendErrs {
+			if err != nil {
+				t.Fatalf("rank %d send: %v", r, err)
 			}
 		}
 	}
-	wg.Wait()
-	for r, err := range sendErrs {
-		if err != nil {
-			t.Fatalf("rank %d send: %v", r, err)
+	stream(0, clean)
+	if clean > 0 {
+		// Wait until ACKs have recycled frames of both replay queues.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if recycledFrames(eps[0]) > 0 && recycledFrames(eps[1]) > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no ACK recycled a frame")
+			}
 		}
+		dropping.Store(true)
 	}
+	stream(clean, msgs)
 	if eps[0].WireStats().Reconnects == 0 {
 		t.Error("expected at least one reconnect")
+	}
+}
+
+// recycledFrames is the number of frame buffers waiting for reuse.
+func recycledFrames(e *TCPEndpoint) int {
+	e.frames.mu.Lock()
+	defer e.frames.mu.Unlock()
+	return len(e.frames.free)
+}
+
+// TestTCPAckBeyondWindowIsCorrupt (regression): an ACK naming frames this
+// side never wrote is a corrupt or stale stream. The peer is declared
+// failed, as for a bad data frame, and the replay queue keeps every frame —
+// before, it emptied the queue, so the next reconnect had nothing to replay
+// and the receiver stalled until its timeout.
+func TestTCPAckBeyondWindowIsCorrupt(t *testing.T) {
+	eps := dialWorld(t, 2, func(cfg *TCPConfig) {
+		cfg.HeartbeatEvery = time.Hour // no real ACK prunes the queue
+		cfg.PeerTimeout = time.Hour
+	})
+	failed := make(chan error, 1)
+	eps[0].SetFailureHandler(func(rank int, cause error) {
+		if rank == 1 {
+			failed <- cause
+		}
+	})
+	const sent = 3
+	for i := 0; i < sent; i++ {
+		if err := eps[0].Send(1, Message{Data: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eps[1].writeControl(eps[1].peers[0], encodeAck(1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case cause := <-failed:
+		if !strings.Contains(cause.Error(), "corrupt stream from rank 1") {
+			t.Errorf("failure cause %q does not name the corrupt stream", cause)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an ACK beyond the send window was accepted")
+	}
+	p := eps[0].peers[1]
+	p.mu.Lock()
+	n := len(p.unacked)
+	p.mu.Unlock()
+	if n != sent {
+		t.Errorf("replay queue holds %d frames after the refused ACK, want %d", n, sent)
 	}
 }
 
@@ -476,10 +642,43 @@ func FuzzDecodeFrames(f *testing.F) {
 		f.Add(frame[4 : 4+(len(frame)-4)/2])
 	}
 	f.Add([]byte{frameAddrs, 0xff, 0xff, 0xff, 0xff})
+	special := encodeData(nil, 9, Message{Data: testWords(len(specialWords)), Hdr: causal.Header{Src: 1, Seq: 2}})[4:]
+	f.Add(special)
+	short := append([]byte(nil), special...)
+	short[dataFrameHeaderLen-4]-- // one word fewer declared than carried
+	f.Add(short)
+	const dirt = 0xdeadbeefdeadbeef
 	f.Fuzz(func(t *testing.T, p []byte) {
-		if seq, m, err := decodeData(p); err == nil {
+		// Decode into a dirty recycled buffer of the length the payload
+		// would fill: a rejected frame must leave it untouched and still
+		// free, an accepted one must return its own words and none of the
+		// buffer's previous ones.
+		var words recycler[float64]
+		var dirty []float64
+		if n := (len(p) - dataFrameHeaderLen) / 8; n > 0 && n <= 1<<16 {
+			dirty = make([]float64, n)
+			for i := range dirty {
+				dirty[i] = math.Float64frombits(dirt)
+			}
+			words.put(dirty)
+		}
+		if seq, m, err := decodeData(p, &words); err == nil {
+			want := make([]float64, len(m.Data))
+			getWordsLE(want, p[dataFrameHeaderLen:])
+			if !bytes.Equal(wordBytes(m.Data), wordBytes(want)) {
+				t.Fatalf("decoded words differ from the per-word codec")
+			}
 			if again := encodeData(nil, seq, m)[4:]; !bytes.Equal(again[1:], p[1:]) {
 				t.Fatalf("data frame does not survive decode → encode")
+			}
+		} else if dirty != nil {
+			for i, v := range dirty {
+				if math.Float64bits(v) != dirt {
+					t.Fatalf("rejected frame wrote word %d of the recycled buffer", i)
+				}
+			}
+			if got := words.get(len(dirty)); &got[0] != &dirty[0] {
+				t.Fatalf("rejected frame took the recycled buffer")
 			}
 		}
 		_, _, _ = decodeHello(p)

@@ -1,11 +1,11 @@
 package net
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	gonet "net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,22 +95,21 @@ type WireStats struct {
 type tcpPeer struct {
 	rank int
 
-	mu      sync.Mutex // guards conn, addr, wbuf, wireOut, unacked, grace; serializes writes
+	mu      sync.Mutex // guards conn, addr, wireOut, unacked, grace; serializes writes
 	conn    gonet.Conn
 	addr    string // advertised data listener, for redial
-	wbuf    []byte
 	wireOut uint64
 	grace   *time.Timer // armed when the conn is lost; fires peerFailed if no replacement
 
-	// unacked holds every data frame written but not yet covered by the
-	// peer's cumulative ACK, keyed by wire sequence. A closed socket
-	// silently discards in-flight bytes in BOTH directions — a sender
-	// whose Write succeeded cannot know whether the peer read the frame —
-	// so every reconnect replays the whole buffer and the receiver's
-	// sequence dedup discards what already arrived. ACKs ride the
-	// heartbeat cadence, bounding the buffer to a beacon period of
-	// traffic.
-	unacked map[uint64][]byte
+	// unacked is the replay queue: every data frame written but not yet
+	// covered by the peer's cumulative ACK, in wire-sequence order. A closed
+	// socket silently discards in-flight bytes in BOTH directions — a
+	// sender whose Write succeeded cannot know whether the peer read the
+	// frame — so every reconnect replays the whole queue and the receiver's
+	// sequence dedup discards what already arrived. An ACK pops the frames
+	// it covers off the front and recycles them; ACKs ride the heartbeat
+	// cadence, bounding the queue to a beacon period of traffic.
+	unacked []sentFrame
 
 	rmu     sync.Mutex // guards wireIn, pending
 	wireIn  uint64
@@ -120,6 +119,12 @@ type tcpPeer struct {
 	attached atomic.Bool // a connection was attached at least once (bootstrap count)
 	departed atomic.Bool // peer said BYE: teardown is benign
 	failed   atomic.Bool // peer declared failed: stop detecting it again
+}
+
+// sentFrame is a data frame in the replay queue.
+type sentFrame struct {
+	seq   uint64
+	frame []byte
 }
 
 // TCPEndpoint is one rank of a multi-process world over TCP or Unix
@@ -143,6 +148,13 @@ type TCPEndpoint struct {
 	stopCh   chan struct{} // closed on first of Abort/Close: unblocks inbox feeds
 
 	firstAttach chan struct{} // one token per peer's first connection (bootstrap count)
+
+	// A data frame's life: encoded once into a buffer from frames, written,
+	// held in its peer's replay queue, recycled when the cumulative ACK
+	// passes it. Received words land in a buffer from words, which the
+	// receiver hands back through Recycle.
+	frames recycler[byte]
+	words  recycler[float64]
 
 	bytesTx, bytesRx, framesTx, framesRx atomic.Uint64
 	dialRetries, reconnects, writeNanos  atomic.Uint64
@@ -428,28 +440,20 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer, conn gonet.Conn) {
 			return
 		}
 		e.noteRx(4 + len(payload))
+		var derr error
 		switch payload[0] {
 		case frameData:
-			seq, m, derr := decodeData(payload)
-			if derr != nil {
-				conn.Close()
-				e.peerFailed(p.rank, fmt.Errorf("net: corrupt stream from rank %d: %w", p.rank, derr))
-				return
-			}
-			if !e.deliver(p, seq, m) {
+			var seq uint64
+			var m Message
+			if seq, m, derr = decodeData(payload, &e.words); derr == nil && !e.deliver(p, seq, m) {
 				return // world stopped while the inbox was full
 			}
 		case frameHeartbeat:
 			// Nothing to do: the next loop iteration renews the deadline.
 		case frameAck:
-			if upto, derr := decodeAck(payload); derr == nil {
-				p.mu.Lock()
-				for s := range p.unacked {
-					if s < upto {
-						delete(p.unacked, s)
-					}
-				}
-				p.mu.Unlock()
+			var upto uint64
+			if upto, derr = decodeAck(payload); derr == nil {
+				derr = e.acked(p, upto)
 			}
 		case frameFail:
 			rank, cause, derr := decodeFail(payload)
@@ -463,7 +467,33 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer, conn gonet.Conn) {
 		default:
 			// Unknown or late bootstrap frame: ignore.
 		}
+		if derr != nil {
+			conn.Close()
+			e.peerFailed(p.rank, fmt.Errorf("net: corrupt stream from rank %d: %w", p.rank, derr))
+			return
+		}
 	}
+}
+
+// acked applies the peer's cumulative ACK: every frame below upto has been
+// released to its inbox, so the replay queue's front up to there is popped
+// and recycled. An ACK beyond the frames this side has written is a corrupt
+// or stale stream and is refused with the queue intact — the frames it
+// would drop may be exactly the ones the next reconnect must replay.
+func (e *TCPEndpoint) acked(p *tcpPeer, upto uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if upto > p.wireOut {
+		return fmt.Errorf("net: ack up to frame %d, only %d sent", upto, p.wireOut)
+	}
+	k := 0
+	for ; k < len(p.unacked) && p.unacked[k].seq < upto; k++ {
+		e.frames.put(p.unacked[k].frame)
+	}
+	n := copy(p.unacked, p.unacked[k:])
+	clear(p.unacked[n:])
+	p.unacked = p.unacked[:n]
+	return nil
 }
 
 // deliver releases data frames to the inbox in wire-sequence order,
@@ -473,6 +503,7 @@ func (e *TCPEndpoint) deliver(p *tcpPeer, seq uint64, m Message) bool {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
 	if seq < p.wireIn {
+		e.words.put(m.Data)
 		return true // duplicate of an already released frame
 	}
 	if len(p.pending) >= maxPendingFrames {
@@ -552,6 +583,9 @@ func (e *TCPEndpoint) Rank() int { return e.cfg.Rank }
 // Inbox returns the in-order arrival channel for one peer.
 func (e *TCPEndpoint) Inbox(from int) <-chan Message { return e.peers[from].inbox }
 
+// Recycle hands a received payload back for a later arrival's words.
+func (e *TCPEndpoint) Recycle(data []float64) { e.words.put(data) }
+
 // SetFailureHandler installs the peer-failure callback.
 func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) {
 	e.hmu.Lock()
@@ -559,8 +593,10 @@ func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) {
 	e.hmu.Unlock()
 }
 
-// Send frames m to peer `to`, redialing and resending on connection loss.
-// Self-sends bypass the wire.
+// Send frames m to peer `to`, redialing and resending on connection loss:
+// the words are encoded straight from m.Data into a recycled frame, which
+// the replay queue keeps until the peer ACKs it. Self-sends bypass the wire
+// and copy the words into a recycled payload buffer instead.
 func (e *TCPEndpoint) Send(to int, m Message) error {
 	if e.down.Load() {
 		return ErrWorldDown
@@ -570,6 +606,9 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 	}
 	p := e.peers[to]
 	if to == e.cfg.Rank {
+		data := e.words.get(len(m.Data))
+		copy(data, m.Data)
+		m.Data = data
 		select {
 		case p.inbox <- m:
 			return nil
@@ -588,7 +627,7 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 	}
 	seq := p.wireOut
 	p.wireOut++
-	p.wbuf = encodeData(p.wbuf, seq, m)
+	frame := encodeData(e.frames.get(dataFrameLen(len(m.Data))), seq, m)
 
 	backoff := e.cfg.DialBackoff
 	var lastErr error
@@ -619,17 +658,13 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 		conn := p.conn
 		conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
 		t0 := time.Now()
-		_, err := conn.Write(p.wbuf)
+		_, err := conn.Write(frame)
 		e.writeNanos.Add(uint64(time.Since(t0).Nanoseconds()))
 		if err == nil {
-			e.noteTx(len(p.wbuf))
+			e.noteTx(len(frame))
 			// Keep the frame for replay until the peer ACKs past it: the
 			// write reaching the kernel does not mean the peer read it.
-			if p.unacked == nil {
-				p.unacked = make(map[uint64][]byte)
-			}
-			p.unacked[seq] = p.wbuf
-			p.wbuf = nil
+			p.unacked = append(p.unacked, sentFrame{seq, frame})
 			return nil
 		}
 		lastErr = err
@@ -690,24 +725,18 @@ func (e *TCPEndpoint) redialLocked(p *tcpPeer, backoff *time.Duration) (gonet.Co
 // release state drops the ones that did arrive before the old connection
 // died. Caller holds p.mu.
 func (e *TCPEndpoint) retransmitLocked(p *tcpPeer) error {
-	if len(p.unacked) == 0 || p.conn == nil {
+	if p.conn == nil {
 		return nil
 	}
-	seqs := make([]uint64, 0, len(p.unacked))
-	for s := range p.unacked {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		frame := p.unacked[s]
+	for _, f := range p.unacked {
 		p.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
 		t0 := time.Now()
-		_, err := p.conn.Write(frame)
+		_, err := p.conn.Write(f.frame)
 		e.writeNanos.Add(uint64(time.Since(t0).Nanoseconds()))
 		if err != nil {
 			return err
 		}
-		e.noteTx(len(frame))
+		e.noteTx(len(f.frame))
 	}
 	return nil
 }
@@ -739,7 +768,10 @@ func (e *TCPEndpoint) writeControl(p *tcpPeer, frame []byte) error {
 // heartbeatLoop beacons liveness to every peer and heals idle dropped
 // connections with a single redial attempt per tick.
 func (e *TCPEndpoint) heartbeatLoop() {
-	hb := encodeHeartbeat()
+	// Beacon = heartbeat + cumulative ACK of what this side has released
+	// from the peer's stream, pruning its replay queue; one buffer, the
+	// ACK's count rewritten per peer per tick.
+	beacon := append(encodeHeartbeat(), encodeAck(0)...)
 	t := time.NewTicker(e.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
@@ -755,12 +787,9 @@ func (e *TCPEndpoint) heartbeatLoop() {
 			if p.rank == e.cfg.Rank || p.departed.Load() || p.failed.Load() {
 				continue
 			}
-			// Beacon = heartbeat + cumulative ACK of what this side has
-			// released from the peer's stream, pruning its replay buffer.
 			p.rmu.Lock()
-			released := p.wireIn
+			binary.LittleEndian.PutUint64(beacon[len(beacon)-8:], p.wireIn)
 			p.rmu.Unlock()
-			beacon := append(append([]byte(nil), hb...), encodeAck(released)...)
 			p.mu.Lock()
 			if p.conn != nil {
 				p.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))

@@ -47,6 +47,11 @@ type GlobalEngine struct {
 	ABlk  *sparse.CSR // stationary block A_{ij}, B×B
 	Cfg   gnn.Config
 	model *gnn.Model
+
+	// stage is the wire buffer of the collectives the engine issues itself,
+	// for the engine's lifetime: the packed gradients of AllreduceGrads and
+	// the two loss sums of EvalLoss.
+	stage []float64
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix
@@ -67,30 +72,36 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	n := a.Rows
 	npad := graph.PadTo(n, s)
 	b := npad / s
-	i, j := c.Rank()/s, c.Rank()%s
-
-	rowRanks := make([]int, s)
-	colRanks := make([]int, s)
-	for t := 0; t < s; t++ {
-		rowRanks[t] = i*s + t
-		colRanks[t] = t*s + j
-	}
-	e := &GlobalEngine{
-		C: c, S: s, B: b, N: n, NPad: npad,
-		GridRow: i, GridCol: j,
-		Row:  c.Group(rowRanks),
-		Col:  c.Group(colRanks),
-		Diag: i == j,
-		ABlk: graph.Block2D(a, i, j, b),
-		Cfg:  cfg,
-	}
+	e := gridPosition(c, s)
+	e.B, e.N, e.NPad = b, n, npad
+	e.ABlk = graph.Block2D(a, e.GridRow, e.GridCol, b)
+	e.Cfg = cfg
 	// Replicated parameters: every rank seeds the same RNG, so weights are
 	// bit-identical without any broadcast (the paper replicates W and a
 	// across all processes).
 	if e.model, err = gnn.NewBound(cfg, e.ABlk, &blockGrid{e}); err != nil {
 		return nil, err
 	}
+	words := 0
+	for _, p := range e.Params() {
+		words += len(p.Grad.Data)
+	}
+	e.stage = make([]float64, max(words, 2))
 	return e, nil
+}
+
+// gridPosition places world rank c at (i, j) of an s×s grid and derives its
+// row and column communicators.
+func gridPosition(c *dist.Comm, s int) *GlobalEngine {
+	i, j := c.Rank()/s, c.Rank()%s
+	rowRanks := make([]int, s)
+	colRanks := make([]int, s)
+	for t := 0; t < s; t++ {
+		rowRanks[t] = i*s + t
+		colRanks[t] = t*s + j
+	}
+	return &GlobalEngine{C: c, S: s, GridRow: i, GridCol: j, Diag: i == j,
+		Row: c.Group(rowRanks), Col: c.Group(colRanks)}
 }
 
 // Close returns the engine's plan leases to the shared cache. The plans
@@ -116,18 +127,17 @@ func (g *blockGrid) along(ax fuse.Axis) (*dist.Comm, int) {
 	return g.e.Col, g.e.GridCol
 }
 
+// The collectives run in the plan's own buffer: chunks are sent from it,
+// reduced into it and received into it.
+
 func (g *blockGrid) Bcast(ax fuse.Axis, buf []float64) {
 	c, root := g.along(ax)
-	if g.e.Diag {
-		c.Bcast(buf, root)
-		return
-	}
-	copy(buf, c.Bcast(nil, root))
+	c.BcastInto(buf, root)
 }
 
 func (g *blockGrid) ReduceToDiag(ax fuse.Axis, buf []float64) {
 	c, root := g.along(ax)
-	copy(buf, c.Reduce(buf, root)) // nil off the diagonal
+	c.ReduceInto(buf, root)
 }
 
 func (g *blockGrid) AllreduceRow(buf []float64, max bool) {
@@ -135,7 +145,7 @@ func (g *blockGrid) AllreduceRow(buf []float64, max bool) {
 	if max {
 		op = dist.OpMax
 	}
-	copy(buf, g.e.Row.AllreduceOp(buf, op))
+	g.e.Row.AllreduceOpInto(buf, op)
 }
 
 // OwnedRange returns the [lo, hi) global vertex range of the feature block
@@ -193,19 +203,14 @@ func (e *GlobalEngine) AllreduceGrads() {
 	sp := e.C.StartSpan("allreduce_grads")
 	defer sp.End()
 	ps := e.Params()
-	total := 0
-	for _, p := range ps {
-		total += len(p.Grad.Data)
-	}
-	buf := make([]float64, 0, total)
+	buf := e.stage[:0]
 	for _, p := range ps {
 		buf = append(buf, p.Grad.Data...)
 	}
-	buf = e.C.Allreduce(buf)
+	e.C.AllreduceInto(buf)
 	off := 0
 	for _, p := range ps {
-		copy(p.Grad.Data, buf[off:off+len(p.Grad.Data)])
-		off += len(p.Grad.Data)
+		off += copy(p.Grad.Data, buf[off:])
 	}
 }
 

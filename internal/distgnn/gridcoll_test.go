@@ -1,0 +1,195 @@
+package distgnn
+
+import (
+	gonet "net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"agnn/internal/dist"
+	distnet "agnn/internal/dist/net"
+	"agnn/internal/fuse"
+)
+
+// The dist-grid-tcp workload's block shape: B vertices per block, k
+// features.
+const gridB, gridK = 16384, 32
+
+// gridWorld is a 2×2 world whose ranks each hold a blockGrid and run one GAT
+// layer's collective sequence — bcast-col of the features, the softmax's
+// two row allreduces, reduce-row-to-diag of the SpMM partials — in their
+// own buffers, once per step.
+type gridWorld struct {
+	start []chan struct{} // start[r]: one token per step; closed to stop
+	done  chan error      // one per rank per step, or the rank's failure
+	wg    sync.WaitGroup
+	stop  func()
+}
+
+// newGridWorld starts the ranks the way the workload runs them — one
+// NewNetWorld per endpoint — over the channel world or over loopback TCP
+// endpoints with the default configuration. Tests leave opts.RecvTimeout
+// unset: under -race sync.Pool drops the pooled receive timers at random.
+func newGridWorld(tb testing.TB, tcp bool, opts dist.Options) *gridWorld {
+	const p = 4
+	w := &gridWorld{start: make([]chan struct{}, p), done: make(chan error, p)}
+	eps, closeEps := gridEndpoints(tb, p, tcp)
+	w.stop = closeEps
+	w.wg.Add(p)
+	for r := range eps {
+		w.start[r] = make(chan struct{})
+		go func(r int) {
+			defer w.wg.Done()
+			nw, err := dist.NewNetWorld(eps[r], opts)
+			if err == nil {
+				_, err = nw.TryRunLocal(func(c *dist.Comm) error {
+					g := &blockGrid{gridPosition(c, 2)}
+					feat := make([]float64, gridB*gridK)
+					part := make([]float64, gridB*gridK)
+					stat := make([]float64, gridB)
+					for range w.start[r] {
+						g.Bcast(fuse.AlongCol, feat)
+						g.AllreduceRow(stat, true)
+						g.AllreduceRow(stat, false)
+						g.ReduceToDiag(fuse.AlongRow, part)
+						w.done <- nil
+					}
+					return nil
+				})
+			}
+			if err != nil {
+				w.done <- err // in place of the rank's next step
+			}
+		}(r)
+	}
+	return w
+}
+
+// gridEndpoints returns p endpoints of one world and the function closing
+// them.
+func gridEndpoints(tb testing.TB, p int, tcp bool) ([]distnet.Endpoint, func()) {
+	eps := make([]distnet.Endpoint, p)
+	if !tcp {
+		cw, err := distnet.NewChanWorld(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for r := range eps {
+			eps[r] = cw.Endpoint(r)
+		}
+		return eps, func() {}
+	}
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rdv := ln.Addr().String()
+	ln.Close()
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := range eps {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ep, err := distnet.DialTCP(distnet.TCPConfig{Rank: r, Size: p, Rendezvous: rdv})
+			if err == nil {
+				eps[r] = ep
+			}
+			errs[r] = err
+		}(r)
+	}
+	wg.Wait()
+	closeAll := func() {
+		for _, ep := range eps {
+			if ep != nil {
+				ep.Close()
+			}
+		}
+	}
+	for r, err := range errs {
+		if err != nil {
+			closeAll()
+			tb.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return eps, closeAll
+}
+
+// step runs the sequence once on every rank.
+func (w *gridWorld) step(tb testing.TB) {
+	for _, s := range w.start {
+		s <- struct{}{}
+	}
+	for range w.start {
+		if err := <-w.done; err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// close stops the ranks and releases the transport.
+func (w *gridWorld) close() {
+	for _, s := range w.start {
+		close(s)
+	}
+	w.wg.Wait()
+	w.stop()
+}
+
+// warm runs steps until the recycled buffers cover a step's working set —
+// for TCP, the frames a heartbeat's ACK holds back, as many as the steps
+// written before the beacon lands: until a second of steps allocates
+// nothing, for at most twenty seconds.
+func (w *gridWorld) warm(tb testing.TB) {
+	var ms runtime.MemStats
+	for t0 := time.Now(); time.Since(t0) < 20*time.Second; {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for t1 := time.Now(); time.Since(t1) < time.Second; {
+			w.step(tb)
+		}
+		if runtime.ReadMemStats(&ms); ms.Mallocs == before {
+			return
+		}
+	}
+}
+
+// TestGridCollectivesZeroAllocs: once warm, a grid layer's collectives move
+// their words from one plan buffer to the peer's without allocating, over
+// channels and over TCP — no payload copy, no frame, no replay entry, no
+// received buffer is fresh memory.
+func TestGridCollectivesZeroAllocs(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			w := newGridWorld(t, tcp, dist.Options{})
+			defer w.close()
+			w.warm(t)
+			if n := testing.AllocsPerRun(30, func() { w.step(t) }); n != 0 {
+				t.Fatalf("%v allocations per grid layer's collectives, want 0", n)
+			}
+		})
+	}
+}
+
+// BenchmarkGridCollectives is one GAT layer's grid collectives at the
+// workload's block shape; allocs/op must read 0 on both transports.
+func BenchmarkGridCollectives(b *testing.B) {
+	for _, tcp := range []bool{false, true} {
+		b.Run(transportName(tcp), func(b *testing.B) {
+			w := newGridWorld(b, tcp, dist.Options{RecvTimeout: 60 * time.Second})
+			defer w.close()
+			w.warm(b)
+			b.SetBytes(8 * (2*gridB*gridK + 2*gridB))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.step(b)
+			}
+		})
+	}
+}
+
+func transportName(tcp bool) string {
+	return map[bool]string{false: "chan", true: "tcp"}[tcp]
+}

@@ -11,13 +11,14 @@ import (
 // masked count) cross the network. Returns the global mean loss and the
 // gradient block for this rank's owned rows (nil off-diagonal).
 func (e *GlobalEngine) EvalLoss(out *tensor.Dense, labels []int, mask []bool) (float64, *tensor.Dense) {
-	var local [2]float64
+	tot := e.stage[:2]
+	tot[0], tot[1] = 0, 0
 	var grad *tensor.Dense
 	if e.Diag {
 		lo, hi := e.OwnedRange()
-		local[0], local[1], grad = (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(out, lo, hi-lo)
+		tot[0], tot[1], grad = (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(out, lo, hi-lo)
 	}
-	tot := e.C.Allreduce(local[:])
+	e.C.AllreduceInto(tot)
 	if tot[1] == 0 {
 		return 0, grad
 	}
