@@ -27,7 +27,8 @@ FUZZ_TARGETS = \
 	internal/graph:FuzzReadCOOText internal/graph:FuzzReadCOOBinary internal/graph:FuzzReadDataset \
 	internal/sparse:FuzzGatherRows internal/sparse:FuzzExpRow internal/sparse:FuzzCosineRow \
 	internal/gnn:FuzzGenericPlanVsDirect internal/gnn:FuzzLoadWeights \
-	internal/ckpt:FuzzRead internal/dist/faults:FuzzParse internal/dist/net:FuzzDecodeFrames
+	internal/ckpt:FuzzRead internal/dist/faults:FuzzParse internal/dist/net:FuzzDecodeFrames \
+	internal/serving:FuzzHandler
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -48,7 +49,6 @@ examples:
 	$(GO) run ./examples/citation
 	$(GO) run ./examples/custom_model
 	$(GO) run ./examples/distributed
-	$(GO) run ./examples/graphblas
 
 clean:
 	rm -rf results results_full test_output.txt bench_output.txt

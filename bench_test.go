@@ -19,7 +19,6 @@ import (
 	"agnn/internal/distgnn"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/grb"
 	"agnn/internal/kernels"
 	"agnn/internal/local"
 	"agnn/internal/par"
@@ -74,32 +73,6 @@ func BenchmarkKernelMM(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelSpMMM(b *testing.B) {
-	a := benchGraph(b)
-	h := benchDense(benchN, benchK, 6)
-	w := benchDense(benchK, benchK, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernels.SpMMM(a, h, w)
-	}
-}
-
-func BenchmarkKernelMSpMM(b *testing.B) {
-	a := benchGraph(b)
-	x := benchDense(benchN, benchK, 8)
-	y := benchDense(benchN, benchK, 9)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.MSpMM(x, a, y)
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.MSpMMUnfused(x, a, y)
-		}
-	})
-}
-
 func BenchmarkKernelGraphSoftmax(b *testing.B) {
 	a := benchGraph(b)
 	h := benchDense(benchN, benchK, 10)
@@ -151,7 +124,6 @@ func BenchmarkKernelSemiringSpMM(b *testing.B) {
 
 func BenchmarkFusionAblation(b *testing.B) {
 	a := benchGraph(b)
-	h := benchDense(benchN, benchK, 12)
 	hp := benchDense(benchN, benchK, 13)
 	rng := rand.New(rand.NewSource(14))
 	u := make([]float64, benchN)
@@ -171,23 +143,6 @@ func BenchmarkFusionAblation(b *testing.B) {
 		// Ψ materialized once (the training path), scores still fused.
 		for i := 0; i < b.N; i++ {
 			kernels.FusedSoftmaxScores(a, score).MulDense(hp)
-		}
-	})
-	b.Run("gat-attention/unfused", func(b *testing.B) {
-		// Separate kernels with sparse intermediates at each step.
-		for i := 0; i < b.N; i++ {
-			e := kernels.FusedScores(a, score)
-			sparse.RowSoftmax(e).MulDense(hp)
-		}
-	})
-	b.Run("va-attention/fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kernels.FusedSoftmaxApply(a, kernels.VAEdgeScore(h), hp)
-		}
-	})
-	b.Run("va-attention/unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.RowSoftmax(sparse.SDDMM(a, h, h)).MulDense(hp)
 		}
 	})
 }
@@ -376,30 +331,4 @@ func BenchmarkMultiHeadGAT(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkGraphBLASAlgorithms measures the linear-algebra graph kernels
-// that share the sparse substrate with the GNN models.
-func BenchmarkGraphBLASAlgorithms(b *testing.B) {
-	a := graph.Kronecker(12, 8, 29)
-	b.Run("bfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			grb.BFSLevels(a, 0)
-		}
-	})
-	b.Run("sssp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			grb.SSSP(a, 0)
-		}
-	})
-	b.Run("triangles", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			grb.TriangleCount(a)
-		}
-	})
-	b.Run("pagerank", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			grb.PageRank(a, 0.85, 20)
-		}
-	})
 }

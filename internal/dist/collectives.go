@@ -15,8 +15,8 @@ import "fmt"
 // into and received into the caller's buffer, and every received payload is
 // borrowed — copied or reduced, then handed back to the endpoint — so a
 // step's words cross from one plan buffer to the peer's without a
-// collective allocating. The returning forms are wrappers that run the same
-// code on a fresh copy.
+// collective allocating. The returning Bcast and Allreduce are wrappers that
+// run the same code on a fresh copy.
 
 // split is how an n-word vector divides among a group of g: evenly, the
 // first n%g chunks one word longer (computed on demand, so a collective
@@ -193,20 +193,6 @@ var (
 	}
 )
 
-// ReduceScatter sums the group's equal-length vectors element-wise and
-// returns this rank's chunk of the result (the even split: the first n mod
-// size chunks one word longer). Ring algorithm: per-rank volume ≈ n words.
-func (c *Comm) ReduceScatter(data []float64) []float64 {
-	return c.ReduceScatterOp(data, OpSum)
-}
-
-// ReduceScatterOp is ReduceScatter with an arbitrary reduction operator.
-func (c *Comm) ReduceScatterOp(data []float64, op ReduceOp) []float64 {
-	acc := clone(data)
-	lo, hi := c.reduceScatter(acc, op).chunk(c.me)
-	return acc[lo:hi:hi]
-}
-
 // reduceScatter is the ring reduce-scatter in place: afterwards this rank's
 // chunk of buf holds the group's reduction, the other chunks partial ones.
 // Each received chunk is reduced into buf as dst = op(dst, received), the
@@ -263,19 +249,9 @@ func (c *Comm) AllreduceOpInto(buf []float64, op ReduceOp) {
 	c.ringAllgather(buf, sp)
 }
 
-// Reduce sums the group's vectors onto root (reduce-scatter + gather).
-// Non-root ranks return nil.
-func (c *Comm) Reduce(data []float64, root int) []float64 {
-	out := clone(data)
-	c.ReduceInto(out, root)
-	if c.me != root {
-		return nil
-	}
-	return out
-}
-
-// ReduceInto is Reduce in place: root's buf ends up holding the sum, the
-// other ranks' partial sums.
+// ReduceInto sums the group's equal-length vectors onto root in place
+// (reduce-scatter + gather): root's buf ends up holding the sum, the other
+// ranks' partial sums.
 func (c *Comm) ReduceInto(buf []float64, root int) {
 	defer c.endCollective(c.beginCollective(collReduce))
 	g := c.Size()
@@ -318,26 +294,6 @@ func (c *Comm) Gatherv(data []float64, root int) [][]float64 {
 		}
 	}
 	return out
-}
-
-// Scatterv sends chunks[r] to each group rank r from root and returns the
-// local chunk. Non-root callers pass nil.
-func (c *Comm) Scatterv(chunks [][]float64, root int) []float64 {
-	defer c.endCollective(c.beginCollective(collScatterv))
-	g := c.Size()
-	if g == 1 {
-		return clone(chunks[0])
-	}
-	c.round()
-	if c.me == root {
-		for r := 0; r < g; r++ {
-			if r != root {
-				c.Send(r, chunks[r])
-			}
-		}
-		return clone(chunks[root])
-	}
-	return c.Recv(root)
 }
 
 // Alltoallv sends out[r] to each rank r and returns the vectors received

@@ -181,7 +181,6 @@ const (
 	collAllreduce
 	collReduce
 	collGatherv
-	collScatterv
 	collAlltoallv
 	collGatherChunks // a whole chunked allgather: its hops are what the byte histogram observes
 	collGatherHop    // one ring hop of it
@@ -191,7 +190,7 @@ const (
 // collNames are the kinds' record names and, but for the chunked gather's
 // two (wireRank), their labels in the agnn_collective_bytes histogram.
 var collNames = [numColl]string{"barrier", "bcast", "allgather", "reduce_scatter", "allreduce",
-	"reduce", "gatherv", "scatterv", "alltoallv", "allgather_chunks", "gather.hop"}
+	"reduce", "gatherv", "alltoallv", "allgather_chunks", "gather.hop"}
 
 // rankTel is one rank's telemetry: its sites (log, wait histogram,
 // straggler counter) and one instrument per collective kind. The chunked
@@ -328,15 +327,6 @@ func (w *World) fail(rank int, cause error) {
 			ep.Abort(rank, cause)
 		}
 	})
-}
-
-// Failed reports whether any rank has failed, with the first failure's rank
-// and cause.
-func (w *World) Failed() (bool, int, error) {
-	if !w.failed.Load() {
-		return false, 0, nil
-	}
-	return true, w.failRank, w.failCause
 }
 
 // survivorErr is the error a non-failing rank unwinds with once the world

@@ -121,12 +121,8 @@ func TestReduceScatterAndAllreduce(t *testing.T) {
 				}
 			}
 			lo, hi := split{n: n, g: p}.chunk(c.Rank())
-			mine := c.ReduceScatter(data)
-			if len(mine) != hi-lo {
-				t.Errorf("p=%d: reduce-scatter chunk length %d", p, len(mine))
-				return
-			}
-			for i, v := range mine {
+			c.reduceScatter(data, OpSum) // in place: this rank's chunk holds the sum
+			for i, v := range data[lo:hi] {
 				if math.Abs(v-wantAt(lo+i)) > 1e-12 {
 					t.Errorf("p=%d rank %d: rs[%d] = %v", p, c.Rank(), i, v)
 					return
@@ -139,12 +135,9 @@ func TestReduceScatterAndAllreduce(t *testing.T) {
 func TestReduce(t *testing.T) {
 	for _, root := range []int{0, 2} {
 		Run(3, func(c *Comm) {
-			data := []float64{float64(c.Rank() + 1), 10}
-			got := c.Reduce(data, root)
+			got := []float64{float64(c.Rank() + 1), 10}
+			c.ReduceInto(got, root)
 			if c.Rank() != root {
-				if got != nil {
-					t.Error("non-root must return nil")
-				}
 				return
 			}
 			if got[0] != 6 || got[1] != 30 {
@@ -154,7 +147,7 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestGathervScatterv(t *testing.T) {
+func TestGatherv(t *testing.T) {
 	Run(4, func(c *Comm) {
 		got := c.Gatherv([]float64{float64(c.Rank())}, 1)
 		if c.Rank() == 1 {
@@ -165,14 +158,6 @@ func TestGathervScatterv(t *testing.T) {
 			}
 		} else if got != nil {
 			t.Error("non-root gatherv must return nil")
-		}
-		var chunks [][]float64
-		if c.Rank() == 0 {
-			chunks = [][]float64{{0}, {10}, {20}, {30}}
-		}
-		mine := c.Scatterv(chunks, 0)
-		if mine[0] != float64(10*c.Rank()) {
-			t.Errorf("scatterv rank %d = %v", c.Rank(), mine)
 		}
 	})
 }
@@ -329,8 +314,8 @@ func TestReduceScatterOpMax(t *testing.T) {
 		for i := range data {
 			data[i] = float64(c.Rank()*10 + i)
 		}
-		mine := c.ReduceScatterOp(data, OpMax)
-		lo, _ := split{n: 8, g: 4}.chunk(c.Rank())
+		lo, hi := c.reduceScatter(data, OpMax).chunk(c.Rank())
+		mine := data[lo:hi]
 		for i, v := range mine {
 			want := float64(30 + lo + i) // rank 3 dominates
 			if v != want {
@@ -356,34 +341,28 @@ func TestInPlaceCollectivesMatchReturning(t *testing.T) {
 				return v
 			}
 			root := p - 1
-			run := func(inPlace bool) ([][4][]float64, []Counters) {
-				res := make([][4][]float64, p)
+			run := func(inPlace bool) ([][3][]float64, []Counters) {
+				res := make([][3][]float64, p)
 				cs := Run(p, func(c *Comm) {
 					r := c.Rank()
-					var out [4][]float64
+					var out [3][]float64
 					if inPlace {
 						out[0] = make([]float64, n)
 						if r == root {
 							out[0] = data(root)
 						}
 						c.BcastInto(out[0], root)
-						out[1] = data(r)
-						c.ReduceInto(out[1], root)
-						out[2], out[3] = data(r), data(r)
-						c.AllreduceInto(out[2])
-						c.AllreduceOpInto(out[3], OpMax)
+						out[1], out[2] = data(r), data(r)
+						c.AllreduceInto(out[1])
+						c.AllreduceOpInto(out[2], OpMax)
 					} else {
 						var in []float64
 						if r == root {
 							in = data(root)
 						}
 						out[0] = c.Bcast(in, root)
-						out[1] = c.Reduce(data(r), root)
-						out[2] = c.Allreduce(data(r))
-						out[3] = c.AllreduceOp(data(r), OpMax)
-					}
-					if r != root {
-						out[1] = nil // partial sums in place, nil returned
+						out[1] = c.Allreduce(data(r))
+						out[2] = c.AllreduceOp(data(r), OpMax)
 					}
 					res[r] = out
 				})
@@ -395,7 +374,7 @@ func TestInPlaceCollectivesMatchReturning(t *testing.T) {
 				if gotCs[r] != wantCs[r] {
 					t.Errorf("p=%d n=%d rank %d: counters %+v in place, %+v returning", p, n, r, gotCs[r], wantCs[r])
 				}
-				for k, name := range []string{"bcast", "reduce", "allreduce", "allreduce-max"} {
+				for k, name := range []string{"bcast", "allreduce", "allreduce-max"} {
 					g, w := got[r][k], want[r][k]
 					if len(g) != len(w) {
 						t.Fatalf("p=%d n=%d rank %d %s: %d words in place, %d returning", p, n, r, name, len(g), len(w))

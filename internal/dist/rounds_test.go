@@ -24,7 +24,7 @@ func roundsOf(t *testing.T, p int, f func(c *Comm)) int64 {
 
 // TestCollectiveRoundCounts pins each collective to the round count its
 // volume-optimal algorithm promises (package doc): one superstep for the
-// single-phase rings (scatter, allgather, reduce-scatter, broadcast,
+// single-phase ones (gather, allgather, reduce-scatter, broadcast,
 // all-to-all), two for the composed ones (allreduce and reduce, which run
 // reduce-scatter followed by an allgather/gather phase).
 func TestCollectiveRoundCounts(t *testing.T) {
@@ -38,19 +38,10 @@ func TestCollectiveRoundCounts(t *testing.T) {
 		{"barrier", func(c *Comm) { c.Barrier() }, 1},
 		{"bcast", func(c *Comm) { c.Bcast(seq(n, float64(c.Rank())), 0) }, 1},
 		{"allgather", func(c *Comm) { c.Allgather(seq(n, float64(c.Rank()))) }, 1},
-		{"reduce_scatter", func(c *Comm) { c.ReduceScatter(seq(n, float64(c.Rank()))) }, 1},
+		{"reduce_scatter", func(c *Comm) { c.reduceScatter(seq(n, float64(c.Rank())), OpSum) }, 1},
 		{"allreduce", func(c *Comm) { c.Allreduce(seq(n, float64(c.Rank()))) }, 2},
-		{"reduce", func(c *Comm) { c.Reduce(seq(n, float64(c.Rank())), 0) }, 2},
+		{"reduce", func(c *Comm) { c.ReduceInto(seq(n, float64(c.Rank())), 0) }, 2},
 		{"gatherv", func(c *Comm) { c.Gatherv(seq(n, float64(c.Rank())), 0) }, 1},
-		{"scatterv", func(c *Comm) {
-			var chunks [][]float64
-			if c.Rank() == 0 {
-				for r := 0; r < p; r++ {
-					chunks = append(chunks, seq(n, float64(r)))
-				}
-			}
-			c.Scatterv(chunks, 0)
-		}, 1},
 		{"alltoallv", func(c *Comm) {
 			out := make([][]float64, p)
 			for r := 0; r < p; r++ {

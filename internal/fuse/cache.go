@@ -121,9 +121,6 @@ func (c *PlanCache) SetBudget(bytes int64) {
 	}
 }
 
-// Budget returns the current total byte budget (<= 0 means unlimited).
-func (c *PlanCache) Budget() int64 { return c.budget.Load() }
-
 // shardLimit is the per-shard share of the budget. Keys hash uniformly
 // across shards, so enforcing budget/shards per shard enforces the total
 // within a shard-imbalance factor.

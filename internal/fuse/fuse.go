@@ -6,10 +6,10 @@
 // sparse intermediate that samples the virtual results on the path; fuse
 // all operations on this path into an SDDMM-like kernel".
 //
-// The hand-fused kernels of internal/kernels are exactly the groups this
-// analysis derives from the forward DAGs of VA, AGNN and GAT; the tests
-// assert that correspondence, making the fusion choices auditable rather
-// than folklore.
+// The DAG analysed is the one every layer builds for itself (Graph, in
+// graph.go) and compiles into a Plan; the tests run Analyze on the VA, AGNN
+// and GAT layers' own graphs and check the groups against Figure 5, making
+// the fusion choices auditable rather than folklore.
 package fuse
 
 import (
@@ -178,22 +178,4 @@ func Analyze(d *DAG) []Group {
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Sampler.ID < groups[j].Sampler.ID })
 	return groups
-}
-
-// KernelCount returns how many kernel launches the DAG costs after fusion:
-// every non-input node runs one kernel, except virtual nodes, which are
-// folded into their group's sampler.
-func KernelCount(d *DAG) int {
-	groups := Analyze(d)
-	fused := 0
-	for _, g := range groups {
-		fused += len(g.Virtual)
-	}
-	n := 0
-	for _, node := range d.nodes {
-		if node.Op != "input" {
-			n++
-		}
-	}
-	return n - fused
 }

@@ -5,95 +5,6 @@ import (
 	"testing"
 )
 
-func groupStrings(gs []Group) []string {
-	out := make([]string, len(gs))
-	for i, g := range gs {
-		out[i] = g.String()
-	}
-	return out
-}
-
-func TestVAForwardFusion(t *testing.T) {
-	// The only virtual tensor is H·Hᵀ; it fuses into the adjacency mask —
-	// exactly the SDDMM kernel sparse.SDDMMScaled implements.
-	gs := Analyze(VAForward())
-	if len(gs) != 1 {
-		t.Fatalf("groups = %v", groupStrings(gs))
-	}
-	if gs[0].String() != "HHt -> Psi" {
-		t.Fatalf("VA fusion = %q", gs[0])
-	}
-}
-
-func TestAGNNForwardFusion(t *testing.T) {
-	// H·Hᵀ, the n·nᵀ outer product, the division and the β scaling all fold
-	// into the sparse mask — the fused AGNNEdgeScore kernel.
-	gs := Analyze(AGNNForward())
-	if len(gs) != 1 {
-		t.Fatalf("groups = %v", groupStrings(gs))
-	}
-	g := gs[0]
-	if g.Sampler.ID != "S" || len(g.Virtual) != 4 {
-		t.Fatalf("AGNN fusion = %q", g)
-	}
-	want := map[string]bool{"HHt": true, "nnT": true, "C": true, "betaC": true}
-	for _, v := range g.Virtual {
-		if !want[v.ID] {
-			t.Fatalf("unexpected virtual member %q", v.ID)
-		}
-	}
-}
-
-func TestGATForwardFusion(t *testing.T) {
-	// The two replications, the addition and the LeakyReLU fuse into the
-	// mask — kernels.GATEdgeScore + FusedScores.
-	gs := Analyze(GATForward())
-	if len(gs) != 1 {
-		t.Fatalf("groups = %v", groupStrings(gs))
-	}
-	g := gs[0]
-	if g.Sampler.ID != "E" || len(g.Virtual) != 4 {
-		t.Fatalf("GAT fusion = %q", g)
-	}
-}
-
-func TestBackwardDAGFusions(t *testing.T) {
-	// VA backward: M·Hᵀ fuses into N's mask (the SDDMMScaled in va.go).
-	gs := Analyze(VABackward())
-	if len(gs) != 1 || gs[0].String() != "MHt -> N" {
-		t.Fatalf("VA backward fusion = %v", groupStrings(gs))
-	}
-	// GAT backward: G·Hpᵀ fuses into Ψ̄'s mask; the virtual lrelu' chain
-	// fuses into C̄'s mask (the lreluMask kernel in gat.go).
-	gs = Analyze(GATBackward())
-	if len(gs) != 2 {
-		t.Fatalf("GAT backward fusions = %v", groupStrings(gs))
-	}
-	byID := map[string]Group{}
-	for _, g := range gs {
-		byID[g.Sampler.ID] = g
-	}
-	if g, ok := byID["PsiBar"]; !ok || len(g.Virtual) != 1 || g.Virtual[0].ID != "GHpT" {
-		t.Fatalf("PsiBar group wrong: %v", groupStrings(gs))
-	}
-	if g, ok := byID["CBar"]; !ok || len(g.Virtual) != 4 {
-		// u·1ᵀ, 1·vᵀ, C and lrelu'(C) all stay virtual and fold into C̄'s
-		// sampling mask.
-		t.Fatalf("CBar group wrong: %v", groupStrings(gs))
-	}
-}
-
-func TestKernelCount(t *testing.T) {
-	// GAT forward: 10 op nodes, 4 fused away → 6 kernels
-	// (Hp, u, v, fused-score-mask, softmax, spmm, sigma = 7? Hp,u,v,E,Psi,Z,Hout).
-	if got := KernelCount(GATForward()); got != 7 {
-		t.Fatalf("GAT forward kernel count = %d", got)
-	}
-	if got := KernelCount(VAForward()); got != 4 { // Psi, HW, Z, Hout
-		t.Fatalf("VA forward kernel count = %d", got)
-	}
-}
-
 func TestAnalyzePanicsOnEscapedVirtual(t *testing.T) {
 	d := NewDAG("bad")
 	h := d.Input("H", Dense)

@@ -10,9 +10,8 @@ import (
 // This file adds the executable half of the package: a Graph builder that
 // co-constructs the analysis DAG of fuse.go together with the execution
 // metadata (shapes, parameters, activation functions, score closures)
-// needed to compile it into a runnable Plan. The builder's op vocabulary
-// mirrors the prebuilt model DAGs of models.go, so the fusion analysis and
-// the runtime always see the same graph.
+// needed to compile it into a runnable Plan, so the fusion analysis and the
+// runtime always see the same graph.
 
 // ParamRef points at a trainable tensor and its gradient accumulator
 // without importing the gnn package (which imports fuse). The plan reads
@@ -71,7 +70,7 @@ func NewGraph(name string, pat *sparse.CSR) *Graph {
 	return g
 }
 
-// DAG exposes the co-constructed analysis DAG (for Analyze / KernelCount).
+// DAG exposes the co-constructed analysis DAG (for Analyze).
 func (g *Graph) DAG() *DAG { return g.dag }
 
 // Adj returns the adjacency leaf.

@@ -1003,9 +1003,6 @@ func (p *Plan) Stats() PlanStats { return p.stats }
 // Train reports whether the plan carries a backward pass.
 func (p *Plan) Train() bool { return p.train }
 
-// InputDims returns the expected input shape.
-func (p *Plan) InputDims() (rows, cols int) { return p.input.rows, p.input.cols }
-
 // OutputDims returns the shape of the forward result.
 func (p *Plan) OutputDims() (rows, cols int) { return p.output.rows, p.output.cols }
 

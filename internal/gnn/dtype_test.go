@@ -109,9 +109,7 @@ func TestModelF32GradsMatchF64(t *testing.T) {
 }
 
 // TestGradCheckF32 is the finite-difference check against the f32 plans
-// directly, with loosened steps: the f32 forward carries ~1e-7 relative
-// noise, so the perturbation must be large enough for the loss difference
-// to rise above it, and the tolerance absorbs what remains.
+// directly, with loosened steps (gradCheckModelStep).
 func TestGradCheckF32(t *testing.T) {
 	a := testGraph(10, 76)
 	m, err := New(Config{Model: AGNN, Layers: 2, InDim: 3, HiddenDim: 4, OutDim: 2,
@@ -121,34 +119,7 @@ func TestGradCheckF32(t *testing.T) {
 	}
 	h0 := tensor.RandN(10, 3, 0.8, rand.New(rand.NewSource(78)))
 	loss := &MSELoss{Target: tensor.RandN(10, 2, 1, rand.New(rand.NewSource(79)))}
-
-	m.ZeroGrad()
-	out := m.Forward(h0, true)
-	_, g := loss.Eval(out)
-	inGrad := m.Backward(g)
-	evalLoss := func() float64 {
-		v, _ := loss.Eval(m.Forward(h0, true))
-		return v
-	}
-	const eps, tol = 1e-3, 2e-2
-	check := func(name string, data, analytic []float64) {
-		for i := range data {
-			orig := data[i]
-			data[i] = orig + eps
-			lp := evalLoss()
-			data[i] = orig - eps
-			lm := evalLoss()
-			data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-analytic[i]) > tol*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, i, analytic[i], num)
-			}
-		}
-	}
-	for _, p := range m.Params() {
-		check(p.Name, p.Value.Data, p.Grad.Data)
-	}
-	check("input", h0.Data, inGrad.Data)
+	gradCheckModelStep(t, m, h0, loss, 1e-3, 2e-2)
 }
 
 // TestPlanInferenceMatchesDirectF64: the f64 inference plans must reproduce

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -22,8 +23,22 @@ func gaussianPsi() Psi {
 	}, gamma)
 }
 
+// customSumAgg is the sum ⊕ written as a custom fragment, from the node the
+// built-in SumAgg appends.
+func customSumAgg() Agg {
+	return CustomAgg("custom-sum", func(g *fuse.Graph, psi, x *fuse.Node) *fuse.Node { return g.SpMM("Z", psi, x) })
+}
+
+// tanhLinearPhi is a custom Φ fragment over one parameter: Φ(X) = tanh(X·W).
+func tanhLinearPhi(w *tensor.Dense) Phi {
+	wp := NewParam("Wc", w)
+	return CustomPhi("tanh-linear", func(g *fuse.Graph, x *fuse.Node) *fuse.Node {
+		return g.Sigma("cphiAct", g.MM("cphi", x, wp.Node(g)), planAct(Tanh()))
+	}, wp)
+}
+
 // closureForward evaluates Eq. 1 for an assembly of built-in pieces (and the
-// Gaussian Ψ) by composing direct tensor kernels, one closure per piece —
+// custom pieces above) by composing direct tensor kernels, one closure per piece —
 // the executor GenericLayer had before its pieces became DAG fragments, kept
 // as the oracle the compiled plans are fuzzed against.
 func closureForward(l *GenericLayer, h *tensor.Dense) *tensor.Dense {
@@ -50,7 +65,7 @@ func closureForward(l *GenericLayer, h *tensor.Dense) *tensor.Dense {
 	agg := func(x *tensor.Dense) *tensor.Dense {
 		unit := func(float64) float64 { return 0 }
 		switch l.Agg.Kind {
-		case "", "sum":
+		case "", "sum", "custom-sum":
 			return psi.MulDense(x)
 		case "max":
 			return tensor.NewDenseFrom(psi.Rows, x.Cols, sparse.SpMMSemiring(psi, x.Data, x.Cols, semiring.TropicalMax(), unit))
@@ -62,6 +77,9 @@ func closureForward(l *GenericLayer, h *tensor.Dense) *tensor.Dense {
 		panic(fmt.Sprintf("no closure for ⊕ kind %q", l.Agg.Kind))
 	}
 	phi := func(x *tensor.Dense) *tensor.Dense {
+		if l.Phi.Kind == "tanh-linear" {
+			return tensor.MM(x, l.Phi.Params[0].Value).Apply(Tanh().F)
+		}
 		inner := Identity()
 		if l.Phi.Kind == "mlp/tanh" {
 			inner = Tanh()
@@ -155,6 +173,14 @@ func TestGenericSemiringAggregations(t *testing.T) {
 	minOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MinAgg()}).Forward(h, false)
 	meanOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: MeanAgg()}).Forward(h, false)
 	sumOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: SumAgg()}).Forward(h, false)
+	customOut := NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: customSumAgg()}).Forward(h, false)
+
+	// A custom ⊕ built from the built-in sum's node is the built-in, bit for bit.
+	for i, v := range customOut.Data {
+		if math.Float64bits(v) != math.Float64bits(sumOut.Data[i]) {
+			t.Fatalf("custom sum ⊕ differs from the built-in at %d: %v != %v", i, v, sumOut.Data[i])
+		}
+	}
 
 	// max ≥ mean-of-features ≥ min per vertex neighborhood (feature-wise).
 	for i := 0; i < 10; i++ {

@@ -21,6 +21,15 @@ func testGraph(n int, seed int64) *sparse.CSR {
 // formulations of Section 5 must match the numerical Jacobian.
 func gradCheckModel(t *testing.T, m *Model, h0 *tensor.Dense, loss Loss, tol float64) {
 	t.Helper()
+	gradCheckModelStep(t, m, h0, loss, 1e-6, tol)
+}
+
+// gradCheckModelStep is gradCheckModel with the finite-difference step eps.
+// Float32 plans need a large one: their forward carries ~1e-7 relative
+// noise, so the perturbation must be large enough for the loss difference
+// to rise above it, and the tolerance absorbs what remains.
+func gradCheckModelStep(t *testing.T, m *Model, h0 *tensor.Dense, loss Loss, eps, tol float64) {
+	t.Helper()
 	m.ZeroGrad()
 	out := m.Forward(h0, true)
 	_, g := loss.Eval(out)
@@ -30,7 +39,6 @@ func gradCheckModel(t *testing.T, m *Model, h0 *tensor.Dense, loss Loss, tol flo
 		v, _ := loss.Eval(m.Forward(h0, true))
 		return v
 	}
-	const eps = 1e-6
 	check := func(name string, data []float64, analytic []float64) {
 		for i := range data {
 			orig := data[i]

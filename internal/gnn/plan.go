@@ -241,10 +241,13 @@ func aggregateProject(g *fuse.Graph, psi, h *fuse.Node, w *Param) *fuse.Node {
 }
 
 // planSig renders a layer signature: the layer kind, its structural
-// options, and the identities of the parameters the plan closes over.
-// Parameter identity (pointer, not value) is what keeps two models with
+// options, and the identities of the parameter buffers the plan closes over.
+// Buffer identity (pointer, not value) is what keeps two models with
 // identical shapes from sharing plans — a compiled plan reads and writes
-// the specific Value/Grad buffers it captured.
+// the specific Value/Grad buffers it captured (planRef). The key names those
+// buffers, not the Param holding them: an idle plan in the cache keeps its
+// buffers alive, so their addresses cannot be reused by another model while
+// the key exists, where a Param's could once the Param is collected.
 func planSig(l Layer, train bool, act Activation, extra string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|train=%t|act=%s", l.Name(), train, planAct(act).Name)
@@ -253,7 +256,7 @@ func planSig(l Layer, train bool, act Activation, extra string) string {
 		b.WriteString(extra)
 	}
 	for _, p := range l.Params() {
-		fmt.Fprintf(&b, "|%p", p)
+		fmt.Fprintf(&b, "|%p,%p", p.Value, p.Grad)
 	}
 	return b.String()
 }

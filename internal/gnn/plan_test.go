@@ -136,8 +136,8 @@ func TestMultiHeadGATGradCheckPlanned(t *testing.T) {
 }
 
 // TestGenericGradCheckPlanned: the generic Ψ/⊕/Φ layer gets a real trained
-// backward from the plan compiler for built-in assemblies — linear and MLP
-// Φ, both application orders.
+// backward from the plan compiler, at both widths — built-in assemblies with
+// linear and MLP Φ in both application orders, and custom fragments.
 func TestGenericGradCheckPlanned(t *testing.T) {
 	a := testGraph(9, 820)
 	rng := rand.New(rand.NewSource(821))
@@ -165,16 +165,27 @@ func TestGenericGradCheckPlanned(t *testing.T) {
 				Phi: MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
 				Act: Tanh()})
 		}},
+		{"softmaxdot+custom ⊕+custom Φ", func() *GenericLayer {
+			return NewGenericLayer(a, GenericLayer{Psi: SoftmaxDotPsi(), Agg: customSumAgg(),
+				Phi: tanhLinearPhi(tensor.GlorotInit(3, 2, rng)), Act: Tanh()})
+		}},
 	}
 	for _, tc := range cases {
-		gen := tc.mk()
-		if err := gen.CanTrain(); err != nil {
-			t.Fatalf("%s: expected trainable, got %v", tc.name, err)
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			gen := tc.mk()
+			gen.DType = dt
+			if err := gen.CanTrain(); err != nil {
+				t.Fatalf("%s: expected trainable, got %v", tc.name, err)
+			}
+			m := &Model{Layers: []Layer{gen}}
+			h := tensor.RandN(9, 3, 0.8, rand.New(rand.NewSource(822)))
+			loss := &MSELoss{Target: tensor.RandN(9, 2, 1, rand.New(rand.NewSource(823)))}
+			if dt == tensor.F32 {
+				gradCheckModelStep(t, m, h, loss, 1e-3, 2e-2)
+			} else {
+				gradCheckModel(t, m, h, loss, 5e-4)
+			}
 		}
-		m := &Model{Layers: []Layer{gen}}
-		h := tensor.RandN(9, 3, 0.8, rand.New(rand.NewSource(822)))
-		loss := &MSELoss{Target: tensor.RandN(9, 2, 1, rand.New(rand.NewSource(823)))}
-		gradCheckModel(t, m, h, loss, 5e-4)
 	}
 }
 
@@ -217,7 +228,7 @@ func FuzzGenericPlanVsDirect(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint8(2), true, uint8(1))
 	f.Fuzz(func(t *testing.T, psiSel, aggSel, phiSel uint8, phiFirst bool, actSel uint8) {
 		psis := []Psi{AdjacencyPsi(), DotPsi(), SoftmaxDotPsi(), gaussianPsi()}
-		aggs := []Agg{SumAgg(), MaxAgg(), MinAgg(), MeanAgg()}
+		aggs := []Agg{SumAgg(), MaxAgg(), MinAgg(), MeanAgg(), customSumAgg()}
 		acts := []Activation{Identity(), Tanh(), ReLU()}
 		rng := rand.New(rand.NewSource(900))
 		a := testGraph(10, 901)
@@ -226,6 +237,7 @@ func FuzzGenericPlanVsDirect(f *testing.F) {
 			{}, // identity
 			LinearPhi(tensor.GlorotInit(3, 2, rng)),
 			MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
+			tanhLinearPhi(tensor.GlorotInit(3, 2, rng)),
 		}
 		gen := NewGenericLayer(a, GenericLayer{
 			Psi:      psis[int(psiSel)%len(psis)],

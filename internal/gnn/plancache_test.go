@@ -181,3 +181,26 @@ func TestReleasePlansIdempotent(t *testing.T) {
 	m.Forward(h, true) // re-lease after release works
 	m.ReleasePlans()
 }
+
+// TestPlanSignatureNamesParamBuffers: a plan-cache key names the Value and
+// Grad buffers the compiled plan reads and accumulates into, not the Param
+// holding them. Keyed on the Param's own address, a collected model's idle
+// plan — its dead weights and gradients — would be lent to a new Param
+// allocated at that address; the buffers an idle plan holds stay alive, so
+// their addresses cannot be reused while the key exists.
+func TestPlanSignatureNamesParamBuffers(t *testing.T) {
+	for _, kind := range []string{"va", "agnn", "gat", "gcn", "gin", "sgc", "generic", "multihead"} {
+		l := sweepModel(t, kind, testGraph(12, 77), 4, 3).Layers[0].(DAGLayer)
+		for _, p := range l.Params() {
+			for _, buf := range []**tensor.Dense{&p.Value, &p.Grad} {
+				before := l.Signature(true)
+				old := *buf
+				*buf = tensor.NewDense(old.Rows, old.Cols)
+				if l.Signature(true) == before {
+					t.Errorf("%s: replacing %s's buffer with a fresh one of the same shape left the plan signature unchanged", kind, p.Name)
+				}
+				*buf = old
+			}
+		}
+	}
+}

@@ -1,11 +1,9 @@
-// Package kernels implements the fused compute kernels of the paper:
-// the SpMMM and MSpMM compositions identified in Table 2, and the
-// SDDMM-like fused operators produced by the execution-DAG analysis of
-// Section 6.2 (Figure 5). The fusion rule is the paper's: walk the DAG
-// from an edge whose output is a *virtual* dense matrix (the n×n score
-// matrix C) until a sparse intermediate samples it, then collapse the whole
-// path into one kernel that iterates over the non-zeros of the sparse
-// matrix and evaluates the virtual values on the fly.
+// Package kernels is the hand-written scalar oracle of the fused attention
+// sweep of Section 6.2 (Figure 5): the score evaluators of GAT and AGNN and
+// the fused softmax(+apply) kernels that iterate over the non-zeros of the
+// pattern and evaluate the virtual n×n score matrix on the fly. The program
+// runs the compiled plans of internal/fuse; tests and the benchmark compare
+// those plans against these kernels.
 package kernels
 
 import (
@@ -36,21 +34,6 @@ func GATEdgeScore(u, v []float64, negSlope float64) ScoreFunc {
 	}
 }
 
-// VAEdgeScore returns the evaluator for vanilla attention: C_ij = h_i·h_j,
-// the virtual H·Hᵀ.
-func VAEdgeScore(h *tensor.Dense) ScoreFunc {
-	k := h.Cols
-	return func(i, j int32) float64 {
-		hi := h.Data[int(i)*k : int(i)*k+k]
-		hj := h.Data[int(j)*k : int(j)*k+k]
-		acc := 0.0
-		for t, v := range hi {
-			acc += v * hj[t]
-		}
-		return acc
-	}
-}
-
 // AGNNEdgeScore returns the evaluator for AGNN's scaled cosine similarity:
 // C_ij = β · (h_i·h_j)/(‖h_i‖‖h_j‖), the virtual (H·Hᵀ) ⊘ n·nᵀ scaled by β.
 // Zero-norm rows contribute score 0.
@@ -71,39 +54,6 @@ func AGNNEdgeScore(h *tensor.Dense, norms []float64, beta float64) ScoreFunc {
 	}
 }
 
-// FusedScores samples the virtual score matrix through the sparsity pattern:
-// the result is pat's pattern with values f(i, j). This is the generalized
-// SDDMM the paper fuses attention-score pipelines into.
-func FusedScores(pat *sparse.CSR, f ScoreFunc) *sparse.CSR {
-	vals := make([]float64, pat.NNZ())
-	FusedScoresInto(vals, pat, f, nil, 0)
-	return pat.WithValues(vals)
-}
-
-// FusedScoresInto samples the virtual score matrix into a pre-allocated
-// value buffer. A non-nil weights slice (pat's own values, typically)
-// multiplies each sampled score — the weighted mask A ⊙ C. rowOff shifts
-// local row indices into global ones for row-distributed patterns whose
-// score closures index full-height factors (the 1.5D engines).
-func FusedScoresInto(vals []float64, pat *sparse.CSR, f ScoreFunc, weights []float64, rowOff int32) {
-	defer obs.Start("fused_scores").End()
-	if len(vals) != pat.NNZ() {
-		panic("kernels: FusedScoresInto value length mismatch")
-	}
-	par.RangeWeighted(pat.Rows, func(i int) int64 { return int64(pat.RowNNZ(i)) }, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gi := int32(i) + rowOff
-			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				v := f(gi, pat.Col[p])
-				if weights != nil {
-					v *= weights[p]
-				}
-				vals[p] = v
-			}
-		}
-	})
-}
-
 // FusedSoftmaxScores computes sm(A ⊙ scores) in a single sweep per row:
 // score evaluation, row max, exponentiation and normalization are fused, so
 // no unnormalized score matrix is materialized.
@@ -114,8 +64,10 @@ func FusedSoftmaxScores(pat *sparse.CSR, f ScoreFunc) *sparse.CSR {
 }
 
 // FusedSoftmaxScoresInto computes sm(A ⊙ scores) into a pre-allocated
-// value buffer, with the same weights/rowOff semantics as FusedScoresInto
-// (weights multiply the scores *before* the softmax).
+// value buffer. A non-nil weights slice (pat's own values, typically)
+// multiplies each sampled score before the softmax — the weighted mask
+// A ⊙ C. rowOff shifts local row indices into global ones for row blocks
+// whose score closures index full-height factors.
 func FusedSoftmaxScoresInto(vals []float64, pat *sparse.CSR, f ScoreFunc, weights []float64, rowOff int32) {
 	defer obs.Start("fused_softmax_scores").End()
 	if len(vals) != pat.NNZ() {
@@ -203,89 +155,4 @@ func FusedSoftmaxApply(pat *sparse.CSR, f ScoreFunc, x *tensor.Dense) *tensor.De
 		}
 	})
 	return out
-}
-
-// SpMMM computes the sparse–dense–dense composition S·B·C (forward-pass
-// pattern of Table 2). Both association orders produce n×k intermediates;
-// S·(B·C) performs nnz(S)·k + n·k·k multiplies versus (S·B)·C's
-// nnz(S)·k + n·k·k as well, but S·(B·C) touches the sparse matrix once with
-// the *projected* features, which is the order the paper's Φ-before-⊕
-// optimization prefers. A flop-based heuristic picks the order when the
-// dense shapes make them differ (k_in ≠ k_out).
-func SpMMM(s *sparse.CSR, b, c *tensor.Dense) *tensor.Dense {
-	defer obs.Start("spmmm").End()
-	// flops(S·(B·C)) = b.Rows·b.Cols·c.Cols + nnz·c.Cols
-	// flops((S·B)·C) = nnz·b.Cols + s.Rows·b.Cols·c.Cols
-	nnz := int64(s.NNZ())
-	right := int64(b.Rows)*int64(b.Cols)*int64(c.Cols) + nnz*int64(c.Cols)
-	left := nnz*int64(b.Cols) + int64(s.Rows)*int64(b.Cols)*int64(c.Cols)
-	if right <= left {
-		return s.MulDense(tensor.MM(b, c))
-	}
-	return tensor.MM(s.MulDense(b), c)
-}
-
-// MSpMM computes the dense–sparse–dense composition Xᵀ·S·Y (backward-pass
-// pattern of Table 2, e.g. the weight gradient Hᵀ·Ψᵀ·G) as one fused sweep:
-// per sparse row i it accumulates t_i = Σ_{j∈row i} S_ij·Y[j,:] into a
-// per-worker k₂ scratch vector and folds the rank-1 update X[i,:]ᵀ·t_i into
-// a per-worker k₁×k₂ accumulator. Flop count matches the unfused
-// composition (nnz·k₂ + n·k₁·k₂) but the n×k₂ intermediate of Xᵀ·(S·Y) is
-// never allocated — the point of the fusion.
-func MSpMM(x *tensor.Dense, s *sparse.CSR, y *tensor.Dense) *tensor.Dense {
-	if x.Rows != s.Rows || y.Rows != s.Cols {
-		panic("kernels: MSpMM shape mismatch")
-	}
-	defer obs.Start("mspmm").End()
-	k1, k2 := x.Cols, y.Cols
-	partials := make([]*tensor.Dense, par.Workers())
-	scratch := make([][]float64, par.Workers())
-	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(worker, lo, hi int) {
-		acc := partials[worker]
-		if acc == nil {
-			acc = tensor.NewDense(k1, k2)
-			partials[worker] = acc
-			scratch[worker] = make([]float64, k2)
-		}
-		t := scratch[worker]
-		for i := lo; i < hi; i++ {
-			b, e := s.RowPtr[i], s.RowPtr[i+1]
-			if b == e {
-				continue
-			}
-			for q := range t {
-				t[q] = 0
-			}
-			for p := b; p < e; p++ {
-				v := s.Val[p]
-				yrow := y.Data[int(s.Col[p])*k2 : int(s.Col[p])*k2+k2]
-				for q, yv := range yrow {
-					t[q] += v * yv
-				}
-			}
-			xrow := x.Data[i*k1 : (i+1)*k1]
-			for c, xv := range xrow {
-				if xv == 0 {
-					continue
-				}
-				arow := acc.Data[c*k2 : (c+1)*k2]
-				for q, tv := range t {
-					arow[q] += xv * tv
-				}
-			}
-		}
-	})
-	out := tensor.NewDense(k1, k2)
-	for _, p := range partials {
-		if p != nil {
-			out.AddInPlace(p)
-		}
-	}
-	return out
-}
-
-// MSpMMUnfused computes Xᵀ·S·Y as the two-kernel composition Xᵀ·(S·Y),
-// materializing the n×k₂ intermediate. Ablation target for MSpMM.
-func MSpMMUnfused(x *tensor.Dense, s *sparse.CSR, y *tensor.Dense) *tensor.Dense {
-	return tensor.TMM(x, s.MulDense(y))
 }

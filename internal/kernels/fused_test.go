@@ -39,13 +39,25 @@ func randVec(n int, rng *rand.Rand) []float64 {
 	return v
 }
 
+// sample evaluates f on every stored entry of pat — the sampled scores
+// A ⊙ C that the fused kernels normalize.
+func sample(pat *sparse.CSR, f ScoreFunc) *sparse.CSR {
+	vals := make([]float64, pat.NNZ())
+	for i := 0; i < pat.Rows; i++ {
+		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
+			vals[p] = f(int32(i), pat.Col[p])
+		}
+	}
+	return pat.WithValues(vals)
+}
+
 func TestFusedScoresMatchesExplicitComputation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 20
 	pat := randPattern(n, 0.2, rng)
 	u, v := randVec(n, rng), randVec(n, rng)
 	slope := 0.2
-	got := FusedScores(pat, GATEdgeScore(u, v, slope))
+	got := sample(pat, GATEdgeScore(u, v, slope))
 	// Explicit: C = u·1ᵀ + 1·vᵀ, lrelu, Hadamard with pattern.
 	c := tensor.Rep(u, n).Add(tensor.RepT(v, n))
 	c.ApplyInPlace(func(x float64) float64 {
@@ -69,20 +81,6 @@ func TestFusedScoresMatchesExplicitComputation(t *testing.T) {
 	}
 }
 
-func TestVAEdgeScoreMatchesSDDMM(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n, k := 15, 6
-	pat := randPattern(n, 0.3, rng)
-	h := randDense(n, k, rng)
-	got := FusedScores(pat, VAEdgeScore(h))
-	want := sparse.SDDMM(pat, h, h)
-	for p := range got.Val {
-		if math.Abs(got.Val[p]-want.Val[p]) > 1e-12 {
-			t.Fatal("VA fused score != SDDMM")
-		}
-	}
-}
-
 func TestAGNNEdgeScoreIsCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, k := 12, 5
@@ -90,7 +88,7 @@ func TestAGNNEdgeScoreIsCosine(t *testing.T) {
 	h := randDense(n, k, rng)
 	norms := tensor.RowNorms(h)
 	beta := 1.7
-	got := FusedScores(pat, AGNNEdgeScore(h, norms, beta))
+	got := sample(pat, AGNNEdgeScore(h, norms, beta))
 	// Cosine similarity is in [-1, 1]; scaled by β.
 	for p := range got.Val {
 		if math.Abs(got.Val[p]) > beta+1e-12 {
@@ -114,7 +112,7 @@ func TestAGNNEdgeScoreIsCosine(t *testing.T) {
 func TestAGNNEdgeScoreZeroNorm(t *testing.T) {
 	pat := sparse.Identity(2)
 	h := tensor.NewDense(2, 3) // all-zero features → zero norms
-	got := FusedScores(pat, AGNNEdgeScore(h, tensor.RowNorms(h), 1))
+	got := sample(pat, AGNNEdgeScore(h, tensor.RowNorms(h), 1))
 	for _, v := range got.Val {
 		if v != 0 {
 			t.Fatal("zero-norm rows must score 0, not NaN")
@@ -131,7 +129,7 @@ func TestFusedSoftmaxScoresMatchesTwoStep(t *testing.T) {
 		u, v := randVec(n, r), randVec(n, r)
 		sf := GATEdgeScore(u, v, 0.2)
 		fused := FusedSoftmaxScores(pat, sf)
-		twoStep := sparse.RowSoftmax(FusedScores(pat, sf))
+		twoStep := sparse.RowSoftmax(sample(pat, sf))
 		for p := range fused.Val {
 			if math.Abs(fused.Val[p]-twoStep.Val[p]) > 1e-12 {
 				return false
@@ -152,7 +150,7 @@ func TestFusedSoftmaxApplyMatchesMaterialized(t *testing.T) {
 		k := 1 + r.Intn(8)
 		pat := randPattern(n, 0.2, r)
 		h := randDense(n, k, r)
-		sf := VAEdgeScore(h)
+		sf := AGNNEdgeScore(h, tensor.RowNorms(h), 1.5)
 		got := FusedSoftmaxApply(pat, sf, h)
 		want := FusedSoftmaxScores(pat, sf).MulDense(h)
 		return got.ApproxEqual(want, 1e-10)
@@ -167,68 +165,10 @@ func TestFusedSoftmaxApplyEmptyRows(t *testing.T) {
 	c.Append(0, 1)
 	pat := sparse.FromCOO(c)
 	h := randDense(3, 4, rand.New(rand.NewSource(6)))
-	out := FusedSoftmaxApply(pat, VAEdgeScore(h), h)
+	out := FusedSoftmaxApply(pat, AGNNEdgeScore(h, tensor.RowNorms(h), 1), h)
 	for j := 0; j < 4; j++ {
 		if out.At(1, j) != 0 || out.At(2, j) != 0 {
 			t.Fatal("rows without neighbors must stay zero")
 		}
 	}
-}
-
-func TestSpMMMBothOrders(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n, kin, kout := 30, 8, 5
-	s := randPattern(n, 0.2, rng)
-	b := randDense(n, kin, rng)
-	c := randDense(kin, kout, rng)
-	got := SpMMM(s, b, c)
-	want := tensor.MM(s.MulDense(b), c)
-	if !got.ApproxEqual(want, 1e-10) {
-		t.Fatalf("SpMMM mismatch %g", got.MaxAbsDiff(want))
-	}
-	// Force the other branch with a very dense sparse matrix and small k.
-	dense := randPattern(n, 0.9, rng)
-	got2 := SpMMM(dense, b, c)
-	want2 := tensor.MM(dense.MulDense(b), c)
-	if !got2.ApproxEqual(want2, 1e-9) {
-		t.Fatal("SpMMM dense-branch mismatch")
-	}
-}
-
-func TestMSpMMMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(30)
-		k1 := 1 + r.Intn(6)
-		k2 := 1 + r.Intn(6)
-		s := randPattern(n, 0.25, r)
-		x := randDense(n, k1, r)
-		y := randDense(n, k2, r)
-		return MSpMM(x, s, y).ApproxEqual(MSpMMUnfused(x, s, y), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMSpMMMatchesDenseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n, k1, k2 := 20, 4, 3
-	s := randPattern(n, 0.3, rng)
-	x, y := randDense(n, k1, rng), randDense(n, k2, rng)
-	got := MSpMM(x, s, y)
-	want := tensor.MM(tensor.MM(x.T(), s.ToDense()), y)
-	if !got.ApproxEqual(want, 1e-9) {
-		t.Fatalf("MSpMM dense reference mismatch %g", got.MaxAbsDiff(want))
-	}
-}
-
-func TestMSpMMShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MSpMM(tensor.NewDense(3, 2), sparse.Identity(4), tensor.NewDense(4, 2))
 }

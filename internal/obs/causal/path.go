@@ -133,7 +133,7 @@ type Summary struct {
 var collectiveSpanNames = map[string]bool{
 	"barrier": true, "bcast": true, "allgather": true,
 	"reduce_scatter": true, "allreduce": true, "reduce": true,
-	"gatherv": true, "scatterv": true, "alltoallv": true,
+	"gatherv": true, "alltoallv": true,
 	"allgather_chunks": true, "gather.hop": true,
 }
 

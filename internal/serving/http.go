@@ -17,6 +17,10 @@ import (
 // batch, expand and plan stages.
 const TraceHeader = "X-Agnn-Trace"
 
+// maxBodyBytes bounds the request body an inference endpoint decodes: a
+// predict request naming a hundred thousand vertices fits.
+const maxBodyBytes = 1 << 20
+
 // PredictRequest is the POST /v1/predict body.
 type PredictRequest struct {
 	Vertices []int `json:"vertices"`
@@ -106,6 +110,7 @@ func instrument(endpoint string, w http.ResponseWriter, r *http.Request, fn func
 		return
 	}
 	metrics.ServeRequestsTotal.With(endpoint).Inc()
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	t0 := time.Now()
 	payload, err := fn()
 	dt := time.Since(t0).Seconds()

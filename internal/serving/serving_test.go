@@ -1,10 +1,12 @@
 package serving
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -22,7 +24,7 @@ import (
 
 // trainTiny trains a small GAT on a synthetic citation graph and returns
 // the model plus its dataset.
-func trainTiny(t *testing.T) (*gnn.Model, *graph.Dataset, gnn.Config) {
+func trainTiny(t testing.TB) (*gnn.Model, *graph.Dataset, gnn.Config) {
 	t.Helper()
 	ds := graph.SyntheticCitation(80, 3, 8, 0.7, 41)
 	cfg := gnn.Config{Model: gnn.GAT, Layers: 2, InDim: 8, HiddenDim: 6, OutDim: 3,
@@ -40,7 +42,7 @@ func trainTiny(t *testing.T) (*gnn.Model, *graph.Dataset, gnn.Config) {
 	return m, ds, cfg
 }
 
-func newTestEngine(t *testing.T, m *gnn.Model, ds *graph.Dataset, window time.Duration) *Engine {
+func newTestEngine(t testing.TB, m *gnn.Model, ds *graph.Dataset, window time.Duration) *Engine {
 	t.Helper()
 	adj, err := m.Adjacency()
 	if err != nil {
@@ -392,4 +394,101 @@ func TestServingHTTP(t *testing.T) {
 			t.Fatalf("metrics exposition missing %s", want)
 		}
 	}
+}
+
+// FuzzHandler drives POST /v1/predict and /v1/ego with arbitrary bodies and
+// X-Agnn-Trace headers. No input panics or earns a 5xx, the trace header is
+// echoed, a body that does not decode is a 400, and one that decodes answers
+// what the direct Engine call does, bit for bit (requests arrive one at a
+// time, so each runs alone in its micro-batch).
+func FuzzHandler(f *testing.F) {
+	m, ds, _ := trainTiny(f)
+	e := newTestEngine(f, m, ds, 50*time.Microsecond)
+	h := Handler(e, serve.Options{})
+	f.Add(false, []byte(`{"vertices":[0,2,4]}`), "")
+	f.Add(false, []byte(`{"vertices":[3,3,79]} trailing`), "client-7")
+	f.Add(false, []byte(`{"vertices":[]}`), "")
+	f.Add(false, []byte(`{"vertices":[99999]}`), "")
+	f.Add(false, []byte(`{"vertices":[1e400]}`), "")
+	f.Add(false, []byte(`null`), "\x00\n\xff")
+	f.Add(false, []byte(`not json`), "")
+	f.Add(true, []byte(`{"vertex":5,"hops":1}`), "ego-1")
+	f.Add(true, []byte(`{"vertex":3,"hops":-4}`), "")
+	f.Add(true, []byte(`{"vertex":3,"hops":9000000000000000000}`), "")
+	f.Add(true, []byte(`{"vertex":-1}`), "")
+	f.Fuzz(func(t *testing.T, ego bool, body []byte, trace string) {
+		path := "/v1/predict"
+		if ego {
+			path = "/v1/ego"
+		}
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		if trace != "" {
+			req.Header.Set(TraceHeader, trace)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("%s %q: status %d: %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		if trace != "" && rec.Header().Get(TraceHeader) != trace {
+			t.Fatalf("%s: trace header %q came back as %q", path, trace, rec.Header().Get(TraceHeader))
+		}
+		if len(body) > maxBodyBytes {
+			return
+		}
+
+		// The direct call on the same decoded request.
+		var want []Prediction
+		var err error
+		if ego {
+			var r EgoRequest
+			if err = json.NewDecoder(bytes.NewReader(body)).Decode(&r); err == nil {
+				var p Prediction
+				if p, err = e.Ego(context.Background(), r.Vertex, r.Hops); err == nil {
+					want = []Prediction{p}
+				}
+			}
+		} else {
+			var r PredictRequest
+			if err = json.NewDecoder(bytes.NewReader(body)).Decode(&r); err == nil {
+				want, err = e.Predict(context.Background(), r.Vertices)
+			}
+		}
+		if err != nil { // undecodable, or refused by the engine
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %q: the direct call failed (%v), the handler answered %d", path, body, err, rec.Code)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %q: the direct call answered, the handler %d: %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		var got []Prediction
+		if ego {
+			var r EgoResponse
+			err = json.Unmarshal(rec.Body.Bytes(), &r)
+			got = []Prediction{r.Prediction}
+		} else {
+			var r PredictResponse
+			err = json.Unmarshal(rec.Body.Bytes(), &r)
+			got = r.Predictions
+		}
+		if err != nil {
+			t.Fatalf("%s: undecodable reply %q: %v", path, rec.Body.Bytes(), err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s %q: %d predictions, the direct call %d", path, body, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Vertex != w.Vertex || g.Class != w.Class || len(g.Logits) != len(w.Logits) {
+				t.Fatalf("%s %q: prediction %d is %+v, the direct call's %+v", path, body, i, g, w)
+			}
+			for j, v := range w.Logits {
+				if math.Float64bits(g.Logits[j]) != math.Float64bits(v) {
+					t.Fatalf("%s %q: vertex %d logit %d is %v, the direct call's %v", path, body, w.Vertex, j, g.Logits[j], v)
+				}
+			}
+		}
+	})
 }

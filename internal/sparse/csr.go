@@ -94,9 +94,6 @@ func (s *CSR) WithValues(vals []float64) *CSR {
 	return &CSR{Rows: s.Rows, Cols: s.Cols, RowPtr: s.RowPtr, Col: s.Col, Val: vals}
 }
 
-// ZeroLike returns a same-pattern matrix with zero values.
-func (s *CSR) ZeroLike() *CSR { return s.WithValues(make([]float64, s.NNZ())) }
-
 // SamePattern reports whether two matrices share an identical sparsity
 // structure. It is O(1) when the slices are literally shared and O(nnz)
 // otherwise.
@@ -215,20 +212,6 @@ func (s *CSR) Scale(alpha float64) *CSR {
 	return s.Apply(func(v float64) float64 { return alpha * v })
 }
 
-// HadamardSamePattern returns S ⊙ B for two matrices sharing a pattern.
-func (s *CSR) HadamardSamePattern(b *CSR) *CSR {
-	if !s.SamePattern(b) {
-		panic("sparse: HadamardSamePattern on different patterns")
-	}
-	vals := make([]float64, s.NNZ())
-	par.Range(s.NNZ(), func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			vals[p] = s.Val[p] * b.Val[p]
-		}
-	})
-	return s.WithValues(vals)
-}
-
 // AddSamePattern returns S + B for two matrices sharing a pattern.
 func (s *CSR) AddSamePattern(b *CSR) *CSR {
 	if !s.SamePattern(b) {
@@ -322,51 +305,6 @@ func (s *CSR) RowSums() []float64 {
 	return out
 }
 
-// ColSums returns the vector of column sums (sumᵀ(X) = 1ᵀ·X).
-func (s *CSR) ColSums() []float64 {
-	w := par.Workers()
-	partials := make([][]float64, w)
-	par.Range(s.Rows, func(worker, lo, hi int) {
-		acc := partials[worker]
-		if acc == nil {
-			acc = make([]float64, s.Cols)
-			partials[worker] = acc
-		}
-		for i := lo; i < hi; i++ {
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				acc[s.Col[p]] += s.Val[p]
-			}
-		}
-	})
-	out := make([]float64, s.Cols)
-	for _, pp := range partials {
-		if pp == nil {
-			continue
-		}
-		for j, v := range pp {
-			out[j] += v
-		}
-	}
-	return out
-}
-
-// RowMax returns per-row maxima; empty rows yield -Inf.
-func (s *CSR) RowMax() []float64 {
-	out := make([]float64, s.Rows)
-	par.Range(s.Rows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m := math.Inf(-1)
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				if s.Val[p] > m {
-					m = s.Val[p]
-				}
-			}
-			out[i] = m
-		}
-	})
-	return out
-}
-
 // ScaleRows returns diag(r)·S (row i scaled by r[i]).
 func (s *CSR) ScaleRows(r []float64) *CSR {
 	if len(r) != s.Rows {
@@ -413,31 +351,6 @@ func (s *CSR) ToDense() *tensor.Dense {
 		}
 	}
 	return out
-}
-
-// FromDense converts a dense matrix to CSR, dropping exact zeros.
-func FromDense(d *tensor.Dense) *CSR {
-	coo := NewCOO(d.Rows, d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				coo.AppendVal(int32(i), int32(j), v)
-			}
-		}
-	}
-	return FromCOO(coo)
-}
-
-// ToCOO converts back to coordinate format (entries in row-major order).
-func (s *CSR) ToCOO() *COO {
-	c := NewCOO(s.Rows, s.Cols, s.NNZ())
-	for i := 0; i < s.Rows; i++ {
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			c.AppendVal(int32(i), s.Col[p], s.Val[p])
-		}
-	}
-	return c
 }
 
 // RowNNZ returns the number of stored entries in row i.

@@ -63,24 +63,6 @@ func (s *CSR) mulDenseTiled(out, x *tensor.Dense, zero bool) {
 	})
 }
 
-// MulVec computes the SpMV y = S·x.
-func (s *CSR) MulVec(x []float64) []float64 {
-	if len(x) != s.Cols {
-		panic("sparse: SpMV dimension mismatch")
-	}
-	out := make([]float64, s.Rows)
-	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			acc := 0.0
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				acc += s.Val[p] * x[s.Col[p]]
-			}
-			out[i] = acc
-		}
-	})
-	return out
-}
-
 // SDDMM computes the sampled dense-dense matrix product: a matrix with the
 // pattern of pat whose value at (i, j) is X[i,:]·Y[j,:] (i.e. pat ⊙ X·Yᵀ,
 // with the n×n dense product never materialized — it is the virtual matrix

@@ -59,22 +59,6 @@ func TestSpMMAccumulate(t *testing.T) {
 	}
 }
 
-func TestSpMV(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	s := randSparse(30, 25, 0.2, rng)
-	x := make([]float64, 25)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := s.MulVec(x)
-	want := tensor.MatVec(s.ToDense(), x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("SpMV[%d] mismatch", i)
-		}
-	}
-}
-
 func TestSDDMMAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pat := randPattern(25, 30, 0.1, rng)

@@ -118,31 +118,6 @@ func TMM(a, b *Dense) *Dense {
 	return out
 }
 
-// MMTAccumulate computes out += A·Bᵀ without materializing the transpose
-// and without allocating; rows of out are owned by workers, so no partial
-// buffers are needed.
-func MMTAccumulate(out, a, b *Dense) {
-	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MMTAccumulate shape mismatch out %d×%d += %d×%d · (%d×%d)ᵀ",
-			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	n, k, m := a.Rows, a.Cols, b.Rows
-	par.Range(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*m : (i+1)*m]
-			for j := 0; j < m; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				s := 0.0
-				for t, av := range arow {
-					s += av * brow[t]
-				}
-				orow[j] += s
-			}
-		}
-	})
-}
-
 // TMMScratch holds the per-worker partial accumulators TMMAccumulate needs
 // to parallelize over rows without races. The buffers are kept zeroed
 // between calls, so a scratch that has warmed up to the current worker
@@ -208,41 +183,6 @@ func TMMAccumulate(out, a, b *Dense, scratch *TMMScratch) {
 		if p != nil {
 			out.AddInPlace(p)
 			p.Zero()
-		}
-	}
-}
-
-// MatVecInto computes out = A·x into a pre-allocated slice.
-func MatVecInto(out []float64, a *Dense, x []float64) {
-	if len(x) != a.Cols || len(out) != a.Rows {
-		panic(fmt.Sprintf("tensor: MatVecInto dimension mismatch %d = %d×%d · %d", len(out), a.Rows, a.Cols, len(x)))
-	}
-	par.Range(a.Rows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*a.Cols : (i+1)*a.Cols]
-			s := 0.0
-			for t, v := range row {
-				s += v * x[t]
-			}
-			out[i] = s
-		}
-	})
-}
-
-// VecMatAccumulate computes out += xᵀ·A serially (the output is a short
-// k-vector; the backward passes that use it are dominated by their sparse
-// products).
-func VecMatAccumulate(out, x []float64, a *Dense) {
-	if len(x) != a.Rows || len(out) != a.Cols {
-		panic(fmt.Sprintf("tensor: VecMatAccumulate dimension mismatch %d += %d · %d×%d", len(out), len(x), a.Rows, a.Cols))
-	}
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range row {
-			out[j] += xv * v
 		}
 	}
 }
