@@ -60,9 +60,8 @@ func main() {
 	weights := flag.String("weights", "", "restore a weights-only checkpoint (agnn-train -save)")
 	addr := flag.String("addr", ":8080", "listen address")
 	budget := flag.Int64("plancache-budget", fuse.DefaultBudgetBytes, "plan-cache resident-bytes budget (0 = unlimited)")
-	hops := flag.Int("hops", 0, "prediction neighborhood radius (0 = model depth)")
+	hops := flag.Int("hops", 0, "prediction neighborhood radius (0 = the hops the model's aggregations reach)")
 	maxBatch := flag.Int("max-batch", 64, "max seed vertices per compiled execution")
-	window := flag.Duration("window", 2*time.Millisecond, "micro-batch collection window")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue depth (0 = 4×max-batch)")
 	runners := flag.Int("runners", 1, "batch-execution goroutines")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (SIGQUIT, shutdown) to this directory (default $AGNN_FLIGHT_DIR)")
@@ -117,7 +116,7 @@ func main() {
 	fatal(err)
 	eng, err := serving.NewEngine(serving.Config{
 		Model: m, Adj: adj, Features: ds.Features,
-		Hops: *hops, MaxBatch: *maxBatch, Window: *window,
+		Hops: *hops, MaxBatch: *maxBatch,
 		QueueDepth: *queueDepth, Runners: *runners,
 	})
 	fatal(err)

@@ -203,12 +203,15 @@ func (c *PlanCache) Get(key CacheKey, build func(ws *tensor.Arena) *Plan) Lease 
 
 // Release returns the leased plan to the cache's idle pool and enforces
 // the byte budget (possibly evicting this very plan when the budget is
-// tight). Safe to call on the zero Lease and idempotent.
+// tight). The plan lets go of the caller's matrices it was bound to first:
+// the budget counts an idle plan's workspace, and that is all it holds.
+// Safe to call on the zero Lease and idempotent.
 func (l *Lease) Release() {
 	if l.plan == nil || l.done {
 		return
 	}
 	l.done = true
+	l.plan.detach()
 	s := l.s
 	s.mu.Lock()
 	defer s.mu.Unlock()

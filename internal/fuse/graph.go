@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"fmt"
+	"strings"
 
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -317,6 +318,32 @@ func (g *Graph) Sigma(id string, z *Node, act Act) *Node {
 func (g *Graph) SetOutput(v *Node) {
 	g.wantKind(v, Dense, "SetOutput")
 	g.output = v
+}
+
+// OutputCols returns the width of the output node.
+func (g *Graph) OutputCols() int { return g.md(g.output).cols }
+
+// Radius returns how many hops of the adjacency one output row reads: the
+// largest number of aggregations (spmm-family ops) on any path from the
+// dense input to the output.
+func (g *Graph) Radius() int {
+	hops := make(map[*Node]int) // the nodes that read the input
+	for _, n := range g.dag.Nodes() {
+		h, reads := 0, n == g.input
+		for _, in := range n.Inputs {
+			if d, ok := hops[in]; ok {
+				h, reads = max(h, d), true
+			}
+		}
+		if !reads {
+			continue
+		}
+		if strings.HasPrefix(n.Op, "spmm") {
+			h++
+		}
+		hops[n] = h
+	}
+	return hops[g.output]
 }
 
 func (g *Graph) wantKind(v *Node, k Kind, op string) {

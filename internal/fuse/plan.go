@@ -102,6 +102,7 @@ type boundary interface {
 	settle()                       // flush parameter gradients into their float64 masters
 	native(back bool) tensor.Typed // the forward result — back: the input cotangent — at the plan's width
 	dense(back bool) *tensor.Dense // the same as float64
+	detach()                       // drop the references bind and seed took to the caller's matrices
 	release(ws *tensor.Arena)
 }
 
@@ -279,6 +280,21 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	}
 	e.widen.run((*buf).Data, src.Data)
 	return *buf
+}
+
+// detach keeps an idle plan from holding its last caller's matrices alive:
+// the bound input unless it is the plan-owned narrowed copy, and an output
+// cotangent read by reference.
+func (e *exec[T]) detach() {
+	if e.offDiag {
+		return
+	}
+	if e.input.dense != e.inN {
+		e.input.dense = nil
+	}
+	if e.seedByRef {
+		e.output.gdense = nil
+	}
 }
 
 func (e *exec[T]) release(ws *tensor.Arena) {
@@ -1146,6 +1162,14 @@ func (p *Plan) BackwardTyped(g tensor.Typed) tensor.Typed {
 // InputGrad returns the input cotangent of the latest backward sweep as
 // float64 (see Output).
 func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
+
+// detach drops the plan's hold on the matrices its last caller bound
+// (boundary.detach), so that an idle plan keeps none of them alive; a
+// Backward then needs a Forward first again.
+func (p *Plan) detach() {
+	p.x.detach()
+	p.ranForward = false
+}
 
 // Release returns every buffer the plan holds to its workspace arena. The
 // plan is unusable afterwards; recompiling against the same arena (an

@@ -3,6 +3,7 @@ package gnn
 import (
 	"fmt"
 
+	"agnn/internal/fuse"
 	"agnn/internal/sparse"
 )
 
@@ -47,6 +48,30 @@ func (m *Model) Adjacency() (*sparse.CSR, error) {
 		}
 	}
 	return nil, fmt.Errorf("gnn: model has no adjacency-bound layer")
+}
+
+// Radius returns how many hops of the adjacency one row of the model's
+// output reads, for features of width in: per layer, the largest number of
+// aggregations on any path through its DAG (fuse.Graph.Radius), summed over
+// the layers. The induced subgraph of a vertex's ego network of this radius
+// gives the vertex the logits the full graph does — a K-hop SGC layer counts
+// K, a GAT layer one, dropout none.
+func (m *Model) Radius(in int) (int, error) {
+	hops := 0
+	for i, l := range m.Layers {
+		switch ll := l.(type) {
+		case DAGLayer:
+			a := ll.core().A
+			g := fuse.NewGraph(ll.Name(), a)
+			ll.DAG(g, g.InputDense("H", a.Rows, in))
+			hops += g.Radius()
+			in = g.OutputCols()
+		case *DropoutLayer:
+		default:
+			return 0, fmt.Errorf("gnn: layer %d (%T) has no DAG to read its radius from", i, l)
+		}
+	}
+	return hops, nil
 }
 
 // Rebind swaps the model's adjacency in place: every layer keeps its

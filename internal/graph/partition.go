@@ -67,31 +67,6 @@ func PadTo(n, b int) int {
 	return (n + b - 1) / b * b
 }
 
-// InducedSubgraph extracts the subgraph induced by the given (distinct)
-// global vertex ids: entry (x, y) of the result carries a's (vertices[x],
-// vertices[y]) value. This is the global-formulation side of mini-batching:
-// the paper notes its routines "straightforwardly extend to mini-batching",
-// and running any gnn model on the induced adjacency of an expanded seed
-// batch is exactly that extension.
-func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
-	localID := make(map[int32]int32, len(vertices))
-	for li, v := range vertices {
-		if _, dup := localID[v]; dup {
-			panic("graph: InducedSubgraph with duplicate vertex ids")
-		}
-		localID[v] = int32(li)
-	}
-	coo := sparse.NewCOO(len(vertices), len(vertices), len(vertices)*4)
-	for li, v := range vertices {
-		for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-			if lj, ok := localID[a.Col[p]]; ok {
-				coo.AppendVal(int32(li), lj, a.Val[p])
-			}
-		}
-	}
-	return sparse.FromCOO(coo)
-}
-
 // Block2D extracts the dense-grid block (bi, bj) of a as a standalone CSR
 // of size bs×bs, padding with empty rows/columns beyond a's bounds. Block
 // (bi, bj) covers global rows [bi·bs, (bi+1)·bs) and columns

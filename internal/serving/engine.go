@@ -11,11 +11,14 @@
 // structure — the common case under load, and always the case for repeated
 // identical queries — executes with zero recompilation.
 //
-// Requests are micro-batched: a runner collects queries for up to Window
-// (or MaxBatch seeds), unions their seed sets, and answers them with one
-// subgraph execution. Admission control is a bounded queue — when it is
-// full the engine sheds load with ErrOverloaded rather than queuing
-// unboundedly (the HTTP layer maps this to 429).
+// Requests are micro-batched by queueing, not by a timer: a runner takes
+// the first request and whatever is already queued behind it (up to
+// MaxBatch seeds), unions their seed sets, and answers them with one
+// subgraph execution. A lone request never waits for company; under load,
+// the requests that arrive while one batch executes form the next.
+// Admission control is a bounded queue — when it is full the engine sheds
+// load with ErrOverloaded rather than queuing unboundedly (the HTTP layer
+// maps this to 429).
 package serving
 
 import (
@@ -24,7 +27,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,14 +57,12 @@ type Config struct {
 	Features *tensor.Dense // full n×k feature matrix
 
 	// Hops is the neighborhood radius of a prediction subgraph. 0 means
-	// the model depth (every layer aggregates one hop).
+	// the model's own radius (gnn.Model.Radius): the hops its layers'
+	// aggregations reach, so an ego answer equals the full-graph one.
 	Hops int
 	// MaxBatch caps the number of distinct seed vertices answered by one
 	// compiled execution (default 64).
 	MaxBatch int
-	// Window is how long a runner waits to fill a micro-batch after the
-	// first request arrives (default 2ms).
-	Window time.Duration
 	// QueueDepth bounds the admission queue (default 4×MaxBatch requests).
 	QueueDepth int
 	// Runners is the number of batch-execution goroutines (default 1).
@@ -79,21 +80,14 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serving: %d feature rows for %d vertices", c.Features.Rows, c.Adj.Rows)
 	}
 	if c.Hops <= 0 {
-		c.Hops = 0
-		for _, l := range c.Model.Layers {
-			if _, ok := l.(*gnn.DropoutLayer); !ok {
-				c.Hops++
-			}
+		r, err := c.Model.Radius(c.Features.Cols)
+		if err != nil {
+			return c, fmt.Errorf("serving: %w", err)
 		}
-		if c.Hops == 0 {
-			c.Hops = 1
-		}
+		c.Hops = max(r, 1)
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -112,15 +106,18 @@ type Prediction struct {
 }
 
 // Timing decomposes one request's latency along the serving pipeline:
-// admission-queue wait, micro-batch collection wait, ego expansion, and
+// admission-queue wait, micro-batch hand-over, ego expansion, and
 // compiled-plan execution. ExpandNs/PlanNs are shared by every request in
 // the same micro-batch; QueueNs/BatchNs are per request. A p99 outlier
-// with a large QueueNs is an admission problem, a large BatchNs points at
-// the Window, and a large PlanNs at the query structure itself.
+// with a large QueueNs is an admission problem (requests queue behind the
+// executing batch), and a large PlanNs points at the query structure
+// itself. BatchNs is about 0: a batch closes as soon as the queue is
+// drained, so only a request whose batch runs after another radius group's
+// execution shows more.
 type Timing struct {
 	TraceID  string `json:"trace_id,omitempty"` // request trace ID (X-Agnn-Trace)
 	QueueNs  int64  `json:"queue_ns"`           // enqueue → picked up by a runner
-	BatchNs  int64  `json:"batch_ns"`           // picked up → micro-batch closed
+	BatchNs  int64  `json:"batch_ns"`           // picked up → its group's execution starts
 	ExpandNs int64  `json:"expand_ns"`          // seed union → induced subgraph + features
 	PlanNs   int64  `json:"plan_ns"`            // rebind + planned forward + output copy
 	Seeds    int    `json:"batch_seeds"`        // distinct seeds in the shared execution
@@ -175,16 +172,29 @@ type Engine struct {
 
 // NewEngine validates the config and starts the runner goroutines.
 func NewEngine(cfg Config) (*Engine, error) {
+	e, err := newIdleEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.start()
+	return e, nil
+}
+
+// newIdleEngine is NewEngine without the runners: requests queue until
+// start.
+func newIdleEngine(cfg Config) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}
-	e.wg.Add(cfg.Runners)
-	for i := 0; i < cfg.Runners; i++ {
+	return &Engine{cfg: cfg, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
+}
+
+func (e *Engine) start() {
+	e.wg.Add(e.cfg.Runners)
+	for i := 0; i < e.cfg.Runners; i++ {
 		go e.runner()
 	}
-	return e, nil
 }
 
 // Stop drains the engine: no new requests are admitted, queued requests
@@ -304,22 +314,20 @@ func (e *Engine) runner() {
 	}
 }
 
-// collect gathers requests after the first until the window closes or the
-// batch holds MaxBatch seed slots (counting duplicates conservatively).
+// collect joins to the first request the ones already queued behind it,
+// until the queue is empty or the batch holds MaxBatch seed slots (counting
+// duplicates conservatively). It never waits: what arrives while this batch
+// executes forms the next one.
 func (e *Engine) collect(first request) []request {
 	batch := []request{first}
 	seedCount := len(first.seeds)
-	timer := time.NewTimer(e.cfg.Window)
-	defer timer.Stop()
 	for seedCount < e.cfg.MaxBatch {
 		select {
 		case r := <-e.reqs:
 			r.pick = time.Now()
 			batch = append(batch, r)
 			seedCount += len(r.seeds)
-		case <-timer.C:
-			return batch
-		case <-e.done:
+		default:
 			return batch
 		}
 	}
@@ -435,30 +443,36 @@ func argmax(x []float64) int {
 // BFS frontier sorted ascending. The order is what makes two executions of
 // the same query bitwise-identical — the induced subgraph, and therefore
 // the compiled plan's arithmetic, depends on it.
+//
+// Visited vertices are marked in a pooled graph.Marks array, and each
+// frontier is appended to the result as it is found, then sorted in place.
 func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
 	verts := append([]int32(nil), seeds...)
-	seen := make(map[int32]bool, len(seeds))
+	marks := graph.BorrowMarks(a.Rows)
+	seen := marks.At
 	for _, s := range seeds {
-		seen[s] = true
+		seen[s] = 1
 	}
 	frontier := seeds
 	for h := 0; h < hops; h++ {
-		var next []int32
+		lo := len(verts)
 		for _, v := range frontier {
-			for p := a.RowPtr[v]; p < a.RowPtr[v+1]; p++ {
-				c := a.Col[p]
-				if !seen[c] {
-					seen[c] = true
-					next = append(next, c)
+			for _, c := range a.Col[a.RowPtr[v]:a.RowPtr[v+1]] {
+				if seen[c] == 0 {
+					seen[c] = 1
+					verts = append(verts, c)
 				}
 			}
 		}
-		if len(next) == 0 {
+		if len(verts) == lo {
 			break
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		verts = append(verts, next...)
-		frontier = next
+		// The frontier is read while the next one is appended: should verts
+		// move, frontier keeps the old array, whose first len(verts) entries
+		// stay as they were.
+		frontier = verts[lo:]
+		slices.Sort(frontier)
 	}
+	marks.Release(verts)
 	return verts
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,18 +44,37 @@ func trainTiny(t testing.TB) (*gnn.Model, *graph.Dataset, gnn.Config) {
 	return m, ds, cfg
 }
 
-func newTestEngine(t testing.TB, m *gnn.Model, ds *graph.Dataset, window time.Duration) *Engine {
+func newTestEngine(t testing.TB, m *gnn.Model, ds *graph.Dataset) *Engine {
+	t.Helper()
+	e := newIdleTestEngine(t, m, ds)
+	e.start()
+	return e
+}
+
+// newIdleTestEngine is newTestEngine with no runner started yet, so that
+// requests can be queued before anything takes them.
+func newIdleTestEngine(t testing.TB, m *gnn.Model, ds *graph.Dataset) *Engine {
 	t.Helper()
 	adj, err := m.Adjacency()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(Config{Model: m, Adj: adj, Features: ds.Features, Window: window})
+	e, err := newIdleEngine(Config{Model: m, Adj: adj, Features: ds.Features})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Stop)
 	return e
+}
+
+// waitQueued blocks until exactly n requests sit in e's admission queue.
+func waitQueued(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(e.reqs) != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued after 10s", len(e.reqs), n)
+		}
+	}
 }
 
 // TestCheckpointRoundTripServing is the ISSUE 7 round-trip check: weights
@@ -89,7 +110,7 @@ func TestCheckpointRoundTripServing(t *testing.T) {
 	ref := m.Forward(ds.Features, false).Clone()
 	m.ReleasePlans()
 
-	e := newTestEngine(t, restored, ds, time.Millisecond)
+	e := newTestEngine(t, restored, ds)
 	// Serve every vertex with the full graph as its neighborhood: hops
 	// large enough that the ego subgraph is the whole (connected portion
 	// of the) graph is not guaranteed, so query all vertices at once — the
@@ -143,7 +164,7 @@ func mustAdj(t *testing.T, m *gnn.Model) *sparse.CSR {
 func TestServingDeterministicAndCached(t *testing.T) {
 	m, ds, cfg := trainTiny(t)
 	fuse.Shared.Purge() // the training plans trainTiny left idle
-	e := newTestEngine(t, m, ds, time.Millisecond)
+	e := newTestEngine(t, m, ds)
 	rng := rand.New(rand.NewSource(43))
 	mix := make([][]int, 16)
 	for i := range mix {
@@ -193,32 +214,178 @@ func TestServingDeterministicAndCached(t *testing.T) {
 }
 
 // TestServingDropsCancelledRequests: a request whose caller gave up while it
-// sat in the queue or in an open batch (submit has already returned
-// ctx.Err() to it) is dropped before the seed union — its vertices are never
-// expanded and do not enlarge the execution the live request behind it pays
-// for — and a batch of nothing but cancelled requests executes nothing.
+// sat in the queue (submit has already returned ctx.Err() to it) is dropped
+// before the seed union — its vertices are never expanded and do not enlarge
+// the execution of the live request batched with it — and a batch of
+// nothing but cancelled requests executes nothing.
 func TestServingDropsCancelledRequests(t *testing.T) {
 	m, ds, _ := trainTiny(t)
-	e := newTestEngine(t, m, ds, 50*time.Millisecond) // one runner; the window holds a batch open
+	e := newIdleTestEngine(t, m, ds) // one runner, started below
 	executions := metrics.ServeBatchVertices.Count()
-	for round := int64(1); round <= 2; round++ {
-		// The cancelled request is admitted first; whether the live one
-		// joins its batch or opens the next, it must run alone.
+	cancelled := func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if _, err := e.Predict(ctx, []int{1, 2, 3, 4, 5}); err != context.Canceled {
 			t.Fatalf("cancelled Predict returned %v", err)
 		}
+	}
+	live := func() error {
 		preds, tm, err := e.PredictTraced(context.Background(), []int{70}, "")
 		if err != nil || len(preds) != 1 || preds[0].Vertex != 70 {
-			t.Fatalf("live request: %v %v", preds, err)
+			return fmt.Errorf("live request: %v %v", preds, err)
 		}
 		if tm.Seeds != 1 {
-			t.Fatalf("the live request's execution had %d seeds, want its own 1 (the cancelled request's 5 dropped)", tm.Seeds)
+			return fmt.Errorf("the live request's execution had %d seeds, want its own 1 (the cancelled request's 5 dropped)", tm.Seeds)
 		}
-		if got := metrics.ServeBatchVertices.Count() - executions; got != round {
-			t.Fatalf("%d executions after %d live requests", got, round)
+		return nil
+	}
+
+	// Both queued before the runner starts: one batch, the cancelled
+	// request first.
+	cancelled()
+	errc := make(chan error, 1)
+	go func() { errc <- live() }()
+	waitQueued(t, e, 2)
+	e.start()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.ServeBatchVertices.Count() - executions; got != 1 {
+		t.Fatalf("%d executions for one batch", got)
+	}
+
+	// A cancelled request alone: the runner takes it off the queue and runs
+	// nothing. The live request behind it is the second execution.
+	cancelled()
+	waitQueued(t, e, 0)
+	if err := live(); err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.ServeBatchVertices.Count() - executions; got != 2 {
+		t.Fatalf("%d executions after 2 live requests", got)
+	}
+}
+
+// TestServingBatchesWhatIsQueued: requests queued while the runner is busy
+// are answered by one execution holding all their seeds, and each answer
+// equals the one its vertex gets alone, to summation order.
+func TestServingBatchesWhatIsQueued(t *testing.T) {
+	m, ds, _ := trainTiny(t)
+	e := newIdleTestEngine(t, m, ds)
+	const k = 5
+	type answer struct {
+		p   []Prediction
+		tm  Timing
+		err error
+	}
+	answers := make([]chan answer, k)
+	for i := range answers {
+		answers[i] = make(chan answer, 1)
+		go func(i int) {
+			p, tm, err := e.PredictTraced(context.Background(), []int{10 * i}, "")
+			answers[i] <- answer{p, tm, err}
+		}(i)
+	}
+	waitQueued(t, e, k)
+	executions := metrics.ServeBatchVertices.Count()
+	e.start()
+	for i, c := range answers {
+		a := <-c
+		if a.err != nil {
+			t.Fatal(a.err)
 		}
+		if a.tm.Seeds != k {
+			t.Fatalf("request %d ran in an execution of %d seeds, want all %d queued", i, a.tm.Seeds, k)
+		}
+		alone, err := e.Ego(context.Background(), 10*i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range alone.Logits {
+			if d := math.Abs(v - a.p[0].Logits[j]); d > 1e-9 {
+				t.Fatalf("vertex %d logit %d: batched %v, alone %v", 10*i, j, a.p[0].Logits[j], v)
+			}
+		}
+	}
+	if got := metrics.ServeBatchVertices.Count() - executions; got != 1+k {
+		t.Fatalf("%d executions, want 1 for the queued batch and %d lone ones", got, k)
+	}
+}
+
+// TestCollectTakesOnlyWhatIsQueued: collect never waits for a request —
+// with an empty queue it returns the first alone, in far less than a
+// millisecond — and stops at MaxBatch seed slots, leaving the rest queued.
+func TestCollectTakesOnlyWhatIsQueued(t *testing.T) {
+	m, ds, _ := trainTiny(t)
+	e := newIdleTestEngine(t, m, ds) // no runner: nothing else drains e.reqs
+	collect := func(first request) ([]request, time.Duration) {
+		t.Helper()
+		got := make(chan []request, 1)
+		t0 := time.Now()
+		go func() { got <- e.collect(first) }()
+		select {
+		case b := <-got:
+			return b, time.Since(t0)
+		case <-time.After(10 * time.Second):
+			t.Fatal("collect is still waiting after 10s")
+		}
+		return nil, 0
+	}
+	took := make([]time.Duration, 21)
+	for i := range took {
+		var b []request
+		if b, took[i] = collect(request{seeds: []int{0}}); len(b) != 1 {
+			t.Fatalf("collect on an empty queue returned %d requests", len(b))
+		}
+	}
+	slices.Sort(took)
+	if med := took[len(took)/2]; med > 200*time.Microsecond {
+		t.Fatalf("collect on an empty queue took %v (median of %d), want no wait", med, len(took))
+	}
+	wide := make([]int, e.cfg.MaxBatch/2)
+	for i := 0; i < 3; i++ {
+		e.reqs <- request{seeds: wide, reply: make(chan result, 1)}
+	}
+	if b, _ := collect(request{seeds: []int{0}}); len(b) != 3 {
+		t.Fatalf("collect took %d requests, want 3 (1 + 2·MaxBatch/2 seed slots fill the batch)", len(b))
+	}
+	if len(e.reqs) != 1 {
+		t.Fatalf("%d requests left queued, want 1", len(e.reqs))
+	}
+	<-e.reqs
+}
+
+// TestEgoRadiusCoversMultiHopLayers: the default radius is what the layers'
+// aggregations reach — two for one 2-hop SGC layer, two for two GAT layers —
+// so every ego answer equals the full-graph row.
+func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
+	gat, ds, _ := trainTiny(t)
+	adj := graph.AddSelfLoops(ds.Adj)
+	sgc := &gnn.Model{Layers: []gnn.Layer{
+		gnn.NewSGCLayer(adj, 2, ds.Features.Cols, 3, gnn.Identity(), rand.New(rand.NewSource(5)))}}
+	for _, c := range []struct {
+		name string
+		m    *gnn.Model
+	}{{"sgc-k2", sgc}, {"gat-2-layers", gat}} {
+		t.Run(c.name, func(t *testing.T) {
+			full := c.m.Forward(ds.Features, false).Clone()
+			c.m.ReleasePlans()
+			e := newTestEngine(t, c.m, ds)
+			if e.Hops() != 2 {
+				t.Fatalf("default radius %d, want 2", e.Hops())
+			}
+			for v := 0; v < ds.Adj.Rows; v++ {
+				p, err := e.Ego(context.Background(), v, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, x := range p.Logits {
+					if d := math.Abs(x - full.At(v, j)); d > 1e-12 {
+						t.Fatalf("vertex %d logit %d: ego %v, full graph %v (diff %.3g)", v, j, x, full.At(v, j), d)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -234,7 +401,7 @@ func TestServingConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(Config{Model: m, Adj: adj, Features: ds.Features,
-		Window: 200 * time.Microsecond, Runners: 2, QueueDepth: 64})
+		Runners: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +479,7 @@ func (e errMismatch) Error() string {
 // be exercised and report ErrOverloaded (HTTP 429).
 func TestServingHTTP(t *testing.T) {
 	m, ds, _ := trainTiny(t)
-	e := newTestEngine(t, m, ds, time.Millisecond)
+	e := newTestEngine(t, m, ds)
 	h := Handler(e, serve.Options{})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -403,7 +570,7 @@ func TestServingHTTP(t *testing.T) {
 // time, so each runs alone in its micro-batch).
 func FuzzHandler(f *testing.F) {
 	m, ds, _ := trainTiny(f)
-	e := newTestEngine(f, m, ds, 50*time.Microsecond)
+	e := newTestEngine(f, m, ds)
 	h := Handler(e, serve.Options{})
 	f.Add(false, []byte(`{"vertices":[0,2,4]}`), "")
 	f.Add(false, []byte(`{"vertices":[3,3,79]} trailing`), "client-7")

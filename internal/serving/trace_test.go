@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"agnn/internal/obs/serve"
 )
@@ -18,7 +17,7 @@ import (
 // plan time and batch seeds are always observable for a served request.
 func TestPredictTracedTimingPopulated(t *testing.T) {
 	m, ds, _ := trainTiny(t)
-	e := newTestEngine(t, m, ds, time.Millisecond)
+	e := newTestEngine(t, m, ds)
 
 	preds, tm, err := e.PredictTraced(context.Background(), []int{1, 3}, "")
 	if err != nil {
@@ -80,7 +79,7 @@ func TestNewTraceIDUnique(t *testing.T) {
 // per-stage timing in the response body.
 func TestTraceHeaderPropagation(t *testing.T) {
 	m, ds, _ := trainTiny(t)
-	e := newTestEngine(t, m, ds, time.Millisecond)
+	e := newTestEngine(t, m, ds)
 	h := Handler(e, serve.Options{})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
