@@ -33,12 +33,15 @@ import (
 
 // CacheKey identifies one compiled plan shape. Two keys are equal exactly
 // when a plan compiled for one executes bitwise-identically for the other:
-// same adjacency content (fingerprint over pattern and values, guarded by
-// Rows and NNZ), same input feature width, and same layer signature (layer
-// kind, options, parameter identities, train mode, row offset).
+// same adjacency content (fingerprint over shape, pattern and values,
+// guarded by Rows, Cols and NNZ), same input feature width, and same layer
+// signature (layer kind, options, parameter identities, train mode, row
+// offset). Cols matters apart from Rows: a row block's column count is the
+// plan's input height.
 type CacheKey struct {
 	Adj   uint64       // sparse.CSR.Fingerprint of the adjacency operand
 	Rows  int          // adjacency rows (fingerprint collision guard)
+	Cols  int          // adjacency columns: the input height (collision guard)
 	NNZ   int          // adjacency non-zeros (fingerprint collision guard)
 	In    int          // input feature width
 	DType tensor.DType // element width the plan was compiled for
@@ -46,10 +49,11 @@ type CacheKey struct {
 }
 
 // KeyFor builds the cache key for one adjacency × input width × dtype ×
-// signature combination. It hashes the adjacency (O(nnz)); callers that
-// rebind frequently should memoize per adjacency pointer.
+// signature combination; a may be square or a row block. It hashes the
+// adjacency (O(nnz)); callers that rebind frequently should memoize per
+// adjacency pointer.
 func KeyFor(a *sparse.CSR, in int, dt tensor.DType, sig string) CacheKey {
-	return CacheKey{Adj: a.Fingerprint(), Rows: a.Rows, NNZ: a.NNZ(), In: in, DType: dt, Sig: sig}
+	return CacheKey{Adj: a.Fingerprint(), Rows: a.Rows, Cols: a.Cols, NNZ: a.NNZ(), In: in, DType: dt, Sig: sig}
 }
 
 const cacheShards = 8

@@ -28,7 +28,7 @@ func spmmBuilder(a *sparse.CSR, in int, compiles *int) func(ws *tensor.Arena) *P
 			*compiles++
 		}
 		g := NewGraph("cachetest", a)
-		h := g.InputDense("H", a.Rows, in)
+		h := g.InputDense("H", a.Cols, in)
 		g.SetOutput(g.SpMM("Z", g.Adj(), h))
 		return g.MustCompile(Options{SpanPrefix: "cachetest.", Workspace: ws})
 	}
@@ -126,6 +126,32 @@ func TestPlanCacheDistinctKeys(t *testing.T) {
 	c.Purge()
 	if live := c.arenaLive(); live != 0 {
 		t.Fatalf("arena buffers outstanding after purge: %d", live)
+	}
+}
+
+// TestPlanCacheKeyGuardsCols: a row block and a wider block with the same
+// rows, entries and values differ only in their column count — the plan's
+// input height — so even under a fingerprint collision they must lease
+// different plans.
+func TestPlanCacheKeyGuardsCols(t *testing.T) {
+	c := NewPlanCache(0)
+	narrow := &sparse.CSR{Rows: 2, Cols: 3, RowPtr: []int64{0, 2, 3}, Col: []int32{0, 2, 1}, Val: []float64{1, 2, 3}}
+	wide := &sparse.CSR{Rows: 2, Cols: 5, RowPtr: narrow.RowPtr, Col: narrow.Col, Val: narrow.Val}
+	kn, kw := KeyFor(narrow, 4, tensor.F64, "spmm-test"), KeyFor(wide, 4, tensor.F64, "spmm-test")
+	kw.Adj = kn.Adj // the collision the guard is for
+	if kn == kw {
+		t.Fatal("keys of a 2×3 and a 2×5 block are equal")
+	}
+	compiles := 0
+	ln := c.Get(kn, spmmBuilder(narrow, 4, &compiles))
+	ln.Release()
+	lw := c.Get(kw, spmmBuilder(wide, 4, &compiles))
+	defer lw.Release()
+	if compiles != 2 {
+		t.Fatalf("compiled %d plans for two column counts, want 2", compiles)
+	}
+	if out := lw.Plan().Forward(tensor.NewDense(5, 4)); out.Rows != 2 {
+		t.Fatalf("the 2×5 block's plan wrote %d rows, want 2", out.Rows)
 	}
 }
 

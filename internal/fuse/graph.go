@@ -271,12 +271,15 @@ func (g *Graph) SpMMSemiring(id string, s, x *Node, kind string) *Node {
 }
 
 // GINCombine builds GIN's pre-MLP combination agg + (1+ε)·h with a scalar
-// parameter ε.
+// parameter ε. When agg has the pattern's rows and h the input's full
+// height — a row block, at a row offset or not — row i of agg combines with
+// row rowOff+i of h.
 func (g *Graph) GINCombine(id string, agg, h, eps *Node) *Node {
 	as, hs := g.md(agg), g.md(h)
 	es := g.md(eps)
-	if as.rows != hs.rows || as.cols != hs.cols {
-		panic("fuse: GINCombine shape mismatch")
+	block := as.rows == g.pat.Rows && hs.rows == g.pat.Cols
+	if (as.rows != hs.rows && !block) || as.cols != hs.cols {
+		panic(fmt.Sprintf("fuse: GINCombine shape mismatch: %d×%d aggregate, %d×%d features", as.rows, as.cols, hs.rows, hs.cols))
 	}
 	if !es.hasParam || es.rows != 1 || es.cols != 1 {
 		panic("fuse: GINCombine needs a 1×1 parameter ε")
@@ -322,6 +325,9 @@ func (g *Graph) SetOutput(v *Node) {
 
 // OutputCols returns the width of the output node.
 func (g *Graph) OutputCols() int { return g.md(g.output).cols }
+
+// OutputRows returns the height of the output node.
+func (g *Graph) OutputRows() int { return g.md(g.output).rows }
 
 // Radius returns how many hops of the adjacency one output row reads: the
 // largest number of aggregations (spmm-family ops) on any path from the

@@ -486,13 +486,23 @@ func opSigma[T elem](z, out *spec[T]) opFns {
 	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
 }
 
-// opGINCombine computes out = agg + (1+ε)·h, reading ε at run time so
+// ginOffset is the row of h that row 0 of a gin-combine node's aggregate
+// combines with: the graph's row offset when h is full height, else 0.
+func ginOffset(g *Graph, n *Node) int {
+	if g.md(n.Inputs[0]).rows == g.md(n.Inputs[1]).rows {
+		return 0
+	}
+	return g.rowOff
+}
+
+// opGINCombine computes out = agg + (1+ε)·h[off:], reading ε at run time so
 // optimizer updates are observed.
-func opGINCombine[T elem](agg, h, eps, out *spec[T]) opFns {
+func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) opFns {
 	cols := out.cols
 	each := func(i int) {
 		c := 1 + eps.dense.Data[0]
-		ad, hd, od := agg.dense.Data, h.dense.Data, out.dense.Data
+		ad, od := agg.dense.Data, out.dense.Data
+		hd := h.dense.Data[off*cols:]
 		for t := i * cols; t < (i+1)*cols; t++ {
 			od[t] = ad[t] + c*hd[t]
 		}
@@ -1030,7 +1040,9 @@ func opRowNormsVJP[T elem](x, out *spec[T]) func() {
 }
 
 // opGINCombineVJP handles Z = agg + (1+ε)·H: both dense cotangents
-// accumulate, and ε̄ += Σ Z̄ ⊙ H reduces over per-worker partials.
+// accumulate, and ε̄ += Σ Z̄ ⊙ H reduces over per-worker partials. On a row
+// block H may be taller than Z; training plans take no row offset, so Z's
+// rows are H's first ones.
 func opGINCombineVJP[T elem](agg, h, eps, out *spec[T], rs *redScratch[T]) func() {
 	body := func(worker, lo, hi int) {
 		c := 1 + eps.dense.Data[0]

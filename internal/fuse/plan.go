@@ -718,7 +718,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			emit(&p.fwd, n, "", "sigma", opSigma(sp(n.Inputs[0]), s))
 		case "gin-combine":
 			emit(&p.fwd, n, "", "gin-combine",
-				opGINCombine(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s))
+				opGINCombine(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n)))
 		default:
 			if n.Kind == Virtual {
 				continue

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"agnn/internal/fuse"
@@ -635,6 +636,60 @@ func TestPlanRowOffsetMatchesFullPlan(t *testing.T) {
 	}
 	if !got.ApproxEqual(want, 1e-12) {
 		t.Fatalf("row-offset plans deviate from full plan by %g", got.MaxAbsDiff(want))
+	}
+}
+
+// TestGINCombineOnRowBlocks: GIN's agg + (1+ε)·h on a row block reads the
+// block's own rows of the full-height input — at a row offset (the row
+// engine) and as a row prefix (an ego query's message-flow block) — and
+// gives the full plan's rows bit for bit; the prefix block's training plan
+// accumulates ε̄ and H̄ from its rows alone.
+func TestGINCombineOnRowBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	full := weightedGraph(40, 160, 18)
+	const k = 3
+	eps := randParam(rng, "eps", 1, 1)
+	h := randDense(rng, full.Rows, k)
+	gin := func(a *sparse.CSR, off int) *fuse.Graph {
+		g := fuse.NewGraph("gin", a)
+		g.SetRowOffset(off)
+		hn := g.InputDense("H", full.Rows, k)
+		g.SetOutput(g.GINCombine("pre", g.SpMM("AH", g.Adj(), hn), hn, g.ParamNode("eps", eps)))
+		return g
+	}
+	want := gin(full, 0).MustCompile(fuse.Options{}).Forward(h).Clone()
+	for _, cut := range [][2]int{{0, 13}, {13, 28}, {28, 40}} {
+		lo, hi := cut[0], cut[1]
+		got := gin(sliceRows(full, lo, hi), lo).MustCompile(fuse.Options{}).Forward(h)
+		for i := lo; i < hi; i++ {
+			if !slices.Equal(got.Row(i-lo), want.Row(i)) {
+				t.Fatalf("rows [%d,%d) at offset: row %d = %v, full plan %v", lo, hi, i, got.Row(i-lo), want.Row(i))
+			}
+		}
+	}
+
+	const r = 13
+	g := tensor.NewDense(r, k)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	gFull := tensor.NewDense(full.Rows, k)
+	gFull.SliceRows(0, r).CopyFrom(g)
+	sq := gin(full, 0).MustCompile(fuse.Options{Train: true})
+	sq.Forward(h)
+	hWant := sq.Backward(gFull).Clone()
+	epsWant := eps.Grad.Data[0]
+	eps.Grad.Data[0] = 0
+	blk := gin(sliceRows(full, 0, r), 0).MustCompile(fuse.Options{Train: true})
+	if got := blk.Forward(h); !slices.Equal(got.Data, want.SliceRows(0, r).Clone().Data) {
+		t.Fatal("prefix block's training forward differs from the full plan's rows")
+	}
+	hGot := blk.Backward(g)
+	if d := math.Abs(eps.Grad.Data[0] - epsWant); d > 1e-12 {
+		t.Fatalf("prefix block ε̄ = %v, full plan with zero cotangent past row %d %v", eps.Grad.Data[0], r, epsWant)
+	}
+	if !hGot.ApproxEqual(hWant, 1e-12) {
+		t.Fatalf("prefix block H̄ deviates from the full plan's by %g", hGot.MaxAbsDiff(hWant))
 	}
 }
 

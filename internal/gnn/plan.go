@@ -172,7 +172,7 @@ func (p *planned) plan(in int, train bool) *fuse.Plan {
 		name := p.def.Name()
 		g := fuse.NewGraph(name, p.A)
 		g.SetGrid(p.Grid)
-		p.def.DAG(g, g.InputDense("H", p.A.Rows, in))
+		p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
 		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
 	})
 	c.plan = c.lease.Plan()

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -50,13 +51,22 @@ func (m *Marks) Release(touched []int32) {
 // This is the global-formulation side of mini-batching: the paper notes its
 // routines "straightforwardly extend to mini-batching", and running any gnn
 // model on the induced adjacency of an expanded seed batch is exactly that
-// extension.
+// extension. It is InducedRows with every row.
+func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
+	return InducedRows(a, vertices, len(vertices))
+}
+
+// InducedRows is the first r rows of InducedSubgraph(a, vertices): an
+// r×len(vertices) block whose row x is the induced row of vertices[x], with
+// the same columns, values and order. The rows of vertices[r:] are never
+// read — for an ego network ordered by hop, the block a layer needs costs
+// the rows it produces, not the whole ego.
 //
 // Global ids map to local ones through a pooled mark array (local id + 1),
 // and each row of the result is built in place from a's row: its mapped
 // columns are already ascending when the vertices are, and sorted otherwise.
 // A call costs the rows it reads plus O(d log d) per unsorted row of length d.
-func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
+func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
 	m := BorrowMarks(max(a.Rows, a.Cols))
 	local := m.At
 	for li, v := range vertices {
@@ -66,10 +76,9 @@ func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
 		}
 		local[v] = int32(li) + 1
 	}
-	n := len(vertices)
-	rowPtr := make([]int64, n+1)
+	rowPtr := make([]int64, r+1)
 	col, val := m.col[:0], m.val[:0]
-	for li, v := range vertices {
+	for li, v := range vertices[:r] {
 		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
 		start, sorted := len(col), true
 		for q, c := range a.Col[lo:hi] {
@@ -88,12 +97,27 @@ func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
 		}
 		rowPtr[li+1] = int64(len(col))
 	}
-	out := &sparse.CSR{Rows: n, Cols: n, RowPtr: rowPtr,
+	out := &sparse.CSR{Rows: r, Cols: len(vertices), RowPtr: rowPtr,
 		Col: append(make([]int32, 0, len(col)), col...),
 		Val: append(make([]float64, 0, len(val)), val...)}
 	m.col, m.val = col, val
 	m.Release(vertices)
 	return out
+}
+
+// Prefix returns the block a[:r, :c], sharing a's slices: the first r rows
+// over the first c columns. None of those rows may hold an entry at or past
+// column c — true of an ego ordered by hop (serving.ExpandBounds) when the
+// rows are the vertices within h hops and the columns those within h+1.
+func Prefix(a *sparse.CSR, r, c int) *sparse.CSR {
+	if r == a.Rows && c == a.Cols {
+		return a
+	}
+	end := a.RowPtr[r]
+	if slices.ContainsFunc(a.Col[:end], func(j int32) bool { return int(j) >= c }) {
+		panic(fmt.Sprintf("graph: the first %d rows have an entry past column %d", r, c))
+	}
+	return &sparse.CSR{Rows: r, Cols: c, RowPtr: a.RowPtr[:r+1], Col: a.Col[:end:end], Val: a.Val[:end:end]}
 }
 
 // sortRow sorts the row col[start:], val[start:] by column, summing the

@@ -139,9 +139,12 @@ func TestInducedSubgraphMatchesDefinition(t *testing.T) {
 	for _, c := range cases {
 		for hops := 0; hops <= 3; hops++ {
 			t.Run(fmt.Sprintf("%s/hops=%d", c.name, hops), func(t *testing.T) {
-				verts := serving.Expand(c.a, c.seeds, hops)
+				verts, bounds := serving.ExpandBounds(c.a, c.seeds, hops)
 				checkExpandOrder(t, c.a, c.seeds, verts, hops)
-				checkInduced(t, c.a, graph.InducedSubgraph(c.a, verts), verts)
+				checkBounds(t, c.a, c.seeds, verts, bounds, hops)
+				sq := graph.InducedSubgraph(c.a, verts)
+				checkInduced(t, c.a, sq, verts)
+				checkBlocks(t, c.a, sq, verts, bounds)
 				// Any order of the same vertices, its reverse included.
 				rev := slices.Clone(verts)
 				slices.Reverse(rev)
@@ -167,6 +170,64 @@ func TestInducedSubgraphMatchesDefinition(t *testing.T) {
 		vs := []int32{5, 9, 1}
 		checkInduced(t, a, graph.InducedSubgraph(a, vs), vs)
 	})
+}
+
+// checkBounds holds bounds to ExpandBounds' contract: it starts at the seeds,
+// each entry is where that hop's frontier ends in verts, and it stops at hops
+// or where the frontiers run dry.
+func checkBounds(t *testing.T, a *sparse.CSR, seeds, verts []int32, bounds []int, hops int) {
+	t.Helper()
+	if !slices.Equal(serving.Expand(a, seeds, hops), verts) {
+		t.Fatal("ExpandBounds and Expand disagree on the vertices")
+	}
+	if len(bounds) == 0 || bounds[0] != len(seeds) || bounds[len(bounds)-1] != len(verts) || len(bounds) > hops+1 {
+		t.Fatalf("bounds %v for %d seeds, %d vertices, %d hops", bounds, len(seeds), len(verts), hops)
+	}
+	for h := 1; h < len(bounds); h++ {
+		if bounds[h] <= bounds[h-1] {
+			t.Fatalf("bounds %v: hop %d adds no vertex", bounds, h)
+		}
+		if want := len(serving.Expand(a, seeds, h)); bounds[h] != want {
+			t.Fatalf("bounds[%d] = %d, %d vertices within %d hops", h, bounds[h], want, h)
+		}
+	}
+	if len(bounds) <= hops && len(serving.Expand(a, seeds, len(bounds))) != len(verts) {
+		t.Fatalf("bounds %v stop before %d hops, but the frontiers have not run dry", bounds, hops)
+	}
+}
+
+// checkBlocks holds the message-flow blocks of an ego query to the square
+// induced subgraph sq: the first-r-rows form (InducedRows) is sq's first r
+// rows over all its columns, and the row-and-column prefix (Prefix) of the
+// vertices within h hops over those within h+1 is the same rows — none of
+// them has an entry past the next frontier. A prefix that would cut an
+// entry panics.
+func checkBlocks(t *testing.T, a, sq *sparse.CSR, verts []int32, bounds []int) {
+	t.Helper()
+	for h, r := range bounds {
+		rows := graph.InducedRows(a, verts, r)
+		end := sq.RowPtr[r]
+		if rows.Rows != r || rows.Cols != len(verts) || !slices.Equal(rows.RowPtr, sq.RowPtr[:r+1]) ||
+			!slices.Equal(rows.Col, sq.Col[:end]) || !slices.Equal(rows.Val, sq.Val[:end]) {
+			t.Fatalf("InducedRows(%d) is not the first %d rows of the square subgraph", r, r)
+		}
+		c := bounds[min(h+1, len(bounds)-1)]
+		p := graph.Prefix(rows, r, c)
+		if p.Rows != r || p.Cols != c || !slices.Equal(p.RowPtr, rows.RowPtr) ||
+			!slices.Equal(p.Col, rows.Col) || !slices.Equal(p.Val, rows.Val) {
+			t.Fatalf("Prefix(%d, %d) is not the first %d rows of the square subgraph", r, c, r)
+		}
+		if cut := slices.ContainsFunc(rows.Col, func(j int32) bool { return int(j) >= r }); cut {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("Prefix(%d, %d) cut an entry without panicking", r, r)
+					}
+				}()
+				graph.Prefix(rows, r, r)
+			}()
+		}
+	}
 }
 
 // BenchmarkInducedSubgraph extracts 2-hop ego subgraphs the size of a

@@ -4,12 +4,13 @@
 // answers per-vertex classification queries over HTTP.
 //
 // The execution strategy is the paper's global tensor formulation applied
-// to serving: a query for vertices S is answered by extracting the induced
-// subgraph of S's h-hop neighborhood, rebinding the model to it, and
-// running one compiled-plan forward over the whole subgraph. Because plans
-// resolve through the process-wide cache (internal/fuse), a repeated query
-// structure — the common case under load, and always the case for repeated
-// identical queries — executes with zero recompilation.
+// to serving: a query for vertices S is answered from the induced subgraph
+// of S's h-hop neighborhood, each layer rebound to the block of it whose
+// rows the layers after it read (Engine.blocks), with one compiled-plan
+// forward. Because plans resolve through the process-wide cache
+// (internal/fuse), a repeated query structure — the common case under
+// load, and always the case for repeated identical queries — executes with
+// zero recompilation.
 //
 // Requests are micro-batched by queueing, not by a timer: a runner takes
 // the first request and whatever is already queued behind it (up to
@@ -57,8 +58,8 @@ type Config struct {
 	Features *tensor.Dense // full n×k feature matrix
 
 	// Hops is the neighborhood radius of a prediction subgraph. 0 means
-	// the model's own radius (gnn.Model.Radius): the hops its layers'
-	// aggregations reach, so an ego answer equals the full-graph one.
+	// the model's own radius (the gnn.Reach radii summed): the hops its
+	// layers' aggregations reach, so an ego answer equals the full-graph one.
 	Hops int
 	// MaxBatch caps the number of distinct seed vertices answered by one
 	// compiled execution (default 64).
@@ -72,19 +73,24 @@ type Config struct {
 	Runners int
 }
 
-func (c Config) withDefaults() (Config, error) {
+// withDefaults fills the zero fields and reads, from the model's DAGs, what
+// each layer reads of the adjacency (gnn.Model.Reach).
+func (c Config) withDefaults() (Config, []gnn.Reach, error) {
 	if c.Model == nil || c.Adj == nil || c.Features == nil {
-		return c, errors.New("serving: Config requires Model, Adj and Features")
+		return c, nil, errors.New("serving: Config requires Model, Adj and Features")
 	}
 	if c.Features.Rows != c.Adj.Rows {
-		return c, fmt.Errorf("serving: %d feature rows for %d vertices", c.Features.Rows, c.Adj.Rows)
+		return c, nil, fmt.Errorf("serving: %d feature rows for %d vertices", c.Features.Rows, c.Adj.Rows)
+	}
+	reach, err := c.Model.Reach(c.Features.Cols)
+	if err != nil {
+		return c, nil, fmt.Errorf("serving: %w", err)
 	}
 	if c.Hops <= 0 {
-		r, err := c.Model.Radius(c.Features.Cols)
-		if err != nil {
-			return c, fmt.Errorf("serving: %w", err)
+		for _, r := range reach {
+			c.Hops += r.Radius
 		}
-		c.Hops = max(r, 1)
+		c.Hops = max(c.Hops, 1)
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -95,7 +101,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Runners <= 0 {
 		c.Runners = 1
 	}
-	return c, nil
+	return c, reach, nil
 }
 
 // Prediction is one vertex's answer.
@@ -107,8 +113,11 @@ type Prediction struct {
 
 // Timing decomposes one request's latency along the serving pipeline:
 // admission-queue wait, micro-batch hand-over, ego expansion, and
-// compiled-plan execution. ExpandNs/PlanNs are shared by every request in
-// the same micro-batch; QueueNs/BatchNs are per request. A p99 outlier
+// compiled-plan execution up to the reply reaching the caller; the four add
+// up to the time the request spent in the engine. PlanNs therefore also
+// counts the reply assembly of the group's other requests and the
+// goroutine hand-off back to the caller (a few µs), not only the plan. ExpandNs is shared by
+// every request in the same micro-batch; the others are per request. A p99 outlier
 // with a large QueueNs is an admission problem (requests queue behind the
 // executing batch), and a large PlanNs points at the query structure
 // itself. BatchNs is about 0: a batch closes as soon as the queue is
@@ -116,10 +125,10 @@ type Prediction struct {
 // execution shows more.
 type Timing struct {
 	TraceID  string `json:"trace_id,omitempty"` // request trace ID (X-Agnn-Trace)
-	QueueNs  int64  `json:"queue_ns"`           // enqueue → picked up by a runner
+	QueueNs  int64  `json:"queue_ns"`           // submitted → picked up by a runner
 	BatchNs  int64  `json:"batch_ns"`           // picked up → its group's execution starts
-	ExpandNs int64  `json:"expand_ns"`          // seed union → induced subgraph + features
-	PlanNs   int64  `json:"plan_ns"`            // rebind + planned forward + output copy
+	ExpandNs int64  `json:"expand_ns"`          // seed union → induced blocks + features
+	PlanNs   int64  `json:"plan_ns"`            // rebind + planned forward + output copy → answer in the caller's hands
 	Seeds    int    `json:"batch_seeds"`        // distinct seeds in the shared execution
 }
 
@@ -156,13 +165,15 @@ type request struct {
 type result struct {
 	preds  []Prediction
 	timing Timing
+	plan   time.Time // when the plan stage began; zero if it never did
 	err    error
 }
 
 // Engine executes micro-batched subgraph inference.
 type Engine struct {
-	cfg  Config
-	reqs chan request
+	cfg   Config
+	reach []gnn.Reach // per DAG layer: its radius, and whether it runs on a block
+	reqs  chan request
 
 	mu      sync.Mutex
 	stopped bool
@@ -183,11 +194,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 // newIdleEngine is NewEngine without the runners: requests queue until
 // start.
 func newIdleEngine(cfg Config) (*Engine, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, reach, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
+	return &Engine{cfg: cfg, reach: reach, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
 }
 
 func (e *Engine) start() {
@@ -261,6 +272,7 @@ func (e *Engine) EgoTraced(ctx context.Context, vertex, hops int, trace string) 
 }
 
 func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace string) ([]Prediction, Timing, error) {
+	enq := time.Now()
 	if trace == "" {
 		trace = NewTraceID()
 	}
@@ -275,7 +287,7 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 		}
 	}
 	r := request{ctx: ctx, seeds: vertices, hops: hops, reply: make(chan result, 1),
-		trace: trace, enq: time.Now()}
+		trace: trace, enq: enq}
 	select {
 	case <-e.done:
 		return nil, tm, ErrStopped
@@ -292,6 +304,10 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 		if res.timing.TraceID == "" {
 			res.timing.TraceID = trace
 		}
+		if !res.plan.IsZero() {
+			res.timing.PlanNs = time.Since(res.plan).Nanoseconds()
+		}
+		observeStages(res.timing)
 		return res.preds, res.timing, res.err
 	case <-ctx.Done():
 		return nil, tm, ctx.Err()
@@ -348,8 +364,9 @@ func (e *Engine) runBatch(batch []request) {
 
 // runGroup executes one micro-batch: drop the requests whose caller has gone
 // (submit already returned ctx.Err() to it), union the seeds of the rest,
-// expand to the h-hop induced subgraph, rebind, run the compiled inference
-// plans once, and slice each request's rows out of the shared output.
+// expand to the h-hop ego, rebind every layer to its block of the ego's
+// induced subgraph, run the compiled inference plans once, and slice each
+// request's rows out of the shared output.
 func (e *Engine) runGroup(group []request, hops int) {
 	start := time.Now()
 	live := group[:0]
@@ -381,15 +398,11 @@ func (e *Engine) runGroup(group []request, hops int) {
 			tm.QueueNs = r.pick.Sub(r.enq).Nanoseconds()
 			tm.BatchNs = start.Sub(r.pick).Nanoseconds()
 		}
-		metrics.ServeStageSeconds.With("queue").Observe(float64(tm.QueueNs) / 1e9)
-		metrics.ServeStageSeconds.With("batch").Observe(float64(tm.BatchNs) / 1e9)
-		metrics.ServeStageSeconds.With("expand").Observe(float64(tm.ExpandNs) / 1e9)
-		metrics.ServeStageSeconds.With("plan").Observe(float64(tm.PlanNs) / 1e9)
 		return tm
 	}
 
-	verts := Expand(e.cfg.Adj, seeds, hops)
-	sub := graph.InducedSubgraph(e.cfg.Adj, verts)
+	verts, bounds := ExpandBounds(e.cfg.Adj, seeds, hops)
+	blocks := e.blocks(verts, bounds)
 	feats := tensor.NewDense(len(verts), e.cfg.Features.Cols)
 	for i, v := range verts {
 		copy(feats.Row(i), e.cfg.Features.Row(int(v)))
@@ -398,7 +411,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 
 	// Fresh layer structs per execution keep runners independent; the
 	// parameter buffers and the plan cache are the only shared state.
-	bm, err := gnn.RebindAdjacency(e.cfg.Model, sub)
+	bm, err := gnn.RebindBlocks(e.cfg.Model, blocks)
 	if err != nil {
 		for _, r := range group {
 			r.reply <- result{timing: timing(r, Timing{ExpandNs: expandDone.Sub(start).Nanoseconds()}), err: err}
@@ -413,10 +426,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 		logits[i] = append([]float64(nil), out.Row(i)...)
 	}
 	bm.ReleasePlans()
-	shared := Timing{
-		ExpandNs: expandDone.Sub(start).Nanoseconds(),
-		PlanNs:   time.Since(expandDone).Nanoseconds(),
-	}
+	shared := Timing{ExpandNs: expandDone.Sub(start).Nanoseconds()}
 
 	for _, r := range group {
 		preds := make([]Prediction, len(r.seeds))
@@ -424,8 +434,58 @@ func (e *Engine) runGroup(group []request, hops int) {
 			lg := logits[index[int32(v)]]
 			preds[j] = Prediction{Vertex: v, Class: argmax(lg), Logits: lg}
 		}
-		r.reply <- result{preds: preds, timing: timing(r, shared)}
+		// submit ends the plan stage when the caller has the reply.
+		r.reply <- result{preds: preds, timing: timing(r, shared), plan: expandDone}
 	}
+}
+
+// observeStages records a request's stage times in the stage histograms.
+func observeStages(tm Timing) {
+	metrics.ServeStageSeconds.With("queue").Observe(float64(tm.QueueNs) / 1e9)
+	metrics.ServeStageSeconds.With("batch").Observe(float64(tm.BatchNs) / 1e9)
+	metrics.ServeStageSeconds.With("expand").Observe(float64(tm.ExpandNs) / 1e9)
+	metrics.ServeStageSeconds.With("plan").Observe(float64(tm.PlanNs) / 1e9)
+}
+
+// blocks returns the message-flow block of every DAG layer for the ego verts
+// whose frontiers end at bounds (ExpandBounds). A layer with k hops of the
+// model after it must produce the rows within k hops of the seeds,
+// bounds[k]; on a block layer (gnn.Reach.Block) those rows read the previous
+// layer's output through A_ego[:bounds[k], :c], where c is the rows the
+// previous layer produced — all of the ego for the first. Any other layer
+// runs on the square block over its input rows, and the layers after it
+// still shrink. Only the first block is extracted from the whole ego; a
+// later block layer's block is a row-and-column prefix of it. A later
+// square block is the subgraph induced by its input vertices: it drops its
+// rows' edges into the next frontier, as the square ego does at its edge,
+// and the rows the answer reads have none. Each row that reaches an answer
+// keeps the edges and order of the square ego's row, so the answers keep
+// their bits.
+func (e *Engine) blocks(verts []int32, bounds []int) []*sparse.CSR {
+	last := len(bounds) - 1
+	after := 0 // hops of the model after the current layer
+	for _, r := range e.reach {
+		after += r.Radius
+	}
+	blocks := make([]*sparse.CSR, len(e.reach))
+	c := len(verts) // rows the previous layer produced
+	for l, r := range e.reach {
+		after -= r.Radius
+		rows := c
+		if r.Block {
+			rows = bounds[min(after, last)]
+		}
+		switch {
+		case l == 0:
+			blocks[0] = graph.InducedRows(e.cfg.Adj, verts, rows)
+		case r.Block:
+			blocks[l] = graph.Prefix(blocks[0], rows, c)
+		default:
+			blocks[l] = graph.InducedSubgraph(e.cfg.Adj, verts[:c])
+		}
+		c = rows
+	}
+	return blocks
 }
 
 func argmax(x []float64) int {
@@ -442,12 +502,24 @@ func argmax(x []float64) int {
 // in deterministic order: the seeds first (in the given order), then each
 // BFS frontier sorted ascending. The order is what makes two executions of
 // the same query bitwise-identical — the induced subgraph, and therefore
-// the compiled plan's arithmetic, depends on it.
+// the compiled plan's arithmetic, depends on it. It is ExpandBounds without
+// the bounds.
+func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
+	verts, _ := ExpandBounds(a, seeds, hops)
+	return verts
+}
+
+// ExpandBounds is Expand that also reports where each frontier ends:
+// bounds[h] is the number of vertices within h hops of the seeds — the
+// seeds alone at 0 — and, because the order is by hop, those vertices are
+// verts[:bounds[h]]. bounds ends at hops or where the frontiers run dry,
+// whichever comes first: every h past its end has its last count.
 //
 // Visited vertices are marked in a pooled graph.Marks array, and each
 // frontier is appended to the result as it is found, then sorted in place.
-func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
-	verts := append([]int32(nil), seeds...)
+func ExpandBounds(a *sparse.CSR, seeds []int32, hops int) (verts []int32, bounds []int) {
+	verts = append([]int32(nil), seeds...)
+	bounds = []int{len(verts)}
 	marks := graph.BorrowMarks(a.Rows)
 	seen := marks.At
 	for _, s := range seeds {
@@ -467,6 +539,7 @@ func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
 		if len(verts) == lo {
 			break
 		}
+		bounds = append(bounds, len(verts))
 		// The frontier is read while the next one is appended: should verts
 		// move, frontier keeps the old array, whose first len(verts) entries
 		// stay as they were.
@@ -474,5 +547,5 @@ func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
 		slices.Sort(frontier)
 	}
 	marks.Release(verts)
-	return verts
+	return verts, bounds
 }

@@ -22,6 +22,7 @@ import (
 	"agnn/internal/obs/metrics"
 	"agnn/internal/obs/serve"
 	"agnn/internal/sparse"
+	"agnn/internal/tensor"
 )
 
 // trainTiny trains a small GAT on a synthetic citation graph and returns
@@ -355,34 +356,207 @@ func TestCollectTakesOnlyWhatIsQueued(t *testing.T) {
 	<-e.reqs
 }
 
-// TestEgoRadiusCoversMultiHopLayers: the default radius is what the layers'
-// aggregations reach — two for one 2-hop SGC layer, two for two GAT layers —
-// so every ego answer equals the full-graph row.
+// egoTestGraph is the tiny citation graph plus an isolated vertex (80) and a
+// three-vertex path (81–82–83) whose frontiers run dry after two hops, with
+// features for all 84 vertices.
+func egoTestGraph(t *testing.T) (*sparse.CSR, *tensor.Dense) {
+	t.Helper()
+	ds := graph.SyntheticCitation(80, 3, 8, 0.7, 41)
+	const n = 84
+	coo := sparse.NewCOO(n, n, ds.Adj.NNZ()+4)
+	for i := 0; i < ds.Adj.Rows; i++ {
+		for q := ds.Adj.RowPtr[i]; q < ds.Adj.RowPtr[i+1]; q++ {
+			coo.AppendVal(int32(i), ds.Adj.Col[q], ds.Adj.Val[q])
+		}
+	}
+	for _, e := range [][2]int32{{81, 82}, {82, 81}, {82, 83}, {83, 82}} {
+		coo.AppendVal(e[0], e[1], 1)
+	}
+	feats := tensor.RandN(n, ds.Features.Cols, 1, rand.New(rand.NewSource(42)))
+	feats.SliceRows(0, ds.Adj.Rows).CopyFrom(ds.Features)
+	return sparse.FromCOO(coo), feats
+}
+
+// squareEgo answers seeds the way the engine did before message-flow
+// blocks: every layer over the whole induced ego.
+func squareEgo(t *testing.T, m *gnn.Model, adj *sparse.CSR, feats *tensor.Dense, seeds []int32, hops int) *tensor.Dense {
+	t.Helper()
+	verts := Expand(adj, seeds, hops)
+	bm, err := gnn.RebindAdjacency(m, graph.InducedSubgraph(adj, verts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := tensor.NewDense(len(verts), feats.Cols)
+	for i, v := range verts {
+		copy(f.Row(i), feats.Row(int(v)))
+	}
+	out := bm.Forward(f, false).SliceRows(0, len(seeds)).Clone()
+	bm.ReleasePlans()
+	return out
+}
+
+// TestEgoRadiusCoversMultiHopLayers: an ego query runs each layer on its own
+// message-flow block, and its answer must be the square ego's bit for bit
+// and the full graph's row to 1e-12 (relative: VA's logits grow large) —
+// over every built-in layer kind, multi-hop and mixed stacks, dropout and
+// float32 (to f32 precision against the full graph), single egos and
+// multi-seed batches, an isolated vertex, and hops past the ego's depth
+// where the frontier bounds saturate. The radius-1 layers must run on
+// blocks (GIN included); the SGC layer and a ⊕ that needs a square pattern
+// run on the square fallback. Below the
+// model's radius an ego is truncated: the answer must still be the square
+// ego's.
 func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
-	gat, ds, _ := trainTiny(t)
-	adj := graph.AddSelfLoops(ds.Adj)
-	sgc := &gnn.Model{Layers: []gnn.Layer{
-		gnn.NewSGCLayer(adj, 2, ds.Features.Cols, 3, gnn.Identity(), rand.New(rand.NewSource(5)))}}
-	for _, c := range []struct {
-		name string
-		m    *gnn.Model
-	}{{"sgc-k2", sgc}, {"gat-2-layers", gat}} {
-		t.Run(c.name, func(t *testing.T) {
-			full := c.m.Forward(ds.Features, false).Clone()
-			c.m.ReleasePlans()
-			e := newTestEngine(t, c.m, ds)
-			if e.Hops() != 2 {
-				t.Fatalf("default radius %d, want 2", e.Hops())
+	adj, feats := egoTestGraph(t)
+	build := func(cfg gnn.Config) func() *gnn.Model {
+		return func() *gnn.Model {
+			cfg.InDim, cfg.HiddenDim, cfg.OutDim, cfg.SelfLoops, cfg.Seed = feats.Cols, 6, 3, true, 43
+			m, err := gnn.New(cfg, adj)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for v := 0; v < ds.Adj.Rows; v++ {
+			return m
+		}
+	}
+	loops := graph.AddSelfLoops(adj)
+	rng := rand.New(rand.NewSource(44))
+	cases := []struct {
+		name   string
+		model  func() *gnn.Model
+		radius int    // default hops: the layers' aggregations summed
+		blocks []bool // Reach.Block per DAG layer
+	}{
+		{"gat-2-layers", build(gnn.Config{Model: gnn.GAT, Layers: 2}), 2, []bool{true, true}},
+		{"agnn", build(gnn.Config{Model: gnn.AGNN, Layers: 2}), 2, []bool{true, true}},
+		{"va", build(gnn.Config{Model: gnn.VA, Layers: 2}), 2, []bool{true, true}},
+		{"gcn-3-layers", build(gnn.Config{Model: gnn.GCN, Layers: 3}), 3, []bool{true, true, true}},
+		{"gin", func() *gnn.Model {
+			return &gnn.Model{Layers: []gnn.Layer{
+				gnn.NewGINLayer(loops, feats.Cols, 5, 6, gnn.ReLU(), rng),
+				gnn.NewGINLayer(loops, 6, 5, 3, gnn.Identity(), rng)}}
+		}, 2, []bool{true, true}},
+		{"gat-2-heads", build(gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2}), 2, []bool{true, true}},
+		{"gat-dropout", func() *gnn.Model {
+			m := build(gnn.Config{Model: gnn.GAT, Layers: 2})()
+			m.Layers = []gnn.Layer{m.Layers[0], gnn.NewDropout(0.5, 45), m.Layers[1]}
+			return m
+		}, 2, []bool{true, true}},
+		{"sgc-k2", func() *gnn.Model {
+			return &gnn.Model{Layers: []gnn.Layer{gnn.NewSGCLayer(loops, 2, feats.Cols, 3, gnn.Identity(), rng)}}
+		}, 2, []bool{false}},
+		{"sgc-k2-then-gat", func() *gnn.Model {
+			return &gnn.Model{Layers: []gnn.Layer{
+				gnn.NewSGCLayer(loops, 2, feats.Cols, 6, gnn.ReLU(), rng),
+				gnn.NewGATLayer(loops, 6, 3, gnn.Identity(), 0.2, rng)}}
+		}, 3, []bool{false, true}},
+		// The square block after a shrunk layer cuts its rows' edges into
+		// the next frontier; the rows the answer reads keep theirs.
+		{"gat-then-sgc-k2", func() *gnn.Model {
+			return &gnn.Model{Layers: []gnn.Layer{
+				gnn.NewGATLayer(loops, feats.Cols, 6, gnn.ReLU(), 0.2, rng),
+				gnn.NewSGCLayer(loops, 2, 6, 3, gnn.Identity(), rng)}}
+		}, 3, []bool{true, false}},
+		{"gat-f32", build(gnn.Config{Model: gnn.GAT, Layers: 2, DType: tensor.F32}), 2, []bool{true, true}},
+		// A ⊕ that joins each aggregate row to the vertex's own input row
+		// needs a square pattern; the GAT layer after it still shrinks.
+		{"concat-agg-then-gat", func() *gnn.Model {
+			concat := gnn.CustomAgg("concat", func(g *fuse.Graph, psi, x *fuse.Node) *fuse.Node {
+				return g.ConcatCols("Z", g.SpMM("AX", psi, x), x)
+			})
+			return &gnn.Model{Layers: []gnn.Layer{
+				gnn.NewGenericLayer(loops, gnn.GenericLayer{Agg: concat, Act: gnn.ReLU(),
+					Phi: gnn.LinearPhi(tensor.GlorotInit(2*feats.Cols, 6, rng))}),
+				gnn.NewGATLayer(loops, 6, 3, gnn.Identity(), 0.2, rng)}}
+		}, 2, []bool{false, true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.model()
+			full := m.Forward(feats, false).Clone()
+			m.ReleasePlans()
+			radius := c.radius
+			e, err := NewEngine(Config{Model: m, Adj: mustAdj(t, m), Features: feats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Stop()
+			if e.Hops() != radius {
+				t.Fatalf("default radius %d, want %d", e.Hops(), radius)
+			}
+			var blocks []bool
+			for _, r := range e.reach {
+				blocks = append(blocks, r.Block)
+			}
+			if !slices.Equal(blocks, c.blocks) {
+				t.Fatalf("layers on blocks %v, want %v", blocks, c.blocks)
+			}
+			// A float32 plan over the ego and one over the full graph round
+			// differently, so the f32 model meets the full graph to f32's
+			// precision only; its square ego it still meets bit for bit.
+			tol := 1e-12
+			if m.DType == tensor.F32 {
+				tol = 1e-6
+			}
+			check := func(seeds []int, hops int, preds []Prediction) {
+				t.Helper()
+				ids := make([]int32, 0, len(seeds))
+				for _, v := range seeds {
+					if !slices.Contains(ids, int32(v)) {
+						ids = append(ids, int32(v))
+					}
+				}
+				sq := squareEgo(t, m, e.cfg.Adj, feats, ids, hops)
+				for j, p := range preds {
+					want := sq.Row(slices.Index(ids, int32(seeds[j])))
+					for k, x := range p.Logits {
+						if math.Float64bits(x) != math.Float64bits(want[k]) {
+							t.Fatalf("seeds %v hops %d: vertex %d logit %d = %v, square ego %v", seeds, hops, p.Vertex, k, x, want[k])
+						}
+						if f := full.At(p.Vertex, k); hops >= radius && math.Abs(x-f) > tol*max(1, math.Abs(f)) {
+							t.Fatalf("seeds %v hops %d: vertex %d logit %d = %v, full graph %v", seeds, hops, p.Vertex, k, x, f)
+						}
+					}
+				}
+			}
+			for v := 0; v < adj.Rows; v++ {
 				p, err := e.Ego(context.Background(), v, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for j, x := range p.Logits {
-					if d := math.Abs(x - full.At(v, j)); d > 1e-12 {
-						t.Fatalf("vertex %d logit %d: ego %v, full graph %v (diff %.3g)", v, j, x, full.At(v, j), d)
+				check([]int{v}, radius, []Prediction{p})
+			}
+			for _, q := range []struct {
+				seeds []int
+				hops  int
+			}{
+				{[]int{0, 5, 17}, radius},
+				{[]int{80, 3, 81}, radius},
+				{[]int{83, 40, 83, 12, 40}, radius},
+				{[]int{81}, radius + 3},
+				{[]int{80}, radius + 3},
+				{[]int{2, 82, 70}, radius + 3},
+				{[]int{9}, 1},
+				{[]int{9, 81, 30}, 1},
+			} {
+				ctx := context.Background()
+				if q.hops == radius {
+					preds, err := e.Predict(ctx, q.seeds)
+					if err != nil {
+						t.Fatal(err)
 					}
+					check(q.seeds, q.hops, preds)
+					continue
+				}
+				var preds []Prediction
+				for _, v := range q.seeds {
+					p, err := e.Ego(ctx, v, q.hops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					preds = append(preds, p)
+				}
+				for j, v := range q.seeds {
+					check([]int{v}, q.hops, preds[j:j+1])
 				}
 			}
 		})

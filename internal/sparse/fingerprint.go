@@ -13,7 +13,7 @@ import "math"
 // rather than per byte — which keeps a rebind-time fingerprint of a
 // multi-million-edge adjacency in the tens of milliseconds. It is a cache
 // key, not a cryptographic digest; the plan cache additionally keys on
-// Rows, NNZ and the layer signature, so a collision requires matching all
+// Rows, Cols, NNZ and the layer signature, so a collision requires matching all
 // of those at once.
 //
 // The receiver is read-only: Fingerprint does not mutate or memoize on the
