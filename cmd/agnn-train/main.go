@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -148,6 +149,14 @@ func main() {
 	for e := 1; e <= *epochs; e++ {
 		t0 := obs.Now()
 		l := m.TrainStep(ds.Features, loss, opt)
+		if err := gnn.FiniteLoss(e, l); err != nil {
+			// Stop rather than train on NaNs, leaving the flight dump of the
+			// steps that led here.
+			if path := obs.OnStop("non-finite-loss", err); path != "" {
+				fmt.Fprintf(os.Stderr, "agnn-train: flight dump written to %s\n", path)
+			}
+			fatal(errors.Join(err, o.Stop()))
+		}
 		dt := obs.TrainEpoch(obs.Main(), e, t0)
 		metrics.TrainEpoch.Set(float64(e))
 		metrics.TrainLoss.Set(l)

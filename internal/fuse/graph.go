@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"agnn/internal/sparse"
@@ -58,6 +59,7 @@ type Graph struct {
 	adj    *Node
 	input  *Node
 	output *Node
+	from   []*Node // the leaves a plan binds per call in place of input (From)
 
 	grid    Grid               // non-nil: pat is this rank's block of a process grid (grid.go)
 	crossed map[crossing]*Node // broadcasts already lowered, one per (node, axis)
@@ -328,6 +330,118 @@ func (g *Graph) OutputCols() int { return g.md(g.output).cols }
 
 // OutputRows returns the height of the output node.
 func (g *Graph) OutputRows() int { return g.md(g.output).rows }
+
+// rowLocal are the ops whose output row i reads row i of their dense and
+// vector operands and nothing else but parameters, by the same arithmetic
+// whatever the operands' height.
+var rowLocal = map[string]bool{"mm": true, "matvec": true, "rownorm": true, "sigma": true, "concat": true, "mean": true}
+
+// Frontier returns, in DAG order, the frontier of the graph's vertex-local
+// prefix. The prefix is the dense input plus every node but the output that
+// reads only prefix nodes and parameters through a row-local op: row i of a
+// prefix node depends on row i of the input alone. Its frontier is the prefix
+// nodes some node outside the prefix reads — GAT's H·W, u and v; the input
+// itself when nothing row-local follows it. A graph whose output reads no
+// prefix node has the frontier {input}.
+func (g *Graph) Frontier() []*Node {
+	prefix := map[*Node]bool{g.input: true}
+	for _, n := range g.dag.Nodes() {
+		if !rowLocal[n.Op] || n == g.output {
+			continue
+		}
+		local := true
+		for _, in := range n.Inputs {
+			local = local && (prefix[in] || in.Kind == Param)
+		}
+		prefix[n] = local
+	}
+	cons := g.dag.consumers()
+	var frontier []*Node
+	for _, n := range g.dag.Nodes() {
+		if prefix[n] && slices.ContainsFunc(cons[n], func(c *Node) bool { return !prefix[c] }) {
+			frontier = append(frontier, n)
+		}
+	}
+	if len(frontier) == 0 {
+		frontier = []*Node{g.input}
+	}
+	return frontier
+}
+
+// From makes the graph's plans start at the nodes named ids instead of the
+// dense input: each is a leaf whose value the caller binds per call
+// (Plan.ForwardFrom, in this order), and a node only they read is not
+// computed. It is how a plan reads a prefix evaluated once (EvalPrefix) in
+// place of recomputing it; such a plan is inference-only and single-node.
+func (g *Graph) From(ids []string) {
+	g.from = make([]*Node, len(ids))
+	for i, id := range ids {
+		n := g.dag.Node(id)
+		if n == nil {
+			panic(fmt.Sprintf("fuse: graph %q has no node %q to start from", g.Name, id))
+		}
+		g.from[i] = n
+	}
+}
+
+// EvalPrefix evaluates the graph's vertex-local prefix once over h at element
+// width dt: one inference plan over a private workspace, from the dense input
+// to the frontier (Frontier). It returns the frontier and, per frontier node,
+// its value for every row of h — a vector node as one column — which the
+// caller owns: the input's own is h at float64 and its rounded copy at
+// float32. Row i of each is what a plan over any row subset computes for that
+// row, bit for bit: every prefix op computes a row the same way whatever the
+// height.
+func (g *Graph) EvalPrefix(h *tensor.Dense, dt tensor.DType) ([]*Node, []tensor.Typed, error) {
+	if g.input == nil || g.output == nil {
+		return nil, nil, fmt.Errorf("fuse: graph %q needs a dense input and an output", g.Name)
+	}
+	if g.grid != nil || g.rowOff != 0 {
+		return nil, nil, fmt.Errorf("fuse: graph %q: a prefix is evaluated single-node, without a row offset", g.Name)
+	}
+	frontier := g.Frontier()
+	p, err := lower(g, Options{DType: dt, SpanPrefix: g.Name + ".prefix."}, g.dag.consumers(),
+		cut{leaves: []*Node{g.input}, outs: frontier})
+	if err != nil {
+		return nil, nil, err
+	}
+	p.ForwardTyped(tensor.Typed{F64: h}) // its result, the layer output, lies outside the cut
+	return frontier, p.x.values(), nil
+}
+
+// cut is the part of a graph a plan computes: from the leaves, whose values
+// are bound per call, to the outs.
+type cut struct{ leaves, outs []*Node }
+
+// cut returns the cut a compiled plan covers: from the From nodes, or the
+// dense input, to the output.
+func (g *Graph) cut() cut {
+	leaves := g.from
+	if leaves == nil {
+		leaves = []*Node{g.input}
+	}
+	return cut{leaves: leaves, outs: []*Node{g.output}}
+}
+
+// needs returns the nodes a plan over the cut computes or reads: the outs
+// and, walking back from them, every node they depend on short of a leaf.
+func (c cut) needs(g *Graph) map[*Node]bool {
+	need := make(map[*Node]bool, len(g.meta))
+	for _, n := range c.outs {
+		need[n] = true
+	}
+	nodes := g.dag.Nodes()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		if !need[n] || slices.Contains(c.leaves, n) {
+			continue
+		}
+		for _, in := range n.Inputs {
+			need[in] = true
+		}
+	}
+	return need
+}
 
 // Radius returns how many hops of the adjacency one output row reads: the
 // largest number of aggregations (spmm-family ops) on any path from the

@@ -82,7 +82,7 @@ func (p *Plan) Partition(avail []RowRange) (*PartitionedPlan, error) {
 	if len(avail) == 0 {
 		return nil, fmt.Errorf("fuse: Partition needs at least one arrival step")
 	}
-	n := p.input.rows
+	n := p.leaves[0].rows
 	pat := p.pat
 	if pat.Cols != n {
 		return nil, fmt.Errorf("fuse: pattern cols %d != input rows %d; cannot map columns to arrival steps", pat.Cols, n)
@@ -205,11 +205,12 @@ func (pp *PartitionedPlan) Bind(h *tensor.Dense) {
 	if p.released {
 		panic("fuse: Bind on a released plan")
 	}
-	if h.Rows != p.input.rows || h.Cols != p.input.cols {
+	if h.Rows != p.leaves[0].rows || h.Cols != p.leaves[0].cols {
 		panic(fmt.Sprintf("fuse: plan %q input shape %d×%d, got %d×%d",
-			p.Name, p.input.rows, p.input.cols, h.Rows, h.Cols))
+			p.Name, p.leaves[0].rows, p.leaves[0].cols, h.Rows, h.Cols))
 	}
-	p.x.bind(tensor.Typed{F64: h})
+	p.x.bind(0, tensor.Typed{F64: h})
+	p.x.refresh()
 }
 
 // RunStep executes step t's op fragments (plan topological order inside the

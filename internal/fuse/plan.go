@@ -79,9 +79,10 @@ type Plan struct {
 	train  bool
 	rowOff int
 
-	pat           *sparse.CSR // the sparsity pattern every sparse op runs over
-	input, output *meta
-	fwd, bwd      []planOp
+	pat      *sparse.CSR // the sparsity pattern every sparse op runs over
+	leaves   []*meta     // bound per call: the dense input, or the graph's From nodes
+	output   *meta
+	fwd, bwd []planOp
 	// offDiag: the plan runs on an off-diagonal rank of a process grid, which
 	// holds no dense block — Forward and Backward take and return nil there.
 	offDiag bool
@@ -97,11 +98,13 @@ type Plan struct {
 
 // boundary is the face of a plan's typed execution state.
 type boundary interface {
-	bind(h tensor.Typed)           // make h the input of the coming forward sweep
+	bind(i int, h tensor.Typed)    // make h the value of leaf i in the coming forward sweep
+	refresh()                      // round the parameter masters into the plan's working copies
 	seed(g tensor.Typed)           // reset cotangents, load the output cotangent
 	settle()                       // flush parameter gradients into their float64 masters
 	native(back bool) tensor.Typed // the forward result — back: the input cotangent — at the plan's width
 	dense(back bool) *tensor.Dense // the same as float64
+	values() []tensor.Typed        // the values of the cut's outs (a vector as one column), uncopied
 	detach()                       // drop the references bind and seed took to the caller's matrices
 	release(ws *tensor.Arena)
 }
@@ -119,21 +122,24 @@ type boundary interface {
 // float64 matrix crosses through a conversion buffer — the narrowed input,
 // the widened result, the widened input cotangent — acquired when one first
 // crosses there: a layer between two others of its width never holds any.
-// On an off-diagonal rank of a process grid (offDiag) the input and output
-// nodes do not exist: only the parameters cross the boundary.
+// A plan compiled From several nodes binds each of them as it binds the
+// input. On an off-diagonal rank of a process grid (offDiag) the input and
+// output nodes do not exist: only the parameters cross the boundary.
 type exec[T elem] struct {
-	plan          *Plan // whose workspace the conversion buffers come from, and count in
-	input, output *spec[T]
-	offDiag       bool
+	plan    *Plan      // whose workspace the conversion buffers come from, and count in
+	leaves  []*spec[T] // bound per call; leaves[0] is the input of a plan that starts there
+	output  *spec[T]
+	outs    []*spec[T] // the cut's outs (values)
+	offDiag bool
 	// seedByRef: the output cotangent is read from the caller's matrix, as
 	// the input is — float64 plans whose output feeds nothing inside the DAG.
 	seedByRef bool
 
 	// Casting plans only; empty when T is float64.
-	inN        *tensor.Mat[T] // narrowed input
-	outF, ginF *tensor.Dense  // widened forward result / input cotangent
-	shadows    []shadow[T]    // parameter masters → rounded working copies
-	flushes    []shadow[T]    // gradient shadows → master Grad accumulators
+	inN        []*tensor.Mat[T] // narrowed leaves, each acquired when one first arrives as float64 (all nil at float64)
+	outF, ginF *tensor.Dense    // widened forward result / input cotangent
+	shadows    []shadow[T]      // parameter masters → rounded working copies
+	flushes    []shadow[T]      // gradient shadows → master Grad accumulators
 	narrow     castSweep[T, float64]
 	widen      castSweep[float64, T]
 	same       castSweep[T, T] // an output cotangent arriving at width T
@@ -205,20 +211,28 @@ func (e *exec[T]) words(n int, width int64) {
 	e.plan.stats.WorkspaceWords += int64(n) * width / e.plan.stats.DType.Size()
 }
 
-func (e *exec[T]) bind(h tensor.Typed) {
-	if !e.offDiag {
-		m, ok := asNative[T](h)
-		if !ok {
-			if e.inN == nil {
-				e.inN = tensor.AcquireMat[T](e.plan.ws, h.F64.Rows, h.F64.Cols)
-				e.mats = append(e.mats, e.inN)
-				e.words(len(e.inN.Data), e.plan.stats.DType.Size())
-			}
-			m = e.inN
-			e.narrow.run(m.Data, h.F64.Data)
-		}
-		e.input.dense = m
+func (e *exec[T]) bind(i int, h tensor.Typed) {
+	if e.offDiag {
+		return
 	}
+	m, ok := asNative[T](h)
+	if !ok {
+		if e.inN[i] == nil {
+			e.inN[i] = tensor.AcquireMat[T](e.plan.ws, h.F64.Rows, h.F64.Cols)
+			e.mats = append(e.mats, e.inN[i])
+			e.words(len(e.inN[i].Data), e.plan.stats.DType.Size())
+		}
+		m = e.inN[i]
+		e.narrow.run(m.Data, h.F64.Data)
+	}
+	if s := e.leaves[i]; s.node.Kind == Vector {
+		s.vec = m.Data
+	} else {
+		s.dense = m
+	}
+}
+
+func (e *exec[T]) refresh() {
 	for _, s := range e.shadows {
 		e.narrow.run(s.local.Data, s.master.Data)
 	}
@@ -258,7 +272,7 @@ func (e *exec[T]) native(back bool) tensor.Typed {
 	case e.offDiag:
 		return tensor.Typed{}
 	case back:
-		return typed(e.input.gdense)
+		return typed(e.leaves[0].gdense)
 	}
 	return typed(e.output.dense)
 }
@@ -269,7 +283,7 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	}
 	src, buf := e.output.dense, &e.outF
 	if back {
-		src, buf = e.input.gdense, &e.ginF
+		src, buf = e.leaves[0].gdense, &e.ginF
 	}
 	if d, ok := any(src).(*tensor.Mat[float64]); ok {
 		return (*tensor.Dense)(d)
@@ -282,15 +296,27 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	return *buf
 }
 
+func (e *exec[T]) values() []tensor.Typed {
+	out := make([]tensor.Typed, len(e.outs))
+	for i, s := range e.outs {
+		m := s.dense
+		if s.node.Kind == Vector {
+			m = &tensor.Mat[T]{Rows: len(s.vec), Cols: 1, Data: s.vec}
+		}
+		out[i] = typed(m)
+	}
+	return out
+}
+
 // detach keeps an idle plan from holding its last caller's matrices alive:
-// the bound input unless it is the plan-owned narrowed copy, and an output
+// the bound leaves (a narrowed copy stays the plan's, in mats) and an output
 // cotangent read by reference.
 func (e *exec[T]) detach() {
 	if e.offDiag {
 		return
 	}
-	if e.input.dense != e.inN {
-		e.input.dense = nil
+	for _, s := range e.leaves {
+		s.dense, s.vec = nil, nil
 	}
 	if e.seedByRef {
 		e.output.gdense = nil
@@ -325,13 +351,21 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.input == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no dense input", g.Name)
 	}
-	casting := opt.DType != tensor.F64
 	if opt.Train && g.rowOff != 0 {
 		return nil, fmt.Errorf("fuse: graph %q: row-offset plans are inference-only", g.Name)
 	}
 	if g.grid != nil && (g.pat.Rows != g.pat.Cols || g.rowOff != 0) {
 		return nil, fmt.Errorf("fuse: graph %q: a grid block is square and takes no row offset, got %d×%d at offset %d",
 			g.Name, g.pat.Rows, g.pat.Cols, g.rowOff)
+	}
+	c := g.cut()
+	if g.from != nil {
+		if opt.Train || g.grid != nil || g.rowOff != 0 {
+			return nil, fmt.Errorf("fuse: graph %q: a plan from bound nodes is a single-node inference plan without a row offset", g.Name)
+		}
+		if c.needs(g)[g.input] && !slices.Contains(g.from, g.input) {
+			return nil, fmt.Errorf("fuse: graph %q: the nodes it starts from do not cover what it reads of the input", g.Name)
+		}
 	}
 	cons := g.dag.consumers()
 	for _, n := range g.dag.Nodes() {
@@ -346,20 +380,34 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 				g.Name, n.Kind, n.ID, len(cons[n]))
 		}
 	}
-	if casting {
-		return compile[float32](g, opt, cons)
-	}
-	return compile[float64](g, opt, cons)
+	return lower(g, opt, cons, c)
 }
 
-func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, error) {
+// lower instantiates compile at the element type of opt.DType.
+func lower(g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Plan, error) {
+	if opt.DType != tensor.F64 {
+		return compile[float32](g, opt, cons, c)
+	}
+	return compile[float64](g, opt, cons, c)
+}
+
+// compile lowers the part of g between the cut's leaves and outs; a node
+// outside it is neither given buffers nor computed.
+func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Plan, error) {
 	groups := Analyze(g.dag) // panics if a virtual escapes — a builder bug
+	need := c.needs(g)
+	leaf := make(map[*Node]bool, len(c.leaves))
+	for _, n := range c.leaves {
+		leaf[n] = true
+	}
+	// nodes are the nodes the plan computes or reads, in topological order.
+	nodes := slices.DeleteFunc(slices.Clone(g.dag.Nodes()), func(n *Node) bool { return !need[n] })
 
 	// Peephole: a softmax whose only producer chain is a single-consumer
 	// mask compiles to one fused sampling sweep; the mask's value buffer is
 	// never materialized (its cotangent still is, for training).
 	fusedMask := make(map[*Node]bool)
-	for _, n := range g.dag.Nodes() {
+	for _, n := range nodes {
 		if n.Op == "softmax" {
 			if in := n.Inputs[0]; in.Op == "mask" && len(cons[in]) == 1 {
 				fusedMask[in] = true
@@ -378,7 +426,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	// per-edge score tensor at all. Per-row arithmetic order matches the
 	// unfused sample-then-spmm sequence exactly, so fused plans are
 	// bitwise-identical to unfused ones.
-	attnAgg, attnSrc := attnFusion(g, cons, fusedMask, opt.NoAttnFuse)
+	attnAgg, attnSrc := attnFusion(g, nodes, cons, fusedMask, opt.NoAttnFuse)
 
 	ws := opt.Workspace
 	if ws == nil {
@@ -394,9 +442,13 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	diag := grid == nil || grid.Diag()
 	here := func(n *Node) bool { return diag || !onDiagonal(n) }
 	_, _, outColl := collective(g.output.Op) // a reduce's cotangent is its partial's
-	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
+	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl,
+		inN: make([]*tensor.Mat[T], len(c.leaves))}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
-		input: g.md(g.input), output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
+		output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
+	for _, n := range c.leaves {
+		p.leaves = append(p.leaves, g.md(n))
+	}
 	e.plan = p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
@@ -411,7 +463,13 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		}
 		return s
 	}
-	e.input, e.output = sp(g.input), sp(g.output)
+	e.output = sp(g.output)
+	for _, n := range c.leaves {
+		e.leaves = append(e.leaves, sp(n))
+	}
+	for _, n := range c.outs {
+		e.outs = append(e.outs, sp(n))
+	}
 
 	// words counts the held workspace in elements of T (WorkspaceBytes
 	// multiplies by DType.Size()); the float64 buffers of a casting plan
@@ -482,7 +540,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 
 	// Allocate buffers and compose virtual entry evaluators, in topological
 	// (insertion) order so every node's inputs are ready.
-	for _, n := range g.dag.Nodes() {
+	for _, n := range nodes {
 		s := sp(n)
 		_, bcast, coll := collective(n.Op)
 		switch {
@@ -490,7 +548,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			// lives on the diagonal rank of this grid row/column
 		case n == g.adj:
 			// values resolve lazily via adjVals
-		case n == g.input:
+		case leaf[n]:
 			// The value is bound per step (exec.bind).
 			if opt.Train {
 				cotangent(s)
@@ -533,7 +591,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 			}
 		default: // dense or vector compute node
 			if n.Op == "sigma" && (s.act.Name == "relu" || s.act.isIdentity()) &&
-				n.Inputs[0].Op != "input" && len(cons[n.Inputs[0]]) == 1 {
+				n.Inputs[0].Op != "input" && !leaf[n.Inputs[0]] && len(cons[n.Inputs[0]]) == 1 {
 				// Piecewise-linear σ over a pre-activation nobody else reads
 				// runs in place: σ′ is as readable off max(z, 0) as off z.
 				s.dense = sp(n.Inputs[0]).dense
@@ -559,7 +617,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	// (cotangentOperands) — an attention chain threads one nnz-sized buffer
 	// from Ψ̄ down to its vector operands.
 	if opt.Train {
-		nodes := g.dag.Nodes()
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
 			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) {
@@ -603,7 +660,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	if opt.Train {
 		tr = newTransposedRows[T](pat.TransposedPattern())
 		cutsT = par.NewCuts(tr.patT.Rows, nnzWeight(tr.patT))
-		for _, n := range g.dag.Nodes() {
+		for _, n := range nodes {
 			if n.Op == "spmm" && n.Inputs[0] == g.adj {
 				adjT = floats(nnz)
 				for q, v := 0, adjVals(); q < nnz; q++ {
@@ -649,11 +706,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 
 	// Forward op list, in topological order. Virtual nodes and fused masks
 	// emit nothing — they live inside their sampler's sweep.
-	for _, n := range g.dag.Nodes() {
+	for _, n := range nodes {
 		s := sp(n)
 		ax, _, coll := collective(n.Op)
-		if !here(n) && !coll {
-			continue // a diagonal rank's op; collectives run on every rank
+		if !here(n) && !coll || leaf[n] {
+			continue // a diagonal rank's op (collectives run on every rank), or a bound value
 		}
 		switch n.Op {
 		case "input":
@@ -731,7 +788,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 	// vector cotangents accumulate (+=) into zeroed buffers; sparse and
 	// virtual cotangents are overwritten by their single consumer.
 	if opt.Train {
-		nodes := g.dag.Nodes()
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
 			s := sp(n)
@@ -811,6 +867,9 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node) (*Plan, erro
 		DType:          opt.DType,
 	}
 	for _, grp := range groups {
+		if !need[grp.Sampler] {
+			continue
+		}
 		p.stats.FusedVirtual += len(grp.Virtual)
 		p.stats.Groups = append(p.stats.Groups, grp.String())
 	}
@@ -841,13 +900,13 @@ func (g *Graph) MustCompile(opt Options) *Plan {
 // peephole-fused mask, or a single-consumer mask directly. It returns the
 // spmm→folded-sparse-node map and the set of folded sparse nodes (which
 // emit no standalone forward op).
-func attnFusion(g *Graph, cons map[*Node][]*Node, fusedMask map[*Node]bool, disabled bool) (map[*Node]*Node, map[*Node]bool) {
+func attnFusion(g *Graph, nodes []*Node, cons map[*Node][]*Node, fusedMask map[*Node]bool, disabled bool) (map[*Node]*Node, map[*Node]bool) {
 	agg := make(map[*Node]*Node)
 	src := make(map[*Node]bool)
 	if disabled {
 		return agg, src
 	}
-	for _, n := range g.dag.Nodes() {
+	for _, n := range nodes {
 		if n.Op != "spmm" {
 			continue
 		}
@@ -1035,11 +1094,36 @@ func (p *Plan) Forward(h *tensor.Dense) *tensor.Dense {
 // a float64 one, and hands its output buffer on as it is. Any plan takes a
 // float64 input; a float32 one into a float64 plan is the caller's to widen.
 func (p *Plan) ForwardTyped(h tensor.Typed) tensor.Typed {
+	if len(p.leaves) != 1 {
+		panic(fmt.Sprintf("fuse: plan %q starts from %d nodes: use ForwardFrom", p.Name, len(p.leaves)))
+	}
+	p.bindLeaf(0, h)
+	return p.forward()
+}
+
+// ForwardFrom is ForwardTyped for a plan compiled From a set of nodes:
+// leaves[i] is the value of the i-th, a vector node's as one column, with as
+// many rows as the node has — the plan reads it and does not compute it.
+func (p *Plan) ForwardFrom(leaves []tensor.Typed) tensor.Typed {
+	if len(leaves) != len(p.leaves) {
+		panic(fmt.Sprintf("fuse: plan %q starts from %d nodes, got %d values", p.Name, len(p.leaves), len(leaves)))
+	}
+	for i, h := range leaves {
+		p.bindLeaf(i, h)
+	}
+	return p.forward()
+}
+
+func (p *Plan) bindLeaf(i int, h tensor.Typed) {
 	if p.released {
 		panic("fuse: Forward on a released plan")
 	}
-	p.checkShape("input", h, p.input)
-	p.x.bind(h)
+	p.checkShape(p.leaves[i].node.ID, h, p.leaves[i])
+	p.x.bind(i, h)
+}
+
+func (p *Plan) forward() tensor.Typed {
+	p.x.refresh()
 	runOps(p.fwd)
 	p.ranForward = true
 	return p.x.native(false)
@@ -1050,13 +1134,18 @@ func (p *Plan) ForwardTyped(h tensor.Typed) tensor.Typed {
 // first use) at float32.
 func (p *Plan) Output() *tensor.Dense { return p.x.dense(false) }
 
-// checkShape panics unless v is what the plan can bind at node m.
+// checkShape panics unless v is what the plan can bind at node m (a vector
+// node's value is one column).
 func (p *Plan) checkShape(what string, v tensor.Typed, m *meta) {
 	if p.offDiag {
 		return
 	}
-	if rows, cols, _ := v.Dims(); rows != m.rows || cols != m.cols {
-		panic(fmt.Sprintf("fuse: plan %q %s shape %d×%d, got %d×%d", p.Name, what, m.rows, m.cols, rows, cols))
+	want := m.cols
+	if m.node.Kind == Vector {
+		want = 1
+	}
+	if rows, cols, _ := v.Dims(); rows != m.rows || cols != want {
+		panic(fmt.Sprintf("fuse: plan %q %s shape %d×%d, got %d×%d", p.Name, what, m.rows, want, rows, cols))
 	}
 	if v.F32 != nil && p.stats.DType != tensor.F32 {
 		panic(fmt.Sprintf("fuse: plan %q runs at %s and was handed a float32 %s", p.Name, p.stats.DType, what))

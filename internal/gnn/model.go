@@ -1,7 +1,9 @@
 package gnn
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -170,16 +172,34 @@ func (m *Model) TrainStep(h *tensor.Dense, loss Loss, opt Optimizer) float64 {
 
 // Train runs epochs full-batch training iterations and returns the loss
 // trajectory. It refuses untrainable models (see TrainableLayer) with a
-// descriptive error instead of panicking mid-epoch.
+// descriptive error instead of panicking mid-epoch, and stops at the first
+// non-finite loss (FiniteLoss) with the finite trajectory before it.
 func (m *Model) Train(h *tensor.Dense, loss Loss, opt Optimizer, epochs int) ([]float64, error) {
 	if err := m.CheckTrainable(); err != nil {
 		return nil, err
 	}
 	hist := make([]float64, 0, epochs)
 	for e := 0; e < epochs; e++ {
-		hist = append(hist, m.TrainStep(h, loss, opt))
+		l := m.TrainStep(h, loss, opt)
+		if err := FiniteLoss(e, l); err != nil {
+			return hist, err
+		}
+		hist = append(hist, l)
 	}
 	return hist, nil
+}
+
+// ErrNonFiniteLoss is what a training loop stops with when the loss is NaN
+// or infinite: every step after it would train on NaNs.
+var ErrNonFiniteLoss = errors.New("gnn: non-finite loss")
+
+// FiniteLoss returns nil for a finite loss and otherwise an error wrapping
+// ErrNonFiniteLoss that names the epoch and the value.
+func FiniteLoss(epoch int, loss float64) error {
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		return fmt.Errorf("%w %v at epoch %d", ErrNonFiniteLoss, loss, epoch)
+	}
+	return nil
 }
 
 // Summary renders a human-readable table of the model's layers and

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -150,6 +151,29 @@ func TestTrainingReducesLoss(t *testing.T) {
 		if acc < 0.6 {
 			t.Fatalf("%v: train accuracy %v too low", kind, acc)
 		}
+	}
+}
+
+// TestTrainStopsAtNonFiniteLoss: one +Inf feature makes the first loss NaN
+// (0·Inf in the projection), and Train stops there with an error naming
+// epoch 0 and the value, instead of returning a trajectory of NaNs.
+func TestTrainStopsAtNonFiniteLoss(t *testing.T) {
+	a, labels := graph.PlantedPartition(30, 3, 0.3, 0.05, 9)
+	h := tensor.RandN(30, 4, 1, rand.New(rand.NewSource(10)))
+	h.Set(7, 2, math.Inf(1))
+	m, err := New(Config{Model: GAT, Layers: 2, InDim: 4, HiddenDim: 5, OutDim: 3, SelfLoops: true, Seed: 11}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := m.Train(h, &CrossEntropyLoss{Labels: labels}, NewAdam(0.01), 5)
+	if !errors.Is(err, ErrNonFiniteLoss) || !strings.Contains(err.Error(), "at epoch 0") {
+		t.Fatalf("Train returned %v, want a non-finite loss at epoch 0", err)
+	}
+	if !strings.Contains(err.Error(), "NaN") && !strings.Contains(err.Error(), "Inf") {
+		t.Fatalf("the error %q does not name the value", err)
+	}
+	if len(hist) != 0 {
+		t.Fatalf("Train returned the trajectory %v before the first loss", hist)
 	}
 }
 

@@ -121,8 +121,15 @@ func (p *planned) forward(h tensor.Typed, training bool) handoff {
 	if _, cols, ok := h.Dims(); ok {
 		in = cols
 	}
-	pl := p.plan(in, training)
+	pl := p.plan(in, training, nil)
 	return handoff{m: pl.ForwardTyped(h), from: pl}
+}
+
+// forwardFrom is the inference forward from rows of pre's tables: rows[i]
+// holds, for the layer's input rows, the value of frontier node i.
+func (p *planned) forwardFrom(pre *Prefix, rows []tensor.Typed) handoff {
+	pl := p.plan(pre.in, false, pre)
+	return handoff{m: pl.ForwardFrom(rows), from: pl}
 }
 
 func (p *planned) backward(g tensor.Typed) handoff {
@@ -151,13 +158,15 @@ func (p *planned) releasePlans() { p.train.release(); p.infer.release() }
 //
 // The signature is computed once per layer instance and mode (layer kind,
 // structural options and parameter identities are fixed after construction)
-// and memoized.
-func (p *planned) plan(in int, train bool) *fuse.Plan {
+// and memoized. A plan from a prefix's frontier (pre non-nil) is the same
+// DAG compiled From the frontier nodes, and its signature names them: plans
+// are shared by every engine over the model, whichever tables it gathers.
+func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 	c := &p.infer
 	if train {
 		c = &p.train
 	}
-	if c.plan != nil && c.a == p.A && c.in == in && c.dt == p.DType {
+	if c.plan != nil && c.a == p.A && c.in == in && c.dt == p.DType && c.pre == pre {
 		return c.plan
 	}
 	if c.sig == "" {
@@ -168,15 +177,22 @@ func (p *planned) plan(in int, train bool) *fuse.Plan {
 		}
 	}
 	c.release()
-	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, c.sig), func(ws *tensor.Arena) *fuse.Plan {
+	sig := c.sig
+	if pre != nil {
+		sig += "|from=" + pre.from
+	}
+	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, sig), func(ws *tensor.Arena) *fuse.Plan {
 		name := p.def.Name()
 		g := fuse.NewGraph(name, p.A)
 		g.SetGrid(p.Grid)
 		p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
+		if pre != nil {
+			g.From(pre.Frontier)
+		}
 		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
 	})
 	c.plan = c.lease.Plan()
-	c.a, c.in, c.dt = p.A, in, p.DType
+	c.a, c.in, c.dt, c.pre = p.A, in, p.DType, pre
 	return c.plan
 }
 
@@ -187,6 +203,7 @@ type planLease struct {
 	a     *sparse.CSR
 	in    int
 	dt    tensor.DType
+	pre   *Prefix // the plan starts from its frontier; nil: from the input
 	sig   string
 }
 
@@ -201,6 +218,7 @@ func (c *planLease) release() {
 	c.plan = nil
 	c.a = nil
 	c.in = 0
+	c.pre = nil
 }
 
 // planRef adapts a Param to the fuse runtime's package-neutral handle. The

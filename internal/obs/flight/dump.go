@@ -27,7 +27,7 @@ import (
 // superstep) plus every lane's recent events.
 type Dump struct {
 	Schema        string     `json:"schema"` // "agnn-flight/v1"
-	Reason        string     `json:"reason"` // "rank-failure" | "signal" | "request" | "shutdown" | "manual"
+	Reason        string     `json:"reason"` // "rank-failure" | "signal" | "request" | "shutdown" | "non-finite-loss" | "manual"
 	CapturedAt    time.Time  `json:"captured_at"`
 	GoVersion     string     `json:"go_version"`
 	FailedRank    *int       `json:"failed_rank,omitempty"`
@@ -184,14 +184,23 @@ func OnRankFailure(rank int, lastSuperstep int64, cause error) string {
 // exits leave the same postmortem artifact a crash would. No-op (returns
 // "") when no dump directory is configured. Callers provide once-only
 // semantics (obs/serve's final-snapshot flush, agnn-serve's shutdown).
-func OnShutdown() string {
+func OnShutdown() string { return OnStop("shutdown", nil) }
+
+// OnStop is OnShutdown for a run that stops itself for a reason of its own —
+// "non-finite-loss" when training meets a NaN or infinite loss — with the
+// error that stopped it as the dump's cause.
+func OnStop(reason string, cause error) string {
 	dir := DumpDir()
 	if dir == "" {
 		return ""
 	}
-	path, err := Capture(evlog.Default, "shutdown").WriteFile(dir)
+	d := Capture(evlog.Default, reason)
+	if cause != nil {
+		d.Cause = cause.Error()
+	}
+	path, err := d.WriteFile(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flight: failed to write shutdown dump: %v\n", err)
+		fmt.Fprintf(os.Stderr, "flight: failed to write %s dump: %v\n", reason, err)
 		return ""
 	}
 	return path

@@ -217,9 +217,11 @@ func TrainEpoch(l *Log, n int, t0 int64) float64 {
 }
 
 // The flight dump's knobs, for the binaries: where dumps land, the signal
-// that asks for one, and the dump a clean shutdown leaves.
+// that asks for one, and the dump a clean shutdown — or a run that stops
+// itself — leaves.
 var (
 	SetDumpDir   = flight.SetDumpDir
 	NotifySignal = flight.NotifySignal
 	OnShutdown   = flight.OnShutdown
+	OnStop       = flight.OnStop
 )

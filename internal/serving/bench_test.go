@@ -7,16 +7,14 @@ import (
 
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
-// BenchmarkEgoQuery times one single-vertex query end to end — expansion,
-// block extraction, rebind, plan lease and forward — with a 2-layer GAT over
-// a 32k-vertex graph whose 2-hop egos hold ≈ 700 vertices, the size of a
-// serving query. "cold" asks a different vertex every iteration, so its plans
-// compile (or come back from another ego of the same structure); "warm"
-// asks one vertex again and again, so every plan is a cache hit.
-func BenchmarkEgoQuery(b *testing.B) {
+// egoBenchModel is a 2-layer GAT over a 32k-vertex graph whose 2-hop egos
+// hold ≈ 700 vertices, the size of a serving query, with its processed
+// adjacency and k = 32 features.
+func egoBenchModel(b *testing.B) (*gnn.Model, *sparse.CSR, *tensor.Dense) {
 	const k = 32
 	a := graph.ErdosRenyi(1<<15, 13<<15, 1)
 	m, err := gnn.New(gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 8,
@@ -28,7 +26,32 @@ func BenchmarkEgoQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(Config{Model: m, Adj: adj, Features: tensor.RandN(a.Rows, k, 1, rand.New(rand.NewSource(3)))})
+	return m, adj, tensor.RandN(a.Rows, k, 1, rand.New(rand.NewSource(3)))
+}
+
+// BenchmarkNewEngine times setting up an engine over egoBenchModel: the
+// default radius read off the DAGs and the first layer's vertex-local prefix
+// (H·W, u, v) evaluated over every vertex once.
+func BenchmarkNewEngine(b *testing.B) {
+	m, adj, feats := egoBenchModel(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := NewEngine(Config{Model: m, Adj: adj, Features: feats})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Stop()
+	}
+}
+
+// BenchmarkEgoQuery times one single-vertex query end to end — expansion,
+// block extraction, prefix-row gather, rebind, plan lease and forward — over
+// egoBenchModel. "cold" asks a different vertex every iteration, so its plans
+// compile (or come back from another ego of the same structure); "warm" asks
+// one vertex again and again, so every plan is a cache hit.
+func BenchmarkEgoQuery(b *testing.B) {
+	m, adj, feats := egoBenchModel(b)
+	e, err := NewEngine(Config{Model: m, Adj: adj, Features: feats})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +63,7 @@ func BenchmarkEgoQuery(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		order := rand.New(rand.NewSource(4)).Perm(a.Rows)
+		order := rand.New(rand.NewSource(4)).Perm(adj.Rows)
 		for i := 0; i < b.N; i++ {
 			query(order[i%len(order)])
 		}

@@ -7,7 +7,9 @@
 // to serving: a query for vertices S is answered from the induced subgraph
 // of S's h-hop neighborhood, each layer rebound to the block of it whose
 // rows the layers after it read (Engine.blocks), with one compiled-plan
-// forward. Because plans resolve through the process-wide cache
+// forward that starts from the ego's rows of the first layer's vertex-local
+// prefix, evaluated once per engine (gnn.Prefix). Because plans resolve
+// through the process-wide cache
 // (internal/fuse), a repeated query structure — the common case under
 // load, and always the case for repeated identical queries — executes with
 // zero recompilation.
@@ -51,7 +53,10 @@ var ErrStopped = errors.New("serving: engine stopped")
 // lists). HTTP callers receive 400 Bad Request.
 var ErrBadRequest = errors.New("serving: bad request")
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. NewEngine reads the Model's parameters and
+// the Features once, to evaluate the first layer's vertex-local prefix
+// (gnn.Model.EvalPrefix): neither may change for the engine's life. There is
+// no reload; a new model or new features take a new engine.
 type Config struct {
 	Model    *gnn.Model    // trained model (layers bound to Adj)
 	Adj      *sparse.CSR   // processed adjacency (Model.Adjacency())
@@ -127,7 +132,7 @@ type Timing struct {
 	TraceID  string `json:"trace_id,omitempty"` // request trace ID (X-Agnn-Trace)
 	QueueNs  int64  `json:"queue_ns"`           // submitted → picked up by a runner
 	BatchNs  int64  `json:"batch_ns"`           // picked up → its group's execution starts
-	ExpandNs int64  `json:"expand_ns"`          // seed union → induced blocks + features
+	ExpandNs int64  `json:"expand_ns"`          // seed union → induced blocks + gathered prefix rows
 	PlanNs   int64  `json:"plan_ns"`            // rebind + planned forward + output copy → answer in the caller's hands
 	Seeds    int    `json:"batch_seeds"`        // distinct seeds in the shared execution
 }
@@ -171,9 +176,10 @@ type result struct {
 
 // Engine executes micro-batched subgraph inference.
 type Engine struct {
-	cfg   Config
-	reach []gnn.Reach // per DAG layer: its radius, and whether it runs on a block
-	reqs  chan request
+	cfg    Config
+	reach  []gnn.Reach // per DAG layer: its radius, and whether it runs on a block
+	prefix *gnn.Prefix // the first layer's vertex-local prefix over Features
+	reqs   chan request
 
 	mu      sync.Mutex
 	stopped bool
@@ -181,7 +187,8 @@ type Engine struct {
 	wg      sync.WaitGroup
 }
 
-// NewEngine validates the config and starts the runner goroutines.
+// NewEngine validates the config, evaluates the first layer's vertex-local
+// prefix over the features, and starts the runner goroutines.
 func NewEngine(cfg Config) (*Engine, error) {
 	e, err := newIdleEngine(cfg)
 	if err != nil {
@@ -198,7 +205,11 @@ func newIdleEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, reach: reach, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
+	prefix, err := cfg.Model.EvalPrefix(cfg.Features)
+	if err != nil {
+		return nil, fmt.Errorf("serving: %w", err)
+	}
+	return &Engine{cfg: cfg, reach: reach, prefix: prefix, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
 }
 
 func (e *Engine) start() {
@@ -316,16 +327,18 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 	}
 }
 
-// runner collects micro-batches and executes them.
+// runner collects micro-batches and executes them, gathering prefix rows
+// into buffers of its own.
 func (e *Engine) runner() {
 	defer e.wg.Done()
+	rows := newPrefixRows(e.prefix.Tables)
 	for {
 		select {
 		case <-e.done:
 			return
 		case first := <-e.reqs:
 			first.pick = time.Now()
-			e.runBatch(e.collect(first))
+			e.runBatch(e.collect(first), rows)
 		}
 	}
 }
@@ -351,23 +364,31 @@ func (e *Engine) collect(first request) []request {
 }
 
 // runBatch groups the collected requests by radius (different radii need
-// different subgraphs) and answers each group with one execution.
-func (e *Engine) runBatch(batch []request) {
-	byHops := make(map[int][]request)
-	for _, r := range batch {
-		byHops[r.hops] = append(byHops[r.hops], r)
-	}
-	for hops, group := range byHops {
-		e.runGroup(group, hops)
+// different subgraphs) and answers each group with one execution, the groups
+// in the order their first requests arrived.
+func (e *Engine) runBatch(batch []request, rows prefixRows) {
+	for len(batch) > 0 {
+		hops, rest := batch[0].hops, []request(nil)
+		group := batch[:0] // filtered in place: it never overtakes the read
+		for _, r := range batch {
+			if r.hops == hops {
+				group = append(group, r)
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		e.runGroup(group, hops, rows)
+		batch = rest
 	}
 }
 
 // runGroup executes one micro-batch: drop the requests whose caller has gone
 // (submit already returned ctx.Err() to it), union the seeds of the rest,
 // expand to the h-hop ego, rebind every layer to its block of the ego's
-// induced subgraph, run the compiled inference plans once, and slice each
-// request's rows out of the shared output.
-func (e *Engine) runGroup(group []request, hops int) {
+// induced subgraph, gather the ego's rows of the prefix tables, run the
+// compiled inference plans once from them, and slice each request's rows out
+// of the shared output.
+func (e *Engine) runGroup(group []request, hops int, rows prefixRows) {
 	start := time.Now()
 	live := group[:0]
 	for _, r := range group {
@@ -378,14 +399,16 @@ func (e *Engine) runGroup(group []request, hops int) {
 	if group = live; len(group) == 0 {
 		return
 	}
-	// Union of seeds in first-seen order — the subgraph's leading rows.
+	// Union of seeds in first-seen order — the subgraph's leading rows. The
+	// pooled marks hold each seed's row + 1 until the replies are built.
 	var seeds []int32
-	index := make(map[int32]int)
+	marks := graph.BorrowMarks(e.cfg.Adj.Rows)
+	defer func() { marks.Release(seeds) }()
 	for _, r := range group {
 		for _, v := range r.seeds {
-			if _, ok := index[int32(v)]; !ok {
-				index[int32(v)] = len(seeds)
+			if marks.At[v] == 0 {
 				seeds = append(seeds, int32(v))
+				marks.At[v] = int32(len(seeds))
 			}
 		}
 	}
@@ -403,10 +426,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 
 	verts, bounds := ExpandBounds(e.cfg.Adj, seeds, hops)
 	blocks := e.blocks(verts, bounds)
-	feats := tensor.NewDense(len(verts), e.cfg.Features.Cols)
-	for i, v := range verts {
-		copy(feats.Row(i), e.cfg.Features.Row(int(v)))
-	}
+	in := rows.gather(e.prefix.Tables, verts[:blocks[0].Cols])
 	expandDone := time.Now()
 
 	// Fresh layer structs per execution keep runners independent; the
@@ -418,7 +438,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 		}
 		return
 	}
-	out := bm.Forward(feats, false)
+	out := bm.ForwardFrom(e.prefix, in)
 	// The output matrix is plan-owned: copy the seed rows before the
 	// leases go back to the cache.
 	logits := make([][]float64, len(seeds))
@@ -431,7 +451,7 @@ func (e *Engine) runGroup(group []request, hops int) {
 	for _, r := range group {
 		preds := make([]Prediction, len(r.seeds))
 		for j, v := range r.seeds {
-			lg := logits[index[int32(v)]]
+			lg := logits[marks.At[v]-1]
 			preds[j] = Prediction{Vertex: v, Class: argmax(lg), Logits: lg}
 		}
 		// submit ends the plan stage when the caller has the reply.
@@ -486,6 +506,46 @@ func (e *Engine) blocks(verts []int32, bounds []int) []*sparse.CSR {
 		c = rows
 	}
 	return blocks
+}
+
+// prefixRows is a runner's copy of the prefix-table rows one ego reads: row i
+// of the t-th matrix is row verts[i] of table t. Its storage grows only when
+// an ego is larger than any before it; the plans bind it, so it is read only
+// while the runner's own execution runs.
+type prefixRows []tensor.Typed
+
+func newPrefixRows(tables []tensor.Typed) prefixRows {
+	rows := make(prefixRows, len(tables))
+	for t, tb := range tables {
+		if tb.F32 != nil {
+			rows[t].F32 = &tensor.Mat[float32]{Cols: tb.F32.Cols}
+		} else {
+			rows[t].F64 = &tensor.Dense{Cols: tb.F64.Cols}
+		}
+	}
+	return rows
+}
+
+func (r prefixRows) gather(tables []tensor.Typed, verts []int32) []tensor.Typed {
+	for t, tb := range tables {
+		if tb.F32 != nil {
+			gatherRows(r[t].F32, tb.F32, verts)
+		} else {
+			gatherRows((*tensor.Mat[float64])(r[t].F64), (*tensor.Mat[float64])(tb.F64), verts)
+		}
+	}
+	return r
+}
+
+func gatherRows[T tensor.Elem](dst, src *tensor.Mat[T], verts []int32) {
+	k := src.Cols
+	if n := len(verts) * k; cap(dst.Data) < n {
+		dst.Data = make([]T, n)
+	}
+	dst.Rows, dst.Data = len(verts), dst.Data[:len(verts)*k]
+	for i, v := range verts {
+		copy(dst.Data[i*k:(i+1)*k], src.Data[int(v)*k:(int(v)+1)*k])
+	}
 }
 
 func argmax(x []float64) int {

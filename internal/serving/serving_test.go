@@ -202,14 +202,78 @@ func TestServingDeterministicAndCached(t *testing.T) {
 			}
 		}
 	}
-	// Serving is inference: every plan it compiled is an inference plan.
+	// Serving is inference: every plan it compiled is an inference plan, and
+	// every plan of the first layer starts from the frontier of its prefix.
 	keys := fuse.Shared.Keys()
 	if len(keys) == 0 {
 		t.Fatal("the sweeps left no plan in the cache")
 	}
+	layer0, froms := fmt.Sprintf("|%p,", m.Layers[0].Params()[0].Value), 0
 	for _, k := range keys {
 		if !strings.Contains(k.Sig, "train=false") {
 			t.Errorf("serving compiled a plan under %q, want train=false only", k.Sig)
+		}
+		if strings.Contains(k.Sig, layer0) != strings.HasSuffix(k.Sig, "|from=Hp,u,v") {
+			t.Errorf("plan key %q: the first layer's plans, and only they, start from its frontier Hp,u,v", k.Sig)
+		}
+		if strings.Contains(k.Sig, layer0) {
+			froms++
+		}
+	}
+	if froms == 0 {
+		t.Fatal("no layer0-layer plan in the cache")
+	}
+}
+
+// TestServingBatchesMixedRadii: a batch holding requests at two radii answers
+// each radius group with its own execution, the groups in the order their
+// first requests arrived, and every answer is bit for bit the one the same
+// request gets alone.
+func TestServingBatchesMixedRadii(t *testing.T) {
+	m, ds, _ := trainTiny(t)
+	e := newIdleTestEngine(t, m, ds)
+	queries := []struct{ v, hops int }{{10, 1}, {20, 2}, {10, 1}, {20, 2}}
+	type answer struct {
+		p   Prediction
+		tm  Timing
+		err error
+	}
+	answers := make([]chan answer, len(queries))
+	for i, q := range queries {
+		answers[i] = make(chan answer, 1)
+		go func() {
+			p, tm, err := e.EgoTraced(context.Background(), q.v, q.hops, "")
+			answers[i] <- answer{p, tm, err}
+		}()
+		waitQueued(t, e, i+1)
+	}
+	executions := metrics.ServeBatchVertices.Count()
+	e.start()
+	got := make([]answer, len(queries))
+	for i, c := range answers {
+		if got[i] = <-c; got[i].err != nil {
+			t.Fatal(got[i].err)
+		}
+		if got[i].tm.Seeds != 1 {
+			t.Fatalf("request %d ran in an execution of %d seeds, want its radius group's 1", i, got[i].tm.Seeds)
+		}
+	}
+	if n := metrics.ServeBatchVertices.Count() - executions; n != 2 {
+		t.Fatalf("%d executions for a batch of two radii", n)
+	}
+	// The radius-2 group waited for the radius-1 group's execution.
+	if got[1].tm.BatchNs <= got[0].tm.BatchNs {
+		t.Fatalf("radius-2 group started %d ns after pickup, the radius-1 group %d ns: want first-seen order", got[1].tm.BatchNs, got[0].tm.BatchNs)
+	}
+	for i, q := range queries {
+		alone, err := e.Ego(context.Background(), q.v, q.hops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range alone.Logits {
+			if math.Float64bits(v) != math.Float64bits(got[i].p.Logits[j]) {
+				t.Fatalf("request %d logit %d: batched %v, alone %v", i, j, got[i].p.Logits[j], v)
+			}
 		}
 	}
 }
@@ -377,8 +441,9 @@ func egoTestGraph(t *testing.T) (*sparse.CSR, *tensor.Dense) {
 	return sparse.FromCOO(coo), feats
 }
 
-// squareEgo answers seeds the way the engine did before message-flow
-// blocks: every layer over the whole induced ego.
+// squareEgo answers seeds the way the engine did before message-flow blocks
+// and prefix tables: every layer over the whole induced ego, the first from
+// the gathered features.
 func squareEgo(t *testing.T, m *gnn.Model, adj *sparse.CSR, feats *tensor.Dense, seeds []int32, hops int) *tensor.Dense {
 	t.Helper()
 	verts := Expand(adj, seeds, hops)
@@ -396,7 +461,9 @@ func squareEgo(t *testing.T, m *gnn.Model, adj *sparse.CSR, feats *tensor.Dense,
 }
 
 // TestEgoRadiusCoversMultiHopLayers: an ego query runs each layer on its own
-// message-flow block, and its answer must be the square ego's bit for bit
+// message-flow block, the first from rows of the prefix tables the engine
+// evaluated once (the frontier column: the prefix nodes gathered), and its
+// answer must be the square ego's bit for bit
 // and the full graph's row to 1e-12 (relative: VA's logits grow large) —
 // over every built-in layer kind, multi-hop and mixed stacks, dropout and
 // float32 (to f32 precision against the full graph), single egos and
@@ -421,42 +488,43 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 	loops := graph.AddSelfLoops(adj)
 	rng := rand.New(rand.NewSource(44))
 	cases := []struct {
-		name   string
-		model  func() *gnn.Model
-		radius int    // default hops: the layers' aggregations summed
-		blocks []bool // Reach.Block per DAG layer
+		name     string
+		model    func() *gnn.Model
+		radius   int    // default hops: the layers' aggregations summed
+		blocks   []bool // Reach.Block per DAG layer
+		frontier string // the first layer's prefix frontier (W narrows 8 → 6: VA and AGNN compute Ψ·(H·W))
 	}{
-		{"gat-2-layers", build(gnn.Config{Model: gnn.GAT, Layers: 2}), 2, []bool{true, true}},
-		{"agnn", build(gnn.Config{Model: gnn.AGNN, Layers: 2}), 2, []bool{true, true}},
-		{"va", build(gnn.Config{Model: gnn.VA, Layers: 2}), 2, []bool{true, true}},
-		{"gcn-3-layers", build(gnn.Config{Model: gnn.GCN, Layers: 3}), 3, []bool{true, true, true}},
+		{"gat-2-layers", build(gnn.Config{Model: gnn.GAT, Layers: 2}), 2, []bool{true, true}, "Hp,u,v"},
+		{"agnn", build(gnn.Config{Model: gnn.AGNN, Layers: 2}), 2, []bool{true, true}, "H,n,HW"},
+		{"va", build(gnn.Config{Model: gnn.VA, Layers: 2}), 2, []bool{true, true}, "H,HW"},
+		{"gcn-3-layers", build(gnn.Config{Model: gnn.GCN, Layers: 3}), 3, []bool{true, true, true}, "HW"},
 		{"gin", func() *gnn.Model {
 			return &gnn.Model{Layers: []gnn.Layer{
 				gnn.NewGINLayer(loops, feats.Cols, 5, 6, gnn.ReLU(), rng),
 				gnn.NewGINLayer(loops, 6, 5, 3, gnn.Identity(), rng)}}
-		}, 2, []bool{true, true}},
-		{"gat-2-heads", build(gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2}), 2, []bool{true, true}},
+		}, 2, []bool{true, true}, "H"},
+		{"gat-2-heads", build(gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2}), 2, []bool{true, true}, "Hp.h0,u.h0,v.h0,Hp.h1,u.h1,v.h1"},
 		{"gat-dropout", func() *gnn.Model {
 			m := build(gnn.Config{Model: gnn.GAT, Layers: 2})()
 			m.Layers = []gnn.Layer{m.Layers[0], gnn.NewDropout(0.5, 45), m.Layers[1]}
 			return m
-		}, 2, []bool{true, true}},
+		}, 2, []bool{true, true}, "Hp,u,v"},
 		{"sgc-k2", func() *gnn.Model {
 			return &gnn.Model{Layers: []gnn.Layer{gnn.NewSGCLayer(loops, 2, feats.Cols, 3, gnn.Identity(), rng)}}
-		}, 2, []bool{false}},
+		}, 2, []bool{false}, "H"},
 		{"sgc-k2-then-gat", func() *gnn.Model {
 			return &gnn.Model{Layers: []gnn.Layer{
 				gnn.NewSGCLayer(loops, 2, feats.Cols, 6, gnn.ReLU(), rng),
 				gnn.NewGATLayer(loops, 6, 3, gnn.Identity(), 0.2, rng)}}
-		}, 3, []bool{false, true}},
+		}, 3, []bool{false, true}, "H"},
 		// The square block after a shrunk layer cuts its rows' edges into
 		// the next frontier; the rows the answer reads keep theirs.
 		{"gat-then-sgc-k2", func() *gnn.Model {
 			return &gnn.Model{Layers: []gnn.Layer{
 				gnn.NewGATLayer(loops, feats.Cols, 6, gnn.ReLU(), 0.2, rng),
 				gnn.NewSGCLayer(loops, 2, 6, 3, gnn.Identity(), rng)}}
-		}, 3, []bool{true, false}},
-		{"gat-f32", build(gnn.Config{Model: gnn.GAT, Layers: 2, DType: tensor.F32}), 2, []bool{true, true}},
+		}, 3, []bool{true, false}, "Hp,u,v"},
+		{"gat-f32", build(gnn.Config{Model: gnn.GAT, Layers: 2, DType: tensor.F32}), 2, []bool{true, true}, "Hp,u,v"},
 		// A ⊕ that joins each aggregate row to the vertex's own input row
 		// needs a square pattern; the GAT layer after it still shrinks.
 		{"concat-agg-then-gat", func() *gnn.Model {
@@ -467,7 +535,7 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 				gnn.NewGenericLayer(loops, gnn.GenericLayer{Agg: concat, Act: gnn.ReLU(),
 					Phi: gnn.LinearPhi(tensor.GlorotInit(2*feats.Cols, 6, rng))}),
 				gnn.NewGATLayer(loops, 6, 3, gnn.Identity(), 0.2, rng)}}
-		}, 2, []bool{false, true}},
+		}, 2, []bool{false, true}, "H"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -489,6 +557,14 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 			}
 			if !slices.Equal(blocks, c.blocks) {
 				t.Fatalf("layers on blocks %v, want %v", blocks, c.blocks)
+			}
+			if got := strings.Join(e.prefix.Frontier, ","); got != c.frontier {
+				t.Fatalf("prefix frontier %s, want %s", got, c.frontier)
+			}
+			for i, tb := range e.prefix.Tables {
+				if (tb.F32 != nil) != (m.DType == tensor.F32) {
+					t.Fatalf("prefix table %s is not at the model's %s", e.prefix.Frontier[i], m.DType)
+				}
 			}
 			// A float32 plan over the ego and one over the full graph round
 			// differently, so the f32 model meets the full graph to f32's
