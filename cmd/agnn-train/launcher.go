@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	gonet "net"
@@ -47,6 +48,11 @@ type workerOpts struct {
 	stragFloor  time.Duration
 	savePath    string
 }
+
+// exitNonFinite is a worker's exit status when the loss stopped being
+// finite: every rank stops at the same epoch, and a relaunch would train
+// into the same loss again, so the launcher gives up instead.
+const exitNonFinite = 3
 
 // runWorker executes one rank of a multi-process world and exits nonzero
 // on failure, which is the signal the launcher supervises on.
@@ -121,6 +127,10 @@ func runWorker(m *gnn.Model, ds *graph.Dataset, cfg gnn.Config, o workerOpts) {
 		fmt.Printf("wire: tx %d frames / %d bytes, %d dial retries, %d reconnects; α-β predicted %.3gs measured %.3gs (ratio %.2f)\n",
 			ws.FramesTx, ws.BytesTx, ws.DialRetries, ws.Reconnects,
 			v.PredictedSeconds, v.MeasuredSeconds, v.Ratio)
+	}
+	if dumpNonFinite(werr) {
+		fmt.Fprintln(os.Stderr, "agnn-train:", werr)
+		os.Exit(exitNonFinite)
 	}
 	fatal(werr)
 
@@ -207,7 +217,7 @@ func launchWorkers(o workerOpts) error {
 		// Collect every exit. Once one worker fails, its peers unwind via
 		// failure detection and exit on their own; the watchdog only guards
 		// against a wedged survivor holding the launcher forever.
-		failures := 0
+		failures, nonFinite := 0, false
 		var watchdog <-chan time.Time
 		for done := 0; done < p; {
 			select {
@@ -215,6 +225,8 @@ func launchWorkers(o workerOpts) error {
 				done++
 				if err != nil {
 					failures++
+					var ee *exec.ExitError
+					nonFinite = nonFinite || errors.As(err, &ee) && ee.ExitCode() == exitNonFinite
 					if watchdog == nil {
 						watchdog = time.After(2 * time.Minute)
 					}
@@ -233,6 +245,9 @@ func launchWorkers(o workerOpts) error {
 				fmt.Printf("launch: recovered after %d relaunch(es) at world=%d\n", gen, p)
 			}
 			return nil
+		}
+		if nonFinite {
+			return fmt.Errorf("launch: the loss stopped being finite in generation %d; a relaunch would train into it again", gen)
 		}
 		if gen+1 > maxRestarts {
 			return fmt.Errorf("launch: %d worker(s) failed in generation %d; restart budget (%d) exhausted",

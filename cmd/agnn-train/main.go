@@ -150,11 +150,8 @@ func main() {
 		t0 := obs.Now()
 		l := m.TrainStep(ds.Features, loss, opt)
 		if err := gnn.FiniteLoss(e, l); err != nil {
-			// Stop rather than train on NaNs, leaving the flight dump of the
-			// steps that led here.
-			if path := obs.OnStop("non-finite-loss", err); path != "" {
-				fmt.Fprintf(os.Stderr, "agnn-train: flight dump written to %s\n", path)
-			}
+			// Stop rather than train on NaNs.
+			dumpNonFinite(err)
 			fatal(errors.Join(err, o.Stop()))
 		}
 		dt := obs.TrainEpoch(obs.Main(), e, t0)
@@ -226,6 +223,7 @@ func trainDistributed(m *gnn.Model, ds *graph.Dataset, cfg gnn.Config,
 		},
 	}
 	res, err := distgnn.TrainResilient(spec)
+	dumpNonFinite(err)
 	fatal(err)
 	if res.StartEpoch > 0 {
 		fmt.Printf("resumed from checkpoint at epoch %d\n", res.StartEpoch)
@@ -254,6 +252,18 @@ func trainDistributed(m *gnn.Model, ds *graph.Dataset, cfg gnn.Config,
 	fmt.Printf("p=%d final  train-acc %.3f  test-acc %.3f\n",
 		ranks, gnn.Accuracy(out, ds.Labels, ds.TrainMask),
 		gnn.Accuracy(out, ds.Labels, ds.TestMask()))
+}
+
+// dumpNonFinite leaves, when err is a non-finite loss, the flight dump of the
+// steps that led to it, and reports whether it was one.
+func dumpNonFinite(err error) bool {
+	if !errors.Is(err, gnn.ErrNonFiniteLoss) {
+		return false
+	}
+	if path := obs.OnStop("non-finite-loss", err); path != "" {
+		fmt.Fprintf(os.Stderr, "agnn-train: flight dump written to %s\n", path)
+	}
+	return true
 }
 
 func fatal(err error) {

@@ -74,7 +74,10 @@ type TrainResult struct {
 // dist.ErrRankFailed, the world is torn down and rebuilt, and training
 // re-enters from the last durable checkpoint. Because the engine's
 // construction is seeded and the fault model never corrupts payloads,
-// a resumed run reproduces the uninterrupted run's weights bitwise.
+// a resumed run reproduces the uninterrupted run's weights bitwise. Any
+// other error a rank returns — gnn.ErrNonFiniteLoss when the loss stops
+// being finite — ends the job without a restart and comes back with what
+// the job ran.
 func TrainResilient(spec TrainSpec) (*TrainResult, error) {
 	if spec.Epochs < 0 {
 		return nil, fmt.Errorf("distgnn: negative epoch count %d", spec.Epochs)
@@ -135,7 +138,7 @@ func TrainResilient(spec TrainSpec) (*TrainResult, error) {
 			return res, nil
 		}
 		if !errors.Is(first, dist.ErrRankFailed) {
-			return nil, first // application error: retrying won't help
+			return res, first // application error (a non-finite loss…): retrying won't help
 		}
 		// Rank failure: rebuild the world from the last durable checkpoint —
 		// elastically one rank smaller (the survivors repartition), or at the
@@ -194,7 +197,7 @@ func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, f
 
 // trainRanks is the per-rank body: build the engine, apply the checkpoint,
 // run epochs [from, spec.Epochs), checkpointing at every boundary multiple
-// of `every`.
+// of `every`, and stop at the first non-finite loss (gnn.FiniteLoss).
 func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, res *TrainResult, mu *sync.Mutex) error {
 	e, xd, closeEngine, err := newTrainEngine(c, spec)
 	if err != nil {
@@ -224,6 +227,11 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 	for epoch := from; epoch < spec.Epochs; epoch++ {
 		et0 := obs.Now()
 		loss := e.TrainStep(xd, spec.Labels, spec.Mask, opt)
+		// The loss is allreduced, so every rank stops at the same epoch and
+		// none waits on a message the others will not send.
+		if err := gnn.FiniteLoss(epoch, loss); err != nil {
+			return err
+		}
 		if c.Rank() == 0 {
 			mu.Lock()
 			res.Losses[epoch] = loss

@@ -2,6 +2,8 @@ package distgnn
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,4 +270,26 @@ func TestTrainResilientMatchesPlainTraining(t *testing.T) {
 		}
 	}
 	assertBitwiseEqual(t, "plain-equivalence", res.Params, wantParams)
+}
+
+// TestNonFiniteLossStopsEveryRank: one +Inf feature on a 2×2 grid makes the
+// allreduced loss non-finite at epoch 0; every rank stops there, and the job
+// ends with ErrNonFiniteLoss as an application error — no restart, no epoch
+// recorded.
+func TestNonFiniteLossStopsEveryRank(t *testing.T) {
+	spec := resilientSpec(t, 4, 3)
+	spec.X = spec.X.Clone()
+	spec.X.Set(5, 1, math.Inf(1))
+	var epochs []int
+	spec.OnEpoch = func(epoch int, _ float64) { epochs = append(epochs, epoch) }
+	res, err := TrainResilient(spec)
+	if !errors.Is(err, gnn.ErrNonFiniteLoss) || !strings.Contains(err.Error(), "at epoch 0") {
+		t.Fatalf("err = %v, want ErrNonFiniteLoss at epoch 0", err)
+	}
+	if res == nil || res.Restarts != 0 {
+		t.Fatalf("result %+v: a non-finite loss must end the job without a restart", res)
+	}
+	if len(epochs) != 0 {
+		t.Fatalf("epochs %v completed past a non-finite loss", epochs)
+	}
 }

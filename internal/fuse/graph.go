@@ -59,7 +59,7 @@ type Graph struct {
 	adj    *Node
 	input  *Node
 	output *Node
-	from   []*Node // the leaves a plan binds per call in place of input (From)
+	from   []*Node // the tables a plan binds per call in place of input (FromTables)
 
 	grid    Grid               // non-nil: pat is this rank's block of a process grid (grid.go)
 	crossed map[crossing]*Node // broadcasts already lowered, one per (node, axis)
@@ -368,12 +368,19 @@ func (g *Graph) Frontier() []*Node {
 	return frontier
 }
 
-// From makes the graph's plans start at the nodes named ids instead of the
-// dense input: each is a leaf whose value the caller binds per call
-// (Plan.ForwardFrom, in this order), and a node only they read is not
-// computed. It is how a plan reads a prefix evaluated once (EvalPrefix) in
-// place of recomputing it; such a plan is inference-only and single-node.
-func (g *Graph) From(ids []string) {
+// FromTables makes the graph's plans start at the nodes named ids instead
+// of the dense input, for a graph whose pattern is the row block A[S, :] of
+// the whole graph's adjacency, global column ids kept: |S| rows, one per
+// vertex a query answers, over all n columns. Each named node is a leaf
+// bound per call (Plan.ForwardFrom, in this order) as its table — its value
+// for every vertex, as EvalPrefix returns it — which the ops that read the
+// node along the columns (an aggregation's operand, the j side of a score)
+// read in place; a node only the leaves read is not computed. A node some op
+// reads along the rows (ReadsRows) is bound a second time, after all the
+// tables and in the same order: its rows for S, row i for pattern row i. A
+// query thus gathers |S| rows of the tables it reads along the rows and
+// nothing of the others. Such a plan is inference-only and single-node.
+func (g *Graph) FromTables(ids []string) {
 	g.from = make([]*Node, len(ids))
 	for i, id := range ids {
 		n := g.dag.Node(id)
@@ -382,6 +389,24 @@ func (g *Graph) From(ids []string) {
 		}
 		g.from[i] = n
 	}
+}
+
+// rowReads names, per op, the operand it reads along the pattern's rows —
+// row i of it for pattern row i: the i side of a score (X of X·Yᵀ and of the
+// squared distances, a of a·bᵀ, u of u·1ᵀ) and the vertex's own row in GIN's
+// combination.
+var rowReads = map[string]int{"mmt": 0, "sqdist": 0, "outer": 0, "rep": 0, "gin-combine": 1}
+
+// ReadsRows reports whether an op of the graph reads n along the pattern's
+// rows (a row-local op aside): for a node bound FromTables, whether a query
+// gathers its rows.
+func (g *Graph) ReadsRows(n *Node) bool { return readsRows(n, g.dag.consumers()) }
+
+func readsRows(n *Node, cons map[*Node][]*Node) bool {
+	return slices.ContainsFunc(cons[n], func(c *Node) bool {
+		i, ok := rowReads[c.Op]
+		return ok && c.Inputs[i] == n
+	})
 }
 
 // EvalPrefix evaluates the graph's vertex-local prefix once over h at element
@@ -413,8 +438,8 @@ func (g *Graph) EvalPrefix(h *tensor.Dense, dt tensor.DType) ([]*Node, []tensor.
 // are bound per call, to the outs.
 type cut struct{ leaves, outs []*Node }
 
-// cut returns the cut a compiled plan covers: from the From nodes, or the
-// dense input, to the output.
+// cut returns the cut a compiled plan covers: from the FromTables nodes, or
+// the dense input, to the output.
 func (g *Graph) cut() cut {
 	leaves := g.from
 	if leaves == nil {

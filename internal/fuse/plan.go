@@ -80,7 +80,7 @@ type Plan struct {
 	rowOff int
 
 	pat      *sparse.CSR // the sparsity pattern every sparse op runs over
-	leaves   []*meta     // bound per call: the dense input, or the graph's From nodes
+	leaves   []*meta     // bound per call: the dense input, or the graph's FromTables nodes and row views
 	output   *meta
 	fwd, bwd []planOp
 	// offDiag: the plan runs on an off-diagonal rank of a process grid, which
@@ -122,7 +122,7 @@ type boundary interface {
 // float64 matrix crosses through a conversion buffer — the narrowed input,
 // the widened result, the widened input cotangent — acquired when one first
 // crosses there: a layer between two others of its width never holds any.
-// A plan compiled From several nodes binds each of them as it binds the
+// A plan compiled FromTables binds each of its leaves as it binds the
 // input. On an off-diagonal rank of a process grid (offDiag) the input and
 // output nodes do not exist: only the parameters cross the boundary.
 type exec[T elem] struct {
@@ -358,16 +358,22 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 		return nil, fmt.Errorf("fuse: graph %q: a grid block is square and takes no row offset, got %d×%d at offset %d",
 			g.Name, g.pat.Rows, g.pat.Cols, g.rowOff)
 	}
-	c := g.cut()
+	c, cons := g.cut(), g.dag.consumers()
 	if g.from != nil {
 		if opt.Train || g.grid != nil || g.rowOff != 0 {
 			return nil, fmt.Errorf("fuse: graph %q: a plan from bound nodes is a single-node inference plan without a row offset", g.Name)
 		}
-		if c.needs(g)[g.input] && !slices.Contains(g.from, g.input) {
+		need := c.needs(g)
+		if need[g.input] && !slices.Contains(g.from, g.input) {
 			return nil, fmt.Errorf("fuse: graph %q: the nodes it starts from do not cover what it reads of the input", g.Name)
 		}
+		computes := func(n *Node) bool { return need[n] && !slices.Contains(g.from, n) }
+		for _, n := range g.from {
+			if slices.ContainsFunc(cons[n], func(c *Node) bool { return rowLocal[c.Op] && computes(c) }) {
+				return nil, fmt.Errorf("fuse: graph %q: an op reads table %q row for row, which a block's rows do not", g.Name, n.ID)
+			}
+		}
 	}
-	cons := g.dag.consumers()
 	for _, n := range g.dag.Nodes() {
 		switch n.Op {
 		case "spmm-max", "spmm-min", "spmm-mean":
@@ -442,13 +448,9 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	diag := grid == nil || grid.Diag()
 	here := func(n *Node) bool { return diag || !onDiagonal(n) }
 	_, _, outColl := collective(g.output.Op) // a reduce's cotangent is its partial's
-	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl,
-		inN: make([]*tensor.Mat[T], len(c.leaves))}
+	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
 	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
 		output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
-	for _, n := range c.leaves {
-		p.leaves = append(p.leaves, g.md(n))
-	}
 	e.plan = p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
@@ -465,11 +467,35 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	}
 	e.output = sp(g.output)
 	for _, n := range c.leaves {
-		e.leaves = append(e.leaves, sp(n))
+		p.leaves, e.leaves = append(p.leaves, g.md(n)), append(e.leaves, sp(n))
 	}
 	for _, n := range c.outs {
 		e.outs = append(e.outs, sp(n))
 	}
+	// row returns the state an op reads row i of a node from along the
+	// pattern's rows. A plan FromTables binds a second leaf after the tables
+	// for each table some op reads so (readsRows): the table's rows for the
+	// pattern's rows, row i for row i. Every other read, and every read of
+	// any other plan, is the node's own state.
+	row := sp
+	if g.from != nil {
+		views := make(map[*Node]*spec[T])
+		for _, n := range c.leaves {
+			if readsRows(n, cons) {
+				m := *g.md(n)
+				m.rows = g.pat.Rows
+				views[n] = &spec[T]{meta: &m}
+				p.leaves, e.leaves = append(p.leaves, &m), append(e.leaves, views[n])
+			}
+		}
+		row = func(n *Node) *spec[T] {
+			if v := views[n]; v != nil {
+				return v
+			}
+			return sp(n)
+		}
+	}
+	e.inN = make([]*tensor.Mat[T], len(e.leaves))
 
 	// words counts the held workspace in elements of T (WorkspaceBytes
 	// multiplies by DType.Size()); the float64 buffers of a casting plan
@@ -569,7 +595,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				e.flushes = append(e.flushes, shadow[T]{master: s.param.Grad, local: s.grad})
 			}
 		case n.Kind == Virtual:
-			s.entry = composeEntry(sp, n)
+			s.entry = composeEntry(sp, row, n)
 		case n.Kind == Sparse:
 			// Attention-fused sparse nodes materialize values only for
 			// training (the backward pass reads them); inference keeps the
@@ -724,7 +750,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				continue
 			}
 			emit(&p.fwd, n, "", "mask",
-				opSample(pat, cuts, s.vals, composeScore(sp, n.Inputs[1]), maskWeights(s), rowOff, false))
+				opSample(pat, cuts, s.vals, composeScore(sp, row, n.Inputs[1]), maskWeights(s), rowOff, false))
 		case "softmax":
 			if attnSrc[n] {
 				continue
@@ -736,12 +762,12 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 				if fusedMask[in] {
 					op = "fused-softmax"
-					sample = rowSampler(pat, composeScore(sp, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false)
+					sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false)
 				}
 				emit(&p.fwd, n, "", op, opFns{run: opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat)})
 			case fusedMask[in]:
 				emit(&p.fwd, n, "", "fused-softmax",
-					opSample(pat, cuts, s.vals, composeScore(sp, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
+					opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
 			default:
 				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, sp(in).vals, s.vals))
 			}
@@ -754,7 +780,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					softmax = true
 				}
 				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, sp(src).vals, composeScore(sp, maskN.Inputs[1]), maskWeights(sp(maskN)),
+					opAttnFused(pat, cuts, sp(src).vals, composeScore(sp, row, maskN.Inputs[1]), maskWeights(sp(maskN)),
 						rowOff, softmax, sp(n.Inputs[1]), s))
 				continue
 			}
@@ -775,7 +801,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			emit(&p.fwd, n, "", "sigma", opSigma(sp(n.Inputs[0]), s))
 		case "gin-combine":
 			emit(&p.fwd, n, "", "gin-combine",
-				opGINCombine(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n)))
+				opGINCombine(sp(n.Inputs[0]), row(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n)))
 		default:
 			if n.Kind == Virtual {
 				continue
@@ -955,11 +981,13 @@ func cotangentOperands(n *Node) []*Node {
 // GatherDots followed by sparse.CosineRow. Any other chain loops its
 // entry-wise composition. Each entry is computed by the same operations in
 // the same order either way. Parameter operands are read through their spec
-// at call time, so the "scale" β is the same value the kernels see.
-func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
+// at call time, so the "scale" β is the same value the kernels see. The
+// operands of the i side are read through row, those of the j side through
+// sp (Compile's row).
+func composeScore[T elem](sp, row func(*Node) *spec[T], n *Node) score[T] {
 	// dots returns the row evaluator of the virtual X·Yᵀ node m.
 	dots := func(m *Node) score[T] {
-		xs, ys := sp(m.Inputs[0]), sp(m.Inputs[1])
+		xs, ys := row(m.Inputs[0]), sp(m.Inputs[1])
 		return score[T]{gathers: ys, row: func(i int32, cols sparse.Index, dst []T) {
 			xd := xs.dense
 			k := xd.Cols
@@ -972,7 +1000,7 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 	case n.Op == "lrelu" && n.Inputs[0].Op == "add" &&
 		n.Inputs[0].Inputs[0].Op == "rep" && n.Inputs[0].Inputs[1].Op == "repT":
 		a := n.Inputs[0]
-		us, vs := sp(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
+		us, vs := row(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
 		slope := T(sp(n).slope)
 		return score[T]{row: func(i int32, cols sparse.Index, dst []T) {
 			u, v := us.vec[i], vs.vec
@@ -989,7 +1017,7 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 		n.Inputs[0].Inputs[0].Op == "mmt" && n.Inputs[0].Inputs[1].Op == "outer":
 		d := n.Inputs[0]
 		dot := dots(d.Inputs[0])
-		as, bs := sp(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
+		as, bs := row(d.Inputs[1].Inputs[0]), sp(d.Inputs[1].Inputs[1])
 		beta := sp(n.Inputs[1])
 		return score[T]{gathers: dot.gathers, row: func(i int32, cols sparse.Index, dst []T) {
 			dot.row(i, cols, dst)
@@ -1006,11 +1034,12 @@ func composeScore[T elem](sp func(*Node) *spec[T], n *Node) score[T] {
 }
 
 // composeEntry builds the closure evaluating one entry of a virtual node by
-// composing its inputs' evaluators.
-func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
+// composing its inputs' evaluators, reading the i side through row as
+// composeScore does.
+func composeEntry[T elem](sp, row func(*Node) *spec[T], n *Node) scoreEntry[T] {
 	switch n.Op {
 	case "mmt":
-		xs, ys := sp(n.Inputs[0]), sp(n.Inputs[1])
+		xs, ys := row(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T {
 			xd, yd := xs.dense, ys.dense
 			k := xd.Cols
@@ -1023,7 +1052,7 @@ func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
 			return acc
 		}
 	case "sqdist":
-		xs, ys := sp(n.Inputs[0]), sp(n.Inputs[1])
+		xs, ys := row(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T {
 			k := xs.cols
 			yrow := ys.dense.Data[int(j)*k : int(j)*k+k]
@@ -1035,7 +1064,7 @@ func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
 			return acc
 		}
 	case "outer":
-		as, bs := sp(n.Inputs[0]), sp(n.Inputs[1])
+		as, bs := row(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T { return as.vec[i] * bs.vec[j] }
 	case "divide":
 		num, den := sp(n.Inputs[0]), sp(n.Inputs[1])
@@ -1050,7 +1079,7 @@ func composeEntry[T elem](sp func(*Node) *spec[T], n *Node) scoreEntry[T] {
 		xs, beta := sp(n.Inputs[0]), sp(n.Inputs[1])
 		return func(i, j int32) T { return beta.dense.Data[0] * xs.entry(i, j) }
 	case "rep":
-		us := sp(n.Inputs[0])
+		us := row(n.Inputs[0])
 		return func(i, _ int32) T { return us.vec[i] }
 	case "repT":
 		vs := sp(n.Inputs[0])
@@ -1101,9 +1130,11 @@ func (p *Plan) ForwardTyped(h tensor.Typed) tensor.Typed {
 	return p.forward()
 }
 
-// ForwardFrom is ForwardTyped for a plan compiled From a set of nodes:
-// leaves[i] is the value of the i-th, a vector node's as one column, with as
-// many rows as the node has — the plan reads it and does not compute it.
+// ForwardFrom is ForwardTyped for a plan compiled FromTables: leaves[i] is
+// the table of the i-th node, a vector node's as one column, with a row per
+// vertex — the plan reads it and does not compute it — and after them come
+// the rows of those some op reads along the pattern's rows, one per pattern
+// row (Graph.FromTables).
 func (p *Plan) ForwardFrom(leaves []tensor.Typed) tensor.Typed {
 	if len(leaves) != len(p.leaves) {
 		panic(fmt.Sprintf("fuse: plan %q starts from %d nodes, got %d values", p.Name, len(p.leaves), len(leaves)))

@@ -98,15 +98,16 @@ func TestPrefixTablesMatchQueryPlans(t *testing.T) {
 	}
 }
 
-// TestFromRefusesWhatItCannotRun: a plan from bound nodes is inference-only,
-// and the nodes must cover everything it reads of the input.
+// TestFromRefusesWhatItCannotRun: a plan FromTables is inference-only, its
+// nodes must cover everything it reads of the input, and it reads no table
+// row for row.
 func TestFromRefusesWhatItCannotRun(t *testing.T) {
 	a := graph.AddSelfLoops(graph.ErdosRenyi(20, 60, 3))
 	l := gnn.NewGATLayer(a, 4, 3, gnn.ReLU(), 0.2, rand.New(rand.NewSource(1)))
 	build := func(from ...string) *fuse.Graph {
 		g := fuse.NewGraph("gat", a)
 		l.DAG(g, g.InputDense("H", a.Rows, 4))
-		g.From(from)
+		g.FromTables(from)
 		return g
 	}
 	if _, err := build("Hp", "u", "v").Compile(fuse.Options{Train: true}); err == nil {
@@ -117,5 +118,95 @@ func TestFromRefusesWhatItCannotRun(t *testing.T) {
 	}
 	if _, err := build("Hp", "u", "v").Compile(fuse.Options{}); err != nil {
 		t.Fatal(err)
+	}
+	g := fuse.NewGraph("rowlocal", graph.RowBlock(a, []int32{3, 1}, nil))
+	act := fuse.Act{Name: "id", F: func(x float64) float64 { return x }, DF: func(float64) float64 { return 1 }}
+	g.SetOutput(g.Sigma("Z", g.InputDense("H", a.Rows, 4), act))
+	g.FromTables([]string{"H"})
+	if _, err := g.Compile(fuse.Options{}); err == nil {
+		t.Fatal("a plan FromTables that reads a table row for row compiled")
+	}
+}
+
+// gatherTyped returns rows verts of the table m, at m's width.
+func gatherTyped(m tensor.Typed, verts []int32) tensor.Typed {
+	if m.F32 != nil {
+		k := m.F32.Cols
+		out := &tensor.Mat[float32]{Rows: len(verts), Cols: k, Data: make([]float32, len(verts)*k)}
+		for i, v := range verts {
+			copy(out.Data[i*k:(i+1)*k], m.F32.Data[int(v)*k:(int(v)+1)*k])
+		}
+		return tensor.Typed{F32: out}
+	}
+	out := tensor.NewDense(len(verts), m.F64.Cols)
+	for i, v := range verts {
+		copy(out.Row(i), m.F64.Row(int(v)))
+	}
+	return tensor.Typed{F64: out}
+}
+
+// TestFromTablesReadsRowsAndColumns: a plan compiled FromTables over the
+// row block A[S, :] under global column ids reads the prefix tables in place
+// along the columns and, for the nodes some op reads along the rows (the row
+// column), the tables' rows for S — and its output is, row for row, bit for
+// bit the full graph's rows S. For GAT, AGNN, VA and GIN, at both widths, on
+// one worker and on three, with S shuffled.
+func TestFromTablesReadsRowsAndColumns(t *testing.T) {
+	const k = 8
+	a := graph.AddSelfLoops(graph.ErdosRenyi(300, 1500, 11))
+	h := tensor.RandN(a.Rows, k, 1, rand.New(rand.NewSource(12)))
+	verts := make([]int32, 40)
+	for i, v := range rand.New(rand.NewSource(13)).Perm(a.Rows)[:len(verts)] {
+		verts[i] = int32(v)
+	}
+	block := graph.RowBlock(a, verts, nil)
+	rng := rand.New(rand.NewSource(14))
+	cases := []struct {
+		l             gnn.DAGLayer
+		frontier, row string
+	}{
+		{gnn.NewGATLayer(a, k, 6, gnn.ReLU(), 0.2, rng), "Hp,u,v", "u"},
+		{gnn.NewAGNNLayer(a, k, 6, gnn.ReLU(), rng), "H,n,HW", "H,n"},
+		{gnn.NewVALayer(a, k, 6, gnn.ReLU(), rng), "H,HW", "H"},
+		{gnn.NewGINLayer(a, k, 5, 6, gnn.ReLU(), rng), "H", "H"},
+	}
+	defer par.SetWorkers(par.SetWorkers(1))
+	for _, c := range cases {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, workers := range []int{1, 3} {
+				par.SetWorkers(workers)
+				g := fuse.NewGraph(c.l.Name(), a)
+				c.l.DAG(g, g.InputDense("H", a.Rows, k))
+				full := g.MustCompile(fuse.Options{DType: dt}).ForwardTyped(tensor.Typed{F64: h})
+				frontier, tables, err := g.EvalPrefix(h, dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ids, rows []string
+				leaves := slices.Clone(tables)
+				for f, n := range frontier {
+					ids = append(ids, n.ID)
+					if g.ReadsRows(n) {
+						rows = append(rows, n.ID)
+						leaves = append(leaves, gatherTyped(tables[f], verts))
+					}
+				}
+				if got := strings.Join(ids, ","); got != c.frontier {
+					t.Fatalf("%s: frontier %s, want %s", c.l.Name(), got, c.frontier)
+				}
+				if got := strings.Join(rows, ","); got != c.row {
+					t.Fatalf("%s: read along the rows %s, want %s", c.l.Name(), got, c.row)
+				}
+				q := fuse.NewGraph(c.l.Name(), block)
+				c.l.DAG(q, q.InputDense("H", block.Cols, k))
+				q.FromTables(ids)
+				out := q.MustCompile(fuse.Options{DType: dt}).ForwardFrom(leaves)
+				for i, v := range verts {
+					if !slices.Equal(rowBits(out, i), rowBits(full, int(v))) {
+						t.Fatalf("%s %s workers=%d: block row %d (vertex %d) differs from the full graph's", c.l.Name(), dt, workers, i, v)
+					}
+				}
+			}
+		}
 	}
 }

@@ -125,10 +125,11 @@ func (p *planned) forward(h tensor.Typed, training bool) handoff {
 	return handoff{m: pl.ForwardTyped(h), from: pl}
 }
 
-// forwardFrom is the inference forward from rows of pre's tables: rows[i]
-// holds, for the layer's input rows, the value of frontier node i.
+// forwardFrom is the inference forward from pre's tables, with rows as
+// Model.ForwardFrom takes them.
 func (p *planned) forwardFrom(pre *Prefix, rows []tensor.Typed) handoff {
 	pl := p.plan(pre.in, false, pre)
+	rows = append(pre.Tables[:len(pre.Tables):len(pre.Tables)], rows...)
 	return handoff{m: pl.ForwardFrom(rows), from: pl}
 }
 
@@ -158,9 +159,10 @@ func (p *planned) releasePlans() { p.train.release(); p.infer.release() }
 //
 // The signature is computed once per layer instance and mode (layer kind,
 // structural options and parameter identities are fixed after construction)
-// and memoized. A plan from a prefix's frontier (pre non-nil) is the same
-// DAG compiled From the frontier nodes, and its signature names them: plans
-// are shared by every engine over the model, whichever tables it gathers.
+// and memoized. A plan from a prefix's tables (pre non-nil, on a block) is
+// the same DAG compiled FromTables over the frontier nodes, and its
+// signature names them: plans are shared by every engine over the model,
+// whichever tables it reads.
 func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 	c := &p.infer
 	if train {
@@ -179,7 +181,7 @@ func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 	c.release()
 	sig := c.sig
 	if pre != nil {
-		sig += "|from=" + pre.from
+		sig += pre.sig
 	}
 	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, sig), func(ws *tensor.Arena) *fuse.Plan {
 		name := p.def.Name()
@@ -187,7 +189,7 @@ func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 		g.SetGrid(p.Grid)
 		p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
 		if pre != nil {
-			g.From(pre.Frontier)
+			g.FromTables(pre.Frontier)
 		}
 		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
 	})

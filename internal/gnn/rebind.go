@@ -84,7 +84,10 @@ type Reach struct {
 	// r×c block A[:r, :c], it reads c input rows and writes r, each output
 	// row from its own adjacency row. Every built-in layer of radius 1
 	// does; a layer of any other radius, or a custom fragment that combines
-	// the aggregate with its input row for row, does not.
+	// the aggregate with its input row for row, does not. Nor does the first
+	// DAG layer of a model that starts with another layer: a query's first
+	// block reads the prefix tables (Model.EvalPrefix), which only a leading
+	// DAG layer has.
 	Block bool
 }
 
@@ -99,9 +102,7 @@ func (m *Model) Reach(in int) ([]Reach, error) {
 			a := ll.core().A
 			g := fuse.NewGraph(ll.Name(), a)
 			ll.DAG(g, g.InputDense("H", a.Cols, in))
-			r := Reach{Radius: g.Radius()}
-			r.Block = r.Radius == 1 && lowersOnBlock(ll, in)
-			out = append(out, r)
+			out = append(out, Reach{Radius: g.Radius(), Block: (i == 0 || len(out) > 0) && lowersOnBlock(ll, in)})
 			in = g.OutputCols()
 		case *DropoutLayer:
 		default:
@@ -112,8 +113,8 @@ func (m *Model) Reach(in int) ([]Reach, error) {
 }
 
 // lowersOnBlock builds l's DAG over an empty 1×2 block and reports whether
-// it writes one row. The fuse builder panics on a shape mismatch, which is
-// how a DAG that needs a square pattern answers no.
+// it writes one row from one hop (Reach.Block). The fuse builder panics on a
+// shape mismatch, which is how a DAG that needs a square pattern answers no.
 func lowersOnBlock(l DAGLayer, in int) (ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -122,7 +123,7 @@ func lowersOnBlock(l DAGLayer, in int) (ok bool) {
 	}()
 	g := fuse.NewGraph(l.Name(), &sparse.CSR{Rows: 1, Cols: 2, RowPtr: []int64{0, 0}})
 	l.DAG(g, g.InputDense("H", 2, in))
-	return g.OutputRows() == 1
+	return g.OutputRows() == 1 && g.Radius() == 1
 }
 
 // Rebind swaps the model's adjacency in place: every layer keeps its

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -15,7 +14,7 @@ import (
 type Marks struct {
 	At []int32 // indexed by global vertex id; 0 means unmarked
 
-	// InducedSubgraph's row scratch, kept with the array it belongs beside.
+	// induced's row scratch, kept with the array it belongs beside.
 	col  []int32
 	val  []float64
 	keys []uint64
@@ -51,22 +50,27 @@ func (m *Marks) Release(touched []int32) {
 // This is the global-formulation side of mini-batching: the paper notes its
 // routines "straightforwardly extend to mini-batching", and running any gnn
 // model on the induced adjacency of an expanded seed batch is exactly that
-// extension. It is InducedRows with every row.
+// extension. It is InducedRows with every row, each row sorted.
 func InducedSubgraph(a *sparse.CSR, vertices []int32) *sparse.CSR {
-	return InducedRows(a, vertices, len(vertices))
+	return induced(a, vertices, len(vertices), true)
 }
 
-// InducedRows is the first r rows of InducedSubgraph(a, vertices): an
-// r×len(vertices) block whose row x is the induced row of vertices[x], with
-// the same columns, values and order. The rows of vertices[r:] are never
-// read — for an ego network ordered by hop, the block a layer needs costs
-// the rows it produces, not the whole ego.
-//
-// Global ids map to local ones through a pooled mark array (local id + 1),
-// and each row of the result is built in place from a's row: its mapped
-// columns are already ascending when the vertices are, and sorted otherwise.
-// A call costs the rows it reads plus O(d log d) per unsorted row of length d.
+// InducedRows returns the first r rows of the subgraph induced by the given
+// (distinct) global vertex ids: an r×len(vertices) block whose row x is a's
+// row vertices[x] with the entries outside vertices dropped and the rest
+// under their local ids, in a's order. The rows of vertices[r:] are never
+// read — for an ego network ordered by hop, the block a layer needs costs the
+// rows it produces, not the whole ego. A row keeps the order in which a sums
+// its edges, so a row op over it computes what it computes over a's row.
 func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
+	return induced(a, vertices, r, false)
+}
+
+// induced maps global ids to local ones through a pooled mark array (local
+// id + 1) and builds each row of the result in place from a's row, sorting
+// it if asked to and its mapped columns are not already strictly ascending.
+// A call costs the rows it reads plus O(d log d) per sorted row of length d.
+func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 	m := BorrowMarks(max(a.Rows, a.Cols))
 	local := m.At
 	for li, v := range vertices {
@@ -80,19 +84,19 @@ func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
 	col, val := m.col[:0], m.val[:0]
 	for li, v := range vertices[:r] {
 		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
-		start, sorted := len(col), true
+		start, ascending := len(col), true
 		for q, c := range a.Col[lo:hi] {
 			lj := local[c]
 			if lj == 0 {
 				continue
 			}
 			if len(col) > start && lj-1 <= col[len(col)-1] {
-				sorted = false
+				ascending = false
 			}
 			col = append(col, lj-1)
 			val = append(val, a.Val[lo+int64(q)])
 		}
-		if !sorted {
+		if sorted && !ascending {
 			col, val = m.sortRow(col, val, start)
 		}
 		rowPtr[li+1] = int64(len(col))
@@ -105,19 +109,43 @@ func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
 	return out
 }
 
-// Prefix returns the block a[:r, :c], sharing a's slices: the first r rows
-// over the first c columns. None of those rows may hold an entry at or past
-// column c — true of an ego ordered by hop (serving.ExpandBounds) when the
-// rows are the vertices within h hops and the columns those within h+1.
-func Prefix(a *sparse.CSR, r, c int) *sparse.CSR {
-	if r == a.Rows && c == a.Cols {
-		return a
+// RowBlock returns the len(rows)×a.Cols block whose row x is a's row rows[x]
+// under its global column ids, in a's order: the rows of the global product a
+// query for those vertices reads, A[rows, :]. With within non-nil, only the
+// entries whose column is one of within stay — the rows of an ego network cut
+// at its edge.
+func RowBlock(a *sparse.CSR, rows, within []int32) *sparse.CSR {
+	rowPtr := make([]int64, len(rows)+1)
+	if within == nil {
+		for x, v := range rows {
+			rowPtr[x+1] = rowPtr[x] + a.RowPtr[v+1] - a.RowPtr[v]
+		}
+		out := &sparse.CSR{Rows: len(rows), Cols: a.Cols, RowPtr: rowPtr,
+			Col: make([]int32, rowPtr[len(rows)]), Val: make([]float64, rowPtr[len(rows)])}
+		for x, v := range rows {
+			copy(out.Col[rowPtr[x]:rowPtr[x+1]], a.Col[a.RowPtr[v]:a.RowPtr[v+1]])
+			copy(out.Val[rowPtr[x]:rowPtr[x+1]], a.Val[a.RowPtr[v]:a.RowPtr[v+1]])
+		}
+		return out
 	}
-	end := a.RowPtr[r]
-	if slices.ContainsFunc(a.Col[:end], func(j int32) bool { return int(j) >= c }) {
-		panic(fmt.Sprintf("graph: the first %d rows have an entry past column %d", r, c))
+	m := BorrowMarks(a.Cols)
+	for _, v := range within {
+		m.At[v] = 1
 	}
-	return &sparse.CSR{Rows: r, Cols: c, RowPtr: a.RowPtr[:r+1], Col: a.Col[:end:end], Val: a.Val[:end:end]}
+	var col []int32
+	var val []float64
+	for x, v := range rows {
+		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
+		for q, c := range a.Col[lo:hi] {
+			if m.At[c] != 0 {
+				col = append(col, c)
+				val = append(val, a.Val[lo+int64(q)])
+			}
+		}
+		rowPtr[x+1] = int64(len(col))
+	}
+	m.Release(within)
+	return &sparse.CSR{Rows: len(rows), Cols: a.Cols, RowPtr: rowPtr, Col: col, Val: val}
 }
 
 // sortRow sorts the row col[start:], val[start:] by column, summing the

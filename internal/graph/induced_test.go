@@ -196,36 +196,71 @@ func checkBounds(t *testing.T, a *sparse.CSR, seeds, verts []int32, bounds []int
 	}
 }
 
-// checkBlocks holds the message-flow blocks of an ego query to the square
-// induced subgraph sq: the first-r-rows form (InducedRows) is sq's first r
-// rows over all its columns, and the row-and-column prefix (Prefix) of the
-// vertices within h hops over those within h+1 is the same rows — none of
-// them has an entry past the next frontier. A prefix that would cut an
-// entry panics.
+// row returns row i of a: its columns and values.
+func row(a *sparse.CSR, i int32) ([]int32, []float64) {
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	return a.Col[lo:hi], a.Val[lo:hi]
+}
+
+// checkBlocks holds the message-flow blocks of an ego query to a and to the
+// square induced subgraph sq, for the vertices within each hop h, rows
+// verts[:bounds[h]]: InducedRows is a's rows cut to the ego, under local
+// ids and in a's order, and sorted it is sq's first rows; RowBlock keeps a's
+// rows whole under their global ids, and cut at the ego's edge it is
+// InducedRows under global ids.
 func checkBlocks(t *testing.T, a, sq *sparse.CSR, verts []int32, bounds []int) {
 	t.Helper()
-	for h, r := range bounds {
+	in := make(map[int32]bool, len(verts))
+	for _, v := range verts {
+		in[v] = true
+	}
+	for _, r := range bounds {
 		rows := graph.InducedRows(a, verts, r)
-		end := sq.RowPtr[r]
-		if rows.Rows != r || rows.Cols != len(verts) || !slices.Equal(rows.RowPtr, sq.RowPtr[:r+1]) ||
-			!slices.Equal(rows.Col, sq.Col[:end]) || !slices.Equal(rows.Val, sq.Val[:end]) {
-			t.Fatalf("InducedRows(%d) is not the first %d rows of the square subgraph", r, r)
+		whole := graph.RowBlock(a, verts[:r], nil)
+		cut := graph.RowBlock(a, verts[:r], verts)
+		if rows.Rows != r || rows.Cols != len(verts) || whole.Rows != r || whole.Cols != a.Cols || cut.Rows != r || cut.Cols != a.Cols {
+			t.Fatalf("blocks of %d rows: InducedRows %d×%d, RowBlock %d×%d and %d×%d", r,
+				rows.Rows, rows.Cols, whole.Rows, whole.Cols, cut.Rows, cut.Cols)
 		}
-		c := bounds[min(h+1, len(bounds)-1)]
-		p := graph.Prefix(rows, r, c)
-		if p.Rows != r || p.Cols != c || !slices.Equal(p.RowPtr, rows.RowPtr) ||
-			!slices.Equal(p.Col, rows.Col) || !slices.Equal(p.Val, rows.Val) {
-			t.Fatalf("Prefix(%d, %d) is not the first %d rows of the square subgraph", r, c, r)
-		}
-		if cut := slices.ContainsFunc(rows.Col, func(j int32) bool { return int(j) >= r }); cut {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("Prefix(%d, %d) cut an entry without panicking", r, r)
-					}
-				}()
-				graph.Prefix(rows, r, r)
-			}()
+		for x, v := range verts[:r] {
+			ac, av := row(a, v)
+			wc, wv := row(whole, int32(x))
+			if !slices.Equal(wc, ac) || !slices.Equal(wv, av) {
+				t.Fatalf("RowBlock row %d is not a's row %d", x, v)
+			}
+			var keepC []int32
+			var keepV []float64
+			for q, c := range ac {
+				if in[c] {
+					keepC, keepV = append(keepC, c), append(keepV, av[q])
+				}
+			}
+			cc, cv := row(cut, int32(x))
+			if !slices.Equal(cc, keepC) || !slices.Equal(cv, keepV) {
+				t.Fatalf("RowBlock row %d cut at the ego is not a's row %d cut there, in a's order", x, v)
+			}
+			lc, lv := row(rows, int32(x))
+			global := make([]int32, len(lc))
+			for q, y := range lc {
+				global[q] = verts[y]
+			}
+			if !slices.Equal(global, keepC) || !slices.Equal(lv, keepV) {
+				t.Fatalf("InducedRows row %d is not a's row %d cut at the ego under local ids", x, v)
+			}
+			order := make([]int, len(lc))
+			for q := range order {
+				order[q] = q
+			}
+			slices.SortFunc(order, func(p, q int) int { return int(lc[p]) - int(lc[q]) })
+			sc, sv := row(sq, int32(x))
+			if len(sc) != len(lc) {
+				t.Fatalf("InducedRows row %d holds %d entries, row %d of the square subgraph %d", x, len(lc), x, len(sc))
+			}
+			for q, o := range order {
+				if sc[q] != lc[o] || sv[q] != lv[o] {
+					t.Fatalf("InducedRows row %d sorted is not row %d of the square subgraph", x, x)
+				}
+			}
 		}
 	}
 }

@@ -44,9 +44,11 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEgoQuery times one single-vertex query end to end — expansion,
-// block extraction, prefix-row gather, rebind, plan lease and forward — over
-// egoBenchModel. "cold" asks a different vertex every iteration, so its plans
+// BenchmarkEgoQuery times one single-vertex query end to end — expansion of
+// the vertices within one hop (the rows the first layer produces), block
+// extraction (the first A[R, :] under global column ids), the gather of
+// their rows of u, rebind, plan lease and the forward that reads H·W and v
+// in place — over egoBenchModel. "cold" asks a different vertex every iteration, so its plans
 // compile (or come back from another ego of the same structure); "warm" asks
 // one vertex again and again, so every plan is a cache hit.
 func BenchmarkEgoQuery(b *testing.B) {

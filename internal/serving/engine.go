@@ -4,12 +4,16 @@
 // answers per-vertex classification queries over HTTP.
 //
 // The execution strategy is the paper's global tensor formulation applied
-// to serving: a query for vertices S is answered from the induced subgraph
-// of S's h-hop neighborhood, each layer rebound to the block of it whose
-// rows the layers after it read (Engine.blocks), with one compiled-plan
-// forward that starts from the ego's rows of the first layer's vertex-local
-// prefix, evaluated once per engine (gnn.Prefix). Because plans resolve
-// through the process-wide cache
+// to serving: a query for vertices S is a row block of the global product.
+// The first layer's vertex-local prefix (GAT's H·W, u, v) is evaluated once
+// per engine over every vertex (gnn.Prefix); a query's first layer runs on
+// A[R, :] under global column ids, R the vertices within the model's radius
+// less one hop of S, and reads those tables in place, gathering only the R
+// rows of the ones it reads along its rows. Each later layer runs on the
+// block of the ego whose rows the layers after it read (Engine.blocks), all
+// in one compiled-plan forward. Every block row keeps its adjacency row's
+// order, so an answer is the full graph's bit for bit, alone or in any
+// batch. Because plans resolve through the process-wide cache
 // (internal/fuse), a repeated query structure — the common case under
 // load, and always the case for repeated identical queries — executes with
 // zero recompilation.
@@ -120,19 +124,22 @@ type Prediction struct {
 // admission-queue wait, micro-batch hand-over, ego expansion, and
 // compiled-plan execution up to the reply reaching the caller; the four add
 // up to the time the request spent in the engine. PlanNs therefore also
-// counts the reply assembly of the group's other requests and the
-// goroutine hand-off back to the caller (a few µs), not only the plan. ExpandNs is shared by
-// every request in the same micro-batch; the others are per request. A p99 outlier
-// with a large QueueNs is an admission problem (requests queue behind the
-// executing batch), and a large PlanNs points at the query structure
-// itself. BatchNs is about 0: a batch closes as soon as the queue is
-// drained, so only a request whose batch runs after another radius group's
-// execution shows more.
+// counts the reply assembly of the group's other requests and the goroutine
+// hand-off back to the caller (a few µs), not only the plan. ExpandNs covers
+// the vertices whose rows the first layer produces — never the ego's outer
+// frontier, as that layer reads the prefix tables in place — every layer's
+// block, and the rows of the prefix tables the first layer reads along its
+// rows; it is shared by every request in the same micro-batch, the others
+// are per request. A p99 outlier with a large QueueNs is an admission
+// problem (requests queue behind the executing batch), and a large PlanNs
+// points at the query structure itself. BatchNs is about 0: a batch closes
+// as soon as the queue is drained, so only a request whose batch runs after
+// another radius group's execution shows more.
 type Timing struct {
 	TraceID  string `json:"trace_id,omitempty"` // request trace ID (X-Agnn-Trace)
 	QueueNs  int64  `json:"queue_ns"`           // submitted → picked up by a runner
 	BatchNs  int64  `json:"batch_ns"`           // picked up → its group's execution starts
-	ExpandNs int64  `json:"expand_ns"`          // seed union → induced blocks + gathered prefix rows
+	ExpandNs int64  `json:"expand_ns"`          // seed union → blocks extracted + row-side prefix rows gathered
 	PlanNs   int64  `json:"plan_ns"`            // rebind + planned forward + output copy → answer in the caller's hands
 	Seeds    int    `json:"batch_seeds"`        // distinct seeds in the shared execution
 }
@@ -178,6 +185,7 @@ type result struct {
 type Engine struct {
 	cfg    Config
 	reach  []gnn.Reach // per DAG layer: its radius, and whether it runs on a block
+	radius int         // the model's radius: the reach radii summed
 	prefix *gnn.Prefix // the first layer's vertex-local prefix over Features
 	reqs   chan request
 
@@ -209,7 +217,11 @@ func newIdleEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serving: %w", err)
 	}
-	return &Engine{cfg: cfg, reach: reach, prefix: prefix, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}, nil
+	e := &Engine{cfg: cfg, reach: reach, prefix: prefix, reqs: make(chan request, cfg.QueueDepth), done: make(chan struct{})}
+	for _, r := range reach {
+		e.radius += r.Radius
+	}
+	return e, nil
 }
 
 func (e *Engine) start() {
@@ -331,7 +343,7 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 // into buffers of its own.
 func (e *Engine) runner() {
 	defer e.wg.Done()
-	rows := newPrefixRows(e.prefix.Tables)
+	rows := newPrefixRows(e.prefix)
 	for {
 		select {
 		case <-e.done:
@@ -384,10 +396,11 @@ func (e *Engine) runBatch(batch []request, rows prefixRows) {
 
 // runGroup executes one micro-batch: drop the requests whose caller has gone
 // (submit already returned ctx.Err() to it), union the seeds of the rest,
-// expand to the h-hop ego, rebind every layer to its block of the ego's
-// induced subgraph, gather the ego's rows of the prefix tables, run the
-// compiled inference plans once from them, and slice each request's rows out
-// of the shared output.
+// expand to the ego whose rows the first layer produces, rebind every layer
+// to its block of the adjacency, gather those rows of the prefix tables the
+// first layer reads along its rows, run the compiled inference plans once
+// from them and the tables, and slice each request's rows out of the shared
+// output.
 func (e *Engine) runGroup(group []request, hops int, rows prefixRows) {
 	start := time.Now()
 	live := group[:0]
@@ -424,9 +437,16 @@ func (e *Engine) runGroup(group []request, hops int, rows prefixRows) {
 		return tm
 	}
 
-	verts, bounds := ExpandBounds(e.cfg.Adj, seeds, hops)
-	blocks := e.blocks(verts, bounds)
-	in := rows.gather(e.prefix.Tables, verts[:blocks[0].Cols])
+	// A first layer on a block reads the prefix tables in place along its
+	// columns, so a full-radius query expands only the vertices whose rows
+	// it produces: the ego's outer frontier is never enumerated.
+	levels, cut := hops, hops < e.radius
+	if e.prefix.Block && !cut {
+		levels = e.radius - 1
+	}
+	verts, bounds := ExpandBounds(e.cfg.Adj, seeds, levels)
+	blocks := e.blocks(verts, bounds, cut)
+	in := rows.gather(e.prefix, verts)
 	expandDone := time.Now()
 
 	// Fresh layer structs per execution keep runners independent; the
@@ -468,25 +488,24 @@ func observeStages(tm Timing) {
 }
 
 // blocks returns the message-flow block of every DAG layer for the ego verts
-// whose frontiers end at bounds (ExpandBounds). A layer with k hops of the
-// model after it must produce the rows within k hops of the seeds,
-// bounds[k]; on a block layer (gnn.Reach.Block) those rows read the previous
-// layer's output through A_ego[:bounds[k], :c], where c is the rows the
-// previous layer produced — all of the ego for the first. Any other layer
-// runs on the square block over its input rows, and the layers after it
-// still shrink. Only the first block is extracted from the whole ego; a
-// later block layer's block is a row-and-column prefix of it. A later
-// square block is the subgraph induced by its input vertices: it drops its
-// rows' edges into the next frontier, as the square ego does at its edge,
-// and the rows the answer reads have none. Each row that reaches an answer
-// keeps the edges and order of the square ego's row, so the answers keep
-// their bits.
-func (e *Engine) blocks(verts []int32, bounds []int) []*sparse.CSR {
+// whose frontiers end at bounds (ExpandBounds); cut says the ego stops short
+// of the model's radius. A layer with k hops of the model after it must
+// produce the rows within k hops of the seeds, bounds[k]; on a block layer
+// (gnn.Reach.Block) those rows read the previous layer's output through
+// A[rows, :c], where c is the rows the previous layer produced. Any other
+// layer runs on the square block over its input rows, and the layers after
+// it still shrink. A first block layer produces every row of verts and reads
+// the prefix tables in place: its block is A[verts, :] under global column
+// ids, cut to the ego's columns when the ego is. Every later block is under
+// local ids over verts[:c]. A later square block is the subgraph induced by
+// its input vertices: it drops its rows' edges into the next frontier, as
+// the square ego does at its edge, and the rows the answer reads have none.
+// Every row keeps the order of its adjacency row, so an answer sums each
+// row's edges as the full graph does: at the model's radius its bits are
+// the full-graph forward's, whatever batch it rides in.
+func (e *Engine) blocks(verts []int32, bounds []int, cut bool) []*sparse.CSR {
 	last := len(bounds) - 1
-	after := 0 // hops of the model after the current layer
-	for _, r := range e.reach {
-		after += r.Radius
-	}
+	after := e.radius // hops of the model after the current layer
 	blocks := make([]*sparse.CSR, len(e.reach))
 	c := len(verts) // rows the previous layer produced
 	for l, r := range e.reach {
@@ -495,43 +514,44 @@ func (e *Engine) blocks(verts []int32, bounds []int) []*sparse.CSR {
 		if r.Block {
 			rows = bounds[min(after, last)]
 		}
-		switch {
-		case l == 0:
-			blocks[0] = graph.InducedRows(e.cfg.Adj, verts, rows)
-		case r.Block:
-			blocks[l] = graph.Prefix(blocks[0], rows, c)
-		default:
-			blocks[l] = graph.InducedSubgraph(e.cfg.Adj, verts[:c])
+		if l == 0 && r.Block {
+			var within []int32
+			if cut {
+				within = verts
+			}
+			blocks[0] = graph.RowBlock(e.cfg.Adj, verts[:rows], within)
+		} else {
+			blocks[l] = graph.InducedRows(e.cfg.Adj, verts[:c], rows)
 		}
 		c = rows
 	}
 	return blocks
 }
 
-// prefixRows is a runner's copy of the prefix-table rows one ego reads: row i
-// of the t-th matrix is row verts[i] of table t. Its storage grows only when
-// an ego is larger than any before it; the plans bind it, so it is read only
-// while the runner's own execution runs.
+// prefixRows is a runner's copy of the prefix-table rows one query reads: row
+// i of the j-th matrix is row verts[i] of the table Gathered[j]. Its storage
+// grows only when a query is larger than any before it; the plans bind it,
+// so it is read only while the runner's own execution runs.
 type prefixRows []tensor.Typed
 
-func newPrefixRows(tables []tensor.Typed) prefixRows {
-	rows := make(prefixRows, len(tables))
-	for t, tb := range tables {
-		if tb.F32 != nil {
-			rows[t].F32 = &tensor.Mat[float32]{Cols: tb.F32.Cols}
+func newPrefixRows(pre *gnn.Prefix) prefixRows {
+	rows := make(prefixRows, len(pre.Gathered))
+	for j, t := range pre.Gathered {
+		if tb := pre.Tables[t]; tb.F32 != nil {
+			rows[j].F32 = &tensor.Mat[float32]{Cols: tb.F32.Cols}
 		} else {
-			rows[t].F64 = &tensor.Dense{Cols: tb.F64.Cols}
+			rows[j].F64 = &tensor.Dense{Cols: tb.F64.Cols}
 		}
 	}
 	return rows
 }
 
-func (r prefixRows) gather(tables []tensor.Typed, verts []int32) []tensor.Typed {
-	for t, tb := range tables {
-		if tb.F32 != nil {
-			gatherRows(r[t].F32, tb.F32, verts)
+func (r prefixRows) gather(pre *gnn.Prefix, verts []int32) []tensor.Typed {
+	for j, t := range pre.Gathered {
+		if tb := pre.Tables[t]; tb.F32 != nil {
+			gatherRows(r[j].F32, tb.F32, verts)
 		} else {
-			gatherRows((*tensor.Mat[float64])(r[t].F64), (*tensor.Mat[float64])(tb.F64), verts)
+			gatherRows((*tensor.Mat[float64])(r[j].F64), (*tensor.Mat[float64])(tb.F64), verts)
 		}
 	}
 	return r
@@ -560,10 +580,11 @@ func argmax(x []float64) int {
 
 // Expand returns the vertices of the h-hop out-neighborhood of the seeds
 // in deterministic order: the seeds first (in the given order), then each
-// BFS frontier sorted ascending. The order is what makes two executions of
-// the same query bitwise-identical — the induced subgraph, and therefore
-// the compiled plan's arithmetic, depends on it. It is ExpandBounds without
-// the bounds.
+// BFS frontier sorted ascending. The order names the local ids of an ego's
+// blocks and, by hop, which rows each layer produces; it does not decide
+// arithmetic, as every block row keeps its adjacency row's order
+// (graph.InducedRows, graph.RowBlock). It is ExpandBounds without the
+// bounds.
 func Expand(a *sparse.CSR, seeds []int32, hops int) []int32 {
 	verts, _ := ExpandBounds(a, seeds, hops)
 	return verts

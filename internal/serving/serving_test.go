@@ -203,7 +203,7 @@ func TestServingDeterministicAndCached(t *testing.T) {
 		}
 	}
 	// Serving is inference: every plan it compiled is an inference plan, and
-	// every plan of the first layer starts from the frontier of its prefix.
+	// every plan of the first layer reads the tables of its prefix's frontier.
 	keys := fuse.Shared.Keys()
 	if len(keys) == 0 {
 		t.Fatal("the sweeps left no plan in the cache")
@@ -213,8 +213,8 @@ func TestServingDeterministicAndCached(t *testing.T) {
 		if !strings.Contains(k.Sig, "train=false") {
 			t.Errorf("serving compiled a plan under %q, want train=false only", k.Sig)
 		}
-		if strings.Contains(k.Sig, layer0) != strings.HasSuffix(k.Sig, "|from=Hp,u,v") {
-			t.Errorf("plan key %q: the first layer's plans, and only they, start from its frontier Hp,u,v", k.Sig)
+		if strings.Contains(k.Sig, layer0) != strings.HasSuffix(k.Sig, "|tables=Hp,u,v") {
+			t.Errorf("plan key %q: the first layer's plans, and only they, read its frontier's tables Hp,u,v", k.Sig)
 		}
 		if strings.Contains(k.Sig, layer0) {
 			froms++
@@ -442,12 +442,12 @@ func egoTestGraph(t *testing.T) (*sparse.CSR, *tensor.Dense) {
 }
 
 // squareEgo answers seeds the way the engine did before message-flow blocks
-// and prefix tables: every layer over the whole induced ego, the first from
-// the gathered features.
+// and prefix tables: every layer over the whole induced ego, each row of it
+// in the adjacency's order, the first from the gathered features.
 func squareEgo(t *testing.T, m *gnn.Model, adj *sparse.CSR, feats *tensor.Dense, seeds []int32, hops int) *tensor.Dense {
 	t.Helper()
 	verts := Expand(adj, seeds, hops)
-	bm, err := gnn.RebindAdjacency(m, graph.InducedSubgraph(adj, verts))
+	bm, err := gnn.RebindAdjacency(m, graph.InducedRows(adj, verts, len(verts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,18 +461,18 @@ func squareEgo(t *testing.T, m *gnn.Model, adj *sparse.CSR, feats *tensor.Dense,
 }
 
 // TestEgoRadiusCoversMultiHopLayers: an ego query runs each layer on its own
-// message-flow block, the first from rows of the prefix tables the engine
-// evaluated once (the frontier column: the prefix nodes gathered), and its
-// answer must be the square ego's bit for bit
-// and the full graph's row to 1e-12 (relative: VA's logits grow large) —
+// message-flow block, the first from the prefix tables the engine evaluated
+// once (the frontier column: the prefix nodes it reads), and at the model's
+// radius or past it its answer must be the full graph's row bit for bit —
 // over every built-in layer kind, multi-hop and mixed stacks, dropout and
-// float32 (to f32 precision against the full graph), single egos and
-// multi-seed batches, an isolated vertex, and hops past the ego's depth
-// where the frontier bounds saturate. The radius-1 layers must run on
-// blocks (GIN included); the SGC layer and a ⊕ that needs a square pattern
-// run on the square fallback. Below the
-// model's radius an ego is truncated: the answer must still be the square
-// ego's.
+// float32, single egos and multi-seed batches, an isolated vertex, and hops
+// past the ego's depth where the frontier bounds saturate. The radius-1
+// layers must run on blocks (GIN included); the SGC layer, a ⊕ that needs
+// a square pattern and a first DAG layer behind a dropout run on the square
+// fallback. Below the model's
+// radius an ego is truncated: the answer must be the square ego's, built
+// with its rows in the adjacency's order. A vertex answered alone and
+// inside three different batches gets the same bits.
 func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 	adj, feats := egoTestGraph(t)
 	build := func(cfg gnn.Config) func() *gnn.Model {
@@ -509,6 +509,13 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 			m.Layers = []gnn.Layer{m.Layers[0], gnn.NewDropout(0.5, 45), m.Layers[1]}
 			return m
 		}, 2, []bool{true, true}, "Hp,u,v"},
+		// A leading dropout leaves the first DAG layer no prefix tables: it
+		// runs on the square ego from the features, the next layer shrinks.
+		{"dropout-then-gat", func() *gnn.Model {
+			m := build(gnn.Config{Model: gnn.GAT, Layers: 2})()
+			m.Layers = append([]gnn.Layer{gnn.NewDropout(0.5, 45)}, m.Layers...)
+			return m
+		}, 2, []bool{false, true}, "H"},
 		{"sgc-k2", func() *gnn.Model {
 			return &gnn.Model{Layers: []gnn.Layer{gnn.NewSGCLayer(loops, 2, feats.Cols, 3, gnn.Identity(), rng)}}
 		}, 2, []bool{false}, "H"},
@@ -525,6 +532,13 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 				gnn.NewSGCLayer(loops, 2, 6, 3, gnn.Identity(), rng)}}
 		}, 3, []bool{true, false}, "Hp,u,v"},
 		{"gat-f32", build(gnn.Config{Model: gnn.GAT, Layers: 2, DType: tensor.F32}), 2, []bool{true, true}, "Hp,u,v"},
+		// On the square fallback a float32 layer's {H} table is the
+		// features rounded once.
+		{"sgc-k2-f32", func() *gnn.Model {
+			l := gnn.NewSGCLayer(loops, 2, feats.Cols, 3, gnn.Identity(), rng)
+			l.DType = tensor.F32
+			return &gnn.Model{DType: tensor.F32, Layers: []gnn.Layer{l}}
+		}, 2, []bool{false}, "H"},
 		// A ⊕ that joins each aggregate row to the vertex's own input row
 		// needs a square pattern; the GAT layer after it still shrinks.
 		{"concat-agg-then-gat", func() *gnn.Model {
@@ -566,13 +580,6 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 					t.Fatalf("prefix table %s is not at the model's %s", e.prefix.Frontier[i], m.DType)
 				}
 			}
-			// A float32 plan over the ego and one over the full graph round
-			// differently, so the f32 model meets the full graph to f32's
-			// precision only; its square ego it still meets bit for bit.
-			tol := 1e-12
-			if m.DType == tensor.F32 {
-				tol = 1e-6
-			}
 			check := func(seeds []int, hops int, preds []Prediction) {
 				t.Helper()
 				ids := make([]int32, 0, len(seeds))
@@ -581,15 +588,18 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 						ids = append(ids, int32(v))
 					}
 				}
-				sq := squareEgo(t, m, e.cfg.Adj, feats, ids, hops)
+				want, ref := full, "full graph"
+				if hops < radius {
+					want, ref = squareEgo(t, m, e.cfg.Adj, feats, ids, hops), "square ego"
+				}
 				for j, p := range preds {
-					want := sq.Row(slices.Index(ids, int32(seeds[j])))
+					row := p.Vertex
+					if hops < radius {
+						row = slices.Index(ids, int32(seeds[j]))
+					}
 					for k, x := range p.Logits {
-						if math.Float64bits(x) != math.Float64bits(want[k]) {
-							t.Fatalf("seeds %v hops %d: vertex %d logit %d = %v, square ego %v", seeds, hops, p.Vertex, k, x, want[k])
-						}
-						if f := full.At(p.Vertex, k); hops >= radius && math.Abs(x-f) > tol*max(1, math.Abs(f)) {
-							t.Fatalf("seeds %v hops %d: vertex %d logit %d = %v, full graph %v", seeds, hops, p.Vertex, k, x, f)
+						if w := want.At(row, k); math.Float64bits(x) != math.Float64bits(w) {
+							t.Fatalf("seeds %v hops %d: vertex %d logit %d = %v, %s %v", seeds, hops, p.Vertex, k, x, ref, w)
 						}
 					}
 				}
@@ -635,15 +645,33 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 					check([]int{v}, q.hops, preds[j:j+1])
 				}
 			}
+			// The same vertex alone and in three batches of other sizes,
+			// places and neighbourhoods.
+			alone, err := e.Ego(context.Background(), 5, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range [][]int{{0, 5, 9}, {83, 40, 12, 5, 80}, {5, 81, 3, 70, 22, 61, 2}} {
+				preds, err := e.Predict(context.Background(), batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := preds[slices.Index(batch, 5)].Logits
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(alone.Logits[k]) {
+						t.Fatalf("vertex 5 in batch %v: logit %d = %v, alone %v", batch, k, got[k], alone.Logits[k])
+					}
+				}
+			}
 		})
 	}
 }
 
 // TestServingConcurrentHammer drives the engine from many goroutines
 // (run under -race in CI): every request must complete or shed cleanly,
-// results must match the single-threaded reference (to fp rounding —
-// micro-batch composition legitimately reorders summations), and
-// afterwards the plan cache must hold no leaked leases.
+// results must match the single-threaded reference bit for bit, whatever
+// micro-batch they ride in, and afterwards the plan cache must hold no
+// leaked leases.
 func TestServingConcurrentHammer(t *testing.T) {
 	m, ds, _ := trainTiny(t)
 	adj, err := m.Adjacency()
@@ -694,7 +722,7 @@ func TestServingConcurrentHammer(t *testing.T) {
 				served++
 				mu.Unlock()
 				for j, lv := range p.Logits {
-					if diff := math.Abs(lv - want[v][j]); diff > 1e-9 {
+					if math.Float64bits(lv) != math.Float64bits(want[v][j]) {
 						errs <- errMismatch{v, j}
 						return
 					}
