@@ -5,14 +5,15 @@ import (
 	"agnn/internal/sparse"
 )
 
-// The fused SDDMM + edge-softmax + SpMM attention op. The unfused op
-// sequence writes nnz normalized scores in one sweep and re-reads them in
-// the next; the fused op samples the composed virtual scores, normalizes
-// the row and aggregates the gathered feature rows while the row's scores
-// are still cache-hot. It is opSample's row body followed by opSpMM's —
-// rowSampler, then sparse.GatherAxpy — on one row, so fused and unfused
-// plans produce bitwise-identical results at either element width (the
-// property the fused-vs-unfused identity tests pin down).
+// The fused SDDMM + edge-softmax + SpMM attention op, and the backward of
+// GAT's. The unfused op sequence writes nnz normalized scores in one sweep
+// and re-reads them in the next; the fused op samples the composed virtual
+// scores, normalizes the row and aggregates the gathered feature rows while
+// the row's scores are still cache-hot. It is opSample's row body followed
+// by opSpMM's — rowSampler, then sparse.GatherAxpy — on one row, so fused and
+// unfused plans produce bitwise-identical results at either element width
+// (the property the fused-vs-unfused identity tests pin down). The backward
+// (opAttnFusedVJP) does the same to the VJP chain under GAT's aggregation.
 
 // rowScratch holds one row of maxRow elements per worker: the score row of
 // the inference variant (sized to the pattern's maximum row degree), which
@@ -38,9 +39,9 @@ func (s *rowScratch[T]) row(worker int) []T {
 
 // opAttnFused builds the fused attention sweep. With vals non-nil
 // (training plans) the normalized scores are additionally written to the
-// sparse node's value buffer inside the same sweep, which is exactly what
-// the derived backward pass reads — so fusion needs no backward changes.
-// With vals nil (inference plans) scores live in per-worker scratch and
+// sparse node's value buffer inside the same sweep, which is what the
+// backward pass reads (opAttnFusedVJP for GAT's chain, the per-op VJPs for
+// any other). With vals nil (inference plans) scores live in per-worker scratch and
 // the nnz-sized buffer is never allocated. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
 // aggregate directly (VA).
@@ -91,4 +92,80 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 		scratch.ensure()
 		par.RangeCuts(cuts, body)
 	}}
+}
+
+// opAttnFusedVJP is the backward of a fused attention aggregation Z = Ψ·X
+// over GAT's scores, Ψ = softmax(A ⊙ LeakyReLU(u·1ᵀ + 1·vᵀ)): the VJP chain
+// spmm ← softmax ← mask ← lrelu ← u·1ᵀ + 1·vᵀ the compiler derives, run as
+// two sweeps over the pattern instead of one or two per op.
+//
+// The row sweep runs on row i what the per-op VJPs run on it, in their
+// order: Ψ̄_ij = Z̄[i,:]·X[j,:] (opSpMMVJP's GatherDots) into per-worker
+// scratch; ρ_i and the softmax apply; A's values, under a weighted mask;
+// LeakyReLU′ at u_i + v_j, u_i held and v_j gathered; the row sum into ū_i.
+// It writes Ψ_ij and C̄_ij to the entry's position in Sᵀ's order (dst, the
+// inverse of the transpose's Src), the one scattered access left. The
+// transposed sweep then reads both contiguously: X̄[j,:] += Σ_i Ψ_ij·Z̄[i,:]
+// through GatherAxpy, and v̄_j += Σ_i C̄_ij. pairs holds Ψ in its first nnz
+// words and C̄ in the rest. Every entry gets the per-op VJPs' operations and
+// every row and column sum its order, so the two lowerings agree bit for bit
+// (NoAttnFuse compiles the per-op chain).
+func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T], dst []int64,
+	pvals, pairs, weights []T, slope T, x, out, u, v *spec[T]) func() {
+	idx := pat.Index()
+	psiT, cT := pairs[:pat.NNZ()], pairs[pat.NNZ():]
+	scratch := &rowScratch[T]{maxRow: pat.MaxRowNNZ()}
+	rowBody := func(worker, lo, hi int) {
+		og, xd := out.gdense, x.dense
+		k := og.Cols
+		uv, vv, ug := u.vec, v.vec, u.gvec
+		buf := scratch.row(worker)
+		for i := lo; i < hi; i++ {
+			prefetchRow(pat, idx, i, xd)
+			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+			cols, p, g := idx.Slice(b, e), pvals[b:e], buf[:e-b]
+			sparse.GatherDots(g, og.Data[i*k:(i+1)*k], cols, xd.Data, k, 0)
+			var rho T
+			for q, gq := range g {
+				rho += gq * p[q]
+			}
+			ui := uv[i]
+			var sum T
+			for q, j := range cols.Cols() {
+				c := p[q] * (g[q] - rho)
+				if weights != nil {
+					c *= weights[b+int64(q)]
+				}
+				d := T(1)
+				if ui+vv[j] < 0 {
+					d = slope
+				}
+				c *= d
+				sum += c
+				at := dst[b+int64(q)]
+				psiT[at], cT[at] = p[q], c
+			}
+			ug[i] += sum
+		}
+	}
+	patT, idxT := tr.patT, tr.idxT
+	colBody := func(_, lo, hi int) {
+		og, xg, vg := out.gdense, x.gdense, v.gvec
+		k := xg.Cols
+		for j := lo; j < hi; j++ {
+			prefetchRow(patT, idxT, j, og)
+			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
+			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], psiT[b:e], idxT.Slice(b, e), og.Data, k, 0)
+			var sum T
+			for _, c := range cT[b:e] {
+				sum += c
+			}
+			vg[j] += sum
+		}
+	}
+	return func() {
+		scratch.ensure()
+		par.RangeCuts(cuts, rowBody)
+		par.RangeCuts(cutsT, colBody)
+	}
 }

@@ -1,11 +1,14 @@
 package fuse_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"agnn/internal/fuse"
+	"agnn/internal/par"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -94,63 +97,119 @@ func TestPlanF32BackwardGradsMatchF64(t *testing.T) {
 	}
 }
 
-// TestAttnFusedBitwiseIdenticalF64: the fused SDDMM+softmax+SpMM sweep must
-// reproduce the unfused opSample→opSoftmax→opSpMM sequence bit for bit, in
-// both the training shape (scores written to the value buffer mid-sweep)
-// and the inference shape (scores confined to per-worker scratch) — at
-// float64 (the rows that gave the test its name) and at float32.
+// TestAttnFusedBitwiseIdenticalF64: the fused attention ops must reproduce
+// the per-op sequence NoAttnFuse compiles bit for bit. Forward, the
+// SDDMM+softmax+SpMM sweep against opSample→opSoftmax→opSpMM, in both the
+// training shape (scores written to the value buffer mid-sweep) and the
+// inference shape (scores confined to per-worker scratch); backward, GAT's
+// two-sweep VJP chain against the per-op VJPs — the input cotangent and every
+// parameter gradient, per head of a two-head layer and under a weighted mask.
+// At float64 (the rows that gave the test its name) and at float32, at one
+// worker and at three ("w3/"), on a graph above par's inline threshold.
 func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(96))
-	a := weightedGraph(48, 200, 97)
+	a := weightedGraph(300, 1500, 97)
 	const k = 5
-	w := randParam(rng, "W", k, k)
-	beta := randParam(rng, "beta", 1, 1)
-	a1 := randParam(rng, "a1", k, 1)
-	a2 := randParam(rng, "a2", k, 1)
+	ps := paramSet{}
+	for _, name := range []string{"W", "W.h1"} {
+		ps[name] = randParam(rng, name, k, k)
+	}
+	for _, name := range []string{"a1", "a2", "a1.h1", "a2.h1"} {
+		ps[name] = randParam(rng, name, k, 1)
+	}
+	ps["beta"] = randParam(rng, "beta", 1, 1)
 	h := randDense(rng, a.Rows, k)
 	gOut := randDense(rng, a.Rows, k)
 
 	cases := []struct {
 		name  string
-		build func(w fuse.ParamRef) *fuse.Graph
+		build func(ps paramSet) *fuse.Graph
 	}{
-		{"va", func(wp fuse.ParamRef) *fuse.Graph { return buildVA(a, wp, k) }},
-		{"agnn", func(wp fuse.ParamRef) *fuse.Graph { return buildAGNN(a, wp, beta, k) }},
-		{"gat", func(wp fuse.ParamRef) *fuse.Graph { return buildGAT(a, wp, a1, a2, k, 0.2) }},
+		{"va", func(ps paramSet) *fuse.Graph { return buildVA(a, ps["W"], k) }},
+		{"agnn", func(ps paramSet) *fuse.Graph { return buildAGNN(a, ps["W"], ps["beta"], k) }},
+		{"gat", func(ps paramSet) *fuse.Graph { return buildGAT(a, ps["W"], ps["a1"], ps["a2"], k, 0.2) }},
+		{"gat-2-heads", func(ps paramSet) *fuse.Graph { return buildGATHeads(a, ps, 2, k, false) }},
+		{"gat-weighted", func(ps paramSet) *fuse.Graph { return buildGATHeads(a, ps, 1, k, true) }},
 	}
-	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-		for _, tc := range cases {
-			name := tc.name
-			if dt != tensor.F64 {
-				name = dt.String() + "/" + name
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, tc := range cases {
+				name := tc.name
+				if dt != tensor.F64 {
+					name = dt.String() + "/" + name
+				}
+				if workers != 1 {
+					name = fmt.Sprintf("w%d/%s", workers, name)
+				}
+				t.Run(name+"/inference", func(t *testing.T) {
+					fused := tc.build(ps).MustCompile(fuse.Options{DType: dt})
+					unfused := tc.build(ps).MustCompile(fuse.Options{DType: dt, NoAttnFuse: true})
+					if fused.Stats().AttnFused == 0 {
+						t.Fatal("default compile did not fuse the attention chain")
+					}
+					if unfused.Stats().AttnFused != 0 {
+						t.Fatal("NoAttnFuse plan still reports fused chains")
+					}
+					if i := firstBitDiff(fused.Forward(h).Data, unfused.Forward(h).Data); i >= 0 {
+						t.Fatalf("fused inference deviates at word %d, want bitwise identity", i)
+					}
+				})
+				t.Run(name+"/train", func(t *testing.T) {
+					pf, pu := ps.clone(), ps.clone()
+					fused := tc.build(pf).MustCompile(fuse.Options{Train: true, DType: dt})
+					unfused := tc.build(pu).MustCompile(fuse.Options{Train: true, DType: dt, NoAttnFuse: true})
+					if i := firstBitDiff(fused.Forward(h).Data, unfused.Forward(h).Data); i >= 0 {
+						t.Fatalf("fused training forward deviates at word %d, want bitwise identity", i)
+					}
+					if i := firstBitDiff(fused.Backward(gOut).Data, unfused.Backward(gOut).Data); i >= 0 {
+						t.Fatalf("fused backward input grad deviates at word %d, want bitwise identity", i)
+					}
+					for p, ref := range pf {
+						if i := firstBitDiff(ref.Grad.Data, pu[p].Grad.Data); i >= 0 {
+							t.Fatalf("fused backward %s grad deviates at word %d, want bitwise identity", p, i)
+						}
+					}
+				})
 			}
-			t.Run(name+"/inference", func(t *testing.T) {
-				fused := tc.build(w).MustCompile(fuse.Options{DType: dt})
-				unfused := tc.build(w).MustCompile(fuse.Options{DType: dt, NoAttnFuse: true})
-				if fused.Stats().AttnFused == 0 {
-					t.Fatal("default compile did not fuse the attention chain")
-				}
-				if unfused.Stats().AttnFused != 0 {
-					t.Fatal("NoAttnFuse plan still reports fused chains")
-				}
-				if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
-					t.Fatalf("fused inference deviates by %g, want bitwise identity", d)
-				}
-			})
-			t.Run(name+"/train", func(t *testing.T) {
-				wf, wu := cloneParam(w), cloneParam(w)
-				fused := tc.build(wf).MustCompile(fuse.Options{Train: true, DType: dt})
-				unfused := tc.build(wu).MustCompile(fuse.Options{Train: true, DType: dt, NoAttnFuse: true})
-				if d := fused.Forward(h).MaxAbsDiff(unfused.Forward(h)); d != 0 {
-					t.Fatalf("fused training forward deviates by %g, want bitwise identity", d)
-				}
-				if d := fused.Backward(gOut).MaxAbsDiff(unfused.Backward(gOut)); d != 0 {
-					t.Fatalf("fused backward input grad deviates by %g, want bitwise identity", d)
-				}
-				if d := wf.Grad.MaxAbsDiff(wu.Grad); d != 0 {
-					t.Fatalf("fused backward W grad deviates by %g, want bitwise identity", d)
-				}
-			})
 		}
 	}
+}
+
+// paramSet names the parameters of the test graphs; clone gives a plan its
+// own gradient accumulators.
+type paramSet map[string]fuse.ParamRef
+
+func (ps paramSet) clone() paramSet {
+	c := make(paramSet, len(ps))
+	for name, p := range ps {
+		c[name] = cloneParam(p)
+	}
+	return c
+}
+
+// buildGATHeads is buildGAT with heads attention heads — head h's parameters
+// are W, a1, a2 suffixed ".h1" from the second on — whose outputs average as
+// a final multi-head layer's do, over a mask that multiplies A's values in
+// when weighted.
+func buildGATHeads(a *sparse.CSR, ps paramSet, heads, k int, weighted bool) *fuse.Graph {
+	g := fuse.NewGraph("gat", a)
+	x := g.InputDense("H", a.Rows, k)
+	outs := make([]*fuse.Node, heads)
+	for h := range outs {
+		sfx := ""
+		if h > 0 {
+			sfx = fmt.Sprintf(".h%d", h)
+		}
+		hp := g.MM("Hp"+sfx, x, g.ParamNode("W"+sfx, ps["W"+sfx]))
+		u := g.MatVecNode("u"+sfx, hp, g.ParamNode("a1"+sfx, ps["a1"+sfx]))
+		v := g.MatVecNode("v"+sfx, hp, g.ParamNode("a2"+sfx, ps["a2"+sfx]))
+		c := g.AddScores("C"+sfx, g.RepRow("u1T"+sfx, u), g.RepCol("1vT"+sfx, v))
+		psi := g.Softmax("Psi"+sfx, g.Mask("E"+sfx, g.LReLUScores("lreluC"+sfx, c, 0.2), weighted))
+		outs[h] = g.Sigma("Hout"+sfx, g.SpMM("Z"+sfx, psi, hp), tanhAct)
+	}
+	g.SetOutput(g.Mean("mean", outs...))
+	return g
 }

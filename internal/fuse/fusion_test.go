@@ -109,28 +109,46 @@ func TestGATForwardFusion(t *testing.T) {
 // virtual matrix virtual. Each sparse or virtual node's VJP is one sweep over
 // the pattern, and the plan holds no n×n buffer (layerFusion). VA (Eq. 11–13):
 // the aggregation's VJP samples M·Hᵀ on the pattern (N), and H·Hᵀ's turns N
-// into N₊·H. GAT: the aggregation's VJP samples G·Hpᵀ (Ψ̄), and LeakyReLU′
-// re-evaluates C = u·1ᵀ + 1·vᵀ per non-zero, whose row and column sums are ū
-// and v̄. The unweighted mask and the sum C pass their cotangent through.
+// into N₊·H. GAT, per op (NoAttnFuse, the reference): the aggregation's VJP
+// samples G·Hpᵀ (Ψ̄), and LeakyReLU′ re-evaluates C = u·1ᵀ + 1·vᵀ per
+// non-zero, whose row and column sums are ū and v̄; the unweighted mask and
+// the sum C pass their cotangent through. By default that chain, from Ψ̄ to ū
+// and v̄, is the fused attention op's two sweeps, once per head.
 func TestBackwardDAGFusions(t *testing.T) {
 	a := fusionGraph()
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
-		l    gnn.DAGLayer
-		want []string
+		l     gnn.DAGLayer
+		perOp bool // compile the layer's DAG with NoAttnFuse
+		want  []string
 	}{
-		{gnn.NewVALayer(a, fusionK, fusionK, gnn.Tanh(), rng),
+		{gnn.NewVALayer(a, fusionK, fusionK, gnn.Tanh(), rng), false,
 			[]string{"va.Hout.bwd sigma", "va.Z.bwd mm", "va.PsiH.bwd spmm", "va.HHt.bwd mmt"}},
-		{gnn.NewAGNNLayer(a, fusionK, fusionK, gnn.Tanh(), rng),
+		{gnn.NewAGNNLayer(a, fusionK, fusionK, gnn.Tanh(), rng), false,
 			[]string{"agnn.Hout.bwd sigma", "agnn.Z.bwd mm", "agnn.PsiH.bwd spmm", "agnn.Psi.bwd softmax",
 				"agnn.betaC.bwd scale", "agnn.C.bwd divide", "agnn.nnT.bwd outer", "agnn.HHt.bwd mmt", "agnn.n.bwd rownorm"}},
-		{gnn.NewGATLayer(a, fusionK, fusionK, gnn.Tanh(), 0.2, rng),
+		{gnn.NewGATLayer(a, fusionK, fusionK, gnn.Tanh(), 0.2, rng), true,
 			[]string{"gat.Hout.bwd sigma", "gat.Z.bwd spmm", "gat.Psi.bwd softmax", "gat.lreluC.bwd lrelu",
 				"gat.1vT.bwd repT", "gat.u1T.bwd rep", "gat.v.bwd matvec", "gat.u.bwd matvec", "gat.Hp.bwd mm"}},
+		{gnn.NewGATLayer(a, fusionK, fusionK, gnn.Tanh(), 0.2, rng), false,
+			[]string{"gat.Hout.bwd sigma", "gat.Z.bwd fused-attn", "gat.v.bwd matvec", "gat.u.bwd matvec", "gat.Hp.bwd mm"}},
+		{gnn.NewMultiHeadGATLayer(a, fusionK, fusionK, 2, false, gnn.Tanh(), 0.2, rng), false,
+			[]string{"gat-multihead.Hout.bwd mean",
+				"gat-multihead.Hout.h1.bwd sigma", "gat-multihead.Z.h1.bwd fused-attn", "gat-multihead.v.h1.bwd matvec",
+				"gat-multihead.u.h1.bwd matvec", "gat-multihead.Hp.h1.bwd mm",
+				"gat-multihead.Hout.h0.bwd sigma", "gat-multihead.Z.h0.bwd fused-attn", "gat-multihead.v.h0.bwd matvec",
+				"gat-multihead.u.h0.bwd matvec", "gat-multihead.Hp.h0.bwd mm"}},
 	} {
-		_, p := layerFusion(t, tc.l, a)
+		var p *fuse.Plan
+		if tc.perOp {
+			g := fuse.NewGraph(tc.l.Name(), a)
+			tc.l.DAG(g, g.InputDense("H", a.Rows, fusionK))
+			p = g.MustCompile(fuse.Options{Train: true, NoAttnFuse: true, SpanPrefix: tc.l.Name() + "."})
+		} else {
+			_, p = layerFusion(t, tc.l, a)
+		}
 		if got := fuse.BackwardOps(p); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s backward ops:\n got %q\nwant %q", tc.l.Name(), got, tc.want)
+			t.Errorf("%s (per op: %v) backward ops:\n got %q\nwant %q", tc.l.Name(), tc.perOp, got, tc.want)
 		}
 	}
 }

@@ -978,7 +978,10 @@ func opMeanVJP[T elem](xs []*spec[T], out *spec[T]) func() {
 }
 
 // opMatVecVJP handles u = X·a: X̄ += ū·aᵀ (a rank-1 row update) and
-// ā += Xᵀ·ū (short k-vector, accumulated serially like tensor.VecMat).
+// ā += Xᵀ·ū, where column t of ā takes its terms over the rows in row order,
+// like tensor.VecMat. The columns split across workers (par.Split: k is
+// short, but each column is a pass over n rows), each summing its columns in
+// its own scratch so that no two workers write one cache line.
 func opMatVecVJP[T elem](x, a, out *spec[T]) func() {
 	rowBody := func(_, lo, hi int) {
 		av, xg := a.dense.Data, x.gdense
@@ -994,22 +997,28 @@ func opMatVecVJP[T elem](x, a, out *spec[T]) func() {
 			}
 		}
 	}
-	rows := out.rows
 	grad := a.grad
-	return func() {
-		par.Range(rows, rowBody)
+	sums := &rowScratch[T]{maxRow: x.cols}
+	colBody := func(worker, lo, hi int) {
 		xd := x.dense
 		k := xd.Cols
-		for i := 0; i < rows; i++ {
-			g := out.gvec[i]
+		acc := sums.row(worker)[lo:hi]
+		copy(acc, grad.Data[lo:hi])
+		for i, g := range out.gvec {
 			if g == 0 {
 				continue
 			}
-			xrow := xd.Data[i*k : (i+1)*k]
-			for t, v := range xrow {
-				grad.Data[t] += g * v
+			for t, v := range xd.Data[i*k+lo : i*k+hi] {
+				acc[t] += g * v
 			}
 		}
+		copy(grad.Data[lo:hi], acc)
+	}
+	rows, cols := out.rows, x.cols
+	return func() {
+		par.Range(rows, rowBody)
+		sums.ensure()
+		par.Split(cols, colBody)
 	}
 }
 

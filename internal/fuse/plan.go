@@ -31,11 +31,14 @@ type Options struct {
 	// the plan boundary, parameter gradients are flushed back into the
 	// float64 Grad accumulators after each backward pass.
 	DType tensor.DType
-	// NoAttnFuse disables the fused SDDMM+softmax+SpMM attention rule.
-	// The fused op executes score sampling, normalization and aggregation
-	// in one sweep per row block and is therefore row-indivisible; callers
-	// that partition plans into arrival-gated fragments (the overlapped
-	// RowEngine) must keep the unfused op sequence.
+	// NoAttnFuse disables the fused SDDMM+softmax+SpMM attention rule, and
+	// with it the fused backward of GAT's chain: the plan runs one op per
+	// node, and one VJP per node backward — the reference the fused
+	// lowerings are held to bit for bit. The fused op executes score
+	// sampling, normalization and aggregation in one sweep per row block and
+	// is therefore row-indivisible; callers that partition plans into
+	// arrival-gated fragments (the overlapped RowEngine) must keep the
+	// unfused op sequence.
 	NoAttnFuse bool
 }
 
@@ -144,8 +147,7 @@ type exec[T elem] struct {
 	widen      castSweep[float64, T]
 	same       castSweep[T, T] // an output cotangent arriving at width T
 
-	zeroMats []*tensor.Mat[T] // cotangent buffers zeroed before each backward
-	zeroVecs [][]T
+	zero zeroSweep[T] // cotangent buffers zeroed before each backward
 
 	mats   []*tensor.Mat[T] // everything acquired from the workspace,
 	slices [][]T            // for release
@@ -179,6 +181,45 @@ func (c *castSweep[D, S]) run(dst []D, src []S) {
 	c.dst, c.src = dst, src
 	par.Range(len(src), c.body)
 	c.dst, c.src = nil, nil // keep no hold on the caller's matrix
+}
+
+// zeroSweep clears a training plan's cotangent buffers before every
+// backward pass: the buffers joined end to end into one index space split over
+// par.Range. At training shapes that is several n×k matrices, as much memory
+// as a sweep writes, so it gets the workers a sweep does. The buffers are the
+// plan's own, added at compile time, and so is the loop body (the method
+// value bound by the first add): a steady-state clear allocates nothing.
+type zeroSweep[T elem] struct {
+	bufs [][]T
+	ends []int // ends[b]: one past buffer b's last word in the joined space
+	body func(worker, lo, hi int)
+}
+
+func (z *zeroSweep[T]) add(buf []T) {
+	end := len(buf)
+	if len(z.ends) > 0 {
+		end += z.ends[len(z.ends)-1]
+	} else {
+		z.body = z.clear
+	}
+	z.bufs, z.ends = append(z.bufs, buf), append(z.ends, end)
+}
+
+// clear zeroes words [lo, hi) of the joined space.
+func (z *zeroSweep[T]) clear(_, lo, hi int) {
+	b := sort.SearchInts(z.ends, lo+1) // the buffer holding word lo
+	for ; lo < hi; b++ {
+		start := z.ends[b] - len(z.bufs[b])
+		end := min(hi, z.ends[b])
+		clear(z.bufs[b][lo-start : end-start])
+		lo = end
+	}
+}
+
+func (z *zeroSweep[T]) run() {
+	if len(z.ends) > 0 {
+		par.Range(z.ends[len(z.ends)-1], z.body)
+	}
 }
 
 // alias views d as a matrix of T when T is float64 — same layout, same
@@ -239,12 +280,7 @@ func (e *exec[T]) refresh() {
 }
 
 func (e *exec[T]) seed(g tensor.Typed) {
-	for _, m := range e.zeroMats {
-		clear(m.Data)
-	}
-	for _, v := range e.zeroVecs {
-		clear(v)
-	}
+	e.zero.run()
 	if e.offDiag {
 		return
 	}
@@ -334,6 +370,7 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 	ws.ReleaseDense(e.outF)
 	ws.ReleaseDense(e.ginF)
 	e.mats, e.slices, e.wire, e.inN, e.outF, e.ginF = nil, nil, nil, nil, nil, nil
+	e.zero = zeroSweep[T]{}
 }
 
 // Compile lowers the graph into an executable plan: it runs the Section 6.2
@@ -427,12 +464,19 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// aggregate, the VA shape) compiles to ONE sweep per row block that
 	// samples the composed scores, normalizes and aggregates while the row
 	// is hot. Training plans still write the normalized scores into the
-	// sparse node's value buffer inside the same sweep, so the derived
-	// backward pass is unchanged; inference plans never materialize a
-	// per-edge score tensor at all. Per-row arithmetic order matches the
-	// unfused sample-then-spmm sequence exactly, so fused plans are
+	// sparse node's value buffer inside the same sweep, for the backward
+	// pass to read; inference plans never materialize a per-edge score
+	// tensor at all. Per-row arithmetic order matches the unfused
+	// sample-then-spmm sequence exactly, so fused plans are
 	// bitwise-identical to unfused ones.
 	attnAgg, attnSrc := attnFusion(g, nodes, cons, fusedMask, opt.NoAttnFuse)
+	// Backward, the VJP chain under a fused GAT aggregation lowers to two
+	// sweeps as well (attnBackward, opAttnFusedVJP); the chain's sparse and
+	// virtual nodes then get neither a VJP nor a cotangent buffer of their own.
+	var attnBwd map[*Node]bool
+	if opt.Train {
+		attnBwd = attnBackward(attnAgg, cons)
+	}
 
 	ws := opt.Workspace
 	if ws == nil {
@@ -557,10 +601,10 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	cotangent := func(s *spec[T]) {
 		if s.node.Kind == Vector {
 			s.gvec = floats(s.rows)
-			e.zeroVecs = append(e.zeroVecs, s.gvec)
+			e.zero.add(s.gvec)
 		} else {
 			s.gdense = mat(s.rows, s.cols)
-			e.zeroMats = append(e.zeroMats, s.gdense)
+			e.zero.add(s.gdense.Data)
 		}
 	}
 
@@ -591,7 +635,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			e.shadows = append(e.shadows, shadow[T]{master: s.param.Value, local: s.dense})
 			if opt.Train {
 				s.grad = mat(s.rows, s.cols)
-				e.zeroMats = append(e.zeroMats, s.grad)
+				e.zero.add(s.grad.Data)
 				e.flushes = append(e.flushes, shadow[T]{master: s.param.Grad, local: s.grad})
 			}
 		case n.Kind == Virtual:
@@ -645,7 +689,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	if opt.Train {
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
-			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) {
+			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) || attnBwd[n] {
 				continue
 			}
 			s := sp(n)
@@ -818,10 +862,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			n := nodes[idx]
 			s := sp(n)
 			ax, _, coll := collective(n.Op)
-			if !here(n) && !coll {
-				continue
+			if !here(n) && !coll || attnBwd[n] {
+				continue // a diagonal rank's op, or one the fused attention VJP runs
 			}
 			var vjp func()
+			op := n.Op
 			switch n.Op {
 			case "input":
 				continue
@@ -844,6 +889,16 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			case "mean":
 				vjp = opMeanVJP(operands(n), s)
 			case "spmm":
+				if psi := attnAgg[n]; attnBwd[psi] {
+					mask := psi.Inputs[0]
+					score := mask.Inputs[1]
+					add := score.Inputs[0]
+					op = "fused-attn"
+					vjp = opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).vals,
+						floats(2*nnz), maskWeights(sp(mask)), T(sp(score).slope),
+						sp(n.Inputs[1]), s, sp(add.Inputs[0].Inputs[0]), sp(add.Inputs[1].Inputs[0]))
+					break
+				}
 				// The adjacency leaf has neither values nor a cotangent of
 				// its own: only the feature half runs, over adjT.
 				sam := sp(n.Inputs[0])
@@ -878,7 +933,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
 			if vjp != nil {
-				emit(&p.bwd, n, ".bwd", n.Op, opFns{run: vjp})
+				emit(&p.bwd, n, ".bwd", op, opFns{run: vjp})
 			}
 		}
 	}
@@ -954,6 +1009,41 @@ func attnFusion(g *Graph, nodes []*Node, cons map[*Node][]*Node, fusedMask map[*
 	return agg, src
 }
 
+// attnBackward finds the fused aggregations whose VJP chain compiles to the
+// two sweeps of opAttnFusedVJP: spmm ← softmax ← mask ← lrelu ← u·1ᵀ + 1·vᵀ,
+// GAT's (a grid plan has none: attnFusion refuses its softmax). u and v must
+// be two vectors nothing else reads: their cotangents then receive the
+// chain's row and column sums and nothing else, so the sums may run at the
+// aggregation's place in the backward list rather than at their own. It
+// returns the chains' sparse and virtual nodes, softmax to repT, whose VJPs
+// and cotangent buffers the fused op takes over. Any other chain — AGNN's,
+// VA's — keeps the per-op VJPs.
+func attnBackward(agg map[*Node]*Node, cons map[*Node][]*Node) map[*Node]bool {
+	chain := make(map[*Node]bool)
+	for _, psi := range agg {
+		if psi.Op != "softmax" || !gatScore(psi.Inputs[0].Inputs[1]) {
+			continue
+		}
+		mask := psi.Inputs[0]
+		score := mask.Inputs[1]
+		add := score.Inputs[0]
+		rep, repT := add.Inputs[0], add.Inputs[1]
+		if u, v := rep.Inputs[0], repT.Inputs[0]; u == v || len(cons[u]) != 1 || len(cons[v]) != 1 {
+			continue
+		}
+		for _, n := range []*Node{psi, mask, score, add, rep, repT} {
+			chain[n] = true
+		}
+	}
+	return chain
+}
+
+// gatScore reports whether n roots GAT's score chain lrelu(u·1ᵀ + 1·vᵀ).
+func gatScore(n *Node) bool {
+	return n.Op == "lrelu" && n.Inputs[0].Op == "add" &&
+		n.Inputs[0].Inputs[0].Op == "rep" && n.Inputs[0].Inputs[1].Op == "repT"
+}
+
 // cotangentOperands lists the operands of a sparse or virtual node whose
 // cotangent is an element-wise function of the node's own — so the two can
 // share one buffer, the VJP running in place: the scores under a mask or a
@@ -997,8 +1087,7 @@ func composeScore[T elem](sp, row func(*Node) *spec[T], n *Node) score[T] {
 	switch {
 	case n.Op == "mmt":
 		return dots(n)
-	case n.Op == "lrelu" && n.Inputs[0].Op == "add" &&
-		n.Inputs[0].Inputs[0].Op == "rep" && n.Inputs[0].Inputs[1].Op == "repT":
+	case gatScore(n):
 		a := n.Inputs[0]
 		us, vs := row(a.Inputs[0].Inputs[0]), sp(a.Inputs[1].Inputs[0])
 		slope := T(sp(n).slope)
@@ -1200,7 +1289,8 @@ func runOps(list []planOp) {
 // and sparse non-zeros one execution of an op sweeps — the Section 6 op
 // counts, made concrete per compiled op. Backward variants approximately
 // double the forward work (two sweeps: operand cotangent + parameter/value
-// cotangent).
+// cotangent); the fused attention VJP, which has no forward twin, is counted
+// as it runs.
 func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept int64) {
 	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
@@ -1226,6 +1316,13 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 	case "fused-softmax":
 		flops, swept = 9*nz, nz
 	case "fused-attn":
+		if backward {
+			// opAttnFusedVJP, counted as it runs over its two sweeps: per
+			// non-zero the Ψ̄ dot product and the Sᵀ·Z̄ axpy (2c each), ρ and
+			// the softmax apply (4), LeakyReLU′ (2) and the row and column
+			// sums (2).
+			return 4*nz*c + 8*nz, 2 * nz
+		}
 		// Score sampling (+softmax for the GAT/AGNN shape) plus the
 		// aggregation, all in one sweep.
 		if n.Inputs[0].Op == "softmax" {

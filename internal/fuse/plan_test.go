@@ -724,7 +724,9 @@ func (g oneRankGrid) AllreduceRow(_ []float64, max bool) {
 // be observed without a network: on a 1×1 grid the lowered GAT and VA plans
 // must issue exactly the collectives the rule says (forward, and their
 // mirrors backward), keep VA one fused sweep while splitting GAT's at the
-// softmax, and produce the single-node plan's bits at both widths. The
+// softmax — and GAT's backward a VJP per op, as the exchanged ρ splits the
+// fused attention VJP's row sweep — and produce the single-node plan's bits
+// at both widths, the fused single-node GAT backward included. The
 // multi-rank equivalences live in internal/distgnn.
 func TestGridLoweringOnOneRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -759,6 +761,7 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		build     func(fuse.Grid) *fuse.Graph
 		attnFused int
 		fwd, bwd  oneRankGrid // collectives of one forward / one backward
+		bwdOps    []string    // the backward op list (fuse.BackwardOps)
 	}{
 		// GAT: Hp and v go down the columns, u along the rows, the softmax
 		// exchanges max and sum, Z's partials are reduced; backward, Z̄ goes
@@ -766,13 +769,18 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		// H̄p up the columns.
 		{"gat", gat, 0,
 			oneRankGrid{"bcast1": 2, "bcast0": 1, "allreduce-max=true": 1, "allreduce-max=false": 1, "reduce0": 1},
-			oneRankGrid{"bcast0": 1, "allreduce-max=false": 1, "reduce0": 1, "reduce1": 2}},
+			oneRankGrid{"bcast0": 1, "allreduce-max=false": 1, "reduce0": 1, "reduce1": 2},
+			[]string{"Hout.bwd sigma", "Z.bwd reduce-row-to-diag", "Z.part.bwd spmm", "Hp.col.bwd bcast-col",
+				"Psi.bwd softmax", "lreluC.bwd lrelu", "1vT.bwd repT", "v.col.bwd bcast-col", "u1T.bwd rep",
+				"u.row.bwd bcast-row", "v.bwd matvec", "u.bwd matvec", "Hp.bwd mm"}},
 		// VA as gnn.VALayer builds it, (Ψ·H)·W: H crosses once per axis —
 		// the column copy the scores read is the one Ψ aggregates — and the
 		// projection runs on the diagonal after the reduce; no softmax.
 		{"va", va, 1,
 			oneRankGrid{"bcast0": 1, "bcast1": 1, "reduce0": 1},
-			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 1}},
+			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 1},
+			[]string{"Hout.bwd sigma", "Z.bwd mm", "PsiH.bwd reduce-row-to-diag", "PsiH.part.bwd spmm",
+				"Psi.bwd mask", "HHt.bwd mmt", "H.col.bwd bcast-col", "H.row.bwd bcast-row"}},
 	} {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			for _, p := range []fuse.ParamRef{w, a1, a2} {
@@ -787,6 +795,9 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 			plan := tc.build(calls).MustCompile(fuse.Options{Train: true, DType: dt})
 			if got := plan.Stats().AttnFused; got != tc.attnFused {
 				t.Errorf("%s %s: %d fused attention sweeps on the grid, want %d", tc.name, dt, got, tc.attnFused)
+			}
+			if got := fuse.BackwardOps(plan); !reflect.DeepEqual(got, tc.bwdOps) {
+				t.Errorf("%s %s: backward ops on the grid\n got %q\nwant %q", tc.name, dt, got, tc.bwdOps)
 			}
 			w.Grad.Zero()
 			out := plan.Forward(h)

@@ -48,7 +48,8 @@ func dotWidth(g *Graph, n *Node) int64 {
 // dtype (8 for f64, 4 for f32) — the lever that halves every value-traffic
 // term on the f32 path; train says the plan materializes the scores its
 // fused sweeps normalize. Backward variants approximately double the
-// forward traffic, mirroring opCost.
+// forward traffic, mirroring opCost (the fused attention VJP's values are
+// counted as they move).
 func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int64) int64 {
 	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
@@ -87,6 +88,19 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		// passes over the freshly written values.
 		b = indexBytes*nz + 7*fb*nz + fb*nz*dotWidth(g, n)
 	case "fused-attn":
+		if backward {
+			// opAttnFusedVJP's two sweeps. The row sweep reads per non-zero
+			// a gathered X row, Ψ and v_j and writes Ψ and C̄ at the entry's
+			// Sᵀ position, and per row Z̄'s row, u_i and ū_i; the transposed
+			// sweep reads Ψ and C̄ back contiguously with a gathered Z̄ row
+			// per non-zero, and per row updates X̄'s row and v̄_j. The values
+			// are counted as they move, not doubled: doubled, the two
+			// gathered rows per non-zero would count four times and the
+			// estimate would exceed the per-op VJPs' it replaces. The index
+			// words — the columns of S and of Sᵀ, and the int64 Sᵀ positions
+			// — are doubled, as every backward estimate's are.
+			return 2*(2*indexBytes+8)*nz + fb*(nz*(2*c+6)+r*(3*c+5))
+		}
 		// One sweep: indices + two score operands (+ the gathered row of a
 		// dot-product chain) in, one gathered X row per non-zero, output
 		// rows out. Softmax passes run over the row's scores while they

@@ -109,8 +109,9 @@ func TestPlanRooflineAccounting(t *testing.T) {
 
 // TestOpBytesModelShapes pins the relative structure of the traffic model:
 // sparse sweeps scale with nnz·k, dense kernels with r·k·c, backward
-// doubles forward, and a dot-product score chain gathers a k-wide row per
-// non-zero on top of the aggregation's.
+// doubles forward, a dot-product score chain gathers a k-wide row per
+// non-zero on top of the aggregation's, and a fused backward costs less than
+// the per-op VJPs it replaces.
 func TestOpBytesModelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const k = 4
@@ -161,6 +162,18 @@ func TestOpBytesModelShapes(t *testing.T) {
 	matvecs := 2 * fb * (r*k + k + r)
 	if want := mm + matvecs + attn - fb*nz*k + 2*fb*nz + sigma; gat.ForwardBytes != want {
 		t.Errorf("GAT inference forward bytes = %d, want %d (no gathered score row, two softmax passes)", gat.ForwardBytes, want)
+	}
+	// GAT's fused backward — two sweeps for the chain's five VJP sweeps —
+	// moves fewer bytes and does fewer flops than the per-op VJPs.
+	gatTrain := func(opt fuse.Options) fuse.PlanStats {
+		opt.Train = true
+		g := buildGAT(small, randParam(rng, "W", k, k), randParam(rng, "a1", k, 1), randParam(rng, "a2", k, 1), k, 0.2)
+		return g.MustCompile(opt).Stats()
+	}
+	fused, perOp := gatTrain(fuse.Options{}), gatTrain(fuse.Options{NoAttnFuse: true})
+	if fused.BackwardBytes >= perOp.BackwardBytes || fused.BackwardFlops >= perOp.BackwardFlops {
+		t.Errorf("GAT backward: fused %d B, %d flops; per op %d B, %d flops — want the fused estimate below",
+			fused.BackwardBytes, fused.BackwardFlops, perOp.BackwardBytes, perOp.BackwardFlops)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"agnn/internal/par"
 	"agnn/internal/tensor"
 )
 
@@ -50,38 +51,58 @@ func (l *CrossEntropyLoss) Eval(out *tensor.Dense) (float64, *tensor.Dense) {
 // masked-in vertices, and the gradient of the sum (shaped like out; rows past
 // n stay zero). The loss decomposes over vertices, so a distributed engine
 // calls it per owned block and divides by the global count — the same
-// arithmetic, in the same order, as Eval on one node.
+// arithmetic, in the same order, as Eval on one node. The vertices' terms and
+// gradient rows are computed in parallel; the terms are then summed in vertex
+// order, so the total does not depend on the worker count.
 func (l *CrossEntropyLoss) Sums(out *tensor.Dense, lo, n int) (total, count float64, grad *tensor.Dense) {
-	grad = tensor.NewDense(out.Rows, out.Cols)
-	for i := 0; i < n; i++ {
-		if l.Mask != nil && !l.Mask[lo+i] {
+	for i := 0; i < n; i++ { // here, so that a bad label panics on the caller's goroutine
+		if !l.in(lo + i) {
 			continue
 		}
-		y := l.Labels[lo+i]
-		if y < 0 || y >= out.Cols {
+		if y := l.Labels[lo+i]; y < 0 || y >= out.Cols {
 			panic(fmt.Sprintf("gnn: label %d out of range [0,%d)", y, out.Cols))
 		}
 		count++
-		row := out.Row(i)
-		m := math.Inf(-1)
-		for _, v := range row {
-			if v > m {
-				m = v
+	}
+	g := tensor.NewDense(out.Rows, out.Cols)
+	terms := make([]float64, n)
+	par.Range(n, func(_, a, b int) {
+		for i := a; i < b; i++ {
+			if l.in(lo + i) {
+				terms[i] = vertexLoss(out.Row(i), g.Row(i), l.Labels[lo+i])
 			}
 		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - m)
+	})
+	for i, term := range terms {
+		if l.in(lo + i) {
+			total += term
 		}
-		logZ := m + math.Log(sum)
-		total += logZ - row[y]
-		grow := grad.Row(i)
-		for j, v := range row {
-			grow[j] = math.Exp(v - logZ) // softmax probability
-		}
-		grow[y] -= 1
 	}
-	return total, count, grad
+	return total, count, g
+}
+
+// in reports whether vertex v is masked in.
+func (l *CrossEntropyLoss) in(v int) bool { return l.Mask == nil || l.Mask[v] }
+
+// vertexLoss returns one vertex's term −log softmax(row)[y] and writes its
+// gradient, softmax(row) − onehot(y), to grow.
+func vertexLoss(row, grow []float64, y int) float64 {
+	m := math.Inf(-1)
+	for _, v := range row {
+		if v > m {
+			m = v
+		}
+	}
+	sum := 0.0
+	for _, v := range row {
+		sum += math.Exp(v - m)
+	}
+	logZ := m + math.Log(sum)
+	for j, v := range row {
+		grow[j] = math.Exp(v - logZ) // softmax probability
+	}
+	grow[y] -= 1
+	return logZ - row[y]
 }
 
 // MSELoss is the mean squared error ‖out − Target‖²/(n·k), used for

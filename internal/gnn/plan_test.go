@@ -40,9 +40,12 @@ func planLayerFixtures(seed int64) (layers []Layer, h *tensor.Dense) {
 
 // TestPlannedLayerSteadyStateAllocs: after the first (compiling, warm-up)
 // step, the planned hot path must run with zero allocations in both modes —
-// every intermediate lives in the plan's preallocated workspace. Pinned to
-// one worker because the parallel runtime allocates goroutine bookkeeping
-// when fanning out.
+// every intermediate lives in the plan's preallocated workspace, and every
+// loop body (the fused attention VJP's sweeps, the cotangent clear) is built
+// at compile time. Besides the 12-vertex fixtures, a GAT and a 2-head GAT on
+// 300 vertices, above par's inline threshold, whose sweeps would fan out at
+// more than one worker. Pinned to one worker because the parallel runtime
+// allocates goroutine bookkeeping when fanning out.
 func TestPlannedLayerSteadyStateAllocs(t *testing.T) {
 	prev := par.Workers()
 	par.SetWorkers(1)
@@ -51,8 +54,17 @@ func TestPlannedLayerSteadyStateAllocs(t *testing.T) {
 	layers, h := planLayerFixtures(801)
 	gOut := tensor.NewDense(12, 3)
 	gOut.Fill(0.25)
+	const big = 300
+	a := testGraph(big, 801)
+	rng := rand.New(rand.NewSource(802))
+	bigLayers := []Layer{NewGATLayer(a, 4, 3, Tanh(), 0.2, rng), NewMultiHeadGATLayer(a, 4, 3, 2, false, Tanh(), 0.2, rng)}
+	bigH, bigOut := tensor.RandN(big, 4, 0.8, rng), tensor.NewDense(big, 3)
+	bigOut.Fill(0.25)
 
-	for _, l := range layers {
+	for i, l := range append(layers, bigLayers...) {
+		if i >= len(layers) {
+			h, gOut = bigH, bigOut
+		}
 		l.Forward(h, true) // compile + warm up lazily allocated scratch
 		l.Backward(gOut)
 		l.Forward(h, false)

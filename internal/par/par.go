@@ -91,6 +91,22 @@ func Range(n int, fn func(worker, lo, hi int)) {
 	runEven(n, chunk, fn)
 }
 
+// Split is Range without the inline threshold: fn runs over [0, n) in at
+// most Workers() contiguous chunks however small n is. It is for a few
+// indices that each carry a worker's worth of work — a column of a tall
+// matrix — which Range would run inline on the caller.
+func Split(n int, fn func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	w := min(Workers(), n)
+	if w == 1 {
+		fn(0, 0, n)
+		return
+	}
+	runEven(n, (n+w-1)/w, fn)
+}
+
 // RangeWeighted runs fn over [0, n) split into chunks of approximately equal
 // total weight, where weight(i) is the cost of index i (e.g. the number of
 // non-zeros in row i of a sparse matrix). This is the nnz-balanced schedule

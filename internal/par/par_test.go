@@ -8,16 +8,26 @@ import (
 )
 
 func TestRangeCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 255, 256, 257, 1000, 4096} {
-		seen := make([]int32, n)
-		Range(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
+	prev := SetWorkers(3)
+	defer SetWorkers(prev)
+	for name, run := range map[string]func(int, func(worker, lo, hi int)){"Range": Range, "Split": Split} {
+		for _, n := range []int{0, 1, 2, 7, 255, 256, 257, 1000, 4096} {
+			seen := make([]int32, n)
+			var workers sync.Map
+			run(n, func(worker, lo, hi int) {
+				workers.Store(worker, true)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("%s n=%d: index %d visited %d times", name, n, i, c)
+				}
 			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+			// Split hands even a few indices to as many workers as there are.
+			if _, ok := workers.Load(min(n, 3) - 1); name == "Split" && n > 0 && !ok {
+				t.Errorf("Split n=%d: worker %d got no chunk", n, min(n, 3)-1)
 			}
 		}
 	}

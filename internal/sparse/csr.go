@@ -159,6 +159,23 @@ func (s *CSR) transpose(src []int64) *CSR {
 type Transposed struct {
 	Pat *CSR    // Sᵀ's pattern — Rows, Cols, RowPtr, Col; Val is nil
 	Src []int64 // entry q of Sᵀ is entry Src[q] of S
+
+	dst     []int64 // Dst's memo
+	dstOnce sync.Once
+}
+
+// Dst returns the inverse of Src: entry p of S is entry Dst()[p] of Sᵀ. A
+// sweep over S's rows writes through it what a sweep over Sᵀ's rows then
+// reads contiguously. Computed on first use and shared, like the Transposed
+// itself, so only the patterns some sweep writes that way pay for it.
+func (t *Transposed) Dst() []int64 {
+	t.dstOnce.Do(func() {
+		t.dst = make([]int64, len(t.Src))
+		for q, p := range t.Src {
+			t.dst[p] = int64(q)
+		}
+	})
+	return t.dst
 }
 
 // TransposedPattern returns the transposed pattern of S, computed on first

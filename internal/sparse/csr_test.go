@@ -116,6 +116,17 @@ func TestTranspose(t *testing.T) {
 	if !st.Transpose().ToDense().ApproxEqual(s.ToDense(), 0) {
 		t.Fatal("(Sᵀ)ᵀ != S")
 	}
+	// The pattern form: entry q of Sᵀ is entry Src[q] of S, and Dst maps back.
+	tp := s.TransposedPattern()
+	if !tp.Pat.SamePattern(st) {
+		t.Fatal("TransposedPattern's pattern differs from Transpose's")
+	}
+	dst := tp.Dst()
+	for q, p := range tp.Src {
+		if s.Val[p] != st.Val[q] || dst[p] != int64(q) {
+			t.Fatalf("entry %d of Sᵀ: Src %d (value %v, want %v), Dst[Src] = %d", q, p, s.Val[p], st.Val[q], dst[p])
+		}
+	}
 }
 
 func TestWithValuesSharesPattern(t *testing.T) {
