@@ -42,7 +42,6 @@ func main() {
 	flag.IntVar(&s.Ranks, "p", 1, "simulated process count (1 = shared memory; >1 must be a perfect square for the global engine)")
 	engine := flag.String("engine", "global", "execution engine: global, rows, local, minibatch")
 	flag.BoolVar(&s.Inference, "inference", false, "run inference only (no intermediate matrices stored)")
-	flag.BoolVar(&s.Overlap, "overlap", false, "engine=rows: overlap the feature allgather with arrival-gated plan fragments")
 	flag.IntVar(&s.Repeat, "repeat", 10, "number of timed repetitions")
 	flag.IntVar(&s.Warmup, "warmup", 2, "number of warmup runs")
 	flag.IntVar(&s.BatchSize, "batch", 16384, "mini-batch seed count (engine=minibatch)")
@@ -102,10 +101,6 @@ func main() {
 			res.PredictedWords, res.CommRatio)
 		fmt.Printf("layer time: measured %.6fs, model %.6fs (measured/predicted %.2f)\n",
 			res.MeanLayerSec, res.PredictedLayerSec, res.LayerTimeRatio)
-		if res.Overlap {
-			fmt.Printf("overlap: hidden %.6fs per rank per execution, local fraction %.2f\n",
-				res.OverlapHiddenSec, res.OverlapLocalFrac)
-		}
 		if res.CritPathSec > 0 {
 			fmt.Printf("critical path: %.6fs per execution, %.6fs of it blocked (measured/predicted %.2f)\n",
 				res.CritPathSec, res.CritPathWaitSec, res.CritPathRatio)

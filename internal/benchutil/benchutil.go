@@ -23,7 +23,6 @@ import (
 	"agnn/internal/graph"
 	"agnn/internal/local"
 	"agnn/internal/obs"
-	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -34,9 +33,9 @@ type Engine string
 // Engines. EngineGlobal is the paper's global tensor formulation (the grid
 // engine when Ranks > 1); EngineRows is the 1D A-stationary row layout
 // (full feature allgather per layer, inference only — the replication-factor
-// ablation and the overlap testbed); EngineLocal is the message-passing
-// baseline (full-batch; halo exchange when distributed); EngineMiniBatch is
-// the DistDGL-style mini-batch baseline (training only).
+// ablation); EngineLocal is the message-passing baseline (full-batch; halo
+// exchange when distributed); EngineMiniBatch is the DistDGL-style
+// mini-batch baseline (training only).
 const (
 	EngineGlobal    Engine = "global"
 	EngineRows      Engine = "rows"
@@ -57,7 +56,6 @@ type Spec struct {
 	Ranks     int    // simulated process count (1 = shared-memory)
 	Engine    Engine
 	Inference bool // forward only vs forward+backward+update
-	Overlap   bool // rows engine: chunked allgather + arrival-gated plan fragments
 	BatchSize int  // minibatch engine: seeds per step (paper: 16384)
 	Repeat    int  // timed executions (paper: 10)
 	Warmup    int  // untimed executions (paper: 2)
@@ -121,10 +119,8 @@ type Result struct {
 
 	// Latency-side validation (Ranks > 1; see costmodel.ValidateTime).
 	MeanLayerSec      float64 // measured median wall time per layer
-	PredictedLayerSec float64 // cost-model layer time (overlap-adjusted when Overlap)
+	PredictedLayerSec float64 // cost-model layer time: compute + α-β comm
 	LayerTimeRatio    float64 // measured / predicted layer time
-	OverlapHiddenSec  float64 // comm wall time hidden per rank per execution (Overlap)
-	OverlapLocalFrac  float64 // fraction of rows runnable before the first remote chunk
 
 	// Cross-rank critical path (Ranks > 1 with tracing on; reconstructed
 	// from the causal message log, see internal/obs/causal and
@@ -210,14 +206,9 @@ func RunSpec(s Spec) (Result, error) {
 	}
 	cfg := s.gnnConfig(kind)
 
-	if s.Overlap && s.Engine != EngineRows {
-		return Result{}, fmt.Errorf("benchutil: -overlap requires engine=rows (got %q)", s.Engine)
-	}
-
 	var times []float64
 	var maxBytes, maxMsgs int64
 	runs := s.Warmup + s.Repeat
-	hidden0 := metrics.OverlapHiddenSeconds.Value()
 	if s.Ranks == 1 {
 		times, err = runSingle(s, cfg, a, h, labels, runs)
 	} else {
@@ -251,21 +242,11 @@ func RunSpec(s Spec) (Result, error) {
 		res.CommRatio = costmodel.ValidateComm(res.PredictedWords, res.MeasuredWords).Ratio
 
 		// Latency closed loop: comm time from the α-β model on the measured
-		// counters, compute time inferred from the measured layer wall time,
-		// prediction overlap-adjusted when chunked execution was on.
+		// counters, compute time inferred from the measured layer wall time;
+		// the collective completes before the compute starts, so they add.
 		res.MeanLayerSec = res.MedianSec / float64(s.Layers)
 		commSec := res.NetModelSec / float64(s.Layers)
-		if s.Overlap {
-			// Accumulated across every rank, layer and execution (warmup included).
-			res.OverlapHiddenSec = (metrics.OverlapHiddenSeconds.Value() - hidden0) / float64(runs*s.Ranks)
-			res.OverlapLocalFrac = metrics.OverlapLocalFraction.Value()
-			seqSec := res.MeanLayerSec + res.OverlapHiddenSec/float64(s.Layers)
-			computeSec := math.Max(seqSec-commSec, 0)
-			res.PredictedLayerSec = costmodel.OverlappedLayerTime(computeSec, commSec, 1)
-		} else {
-			computeSec := math.Max(res.MeanLayerSec-commSec, 0)
-			res.PredictedLayerSec = costmodel.SequentialLayerTime(computeSec, commSec)
-		}
+		res.PredictedLayerSec = math.Max(res.MeanLayerSec-commSec, 0) + commSec
 		res.LayerTimeRatio = costmodel.ValidateTime(res.PredictedLayerSec, res.MeanLayerSec).Ratio
 
 		// Critical path: the runDistributed loop marks every timed
@@ -411,16 +392,10 @@ func newRankStep(s Spec, c *dist.Comm, cfg gnn.Config, a *sparse.CSR, h *tensor.
 		if err != nil {
 			return nil, nil, err
 		}
-		if s.Overlap {
-			if err := e.EnableOverlap(); err != nil {
-				e.Close()
-				return nil, nil, err
-			}
-		}
 		hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
 		return func() error {
-			_, err := e.Forward(hOwned)
-			return err
+			e.Forward(hOwned)
+			return nil
 		}, e.Close, nil
 	default: // EngineLocal, EngineMiniBatch: RunSpec admits no other
 		e, err := distgnn.NewLocalEngine(c, a, cfg)

@@ -228,33 +228,24 @@ func TestFig6SmallEndToEnd(t *testing.T) {
 }
 
 func TestRunSpecRowsEngine(t *testing.T) {
-	for _, overlap := range []bool{false, true} {
-		s := quickSpec()
-		s.Model = "VA"
-		s.Ranks = 4
-		s.Engine = EngineRows
-		s.Overlap = overlap
-		r, err := RunSpec(s)
-		if err != nil {
-			t.Fatalf("overlap=%v: %v", overlap, err)
-		}
-		if r.CommBytesMax == 0 || r.MedianSec <= 0 {
-			t.Fatalf("overlap=%v: bad measurement %+v", overlap, r)
-		}
-		// Ring allgather sends (p−1)/p of the predicted Θ(nk) per layer
-		// (the blocking collective adds a small length-exchange ring).
-		if r.CommRatio < 0.75 || r.CommRatio > 0.76 {
-			t.Errorf("overlap=%v: words ratio %v, want ≈(p-1)/p = 0.75", overlap, r.CommRatio)
-		}
-		if r.MeanLayerSec <= 0 || r.PredictedLayerSec <= 0 || r.LayerTimeRatio <= 0 {
-			t.Errorf("overlap=%v: layer-time validation unset: %+v", overlap, r)
-		}
-		if overlap && r.OverlapHiddenSec <= 0 {
-			t.Errorf("overlapped run hid no communication: %+v", r)
-		}
-		if !overlap && (r.OverlapHiddenSec != 0 || r.OverlapLocalFrac != 0) {
-			t.Errorf("sequential run reported overlap fields: %+v", r)
-		}
+	s := quickSpec()
+	s.Model = "VA"
+	s.Ranks = 4
+	s.Engine = EngineRows
+	r, err := RunSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.CommBytesMax == 0 || r.MedianSec <= 0 {
+		t.Fatalf("bad measurement %+v", r)
+	}
+	// Ring allgather sends (p−1)/p of the predicted Θ(nk) per layer
+	// (the blocking collective adds a small length-exchange ring).
+	if r.CommRatio < 0.75 || r.CommRatio > 0.76 {
+		t.Errorf("words ratio %v, want ≈(p-1)/p = 0.75", r.CommRatio)
+	}
+	if r.MeanLayerSec <= 0 || r.PredictedLayerSec <= 0 || r.LayerTimeRatio <= 0 {
+		t.Errorf("layer-time validation unset: %+v", r)
 	}
 }
 
@@ -265,12 +256,6 @@ func TestRunSpecRowsEngineRejections(t *testing.T) {
 	s.Inference = false
 	if _, err := RunSpec(s); err == nil {
 		t.Error("training on the rows engine accepted")
-	}
-	s = quickSpec()
-	s.Ranks = 4
-	s.Overlap = true // engine stays global
-	if _, err := RunSpec(s); err == nil {
-		t.Error("overlap with a non-rows engine accepted")
 	}
 }
 

@@ -127,6 +127,51 @@ func ValidateComm(predictedWords, measuredWords float64) Validation {
 	return v
 }
 
+// TimeValidation is the latency-side counterpart of Validation: predicted
+// vs measured mean per-layer wall time.
+type TimeValidation struct {
+	PredictedSeconds float64 `json:"predicted_seconds"`
+	MeasuredSeconds  float64 `json:"measured_seconds"`
+	Ratio            float64 `json:"ratio"` // measured / predicted; 0 when nothing was predicted
+}
+
+// Within reports whether the measurement is within factor f of the
+// prediction in either direction.
+func (v TimeValidation) Within(f float64) bool {
+	return WithinFactor(v.MeasuredSeconds, v.PredictedSeconds, f)
+}
+
+// ValidateTime compares a predicted mean per-layer wall time against the
+// measured one and publishes both sides to the live metrics registry
+// (agnn_layer_predicted_seconds / agnn_layer_measured_seconds) — the
+// latency-side closed loop that ValidateComm provides for volumes.
+func ValidateTime(predictedSec, measuredSec float64) TimeValidation {
+	metrics.LayerPredictedSeconds.Set(predictedSec)
+	metrics.LayerMeasuredSeconds.Set(measuredSec)
+	v := TimeValidation{PredictedSeconds: predictedSec, MeasuredSeconds: measuredSec}
+	if predictedSec > 0 {
+		v.Ratio = measuredSec / predictedSec
+	}
+	return v
+}
+
+// ValidateCriticalPath compares the α-β-γ model's predicted epoch time
+// against the measured cross-rank critical path (internal/obs/causal) and
+// publishes both sides as agnn_critpath_predicted_seconds /
+// agnn_critpath_measured_seconds. Where ValidateTime checks mean layer
+// latency, this checks the end-to-end dependency chain: a ratio well above
+// 1 with a low per-layer ratio means the slowdown is in waits between
+// layers (stragglers, serialization), not in the kernels themselves.
+func ValidateCriticalPath(predictedSec, measuredSec float64) TimeValidation {
+	metrics.CritPathPredictedSeconds.Set(predictedSec)
+	metrics.CritPathMeasuredSeconds.Set(measuredSec)
+	v := TimeValidation{PredictedSeconds: predictedSec, MeasuredSeconds: measuredSec}
+	if predictedSec > 0 {
+		v.Ratio = measuredSec / predictedSec
+	}
+	return v
+}
+
 // WithinFactor reports whether measured is within factor f of predicted
 // (both directions); used by the verification tests and benchmarks to
 // assert that the simulated runtime tracks the theory.

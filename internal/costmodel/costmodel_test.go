@@ -249,3 +249,22 @@ func TestRegistryMeasuredCommTracksModelKronecker(t *testing.T) {
 		t.Fatalf("measured gauge = %v, want %v", got, maxWords)
 	}
 }
+
+func TestValidateTimePublishesGauges(t *testing.T) {
+	v := ValidateTime(0.02, 0.03)
+	if v.Ratio != 1.5 {
+		t.Errorf("ratio %v, want 1.5", v.Ratio)
+	}
+	if !v.Within(2) || v.Within(1.2) {
+		t.Errorf("Within misbehaves: %+v", v)
+	}
+	if got := metrics.LayerPredictedSeconds.Value(); got != 0.02 {
+		t.Errorf("predicted gauge %v, want 0.02", got)
+	}
+	if got := metrics.LayerMeasuredSeconds.Value(); got != 0.03 {
+		t.Errorf("measured gauge %v, want 0.03", got)
+	}
+	if v0 := ValidateTime(0, 0.01); v0.Ratio != 0 {
+		t.Errorf("zero prediction must give ratio 0, got %v", v0.Ratio)
+	}
+}

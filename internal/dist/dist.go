@@ -182,20 +182,16 @@ const (
 	collReduce
 	collGatherv
 	collAlltoallv
-	collGatherChunks // a whole chunked allgather: its hops are what the byte histogram observes
-	collGatherHop    // one ring hop of it
 	numColl
 )
 
-// collNames are the kinds' record names and, but for the chunked gather's
-// two (wireRank), their labels in the agnn_collective_bytes histogram.
+// collNames are the kinds' record names and their labels in the
+// agnn_collective_bytes histogram.
 var collNames = [numColl]string{"barrier", "bcast", "allgather", "reduce_scatter", "allreduce",
-	"reduce", "gatherv", "alltoallv", "allgather_chunks", "gather.hop"}
+	"reduce", "gatherv", "alltoallv"}
 
 // rankTel is one rank's telemetry: its sites (log, wait histogram,
-// straggler counter) and one instrument per collective kind. The chunked
-// gather's two run on a helper goroutine beside the rank's compute, so
-// their records go on the rank's side timeline.
+// straggler counter) and one instrument per collective kind.
 type rankTel struct {
 	obs.RankSites
 	coll [numColl]obs.Collective
@@ -271,14 +267,7 @@ func (w *World) wireRank(rank int) {
 	t := &w.tel[rank]
 	t.RankSites = obs.SitesFor(rank)
 	for k, name := range collNames {
-		label, side := name, false
-		switch k {
-		case collGatherChunks:
-			label, side = "", true
-		case collGatherHop:
-			label, side = "allgather_chunk", true
-		}
-		t.coll[k] = t.Collective(name, label, side)
+		t.coll[k] = t.Collective(name)
 	}
 }
 
@@ -337,9 +326,9 @@ func (w *World) survivorErr() error {
 }
 
 // rankFailure is the internal unwind sentinel: Comm methods panic with it
-// when the rank must abort its superstep, and the Run harnesses (plus the
-// chunked-gather helper) recover it into a per-rank error. Any other panic
-// value is a genuine bug and is re-raised.
+// when the rank must abort its superstep, and the Run harnesses recover it
+// into a per-rank error. Any other panic value is a genuine bug and is
+// re-raised.
 type rankFailure struct {
 	rank int
 	err  error
@@ -516,8 +505,7 @@ type Comm struct {
 	// this communicator (0 between collectives); message records carry it
 	// so path segments and flow arrows name their collective hop. Nested
 	// collectives (allreduce = reduce-scatter + allgather) stack codes so
-	// the innermost wins. Owned by the rank goroutine — the concurrent
-	// chunked-gather helper passes its code explicitly instead.
+	// the innermost wins. Owned by the rank goroutine.
 	curColl   uint32
 	collStack []uint32
 }
@@ -558,12 +546,7 @@ func (c *Comm) Group(local []int) *Comm {
 // retry budget, after which the rank aborts. If another rank has already
 // failed, Send unwinds with ErrRankFailed instead of queueing into a dead
 // world.
-func (c *Comm) Send(to int, data []float64) { c.sendCoded(to, data, c.curColl) }
-
-// sendCoded is Send with an explicit code naming the enclosing collective;
-// the chunked-gather helper goroutine uses it to avoid racing on the rank's
-// curColl.
-func (c *Comm) sendCoded(to int, data []float64, code uint32) {
+func (c *Comm) Send(to int, data []float64) {
 	if inj := c.w.opts.Faults; inj != nil {
 		for attempt := 1; ; attempt++ {
 			act := inj.OnSend(c.global, attempt)
@@ -597,7 +580,7 @@ func (c *Comm) sendCoded(to int, data []float64, code uint32) {
 		Step:  c.w.stepNow[c.global].Load(),
 		Clock: c.w.clock[c.global].Add(1),
 	}
-	c.tel.Sent(code, hdr.Seq, c.group[to], hdr.Step)
+	c.tel.Sent(c.curColl, hdr.Seq, c.group[to], hdr.Step)
 	if err := c.w.eps[c.global].Send(c.group[to], distnet.Message{Data: data, Hdr: hdr}); err != nil {
 		c.sendFailed(c.group[to], err)
 	}
@@ -619,7 +602,41 @@ func (c *Comm) sendFailed(to int, err error) {
 // receive deadline expires (the rank then aborts with ErrRecvTimeout), or
 // another rank fails (the rank unwinds with ErrRankFailed). The returned
 // buffer is the caller's to keep.
-func (c *Comm) Recv(from int) []float64 { return c.recvCoded(from, c.curColl) }
+func (c *Comm) Recv(from int) []float64 {
+	if c.w.failed.Load() {
+		c.abortSurvivor()
+	}
+	box := c.w.inbox[c.global][c.group[from]]
+	// Fast path: a queued message costs no wait and no clock reads.
+	select {
+	case m := <-box:
+		return c.accept(m, 0)
+	default:
+	}
+	t0 := obs.Now()
+	defer func() { c.w.noteWait(c.global, obs.Now()-t0) }()
+	if d := c.w.opts.RecvTimeout; d > 0 {
+		timer := acquireTimer(d)
+		defer releaseTimer(timer)
+		select {
+		case m := <-box:
+			return c.accept(m, t0)
+		case <-c.w.failCh:
+			c.abortSurvivor()
+		case <-timer.C:
+			c.abort(fmt.Errorf("%w: rank %d: %w waiting for rank %d after %v",
+				ErrRankFailed, c.global, ErrRecvTimeout, c.group[from], d))
+		}
+		panic("unreachable")
+	}
+	select {
+	case m := <-box:
+		return c.accept(m, t0)
+	case <-c.w.failCh:
+		c.abortSurvivor()
+		panic("unreachable")
+	}
+}
 
 // recvInto is the collectives' receive: the payload is borrowed — copied
 // into dst and handed straight back to the endpoint for the next arrival.
@@ -633,48 +650,10 @@ func (c *Comm) recvInto(from int, dst []float64) {
 // back to the rank's endpoint.
 func (c *Comm) recycle(in []float64) { c.w.eps[c.global].Recycle(in) }
 
-// recvCoded is Recv with an explicit collective code (see sendCoded).
-func (c *Comm) recvCoded(from int, code uint32) []float64 {
-	if c.w.failed.Load() {
-		c.abortSurvivor()
-	}
-	box := c.w.inbox[c.global][c.group[from]]
-	// Fast path: a queued message costs no wait and no clock reads.
-	select {
-	case m := <-box:
-		return c.accept(m, 0, code)
-	default:
-	}
-	t0 := obs.Now()
-	defer func() { c.w.noteWait(c.global, obs.Now()-t0) }()
-	if d := c.w.opts.RecvTimeout; d > 0 {
-		timer := acquireTimer(d)
-		defer releaseTimer(timer)
-		select {
-		case m := <-box:
-			return c.accept(m, t0, code)
-		case <-c.w.failCh:
-			c.abortSurvivor()
-		case <-timer.C:
-			c.abort(fmt.Errorf("%w: rank %d: %w waiting for rank %d after %v",
-				ErrRankFailed, c.global, ErrRecvTimeout, c.group[from], d))
-		}
-		panic("unreachable")
-	}
-	select {
-	case m := <-box:
-		return c.accept(m, t0, code)
-	case <-c.w.failCh:
-		c.abortSurvivor()
-		panic("unreachable")
-	}
-}
-
 // recvTimers pools the deadline timers of blocked receives. Arming a
 // receive deadline used to allocate a fresh runtime timer per blocked
 // receive; the pool amortizes that to zero on the steady state while
-// staying safe for the concurrent receives a rank's chunked-gather helper
-// performs alongside it.
+// staying safe for the concurrent receives of in-process ranks.
 var recvTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // acquireTimer returns a pooled timer armed with deadline d. Timers in the
@@ -703,7 +682,7 @@ func releaseTimer(t *time.Timer) {
 // nothing is recorded) and records the arrival with its blocked interval.
 // t0 is when the receiver started blocking (0 for the queued-message fast
 // path). Allocation-free.
-func (c *Comm) accept(m distnet.Message, t0 int64, code uint32) []float64 {
+func (c *Comm) accept(m distnet.Message, t0 int64) []float64 {
 	clk := &c.w.clock[c.global]
 	for {
 		cur := clk.Load()
@@ -719,7 +698,7 @@ func (c *Comm) accept(m distnet.Message, t0 int64, code uint32) []float64 {
 	if t0 != 0 {
 		waited = obs.Now() - t0
 	}
-	c.tel.Received(code, waited, m.Hdr.Seq, m.Hdr.Src, m.Hdr.Step)
+	c.tel.Received(c.curColl, waited, m.Hdr.Seq, m.Hdr.Src, m.Hdr.Step)
 	return m.Data
 }
 
@@ -776,20 +755,14 @@ func (c *Comm) beginCollective(kind int) collCall {
 // instrument: the per-call byte delta lands in the collective's histogram
 // (the "words per rank per superstep" distribution the Section 7 BSP
 // analysis bounds) and on the call's one record, with the message count.
+// On a recorded run it also samples the world's cumulative bytes onto the
+// trace's "comm bytes" counter timeline.
 func (c *Comm) endCollective(call collCall) {
 	n := len(c.collStack)
 	c.curColl, c.collStack = c.collStack[n-1], c.collStack[:n-1]
-	c.endCall(call)
-}
-
-// endCall credits a collective call that stacked no code (the chunked
-// gather runs beside the rank's own collectives) and, on a recorded run,
-// samples the world's cumulative bytes onto the trace's "comm bytes"
-// counter timeline.
-func (c *Comm) endCall(call collCall) {
 	after := c.Counters()
 	c.tel.coll[call.kind].Done(call.t0, after.BytesSent-call.before.BytesSent,
-		after.MsgsSent-call.before.MsgsSent, 0)
+		after.MsgsSent-call.before.MsgsSent)
 	if obs.Recording() {
 		var total int64
 		for r := range c.w.counters {

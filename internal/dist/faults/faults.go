@@ -11,9 +11,8 @@
 // every run regardless of goroutine interleaving across ranks.
 //
 // Injected faults never corrupt payloads: delays stretch time, drops force
-// bounded retransmission of an identical message, reorders permute chunk
-// *notification* order (the data is already in place), and crashes stop a
-// rank at a chosen BSP round. A fault-injected run that completes therefore
+// bounded retransmission of an identical message, and crashes stop a rank
+// at a chosen BSP round. A fault-injected run that completes therefore
 // produces bitwise-identical results to a fault-free run — the property the
 // checkpoint/resume determinism tests assert.
 //
@@ -37,14 +36,11 @@ type Kind string
 
 // Fault kinds. Crash halts a rank at a chosen communication round (BSP
 // superstep count); Delay sleeps before a send (straggler emulation); Drop
-// fails a send transiently, forcing the runtime's bounded retry; Reorder
-// swaps the delivery order of adjacent chunked-allgather arrival
-// notifications.
+// fails a send transiently, forcing the runtime's bounded retry.
 const (
-	Crash   Kind = "crash"
-	Delay   Kind = "delay"
-	Drop    Kind = "drop"
-	Reorder Kind = "reorder"
+	Crash Kind = "crash"
+	Delay Kind = "delay"
+	Drop  Kind = "drop"
 )
 
 // Wire-level fault kinds, applied by the TCP transport (internal/dist/net)
@@ -63,9 +59,9 @@ const (
 // Clause is one parsed fault directive.
 type Clause struct {
 	Kind  Kind
-	Rank  int           // target rank; -1 = any rank (delay/drop/reorder)
+	Rank  int           // target rank; -1 = any rank (delay/slowsock)
 	Round int64         // crash: the communication round to crash at
-	P     float64       // delay/drop/reorder: per-event probability
+	P     float64       // delay/drop/conndrop/slowsock: per-event probability
 	Dur   time.Duration // delay: sleep duration
 	Max   int           // drop: max consecutive drops of one message (bounds retries)
 }
@@ -93,8 +89,6 @@ func (s Spec) String() string {
 			parts = append(parts, p)
 		case Drop:
 			parts = append(parts, fmt.Sprintf("drop:p=%g,max=%d", c.P, c.Max))
-		case Reorder:
-			parts = append(parts, fmt.Sprintf("reorder:p=%g", c.P))
 		case ConnDrop:
 			parts = append(parts, fmt.Sprintf("conndrop:p=%g,max=%d", c.P, c.Max))
 		case SlowSock:
@@ -115,7 +109,7 @@ func (s Spec) String() string {
 //	spec    := clause (';' clause)*
 //	clause  := kind ':' param (',' param)*
 //	param   := key '=' value
-//	kind    := 'crash' | 'delay' | 'drop' | 'reorder'
+//	kind    := 'crash' | 'delay' | 'drop' | 'conndrop' | 'slowsock' | 'partition'
 //
 // with per-kind parameters:
 //
@@ -123,7 +117,6 @@ func (s Spec) String() string {
 //	delay:p=<float>,ms=<float>[,rank=<int>]   sleep ms before a send, prob p
 //	drop:p=<float>[,max=<int>]        fail a send transiently, prob p,
 //	                                  at most max consecutive drops (default 2)
-//	reorder:p=<float>                 swap adjacent chunk arrivals, prob p
 //	conndrop:p=<float>[,max=<int>]    close the socket before a frame write,
 //	                                  prob p, at most max consecutive (default 2)
 //	slowsock:p=<float>,ms=<float>[,rank=<int>]   stall a socket write, prob p
@@ -231,13 +224,6 @@ func Parse(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("faults: clause %q: drop needs max>=1", raw)
 			}
 			c.Max = int(max)
-		case Reorder:
-			if c.P, err = getFloat("p", 0); err != nil {
-				return Spec{}, err
-			}
-			if c.P <= 0 {
-				return Spec{}, fmt.Errorf("faults: clause %q: reorder needs p>0", raw)
-			}
 		case ConnDrop:
 			var max int64
 			if c.P, err = getFloat("p", 0); err != nil {
@@ -469,17 +455,6 @@ func (s Spec) HasWire() bool {
 	for _, c := range s.Clauses {
 		switch c.Kind {
 		case ConnDrop, SlowSock, Partition:
-			return true
-		}
-	}
-	return false
-}
-
-// ReorderChunk reports whether the chunked-gather notification for the
-// current hop on rank should be held back and swapped with the next one.
-func (in *Injector) ReorderChunk(rank int) bool {
-	for _, c := range in.spec.Clauses {
-		if c.Kind == Reorder && in.roll(rank) < c.P {
 			return true
 		}
 	}

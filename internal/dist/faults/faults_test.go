@@ -7,12 +7,12 @@ import (
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	spec, err := Parse("crash:rank=3,round=12;delay:p=0.01,ms=5;drop:p=0.005,max=2;reorder:p=0.1")
+	spec, err := Parse("crash:rank=3,round=12;delay:p=0.01,ms=5;drop:p=0.005,max=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Clauses) != 4 {
-		t.Fatalf("parsed %d clauses, want 4", len(spec.Clauses))
+	if len(spec.Clauses) != 3 {
+		t.Fatalf("parsed %d clauses, want 3", len(spec.Clauses))
 	}
 	c := spec.Clauses[0]
 	if c.Kind != Crash || c.Rank != 3 || c.Round != 12 {
@@ -49,13 +49,13 @@ func TestParseEmpty(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"boom:p=1",              // unknown kind
+		"reorder:p=0.1",         // unknown kind
 		"crash:rank=1",          // missing round
 		"crash:round=4",         // missing rank
 		"delay:p=0.5",           // missing ms
 		"delay:p=2,ms=1",        // probability out of range
 		"drop:max=3",            // missing p
 		"drop:p=0.1,max=0",      // max < 1
-		"reorder:",              // missing p
 		"delay:p=0.1,ms=1,x=2",  // unknown parameter
 		"delay:p=zebra,ms=1",    // non-numeric
 		"crash:rank=1,round=xy", // non-integer
@@ -145,9 +145,9 @@ func TestCrashFiresOnce(t *testing.T) {
 }
 
 func TestSpecStringContainsKinds(t *testing.T) {
-	spec, _ := Parse("crash:rank=0,round=1;reorder:p=0.5")
+	spec, _ := Parse("crash:rank=0,round=1;drop:p=0.5")
 	s := spec.String()
-	for _, want := range []string{"crash:", "reorder:"} {
+	for _, want := range []string{"crash:", "drop:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
@@ -160,9 +160,9 @@ func TestSpecStringContainsKinds(t *testing.T) {
 // Seeds: the round-trip and error tables above and in wire_test.go.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
-		"crash:rank=3,round=12;delay:p=0.01,ms=5;drop:p=0.005,max=2;reorder:p=0.1",
+		"crash:rank=3,round=12;delay:p=0.01,ms=5;drop:p=0.005,max=2",
 		"conndrop:p=0.2,max=3;slowsock:p=0.5,ms=2,rank=1;partition:rank=0,ms=40",
-		"  ", "boom:p=1", "delay:p 0.1", "delay:p=2,ms=1", "crash:rank=1,round=xy", "reorder:",
+		"  ", "boom:p=1", "delay:p 0.1", "delay:p=2,ms=1", "crash:rank=1,round=xy", "drop:max=3",
 		"delay:p=1e309,ms=1e309", "crash:rank=99999999999999999999,round=1", ";;:=,=;",
 	} {
 		f.Add(s)

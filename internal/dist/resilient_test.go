@@ -217,102 +217,6 @@ func TestDelayPreservesResults(t *testing.T) {
 	}
 }
 
-// TestReorderPreservesChunkedGather: reordered chunk *notifications* must not
-// change the gathered words — data is already placed when announced — and
-// every chunk must still be announced exactly once.
-func TestReorderPreservesChunkedGather(t *testing.T) {
-	const p = 8
-	const chunk = 6
-	lens := make([]int, p)
-	for r := range lens {
-		lens[r] = chunk
-	}
-	inj := faults.New(mustParse(t, "reorder:p=1"), 13, p)
-	opts := Options{Faults: inj}
-	outs := make([][]float64, p)
-	_, errs, err := TryRun(p, opts, func(c *Comm) error {
-		me := c.Rank()
-		data := make([]float64, chunk)
-		for i := range data {
-			data[i] = float64(1000*me + i)
-		}
-		cg, err := c.AllgatherChunks(data, lens)
-		if err != nil {
-			return err
-		}
-		seen := 0
-		for range cg.Chunks() {
-			seen++
-		}
-		if err := cg.Err(); err != nil {
-			return err
-		}
-		if seen != p {
-			t.Errorf("rank %d: %d chunk notifications, want %d", me, seen, p)
-		}
-		outs[me] = cg.Out()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first := FirstError(errs); first != nil {
-		t.Fatal(first)
-	}
-	for r := 0; r < p; r++ {
-		for src := 0; src < p; src++ {
-			for i := 0; i < chunk; i++ {
-				want := float64(1000*src + i)
-				if got := outs[r][src*chunk+i]; got != want {
-					t.Fatalf("rank %d word (%d,%d): %v, want %v", r, src, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestCrashDuringChunkedGather: the chunked collective's helper goroutine
-// must convert a mid-stream failure into a closed channel + Err(), not a
-// leaked goroutine or deadlocked consumer.
-func TestCrashDuringChunkedGather(t *testing.T) {
-	const p = 4
-	const chunk = 8
-	lens := make([]int, p)
-	for r := range lens {
-		lens[r] = chunk
-	}
-	inj := faults.New(faults.Spec{Clauses: []faults.Clause{{
-		Kind: faults.Crash, Rank: 1, Round: 2,
-	}}}, 17, p)
-	opts := Options{Faults: inj, RecvTimeout: 5 * time.Second}
-	done := make(chan struct{})
-	var errs []error
-	go func() {
-		defer close(done)
-		_, errs, _ = TryRun(p, opts, func(c *Comm) error {
-			// Burn a round so the gather itself crosses the crash round.
-			c.Barrier()
-			cg, err := c.AllgatherChunks(make([]float64, chunk), lens)
-			if err != nil {
-				return err
-			}
-			if _, err := cg.Wait(); err != nil {
-				return err
-			}
-			return nil
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("chunked gather deadlocked after crash")
-	}
-	first := FirstError(errs)
-	if first == nil || !errors.Is(first, ErrRankFailed) {
-		t.Fatalf("want ErrRankFailed from chunked gather, got %v", first)
-	}
-}
-
 // TestTryRunSetupError: invalid world sizes surface as a setup error, not a
 // panic, with no per-rank results.
 func TestTryRunSetupError(t *testing.T) {

@@ -6,7 +6,7 @@ package dist
 // the cross-rank median, and — when one rank waited far longer than its
 // peers — flagged as a straggler in both the metrics registry and the
 // rank's event log. This is the runtime answer to "which rank stalled and
-// by how much" for overlap and fault runs (docs/OBSERVABILITY.md): a rank
+// by how much" for slow and fault-injected runs (docs/OBSERVABILITY.md): a rank
 // that waits is a rank whose *peers* are slow, so the straggler event
 // names the victim and the dump shows the perpetrator's lane.
 

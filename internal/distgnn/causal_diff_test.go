@@ -6,6 +6,7 @@ import (
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 	"agnn/internal/obs"
+	"agnn/internal/tensor"
 )
 
 // withCausalTracing records one closure's run.
@@ -77,35 +78,24 @@ func TestCausalTracingTrainingBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestCausalTracingOverlapForwardBitwiseIdentical extends the differential
-// guarantee to the row engine's overlapped path: the chunked ring allgather
-// with per-chunk causal stamps must gather bit-identical outputs with
-// tracing on and off, at p ∈ {4, 16}.
-func TestCausalTracingOverlapForwardBitwiseIdentical(t *testing.T) {
+// TestCausalTracingRowForwardBitwiseIdentical extends the differential
+// guarantee to the row engine: the ring allgather with per-message causal
+// stamps must gather bit-identical outputs with tracing on and off, at
+// p ∈ {4, 16}.
+func TestCausalTracingRowForwardBitwiseIdentical(t *testing.T) {
 	a := graph.Kronecker(6, 8, 91) // 64 vertices
 	h := testFeatures(64, 5)
 	cfg := testCfg(gnn.GAT, 2, 5, 6, 3)
 	for _, p := range []int{4, 16} {
-		for _, overlap := range []bool{false, true} {
-			var want, got [][]float64
-			withoutCausalTracing(t, func() {
-				if out := runRowEngine(t, p, a, cfg, h, overlap); out != nil {
-					want = append(want, out.Data)
-				}
-			})
-			withCausalTracing(t, func() {
-				if out := runRowEngine(t, p, a, cfg, h, overlap); out != nil {
-					got = append(got, out.Data)
-				}
-			})
-			if len(want) != 1 || len(got) != 1 {
-				t.Fatalf("p=%d overlap=%v: missing gathered output", p, overlap)
-			}
-			for i := range want[0] {
-				if got[0][i] != want[0][i] {
-					t.Fatalf("p=%d overlap=%v: traced forward differs at word %d: %v vs %v",
-						p, overlap, i, got[0][i], want[0][i])
-				}
+		var want, got *tensor.Dense
+		withoutCausalTracing(t, func() { want = runRowEngine(t, p, a, cfg, h) })
+		withCausalTracing(t, func() { got = runRowEngine(t, p, a, cfg, h) })
+		if want == nil || got == nil {
+			t.Fatalf("p=%d: missing gathered output", p)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("p=%d: traced forward differs at word %d: %v vs %v", p, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

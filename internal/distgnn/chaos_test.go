@@ -18,7 +18,7 @@ import (
 // TestChaosFromEnv is the CI chaos-matrix entry point: the workflow sets
 //
 //	AGNN_CHAOS_FAULTS  fault spec (docs/ROBUSTNESS.md grammar)
-//	AGNN_CHAOS_ENGINE  "grid" (resilient training) or "rows" (overlapped inference)
+//	AGNN_CHAOS_ENGINE  "grid" (resilient training) or "rows" (row-engine inference)
 //	AGNN_CHAOS_SEED    injector seed (optional, default 1)
 //
 // and runs this test under -race. Locally it skips unless the variables are
@@ -26,7 +26,7 @@ import (
 //
 // Contract being checked: crash faults either recover through checkpoints
 // (grid) or abort every rank with dist.ErrRankFailed and no deadlock
-// (rows); transient faults (delay/drop/reorder) are absorbed and the
+// (rows); transient faults (delay/drop) are absorbed and the
 // result is bitwise identical to a fault-free run.
 func TestChaosFromEnv(t *testing.T) {
 	specStr := os.Getenv("AGNN_CHAOS_FAULTS")
@@ -87,12 +87,14 @@ func chaosGrid(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool)
 	assertBitwiseEqual(t, "chaos-grid", finalWeights(t, res), finalWeights(t, clean))
 }
 
-// chaosRows runs the overlapped 1D row engine's inference under the spec.
+// chaosRows runs the 1D row engine's inference under the spec.
 // There is no checkpoint loop here, so a crash must surface as a clean
 // all-rank ErrRankFailed abort; transient faults must leave the gathered
-// output bitwise identical to the fault-free run.
+// output bitwise identical to the fault-free run. A forward is one round
+// per layer (the blocking allgather), so the engine runs forwards
+// enough to cross the matrix's crash round.
 func chaosRows(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool) {
-	const n = 64
+	const n, forwards = 64, 8
 	a := graph.Kronecker(6, 8, 91)
 	cfg := testCfg(gnn.AGNN, 2, 5, 6, 3)
 	h := testFeatures(n, 5)
@@ -106,12 +108,10 @@ func chaosRows(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool)
 			if err != nil {
 				return err
 			}
-			if err := e.EnableOverlap(); err != nil {
-				return err
-			}
-			o, err := e.Forward(h.SliceRows(e.Lo, e.Hi).Clone())
-			if err != nil {
-				return err
+			x := h.SliceRows(e.Lo, e.Hi).Clone()
+			var o *tensor.Dense
+			for i := 0; i < forwards; i++ {
+				o = e.Forward(x)
 			}
 			if full := e.GatherOutput(o); full != nil {
 				mu.Lock()

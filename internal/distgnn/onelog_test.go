@@ -32,7 +32,7 @@ type site struct {
 	delta int64        // -1: the record's flops word; -2: the number of records
 }
 
-// TestOneRecordPerSite walks the levels of the stack — plan op, overlapped
+// TestOneRecordPerSite walks the levels of the stack — plan op, row-engine
 // plan op, layer, collective, message, superstep, straggler, epoch,
 // checkpoint, rank failure. At each, one firing of the site leaves exactly
 // the records it should on its rank's log, the always-on ring holds the
@@ -50,8 +50,8 @@ func TestOneRecordPerSite(t *testing.T) {
 	defer model.ReleasePlans()
 	forward := func(*testing.T) { model.Forward(h, false) }
 
-	// One overlapped RowEngine forward per rank.
-	rows := func(t *testing.T) { runRowEngine(t, 2, a, testCfg(gnn.GCN, 1, 5, 6, 3), h, true) }
+	// One RowEngine forward per rank.
+	rows := func(t *testing.T) { runRowEngine(t, 2, a, testCfg(gnn.GCN, 1, 5, 6, 3), h) }
 
 	counter := func(c *metrics.Counter) func() int64 { return c.Value }
 	hist := func(h *metrics.Histogram) func() int64 { return func() int64 { return int64(h.Count()) } }
@@ -69,7 +69,7 @@ func TestOneRecordPerSite(t *testing.T) {
 			agg: counter(metrics.PlanOpsTotal.With("sigma")), delta: 1},
 		{level: "plan op flops", run: forward, rank: -1, kind: evlog.KindOp, name: "gcn.Z", count: 1,
 			agg: counter(metrics.OpFlopsTotal.With("spmm")), delta: -1 /* the record's B */},
-		{level: "overlapped plan op", run: rows, rank: 1, kind: evlog.KindOp, name: "row1.Hout", count: 1,
+		{level: "row-engine plan op", run: rows, rank: 1, kind: evlog.KindOp, name: "row1.Hout", count: 1,
 			agg: counter(metrics.PlanOpsTotal.With("sigma")), delta: 2 /* one per rank */},
 		{level: "layer", run: forward, rank: -1, kind: evlog.KindLayer, name: "layer0.forward(gcn)", count: 1,
 			agg: func() int64 { return int64(model.Profile().Stats[0].Calls) }, delta: 1},
@@ -145,8 +145,8 @@ func TestOneRecordPerSite(t *testing.T) {
 	}
 	for _, s := range sites {
 		t.Run(s.level, func(t *testing.T) {
-			if s.level == "overlapped plan op" {
-				s.run(t) // compile and partition outside the measured firing
+			if s.level == "row-engine plan op" {
+				s.run(t) // compile outside the measured firing
 			}
 			obs.StartRecording()
 			defer obs.StopRecording()
@@ -160,7 +160,7 @@ func TestOneRecordPerSite(t *testing.T) {
 
 			var got []evlog.Record
 			for _, r := range log.Events() {
-				if r.Kind&^evlog.Side == s.kind && r.Name() == s.name {
+				if r.Kind == s.kind && r.Name() == s.name {
 					got = append(got, r)
 				}
 			}
@@ -201,8 +201,9 @@ func TestOneRecordPerSite(t *testing.T) {
 }
 
 // parentFamilies is the set of Prometheus family names WritePrometheus
-// emitted after a 2×2 training run before the telemetry stores were merged
-// (captured at PR 23): dashboards and agnn-report key on them.
+// emitted after a 2×2 training run before the telemetry stores were merged,
+// less the three overlap families of the retired overlapped row
+// engine: dashboards and agnn-report key on them.
 var parentFamilies = strings.Fields(`
 	agnn_arena_live_bytes agnn_arena_peak_bytes agnn_checkpoint_seconds agnn_collective_bytes
 	agnn_comm_bytes_total agnn_comm_measured_words agnn_comm_msgs_total agnn_comm_predicted_words
@@ -213,8 +214,7 @@ var parentFamilies = strings.Fields(`
 	agnn_go_gc_pause_seconds_p50 agnn_go_gc_pause_seconds_p99 agnn_go_goroutines agnn_go_heap_goal_bytes
 	agnn_go_heap_live_bytes agnn_go_sched_latency_seconds_p50 agnn_go_sched_latency_seconds_p99
 	agnn_layer_measured_seconds agnn_layer_predicted_seconds agnn_net_bytes_total
-	agnn_net_dial_retries_total agnn_op_bytes_total agnn_op_flops_total agnn_overlap_chunks_total
-	agnn_overlap_hidden_seconds agnn_overlap_local_fraction agnn_plan_bytes_total agnn_plan_flops_total
+	agnn_net_dial_retries_total agnn_op_bytes_total agnn_op_flops_total agnn_plan_bytes_total agnn_plan_flops_total
 	agnn_plan_nnz_total agnn_plan_op_seconds agnn_plan_ops_total agnn_plancache_bytes
 	agnn_plancache_evictions agnn_plancache_hits agnn_plancache_misses agnn_rank_failures_total
 	agnn_rank_wait_seconds agnn_recovery_seconds agnn_serve_batch_vertices agnn_serve_latency_p50_seconds

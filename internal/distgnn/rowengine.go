@@ -3,13 +3,11 @@ package distgnn
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"agnn/internal/dist"
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -30,12 +28,6 @@ type RowEngine struct {
 	aRows  *sparse.CSR // owned rows over all n columns
 	cfg    gnn.Config
 	layers []rowLayer
-
-	// Overlapped execution (EnableOverlap): the per-layer plans partitioned
-	// by chunk-arrival step, plus the shared arrival schedule mirroring the
-	// ring allgather's deterministic chunk order.
-	overlap bool
-	avail   []fuse.RowRange
 }
 
 type rowLayer struct {
@@ -47,8 +39,6 @@ type rowLayer struct {
 	// lifetime; Close returns the leases.
 	lease fuse.Lease
 	plan  *fuse.Plan
-	// pp is the arrival-gated partition of plan, present when overlap is on.
-	pp *fuse.PartitionedPlan
 }
 
 // NewRowEngine builds the 1D engine (SPMD; adjacency replicated at setup
@@ -99,7 +89,6 @@ func (e *RowEngine) Close() {
 	for i := range e.layers {
 		e.layers[i].lease.Release()
 		e.layers[i].plan = nil
-		e.layers[i].pp = nil
 	}
 }
 
@@ -111,65 +100,15 @@ func (e *RowEngine) compileLayerPlan(def gnn.DAGLayer, in int, ws *tensor.Arena)
 	g := fuse.NewGraph(fmt.Sprintf("row-%v", e.cfg.Model), e.aRows)
 	g.SetRowOffset(e.Lo)
 	def.DAG(g, g.InputDense("H", e.Part.N, in))
-	// NoAttnFuse: the fused attention inference op is row-indivisible, and
-	// EnableOverlap must be able to Partition every plan it already compiled.
 	return g.MustCompile(fuse.Options{SpanPrefix: fmt.Sprintf("row%d.", e.C.Rank()),
-		Workspace: ws, DType: e.cfg.DType, NoAttnFuse: true})
+		Workspace: ws, DType: e.cfg.DType})
 }
-
-// EnableOverlap switches Forward to overlapped execution: the feature
-// allgather runs chunked (dist.AllgatherChunks) while each layer's
-// partitioned plan drains arrival-gated fragments — rank-resident rows
-// compute immediately, halo-dependent rows as their chunks land. A no-op
-// at p=1 (there is nothing to hide). Output stays bitwise-identical to the
-// sequential path: fragments execute the exact per-row arithmetic of the
-// plan's sweeps, just regrouped (see fuse.Partition).
-func (e *RowEngine) EnableOverlap() error {
-	if e.overlap || e.C.Size() == 1 {
-		return nil
-	}
-	if e.cfg.DType == tensor.F32 {
-		return fmt.Errorf("distgnn: overlap requires f64 plans (f32 plans cast at the plan boundary and cannot be fragment-partitioned); run f32 on the sequential path or set DType: tensor.F64")
-	}
-	g := e.C.Size()
-	me := e.C.Rank()
-	avail := make([]fuse.RowRange, g)
-	for t := 0; t < g; t++ {
-		src := ((me-t)%g + g) % g // ring arrival order: me, me-1, …
-		lo, hi := e.Part.Range(src)
-		avail[t] = fuse.RowRange{Lo: lo, Hi: hi}
-	}
-	for i := range e.layers {
-		pp, err := e.layers[i].plan.Partition(avail)
-		if err != nil {
-			return fmt.Errorf("distgnn: overlap unavailable for layer %d: %w", i, err)
-		}
-		e.layers[i].pp = pp
-	}
-	e.avail = avail
-	e.overlap = true
-	return nil
-}
-
-// Overlapped reports whether overlapped execution is active.
-func (e *RowEngine) Overlapped() bool { return e.overlap }
 
 // Forward runs inference: per layer, one full allgather of the feature
-// matrix (the Θ(nk) term), then computation on the owned rows — strictly
-// after the gather on the sequential path, interleaved with it when
-// EnableOverlap is active. The error is non-nil when a rank failure aborted
-// a chunked gather mid-layer (it wraps dist.ErrRankFailed); fault-free runs
-// never fail.
-func (e *RowEngine) Forward(hOwned *tensor.Dense) (*tensor.Dense, error) {
+// matrix (the Θ(nk) term), then the plan over the owned rows.
+func (e *RowEngine) Forward(hOwned *tensor.Dense) *tensor.Dense {
 	h := hOwned
 	for _, l := range e.layers {
-		if e.overlap {
-			var err error
-			if h, err = e.layerForwardOverlapped(l, h); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		var full *tensor.Dense
 		if e.cfg.DType == tensor.F32 {
 			full = e.allgatherPacked32(h)
@@ -178,7 +117,7 @@ func (e *RowEngine) Forward(hOwned *tensor.Dense) (*tensor.Dense, error) {
 		}
 		h = l.plan.Forward(full)
 	}
-	return h, nil
+	return h
 }
 
 // allgatherPacked32 is the f32 wire: each rank rounds its owned feature
@@ -228,83 +167,6 @@ func unpackWords32(dst []float64, words []float64) {
 			dst[2*t+1] = float64(math.Float32frombits(uint32(bits >> 32)))
 		}
 	}
-}
-
-// layerForwardOverlapped starts the chunked allgather of the layer input
-// and runs the partitioned plan's step t as soon as chunk t has landed.
-// The time this rank spends computing fragments while the gather is still
-// in flight is the hidden latency; what remains on the critical path is
-// only the stall time (blocked on chunk receives), recorded against the
-// agnn_overlap_hidden_seconds gauge.
-//
-// Chunk notifications may arrive out of schedule order under an injected
-// reorder fault; arrivals ahead of schedule are buffered until their step
-// comes up (the underlying data is already in place), so the plan's
-// arithmetic order — and therefore its bitwise output — is unaffected.
-func (e *RowEngine) layerForwardOverlapped(l rowLayer, h *tensor.Dense) (*tensor.Dense, error) {
-	k := h.Cols
-	g := e.C.Size()
-	lens := make([]int, g)
-	for r := 0; r < g; r++ {
-		lo, hi := e.Part.Range(r)
-		lens[r] = (hi - lo) * k
-	}
-	start := time.Now()
-	cg, err := e.C.AllgatherChunks(h.Data, lens)
-	if err != nil {
-		return nil, fmt.Errorf("distgnn: layer gather: %w", err)
-	}
-	full := tensor.NewDenseFrom(e.Part.N, k, cg.Out())
-	pp := l.pp
-	pp.Bind(full)
-
-	var stall time.Duration
-	var lastArrival time.Time
-	chunks := cg.Chunks()
-	pending := make(map[int]bool) // early arrivals, keyed by schedule step
-	stepOf := func(ch dist.Chunk) (int, error) {
-		for t := range e.avail {
-			if want := e.avail[t]; ch.Lo == want.Lo*k && ch.Hi == want.Hi*k {
-				return t, nil
-			}
-		}
-		return 0, fmt.Errorf("distgnn: chunk covers words [%d,%d), not in the arrival schedule", ch.Lo, ch.Hi)
-	}
-	for t := 0; t < pp.Steps(); t++ {
-		for !pending[t] {
-			w0 := time.Now()
-			ch, ok := <-chunks
-			stall += time.Since(w0)
-			if !ok {
-				if err := cg.Err(); err != nil {
-					return nil, fmt.Errorf("distgnn: chunked gather aborted: %w", err)
-				}
-				return nil, fmt.Errorf("distgnn: chunked gather ended after %d of %d chunks", t, pp.Steps())
-			}
-			lastArrival = time.Now()
-			s, err := stepOf(ch)
-			if err != nil {
-				return nil, err
-			}
-			pending[s] = true
-		}
-		delete(pending, t)
-		sp := e.C.StartSpan("overlap.step")
-		pp.RunStep(t)
-		sp.End()
-	}
-	for range chunks { // consume the close
-	}
-	if err := cg.Err(); err != nil {
-		return nil, fmt.Errorf("distgnn: chunked gather aborted: %w", err)
-	}
-	hidden := lastArrival.Sub(start).Seconds() - stall.Seconds()
-	if hidden > 0 {
-		metrics.OverlapHiddenSeconds.Add(hidden)
-	}
-	metrics.OverlapChunksTotal.Add(int64(pp.Steps()))
-	metrics.OverlapLocalFraction.Set(pp.LocalFraction())
-	return pp.Output(), nil
 }
 
 // GatherOutput assembles the full output on rank 0 (test helper).

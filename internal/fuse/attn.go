@@ -45,7 +45,7 @@ func (s *rowScratch[T]) row(worker int) []T {
 // the nnz-sized buffer is never allocated. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
 // aggregate directly (VA).
-func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) opFns {
+func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) func() {
 	idx := pat.Index()
 	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
 	// attend computes output row i with row as the score storage.
@@ -66,20 +66,16 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 		}
 	}
 	if vals != nil {
-		each := func(i int) { attend(i, vals[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 		body := func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				ahead(i)
-				each(i)
+				attend(i, vals[pat.RowPtr[i]:pat.RowPtr[i+1]])
 			}
 		}
-		return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+		return func() { par.RangeCuts(cuts, body) }
 	}
 
-	// Inference: scores stay in per-worker scratch. The sweep needs the
-	// worker id for its scratch row, so it exposes no single-row body —
-	// inference fused plans are row-indivisible (partitioning callers
-	// compile with NoAttnFuse).
+	// Inference: scores stay in per-worker scratch, one row per worker.
 	scratch := &rowScratch[T]{maxRow: pat.MaxRowNNZ()}
 	body := func(worker, lo, hi int) {
 		buf := scratch.row(worker)
@@ -88,10 +84,10 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 			attend(i, buf[:pat.RowNNZ(i)])
 		}
 	}
-	return opFns{run: func() {
+	return func() {
 		scratch.ensure()
 		par.RangeCuts(cuts, body)
-	}}
+	}
 }
 
 // opAttnFusedVJP is the backward of a fused attention aggregation Z = Ψ·X

@@ -87,20 +87,7 @@ type planOp struct {
 	span string // record name, precomputed
 	op   string // op vocabulary name, for Stats
 	run  func()
-	each func(i int) // per-row execution over the op's row domain (nil: row-indivisible)
-	rows int         // row-domain size for each (0: row-indivisible)
-	site obs.Op      // the op's one telemetry handle
-}
-
-// opFns is what a forward op builder returns: the whole-op sweep plus — for
-// row-divisible ops — the single-row body the plan partitioner (partition.go)
-// regroups into chunk-gated sub-plans. run and each execute identical
-// per-row arithmetic, so partitioned execution is bitwise-identical to the
-// sequential sweep.
-type opFns struct {
-	run  func()
-	each func(i int)
-	rows int
+	site obs.Op // the op's one telemetry handle
 }
 
 // workerSlots grows a per-worker scratch slice to the current worker cap.
@@ -256,11 +243,11 @@ func scaleRow[T elem](row []T, c T) {
 // pattern. weights (the adjacency values) multiply each score when the mask
 // is weighted; with softmax, the row softmax is folded into the same sweep
 // (the FusedSoftmaxScores shape).
-func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) opFns {
+func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) func() {
 	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
 	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 	body := gatherSweep(pat, f.gathers, each)
-	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+	return func() { par.RangeCuts(cuts, body) }
 }
 
 // rowSweep lifts a single-row body into the chunked (worker, lo, hi) shape
@@ -275,19 +262,19 @@ func rowSweep(each func(i int)) func(worker, lo, hi int) {
 
 // opRowSoftmax is the standalone row softmax (used when the peephole could
 // not fold it into the sampler).
-func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) opFns {
+func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) func() {
 	each := func(i int) {
 		if b, e := pat.RowPtr[i], pat.RowPtr[i+1]; b < e {
 			softmaxRow(dst[b:e], src[b:e])
 		}
 	}
 	body := rowSweep(each)
-	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+	return func() { par.RangeCuts(cuts, body) }
 }
 
 // opSpMM computes out = S·X over the shared pattern, with svals the sparse
 // node's value buffer (or the adjacency's own values).
-func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T]) opFns {
+func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T]) func() {
 	idx := pat.Index()
 	each := func(i int) {
 		xd, od := x.dense, out.dense
@@ -298,7 +285,7 @@ func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T])
 		sparse.GatherAxpy(orow, svals[b:e], idx.Slice(b, e), xd.Data, k, 0)
 	}
 	body := gatherSweep(pat, x, each)
-	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+	return func() { par.RangeCuts(cuts, body) }
 }
 
 // opSemiring is opSpMM over a non-real semiring (Section 4.3), the reducer
@@ -309,7 +296,7 @@ func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T])
 // feature x as (v·w + x·s)/(w + s), and a zero total weight resets the row.
 // Every entry sees the operations of sparse.SpMMSemiring over the matching
 // internal/semiring instance in its order — at float64, its bits.
-func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T], kind string) opFns {
+func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T], kind string) func() {
 	pick, identity := math.Max, math.Inf(-1)
 	if kind == "min" {
 		pick, identity = math.Min, math.Inf(1)
@@ -350,11 +337,11 @@ func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec
 		}
 	}
 	body := rowSweep(each)
-	return opFns{run: func() { par.RangeCuts(cuts, body) }, each: each, rows: pat.Rows}
+	return func() { par.RangeCuts(cuts, body) }
 }
 
 // opConcat copies the rows of xs side by side into out.
-func opConcat[T elem](xs []*spec[T], out *spec[T]) opFns {
+func opConcat[T elem](xs []*spec[T], out *spec[T]) func() {
 	each := func(i int) {
 		orow := out.dense.Data[i*out.cols : (i+1)*out.cols]
 		for _, x := range xs {
@@ -362,11 +349,11 @@ func opConcat[T elem](xs []*spec[T], out *spec[T]) opFns {
 		}
 	}
 	body := rowSweep(each)
-	return opFns{run: func() { par.Range(out.rows, body) }, each: each, rows: out.rows}
+	return func() { par.Range(out.rows, body) }
 }
 
 // opMean computes out = (X₁ + X₂ + …)/K, summed in operand order.
-func opMean[T elem](xs []*spec[T], out *spec[T]) opFns {
+func opMean[T elem](xs []*spec[T], out *spec[T]) func() {
 	cols, inv := out.cols, T(1/float64(len(xs)))
 	each := func(i int) {
 		orow := out.dense.Data[i*cols : (i+1)*cols]
@@ -379,7 +366,7 @@ func opMean[T elem](xs []*spec[T], out *spec[T]) opFns {
 		scaleRow(orow, inv)
 	}
 	body := rowSweep(each)
-	return opFns{run: func() { par.Range(out.rows, body) }, each: each, rows: out.rows}
+	return func() { par.Range(out.rows, body) }
 }
 
 // rowIndex is 0, 1, …, n−1: the "pattern row" under which the dense
@@ -398,7 +385,7 @@ func rowIndex(n int) []int32 {
 // runs on. A zero feature is multiplied like any other, so a non-finite
 // weight reaches every output row (0·Inf is NaN, as IEEE 754 has it); with
 // finite weights the sum starts at +0 and a ±0 product cannot change it.
-func opMM[T elem](x, w, out *spec[T]) opFns {
+func opMM[T elem](x, w, out *spec[T]) func() {
 	wrows := sparse.NewIndex(rowIndex(x.cols))
 	each := func(i int) {
 		xd, wd, od := x.dense, w.dense, out.dense
@@ -409,11 +396,11 @@ func opMM[T elem](x, w, out *spec[T]) opFns {
 	}
 	body := rowSweep(each)
 	rows := out.rows
-	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
+	return func() { par.Range(rows, body) }
 }
 
 // opMatVec computes out = X·a for a k×1 parameter a.
-func opMatVec[T elem](x, a, out *spec[T]) opFns {
+func opMatVec[T elem](x, a, out *spec[T]) func() {
 	each := func(i int) {
 		xd, av := x.dense, a.dense.Data
 		k := xd.Cols
@@ -426,11 +413,11 @@ func opMatVec[T elem](x, a, out *spec[T]) opFns {
 	}
 	body := rowSweep(each)
 	rows := out.rows
-	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
+	return func() { par.Range(rows, body) }
 }
 
 // opRowNorms computes the row L2 norms of X.
-func opRowNorms[T elem](x, out *spec[T]) opFns {
+func opRowNorms[T elem](x, out *spec[T]) func() {
 	each := func(i int) {
 		xd := x.dense
 		k := xd.Cols
@@ -443,19 +430,18 @@ func opRowNorms[T elem](x, out *spec[T]) opFns {
 	}
 	body := rowSweep(each)
 	rows := out.rows
-	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
+	return func() { par.Range(rows, body) }
 }
 
 // isIdentity reports the no-op activation (a zero Act included, the
 // convention the layer constructors use for "no activation").
 func (a Act) isIdentity() bool { return a.Name == "identity" || a.F == nil }
 
-// opSigma applies the activation element-wise, swept row-by-row so the
-// partitioner can gate output rows on chunk arrival. The piecewise-linear
+// opSigma applies the activation element-wise, swept row by row. The piecewise-linear
 // activations (relu, identity) are exact at either width and get native
 // bodies — skipping the closure call per element matters on an op this
 // memory-thin. Everything else evaluates through the float64 contract.
-func opSigma[T elem](z, out *spec[T]) opFns {
+func opSigma[T elem](z, out *spec[T]) func() {
 	cols := out.cols
 	var each func(i int)
 	switch act := out.act; {
@@ -483,7 +469,7 @@ func opSigma[T elem](z, out *spec[T]) opFns {
 	}
 	body := rowSweep(each)
 	rows := out.rows
-	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
+	return func() { par.Range(rows, body) }
 }
 
 // ginOffset is the row of h that row 0 of a gin-combine node's aggregate
@@ -497,7 +483,7 @@ func ginOffset(g *Graph, n *Node) int {
 
 // opGINCombine computes out = agg + (1+ε)·h[off:], reading ε at run time so
 // optimizer updates are observed.
-func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) opFns {
+func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) func() {
 	cols := out.cols
 	each := func(i int) {
 		c := 1 + eps.dense.Data[0]
@@ -509,7 +495,7 @@ func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) opFns {
 	}
 	body := rowSweep(each)
 	rows := out.rows
-	return opFns{run: func() { par.Range(rows, body) }, each: each, rows: rows}
+	return func() { par.Range(rows, body) }
 }
 
 // --- backward op bodies (reverse-traversal VJPs) ---

@@ -34,11 +34,7 @@ type Options struct {
 	// NoAttnFuse disables the fused SDDMM+softmax+SpMM attention rule, and
 	// with it the fused backward of GAT's chain: the plan runs one op per
 	// node, and one VJP per node backward — the reference the fused
-	// lowerings are held to bit for bit. The fused op executes score
-	// sampling, normalization and aggregation in one sweep per row block and
-	// is therefore row-indivisible; callers that partition plans into
-	// arrival-gated fragments (the overlapped RowEngine) must keep the
-	// unfused op sequence.
+	// lowerings are held to bit for bit.
 	NoAttnFuse bool
 }
 
@@ -78,12 +74,10 @@ func (s PlanStats) WorkspaceBytes() int64 { return s.DType.Size() * s.WorkspaceW
 // place that knows whether the plan aliases the caller's storage or casts
 // across it.
 type Plan struct {
-	Name   string
-	train  bool
-	rowOff int
+	Name  string
+	train bool
 
-	pat      *sparse.CSR // the sparsity pattern every sparse op runs over
-	leaves   []*meta     // bound per call: the dense input, or the graph's FromTables nodes and row views
+	leaves   []*meta // bound per call: the dense input, or the graph's FromTables nodes and row views
 	output   *meta
 	fwd, bwd []planOp
 	// offDiag: the plan runs on an off-diagonal rank of a process grid, which
@@ -493,7 +487,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	here := func(n *Node) bool { return diag || !onDiagonal(n) }
 	_, _, outColl := collective(g.output.Op) // a reduce's cotangent is its partial's
 	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
-	p := &Plan{Name: g.Name, train: opt.Train, rowOff: g.rowOff, pat: g.pat,
+	p := &Plan{Name: g.Name, train: opt.Train,
 		output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
 	e.plan = p
 
@@ -743,16 +737,14 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 
 	rowOff := int32(g.rowOff)
 	log := obs.Current() // the ops record on the log of the rank compiling them
-	emit := func(list *[]planOp, n *Node, suffix, op string, f opFns) {
+	emit := func(list *[]planOp, n *Node, suffix, op string, run func()) {
 		backward := suffix != ""
 		flops, swept := opCost(g, n, op, nnz, backward)
 		span := opt.SpanPrefix + n.ID + suffix
 		*list = append(*list, planOp{
 			span: span,
 			op:   op,
-			run:  f.run,
-			each: f.each,
-			rows: f.rows,
+			run:  run,
 			site: obs.NewOp(log, span, op, flops,
 				opBytes(g, n, op, nnz, backward, opt.Train, opt.DType.Size()), swept),
 		})
@@ -786,9 +778,9 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		case "input":
 			continue
 		case bcastOps[ax]:
-			emit(&p.fwd, n, "", n.Op, opFns{run: opBcastForward(w, ax, sp(n.Inputs[0]), s)})
+			emit(&p.fwd, n, "", n.Op, opBcastForward(w, ax, sp(n.Inputs[0]), s))
 		case reduceOps[ax]:
-			emit(&p.fwd, n, "", n.Op, opFns{run: opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax))})
+			emit(&p.fwd, n, "", n.Op, opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax)))
 		case "mask":
 			if fusedMask[n] || attnSrc[n] {
 				continue
@@ -808,7 +800,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					op = "fused-softmax"
 					sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false)
 				}
-				emit(&p.fwd, n, "", op, opFns{run: opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat)})
+				emit(&p.fwd, n, "", op, opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat))
 			case fusedMask[in]:
 				emit(&p.fwd, n, "", "fused-softmax",
 					opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
@@ -933,7 +925,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
 			if vjp != nil {
-				emit(&p.bwd, n, ".bwd", op, opFns{run: vjp})
+				emit(&p.bwd, n, ".bwd", op, vjp)
 			}
 		}
 	}
@@ -1281,7 +1273,7 @@ func runOps(list []planOp) {
 		op := &list[i]
 		t0 := obs.Now()
 		op.run()
-		op.site.Done(t0, obs.Now()-t0)
+		op.site.Done(t0)
 	}
 }
 

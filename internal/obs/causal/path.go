@@ -117,7 +117,7 @@ type Summary struct {
 	CheckpointNs int64   `json:"checkpoint_ns"`
 	// OverlapHiddenPct is the share of total collective span time that
 	// stayed OFF the critical path — communication hidden behind
-	// compute by the overlapped engines.
+	// compute on other ranks.
 	OverlapHiddenPct  float64       `json:"overlap_hidden_pct"`
 	Top               []Contributor `json:"top"`
 	PerRankWait       []RankWait    `json:"per_rank_wait"`
@@ -128,13 +128,12 @@ type Summary struct {
 }
 
 // collectiveSpanNames is the span vocabulary emitted by the dist
-// collectives (internal/dist/collectives.go, chunked.go); any path time
+// collectives (internal/dist/collectives.go); any path time
 // under one of these counts as a collective hop.
 var collectiveSpanNames = map[string]bool{
 	"barrier": true, "bcast": true, "allgather": true,
 	"reduce_scatter": true, "allreduce": true, "reduce": true,
 	"gatherv": true, "alltoallv": true,
-	"allgather_chunks": true, "gather.hop": true,
 }
 
 func classify(name string) string {
@@ -206,7 +205,7 @@ func Analyze(s *evlog.Set, opt Options) *Summary {
 		events[r] = nil // a rank that only computed still counts
 		dropped += l.Dropped()
 		for _, rec := range recs {
-			kind, t1 := rec.Kind&^evlog.Side, rec.T0+rec.Dur
+			kind, t1 := rec.Kind, rec.T0+rec.Dur
 			switch kind {
 			case evlog.KindSend, evlog.KindRecv:
 				events[r] = append(events[r], Event{Kind: kind, Peer: int32(rec.B),

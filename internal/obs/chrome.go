@@ -40,9 +40,8 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// lane is one timeline of a recorded run: a log's own records, or the ones
-// its rank's concurrent helper wrote (the Side bit) — a trace thread, a
-// report track.
+// lane is one timeline of a recorded run: one log's records — a trace
+// thread, a report track.
 type lane struct {
 	name string
 	rank int
@@ -52,42 +51,27 @@ type lane struct {
 
 // lanes splits the set's recorded logs into timelines, the process log
 // ("main") first and always, then in rank order every rank that recorded
-// anything or has a span in flight: "rank N", then "rank N gather" when the
-// rank's chunked-gather helper wrote records.
+// anything or has a span in flight: "rank N".
 func lanes(set *evlog.Set) []lane {
 	out := []lane{{name: "main", rank: -1}}
 	for _, l := range set.Logs() {
-		var own, side []evlog.Record
-		for _, r := range l.Events() {
-			if r.Kind&evlog.Side != 0 {
-				side = append(side, r)
-			} else {
-				own = append(own, r)
-			}
-		}
+		recs := l.Events()
 		if l.Rank() < 0 {
-			out[0].open, out[0].recs = l.Open(), own
+			out[0].open, out[0].recs = l.Open(), recs
 			continue
 		}
-		if len(own) > 0 || l.Open() > 0 {
-			out = append(out, lane{name: fmt.Sprintf("rank %d", l.Rank()), rank: l.Rank(), open: l.Open(), recs: own})
-		}
-		if len(side) > 0 {
-			out = append(out, lane{name: fmt.Sprintf("rank %d gather", l.Rank()), rank: l.Rank(), recs: side})
+		if len(recs) > 0 || l.Open() > 0 {
+			out = append(out, lane{name: fmt.Sprintf("rank %d", l.Rank()), rank: l.Rank(), open: l.Open(), recs: recs})
 		}
 	}
 	return out
 }
 
 // attrs names the payload words a timed record shows as span arguments:
-// the bytes and messages of a collective call, and the source of a ring
-// hop's chunk.
+// the bytes and messages of a collective call.
 func attrs(r evlog.Record) map[string]int64 {
-	if r.Kind&^evlog.Side != evlog.KindCollective {
+	if r.Kind != evlog.KindCollective {
 		return nil
-	}
-	if r.C != 0 {
-		return map[string]int64{"bytes": r.A, "src": r.C - 1}
 	}
 	return map[string]int64{"bytes": r.A, "msgs": r.B}
 }
@@ -110,7 +94,7 @@ func writeChromeTrace(w io.Writer, set *evlog.Set) error {
 		events = append(events, chromeEvent{Name: "thread_name", Ph: "M", Tid: tid, Args: named(ln.name)})
 		first := len(events)
 		for _, r := range ln.recs {
-			kind := r.Kind &^ evlog.Side
+			kind := r.Kind
 			switch {
 			case kind.Timed():
 				e := chromeEvent{Name: r.Name(), Ph: "X", Tid: tid, Ts: us(r.T0), Dur: us(r.Dur)}

@@ -38,8 +38,7 @@ const (
 	// B = 1 for backward.
 	KindLayer
 	// KindCollective is one collective call. A = bytes this rank sent
-	// during it, B = messages, C = 1 + the group rank whose chunk a ring
-	// hop delivered (0: not a hop).
+	// during it, B = messages.
 	KindCollective
 	// KindSend is one message departure. A = sender-local sequence number,
 	// B = destination rank, C = superstep; the code names the enclosing
@@ -67,11 +66,6 @@ const (
 	KindCounter
 	// KindSample is one point of a named counter timeline. A = value.
 	KindSample
-
-	// Side, OR-ed into a kind, marks a record written by a rank's
-	// concurrent helper (the chunked-gather goroutine): same rank, its own
-	// timeline in a trace.
-	Side Kind = 0x80
 )
 
 // kinds holds, per kind, the name flight dumps print and whether records of
@@ -87,9 +81,9 @@ var kinds = [...]struct {
 	KindCounter: {"counter", false}, KindSample: {"sample", false},
 }
 
-// String names a kind (Side stripped) as flight dumps print it.
+// String names a kind as flight dumps print it.
 func (k Kind) String() string {
-	if k &^= Side; int(k) < len(kinds) && kinds[k].name != "" {
+	if int(k) < len(kinds) && kinds[k].name != "" {
 		return kinds[k].name
 	}
 	return "unknown"
@@ -97,7 +91,7 @@ func (k Kind) String() string {
 
 // Timed reports whether records of the kind are intervals a trace draws as
 // spans.
-func (k Kind) Timed() bool { k &^= Side; return int(k) < len(kinds) && kinds[k].timed }
+func (k Kind) Timed() bool { return int(k) < len(kinds) && kinds[k].timed }
 
 // codes is the process-wide intern table mapping event names to small
 // integer codes. Sites intern at wiring time (plan compile, world
@@ -145,7 +139,7 @@ type Record struct {
 	Seq  uint64 // 1-based position among everything the log ever recorded
 	T0   int64  // ns since the set's epoch
 	Dur  int64  // 0 for instants
-	Kind Kind   // Side included
+	Kind Kind
 	Code uint32 // interned name
 	A    int64
 	B    int64

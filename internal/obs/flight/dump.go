@@ -69,7 +69,7 @@ const DumpSchema = "agnn-flight/v1"
 func event(r evlog.Record) Event {
 	ev := Event{Seq: r.Seq, TimeNs: r.T0 + r.Dur, Kind: r.Kind.String(), Name: r.Name(),
 		A: r.A, B: r.B, C: r.C}
-	switch r.Kind &^ evlog.Side {
+	switch r.Kind {
 	case evlog.KindSpan, evlog.KindOp, evlog.KindLayer, evlog.KindEpoch, evlog.KindCheckpoint:
 		ev.A, ev.B, ev.C = r.Dur, r.A, r.B
 	case evlog.KindCollective, evlog.KindRecv:

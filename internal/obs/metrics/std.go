@@ -92,17 +92,9 @@ var (
 	WireMeasuredSeconds = Default.Gauge("agnn_wire_measured_seconds",
 		"Measured wall time this rank spent blocked in socket writes.")
 
-	// Compute/communication overlap (internal/distgnn overlapped engines).
-	OverlapHiddenSeconds = Default.Gauge("agnn_overlap_hidden_seconds",
-		"Collective wall time hidden behind arrival-gated plan fragments: gather duration minus the compute stall waiting on chunks, accumulated over layers.")
-	OverlapChunksTotal = Default.Counter("agnn_overlap_chunks_total",
-		"Chunks drained through arrival-gated plan steps by overlapped engines.")
-	OverlapLocalFraction = Default.Gauge("agnn_overlap_local_fraction",
-		"Fraction of block rows executable before the first remote chunk lands, for the last partitioned layer plan.")
-
-	// Overlap-adjusted layer-time validation (internal/costmodel).
+	// Layer-time validation (internal/costmodel).
 	LayerPredictedSeconds = Default.Gauge("agnn_layer_predicted_seconds",
-		"Cost-model predicted per-layer wall time (overlap-adjusted when overlap is on).")
+		"Cost-model predicted per-layer wall time.")
 	LayerMeasuredSeconds = Default.Gauge("agnn_layer_measured_seconds",
 		"Measured mean per-layer wall time for the run.")
 

@@ -47,9 +47,9 @@ func NewOp(log *Log, span, class string, flops, bytes, nnz int64) Op {
 	}
 }
 
-// Done credits one execution that began at t0 and kept the op busy for ns:
-// a whole sweep, or the fragments of an overlapped one summed.
-func (o *Op) Done(t0, ns int64) {
+// Done credits one execution that began at t0 and ends now.
+func (o *Op) Done(t0 int64) {
+	ns := Now() - t0
 	o.lat.Observe(float64(ns) / 1e9)
 	o.runs.Inc()
 	o.flopsC.Add(o.Flops)
@@ -109,20 +109,17 @@ type Collective struct {
 	log   *Log
 	kind  evlog.Kind
 	code  uint32
-	bytes *metrics.Histogram // nil: the call's hops are observed instead
+	bytes *metrics.Histogram
 }
 
 // Code returns the interned name messages sent inside the collective are
 // stamped with.
 func (c *Collective) Code() uint32 { return c.code }
 
-// Done credits one call that began at t0 and sent bytes in msgs messages;
-// hop is 1 + the group rank whose chunk a ring hop delivered (0: not a hop).
-func (c *Collective) Done(t0, bytes, msgs, hop int64) {
-	if c.bytes != nil {
-		c.bytes.Observe(float64(bytes))
-	}
-	c.log.Record(c.kind, c.code, t0, c.log.Now()-t0, bytes, msgs, hop)
+// Done credits one call that began at t0 and sent bytes in msgs messages.
+func (c *Collective) Done(t0, bytes, msgs int64) {
+	c.bytes.Observe(float64(bytes))
+	c.log.Record(c.kind, c.code, t0, c.log.Now()-t0, bytes, msgs, 0)
 }
 
 // RankSites is one rank's log with the instruments of the sites the
@@ -152,18 +149,10 @@ func SitesFor(rank int) RankSites {
 }
 
 // Collective wires the instrument of the collective kind name. Its calls
-// land in the agnn_collective_bytes histogram under label ("" for none);
-// side puts its records on the rank's helper timeline, for collectives that
-// run concurrently with the rank's compute.
-func (r *RankSites) Collective(name, label string, side bool) Collective {
-	c := Collective{log: r.Log, kind: evlog.KindCollective, code: Code(name)}
-	if side {
-		c.kind |= evlog.Side
-	}
-	if label != "" {
-		c.bytes = metrics.CollectiveBytes.With(label)
-	}
-	return c
+// land in the agnn_collective_bytes histogram under that name.
+func (r *RankSites) Collective(name string) Collective {
+	return Collective{log: r.Log, kind: evlog.KindCollective, code: Code(name),
+		bytes: metrics.CollectiveBytes.With(name)}
 }
 
 // Superstep closes a BSP round in which the rank waited waitNs on receives.
