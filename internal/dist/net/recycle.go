@@ -4,9 +4,12 @@ import "sync"
 
 // recycleKeep bounds a recycler's free list. SPMD traffic repeats the same
 // message sizes every step, so the list settles at the step's working set —
-// the buffers in flight at once, tens — long before the bound; the bound only
-// stops traffic of ever-new sizes from growing it forever.
-const recycleKeep = 256
+// the buffers in flight at once — long before the bound; the bound only
+// stops traffic of ever-new sizes from growing it forever. A TCP frame is in
+// flight until a heartbeat's ACK, so at steps much shorter than the
+// heartbeat period a rank's frames in flight are those of many steps, and
+// the bound is the replay queue's own.
+const recycleKeep = maxPendingFrames
 
 // recycler is a free list of buffers matched by exact capacity: a payload or
 // a frame of n elements is served by a buffer an earlier one of n elements

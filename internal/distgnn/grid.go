@@ -52,6 +52,9 @@ type GlobalEngine struct {
 	// for the engine's lifetime: the packed gradients of AllreduceGrads and
 	// the two loss sums of EvalLoss.
 	stage []float64
+	// loss evaluates the diagonal rank's block on every step, into the
+	// gradient it owns.
+	loss gnn.CrossEntropyLoss
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix

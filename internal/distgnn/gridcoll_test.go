@@ -10,16 +10,16 @@ import (
 	"agnn/internal/dist"
 	distnet "agnn/internal/dist/net"
 	"agnn/internal/fuse"
+	"agnn/internal/gnn"
+	"agnn/internal/graph"
 )
 
 // The dist-grid-tcp workload's block shape: B vertices per block, k
 // features.
 const gridB, gridK = 16384, 32
 
-// gridWorld is a 2×2 world whose ranks each hold a blockGrid and run one GAT
-// layer's collective sequence — bcast-col of the features, the softmax's
-// two row allreduces, reduce-row-to-diag of the SpMM partials — in their
-// own buffers, once per step.
+// gridWorld is a 2×2 world whose ranks each run one step of their own on
+// every step of the world.
 type gridWorld struct {
 	start []chan struct{} // start[r]: one token per step; closed to stop
 	done  chan error      // one per rank per step, or the rank's failure
@@ -29,9 +29,10 @@ type gridWorld struct {
 
 // newGridWorld starts the ranks the way the workload runs them — one
 // NewNetWorld per endpoint — over the channel world or over loopback TCP
-// endpoints with the default configuration. Tests leave opts.RecvTimeout
+// endpoints with the default configuration. Each rank calls rank once, on
+// its own goroutine, for its step function. Tests leave opts.RecvTimeout
 // unset: under -race sync.Pool drops the pooled receive timers at random.
-func newGridWorld(tb testing.TB, tcp bool, opts dist.Options) *gridWorld {
+func newGridWorld(tb testing.TB, tcp bool, opts dist.Options, rank func(c *dist.Comm) (func(), error)) *gridWorld {
 	const p = 4
 	w := &gridWorld{start: make([]chan struct{}, p), done: make(chan error, p)}
 	eps, closeEps := gridEndpoints(tb, p, tcp)
@@ -44,15 +45,12 @@ func newGridWorld(tb testing.TB, tcp bool, opts dist.Options) *gridWorld {
 			nw, err := dist.NewNetWorld(eps[r], opts)
 			if err == nil {
 				_, err = nw.TryRunLocal(func(c *dist.Comm) error {
-					g := &blockGrid{gridPosition(c, 2)}
-					feat := make([]float64, gridB*gridK)
-					part := make([]float64, gridB*gridK)
-					stat := make([]float64, gridB)
+					step, err := rank(c)
+					if err != nil {
+						return err
+					}
 					for range w.start[r] {
-						g.Bcast(fuse.AlongCol, feat)
-						g.AllreduceRow(stat, true)
-						g.AllreduceRow(stat, false)
-						g.ReduceToDiag(fuse.AlongRow, part)
+						step()
 						w.done <- nil
 					}
 					return nil
@@ -64,6 +62,23 @@ func newGridWorld(tb testing.TB, tcp bool, opts dist.Options) *gridWorld {
 		}(r)
 	}
 	return w
+}
+
+// layerCollectives is a rank of one GAT layer's collective sequence —
+// bcast-col of the features, the softmax's two row allreduces,
+// reduce-row-to-diag of the SpMM partials — in its own buffers, once per
+// step.
+func layerCollectives(c *dist.Comm) (func(), error) {
+	g := &blockGrid{gridPosition(c, 2)}
+	feat := make([]float64, gridB*gridK)
+	part := make([]float64, gridB*gridK)
+	stat := make([]float64, gridB)
+	return func() {
+		g.Bcast(fuse.AlongCol, feat)
+		g.AllreduceRow(stat, true)
+		g.AllreduceRow(stat, false)
+		g.ReduceToDiag(fuse.AlongRow, part)
+	}, nil
 }
 
 // gridEndpoints returns p endpoints of one world and the function closing
@@ -162,7 +177,7 @@ func (w *gridWorld) warm(tb testing.TB) {
 func TestGridCollectivesZeroAllocs(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(transportName(tcp), func(t *testing.T) {
-			w := newGridWorld(t, tcp, dist.Options{})
+			w := newGridWorld(t, tcp, dist.Options{}, layerCollectives)
 			defer w.close()
 			w.warm(t)
 			if n := testing.AllocsPerRun(30, func() { w.step(t) }); n != 0 {
@@ -177,7 +192,7 @@ func TestGridCollectivesZeroAllocs(t *testing.T) {
 func BenchmarkGridCollectives(b *testing.B) {
 	for _, tcp := range []bool{false, true} {
 		b.Run(transportName(tcp), func(b *testing.B) {
-			w := newGridWorld(b, tcp, dist.Options{RecvTimeout: 60 * time.Second})
+			w := newGridWorld(b, tcp, dist.Options{RecvTimeout: 60 * time.Second}, layerCollectives)
 			defer w.close()
 			w.warm(b)
 			b.SetBytes(8 * (2*gridB*gridK + 2*gridB))
@@ -185,6 +200,52 @@ func BenchmarkGridCollectives(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.step(b)
+			}
+		})
+	}
+}
+
+// TestGridTrainStepZeroAllocs: once warm, a whole GlobalEngine.TrainStep —
+// the lowered forward and backward with their collectives, the loss over
+// the diagonal block, the gradient allreduce and an Adam step — allocates
+// nothing on any rank, over channels and over TCP. The 2×2 GAT's blocks
+// hold 512 vertices, so the loss's sweep fans out to the worker pool. A TCP
+// run allocates when a late heartbeat leaves more frames waiting for their
+// ACK than ever before: the replay window still growing to its peak, not
+// per-step garbage, so it warms again, at most three times; garbage would
+// show in every run.
+func TestGridTrainStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	const n = 1024
+	a := graph.ErdosRenyi(n, 8*n, 840)
+	h := testFeatures(n, 8)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i % 4
+	}
+	cfg := testCfg(gnn.GAT, 2, 8, 8, 4)
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			w := newGridWorld(t, tcp, dist.Options{}, func(c *dist.Comm) (func(), error) {
+				e, err := NewGlobalEngine(c, a, cfg)
+				if err != nil {
+					return nil, err
+				}
+				xd, opt := e.SliceOwnedBlock(h), gnn.NewAdam(0.01)
+				return func() { e.TrainStep(xd, labels, nil, opt) }, nil
+			})
+			defer w.close()
+			for run := 1; ; run++ {
+				w.warm(t)
+				n := testing.AllocsPerRun(10, func() { w.step(t) })
+				if n == 0 {
+					break
+				}
+				if !tcp || run == 3 {
+					t.Fatalf("%v allocations per grid training step, want 0", n)
+				}
 			}
 		})
 	}

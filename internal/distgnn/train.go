@@ -9,14 +9,16 @@ import (
 // output (diagonal-owned blocks). The loss decomposes over vertices, so
 // each diagonal rank evaluates its own rows; only two scalars (loss sum and
 // masked count) cross the network. Returns the global mean loss and the
-// gradient block for this rank's owned rows (nil off-diagonal).
+// gradient block for this rank's owned rows (nil off-diagonal). The block is
+// the engine's own, rewritten by the next EvalLoss.
 func (e *GlobalEngine) EvalLoss(out *tensor.Dense, labels []int, mask []bool) (float64, *tensor.Dense) {
 	tot := e.stage[:2]
 	tot[0], tot[1] = 0, 0
 	var grad *tensor.Dense
 	if e.Diag {
 		lo, hi := e.OwnedRange()
-		tot[0], tot[1], grad = (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(out, lo, hi-lo)
+		e.loss.Labels, e.loss.Mask = labels, mask
+		tot[0], tot[1], grad = e.loss.Sums(out, lo, hi-lo)
 	}
 	e.C.AllreduceInto(tot)
 	if tot[1] == 0 {

@@ -36,15 +36,13 @@ func NewAGNNLayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Ra
 		Beta: NewScalarParam("beta", 1),
 		Act:  act,
 	}
+	l.params = []*Param{l.W, l.Beta}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *AGNNLayer) Name() string { return "agnn" }
-
-// Params implements Layer.
-func (l *AGNNLayer) Params() []*Param { return []*Param{l.W, l.Beta} }
 
 // DAG implements DAGLayer. The whole virtual chain H·Hᵀ ⊘ n·nᵀ scaled by β
 // collapses into the softmax sampling sweep (mask+softmax fuse into one

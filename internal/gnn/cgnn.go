@@ -38,15 +38,13 @@ func NewGINLayer(a *sparse.CSR, inDim, hidden, outDim int, act Activation, rng *
 		ActMLP: ReLU(),
 		Act:    act,
 	}
+	l.params = []*Param{l.W1, l.W2, l.Eps}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *GINLayer) Name() string { return "gin" }
-
-// Params implements Layer.
-func (l *GINLayer) Params() []*Param { return []*Param{l.W1, l.W2, l.Eps} }
 
 // DAG implements DAGLayer: aggregation, the (1+ε) combine, and the
 // two-layer MLP.
@@ -88,15 +86,13 @@ func NewSGCLayer(a *sparse.CSR, k, inDim, outDim int, act Activation, rng *rand.
 		panic("gnn: SGC needs K >= 1 hops")
 	}
 	l := &SGCLayer{K: k, W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.params = []*Param{l.W}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *SGCLayer) Name() string { return "sgc" }
-
-// Params implements Layer.
-func (l *SGCLayer) Params() []*Param { return []*Param{l.W} }
 
 // DAG implements DAGLayer: K chained propagation hops and one projection.
 func (l *SGCLayer) DAG(g *fuse.Graph, h *fuse.Node) {

@@ -49,15 +49,13 @@ func newGATHead(inDim, outDim int, rng *rand.Rand) GATHead {
 // NewGATLayer constructs a single-head GAT layer.
 func NewGATLayer(a *sparse.CSR, inDim, outDim int, act Activation, negSlope float64, rng *rand.Rand) *GATLayer {
 	l := &GATLayer{GATHead: newGATHead(inDim, outDim, rng), Act: act, NegSlope: negSlope}
+	l.params = []*Param{l.W, l.A1, l.A2}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *GATLayer) Name() string { return "gat" }
-
-// Params implements Layer.
-func (l *GATLayer) Params() []*Param { return []*Param{l.W, l.A1, l.A2} }
 
 // attend appends the head's chain of the formulation above, from H' to
 // σ(Z), to g and returns σ(Z). The virtual chain u·1ᵀ + 1·vᵀ → LeakyReLU

@@ -22,15 +22,13 @@ type GCNLayer struct {
 // normalization (graph.NormalizeGCN).
 func NewGCNLayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *GCNLayer {
 	l := &GCNLayer{W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.params = []*Param{l.W}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *GCNLayer) Name() string { return "gcn" }
-
-// Params implements Layer.
-func (l *GCNLayer) Params() []*Param { return []*Param{l.W} }
 
 // DAG implements DAGLayer: Z = Â·(H·W), σ.
 func (l *GCNLayer) DAG(g *fuse.Graph, h *fuse.Node) {

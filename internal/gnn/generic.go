@@ -66,24 +66,19 @@ type GenericLayer struct {
 	Phi      Phi
 	Act      Activation
 	PhiFirst bool
-
-	params []*Param
 }
 
 // NewGenericLayer binds the Ψ/⊕/Φ assembly described by spec's exported
 // fields to adjacency a.
 func NewGenericLayer(a *sparse.CSR, spec GenericLayer) *GenericLayer {
 	l := &spec
-	l.params = append(append([]*Param(nil), l.Psi.Params...), l.Phi.Params...)
+	l.params = append(append([]*Param(nil), l.Psi.Params...), l.Phi.Params...) // Ψ's, then Φ's
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *GenericLayer) Name() string { return "generic" }
-
-// Params implements Layer: Ψ's parameters, then Φ's.
-func (l *GenericLayer) Params() []*Param { return l.params }
 
 // CanTrain implements TrainableLayer: it reports, before any backward pass
 // runs, whether this assembly has a plan-derived backward.

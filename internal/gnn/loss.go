@@ -21,9 +21,22 @@ type Loss interface {
 // class logits used for node-classification training. Vertices with
 // Mask[i] == false (e.g. test vertices in a transductive split) contribute
 // neither loss nor gradient; a nil Mask trains on all vertices.
+//
+// The loss owns the gradient it returns and rewrites it in full on the next
+// call (of Eval or Sums) on the same value, so a training step allocates
+// nothing for it: the gradient stays valid until then — clone it to keep it
+// longer. A loss value is for one goroutine at a time.
 type CrossEntropyLoss struct {
 	Labels []int
 	Mask   []bool
+
+	grad  *tensor.Dense // the returned gradient, reused while out's shape holds
+	terms []float64     // per-vertex loss terms, summed in vertex order
+	sweep func(worker, a, b int)
+	// The call's operands, read by sweep.
+	out       *tensor.Dense
+	lo, n     int
+	gradScale float64
 }
 
 // Name implements Loss.
@@ -37,25 +50,35 @@ func (l *CrossEntropyLoss) Eval(out *tensor.Dense) (float64, *tensor.Dense) {
 	if l.Mask != nil && len(l.Mask) != out.Rows {
 		panic("gnn: mask length mismatch")
 	}
-	total, count, grad := l.Sums(out, 0, out.Rows)
+	count := l.count(out, 0, out.Rows)
 	if count == 0 {
-		return 0, grad
+		l.run(out, 0, out.Rows, 1)
+		return 0, l.grad
 	}
+	// The mean's 1/count scales each gradient row as it is written: the
+	// same product per word as scaling the whole gradient afterwards.
 	inv := 1 / count
-	grad.ScaleInPlace(inv)
-	return total * inv, grad
+	return l.run(out, 0, out.Rows, inv) * inv, l.grad
 }
 
 // Sums evaluates the loss over vertices [lo, lo+n), whose logits are the
 // first n rows of out, before the mean is taken: the loss sum, the number of
-// masked-in vertices, and the gradient of the sum (shaped like out; rows past
-// n stay zero). The loss decomposes over vertices, so a distributed engine
-// calls it per owned block and divides by the global count — the same
-// arithmetic, in the same order, as Eval on one node. The vertices' terms and
-// gradient rows are computed in parallel; the terms are then summed in vertex
-// order, so the total does not depend on the worker count.
+// masked-in vertices, and the gradient of the sum (shaped like out; masked-out
+// rows and rows past n are zero). The loss decomposes over vertices, so a
+// distributed engine calls it per owned block and divides by the global
+// count — the same arithmetic, in the same order, as Eval on one node. The
+// vertices' terms and gradient rows are computed in parallel; the terms are
+// then summed in vertex order, so the total does not depend on the worker
+// count. The gradient is the loss's own (see CrossEntropyLoss).
 func (l *CrossEntropyLoss) Sums(out *tensor.Dense, lo, n int) (total, count float64, grad *tensor.Dense) {
-	for i := 0; i < n; i++ { // here, so that a bad label panics on the caller's goroutine
+	count = l.count(out, lo, n)
+	return l.run(out, lo, n, 1), count, l.grad
+}
+
+// count returns the number of masked-in vertices in [lo, lo+n). It runs on
+// the caller's goroutine, so that a bad label panics there.
+func (l *CrossEntropyLoss) count(out *tensor.Dense, lo, n int) (count float64) {
+	for i := 0; i < n; i++ {
 		if !l.in(lo + i) {
 			continue
 		}
@@ -64,21 +87,49 @@ func (l *CrossEntropyLoss) Sums(out *tensor.Dense, lo, n int) (total, count floa
 		}
 		count++
 	}
-	g := tensor.NewDense(out.Rows, out.Cols)
-	terms := make([]float64, n)
-	par.Range(n, func(_, a, b int) {
-		for i := a; i < b; i++ {
-			if l.in(lo + i) {
-				terms[i] = vertexLoss(out.Row(i), g.Row(i), l.Labels[lo+i])
-			}
-		}
-	})
-	for i, term := range terms {
+	return count
+}
+
+// run writes every row of the loss's gradient for vertices [lo, lo+n) of
+// out, each masked-in row scaled by gradScale and every other row zero, and
+// returns the sum of the masked-in vertices' terms.
+func (l *CrossEntropyLoss) run(out *tensor.Dense, lo, n int, gradScale float64) (total float64) {
+	if l.grad == nil || l.grad.Rows != out.Rows || l.grad.Cols != out.Cols {
+		l.grad = tensor.NewDense(out.Rows, out.Cols)
+	}
+	if cap(l.terms) < n {
+		l.terms = make([]float64, n)
+	}
+	l.terms = l.terms[:n]
+	if l.sweep == nil {
+		l.sweep = l.rows
+	}
+	l.out, l.lo, l.n, l.gradScale = out, lo, n, gradScale
+	par.Range(out.Rows, l.sweep)
+	l.out = nil
+	for i, term := range l.terms {
 		if l.in(lo + i) {
 			total += term
 		}
 	}
-	return total, count, g
+	return total
+}
+
+// rows is run's sweep over the gradient rows [a, b).
+func (l *CrossEntropyLoss) rows(_, a, b int) {
+	for i := a; i < b; i++ {
+		grow := l.grad.Row(i)
+		if i >= l.n || !l.in(l.lo+i) {
+			clear(grow)
+			continue
+		}
+		l.terms[i] = vertexLoss(l.out.Row(i), grow, l.Labels[l.lo+i])
+		if l.gradScale != 1 {
+			for j := range grow {
+				grow[j] *= l.gradScale
+			}
+		}
+	}
 }
 
 // in reports whether vertex v is masked in.
@@ -106,9 +157,13 @@ func vertexLoss(row, grow []float64, y int) float64 {
 }
 
 // MSELoss is the mean squared error ‖out − Target‖²/(n·k), used for
-// regression-style targets and for gradient checking.
+// regression-style targets and for gradient checking. Like CrossEntropyLoss
+// it owns the gradient it returns: valid until the next Eval on the same
+// value.
 type MSELoss struct {
 	Target *tensor.Dense
+
+	grad *tensor.Dense
 }
 
 // Name implements Loss.
@@ -119,13 +174,18 @@ func (l *MSELoss) Eval(out *tensor.Dense) (float64, *tensor.Dense) {
 	if out.Rows != l.Target.Rows || out.Cols != l.Target.Cols {
 		panic("gnn: MSE shape mismatch")
 	}
+	if l.grad == nil || l.grad.Rows != out.Rows || l.grad.Cols != out.Cols {
+		l.grad = tensor.NewDense(out.Rows, out.Cols)
+	}
 	n := float64(out.Rows * out.Cols)
-	diff := out.Sub(l.Target)
+	diff := l.grad
+	diff.CopyFrom(out)
+	diff.AxpyInPlace(-1, l.Target) // out − Target: x + (−1·t) rounds as x − t
 	loss := 0.0
 	for _, v := range diff.Data {
 		loss += v * v
 	}
-	return loss / n, diff.Scale(2 / n)
+	return loss / n, diff.ScaleInPlace(2 / n)
 }
 
 // Accuracy returns the fraction of (masked) vertices whose argmax logit

@@ -130,6 +130,7 @@ func TestCrossEntropyGradFiniteDifference(t *testing.T) {
 	labels := []int{1, 3, 0, 2, 2}
 	loss := &CrossEntropyLoss{Labels: labels}
 	_, g := loss.Eval(out)
+	g = g.Clone() // the loss rewrites its gradient on every Eval below
 	const eps = 1e-6
 	for i := range out.Data {
 		out.Data[i] += eps
@@ -141,6 +142,103 @@ func TestCrossEntropyGradFiniteDifference(t *testing.T) {
 		if math.Abs(num-g.Data[i]) > 1e-6 {
 			t.Fatalf("CE grad[%d] = %v, finite diff %v", i, g.Data[i], num)
 		}
+	}
+}
+
+// TestLossReusesBuffersBitwise: one loss value called again and again — a
+// mask, another mask, Sums over a block with another lo and n, a fully
+// masked block, a smaller output — returns its own gradient rewritten in
+// full, the bits of a fresh loss's, with masked-out rows and rows at or past
+// n exactly zero. The first calls fill every row, so a row a later call
+// fails to rewrite shows.
+func TestLossReusesBuffersBitwise(t *testing.T) {
+	const n, classes = 300, 5
+	rng := rand.New(rand.NewSource(7))
+	logits := tensor.RandN(n, classes, 2, rng)
+	labels, m1, m2, none := make([]int, n), make([]bool, n), make([]bool, n), make([]bool, n)
+	for i := range labels {
+		labels[i], m1[i], m2[i] = rng.Intn(classes), rng.Intn(2) == 0, rng.Intn(3) > 0
+	}
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+	same := func(what string, got, want *tensor.Dense) {
+		t.Helper()
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: gradient %d×%d, want %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: gradient word %d is %v, want %v", what, i, v, want.Data[i])
+			}
+		}
+	}
+	// zeroOutside checks that the rows of g outside [0, rows) and the
+	// masked-out ones among them are exactly zero.
+	zeroOutside := func(what string, g *tensor.Dense, lo, rows int, mask []bool) {
+		t.Helper()
+		for i := 0; i < g.Rows; i++ {
+			if i < rows && (mask == nil || mask[lo+i]) {
+				continue
+			}
+			for _, v := range g.Row(i) {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: row %d should be zero, holds %v", what, i, v)
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		par.SetWorkers(workers)
+		reused := &CrossEntropyLoss{Labels: labels}
+		for _, mask := range [][]bool{nil, m1, m2} {
+			reused.Mask = mask
+			v, g := reused.Eval(logits)
+			wv, wg := (&CrossEntropyLoss{Labels: labels, Mask: mask}).Eval(logits)
+			if math.Float64bits(v) != math.Float64bits(wv) {
+				t.Fatalf("workers=%d: reused loss %v, fresh %v", workers, v, wv)
+			}
+			same("Eval", g, wg)
+			zeroOutside("Eval", g, 0, n, mask)
+		}
+		for _, tc := range []struct {
+			name  string
+			mask  []bool
+			lo, n int
+		}{
+			{"block", m1, 40, 200},
+			{"shorter block", m2, 100, 120},
+			{"all masked", none, 0, n},
+		} {
+			reused.Mask = tc.mask
+			total, count, g := reused.Sums(logits, tc.lo, tc.n)
+			wt, wc, wg := (&CrossEntropyLoss{Labels: labels, Mask: tc.mask}).Sums(logits, tc.lo, tc.n)
+			if math.Float64bits(total) != math.Float64bits(wt) || count != wc {
+				t.Fatalf("workers=%d %s: reused %v over %v, fresh %v over %v", workers, tc.name, total, count, wt, wc)
+			}
+			same(tc.name, g, wg)
+			zeroOutside(tc.name, g, tc.lo, tc.n, tc.mask)
+			if count == 0 && g.FrobeniusNorm() != 0 {
+				t.Fatalf("workers=%d %s: nothing masked in, yet the gradient is not zero", workers, tc.name)
+			}
+		}
+		// A smaller output than the buffer's.
+		reused.Mask = nil
+		small := tensor.NewDenseFrom(n/2, classes, logits.Data[:n/2*classes])
+		reused.Labels = labels[:n/2]
+		_, g := reused.Eval(small)
+		_, wg := (&CrossEntropyLoss{Labels: labels[:n/2]}).Eval(small)
+		same("smaller output", g, wg)
+	}
+
+	mse := &MSELoss{Target: tensor.RandN(n, classes, 1, rng)}
+	for i := 0; i < 2; i++ {
+		out := tensor.RandN(n, classes, 1, rng)
+		v, g := mse.Eval(out)
+		wv, wg := (&MSELoss{Target: mse.Target}).Eval(out)
+		if math.Float64bits(v) != math.Float64bits(wv) {
+			t.Fatalf("MSE call %d: reused loss %v, fresh %v", i, v, wv)
+		}
+		same("MSE", g, wg)
 	}
 }
 
@@ -181,6 +279,7 @@ func TestMSEGradFiniteDifference(t *testing.T) {
 	pred := tensor.RandN(3, 3, 1, rng)
 	loss := &MSELoss{Target: tensor.RandN(3, 3, 1, rng)}
 	_, g := loss.Eval(pred)
+	g = g.Clone() // the loss rewrites its gradient on every Eval below
 	const eps = 1e-6
 	for i := range pred.Data {
 		pred.Data[i] += eps

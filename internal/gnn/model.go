@@ -55,6 +55,8 @@ type Model struct {
 
 	// sites are the layers' instruments, wired on first use (profile.go).
 	sites atomic.Pointer[[]*obs.Layer]
+	// params is the layers' parameters, collected on first use.
+	params atomic.Pointer[[]*Param]
 }
 
 // CheckTrainable reports whether every layer supports training, identifying
@@ -134,13 +136,35 @@ func (m *Model) Backward(g *tensor.Dense) *tensor.Dense {
 	return x.dense(true)
 }
 
-// Params returns all trainable parameters, layer order preserved.
+// Params returns all trainable parameters, layer order preserved. The slice
+// is the model's own, collected once and handed out on every call while the
+// layers' parameters stay the same, so that a training step (ZeroGrad, the
+// optimizer) allocates nothing for it; callers must not modify it.
 func (m *Model) Params() []*Param {
+	if p := m.params.Load(); p != nil && m.hasParams(*p) {
+		return *p
+	}
 	var ps []*Param
 	for _, l := range m.Layers {
 		ps = append(ps, l.Params()...)
 	}
+	ps = ps[:len(ps):len(ps)] // an append by the caller copies
+	m.params.Store(&ps)
 	return ps
+}
+
+// hasParams reports whether ps is, in order, the parameters of the layers.
+func (m *Model) hasParams(ps []*Param) bool {
+	i := 0
+	for _, l := range m.Layers {
+		for _, p := range l.Params() {
+			if i == len(ps) || ps[i] != p {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(ps)
 }
 
 // ZeroGrad clears all parameter gradients.

@@ -34,6 +34,8 @@ func NewMultiHeadGATLayer(a *sparse.CSR, inDim, headDim, heads int, concat bool,
 	l := &MultiHeadGATLayer{Concat: concat, Act: act, NegSlope: negSlope, headDim: headDim}
 	for h := 0; h < heads; h++ {
 		l.Heads = append(l.Heads, newGATHead(inDim, headDim, rng))
+		hd := l.Heads[h]
+		l.params = append(l.params, hd.W, hd.A1, hd.A2) // (W, a₁, a₂) per head, in head order
 	}
 	l.bind(a, l)
 	return l
@@ -41,15 +43,6 @@ func NewMultiHeadGATLayer(a *sparse.CSR, inDim, headDim, heads int, concat bool,
 
 // Name implements Layer.
 func (l *MultiHeadGATLayer) Name() string { return "gat-multihead" }
-
-// Params implements Layer: (W, a₁, a₂) per head, in head order.
-func (l *MultiHeadGATLayer) Params() []*Param {
-	var ps []*Param
-	for _, h := range l.Heads {
-		ps = append(ps, h.W, h.A1, h.A2)
-	}
-	return ps
-}
 
 // OutDim returns the layer's output dimensionality.
 func (l *MultiHeadGATLayer) OutDim() int {

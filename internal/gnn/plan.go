@@ -62,6 +62,7 @@ type planned struct {
 	in   int // input width, for the grid ranks that are handed no features to read it from
 
 	def          DAGLayer // the layer embedding this core
+	params       []*Param // set by the layer's constructor, in the layer's order
 	train, infer planLease
 }
 
@@ -70,8 +71,12 @@ type planned struct {
 // struct held, so it is also what detaches a copied layer from its source's
 // plans.
 func (p *planned) bind(a *sparse.CSR, def DAGLayer) {
-	*p = planned{A: a, DType: p.DType, Grid: p.Grid, in: p.in, def: def}
+	*p = planned{A: a, DType: p.DType, Grid: p.Grid, in: p.in, def: def, params: p.params}
 }
+
+// Params implements Layer for every DAG layer: the parameters the layer was
+// built with. The slice is the layer's own; callers must not modify it.
+func (p *planned) Params() []*Param { return p.params }
 
 func (p *planned) core() *planned { return p }
 

@@ -80,6 +80,63 @@ func TestPlannedLayerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestTrainStepSteadyStateAllocs is TestPlannedLayerSteadyStateAllocs for a
+// whole training step: once warm, Model.TrainStep — ZeroGrad, the planned
+// forward, a masked cross-entropy, the backward and an Adam or momentum-SGD
+// step — allocates nothing, for every built-in kind and a 2-head GAT, at
+// both widths, on one worker and on two. Per-step garbage, however small, is what lets the heap
+// grow to twice its live set between collections. 300 vertices put every
+// sweep, the loss's included, above par's inline threshold, so at two
+// workers they fan out to the pool (not under the race detector: see
+// raceEnabled).
+func TestTrainStepSteadyStateAllocs(t *testing.T) {
+	prev := par.Workers()
+	defer par.SetWorkers(prev)
+
+	const n, in, classes = 300, 4, 3
+	a := testGraph(n, 830)
+	rng := rand.New(rand.NewSource(831))
+	h := tensor.RandN(n, in, 0.8, rng)
+	labels, mask := make([]int, n), make([]bool, n)
+	for i := range labels {
+		labels[i], mask[i] = rng.Intn(classes), i%4 != 0
+	}
+	type cell struct {
+		kind  Kind
+		heads int
+	}
+	for _, c := range []cell{{VA, 1}, {AGNN, 1}, {GAT, 1}, {GCN, 1}, {GAT, 2}} {
+		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+			for _, workers := range []int{1, 2} {
+				if workers > 1 && raceEnabled {
+					continue
+				}
+				par.SetWorkers(workers)
+				opts := []Optimizer{NewAdam(0.01)}
+				if !raceEnabled { // momentum SGD's in-place ops run pooled jobs
+					opts = append(opts, NewSGD(0.05, 0.9))
+				}
+				for _, opt := range opts {
+					m, err := New(Config{Model: c.kind, Heads: c.heads, Layers: 2, InDim: in, HiddenDim: 5,
+						OutDim: classes, Activation: Tanh(), SelfLoops: true, Seed: 832, DType: dt}, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					loss := &CrossEntropyLoss{Labels: labels, Mask: mask}
+					for i := 0; i < 2; i++ { // compile, then acquire what the first step defers
+						m.TrainStep(h, loss, opt)
+					}
+					if allocs := testing.AllocsPerRun(10, func() { m.TrainStep(h, loss, opt) }); allocs != 0 {
+						t.Errorf("%v heads=%d %v workers=%d %s: %v allocations per training step, want 0",
+							c.kind, c.heads, dt, workers, opt.Name(), allocs)
+					}
+					m.ReleasePlans()
+				}
+			}
+		}
+	}
+}
+
 // TestInferencePlanMatchesTrainingForward: both modes compile the same DAG,
 // so inference-mode Forward must reproduce training-mode Forward bit for
 // bit — for the attention kinds that is the fused sweep against the

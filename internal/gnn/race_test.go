@@ -1,0 +1,8 @@
+//go:build race
+
+package gnn
+
+// raceEnabled: the race detector drops sync.Pool items at random, so the
+// worker pool's recycled completion channels and tensor's pooled in-place
+// jobs allocate now and then; the allocation tests leave such cells out.
+const raceEnabled = true

@@ -29,15 +29,13 @@ type VALayer struct {
 // weights.
 func NewVALayer(a *sparse.CSR, inDim, outDim int, act Activation, rng *rand.Rand) *VALayer {
 	l := &VALayer{W: NewParam("W", tensor.GlorotInit(inDim, outDim, rng)), Act: act}
+	l.params = []*Param{l.W}
 	l.bind(a, l)
 	return l
 }
 
 // Name implements Layer.
 func (l *VALayer) Name() string { return "va" }
-
-// Params implements Layer.
-func (l *VALayer) Params() []*Param { return []*Param{l.W} }
 
 // DAG implements DAGLayer: Ψ = A ⊙ (H·Hᵀ) fuses into a single SDDMM-like
 // sampling kernel; in inference plans the whole chain through Z is one

@@ -9,6 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"agnn/internal/par"
 )
@@ -115,8 +116,7 @@ func (m *Dense) Add(b *Dense) *Dense {
 // AddInPlace accumulates b into the receiver.
 func (m *Dense) AddInPlace(b *Dense) *Dense {
 	m.mustSameShape(b, "AddInPlace")
-	par.Range(len(m.Data), func(_, lo, hi int) {
-		md, bd := m.Data[lo:hi], b.Data[lo:hi]
+	inPlace(m.Data, b.Data, 0, func(md, bd []float64, _ float64) {
 		for i := range md {
 			md[i] += bd[i]
 		}
@@ -140,8 +140,7 @@ func (m *Dense) Sub(b *Dense) *Dense {
 // AxpyInPlace computes m += alpha*b.
 func (m *Dense) AxpyInPlace(alpha float64, b *Dense) *Dense {
 	m.mustSameShape(b, "AxpyInPlace")
-	par.Range(len(m.Data), func(_, lo, hi int) {
-		md, bd := m.Data[lo:hi], b.Data[lo:hi]
+	inPlace(m.Data, b.Data, alpha, func(md, bd []float64, alpha float64) {
 		for i := range md {
 			md[i] += alpha * bd[i]
 		}
@@ -163,8 +162,7 @@ func (m *Dense) Scale(alpha float64) *Dense {
 
 // ScaleInPlace computes m *= alpha.
 func (m *Dense) ScaleInPlace(alpha float64) *Dense {
-	par.Range(len(m.Data), func(_, lo, hi int) {
-		md := m.Data[lo:hi]
+	inPlace(m.Data, nil, alpha, func(md, _ []float64, alpha float64) {
 		for i := range md {
 			md[i] *= alpha
 		}
@@ -196,6 +194,39 @@ func (m *Dense) HadamardInPlace(b *Dense) *Dense {
 	})
 	return m
 }
+
+// inPlace runs kernel over matching chunks of dst and src (src may be nil)
+// on the worker pool. A closure over the operands would escape to the pool
+// and be allocated on every call; the operands travel instead in a pooled
+// job whose chunk function is bound once, and kernel captures nothing, so
+// the in-place operations — an optimizer step, a loss's scaling — allocate
+// nothing once warm.
+func inPlace(dst, src []float64, alpha float64, kernel func(dst, src []float64, alpha float64)) {
+	j := inPlaceJobs.Get().(*inPlaceJob)
+	j.dst, j.src, j.alpha, j.kernel = dst, src, alpha, kernel
+	par.Range(len(dst), j.chunk)
+	j.dst, j.src, j.kernel = nil, nil, nil
+	inPlaceJobs.Put(j)
+}
+
+type inPlaceJob struct {
+	dst, src []float64
+	alpha    float64
+	kernel   func(dst, src []float64, alpha float64)
+	chunk    func(worker, lo, hi int)
+}
+
+var inPlaceJobs = sync.Pool{New: func() any {
+	j := new(inPlaceJob)
+	j.chunk = func(_, lo, hi int) {
+		var src []float64
+		if j.src != nil {
+			src = j.src[lo:hi]
+		}
+		j.kernel(j.dst[lo:hi], src, j.alpha)
+	}
+	return j
+}}
 
 // Apply returns f applied element-wise.
 func (m *Dense) Apply(f func(float64) float64) *Dense {
