@@ -15,12 +15,12 @@ import (
 // (the property the fused-vs-unfused identity tests pin down). The backward
 // (opAttnFusedVJP) does the same to the VJP chain under GAT's aggregation.
 
-// rowScratch holds one row of maxRow elements per worker: the score row of
-// the inference variant (sized to the pattern's maximum row degree), which
-// materializes no per-edge score tensor at all, and the dot products of
-// opMMVJP. Rows are allocated lazily on first use so steady-state execution
-// stays allocation-free; the slot table is grown before the sweep, so
-// workers only ever touch their own slot.
+// rowScratch holds one row of maxRow elements per worker: the score row of a
+// fused sweep that materializes no per-edge score tensor (sized to the
+// pattern's maximum row degree), and the dot products of opMMVJP. Rows are
+// allocated lazily on first use so steady-state execution stays
+// allocation-free; the slot table is grown before the sweep, so workers only
+// ever touch their own slot.
 type rowScratch[T elem] struct {
 	rows   [][]T
 	maxRow int
@@ -37,17 +37,19 @@ func (s *rowScratch[T]) row(worker int) []T {
 	return r
 }
 
-// opAttnFused builds the fused attention sweep. With vals non-nil
-// (training plans) the normalized scores are additionally written to the
-// sparse node's value buffer inside the same sweep, which is what the
-// backward pass reads (opAttnFusedVJP for GAT's chain, the per-op VJPs for
-// any other). With vals nil (inference plans) scores live in per-worker scratch and
-// the nnz-sized buffer is never allocated. softmax selects the
+// opAttnFused builds the fused attention sweep. softmax selects the
 // score→softmax→aggregate shape (GAT/AGNN); without it the masked scores
-// aggregate directly (VA).
-func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) func() {
+// aggregate directly (VA). Where the scores go:
+//   - vals non-nil (a training plan whose backward runs the per-op VJPs:
+//     AGNN's, VA's): the normalized scores are written to the sparse node's
+//     value buffer inside the same sweep, for those VJPs to read;
+//   - otherwise they live in per-worker scratch and no nnz-sized buffer
+//     exists: in inference, and in a GAT training plan, whose backward
+//     (opAttnFusedVJP) recomputes them. There stats non-nil receives each
+//     row's max and reciprocal sum, 2·n words, all the recompute needs.
+func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) func() {
 	idx := pat.Index()
-	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
+	sample := rowSampler(pat, f.row, weights, rowOff, softmax, stats)
 	// attend computes output row i with row as the score storage.
 	attend := func(i int, row []T) {
 		k := out.dense.Cols
@@ -75,7 +77,7 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 		return func() { par.RangeCuts(cuts, body) }
 	}
 
-	// Inference: scores stay in per-worker scratch, one row per worker.
+	// The scores stay in per-worker scratch, one row per worker.
 	scratch := &rowScratch[T]{maxRow: pat.MaxRowNNZ()}
 	body := func(worker, lo, hi int) {
 		buf := scratch.row(worker)
@@ -95,22 +97,32 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals []T, f score[T], 
 // spmm ← softmax ← mask ← lrelu ← u·1ᵀ + 1·vᵀ the compiler derives, run as
 // two sweeps over the pattern instead of one or two per op.
 //
+// Ψ itself is not stored: the forward (opAttnFused) kept only each row's max
+// m_i and reciprocal sum c_i in stats, and both sweeps recompute Ψ_ij where
+// they read it, as exp(s_ij − m_i)·c_i with s_ij = LeakyReLU(u_i + v_j)·A_ij —
+// the forward's operations on the forward's operands in the forward's order,
+// so every recomputed Ψ_ij has the forward's bits (psiRow, and the
+// transposed sweep below).
+//
 // The row sweep runs on row i what the per-op VJPs run on it, in their
-// order: Ψ̄_ij = Z̄[i,:]·X[j,:] (opSpMMVJP's GatherDots) into per-worker
-// scratch; ρ_i and the softmax apply; A's values, under a weighted mask;
-// LeakyReLU′ at u_i + v_j, u_i held and v_j gathered; the row sum into ū_i.
-// It writes Ψ_ij and C̄_ij to the entry's position in Sᵀ's order (dst, the
-// inverse of the transpose's Src), the one scattered access left. The
-// transposed sweep then reads both contiguously: X̄[j,:] += Σ_i Ψ_ij·Z̄[i,:]
-// through GatherAxpy, and v̄_j += Σ_i C̄_ij. pairs holds Ψ in its first nnz
-// words and C̄ in the rest. Every entry gets the per-op VJPs' operations and
-// every row and column sum its order, so the two lowerings agree bit for bit
-// (NoAttnFuse compiles the per-op chain).
+// order: Ψ_i· into one per-worker scratch row; Ψ̄_ij = Z̄[i,:]·X[j,:]
+// (opSpMMVJP's GatherDots) into another; ρ_i and the softmax apply; A's
+// values, under a weighted mask; LeakyReLU′ at u_i + v_j, u_i held and v_j
+// gathered; the row sum into ū_i. It writes C̄_ij to the entry's position in
+// Sᵀ's order (dst, the inverse of the transpose's Src) in cbar, the one nnz
+// buffer and the one scattered access left. The transposed sweep then works
+// on row j of Sᵀ: it gathers u_i, m_i and c_i by the row's column ids (n-long
+// vectors, cache-resident), takes A_ij through Src, recomputes the row's
+// Ψ_ij into scratch, and accumulates X̄[j,:] += Σ_i Ψ_ij·Z̄[i,:] through
+// GatherAxpy and v̄_j += Σ_i C̄_ij from cbar, contiguously. Every entry gets
+// the per-op VJPs' operations and every row and column sum its order, so
+// the two lowerings agree bit for bit (NoAttnFuse compiles the per-op chain).
 func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T], dst []int64,
-	pvals, pairs, weights []T, slope T, x, out, u, v *spec[T]) func() {
+	stats, cbar []T, f score[T], weights []T, slope T, x, out, u, v *spec[T]) func() {
 	idx := pat.Index()
-	psiT, cT := pairs[:pat.NNZ()], pairs[pat.NNZ():]
-	scratch := &rowScratch[T]{maxRow: pat.MaxRowNNZ()}
+	maxRow := pat.MaxRowNNZ()
+	psiRow := rowSampler(pat, f.row, weights, 0, false, nil)
+	scratch := &rowScratch[T]{maxRow: 2 * maxRow}
 	rowBody := func(worker, lo, hi int) {
 		og, xd := out.gdense, x.dense
 		k := og.Cols
@@ -119,7 +131,12 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 		for i := lo; i < hi; i++ {
 			prefetchRow(pat, idx, i, xd)
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			cols, p, g := idx.Slice(b, e), pvals[b:e], buf[:e-b]
+			cols, p, g := idx.Slice(b, e), buf[:e-b], buf[maxRow:][:e-b]
+			if b < e {
+				psiRow(i, p)
+				sparse.ExpRow(p, p, stats[2*i])
+				scaleRow(p, stats[2*i+1])
+			}
 			sparse.GatherDots(g, og.Data[i*k:(i+1)*k], cols, xd.Data, k, 0)
 			var rho T
 			for q, gq := range g {
@@ -138,22 +155,38 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 				}
 				c *= d
 				sum += c
-				at := dst[b+int64(q)]
-				psiT[at], cT[at] = p[q], c
+				cbar[dst[b+int64(q)]] = c
 			}
 			ug[i] += sum
 		}
 	}
-	patT, idxT := tr.patT, tr.idxT
-	colBody := func(_, lo, hi int) {
+	patT, idxT, src := tr.patT, tr.idxT, tr.src
+	colBody := func(worker, lo, hi int) {
 		og, xg, vg := out.gdense, x.gdense, v.gvec
 		k := xg.Cols
+		uv, vv := u.vec, v.vec
+		buf := tr.scratch.row(worker)
 		for j := lo; j < hi; j++ {
 			prefetchRow(patT, idxT, j, og)
 			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], psiT[b:e], idxT.Slice(b, e), og.Data, k, 0)
+			cols, psi := idxT.Slice(b, e), buf[:e-b]
+			// s_ij − m_i, then exp(· − 0): x − 0 is x, so each lane sees the
+			// argument the forward's ExpRow formed as s_ij − m_i.
+			vj := vv[j]
+			for q, i := range cols.Cols() {
+				s := lrelu(uv[i]+vj, slope)
+				if weights != nil {
+					s = T(s * weights[src[b+int64(q)]])
+				}
+				psi[q] = s - stats[2*i]
+			}
+			sparse.ExpRow(psi, psi, 0)
+			for q, i := range cols.Cols() {
+				psi[q] *= stats[2*i+1]
+			}
+			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], psi, cols, og.Data, k, 0)
 			var sum T
-			for _, c := range cT[b:e] {
+			for _, c := range cbar[b:e] {
 				sum += c
 			}
 			vg[j] += sum
@@ -161,6 +194,7 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 	}
 	return func() {
 		scratch.ensure()
+		tr.scratch.ensure()
 		par.RangeCuts(cuts, rowBody)
 		par.RangeCuts(cutsT, colBody)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"agnn/internal/fuse"
@@ -122,6 +123,7 @@ func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
 	ps["beta"] = randParam(rng, "beta", 1, 1)
 	h := randDense(rng, a.Rows, k)
 	gOut := randDense(rng, a.Rows, k)
+	holes, wide := withEmptyRows(a), spreadWeights(a)
 
 	cases := []struct {
 		name  string
@@ -132,6 +134,12 @@ func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
 		{"gat", func(ps paramSet) *fuse.Graph { return buildGAT(a, ps["W"], ps["a1"], ps["a2"], k, 0.2) }},
 		{"gat-2-heads", func(ps paramSet) *fuse.Graph { return buildGATHeads(a, ps, 2, k, false) }},
 		{"gat-weighted", func(ps paramSet) *fuse.Graph { return buildGATHeads(a, ps, 1, k, true) }},
+		// The recomputed Ψ at its edges: rows and columns with no entries
+		// (no self-loops), and rows whose weighted scores spread so far that
+		// exp(s − m) turns subnormal or zero — at float64 the lanes that
+		// take math.Exp's special cases, at float32 exp32's flush to 0.
+		{"gat-empty-rows", func(ps paramSet) *fuse.Graph { return buildGAT(holes, ps["W"], ps["a1"], ps["a2"], k, 0.2) }},
+		{"gat-underflow", func(ps paramSet) *fuse.Graph { return buildGATHeads(wide, ps, 1, k, true) }},
 	}
 	for _, workers := range []int{1, 3} {
 		par.SetWorkers(workers)
@@ -176,6 +184,36 @@ func TestAttnFusedBitwiseIdenticalF64(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withEmptyRows is a's pattern with every entry of every fifth row and of
+// every seventh column dropped: empty rows of S and of Sᵀ, no self-loops.
+func withEmptyRows(a *sparse.CSR) *sparse.CSR {
+	coo := sparse.NewCOO(a.Rows, a.Cols, a.NNZ())
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if j := a.Col[p]; i%5 != 0 && j%7 != 0 && int(j) != i {
+				coo.AppendVal(int32(i), j, a.Val[p])
+			}
+		}
+	}
+	return sparse.FromCOO(coo)
+}
+
+// spreadWeights is a with every third value scaled by 2000 and every fourth
+// other one by −700: under a weighted mask a row's scores then spread by
+// hundreds to thousands, so that exp(s − m) underflows on part of most rows.
+func spreadWeights(a *sparse.CSR) *sparse.CSR {
+	vals := slices.Clone(a.Val)
+	for p := range vals {
+		switch {
+		case p%3 == 0:
+			vals[p] *= 2000
+		case p%4 == 0:
+			vals[p] *= -700
+		}
+	}
+	return a.WithValues(vals)
 }
 
 // paramSet names the parameters of the test graphs; clone gives a plan its

@@ -18,7 +18,7 @@ import (
 // property the alloc-regression tests pin down). Every sweep over the
 // sparsity pattern, and the dense projection with it, hands its rows to the
 // row primitives of internal/sparse (GatherDots to sample, GatherAxpy to
-// aggregate, ExpRow for the float32 softmax in between, CosineRow for AGNN's
+// aggregate, ExpRow for the softmax in between, CosineRow for AGNN's
 // normalisation); no op carries its own copy of those loops. The primitives
 // gather through a sparse.Index: the pattern's own (CSR.Index, scanned once
 // per pattern, like its transpose's), out of which every sweep slices its
@@ -31,8 +31,9 @@ import (
 // own width; golden_test.go pins the bits of both. Non-arithmetic functions
 // (sqrt, transcendental activations) evaluate through float64 — at float32
 // that costs only register-width conversions while the memory traffic, the
-// thing float32 buys, stays halved. The one op-level branch on width is the
-// softmax exponential (expSum).
+// thing float32 buys, stays halved. The one exception is the softmax
+// exponential, which sparse.ExpRow takes at each width's own polynomial
+// (expSum); no op branches on width.
 
 // elem is the element type a plan is instantiated over.
 type elem = tensor.Elem
@@ -70,6 +71,7 @@ type spec[T elem] struct {
 	dense *tensor.Mat[T] // dense value
 	vec   []T            // vector value
 	vals  []T            // sparse value buffer on the pattern
+	stats []T            // a fused GAT softmax's row max and reciprocal sum, in pairs (training plans)
 	entry scoreEntry[T]  // virtual evaluator, composed at compile time
 
 	gdense *tensor.Mat[T] // cotangent buffers (training plans only)
@@ -172,8 +174,9 @@ func gatherSweep[T elem](pat *sparse.CSR, x *spec[T], each func(i int)) func(wor
 // the composed scores of pattern row i into row (one slot per non-zero),
 // multiply in the adjacency values when the mask is weighted (weights nil:
 // it is not, or they are all 1), and — with softmax — normalize the row in
-// place.
-func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int32, softmax bool) func(i int, row []T) {
+// place, recording the row's statistics in stats[2i:2i+2] where stats is
+// non-nil (softmaxRow).
+func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int32, softmax bool, stats []T) func(i int, row []T) {
 	idx := pat.Index()
 	return func(i int, row []T) {
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
@@ -187,17 +190,25 @@ func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int3
 			}
 		}
 		if softmax {
-			softmaxRow(row, row)
+			m, c := softmaxRow(row, row)
+			if stats != nil {
+				stats[2*i], stats[2*i+1] = m, c
+			}
 		}
 	}
 }
 
 // softmaxRow writes the softmax of the non-empty row src to dst (dst may be
 // src): max, exp and sum, normalize — three passes over a row that is
-// cache-hot after the first. (On a process grid the same three run as three
+// cache-hot after the first. It returns the row's statistics, its max m and
+// the reciprocal c of its sum, from which every entry is exp(src[q] − m)·c
+// again (opAttnFusedVJP). (On a process grid the same three run as three
 // sweeps with the row statistics exchanged in between: opSoftmaxGrid.)
-func softmaxRow[T elem](dst, src []T) {
-	scaleRow(dst, 1/expSum(dst, src, rowMax(src)))
+func softmaxRow[T elem](dst, src []T) (m, c T) {
+	m = rowMax(src)
+	c = 1 / expSum(dst, src, m)
+	scaleRow(dst, c)
+	return m, c
 }
 
 func rowMax[T elem](row []T) T {
@@ -211,25 +222,26 @@ func rowMax[T elem](row []T) T {
 }
 
 // expSum writes exp(src − m) to dst and returns its sum, formed in q order
-// from +0 at either width. At float64 the exponential is math.Exp, edge by
-// edge; at float32 it is the polynomial of sparse.ExpRow, taken over the
-// whole row first — eight lanes at a time where the CPU allows — and summed
-// in a second pass over the row just written.
+// from +0. The exponential is sparse.ExpRow's, taken over the whole row first
+// — math.Exp's bits at float64, exp32's at float32, four or eight lanes at a
+// time where the CPU allows — and summed in a second pass over the row just
+// written.
 func expSum[T elem](dst, src []T, m T) T {
+	sparse.ExpRow(dst, src, m)
 	var sum T
-	if s32, ok := any(src).([]float32); ok {
-		sparse.ExpRow(any(dst).([]float32), s32, float32(m))
-		for _, v := range dst[:len(src)] {
-			sum += v
-		}
-		return sum
-	}
-	for q, v := range src {
-		v = T(math.Exp(float64(v - m)))
-		dst[q] = v
+	for _, v := range dst[:len(src)] {
 		sum += v
 	}
 	return sum
+}
+
+// lrelu is LeakyReLU, s·slope below zero: GAT's score, written once for the
+// sweeps that sample it and the backward sweep that recomputes it.
+func lrelu[T elem](s, slope T) T {
+	if s < 0 {
+		s *= slope
+	}
+	return s
 }
 
 func scaleRow[T elem](row []T, c T) {
@@ -244,7 +256,7 @@ func scaleRow[T elem](row []T, c T) {
 // is weighted; with softmax, the row softmax is folded into the same sweep
 // (the FusedSoftmaxScores shape).
 func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) func() {
-	sample := rowSampler(pat, f.row, weights, rowOff, softmax)
+	sample := rowSampler(pat, f.row, weights, rowOff, softmax, nil)
 	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 	body := gatherSweep(pat, f.gathers, each)
 	return func() { par.RangeCuts(cuts, body) }

@@ -457,12 +457,13 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// the GAT/AGNN shape) or a single-consumer mask directly (score→
 	// aggregate, the VA shape) compiles to ONE sweep per row block that
 	// samples the composed scores, normalizes and aggregates while the row
-	// is hot. Training plans still write the normalized scores into the
-	// sparse node's value buffer inside the same sweep, for the backward
-	// pass to read; inference plans never materialize a per-edge score
-	// tensor at all. Per-row arithmetic order matches the unfused
-	// sample-then-spmm sequence exactly, so fused plans are
-	// bitwise-identical to unfused ones.
+	// is hot. Inference plans never materialize a per-edge score tensor at
+	// all, and neither do training plans under GAT's fused backward, which
+	// recomputes the scores from each row's max and sum; other training
+	// plans write the normalized scores into the sparse node's value buffer
+	// inside the same sweep, for the per-op VJPs to read. Per-row
+	// arithmetic order matches the unfused sample-then-spmm sequence
+	// exactly, so fused plans are bitwise-identical to unfused ones.
 	attnAgg, attnSrc := attnFusion(g, nodes, cons, fusedMask, opt.NoAttnFuse)
 	// Backward, the VJP chain under a fused GAT aggregation lowers to two
 	// sweeps as well (attnBackward, opAttnFusedVJP); the chain's sparse and
@@ -635,10 +636,15 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		case n.Kind == Virtual:
 			s.entry = composeEntry(sp, row, n)
 		case n.Kind == Sparse:
-			// Attention-fused sparse nodes materialize values only for
-			// training (the backward pass reads them); inference keeps the
-			// scores in per-row scratch inside the fused sweep.
-			if !fusedMask[n] && !(attnSrc[n] && !opt.Train) {
+			// Attention-fused sparse nodes keep the scores in per-row
+			// scratch inside the fused sweep. They materialize values only
+			// for a training plan whose backward reads them (the per-op
+			// VJPs); under the fused GAT backward, which recomputes them,
+			// the softmax keeps its row statistics instead, 2·n words.
+			switch {
+			case attnSrc[n] && attnBwd[n]:
+				s.stats = floats(2 * pat.Rows)
+			case !fusedMask[n] && !(attnSrc[n] && !opt.Train):
 				s.vals = floats(nnz)
 			}
 		case coll && diag:
@@ -737,6 +743,18 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 
 	rowOff := int32(g.rowOff)
 	log := obs.Current() // the ops record on the log of the rank compiling them
+	// kept is the words a training plan's fused attention sweep at n leaves
+	// for the backward: the normalized scores, or under GAT's fused backward
+	// the softmax's row statistics.
+	kept := func(n *Node) int64 {
+		switch psi, ok := attnAgg[n]; {
+		case !opt.Train || !ok:
+			return 0
+		case attnBwd[psi]:
+			return 2 * int64(pat.Rows)
+		}
+		return int64(nnz)
+	}
 	emit := func(list *[]planOp, n *Node, suffix, op string, run func()) {
 		backward := suffix != ""
 		flops, swept := opCost(g, n, op, nnz, backward)
@@ -746,7 +764,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			op:   op,
 			run:  run,
 			site: obs.NewOp(log, span, op, flops,
-				opBytes(g, n, op, nnz, backward, opt.Train, opt.DType.Size()), swept),
+				opBytes(g, n, op, nnz, backward, kept(n), opt.DType.Size()), swept),
 		})
 	}
 	// sparseVals resolves the value buffer an spmm reads: the adjacency's
@@ -798,7 +816,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 				if fusedMask[in] {
 					op = "fused-softmax"
-					sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false)
+					sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false, nil)
 				}
 				emit(&p.fwd, n, "", op, opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat))
 			case fusedMask[in]:
@@ -816,8 +834,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					softmax = true
 				}
 				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, sp(src).vals, composeScore(sp, row, maskN.Inputs[1]), maskWeights(sp(maskN)),
-						rowOff, softmax, sp(n.Inputs[1]), s))
+					opAttnFused(pat, cuts, sp(src).vals, sp(src).stats, composeScore(sp, row, maskN.Inputs[1]),
+						maskWeights(sp(maskN)), rowOff, softmax, sp(n.Inputs[1]), s))
 				continue
 			}
 			emit(&p.fwd, n, "", "spmm", opSpMM(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s))
@@ -886,8 +904,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					score := mask.Inputs[1]
 					add := score.Inputs[0]
 					op = "fused-attn"
-					vjp = opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).vals,
-						floats(2*nnz), maskWeights(sp(mask)), T(sp(score).slope),
+					vjp = opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).stats,
+						floats(nnz), composeScore(sp, row, score), maskWeights(sp(mask)), T(sp(score).slope),
 						sp(n.Inputs[1]), s, sp(add.Inputs[0].Inputs[0]), sp(add.Inputs[1].Inputs[0]))
 					break
 				}
@@ -1087,11 +1105,7 @@ func composeScore[T elem](sp, row func(*Node) *spec[T], n *Node) score[T] {
 			u, v := us.vec[i], vs.vec
 			dst = dst[:cols.Len()]
 			for q, j := range cols.Cols() {
-				s := u + v[j]
-				if s < 0 {
-					s *= slope
-				}
-				dst[q] = s
+				dst[q] = lrelu(u+v[j], slope)
 			}
 		}}
 	case n.Op == "scale" && n.Inputs[0].Op == "divide" &&
@@ -1171,13 +1185,7 @@ func composeEntry[T elem](sp, row func(*Node) *spec[T], n *Node) scoreEntry[T] {
 	case "lrelu":
 		xs := sp(n.Inputs[0])
 		slope := T(sp(n).slope)
-		return func(i, j int32) T {
-			s := xs.entry(i, j)
-			if s < 0 {
-				s *= slope
-			}
-			return s
-		}
+		return func(i, j int32) T { return lrelu(xs.entry(i, j), slope) }
 	}
 	panic(fmt.Sprintf("fuse: no score composition for virtual op %q (node %q)", n.Op, n.ID))
 }
@@ -1311,9 +1319,10 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 		if backward {
 			// opAttnFusedVJP, counted as it runs over its two sweeps: per
 			// non-zero the Ψ̄ dot product and the Sᵀ·Z̄ axpy (2c each), ρ and
-			// the softmax apply (4), LeakyReLU′ (2) and the row and column
-			// sums (2).
-			return 4*nz*c + 8*nz, 2 * nz
+			// the softmax apply (4), LeakyReLU′ (2), the row and column sums
+			// (2), and Ψ recomputed in each sweep — score, shift, exp and
+			// scale (4 each).
+			return 4*nz*c + 16*nz, 2 * nz
 		}
 		// Score sampling (+softmax for the GAT/AGNN shape) plus the
 		// aggregation, all in one sweep.

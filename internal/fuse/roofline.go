@@ -46,11 +46,12 @@ func dotWidth(g *Graph, n *Node) int64 {
 // feature row per non-zero) for sparse sweeps, operand reads + result
 // writes for dense kernels. fb is the float element width of the plan's
 // dtype (8 for f64, 4 for f32) — the lever that halves every value-traffic
-// term on the f32 path; train says the plan materializes the scores its
-// fused sweeps normalize. Backward variants approximately double the
-// forward traffic, mirroring opCost (the fused attention VJP's values are
-// counted as they move).
-func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int64) int64 {
+// term on the f32 path; kept is the words a training plan's fused attention
+// sweep writes for its backward (0 in inference, the nnz normalized scores,
+// or under GAT's fused backward the 2·n row statistics). Backward variants
+// approximately double the forward traffic, mirroring opCost (the fused
+// attention VJP's values are counted as they move).
+func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, kept, fb int64) int64 {
 	s := g.md(n)
 	r, c := int64(s.rows), int64(s.cols)
 	nz := int64(nnz)
@@ -89,23 +90,25 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		b = indexBytes*nz + 7*fb*nz + fb*nz*dotWidth(g, n)
 	case "fused-attn":
 		if backward {
-			// opAttnFusedVJP's two sweeps. The row sweep reads per non-zero
-			// a gathered X row, Ψ and v_j and writes Ψ and C̄ at the entry's
-			// Sᵀ position, and per row Z̄'s row, u_i and ū_i; the transposed
-			// sweep reads Ψ and C̄ back contiguously with a gathered Z̄ row
-			// per non-zero, and per row updates X̄'s row and v̄_j. The values
-			// are counted as they move, not doubled: doubled, the two
-			// gathered rows per non-zero would count four times and the
-			// estimate would exceed the per-op VJPs' it replaces. The index
-			// words — the columns of S and of Sᵀ, and the int64 Sᵀ positions
-			// — are doubled, as every backward estimate's are.
-			return 2*(2*indexBytes+8)*nz + fb*(nz*(2*c+6)+r*(3*c+5))
+			// opAttnFusedVJP's two sweeps, neither of which reads a stored
+			// Ψ. The row sweep reads per non-zero a gathered X row and v_j
+			// and writes C̄ at the entry's Sᵀ position, and per row Z̄'s
+			// row, u_i, ū_i and the row's max and reciprocal sum; the
+			// transposed sweep reads C̄ back contiguously and gathers a Z̄
+			// row and u_i, m_i and c_i per non-zero, and per row reads v_j
+			// and updates X̄'s row and v̄_j. The values are counted as they
+			// move, not doubled: doubled, the two gathered rows per non-zero
+			// would count four times and the estimate would exceed the
+			// per-op VJPs' it replaces. The index words — the columns of S
+			// and of Sᵀ, and the int64 Sᵀ positions — are doubled, as every
+			// backward estimate's are.
+			return 2*(2*indexBytes+8)*nz + fb*(nz*(2*c+6)+r*(3*c+8))
 		}
 		// One sweep: indices + two score operands (+ the gathered row of a
 		// dot-product chain) in, one gathered X row per non-zero, output
 		// rows out. Softmax passes run over the row's scores while they
-		// are cache-hot; training plans additionally write the normalized
-		// scores to the value buffer (inference never materializes them —
+		// are cache-hot; training plans additionally write what the
+		// backward reads, kept (inference never materializes the scores —
 		// the fusion's saving). Where the sweep aggregates the very rows it
 		// took the dot products with — Ψ·H under scores H·Hᵀ, the (Ψ·H)·W
 		// order — row j comes from memory once per non-zero, not twice.
@@ -116,9 +119,7 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward, train bool, fb int
 		if n.Inputs[0].Op == "softmax" {
 			b += 2 * fb * nz
 		}
-		if train {
-			b += fb * nz
-		}
+		b += fb * kept
 	case "matvec":
 		k := int64(g.md(n.Inputs[0]).cols)
 		b = fb * (r*k + k + r)

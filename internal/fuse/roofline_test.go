@@ -175,6 +175,18 @@ func TestOpBytesModelShapes(t *testing.T) {
 		t.Errorf("GAT backward: fused %d B, %d flops; per op %d B, %d flops — want the fused estimate below",
 			fused.BackwardBytes, fused.BackwardFlops, perOp.BackwardBytes, perOp.BackwardFlops)
 	}
+	// Its training forward keeps each row's max and reciprocal sum for the
+	// backward, which recomputes Ψ, not the nnz scores; its backward reads
+	// no Ψ, writes and reads C̄ once, and gathers u_i, m_i and c_i per
+	// non-zero.
+	if want := gat.ForwardBytes + 2*fb*r; fused.ForwardBytes != want {
+		t.Errorf("GAT training forward bytes = %d, want the inference forward's + 2·n row statistics = %d", fused.ForwardBytes, want)
+	}
+	attnBwd := 2*(2*4+8)*nz + fb*(nz*(2*k+6)+r*(3*k+8))
+	if want := 2*(mm+matvecs+sigma) + attnBwd; fused.BackwardBytes != want {
+		t.Errorf("GAT backward bytes = %d, want the dense VJPs' %d + the fused attention VJP's %d",
+			fused.BackwardBytes, 2*(mm+matvecs+sigma), attnBwd)
+	}
 }
 
 // TestRooflineBytesScaleWithDType: one traffic model serves both element
@@ -184,7 +196,9 @@ func TestOpBytesModelShapes(t *testing.T) {
 // counted independently here: 4 B per non-zero per pattern sweep (doubled
 // for backward ops, like every backward estimate). The training-only term
 // is checked on its own: a fused-attn sweep of a training plan additionally
-// writes the normalized scores, one value per non-zero, at either width.
+// writes what its backward reads, at either width — the normalized scores,
+// one value per non-zero, or under GAT's fused backward, which recomputes
+// them, each row's max and reciprocal sum, two values per row.
 // With the index traffic included the f32 estimate must stay within 0.6× of
 // the f64 one: the byte half of the mixed-precision claim, exact because the
 // model is static (infer-hub's step_s_p10 in bench/ holds the time half).
@@ -208,13 +222,14 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 		name         string
 		build        func() *fuse.Graph
 		weightedMask bool
+		kept         int64 // words a fused sweep of a training plan writes for the backward
 	}{
-		{"va", func() *fuse.Graph { return buildVA(a, w, k) }, true},
-		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }, true},
-		{"va (Ψ·H)·W", func() *fuse.Graph { return buildVAOrder(a, w, k, true) }, true},
-		{"agnn (Ψ·H)·W", func() *fuse.Graph { return buildAGNNOrder(a, w, beta, k, tanhAct, true) }, true},
-		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }, false},
-		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }, true},
+		{"va", func() *fuse.Graph { return buildVA(a, w, k) }, true, nnz},
+		{"agnn", func() *fuse.Graph { return buildAGNN(a, w, beta, k) }, true, nnz},
+		{"va (Ψ·H)·W", func() *fuse.Graph { return buildVAOrder(a, w, k, true) }, true, nnz},
+		{"agnn (Ψ·H)·W", func() *fuse.Graph { return buildAGNNOrder(a, w, beta, k, tanhAct, true) }, true, nnz},
+		{"gat", func() *fuse.Graph { return buildGAT(a, w, a1, a2, k, 0.2) }, false, 2 * int64(a.Rows)},
+		{"gcn", func() *fuse.Graph { return buildGCN(a, w, k, reluAct) }, true, nnz},
 	} {
 		stats := map[tensor.DType]map[bool]fuse.PlanStats{tensor.F64: {}, tensor.F32: {}}
 		for _, train := range []bool{true, false} {
@@ -245,9 +260,9 @@ func TestRooflineBytesScaleWithDType(t *testing.T) {
 			}
 		}
 		for dt, byMode := range stats {
-			want := dt.Size() * nnz * int64(byMode[true].AttnFused)
+			want := dt.Size() * tc.kept * int64(byMode[true].AttnFused)
 			if got := byMode[true].ForwardBytes - byMode[false].ForwardBytes; got != want {
-				t.Errorf("%s %s: training forward moves %d more bytes than inference, want %d (score write per fused sweep)",
+				t.Errorf("%s %s: training forward moves %d more bytes than inference, want %d (what each fused sweep keeps)",
 					tc.name, dt, got, want)
 			}
 		}

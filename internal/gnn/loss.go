@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"agnn/internal/par"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -136,7 +137,9 @@ func (l *CrossEntropyLoss) rows(_, a, b int) {
 func (l *CrossEntropyLoss) in(v int) bool { return l.Mask == nil || l.Mask[v] }
 
 // vertexLoss returns one vertex's term −log softmax(row)[y] and writes its
-// gradient, softmax(row) − onehot(y), to grow.
+// gradient, softmax(row) − onehot(y), to grow. The exponentials are
+// sparse.ExpRow's, math.Exp's bits: exp(row − m) into grow first, summed in
+// order, then the softmax probabilities exp(row − logZ) over them.
 func vertexLoss(row, grow []float64, y int) float64 {
 	m := math.Inf(-1)
 	for _, v := range row {
@@ -144,14 +147,13 @@ func vertexLoss(row, grow []float64, y int) float64 {
 			m = v
 		}
 	}
+	sparse.ExpRow(grow, row, m)
 	sum := 0.0
-	for _, v := range row {
-		sum += math.Exp(v - m)
+	for _, v := range grow[:len(row)] {
+		sum += v
 	}
 	logZ := m + math.Log(sum)
-	for j, v := range row {
-		grow[j] = math.Exp(v - logZ) // softmax probability
-	}
+	sparse.ExpRow(grow, row, logZ)
 	grow[y] -= 1
 	return logZ - row[y]
 }

@@ -3,37 +3,69 @@ package sparse
 import (
 	"math"
 	"unsafe"
+
+	"agnn/internal/tensor"
 )
 
 // The third row primitive, beside GatherDots and GatherAxpy: the exponential
-// of one max-subtracted score row, the middle pass of every float32 row
-// softmax. Like the other two it runs in assembly on an amd64 CPU with AVX2
-// (exprow_amd64.s, eight lanes a pass, picked by the same init) and in Go
-// everywhere else; the Go loop over exp32 is also what the tests hold the
-// assembly to. The assembly performs exp32's operations in exp32's order on
-// every lane, so every result that is not a NaN has the same bits either way.
+// of one max-subtracted score row, the middle pass of every row softmax and
+// of the cross-entropy. Like the other two it runs in assembly on an amd64
+// CPU (exprow_amd64.s, picked by the same init) and in Go everywhere else;
+// the Go loop is also what the tests hold the assembly to.
+//
+// At float32 the exponential is exp32 below, eight lanes a pass where the CPU
+// has AVX2; the assembly performs exp32's operations in exp32's order on
+// every lane. At float64 it is math.Exp, four lanes a pass where the CPU has
+// AVX2 and FMA — which is where math.Exp itself takes its FMA path, the
+// sequence the assembly replays lane by lane; a pass with a lane on one of
+// math.Exp's special cases is handed back and goes through math.Exp. Either
+// way every result that is not a NaN has the Go loop's bits.
 
-// asmExp is the assembly kernel, set during package initialisation where the
-// CPU has it (gather_amd64.go) and nil everywhere else. It takes any n ≥ 1
-// elements; dst may be src.
-var asmExp func(dst, src unsafe.Pointer, n int, m float32)
+// The assembly kernels, set during package initialisation where the CPU has
+// them (gather_amd64.go) and nil everywhere else. Each takes any n ≥ 1
+// elements; dst may be src. asmExp64 returns n, or the index of the first
+// element of the first pass it left unwritten.
+var (
+	asmExp   func(dst, src unsafe.Pointer, n int, m float32)
+	asmExp64 func(dst, src unsafe.Pointer, n int, m float64) int
+)
 
-// ExpRow writes exp(src[q] − m) to dst[q] for every q. dst may be src itself
-// but must not overlap it otherwise.
-func ExpRow(dst, src []float32, m float32) {
-	dst = dst[:len(src)]
-	if asmExp != nil && len(src) > 0 {
-		asmExp(base(dst), base(src), len(src), m)
-		return
+// expPass64 is the lanes of one pass of the float64 kernel.
+const expPass64 = 4
+
+// ExpRow writes exp(src[q] − m) to dst[q] for every q: exp32 at float32,
+// math.Exp at float64. dst may be src itself but must not overlap it
+// otherwise.
+func ExpRow[T tensor.Elem](dst, src []T, m T) {
+	n := len(src)
+	dst = dst[:n]
+	switch {
+	case n == 0:
+	case unsafe.Sizeof(m) == 4 && asmExp != nil:
+		asmExp(base(dst), base(src), n, float32(m))
+	case unsafe.Sizeof(m) == 8 && asmExp64 != nil:
+		for q := 0; q < n; {
+			q += asmExp64(base(dst[q:]), base(src[q:]), n-q, float64(m))
+			if q < n {
+				end := min(q+expPass64, n)
+				expRowGo(dst[q:end], src[q:end], m)
+				q = end
+			}
+		}
+	default:
+		expRowGo(dst, src, m)
 	}
-	expRowGo(dst, src, m)
 }
 
 // expRowGo is ExpRow in Go, one element at a time.
-func expRowGo(dst, src []float32, m float32) {
+func expRowGo[T tensor.Elem](dst, src []T, m T) {
 	dst = dst[:len(src)]
 	for q, v := range src {
-		dst[q] = exp32(v - m)
+		if unsafe.Sizeof(m) == 4 {
+			dst[q] = T(exp32(float32(v - m)))
+		} else {
+			dst[q] = T(math.Exp(float64(v - m)))
+		}
 	}
 }
 

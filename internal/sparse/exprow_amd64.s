@@ -151,3 +151,177 @@ partial:
 done:
 	VZEROUPPER
 	RET
+
+// ---- float64: math.Exp on four lanes ----------------------------------
+//
+// AVX2+FMA form of ExpRow's float64 loop: math.Exp on four lanes a pass,
+// through the operations of the FMA path of Go's own math.Exp for amd64
+// ($GOROOT/src/math/exp_amd64.s, after Shibata's SLEEF) in their order —
+// e = round(x·log2e) by the same round-to-nearest convert; x − e·ln2U and
+// − e·ln2L, each one fused multiply-add; ×1/16; the Horner chain of seven
+// FMAs; four (x+2)·x squarings, the last fused with the closing + 1; and the
+// product with 2^e built in the exponent field. So a lane's result has the
+// bits math.Exp returns wherever math.Exp takes that path: where e + 1023
+// lies in [1, 2046]. Every other lane (±Inf, NaN, the underflow into
+// subnormals and zero, math.Exp's overflow band from 709.44 up) is math.Exp's
+// special case: a pass with one such lane is not written, and its index is
+// returned for ExpRow to take the pass through math.Exp itself. The n%4
+// elements after the last whole pass take one more pass under a lane mask,
+// as expF32's do.
+
+// math.Exp's constants, parsed from the same literals by the same assembler.
+#define LOG2E 1.4426950408889634073599246810018920
+#define LN2U 0.69314718055966295651160180568695068359375
+#define LN2L 0.28235290563031577122588448175013436025525412068e-12
+
+// Four-lane vectors (memory operands of the chain's tail) …
+DATA exp64c<>+0(SB)/8, $1.6666666666666666667e-1
+DATA exp64c<>+8(SB)/8, $1.6666666666666666667e-1
+DATA exp64c<>+16(SB)/8, $1.6666666666666666667e-1
+DATA exp64c<>+24(SB)/8, $1.6666666666666666667e-1
+DATA exp64c<>+32(SB)/8, $0.5
+DATA exp64c<>+40(SB)/8, $0.5
+DATA exp64c<>+48(SB)/8, $0.5
+DATA exp64c<>+56(SB)/8, $0.5
+DATA exp64c<>+64(SB)/8, $1.0
+DATA exp64c<>+72(SB)/8, $1.0
+DATA exp64c<>+80(SB)/8, $1.0
+DATA exp64c<>+88(SB)/8, $1.0
+DATA exp64c<>+96(SB)/8, $2.0
+DATA exp64c<>+104(SB)/8, $2.0
+DATA exp64c<>+112(SB)/8, $2.0
+DATA exp64c<>+120(SB)/8, $2.0
+// … four int32 lanes: the exponent bias, zero, the largest biased exponent
+// of a finite power of two …
+DATA exp64c<>+128(SB)/8, $0x000003ff000003ff
+DATA exp64c<>+136(SB)/8, $0x000003ff000003ff
+DATA exp64c<>+144(SB)/8, $0
+DATA exp64c<>+152(SB)/8, $0
+DATA exp64c<>+160(SB)/8, $0x000007fe000007fe
+DATA exp64c<>+168(SB)/8, $0x000007fe000007fe
+// … and the scalars broadcast into registers.
+DATA exp64c<>+176(SB)/8, $LOG2E
+DATA exp64c<>+184(SB)/8, $LN2U
+DATA exp64c<>+192(SB)/8, $LN2L
+DATA exp64c<>+200(SB)/8, $0.0625
+DATA exp64c<>+208(SB)/8, $2.4801587301587301587e-5
+DATA exp64c<>+216(SB)/8, $1.9841269841269841270e-4
+DATA exp64c<>+224(SB)/8, $1.3888888888888888889e-3
+DATA exp64c<>+232(SB)/8, $8.3333333333333333333e-3
+DATA exp64c<>+240(SB)/8, $4.1666666666666666667e-2
+GLOBL exp64c<>(SB), RODATA|NOPTR, $248
+
+// EXP4 turns the four scores in Y0 into Y0 = math.Exp(Y0 − m), and leaves in
+// AX one bit per lane that took math.Exp's ordinary path. Registers: Y15 m,
+// Y14 log2e, Y13 ln2U, Y12 ln2L, Y11 1/16, Y10–Y6 the chain's first five
+// coefficients; Y1 scratch, X2 e and then its biased form, X3 and X4 the
+// range tests. Line by line:
+//
+//	x = src − m
+//	e = int32(x·log2e), rounded to nearest; x = x − e·ln2U − e·ln2L (fused)
+//	x = x·(1/16)
+//	p = ((((((c8·x + c7)·x + c6)·x + c5)·x + c4)·x + c3)·x + 0.5)·x + 1 (fused)
+//	x = x·p; three times x = x·(x+2); x = x·(x+2) + 1 (fused)
+//	x = x·2^e, with e + 1023 put in the exponent field
+//	AX: 0 < e + 1023 < 2047, lane by lane
+#define EXP4 \
+	VSUBPD       Y15, Y0, Y0;             \
+	VMULPD       Y14, Y0, Y1;             \
+	VCVTPD2DQY   Y1, X2;                  \
+	VCVTDQ2PD    X2, Y1;                  \
+	VFNMADD231PD Y13, Y1, Y0;             \
+	VFNMADD231PD Y12, Y1, Y0;             \
+	VMULPD       Y11, Y0, Y0;             \
+	VMOVAPD      Y10, Y1;                 \
+	VFMADD213PD  Y9, Y0, Y1;              \
+	VFMADD213PD  Y8, Y0, Y1;              \
+	VFMADD213PD  Y7, Y0, Y1;              \
+	VFMADD213PD  Y6, Y0, Y1;              \
+	VFMADD213PD  exp64c<>+0(SB), Y0, Y1;  \
+	VFMADD213PD  exp64c<>+32(SB), Y0, Y1; \
+	VFMADD213PD  exp64c<>+64(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0;              \
+	VADDPD       exp64c<>+96(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0;              \
+	VADDPD       exp64c<>+96(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0;              \
+	VADDPD       exp64c<>+96(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0;              \
+	VADDPD       exp64c<>+96(SB), Y0, Y1; \
+	VFMADD213PD  exp64c<>+64(SB), Y1, Y0; \
+	VPADDD       exp64c<>+128(SB), X2, X2; \
+	VPMOVZXDQ    X2, Y1;                  \
+	VPSLLQ       $52, Y1, Y1;             \
+	VMULPD       Y1, Y0, Y0;              \
+	VPCMPGTD     exp64c<>+144(SB), X2, X3; \
+	VPCMPGTD     exp64c<>+160(SB), X2, X4; \
+	VPANDN       X3, X4, X3;              \
+	VMOVMSKPS    X3, AX
+
+// func expF64(dst, src unsafe.Pointer, n int, m float64) (done int)
+//
+// Returns n, or the index of the first element of the first pass with a
+// lane math.Exp takes a special case on; from that pass on nothing is
+// written. SI/DI: the ends of the whole passes of src/dst, CX minus their
+// bytes (counts up to zero), DX their elements, BX the lanes of the partial
+// pass, R8 and then Y5 its mask.
+TEXT ·expF64(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD m+24(FP), Y15
+	VBROADCASTSD exp64c<>+176(SB), Y14
+	VBROADCASTSD exp64c<>+184(SB), Y13
+	VBROADCASTSD exp64c<>+192(SB), Y12
+	VBROADCASTSD exp64c<>+200(SB), Y11
+	VBROADCASTSD exp64c<>+208(SB), Y10
+	VBROADCASTSD exp64c<>+216(SB), Y9
+	VBROADCASTSD exp64c<>+224(SB), Y8
+	VBROADCASTSD exp64c<>+232(SB), Y7
+	VBROADCASTSD exp64c<>+240(SB), Y6
+	MOVQ CX, BX
+	ANDQ $3, BX
+	SUBQ BX, CX
+	MOVQ CX, DX
+	SHLQ $3, CX
+	ADDQ CX, SI
+	ADDQ CX, DI
+	NEGQ CX
+	JZ   partial64
+
+pass64:
+	VMOVUPD (SI)(CX*1), Y0
+	EXP4
+	CMPL    AX, $15
+	JNE     special64
+	VMOVUPD Y0, (DI)(CX*1)
+	ADDQ    $32, CX
+	JNZ     pass64
+
+partial64:
+	TESTQ BX, BX
+	JZ    done64
+	LEAQ  ·lanemask+32(SB), R8
+	SHLQ  $3, BX
+	SUBQ  BX, R8
+	VMOVDQU    (R8), Y5
+	VMASKMOVPD (SI), Y5, Y0
+	EXP4
+	VMOVMSKPD  Y5, BX
+	NOTL       AX
+	TESTL      BX, AX
+	JNZ        special64
+	VMASKMOVPD Y0, Y5, (DI)
+
+done64:
+	MOVQ n+16(FP), AX
+	MOVQ AX, done+32(FP)
+	VZEROUPPER
+	RET
+
+special64:
+	SARQ $3, CX
+	ADDQ DX, CX
+	MOVQ CX, done+32(FP)
+	VZEROUPPER
+	RET

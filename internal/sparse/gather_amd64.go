@@ -28,6 +28,9 @@ func prefetchRows(m unsafe.Pointer, cols *int32, n int, ldb, offb, wb int)
 func expF32(dst, src unsafe.Pointer, n int, m float32)
 
 //go:noescape
+func expF64(dst, src unsafe.Pointer, n int, m float64) (done int)
+
+//go:noescape
 func cosineF32(dst unsafe.Pointer, cols *int32, n int, b unsafe.Pointer, a, beta float32)
 
 // dotsShort is the dots kernel of a row of 1 ≤ n < dotsPass edges: the row is
@@ -52,31 +55,40 @@ func dotsShort[T float32 | float64](dst, x unsafe.Pointer, wb int, cols *int32, 
 	copy(unsafe.Slice((*T)(dst), n), d[:n])
 }
 
-// hasAVX2 reports whether the CPU implements AVX2 and the operating system
-// saves the ymm registers across context switches.
-func hasAVX2() bool {
+// vectorISA reports whether the CPU implements AVX2 and the operating system
+// saves the ymm registers across context switches, and whether it also
+// implements FMA — with AVX, the condition under which math.Exp takes its
+// FMA path.
+func vectorISA() (avx2, fma bool) {
 	const (
 		osxsave = 1 << 27 // CPUID.1:ECX
 		avx     = 1 << 28
-		avx2    = 1 << 5 // CPUID.7.0:EBX
+		fmaBit  = 1 << 12
+		avx2Bit = 1 << 5 // CPUID.7.0:EBX
 		ymmSave = 0b110  // XCR0: SSE and AVX state enabled
 	)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return false, false
 	}
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return false
+	_, _, c, _ := cpuid(1, 0)
+	if c&osxsave == 0 || c&avx == 0 {
+		return false, false
 	}
 	if xgetbv()&ymmSave != ymmSave {
-		return false
+		return false, false
 	}
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx2 != 0
+	avx2 = b&avx2Bit != 0
+	return avx2, avx2 && c&fmaBit != 0
 }
 
 // The row kernels are chosen once, here, from what the CPU reports.
 func init() {
-	if hasAVX2() {
+	avx2, fma := vectorISA()
+	if fma {
+		asmExp64 = expF64
+	}
+	if avx2 {
 		asmAxpy = [2]axpyKernel{axpyF32, axpyF64}
 		asmDots = [2]dotsKernel{dotsF32, dotsF64}
 		asmDotsShort = [2]dotsKernel{dotsShort[float32], dotsShort[float64]}
