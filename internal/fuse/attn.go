@@ -149,11 +149,7 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 				if weights != nil {
 					c *= weights[b+int64(q)]
 				}
-				d := T(1)
-				if ui+vv[j] < 0 {
-					d = slope
-				}
-				c *= d
+				c *= lreluD(ui+vv[j], slope)
 				sum += c
 				cbar[dst[b+int64(q)]] = c
 			}

@@ -26,3 +26,39 @@ func QueryFrontierValues(g *Graph, h tensor.Typed, dt tensor.DType) ([]*Node, []
 	p.ForwardTyped(h)
 	return frontier, p.x.values()[1:]
 }
+
+// Buffer is one buffer of a plan's planned workspace: its size, the positions
+// of the step it is live over — forward ops from 0, then the seed, then the
+// backward ops — the slot it shares storage in, and whether the step hands it
+// to the caller (the output, the input cotangent).
+type Buffer struct {
+	Name        string
+	Words       int64
+	First, Last int
+	Slot        int
+	Keep        bool
+}
+
+// KeepBuffers makes the plans compiled until restore is called keep what
+// Buffers lists.
+func KeepBuffers() (restore func()) {
+	keepLifetimes = true
+	return func() { keepLifetimes = false }
+}
+
+// Buffers lists the planned buffers of a plan compiled under KeepBuffers.
+func Buffers(p *Plan) []Buffer {
+	out := make([]Buffer, len(p.lifetimes))
+	for i, b := range p.lifetimes {
+		out[i] = Buffer{Name: b.name, Words: b.words, First: b.first, Last: b.last, Slot: b.slot, Keep: b.keep}
+	}
+	return out
+}
+
+// PoisonDead makes the plans compiled until restore is called give every
+// buffer storage of its own and fill each buffer with NaN wherever the step
+// is outside its interval.
+func PoisonDead() (restore func()) {
+	poisonDead = true
+	return func() { poisonDead = false }
+}

@@ -236,12 +236,20 @@ func expSum[T elem](dst, src []T, m T) T {
 }
 
 // lrelu is LeakyReLU, s·slope below zero: GAT's score, written once for the
-// sweeps that sample it and the backward sweep that recomputes it.
-func lrelu[T elem](s, slope T) T {
-	if s < 0 {
-		s *= slope
+// sweeps that sample it and the backward sweep that recomputes it. s·1 is s
+// and −0·1 is −0, so it is the branching form to the bit.
+func lrelu[T elem](s, slope T) T { return s * lreluD(s, slope) }
+
+// lreluD is LeakyReLU's derivative at s, 1 or slope below zero: a select,
+// not a branch — the sign of a score is a coin toss the predictor loses.
+func lreluD[T elem](s, slope T) T { return [2]T{1, slope}[b2i(s < 0)] }
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return s
+	return 0
 }
 
 func scaleRow[T elem](row []T, c T) {
@@ -891,17 +899,16 @@ func opRepTVJP[T elem](cutsT *par.Cuts, gvals []T, tr *transposedRows[T], v *spe
 }
 
 // opLReLUVJP handles C = LeakyReLU(X): X̄ = C̄ ⊙ (X < 0 ? slope : 1),
-// re-evaluating the virtual input's sign entry-wise.
+// re-evaluating the virtual input's sign entry-wise. Not inlined: the sweep
+// of a builder inlined into its caller calls lreluD instead of inlining it.
+//
+//go:noinline
 func opLReLUVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, gvals []T, x *spec[T], slope T) func() {
 	body := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gi := int32(i)
 			for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-				d := T(1)
-				if x.entry(gi, pat.Col[p]) < 0 {
-					d = slope
-				}
-				x.gvals[p] = gvals[p] * d
+				x.gvals[p] = gvals[p] * lreluD(x.entry(gi, pat.Col[p]), slope)
 			}
 		}
 	}

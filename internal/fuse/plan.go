@@ -65,7 +65,9 @@ func (s PlanStats) WorkspaceBytes() int64 { return s.DType.Size() * s.WorkspaceW
 // list over preallocated buffers. Forward binds the input feature matrix
 // and runs the op list; Backward (training plans) runs the reverse-derived
 // VJP list and returns the input cotangent. All returned tensors are owned
-// by the plan and are overwritten by the next step.
+// by the plan and are overwritten by the next step: the output by the next
+// Forward, the input cotangent — whose storage forward buffers share — by the
+// next Forward or Backward.
 //
 // A plan takes and returns matrices at its own width (ForwardTyped,
 // BackwardTyped — what the consecutive plans of a model hand each other) or
@@ -86,8 +88,9 @@ type Plan struct {
 
 	x boundary
 
-	ws    *tensor.Arena
-	stats PlanStats
+	ws        *tensor.Arena
+	stats     PlanStats
+	lifetimes []lifetime // the planned buffers, kept for tests (keepLifetimes)
 
 	ranForward bool
 	released   bool
@@ -177,8 +180,9 @@ func (c *castSweep[D, S]) run(dst []D, src []S) {
 	c.dst, c.src = nil, nil // keep no hold on the caller's matrix
 }
 
-// zeroSweep clears a training plan's cotangent buffers before every
-// backward pass: the buffers joined end to end into one index space split over
+// zeroSweep clears a set of a training plan's cotangent buffers — at the seed
+// of every backward pass, or just before the op that first writes them
+// (layout.clears) — joined end to end into one index space split over
 // par.Range. At training shapes that is several n×k matrices, as much memory
 // as a sweep writes, so it gets the workers a sweep does. The buffers are the
 // plan's own, added at compile time, and so is the loop body (the method
@@ -536,9 +540,10 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	}
 	e.inN = make([]*tensor.Mat[T], len(e.leaves))
 
-	// words counts the held workspace in elements of T (WorkspaceBytes
-	// multiplies by DType.Size()); the float64 buffers of a casting plan
-	// count at their own width.
+	// words counts the workspace held outside the planned layout, in
+	// elements of T (WorkspaceBytes multiplies by DType.Size()): what persists
+	// between steps. The float64 buffers of a casting plan count at their own
+	// width.
 	var words int64
 	mat := func(r, c int) *tensor.Mat[T] {
 		m := tensor.AcquireMat[T](ws, r, c)
@@ -585,25 +590,35 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		return adjVals()
 	}
 
-	// value and cotangent acquire the storage of a dense or vector node.
-	value := func(s *spec[T]) {
-		if s.node.Kind == Vector {
-			s.vec = floats(s.rows)
+	// The step's buffers are planned (workspace.go): each node's value, row
+	// statistics and cotangent is a buffer of the layout, which gets storage
+	// once the op lists say when each is live.
+	lay := &layout[T]{}
+	val, stat, grad := make(map[*Node]*buffer[T]), make(map[*Node]*buffer[T]), make(map[*Node]*buffer[T])
+	// value and cotangent plan the storage of a dense or vector node.
+	value := func(n *Node) {
+		s := sp(n)
+		if n.Kind == Vector {
+			val[n] = lay.add(n.ID, s.rows)
+			val[n].view(&s.vec)
 		} else {
-			s.dense = mat(s.rows, s.cols)
+			val[n] = lay.add(n.ID, s.rows*s.cols)
+			s.dense = val[n].mat(s.rows, s.cols)
 		}
 	}
-	cotangent := func(s *spec[T]) {
-		if s.node.Kind == Vector {
-			s.gvec = floats(s.rows)
-			e.zero.add(s.gvec)
+	cotangent := func(n *Node) {
+		s := sp(n)
+		if n.Kind == Vector {
+			grad[n] = lay.add(n.ID+".grad", s.rows)
+			grad[n].view(&s.gvec)
 		} else {
-			s.gdense = mat(s.rows, s.cols)
-			e.zero.add(s.gdense.Data)
+			grad[n] = lay.add(n.ID+".grad", s.rows*s.cols)
+			s.gdense = grad[n].mat(s.rows, s.cols)
 		}
+		grad[n].zero = true
 	}
 
-	// Allocate buffers and compose virtual entry evaluators, in topological
+	// Plan buffers and compose virtual entry evaluators, in topological
 	// (insertion) order so every node's inputs are ready.
 	for _, n := range nodes {
 		s := sp(n)
@@ -614,9 +629,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		case n == g.adj:
 			// values resolve lazily via adjVals
 		case leaf[n]:
-			// The value is bound per step (exec.bind).
+			// The value is bound per step (exec.bind); the cotangent is
+			// what Backward returns.
 			if opt.Train {
-				cotangent(s)
+				cotangent(n)
+				grad[n].keep = true
 			}
 		case s.hasParam:
 			if aliased {
@@ -643,9 +660,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			// the softmax keeps its row statistics instead, 2·n words.
 			switch {
 			case attnSrc[n] && attnBwd[n]:
-				s.stats = floats(2 * pat.Rows)
+				stat[n] = lay.add(n.ID+".stats", 2*pat.Rows)
+				stat[n].view(&s.stats)
 			case !fusedMask[n] && !(attnSrc[n] && !opt.Train):
-				s.vals = floats(nnz)
+				val[n] = lay.add(n.ID, nnz)
+				val[n].view(&s.vals)
 			}
 		case coll && diag:
 			// On the diagonal a collective node is its operand, value and
@@ -654,31 +673,41 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			// partial sum's only consumer is the reduce that overwrites it.
 			// (A broadcast's value is bound per step — opBcastForward — as
 			// the source may be the plan input.)
-			src := sp(n.Inputs[0])
-			s.gdense, s.gvec = src.gdense, src.gvec
+			src := n.Inputs[0]
+			val[n], grad[n] = val[src], grad[src]
+			s.gdense = sp(src).gdense
+			if b := grad[n]; b != nil && n.Kind == Vector {
+				b.view(&s.gvec)
+			}
 			if !bcast {
-				s.dense = src.dense
+				s.dense = sp(src).dense
 			}
 		default: // dense or vector compute node
 			if n.Op == "sigma" && (s.act.Name == "relu" || s.act.isIdentity()) &&
 				n.Inputs[0].Op != "input" && !leaf[n.Inputs[0]] && len(cons[n.Inputs[0]]) == 1 {
 				// Piecewise-linear σ over a pre-activation nobody else reads
 				// runs in place: σ′ is as readable off max(z, 0) as off z.
-				s.dense = sp(n.Inputs[0]).dense
+				s.dense, val[n] = sp(n.Inputs[0]).dense, val[n.Inputs[0]]
 			} else {
-				value(s)
+				value(n)
 			}
-			switch {
-			case !opt.Train, n == g.output && e.seedByRef:
-			case !diag && n.Op == "spmm":
-				// Off the diagonal a partial sum is dead once reduced and
-				// its cotangent arrives whole, by broadcast: one buffer
-				// holds first the one, then the other.
-				s.gdense = s.dense
-			default:
-				cotangent(s)
+			if opt.Train && (n != g.output || !e.seedByRef) {
+				cotangent(n)
+				// Off the diagonal a partial sum's cotangent arrives whole,
+				// by broadcast: nothing accumulates into it.
+				grad[n].zero = diag || n.Op != "spmm"
 			}
 		}
+	}
+	// What the step hands its caller stays live to its end; the output
+	// cotangent is loaded whole by the seed.
+	for _, n := range c.outs {
+		if b := val[n]; b != nil {
+			b.keep = true
+		}
+	}
+	if b := grad[g.output]; b != nil {
+		b.zero = false
 	}
 	// Cotangents of the sparse and virtual nodes, consumers first. Each has
 	// one consumer (checked in Compile), whose VJP writes it once, and its
@@ -692,31 +721,39 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			if n == g.adj || (n.Kind != Sparse && n.Kind != Virtual) || attnBwd[n] {
 				continue
 			}
-			s := sp(n)
-			if s.gvals == nil {
-				s.gvals = floats(nnz)
+			if grad[n] == nil {
+				grad[n] = lay.add(n.ID+".grad", nnz)
+				grad[n].view(&sp(n).gvals)
 			}
 			for _, in := range cotangentOperands(n) {
-				sp(in).gvals = s.gvals
+				grad[in] = grad[n]
+				grad[n].view(&sp(in).gvals)
 			}
 		}
 	}
-	// The grid plan's collectives, and the row-statistics vector its softmax
-	// sweeps exchange through them.
+	// The grid plan's collectives, and the row-statistics vector a softmax
+	// sweep exchanges through them: a buffer per op, live inside it.
 	var w *wire[T]
-	var rowStat []T
+	rowStat := func(n *Node, dst *[]T) *buffer[T] {
+		b := lay.add(n.ID+".rowstat", pat.Rows)
+		b.view(dst)
+		return b
+	}
 	if grid != nil {
 		w = &wire[T]{grid: grid}
 		if !aliased {
+			// What crosses is a dense or vector node's buffer: the pattern's
+			// nodes are as wide as the block and never do.
 			widest := 1
-			for _, m := range g.meta {
-				widest = max(widest, m.cols)
+			for n, m := range g.meta {
+				if n.Kind == Dense || n.Kind == Vector {
+					widest = max(widest, m.cols)
+				}
 			}
 			e.wire = tensor.AcquireSlice[float64](ws, pat.Rows*widest)
 			w.words = e.wire
 			words += int64(len(e.wire)) * 8 / opt.DType.Size()
 		}
-		rowStat = floats(pat.Rows)
 	}
 
 	// The backward pass's column sweeps (Sᵀ·X products, column sums) run
@@ -741,6 +778,52 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		}
 	}
 
+	// reads lists, after uses, the buffers an op reads through operand m:
+	// m's own and, where m is evaluated inside the reading op (inline), its
+	// operands', on down.
+	var reads func(uses []*buffer[T], m *Node, inline func(*Node) bool) []*buffer[T]
+	reads = func(uses []*buffer[T], m *Node, inline func(*Node) bool) []*buffer[T] {
+		uses = append(uses, val[m], stat[m])
+		if inline(m) {
+			for _, in := range m.Inputs {
+				uses = reads(uses, in, inline)
+			}
+		}
+		return uses
+	}
+	// Forward, a virtual node and a sparse node without an op of its own (a
+	// fused mask, an attention-fused score) are evaluated inside the op that
+	// reads them; backward, a virtual node's VJP re-evaluates its operands.
+	inlineFwd := func(m *Node) bool { return m.Kind == Virtual || fusedMask[m] || attnSrc[m] }
+	inlineBwd := func(m *Node) bool { return m.Kind == Virtual }
+	// fwdUses lists what n's forward op touches: n's buffers (and extra), and
+	// what it reads of its operands.
+	fwdUses := func(n *Node, extra ...*buffer[T]) []*buffer[T] {
+		uses := append([]*buffer[T]{val[n], stat[n]}, extra...)
+		for _, in := range n.Inputs {
+			uses = reads(uses, in, inlineFwd)
+		}
+		return uses
+	}
+	// bwdUses lists what n's VJP touches: n's cotangent, its operands'
+	// cotangents and — unless the VJP only hands cotangents on — the values
+	// it reads: its operands', and its own for a row norm or a softmax.
+	bwdUses := func(n *Node, extra ...*buffer[T]) []*buffer[T] {
+		uses := append([]*buffer[T]{grad[n]}, extra...)
+		if n.Op == "rownorm" || n.Op == "softmax" {
+			uses = append(uses, val[n])
+		}
+		_, _, coll := collective(n.Op)
+		operands := !coll && !slices.Contains([]string{"concat", "mean", "rep", "repT", "mask", "softmax"}, n.Op)
+		for _, in := range n.Inputs {
+			uses = append(uses, grad[in])
+			if operands {
+				uses = reads(uses, in, inlineBwd)
+			}
+		}
+		return uses
+	}
+
 	rowOff := int32(g.rowOff)
 	log := obs.Current() // the ops record on the log of the rank compiling them
 	// kept is the words a training plan's fused attention sweep at n leaves
@@ -755,14 +838,20 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		}
 		return int64(nnz)
 	}
-	emit := func(list *[]planOp, n *Node, suffix, op string, run func()) {
+	// emit appends an op to list — a forward op, or a backward one (suffix
+	// non-empty) — marking the buffers it touches live at its position in
+	// the step. Its body is built once every buffer has storage: builds[i]
+	// builds the body of the op at position i (nil at the seed).
+	var builds []func() func()
+	emit := func(list *[]planOp, n *Node, suffix, op string, uses []*buffer[T], build func() func()) {
 		backward := suffix != ""
+		touch(len(builds), uses...)
+		builds = append(builds, build)
 		flops, swept := opCost(g, n, op, nnz, backward)
 		span := opt.SpanPrefix + n.ID + suffix
 		*list = append(*list, planOp{
 			span: span,
 			op:   op,
-			run:  run,
 			site: obs.NewOp(log, span, op, flops,
 				opBytes(g, n, op, nnz, backward, kept(n), opt.DType.Size()), swept),
 		})
@@ -792,19 +881,22 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		if !here(n) && !coll || leaf[n] {
 			continue // a diagonal rank's op (collectives run on every rank), or a bound value
 		}
+		var build func() func()
+		op, uses := n.Op, fwdUses(n)
 		switch n.Op {
 		case "input":
 			continue
 		case bcastOps[ax]:
-			emit(&p.fwd, n, "", n.Op, opBcastForward(w, ax, sp(n.Inputs[0]), s))
+			build = func() func() { return opBcastForward(w, ax, sp(n.Inputs[0]), s) }
 		case reduceOps[ax]:
-			emit(&p.fwd, n, "", n.Op, opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax)))
+			build = func() func() { return opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax)) }
 		case "mask":
 			if fusedMask[n] || attnSrc[n] {
 				continue
 			}
-			emit(&p.fwd, n, "", "mask",
-				opSample(pat, cuts, s.vals, composeScore(sp, row, n.Inputs[1]), maskWeights(s), rowOff, false))
+			build = func() func() {
+				return opSample(pat, cuts, s.vals, composeScore(sp, row, n.Inputs[1]), maskWeights(s), rowOff, false)
+			}
 		case "softmax":
 			if attnSrc[n] {
 				continue
@@ -812,18 +904,26 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			in := n.Inputs[0]
 			switch {
 			case grid != nil:
-				op, src := "softmax", sp(in).vals
-				sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
+				var stats []T
+				uses = fwdUses(n, rowStat(n, &stats))
 				if fusedMask[in] {
 					op = "fused-softmax"
-					sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false, nil)
 				}
-				emit(&p.fwd, n, "", op, opSoftmaxGrid(w, pat, cuts, sample, s.vals, rowStat))
+				build = func() func() {
+					src := sp(in).vals
+					sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
+					if fusedMask[in] {
+						sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false, nil)
+					}
+					return opSoftmaxGrid(w, pat, cuts, sample, s.vals, stats)
+				}
 			case fusedMask[in]:
-				emit(&p.fwd, n, "", "fused-softmax",
-					opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), rowOff, true))
+				op = "fused-softmax"
+				build = func() func() {
+					return opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), rowOff, true)
+				}
 			default:
-				emit(&p.fwd, n, "", "softmax", opRowSoftmax(pat, cuts, sp(in).vals, s.vals))
+				build = func() func() { return opRowSoftmax(pat, cuts, sp(in).vals, s.vals) }
 			}
 		case "spmm":
 			if src, ok := attnAgg[n]; ok {
@@ -833,41 +933,48 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					maskN = src.Inputs[0]
 					softmax = true
 				}
-				emit(&p.fwd, n, "", "fused-attn",
-					opAttnFused(pat, cuts, sp(src).vals, sp(src).stats, composeScore(sp, row, maskN.Inputs[1]),
-						maskWeights(sp(maskN)), rowOff, softmax, sp(n.Inputs[1]), s))
-				continue
+				op = "fused-attn"
+				build = func() func() {
+					return opAttnFused(pat, cuts, sp(src).vals, sp(src).stats, composeScore(sp, row, maskN.Inputs[1]),
+						maskWeights(sp(maskN)), rowOff, softmax, sp(n.Inputs[1]), s)
+				}
+				break
 			}
-			emit(&p.fwd, n, "", "spmm", opSpMM(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s))
+			build = func() func() { return opSpMM(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s) }
 		case "spmm-max", "spmm-min", "spmm-mean":
-			emit(&p.fwd, n, "", n.Op, opSemiring(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s, s.agg))
+			build = func() func() { return opSemiring(pat, cuts, sparseVals(n.Inputs[0]), sp(n.Inputs[1]), s, s.agg) }
 		case "concat":
-			emit(&p.fwd, n, "", "concat", opConcat(operands(n), s))
+			build = func() func() { return opConcat(operands(n), s) }
 		case "mean":
-			emit(&p.fwd, n, "", "mean", opMean(operands(n), s))
+			build = func() func() { return opMean(operands(n), s) }
 		case "mm":
-			emit(&p.fwd, n, "", "mm", opMM(sp(n.Inputs[0]), sp(n.Inputs[1]), s))
+			build = func() func() { return opMM(sp(n.Inputs[0]), sp(n.Inputs[1]), s) }
 		case "matvec":
-			emit(&p.fwd, n, "", "matvec", opMatVec(sp(n.Inputs[0]), sp(n.Inputs[1]), s))
+			build = func() func() { return opMatVec(sp(n.Inputs[0]), sp(n.Inputs[1]), s) }
 		case "rownorm":
-			emit(&p.fwd, n, "", "rownorm", opRowNorms(sp(n.Inputs[0]), s))
+			build = func() func() { return opRowNorms(sp(n.Inputs[0]), s) }
 		case "sigma":
-			emit(&p.fwd, n, "", "sigma", opSigma(sp(n.Inputs[0]), s))
+			build = func() func() { return opSigma(sp(n.Inputs[0]), s) }
 		case "gin-combine":
-			emit(&p.fwd, n, "", "gin-combine",
-				opGINCombine(sp(n.Inputs[0]), row(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n)))
+			build = func() func() {
+				return opGINCombine(sp(n.Inputs[0]), row(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n))
+			}
 		default:
 			if n.Kind == Virtual {
 				continue
 			}
 			return nil, fmt.Errorf("fuse: graph %q: no executable lowering for op %q (node %q)", g.Name, n.Op, n.ID)
 		}
+		emit(&p.fwd, n, "", op, uses, build)
 	}
 
-	// Backward op list: reverse traversal of the same node order. Dense and
-	// vector cotangents accumulate (+=) into zeroed buffers; sparse and
-	// virtual cotangents are overwritten by their single consumer.
+	// Backward op list: reverse traversal of the same node order, after the
+	// seed. Dense and vector cotangents accumulate (+=) into cleared buffers;
+	// sparse and virtual cotangents are overwritten by their single consumer.
+	seed := len(builds) // the position of the seed, which loads the output cotangent
+	builds = append(builds, nil)
 	if opt.Train {
+		touch(seed, grad[g.output])
 		for idx := len(nodes) - 1; idx >= 0; idx-- {
 			n := nodes[idx]
 			s := sp(n)
@@ -875,79 +982,120 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			if !here(n) && !coll || attnBwd[n] {
 				continue // a diagonal rank's op, or one the fused attention VJP runs
 			}
-			var vjp func()
-			op := n.Op
+			var vjp func() func()
+			op, uses := n.Op, bwdUses(n)
 			switch n.Op {
 			case "input":
 				continue
 			case bcastOps[ax]: // mirror pairs: the Aᵀ of Section 5.2
-				vjp = opCollective(w, s, true, reduceAlong(ax))
+				vjp = func() func() { return opCollective(w, s, true, reduceAlong(ax)) }
 			case reduceOps[ax]:
-				vjp = opCollective(w, sp(n.Inputs[0]), true, bcastAlong(ax))
+				vjp = func() func() { return opCollective(w, sp(n.Inputs[0]), true, bcastAlong(ax)) }
 			case "sigma":
-				vjp = opSigmaVJP(sp(n.Inputs[0]), s)
+				vjp = func() func() { return opSigmaVJP(sp(n.Inputs[0]), s) }
 			case "mm":
-				vjp = opMMVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s, &partialsScratch[T]{})
+				vjp = func() func() { return opMMVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s, &partialsScratch[T]{}) }
 			case "matvec":
-				vjp = opMatVecVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s)
+				vjp = func() func() { return opMatVecVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s) }
 			case "rownorm":
-				vjp = opRowNormsVJP(sp(n.Inputs[0]), s)
+				vjp = func() func() { return opRowNormsVJP(sp(n.Inputs[0]), s) }
 			case "gin-combine":
-				vjp = opGINCombineVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, &redScratch[T]{})
+				vjp = func() func() {
+					return opGINCombineVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), sp(n.Inputs[2]), s, &redScratch[T]{})
+				}
 			case "concat":
-				vjp = opConcatVJP(operands(n), s)
+				vjp = func() func() { return opConcatVJP(operands(n), s) }
 			case "mean":
-				vjp = opMeanVJP(operands(n), s)
+				vjp = func() func() { return opMeanVJP(operands(n), s) }
 			case "spmm":
 				if psi := attnAgg[n]; attnBwd[psi] {
+					// C̄ lives inside the op: written by its row sweep, summed
+					// by its transposed one.
 					mask := psi.Inputs[0]
 					score := mask.Inputs[1]
 					add := score.Inputs[0]
+					u, v, x := add.Inputs[0].Inputs[0], add.Inputs[1].Inputs[0], n.Inputs[1]
+					var cbar []T
+					cb := lay.add(n.ID+".cbar", nnz)
+					cb.view(&cbar)
 					op = "fused-attn"
-					vjp = opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).stats,
-						floats(nnz), composeScore(sp, row, score), maskWeights(sp(mask)), T(sp(score).slope),
-						sp(n.Inputs[1]), s, sp(add.Inputs[0].Inputs[0]), sp(add.Inputs[1].Inputs[0]))
+					uses = reads([]*buffer[T]{grad[n], stat[psi], grad[x], grad[u], grad[v], cb, val[x]}, score, inlineBwd)
+					vjp = func() func() {
+						return opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).stats,
+							cbar, composeScore(sp, row, score), maskWeights(sp(mask)), T(sp(score).slope),
+							sp(x), s, sp(u), sp(v))
+					}
 					break
 				}
 				// The adjacency leaf has neither values nor a cotangent of
 				// its own: only the feature half runs, over adjT.
-				sam := sp(n.Inputs[0])
-				vjp = opSpMMVJP(pat, cuts, cutsT, sam.vals, sam.gvals, tr, adjT, sp(n.Inputs[1]), s)
+				vjp = func() func() {
+					sam := sp(n.Inputs[0])
+					return opSpMMVJP(pat, cuts, cutsT, sam.vals, sam.gvals, tr, adjT, sp(n.Inputs[1]), s)
+				}
 			case "softmax":
-				vjp = opSoftmaxVJP(pat, cuts, s.vals, s.gvals, w, rowStat)
+				var stats []T
+				if grid != nil {
+					uses = bwdUses(n, rowStat(n, &stats))
+				}
+				vjp = func() func() { return opSoftmaxVJP(pat, cuts, s.vals, s.gvals, w, stats) }
 			case "mask":
 				// In place; a pattern-only mask — unit weights included — passes
 				// its cotangent through.
 				if weights := maskWeights(s); weights != nil {
-					vjp = opMaskVJP(s.gvals, weights)
+					vjp = func() func() { return opMaskVJP(s.gvals, weights) }
 				}
 			case "mmt":
-				vjp = opDotVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = func() func() { return opDotVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1])) }
 			case "sqdist":
-				vjp = opSqDistVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = func() func() { return opSqDistVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1])) }
 			case "outer":
-				vjp = opOuterVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = func() func() { return opOuterVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1])) }
 			case "divide":
-				vjp = opDivVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]))
+				vjp = func() func() { return opDivVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1])) }
 			case "scale":
-				vjp = opScaleVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]), &redScratch[T]{})
+				vjp = func() func() {
+					return opScaleVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), sp(n.Inputs[1]), &redScratch[T]{})
+				}
 			case "rep":
-				vjp = opRepVJP(pat, cuts, s.gvals, sp(n.Inputs[0]))
+				vjp = func() func() { return opRepVJP(pat, cuts, s.gvals, sp(n.Inputs[0])) }
 			case "repT":
-				vjp = opRepTVJP(cutsT, s.gvals, tr, sp(n.Inputs[0]))
+				vjp = func() func() { return opRepTVJP(cutsT, s.gvals, tr, sp(n.Inputs[0])) }
 			case "add":
 				// Both operands' cotangents are this node's: no work.
 			case "lrelu":
-				vjp = opLReLUVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), T(s.slope))
+				vjp = func() func() { return opLReLUVJP(pat, cuts, s.gvals, sp(n.Inputs[0]), T(s.slope)) }
 			default:
 				return nil, fmt.Errorf("fuse: graph %q: no VJP for op %q (node %q)", g.Name, n.Op, n.ID)
 			}
 			if vjp != nil {
-				emit(&p.bwd, n, ".bwd", op, vjp)
+				emit(&p.bwd, n, ".bwd", op, uses, vjp)
 			}
 		}
 	}
 
+	// Every interval is known: colour the buffers into slots, give them
+	// storage, place the clears, and build the op bodies over the storage.
+	lay.close(seed, len(builds)-1)
+	lay.colour(poisonDead)
+	e.slices = append(e.slices, lay.bind(ws)...)
+	words += lay.words()
+	clears := lay.clears(seed, &e.zero)
+	finish := func(op *planOp, at int) {
+		op.run = builds[at]()
+		lay.prologue(op, at, clears[at])
+	}
+	for i := range p.fwd {
+		finish(&p.fwd[i], i)
+	}
+	for i := range p.bwd {
+		finish(&p.bwd[i], seed+1+i)
+	}
+	if keepLifetimes {
+		for _, b := range lay.bufs {
+			p.lifetimes = append(p.lifetimes, lifetime{b.name, int64(b.words), b.first, b.last, b.slot, b.keep})
+		}
+	}
 	p.stats = PlanStats{
 		ForwardOps:     len(p.fwd),
 		BackwardOps:    len(p.bwd),
@@ -1355,7 +1503,9 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 
 // Backward executes the reverse-derived VJP op list for the cotangent g of
 // the plan's output, accumulates parameter gradients into their Grad
-// buffers, and returns the cotangent of the input (owned by the plan).
+// buffers, and returns the cotangent of the input. That is the plan's own
+// storage, shared with buffers the forward sweep writes: it is valid until
+// the plan's next Forward or Backward — clone it to hold it across one.
 func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
 	p.BackwardTyped(tensor.Typed{F64: g})
 	return p.InputGrad()
@@ -1378,7 +1528,7 @@ func (p *Plan) BackwardTyped(g tensor.Typed) tensor.Typed {
 }
 
 // InputGrad returns the input cotangent of the latest backward sweep as
-// float64 (see Output).
+// float64 (see Output), valid until the plan's next Forward or Backward.
 func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 
 // detach drops the plan's hold on the matrices its last caller bound

@@ -246,7 +246,7 @@ func TestPlanBackwardFiniteDifference(t *testing.T) {
 	}
 
 	p.Forward(h)
-	hbar := p.Backward(r)
+	hbar := p.Backward(r).Clone() // valid only until the next Forward, and loss runs one
 
 	const eps, tol = 1e-6, 2e-4
 	check := func(name string, data []float64, idx int, analytic float64) {

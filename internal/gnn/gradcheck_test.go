@@ -33,7 +33,7 @@ func gradCheckModelStep(t *testing.T, m *Model, h0 *tensor.Dense, loss Loss, eps
 	m.ZeroGrad()
 	out := m.Forward(h0, true)
 	_, g := loss.Eval(out)
-	inGrad := m.Backward(g)
+	inGrad := m.Backward(g).Clone() // valid only until the next Forward, and evalLoss runs them
 
 	evalLoss := func() float64 {
 		v, _ := loss.Eval(m.Forward(h0, true))
