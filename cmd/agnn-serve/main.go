@@ -2,9 +2,9 @@
 // from the same dataset/config flags as agnn-train, restores trained
 // weights from a checkpoint directory (internal/ckpt) or a weights file,
 // and answers per-vertex classification queries over HTTP with
-// micro-batched compiled-plan executions (internal/serving). All plans
-// resolve through the process-wide cache, so repeated query structures
-// never recompile.
+// micro-batched compiled-plan executions (internal/serving). Each runner
+// compiles one plan per layer and binds it to every query's blocks, so no
+// query compiles.
 //
 // Endpoints:
 //
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"agnn/internal/ckpt"
-	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 	"agnn/internal/obs"
@@ -59,7 +58,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "restore the latest full checkpoint from this directory")
 	weights := flag.String("weights", "", "restore a weights-only checkpoint (agnn-train -save)")
 	addr := flag.String("addr", ":8080", "listen address")
-	budget := flag.Int64("plancache-budget", fuse.DefaultBudgetBytes, "plan-cache resident-bytes budget (0 = unlimited)")
 	hops := flag.Int("hops", 0, "prediction neighborhood radius (0 = the hops the model's aggregations reach)")
 	maxBatch := flag.Int("max-batch", 64, "max seed vertices per compiled execution")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue depth (0 = 4×max-batch)")
@@ -109,8 +107,6 @@ func main() {
 	default:
 		fmt.Println("warning: serving untrained weights (no -checkpoint-dir or -weights)")
 	}
-
-	fuse.Shared.SetBudget(*budget)
 
 	adj, err := m.Adjacency()
 	fatal(err)

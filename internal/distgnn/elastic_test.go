@@ -256,8 +256,8 @@ func TestSurvivorsNameFailedRank(t *testing.T) {
 // TestTrainWorkerOverChanTransport: the per-process TrainWorker entry run
 // over the in-process channel transport produces the same losses as the
 // monolithic TryRun path at the same world size, bitwise — on the 1D local
-// engine (p = 2) and on the 2D grid (p = 4), whose plan leases every worker
-// must have returned by the time it does.
+// engine (p = 2) and on the 2D grid (p = 4), whose plans every worker must
+// have released by the time it does.
 func TestTrainWorkerOverChanTransport(t *testing.T) {
 	const epochs = 3
 	for _, p := range []int{2, 4} {
@@ -267,7 +267,7 @@ func TestTrainWorkerOverChanTransport(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		leased := fuse.Shared.Leased()
+		live := fuse.LivePlans()
 		cw, err := distnet.NewChanWorld(p)
 		if err != nil {
 			t.Fatal(err)
@@ -299,8 +299,8 @@ func TestTrainWorkerOverChanTransport(t *testing.T) {
 					p, ep, results[0].Losses[ep], want.Losses[ep])
 			}
 		}
-		if now := fuse.Shared.Leased(); now != leased {
-			t.Errorf("p=%d: %d plans still leased after TrainWorker returned", p, now-leased)
+		if now := fuse.LivePlans(); now != live {
+			t.Errorf("p=%d: %d plans still live after TrainWorker returned", p, now-live)
 		}
 	}
 }

@@ -107,10 +107,10 @@ func gridPosition(c *dist.Comm, s int) *GlobalEngine {
 		Row: c.Group(rowRanks), Col: c.Group(colRanks)}
 }
 
-// Close returns the engine's plan leases to the shared cache. The plans
-// close over this rank's communicators, so an engine that is done — or whose
-// world has failed — must not leave them checked out. The engine must not
-// run after Close.
+// Close releases the engine's plans, returning their storage to the
+// workspace arena. The plans close over this rank's communicators, so an
+// engine that is done — or whose world has failed — must not keep them. The
+// engine must not run after Close.
 func (e *GlobalEngine) Close() { e.model.ReleasePlans() }
 
 // blockGrid is fuse.Grid over the engine's row and column communicators:

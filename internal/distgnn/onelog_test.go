@@ -203,7 +203,8 @@ func TestOneRecordPerSite(t *testing.T) {
 // parentFamilies is the set of Prometheus family names WritePrometheus
 // emitted after a 2×2 training run before the telemetry stores were merged,
 // less the three overlap families of the retired overlapped row
-// engine: dashboards and agnn-report key on them.
+// engine and the plan cache's eviction counter and byte gauge, which left
+// with the cache: dashboards and agnn-report key on them.
 var parentFamilies = strings.Fields(`
 	agnn_arena_live_bytes agnn_arena_peak_bytes agnn_checkpoint_seconds agnn_collective_bytes
 	agnn_comm_bytes_total agnn_comm_measured_words agnn_comm_msgs_total agnn_comm_predicted_words
@@ -215,8 +216,8 @@ var parentFamilies = strings.Fields(`
 	agnn_go_heap_live_bytes agnn_go_sched_latency_seconds_p50 agnn_go_sched_latency_seconds_p99
 	agnn_layer_measured_seconds agnn_layer_predicted_seconds agnn_net_bytes_total
 	agnn_net_dial_retries_total agnn_op_bytes_total agnn_op_flops_total agnn_plan_bytes_total agnn_plan_flops_total
-	agnn_plan_nnz_total agnn_plan_op_seconds agnn_plan_ops_total agnn_plancache_bytes
-	agnn_plancache_evictions agnn_plancache_hits agnn_plancache_misses agnn_rank_failures_total
+	agnn_plan_nnz_total agnn_plan_op_seconds agnn_plan_ops_total
+	agnn_plancache_hits agnn_plancache_misses agnn_rank_failures_total
 	agnn_rank_wait_seconds agnn_recovery_seconds agnn_serve_batch_vertices agnn_serve_latency_p50_seconds
 	agnn_serve_latency_p99_seconds agnn_serve_rejected_total agnn_serve_request_seconds
 	agnn_serve_requests_total agnn_serve_stage_seconds agnn_stragglers_total agnn_train_edges_per_second

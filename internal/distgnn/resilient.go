@@ -179,7 +179,7 @@ type trainEngine interface {
 // beta, a1, a2 in layer order), so a checkpoint written under either layout
 // restores under the other — the property elastic recovery relies on when
 // p=4 shrinks to p=3. Returns the engine, this rank's input block, and what
-// gives the engine's plan leases back (the local engine holds none).
+// releases the engine's plans (the local engine holds none).
 func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, func(), error) {
 	if _, err := graph.SquareGrid(c.Size()); err == nil {
 		e, err := NewGlobalEngine(c, spec.A, spec.Cfg)
@@ -204,7 +204,7 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 		return err
 	}
 	// Deferred, so it also runs when a rank failure unwinds this body: the
-	// next attempt's engines then start from a cache with nothing leased.
+	// next attempt's engines then start with no plan of this one live.
 	defer closeEngine()
 	opt := spec.NewOpt()
 	params := e.Params()

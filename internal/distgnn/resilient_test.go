@@ -67,10 +67,10 @@ func assertBitwiseEqual(t *testing.T, ctx string, got, want []*gnn.Param) {
 // (no deadlock), the world is rebuilt, and training resumes from the last
 // checkpoint to the SAME final weights as an uninterrupted twin — bitwise.
 // The grid plans close over the failed world's communicators, so every
-// attempt, the crashed one included, must hand its plan leases back.
+// attempt, the crashed one included, must release its plans.
 func TestTrainResilientCrashRecovery(t *testing.T) {
 	const epochs = 6
-	leased := fuse.Shared.Leased()
+	live := fuse.LivePlans()
 	for _, p := range []int{4, 16} {
 		// Uninterrupted twin.
 		want, err := TrainResilient(resilientSpec(t, p, epochs))
@@ -98,8 +98,8 @@ func TestTrainResilientCrashRecovery(t *testing.T) {
 			t.Fatalf("p=%d: crash fault never fired (0 restarts)", p)
 		}
 		assertBitwiseEqual(t, "crash-recovery", finalWeights(t, got), finalWeights(t, want))
-		if now := fuse.Shared.Leased(); now != leased {
-			t.Fatalf("p=%d: %d plans still leased after crash recovery", p, now-leased)
+		if now := fuse.LivePlans(); now != live {
+			t.Fatalf("p=%d: %d plans still live after crash recovery", p, now-live)
 		}
 	}
 }

@@ -34,11 +34,9 @@ type rowLayer struct {
 	// plan is the compiled per-rank inference plan over the owned row block:
 	// the DAG of the layer's definition (shared with the single-node model,
 	// itself bound to no adjacency) with SetRowOffset(Lo), so score closures
-	// index the full-height (allgathered) factors with global row ids. It is
-	// leased from the process-wide plan cache (fuse.Shared) for the engine's
-	// lifetime; Close returns the leases.
-	lease fuse.Lease
-	plan  *fuse.Plan
+	// index the full-height (allgathered) factors with global row ids. The
+	// engine owns it; Close releases its storage.
+	plan *fuse.Plan
 }
 
 // NewRowEngine builds the 1D engine (SPMD; adjacency replicated at setup
@@ -66,28 +64,21 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 	e.aRows = sparse.FromCOO(coo)
 
 	in := cfg.InDim
-	for l, layer := range model.Layers {
-		def := layer.(gnn.DAGLayer) // every layer NewBound builds is one
-		var rl rowLayer
-		// The signature adds what the plan bakes in beyond the definition:
-		// rank and row offset (SetRowOffset(Lo) in the score closures) and
-		// the full height.
-		sig := fmt.Sprintf("row|l%d|rank=%d|off=%d|n=%d|%s", l, c.Rank(), lo, part.N, def.Signature(false))
-		rl.lease = fuse.Shared.Get(fuse.KeyFor(e.aRows, in, cfg.DType, sig),
-			func(ws *tensor.Arena) *fuse.Plan { return e.compileLayerPlan(def, in, ws) })
-		rl.plan = rl.lease.Plan()
+	for _, layer := range model.Layers {
+		rl := rowLayer{plan: e.compileLayerPlan(layer.(gnn.DAGLayer), in)} // every layer NewBound builds is a DAG layer
 		e.layers = append(e.layers, rl)
 		_, in = rl.plan.OutputDims()
 	}
 	return e, nil
 }
 
-// Close releases the engine's plan leases back to the shared cache, where
-// their workspaces become evictable. The engine must not Forward after
-// Close.
+// Close releases the storage of the engine's plans to the workspace arena.
+// The engine must not Forward after Close.
 func (e *RowEngine) Close() {
 	for i := range e.layers {
-		e.layers[i].lease.Release()
+		if p := e.layers[i].plan; p != nil {
+			p.Release()
+		}
 		e.layers[i].plan = nil
 	}
 }
@@ -96,12 +87,11 @@ func (e *RowEngine) Close() {
 // compiles it into a reusable inference plan. The row offset shifts local
 // pattern rows into global indices, so the virtual score closures read the
 // full-height allgathered factors directly.
-func (e *RowEngine) compileLayerPlan(def gnn.DAGLayer, in int, ws *tensor.Arena) *fuse.Plan {
+func (e *RowEngine) compileLayerPlan(def gnn.DAGLayer, in int) *fuse.Plan {
 	g := fuse.NewGraph(fmt.Sprintf("row-%v", e.cfg.Model), e.aRows)
 	g.SetRowOffset(e.Lo)
 	def.DAG(g, g.InputDense("H", e.Part.N, in))
-	return g.MustCompile(fuse.Options{SpanPrefix: fmt.Sprintf("row%d.", e.C.Rank()),
-		Workspace: ws, DType: e.cfg.DType})
+	return g.MustCompile(fuse.Options{SpanPrefix: fmt.Sprintf("row%d.", e.C.Rank()), DType: e.cfg.DType})
 }
 
 // Forward runs inference: per layer, one full allgather of the feature

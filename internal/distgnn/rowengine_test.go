@@ -126,7 +126,7 @@ func TestRowEngineRejectsUnknownModel(t *testing.T) {
 	unknown := testCfg(gnn.Kind(99), 1, 2, 2, 2)
 	multiHead := testCfg(gnn.GAT, 2, 2, 2, 2)
 	multiHead.Heads = 2
-	leased := fuse.Shared.Leased()
+	live := fuse.LivePlans()
 	dist.Run(2, func(c *dist.Comm) {
 		if _, err := NewRowEngine(c, a, unknown); err == nil {
 			t.Error("row engine: unknown model accepted")
@@ -137,7 +137,7 @@ func TestRowEngineRejectsUnknownModel(t *testing.T) {
 			}
 		}
 	})
-	if got := fuse.Shared.Leased(); got != leased {
-		t.Errorf("refused engines left %d plans leased", got-leased)
+	if got := fuse.LivePlans(); got != live {
+		t.Errorf("refused engines left %d plans live", got-live)
 	}
 }

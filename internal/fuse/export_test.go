@@ -19,7 +19,7 @@ func QueryFrontierValues(g *Graph, h tensor.Typed, dt tensor.DType) ([]*Node, []
 	frontier := g.Frontier()
 	c := g.cut()
 	c.outs = append(c.outs, frontier...)
-	p, err := lower(g, Options{DType: dt}, g.dag.consumers(), c)
+	p, err := lower(g, Options{DType: dt}, g.dag.consumers(), c, tensor.NewArena())
 	if err != nil {
 		panic(err)
 	}
@@ -61,4 +61,12 @@ func Buffers(p *Plan) []Buffer {
 func PoisonDead() (restore func()) {
 	poisonDead = true
 	return func() { poisonDead = false }
+}
+
+// UseArena makes the plans compiled until restore is called draw their
+// storage from ws instead of the process-wide arena.
+func UseArena(ws *tensor.Arena) (restore func()) {
+	old := workspace
+	workspace = ws
+	return func() { workspace = old }
 }

@@ -85,6 +85,43 @@ func (g *Graph) Adj() *Node { return g.adj }
 // be full-height. Row offsets are inference-only.
 func (g *Graph) SetRowOffset(off int) { g.rowOff = off }
 
+// clone returns a copy of g whose nodes have metas of their own: a plan's
+// shapes, which Plan.Bind changes without reaching the graph or another plan
+// compiled from it.
+func (g *Graph) clone() *Graph {
+	c := *g
+	c.meta = make(map[*Node]*meta, len(g.meta))
+	for n, m := range g.meta {
+		mc := *m
+		c.meta[n] = &mc
+	}
+	return &c
+}
+
+// reshape makes pat the graph's pattern and gives every node the shape the
+// builder gives it over pat: the pattern's nodes its rows and columns, the
+// input as many rows as pat has columns, an aggregation (and a grid reduce)
+// pat's rows, a parameter its own shape, and any other node the rows of its
+// first operand.
+func (g *Graph) reshape(pat *sparse.CSR) {
+	g.pat = pat
+	for _, n := range g.dag.Nodes() {
+		m := g.meta[n]
+		_, bcast, coll := collective(n.Op)
+		switch {
+		case n.Kind == Param:
+		case n == g.adj || n.Kind == Sparse || n.Kind == Virtual:
+			m.rows, m.cols = pat.Rows, pat.Cols
+		case n == g.input:
+			m.rows = pat.Cols
+		case strings.HasPrefix(n.Op, "spmm") || coll && !bcast:
+			m.rows = pat.Rows
+		default:
+			m.rows = g.meta[n.Inputs[0]].rows
+		}
+	}
+}
+
 func (g *Graph) md(v *Node) *meta {
 	s, ok := g.meta[v]
 	if !ok {
@@ -410,7 +447,7 @@ func readsRows(n *Node, cons map[*Node][]*Node) bool {
 }
 
 // EvalPrefix evaluates the graph's vertex-local prefix once over h at element
-// width dt: one inference plan over a private workspace, from the dense input
+// width dt: one inference plan over a private arena, from the dense input
 // to the frontier (Frontier). It returns the frontier and, per frontier node,
 // its value for every row of h — a vector node as one column — which the
 // caller owns: the input's own is h at float64 and its rounded copy at
@@ -426,7 +463,7 @@ func (g *Graph) EvalPrefix(h *tensor.Dense, dt tensor.DType) ([]*Node, []tensor.
 	}
 	frontier := g.Frontier()
 	p, err := lower(g, Options{DType: dt, SpanPrefix: g.Name + ".prefix."}, g.dag.consumers(),
-		cut{leaves: []*Node{g.input}, outs: frontier})
+		cut{leaves: []*Node{g.input}, outs: frontier}, tensor.NewArena())
 	if err != nil {
 		return nil, nil, err
 	}

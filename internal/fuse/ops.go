@@ -88,6 +88,8 @@ type spec[T elem] struct {
 type planOp struct {
 	span string // record name, precomputed
 	op   string // op vocabulary name, for Stats
+	node *Node  // the node it computes, or whose VJP it is
+	back bool   // a VJP
 	run  func()
 	site obs.Op // the op's one telemetry handle
 }
@@ -133,10 +135,6 @@ func (s *partialsScratch[T]) ensure(k, m int) []*tensor.Mat[T] {
 		}
 	}
 	return s.mats
-}
-
-func nnzWeight(pat *sparse.CSR) func(int) int64 {
-	return func(i int) int64 { return int64(pat.RowNNZ(i)) }
 }
 
 // prefetchAhead is how many pattern rows ahead of the one it is working on a
@@ -415,8 +413,7 @@ func opMM[T elem](x, w, out *spec[T]) func() {
 		sparse.GatherAxpy(orow, xd.Data[i*k:(i+1)*k], wrows, wd.Data, m, 0)
 	}
 	body := rowSweep(each)
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // opMatVec computes out = X·a for a k×1 parameter a.
@@ -432,8 +429,7 @@ func opMatVec[T elem](x, a, out *spec[T]) func() {
 		out.vec[i] = s
 	}
 	body := rowSweep(each)
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // opRowNorms computes the row L2 norms of X.
@@ -449,8 +445,7 @@ func opRowNorms[T elem](x, out *spec[T]) func() {
 		out.vec[i] = T(math.Sqrt(float64(s)))
 	}
 	body := rowSweep(each)
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // isIdentity reports the no-op activation (a zero Act included, the
@@ -488,8 +483,7 @@ func opSigma[T elem](z, out *spec[T]) func() {
 		}
 	}
 	body := rowSweep(each)
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // ginOffset is the row of h that row 0 of a gin-combine node's aggregate
@@ -514,8 +508,7 @@ func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) func() {
 		}
 	}
 	body := rowSweep(each)
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // --- backward op bodies (reverse-traversal VJPs) ---
@@ -551,8 +544,7 @@ func opSigmaVJP[T elem](z, out *spec[T]) func() {
 			}
 		}
 	}
-	n := out.rows * out.cols
-	return func() { par.Range(n, body) }
+	return func() { par.Range(out.rows*out.cols, body) }
 }
 
 // mmBlock is how many rows of X the weight half of opMMVJP transposes at a
@@ -610,14 +602,13 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 			}
 		}
 	}
-	rows := out.rows
 	grad := w.grad
 	return func() {
 		dots.ensure()
-		par.Range(rows, xBody)
+		par.Range(out.rows, xBody)
 		mats := ps.ensure(x.cols, out.cols)
 		blocks.ensure()
-		par.Range(rows, wBody)
+		par.Range(out.rows, wBody)
 		for _, p := range mats {
 			if p == nil {
 				continue
@@ -1019,11 +1010,10 @@ func opMatVecVJP[T elem](x, a, out *spec[T]) func() {
 		}
 		copy(grad.Data[lo:hi], acc)
 	}
-	rows, cols := out.rows, x.cols
 	return func() {
-		par.Range(rows, rowBody)
+		par.Range(out.rows, rowBody)
 		sums.ensure()
-		par.Split(cols, colBody)
+		par.Split(x.cols, colBody)
 	}
 }
 
@@ -1049,8 +1039,7 @@ func opRowNormsVJP[T elem](x, out *spec[T]) func() {
 			}
 		}
 	}
-	rows := out.rows
-	return func() { par.Range(rows, body) }
+	return func() { par.Range(out.rows, body) }
 }
 
 // opGINCombineVJP handles Z = agg + (1+ε)·H: both dense cotangents

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"agnn/internal/obs"
+	"agnn/internal/obs/metrics"
 	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -20,10 +22,6 @@ type Options struct {
 	// SpanPrefix prefixes the obs span emitted around every executed op,
 	// e.g. "va.l0." → spans "va.l0.Psi", "va.l0.Psi.bwd".
 	SpanPrefix string
-	// Workspace is the buffer arena the plan acquires its intermediates
-	// from. Sharing one arena across recompilations (adjacency rebinds)
-	// recycles the old plan's buffers. Nil allocates a private arena.
-	Workspace *tensor.Arena
 	// DType selects the element width of the compiled kernels. F64 (the
 	// zero value) is the default double-precision path, bitwise-identical
 	// to the pre-dtype runtime. F32 compiles the plan against float32
@@ -67,7 +65,8 @@ func (s PlanStats) WorkspaceBytes() int64 { return s.DType.Size() * s.WorkspaceW
 // VJP list and returns the input cotangent. All returned tensors are owned
 // by the plan and are overwritten by the next step: the output by the next
 // Forward, the input cotangent — whose storage forward buffers share — by the
-// next Forward or Backward.
+// next Forward or Backward. Bind points the plan at another adjacency
+// without compiling it again.
 //
 // A plan takes and returns matrices at its own width (ForwardTyped,
 // BackwardTyped — what the consecutive plans of a model hand each other) or
@@ -88,12 +87,19 @@ type Plan struct {
 
 	x boundary
 
+	g      *Graph              // the plan's own copy: its pattern and the shapes over it
+	rebind func(a *sparse.CSR) // redoes what the pattern decides (Bind)
+	// unitSensitive: the backward list holds, or leaves out, a weighted
+	// mask's VJP because A's values were all 1 (unit) or not at compile time.
+	unitSensitive, unit bool
+
 	ws        *tensor.Arena
 	stats     PlanStats
 	lifetimes []lifetime // the planned buffers, kept for tests (keepLifetimes)
 
 	ranForward bool
 	released   bool
+	live       bool // counted in LivePlans
 }
 
 // boundary is the face of a plan's typed execution state.
@@ -105,7 +111,6 @@ type boundary interface {
 	native(back bool) tensor.Typed // the forward result — back: the input cotangent — at the plan's width
 	dense(back bool) *tensor.Dense // the same as float64
 	values() []tensor.Typed        // the values of the cut's outs (a vector as one column), uncopied
-	detach()                       // drop the references bind and seed took to the caller's matrices
 	release(ws *tensor.Arena)
 }
 
@@ -146,9 +151,10 @@ type exec[T elem] struct {
 
 	zero zeroSweep[T] // cotangent buffers zeroed before each backward
 
-	mats   []*tensor.Mat[T] // everything acquired from the workspace,
-	slices [][]T            // for release
-	wire   []float64        // staging words of a casting grid plan's collectives
+	mats      []*tensor.Mat[T] // the parameter copies acquired from the workspace
+	lay       *layout[T]       // the step's planned buffers, and their storage
+	adj, adjT held[T]          // A's values at width T, and in Aᵀ's order
+	wire      held[float64]    // staging words of a casting grid plan's collectives
 }
 
 // shadow pairs a float64 master with the plan-owned copy at width T.
@@ -245,9 +251,48 @@ func typed[T elem](m *tensor.Mat[T]) tensor.Typed {
 	return tensor.Typed{F64: (*tensor.Dense)(any(m).(*tensor.Mat[float64]))}
 }
 
-// words adds n elements of the given width to the workspace the plan reports.
-func (e *exec[T]) words(n int, width int64) {
-	e.plan.stats.WorkspaceWords += int64(n) * width / e.plan.stats.DType.Size()
+// held returns the workspace the plan holds, in elements of T: the float64
+// buffers of a casting plan count at their own width.
+func (e *exec[T]) held() int64 {
+	var words, wide int64
+	for _, m := range e.mats {
+		words += int64(len(m.Data))
+	}
+	for _, m := range e.inN {
+		if m != nil {
+			words += int64(len(m.Data))
+		}
+	}
+	for _, s := range e.lay.store {
+		words += int64(len(s.buf))
+	}
+	words += int64(len(e.adj.buf) + len(e.adjT.buf))
+	wide = int64(len(e.wire.buf))
+	for _, d := range []*tensor.Dense{e.outF, e.ginF} {
+		if d != nil {
+			wide += int64(len(d.Data))
+		}
+	}
+	return words + wide*8/e.plan.stats.DType.Size()
+}
+
+// reshaped lets go of the conversion buffers a new pattern has changed the
+// height of: the next crossing acquires them at the new one.
+func (e *exec[T]) reshaped(ws *tensor.Arena) {
+	for i, m := range e.inN {
+		if m != nil && m.Rows != e.leaves[i].rows {
+			tensor.ReleaseMat(ws, m)
+			e.inN[i] = nil
+		}
+	}
+	if e.outF != nil && e.outF.Rows != e.output.rows {
+		ws.ReleaseDense(e.outF)
+		e.outF = nil
+	}
+	if e.ginF != nil && e.ginF.Rows != e.leaves[0].rows {
+		ws.ReleaseDense(e.ginF)
+		e.ginF = nil
+	}
 }
 
 func (e *exec[T]) bind(i int, h tensor.Typed) {
@@ -258,8 +303,7 @@ func (e *exec[T]) bind(i int, h tensor.Typed) {
 	if !ok {
 		if e.inN[i] == nil {
 			e.inN[i] = tensor.AcquireMat[T](e.plan.ws, h.F64.Rows, h.F64.Cols)
-			e.mats = append(e.mats, e.inN[i])
-			e.words(len(e.inN[i].Data), e.plan.stats.DType.Size())
+			e.plan.stats.WorkspaceWords = e.held()
 		}
 		m = e.inN[i]
 		e.narrow.run(m.Data, h.F64.Data)
@@ -324,7 +368,7 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	}
 	if *buf == nil {
 		*buf = e.plan.ws.AcquireDense(src.Rows, src.Cols)
-		e.words(len(src.Data), 8)
+		e.plan.stats.WorkspaceWords = e.held()
 	}
 	e.widen.run((*buf).Data, src.Data)
 	return *buf
@@ -342,32 +386,17 @@ func (e *exec[T]) values() []tensor.Typed {
 	return out
 }
 
-// detach keeps an idle plan from holding its last caller's matrices alive:
-// the bound leaves (a narrowed copy stays the plan's, in mats) and an output
-// cotangent read by reference.
-func (e *exec[T]) detach() {
-	if e.offDiag {
-		return
-	}
-	for _, s := range e.leaves {
-		s.dense, s.vec = nil, nil
-	}
-	if e.seedByRef {
-		e.output.gdense = nil
-	}
-}
-
 func (e *exec[T]) release(ws *tensor.Arena) {
-	for _, m := range e.mats {
+	for _, m := range append(e.mats, e.inN...) {
 		tensor.ReleaseMat(ws, m)
 	}
-	for _, s := range e.slices {
-		tensor.ReleaseSlice(ws, s)
-	}
-	tensor.ReleaseSlice(ws, e.wire)
+	e.lay.release(ws)
+	e.adj.release(ws)
+	e.adjT.release(ws)
+	e.wire.release(ws)
 	ws.ReleaseDense(e.outF)
 	ws.ReleaseDense(e.ginF)
-	e.mats, e.slices, e.wire, e.inN, e.outF, e.ginF = nil, nil, nil, nil, nil, nil
+	e.mats, e.inN, e.outF, e.ginF = nil, nil, nil, nil
 	e.zero = zeroSweep[T]{}
 }
 
@@ -375,10 +404,12 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 // fusion analysis, fuses mask→softmax pairs into single sampling sweeps (a
 // peephole beyond the paper's rule, matching the hand-written
 // FusedSoftmaxScores kernel), allocates every intermediate once from the
-// workspace arena, composes the virtual score evaluators, and emits the
-// forward op list plus — for training plans — the reverse-traversal
-// backward op list. The whole lowering exists once, generic over the
-// element type, and is instantiated here per Options.DType.
+// process-wide workspace arena, composes the virtual score evaluators, and
+// emits the forward op list plus — for training plans — the
+// reverse-traversal backward op list. The whole lowering exists once,
+// generic over the element type, and is instantiated here per
+// Options.DType. The plan keeps a copy of the graph's shapes, which Bind
+// changes; the graph itself stays as it was built.
 func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.output == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no output", g.Name)
@@ -421,20 +452,44 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 				g.Name, n.Kind, n.ID, len(cons[n]))
 		}
 	}
-	return lower(g, opt, cons, c)
+	p, err := lower(g.clone(), opt, cons, c, workspace)
+	if err == nil {
+		metrics.PlanCacheMisses.Inc()
+		livePlans.Add(1)
+		p.live = true
+	}
+	return p, err
 }
 
-// lower instantiates compile at the element type of opt.DType.
-func lower(g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Plan, error) {
+// workspace is the arena every compiled plan acquires its storage from and
+// releases it to: a plan compiled after another was released recycles the
+// released one's buffers.
+var workspace = tensor.NewArena()
+
+// livePlans counts the plans Compile has built and Release not yet released.
+var livePlans atomic.Int64
+
+// LivePlans returns the number of plans Compile has built and Release has not
+// yet released: what the process's plans hold of the workspace.
+func LivePlans() int { return int(livePlans.Load()) }
+
+// lower instantiates compile at the element type of opt.DType, over storage
+// from ws.
+func lower(g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *tensor.Arena) (*Plan, error) {
 	if opt.DType != tensor.F64 {
-		return compile[float32](g, opt, cons, c)
+		return compile[float32](g, opt, cons, c, ws)
 	}
-	return compile[float64](g, opt, cons, c)
+	return compile[float64](g, opt, cons, c, ws)
 }
 
 // compile lowers the part of g between the cut's leaves and outs; a node
-// outside it is neither given buffers nor computed.
-func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Plan, error) {
+// outside it is neither given buffers nor computed. It derives the plan's
+// structure from the DAG once — the op order, the fusion decisions, the
+// composed scores, the buffers and their intervals — and leaves everything
+// the pattern decides to the plan's rebind, which it calls on g's pattern
+// and Bind on any later one: the op closures read the pattern's state
+// (pat, nnz, cuts, tr, cutsT, adjT below) when rebind builds them.
+func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *tensor.Arena) (*Plan, error) {
 	groups := Analyze(g.dag) // panics if a virtual escapes — a builder bug
 	need := c.needs(g)
 	leaf := make(map[*Node]bool, len(c.leaves))
@@ -477,10 +532,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		attnBwd = attnBackward(attnAgg, cons)
 	}
 
-	ws := opt.Workspace
-	if ws == nil {
-		ws = tensor.NewArena()
-	}
 	// aliased: at float64 the boundary aliases caller storage (inputs,
 	// parameters, adjacency values); at any other width it casts into
 	// plan-owned buffers.
@@ -491,9 +542,12 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	diag := grid == nil || grid.Diag()
 	here := func(n *Node) bool { return diag || !onDiagonal(n) }
 	_, _, outColl := collective(g.output.Op) // a reduce's cotangent is its partial's
-	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl}
-	p := &Plan{Name: g.Name, train: opt.Train,
+	lay := &layout[T]{}
+	e := &exec[T]{offDiag: !diag, seedByRef: aliased && len(cons[g.output]) == 0 && !outColl, lay: lay}
+	p := &Plan{Name: g.Name, train: opt.Train, g: g,
 		output: g.md(g.output), x: e, ws: ws, offDiag: !diag}
+	p.stats.DType = opt.DType
+	p.unit = unitWeights(g.pat)
 	e.plan = p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
@@ -521,6 +575,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// pattern's rows, row i for row i. Every other read, and every read of
 	// any other plan, is the node's own state.
 	row := sp
+	var rowViews []*meta // their shapes follow the pattern's rows
 	if g.from != nil {
 		views := make(map[*Node]*spec[T])
 		for _, n := range c.leaves {
@@ -528,6 +583,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				m := *g.md(n)
 				m.rows = g.pat.Rows
 				views[n] = &spec[T]{meta: &m}
+				rowViews = append(rowViews, &m)
 				p.leaves, e.leaves = append(p.leaves, &m), append(e.leaves, views[n])
 			}
 		}
@@ -540,51 +596,47 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	}
 	e.inN = make([]*tensor.Mat[T], len(e.leaves))
 
-	// words counts the workspace held outside the planned layout, in
-	// elements of T (WorkspaceBytes multiplies by DType.Size()): what persists
-	// between steps. The float64 buffers of a casting plan count at their own
-	// width.
-	var words int64
+	// mat acquires a parameter's copy at width T: its shape is the
+	// parameter's, whatever the pattern.
 	mat := func(r, c int) *tensor.Mat[T] {
 		m := tensor.AcquireMat[T](ws, r, c)
 		e.mats = append(e.mats, m)
-		words += int64(r) * int64(c)
 		return m
 	}
-	floats := func(n int) []T {
-		s := tensor.AcquireSlice[T](ws, n)
-		e.slices = append(e.slices, s)
-		words += int64(n)
-		return s
-	}
+	// The pattern the plan is bound to, and what the ops read of it; rebind
+	// sets them all. cuts are the nnz-balanced chunk boundaries every sparse
+	// sweep uses, computed once per pattern — by the first sweep that splits
+	// — so steady-state ops pay zero scan cost. (The checked column index the
+	// sweeps gather through is the pattern's own, pat.Index(), scanned once
+	// as well.)
 	pat := g.pat
-	nnz := pat.NNZ()
-	// The nnz-balanced chunk boundaries every sparse sweep uses, computed
-	// once per pattern here so steady-state ops pay zero scan cost. (The
-	// checked column index the sweeps gather through is the pattern's own,
-	// pat.Index(), scanned once as well.)
-	cuts := par.NewCuts(pat.Rows, nnzWeight(pat))
+	var nnz int
+	cuts := par.NewCuts(0, func(i int) int64 { return int64(pat.RowNNZ(i)) })
+	nnzWords := func() int { return nnz }
+	rowWords := func() int { return pat.Rows }
 
 	// The adjacency values (weighted masks, adjacency SpMM) at width T,
-	// resolved on first use and shared by every op that needs them: A's own
-	// at float64, converted once into a workspace buffer otherwise.
-	var adj []T
+	// resolved on first use under each pattern and shared by every op that
+	// needs them: A's own at float64, converted once into held storage
+	// otherwise.
+	adjOK := false
 	adjVals := func() []T {
 		if v, ok := any(pat.Val).([]T); ok {
 			return v
 		}
-		if adj == nil {
-			adj = floats(nnz)
-			tensor.Cast(adj, pat.Val)
+		if !adjOK {
+			tensor.Cast(e.adj.get(ws, nnz), pat.Val)
+			adjOK = true
 		}
-		return adj
+		return e.adj.buf[:nnz]
 	}
 	// A weighted mask multiplies A's values in, unless every one of them is
-	// exactly 1: x·1 is x to the bit, so such a mask compiles as a pattern-only
+	// exactly 1: x·1 is x to the bit, so such a mask runs as a pattern-only
 	// one — no multiply per edge, no VJP, no copy of the values at width T.
-	// The values are part of the plan-cache key, so the decision is too.
+	// A training plan's backward list holds the VJP or not by the values it
+	// was compiled over (Plan.unit), and Bind refuses a pattern that flips it.
 	maskWeights := func(mask *spec[T]) []T {
-		if !mask.weighted || !slices.ContainsFunc(pat.Val, func(v float64) bool { return v != 1 }) {
+		if !mask.weighted || unitWeights(pat) {
 			return nil
 		}
 		return adjVals()
@@ -593,30 +645,32 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// The step's buffers are planned (workspace.go): each node's value, row
 	// statistics and cotangent is a buffer of the layout, which gets storage
 	// once the op lists say when each is live.
-	lay := &layout[T]{}
 	val, stat, grad := make(map[*Node]*buffer[T]), make(map[*Node]*buffer[T]), make(map[*Node]*buffer[T])
-	// value and cotangent plan the storage of a dense or vector node.
+	// value and cotangent plan the storage of a dense or vector node, sized
+	// by the node's shape under the bound pattern.
 	value := func(n *Node) {
 		s := sp(n)
 		if n.Kind == Vector {
-			val[n] = lay.add(n.ID, s.rows)
+			val[n] = lay.add(n.ID, func() int { return s.rows })
 			val[n].view(&s.vec)
 		} else {
-			val[n] = lay.add(n.ID, s.rows*s.cols)
+			val[n] = lay.add(n.ID, func() int { return s.rows * s.cols })
 			s.dense = val[n].mat(s.rows, s.cols)
 		}
 	}
 	cotangent := func(n *Node) {
 		s := sp(n)
 		if n.Kind == Vector {
-			grad[n] = lay.add(n.ID+".grad", s.rows)
+			grad[n] = lay.add(n.ID+".grad", func() int { return s.rows })
 			grad[n].view(&s.gvec)
 		} else {
-			grad[n] = lay.add(n.ID+".grad", s.rows*s.cols)
+			grad[n] = lay.add(n.ID+".grad", func() int { return s.rows * s.cols })
 			s.gdense = grad[n].mat(s.rows, s.cols)
 		}
 		grad[n].zero = true
 	}
+	// The casting plan's parameter gradients, zeroed at every seed.
+	var paramGrads [][]T
 
 	// Plan buffers and compose virtual entry evaluators, in topological
 	// (insertion) order so every node's inputs are ready.
@@ -647,7 +701,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			e.shadows = append(e.shadows, shadow[T]{master: s.param.Value, local: s.dense})
 			if opt.Train {
 				s.grad = mat(s.rows, s.cols)
-				e.zero.add(s.grad.Data)
+				paramGrads = append(paramGrads, s.grad.Data)
 				e.flushes = append(e.flushes, shadow[T]{master: s.param.Grad, local: s.grad})
 			}
 		case n.Kind == Virtual:
@@ -660,10 +714,10 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			// the softmax keeps its row statistics instead, 2·n words.
 			switch {
 			case attnSrc[n] && attnBwd[n]:
-				stat[n] = lay.add(n.ID+".stats", 2*pat.Rows)
+				stat[n] = lay.add(n.ID+".stats", func() int { return 2 * pat.Rows })
 				stat[n].view(&s.stats)
 			case !fusedMask[n] && !(attnSrc[n] && !opt.Train):
-				val[n] = lay.add(n.ID, nnz)
+				val[n] = lay.add(n.ID, nnzWords)
 				val[n].view(&s.vals)
 			}
 		case coll && diag:
@@ -722,7 +776,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 				continue
 			}
 			if grad[n] == nil {
-				grad[n] = lay.add(n.ID+".grad", nnz)
+				grad[n] = lay.add(n.ID+".grad", nnzWords)
 				grad[n].view(&sp(n).gvals)
 			}
 			for _, in := range cotangentOperands(n) {
@@ -735,24 +789,20 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// sweep exchanges through them: a buffer per op, live inside it.
 	var w *wire[T]
 	rowStat := func(n *Node, dst *[]T) *buffer[T] {
-		b := lay.add(n.ID+".rowstat", pat.Rows)
+		b := lay.add(n.ID+".rowstat", rowWords)
 		b.view(dst)
 		return b
 	}
+	// widest is the widest dense or vector node: what crosses a casting grid
+	// plan's staging words is such a node's buffer (the pattern's nodes are
+	// as wide as the block and never do).
+	widest := 1
 	if grid != nil {
 		w = &wire[T]{grid: grid}
-		if !aliased {
-			// What crosses is a dense or vector node's buffer: the pattern's
-			// nodes are as wide as the block and never do.
-			widest := 1
-			for n, m := range g.meta {
-				if n.Kind == Dense || n.Kind == Vector {
-					widest = max(widest, m.cols)
-				}
+		for n, m := range g.meta {
+			if n.Kind == Dense || n.Kind == Vector {
+				widest = max(widest, m.cols)
 			}
-			e.wire = tensor.AcquireSlice[float64](ws, pat.Rows*widest)
-			w.words = e.wire
-			words += int64(len(e.wire)) * 8 / opt.DType.Size()
 		}
 	}
 
@@ -760,23 +810,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// over the transposed pattern, which is the adjacency object's own —
 	// computed once, shared by every training plan over it — and read the
 	// sparse node's current values through it. Only an adjacency SpMM wants
-	// A's values laid out in Aᵀ's order, once, as adjT.
+	// A's values laid out in Aᵀ's order, once per pattern, as adjT.
 	var tr *transposedRows[T]
-	var cutsT *par.Cuts
+	cutsT := par.NewCuts(0, func(j int) int64 { return int64(tr.patT.RowNNZ(j)) })
 	var adjT []T
-	if opt.Train {
-		tr = newTransposedRows[T](pat.TransposedPattern())
-		cutsT = par.NewCuts(tr.patT.Rows, nnzWeight(tr.patT))
-		for _, n := range nodes {
-			if n.Op == "spmm" && n.Inputs[0] == g.adj {
-				adjT = floats(nnz)
-				for q, v := 0, adjVals(); q < nnz; q++ {
-					adjT[q] = v[tr.src[q]]
-				}
-				break
-			}
-		}
-	}
+	adjSpMM := opt.Train && slices.ContainsFunc(nodes, func(n *Node) bool { return n.Op == "spmm" && n.Inputs[0] == g.adj })
 
 	// reads lists, after uses, the buffers an op reads through operand m:
 	// m's own and, where m is evaluated inside the reading op (inline), its
@@ -841,20 +879,19 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	// emit appends an op to list — a forward op, or a backward one (suffix
 	// non-empty) — marking the buffers it touches live at its position in
 	// the step. Its body is built once every buffer has storage: builds[i]
-	// builds the body of the op at position i (nil at the seed).
+	// builds the body of the op at position i (nil at the seed). Its cost
+	// estimates are the pattern's, and set with the body. A row-local op and
+	// its VJP read the pattern's extent through their specs when they run,
+	// so their bodies are built once; every other body is built again under
+	// each new pattern.
 	var builds []func() func()
+	var bodies []func()
 	emit := func(list *[]planOp, n *Node, suffix, op string, uses []*buffer[T], build func() func()) {
-		backward := suffix != ""
 		touch(len(builds), uses...)
 		builds = append(builds, build)
-		flops, swept := opCost(g, n, op, nnz, backward)
 		span := opt.SpanPrefix + n.ID + suffix
-		*list = append(*list, planOp{
-			span: span,
-			op:   op,
-			site: obs.NewOp(log, span, op, flops,
-				opBytes(g, n, op, nnz, backward, kept(n), opt.DType.Size()), swept),
-		})
+		*list = append(*list, planOp{span: span, op: op, node: n, back: suffix != "",
+			site: obs.NewOp(log, span, op, 0, 0, 0)})
 	}
 	// sparseVals resolves the value buffer an spmm reads: the adjacency's
 	// own values for the leaf, the node's buffer otherwise.
@@ -1016,7 +1053,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 					add := score.Inputs[0]
 					u, v, x := add.Inputs[0].Inputs[0], add.Inputs[1].Inputs[0], n.Inputs[1]
 					var cbar []T
-					cb := lay.add(n.ID+".cbar", nnz)
+					cb := lay.add(n.ID+".cbar", nnzWords)
 					cb.view(&cbar)
 					op = "fused-attn"
 					uses = reads([]*buffer[T]{grad[n], stat[psi], grad[x], grad[u], grad[v], cb, val[x]}, score, inlineBwd)
@@ -1042,8 +1079,9 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 			case "mask":
 				// In place; a pattern-only mask — unit weights included — passes
 				// its cotangent through.
-				if weights := maskWeights(s); weights != nil {
-					vjp = func() func() { return opMaskVJP(s.gvals, weights) }
+				p.unitSensitive = p.unitSensitive || s.weighted
+				if s.weighted && !p.unit {
+					vjp = func() func() { return opMaskVJP(s.gvals, maskWeights(s)) }
 				}
 			case "mmt":
 				vjp = func() func() { return opDotVJP(pat, cuts, cutsT, s.gvals, tr, sp(n.Inputs[0]), sp(n.Inputs[1])) }
@@ -1074,37 +1112,79 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 		}
 	}
 
-	// Every interval is known: colour the buffers into slots, give them
-	// storage, place the clears, and build the op bodies over the storage.
+	// Every interval is known. What follows them is the pattern's: rebind
+	// reshapes the nodes, derives what the ops read of the pattern, colours
+	// the buffers into slots, gives them storage, places the clears, and
+	// builds the op bodies over the storage.
 	lay.close(seed, len(builds)-1)
-	lay.colour(poisonDead)
-	e.slices = append(e.slices, lay.bind(ws)...)
-	words += lay.words()
-	clears := lay.clears(seed, &e.zero)
-	finish := func(op *planOp, at int) {
-		op.run = builds[at]()
+	bodies = make([]func(), len(builds))
+	finish := func(op *planOp, at int, clears map[int]*zeroSweep[T]) {
+		if bodies[at] == nil || !rowLocal[op.node.Op] {
+			bodies[at] = builds[at]()
+		}
+		op.run = bodies[at]
 		lay.prologue(op, at, clears[at])
+		flops, swept := opCost(g, op.node, op.op, nnz, op.back)
+		op.site.Flops, op.site.NNZ = flops, swept
+		op.site.Bytes = opBytes(g, op.node, op.op, nnz, op.back, kept(op.node), opt.DType.Size())
 	}
-	for i := range p.fwd {
-		finish(&p.fwd[i], i)
-	}
-	for i := range p.bwd {
-		finish(&p.bwd[i], seed+1+i)
-	}
-	if keepLifetimes {
-		for _, b := range lay.bufs {
-			p.lifetimes = append(p.lifetimes, lifetime{b.name, int64(b.words), b.first, b.last, b.slot, b.keep})
+	p.rebind = func(a *sparse.CSR) {
+		if a != g.pat {
+			g.reshape(a)
+			for _, m := range rowViews {
+				m.rows = a.Rows
+			}
+		}
+		pat, nnz = a, a.NNZ()
+		cuts.Reset(pat.Rows)
+		adjOK = false
+		if grid != nil && !aliased {
+			w.words = e.wire.get(ws, pat.Rows*widest)
+		}
+		if opt.Train {
+			tr = newTransposedRows[T](pat.TransposedPattern())
+			cutsT.Reset(tr.patT.Rows)
+			if adjSpMM {
+				adjT = e.adjT.get(ws, nnz)
+				for q, v := 0, adjVals(); q < nnz; q++ {
+					adjT[q] = v[tr.src[q]]
+				}
+			}
+		}
+		lay.colour(poisonDead)
+		lay.bind(ws)
+		e.zero = zeroSweep[T]{}
+		for _, buf := range paramGrads {
+			e.zero.add(buf)
+		}
+		clears := lay.clears(seed, &e.zero)
+		p.stats.ForwardFlops, p.stats.ForwardBytes, p.stats.BackwardFlops, p.stats.BackwardBytes = 0, 0, 0, 0
+		for i := range p.fwd {
+			finish(&p.fwd[i], i, clears)
+			p.stats.ForwardFlops += p.fwd[i].site.Flops
+			p.stats.ForwardBytes += p.fwd[i].site.Bytes
+		}
+		for i := range p.bwd {
+			finish(&p.bwd[i], seed+1+i, clears)
+			p.stats.BackwardFlops += p.bwd[i].site.Flops
+			p.stats.BackwardBytes += p.bwd[i].site.Bytes
+		}
+		if !adjOK {
+			e.adj.release(ws)
+		}
+		e.reshaped(ws)
+		p.stats.WorkspaceWords = e.held()
+		p.ranForward = false
+		if keepLifetimes {
+			p.lifetimes = p.lifetimes[:0]
+			for _, b := range lay.bufs {
+				p.lifetimes = append(p.lifetimes, lifetime{b.name, int64(b.words), b.first, b.last, b.slot, b.keep})
+			}
 		}
 	}
-	p.stats = PlanStats{
-		ForwardOps:     len(p.fwd),
-		BackwardOps:    len(p.bwd),
-		SoftmaxFused:   len(fusedMask),
-		AttnFused:      len(attnAgg),
-		OpCounts:       make(map[string]int),
-		WorkspaceWords: words,
-		DType:          opt.DType,
-	}
+	p.stats.ForwardOps, p.stats.BackwardOps = len(p.fwd), len(p.bwd)
+	p.stats.SoftmaxFused, p.stats.AttnFused = len(fusedMask), len(attnAgg)
+	p.stats.OpCounts = make(map[string]int)
 	for _, grp := range groups {
 		if !need[grp.Sampler] {
 			continue
@@ -1114,13 +1194,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut) (*Pla
 	}
 	for _, op := range p.fwd {
 		p.stats.OpCounts[op.op]++
-		p.stats.ForwardFlops += op.site.Flops
-		p.stats.ForwardBytes += op.site.Bytes
 	}
-	for _, op := range p.bwd {
-		p.stats.BackwardFlops += op.site.Flops
-		p.stats.BackwardBytes += op.site.Bytes
-	}
+	p.rebind(g.pat)
 	return p, nil
 }
 
@@ -1531,23 +1606,54 @@ func (p *Plan) BackwardTyped(g tensor.Typed) tensor.Typed {
 // float64 (see Output), valid until the plan's next Forward or Backward.
 func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 
-// detach drops the plan's hold on the matrices its last caller bound
-// (boundary.detach), so that an idle plan keeps none of them alive; a
-// Backward then needs a Forward first again.
-func (p *Plan) detach() {
-	p.x.detach()
-	p.ranForward = false
+// Bind points the plan at adjacency a. It keeps everything compile derived
+// from the DAG — the op order, the fusion decisions, the composed scores, the
+// buffers' intervals — and redoes what the pattern decides: the nodes'
+// shapes (the input is as tall as a has columns, the output as a has rows),
+// the nnz-balanced cuts, a training plan's transposed pattern and A's values
+// in its order, the buffers' sizes and slots, and the op bodies with their
+// cost estimates. It keeps the storage it holds and acquires more only where
+// a slot, or a buffer outside the slots, has become too small. A plan bound
+// to a computes what a plan compiled over a computes, bit for bit. Binding
+// the pattern the plan already has does nothing; after any other, Backward
+// needs a Forward first.
+//
+// Bind reports false and leaves the plan as it was when a does not fit what
+// was compiled: a grid plan's block is square, and a training plan over a
+// weighted mask holds the mask's VJP exactly when A's values are not all 1
+// (unitWeights). The caller compiles a new plan then.
+func (p *Plan) Bind(a *sparse.CSR) bool {
+	if p.released {
+		panic("fuse: Bind on a released plan")
+	}
+	if a == p.g.pat {
+		return true
+	}
+	if p.g.grid != nil && a.Rows != a.Cols || p.unitSensitive && unitWeights(a) != p.unit {
+		return false
+	}
+	p.rebind(a)
+	metrics.PlanCacheHits.Inc()
+	return true
 }
 
-// Release returns every buffer the plan holds to its workspace arena. The
-// plan is unusable afterwards; recompiling against the same arena (an
-// adjacency rebind, say) recycles the storage.
+// unitWeights reports whether every stored value of a is exactly 1: a
+// weighted mask over it multiplies by nothing.
+func unitWeights(a *sparse.CSR) bool {
+	return !slices.ContainsFunc(a.Val, func(v float64) bool { return v != 1 })
+}
+
+// Release returns every buffer the plan holds to the workspace arena, where
+// the next compile finds it. The plan is unusable afterwards.
 func (p *Plan) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
 	p.x.release(p.ws)
+	if p.live {
+		livePlans.Add(-1)
+	}
 }
 
 // String renders a compact plan summary.

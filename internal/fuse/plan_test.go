@@ -321,12 +321,14 @@ func TestPlanWorkspaceRecycling(t *testing.T) {
 	a := weightedGraph(40, 160, 13)
 	const k = 4
 	ws := tensor.NewArena()
+	defer fuse.UseArena(ws)()
 
-	p1 := buildVA(a, randParam(rng, "W", k, k), k).MustCompile(fuse.Options{Train: true, Workspace: ws})
+	p1 := buildVA(a, randParam(rng, "W", k, k), k).MustCompile(fuse.Options{Train: true})
 	grown := ws.Bytes()
 	p1.Release()
 
-	buildVA(a, randParam(rng, "W", k, k), k).MustCompile(fuse.Options{Train: true, Workspace: ws})
+	p2 := buildVA(a, randParam(rng, "W", k, k), k).MustCompile(fuse.Options{Train: true})
+	defer p2.Release()
 	if ws.Bytes() != grown {
 		t.Fatalf("recompile grew the workspace: %d -> %d bytes", grown, ws.Bytes())
 	}
@@ -348,8 +350,10 @@ func TestPlanArenaPeakIsStatsWorkspace(t *testing.T) {
 			var compiled, stepped [2]int64
 			for run := range compiled {
 				ws := tensor.NewArena()
+				restore := fuse.UseArena(ws)
 				w := randParam(rand.New(rand.NewSource(7)), "W", k, k)
-				p := buildVA(a, w, k).MustCompile(fuse.Options{Train: train, DType: dt, Workspace: ws})
+				p := buildVA(a, w, k).MustCompile(fuse.Options{Train: train, DType: dt})
+				restore()
 				held := func(when string) int64 {
 					if want := p.Stats().WorkspaceBytes(); ws.LiveBytes() != want || ws.Bytes() != want {
 						t.Errorf("%v train=%v %s: arena holds %d B (%d allocated), PlanStats says %d",

@@ -32,12 +32,18 @@ import (
 //   - what persists between steps — values bound from the caller, parameters
 //     and their gradients, A's values at the plan's width or in Aᵀ's order —
 //     is not planned here at all.
+//
+// The intervals are the compiled plan's; the sizes are the pattern's. A plan
+// bound to another pattern (Plan.Bind) sizes and colours the same buffers
+// again and keeps each slot's storage unless the slot has outgrown it.
 
 // buffer is one piece of a step's workspace before it has storage.
 type buffer[T elem] struct {
 	name        string
+	size        func() int // its words under the pattern the plan is bound to
 	words       int
 	first, last int  // positions touching it, the first and the last (first < 0: none yet)
+	start       int  // first as close left it: clears may move first to the seed
 	zero        bool // accumulated into: cleared at the start of its interval
 	keep        bool // handed to the caller: live to the end of the step
 	slot        int
@@ -72,11 +78,18 @@ type lifetime struct {
 // layout is the workspace plan of one step.
 type layout[T elem] struct {
 	bufs  []*buffer[T]
-	slots []int // words per slot
+	slots []int     // words per slot
+	store []held[T] // each slot's storage, at least its words long
+
+	// Kept from one bind to the next, so that binding allocates nothing
+	// the previous bind had.
+	order     []*buffer[T]
+	occupants [][]*buffer[T]
+	at        map[int]*zeroSweep[T] // the clears placed before each position
 }
 
-func (l *layout[T]) add(name string, words int) *buffer[T] {
-	b := &buffer[T]{name: name, words: words, first: -1}
+func (l *layout[T]) add(name string, size func() int) *buffer[T] {
+	b := &buffer[T]{name: name, size: size, first: -1}
 	l.bufs = append(l.bufs, b)
 	return b
 }
@@ -111,19 +124,25 @@ func (l *layout[T]) close(seed, end int) {
 		if b.keep || b.first < seed && b.last >= seed {
 			b.last = end
 		}
+		b.start = b.first
 	}
 }
 
-// colour places the buffers into slots: largest first, each into the first
-// slot none of whose occupants is live while it is, else into a new slot of
-// its size. Largest first means a buffer never widens the slot it joins. With
-// separate every buffer gets a slot of its own.
+// colour sizes the buffers under the current pattern and places them into
+// slots: largest first, each into the first slot none of whose occupants is
+// live while it is, else into a new slot of its size. Largest first means a
+// buffer never widens the slot it joins. With separate every buffer gets a
+// slot of its own.
 func (l *layout[T]) colour(separate bool) {
-	order := slices.Clone(l.bufs)
+	l.slots = l.slots[:0]
+	for _, b := range l.bufs {
+		b.first, b.words = b.start, b.size()
+	}
+	order := append(l.order[:0], l.bufs...)
 	slices.SortStableFunc(order, func(a, b *buffer[T]) int {
 		return cmp.Or(cmp.Compare(b.words, a.words), cmp.Compare(a.first, b.first))
 	})
-	occupants := make([][]*buffer[T], 0, len(order))
+	occupants := l.occupants[:0]
 	for _, b := range order {
 		b.slot = -1
 		for s, occ := range occupants {
@@ -134,11 +153,17 @@ func (l *layout[T]) colour(separate bool) {
 		}
 		if b.slot < 0 {
 			b.slot = len(occupants)
-			occupants = append(occupants, nil)
+			if len(occupants) < cap(occupants) {
+				occupants = occupants[:b.slot+1]
+				occupants[b.slot] = occupants[b.slot][:0]
+			} else {
+				occupants = append(occupants, nil)
+			}
 			l.slots = append(l.slots, b.words)
 		}
 		occupants[b.slot] = append(occupants[b.slot], b)
 	}
+	l.order, l.occupants = order, occupants
 }
 
 // clears places the clear of every accumulated buffer: into atSeed, the
@@ -146,7 +171,11 @@ func (l *layout[T]) colour(separate bool) {
 // between the seed and its first writer (its interval then starts at the
 // seed), else into the sweep it returns for its first position.
 func (l *layout[T]) clears(seed int, atSeed *zeroSweep[T]) map[int]*zeroSweep[T] {
-	at := make(map[int]*zeroSweep[T])
+	if l.at == nil {
+		l.at = make(map[int]*zeroSweep[T])
+	}
+	at := l.at
+	clear(at)
 	for _, b := range l.bufs {
 		if !b.zero {
 			continue
@@ -166,32 +195,65 @@ func (l *layout[T]) clears(seed int, atSeed *zeroSweep[T]) map[int]*zeroSweep[T]
 	return at
 }
 
-// bind acquires the slots from ws and points every buffer's views at its
-// slot, returning the slots for release.
-func (l *layout[T]) bind(ws *tensor.Arena) [][]T {
-	slots := make([][]T, len(l.slots))
+// bind gives every slot storage — the slot's own from an earlier bind,
+// cleared, when it is long enough, else a fresh one from ws — and points
+// every buffer's views at its slot. A matrix header takes the rows its
+// buffer now holds.
+func (l *layout[T]) bind(ws *tensor.Arena) {
+	for len(l.store) > len(l.slots) {
+		l.store[len(l.store)-1].release(ws)
+		l.store = l.store[:len(l.store)-1]
+	}
+	for len(l.store) < len(l.slots) {
+		l.store = append(l.store, held[T]{})
+	}
 	for s, n := range l.slots {
-		slots[s] = tensor.AcquireSlice[T](ws, n)
+		if st := &l.store[s]; len(st.buf) >= n {
+			clear(st.buf[:n])
+		} else {
+			st.get(ws, n)
+		}
 	}
 	for _, b := range l.bufs {
-		b.data = slots[b.slot][:b.words:b.words]
+		b.data = l.store[b.slot].buf[:b.words:b.words]
 		for _, m := range b.mats {
+			if m.Cols > 0 {
+				m.Rows = b.words / m.Cols
+			}
 			m.Data = b.data
 		}
 		for _, v := range b.views {
 			*v = b.data
 		}
 	}
-	return slots
 }
 
-// words returns the planned workspace: the sum of the slots.
-func (l *layout[T]) words() int64 {
-	var n int64
-	for _, w := range l.slots {
-		n += int64(w)
+// release returns the slots' storage to ws.
+func (l *layout[T]) release(ws *tensor.Arena) {
+	for s := range l.store {
+		l.store[s].release(ws)
 	}
-	return n
+	l.store = nil
+}
+
+// held is storage a plan keeps across steps: a slot of its layout, or a
+// buffer outside it (A's values at the plan's width or in Aᵀ's order, a grid
+// plan's staging words). A bind that needs more than it holds replaces it.
+type held[T elem] struct{ buf []T }
+
+// get returns the first n words of the storage, grown from ws if it is
+// shorter. What it returns keeps the contents it had unless it was grown.
+func (h *held[T]) get(ws *tensor.Arena, n int) []T {
+	if len(h.buf) < n {
+		tensor.ReleaseSlice(ws, h.buf)
+		h.buf = tensor.AcquireSlice[T](ws, n)
+	}
+	return h.buf[:n:n]
+}
+
+func (h *held[T]) release(ws *tensor.Arena) {
+	tensor.ReleaseSlice(ws, h.buf)
+	h.buf = nil
 }
 
 // prologue makes the op at position i run what has to precede it: the clears

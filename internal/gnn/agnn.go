@@ -56,7 +56,4 @@ func (l *AGNNLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	g.SetOutput(g.Sigma("Hout", aggregateProject(g, psi, h, l.W), planAct(l.Act)))
 }
 
-// Signature implements DAGLayer.
-func (l *AGNNLayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
-
 func (l *AGNNLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

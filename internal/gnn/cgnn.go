@@ -58,11 +58,6 @@ func (l *GINLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Signature implements DAGLayer.
-func (l *GINLayer) Signature(train bool) string {
-	return planSig(l, train, l.Act, "mlpact="+planAct(l.ActMLP).Name)
-}
-
 func (l *GINLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }
 
 // SGCLayer implements Simple Graph Convolution: K propagation hops with the
@@ -103,11 +98,6 @@ func (l *SGCLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	}
 	z := g.MM("Z", cur, wn)
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-}
-
-// Signature implements DAGLayer.
-func (l *SGCLayer) Signature(train bool) string {
-	return planSig(l, train, l.Act, fmt.Sprintf("K=%d", l.K))
 }
 
 func (l *SGCLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

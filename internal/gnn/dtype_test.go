@@ -274,7 +274,7 @@ func planState(m *Model) (plans []*fuse.Plan, workspace []int64) {
 // recordedStepMatches steps model — which has just run a training step on
 // (h, gOut) unrecorded — once more with recording on, and requires the same
 // bits from the same plans with the same conversion buffers, the layer
-// records on the log, and every lease back in the cache afterwards.
+// records on the log, and ReleasePlans releasing every plan afterwards.
 func recordedStepMatches(t *testing.T, what func(string) string, model *Model, h, gOut *tensor.Dense) {
 	t.Helper()
 	model.ZeroGrad()
@@ -286,7 +286,7 @@ func recordedStepMatches(t *testing.T, what func(string) string, model *Model, h
 		grads = append(grads, p.Grad.Clone())
 		p.ZeroGrad()
 	}
-	leased := fuse.Shared.Leased()
+	live := fuse.LivePlans()
 
 	obs.StartRecording()
 	defer obs.StopRecording()
@@ -319,20 +319,20 @@ func recordedStepMatches(t *testing.T, what func(string) string, model *Model, h
 			t.Error(what("recorded step"), "left", spans[want], "records named", want, "— want", n, "of", spans)
 		}
 	}
-	if got := fuse.Shared.Leased(); got != leased {
-		t.Error(what("recorded step"), "changed the leased plans from", leased, "to", got)
+	if got := fuse.LivePlans(); got != live {
+		t.Error(what("recorded step"), "changed the live plans from", live, "to", got)
 	}
-	held := 0 // the model's own leases: a training and an inference plan per layer
+	held := 0 // the model's own plans: a training and an inference plan per layer
 	for _, l := range model.Layers {
-		for _, c := range []*planLease{&l.(DAGLayer).core().train, &l.(DAGLayer).core().infer} {
+		for _, c := range []*layerPlan{&l.(DAGLayer).core().train, &l.(DAGLayer).core().infer} {
 			if c.plan != nil {
 				held++
 			}
 		}
 	}
 	model.ReleasePlans()
-	if got, want := fuse.Shared.Leased(), leased-held; got != want || held != 2*len(plans) {
-		t.Error(what("ReleasePlans after a recorded step"), "left", got, "plans leased, want", want, "after releasing", held)
+	if got, want := fuse.LivePlans(), live-held; got != want || held != 2*len(plans) {
+		t.Error(what("ReleasePlans after a recorded step"), "left", got, "plans live, want", want, "after releasing", held)
 	}
 }
 

@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"agnn/internal/fuse"
@@ -78,11 +77,6 @@ func (hd GATHead) attend(g *fuse.Graph, h *fuse.Node, negSlope float64, act Acti
 // DAG implements DAGLayer.
 func (l *GATLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	g.SetOutput(l.attend(g, h, l.NegSlope, l.Act, ""))
-}
-
-// Signature implements DAGLayer.
-func (l *GATLayer) Signature(train bool) string {
-	return planSig(l, train, l.Act, fmt.Sprintf("slope=%g", l.NegSlope))
 }
 
 func (l *GATLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

@@ -37,7 +37,4 @@ func (l *GCNLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
 }
 
-// Signature implements DAGLayer.
-func (l *GCNLayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
-
 func (l *GCNLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

@@ -29,8 +29,7 @@ import (
 
 // Psi is a Ψ choice: Build appends the nodes computing the coefficient
 // matrix Ψ(A, H) from the feature node h and returns its sparse node (on A's
-// pattern, like every sparse node of the graph). Kind names the fragment in
-// the plan-cache signature — two different fragments must not share one.
+// pattern, like every sparse node of the graph). Kind names the fragment.
 // Params are the parameters Build reads (Param.Node); the layer trains and
 // serializes them. The zero value means adjacency.
 type Psi struct {
@@ -114,12 +113,6 @@ func (l *GenericLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 		z = phi(g, z)
 	}
 	g.SetOutput(g.Sigma("Hout", z, planAct(l.Act)))
-}
-
-// Signature implements DAGLayer.
-func (l *GenericLayer) Signature(train bool) string {
-	return planSig(l, train, l.Act, fmt.Sprintf("psi=%s|agg=%s|phi=%s|phiFirst=%t",
-		l.Psi.Kind, l.Agg.Kind, l.Phi.Kind, l.PhiFirst))
 }
 
 func (l *GenericLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

@@ -66,9 +66,4 @@ func (l *MultiHeadGATLayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	}
 }
 
-// Signature implements DAGLayer.
-func (l *MultiHeadGATLayer) Signature(train bool) string {
-	return planSig(l, train, l.Act, fmt.Sprintf("slope=%g|heads=%d|concat=%t", l.NegSlope, len(l.Heads), l.Concat))
-}
-
 func (l *MultiHeadGATLayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

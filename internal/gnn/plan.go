@@ -1,9 +1,6 @@
 package gnn
 
 import (
-	"fmt"
-	"strings"
-
 	"agnn/internal/fuse"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
@@ -22,29 +19,24 @@ import (
 
 // DAGLayer is a layer defined by its tensor-op DAG. The per-rank row engine
 // lowers the same definition onto its own graph (row offset, global-height
-// input), which is why DAG and Signature are exported; the unexported
-// methods tie the interface to layers embedding this package's plan-backed
-// core.
+// input), which is why DAG is exported; the unexported methods tie the
+// interface to layers embedding this package's plan-backed core.
 type DAGLayer interface {
 	Layer
 	// DAG appends the layer's nodes to g, reading the features from the
 	// dense input node h, and marks the output node. Node names and
 	// construction order are part of the compiled plan's identity.
 	DAG(g *fuse.Graph, h *fuse.Node)
-	// Signature renders the plan-cache signature of the layer's plan in
-	// the given mode: layer kind, structural options, and the identities
-	// of the parameters the plan closes over.
-	Signature(train bool) string
 
 	core() *planned
 	// rebound returns a copy of the layer — same parameters and options —
-	// bound to adjacency a, holding no plan leases.
+	// bound to adjacency a, holding no plans.
 	rebound(a *sparse.CSR) DAGLayer
 }
 
 // planned is the plan-backed core every DAG layer embeds: the adjacency
-// binding, the plan element width, and one leased plan per mode. It
-// implements Forward, Backward, Plan and the lease lifecycle for all of
+// binding, the plan element width, and the layer's own plan per mode. It
+// implements Forward, Backward, Plan and the plans' lifecycle for all of
 // them.
 type planned struct {
 	// A is the adjacency the layer is bound to, with the model's
@@ -63,11 +55,11 @@ type planned struct {
 
 	def          DAGLayer // the layer embedding this core
 	params       []*Param // set by the layer's constructor, in the layer's order
-	train, infer planLease
+	train, infer layerPlan
 }
 
 // bind (re)initializes the core for layer def on adjacency a, keeping the
-// dtype and the grid. It drops — without releasing — whatever leases the
+// dtype and the grid. It drops — without releasing — whatever plans the
 // struct held, so it is also what detaches a copied layer from its source's
 // plans.
 func (p *planned) bind(a *sparse.CSR, def DAGLayer) {
@@ -151,81 +143,57 @@ func (p *planned) backward(g tensor.Typed) handoff {
 // Stats.
 func (p *planned) Plan() *fuse.Plan { return p.train.plan }
 
+// Plans returns the layer's training and inference plans, nil where the
+// layer has compiled none since it was built or its plans were released.
+func (p *planned) Plans() (train, infer *fuse.Plan) { return p.train.plan, p.infer.plan }
+
 func (p *planned) releasePlans() { p.train.release(); p.infer.release() }
 
-// plan resolves the layer's compiled plan for one mode through the
-// process-wide fuse.Shared cache. The steady-state path is a pointer
-// comparison: as long as the layer keeps seeing the same adjacency pointer,
-// input width and dtype, the leased plan is returned with zero allocations
-// and zero hashing. Only a rebind or a width change goes to the shared
-// cache, where the adjacency's content fingerprint × input width × layer
-// signature either finds an already compiled plan (mini-batch rotation,
-// serving fan-out) or compiles one into the cache.
-//
-// The signature is computed once per layer instance and mode (layer kind,
-// structural options and parameter identities are fixed after construction)
-// and memoized. A plan from a prefix's tables (pre non-nil, on a block) is
-// the same DAG compiled FromTables over the frontier nodes, and its
-// signature names them: plans are shared by every engine over the model,
-// whichever tables it reads.
+// plan returns the layer's compiled plan for one mode, bound to the layer's
+// current adjacency. The plan is the layer's own: compiled once for the
+// input width, dtype and prefix frontier it is asked for, and bound to each
+// new adjacency the layer is given (fuse.Plan.Bind) — a mini-batch, a query's
+// message-flow block. The steady-state path is a pointer comparison. Only a
+// new width, dtype or frontier compiles again, and so does an adjacency the
+// compiled structure does not fit (Bind's refusal). A plan from a prefix's
+// tables (pre non-nil, on a block) is the DAG compiled FromTables over the
+// frontier nodes.
 func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 	c := &p.infer
 	if train {
 		c = &p.train
 	}
-	if c.plan != nil && c.a == p.A && c.in == in && c.dt == p.DType && c.pre == pre {
+	if c.plan != nil && c.in == in && c.dt == p.DType && c.pre == pre && c.plan.Bind(p.A) {
 		return c.plan
 	}
-	if c.sig == "" {
-		c.sig = p.def.Signature(train)
-		if p.Grid != nil {
-			// The plan closes over this rank's communicators.
-			c.sig += fmt.Sprintf("|grid=%p", p.Grid)
-		}
-	}
 	c.release()
-	sig := c.sig
+	name := p.def.Name()
+	g := fuse.NewGraph(name, p.A)
+	g.SetGrid(p.Grid)
+	p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
 	if pre != nil {
-		sig += pre.sig
+		g.FromTables(pre.Frontier)
 	}
-	c.lease = fuse.Shared.Get(fuse.KeyFor(p.A, in, p.DType, sig), func(ws *tensor.Arena) *fuse.Plan {
-		name := p.def.Name()
-		g := fuse.NewGraph(name, p.A)
-		g.SetGrid(p.Grid)
-		p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
-		if pre != nil {
-			g.FromTables(pre.Frontier)
-		}
-		return g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", Workspace: ws, DType: p.DType})
-	})
-	c.plan = c.lease.Plan()
-	c.a, c.in, c.dt, c.pre = p.A, in, p.DType, pre
+	*c = layerPlan{plan: g.MustCompile(fuse.Options{Train: train, SpanPrefix: name + ".", DType: p.DType}),
+		in: in, dt: p.DType, pre: pre}
 	return c.plan
 }
 
-// planLease is one mode's leased plan together with what it was leased for.
-type planLease struct {
-	lease fuse.Lease
-	plan  *fuse.Plan
-	a     *sparse.CSR
-	in    int
-	dt    tensor.DType
-	pre   *Prefix // the plan starts from its frontier; nil: from the input
-	sig   string
+// layerPlan is one mode's plan together with what it was compiled for.
+type layerPlan struct {
+	plan *fuse.Plan
+	in   int
+	dt   tensor.DType
+	pre  *Prefix // the plan starts from its frontier; nil: from the input
 }
 
-// release returns the leased plan to the shared cache. The memoized
-// signature stays; the next Forward re-leases (a cache hit when the same
-// structure comes around again).
-func (c *planLease) release() {
-	if c.plan == nil {
-		return
+// release returns the plan's storage to the workspace arena; the next
+// Forward compiles.
+func (c *layerPlan) release() {
+	if c.plan != nil {
+		c.plan.Release()
 	}
-	c.lease.Release()
-	c.plan = nil
-	c.a = nil
-	c.in = 0
-	c.pre = nil
+	*c = layerPlan{}
 }
 
 // planRef adapts a Param to the fuse runtime's package-neutral handle. The
@@ -265,27 +233,6 @@ func aggregateProject(g *fuse.Graph, psi, h *fuse.Node, w *Param) *fuse.Node {
 	return g.MM("Z", g.SpMM("PsiH", psi, h), wn)
 }
 
-// planSig renders a layer signature: the layer kind, its structural
-// options, and the identities of the parameter buffers the plan closes over.
-// Buffer identity (pointer, not value) is what keeps two models with
-// identical shapes from sharing plans — a compiled plan reads and writes
-// the specific Value/Grad buffers it captured (planRef). The key names those
-// buffers, not the Param holding them: an idle plan in the cache keeps its
-// buffers alive, so their addresses cannot be reused by another model while
-// the key exists, where a Param's could once the Param is collected.
-func planSig(l Layer, train bool, act Activation, extra string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|train=%t|act=%s", l.Name(), train, planAct(act).Name)
-	if extra != "" {
-		b.WriteByte('|')
-		b.WriteString(extra)
-	}
-	for _, p := range l.Params() {
-		fmt.Fprintf(&b, "|%p,%p", p.Value, p.Grad)
-	}
-	return b.String()
-}
-
 // PlannedForward is Forward(h, false): inference has one path.
 //
 // Deprecated: it exists only because the frozen bench/surface.go calls it.
@@ -293,11 +240,10 @@ func (m *Model) PlannedForward(h *tensor.Dense) *tensor.Dense {
 	return m.Forward(h, false)
 }
 
-// ReleasePlans returns every layer's leased plan to the shared cache. Call
-// it when a model (or a rebound mini-batch view of one) is done executing
-// for now: released plans stay compiled in the cache, so the next model
-// that binds the same adjacency structure — including this one — reuses
-// them without recompiling.
+// ReleasePlans drops every layer's plans and returns their storage to the
+// workspace arena, where the next compile — this model's next Forward, or
+// another model's — finds it. Call it when a model (or a view of one) is done
+// executing for now.
 func (m *Model) ReleasePlans() {
 	for _, l := range m.Layers {
 		if dl, ok := l.(DAGLayer); ok {

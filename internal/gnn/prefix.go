@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"fmt"
-	"strings"
 
 	"agnn/internal/fuse"
 	"agnn/internal/obs"
@@ -37,8 +36,7 @@ type Prefix struct {
 	// rows (fuse.Graph.ReadsRows — GAT's u); otherwise the one table, {H}.
 	Gathered []int
 
-	in  int    // the feature width
-	sig string // the plan-cache signature suffix of a plan from the tables (Block)
+	in int // the feature width
 }
 
 // EvalPrefix evaluates the first layer's vertex-local prefix over the feature
@@ -84,12 +82,12 @@ func (m *Model) EvalPrefix(h *tensor.Dense) (*Prefix, error) {
 			pre.Gathered = append(pre.Gathered, i)
 		}
 	}
-	pre.sig = "|tables=" + strings.Join(pre.Frontier, ",")
 	return pre, nil
 }
 
 // ForwardFrom is Forward(·, false) on a model — typically a rebound view of
-// the one pre was evaluated for (RebindBlocks) — whose first layer starts
+// the one pre was evaluated for (RebindAdjacency, then Rebind to a query's
+// blocks) — whose first layer starts
 // from pre's tables instead of the features: rows[j] holds rows of table
 // pre.Gathered[j]. On a block (pre.Block) the layer's adjacency is A[S, :]
 // under global column ids, the layer reads the tables in place, and rows

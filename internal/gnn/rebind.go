@@ -15,48 +15,28 @@ import (
 // model to it, and train — gradients accumulate into the shared buffers.
 // The matrix a must already carry the model's preprocessing (self loops /
 // normalization), as it does when it is an induced subgraph of a processed
-// layer adjacency. It is RebindBlocks with a for every layer.
+// layer adjacency. Every layer is a copy of its source — same parameters,
+// options and dtype — holding no plans; the copies share their source's
+// layer instruments, so a profile covers the model and its views together.
+// It is a copy of src, then Rebind with a for every DAG layer: to visit many
+// subgraphs, make one view and Rebind it to each.
 func RebindAdjacency(src *Model, a *sparse.CSR) (*Model, error) {
-	blocks := make([]*sparse.CSR, 0, len(src.Layers))
-	for _, l := range src.Layers {
-		if _, ok := l.(DAGLayer); ok {
-			blocks = append(blocks, a)
-		}
-	}
-	return RebindBlocks(src, blocks)
-}
-
-// RebindBlocks is RebindAdjacency with one adjacency per DAG layer, in
-// layer order: blocks[i] binds the i-th DAG layer, dropout takes none. A
-// layer bound to an r×c block reads c input rows and writes r, so a block
-// must have as many columns as the layer before it produces rows — the
-// message-flow blocks of an ego query (serving) shrink layer by layer.
-// Every layer is a copy of its source — same parameters, options and dtype
-// — holding no plan leases; the copies share their source's layer
-// instruments, so a profile covers the model and its mini-batch or
-// ego-network views together.
-func RebindBlocks(src *Model, blocks []*sparse.CSR) (*Model, error) {
 	out := &Model{DType: src.DType}
 	sites := src.layerSites()
 	out.sites.Store(&sites)
+	var blocks []*sparse.CSR
 	for _, l := range src.Layers {
 		switch ll := l.(type) {
 		case DAGLayer:
-			if len(blocks) == 0 {
-				return nil, fmt.Errorf("gnn: too few blocks for the model's %s layers", ll.Name())
-			}
-			out.Layers = append(out.Layers, ll.rebound(blocks[0]))
-			blocks = blocks[1:]
+			out.Layers = append(out.Layers, ll.rebound(a))
+			blocks = append(blocks, a)
 		case *DropoutLayer:
 			out.Layers = append(out.Layers, ll)
 		default:
 			return nil, fmt.Errorf("gnn: cannot rebind layer type %T", l)
 		}
 	}
-	if len(blocks) != 0 {
-		return nil, fmt.Errorf("gnn: %d blocks left over after the model's DAG layers", len(blocks))
-	}
-	return out, nil
+	return out, out.Rebind(blocks...)
 }
 
 // Adjacency returns the processed adjacency the model's first graph layer
@@ -126,22 +106,31 @@ func lowersOnBlock(l DAGLayer, in int) (ok bool) {
 	return g.OutputRows() == 1 && g.Radius() == 1
 }
 
-// Rebind swaps the model's adjacency in place: every layer keeps its
-// parameters, options and plan-cache signature, and only A changes.
-// Combined with the process-wide plan cache this makes subgraph rotation
-// recompile-free: on its next Forward each layer releases its current plan
-// lease back to the cache and leases the plan for the new adjacency — a
-// cache hit whenever that structure has been executed before. Prefer this
-// over RebindAdjacency in loops; the latter allocates fresh layer structs
-// whose leases die with them.
-func (m *Model) Rebind(a *sparse.CSR) error {
+// Rebind swaps the model's adjacencies in place, one block per DAG layer in
+// layer order: blocks[i] binds the i-th DAG layer, dropout takes none. Every
+// layer keeps its parameters, options and compiled plans; on its next
+// Forward each plan binds the new block (fuse.Plan.Bind) instead of
+// compiling. A layer bound to an r×c block reads c input rows and writes r,
+// so a block must have as many columns as the layer before it produces rows
+// — the message-flow blocks of an ego query (serving) shrink layer by layer;
+// a mini-batch passes its induced subgraph for every layer.
+func (m *Model) Rebind(blocks ...*sparse.CSR) error {
+	dags := 0
 	for _, l := range m.Layers {
-		switch ll := l.(type) {
+		switch l.(type) {
 		case DAGLayer:
-			ll.core().A = a
+			dags++
 		case *DropoutLayer:
 		default:
 			return fmt.Errorf("gnn: cannot rebind layer type %T", l)
+		}
+	}
+	if len(blocks) != dags {
+		return fmt.Errorf("gnn: %d blocks for the model's %d DAG layers", len(blocks), dags)
+	}
+	for _, l := range m.Layers {
+		if dl, ok := l.(DAGLayer); ok {
+			dl.core().A, blocks = blocks[0], blocks[1:]
 		}
 	}
 	return nil

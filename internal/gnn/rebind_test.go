@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agnn/internal/graph"
+	"agnn/internal/obs/metrics"
 	"agnn/internal/tensor"
 )
 
@@ -87,7 +88,9 @@ func TestRebindRejectsUnknownLayer(t *testing.T) {
 
 // TestGlobalMiniBatchTraining demonstrates the paper's mini-batching
 // extension of the global formulation: induced-subgraph batches trained
-// through the tensor-formulated layers with shared parameters.
+// through the tensor-formulated layers with shared parameters, by one view
+// of the model rebound to each batch — its layers compile once and bind
+// every later batch.
 func TestGlobalMiniBatchTraining(t *testing.T) {
 	adj, labels := graph.PlantedPartition(60, 3, 0.25, 0.02, 93)
 	n := 60
@@ -108,6 +111,12 @@ func TestGlobalMiniBatchTraining(t *testing.T) {
 		return v
 	}
 	before := fullLoss()
+	view, err := RebindAdjacency(m, processed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.ReleasePlans()
+	misses0 := metrics.PlanCacheMisses.Value()
 	for step := 0; step < 30; step++ {
 		// Batch: a third of the vertices plus their 2-hop closure is the
 		// whole subgraph here (small n); we simply take the induced
@@ -117,8 +126,7 @@ func TestGlobalMiniBatchTraining(t *testing.T) {
 			batch = append(batch, int32(v))
 		}
 		sub := graph.InducedSubgraph(processed, batch)
-		bm, err := RebindAdjacency(m, sub)
-		if err != nil {
+		if err := view.Rebind(sub, sub); err != nil {
 			t.Fatal(err)
 		}
 		bh := tensor.NewDense(len(batch), 6)
@@ -127,7 +135,10 @@ func TestGlobalMiniBatchTraining(t *testing.T) {
 			copy(bh.Row(i), h.Row(int(v)))
 			bl[i] = labels[v]
 		}
-		bm.TrainStep(bh, &CrossEntropyLoss{Labels: bl}, opt)
+		view.TrainStep(bh, &CrossEntropyLoss{Labels: bl}, opt)
+	}
+	if d := metrics.PlanCacheMisses.Value() - misses0; d != 2 {
+		t.Errorf("30 batches compiled %d plans, want 2: a training plan per layer", d)
 	}
 	after := fullLoss()
 	if !(after < 0.7*before) {

@@ -45,7 +45,4 @@ func (l *VALayer) DAG(g *fuse.Graph, h *fuse.Node) {
 	g.SetOutput(g.Sigma("Hout", aggregateProject(g, psi, h, l.W), planAct(l.Act)))
 }
 
-// Signature implements DAGLayer.
-func (l *VALayer) Signature(train bool) string { return planSig(l, train, l.Act, "") }
-
 func (l *VALayer) rebound(a *sparse.CSR) DAGLayer { c := *l; c.bind(a, &c); return &c }

@@ -98,15 +98,12 @@ var (
 	LayerMeasuredSeconds = Default.Gauge("agnn_layer_measured_seconds",
 		"Measured mean per-layer wall time for the run.")
 
-	// Process-wide compiled-plan cache (internal/fuse).
+	// Compiled plans (internal/fuse): a miss compiles one, a hit binds a
+	// compiled one to a new adjacency (fuse.Plan.Bind).
 	PlanCacheHits = Default.Counter("agnn_plancache_hits",
-		"Plan-cache lookups satisfied by an already compiled plan.")
+		"Compiled plans bound to a new adjacency instead of compiling one.")
 	PlanCacheMisses = Default.Counter("agnn_plancache_misses",
-		"Plan-cache lookups that compiled a new plan.")
-	PlanCacheEvictions = Default.Counter("agnn_plancache_evictions",
-		"Compiled plans evicted from the cache to enforce the byte budget.")
-	PlanCacheBytes = Default.Gauge("agnn_plancache_bytes",
-		"Workspace bytes of idle compiled plans resident in the cache (the evictable set).")
+		"Plans compiled.")
 
 	// Online inference serving (internal/serving, cmd/agnn-serve).
 	ServeRequestsTotal = Default.CounterVec("agnn_serve_requests_total",

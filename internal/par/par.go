@@ -191,6 +191,15 @@ func NewCuts(n int, weight func(i int) int64) *Cuts {
 	return c
 }
 
+// Reset makes c cut [0, n) under its weight closure, which must now describe
+// the new layout (a plan bound to another pattern): the boundaries are
+// computed on the first RangeCuts that splits the range, so a range too short
+// to split never scans its weights.
+func (c *Cuts) Reset(n int) {
+	c.n = n
+	c.cached.Store(nil)
+}
+
 func (c *Cuts) compute(w int) *cutSet {
 	cs := &cutSet{w: w}
 	if c.n > 0 {

@@ -47,10 +47,11 @@ func BenchmarkNewEngine(b *testing.B) {
 // BenchmarkEgoQuery times one single-vertex query end to end — expansion of
 // the vertices within one hop (the rows the first layer produces), block
 // extraction (the first A[R, :] under global column ids), the gather of
-// their rows of u, rebind, plan lease and the forward that reads H·W and v
-// in place — over egoBenchModel. "cold" asks a different vertex every iteration, so its plans
-// compile (or come back from another ego of the same structure); "warm" asks
-// one vertex again and again, so every plan is a cache hit.
+// their rows of u, the rebind of the runner's view, a bind of each layer's
+// plan and the forward that reads H·W and v in place — over egoBenchModel.
+// "cold" asks a different vertex every iteration, so its blocks differ in
+// shape from the last query's; "warm" asks one vertex again and again, so
+// every bind is to blocks of the shape the plans already have.
 func BenchmarkEgoQuery(b *testing.B) {
 	m, adj, feats := egoBenchModel(b)
 	e, err := NewEngine(Config{Model: m, Adj: adj, Features: feats})

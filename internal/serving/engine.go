@@ -13,10 +13,9 @@
 // block of the ego whose rows the layers after it read (Engine.blocks), all
 // in one compiled-plan forward. Every block row keeps its adjacency row's
 // order, so an answer is the full graph's bit for bit, alone or in any
-// batch. Because plans resolve through the process-wide cache
-// (internal/fuse), a repeated query structure — the common case under
-// load, and always the case for repeated identical queries — executes with
-// zero recompilation.
+// batch. Each runner owns a view of the model whose layers compile their
+// plans once and bind them to every query's blocks (fuse.Plan.Bind): no
+// query compiles.
 //
 // Requests are micro-batched by queueing, not by a timer: a runner takes
 // the first request and whatever is already queued behind it (up to
@@ -76,9 +75,11 @@ type Config struct {
 	// QueueDepth bounds the admission queue (default 4×MaxBatch requests).
 	QueueDepth int
 	// Runners is the number of batch-execution goroutines (default 1).
-	// Each runner rebinds its own layer structs per batch, so runners
-	// share only the parameter buffers (read-only during inference) and
-	// the plan cache (concurrency-safe).
+	// Each runner owns a view of the model — its own layer structs and
+	// plans, bound to each batch's blocks — so runners share only the
+	// parameter buffers (read-only during inference). A runner holds one
+	// plan per layer, each as large as the largest query it has answered
+	// needs.
 	Runners int
 }
 
@@ -184,9 +185,10 @@ type result struct {
 // Engine executes micro-batched subgraph inference.
 type Engine struct {
 	cfg    Config
-	reach  []gnn.Reach // per DAG layer: its radius, and whether it runs on a block
-	radius int         // the model's radius: the reach radii summed
-	prefix *gnn.Prefix // the first layer's vertex-local prefix over Features
+	reach  []gnn.Reach  // per DAG layer: its radius, and whether it runs on a block
+	radius int          // the model's radius: the reach radii summed
+	prefix *gnn.Prefix  // the first layer's vertex-local prefix over Features
+	views  []*gnn.Model // a view of Model per runner, rebound per batch
 	reqs   chan request
 
 	mu      sync.Mutex
@@ -221,13 +223,20 @@ func newIdleEngine(cfg Config) (*Engine, error) {
 	for _, r := range reach {
 		e.radius += r.Radius
 	}
+	for i := 0; i < cfg.Runners; i++ {
+		view, err := gnn.RebindAdjacency(cfg.Model, cfg.Adj)
+		if err != nil {
+			return nil, fmt.Errorf("serving: %w", err)
+		}
+		e.views = append(e.views, view)
+	}
 	return e, nil
 }
 
 func (e *Engine) start() {
 	e.wg.Add(e.cfg.Runners)
-	for i := 0; i < e.cfg.Runners; i++ {
-		go e.runner()
+	for _, view := range e.views {
+		go e.runner(view)
 	}
 }
 
@@ -339,10 +348,12 @@ func (e *Engine) submit(ctx context.Context, vertices []int, hops int, trace str
 	}
 }
 
-// runner collects micro-batches and executes them, gathering prefix rows
-// into buffers of its own.
-func (e *Engine) runner() {
+// runner collects micro-batches and executes them on its view of the
+// model, gathering prefix rows into buffers of its own. On exit it releases
+// the view's plans.
+func (e *Engine) runner(view *gnn.Model) {
 	defer e.wg.Done()
+	defer view.ReleasePlans()
 	rows := newPrefixRows(e.prefix)
 	for {
 		select {
@@ -350,7 +361,7 @@ func (e *Engine) runner() {
 			return
 		case first := <-e.reqs:
 			first.pick = time.Now()
-			e.runBatch(e.collect(first), rows)
+			e.runBatch(e.collect(first), rows, view)
 		}
 	}
 }
@@ -378,7 +389,7 @@ func (e *Engine) collect(first request) []request {
 // runBatch groups the collected requests by radius (different radii need
 // different subgraphs) and answers each group with one execution, the groups
 // in the order their first requests arrived.
-func (e *Engine) runBatch(batch []request, rows prefixRows) {
+func (e *Engine) runBatch(batch []request, rows prefixRows, view *gnn.Model) {
 	for len(batch) > 0 {
 		hops, rest := batch[0].hops, []request(nil)
 		group := batch[:0] // filtered in place: it never overtakes the read
@@ -389,7 +400,7 @@ func (e *Engine) runBatch(batch []request, rows prefixRows) {
 				rest = append(rest, r)
 			}
 		}
-		e.runGroup(group, hops, rows)
+		e.runGroup(group, hops, rows, view)
 		batch = rest
 	}
 }
@@ -397,11 +408,11 @@ func (e *Engine) runBatch(batch []request, rows prefixRows) {
 // runGroup executes one micro-batch: drop the requests whose caller has gone
 // (submit already returned ctx.Err() to it), union the seeds of the rest,
 // expand to the ego whose rows the first layer produces, rebind every layer
-// to its block of the adjacency, gather those rows of the prefix tables the
-// first layer reads along its rows, run the compiled inference plans once
-// from them and the tables, and slice each request's rows out of the shared
-// output.
-func (e *Engine) runGroup(group []request, hops int, rows prefixRows) {
+// of the view to its block of the adjacency, gather those rows of the prefix
+// tables the first layer reads along its rows, run the view's inference
+// plans once from them and the tables, and slice each request's rows out of
+// the shared output.
+func (e *Engine) runGroup(group []request, hops int, rows prefixRows, view *gnn.Model) {
 	start := time.Now()
 	live := group[:0]
 	for _, r := range group {
@@ -449,23 +460,21 @@ func (e *Engine) runGroup(group []request, hops int, rows prefixRows) {
 	in := rows.gather(e.prefix, verts)
 	expandDone := time.Now()
 
-	// Fresh layer structs per execution keep runners independent; the
-	// parameter buffers and the plan cache are the only shared state.
-	bm, err := gnn.RebindBlocks(e.cfg.Model, blocks)
-	if err != nil {
+	// The runner's own view keeps runners independent; the parameter
+	// buffers are the only shared state.
+	if err := view.Rebind(blocks...); err != nil {
 		for _, r := range group {
 			r.reply <- result{timing: timing(r, Timing{ExpandNs: expandDone.Sub(start).Nanoseconds()}), err: err}
 		}
 		return
 	}
-	out := bm.ForwardFrom(e.prefix, in)
-	// The output matrix is plan-owned: copy the seed rows before the
-	// leases go back to the cache.
+	out := view.ForwardFrom(e.prefix, in)
+	// The output matrix is plan-owned: copy the seed rows before the next
+	// batch overwrites it.
 	logits := make([][]float64, len(seeds))
 	for i := range seeds {
 		logits[i] = append([]float64(nil), out.Row(i)...)
 	}
-	bm.ReleasePlans()
 	shared := Timing{ExpandNs: expandDone.Sub(start).Nanoseconds()}
 
 	for _, r := range group {

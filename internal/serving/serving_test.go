@@ -160,11 +160,10 @@ func mustAdj(t *testing.T, m *gnn.Model) *sparse.CSR {
 }
 
 // TestServingDeterministicAndCached: once a fixed query mix has been swept,
-// every repeat of the sweep is all plan-cache hits (one per layer per query,
-// no recompilation) and bitwise-identical.
+// every repeat of the sweep binds the runner's plans (one bind per layer per
+// query, no recompilation) and is bitwise-identical.
 func TestServingDeterministicAndCached(t *testing.T) {
 	m, ds, cfg := trainTiny(t)
-	fuse.Shared.Purge() // the training plans trainTiny left idle
 	e := newTestEngine(t, m, ds)
 	rng := rand.New(rand.NewSource(43))
 	mix := make([][]int, 16)
@@ -202,26 +201,20 @@ func TestServingDeterministicAndCached(t *testing.T) {
 			}
 		}
 	}
-	// Serving is inference: every plan it compiled is an inference plan, and
-	// every plan of the first layer reads the tables of its prefix's frontier.
-	keys := fuse.Shared.Keys()
-	if len(keys) == 0 {
-		t.Fatal("the sweeps left no plan in the cache")
-	}
-	layer0, froms := fmt.Sprintf("|%p,", m.Layers[0].Params()[0].Value), 0
-	for _, k := range keys {
-		if !strings.Contains(k.Sig, "train=false") {
-			t.Errorf("serving compiled a plan under %q, want train=false only", k.Sig)
+	// Serving is inference: every layer of the runner's view holds an
+	// inference plan and no training plan.
+	for _, view := range e.views {
+		for i, l := range view.Layers {
+			pl, ok := l.(interface {
+				Plans() (train, infer *fuse.Plan)
+			})
+			if !ok {
+				continue
+			}
+			if train, infer := pl.Plans(); train != nil || infer == nil || infer.Train() {
+				t.Errorf("layer %d of a runner's view holds training plan %v and inference plan %v, want an inference plan only", i, train, infer)
+			}
 		}
-		if strings.Contains(k.Sig, layer0) != strings.HasSuffix(k.Sig, "|tables=Hp,u,v") {
-			t.Errorf("plan key %q: the first layer's plans, and only they, read its frontier's tables Hp,u,v", k.Sig)
-		}
-		if strings.Contains(k.Sig, layer0) {
-			froms++
-		}
-	}
-	if froms == 0 {
-		t.Fatal("no layer0-layer plan in the cache")
 	}
 }
 
@@ -670,10 +663,11 @@ func TestEgoRadiusCoversMultiHopLayers(t *testing.T) {
 // TestServingConcurrentHammer drives the engine from many goroutines
 // (run under -race in CI): every request must complete or shed cleanly,
 // results must match the single-threaded reference bit for bit, whatever
-// micro-batch they ride in, and afterwards the plan cache must hold no
-// leaked leases.
+// micro-batch they ride in, and once the engine has stopped its runners
+// must have released their plans.
 func TestServingConcurrentHammer(t *testing.T) {
 	m, ds, _ := trainTiny(t)
+	live := fuse.LivePlans()
 	adj, err := m.Adjacency()
 	if err != nil {
 		t.Fatal(err)
@@ -739,8 +733,8 @@ func TestServingConcurrentHammer(t *testing.T) {
 		t.Fatal("every request was shed")
 	}
 	e.Stop()
-	if n := fuse.Shared.Leased(); n != 0 {
-		t.Fatalf("%d plan leases leaked after engine stop", n)
+	if n := fuse.LivePlans(); n != live {
+		t.Fatalf("%d plans live after engine stop, %d before it started", n, live)
 	}
 	t.Logf("served=%d shed=%d", served, shed)
 }
