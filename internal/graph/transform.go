@@ -2,23 +2,61 @@ package graph
 
 import (
 	"math"
+	"slices"
 
+	"agnn/internal/par"
 	"agnn/internal/sparse"
 )
 
 // AddSelfLoops returns Â = A + I: the N̂(v) = N(v) ∪ {v} neighborhood used
-// by GAT and GCN. Entries already on the diagonal are preserved (the union
-// pattern merge keeps one entry per position).
+// by GAT and GCN, with unit values (an entry whose sum with I is 0 keeps its
+// place with value 0). Entries already on the diagonal are preserved — one
+// entry per position. It is one pass over A's rows: each row is copied with
+// its diagonal entry merged in at its column's place, as A.Add(I) would,
+// and every value written as the unit the sum maps to.
 func AddSelfLoops(a *sparse.CSR) *sparse.CSR {
 	if a.Rows != a.Cols {
 		panic("graph: AddSelfLoops needs a square matrix")
 	}
-	return a.Add(sparse.Identity(a.Rows)).Apply(func(v float64) float64 {
+	unit := func(v float64) float64 {
 		if v != 0 {
 			return 1
 		}
 		return 0
+	}
+	out := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		// The diagonal merges with the first entry at or right of it.
+		n := a.RowPtr[i+1] - a.RowPtr[i] + 1
+		row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
+		if q := slices.IndexFunc(row, func(j int32) bool { return j >= int32(i) }); q >= 0 && row[q] == int32(i) {
+			n--
+		}
+		out.RowPtr[i+1] = out.RowPtr[i] + n
+	}
+	out.Col = make([]int32, out.RowPtr[a.Rows])
+	out.Val = make([]float64, out.RowPtr[a.Rows])
+	par.Range(a.Rows, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			q, diag, pending := out.RowPtr[i], int32(i), true
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				j, v := a.Col[p], a.Val[p]
+				switch {
+				case pending && j == diag:
+					v, pending = v+1, false
+				case pending && j > diag:
+					out.Col[q], out.Val[q], pending = diag, 1, false
+					q++
+				}
+				out.Col[q], out.Val[q] = j, unit(v)
+				q++
+			}
+			if pending {
+				out.Col[q], out.Val[q] = diag, 1
+			}
+		}
 	})
+	return out
 }
 
 // Symmetrize returns the pattern of A + Aᵀ with unit values.

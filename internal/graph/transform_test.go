@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"agnn/internal/sparse"
@@ -36,6 +38,37 @@ func TestAddSelfLoops(t *testing.T) {
 	for _, v := range ah2.Val {
 		if v != 1 {
 			t.Fatal("self loop value must stay 1")
+		}
+	}
+}
+
+// TestAddSelfLoopsIsAddIdentity holds the one-pass AddSelfLoops to the
+// definition it replaced, A.Add(I) with every value mapped to the unit of its
+// sum, bit for bit: on random graphs with and without diagonal entries, and
+// on a diagonal whose value cancels the identity's 1 (kept, as 0).
+func TestAddSelfLoopsIsAddIdentity(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		a := ErdosRenyi(200, 900, seed)
+		if seed%2 == 0 {
+			a = AddSelfLoops(RemoveSelfLoops(a))
+		}
+		vals := slices.Clone(a.Val)
+		rng := rand.New(rand.NewSource(seed))
+		for p := range vals {
+			vals[p] = float64(rng.Intn(3) - 1) // -1, 0 or 1
+		}
+		for _, m := range []*sparse.CSR{a, a.WithValues(vals)} {
+			want := m.Add(sparse.Identity(m.Rows)).Apply(func(v float64) float64 {
+				if v != 0 {
+					return 1
+				}
+				return 0
+			})
+			got := AddSelfLoops(m)
+			if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) ||
+				!slices.EqualFunc(got.Val, want.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("seed %d: AddSelfLoops differs from Add(I) mapped to units", seed)
+			}
 		}
 	}
 }

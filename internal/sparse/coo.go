@@ -8,10 +8,7 @@
 // simulated node processes in this reproduction.
 package sparse
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // COO is a coordinate-format sparse matrix. Val may be nil, in which case
 // every stored entry has the implicit value 1 (a pattern/adjacency matrix).
@@ -55,48 +52,6 @@ func (c *COO) AppendVal(i, j int32, v float64) {
 	c.Row = append(c.Row, i)
 	c.Col = append(c.Col, j)
 	c.Val = append(c.Val, v)
-}
-
-// sortEntries orders entries by (row, col). Entries are packed into uint64
-// keys so the sort runs on flat integers rather than through an index
-// permutation — generated graphs reach tens of millions of entries.
-func (c *COO) sortEntries() {
-	n := c.Len()
-	if c.Val == nil {
-		keys := make([]uint64, n)
-		for p := 0; p < n; p++ {
-			keys[p] = uint64(uint32(c.Row[p]))<<32 | uint64(uint32(c.Col[p]))
-		}
-		slices.Sort(keys)
-		for p, k := range keys {
-			c.Row[p] = int32(k >> 32)
-			c.Col[p] = int32(uint32(k))
-		}
-		return
-	}
-	type entry struct {
-		key uint64
-		val float64
-	}
-	es := make([]entry, n)
-	for p := 0; p < n; p++ {
-		es[p] = entry{uint64(uint32(c.Row[p]))<<32 | uint64(uint32(c.Col[p])), c.Val[p]}
-	}
-	slices.SortFunc(es, func(a, b entry) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
-		}
-	})
-	for p, e := range es {
-		c.Row[p] = int32(e.key >> 32)
-		c.Col[p] = int32(uint32(e.key))
-		c.Val[p] = e.val
-	}
 }
 
 // validate panics on out-of-range indices.

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"agnn/internal/par"
@@ -33,33 +35,82 @@ func (s *CSR) NNZ() int { return len(s.Col) }
 
 // FromCOO builds a CSR from a COO, sorting entries and summing duplicates.
 // A nil-valued (pattern) COO yields unit values with duplicates collapsed.
+// The entries are counted per row and scattered, in input order, straight
+// into what becomes Col (and Val); each row is then sorted and deduplicated
+// in place, the rows split over par.Range. The sort is stable, so the
+// duplicates of a weighted COO are summed in input order. The COO is left as
+// it was.
 func FromCOO(c *COO) *CSR {
 	c.validate()
-	c.sortEntries()
 	n := c.Len()
-	out := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1)}
-	out.Col = make([]int32, 0, n)
-	out.Val = make([]float64, 0, n)
-	lastRow, lastCol := int32(-1), int32(-1)
-	for p := 0; p < n; p++ {
-		i, j := c.Row[p], c.Col[p]
-		v := 1.0
-		if c.Val != nil {
-			v = c.Val[p]
-		}
-		if i == lastRow && j == lastCol {
-			if c.Val != nil {
-				out.Val[len(out.Val)-1] += v // sum duplicates of weighted matrices
-			}
-			continue
-		}
-		out.Col = append(out.Col, j)
-		out.Val = append(out.Val, v)
+	out := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1), Col: make([]int32, n), Val: make([]float64, n)}
+	for _, i := range c.Row {
 		out.RowPtr[i+1]++
-		lastRow, lastCol = i, j
 	}
 	for i := 0; i < c.Rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	next := slices.Clone(out.RowPtr[:c.Rows])
+	for p, i := range c.Row {
+		q := next[i]
+		next[i]++
+		out.Col[q] = c.Col[p]
+		if c.Val != nil {
+			out.Val[q] = c.Val[p]
+		}
+	}
+	// Sort and deduplicate every row in place; next[i] becomes the row's
+	// length once its duplicates are gone.
+	type entry struct {
+		col int32
+		val float64
+	}
+	scratch := make([][]entry, par.Workers())
+	par.Range(c.Rows, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			start, end := out.RowPtr[i], out.RowPtr[i+1]
+			cols, vals := out.Col[start:end], out.Val[start:end]
+			if c.Val == nil {
+				slices.Sort(cols)
+			} else {
+				es := scratch[w][:0]
+				for q, j := range cols {
+					es = append(es, entry{j, vals[q]})
+				}
+				slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+				for q, e := range es {
+					cols[q], vals[q] = e.col, e.val
+				}
+				scratch[w] = es
+			}
+			m := 0
+			for q := range cols {
+				switch {
+				case m > 0 && cols[q] == cols[m-1]:
+					vals[m-1] += vals[q] // a weighted duplicate; a pattern's values are set below
+				default:
+					cols[m], vals[m] = cols[q], vals[q]
+					m++
+				}
+			}
+			next[i] = int64(m)
+		}
+	})
+	// Close the gaps the duplicates left, row by row.
+	w := int64(0)
+	for i := 0; i < c.Rows; i++ {
+		start, m := out.RowPtr[i], next[i]
+		copy(out.Col[w:w+m], out.Col[start:start+m])
+		copy(out.Val[w:w+m], out.Val[start:start+m])
+		out.RowPtr[i] = w
+		w += m
+	}
+	out.RowPtr[c.Rows] = w
+	out.Col, out.Val = out.Col[:w:w], out.Val[:w:w]
+	if c.Val == nil {
+		for q := range out.Val {
+			out.Val[q] = 1
+		}
 	}
 	return out
 }

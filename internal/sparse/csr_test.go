@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"agnn/internal/tensor"
@@ -50,6 +51,30 @@ func TestFromCOOSortsAndDedups(t *testing.T) {
 	want := tensor.NewDenseFrom(3, 3, []float64{0, 0, 1, 7, 0, 0, 0, 8, 0})
 	if !d.ApproxEqual(want, 0) {
 		t.Fatalf("FromCOO dense = %v", d)
+	}
+}
+
+// TestFromCOOSumsDuplicatesInInputOrder pins the order a weighted COO's
+// duplicates are summed in: the order they were appended. 1e16 + 1 rounds to
+// 1e16, so the three values below sum to 0 in one order and to 1 in another;
+// the entries of other rows and columns in between must not change it.
+func TestFromCOOSumsDuplicatesInInputOrder(t *testing.T) {
+	c := NewCOO(2, 3, 8)
+	c.AppendVal(0, 2, 1e16)
+	c.AppendVal(1, 2, 1e16)
+	c.AppendVal(0, 1, 5)
+	c.AppendVal(0, 2, 1)
+	c.AppendVal(1, 2, -1e16)
+	c.AppendVal(0, 2, -1e16)
+	c.AppendVal(1, 0, 4)
+	c.AppendVal(1, 2, 1)
+	s := FromCOO(c)
+	want := []float64{5, 0, 4, 1} // (0,1) (0,2) (1,0) (1,2)
+	if !slices.Equal(s.Col, []int32{1, 2, 0, 2}) || !slices.Equal(s.Val, want) || !slices.Equal(s.RowPtr, []int64{0, 2, 4}) {
+		t.Fatalf("FromCOO = rowptr %v col %v val %v, want [0 2 4] [1 2 0 2] %v", s.RowPtr, s.Col, s.Val, want)
+	}
+	if c.Row[0] != 0 || c.Col[0] != 2 || c.Val[0] != 1e16 {
+		t.Fatal("FromCOO changed its argument")
 	}
 }
 

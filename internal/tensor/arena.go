@@ -19,9 +19,9 @@ import (
 // at its true element width, so the arena gauges reflect the halved
 // footprint of float32 plans.
 //
-// An Arena may be used from several goroutines at once: the plans of a cache
-// shard share one, and while one of them is being compiled another may be
-// acquiring a boundary buffer on its first execution.
+// An Arena may be used from several goroutines at once: every plan of the
+// process draws on one, and the ranks of an in-process world, each on its own
+// goroutine, lay out their steps' workspaces at the same time.
 type Arena struct {
 	mu  sync.Mutex
 	f64 pool[float64]
@@ -54,6 +54,20 @@ func poolOf[T Elem](a *Arena) *pool[T] {
 func elemBytes[T Elem](n int) int64 {
 	var z T
 	return int64(unsafe.Sizeof(z)) * int64(n)
+}
+
+// View lays n elements of T over the float64 words of raw, from its first:
+// the slice shares raw's storage. A planned workspace slot is raw words, and
+// each buffer placed in it views it at its own width. It panics if the n
+// elements need more bytes than raw holds.
+func View[T Elem](raw []float64, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if elemBytes[T](n) > elemBytes[float64](len(raw)) {
+		panic(fmt.Sprintf("tensor: View of %d B over %d B", elemBytes[T](n), elemBytes[float64](len(raw))))
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(raw))), n)
 }
 
 // trackLive mirrors this arena's held-buffer delta into the process-wide
