@@ -99,7 +99,9 @@ func (m *Model) ForwardFrom(pre *Prefix, rows []tensor.Typed) *tensor.Dense {
 	first := 0
 	if !pre.Block {
 		x = handoff{m: rows[0]}
+		m.begin(false, x.m, nil)
 	} else {
+		m.begin(false, pre.Tables[0], pre)
 		site, t0 := m.layerSites()[0], obs.Now()
 		x = m.Layers[0].(DAGLayer).core().forwardFrom(pre, rows)
 		site.Forward(t0)
