@@ -180,8 +180,9 @@ func (e *GlobalEngine) SliceOwnedBlock(h *tensor.Dense) *tensor.Dense {
 }
 
 // Forward runs all layers — the model's own loop, every layer's plan lowered
-// onto the grid; xd is the diagonal-owned input block (nil off-diagonal)
-// and the return value is the diagonal-owned output block.
+// onto the grid and laid out in the model's step (gnn.Model.Forward); xd is
+// the diagonal-owned input block (nil off-diagonal) and the return value is
+// the diagonal-owned output block, a buffer of that step.
 func (e *GlobalEngine) Forward(xd *tensor.Dense, training bool) *tensor.Dense {
 	return e.model.Forward(xd, training)
 }

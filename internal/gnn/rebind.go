@@ -108,9 +108,9 @@ func lowersOnBlock(l DAGLayer, in int) (ok bool) {
 
 // Rebind swaps the model's adjacencies in place, one block per DAG layer in
 // layer order: blocks[i] binds the i-th DAG layer, dropout takes none. Every
-// layer keeps its parameters, options and compiled plans; on its next
-// Forward each plan binds the new block (fuse.Plan.Bind) instead of
-// compiling. A layer bound to an r×c block reads c input rows and writes r,
+// layer keeps its parameters, options and compiled plans; the model's next
+// Forward binds each plan to its new block (fuse.Plan.Bind) instead of
+// compiling, and lays the step out again once all are bound. A layer bound to an r×c block reads c input rows and writes r,
 // so a block must have as many columns as the layer before it produces rows
 // — the message-flow blocks of an ego query (serving) shrink layer by layer;
 // a mini-batch passes its induced subgraph for every layer.

@@ -469,8 +469,8 @@ func (e *Engine) runGroup(group []request, hops int, rows prefixRows, view *gnn.
 		return
 	}
 	out := view.ForwardFrom(e.prefix, in)
-	// The output matrix is plan-owned: copy the seed rows before the next
-	// batch overwrites it.
+	// The output matrix is a buffer of the view's step: copy the seed rows
+	// before the next batch overwrites it.
 	logits := make([][]float64, len(seeds))
 	for i := range seeds {
 		logits[i] = append([]float64(nil), out.Row(i)...)
