@@ -420,3 +420,61 @@ func TestModelTypedHandoffMatchesLayerChain(t *testing.T) {
 		}
 	}
 }
+
+// TestModelStepAcrossWidthChange: a layer the model sees no plan of that
+// changes the width (here a DAG layer 5 → 7 hidden behind opaqueLayer) runs
+// between two DAG layers. The model cannot know the width the layer after it
+// is handed before a step has run: the first step runs that layer on a plan
+// of its own, and from the second on the model's step holds it, planned for
+// the width it was handed, and nothing compiles again. Every step gives the
+// bits of the layers called one by one.
+func TestModelStepAcrossWidthChange(t *testing.T) {
+	a := testGraph(120, 85)
+	h := tensor.RandN(120, 4, 0.8, rand.New(rand.NewSource(86)))
+	gOut := tensor.RandN(120, 3, 0.5, rand.New(rand.NewSource(87)))
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		build := func() *Model {
+			front, err := New(Config{Model: GAT, Layers: 2, InDim: 4, HiddenDim: 5, OutDim: 7, Activation: Tanh(), Seed: 88, DType: dt}, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := New(Config{Model: GAT, Layers: 1, InDim: 7, OutDim: 3, Activation: Tanh(), Seed: 89, DType: dt}, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &Model{Layers: []Layer{front.Layers[0], opaqueLayer{front.Layers[1]}, back.Layers[0]}, DType: dt}
+		}
+		model, chain := build(), build()
+		var plan *fuse.Plan
+		var live int
+		for step := 0; step < 3; step++ {
+			x := h
+			for _, l := range chain.Layers {
+				x = l.Forward(x, true)
+			}
+			g := gOut
+			for l := len(chain.Layers) - 1; l >= 0; l-- {
+				g = chain.Layers[l].Backward(g)
+			}
+			if i := sameBitsDense(model.Forward(h, true), x); i >= 0 {
+				t.Errorf("%v step %d: output differs at %d", dt, step, i)
+			}
+			if i := sameBitsDense(model.Backward(gOut), g); i >= 0 {
+				t.Errorf("%v step %d: input cotangent differs at %d", dt, step, i)
+			}
+			mp, cp := model.Params(), chain.Params()
+			for p := range mp {
+				if i := sameBitsDense(mp[p].Grad, cp[p].Grad); i >= 0 {
+					t.Errorf("%v step %d: gradient %d differs at %d", dt, step, p, i)
+				}
+			}
+			last := model.Layers[2].(DAGLayer).core().Plan()
+			if step == 2 && (last != plan || fuse.LivePlans() != live) {
+				t.Errorf("%v: the second step and the third ran the last layer on different plans, live plans %d then %d", dt, live, fuse.LivePlans())
+			}
+			plan, live = last, fuse.LivePlans()
+		}
+		model.ReleasePlans()
+		chain.ReleasePlans()
+	}
+}
