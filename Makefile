@@ -26,7 +26,7 @@ FUZZTIME ?= 30s
 FUZZ_TARGETS = \
 	internal/graph:FuzzReadCOOText internal/graph:FuzzReadCOOBinary internal/graph:FuzzReadDataset \
 	internal/sparse:FuzzGatherRows internal/sparse:FuzzExpRow internal/sparse:FuzzCosineRow \
-	internal/gnn:FuzzGenericPlanVsDirect internal/gnn:FuzzLoadWeights \
+	internal/fuse:FuzzGenericPlanVsDirect internal/gnn:FuzzLoadWeights \
 	internal/ckpt:FuzzRead internal/dist/faults:FuzzParse internal/dist/net:FuzzDecodeFrames \
 	internal/serving:FuzzHandler
 

@@ -1,8 +1,9 @@
 // Repository-level benchmarks: one benchmark family per reproduced table or
 // figure of the paper's evaluation (Figures 6–8 and the Section 8.4
-// verification), plus microbenchmarks for every kernel of Table 2 and the
+// verification), plus microbenchmarks of the Table 2 kernels and the
 // ablations called out in DESIGN.md (fusion, Φ∘⊕ order, scheduling,
-// semiring genericity).
+// semiring genericity), the ablations timed on the compiled plans the
+// program runs.
 //
 // Figure benchmarks run the small-scale sweeps; regenerate the full data
 // series with `go run ./cmd/agnn-plots -scale full`. Each figure benchmark
@@ -17,12 +18,11 @@ import (
 	"agnn/internal/benchutil"
 	"agnn/internal/dist"
 	"agnn/internal/distgnn"
+	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/kernels"
 	"agnn/internal/local"
 	"agnn/internal/par"
-	"agnn/internal/semiring"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -48,9 +48,10 @@ func benchDense(r, c int, seed int64) *tensor.Dense {
 func BenchmarkKernelSpMM(b *testing.B) {
 	a := benchGraph(b)
 	h := benchDense(benchN, benchK, 2)
+	out := tensor.NewDense(benchN, benchK)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.MulDense(h)
+		a.MulDenseInto(out, h)
 	}
 	b.ReportMetric(float64(a.NNZ()*benchK)/1e6, "Mflop/op")
 }
@@ -77,74 +78,61 @@ func BenchmarkKernelGraphSoftmax(b *testing.B) {
 	a := benchGraph(b)
 	h := benchDense(benchN, benchK, 10)
 	s := sparse.SDDMM(a, h, h)
-	b.Run("stable-fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.RowSoftmax(s)
-		}
-	})
-	b.Run("literal-formulation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.RowSoftmaxUnstable(s)
-		}
-	})
+	vals := make([]float64, s.NNZ())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sparse.RowSoftmaxInto(vals, s)
+	}
 }
 
+// BenchmarkKernelSemiringSpMM is the specialisation-vs-genericity ablation
+// of Section 4.3: the inference plan of one generic layer Ψ = A with ⊕ = sum
+// (op spmm, the real product) against ⊕ = max and mean (op spmm-max /
+// spmm-mean, the semiring fold).
 func BenchmarkKernelSemiringSpMM(b *testing.B) {
 	a := benchGraph(b)
 	h := benchDense(benchN, benchK, 11)
-	b.Run("specialized-sum", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.MulDense(h)
-		}
-	})
-	b.Run("generic-real", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.Real(), func(v float64) float64 { return v })
-		}
-	})
-	b.Run("tropical-max", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMax(), func(float64) float64 { return 0 })
-		}
-	})
-	b.Run("average-pair", func(b *testing.B) {
-		lifted := make([]semiring.Pair, len(h.Data))
-		for i, v := range h.Data {
-			lifted[i] = semiring.LiftFeature(v)
-		}
-		for i := 0; i < b.N; i++ {
-			sparse.SpMMSemiring(a, lifted, h.Cols, semiring.Average(), semiring.LiftEdge)
-		}
-	})
+	for _, agg := range []gnn.Agg{gnn.SumAgg(), gnn.MaxAgg(), gnn.MeanAgg()} {
+		l := gnn.NewGenericLayer(a, gnn.GenericLayer{Psi: gnn.AdjacencyPsi(), Agg: agg})
+		b.Run(agg.Kind, func(b *testing.B) {
+			l.Forward(h, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Forward(h, false)
+			}
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5 ablation: fused vs unfused attention pipelines.
 // ---------------------------------------------------------------------------
 
+// BenchmarkFusionAblation times a GAT layer's inference plan with its
+// attention fused into one sweep (no Ψ, no score matrix) against the plan
+// compiled under NoAttnFuse (Ψ sampled and normalised into a buffer, then
+// the SpMM).
 func BenchmarkFusionAblation(b *testing.B) {
 	a := benchGraph(b)
-	hp := benchDense(benchN, benchK, 13)
-	rng := rand.New(rand.NewSource(14))
-	u := make([]float64, benchN)
-	v := make([]float64, benchN)
-	for i := range u {
-		u[i], v[i] = rng.NormFloat64(), rng.NormFloat64()
+	h := benchDense(benchN, benchK, 13)
+	l := gnn.NewGATLayer(a, benchK, benchK, gnn.ReLU(), 0.2, rand.New(rand.NewSource(14)))
+	for _, noFuse := range []bool{false, true} {
+		g := fuse.NewGraph("gat", a)
+		l.DAG(g, g.InputDense("H", a.Rows, benchK))
+		p := g.MustCompile(fuse.Options{NoAttnFuse: noFuse})
+		name := "gat-attention/fused"
+		if noFuse {
+			name = "gat-attention/unfused"
+		}
+		b.Run(name, func(b *testing.B) {
+			p.Forward(h)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Forward(h)
+			}
+		})
+		p.Release()
 	}
-	score := kernels.GATEdgeScore(u, v, 0.2)
-
-	b.Run("gat-attention/fused-softmax-apply", func(b *testing.B) {
-		// Everything in one sweep: no Ψ, no score matrix materialized.
-		for i := 0; i < b.N; i++ {
-			kernels.FusedSoftmaxApply(a, score, hp)
-		}
-	})
-	b.Run("gat-attention/fused-scores+spmm", func(b *testing.B) {
-		// Ψ materialized once (the training path), scores still fused.
-		for i := 0; i < b.N; i++ {
-			kernels.FusedSoftmaxScores(a, score).MulDense(hp)
-		}
-	})
 }
 
 // BenchmarkPhiOrderAblation measures the Section 4.4 Φ∘⊕ order choice:
@@ -156,14 +144,18 @@ func BenchmarkPhiOrderAblation(b *testing.B) {
 	h := benchDense(benchN, kIn, 15)
 	w := benchDense(kIn, kOut, 16)
 	psi := sparse.SDDMM(a, benchDense(benchN, 8, 17), benchDense(benchN, 8, 18))
+	hw, psiHW := tensor.NewDense(benchN, kOut), tensor.NewDense(benchN, kOut)
+	psiH, psiHW2 := tensor.NewDense(benchN, kIn), tensor.NewDense(benchN, kOut)
 	b.Run("phi-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psi.MulDense(tensor.MM(h, w)) // Ψ·(H·W)
+			tensor.MMInto(hw, h, w)
+			psi.MulDenseInto(psiHW, hw) // Ψ·(H·W)
 		}
 	})
 	b.Run("agg-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.MM(psi.MulDense(h), w) // (Ψ·H)·W
+			psi.MulDenseInto(psiH, h)
+			tensor.MMInto(psiHW2, psiH, w) // (Ψ·H)·W
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package fuse
 
-import "agnn/internal/tensor"
+import (
+	"slices"
+
+	"agnn/internal/tensor"
+)
 
 // BackwardOps lists a training plan's backward op list in execution order,
 // each op as "<span> <op>" (e.g. "va.HHt.bwd mmt").
@@ -88,4 +92,57 @@ func UseArena(ws *tensor.Arena) (restore func()) {
 	old := workspace
 	workspace = ws
 	return func() { workspace = old }
+}
+
+// DenseEval is what the dense evaluator (dense_test.go) computes for a
+// graph: its output and, from an output cotangent, the input cotangent and
+// the gradient of every parameter, one entry per ParamRef.Grad in the order
+// the graph declares them (a parameter declared twice sums its two).
+type DenseEval struct {
+	Out, DH *tensor.Dense
+	Params  []ParamRef
+	Grads   []*tensor.Dense
+}
+
+// EvalDense evaluates g densely over h and, with a non-nil gOut, runs every
+// VJP back from that output cotangent.
+func EvalDense(g *Graph, h, gOut *tensor.Dense) DenseEval {
+	e := evalDense(g, h, gOut)
+	r := DenseEval{Out: e.val[g.output]}
+	if gOut == nil {
+		return r
+	}
+	orZero := func(n *Node) *tensor.Dense {
+		if b := e.bar[n]; b != nil {
+			return b
+		}
+		v := e.val[n]
+		return tensor.NewDense(v.Rows, v.Cols)
+	}
+	r.DH = orZero(g.input)
+	for _, n := range g.dag.Nodes() {
+		if n.Kind != Param {
+			continue
+		}
+		p := g.md(n).param
+		if i := slices.IndexFunc(r.Params, func(q ParamRef) bool { return q.Grad == p.Grad }); i >= 0 {
+			r.Grads[i] = add(r.Grads[i], orZero(n))
+			continue
+		}
+		r.Params = append(r.Params, p)
+		r.Grads = append(r.Grads, orZero(n))
+	}
+	return r
+}
+
+// DenseVJPOps lists, sorted, the ops the dense evaluator has a VJP for.
+func DenseVJPOps() []string {
+	var ops []string
+	for op, d := range denseOps {
+		if d.vjp != nil {
+			ops = append(ops, op)
+		}
+	}
+	slices.Sort(ops)
+	return ops
 }

@@ -161,7 +161,12 @@ func TestBackwardDAGFusions(t *testing.T) {
 func TestMaskedMxMIsSDDMM(t *testing.T) {
 	a := weightedGraph(80, 320, 21)
 	h := randDense(rand.New(rand.NewSource(22)), a.Rows, 6)
-	want := sparse.SDDMMScaled(a, h, h).MulDense(h)
+	psi := sparse.SDDMM(a, h, h)
+	for p, w := range a.Val {
+		psi.Val[p] *= w // the weighted mask's A ⊙ (H·Hᵀ)
+	}
+	want := tensor.NewDense(a.Rows, h.Cols)
+	psi.MulDenseInto(want, h)
 	for _, noFuse := range []bool{false, true} {
 		g := fuse.NewGraph("mxm", a)
 		x := g.InputDense("H", a.Rows, 6)

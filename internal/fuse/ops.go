@@ -259,8 +259,7 @@ func scaleRow[T elem](row []T, c T) {
 // opSample is the fused SDDMM-like sampler that terminates a fusion group
 // (Section 6.2): it evaluates the composed virtual score rows on the
 // pattern. weights (the adjacency values) multiply each score when the mask
-// is weighted; with softmax, the row softmax is folded into the same sweep
-// (the FusedSoftmaxScores shape).
+// is weighted; with softmax, the row softmax is folded into the same sweep.
 func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) func() {
 	sample := rowSampler(pat, f.row, weights, rowOff, softmax, nil)
 	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
@@ -312,8 +311,9 @@ func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T])
 // empty row keeps ⊕'s identity ∓Inf. Mean is the ℝ² averaging semiring with
 // the running weight w kept beside the row: an edge of weight s merges
 // feature x as (v·w + x·s)/(w + s), and a zero total weight resets the row.
-// Every entry sees the operations of sparse.SpMMSemiring over the matching
-// internal/semiring instance in its order — at float64, its bits.
+// Max and min at float64 are the bits of the dense evaluator's fold (the
+// fuse tests' oracle: math.Max / math.Min over the row in column order from
+// ∓Inf); the mean is its Σ s·x / Σ s to rounding.
 func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T], kind string) func() {
 	pick, identity := math.Max, math.Inf(-1)
 	if kind == "min" {

@@ -393,11 +393,10 @@ func (e *exec[T]) release(ws *tensor.Arena) {
 
 // Compile lowers the graph into an executable plan: it runs the Section 6.2
 // fusion analysis, fuses mask→softmax pairs into single sampling sweeps (a
-// peephole beyond the paper's rule, matching the hand-written
-// FusedSoftmaxScores kernel), plans every intermediate with the interval it
-// is live over, composes the virtual score evaluators, and emits the forward
-// op list plus — for training plans — the reverse-traversal backward op
-// list. The plan is a step of its own (Step) until a model Sets it into
+// peephole beyond the paper's rule), plans every intermediate with the
+// interval it is live over, composes the virtual score evaluators, and emits
+// the forward op list plus — for training plans — the reverse-traversal
+// backward op list. The plan is a step of its own (Step) until a model Sets it into
 // one; its step gives the intermediates storage from the process-wide
 // workspace arena when it first runs, not here. The whole lowering exists
 // once, generic over the element type, and is instantiated here per

@@ -11,9 +11,7 @@ import (
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
-	"agnn/internal/kernels"
 	"agnn/internal/par"
-	"agnn/internal/semiring"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -110,76 +108,6 @@ func buildGATAct(a *sparse.CSR, w, a1, a2 fuse.ParamRef, k int, slope float64, a
 	z := g.SpMM("Z", psi, hp)
 	g.SetOutput(g.Sigma("Hout", z, act))
 	return g
-}
-
-func invNorms(h *tensor.Dense) []float64 {
-	norms := tensor.RowNorms(h)
-	inv := make([]float64, len(norms))
-	for i, v := range norms {
-		if v != 0 {
-			inv[i] = 1 / v
-		}
-	}
-	return inv
-}
-
-func TestPlanVAForwardMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := weightedGraph(40, 160, 7)
-	const k = 5
-	w := randParam(rng, "W", k, k)
-	h := randDense(rng, a.Rows, k)
-
-	p := buildVA(a, w, k).MustCompile(fuse.Options{Train: true})
-	got := p.Forward(h)
-
-	psi := sparse.SDDMMScaled(a, h, h)
-	want := psi.MulDense(tensor.MM(h, w.Value)).Apply(math.Tanh)
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("plan VA forward deviates from direct path by %g", got.MaxAbsDiff(want))
-	}
-}
-
-func TestPlanAGNNForwardMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := weightedGraph(40, 160, 8)
-	const k = 4
-	w := randParam(rng, "W", k, k)
-	beta := randParam(rng, "beta", 1, 1)
-	h := randDense(rng, a.Rows, k)
-
-	p := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{Train: true})
-	got := p.Forward(h)
-
-	inv := invNorms(h)
-	cos := sparse.SDDMMScaled(a, h, h).ScaleRowsCols(inv, inv)
-	psi := sparse.RowSoftmax(cos.Scale(beta.Value.Data[0]))
-	want := psi.MulDense(tensor.MM(h, w.Value)).Apply(math.Tanh)
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("plan AGNN forward deviates from direct path by %g", got.MaxAbsDiff(want))
-	}
-}
-
-func TestPlanGATForwardMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := weightedGraph(40, 160, 9)
-	const k, slope = 4, 0.2
-	w := randParam(rng, "W", k, k)
-	a1 := randParam(rng, "a1", k, 1)
-	a2 := randParam(rng, "a2", k, 1)
-	h := randDense(rng, a.Rows, k)
-
-	p := buildGAT(a, w, a1, a2, k, slope).MustCompile(fuse.Options{Train: true})
-	got := p.Forward(h)
-
-	hp := tensor.MM(h, w.Value)
-	u := tensor.MatVec(hp, a1.Value.Data)
-	v := tensor.MatVec(hp, a2.Value.Data)
-	psi := kernels.FusedSoftmaxScores(a, kernels.GATEdgeScore(u, v, slope))
-	want := psi.MulDense(hp).Apply(math.Tanh)
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("plan GAT forward deviates from direct path by %g", got.MaxAbsDiff(want))
-	}
 }
 
 // TestPlanKernelCounts pins the compiled op count to the Section 6.2
@@ -565,60 +493,6 @@ func TestPlanCompileErrors(t *testing.T) {
 			t.Fatal("expected error for multi-consumer sparse node in train plan")
 		}
 	})
-}
-
-// semiringOracle is Section 4.3's generalized product through
-// sparse.SpMMSemiring over the matching internal/semiring instance — what
-// the spmm-max/min/mean plan ops are pinned to.
-func semiringOracle(a *sparse.CSR, h *tensor.Dense, kind string) *tensor.Dense {
-	unit := func(float64) float64 { return 0 }
-	switch kind {
-	case "max":
-		return tensor.NewDenseFrom(a.Rows, h.Cols, sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMax(), unit))
-	case "min":
-		return tensor.NewDenseFrom(a.Rows, h.Cols, sparse.SpMMSemiring(a, h.Data, h.Cols, semiring.TropicalMin(), unit))
-	}
-	lifted := make([]semiring.Pair, len(h.Data))
-	for i, v := range h.Data {
-		lifted[i] = semiring.LiftFeature(v)
-	}
-	out := tensor.NewDense(a.Rows, h.Cols)
-	for i, p := range sparse.SpMMSemiring(a, lifted, h.Cols, semiring.Average(), semiring.LiftEdge) {
-		out.Data[i] = p.V
-	}
-	return out
-}
-
-// TestPlanSemiringForwardMatchesDirect: the semiring ⊕ ops equal the generic
-// semiring kernel bit for bit at float64 — signed zeros, NaN, ±Inf, empty
-// rows and zero-weight edges included — and run at float32.
-func TestPlanSemiringForwardMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := weightedGraph(30, 90, 15)
-	a.Val[0], a.Val[1] = 0, 0 // a zero total weight resets the running mean
-	const k = 4
-	h := randDense(rng, a.Rows, k)
-	negZero := math.Copysign(0, -1)
-	copy(h.Data, []float64{negZero, 0, math.NaN(), math.Inf(1), math.Inf(-1), negZero})
-	for _, kind := range []string{"max", "min", "mean"} {
-		build := func() *fuse.Graph {
-			g := fuse.NewGraph("sr-"+kind, a)
-			g.SetOutput(g.SpMMSemiring("Z", g.Adj(), g.InputDense("H", a.Rows, k), kind))
-			return g
-		}
-		got, want := build().MustCompile(fuse.Options{}).Forward(h), semiringOracle(a, h, kind)
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("semiring %s: entry %d is %v, the generic kernel has %v", kind, i, got.Data[i], want.Data[i])
-			}
-		}
-		got32 := build().MustCompile(fuse.Options{DType: tensor.F32}).Forward(h)
-		for i, w := range want.Data {
-			if g := got32.Data[i]; g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > 1e-5*(1+math.Abs(w)) {
-				t.Fatalf("semiring %s at f32: entry %d is %v, want %v", kind, i, g, w)
-			}
-		}
-	}
 }
 
 func TestPlanBackwardGuards(t *testing.T) {

@@ -8,10 +8,8 @@ import (
 	"testing"
 
 	"agnn/internal/fuse"
-	"agnn/internal/kernels"
 	"agnn/internal/obs"
 	"agnn/internal/par"
-	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -120,41 +118,6 @@ func TestGradCheckF32(t *testing.T) {
 	h0 := tensor.RandN(10, 3, 0.8, rand.New(rand.NewSource(78)))
 	loss := &MSELoss{Target: tensor.RandN(10, 2, 1, rand.New(rand.NewSource(79)))}
 	gradCheckModelStep(t, m, h0, loss, 1e-3, 2e-2)
-}
-
-// TestPlanInferenceMatchesDirectF64: the f64 inference plans must reproduce
-// the hand-fused direct kernels of internal/kernels and internal/sparse —
-// same arithmetic, different executor. The kernels are what the benchmark
-// ladder times one level below the plan ops, so the two have to agree.
-func TestPlanInferenceMatchesDirectF64(t *testing.T) {
-	a := testGraph(22, 80)
-	h := tensor.RandN(22, 4, 0.8, rand.New(rand.NewSource(81)))
-	for _, kind := range []Kind{VA, AGNN, GAT} {
-		m, err := New(dtypeCfg(kind, 1, tensor.F64), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := h
-		for _, l := range m.Layers {
-			var z *tensor.Dense
-			var act Activation
-			switch ll := l.(type) {
-			case *VALayer:
-				z, act = sparse.SDDMMScaled(ll.A, want, want).MulDense(tensor.MM(want, ll.W.Value)), ll.Act
-			case *AGNNLayer:
-				score := kernels.AGNNEdgeScore(want, tensor.RowNorms(want), ll.Beta.Scalar())
-				z, act = kernels.FusedSoftmaxApply(ll.A, score, tensor.MM(want, ll.W.Value)), ll.Act
-			case *GATLayer:
-				hp := tensor.MM(want, ll.W.Value)
-				score := kernels.GATEdgeScore(tensor.MatVec(hp, ll.A1.Value.Data), tensor.MatVec(hp, ll.A2.Value.Data), ll.NegSlope)
-				z, act = kernels.FusedSoftmaxApply(ll.A, score, hp), ll.Act
-			}
-			want = z.Apply(act.F)
-		}
-		if got := m.Forward(h, false); !got.ApproxEqual(want, 1e-10) {
-			t.Errorf("%v: planned inference deviates from the direct kernels by %g", kind, got.MaxAbsDiff(want))
-		}
-	}
 }
 
 // TestWeightsF32RoundTrip: an f32 model checkpoints in the v3 format with

@@ -286,56 +286,6 @@ func TestUntrainableGenericIsReportedNotPanicked(t *testing.T) {
 	}
 }
 
-// FuzzGenericPlanVsDirect cross-checks the compiled plans — inference at
-// both widths, training where the assembly has a backward — against the raw
-// closure composition (closureForward) for arbitrary Ψ/⊕/Φ assemblies.
-func FuzzGenericPlanVsDirect(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), false, uint8(0))
-	f.Add(uint8(1), uint8(0), uint8(1), true, uint8(1))
-	f.Add(uint8(2), uint8(1), uint8(2), false, uint8(2))
-	f.Add(uint8(2), uint8(3), uint8(0), false, uint8(1))
-	f.Add(uint8(3), uint8(2), uint8(2), true, uint8(1))
-	f.Fuzz(func(t *testing.T, psiSel, aggSel, phiSel uint8, phiFirst bool, actSel uint8) {
-		psis := []Psi{AdjacencyPsi(), DotPsi(), SoftmaxDotPsi(), gaussianPsi()}
-		aggs := []Agg{SumAgg(), MaxAgg(), MinAgg(), MeanAgg(), customSumAgg()}
-		acts := []Activation{Identity(), Tanh(), ReLU()}
-		rng := rand.New(rand.NewSource(900))
-		a := testGraph(10, 901)
-		h := tensor.RandN(10, 3, 1, rng)
-		phis := []Phi{
-			{}, // identity
-			LinearPhi(tensor.GlorotInit(3, 2, rng)),
-			MLPPhi(Tanh(), tensor.GlorotInit(3, 4, rng), tensor.GlorotInit(4, 2, rng)),
-			tanhLinearPhi(tensor.GlorotInit(3, 2, rng)),
-		}
-		gen := NewGenericLayer(a, GenericLayer{
-			Psi:      psis[int(psiSel)%len(psis)],
-			Agg:      aggs[int(aggSel)%len(aggs)],
-			Phi:      phis[int(phiSel)%len(phis)],
-			Act:      acts[int(actSel)%len(acts)],
-			PhiFirst: phiFirst,
-		})
-		want := closureForward(gen, h)
-		check := func(mode string, got *tensor.Dense, tol float64) {
-			if !got.ApproxEqual(want, tol) {
-				t.Fatalf("%s: plan deviates from closures by %g (psi=%q agg=%q phi=%q first=%v)",
-					mode, got.MaxAbsDiff(want), gen.Psi.Kind, gen.Agg.Kind, gen.Phi.Kind, phiFirst)
-			}
-		}
-		check("inference", gen.Forward(h, false), 1e-10)
-		if gen.CanTrain() == nil { // a semiring ⊕ has no training plan
-			check("training", gen.Forward(h, true), 1e-10)
-		}
-		// At float32 every assembly runs; the comparison skips the one that is
-		// ill-conditioned at any width — an average under signed weights
-		// divides by a sum that may cancel.
-		gen.DType = tensor.F32
-		if got := gen.Forward(h, false); gen.Psi.Kind != "dot" || gen.Agg.Kind != "mean" {
-			check("f32 inference", got, 1e-4)
-		}
-	})
-}
-
 // BenchmarkPlannedForwardAllocs isolates the planned forward hot path, in
 // both modes and for every built-in kind, for the CI allocation gate — and a
 // whole float32 model, whose layers hand each other typed activations.

@@ -1,9 +1,10 @@
-// Package kernels is the hand-written scalar oracle of the fused attention
-// sweep of Section 6.2 (Figure 5): the score evaluators of GAT and AGNN and
-// the fused softmax(+apply) kernels that iterate over the non-zeros of the
-// pattern and evaluate the virtual n×n score matrix on the fly. The program
-// runs the compiled plans of internal/fuse; tests and the benchmark compare
-// those plans against these kernels.
+// Package kernels is the hand-written scalar fused attention sweep of
+// Section 6.2 (Figure 5): the score evaluators of GAT and AGNN and the fused
+// softmax-apply kernel that iterates over the non-zeros of the pattern and
+// evaluates the virtual n×n score matrix on the fly. The program runs the
+// compiled plans of internal/fuse; only the benchmark (bench/surface.go)
+// times this sweep, one level below the plan ops, until its probes time the
+// sparse row primitives instead.
 package kernels
 
 import (
@@ -52,57 +53,6 @@ func AGNNEdgeScore(h *tensor.Dense, norms []float64, beta float64) ScoreFunc {
 		}
 		return beta * acc / (ni * nj)
 	}
-}
-
-// FusedSoftmaxScores computes sm(A ⊙ scores) in a single sweep per row:
-// score evaluation, row max, exponentiation and normalization are fused, so
-// no unnormalized score matrix is materialized.
-func FusedSoftmaxScores(pat *sparse.CSR, f ScoreFunc) *sparse.CSR {
-	vals := make([]float64, pat.NNZ())
-	FusedSoftmaxScoresInto(vals, pat, f, nil, 0)
-	return pat.WithValues(vals)
-}
-
-// FusedSoftmaxScoresInto computes sm(A ⊙ scores) into a pre-allocated
-// value buffer. A non-nil weights slice (pat's own values, typically)
-// multiplies each sampled score before the softmax — the weighted mask
-// A ⊙ C. rowOff shifts local row indices into global ones for row blocks
-// whose score closures index full-height factors.
-func FusedSoftmaxScoresInto(vals []float64, pat *sparse.CSR, f ScoreFunc, weights []float64, rowOff int32) {
-	defer obs.Start("fused_softmax_scores").End()
-	if len(vals) != pat.NNZ() {
-		panic("kernels: FusedSoftmaxScoresInto value length mismatch")
-	}
-	par.RangeWeighted(pat.Rows, func(i int) int64 { return int64(pat.RowNNZ(i)) }, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-			if b == e {
-				continue
-			}
-			gi := int32(i) + rowOff
-			m := math.Inf(-1)
-			for p := b; p < e; p++ {
-				v := f(gi, pat.Col[p])
-				if weights != nil {
-					v *= weights[p]
-				}
-				vals[p] = v
-				if v > m {
-					m = v
-				}
-			}
-			sum := 0.0
-			for p := b; p < e; p++ {
-				v := math.Exp(vals[p] - m)
-				vals[p] = v
-				sum += v
-			}
-			inv := 1 / sum
-			for p := b; p < e; p++ {
-				vals[p] *= inv
-			}
-		}
-	})
 }
 
 // FusedSoftmaxApply computes Z = sm(A ⊙ scores)·X without materializing the

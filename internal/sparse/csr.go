@@ -3,7 +3,6 @@ package sparse
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -270,10 +269,6 @@ func (s *CSR) Apply(f func(float64) float64) *CSR {
 	})
 	return s.WithValues(vals)
 }
-
-// Exp returns exp(S) restricted to the pattern (step (1) of the global
-// softmax formulation).
-func (s *CSR) Exp() *CSR { return s.Apply(math.Exp) }
 
 // Scale returns alpha·S.
 func (s *CSR) Scale(alpha float64) *CSR {

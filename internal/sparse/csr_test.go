@@ -187,10 +187,10 @@ func TestSamePattern(t *testing.T) {
 func TestApplyExpScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randSparse(8, 8, 0.3, rng)
-	e := s.Exp()
+	e := s.Apply(math.Exp)
 	for p := range e.Val {
-		if math.Abs(e.Val[p]-math.Exp(s.Val[p])) > 1e-15 {
-			t.Fatal("Exp value mismatch")
+		if e.Val[p] != math.Exp(s.Val[p]) {
+			t.Fatal("Apply value mismatch")
 		}
 	}
 	sc := s.Scale(-2)

@@ -8,16 +8,9 @@ import (
 	"agnn/internal/tensor"
 )
 
-// MulDense computes the SpMM kernel Y = S·X (sparse × tall-dense). Rows are
-// distributed over workers with nnz-balanced chunks, mirroring the paper's
-// grid-stride CUDA kernels.
-func (s *CSR) MulDense(x *tensor.Dense) *tensor.Dense {
-	out := tensor.NewDense(s.Rows, x.Cols)
-	s.MulDenseInto(out, x)
-	return out
-}
-
-// MulDenseInto computes out = S·X into pre-allocated out. The feature
+// MulDenseInto computes the SpMM kernel out = S·X (sparse × tall-dense) into
+// pre-allocated out. Rows are distributed over workers with nnz-balanced
+// chunks, mirroring the paper's grid-stride CUDA kernels. The feature
 // dimension is tiled to the cache budget (tensor.TileCols): each pass over
 // a worker's row range touches only an n×w column stripe of X, so the
 // randomly indexed X rows stay L2-resident even when k·8 bytes per row
@@ -31,28 +24,11 @@ func (s *CSR) MulDenseInto(out, x *tensor.Dense) {
 			out.Rows, out.Cols, s.Rows, s.Cols, x.Rows, x.Cols))
 	}
 	defer obs.Start("spmm").End()
-	s.mulDenseTiled(out, x, true)
-}
-
-// MulDenseAccumulate computes out += S·X, column-tiled like MulDenseInto.
-func (s *CSR) MulDenseAccumulate(out, x *tensor.Dense) {
-	if s.Cols != x.Rows || out.Rows != s.Rows || out.Cols != x.Cols {
-		panic("sparse: MulDenseAccumulate shape mismatch")
-	}
-	s.mulDenseTiled(out, x, false)
-}
-
-// mulDenseTiled is the column-tiled sweep behind both SpMM entry points:
-// one GatherAxpy per pattern row and column stripe, onto zeroed or existing
-// output rows.
-func (s *CSR) mulDenseTiled(out, x *tensor.Dense, zero bool) {
 	k := x.Cols
 	tc := tensor.TileCols(x.Rows, k, 8)
 	idx := s.Index()
 	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
-		if zero {
-			clear(out.Data[lo*k : hi*k])
-		}
+		clear(out.Data[lo*k : hi*k])
 		for c0 := 0; c0 < k; c0 += tc {
 			c1 := min(c0+tc, k)
 			for i := lo; i < hi; i++ {
@@ -83,17 +59,4 @@ func SDDMM(pat *CSR, x, y *tensor.Dense) *CSR {
 		}
 	})
 	return pat.WithValues(vals)
-}
-
-// SDDMMScaled computes pat ⊙ (X·Yᵀ) with every stored value additionally
-// multiplied by pat's own value — i.e. the true Hadamard pat ⊙ X·Yᵀ when pat
-// carries non-unit weights.
-func SDDMMScaled(pat *CSR, x, y *tensor.Dense) *CSR {
-	out := SDDMM(pat, x, y)
-	par.Range(out.NNZ(), func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			out.Val[p] *= pat.Val[p]
-		}
-	})
-	return out
 }

@@ -17,12 +17,19 @@ func randDense(r, c int, rng *rand.Rand) *tensor.Dense {
 	return m
 }
 
+// mulDense is MulDenseInto's result in a new matrix.
+func mulDense(s *CSR, x *tensor.Dense) *tensor.Dense {
+	out := tensor.NewDense(s.Rows, x.Cols)
+	s.MulDenseInto(out, x)
+	return out
+}
+
 func TestSpMMAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{1, 1, 1}, {5, 7, 3}, {50, 40, 16}, {300, 300, 8}} {
 		s := randSparse(dims[0], dims[1], 0.15, rng)
 		x := randDense(dims[1], dims[2], rng)
-		got := s.MulDense(x)
+		got := mulDense(s, x)
 		want := tensor.MM(s.ToDense(), x)
 		if !got.ApproxEqual(want, 1e-10) {
 			t.Fatalf("SpMM %v mismatch %g", dims, got.MaxAbsDiff(want))
@@ -35,7 +42,7 @@ func TestSpMMEmptyRows(t *testing.T) {
 	c.AppendVal(1, 2, 3)
 	s := FromCOO(c)
 	x := randDense(4, 5, rand.New(rand.NewSource(12)))
-	got := s.MulDense(x)
+	got := mulDense(s, x)
 	for j := 0; j < 5; j++ {
 		if got.At(0, j) != 0 || got.At(2, j) != 0 || got.At(3, j) != 0 {
 			t.Fatal("empty rows must yield zeros")
@@ -43,19 +50,6 @@ func TestSpMMEmptyRows(t *testing.T) {
 		if math.Abs(got.At(1, j)-3*x.At(2, j)) > 1e-15 {
 			t.Fatal("single-entry row wrong")
 		}
-	}
-}
-
-func TestSpMMAccumulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := randSparse(20, 20, 0.2, rng)
-	x := randDense(20, 4, rng)
-	base := randDense(20, 4, rng)
-	out := base.Clone()
-	s.MulDenseAccumulate(out, x)
-	want := base.Add(s.MulDense(x))
-	if !out.ApproxEqual(want, 1e-12) {
-		t.Fatal("MulDenseAccumulate mismatch")
 	}
 }
 
@@ -81,20 +75,6 @@ func TestSDDMMAgainstDense(t *testing.T) {
 	}
 }
 
-func TestSDDMMScaledUsesPatternValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	pat := randSparse(10, 10, 0.3, rng) // non-unit values
-	x := randDense(10, 4, rng)
-	y := randDense(10, 4, rng)
-	got := SDDMMScaled(pat, x, y)
-	plain := SDDMM(pat, x, y)
-	for p := range got.Val {
-		if math.Abs(got.Val[p]-plain.Val[p]*pat.Val[p]) > 1e-12 {
-			t.Fatal("SDDMMScaled must multiply by pattern values")
-		}
-	}
-}
-
 func TestSDDMMShapePanics(t *testing.T) {
 	pat := Identity(3)
 	defer func() {
@@ -116,7 +96,7 @@ func TestSpMMSDDMMCompositionProperty(t *testing.T) {
 		k := 1 + r.Intn(6)
 		a := randPattern(n, n, 0.25, r)
 		h := randDense(n, k, r)
-		got := SDDMM(a, h, h).MulDense(h)
+		got := mulDense(SDDMM(a, h, h), h)
 		dense := a.ToDense().Hadamard(tensor.MMT(h, h))
 		want := tensor.MM(dense, h)
 		return got.ApproxEqual(want, 1e-9)
@@ -133,5 +113,5 @@ func TestSpMMShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.MulDense(tensor.NewDense(4, 2))
+	s.MulDenseInto(tensor.NewDense(3, 2), tensor.NewDense(4, 2))
 }

@@ -27,24 +27,11 @@ func TestMulDenseIntoTiledBitwiseIdentical(t *testing.T) {
 	s, x := randCSRWide(80, 6, 48, 61)
 
 	tensor.SetTileBudget(0)
-	want := s.MulDense(x)
+	want := mulDense(s, x)
 	tensor.SetTileBudget(1) // minimum stripe width: 6 passes
-	got := s.MulDense(x)
+	got := mulDense(s, x)
 	if got.MaxAbsDiff(want) != 0 {
 		t.Fatalf("tiled SpMM deviates by %g, want bitwise identity", got.MaxAbsDiff(want))
-	}
-
-	// Accumulate twice under the tiny budget vs twice untiled: both add the
-	// same terms in the same per-element order, so they too match bitwise.
-	acc := tensor.NewDense(s.Rows, x.Cols)
-	s.MulDenseAccumulate(acc, x)
-	s.MulDenseAccumulate(acc, x)
-	tensor.SetTileBudget(0)
-	acc2 := tensor.NewDense(s.Rows, x.Cols)
-	s.MulDenseAccumulate(acc2, x)
-	s.MulDenseAccumulate(acc2, x)
-	if acc.MaxAbsDiff(acc2) != 0 {
-		t.Fatalf("tiled accumulate deviates by %g, want bitwise identity", acc.MaxAbsDiff(acc2))
 	}
 }
 
@@ -62,16 +49,16 @@ func TestTilingAddsNoAllocations(t *testing.T) {
 
 	s, x := randCSRWide(64, 4, 32, 62)
 	out := tensor.NewDense(s.Rows, x.Cols)
-	s.MulDenseAccumulate(out, x) // warm up
+	s.MulDenseInto(out, x) // warm up
 
 	tensor.SetTileBudget(0) // whole stripe fits: single pass
-	af64 := testing.AllocsPerRun(20, func() { s.MulDenseAccumulate(out, x) })
+	af64 := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
 	tensor.SetTileBudget(1) // minimum stripe width: 4 passes
-	afTiled := testing.AllocsPerRun(20, func() { s.MulDenseAccumulate(out, x) })
+	afTiled := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
 	if afTiled != af64 {
 		t.Errorf("tiling changed allocations: %.1f untiled vs %.1f tiled objects/op", af64, afTiled)
 	}
 	if afTiled > 2 {
-		t.Errorf("tiled MulDenseAccumulate allocates %.1f objects/op, want at most the range closures", afTiled)
+		t.Errorf("tiled MulDenseInto allocates %.1f objects/op, want at most the range closures", afTiled)
 	}
 }

@@ -7,83 +7,12 @@ import (
 	"agnn/internal/par"
 )
 
-// This file implements the tensor-algebra building blocks of Table 2 in the
-// paper: replication (rep), row summation (sum), their composition (rs),
-// ones vectors, and the row-norm vector n used by AGNN. Expressing these as
-// first-class kernels is what lets every A-GNN be written purely in tensor
-// algebra.
-
-// Ones returns a vector of n ones (the blue 1 vectors of Table 1).
-func Ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-// Rep replicates the column vector x i times: rep_i(x) = x·1ᵀ ∈ R^{len(x)×i}.
-func Rep(x []float64, i int) *Dense {
-	return Outer(x, Ones(i))
-}
-
-// RepT replicates the row vector x i times: rep_iᵀ(x) = 1·xᵀ ∈ R^{i×len(x)}.
-func RepT(x []float64, i int) *Dense {
-	return Outer(Ones(i), x)
-}
-
-// Sum computes sum(X) = X·1, the vector of row sums.
-func Sum(m *Dense) []float64 {
-	out := make([]float64, m.Rows)
-	par.Range(m.Rows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			s := 0.0
-			for _, v := range row {
-				s += v
-			}
-			out[i] = s
-		}
-	})
-	return out
-}
-
-// SumT computes sumᵀ(X) = 1ᵀ·X, the vector of column sums.
-func SumT(m *Dense) []float64 {
-	w := par.Workers()
-	partials := make([][]float64, w)
-	par.Range(m.Rows, func(worker, lo, hi int) {
-		acc := partials[worker]
-		if acc == nil {
-			acc = make([]float64, m.Cols)
-			partials[worker] = acc
-		}
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, v := range row {
-				acc[j] += v
-			}
-		}
-	})
-	out := make([]float64, m.Cols)
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		for j, v := range p {
-			out[j] += v
-		}
-	}
-	return out
-}
-
-// RS computes rs_i(X) = rep_i(sum(X)), equivalent to multiplying X by an
-// all-ones matrix. Note that in the actual GNN implementations this matrix
-// is never materialized (cf. the softmax in sparse.RowSoftmax); RS exists to
-// make the algebraic formulation executable and testable.
-func RS(m *Dense, i int) *Dense {
-	return Rep(Sum(m), i)
-}
+// This file holds the row-norm vector n of AGNN's cosine scores (Table 2),
+// the vector update Axpy, and the seeded initializers every weight is drawn
+// from. The other Table 2 blocks — rep, sum, rs and the ones vectors — are
+// no kernels of their own: the plans of internal/fuse sample them on the
+// pattern (ops "rep", "repT" and the softmax's row sums), and the dense
+// evaluator of the fuse tests materializes them to check those plans.
 
 // RowNorms returns the vector n with n_i = ‖X[i,:]‖₂ (AGNN's normalizer).
 func RowNorms(m *Dense) []float64 {
@@ -99,15 +28,6 @@ func RowNorms(m *Dense) []float64 {
 		}
 	})
 	return out
-}
-
-// Dot returns the dot product of two equal-length vectors.
-func Dot(x, y []float64) float64 {
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
 }
 
 // Axpy computes y += alpha*x.

@@ -6,69 +6,6 @@ import (
 	"testing"
 )
 
-func TestOnes(t *testing.T) {
-	v := Ones(5)
-	for _, x := range v {
-		if x != 1 {
-			t.Fatal("Ones not all ones")
-		}
-	}
-}
-
-func TestRepMatchesDefinition(t *testing.T) {
-	// rep_i(x) = x·1ᵀ
-	x := []float64{1, 2, 3}
-	r := Rep(x, 4)
-	if r.Rows != 3 || r.Cols != 4 {
-		t.Fatalf("Rep shape %d×%d", r.Rows, r.Cols)
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			if r.At(i, j) != x[i] {
-				t.Fatalf("Rep(%d,%d) = %v", i, j, r.At(i, j))
-			}
-		}
-	}
-	// Transposition identity from Table 2: (rep_i(x))ᵀ == rep_iᵀ(x).
-	if !r.T().ApproxEqual(RepT(x, 4), 0) {
-		t.Fatal("(rep(x))ᵀ != repᵀ(x)")
-	}
-}
-
-func TestSumMatchesMatVecWithOnes(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := randMat(30, 7, rng)
-	got := Sum(m)
-	want := MatVec(m, Ones(7))
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("Sum[%d] = %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSumTMatchesVecMatWithOnes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randMat(500, 9, rng) // large enough to exercise parallel partials
-	got := SumT(m)
-	want := VecMat(Ones(500), m)
-	for j := range got {
-		if math.Abs(got[j]-want[j]) > 1e-9 {
-			t.Fatalf("SumT[%d] = %v want %v", j, got[j], want[j])
-		}
-	}
-}
-
-func TestRSEqualsOnesMatrixProduct(t *testing.T) {
-	// rs_i(X) is equivalent to multiplication by a matrix of ones (Table 2).
-	rng := rand.New(rand.NewSource(10))
-	m := randMat(6, 5, rng)
-	onesMat := NewDense(5, 4).Fill(1)
-	if !RS(m, 4).ApproxEqual(MM(m, onesMat), 1e-12) {
-		t.Fatal("rs_i(X) != X·1(matrix)")
-	}
-}
-
 func TestRowNorms(t *testing.T) {
 	m := NewDenseFrom(2, 2, []float64{3, 4, 0, 0})
 	n := RowNorms(m)
@@ -79,9 +16,6 @@ func TestRowNorms(t *testing.T) {
 
 func TestDotAxpy(t *testing.T) {
 	x, y := []float64{1, 2, 3}, []float64{4, 5, 6}
-	if Dot(x, y) != 32 {
-		t.Fatalf("Dot = %v", Dot(x, y))
-	}
 	Axpy(2, x, y)
 	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
 		t.Fatalf("Axpy = %v", y)

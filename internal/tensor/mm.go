@@ -225,22 +225,6 @@ func VecMat(x []float64, a *Dense) []float64 {
 	return out
 }
 
-// Outer returns the outer product x·yᵀ as a len(x)×len(y) matrix
-// (the rep building block generalized to arbitrary y).
-func Outer(x, y []float64) *Dense {
-	out := NewDense(len(x), len(y))
-	par.Range(len(x), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := out.Data[i*len(y) : (i+1)*len(y)]
-			xv := x[i]
-			for j, yv := range y {
-				row[j] = xv * yv
-			}
-		}
-	})
-	return out
-}
-
 // AddOuterInPlace accumulates alpha·x·yᵀ into m.
 func AddOuterInPlace(m *Dense, alpha float64, x, y []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
