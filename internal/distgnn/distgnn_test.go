@@ -54,171 +54,6 @@ func runGlobal(t *testing.T, p int, a *sparse.CSR, cfg gnn.Config, h *tensor.Den
 	return out, cs
 }
 
-// gridModels is the model axis of the grid ≡ single-node tables: the four
-// kinds and multi-head GAT.
-func gridModels(layers, in, hid, out int) map[string]gnn.Config {
-	ms := map[string]gnn.Config{}
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT, gnn.GCN} {
-		ms[kind.String()] = testCfg(kind, layers, in, hid, out)
-	}
-	mh := testCfg(gnn.GAT, layers, in, hid, out)
-	mh.Heads = 2
-	ms["GAT-2heads"] = mh
-	return ms
-}
-
-// sameBits reports whether two matrices hold the same float64 bit patterns.
-func sameBits(a, b *tensor.Dense) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestGlobalEngineMatchesSingleNode: validation strategy #3 — the
-// distributed 1.5D engine must reproduce the shared-memory global
-// formulation for every model and several grid sizes, including ragged
-// (padded) block decompositions. On a 1×1 grid the collectives are
-// identities and the lowered plan is the single-node plan: there the
-// outputs must be equal bit for bit, at both element widths.
-func TestGlobalEngineMatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(30, 90, 3) // n = 30: ragged for s = 2 (b=15), s=3 (b=10), s=4 (b=8, padded)
-	h := testFeatures(30, 5)
-	for name, cfg := range gridModels(3, 5, 6, 4) {
-		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-			cfg.DType = dt
-			sm, err := gnn.New(cfg, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sm.Forward(h, false)
-			ps := []int{1, 4, 9, 16}
-			if dt == tensor.F32 {
-				ps = ps[:1] // p > 1 at f32: TestRowEngineF32MatchesSingleNode
-			}
-			for _, p := range ps {
-				got, _ := runGlobal(t, p, a, cfg, h, false)
-				if got == nil {
-					t.Fatalf("%s %s p=%d: no gathered output", name, dt, p)
-				}
-				if p == 1 && !sameBits(got, want) {
-					t.Fatalf("%s %s: a 1×1 grid differs from single-node by %g, want the same bits",
-						name, dt, got.MaxAbsDiff(want))
-				}
-				if d := got.MaxRelDiff(want); d > 1e-9 {
-					t.Fatalf("%s %s p=%d: distributed differs from single-node by %g of the largest output",
-						name, dt, p, d)
-				}
-			}
-			sm.ReleasePlans()
-		}
-	}
-}
-
-func TestGlobalEngineTrainingForwardMode(t *testing.T) {
-	// Training-mode forward must equal inference-mode forward.
-	a := graph.ErdosRenyi(24, 70, 4)
-	cfg := testCfg(gnn.AGNN, 2, 4, 4, 3)
-	h := testFeatures(24, 4)
-	inf, _ := runGlobal(t, 4, a, cfg, h, false)
-	tr, _ := runGlobal(t, 4, a, cfg, h, true)
-	if !inf.ApproxEqual(tr, 1e-10) {
-		t.Fatal("training-mode forward differs from inference")
-	}
-}
-
-// TestGlobalEngineTrainingMatchesSingleNode compares full training
-// trajectories: distributed loss values and post-training outputs must
-// match the single-node model up to float reassociation — and on a 1×1
-// grid, where nothing is reassociated, losses, outputs and final parameters
-// must be the single-node bits at both element widths.
-func TestGlobalEngineTrainingMatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(24, 72, 5)
-	n := 24
-	h := testFeatures(n, 4)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i % 3
-	}
-	const steps = 4
-	for name, cfg := range gridModels(2, 4, 5, 3) {
-		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-			cfg.DType = dt
-			// Single-node reference.
-			single, err := gnn.New(cfg, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLosses, err := single.Train(h, &gnn.CrossEntropyLoss{Labels: labels}, gnn.NewSGD(0.05, 0), steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantOut := single.Forward(h, false)
-
-			ps := []int{1, 4}
-			if dt == tensor.F32 {
-				ps = ps[:1]
-			}
-			for _, p := range ps {
-				var gotLosses []float64
-				var gotOut *tensor.Dense
-				var gotParams []*gnn.Param
-				var mu sync.Mutex
-				dist.Run(p, func(c *dist.Comm) {
-					e, err := NewGlobalEngine(c, a, cfg)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer e.Close()
-					opt := gnn.NewSGD(0.05, 0)
-					xd := e.SliceOwnedBlock(h)
-					var losses []float64
-					for s := 0; s < steps; s++ {
-						losses = append(losses, e.TrainStep(xd, labels, nil, opt))
-					}
-					out := e.Forward(xd, false)
-					full := e.GatherOutput(out, cfg.OutDim)
-					if c.Rank() == 0 {
-						mu.Lock()
-						gotLosses, gotOut, gotParams = losses, full, e.Params()
-						mu.Unlock()
-					}
-				})
-				if p == 1 {
-					for s := range wantLosses {
-						if math.Float64bits(gotLosses[s]) != math.Float64bits(wantLosses[s]) {
-							t.Fatalf("%s %s 1×1: loss[%d] = %v, single-node %v, want the same bits", name, dt, s, gotLosses[s], wantLosses[s])
-						}
-					}
-					if !sameBits(gotOut, wantOut) {
-						t.Fatalf("%s %s 1×1: post-training outputs differ by %g, want the same bits", name, dt, gotOut.MaxAbsDiff(wantOut))
-					}
-					for i, wp := range single.Params() {
-						if gp := gotParams[i]; gp.Name != wp.Name || !sameBits(gp.Value, wp.Value) {
-							t.Fatalf("%s %s 1×1: parameter %d (%s) differs from single-node %s", name, dt, i, gp.Name, wp.Name)
-						}
-					}
-				}
-				for s := range wantLosses {
-					if math.Abs(gotLosses[s]-wantLosses[s]) > 1e-9*(1+math.Abs(wantLosses[s])) {
-						t.Fatalf("%s %s p=%d: loss[%d] = %v, single-node %v", name, dt, p, s, gotLosses[s], wantLosses[s])
-					}
-				}
-				if gotOut.MaxAbsDiff(wantOut) > 1e-7*(1+wantOut.FrobeniusNorm()) {
-					t.Fatalf("%s %s p=%d: post-training outputs differ by %g", name, dt, p, gotOut.MaxAbsDiff(wantOut))
-				}
-			}
-			single.ReleasePlans()
-		}
-	}
-}
-
 func TestGlobalEngineRejectsNonSquareP(t *testing.T) {
 	a := graph.ErdosRenyi(10, 20, 6)
 	dist.Run(2, func(c *dist.Comm) {
@@ -245,41 +80,6 @@ func TestGlobalVolumeScalesAsTheory(t *testing.T) {
 }
 
 // ------------------------- local (DistDGL-like) baseline -----------------
-
-func TestLocalEngineMatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(26, 80, 8) // 26 not divisible by 4: ragged 1D parts
-	h := testFeatures(26, 4)
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT, gnn.GCN} {
-		cfg := testCfg(kind, 2, 4, 5, 3)
-		single, err := gnn.New(cfg, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := single.Forward(h, false)
-		for _, p := range []int{1, 3, 4} {
-			var got *tensor.Dense
-			var mu sync.Mutex
-			dist.Run(p, func(c *dist.Comm) {
-				e, err := NewLocalEngine(c, a, cfg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
-				out := e.Forward(hOwned)
-				full := e.GatherOutput(out)
-				if full != nil {
-					mu.Lock()
-					got = full
-					mu.Unlock()
-				}
-			})
-			if !got.ApproxEqual(want, 1e-9) {
-				t.Fatalf("%v p=%d: local engine differs by %g", kind, p, got.MaxAbsDiff(want))
-			}
-		}
-	}
-}
 
 func TestLocalEngineHaloGrowsWithDegree(t *testing.T) {
 	// Denser graph ⇒ larger halo ⇒ more per-layer volume: the Ω(nkd/p) law.

@@ -3,7 +3,6 @@ package distgnn
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -47,38 +46,6 @@ func trainLocalLosses(t *testing.T, spec TrainSpec, p, epochs int) []float64 {
 		t.Fatal(first)
 	}
 	return losses
-}
-
-// TestLocalEngineTrainStepMatchesGrid: the 1D local engine's full-batch
-// training step computes the same losses as the established 2D grid engine
-// (different partitioning, different summation order — tolerance, not
-// bitwise), and is world-size independent up to rounding.
-func TestLocalEngineTrainStepMatchesGrid(t *testing.T) {
-	const epochs = 4
-	spec := resilientSpec(t, 1, epochs)
-
-	var gridLosses []float64
-	dist.Run(1, func(c *dist.Comm) {
-		e, err := NewGlobalEngine(c, spec.A, spec.Cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		opt := spec.NewOpt()
-		xd := e.SliceOwnedBlock(spec.X)
-		for ep := 0; ep < epochs; ep++ {
-			gridLosses = append(gridLosses, e.TrainStep(xd, spec.Labels, spec.Mask, opt))
-		}
-	})
-
-	for _, p := range []int{1, 3} {
-		local := trainLocalLosses(t, spec, p, epochs)
-		for ep := range gridLosses {
-			if d := math.Abs(local[ep] - gridLosses[ep]); d > 1e-8*(1+math.Abs(gridLosses[ep])) {
-				t.Errorf("p=%d epoch %d: local loss %v vs grid %v (Δ=%g)", p, ep, local[ep], gridLosses[ep], d)
-			}
-		}
-	}
 }
 
 // TestLocalEngineTrainStepDeterministic: two runs at the same world size

@@ -2,7 +2,6 @@ package distgnn
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"agnn/internal/dist"
@@ -36,64 +35,6 @@ func TestPackWords32RoundTrip(t *testing.T) {
 	unpackWords32(dst, packWords32(xs))
 	if !math.IsNaN(dst[0]) || dst[1] != 1.5 || !math.IsInf(dst[2], -1) {
 		t.Fatalf("special values corrupted: %v", dst)
-	}
-}
-
-// TestRowEngineF32MatchesSingleNode: the distributed engines' f32 modes —
-// the 1D engine's f32 plans plus the packed float32 allgather wire, and the
-// 2D grid's f32 plans, whose collective ops widen to the f64 wire and narrow
-// back — must agree with the single-node f32 planned-inference path. Neither
-// wire changes a kernel input bit (the packed one rounds exactly where the
-// f32 plan input boundary would, the widened one is exact); only the op
-// grouping and, on the grid, the order of the cross-rank sums differ — a few
-// float32 ulp of the largest output, which is what the bound is relative to.
-func TestRowEngineF32MatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(26, 80, 54)
-	h := testFeatures(26, 4)
-	engines := map[string]func(c *dist.Comm, cfg gnn.Config) *tensor.Dense{
-		"row": func(c *dist.Comm, cfg gnn.Config) *tensor.Dense {
-			e, err := NewRowEngine(c, a, cfg)
-			if err != nil {
-				t.Error(err)
-				return nil
-			}
-			defer e.Close()
-			return e.GatherOutput(e.Forward(h.SliceRows(e.Lo, e.Hi).Clone()))
-		},
-		"grid": func(c *dist.Comm, cfg gnn.Config) *tensor.Dense {
-			e, err := NewGlobalEngine(c, a, cfg)
-			if err != nil {
-				t.Error(err)
-				return nil
-			}
-			defer e.Close()
-			return e.GatherOutput(e.Forward(e.SliceOwnedBlock(h), false), cfg.OutDim)
-		},
-	}
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT} {
-		cfg := testCfg(kind, 2, 4, 5, 3)
-		cfg.DType = tensor.F32
-		single, err := gnn.New(cfg, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := single.Forward(h, false)
-		for name, run := range engines {
-			for _, p := range []int{1, 4} {
-				var got *tensor.Dense
-				var mu sync.Mutex
-				dist.Run(p, func(c *dist.Comm) {
-					if full := run(c, cfg); full != nil {
-						mu.Lock()
-						got = full
-						mu.Unlock()
-					}
-				})
-				if d := got.MaxRelDiff(want); d > 2e-6 {
-					t.Fatalf("%v %s p=%d: f32 engine differs from single-node f32 by %g of the largest output", kind, name, p, d)
-				}
-			}
-		}
 	}
 }
 

@@ -1,67 +1,12 @@
 package distgnn
 
 import (
-	"math"
-	"sync"
 	"testing"
 
 	"agnn/internal/dist"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 )
-
-// TestDistributedMultiHeadGATMatchesSingleNode: the K-head grid execution
-// must reproduce the single-node multi-head model, forward and training.
-func TestDistributedMultiHeadGATMatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(24, 72, 70)
-	cfg := gnn.Config{Model: gnn.GAT, Layers: 2, InDim: 4, HiddenDim: 3,
-		OutDim: 2, Heads: 3, Activation: gnn.Tanh(), SelfLoops: true, Seed: 71}
-	h := testFeatures(24, 4)
-	single, err := gnn.New(cfg, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := single.Forward(h, false)
-	got, _ := runGlobal(t, 4, a, cfg, h, false)
-	if !got.ApproxEqual(want, 1e-9) {
-		t.Fatalf("multi-head distributed forward differs by %g", got.MaxAbsDiff(want))
-	}
-
-	// Training trajectory.
-	labels := make([]int, 24)
-	for i := range labels {
-		labels[i] = i % 2
-	}
-	wantLoss, err := single.Train(h, &gnn.CrossEntropyLoss{Labels: labels}, gnn.NewSGD(0.05, 0), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotLoss []float64
-	var mu sync.Mutex
-	dist.Run(4, func(c *dist.Comm) {
-		e, err := NewGlobalEngine(c, a, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		opt := gnn.NewSGD(0.05, 0)
-		xd := e.SliceOwnedBlock(h)
-		var ls []float64
-		for s := 0; s < 3; s++ {
-			ls = append(ls, e.TrainStep(xd, labels, nil, opt))
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			gotLoss = ls
-			mu.Unlock()
-		}
-	})
-	for i := range wantLoss {
-		if math.Abs(gotLoss[i]-wantLoss[i]) > 1e-9*(1+math.Abs(wantLoss[i])) {
-			t.Fatalf("multi-head loss[%d]: %v vs %v", i, gotLoss[i], wantLoss[i])
-		}
-	}
-}
 
 // TestMultiHeadVolumeScalesWithHeads: K heads move ≈K× the single-head
 // feature volume.

@@ -34,26 +34,6 @@ func runRowEngine(t *testing.T, p int, a *sparse.CSR, cfg gnn.Config, h *tensor.
 	return got
 }
 
-// TestRowEngineMatchesSingleNode: the 1D engine lowers the single-node
-// model's own DAGs — the four kinds and 2-head GAT — and reproduces it bit
-// for bit: a row of its plan is the row the single-node plan computes.
-func TestRowEngineMatchesSingleNode(t *testing.T) {
-	a := graph.ErdosRenyi(26, 80, 50)
-	h := testFeatures(26, 4)
-	for name, cfg := range gridModels(2, 4, 5, 3) {
-		single, err := gnn.New(cfg, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := single.Forward(h, false)
-		for _, p := range []int{1, 3, 4} {
-			if got := runRowEngine(t, p, a, cfg, h); got == nil || !sameBits(got, want) {
-				t.Fatalf("%s p=%d: 1D engine differs by %g", name, p, got.MaxAbsDiff(want))
-			}
-		}
-	}
-}
-
 // TestReplicationAblation: the 2D grid engine must move asymptotically less
 // data than the 1D layout — the volume gap that motivates the paper's
 // distribution (1D is Θ(nk) per rank; 2D is O(nk/√p)).

@@ -115,3 +115,16 @@ func TestHubRowSoftmaxF32(t *testing.T) {
 		})
 	}
 }
+
+// maxRelDiff is the elementwise relative deviation max |a-b| / (1+|b|),
+// the metric the f32-vs-f64 differential tolerances are stated in.
+func maxRelDiff(a, b *tensor.Dense) float64 {
+	worst := 0.0
+	for i := range a.Data {
+		d := math.Abs(a.Data[i]-b.Data[i]) / (1 + math.Abs(b.Data[i]))
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}

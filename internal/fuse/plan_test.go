@@ -756,3 +756,30 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		}
 	}
 }
+
+// paramSet names the parameters of the test graphs.
+type paramSet map[string]fuse.ParamRef
+
+// buildGATHeads is buildGAT with heads attention heads — head h's parameters
+// are W, a1, a2 suffixed ".h1" from the second on — whose outputs average as
+// a final multi-head layer's do, over a mask that multiplies A's values in
+// when weighted.
+func buildGATHeads(a *sparse.CSR, ps paramSet, heads, k int, weighted bool) *fuse.Graph {
+	g := fuse.NewGraph("gat", a)
+	x := g.InputDense("H", a.Rows, k)
+	outs := make([]*fuse.Node, heads)
+	for h := range outs {
+		sfx := ""
+		if h > 0 {
+			sfx = fmt.Sprintf(".h%d", h)
+		}
+		hp := g.MM("Hp"+sfx, x, g.ParamNode("W"+sfx, ps["W"+sfx]))
+		u := g.MatVecNode("u"+sfx, hp, g.ParamNode("a1"+sfx, ps["a1"+sfx]))
+		v := g.MatVecNode("v"+sfx, hp, g.ParamNode("a2"+sfx, ps["a2"+sfx]))
+		c := g.AddScores("C"+sfx, g.RepRow("u1T"+sfx, u), g.RepCol("1vT"+sfx, v))
+		psi := g.Softmax("Psi"+sfx, g.Mask("E"+sfx, g.LReLUScores("lreluC"+sfx, c, 0.2), weighted))
+		outs[h] = g.Sigma("Hout"+sfx, g.SpMM("Z"+sfx, psi, hp), tanhAct)
+	}
+	g.SetOutput(g.Mean("mean", outs...))
+	return g
+}

@@ -20,92 +20,6 @@ func dtypeCfg(kind Kind, heads int, dt tensor.DType) Config {
 		Activation: Tanh(), SelfLoops: true, Heads: heads, Seed: 71, DType: dt}
 }
 
-// maxRelDev is the elementwise relative deviation max |a-b| / (1+|b|).
-func maxRelDev(a, b *tensor.Dense) float64 {
-	worst := 0.0
-	for i := range a.Data {
-		d := math.Abs(a.Data[i]-b.Data[i]) / (1 + math.Abs(b.Data[i]))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// TestModelF32ForwardMatchesF64 runs the mixed-precision differential
-// across every built-in model kind and across worker counts: the f32 plans
-// must track the f64 path within single-precision rounding in both modes.
-func TestModelF32ForwardMatchesF64(t *testing.T) {
-	prev := par.Workers()
-	defer par.SetWorkers(prev)
-
-	a := testGraph(24, 70)
-	h := tensor.RandN(24, 4, 0.8, rand.New(rand.NewSource(72)))
-	kinds := []struct {
-		kind  Kind
-		heads int
-	}{{VA, 1}, {AGNN, 1}, {GAT, 1}, {GAT, 2}, {GCN, 1}}
-
-	for _, workers := range []int{1, 4} {
-		par.SetWorkers(workers)
-		for _, tc := range kinds {
-			m64, err := New(dtypeCfg(tc.kind, tc.heads, tensor.F64), a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m32, err := New(dtypeCfg(tc.kind, tc.heads, tensor.F32), a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const tol = 1e-5
-			got, want := m32.Forward(h, true), m64.Forward(h, true)
-			if d := maxRelDev(got, want); d > tol {
-				t.Errorf("%v heads=%d workers=%d: f32 training forward deviates by %.3g relative, want <= %g",
-					tc.kind, tc.heads, workers, d, tol)
-			}
-			got, want = m32.Forward(h, false), m64.Forward(h, false)
-			if d := maxRelDev(got, want); d > tol {
-				t.Errorf("%v heads=%d workers=%d: f32 inference deviates by %.3g relative, want <= %g",
-					tc.kind, tc.heads, workers, d, tol)
-			}
-		}
-	}
-}
-
-// TestModelF32GradsMatchF64: one backward pass through every kind — the f32
-// plans flush their gradients into the f64 accumulators, which must agree
-// with the f64 plans' gradients to a few f32 rounding steps.
-func TestModelF32GradsMatchF64(t *testing.T) {
-	a := testGraph(20, 73)
-	h := tensor.RandN(20, 4, 0.8, rand.New(rand.NewSource(74)))
-	gOut := tensor.RandN(20, 3, 0.5, rand.New(rand.NewSource(75)))
-	const tol = 1e-3
-
-	for _, kind := range []Kind{VA, AGNN, GAT, GCN} {
-		m64, err := New(dtypeCfg(kind, 1, tensor.F64), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m32, err := New(dtypeCfg(kind, 1, tensor.F32), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m64.Forward(h, true)
-		m32.Forward(h, true)
-		in64, in32 := m64.Backward(gOut), m32.Backward(gOut)
-		if d := maxRelDev(in32, in64); d > tol {
-			t.Errorf("%v: f32 input grad deviates by %.3g relative, want <= %g", kind, d, tol)
-		}
-		p64, p32 := m64.Params(), m32.Params()
-		for i := range p64 {
-			if d := maxRelDev(p32[i].Grad, p64[i].Grad); d > tol {
-				t.Errorf("%v: f32 %s grad deviates by %.3g relative, want <= %g",
-					kind, p64[i].Name, d, tol)
-			}
-		}
-	}
-}
-
 // TestGradCheckF32 is the finite-difference check against the f32 plans
 // directly, with loosened steps (gradCheckModelStep).
 func TestGradCheckF32(t *testing.T) {

@@ -54,26 +54,6 @@ func TestNewBuildsRequestedLayers(t *testing.T) {
 	}
 }
 
-func TestInferenceMatchesTrainingForward(t *testing.T) {
-	// The fused inference path (no Ψ materialization) must produce the same
-	// outputs as the training-mode forward pass.
-	a := testGraph(25, 4)
-	h := tensor.RandN(25, 6, 1, rand.New(rand.NewSource(5)))
-	for _, kind := range []Kind{VA, AGNN, GAT, GCN} {
-		m, err := New(Config{Model: kind, Layers: 3, InDim: 6, HiddenDim: 6, OutDim: 4,
-			Activation: ReLU(), SelfLoops: true, Seed: 6}, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train := m.Forward(h, true)
-		infer := m.Forward(h, false)
-		if !train.ApproxEqual(infer, 1e-10) {
-			t.Fatalf("%v: inference differs from training forward by %g",
-				kind, train.MaxAbsDiff(infer))
-		}
-	}
-}
-
 func TestParamsAndZeroGrad(t *testing.T) {
 	a := testGraph(6, 7)
 	m, err := New(Config{Model: GAT, Layers: 2, InDim: 3, HiddenDim: 4, OutDim: 2, Seed: 7}, a)

@@ -137,34 +137,6 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestInferencePlanMatchesTrainingForward: both modes compile the same DAG,
-// so inference-mode Forward must reproduce training-mode Forward bit for
-// bit — for the attention kinds that is the fused sweep against the
-// unfused sample→softmax→SpMM sequence, at both widths and across worker
-// counts.
-func TestInferencePlanMatchesTrainingForward(t *testing.T) {
-	prev := par.Workers()
-	defer par.SetWorkers(prev)
-
-	for _, workers := range []int{1, 3} {
-		par.SetWorkers(workers)
-		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
-			layers, h := planLayerFixtures(802)
-			for _, l := range layers {
-				l.(DAGLayer).core().DType = dt
-				want := l.Forward(h, true).Clone()
-				got := l.Forward(h, false)
-				for i, v := range got.Data {
-					if v != want.Data[i] {
-						t.Fatalf("%s %v workers=%d: inference differs from training forward at %d: %v != %v",
-							l.Name(), dt, workers, i, v, want.Data[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestInferenceOutputIsPlanOwned documents the aliasing contract of
 // Layer.Forward / Model.Forward: the result is the plan's output buffer in
 // both modes, so a second forward of the same model overwrites it.

@@ -8,7 +8,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"agnn/internal/sparse"
@@ -175,13 +174,4 @@ func connectIsolated(s *sparse.CSR, rng *rand.Rand) *sparse.CSR {
 		coo.Append(j, i)
 	}
 	return sparse.FromCOO(coo)
-}
-
-// KroneckerEdges returns the number of directed non-zeros to request from
-// the Kronecker generator to approximate the paper's per-figure edge counts
-// m at a scaled-down vertex count: it preserves density ρ = m/n².
-func ScaledEdges(paperVertices, paperEdges, ourVertices int) int {
-	rho := float64(paperEdges) / (float64(paperVertices) * float64(paperVertices))
-	m := rho * float64(ourVertices) * float64(ourVertices)
-	return int(math.Max(m, float64(ourVertices)))
 }

@@ -151,15 +151,3 @@ func TestPlantedPartition(t *testing.T) {
 		t.Fatalf("planted structure too weak: intra %.4f inter %.4f", intraRate, interRate)
 	}
 }
-
-func TestScaledEdgesPreservesDensity(t *testing.T) {
-	// Paper: n=131072, m=171798692 → ρ = 1%.
-	m := ScaledEdges(131072, 171798692, 4096)
-	rho := float64(m) / (4096.0 * 4096.0)
-	if math.Abs(rho-0.01) > 0.0005 {
-		t.Fatalf("scaled density %v, want 0.01", rho)
-	}
-	if ScaledEdges(1000, 1, 100) < 100 {
-		t.Fatal("ScaledEdges must be at least n")
-	}
-}

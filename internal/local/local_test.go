@@ -52,76 +52,6 @@ func TestFromCSRRequiresSquare(t *testing.T) {
 	FromCSR(sparse.FromCOO(c))
 }
 
-// TestLocalMatchesGlobalForward: validation strategy #1 (forward). The
-// local message-passing implementation and the global tensor formulation
-// must agree on every model — to rounding: the two sum in different orders
-// (the global VA and AGNN aggregate before they project, the local ones
-// project each message), and VA's unnormalised scores reach 1e15 by layer 3,
-// so the bound is relative to the largest output.
-func TestLocalMatchesGlobalForward(t *testing.T) {
-	a := testAdj(30, 1)
-	h := tensor.RandN(30, 5, 1, rand.New(rand.NewSource(2)))
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT, gnn.GCN} {
-		global, err := gnn.New(gnn.Config{Model: kind, Layers: 3, InDim: 5,
-			HiddenDim: 6, OutDim: 4, Activation: gnn.ReLU(), SelfLoops: true, Seed: 3}, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loc, err := Mirror(global)
-		if err != nil {
-			t.Fatal(err)
-		}
-		og := global.Forward(h, true)
-		ol := loc.Forward(h, true)
-		if d := ol.MaxRelDiff(og); d > 1e-12 {
-			t.Fatalf("%v: local forward differs from global by %g of the largest output", kind, d)
-		}
-	}
-}
-
-// TestLocalMatchesGlobalGradients: validation strategy #1 (backward). Both
-// formulations must produce identical parameter and input gradients.
-func TestLocalMatchesGlobalGradients(t *testing.T) {
-	a := testAdj(25, 4)
-	h := tensor.RandN(25, 4, 1, rand.New(rand.NewSource(5)))
-	labels := make([]int, 25)
-	for i := range labels {
-		labels[i] = i % 3
-	}
-	loss := &gnn.CrossEntropyLoss{Labels: labels}
-	for _, kind := range []gnn.Kind{gnn.VA, gnn.AGNN, gnn.GAT, gnn.GCN} {
-		global, err := gnn.New(gnn.Config{Model: kind, Layers: 2, InDim: 4,
-			HiddenDim: 5, OutDim: 3, Activation: gnn.Tanh(), SelfLoops: true, Seed: 6}, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loc, err := Mirror(global)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(m *gnn.Model) (*tensor.Dense, []*gnn.Param) {
-			m.ZeroGrad()
-			out := m.Forward(h, true)
-			_, g := loss.Eval(out)
-			return m.Backward(g), m.Params()
-		}
-		gg, gp := run(global)
-		lg, lp := run(loc)
-		if !gg.ApproxEqual(lg, 1e-9) {
-			t.Fatalf("%v: input grads differ by %g", kind, gg.MaxAbsDiff(lg))
-		}
-		if len(gp) != len(lp) {
-			t.Fatalf("%v: param count %d vs %d", kind, len(gp), len(lp))
-		}
-		for i := range gp {
-			if !gp[i].Grad.ApproxEqual(lp[i].Grad, 1e-9) {
-				t.Fatalf("%v: grad of %s differs by %g", kind, gp[i].Name,
-					gp[i].Grad.MaxAbsDiff(lp[i].Grad))
-			}
-		}
-	}
-}
-
 func TestLocalBackwardBeforeForwardPanics(t *testing.T) {
 	g := FromCSR(testAdj(5, 7))
 	w := tensor.GlorotInit(2, 2, rand.New(rand.NewSource(8)))

@@ -149,18 +149,6 @@ func ReleaseSlice[T Elem](a *Arena, s []T) {
 	p.slices[len(s)] = append(p.slices[len(s)], s)
 }
 
-// AcquireDense is AcquireMat for the float64 public matrix type.
-func (a *Arena) AcquireDense(r, c int) *Dense { return (*Dense)(AcquireMat[float64](a, r, c)) }
-
-// ReleaseDense returns m to the shape-keyed free list for reuse.
-func (a *Arena) ReleaseDense(m *Dense) { ReleaseMat(a, (*Mat[float64])(m)) }
-
-// AcquireFloats returns a zeroed length-n slice, recycling when possible.
-func (a *Arena) AcquireFloats(n int) []float64 { return AcquireSlice[float64](a, n) }
-
-// ReleaseFloats returns s to the free list for reuse.
-func (a *Arena) ReleaseFloats(s []float64) { ReleaseSlice(a, s) }
-
 // Bytes returns the total workspace footprint allocated through the arena.
 func (a *Arena) Bytes() int64 {
 	a.mu.Lock()

@@ -4,10 +4,10 @@ import "testing"
 
 func TestArenaRecyclesByShape(t *testing.T) {
 	a := NewArena()
-	m := a.AcquireDense(4, 3)
-	m.Fill(7)
-	a.ReleaseDense(m)
-	m2 := a.AcquireDense(4, 3)
+	m := AcquireMat[float64](a, 4, 3)
+	(*Dense)(m).Fill(7)
+	ReleaseMat(a, m)
+	m2 := AcquireMat[float64](a, 4, 3)
 	if m2 != m {
 		t.Fatal("same-shape acquire did not recycle the released buffer")
 	}
@@ -16,7 +16,7 @@ func TestArenaRecyclesByShape(t *testing.T) {
 			t.Fatal("recycled buffer not zeroed")
 		}
 	}
-	if m3 := a.AcquireDense(3, 4); m3 == m {
+	if m3 := AcquireMat[float64](a, 3, 4); m3 == m {
 		t.Fatal("different shape must not recycle")
 	}
 	if a.Bytes() != (4*3+3*4)*8 {
@@ -26,10 +26,10 @@ func TestArenaRecyclesByShape(t *testing.T) {
 
 func TestArenaFloats(t *testing.T) {
 	a := NewArena()
-	s := a.AcquireFloats(10)
+	s := AcquireSlice[float64](a, 10)
 	s[0] = 1
-	a.ReleaseFloats(s)
-	s2 := a.AcquireFloats(10)
+	ReleaseSlice(a, s)
+	s2 := AcquireSlice[float64](a, 10)
 	if &s2[0] != &s[0] {
 		t.Fatal("floats not recycled")
 	}
@@ -43,10 +43,10 @@ func TestArenaFloats(t *testing.T) {
 
 func TestArenaSteadyStateDoesNotAllocate(t *testing.T) {
 	a := NewArena()
-	a.ReleaseDense(a.AcquireDense(8, 8))
+	ReleaseMat(a, AcquireMat[float64](a, 8, 8))
 	allocs := testing.AllocsPerRun(100, func() {
-		m := a.AcquireDense(8, 8)
-		a.ReleaseDense(m)
+		m := AcquireMat[float64](a, 8, 8)
+		ReleaseMat(a, m)
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state acquire/release allocated %v times", allocs)
@@ -63,7 +63,7 @@ func TestArenaPoolsByElementType(t *testing.T) {
 	}
 	m32.Data[0] = 1
 	ReleaseMat(a, m32)
-	a.AcquireDense(4, 3) // same shape, other width: must not recycle m32
+	AcquireMat[float64](a, 4, 3) // same shape, other width: must not recycle m32
 	if a.Bytes() != 4*3*(4+8) {
 		t.Fatalf("Bytes = %d after f64 acquire, want %d", a.Bytes(), 4*3*(4+8))
 	}

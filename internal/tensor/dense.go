@@ -183,18 +183,6 @@ func (m *Dense) Hadamard(b *Dense) *Dense {
 	return out
 }
 
-// HadamardInPlace computes m ⊙= b.
-func (m *Dense) HadamardInPlace(b *Dense) *Dense {
-	m.mustSameShape(b, "HadamardInPlace")
-	par.Range(len(m.Data), func(_, lo, hi int) {
-		md, bd := m.Data[lo:hi], b.Data[lo:hi]
-		for i := range md {
-			md[i] *= bd[i]
-		}
-	})
-	return m
-}
-
 // inPlace runs kernel over matching chunks of dst and src (src may be nil)
 // on the worker pool. A closure over the operands would escape to the pool
 // and be allocated on every call; the operands travel instead in a pooled
@@ -238,17 +226,6 @@ func (m *Dense) Apply(f func(float64) float64) *Dense {
 		}
 	})
 	return out
-}
-
-// ApplyInPlace applies f element-wise in place.
-func (m *Dense) ApplyInPlace(f func(float64) float64) *Dense {
-	par.Range(len(m.Data), func(_, lo, hi int) {
-		md := m.Data[lo:hi]
-		for i := range md {
-			md[i] = f(md[i])
-		}
-	})
-	return m
 }
 
 // MaxAbsDiff returns max |m - b| element-wise; useful in tests.

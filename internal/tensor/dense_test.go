@@ -125,19 +125,9 @@ func TestInPlaceVariantsMatchPure(t *testing.T) {
 		t.Fatal("AddInPlace != Add")
 	}
 	x = a.Clone()
-	x.HadamardInPlace(b)
-	if !x.ApproxEqual(a.Hadamard(b), 0) {
-		t.Fatal("HadamardInPlace != Hadamard")
-	}
-	x = a.Clone()
 	x.ScaleInPlace(3)
 	if !x.ApproxEqual(a.Scale(3), 0) {
 		t.Fatal("ScaleInPlace != Scale")
-	}
-	x = a.Clone()
-	x.ApplyInPlace(math.Abs)
-	if !x.ApproxEqual(a.Apply(math.Abs), 0) {
-		t.Fatal("ApplyInPlace != Apply")
 	}
 }
 
