@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"agnn/internal/dist/faults"
 	"agnn/internal/distgnn"
@@ -65,8 +64,6 @@ func main() {
 	launch := flag.Bool("launch", false, "spawn -world worker processes of this binary over loopback tcp and supervise them")
 	elastic := flag.Bool("elastic", false, "on a rank failure, resume from checkpoint at a smaller world size instead of rebuilding at full size")
 	minRanks := flag.Int("min-ranks", 1, "elastic shrink floor (never resume below this many ranks)")
-	stragFactor := flag.Float64("straggler-factor", 0, "flag a rank as straggler when its superstep wait exceeds this multiple of the cross-rank median (0 = default 4)")
-	stragFloor := flag.Duration("straggler-floor", 0, "minimum superstep wait ever flagged as a straggler (0 = default 100µs)")
 	var o obs.CLI
 	o.Register(flag.CommandLine)
 	flag.Parse()
@@ -101,42 +98,40 @@ func main() {
 	if *transport != "chan" && *transport != "tcp" {
 		fatal(fmt.Errorf("unknown -transport %q (want chan or tcp)", *transport))
 	}
-	if *launch || *transport == "tcp" {
+	if *launch || *transport == "tcp" || *ranks > 1 || *faultSpec != "" || *ckptDir != "" || *resume {
 		if *loadPath != "" {
 			fatal(fmt.Errorf("-load is single-node only; distributed runs resume with -checkpoint-dir and -resume"))
 		}
-		wsz := *world
-		if wsz == 0 {
-			wsz = *ranks
-		}
-		wo := workerOpts{
-			rank: *rank, world: wsz, rendezvous: *rendezvous,
-			epochs: *epochs, lr: *lr,
-			faultSpec: *faultSpec, faultSeed: *faultSeed,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
-			elastic: *elastic, minRanks: *minRanks, maxRestarts: *maxRestarts,
-			stragFactor: *stragFactor, stragFloor: *stragFloor,
-			savePath: *savePath,
-		}
-		if *launch {
-			fatal(launchWorkers(wo))
-		} else {
-			runWorker(m, ds, cfg, wo)
-		}
-		fatal(o.Stop())
-		return
-	}
+		spec := distgnn.TrainSpec{
+			P:      *ranks,
+			A:      ds.Adj,
+			X:      ds.Features,
+			Labels: ds.Labels,
+			Mask:   ds.TrainMask,
+			Cfg:    cfg,
+			Epochs: *epochs,
+			NewOpt: func() gnn.StatefulOptimizer { return gnn.NewAdam(*lr) },
 
-	if *ranks > 1 || *faultSpec != "" || *ckptDir != "" || *resume {
-		if *loadPath != "" {
-			fatal(fmt.Errorf("-load is single-node only; distributed runs resume with -checkpoint-dir and -resume"))
+			CheckpointDir:   *ckptDir,
+			CheckpointEvery: *ckptEvery,
+			Resume:          *resume,
+			MaxRestarts:     *maxRestarts,
+			Elastic:         *elastic,
+			MinRanks:        *minRanks,
+			OnEpoch:         printEpoch(*epochs),
 		}
-		trainDistributed(m, ds, cfg, *ranks, *epochs, *lr,
-			*faultSpec, *faultSeed, *ckptDir, *ckptEvery, *resume, *maxRestarts,
-			*stragFactor, *stragFloor, *elastic, *minRanks)
-		if *savePath != "" {
-			fatal(gnn.SaveWeightsFile(*savePath, m))
-			fmt.Printf("saved weights to %s\n", *savePath)
+		if (*launch || *transport == "tcp") && *world != 0 {
+			spec.P = *world
+		}
+		do := distOpts{rank: *rank, rendezvous: *rendezvous,
+			faults: *faultSpec, faultSeed: *faultSeed, savePath: *savePath}
+		switch {
+		case *launch:
+			fatal(launchWorkers(spec, do))
+		case *transport == "tcp":
+			runWorker(m, ds, spec, do)
+		default:
+			trainDistributed(m, ds, spec, do)
 		}
 		fatal(o.Stop())
 		return
@@ -178,65 +173,66 @@ func main() {
 	fatal(o.Stop())
 }
 
-// trainDistributed runs the resilient distributed training loop (grid
-// engine + checkpoint/resume + optional fault injection) and copies the
-// final replicated weights back into m for evaluation and -save.
-func trainDistributed(m *gnn.Model, ds *graph.Dataset, cfg gnn.Config,
-	ranks, epochs int, lr float64, faultSpec string, faultSeed int64,
-	ckptDir string, ckptEvery int, resume bool, maxRestarts int,
-	stragFactor float64, stragFloor time.Duration, elastic bool, minRanks int) {
-
-	var inj *faults.Injector
-	if faultSpec != "" {
-		fs, err := faults.Parse(faultSpec)
-		fatal(err)
-		inj = faults.New(fs, faultSeed, ranks)
-		fmt.Printf("fault injection: %s (seed %d)\n", fs, faultSeed)
-	}
-	spec := distgnn.TrainSpec{
-		P:      ranks,
-		A:      ds.Adj,
-		X:      ds.Features,
-		Labels: ds.Labels,
-		Mask:   ds.TrainMask,
-		Cfg:    cfg,
-		Epochs: epochs,
-		NewOpt: func() gnn.StatefulOptimizer { return gnn.NewAdam(lr) },
-
-		CheckpointDir:   ckptDir,
-		CheckpointEvery: ckptEvery,
-		Resume:          resume,
-		Faults:          inj,
-		MaxRestarts:     maxRestarts,
-		Elastic:         elastic,
-		MinRanks:        minRanks,
-		StragglerFactor: stragFactor,
-		StragglerFloor:  stragFloor,
-
-		OnEpoch: func(epoch int, loss float64) {
-			e := epoch + 1
-			metrics.TrainEpoch.Set(float64(e))
-			metrics.TrainLoss.Set(loss)
-			if e%10 == 0 || e == 1 || e == epochs {
-				fmt.Printf("epoch %3d  loss %.4f\n", e, loss)
-			}
-		},
-	}
+// trainDistributed runs the resilient distributed training loop on an
+// in-process world (grid engine + checkpoint/resume + optional fault
+// injection) and reports it through m.
+func trainDistributed(m *gnn.Model, ds *graph.Dataset, spec distgnn.TrainSpec, o distOpts) {
+	spec.Faults = o.injector(spec.P, true)
 	res, err := distgnn.TrainResilient(spec)
 	dumpNonFinite(err)
 	fatal(err)
-	if res.StartEpoch > 0 {
-		fmt.Printf("resumed from checkpoint at epoch %d\n", res.StartEpoch)
-	}
 	if res.Restarts > 0 {
 		fmt.Printf("recovered from %d rank failure(s) via checkpoint restart\n", res.Restarts)
 	}
-	if res.FinalWorld != ranks {
-		fmt.Printf("elastic: world shrank from %d to %d rank(s)\n", ranks, res.FinalWorld)
+	if res.FinalWorld != spec.P {
+		fmt.Printf("elastic: world shrank from %d to %d rank(s)\n", spec.P, res.FinalWorld)
 	}
+	finish(m, ds, res, o.savePath)
+}
 
-	// The distributed engine draws the same parameter sequence as the
-	// single-node model, so the final replicated weights transfer directly.
+// distOpts are the distributed paths' flags that are not the job's spec.
+type distOpts struct {
+	rank       int    // this process's rank in a tcp world
+	rendezvous string // rank 0's listen address
+	faults     string // fault-injection spec
+	faultSeed  int64
+	savePath   string
+}
+
+// injector builds the -faults injector of a p-rank world, announcing it
+// when announce is set (once per job), or returns nil without -faults.
+func (o distOpts) injector(p int, announce bool) *faults.Injector {
+	if o.faults == "" {
+		return nil
+	}
+	fs, err := faults.Parse(o.faults)
+	fatal(err)
+	if announce {
+		fmt.Printf("fault injection: %s (seed %d)\n", fs, o.faultSeed)
+	}
+	return faults.New(fs, o.faultSeed, p)
+}
+
+// printEpoch is rank 0's per-epoch report of a distributed run.
+func printEpoch(epochs int) func(epoch int, loss float64) {
+	return func(epoch int, loss float64) {
+		e := epoch + 1
+		metrics.TrainEpoch.Set(float64(e))
+		metrics.TrainLoss.Set(loss)
+		if e%10 == 0 || e == 1 || e == epochs {
+			fmt.Printf("epoch %3d  loss %.4f\n", e, loss)
+		}
+	}
+}
+
+// finish reports a distributed run that rank 0 holds the result of: where
+// it resumed, then its final weights copied into the single-node model m —
+// the distributed engine draws the same parameter sequence — evaluated and,
+// with -save, saved.
+func finish(m *gnn.Model, ds *graph.Dataset, res *distgnn.TrainResult, savePath string) {
+	if res.StartEpoch > 0 {
+		fmt.Printf("resumed from checkpoint at epoch %d\n", res.StartEpoch)
+	}
 	mp := m.Params()
 	if len(mp) != len(res.Params) {
 		fatal(fmt.Errorf("parameter inventory mismatch: model %d, engine %d", len(mp), len(res.Params)))
@@ -249,9 +245,13 @@ func trainDistributed(m *gnn.Model, ds *graph.Dataset, cfg gnn.Config,
 		copy(mp[i].Value.Data, p.Value.Data)
 	}
 	out := m.Forward(ds.Features, false)
-	fmt.Printf("p=%d final  train-acc %.3f  test-acc %.3f\n",
-		ranks, gnn.Accuracy(out, ds.Labels, ds.TrainMask),
+	fmt.Printf("world=%d final  train-acc %.3f  test-acc %.3f\n",
+		res.FinalWorld, gnn.Accuracy(out, ds.Labels, ds.TrainMask),
 		gnn.Accuracy(out, ds.Labels, ds.TestMask()))
+	if savePath != "" {
+		fatal(gnn.SaveWeightsFile(savePath, m))
+		fmt.Printf("saved weights to %s\n", savePath)
+	}
 }
 
 // dumpNonFinite leaves, when err is a non-finite loss, the flight dump of the

@@ -101,14 +101,6 @@ type Options struct {
 	// RetryBackoff is the base sleep between retransmissions (scaled
 	// linearly by attempt). DefaultRetryBackoff when zero.
 	RetryBackoff time.Duration
-	// StragglerFactor flags a rank as a straggler when its superstep wait
-	// exceeds this multiple of the cross-rank median wait.
-	// DefaultStragglerFactor when zero.
-	StragglerFactor float64
-	// StragglerFloor is the minimum superstep wait ever flagged as a
-	// straggler, filtering scheduler jitter on fast supersteps.
-	// DefaultStragglerFloor when zero.
-	StragglerFloor time.Duration
 }
 
 // Defaults for Options.
@@ -164,10 +156,9 @@ type World struct {
 	waitNs   []atomic.Int64 // wait accumulated during the current superstep
 	lastWait []atomic.Int64 // wait of the last completed superstep
 
-	// Causal stamping: per-rank Lamport clocks, send sequence numbers and
-	// current superstep. Always on — they are the message headers' source
-	// of truth, whether or not the run is recorded.
-	clock   []atomic.Uint64
+	// Causal stamping: per-rank send sequence numbers and current
+	// superstep. Always on — they are the message headers' source of truth,
+	// whether or not the run is recorded.
 	sendSeq []atomic.Uint64
 	stepNow []atomic.Int64
 }
@@ -254,7 +245,6 @@ func newWorldShell(p, local int, opts Options) *World {
 	w.tel = make([]rankTel, p)
 	w.waitNs = make([]atomic.Int64, p)
 	w.lastWait = make([]atomic.Int64, p)
-	w.clock = make([]atomic.Uint64, p)
 	w.sendSeq = make([]atomic.Uint64, p)
 	w.stepNow = make([]atomic.Int64, p)
 	return w
@@ -308,7 +298,13 @@ func (w *World) fail(rank int, cause error) {
 		// Postmortem: leave a failure event on the rank's log and, when a
 		// dump directory is configured, write the black-box artifact naming
 		// the failed rank and its last superstep before survivors unwind.
-		obs.RankFailed(rank, w.counters[rank].rounds.Load(), cause)
+		// A net world advances only its own rank's counters, so a peer's
+		// failure is recorded at the superstep this process reached.
+		at := rank
+		if w.local >= 0 {
+			at = w.local
+		}
+		obs.RankFailed(rank, w.counters[at].rounds.Load(), cause)
 		close(w.failCh)
 		// Poison the transport so blocked senders unwind, and (on a wire
 		// transport) broadcast the failure to peer processes.
@@ -572,13 +568,12 @@ func (c *Comm) Send(to int, data []float64) {
 	cnt := &c.w.counters[c.global]
 	cnt.bytes.Add(int64(8 * len(data)))
 	cnt.msgs.Add(1)
-	// Causal stamp: sequence and Lamport ticks are always-on atomics; the
-	// header rides the channel message by value.
+	// Causal stamp: the sequence is an always-on atomic; the header rides
+	// the channel message by value.
 	hdr := causal.Header{
-		Src:   int32(c.global),
-		Seq:   c.w.sendSeq[c.global].Add(1),
-		Step:  c.w.stepNow[c.global].Load(),
-		Clock: c.w.clock[c.global].Add(1),
+		Src:  int32(c.global),
+		Seq:  c.w.sendSeq[c.global].Add(1),
+		Step: c.w.stepNow[c.global].Load(),
 	}
 	c.tel.Sent(c.curColl, hdr.Seq, c.group[to], hdr.Step)
 	if err := c.w.eps[c.global].Send(c.group[to], distnet.Message{Data: data, Hdr: hdr}); err != nil {
@@ -677,23 +672,10 @@ func releaseTimer(t *time.Timer) {
 	recvTimers.Put(t)
 }
 
-// accept finishes one receive: it merges the sender's Lamport clock into
-// this rank's (always on — the clocks order events across ranks even when
-// nothing is recorded) and records the arrival with its blocked interval.
-// t0 is when the receiver started blocking (0 for the queued-message fast
-// path). Allocation-free.
+// accept finishes one receive: it records the arrival with its blocked
+// interval. t0 is when the receiver started blocking (0 for the
+// queued-message fast path). Allocation-free.
 func (c *Comm) accept(m distnet.Message, t0 int64) []float64 {
-	clk := &c.w.clock[c.global]
-	for {
-		cur := clk.Load()
-		next := cur
-		if m.Hdr.Clock > next {
-			next = m.Hdr.Clock
-		}
-		if clk.CompareAndSwap(cur, next+1) {
-			break
-		}
-	}
 	var waited int64
 	if t0 != 0 {
 		waited = obs.Now() - t0

@@ -32,9 +32,8 @@ const (
 const maxFrameBytes = 1 << 30
 
 // dataFrameHeaderLen is the payload length of a data frame before its
-// words: kind(1) + wireSeq(8) + Src(4) + Seq(8) + Step(8) + Clock(8) +
-// nwords(4).
-const dataFrameHeaderLen = 1 + 8 + 4 + 8 + 8 + 8 + 4
+// words: kind(1) + wireSeq(8) + Src(4) + Seq(8) + Step(8) + nwords(4).
+const dataFrameHeaderLen = 1 + 8 + 4 + 8 + 8 + 4
 
 // appendU16/U32/U64 are little-endian append helpers.
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
@@ -63,8 +62,7 @@ func encodeData(buf []byte, wireSeq uint64, m Message) []byte {
 	le.PutUint32(p[9:], uint32(m.Hdr.Src))
 	le.PutUint64(p[13:], m.Hdr.Seq)
 	le.PutUint64(p[21:], uint64(m.Hdr.Step))
-	le.PutUint64(p[29:], m.Hdr.Clock)
-	le.PutUint32(p[37:], uint32(len(m.Data)))
+	le.PutUint32(p[29:], uint32(len(m.Data)))
 	putWords(p[dataFrameHeaderLen:], m.Data)
 	return buf
 }
@@ -80,12 +78,11 @@ func decodeData(p []byte, words *recycler[float64]) (wireSeq uint64, m Message, 
 	le := binary.LittleEndian
 	wireSeq = le.Uint64(p[1:])
 	m.Hdr = causal.Header{
-		Src:   int32(le.Uint32(p[9:])),
-		Seq:   le.Uint64(p[13:]),
-		Step:  int64(le.Uint64(p[21:])),
-		Clock: le.Uint64(p[29:]),
+		Src:  int32(le.Uint32(p[9:])),
+		Seq:  le.Uint64(p[13:]),
+		Step: int64(le.Uint64(p[21:])),
 	}
-	nwords := int(le.Uint32(p[37:]))
+	nwords := int(le.Uint32(p[29:]))
 	if nwords < 0 || dataFrameHeaderLen+8*nwords != len(p) {
 		return 0, m, fmt.Errorf("net: data frame declares %d words in %d bytes", nwords, len(p))
 	}

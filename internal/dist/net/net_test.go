@@ -20,7 +20,7 @@ import (
 func TestDataFrameRoundTrip(t *testing.T) {
 	m := Message{
 		Data: []float64{1.5, -2.25, 0, 3e300},
-		Hdr:  causal.Header{Src: 3, Seq: 41, Step: 7, Clock: 99},
+		Hdr:  causal.Header{Src: 3, Seq: 41, Step: 7},
 	}
 	frame := encodeData(nil, 12345, m)
 	payload := frame[4:] // strip the length prefix readFrame consumes
@@ -629,7 +629,7 @@ func TestDialTCPValidation(t *testing.T) {
 // tests above encode, whole and cut short.
 func FuzzDecodeFrames(f *testing.F) {
 	for _, frame := range [][]byte{
-		encodeData(nil, 12345, Message{Data: []float64{1.5, -2.25, 0, 3e300}, Hdr: causal.Header{Src: 3, Seq: 41, Step: 7, Clock: 99}}),
+		encodeData(nil, 12345, Message{Data: []float64{1.5, -2.25, 0, 3e300}, Hdr: causal.Header{Src: 3, Seq: 41, Step: 7}}),
 		encodeData(nil, 0, Message{}),
 		encodeHello(3, "127.0.0.1:9999"),
 		encodeAddrs([]string{"a:1", "b:2", "c:3"}),

@@ -23,24 +23,8 @@ const (
 	DefaultStragglerFactor = 4.0
 	// DefaultStragglerFloor suppresses detections below this absolute
 	// wait: scheduling jitter makes sub-100µs ratios meaningless.
-	// Tunable per run via Options.StragglerFloor (agnn-train
-	// -straggler-floor).
 	DefaultStragglerFloor = 100 * time.Microsecond
 )
-
-func (o Options) stragglerFactor() float64 {
-	if o.StragglerFactor > 0 {
-		return o.StragglerFactor
-	}
-	return DefaultStragglerFactor
-}
-
-func (o Options) stragglerFloorNs() int64 {
-	if o.StragglerFloor > 0 {
-		return o.StragglerFloor.Nanoseconds()
-	}
-	return DefaultStragglerFloor.Nanoseconds()
-}
 
 // noteWait adds one blocked-receive duration to the rank's current
 // superstep accumulator. Two atomic adds; called on the Recv hot path.
@@ -91,7 +75,7 @@ func (w *World) superstep(rank int, round int64, scratch []int64) {
 	// A zero median (peers not waiting at all) does not suppress detection:
 	// a rank blocked past the absolute floor while the median rank sails
 	// through is the sharpest straggler signal there is.
-	if wait >= w.opts.stragglerFloorNs() && float64(wait) > w.opts.stragglerFactor()*float64(median) {
+	if wait >= DefaultStragglerFloor.Nanoseconds() && float64(wait) > DefaultStragglerFactor*float64(median) {
 		w.tel[rank].Straggler(wait, median, round)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,5 +178,77 @@ func TestCrashWritesFlightDump(t *testing.T) {
 	}
 	if !super || !failure {
 		t.Fatalf("victim lane missing superstep (%v) or failure (%v) events", super, failure)
+	}
+}
+
+// TestNetCrashSurvivorDumpsNameSuperstep: over a loopback TCP world, where
+// each rank's World holds only its own counters, every process's
+// rank-failure dump — the victim's and each survivor's — names the crashed
+// rank and a superstep the run actually reached.
+func TestNetCrashSurvivorDumpsNameSuperstep(t *testing.T) {
+	dir := t.TempDir()
+	prev := flight.SetDumpDir(dir)
+	defer flight.SetDumpDir(prev)
+
+	const p, victim, crashRound = 3, 1, 3
+	spec := faults.Spec{Clauses: []faults.Clause{{Kind: faults.Crash, Rank: victim, Round: crashRound}}}
+	eps := dialTCPWorld(t, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			// One injector per rank, as each process of a job builds its own.
+			w, err := NewNetWorld(eps[r], Options{Faults: faults.New(spec, 1, p), RecvTimeout: 20 * time.Second})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			_, errs[r] = w.TryRunLocal(func(c *Comm) error {
+				for i := 0; i < 6; i++ {
+					c.Allreduce(make([]float64, 4))
+				}
+				return nil
+			})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if !errors.Is(err, ErrRankFailed) {
+			t.Fatalf("rank %d: %v, want ErrRankFailed", r, err)
+		}
+	}
+
+	// A survivor may unwind before its failure handler has finished the
+	// dump, so wait for one readable dump per rank.
+	var dumps []flight.Dump
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		dumps = dumps[:0]
+		matches, _ := filepath.Glob(filepath.Join(dir, "flight-rank-failure-*.json"))
+		for _, m := range matches {
+			var d flight.Dump
+			if raw, err := os.ReadFile(m); err == nil && json.Unmarshal(raw, &d) == nil {
+				dumps = append(dumps, d)
+			}
+		}
+		if len(dumps) == p || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(dumps) != p {
+		t.Fatalf("%d readable rank-failure dumps, want one per rank (%d)", len(dumps), p)
+	}
+	for i, d := range dumps {
+		rank, at := -1, int64(-1) // -1: not named
+		if d.FailedRank != nil {
+			rank = *d.FailedRank
+		}
+		if d.LastSuperstep != nil {
+			at = *d.LastSuperstep
+		}
+		if rank != victim || at < 1 {
+			t.Errorf("dump %d names rank %d at superstep %d, want rank %d at a superstep >= 1", i, rank, at, victim)
+		}
 	}
 }

@@ -154,14 +154,15 @@ func (w *gridWorld) close() {
 
 // warm runs steps until the recycled buffers cover a step's working set —
 // for TCP, the frames a heartbeat's ACK holds back, as many as the steps
-// written before the beacon lands: until a second of steps allocates
-// nothing, for at most twenty seconds.
+// written before the beacon lands: until a window of steps spanning a few
+// heartbeat periods allocates nothing, for at most twenty seconds.
 func (w *gridWorld) warm(tb testing.TB) {
+	const window = 250 * time.Millisecond // 2.5 default heartbeat periods
 	var ms runtime.MemStats
 	for t0 := time.Now(); time.Since(t0) < 20*time.Second; {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		for t1 := time.Now(); time.Since(t1) < time.Second; {
+		for t1 := time.Now(); time.Since(t1) < window; {
 			w.step(tb)
 		}
 		if runtime.ReadMemStats(&ms); ms.Mallocs == before {

@@ -107,8 +107,8 @@ func TestOneRecordPerSite(t *testing.T) {
 			run: func(t *testing.T) {
 				// Ranks 0 and 1 synchronise with each other and so do 2 and 3;
 				// rank 0 is late every time, so rank 1 alone waits — far past
-				// the floor, with the cross-rank median near zero.
-				_, errs, err := dist.TryRun(4, dist.Options{StragglerFloor: time.Millisecond, StragglerFactor: 1.5},
+				// the default floor, with the cross-rank median near zero.
+				_, errs, err := dist.TryRun(4, dist.Options{},
 					func(c *dist.Comm) error {
 						pair := c.Group([]int{c.Rank() &^ 1, c.Rank() | 1})
 						for i := 0; i < 3; i++ {

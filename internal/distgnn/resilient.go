@@ -9,6 +9,7 @@ import (
 	"agnn/internal/ckpt"
 	"agnn/internal/dist"
 	"agnn/internal/dist/faults"
+	distnet "agnn/internal/dist/net"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
 	"agnn/internal/obs"
@@ -48,11 +49,6 @@ type TrainSpec struct {
 	Elastic  bool
 	MinRanks int
 
-	// Straggler-detection tuning, forwarded to dist.Options (agnn-train
-	// -straggler-factor / -straggler-floor). Zero keeps the dist defaults.
-	StragglerFactor float64       // wait-vs-median multiple that flags a straggler
-	StragglerFloor  time.Duration // minimum superstep wait ever flagged
-
 	// OnEpoch, when set, is called on rank 0 after every completed epoch
 	// with the global mean loss. Called again for re-executed epochs after
 	// a restart.
@@ -69,100 +65,177 @@ type TrainResult struct {
 	Counters   []dist.Counters
 }
 
-// TrainResilient trains to spec.Epochs, surviving injected or genuine rank
-// failures: when any rank fails, every survivor unwinds with
-// dist.ErrRankFailed, the world is torn down and rebuilt, and training
-// re-enters from the last durable checkpoint. Because the engine's
-// construction is seeded and the fault model never corrupts payloads,
-// a resumed run reproduces the uninterrupted run's weights bitwise. Any
-// other error a rank returns — gnn.ErrNonFiniteLoss when the loss stops
-// being finite — ends the job without a restart and comes back with what
-// the job ran.
-func TrainResilient(spec TrainSpec) (*TrainResult, error) {
-	if spec.Epochs < 0 {
-		return nil, fmt.Errorf("distgnn: negative epoch count %d", spec.Epochs)
+// Generation is one attempt of a distributed job: the N-th, counted from
+// 0, on P ranks. A resuming generation starts from the latest checkpoint,
+// epoch From in file Path; any other starts at epoch 0 with Path "".
+type Generation struct {
+	N, P   int
+	Resume bool
+	From   int
+	Path   string
+}
+
+// locate points g at the latest checkpoint in dir when g resumes and dir
+// holds one, and at epoch 0 otherwise.
+func (g *Generation) locate(dir string) error {
+	g.From, g.Path = 0, ""
+	if !g.Resume || dir == "" {
+		return nil
 	}
-	if spec.NewOpt == nil {
-		return nil, fmt.Errorf("distgnn: TrainSpec.NewOpt is required")
+	path, ep, ok, err := ckpt.Latest(dir)
+	if ok {
+		g.From, g.Path = int(ep), path
 	}
-	every := spec.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-	timeout := spec.RecvTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
+	return err
+}
+
+// Supervise is the restart loop of every distributed job, whether its
+// ranks are goroutines (TrainResilient) or OS processes (agnn-train
+// -launch). It calls run with generations of spec.P ranks until one
+// returns nil. Only an error wrapping dist.ErrRankFailed restarts: the next
+// generation resumes from the latest checkpoint in spec.CheckpointDir —
+// one rank smaller under spec.Elastic, down to spec.MinRanks (default 1) —
+// until spec.MaxRestarts (default 3) restarts are spent. Any other error
+// (gnn.ErrNonFiniteLoss: a restart would train into the same loss) stops
+// the job. The first generation resumes only when spec.Resume is set. It
+// returns the last generation run.
+func Supervise(spec TrainSpec, run func(Generation) error) (Generation, error) {
 	maxRestarts := spec.MaxRestarts
 	if maxRestarts <= 0 {
 		maxRestarts = 3
 	}
-	opts := dist.Options{
-		Faults:          spec.Faults,
-		RecvTimeout:     timeout,
-		StragglerFactor: spec.StragglerFactor,
-		StragglerFloor:  spec.StragglerFloor,
-	}
-
-	res := &TrainResult{Losses: make([]float64, spec.Epochs)}
-	startEpoch, startPath := 0, ""
-	if spec.Resume && spec.CheckpointDir != "" {
-		path, ep, ok, err := ckpt.Latest(spec.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			startEpoch, startPath = int(ep), path
-		}
-	}
-	res.StartEpoch = startEpoch
-	minRanks := spec.MinRanks
-	if minRanks < 1 {
-		minRanks = 1
-	}
-
-	p := spec.P
-	var mu sync.Mutex // guards res fields written from rank 0
+	minRanks := max(spec.MinRanks, 1)
+	g := Generation{P: spec.P, Resume: spec.Resume}
 	for {
-		from, path := startEpoch, startPath
-		cs, errs, err := dist.TryRun(p, opts, func(c *dist.Comm) error {
-			return trainRanks(c, spec, from, path, every, res, &mu)
-		})
-		if err != nil {
-			return nil, err // setup error: wrong world size etc.
+		t0 := time.Now()
+		if err := g.locate(spec.CheckpointDir); err != nil {
+			return g, err
 		}
-		first := dist.FirstError(errs)
-		if first == nil {
-			res.Counters = cs
-			res.FinalWorld = p
-			return res, nil
+		if g.N > 0 {
+			metrics.RecoverySeconds.Observe(time.Since(t0).Seconds())
 		}
-		if !errors.Is(first, dist.ErrRankFailed) {
-			return res, first // application error (a non-finite loss…): retrying won't help
+		err := run(g)
+		if !errors.Is(err, dist.ErrRankFailed) {
+			return g, err // done, or an error retrying won't help
+		}
+		if g.N == maxRestarts {
+			return g, fmt.Errorf("distgnn: giving up after %d restarts: %w", maxRestarts, err)
 		}
 		// Rank failure: rebuild the world from the last durable checkpoint —
 		// elastically one rank smaller (the survivors repartition), or at the
 		// original size when the failed rank is expected back.
-		res.Restarts++
-		if res.Restarts > maxRestarts {
-			return nil, fmt.Errorf("distgnn: giving up after %d restarts: %w", maxRestarts, first)
+		g.N++
+		g.Resume = true
+		if spec.Elastic && g.P > minRanks {
+			g.P--
 		}
-		if spec.Elastic && p > minRanks {
-			p--
-		}
-		t0 := time.Now()
-		startEpoch, startPath = 0, ""
-		if spec.CheckpointDir != "" {
-			path, ep, ok, lerr := ckpt.Latest(spec.CheckpointDir)
-			if lerr != nil {
-				return nil, lerr
-			}
-			if ok {
-				startEpoch, startPath = int(ep), path
-			}
-		}
-		metrics.RecoverySeconds.Observe(time.Since(t0).Seconds())
 	}
+}
+
+// ExitNonFinite is a worker process's exit status when the loss stopped
+// being finite: every rank stops at the same epoch.
+const ExitNonFinite = 3
+
+// WorkerExits maps the exit statuses of one generation's worker processes
+// to what Supervise acts on: nil when every worker exited 0,
+// gnn.ErrNonFiniteLoss when any exited with ExitNonFinite, and
+// dist.ErrRankFailed for any other failure — a crash, a survivor's unwind,
+// a kill.
+func WorkerExits(codes []int) error {
+	failed, nonFinite := 0, false
+	for _, c := range codes {
+		if c != 0 {
+			failed++
+			nonFinite = nonFinite || c == ExitNonFinite
+		}
+	}
+	switch {
+	case failed == 0:
+		return nil
+	case nonFinite:
+		return fmt.Errorf("%d worker(s) failed: %w", failed, gnn.ErrNonFiniteLoss)
+	}
+	return fmt.Errorf("%d worker(s) failed: %w", failed, dist.ErrRankFailed)
+}
+
+// checked validates spec and fills the defaults of its per-rank body; it
+// returns the spec and the options its worlds run with.
+func (spec TrainSpec) checked() (TrainSpec, dist.Options, error) {
+	if spec.Epochs < 0 {
+		return spec, dist.Options{}, fmt.Errorf("distgnn: negative epoch count %d", spec.Epochs)
+	}
+	if spec.NewOpt == nil {
+		return spec, dist.Options{}, fmt.Errorf("distgnn: TrainSpec.NewOpt is required")
+	}
+	if spec.CheckpointEvery <= 0 {
+		spec.CheckpointEvery = 1
+	}
+	if spec.RecvTimeout <= 0 {
+		spec.RecvTimeout = 30 * time.Second
+	}
+	return spec, dist.Options{Faults: spec.Faults, RecvTimeout: spec.RecvTimeout}, nil
+}
+
+// TrainResilient trains to spec.Epochs in this process, surviving injected
+// or genuine rank failures: Supervise runs each generation on a fresh
+// in-process world (dist.TryRun). When any rank fails, every survivor
+// unwinds with dist.ErrRankFailed and training re-enters from the last
+// durable checkpoint. Because the engine's construction is seeded and the
+// fault model never corrupts payloads, a resumed run reproduces the
+// uninterrupted run's weights bitwise. Once the spec checks out, the result
+// reports what the job ran, also when it ends with an error.
+func TrainResilient(spec TrainSpec) (*TrainResult, error) {
+	spec, opts, err := spec.checked()
+	if err != nil {
+		return nil, err
+	}
+	res := &TrainResult{Losses: make([]float64, spec.Epochs)}
+	var mu sync.Mutex // guards res fields written from rank 0
+	last, err := Supervise(spec, func(g Generation) error {
+		if g.N == 0 {
+			res.StartEpoch = g.From
+		}
+		cs, errs, err := dist.TryRun(g.P, opts, func(c *dist.Comm) error {
+			return trainRanks(c, spec, g, res, &mu)
+		})
+		if err != nil {
+			return err // setup error: wrong world size etc.
+		}
+		res.Counters = cs
+		return dist.FirstError(errs)
+	})
+	res.Restarts, res.FinalWorld = last.N, last.P
+	return res, err
+}
+
+// TrainWorker runs ONE rank of a multi-process training job over a wire
+// transport endpoint (internal/dist/net): the per-rank body of
+// TrainResilient, bound to this process's endpoint via dist.TryRunLocal.
+// The world size comes from the endpoint; spec.P is ignored. There is no
+// restart loop here — when a peer dies the survivors unwind with
+// dist.ErrRankFailed and the error is returned, so the launching process's
+// Supervise can relaunch the survivors with Resume set (the elastic path of
+// docs/ROBUSTNESS.md). The endpoint is not closed; the caller owns it.
+func TrainWorker(spec TrainSpec, ep distnet.Endpoint) (*TrainResult, error) {
+	spec, opts, err := spec.checked()
+	if err != nil {
+		return nil, err
+	}
+	g := Generation{P: ep.Size(), Resume: spec.Resume}
+	if err := g.locate(spec.CheckpointDir); err != nil {
+		return nil, err
+	}
+	w, err := dist.NewNetWorld(ep, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &TrainResult{Losses: make([]float64, spec.Epochs), StartEpoch: g.From, FinalWorld: g.P}
+	var mu sync.Mutex
+	cnt, runErr := w.TryRunLocal(func(c *dist.Comm) error {
+		return trainRanks(c, spec, g, res, &mu)
+	})
+	res.Counters = []dist.Counters{cnt}
+	return res, runErr
 }
 
 // trainEngine is the slice of engine surface the resilient loop needs; the
@@ -195,10 +268,11 @@ func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, f
 	return e, spec.X.SliceRows(e.Lo, e.Hi).Clone(), func() {}, nil
 }
 
-// trainRanks is the per-rank body: build the engine, apply the checkpoint,
-// run epochs [from, spec.Epochs), checkpointing at every boundary multiple
-// of `every`, and stop at the first non-finite loss (gnn.FiniteLoss).
-func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, res *TrainResult, mu *sync.Mutex) error {
+// trainRanks is the per-rank body of generation g: build the engine, apply
+// g's checkpoint, run epochs [g.From, spec.Epochs), checkpointing at every
+// boundary multiple of spec.CheckpointEvery, and stop at the first
+// non-finite loss (gnn.FiniteLoss).
+func trainRanks(c *dist.Comm, spec TrainSpec, g Generation, res *TrainResult, mu *sync.Mutex) error {
 	e, xd, closeEngine, err := newTrainEngine(c, spec)
 	if err != nil {
 		return err
@@ -209,13 +283,13 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 	opt := spec.NewOpt()
 	params := e.Params()
 
-	if path != "" {
+	if g.Path != "" {
 		// Every rank loads the same checkpoint file, so the replicated
 		// weights and optimizer moments stay bit-identical without a
 		// broadcast — the same invariant seeded construction provides.
-		st, err := ckpt.Load(path, params)
+		st, err := ckpt.Load(g.Path, params)
 		if err != nil {
-			return fmt.Errorf("rank %d: resume from %s: %w", c.Rank(), path, err)
+			return fmt.Errorf("rank %d: resume from %s: %w", c.Rank(), g.Path, err)
 		}
 		if st.Opt != nil {
 			if err := opt.ImportState(params, st.Opt); err != nil {
@@ -224,7 +298,7 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 		}
 	}
 
-	for epoch := from; epoch < spec.Epochs; epoch++ {
+	for epoch := g.From; epoch < spec.Epochs; epoch++ {
 		et0 := obs.Now()
 		loss := e.TrainStep(xd, spec.Labels, spec.Mask, opt)
 		// The loss is allreduced, so every rank stops at the same epoch and
@@ -241,7 +315,7 @@ func trainRanks(c *dist.Comm, spec TrainSpec, from int, path string, every int, 
 			}
 		}
 		done := epoch + 1
-		if spec.CheckpointDir != "" && (done%every == 0 || done == spec.Epochs) {
+		if spec.CheckpointDir != "" && (done%spec.CheckpointEvery == 0 || done == spec.Epochs) {
 			// One mark per rank brackets the save and the barrier: a span in
 			// the trace, checkpoint time on the critical path.
 			sp := c.Log().Begin(obs.KindCheckpoint, codeCheckpoint)

@@ -3,8 +3,7 @@
 // critical path (docs/OBSERVABILITY.md, "Critical path").
 //
 // Every dist.Comm send carries a Header — the sender's global rank, a
-// sender-local sequence number, the superstep and a Lamport logical
-// clock — and every receive merges that clock. The headers travel by
+// sender-local sequence number and the superstep. The headers travel by
 // value inside the runtime's channel messages and wire frames; the send
 // and receive records a recorded run leaves on each rank's log name their
 // message by (rank, sequence number), which is what Analyze joins on.
@@ -14,10 +13,9 @@ package causal
 // small value type: embedding it in the channel message adds no
 // allocations and no indirection.
 type Header struct {
-	Src   int32  // sender's global rank
-	Seq   uint64 // sender-local message sequence number (1-based)
-	Step  int64  // sender's superstep at send time
-	Clock uint64 // sender's Lamport clock after the send tick
+	Src  int32  // sender's global rank
+	Seq  uint64 // sender-local message sequence number (1-based)
+	Step int64  // sender's superstep at send time
 }
 
 // FlowID packs (Src, Seq) into the identifier shared by the Chrome

@@ -108,7 +108,7 @@ func syntheticRun(t *testing.T) *evlog.Set {
 	t.Helper()
 	const us = int64(time.Microsecond)
 	s := recordingSet()
-	h := Header{Src: 1, Seq: 1, Step: 1, Clock: 3}
+	h := Header{Src: 1, Seq: 1, Step: 1}
 	send(s.Log(1), 95*us, h, 0)
 	recv(s.Log(0), 40*us, 100*us, h)
 	markEpoch(s.Log(0), 0, 0, 150*us)

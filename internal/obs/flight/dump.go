@@ -24,7 +24,10 @@ import (
 
 // Dump is the JSON artifact written when the black box is cracked open:
 // one header naming why (and, for failures, which rank died at which
-// superstep) plus every lane's recent events.
+// superstep) plus every lane's recent events. LastSuperstep is the failed
+// rank's own superstep when it ran in the dumping process; a survivor in
+// another process names the superstep it reached itself, which in BSP
+// lockstep is the failed rank's or one next to it.
 type Dump struct {
 	Schema        string     `json:"schema"` // "agnn-flight/v1"
 	Reason        string     `json:"reason"` // "rank-failure" | "signal" | "request" | "shutdown" | "non-finite-loss" | "manual"
