@@ -23,6 +23,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,18 +308,21 @@ func (w *World) fail(rank int, cause error) {
 		obs.RankFailed(rank, w.counters[at].rounds.Load(), cause)
 		close(w.failCh)
 		// Poison the transport so blocked senders unwind, and (on a wire
-		// transport) broadcast the failure to peer processes.
+		// transport) broadcast the failure to peer processes. The FAIL
+		// frame carries the cause without the sentinel, which each peer's
+		// failure handler names again.
 		if ep := w.localEndpoint(); ep != nil {
-			ep.Abort(rank, cause)
+			ep.Abort(rank, errors.New(strings.TrimPrefix(cause.Error(), ErrRankFailed.Error()+": ")))
 		}
 	})
 }
 
 // survivorErr is the error a non-failing rank unwinds with once the world
-// is marked failed. It wraps the cause, so errors.Is finds a receive timeout
-// whichever of two ranks starving each other expired first.
+// is marked failed. It wraps the cause — which wraps ErrRankFailed, so the
+// sentinel is named once — and errors.Is finds a receive timeout whichever
+// of two ranks starving each other expired first.
 func (w *World) survivorErr() error {
-	return fmt.Errorf("%w: aborted after failure on rank %d: %w", ErrRankFailed, w.failRank, w.failCause)
+	return fmt.Errorf("dist: aborted after failure on rank %d: %w", w.failRank, w.failCause)
 }
 
 // rankFailure is the internal unwind sentinel: Comm methods panic with it

@@ -67,34 +67,31 @@ func encodeData(buf []byte, wireSeq uint64, m Message) []byte {
 	return buf
 }
 
-// decodeData parses a data frame payload (kind byte already verified). The
-// words land in a buffer from words (freshly allocated when words is nil),
-// taken only once the header has been checked: a frame whose word count
-// disagrees with its length is rejected before any buffer is written.
-func decodeData(p []byte, words *recycler[float64]) (wireSeq uint64, m Message, err error) {
-	if len(p) < dataFrameHeaderLen {
-		return 0, m, fmt.Errorf("net: short data frame (%d bytes)", len(p))
-	}
+// decodeData parses the fixed header h of a data frame (dataFrameHeaderLen
+// bytes, kind first) whose payload is n bytes long, n ≥ dataFrameHeaderLen.
+// It returns the word count the rest of the payload carries, and rejects a
+// count the length does not back — before the caller takes a buffer for the
+// words or reads one of them.
+func decodeData(h []byte, n int) (wireSeq uint64, hdr causal.Header, nwords int, err error) {
 	le := binary.LittleEndian
-	wireSeq = le.Uint64(p[1:])
-	m.Hdr = causal.Header{
-		Src:  int32(le.Uint32(p[9:])),
-		Seq:  le.Uint64(p[13:]),
-		Step: int64(le.Uint64(p[21:])),
+	wireSeq = le.Uint64(h[1:])
+	hdr = causal.Header{
+		Src:  int32(le.Uint32(h[9:])),
+		Seq:  le.Uint64(h[13:]),
+		Step: int64(le.Uint64(h[21:])),
 	}
-	nwords := int(le.Uint32(p[29:]))
-	if nwords < 0 || dataFrameHeaderLen+8*nwords != len(p) {
-		return 0, m, fmt.Errorf("net: data frame declares %d words in %d bytes", nwords, len(p))
+	nwords = int(le.Uint32(h[29:]))
+	if dataFrameHeaderLen+8*nwords != n {
+		return 0, hdr, 0, fmt.Errorf("net: data frame declares %d words in %d bytes", nwords, n)
 	}
-	m.Data = words.get(nwords)
-	getWords(m.Data, p[dataFrameHeaderLen:])
-	return wireSeq, m, nil
+	return wireSeq, hdr, nwords, nil
 }
 
 // The payload codec: words travel as little-endian float64 bits. On a
 // little-endian host those bytes are the words' own memory, so a payload
-// crosses between a plan buffer and a frame in one memmove; elsewhere the
-// per-word loops convert. The host decides once, at init.
+// is encoded into a frame by one memmove and read from the socket straight
+// into its word buffer; elsewhere the per-word loops convert. The host
+// decides once, at init.
 var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // putWords writes src into dst (8 bytes per word).
@@ -106,13 +103,12 @@ func putWords(dst []byte, src []float64) {
 	putWordsLE(dst, src)
 }
 
-// getWords reads len(dst) words from src.
-func getWords(dst []float64, src []byte) {
-	if littleEndianHost {
-		copy(wordBytes(dst), src)
-		return
+// wordsFromWire turns words whose bytes were read off the wire into host
+// order, in place: nothing to do on a little-endian host.
+func wordsFromWire(w []float64) {
+	if !littleEndianHost {
+		getWordsLE(w, wordBytes(w))
 	}
-	getWordsLE(dst, src)
 }
 
 // wordBytes views words as their bytes in host order.
@@ -124,7 +120,9 @@ func wordBytes(w []float64) []byte {
 }
 
 // putWordsLE and getWordsLE are the per-word codec: the big-endian host's
-// path and the memmove's test oracle.
+// path and the test oracle of the memmove and the in-place read. getWordsLE
+// may run in place (dst's bytes are src): each word is read before it is
+// written.
 func putWordsLE(dst []byte, src []float64) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
@@ -265,26 +263,77 @@ func decodeAck(p []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(p[1:]), nil
 }
 
-// readFrame reads one length-prefixed frame payload into buf (grown as
-// needed; the prefix is read into it too, so a read allocates nothing once
-// buf has grown) and returns the payload slice, which aliases buf.
-func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	if cap(buf) < 4 {
-		buf = make([]byte, 4)
+// frameReader reads the frames of one connection. The length prefix and
+// the kind byte come first, into buf, and are checked; a control frame is
+// then read whole into buf, which grows to the largest one seen. A data
+// frame's fixed header lands in buf and is checked too, and only then does
+// the frame take a word buffer from words, into which its payload is read
+// straight from the stream: no frame buffer holds the words in between.
+type frameReader struct {
+	r     io.Reader
+	words *recycler[float64] // nil allocates each data frame's words
+	buf   []byte
+}
+
+// inFrame is one frame as read. size is its length on the wire, prefix
+// included. A data frame carries its wire sequence and message, whose Data
+// the caller owns from then on; any other kind its payload, kind byte
+// first, which aliases the reader's buffer until the next read.
+type inFrame struct {
+	kind    byte
+	size    int
+	wireSeq uint64
+	msg     Message
+	payload []byte
+}
+
+// corruptFrame is a data frame its own header refuses: the peer's stream is
+// corrupt, where a failed read is a lost connection.
+type corruptFrame struct{ error }
+
+// next reads one frame. A data frame its header refuses is a corruptFrame
+// and takes no word buffer; one cut short after taking it hands the buffer
+// back.
+func (fr *frameReader) next() (f inFrame, err error) {
+	if cap(fr.buf) < dataFrameHeaderLen {
+		fr.buf = make([]byte, dataFrameHeaderLen)
 	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, buf, err
+	if _, err := io.ReadFull(fr.r, fr.buf[:5]); err != nil {
+		return f, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
+	n := int(binary.LittleEndian.Uint32(fr.buf))
 	if n < 1 || n > maxFrameBytes {
-		return nil, buf, fmt.Errorf("net: frame length %d outside (0, %d]", n, maxFrameBytes)
+		return f, fmt.Errorf("net: frame length %d outside (0, %d]", n, maxFrameBytes)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	f.kind, f.size = fr.buf[4], 4+n
+	if f.kind != frameData {
+		if cap(fr.buf) < n {
+			fr.buf = make([]byte, n)
+		}
+		f.payload = fr.buf[:n]
+		f.payload[0] = f.kind
+		if _, err := io.ReadFull(fr.r, f.payload[1:]); err != nil {
+			return f, fmt.Errorf("net: truncated frame: %w", err)
+		}
+		return f, nil
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, fmt.Errorf("net: truncated frame: %w", err)
+	if n < dataFrameHeaderLen {
+		return f, corruptFrame{fmt.Errorf("net: short data frame (%d bytes)", n)}
 	}
-	return buf, buf, nil
+	h := fr.buf[:dataFrameHeaderLen]
+	if _, err := io.ReadFull(fr.r, h[1:]); err != nil {
+		return f, fmt.Errorf("net: truncated frame: %w", err)
+	}
+	var nwords int
+	if f.wireSeq, f.msg.Hdr, nwords, err = decodeData(h, n); err != nil {
+		return f, corruptFrame{err}
+	}
+	data := fr.words.get(nwords)
+	if _, err := io.ReadFull(fr.r, wordBytes(data)); err != nil {
+		fr.words.put(data)
+		return f, fmt.Errorf("net: truncated frame: %w", err)
+	}
+	wordsFromWire(data)
+	f.msg.Data = data
+	return f, nil
 }

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -22,9 +23,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 		Data: []float64{1.5, -2.25, 0, 3e300},
 		Hdr:  causal.Header{Src: 3, Seq: 41, Step: 7},
 	}
-	frame := encodeData(nil, 12345, m)
-	payload := frame[4:] // strip the length prefix readFrame consumes
-	seq, got, err := decodeData(payload, nil)
+	seq, got, err := readData(encodeData(nil, 12345, m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,23 +43,46 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDataFrameRejectsCorruption(t *testing.T) {
-	m := Message{Data: []float64{1, 2, 3}}
-	frame := encodeData(nil, 7, m)
-	payload := frame[4:]
+// readData reads one data frame through the streaming reader, as a
+// connection's read loop does.
+func readData(stream []byte, words *recycler[float64]) (uint64, Message, error) {
+	f, err := (&frameReader{r: bytes.NewReader(stream), words: words}).next()
+	return f.wireSeq, f.msg, err
+}
 
-	if _, _, err := decodeData(payload[:len(payload)-3], nil); err == nil {
-		t.Error("truncated frame accepted")
+// TestDataFrameRejectsCorruption: a data frame whose header does not add up
+// is a corrupt stream and takes no word buffer; a stream cut short inside
+// the words is a failed read, and the buffer it took goes back.
+func TestDataFrameRejectsCorruption(t *testing.T) {
+	frame := encodeData(nil, 7, Message{Data: []float64{1, 2, 3}})
+	var words recycler[float64]
+	free := make([]float64, 3)
+	words.put(free)
+	stillFree := func(what string) {
+		t.Helper()
+		if got := words.get(3); &got[0] != &free[0] {
+			t.Errorf("%s: the recycled buffer is not free", what)
+		}
+		words.put(free)
 	}
-	if _, _, err := decodeData(payload[:dataFrameHeaderLen-2], nil); err == nil {
-		t.Error("truncated header accepted")
+
+	if _, _, err := readData(frame[:len(frame)-3], &words); err == nil || errors.As(err, new(corruptFrame)) {
+		t.Errorf("truncated frame: %v, want a read error", err)
 	}
+	stillFree("truncated frame")
+	short := append([]byte(nil), frame[:4+dataFrameHeaderLen-2]...)
+	binary.LittleEndian.PutUint32(short, dataFrameHeaderLen-2)
+	if _, _, err := readData(short, &words); !errors.As(err, new(corruptFrame)) {
+		t.Errorf("truncated header: %v, want a corrupt frame", err)
+	}
+	stillFree("truncated header")
 	// Inflate the word count without supplying the words.
-	bad := append([]byte(nil), payload...)
-	bad[dataFrameHeaderLen-4] = 0xff
-	if _, _, err := decodeData(bad, nil); err == nil {
-		t.Error("word-count mismatch accepted")
+	bad := append([]byte(nil), frame...)
+	bad[4+dataFrameHeaderLen-4] = 0xff
+	if _, _, err := readData(bad, &words); !errors.As(err, new(corruptFrame)) {
+		t.Errorf("word-count mismatch: %v, want a corrupt frame", err)
 	}
+	stillFree("word-count mismatch")
 }
 
 // specialWords are the float64 bit patterns a conversion could disturb:
@@ -85,9 +107,10 @@ func testWords(n int) []float64 {
 	return w
 }
 
-// TestWordCodecMatchesPerWord: the memmove codec writes and reads exactly
-// the bytes of the per-word little-endian codec, at every length around the
-// copy's edges and inside a frame, where the words start unaligned.
+// TestWordCodecMatchesPerWord: the memmove codec writes, and the in-place
+// read decodes, exactly the bytes of the per-word little-endian codec, at
+// every length around the copy's edges and inside a frame, where the words
+// start unaligned.
 func TestWordCodecMatchesPerWord(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 10007}
 	for _, n := range lengths {
@@ -99,7 +122,8 @@ func TestWordCodecMatchesPerWord(t *testing.T) {
 			t.Fatalf("n=%d: putWords differs from the per-word codec", n)
 		}
 		back, oracle := make([]float64, n), make([]float64, n)
-		getWords(back, got)
+		copy(wordBytes(back), got)
+		wordsFromWire(back)
 		getWordsLE(oracle, want)
 		for i := range src {
 			if b := math.Float64bits(src[i]); math.Float64bits(back[i]) != b || math.Float64bits(oracle[i]) != b {
@@ -113,7 +137,7 @@ func TestWordCodecMatchesPerWord(t *testing.T) {
 		}
 		var words recycler[float64]
 		words.put(make([]float64, n))
-		if _, m, err := decodeData(frame[4:], &words); err != nil || !bytes.Equal(wordBytes(m.Data), wordBytes(back)) {
+		if _, m, err := readData(frame, &words); err != nil || !bytes.Equal(wordBytes(m.Data), wordBytes(back)) {
 			t.Fatalf("n=%d: frame does not decode to its words (err %v)", n, err)
 		}
 	}
@@ -521,6 +545,56 @@ func TestTCPAckBeyondWindowIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestTCPReplayQueueBoundedByPromptAcks: with heartbeats an hour apart, the
+// receiver's prompt ACKs alone keep the sender's replay queue at most
+// ackEveryBytes plus one frame once the receiver has drained the stream;
+// the beacon's ACK alone would keep all 16 MiB for the hour.
+func TestTCPReplayQueueBoundedByPromptAcks(t *testing.T) {
+	eps := dialWorld(t, 2, func(cfg *TCPConfig) {
+		cfg.HeartbeatEvery = time.Hour // no beacon ACKs anything
+		cfg.PeerTimeout = time.Hour
+	})
+	const frames, words = 64, 256 << 10 / 8
+	data := testWords(words)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := eps[0].Send(1, Message{Data: data}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < frames; i++ {
+		select {
+		case m := <-eps[1].Inbox(0):
+			eps[1].Recycle(m.Data)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("frame %d never arrived", i)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	bound := ackEveryBytes + dataFrameLen(words)
+	unacked := func() (n int) {
+		p := eps[0].peers[1]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, f := range p.unacked {
+			n += len(f.frame)
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); unacked() > bound; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replay queue holds %d bytes after the receiver drained %d frames, want at most %d",
+				unacked(), frames, bound)
+		}
+	}
+}
+
 // TestAckFrameRoundTrip: the cumulative-ACK control frame survives its
 // encode/decode cycle and rejects wrong sizes.
 func TestAckFrameRoundTrip(t *testing.T) {
@@ -572,22 +646,30 @@ func TestTCPGoodbyeIsBenign(t *testing.T) {
 }
 
 // TestTCPAbortRelaysFailedRank: Abort names the originally failed rank, so
-// a relayed FAIL frame blames the right peer, not the relay.
+// a relayed FAIL frame blames the right peer, not the relay, and reports
+// the failure once even when the relay's cause is its own report of it.
 func TestTCPAbortRelaysFailedRank(t *testing.T) {
 	eps := dialWorld(t, 3, nil)
-	failed := make(chan int, 1)
+	type failure struct {
+		rank  int
+		cause error
+	}
+	failed := make(chan failure, 1)
 	eps[0].SetFailureHandler(func(rank int, cause error) {
 		select {
-		case failed <- rank:
+		case failed <- failure{rank, cause}:
 		default:
 		}
 	})
-	// Rank 1 relays that rank 2 is down.
-	eps[1].Abort(2, fmt.Errorf("simulated crash of rank 2"))
+	// Rank 1 relays that rank 2 is down, as rank 2's FAIL frame told it.
+	eps[1].Abort(2, fmt.Errorf("net: rank 2 reported failed: simulated crash of rank 2"))
 	select {
-	case r := <-failed:
-		if r != 2 {
-			t.Errorf("FAIL frame named rank %d, want 2", r)
+	case f := <-failed:
+		if f.rank != 2 {
+			t.Errorf("FAIL frame named rank %d, want 2", f.rank)
+		}
+		if want := "net: rank 2 reported failed: simulated crash of rank 2"; f.cause.Error() != want {
+			t.Errorf("relayed failure reads %q, want %q", f.cause, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("FAIL frame never arrived")
@@ -623,10 +705,11 @@ func TestDialTCPValidation(t *testing.T) {
 }
 
 // FuzzDecodeFrames: a frame payload is bytes from a peer. Whatever they are,
-// every decoder returns a value or an error — no panic, no allocation sized
-// by a count the payload's own length does not back — and what decodeData
-// accepts re-encodes to the same bytes. Seeds: the frames the round-trip
-// tests above encode, whole and cut short.
+// the streaming reader, fed them behind their length prefix, and every
+// control decoder return a value or an error — no panic, no allocation
+// sized by a count the payload's own length does not back — and a data
+// frame the reader accepts re-encodes to the same bytes. Seeds: the frames
+// the round-trip tests above encode, whole and cut short.
 func FuzzDecodeFrames(f *testing.F) {
 	for _, frame := range [][]byte{
 		encodeData(nil, 12345, Message{Data: []float64{1.5, -2.25, 0, 3e300}, Hdr: causal.Header{Src: 3, Seq: 41, Step: 7}}),
@@ -638,7 +721,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		encodeAck(77),
 		encodeHeartbeat(),
 	} {
-		f.Add(frame[4:]) // the payload readFrame hands to the decoders
+		f.Add(frame[4:]) // the payload behind the length prefix
 		f.Add(frame[4 : 4+(len(frame)-4)/2])
 	}
 	f.Add([]byte{frameAddrs, 0xff, 0xff, 0xff, 0xff})
@@ -649,10 +732,10 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(short)
 	const dirt = 0xdeadbeefdeadbeef
 	f.Fuzz(func(t *testing.T, p []byte) {
-		// Decode into a dirty recycled buffer of the length the payload
-		// would fill: a rejected frame must leave it untouched and still
-		// free, an accepted one must return its own words and none of the
-		// buffer's previous ones.
+		// Read into a dirty recycled buffer of the length the payload would
+		// fill: a rejected frame must leave it untouched and still free, an
+		// accepted one must return its own words and none of the buffer's
+		// previous ones.
 		var words recycler[float64]
 		var dirty []float64
 		if n := (len(p) - dataFrameHeaderLen) / 8; n > 0 && n <= 1<<16 {
@@ -662,16 +745,38 @@ func FuzzDecodeFrames(f *testing.F) {
 			}
 			words.put(dirty)
 		}
-		if seq, m, err := decodeData(p, &words); err == nil {
+		stream := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+		stream = append(stream, p...)
+		fr := frameReader{r: bytes.NewReader(stream), words: &words}
+		got, err := fr.next()
+		switch {
+		case err == nil && got.kind == frameData:
+			m := got.msg
 			want := make([]float64, len(m.Data))
 			getWordsLE(want, p[dataFrameHeaderLen:])
 			if !bytes.Equal(wordBytes(m.Data), wordBytes(want)) {
-				t.Fatalf("decoded words differ from the per-word codec")
+				t.Fatalf("read words differ from the per-word codec")
 			}
-			if again := encodeData(nil, seq, m)[4:]; !bytes.Equal(again[1:], p[1:]) {
-				t.Fatalf("data frame does not survive decode → encode")
+			if again := encodeData(nil, got.wireSeq, m)[4:]; !bytes.Equal(again, p) {
+				t.Fatalf("data frame does not survive read → encode")
 			}
-		} else if dirty != nil {
+			// The same frame cut short inside its words is a failed read
+			// that hands the buffer it took back.
+			if len(m.Data) > 0 {
+				words.put(m.Data)
+				cut := frameReader{r: bytes.NewReader(stream[:len(stream)-1]), words: &words}
+				if _, err := cut.next(); err == nil {
+					t.Fatalf("a data frame cut short was accepted")
+				}
+				if back := words.get(len(m.Data)); &back[0] != &m.Data[0] {
+					t.Fatalf("a data frame cut short kept its word buffer")
+				}
+			}
+		case err == nil:
+			if got.size != len(stream) || !bytes.Equal(got.payload, p) {
+				t.Fatalf("control frame read as %d bytes %x, want %x", got.size, got.payload, p)
+			}
+		case dirty != nil:
 			for i, v := range dirty {
 				if math.Float64bits(v) != dirt {
 					t.Fatalf("rejected frame wrote word %d of the recycled buffer", i)

@@ -6,9 +6,10 @@ import "sync"
 // message sizes every step, so the list settles at the step's working set —
 // the buffers in flight at once — long before the bound; the bound only
 // stops traffic of ever-new sizes from growing it forever. A TCP frame is in
-// flight until a heartbeat's ACK, so at steps much shorter than the
-// heartbeat period a rank's frames in flight are those of many steps, and
-// the bound is the replay queue's own.
+// flight until the peer's ACK, which comes once the peer has released
+// ackEveryBytes of the stream (or at its next heartbeat), so a rank's frames
+// in flight are about ackEveryBytes per peer plus the frames on the wire.
+// The bound is the replay queue's own.
 const recycleKeep = maxPendingFrames
 
 // recycler is a free list of buffers matched by exact capacity: a payload or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	gonet "net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,12 @@ func (c *TCPConfig) defaults() {
 	}
 }
 
+// ackEveryBytes is how much of a peer's stream the receiver releases
+// between two prompt ACKs. It bounds the peer's replay queue — and the
+// frames it keeps from the free list — to this plus what is in flight,
+// whatever the heartbeat period.
+const ackEveryBytes = 1 << 20
+
 // maxPendingFrames bounds the receiver-side reorder buffer per peer. The
 // sender writes in order on one connection at a time, so pending frames
 // only accumulate across a reconnect window; past this the stream is
@@ -107,13 +114,16 @@ type tcpPeer struct {
 	// sender whose Write succeeded cannot know whether the peer read the
 	// frame — so every reconnect replays the whole queue and the receiver's
 	// sequence dedup discards what already arrived. An ACK pops the frames
-	// it covers off the front and recycles them; ACKs ride the heartbeat
-	// cadence, bounding the queue to a beacon period of traffic.
+	// it covers off the front and recycles them. The peer ACKs as soon as
+	// it has released ackEveryBytes of this stream, and on every heartbeat,
+	// so the queue holds about ackEveryBytes plus what is in flight.
 	unacked []sentFrame
 
-	rmu     sync.Mutex // guards wireIn, pending
-	wireIn  uint64
-	pending map[uint64]Message
+	rmu      sync.Mutex    // guards pending, released; serializes wireIn's writes
+	wireIn   atomic.Uint64 // frames released to the inbox: what an ACK of this side says
+	pending  map[uint64]Message
+	released int         // bytes of frames released since the last prompt ACK
+	ackDue   atomic.Bool // a prompt ACK is owed (ackSoon)
 
 	inbox    chan Message
 	attached atomic.Bool // a connection was attached at least once (bootstrap count)
@@ -148,11 +158,12 @@ type TCPEndpoint struct {
 	stopCh   chan struct{} // closed on first of Abort/Close: unblocks inbox feeds
 
 	firstAttach chan struct{} // one token per peer's first connection (bootstrap count)
+	ackWake     chan struct{} // one slot: a peer's prompt ACK is due (ackSoon)
 
 	// A data frame's life: encoded once into a buffer from frames, written,
 	// held in its peer's replay queue, recycled when the cumulative ACK
-	// passes it. Received words land in a buffer from words, which the
-	// receiver hands back through Recycle.
+	// passes it. Received words are read from the socket straight into a
+	// buffer from words, which the receiver hands back through Recycle.
 	frames recycler[byte]
 	words  recycler[float64]
 
@@ -195,6 +206,7 @@ func DialTCP(cfg TCPConfig) (*TCPEndpoint, error) {
 		cfg:         cfg,
 		stopCh:      make(chan struct{}),
 		firstAttach: make(chan struct{}, cfg.Size),
+		ackWake:     make(chan struct{}, 1),
 		log:         obs.Rank(cfg.Rank),
 		mTx:         metrics.NetBytesTotal.With("tx"),
 		mRx:         metrics.NetBytesTotal.With("rx"),
@@ -284,15 +296,15 @@ func (e *TCPEndpoint) bootstrapPeer(ownAddr string, deadline time.Time) error {
 	// traffic from rank 0; read it synchronously, then hand the
 	// connection to the normal reader.
 	conn.SetReadDeadline(deadline)
-	payload, _, err := readFrame(conn, nil)
-	if err != nil || len(payload) == 0 || payload[0] != frameAddrs {
+	f, err := (&frameReader{r: conn}).next()
+	if err == nil && f.kind != frameAddrs {
+		err = fmt.Errorf("unexpected frame kind %d", f.kind)
+	}
+	if err != nil {
 		conn.Close()
-		if err == nil {
-			err = fmt.Errorf("unexpected frame kind %d", payload[0])
-		}
 		return fmt.Errorf("net: rank %d awaiting address table: %w", e.cfg.Rank, err)
 	}
-	addrs, err := decodeAddrs(payload)
+	addrs, err := decodeAddrs(f.payload)
 	if err != nil || len(addrs) != e.cfg.Size {
 		conn.Close()
 		if err == nil {
@@ -385,12 +397,12 @@ func (e *TCPEndpoint) acceptLoop() {
 // handleInbound reads the identifying HELLO and attaches the connection.
 func (e *TCPEndpoint) handleInbound(conn gonet.Conn) {
 	conn.SetReadDeadline(time.Now().Add(e.cfg.BootstrapTimeout))
-	payload, _, err := readFrame(conn, nil)
-	if err != nil || len(payload) == 0 || payload[0] != frameHello {
+	f, err := (&frameReader{r: conn}).next()
+	if err != nil || f.kind != frameHello {
 		conn.Close()
 		return
 	}
-	rank, addr, err := decodeHello(payload)
+	rank, addr, err := decodeHello(f.payload)
 	if err != nil || rank < 0 || rank >= e.cfg.Size || rank == e.cfg.Rank {
 		conn.Close()
 		return
@@ -427,41 +439,49 @@ func (e *TCPEndpoint) attach(rank int, addr string, conn gonet.Conn) {
 	go e.readLoop(p, conn)
 }
 
-// readLoop drains one connection until it dies, dispatching frames.
+// readLoop drains one connection until it dies, dispatching frames. A data
+// frame's words are read straight into a buffer of e.words (frameReader).
+// It never writes: a reader blocked on a write would stop draining its
+// socket, and two such ranks would wait on each other; an ACK it owes is
+// written by the heartbeat goroutine (ackSoon).
 func (e *TCPEndpoint) readLoop(p *tcpPeer, conn gonet.Conn) {
-	var buf []byte
+	fr := frameReader{r: conn, words: &e.words}
 	for {
 		conn.SetReadDeadline(time.Now().Add(e.cfg.PeerTimeout))
-		payload, nbuf, err := readFrame(conn, buf)
-		buf = nbuf
+		f, err := fr.next()
 		if err != nil {
 			conn.Close()
-			e.connLost(p, conn, err)
+			if errors.As(err, new(corruptFrame)) {
+				e.peerFailed(p.rank, fmt.Errorf("net: corrupt stream from rank %d: %w", p.rank, err))
+			} else {
+				e.connLost(p, conn, err)
+			}
 			return
 		}
-		e.noteRx(4 + len(payload))
+		e.noteRx(f.size)
 		var derr error
-		switch payload[0] {
+		switch f.kind {
 		case frameData:
-			var seq uint64
-			var m Message
-			if seq, m, derr = decodeData(payload, &e.words); derr == nil && !e.deliver(p, seq, m) {
+			if !e.deliver(p, f.wireSeq, f.msg) {
 				return // world stopped while the inbox was full
 			}
 		case frameHeartbeat:
 			// Nothing to do: the next loop iteration renews the deadline.
 		case frameAck:
 			var upto uint64
-			if upto, derr = decodeAck(payload); derr == nil {
+			if upto, derr = decodeAck(f.payload); derr == nil {
 				derr = e.acked(p, upto)
 			}
 		case frameFail:
-			rank, cause, derr := decodeFail(payload)
+			rank, cause, derr := decodeFail(f.payload)
 			if derr == nil {
-				e.peerFailed(rank, fmt.Errorf("net: rank %d reported failed: %s", rank, cause))
+				// A relayed FAIL frame carries the relay's own report of
+				// the failure: name the report once.
+				report := fmt.Sprintf("net: rank %d reported failed: ", rank)
+				e.peerFailed(rank, errors.New(report+strings.TrimPrefix(cause, report)))
 			}
 		case frameBye:
-			if rank, derr := decodeBye(payload); derr == nil && rank == p.rank {
+			if rank, derr := decodeBye(f.payload); derr == nil && rank == p.rank {
 				p.departed.Store(true)
 			}
 		default:
@@ -497,32 +517,49 @@ func (e *TCPEndpoint) acked(p *tcpPeer, upto uint64) error {
 }
 
 // deliver releases data frames to the inbox in wire-sequence order,
-// discarding duplicates from resends after a reconnect. Returns false if
-// the world stopped while blocked on a full inbox.
+// discarding duplicates from resends after a reconnect. Every ackEveryBytes
+// released it asks for a prompt ACK. Returns false if the world stopped
+// while blocked on a full inbox.
 func (e *TCPEndpoint) deliver(p *tcpPeer, seq uint64, m Message) bool {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	if seq < p.wireIn {
+	if seq < p.wireIn.Load() {
 		e.words.put(m.Data)
 		return true // duplicate of an already released frame
 	}
 	if len(p.pending) >= maxPendingFrames {
-		e.peerFailed(p.rank, fmt.Errorf("net: rank %d reorder buffer overflow (seq %d, expecting %d)", p.rank, seq, p.wireIn))
+		e.peerFailed(p.rank, fmt.Errorf("net: rank %d reorder buffer overflow (seq %d, expecting %d)", p.rank, seq, p.wireIn.Load()))
 		return false
 	}
 	p.pending[seq] = m
 	for {
-		next, ok := p.pending[p.wireIn]
+		in := p.wireIn.Load()
+		next, ok := p.pending[in]
 		if !ok {
 			return true
 		}
-		delete(p.pending, p.wireIn)
-		p.wireIn++
+		delete(p.pending, in)
 		select {
 		case p.inbox <- next:
 		case <-e.stopCh:
 			return false
 		}
+		p.wireIn.Store(in + 1)
+		if p.released += dataFrameLen(len(next.Data)); p.released >= ackEveryBytes {
+			p.released = 0
+			e.ackSoon(p)
+		}
+	}
+}
+
+// ackSoon has the heartbeat goroutine ACK p's stream now. The read loop
+// that calls it must not write itself: it only raises the flag and wakes
+// the writer through a one-slot channel.
+func (e *TCPEndpoint) ackSoon(p *tcpPeer) {
+	p.ackDue.Store(true)
+	select {
+	case e.ackWake <- struct{}{}:
+	default:
 	}
 }
 
@@ -639,7 +676,7 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 			return fmt.Errorf("net: rank %d already declared failed", to)
 		}
 		if p.conn == nil {
-			if _, err := e.redialLocked(p, &backoff); err != nil {
+			if err := e.redialLocked(p, &backoff); err != nil {
 				lastErr = err
 				continue
 			}
@@ -680,29 +717,33 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 	return err
 }
 
-// redialLocked re-establishes p's connection (single attempt with the
-// caller's evolving backoff); the caller holds p.mu.
-func (e *TCPEndpoint) redialLocked(p *tcpPeer, backoff *time.Duration) (gonet.Conn, error) {
+// redialLocked re-establishes p's connection with a single attempt: dial,
+// hello, replay of the queue, a new reader. A failed dial sleeps the
+// caller's evolving backoff, if it has one (nil: the heartbeat's heal, which
+// tries again next tick). The caller holds p.mu.
+func (e *TCPEndpoint) redialLocked(p *tcpPeer, backoff *time.Duration) error {
 	if p.addr == "" {
-		return nil, fmt.Errorf("net: no known address for rank %d", p.rank)
+		return fmt.Errorf("net: no known address for rank %d", p.rank)
 	}
 	conn, err := gonet.DialTimeout(e.cfg.Network, p.addr, e.cfg.DialTimeout)
 	if err != nil {
 		e.noteDialRetry()
-		sleep := *backoff + time.Duration(rand.Int63n(int64(*backoff)))
-		if *backoff < time.Second {
-			*backoff *= 2
+		if backoff != nil {
+			sleep := *backoff + time.Duration(rand.Int63n(int64(*backoff)))
+			if *backoff < time.Second {
+				*backoff *= 2
+			}
+			select {
+			case <-time.After(sleep):
+			case <-e.stopCh:
+			}
 		}
-		select {
-		case <-time.After(sleep):
-		case <-e.stopCh:
-		}
-		return nil, err
+		return err
 	}
 	conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
 	if _, err := conn.Write(encodeHello(e.cfg.Rank, e.ownAddr())); err != nil {
 		conn.Close()
-		return nil, err
+		return err
 	}
 	p.conn = conn
 	if p.grace != nil {
@@ -712,12 +753,12 @@ func (e *TCPEndpoint) redialLocked(p *tcpPeer, backoff *time.Duration) (gonet.Co
 	if err := e.retransmitLocked(p); err != nil {
 		conn.Close()
 		p.conn = nil
-		return nil, err
+		return err
 	}
 	e.reconnects.Add(1)
 	e.event(codeReconnect, int64(p.rank))
 	go e.readLoop(p, conn)
-	return conn, nil
+	return nil
 }
 
 // retransmitLocked replays every unacknowledged data frame in wire-
@@ -766,19 +807,24 @@ func (e *TCPEndpoint) writeControl(p *tcpPeer, frame []byte) error {
 }
 
 // heartbeatLoop beacons liveness to every peer and heals idle dropped
-// connections with a single redial attempt per tick.
+// connections with a single redial attempt per tick. Between ticks it
+// writes the prompt ACKs the read loops ask for (ackSoon).
 func (e *TCPEndpoint) heartbeatLoop() {
 	// Beacon = heartbeat + cumulative ACK of what this side has released
-	// from the peer's stream, pruning its replay queue; one buffer, the
-	// ACK's count rewritten per peer per tick.
+	// from the peer's stream, pruning its replay queue; a prompt ACK is the
+	// beacon's tail alone. One buffer, the count rewritten per peer.
 	beacon := append(encodeHeartbeat(), encodeAck(0)...)
+	ack := beacon[len(beacon)-len(encodeAck(0)):]
 	t := time.NewTicker(e.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {
+		tick := false
 		select {
 		case <-e.stopCh:
 			return
 		case <-t.C:
+			tick = true
+		case <-e.ackWake:
 		}
 		if e.down.Load() || e.bye.Load() {
 			return
@@ -787,44 +833,36 @@ func (e *TCPEndpoint) heartbeatLoop() {
 			if p.rank == e.cfg.Rank || p.departed.Load() || p.failed.Load() {
 				continue
 			}
-			p.rmu.Lock()
-			binary.LittleEndian.PutUint64(beacon[len(beacon)-8:], p.wireIn)
-			p.rmu.Unlock()
-			p.mu.Lock()
-			if p.conn != nil {
-				p.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-				if _, err := p.conn.Write(beacon); err != nil {
-					p.conn.Close()
-					p.conn = nil
-				} else {
-					e.noteTx(len(beacon))
-				}
-			} else if p.addr != "" && !e.bye.Load() {
-				if conn, err := gonet.DialTimeout(e.cfg.Network, p.addr, e.cfg.DialTimeout); err == nil {
-					conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
-					if _, werr := conn.Write(encodeHello(e.cfg.Rank, e.ownAddr())); werr == nil {
-						p.conn = conn
-						if p.grace != nil {
-							p.grace.Stop()
-							p.grace = nil
-						}
-						if rerr := e.retransmitLocked(p); rerr != nil {
-							conn.Close()
-							p.conn = nil
-						} else {
-							e.reconnects.Add(1)
-							e.event(codeReconnect, int64(p.rank))
-							go e.readLoop(p, conn)
-						}
-					} else {
-						conn.Close()
-					}
-				} else {
-					e.noteDialRetry()
-				}
+			if due := p.ackDue.Swap(false); !due && !tick {
+				continue
 			}
-			p.mu.Unlock()
+			binary.LittleEndian.PutUint64(beacon[len(beacon)-8:], p.wireIn.Load())
+			if tick {
+				e.beat(p, beacon, true)
+			} else {
+				e.beat(p, ack, false)
+			}
 		}
+	}
+}
+
+// beat writes a beacon or a prompt ACK to p. A beacon also heals a dropped
+// connection with one redial attempt.
+func (e *TCPEndpoint) beat(p *tcpPeer, frame []byte, heal bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == nil {
+		if heal && !e.bye.Load() {
+			e.redialLocked(p, nil)
+		}
+		return
+	}
+	p.conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
+	if _, err := p.conn.Write(frame); err != nil {
+		p.conn.Close()
+		p.conn = nil
+	} else {
+		e.noteTx(len(frame))
 	}
 }
 

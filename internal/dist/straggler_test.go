@@ -3,9 +3,11 @@ package dist
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,16 +183,11 @@ func TestCrashWritesFlightDump(t *testing.T) {
 	}
 }
 
-// TestNetCrashSurvivorDumpsNameSuperstep: over a loopback TCP world, where
-// each rank's World holds only its own counters, every process's
-// rank-failure dump — the victim's and each survivor's — names the crashed
-// rank and a superstep the run actually reached.
-func TestNetCrashSurvivorDumpsNameSuperstep(t *testing.T) {
-	dir := t.TempDir()
-	prev := flight.SetDumpDir(dir)
-	defer flight.SetDumpDir(prev)
-
-	const p, victim, crashRound = 3, 1, 3
+// netCrashRun runs p ranks over loopback TCP endpoints, each its own
+// NetWorld with its own injector, through six allreduces with rank victim
+// crashing at round crashRound, and returns every rank's error.
+func netCrashRun(t *testing.T, p, victim int, crashRound int64) []error {
+	t.Helper()
 	spec := faults.Spec{Clauses: []faults.Clause{{Kind: faults.Crash, Rank: victim, Round: crashRound}}}
 	eps := dialTCPWorld(t, p)
 	errs := make([]error, p)
@@ -219,6 +216,41 @@ func TestNetCrashSurvivorDumpsNameSuperstep(t *testing.T) {
 			t.Fatalf("rank %d: %v, want ErrRankFailed", r, err)
 		}
 	}
+	return errs
+}
+
+// TestNetCrashSurvivorErrorNamesSentinelOnce: over loopback TCP, a
+// survivor's error names the sentinel once — not once more for the FAIL
+// frame's text, the endpoint's handler and the survivor's unwind — reports
+// a FAIL frame at most once, relayed or not, and still names the crashed
+// rank and the injected cause.
+func TestNetCrashSurvivorErrorNamesSentinelOnce(t *testing.T) {
+	const p, victim = 3, 1
+	for r, err := range netCrashRun(t, p, victim, 3) {
+		msg := err.Error()
+		if n := strings.Count(msg, "rank failed"); n != 1 {
+			t.Errorf("rank %d: %q names the sentinel %d times, want once", r, msg, n)
+		}
+		if n := strings.Count(msg, "reported failed"); n > 1 {
+			t.Errorf("rank %d: %q reports the FAIL frame %d times, want at most once", r, msg, n)
+		}
+		if !strings.Contains(msg, fmt.Sprintf("rank %d", victim)) || !strings.Contains(msg, "injected crash") {
+			t.Errorf("rank %d: %q does not name rank %d and the injected crash", r, msg, victim)
+		}
+	}
+}
+
+// TestNetCrashSurvivorDumpsNameSuperstep: over a loopback TCP world, where
+// each rank's World holds only its own counters, every process's
+// rank-failure dump — the victim's and each survivor's — names the crashed
+// rank and a superstep the run actually reached.
+func TestNetCrashSurvivorDumpsNameSuperstep(t *testing.T) {
+	dir := t.TempDir()
+	prev := flight.SetDumpDir(dir)
+	defer flight.SetDumpDir(prev)
+
+	const p, victim = 3, 1
+	netCrashRun(t, p, victim, 3)
 
 	// A survivor may unwind before its failure handler has finished the
 	// dump, so wait for one readable dump per rank.

@@ -58,7 +58,10 @@ type GlobalEngine struct {
 }
 
 // NewGlobalEngine builds the engine on communicator c. The adjacency matrix
-// a is passed replicated: in a production deployment each rank would
+// a is passed replicated and unpreprocessed — shared read-only by the ranks
+// of one process — and each rank cuts its own block from it with the
+// model's preprocessing applied inside the block (graph.Block), so no rank
+// copies the whole graph. In a production deployment each rank would
 // generate or load only its block (as the paper's artifact does with the
 // distributed Kronecker generator); replicating it here is a setup-time
 // convenience that does not touch the measured per-layer communication.
@@ -71,13 +74,12 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("distgnn: adjacency must be square")
 	}
-	a = cfg.Preprocess(a)
 	n := a.Rows
 	npad := graph.PadTo(n, s)
 	b := npad / s
 	e := gridPosition(c, s)
 	e.B, e.N, e.NPad = b, n, npad
-	e.ABlk = graph.Block2D(a, e.GridRow, e.GridCol, b)
+	e.ABlk = graph.Block(a, cfg.Prep(), e.GridRow*b, e.GridCol*b, b, b)
 	e.Cfg = cfg
 	// Replicated parameters: every rank seeds the same RNG, so weights are
 	// bit-identical without any broadcast (the paper replicates W and a

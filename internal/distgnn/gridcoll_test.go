@@ -153,8 +153,9 @@ func (w *gridWorld) close() {
 }
 
 // warm runs steps until the recycled buffers cover a step's working set —
-// for TCP, the frames a heartbeat's ACK holds back, as many as the steps
-// written before the beacon lands: until a window of steps spanning a few
+// for TCP, the frames still waiting for their ACK: up to a megabyte of each
+// stream before the receiver's prompt ACK, and what is left below that
+// until its next beacon. So it warms until a window of steps spanning a few
 // heartbeat periods allocates nothing, for at most twenty seconds.
 func (w *gridWorld) warm(tb testing.TB) {
 	const window = 250 * time.Millisecond // 2.5 default heartbeat periods
@@ -211,10 +212,10 @@ func BenchmarkGridCollectives(b *testing.B) {
 // the diagonal block, the gradient allreduce and an Adam step — allocates
 // nothing on any rank, over channels and over TCP. The 2×2 GAT's blocks
 // hold 512 vertices, so the loss's sweep fans out to the worker pool. A TCP
-// run allocates when a late heartbeat leaves more frames waiting for their
-// ACK than ever before: the replay window still growing to its peak, not
-// per-step garbage, so it warms again, at most three times; garbage would
-// show in every run.
+// run allocates when a late ACK leaves more frames waiting for it than ever
+// before: the replay window still growing to its peak, not per-step
+// garbage, so it warms again, at most three times; garbage would show in
+// every run.
 func TestGridTrainStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")

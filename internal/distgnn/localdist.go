@@ -43,7 +43,7 @@ func NewLocalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*LocalEngine, 
 	if cfg.DType != tensor.F64 {
 		return nil, fmt.Errorf("distgnn: the local-formulation baseline requires f64 (got DType=%s)", cfg.DType)
 	}
-	a = cfg.Preprocess(a)
+	a = cfg.Prep().Apply(a)
 	p := c.Size()
 	part := graph.Partition1D(a.Rows, p)
 	lo, hi := part.Range(c.Rank())

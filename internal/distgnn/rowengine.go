@@ -49,19 +49,11 @@ func NewRowEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*RowEngine, erro
 	if err != nil {
 		return nil, err
 	}
-	a = cfg.Preprocess(a)
 	part := graph.Partition1D(a.Rows, c.Size())
 	lo, hi := part.Range(c.Rank())
 	e := &RowEngine{C: c, Part: part, Lo: lo, Hi: hi, cfg: cfg}
-
-	// Slice the owned row block (columns stay global).
-	coo := sparse.NewCOO(hi-lo, a.Cols, int(a.RowPtr[hi]-a.RowPtr[lo]))
-	for i := lo; i < hi; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			coo.AppendVal(int32(i-lo), a.Col[p], a.Val[p])
-		}
-	}
-	e.aRows = sparse.FromCOO(coo)
+	// The owned row block, preprocessed; columns stay global.
+	e.aRows = graph.Block(a, cfg.Prep(), lo, 0, hi-lo, a.Cols)
 
 	in := cfg.InDim
 	for _, layer := range model.Layers {

@@ -344,7 +344,7 @@ func conformPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.ReleasePlans()
-		pre := cfg.Preprocess(a)
+		pre := cfg.Prep().Apply(a)
 		h := randDense(rand.New(rand.NewSource(65)), a.Rows, k)
 		gz := randDense(rand.New(rand.NewSource(66)), a.Rows, cfg.OutDim)
 		var graphs []*fuse.Graph

@@ -116,31 +116,32 @@ func NewLayer(kind Kind, a *sparse.CSR, in, out int, act Activation, negSlope fl
 	return nil, fmt.Errorf("gnn: unknown model kind %v", kind)
 }
 
-// Preprocess applies the model's adjacency convention: symmetric
-// normalization (self loops included) for GCN, self loops for the others
-// when SelfLoops is set.
-func (c Config) Preprocess(a *sparse.CSR) *sparse.CSR {
+// Prep is the model's adjacency convention: symmetric normalization (self
+// loops included) for GCN, self loops for the others when SelfLoops is set.
+// A single node applies it to the whole graph (Prep.Apply); a distributed
+// engine cuts its block with it (graph.Block).
+func (c Config) Prep() graph.Prep {
 	switch {
 	case c.Model == GCN:
-		return graph.NormalizeGCN(a)
+		return graph.PrepGCN
 	case c.SelfLoops:
-		return graph.AddSelfLoops(a)
+		return graph.PrepSelfLoops
 	}
-	return a
+	return graph.PrepNone
 }
 
 // New builds a model of cfg.Model on adjacency a, preprocessed per model
-// convention (Config.Preprocess).
+// convention (Config.Prep).
 func New(cfg Config, a *sparse.CSR) (*Model, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("gnn: adjacency matrix must be square, got %d×%d", a.Rows, a.Cols)
 	}
-	return NewBound(cfg, cfg.Preprocess(a), nil)
+	return NewBound(cfg, cfg.Prep().Apply(a), nil)
 }
 
 // NewBound builds cfg's layer stack — the one place that turns a Config into
 // layers, so every engine draws the same parameters from cfg.Seed in the same
-// order — bound to a exactly as given: a already carries cfg.Preprocess. With
+// order — bound to a exactly as given: a already carries cfg.Prep. With
 // a grid, a is this rank's stationary block of it (planned.Grid). A nil a
 // yields unbound definitions for an engine that lowers the layers' DAGs onto
 // its own graph.

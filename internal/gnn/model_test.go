@@ -29,7 +29,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{Model: VA, InDim: 0, HiddenDim: 2, OutDim: 2, Layers: 1}, a); err == nil {
 		t.Fatal("zero InDim accepted")
 	}
-	rect := graph.Block2D(a, 0, 0, 3)
+	rect := graph.Block(a, graph.PrepNone, 0, 0, 3, 3)
 	rect.Cols = 5 // force non-square
 	if _, err := New(Config{Model: VA, InDim: 2, Layers: 1}, rect); err == nil {
 		t.Fatal("non-square adjacency accepted")

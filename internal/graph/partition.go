@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"agnn/internal/par"
 	"agnn/internal/sparse"
 )
 
@@ -67,28 +69,139 @@ func PadTo(n, b int) int {
 	return (n + b - 1) / b * b
 }
 
-// Block2D extracts the dense-grid block (bi, bj) of a as a standalone CSR
-// of size bs×bs, padding with empty rows/columns beyond a's bounds. Block
-// (bi, bj) covers global rows [bi·bs, (bi+1)·bs) and columns
-// [bj·bs, (bj+1)·bs). This realizes the 2D distribution of the adjacency
-// matrix over the process grid.
-func Block2D(a *sparse.CSR, bi, bj, bs int) *sparse.CSR {
-	coo := sparse.NewCOO(bs, bs, a.NNZ()/((a.Rows/bs)+1)+1)
-	rLo, rHi := bi*bs, (bi+1)*bs
-	cLo, cHi := bj*bs, (bj+1)*bs
-	if rLo >= a.Rows {
-		return sparse.FromCOO(coo)
+// Prep is a model's preprocessing of its adjacency matrix (the choice
+// gnn.Config.Prep makes): none, Â = A + I with unit values
+// (AddSelfLoops), or GCN's D̂^{-½}·Â·D̂^{-½} (NormalizeGCN).
+type Prep uint8
+
+const (
+	PrepNone Prep = iota
+	PrepSelfLoops
+	PrepGCN
+)
+
+// Apply returns p applied to the whole of a.
+func (p Prep) Apply(a *sparse.CSR) *sparse.CSR {
+	switch p {
+	case PrepSelfLoops:
+		return AddSelfLoops(a)
+	case PrepGCN:
+		return NormalizeGCN(a)
 	}
-	if rHi > a.Rows {
-		rHi = a.Rows
+	return a
+}
+
+// Block cuts the rows×cols block of p.Apply(a) whose corner is global
+// (r0, c0) straight from a, bit for bit what cutting p.Apply(a) gives, with
+// no copy of the whole graph: the 2D distribution's stationary block
+// A_ij (r0 = i·bs, c0 = j·bs, bs×bs) or the 1D row block (c0 = 0, all
+// columns). Rows and columns past a's bounds are empty padding. a's rows
+// must be sorted (the CSR convention). Each row's column range is two
+// binary searches; the preprocessing is applied inside the block: the
+// diagonal entry merged in on the real rows it crosses, unit values, and
+// GCN's D̂^{-½} from the degrees of only the vertices the block touches.
+func Block(a *sparse.CSR, p Prep, r0, c0, rows, cols int) *sparse.CSR {
+	if p != PrepNone && a.Rows != a.Cols {
+		panic("graph: Block preprocesses a square matrix only")
 	}
-	for i := rLo; i < rHi; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := int(a.Col[p])
-			if j >= cLo && j < cHi {
-				coo.AppendVal(int32(i-rLo), int32(j-cLo), a.Val[p])
+	live := min(rows, max(a.Rows-r0, 0)) // block rows inside a
+	c1 := c0 + cols
+	// span returns the entries [lo, hi) of a's row i inside the block's
+	// columns, and whether the block adds the row's diagonal entry.
+	span := func(i int) (lo, hi int64, diag bool) {
+		start, row := a.RowPtr[i], a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
+		l, _ := slices.BinarySearch(row, int32(min(c0, a.Cols)))
+		h, _ := slices.BinarySearch(row, int32(min(c1, a.Cols)))
+		if p != PrepNone && c0 <= i && i < c1 {
+			_, has := slices.BinarySearch(row[l:h], int32(i))
+			diag = !has
+		}
+		return start + int64(l), start + int64(h), diag
+	}
+	out := &sparse.CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	for r := 0; r < rows; r++ {
+		out.RowPtr[r+1] = out.RowPtr[r]
+		if r < live {
+			lo, hi, diag := span(r0 + r)
+			out.RowPtr[r+1] += hi - lo
+			if diag {
+				out.RowPtr[r+1]++
 			}
 		}
 	}
-	return sparse.FromCOO(coo)
+	out.Col = make([]int32, out.RowPtr[rows])
+	out.Val = make([]float64, out.RowPtr[rows])
+	var rs, cs []float64 // GCN: D̂^{-½} of the block's rows and columns
+	if p == PrepGCN {
+		rs = invSqrtDegrees(a, r0, r0+live)
+		cs = invSqrtDegrees(a, min(c0, a.Rows), min(c1, a.Rows))
+	}
+	// value is entry (i, j) of p.Apply(a) for a's value v there, as
+	// AddSelfLoops and NormalizeGCN compute it.
+	value := func(i, j int, v float64) float64 {
+		if p == PrepNone {
+			return v
+		}
+		if i == j {
+			v++
+		}
+		if v != 0 {
+			v = 1
+		}
+		if p == PrepGCN {
+			v = v * rs[i-r0] * cs[j-c0]
+		}
+		return v
+	}
+	par.Range(live, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			i := r0 + r
+			plo, phi, diag := span(i)
+			q := out.RowPtr[r]
+			put := func(j int, v float64) {
+				out.Col[q], out.Val[q] = int32(j-c0), value(i, j, v)
+				q++
+			}
+			for k := plo; k < phi; k++ {
+				j := int(a.Col[k])
+				if diag && j > i {
+					put(i, 0) // the diagonal entry Â adds: 0 + 1
+					diag = false
+				}
+				put(j, a.Val[k])
+			}
+			if diag {
+				put(i, 0)
+			}
+		}
+	})
+	return out
+}
+
+// invSqrtDegrees returns 1/√d̂ for the vertices [lo, hi), d̂ being a
+// vertex's degree in A + I with unit values: its non-zero entries, the
+// diagonal counted as its value plus one (NormalizeGCN's row sums, exactly).
+func invSqrtDegrees(a *sparse.CSR, lo, hi int) []float64 {
+	out := make([]float64, max(hi-lo, 0))
+	par.Range(len(out), func(_, l, h int) {
+		for v := l; v < h; v++ {
+			i, d, diag := lo+v, 0, false
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				val := a.Val[k]
+				if int(a.Col[k]) == i {
+					val, diag = val+1, true
+				}
+				if val != 0 {
+					d++
+				}
+			}
+			if !diag {
+				d++
+			}
+			if d > 0 {
+				out[v] = 1 / math.Sqrt(float64(d))
+			}
+		}
+	})
+	return out
 }
