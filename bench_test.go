@@ -269,43 +269,35 @@ func BenchmarkVerifyTheory(b *testing.B)    { runFigure(b, benchutil.FigVerify(b
 
 // BenchmarkLayoutAblation compares the per-rank communication volume and
 // wall time of the 2D A-stationary grid (the paper's distribution) against
-// the no-replication 1D row layout, at p = 16.
+// the no-replication 1D row layout — the same engine on the p×1 grid — at
+// p = 16.
 func BenchmarkLayoutAblation(b *testing.B) {
 	n, k, p := 1<<12, 16, 16
 	a := graph.Kronecker(12, 8, 23)
 	h := benchDense(n, k, 24)
 	cfg := gnn.Config{Model: gnn.GAT, Layers: 3, InDim: k, HiddenDim: k,
 		OutDim: k, Activation: gnn.Tanh(), SelfLoops: true, Seed: 25}
-	b.Run("2d-grid", func(b *testing.B) {
-		var comm float64
-		for i := 0; i < b.N; i++ {
-			cs := dist.Run(p, func(c *dist.Comm) {
-				e, err := distgnn.NewGlobalEngine(c, a, cfg)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				e.Forward(e.SliceOwnedBlock(h), false)
-			})
-			comm += float64(dist.MaxCounters(cs).BytesSent)
-		}
-		b.ReportMetric(comm/float64(b.N), "commB/op")
-	})
-	b.Run("1d-rows", func(b *testing.B) {
-		var comm float64
-		for i := 0; i < b.N; i++ {
-			cs := dist.Run(p, func(c *dist.Comm) {
-				e, err := distgnn.NewRowEngine(c, a, cfg)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				e.Forward(h.SliceRows(e.Lo, e.Hi).Clone())
-			})
-			comm += float64(dist.MaxCounters(cs).BytesSent)
-		}
-		b.ReportMetric(comm/float64(b.N), "commB/op")
-	})
+	for _, layout := range []struct {
+		name      string
+		newEngine func(*dist.Comm, *sparse.CSR, gnn.Config) (*distgnn.GlobalEngine, error)
+	}{{"2d-grid", distgnn.NewGlobalEngine}, {"1d-rows", distgnn.NewRowGrid}} {
+		b.Run(layout.name, func(b *testing.B) {
+			var comm float64
+			for i := 0; i < b.N; i++ {
+				cs := dist.Run(p, func(c *dist.Comm) {
+					e, err := layout.newEngine(c, a, cfg)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					defer e.Close()
+					e.Forward(e.SliceOwnedBlock(h), false)
+				})
+				comm += float64(dist.MaxCounters(cs).BytesSent)
+			}
+			b.ReportMetric(comm/float64(b.N), "commB/op")
+		})
+	}
 }
 
 // BenchmarkMultiHeadGAT measures the K-head extension's forward pass.

@@ -31,9 +31,9 @@ import (
 type Engine string
 
 // Engines. EngineGlobal is the paper's global tensor formulation (the grid
-// engine when Ranks > 1); EngineRows is the 1D A-stationary row layout
-// (full feature allgather per layer, inference only — the replication-factor
-// ablation); EngineLocal is the message-passing baseline (full-batch; halo
+// engine when Ranks > 1); EngineRows is the 1D A-stationary row layout, the
+// same engine on the p×1 grid (a full feature allgather per layer — the
+// replication-factor ablation); EngineLocal is the message-passing baseline (full-batch; halo
 // exchange when distributed); EngineMiniBatch is the DistDGL-style
 // mini-batch baseline (training only).
 const (
@@ -230,10 +230,7 @@ func RunSpec(s Spec) (Result, error) {
 	case EngineGlobal:
 		res.PredictedWords = float64(s.Layers) * costmodel.GlobalVolume(st.N, s.Features, s.Ranks)
 	case EngineRows:
-		// Full feature allgather per layer: Θ(nk) words per rank.
-		if s.Ranks > 1 {
-			res.PredictedWords = float64(s.Layers) * float64(st.N) * float64(s.Features)
-		}
+		res.PredictedWords = float64(s.Layers) * costmodel.RowsVolume(st.N, s.Features, s.Ranks)
 	default:
 		res.PredictedWords = float64(s.Layers) * costmodel.LocalVolume(st.N, s.Features, st.MaxDeg, s.Ranks)
 	}
@@ -369,8 +366,12 @@ func runDistributed(s Spec, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labe
 // that runs one execution on it, with the engine's release.
 func newRankStep(s Spec, c *dist.Comm, cfg gnn.Config, a *sparse.CSR, h *tensor.Dense, labels []int) (step func() error, closeEngine func(), err error) {
 	switch s.Engine {
-	case EngineGlobal:
-		e, err := distgnn.NewGlobalEngine(c, a, cfg)
+	case EngineGlobal, EngineRows:
+		newEngine := distgnn.NewGlobalEngine
+		if s.Engine == EngineRows {
+			newEngine = distgnn.NewRowGrid
+		}
+		e, err := newEngine(c, a, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -382,19 +383,6 @@ func newRankStep(s Spec, c *dist.Comm, cfg gnn.Config, a *sparse.CSR, h *tensor.
 			} else {
 				e.TrainStep(xd, labels, nil, opt)
 			}
-			return nil
-		}, e.Close, nil
-	case EngineRows:
-		if !s.Inference {
-			return nil, nil, fmt.Errorf("benchutil: engine=rows is inference-only (pass -inference)")
-		}
-		e, err := distgnn.NewRowEngine(c, a, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		hOwned := h.SliceRows(e.Lo, e.Hi).Clone()
-		return func() error {
-			e.Forward(hOwned)
 			return nil
 		}, e.Close, nil
 	default: // EngineLocal, EngineMiniBatch: RunSpec admits no other

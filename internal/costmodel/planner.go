@@ -16,7 +16,7 @@ type Layout string
 const (
 	LayoutSingle  Layout = "single-node"    // p == 1
 	LayoutGrid2D  Layout = "global-2d-grid" // distgnn.GlobalEngine
-	LayoutRows1D  Layout = "global-1d-rows" // distgnn.RowEngine (no replication)
+	LayoutRows1D  Layout = "global-1d-rows" // the p×1 grid, distgnn.NewRowGrid (no replication)
 	LayoutLocal1D Layout = "local-1d-halo"  // distgnn.LocalEngine
 )
 
@@ -28,13 +28,16 @@ type Plan struct {
 	Alternatives   map[Layout]float64
 }
 
-// rowsVolume is the 1D A-stationary layout's per-layer volume: a full
-// feature allgather, Θ(nk) words per rank (ring algorithm ≈ nk).
-func rowsVolume(n, k, p int) float64 {
+// RowsVolume is the 1D A-stationary layout's per-layer volume, exactly as
+// the p×1 grid moves it: the ring allgather of one n×k feature crossing,
+// p−1 blocks of ⌈n/p⌉·k words sent per rank — Θ(nk) whatever p. A layer
+// whose column side reads a vector as well (GAT's v, AGNN's norms) gathers
+// (p−1)·⌈n/p⌉ words more per vector.
+func RowsVolume(n, k, p int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return float64(n) * float64(k)
+	return float64(p-1) * float64((n+p-1)/p) * float64(k)
 }
 
 // ChoosePlan picks the minimum-volume layout for an L-layer A-GNN on a
@@ -55,7 +58,7 @@ func ChoosePlan(n, k, d, p int) Plan {
 
 	alts := map[Layout]float64{
 		LayoutGrid2D:  GlobalVolume(n, k, pSquare),
-		LayoutRows1D:  rowsVolume(n, k, p),
+		LayoutRows1D:  RowsVolume(n, k, p),
 		LayoutLocal1D: LocalVolume(n, k, d, p),
 	}
 	best := LayoutGrid2D

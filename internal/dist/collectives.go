@@ -173,6 +173,24 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	return out
 }
 
+// AllgatherInto is Allgather in place over equal chunks: buf, as long on
+// every rank, splits among the group as Bcast splits it; this rank's chunk
+// holds its words, and afterwards every chunk holds its owner's. Unlike
+// Allgather it exchanges no lengths: the SPMD program sized buf.
+func (c *Comm) AllgatherInto(buf []float64) {
+	defer c.endCollective(c.beginCollective(collAllgather))
+	if c.Size() == 1 {
+		return
+	}
+	c.round()
+	c.ringAllgather(buf, split{n: len(buf), g: c.Size()})
+}
+
+// ReduceScatterInto sums the group's equal-length bufs in place: afterwards
+// this rank's chunk of buf (split as AllgatherInto splits it) holds the
+// group's sum, the other chunks partial sums.
+func (c *Comm) ReduceScatterInto(buf []float64) { c.reduceScatter(buf, OpSum) }
+
 // ReduceOp is a commutative, associative element-wise reduction operator.
 type ReduceOp func(a, b float64) float64
 

@@ -101,6 +101,19 @@ func TestAllgather(t *testing.T) {
 					idx++
 				}
 			}
+			// In place over equal chunks: rank r's chunk holds r.
+			const m = 3
+			buf := make([]float64, p*m)
+			for i := range m {
+				buf[c.Rank()*m+i] = float64(c.Rank())
+			}
+			c.AllgatherInto(buf)
+			for i, v := range buf {
+				if v != float64(i/m) {
+					t.Errorf("p=%d rank %d: in-place allgather[%d] = %v, want %d", p, c.Rank(), i, v, i/m)
+					return
+				}
+			}
 		})
 	}
 }
@@ -121,7 +134,7 @@ func TestReduceScatterAndAllreduce(t *testing.T) {
 				}
 			}
 			lo, hi := split{n: n, g: p}.chunk(c.Rank())
-			c.reduceScatter(data, OpSum) // in place: this rank's chunk holds the sum
+			c.ReduceScatterInto(data) // in place: this rank's chunk holds the sum
 			for i, v := range data[lo:hi] {
 				if math.Abs(v-wantAt(lo+i)) > 1e-12 {
 					t.Errorf("p=%d rank %d: rs[%d] = %v", p, c.Rank(), i, v)

@@ -35,7 +35,7 @@ import (
 )
 
 // Message is one point-to-point transfer: the payload words (float64, or
-// packed-f32 pairs from the row engine's packWords32 — the transport does
+// the packed float32 pairs of an f32 grid plan's copies — the transport does
 // not care) plus the causal header stamped by the sender.
 //
 // Data is borrowed, never handed over: Send reads the sender's words during

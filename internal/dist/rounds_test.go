@@ -38,7 +38,8 @@ func TestCollectiveRoundCounts(t *testing.T) {
 		{"barrier", func(c *Comm) { c.Barrier() }, 1},
 		{"bcast", func(c *Comm) { c.Bcast(seq(n, float64(c.Rank())), 0) }, 1},
 		{"allgather", func(c *Comm) { c.Allgather(seq(n, float64(c.Rank()))) }, 1},
-		{"reduce_scatter", func(c *Comm) { c.reduceScatter(seq(n, float64(c.Rank())), OpSum) }, 1},
+		{"allgather_into", func(c *Comm) { c.AllgatherInto(seq(n, float64(c.Rank()))) }, 1},
+		{"reduce_scatter", func(c *Comm) { c.ReduceScatterInto(seq(n, float64(c.Rank()))) }, 1},
 		{"allreduce", func(c *Comm) { c.Allreduce(seq(n, float64(c.Rank()))) }, 2},
 		{"reduce", func(c *Comm) { c.ReduceInto(seq(n, float64(c.Rank())), 0) }, 2},
 		{"gatherv", func(c *Comm) { c.Gatherv(seq(n, float64(c.Rank())), 0) }, 1},

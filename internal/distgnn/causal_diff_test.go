@@ -79,7 +79,7 @@ func TestCausalTracingTrainingBitwiseIdentical(t *testing.T) {
 }
 
 // TestCausalTracingRowForwardBitwiseIdentical extends the differential
-// guarantee to the row engine: the ring allgather with per-message causal
+// guarantee to the p×1 grid: its ring allgathers with per-message causal
 // stamps must gather bit-identical outputs with tracing on and off, at
 // p ∈ {4, 16}.
 func TestCausalTracingRowForwardBitwiseIdentical(t *testing.T) {
@@ -88,8 +88,8 @@ func TestCausalTracingRowForwardBitwiseIdentical(t *testing.T) {
 	cfg := testCfg(gnn.GAT, 2, 5, 6, 3)
 	for _, p := range []int{4, 16} {
 		var want, got *tensor.Dense
-		withoutCausalTracing(t, func() { want = runRowEngine(t, p, a, cfg, h) })
-		withCausalTracing(t, func() { got = runRowEngine(t, p, a, cfg, h) })
+		withoutCausalTracing(t, func() { want = runRowGrid(t, p, a, cfg, h) })
+		withCausalTracing(t, func() { got = runRowGrid(t, p, a, cfg, h) })
 		if want == nil || got == nil {
 			t.Fatalf("p=%d: missing gathered output", p)
 		}

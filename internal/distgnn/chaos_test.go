@@ -18,7 +18,7 @@ import (
 // TestChaosFromEnv is the CI chaos-matrix entry point: the workflow sets
 //
 //	AGNN_CHAOS_FAULTS  fault spec (docs/ROBUSTNESS.md grammar)
-//	AGNN_CHAOS_ENGINE  "grid" (resilient training) or "rows" (row-engine inference)
+//	AGNN_CHAOS_ENGINE  "grid" (resilient training) or "rows" (p×1 grid inference)
 //	AGNN_CHAOS_SEED    injector seed (optional, default 1)
 //
 // and runs this test under -race. Locally it skips unless the variables are
@@ -87,12 +87,12 @@ func chaosGrid(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool)
 	assertBitwiseEqual(t, "chaos-grid", finalWeights(t, res), finalWeights(t, clean))
 }
 
-// chaosRows runs the 1D row engine's inference under the spec.
-// There is no checkpoint loop here, so a crash must surface as a clean
+// chaosRows runs the p×1 grid's inference — the 1D row layout — under the
+// spec. There is no checkpoint loop here, so a crash must surface as a clean
 // all-rank ErrRankFailed abort; transient faults must leave the gathered
-// output bitwise identical to the fault-free run. A forward is one round
-// per layer (the blocking allgather), so the engine runs forwards
-// enough to cross the matrix's crash round.
+// output bitwise identical to the fault-free run. A forward is two rounds
+// per AGNN layer (the gathers of H and of its row norms), so the engine
+// runs forwards enough to cross the matrix's crash round.
 func chaosRows(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool) {
 	const n, forwards = 64, 8
 	a := graph.Kronecker(6, 8, 91)
@@ -104,16 +104,17 @@ func chaosRows(t *testing.T, spec faults.Spec, seed int64, p int, hasCrash bool)
 		var mu sync.Mutex
 		opts := dist.Options{Faults: inj, RecvTimeout: 10 * time.Second}
 		_, errs, err := dist.TryRun(p, opts, func(c *dist.Comm) error {
-			e, err := NewRowEngine(c, a, cfg)
+			e, err := NewRowGrid(c, a, cfg)
 			if err != nil {
 				return err
 			}
-			x := h.SliceRows(e.Lo, e.Hi).Clone()
+			defer e.Close()
+			x := e.SliceOwnedBlock(h)
 			var o *tensor.Dense
 			for i := 0; i < forwards; i++ {
-				o = e.Forward(x)
+				o = e.Forward(x, false)
 			}
-			if full := e.GatherOutput(o); full != nil {
+			if full := e.GatherOutput(o, cfg.OutDim); full != nil {
 				mu.Lock()
 				out = full
 				mu.Unlock()

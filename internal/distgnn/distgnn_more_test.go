@@ -245,8 +245,8 @@ func TestSliceOwnedBlockPadding(t *testing.T) {
 			}
 			return
 		}
-		if blk.Rows != e.B {
-			t.Errorf("block rows %d != B %d", blk.Rows, e.B)
+		if blk.Rows != e.BR {
+			t.Errorf("block rows %d != BR %d", blk.Rows, e.BR)
 		}
 		lo, hi := e.OwnedRange()
 		for r := lo; r < hi; r++ {
@@ -254,7 +254,7 @@ func TestSliceOwnedBlockPadding(t *testing.T) {
 				t.Error("owned block content wrong")
 			}
 		}
-		for r := hi - lo; r < e.B; r++ {
+		for r := hi - lo; r < e.BR; r++ {
 			if blk.At(r, 0) != 0 {
 				t.Error("padding rows must be zero")
 			}

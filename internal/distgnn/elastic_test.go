@@ -158,8 +158,7 @@ func TestCrossEngineCheckpointRestore(t *testing.T) {
 
 // TestSurvivorsNameFailedRank (satellite): when rank k crashes mid-
 // collective, every survivor's error wraps dist.ErrRankFailed and names
-// rank k — for both the 2D grid training engine and the 1D rows inference
-// engine.
+// rank k — for both the 2D grid's training and the p×1 grid's inference.
 func TestSurvivorsNameFailedRank(t *testing.T) {
 	const p = 4
 	spec := resilientSpec(t, p, 3)
@@ -182,13 +181,14 @@ func TestSurvivorsNameFailedRank(t *testing.T) {
 			return nil
 		}},
 		{"rows", 1, func(c *dist.Comm) error {
-			e, err := NewRowEngine(c, spec.A, spec.Cfg)
+			e, err := NewRowGrid(c, spec.A, spec.Cfg)
 			if err != nil {
 				return err
 			}
-			x := spec.X.SliceRows(e.Lo, e.Hi).Clone()
+			defer e.Close()
+			x := e.SliceOwnedBlock(spec.X)
 			for i := 0; i < 8; i++ {
-				e.Forward(x)
+				e.Forward(x, false)
 			}
 			return nil
 		}},

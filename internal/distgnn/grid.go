@@ -7,7 +7,10 @@
 //     √p × √p stationary blocks on a 2D process grid; feature blocks are
 //     broadcast along grid columns, partial sums are reduced along grid
 //     rows, and softmax row statistics travel as length-n/√p vectors. Per
-//     layer, every rank sends O(nk/√p + k²) words.
+//     layer, every rank sends O(nk/√p + k²) words. The same engine on the
+//     p×1 grid (NewRowGrid) is the 1D row layout, the family's other end:
+//     rank i keeps the row block A_i*, and every layer gathers the whole
+//     feature matrix, Θ(nk) words per rank whatever p.
 //
 //   - LocalEngine — the DistDGL-like local-formulation baseline: a 1D
 //     vertex partition where each rank pulls the feature rows of all remote
@@ -36,15 +39,15 @@ import (
 // plan ops (fuse/grid.go), so the engine itself holds no model arithmetic.
 type GlobalEngine struct {
 	C        *dist.Comm
-	S        int // grid side √p
-	B        int // block size npad/S
+	PR, PC   int // grid rows × columns: √p×√p, or p×1
+	BR, BC   int // block rows npad/PR (a feature block's) × columns npad/PC
 	N, NPad  int
 	GridRow  int        // i of this rank = (i, j)
 	GridCol  int        // j
 	Row, Col *dist.Comm // row and column sub-communicators
-	Diag     bool       // i == j: owns feature block GridRow
+	Diag     bool       // the diagonal of grid row i: owns feature block GridRow
 
-	ABlk  *sparse.CSR // stationary block A_{ij}, B×B
+	ABlk  *sparse.CSR // stationary block A_{ij}, BR×BC
 	Cfg   gnn.Config
 	model *gnn.Model
 
@@ -66,24 +69,38 @@ type GlobalEngine struct {
 // distributed Kronecker generator); replicating it here is a setup-time
 // convenience that does not touch the measured per-layer communication.
 func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine, error) {
-	cfg = cfg.Defaults()
 	s, err := graph.SquareGrid(c.Size())
 	if err != nil {
 		return nil, err
 	}
+	return newGrid(c, a, cfg, s, s)
+}
+
+// NewRowGrid builds the engine on the p×1 grid, the 1D row layout: rank i
+// keeps row block i of the adjacency over all its columns, and every layer
+// gathers each column-side operand whole (fuse/grid.go). It runs the square
+// grid's DAGs, training included, at Θ(nk) words per rank and layer
+// whatever p.
+func NewRowGrid(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine, error) {
+	return newGrid(c, a, cfg, c.Size(), 1)
+}
+
+// newGrid builds the engine on a pr×pc grid, √p×√p or p×1.
+func newGrid(c *dist.Comm, a *sparse.CSR, cfg gnn.Config, pr, pc int) (*GlobalEngine, error) {
+	cfg = cfg.Defaults()
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("distgnn: adjacency must be square")
 	}
 	n := a.Rows
-	npad := graph.PadTo(n, s)
-	b := npad / s
-	e := gridPosition(c, s)
-	e.B, e.N, e.NPad = b, n, npad
-	e.ABlk = graph.Block(a, cfg.Prep(), e.GridRow*b, e.GridCol*b, b, b)
+	npad := graph.PadTo(n, pr)
+	e := gridPosition(c, pr, pc)
+	e.BR, e.BC, e.N, e.NPad = npad/pr, npad/pc, n, npad
+	e.ABlk = graph.Block(a, cfg.Prep(), e.GridRow*e.BR, e.GridCol*e.BC, e.BR, e.BC)
 	e.Cfg = cfg
 	// Replicated parameters: every rank seeds the same RNG, so weights are
 	// bit-identical without any broadcast (the paper replicates W and a
 	// across all processes).
+	var err error
 	if e.model, err = gnn.NewBound(cfg, e.ABlk, &blockGrid{e}); err != nil {
 		return nil, err
 	}
@@ -95,17 +112,20 @@ func NewGlobalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*GlobalEngine
 	return e, nil
 }
 
-// gridPosition places world rank c at (i, j) of an s×s grid and derives its
-// row and column communicators.
-func gridPosition(c *dist.Comm, s int) *GlobalEngine {
-	i, j := c.Rank()/s, c.Rank()%s
-	rowRanks := make([]int, s)
-	colRanks := make([]int, s)
-	for t := 0; t < s; t++ {
-		rowRanks[t] = i*s + t
-		colRanks[t] = t*s + j
+// gridPosition places world rank c at (i, j) of a pr×pc grid, row-major,
+// and derives its row and column communicators. Row i's diagonal is (i, i),
+// or on the p×1 grid its one rank.
+func gridPosition(c *dist.Comm, pr, pc int) *GlobalEngine {
+	i, j := c.Rank()/pc, c.Rank()%pc
+	rowRanks := make([]int, pc)
+	colRanks := make([]int, pr)
+	for t := range rowRanks {
+		rowRanks[t] = i*pc + t
 	}
-	return &GlobalEngine{C: c, S: s, GridRow: i, GridCol: j, Diag: i == j,
+	for t := range colRanks {
+		colRanks[t] = t*pc + j
+	}
+	return &GlobalEngine{C: c, PR: pr, PC: pc, GridRow: i, GridCol: j, Diag: i == j || pc == 1,
 		Row: c.Group(rowRanks), Col: c.Group(colRanks)}
 }
 
@@ -116,33 +136,48 @@ func gridPosition(c *dist.Comm, s int) *GlobalEngine {
 func (e *GlobalEngine) Close() { e.model.ReleasePlans() }
 
 // blockGrid is fuse.Grid over the engine's row and column communicators:
-// everything a lowered layer plan sends. Every broadcast and reduce moves
-// O(B·k) = O(nk/√p) words per rank, the softmax statistics B; parameter
-// gradients contribute the +k² term via AllreduceGrads.
+// everything a lowered layer plan sends. On the square grid every broadcast
+// and reduce moves O(B·k) = O(nk/√p) words per rank, the softmax statistics
+// B; on the p×1 grid the column's gathers and reduce-scatters (p−1)·B·k;
+// parameter gradients contribute the +k² term via AllreduceGrads.
 type blockGrid struct{ e *GlobalEngine }
 
 func (g *blockGrid) Diag() bool { return g.e.Diag }
 
-// along returns the communicator of an axis and the diagonal rank's index in
-// it: rank (i, i) is column i of row i and row j of column j.
-func (g *blockGrid) along(ax fuse.Axis) (*dist.Comm, int) {
+func (g *blockGrid) Along(ax fuse.Axis) (int, int) {
 	if ax == fuse.AlongRow {
-		return g.e.Row, g.e.GridRow
+		return g.e.GridCol, g.e.PC
 	}
-	return g.e.Col, g.e.GridCol
+	return g.e.GridRow, g.e.PR
+}
+
+// along returns the communicator of an axis, the diagonal rank's index in
+// it — rank (i, i) is column i of row i and row j of column j — and whether
+// every rank of it is a diagonal (the p×1 grid's column).
+func (g *blockGrid) along(ax fuse.Axis) (c *dist.Comm, root int, all bool) {
+	if ax == fuse.AlongRow {
+		return g.e.Row, g.e.GridRow, false
+	}
+	return g.e.Col, g.e.GridCol, g.e.PC == 1
 }
 
 // The collectives run in the plan's own buffer: chunks are sent from it,
 // reduced into it and received into it.
 
 func (g *blockGrid) Bcast(ax fuse.Axis, buf []float64) {
-	c, root := g.along(ax)
-	c.BcastInto(buf, root)
+	if c, root, all := g.along(ax); all {
+		c.AllgatherInto(buf)
+	} else {
+		c.BcastInto(buf, root)
+	}
 }
 
 func (g *blockGrid) ReduceToDiag(ax fuse.Axis, buf []float64) {
-	c, root := g.along(ax)
-	c.ReduceInto(buf, root)
+	if c, root, all := g.along(ax); all {
+		c.ReduceScatterInto(buf)
+	} else {
+		c.ReduceInto(buf, root)
+	}
 }
 
 func (g *blockGrid) AllreduceRow(buf []float64, max bool) {
@@ -156,24 +191,17 @@ func (g *blockGrid) AllreduceRow(buf []float64, max bool) {
 // OwnedRange returns the [lo, hi) global vertex range of the feature block
 // owned by this rank's diagonal position (meaningful on diagonal ranks).
 func (e *GlobalEngine) OwnedRange() (int, int) {
-	lo := e.GridRow * e.B
-	hi := lo + e.B
-	if hi > e.N {
-		hi = e.N
-	}
-	if lo > e.N {
-		lo = e.N
-	}
-	return lo, hi
+	lo := min(e.GridRow*e.BR, e.N)
+	return lo, min(lo+e.BR, e.N)
 }
 
-// SliceOwnedBlock extracts this rank's diagonal feature block (padded to B
+// SliceOwnedBlock extracts this rank's diagonal feature block (padded to BR
 // rows) from a replicated full feature matrix; nil on off-diagonal ranks.
 func (e *GlobalEngine) SliceOwnedBlock(h *tensor.Dense) *tensor.Dense {
 	if !e.Diag {
 		return nil
 	}
-	out := tensor.NewDense(e.B, h.Cols)
+	out := tensor.NewDense(e.BR, h.Cols)
 	lo, hi := e.OwnedRange()
 	for r := lo; r < hi; r++ {
 		copy(out.Row(r-lo), h.Row(r))
@@ -237,10 +265,10 @@ func (e *GlobalEngine) GatherOutput(out *tensor.Dense, cols int) *tensor.Dense {
 		if len(parts[r]) == 0 {
 			continue
 		}
-		d := r / e.S // diagonal index of rank (d, d)
-		blk := tensor.NewDenseFrom(e.B, cols, parts[r])
-		lo := d * e.B
-		for i := 0; i < e.B && lo+i < e.N; i++ {
+		d := r / e.PC // the grid row whose diagonal world rank r is
+		blk := tensor.NewDenseFrom(e.BR, cols, parts[r])
+		lo := d * e.BR
+		for i := 0; i < e.BR && lo+i < e.N; i++ {
 			copy(full.Row(lo+i), blk.Row(i))
 		}
 	}

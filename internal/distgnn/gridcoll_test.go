@@ -12,6 +12,7 @@ import (
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
+	"agnn/internal/sparse"
 )
 
 // The dist-grid-tcp workload's block shape: B vertices per block, k
@@ -69,7 +70,7 @@ func newGridWorld(tb testing.TB, tcp bool, opts dist.Options, rank func(c *dist.
 // reduce-row-to-diag of the SpMM partials — in its own buffers, once per
 // step.
 func layerCollectives(c *dist.Comm) (func(), error) {
-	g := &blockGrid{gridPosition(c, 2)}
+	g := &blockGrid{gridPosition(c, 2, 2)}
 	feat := make([]float64, gridB*gridK)
 	part := make([]float64, gridB*gridK)
 	stat := make([]float64, gridB)
@@ -215,7 +216,8 @@ func BenchmarkGridCollectives(b *testing.B) {
 // run allocates when a late ACK leaves more frames waiting for it than ever
 // before: the replay window still growing to its peak, not per-step
 // garbage, so it warms again, at most three times; garbage would show in
-// every run.
+// every run. The p×1 grid's step, its gathers and reduce-scatters included,
+// is held to the same over channels.
 func TestGridTrainStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -228,10 +230,15 @@ func TestGridTrainStepZeroAllocs(t *testing.T) {
 		labels[i] = i % 4
 	}
 	cfg := testCfg(gnn.GAT, 2, 8, 8, 4)
-	for _, tcp := range []bool{false, true} {
-		t.Run(transportName(tcp), func(t *testing.T) {
+	for _, run := range []struct {
+		name      string
+		tcp       bool
+		newEngine func(*dist.Comm, *sparse.CSR, gnn.Config) (*GlobalEngine, error)
+	}{{"chan", false, NewGlobalEngine}, {"tcp", true, NewGlobalEngine}, {"chan-p×1", false, NewRowGrid}} {
+		tcp := run.tcp
+		t.Run(run.name, func(t *testing.T) {
 			w := newGridWorld(t, tcp, dist.Options{}, func(c *dist.Comm) (func(), error) {
-				e, err := NewGlobalEngine(c, a, cfg)
+				e, err := run.newEngine(c, a, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -239,13 +246,13 @@ func TestGridTrainStepZeroAllocs(t *testing.T) {
 				return func() { e.TrainStep(xd, labels, nil, opt) }, nil
 			})
 			defer w.close()
-			for run := 1; ; run++ {
+			for warm := 1; ; warm++ {
 				w.warm(t)
 				n := testing.AllocsPerRun(10, func() { w.step(t) })
 				if n == 0 {
 					break
 				}
-				if !tcp || run == 3 {
+				if !tcp || warm == 3 {
 					t.Fatalf("%v allocations per grid training step, want 0", n)
 				}
 			}

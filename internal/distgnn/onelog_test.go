@@ -50,8 +50,8 @@ func TestOneRecordPerSite(t *testing.T) {
 	defer model.ReleasePlans()
 	forward := func(*testing.T) { model.Forward(h, false) }
 
-	// One RowEngine forward per rank.
-	rows := func(t *testing.T) { runRowEngine(t, 2, a, testCfg(gnn.GCN, 1, 5, 6, 3), h) }
+	// One forward per rank of the p×1 grid.
+	rows := func(t *testing.T) { runRowGrid(t, 2, a, testCfg(gnn.GCN, 1, 5, 6, 3), h) }
 
 	counter := func(c *metrics.Counter) func() int64 { return c.Value }
 	hist := func(h *metrics.Histogram) func() int64 { return func() int64 { return int64(h.Count()) } }
@@ -69,7 +69,7 @@ func TestOneRecordPerSite(t *testing.T) {
 			agg: counter(metrics.PlanOpsTotal.With("sigma")), delta: 1},
 		{level: "plan op flops", run: forward, rank: -1, kind: evlog.KindOp, name: "gcn.Z", count: 1,
 			agg: counter(metrics.OpFlopsTotal.With("spmm")), delta: -1 /* the record's B */},
-		{level: "row-engine plan op", run: rows, rank: 1, kind: evlog.KindOp, name: "row1.Hout", count: 1,
+		{level: "row-engine plan op", run: rows, rank: 1, kind: evlog.KindOp, name: "gcn.Hout", count: 1,
 			agg: counter(metrics.PlanOpsTotal.With("sigma")), delta: 2 /* one per rank */},
 		{level: "layer", run: forward, rank: -1, kind: evlog.KindLayer, name: "layer0.forward(gcn)", count: 1,
 			agg: func() int64 { return int64(model.Profile().Stats[0].Calls) }, delta: 1},

@@ -47,9 +47,9 @@ func (s *rowScratch[T]) row(worker int) []T {
 //     exists: in inference, and in a GAT training plan, whose backward
 //     (opAttnFusedVJP) recomputes them. There stats non-nil receives each
 //     row's max and reciprocal sum, 2·n words, all the recompute needs.
-func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f score[T], weights []T, rowOff int32, softmax bool, x, out *spec[T]) func() {
+func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f score[T], weights []T, softmax bool, x, out *spec[T]) func() {
 	idx := pat.Index()
-	sample := rowSampler(pat, f.row, weights, rowOff, softmax, stats)
+	sample := rowSampler(pat, f.row, weights, softmax, stats)
 	// attend computes output row i with row as the score storage.
 	attend := func(i int, row []T) {
 		k := out.dense.Cols
@@ -121,7 +121,7 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 	stats, cbar []T, f score[T], weights []T, slope T, x, out, u, v *spec[T]) func() {
 	idx := pat.Index()
 	maxRow := pat.MaxRowNNZ()
-	psiRow := rowSampler(pat, f.row, weights, 0, false, nil)
+	psiRow := rowSampler(pat, f.row, weights, false, nil)
 	scratch := &rowScratch[T]{maxRow: 2 * maxRow}
 	rowBody := func(worker, lo, hi int) {
 		og, xd := out.gdense, x.dense

@@ -38,9 +38,10 @@ import (
 //   - model: gnn.Model over the engine axis's models, inference against the
 //     training forward, float32 against float64, local.Mirror against it,
 //     and k SGD steps — the reference of every engine after it.
-//   - grid (NewGlobalEngine) at p = 1, 4, 9, row (NewRowEngine) and local
-//     (LocalEngine) at p = 1, 3, 4, over a 31-vertex graph every grid but
-//     1×1 pads and every 1D partition but p = 1 splits unevenly.
+//   - grid (NewGlobalEngine, the √p×√p grid) at p = 1, 4, 9, row (NewRowGrid,
+//     the p×1 grid) and local (LocalEngine) at p = 1, 3, 4, over a 31-vertex
+//     graph every grid but 1×1 pads and every 1D partition but p = 1 splits
+//     unevenly.
 //   - tcp: the grid at p = 4 over a dialled loopback world against its
 //     channel twin, counters included.
 //   - ego: serving's answers against the full-graph forward.
@@ -510,8 +511,12 @@ func singleEngine(_ *dist.Comm, s setup) (result, error) {
 	return r, nil
 }
 
-func gridEngine(c *dist.Comm, s setup) (result, error) {
-	e, err := distgnn.NewGlobalEngine(c, s.a, s.cfg)
+// gridEngine runs the setup on the √p×√p grid, rowEngine on the p×1 grid.
+func gridEngine(c *dist.Comm, s setup) (result, error) { return onGrid(distgnn.NewGlobalEngine, c, s) }
+func rowEngine(c *dist.Comm, s setup) (result, error)  { return onGrid(distgnn.NewRowGrid, c, s) }
+
+func onGrid(newEngine func(*dist.Comm, *sparse.CSR, gnn.Config) (*distgnn.GlobalEngine, error), c *dist.Comm, s setup) (result, error) {
+	e, err := newEngine(c, s.a, s.cfg)
 	if err != nil {
 		return result{}, err
 	}
@@ -525,15 +530,6 @@ func gridEngine(c *dist.Comm, s setup) (result, error) {
 		r.after["training forward"] = fwd
 	}
 	return r, nil
-}
-
-func rowEngine(c *dist.Comm, s setup) (result, error) {
-	e, err := distgnn.NewRowEngine(c, s.a, s.cfg)
-	if err != nil {
-		return result{}, err
-	}
-	defer e.Close()
-	return result{out: e.GatherOutput(e.Forward(s.h.SliceRows(e.Lo, e.Hi).Clone()))}, nil
 }
 
 func localEngine(c *dist.Comm, s setup) (result, error) {
@@ -659,6 +655,9 @@ func newModel(t *testing.T, cfg gnn.Config, a *sparse.CSR) *gnn.Model {
 // model's result, the all-masked loss, and TCP against channels.
 func conformEngines(t *testing.T) {
 	grid := policy{out: 1e-9, loss: 1e-9, after: 1e-7}
+	// The p×1 grid's forward is the single node's row for row, bit for bit;
+	// its losses and gradients sum over ranks in another order.
+	rowTrain := policy{loss: grid.loss, after: grid.after}
 	rows := []struct {
 		name   string
 		run    engine
@@ -672,11 +671,13 @@ func conformEngines(t *testing.T) {
 		{"grid", gridEngine, []int{1}, tensor.F32, true, bitwise, false},
 		{"grid", gridEngine, []int{4, 9}, tensor.F64, true, grid, false},
 		{"grid", gridEngine, []int{4, 9}, tensor.F32, false, policy{out: 2e-6}, false},
-		{"row", rowEngine, []int{1, 3, 4}, tensor.F64, false, bitwise, false},
+		{"row", rowEngine, []int{1}, tensor.F64, true, bitwise, false},
+		{"row", rowEngine, []int{3, 4}, tensor.F64, true, rowTrain, false},
 		{"row", rowEngine, []int{1, 3, 4}, tensor.F32, false, bitwise, false},
 		{"local", localEngine, []int{1, 3, 4}, tensor.F64, true, policy{out: 1e-9, loss: 1e-9, after: 1e-9}, false},
 		{"model", singleEngine, []int{1}, tensor.F64, true, bitwise, true},
 		{"grid", gridEngine, []int{4}, tensor.F64, true, bitwise, true},
+		{"row", rowEngine, []int{4}, tensor.F64, true, bitwise, true},
 		{"local", localEngine, []int{1, 3, 4}, tensor.F64, true, bitwise, true},
 	}
 	for _, row := range rows {
@@ -895,19 +896,6 @@ var refusals = []struct {
 	}},
 	{"`LocalEngine` × multi-head", "`local: cannot mirror layer type *gnn.MultiHeadGATLayer`", func(*sparse.CSR) error {
 		_, err := onRanks(1, engineSetups(tensor.F64)[4], localEngine)
-		return err
-	}},
-	{"row offset × training", "`row-offset plans are inference-only`", func(a *sparse.CSR) error {
-		g := layerGraph(gnn.NewGCNLayer(a, 3, 2, gnn.Tanh(), rand.New(rand.NewSource(1))), a, 3)
-		g.SetRowOffset(4)
-		_, err := g.Compile(fuse.Options{Train: true})
-		return err
-	}},
-	{"rectangular grid block, grid × row offset", "`a grid block is square and takes no row offset, got 20×20 at offset 3`", func(a *sparse.CSR) error {
-		g := layerGraph(gnn.NewGCNLayer(a, 3, 2, gnn.Tanh(), rand.New(rand.NewSource(1))), a, 3)
-		g.SetGrid(oneRankGrid{})
-		g.SetRowOffset(3)
-		_, err := g.Compile(fuse.Options{})
 		return err
 	}},
 }

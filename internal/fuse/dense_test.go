@@ -294,7 +294,7 @@ func weightedMean(e *denseEval, _ *Node, in []*tensor.Dense) *tensor.Dense {
 // evalDense evaluates g over h; with gOut, it also runs every VJP in reverse
 // DAG order from that output cotangent.
 func evalDense(g *Graph, h, gOut *tensor.Dense) *denseEval {
-	if g.grid != nil || g.rowOff != 0 || g.from != nil {
+	if g.grid != nil || g.from != nil {
 		panic(fmt.Sprintf("fuse: the dense evaluator runs single-node graphs from their input; %q is not one", g.Name))
 	}
 	e := &denseEval{g: g, pat: tensor.NewDense(g.pat.Rows, g.pat.Cols), adj: tensor.NewDense(g.pat.Rows, g.pat.Cols),

@@ -54,7 +54,6 @@ type Graph struct {
 	Name   string
 	dag    *DAG
 	pat    *sparse.CSR
-	rowOff int
 	meta   map[*Node]*meta
 	adj    *Node
 	input  *Node
@@ -79,12 +78,6 @@ func (g *Graph) DAG() *DAG { return g.dag }
 // Adj returns the adjacency leaf.
 func (g *Graph) Adj() *Node { return g.adj }
 
-// SetRowOffset declares that the pattern's rows are a block of a larger
-// global matrix starting at global row off — the 1.5D row-distributed
-// case. Score closures receive global row indices; dense inputs must then
-// be full-height. Row offsets are inference-only.
-func (g *Graph) SetRowOffset(off int) { g.rowOff = off }
-
 // clone returns a copy of g whose nodes have metas of their own: a plan's
 // shapes, which Plan.Bind changes without reaching the graph or another plan
 // compiled from it.
@@ -100,21 +93,24 @@ func (g *Graph) clone() *Graph {
 
 // reshape makes pat the graph's pattern and gives every node the shape the
 // builder gives it over pat: the pattern's nodes its rows and columns, the
-// input as many rows as pat has columns, an aggregation (and a grid reduce)
-// pat's rows, a parameter its own shape, and any other node the rows of its
-// first operand.
+// input as many rows as pat has columns (a grid block's input its rows), a
+// crossing the height of the pattern's side it feeds, an aggregation (and a
+// grid reduce) pat's rows, a parameter its own shape, and any other node the
+// rows of its first operand.
 func (g *Graph) reshape(pat *sparse.CSR) {
 	g.pat = pat
 	for _, n := range g.dag.Nodes() {
 		m := g.meta[n]
-		_, bcast, coll := collective(n.Op)
+		ax, bcast, coll := collective(n.Op)
 		switch {
 		case n.Kind == Param:
 		case n == g.adj || n.Kind == Sparse || n.Kind == Virtual:
 			m.rows, m.cols = pat.Rows, pat.Cols
-		case n == g.input:
+		case bcast:
+			m.rows = g.side(ax)
+		case n == g.input && g.grid == nil:
 			m.rows = pat.Cols
-		case strings.HasPrefix(n.Op, "spmm") || coll && !bcast:
+		case n == g.input || strings.HasPrefix(n.Op, "spmm") || coll:
 			m.rows = pat.Rows
 		default:
 			m.rows = g.meta[n.Inputs[0]].rows
@@ -281,15 +277,16 @@ func (g *Graph) MM(id string, x, w *Node) *Node {
 // leaf) over the real semiring: Ψ·X.
 func (g *Graph) SpMM(id string, s, x *Node) *Node {
 	g.wantKind(s, Sparse, "SpMM")
+	x = g.cross(x, AlongCol)
 	xs := g.md(x)
 	if xs.rows != g.pat.Cols {
 		panic(fmt.Sprintf("fuse: SpMM feature height %d != pattern cols %d", xs.rows, g.pat.Cols))
 	}
 	z := &meta{rows: g.pat.Rows, cols: xs.cols}
-	if g.grid == nil {
+	if !g.lowered(AlongRow) {
 		return g.add(id, "spmm", Dense, z, s, x)
 	}
-	part := g.add(id+".part", "spmm", Dense, z, s, g.cross(x, AlongCol))
+	part := g.add(id+".part", "spmm", Dense, z, s, x)
 	return g.add(id, reduceOps[AlongRow], Dense, &meta{rows: z.rows, cols: z.cols}, part)
 }
 
@@ -311,8 +308,8 @@ func (g *Graph) SpMMSemiring(id string, s, x *Node, kind string) *Node {
 
 // GINCombine builds GIN's pre-MLP combination agg + (1+ε)·h with a scalar
 // parameter ε. When agg has the pattern's rows and h the input's full
-// height — a row block, at a row offset or not — row i of agg combines with
-// row rowOff+i of h.
+// height — a row block's prefix rows — row i of agg combines with row i of
+// h.
 func (g *Graph) GINCombine(id string, agg, h, eps *Node) *Node {
 	as, hs := g.md(agg), g.md(h)
 	es := g.md(eps)
@@ -458,8 +455,8 @@ func (g *Graph) EvalPrefix(h *tensor.Dense, dt tensor.DType) ([]*Node, []tensor.
 	if g.input == nil || g.output == nil {
 		return nil, nil, fmt.Errorf("fuse: graph %q needs a dense input and an output", g.Name)
 	}
-	if g.grid != nil || g.rowOff != 0 {
-		return nil, nil, fmt.Errorf("fuse: graph %q: a prefix is evaluated single-node, without a row offset", g.Name)
+	if g.grid != nil {
+		return nil, nil, fmt.Errorf("fuse: graph %q: a prefix is evaluated single-node", g.Name)
 	}
 	frontier := g.Frontier()
 	p, err := lower(g, Options{DType: dt, SpanPrefix: g.Name + ".prefix."}, g.dag.consumers(),

@@ -174,14 +174,14 @@ func gatherSweep[T elem](pat *sparse.CSR, x *spec[T], each func(i int)) func(wor
 // it is not, or they are all 1), and — with softmax — normalize the row in
 // place, recording the row's statistics in stats[2i:2i+2] where stats is
 // non-nil (softmaxRow).
-func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, rowOff int32, softmax bool, stats []T) func(i int, row []T) {
+func rowSampler[T elem](pat *sparse.CSR, f scoreRow[T], weights []T, softmax bool, stats []T) func(i int, row []T) {
 	idx := pat.Index()
 	return func(i int, row []T) {
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 		if b == e {
 			return
 		}
-		f(int32(i)+rowOff, idx.Slice(b, e), row)
+		f(int32(i), idx.Slice(b, e), row)
 		if weights != nil {
 			for q, w := range weights[b:e] {
 				row[q] *= w
@@ -260,8 +260,8 @@ func scaleRow[T elem](row []T, c T) {
 // (Section 6.2): it evaluates the composed virtual score rows on the
 // pattern. weights (the adjacency values) multiply each score when the mask
 // is weighted; with softmax, the row softmax is folded into the same sweep.
-func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, rowOff int32, softmax bool) func() {
-	sample := rowSampler(pat, f.row, weights, rowOff, softmax, nil)
+func opSample[T elem](pat *sparse.CSR, cuts *par.Cuts, dst []T, f score[T], weights []T, softmax bool) func() {
+	sample := rowSampler(pat, f.row, weights, softmax, nil)
 	each := func(i int) { sample(i, dst[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 	body := gatherSweep(pat, f.gathers, each)
 	return func() { par.RangeCuts(cuts, body) }
@@ -486,23 +486,14 @@ func opSigma[T elem](z, out *spec[T]) func() {
 	return func() { par.Range(out.rows, body) }
 }
 
-// ginOffset is the row of h that row 0 of a gin-combine node's aggregate
-// combines with: the graph's row offset when h is full height, else 0.
-func ginOffset(g *Graph, n *Node) int {
-	if g.md(n.Inputs[0]).rows == g.md(n.Inputs[1]).rows {
-		return 0
-	}
-	return g.rowOff
-}
-
-// opGINCombine computes out = agg + (1+ε)·h[off:], reading ε at run time so
-// optimizer updates are observed.
-func opGINCombine[T elem](agg, h, eps, out *spec[T], off int) func() {
+// opGINCombine computes out = agg + (1+ε)·h, reading ε at run time so
+// optimizer updates are observed. h may be taller than agg (a row block's
+// full-height input): row i combines with h's row i.
+func opGINCombine[T elem](agg, h, eps, out *spec[T]) func() {
 	cols := out.cols
 	each := func(i int) {
 		c := 1 + eps.dense.Data[0]
-		ad, od := agg.dense.Data, out.dense.Data
-		hd := h.dense.Data[off*cols:]
+		ad, od, hd := agg.dense.Data, out.dense.Data, h.dense.Data
 		for t := i * cols; t < (i+1)*cols; t++ {
 			od[t] = ad[t] + c*hd[t]
 		}
@@ -729,7 +720,7 @@ func opSoftmaxVJP[T elem](pat *sparse.CSR, cuts *par.Cuts, pvals, gvals []T, w *
 	}
 	return func() {
 		par.RangeCuts(cuts, rhos)
-		w.run(stat, allreduceSum)
+		w.reduce(stat, allreduceSum)
 		par.RangeCuts(cuts, applies)
 	}
 }
@@ -1044,8 +1035,7 @@ func opRowNormsVJP[T elem](x, out *spec[T]) func() {
 
 // opGINCombineVJP handles Z = agg + (1+ε)·H: both dense cotangents
 // accumulate, and ε̄ += Σ Z̄ ⊙ H reduces over per-worker partials. On a row
-// block H may be taller than Z; training plans take no row offset, so Z's
-// rows are H's first ones.
+// block H may be taller than Z, whose rows are H's first ones.
 func opGINCombineVJP[T elem](agg, h, eps, out *spec[T], rs *redScratch[T]) func() {
 	body := func(worker, lo, hi int) {
 		c := 1 + eps.dense.Data[0]

@@ -409,17 +409,10 @@ func (g *Graph) Compile(opt Options) (*Plan, error) {
 	if g.input == nil {
 		return nil, fmt.Errorf("fuse: graph %q has no dense input", g.Name)
 	}
-	if opt.Train && g.rowOff != 0 {
-		return nil, fmt.Errorf("fuse: graph %q: row-offset plans are inference-only", g.Name)
-	}
-	if g.grid != nil && (g.pat.Rows != g.pat.Cols || g.rowOff != 0) {
-		return nil, fmt.Errorf("fuse: graph %q: a grid block is square and takes no row offset, got %d×%d at offset %d",
-			g.Name, g.pat.Rows, g.pat.Cols, g.rowOff)
-	}
 	c, cons := g.cut(), g.dag.consumers()
 	if g.from != nil {
-		if opt.Train || g.grid != nil || g.rowOff != 0 {
-			return nil, fmt.Errorf("fuse: graph %q: a plan from bound nodes is a single-node inference plan without a row offset", g.Name)
+		if opt.Train || g.grid != nil {
+			return nil, fmt.Errorf("fuse: graph %q: a plan from bound nodes is a single-node inference plan", g.Name)
 		}
 		need := c.needs(g)
 		if need[g.input] && !slices.Contains(g.from, g.input) {
@@ -736,13 +729,14 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				val[n] = lay.add(n.ID, nnzWords)
 				val[n].view(&s.vals)
 			}
-		case coll && diag:
+		case coll && diag && !g.gathered(n):
 			// On the diagonal a collective node is its operand, value and
 			// cotangent: a broadcast copy there is the source itself, and
 			// the ranks' cotangents reduce into the source's in place; a
 			// partial sum's only consumer is the reduce that overwrites it.
 			// (A broadcast's value is bound per step — opBcastForward — as
-			// the source may be the plan input.)
+			// the source may be the plan input.) A gathered copy is taller
+			// than its source and has buffers of its own.
 			src := n.Inputs[0]
 			val[n], grad[n] = val[src], grad[src]
 			s.gdense = sp(src).gdense
@@ -842,20 +836,25 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			}
 		}
 	}
-	// The grid plan's collectives, and the row-statistics vector a softmax
-	// sweep exchanges through them: a buffer per op, live inside it.
-	var w *wire[T]
+	// The grid plan's collectives — rw those along a row of more than one
+	// rank, else nil — and the row-statistics vector a softmax sweep
+	// exchanges through them: a buffer per op, live inside it.
+	var w, rw *wire[T]
 	rowStat := func(n *Node, dst *[]T) *buffer[T] {
 		b := lay.add(n.ID+".rowstat", rowWords)
 		b.view(dst)
 		return b
 	}
 	// widest is the widest dense or vector node: what crosses a casting grid
-	// plan's staging words is such a node's buffer (the pattern's nodes are
-	// as wide as the block and never do).
+	// plan's staging words is such a node's buffer, at most as high as the
+	// block's longer side (the pattern's nodes are as wide as the block and
+	// never cross).
 	widest := 1
 	if grid != nil {
 		w = &wire[T]{grid: grid}
+		if g.lowered(AlongRow) {
+			rw = w
+		}
 		for n, m := range g.meta {
 			if n.Kind == Dense || n.Kind == Vector {
 				widest = max(widest, m.cols)
@@ -919,7 +918,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 		return uses
 	}
 
-	rowOff := int32(g.rowOff)
 	log := obs.Current() // the ops record on the log of the rank compiling them
 	// kept is the words a training plan's fused attention sweep at n leaves
 	// for the backward: the normalized scores, or under GAT's fused backward
@@ -982,14 +980,17 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			continue
 		case bcastOps[ax]:
 			build = func() func() { return opBcastForward(w, ax, sp(n.Inputs[0]), s) }
+			if g.gathered(n) {
+				build = func() func() { return opGather(w, sp(n.Inputs[0]), s) }
+			}
 		case reduceOps[ax]:
-			build = func() func() { return opCollective(w, sp(n.Inputs[0]), false, reduceAlong(ax)) }
+			build = func() func() { return opReduce(w, ax, sp(n.Inputs[0]), false) }
 		case "mask":
 			if fusedMask[n] || attnSrc[n] {
 				continue
 			}
 			build = func() func() {
-				return opSample(pat, cuts, s.vals, composeScore(sp, row, n.Inputs[1]), maskWeights(s), rowOff, false)
+				return opSample(pat, cuts, s.vals, composeScore(sp, row, n.Inputs[1]), maskWeights(s), false)
 			}
 		case "softmax":
 			if attnSrc[n] {
@@ -997,7 +998,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			}
 			in := n.Inputs[0]
 			switch {
-			case grid != nil:
+			case rw != nil:
 				var stats []T
 				uses = fwdUses(n, rowStat(n, &stats))
 				if fusedMask[in] {
@@ -1007,14 +1008,14 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 					src := sp(in).vals
 					sample := func(i int, row []T) { copy(row, src[pat.RowPtr[i]:pat.RowPtr[i+1]]) }
 					if fusedMask[in] {
-						sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), rowOff, false, nil)
+						sample = rowSampler(pat, composeScore(sp, row, in.Inputs[1]).row, maskWeights(sp(in)), false, nil)
 					}
-					return opSoftmaxGrid(w, pat, cuts, sample, s.vals, stats)
+					return opSoftmaxGrid(rw, pat, cuts, sample, s.vals, stats)
 				}
 			case fusedMask[in]:
 				op = "fused-softmax"
 				build = func() func() {
-					return opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), rowOff, true)
+					return opSample(pat, cuts, s.vals, composeScore(sp, row, in.Inputs[1]), maskWeights(sp(in)), true)
 				}
 			default:
 				build = func() func() { return opRowSoftmax(pat, cuts, sp(in).vals, s.vals) }
@@ -1030,7 +1031,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				op = "fused-attn"
 				build = func() func() {
 					return opAttnFused(pat, cuts, sp(src).vals, sp(src).stats, composeScore(sp, row, maskN.Inputs[1]),
-						maskWeights(sp(maskN)), rowOff, softmax, sp(n.Inputs[1]), s)
+						maskWeights(sp(maskN)), softmax, sp(n.Inputs[1]), s)
 				}
 				break
 			}
@@ -1051,7 +1052,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			build = func() func() { return opSigma(sp(n.Inputs[0]), s) }
 		case "gin-combine":
 			build = func() func() {
-				return opGINCombine(sp(n.Inputs[0]), row(n.Inputs[1]), sp(n.Inputs[2]), s, ginOffset(g, n))
+				return opGINCombine(sp(n.Inputs[0]), row(n.Inputs[1]), sp(n.Inputs[2]), s)
 			}
 		default:
 			if n.Kind == Virtual {
@@ -1094,9 +1095,12 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			case "input":
 				continue
 			case bcastOps[ax]: // mirror pairs: the Aᵀ of Section 5.2
-				vjp = func() func() { return opCollective(w, s, true, reduceAlong(ax)) }
+				vjp = func() func() { return opReduce(w, ax, s, true) }
+				if g.gathered(n) {
+					vjp = func() func() { return opGatherVJP(w, sp(n.Inputs[0]), s) }
+				}
 			case reduceOps[ax]:
-				vjp = func() func() { return opCollective(w, sp(n.Inputs[0]), true, bcastAlong(ax)) }
+				vjp = func() func() { return opBcast(w, ax, sp(n.Inputs[0]), true) }
 			case "sigma":
 				vjp = func() func() { return opSigmaVJP(sp(n.Inputs[0]), s) }
 			case "mm":
@@ -1141,10 +1145,10 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				}
 			case "softmax":
 				var stats []T
-				if grid != nil {
+				if rw != nil {
 					uses = bwdUses(n, rowStat(n, &stats))
 				}
-				vjp = func() func() { return opSoftmaxVJP(pat, cuts, s.vals, s.gvals, w, stats) }
+				vjp = func() func() { return opSoftmaxVJP(pat, cuts, s.vals, s.gvals, rw, stats) }
 			case "mask":
 				// In place; a pattern-only mask — unit weights included — passes
 				// its cotangent through.
@@ -1236,7 +1240,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 	p.build = func() {
 		adjOK = false
 		if grid != nil && !aliased {
-			w.words = e.wire.get(ws, pat.Rows*widest)
+			w.words = e.wire.get(ws, max(pat.Rows, pat.Cols)*widest)
 		}
 		if adjSpMM {
 			adjT = e.adjT.get(ws, nnz)
@@ -1310,9 +1314,10 @@ func attnFusion(g *Graph, nodes []*Node, cons map[*Node][]*Node, fusedMask map[*
 		}
 		switch in.Op {
 		case "softmax":
-			// Not on a grid: the softmax there exchanges row statistics
-			// between its sweeps, so it cannot sit inside a one-pass row.
-			if m := in.Inputs[0]; m.Op == "mask" && fusedMask[m] && g.grid == nil {
+			// Not where a grid row spans ranks: the softmax there exchanges
+			// row statistics between its sweeps, so it cannot sit inside a
+			// one-pass row.
+			if m := in.Inputs[0]; m.Op == "mask" && fusedMask[m] && !g.lowered(AlongRow) {
 				agg[n], src[in] = in, true
 			}
 		case "mask":
@@ -1715,7 +1720,8 @@ func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 // Backward needs a Forward first.
 //
 // Bind reports false and leaves the plan as it was when a does not fit what
-// was compiled: a grid plan's block is square, and a training plan over a
+// was compiled: a grid plan binds only the block it was compiled for, and a
+// training plan over a
 // weighted mask holds the mask's VJP exactly when A's values are not all 1
 // (unitWeights). The caller compiles a new plan then.
 func (p *Plan) Bind(a *sparse.CSR) bool {
@@ -1725,7 +1731,7 @@ func (p *Plan) Bind(a *sparse.CSR) bool {
 	if a == p.g.pat {
 		return true
 	}
-	if p.g.grid != nil && a.Rows != a.Cols || p.unitSensitive && unitWeights(a) != p.unit {
+	if p.g.grid != nil || p.unitSensitive && unitWeights(a) != p.unit {
 		return false
 	}
 	p.rebind(a)

@@ -449,7 +449,6 @@ func TestUnitMaskIsPatternOnly(t *testing.T) {
 }
 
 func TestPlanCompileErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	a := weightedGraph(20, 60, 14)
 	const k = 3
 
@@ -458,14 +457,6 @@ func TestPlanCompileErrors(t *testing.T) {
 		g.InputDense("H", a.Rows, k)
 		if _, err := g.Compile(fuse.Options{}); err == nil {
 			t.Fatal("expected error for graph without output")
-		}
-	})
-
-	t.Run("row offset is inference-only", func(t *testing.T) {
-		g := buildVA(a, randParam(rng, "W", k, k), k)
-		g.SetRowOffset(4)
-		if _, err := g.Compile(fuse.Options{Train: true}); err == nil {
-			t.Fatal("expected error for train plan with row offset")
 		}
 	})
 
@@ -523,74 +514,23 @@ func TestPlanBackwardGuards(t *testing.T) {
 	})
 }
 
-// TestPlanRowOffsetMatchesFullPlan runs a row-block inference plan per
-// partition and checks the stacked result against the single full-graph
-// plan — the RowEngine execution shape.
-func TestPlanRowOffsetMatchesFullPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	full := weightedGraph(40, 160, 17)
-	const k = 4
-	w := randParam(rng, "W", k, k)
-	a1 := randParam(rng, "a1", k, 1)
-	a2 := randParam(rng, "a2", k, 1)
-	h := randDense(rng, full.Rows, k)
-
-	want := buildGAT(full, w, a1, a2, k, 0.2).MustCompile(fuse.Options{}).Forward(h)
-
-	got := tensor.NewDense(full.Rows, k)
-	for _, cut := range [][2]int{{0, 13}, {13, 28}, {28, 40}} {
-		lo, hi := cut[0], cut[1]
-		rows := sliceRows(full, lo, hi)
-		g := fuse.NewGraph("gat-rows", rows)
-		g.SetRowOffset(lo)
-		hn := g.InputDense("H", full.Rows, k)
-		wn := g.ParamNode("W", w)
-		a1n := g.ParamNode("a1", a1)
-		a2n := g.ParamNode("a2", a2)
-		hp := g.MM("Hp", hn, wn)
-		u := g.MatVecNode("u", hp, a1n)
-		v := g.MatVecNode("v", hp, a2n)
-		c := g.AddScores("C", g.RepRow("u1T", u), g.RepCol("1vT", v))
-		e := g.Mask("E", g.LReLUScores("lreluC", c, 0.2), false)
-		psi := g.Softmax("Psi", e)
-		z := g.SpMM("Z", psi, hp)
-		g.SetOutput(g.Sigma("Hout", z, tanhAct))
-		out := g.MustCompile(fuse.Options{}).Forward(h)
-		got.SliceRows(lo, hi).CopyFrom(out)
-	}
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("row-offset plans deviate from full plan by %g", got.MaxAbsDiff(want))
-	}
-}
-
 // TestGINCombineOnRowBlocks: GIN's agg + (1+ε)·h on a row block reads the
-// block's own rows of the full-height input — at a row offset (the row
-// engine) and as a row prefix (an ego query's message-flow block) — and
-// gives the full plan's rows bit for bit; the prefix block's training plan
-// accumulates ε̄ and H̄ from its rows alone.
+// block's own rows of the full-height input — a row prefix, an ego query's
+// message-flow block — and gives the full plan's rows bit for bit; the
+// prefix block's training plan accumulates ε̄ and H̄ from its rows alone.
 func TestGINCombineOnRowBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	full := weightedGraph(40, 160, 18)
 	const k = 3
 	eps := randParam(rng, "eps", 1, 1)
 	h := randDense(rng, full.Rows, k)
-	gin := func(a *sparse.CSR, off int) *fuse.Graph {
+	gin := func(a *sparse.CSR) *fuse.Graph {
 		g := fuse.NewGraph("gin", a)
-		g.SetRowOffset(off)
 		hn := g.InputDense("H", full.Rows, k)
 		g.SetOutput(g.GINCombine("pre", g.SpMM("AH", g.Adj(), hn), hn, g.ParamNode("eps", eps)))
 		return g
 	}
-	want := gin(full, 0).MustCompile(fuse.Options{}).Forward(h).Clone()
-	for _, cut := range [][2]int{{0, 13}, {13, 28}, {28, 40}} {
-		lo, hi := cut[0], cut[1]
-		got := gin(sliceRows(full, lo, hi), lo).MustCompile(fuse.Options{}).Forward(h)
-		for i := lo; i < hi; i++ {
-			if !slices.Equal(got.Row(i-lo), want.Row(i)) {
-				t.Fatalf("rows [%d,%d) at offset: row %d = %v, full plan %v", lo, hi, i, got.Row(i-lo), want.Row(i))
-			}
-		}
-	}
+	want := gin(full).MustCompile(fuse.Options{}).Forward(h).Clone()
 
 	const r = 13
 	g := tensor.NewDense(r, k)
@@ -599,12 +539,12 @@ func TestGINCombineOnRowBlocks(t *testing.T) {
 	}
 	gFull := tensor.NewDense(full.Rows, k)
 	gFull.SliceRows(0, r).CopyFrom(g)
-	sq := gin(full, 0).MustCompile(fuse.Options{Train: true})
+	sq := gin(full).MustCompile(fuse.Options{Train: true})
 	sq.Forward(h)
 	hWant := sq.Backward(gFull).Clone()
 	epsWant := eps.Grad.Data[0]
 	eps.Grad.Data[0] = 0
-	blk := gin(sliceRows(full, 0, r), 0).MustCompile(fuse.Options{Train: true})
+	blk := gin(sliceRows(full, 0, r)).MustCompile(fuse.Options{Train: true})
 	if got := blk.Forward(h); !slices.Equal(got.Data, want.SliceRows(0, r).Clone().Data) {
 		t.Fatal("prefix block's training forward differs from the full plan's rows")
 	}
@@ -629,11 +569,12 @@ func sliceRows(s *sparse.CSR, lo, hi int) *sparse.CSR {
 	return sparse.FromCOO(coo)
 }
 
-// oneRankGrid is a 1×1 process grid: every collective is the identity, and
-// the calls are counted by name.
+// oneRankGrid is the diagonal rank (0, 0) of a 2×2 process grid run on one
+// rank: every collective is the identity, and the calls are counted by name.
 type oneRankGrid map[string]int
 
-func (g oneRankGrid) Diag() bool { return true }
+func (g oneRankGrid) Diag() bool                 { return true }
+func (g oneRankGrid) Along(fuse.Axis) (int, int) { return 0, 2 }
 func (g oneRankGrid) Bcast(ax fuse.Axis, _ []float64) {
 	g[fmt.Sprintf("bcast%d", ax)]++
 }
@@ -644,14 +585,22 @@ func (g oneRankGrid) AllreduceRow(_ []float64, max bool) {
 	g[fmt.Sprintf("allreduce-max=%t", max)]++
 }
 
+// rowGrid is the p×1 grid at p = 1, its collectives counted like
+// oneRankGrid's: its row is one rank, so nothing crosses along it.
+type rowGrid struct{ oneRankGrid }
+
+func (rowGrid) Along(fuse.Axis) (int, int) { return 0, 1 }
+
 // TestGridLoweringOnOneRank checks the lowering rule of grid.go where it can
-// be observed without a network: on a 1×1 grid the lowered GAT and VA plans
-// must issue exactly the collectives the rule says (forward, and their
-// mirrors backward), keep VA one fused sweep while splitting GAT's at the
-// softmax — and GAT's backward a VJP per op, as the exchanged ρ splits the
-// fused attention VJP's row sweep — and produce the single-node plan's bits
-// at both widths, the fused single-node GAT backward included. The
-// multi-rank equivalences live in internal/distgnn.
+// be observed without a network: on one rank of a grid whose rows span ranks
+// the lowered GAT and VA plans must issue exactly the collectives the rule
+// says (forward, and their mirrors backward), keep VA one fused sweep while
+// splitting GAT's at the softmax — and GAT's backward a VJP per op, as the
+// exchanged ρ splits the fused attention VJP's row sweep — and on the p×1
+// grid, whose row is one rank, keep GAT one fused chain with column
+// crossings only; all produce the single-node plan's bits at both widths,
+// the fused single-node GAT backward included. The multi-rank equivalences
+// live in internal/distgnn and the conformance table.
 func TestGridLoweringOnOneRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := weightedGraph(40, 200, 31)
@@ -683,6 +632,7 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		build     func(fuse.Grid) *fuse.Graph
+		p1        bool // on the p×1 grid
 		attnFused int
 		fwd, bwd  oneRankGrid // collectives of one forward / one backward
 		bwdOps    []string    // the backward op list (fuse.BackwardOps)
@@ -691,7 +641,7 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		// exchanges max and sum, Z's partials are reduced; backward, Z̄ goes
 		// along the rows, ρ is summed, ū comes back along the rows and v̄,
 		// H̄p up the columns.
-		{"gat", gat, 0,
+		{"gat", gat, false, 0,
 			oneRankGrid{"bcast1": 2, "bcast0": 1, "allreduce-max=true": 1, "allreduce-max=false": 1, "reduce0": 1},
 			oneRankGrid{"bcast0": 1, "allreduce-max=false": 1, "reduce0": 1, "reduce1": 2},
 			[]string{"Hout.bwd sigma", "Z.bwd reduce-row-to-diag", "Z.part.bwd spmm", "Hp.col.bwd bcast-col",
@@ -700,11 +650,19 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 		// VA as gnn.VALayer builds it, (Ψ·H)·W: H crosses once per axis —
 		// the column copy the scores read is the one Ψ aggregates — and the
 		// projection runs on the diagonal after the reduce; no softmax.
-		{"va", va, 1,
+		{"va", va, false, 1,
 			oneRankGrid{"bcast0": 1, "bcast1": 1, "reduce0": 1},
 			oneRankGrid{"bcast0": 1, "reduce0": 1, "reduce1": 1},
 			[]string{"Hout.bwd sigma", "Z.bwd mm", "PsiH.bwd reduce-row-to-diag", "PsiH.part.bwd spmm",
 				"Psi.bwd mask", "HHt.bwd mmt", "H.col.bwd bcast-col", "H.row.bwd bcast-row"}},
+		// GAT on the p×1 grid: Hp and v go down the column and come back up
+		// it; u, the softmax and Z stay on the rank — one fused chain, and
+		// the fused attention VJP backward.
+		{"gat-p×1", gat, true, 1,
+			oneRankGrid{"bcast1": 2},
+			oneRankGrid{"reduce1": 2},
+			[]string{"Hout.bwd sigma", "Z.bwd fused-attn", "Hp.col.bwd bcast-col", "v.col.bwd bcast-col",
+				"v.bwd matvec", "u.bwd matvec", "Hp.bwd mm"}},
 	} {
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			for _, p := range []fuse.ParamRef{w, a1, a2} {
@@ -716,7 +674,11 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 			wantW := w.Grad.Clone()
 
 			calls := oneRankGrid{}
-			plan := tc.build(calls).MustCompile(fuse.Options{Train: true, DType: dt})
+			var grid fuse.Grid = calls
+			if tc.p1 {
+				grid = rowGrid{calls}
+			}
+			plan := tc.build(grid).MustCompile(fuse.Options{Train: true, DType: dt})
 			if got := plan.Stats().AttnFused; got != tc.attnFused {
 				t.Errorf("%s %s: %d fused attention sweeps on the grid, want %d", tc.name, dt, got, tc.attnFused)
 			}
@@ -743,7 +705,6 @@ func TestGridLoweringOnOneRank(t *testing.T) {
 
 	// What a grid block cannot be.
 	for name, g := range map[string]*fuse.Graph{
-		"row offset": func() *fuse.Graph { g := va(oneRankGrid{}); g.SetRowOffset(3); return g }(),
 		"semiring": func() *fuse.Graph {
 			g := fuse.NewGraph("sr", a)
 			g.SetGrid(oneRankGrid{})

@@ -45,11 +45,12 @@ func gridVA(a *sparse.CSR, grid fuse.Grid, w fuse.ParamRef, k int) *fuse.Graph {
 	return g
 }
 
-// offDiagGrid is an off-diagonal rank of a grid whose collectives do nothing:
-// enough to compile the rank's plan.
+// offDiagGrid is an off-diagonal rank of a 2×2 grid whose collectives do
+// nothing: enough to compile the rank's plan.
 type offDiagGrid struct{}
 
 func (offDiagGrid) Diag() bool                        { return false }
+func (offDiagGrid) Along(ax fuse.Axis) (int, int)     { return 1 - int(ax), 2 }
 func (offDiagGrid) Bcast(fuse.Axis, []float64)        {}
 func (offDiagGrid) ReduceToDiag(fuse.Axis, []float64) {}
 func (offDiagGrid) AllreduceRow([]float64, bool)      {}

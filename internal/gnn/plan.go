@@ -17,9 +17,9 @@ import (
 // the same DAG without a backward (the attention chain collapses into one
 // fused sweep that never materializes the per-edge score tensor).
 
-// DAGLayer is a layer defined by its tensor-op DAG. The per-rank row engine
-// lowers the same definition onto its own graph (row offset, global-height
-// input), which is why DAG is exported; the unexported methods tie the
+// DAGLayer is a layer defined by its tensor-op DAG. DAG is exported so that
+// a caller — the tests' dense evaluator among them — can build the
+// definition onto a graph of its own; the unexported methods tie the
 // interface to layers embedding this package's plan-backed core.
 type DAGLayer interface {
 	Layer
@@ -46,8 +46,8 @@ type planned struct {
 	// F64 (the zero value) is the default double-precision path; F32
 	// compiles mixed-precision plans (f64 master weights, f32 kernels).
 	DType tensor.DType
-	// Grid, when set, makes A this rank's stationary block of a square
-	// process grid: the layer's plans are lowered with the grid's collectives
+	// Grid, when set, makes A this rank's stationary block of a process grid
+	// (√p×√p, or p×1): the layer's plans are lowered with the grid's collectives
 	// (fuse/grid.go), Forward and Backward take and return the diagonal
 	// rank's feature block, and nil on the other ranks.
 	Grid fuse.Grid
@@ -175,7 +175,11 @@ func (p *planned) plan(in int, train bool, pre *Prefix) *fuse.Plan {
 	name := p.def.Name()
 	g := fuse.NewGraph(name, p.A)
 	g.SetGrid(p.Grid)
-	p.def.DAG(g, g.InputDense("H", p.A.Cols, in))
+	rows := p.A.Cols // the input is the pattern's column side, a grid block's its row side
+	if p.Grid != nil {
+		rows = p.A.Rows
+	}
+	p.def.DAG(g, g.InputDense("H", rows, in))
 	if pre != nil {
 		g.FromTables(pre.Frontier)
 	}
