@@ -175,7 +175,7 @@ func BenchmarkScheduleAblation(b *testing.B) {
 				orow[t] = 0
 			}
 			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				v := a.Val[p]
+				v := a.ValueAt(p)
 				xrow := h.Data[int(a.Col[p])*k : int(a.Col[p])*k+k]
 				for t, xv := range xrow {
 					orow[t] += v * xv

@@ -97,8 +97,13 @@ func main() {
 	if res.Ranks > 1 {
 		fmt.Printf("comm: max per-rank %d bytes, %d msgs per execution (α-β model: %.6fs)\n",
 			res.CommBytesMax, res.CommMsgsMax, res.NetModelSec)
-		fmt.Printf("theory: predicted %.0f words per rank per execution (measured/predicted %.2f)\n",
-			res.PredictedWords, res.CommRatio)
+		if res.Inference {
+			fmt.Printf("theory: predicted %.0f words per rank per execution (measured/predicted %.2f)\n",
+				res.PredictedWords, res.CommRatio)
+		} else {
+			fmt.Printf("theory: not applicable to training (the per-layer law counts the forward only; measured %.0f words)\n",
+				res.MeasuredWords)
+		}
 		fmt.Printf("layer time: measured %.6fs, model %.6fs (measured/predicted %.2f)\n",
 			res.MeanLayerSec, res.PredictedLayerSec, res.LayerTimeRatio)
 		if res.CritPathSec > 0 {

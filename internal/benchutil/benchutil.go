@@ -113,9 +113,9 @@ type Result struct {
 	CommBytesMax   int64   // max per-rank bytes per execution
 	CommMsgsMax    int64   // max per-rank messages per execution
 	NetModelSec    float64 // α-β modeled network time per execution
-	PredictedWords float64 // costmodel prediction for this engine
+	PredictedWords float64 // costmodel's forward law for this engine; 0 (not applicable) for training
 	MeasuredWords  float64 // max per-rank words per execution (CommBytesMax/8)
-	CommRatio      float64 // measured / predicted words (0 when p = 1)
+	CommRatio      float64 // measured / predicted words (0 when p = 1 or training)
 
 	// Latency-side validation (Ranks > 1; see costmodel.ValidateTime).
 	MeanLayerSec      float64 // measured median wall time per layer
@@ -226,17 +226,23 @@ func RunSpec(s Spec) (Result, error) {
 	res.NetModelSec = dist.CrayAries().Time(dist.Counters{
 		BytesSent: maxBytes, MsgsSent: maxMsgs})
 
-	switch s.Engine {
-	case EngineGlobal:
+	// The volume laws are per forward layer: a training execution also runs
+	// the backward's reduces and the gradient allreduce, which they leave
+	// out, so only an inference run is compared with them.
+	switch {
+	case !s.Inference:
+	case s.Engine == EngineGlobal:
 		res.PredictedWords = float64(s.Layers) * costmodel.GlobalVolume(st.N, s.Features, s.Ranks)
-	case EngineRows:
+	case s.Engine == EngineRows:
 		res.PredictedWords = float64(s.Layers) * costmodel.RowsVolume(st.N, s.Features, s.Ranks)
 	default:
 		res.PredictedWords = float64(s.Layers) * costmodel.LocalVolume(st.N, s.Features, st.MaxDeg, s.Ranks)
 	}
 	if s.Ranks > 1 {
 		res.MeasuredWords = float64(maxBytes) / 8
-		res.CommRatio = costmodel.ValidateComm(res.PredictedWords, res.MeasuredWords).Ratio
+		if s.Inference {
+			res.CommRatio = costmodel.ValidateComm(res.PredictedWords, res.MeasuredWords).Ratio
+		}
 
 		// Latency closed loop: comm time from the α-β model on the measured
 		// counters, compute time inferred from the measured layer wall time;

@@ -102,6 +102,18 @@ func TestRunSpecDistributed(t *testing.T) {
 		if r.MedianSec <= 0 || r.NetModelSec <= 0 {
 			t.Fatalf("%s: bad timing %v / %v", c.engine, r.MedianSec, r.NetModelSec)
 		}
+		// The word laws are forward-only: a training run is not compared with
+		// them, and its CSV row says so.
+		var row bytes.Buffer
+		if err := r.WriteCSV(&row, "t"); err != nil {
+			t.Fatal(err)
+		}
+		na := strings.HasSuffix(strings.TrimSpace(row.String()), ",NA")
+		if c.inf && (r.PredictedWords <= 0 || r.CommRatio <= 0 || na) ||
+			!c.inf && (r.PredictedWords != 0 || r.CommRatio != 0 || !na) {
+			t.Errorf("%s inf=%v: predicted %v words, ratio %v, CSV row %q: want a prediction for inference only",
+				c.engine, c.inf, r.PredictedWords, r.CommRatio, row.String())
+		}
 		if !c.fixed {
 			continue
 		}

@@ -22,9 +22,13 @@ func (r Result) WriteCSV(w io.Writer, figure string) error {
 	if r.Inference {
 		task = "inference"
 	}
-	_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%.6g,%.6g,%d,%d,%.6g,%.6g\n",
+	predicted := "NA" // the forward-only law does not apply to training
+	if r.Inference {
+		predicted = fmt.Sprintf("%.6g", r.PredictedWords)
+	}
+	_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%.6g,%.6g,%d,%d,%.6g,%s\n",
 		figure, r.Model, r.Engine, r.Dataset, task, r.Ranks, r.N, r.M, r.MaxDegree,
 		r.Features, r.Layers, r.MedianSec, r.StdSec,
-		r.CommBytesMax, r.CommMsgsMax, r.NetModelSec, r.PredictedWords)
+		r.CommBytesMax, r.CommMsgsMax, r.NetModelSec, predicted)
 	return err
 }

@@ -81,6 +81,26 @@ func TestGlobalVolumeScalesAsTheory(t *testing.T) {
 
 // ------------------------- local (DistDGL-like) baseline -----------------
 
+// TestLocalEngineHaloKeepsPattern: the extended local graph a rank builds
+// from a pattern adjacency (the halo COO) is a pattern; GCN's holds its
+// normalized values.
+func TestLocalEngineHaloKeepsPattern(t *testing.T) {
+	a := graph.ErdosRenyi(40, 120, 3)
+	for _, kind := range []gnn.Kind{gnn.GAT, gnn.GCN} {
+		cfg := testCfg(kind, 1, 4, 4, 4)
+		dist.Run(2, func(c *dist.Comm) {
+			e, err := NewLocalEngine(c, a, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if (e.extGraph.OutVal == nil) != (kind != gnn.GCN) {
+				t.Errorf("%s rank %d: extended graph values nil %t", kind, c.Rank(), e.extGraph.OutVal == nil)
+			}
+		})
+	}
+}
+
 func TestLocalEngineHaloGrowsWithDegree(t *testing.T) {
 	// Denser graph ⇒ larger halo ⇒ more per-layer volume: the Ω(nkd/p) law.
 	n := 64

@@ -91,7 +91,7 @@ func NewLocalEngine(c *dist.Comm, a *sparse.CSR, cfg gnn.Config) (*LocalEngine, 
 	coo := sparse.NewCOO(next, next, int(a.RowPtr[hi]-a.RowPtr[lo]))
 	for i := lo; i < hi; i++ {
 		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			coo.AppendVal(int32(i-lo), e.localCol(a.Col[q]), a.Val[q])
+			coo.AppendFrom(int32(i-lo), e.localCol(a.Col[q]), a.Val, q)
 		}
 	}
 	e.extGraph = local.FromCSR(sparse.FromCOO(coo))

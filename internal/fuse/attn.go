@@ -117,7 +117,7 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f sco
 // GatherAxpy and v̄_j += Σ_i C̄_ij from cbar, contiguously. Every entry gets
 // the per-op VJPs' operations and every row and column sum its order, so
 // the two lowerings agree bit for bit (NoAttnFuse compiles the per-op chain).
-func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T], dst []int64,
+func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T], dst []uint32,
 	stats, cbar []T, f score[T], weights []T, slope T, x, out, u, v *spec[T]) func() {
 	idx := pat.Index()
 	maxRow := pat.MaxRowNNZ()

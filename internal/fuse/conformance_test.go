@@ -435,11 +435,11 @@ func engineSetups(dt tensor.DType) []setup {
 	coo := sparse.NewCOO(31, 31, er.NNZ()+4)
 	for i := range er.Rows {
 		for q := er.RowPtr[i]; q < er.RowPtr[i+1]; q++ {
-			coo.AppendVal(int32(i), er.Col[q], er.Val[q])
+			coo.Append(int32(i), er.Col[q])
 		}
 	}
 	for _, e := range [][2]int32{{28, 29}, {29, 28}, {29, 30}, {30, 29}} {
-		coo.AppendVal(e[0], e[1], 1)
+		coo.Append(e[0], e[1])
 	}
 	a := sparse.FromCOO(coo)
 	h := tensor.NewDense(a.Rows, 5)

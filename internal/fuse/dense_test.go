@@ -302,7 +302,7 @@ func evalDense(g *Graph, h, gOut *tensor.Dense) *denseEval {
 	for i := range g.pat.Rows {
 		for p := g.pat.RowPtr[i]; p < g.pat.RowPtr[i+1]; p++ {
 			e.pat.Set(i, int(g.pat.Col[p]), 1)
-			e.adj.Set(i, int(g.pat.Col[p]), g.pat.Val[p])
+			e.adj.Set(i, int(g.pat.Col[p]), g.pat.ValueAt(p))
 		}
 	}
 	nodes := g.dag.Nodes()

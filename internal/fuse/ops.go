@@ -290,72 +290,134 @@ func opRowSoftmax[T elem](pat *sparse.CSR, cuts *par.Cuts, src, dst []T) func() 
 }
 
 // opSpMM computes out = S·X over the shared pattern, with svals the sparse
-// node's value buffer (or the adjacency's own values).
+// node's value buffer (or the adjacency's own values; nil for a pattern,
+// whose rows read ones).
 func opSpMM[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T]) func() {
 	idx := pat.Index()
+	vals := sparse.RowValues(pat, svals)
 	each := func(i int) {
 		xd, od := x.dense, out.dense
 		k := od.Cols
 		orow := od.Data[i*k : (i+1)*k]
 		clear(orow)
 		b, e := pat.RowPtr[i], pat.RowPtr[i+1]
-		sparse.GatherAxpy(orow, svals[b:e], idx.Slice(b, e), xd.Data, k, 0)
+		sparse.GatherAxpy(orow, vals(b, e), idx.Slice(b, e), xd.Data, k, 0)
 	}
 	body := gatherSweep(pat, x, each)
 	return func() { par.RangeCuts(cuts, body) }
 }
 
-// opSemiring is opSpMM over a non-real semiring (Section 4.3), the reducer
-// chosen here, once. Max and min are tropical: ⊗ adds the edge's unit (0,
-// whatever its stored value) to the feature, ⊕ is math.Max / math.Min, an
-// empty row keeps ⊕'s identity ∓Inf. Mean is the ℝ² averaging semiring with
-// the running weight w kept beside the row: an edge of weight s merges
-// feature x as (v·w + x·s)/(w + s), and a zero total weight resets the row.
-// Max and min at float64 are the bits of the dense evaluator's fold (the
-// fuse tests' oracle: math.Max / math.Min over the row in column order from
-// ∓Inf); the mean is its Σ s·x / Σ s to rounding.
+// opSemiring is opSpMM over a non-real semiring (Section 4.3), its row loop
+// chosen here, once, by kind. Max and min are tropical: ⊗ adds the edge's
+// unit (0, whatever its stored value) to the feature, ⊕ is math.Max /
+// math.Min at width T, an empty row keeps ⊕'s identity ∓Inf. Mean is the ℝ²
+// averaging semiring with the running weight w kept beside the row: an edge
+// of weight s merges feature x as (v·w + x·s)/(w + s), and a zero total
+// weight resets the row. Max and min are the bits of the dense evaluator's
+// fold (the fuse tests' oracle: math.Max / math.Min over the row in column
+// order from ∓Inf); the mean is its Σ s·x / Σ s to rounding.
+//
+// The tropical row folds the edges with the builtin max / min (maxInto,
+// minInto), which agree with math.Max / math.Min on every pair without a NaN
+// (−0 below +0 included). A NaN sticks under the builtins, where math.Max
+// lets +Inf win over it and returns math.NaN()'s bits otherwise: a column
+// that ends NaN is folded again with math.Max / math.Min.
 func opSemiring[T elem](pat *sparse.CSR, cuts *par.Cuts, svals []T, x, out *spec[T], kind string) func() {
-	pick, identity := math.Max, math.Inf(-1)
-	if kind == "min" {
-		pick, identity = math.Min, math.Inf(1)
-	}
-	var unit T // the tropical ⊗-identity every edge maps to
-	// fold merges one edge — weight s, gathered row xrow — into orow and
-	// returns the row's running weight (the mean's; the tropical pair has none).
-	fold := func(orow, xrow []T, _, _ T) T {
-		for c, xv := range xrow {
-			orow[c] = T(pick(float64(orow[c]), float64(unit+xv)))
+	var each func(i int)
+	switch kind {
+	case "max", "min":
+		pick, fold, identity := math.Max, maxInto[T], math.Inf(-1)
+		if kind == "min" {
+			pick, fold, identity = math.Min, minInto[T], math.Inf(1)
 		}
-		return 0
-	}
-	if kind == "mean" {
-		identity = 0
-		fold = func(orow, xrow []T, s, w T) T {
-			sum := w + s
-			if sum == 0 {
-				clear(orow)
-				return 0
+		each = func(i int) {
+			xd, k := x.dense.Data, out.cols
+			orow := out.dense.Data[i*k : (i+1)*k]
+			cols := pat.Col[pat.RowPtr[i]:pat.RowPtr[i+1]]
+			for c := range orow {
+				orow[c] = T(identity)
 			}
-			for c, xv := range xrow {
-				orow[c] = (orow[c]*w + xv*s) / sum
+			fold(orow, xd, cols, k)
+			var unit T // the tropical ⊗-identity every edge maps to
+			for c, v := range orow {
+				orow[c] = unit + v
+				if v != v {
+					acc := identity
+					for _, j := range cols {
+						acc = pick(acc, float64(unit+xd[int(j)*k+c]))
+					}
+					orow[c] = T(acc)
+				}
 			}
-			return sum
+		}
+	default:
+		vals := sparse.RowValues(pat, svals)
+		each = func(i int) {
+			xd, k := x.dense.Data, out.cols
+			orow := out.dense.Data[i*k : (i+1)*k]
+			clear(orow)
+			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
+			var w T
+			for q, s := range vals(b, e) {
+				sum := w + s
+				if sum == 0 {
+					clear(orow)
+					w = 0
+					continue
+				}
+				j := int(pat.Col[b+int64(q)])
+				for c, xv := range xd[j*k : (j+1)*k] {
+					orow[c] = (orow[c]*w + xv*s) / sum
+				}
+				w = sum
+			}
 		}
 	}
-	each := func(i int) {
-		xd, k := x.dense.Data, out.cols
-		orow := out.dense.Data[i*k : (i+1)*k]
-		for c := range orow {
-			orow[c] = T(identity)
-		}
-		var w T
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			j := int(pat.Col[p])
-			w = fold(orow, xd[j*k:(j+1)*k], svals[p], w)
-		}
-	}
-	body := rowSweep(each)
+	body := gatherSweep(pat, x, each)
 	return func() { par.RangeCuts(cuts, body) }
+}
+
+// maxInto folds the rows of x (k wide) at cols into orow under the builtin
+// max, four at a time: orow read and written once per four rows. Without a
+// NaN the maximum is one of its operands whatever the order, so the grouping
+// cannot change a bit; and since 0 + x only turns −0 into +0, a map that
+// keeps the order, the caller adds the tropical unit once to the maximum
+// instead of to every operand.
+func maxInto[T elem](orow, x []T, cols []int32, k int) {
+	q := 0
+	for ; q+4 <= len(cols); q += 4 {
+		a, b := x[int(cols[q])*k:][:len(orow)], x[int(cols[q+1])*k:][:len(orow)]
+		c, d := x[int(cols[q+2])*k:][:len(orow)], x[int(cols[q+3])*k:][:len(orow)]
+		for i, v := range orow {
+			// max(v, a, b, c, d) as −min of the negations, in a tree: the
+			// builtin max negates around a min at every step.
+			orow[i] = -min(-v, min(-a[i], -b[i]), min(-c[i], -d[i]))
+		}
+	}
+	for ; q < len(cols); q++ {
+		a := x[int(cols[q])*k:][:len(orow)]
+		for i, v := range orow {
+			orow[i] = max(v, a[i])
+		}
+	}
+}
+
+// minInto is maxInto under the builtin min.
+func minInto[T elem](orow, x []T, cols []int32, k int) {
+	q := 0
+	for ; q+4 <= len(cols); q += 4 {
+		a, b := x[int(cols[q])*k:][:len(orow)], x[int(cols[q+1])*k:][:len(orow)]
+		c, d := x[int(cols[q+2])*k:][:len(orow)], x[int(cols[q+3])*k:][:len(orow)]
+		for i, v := range orow {
+			orow[i] = min(v, min(a[i], b[i]), min(c[i], d[i]))
+		}
+	}
+	for ; q < len(cols); q++ {
+		a := x[int(cols[q])*k:][:len(orow)]
+		for i, v := range orow {
+			orow[i] = min(v, a[i])
+		}
+	}
 }
 
 // opConcat copies the rows of xs side by side into out.
@@ -620,7 +682,7 @@ func opMMVJP[T elem](x, w, out *spec[T], ps *partialsScratch[T]) func() {
 type transposedRows[T elem] struct {
 	patT    *sparse.CSR
 	idxT    sparse.Index
-	src     []int64
+	src     []uint32
 	scratch rowScratch[T]
 }
 
@@ -642,7 +704,8 @@ func (t *transposedRows[T]) row(worker, j int, vals []T) (sparse.Index, []T) {
 // (written onto the pattern — the SDDMM of the backward pass) and the
 // feature cotangent X̄ += Sᵀ·Z̄ over the transposed pattern. For the
 // adjacency leaf (svals and sgvals nil) only the feature half runs (A is
-// not trainable), over adjT, A's values in Aᵀ's order; a sparse value node's
+// not trainable), over adjT, A's values in Aᵀ's order (nil, ones, for a
+// pattern); a sparse value node's
 // current values are read through the transpose row by row.
 func opSpMMVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T, tr *transposedRows[T], adjT []T, x, out *spec[T]) func() {
 	idx := pat.Index()
@@ -658,7 +721,7 @@ func opSpMMVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T
 			}
 		}
 	}
-	patT, idxT := tr.patT, tr.idxT
+	patT, idxT, adjVals := tr.patT, tr.idxT, sparse.RowValues(tr.patT, adjT)
 	accBody := func(worker, lo, hi int) {
 		og, xg := out.gdense, x.gdense
 		k := xg.Cols
@@ -670,7 +733,7 @@ func opSpMMVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, svals, sgvals []T
 				cols, vals = tr.row(worker, j, svals)
 			} else {
 				b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-				cols, vals = idxT.Slice(b, e), adjT[b:e]
+				cols, vals = idxT.Slice(b, e), adjVals(b, e)
 			}
 			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], vals, cols, og.Data, k, 0)
 		}

@@ -93,7 +93,8 @@ type Plan struct {
 	g      *Graph              // the plan's own copy: its pattern and the shapes over it
 	rebind func(a *sparse.CSR) // redoes what the pattern decides (Bind)
 	// unitSensitive: the backward list holds, or leaves out, a weighted
-	// mask's VJP because A's values were all 1 (unit) or not at compile time.
+	// mask's VJP because A was a pattern (unit) or held values at compile
+	// time.
 	unitSensitive, unit bool
 
 	ws    *tensor.Arena
@@ -533,7 +534,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 		output: g.md(g.output), x: e, ws: ws, offDiag: !diag,
 		cast: !aliased, poison: poisonDead, keepLife: keepLifetimes}
 	p.stats.DType = opt.DType
-	p.unit = unitWeights(g.pat)
+	p.unit = g.pat.Val == nil
 	e.plan, lay.p = p, p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
@@ -624,9 +625,17 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 	// The adjacency values (weighted masks, adjacency SpMM) at width T,
 	// resolved on first use under each pattern and shared by every op that
 	// needs them: A's own at float64, converted once into held storage
-	// otherwise.
+	// otherwise. A pattern has none (nil): a weighted mask over it runs as a
+	// pattern-only one — no multiply per edge, no VJP, no copy of values at
+	// width T — and an SpMM over it reads ones. A training plan's backward
+	// list holds the mask's VJP or not by the adjacency it was compiled over
+	// (Plan.unit), and Bind refuses one that flips it. A valued A whose values
+	// are all 1 runs the multiply: x·1 is x, the same bits.
 	adjOK := false
 	adjVals := func() []T {
+		if pat.Val == nil {
+			return nil
+		}
 		if v, ok := any(pat.Val).([]T); ok {
 			return v
 		}
@@ -636,13 +645,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 		}
 		return e.adj.buf[:nnz]
 	}
-	// A weighted mask multiplies A's values in, unless every one of them is
-	// exactly 1: x·1 is x to the bit, so such a mask runs as a pattern-only
-	// one — no multiply per edge, no VJP, no copy of the values at width T.
-	// A training plan's backward list holds the VJP or not by the values it
-	// was compiled over (Plan.unit), and Bind refuses a pattern that flips it.
 	maskWeights := func(mask *spec[T]) []T {
-		if !mask.weighted || unitWeights(pat) {
+		if !mask.weighted {
 			return nil
 		}
 		return adjVals()
@@ -1150,8 +1154,8 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				}
 				vjp = func() func() { return opSoftmaxVJP(pat, cuts, s.vals, s.gvals, rw, stats) }
 			case "mask":
-				// In place; a pattern-only mask — unit weights included — passes
-				// its cotangent through.
+				// In place; a pattern-only mask — a weighted one over a pattern
+				// included — passes its cotangent through.
 				p.unitSensitive = p.unitSensitive || s.weighted
 				if s.weighted && !p.unit {
 					vjp = func() func() { return opMaskVJP(s.gvals, maskWeights(s)) }
@@ -1242,11 +1246,14 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 		if grid != nil && !aliased {
 			w.words = e.wire.get(ws, max(pat.Rows, pat.Cols)*widest)
 		}
-		if adjSpMM {
+		adjT = nil
+		if adjSpMM && pat.Val != nil {
 			adjT = e.adjT.get(ws, nnz)
 			for q, v := 0, adjVals(); q < nnz; q++ {
 				adjT[q] = v[tr.src[q]]
 			}
+		} else {
+			e.adjT.release(ws)
 		}
 		e.zero = zeroSweep[T]{}
 		for _, buf := range paramGrads {
@@ -1721,9 +1728,9 @@ func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 //
 // Bind reports false and leaves the plan as it was when a does not fit what
 // was compiled: a grid plan binds only the block it was compiled for, and a
-// training plan over a
-// weighted mask holds the mask's VJP exactly when A's values are not all 1
-// (unitWeights). The caller compiles a new plan then.
+// training plan over a weighted mask holds the mask's VJP exactly when A
+// holds values, so it binds a pattern only if it was compiled over one. The
+// caller compiles a new plan then.
 func (p *Plan) Bind(a *sparse.CSR) bool {
 	if p.released {
 		panic("fuse: Bind on a released plan")
@@ -1731,19 +1738,13 @@ func (p *Plan) Bind(a *sparse.CSR) bool {
 	if a == p.g.pat {
 		return true
 	}
-	if p.g.grid != nil || p.unitSensitive && unitWeights(a) != p.unit {
+	if p.g.grid != nil || p.unitSensitive && (a.Val == nil) != p.unit {
 		return false
 	}
 	p.rebind(a)
 	p.step.stale = true
 	metrics.PlanCacheHits.Inc()
 	return true
-}
-
-// unitWeights reports whether every stored value of a is exactly 1: a
-// weighted mask over it multiplies by nothing.
-func unitWeights(a *sparse.CSR) bool {
-	return !slices.ContainsFunc(a.Val, func(v float64) bool { return v != 1 })
 }
 
 // Release returns every buffer the plan holds to the workspace arena, where

@@ -361,24 +361,34 @@ func TestPlanArenaPeakIsStatsWorkspace(t *testing.T) {
 	}
 }
 
-// TestUnitMaskIsPatternOnly: a weighted mask over an adjacency whose values
-// are all exactly 1 compiles as a pattern-only mask — no multiply per edge in
-// the sampling sweep, no mask VJP in the backward list, no copy of A's values
-// at float32 — and a single value other than 1 brings all three back. What
-// the unit plan computes is to the bit what the weighted one does: held
-// against the same pattern with one value set to 2, on every output row but
-// that edge's, and, with that row's output cotangent zeroed, on the input
-// cotangent and every parameter gradient (the doubled score reaches them only
-// through products with zero). The golden hashes pin the weighted path itself.
+// TestUnitMaskIsPatternOnly: a weighted mask over a pattern adjacency (Val
+// nil) compiles as a pattern-only mask — no multiply per edge in the
+// sampling sweep, no mask VJP in the backward list, no copy of A's values at
+// float32. Over the pattern's ones-valued twin the mask runs the multiply and
+// holds all three, and computes the pattern's bits exactly (x·1 is x); a
+// single value of 2 changes only what that edge reaches. Three operands: the
+// pattern, the ones-valued twin with the same ops and words as the twin with
+// one value 2, and the latter held to the pattern's bits on every output row
+// but that edge's, and, with that row's output cotangent zeroed, on the input
+// cotangent and every parameter gradient (the doubled score reaches them
+// only through products with zero). The golden hashes pin the weighted path
+// itself.
 func TestUnitMaskIsPatternOnly(t *testing.T) {
 	const n, k = 300, 6
-	unit := graph.ErdosRenyi(n, 1500, 31)
-	const edge = 700 // the one value the weighted twin changes
-	vals := append([]float64(nil), unit.Val...)
+	pattern := graph.ErdosRenyi(n, 1500, 31)
+	if pattern.Val != nil {
+		t.Fatal("ErdosRenyi returned a valued matrix, want a pattern")
+	}
+	const edge = 700 // the one value the two-valued twin changes
+	vals := make([]float64, pattern.NNZ())
+	for q := range vals {
+		vals[q] = 1
+	}
+	ones := pattern.WithValues(slices.Clone(vals))
 	vals[edge] = 2
-	two := unit.WithValues(vals)
+	two := pattern.WithValues(vals)
 	row := 0
-	for int(unit.RowPtr[row+1]) <= edge {
+	for int(pattern.RowPtr[row+1]) <= edge {
 		row++
 	}
 	models := map[string]func(a *sparse.CSR, rng *rand.Rand) (*fuse.Graph, []fuse.ParamRef){
@@ -415,32 +425,40 @@ func TestUnitMaskIsPatternOnly(t *testing.T) {
 						}
 						return p.Stats(), got
 					}
-					unitStats, unitGot := run(unit)
+					patStats, patGot := run(pattern)
+					onesStats, onesGot := run(ones)
 					twoStats, twoGot := run(two)
-					if train && twoStats.BackwardOps != unitStats.BackwardOps+1 {
-						t.Errorf("%s: %d backward ops with unit weights, %d with one weight of 2: want exactly the mask VJP apart",
-							what, unitStats.BackwardOps, twoStats.BackwardOps)
+					if twoStats.BackwardOps != onesStats.BackwardOps || twoStats.WorkspaceWords != onesStats.WorkspaceWords {
+						t.Errorf("%s: the ones-valued plan has %d backward ops and %d words, the one with a value of 2 %d and %d: want the same plan",
+							what, onesStats.BackwardOps, onesStats.WorkspaceWords, twoStats.BackwardOps, twoStats.WorkspaceWords)
+					}
+					if train && onesStats.BackwardOps != patStats.BackwardOps+1 {
+						t.Errorf("%s: %d backward ops over the pattern, %d over its ones-valued twin: want exactly the mask VJP apart",
+							what, patStats.BackwardOps, onesStats.BackwardOps)
 					}
 					wantCopy := int64(0)
 					if dt == tensor.F32 {
-						wantCopy = int64(unit.NNZ())
+						wantCopy = int64(pattern.NNZ())
 					}
-					if d := twoStats.WorkspaceWords - unitStats.WorkspaceWords; d != wantCopy {
-						t.Errorf("%s: the weighted plan holds %d words more than the unit one, want %d (A's values at the plan's width)",
+					if d := onesStats.WorkspaceWords - patStats.WorkspaceWords; d != wantCopy {
+						t.Errorf("%s: the valued plan holds %d words more than the pattern's, want %d (A's values at the plan's width)",
 							what, d, wantCopy)
 					}
-					for m := range unitGot {
-						u, w := unitGot[m].Data, twoGot[m].Data
+					for m := range patGot {
+						if i := firstBitDiff(patGot[m].Data, onesGot[m].Data); i >= 0 {
+							t.Errorf("%s: matrix %d differs at %d: %v over the pattern, %v over its ones", what, m, i, patGot[m].Data[i], onesGot[m].Data[i])
+						}
+						u, w := patGot[m].Data, twoGot[m].Data
 						if m == 0 { // the forward output: every row but the edge's
 							u = append(append([]float64(nil), u[:row*k]...), u[(row+1)*k:]...)
 							w = append(append([]float64(nil), w[:row*k]...), w[(row+1)*k:]...)
 						}
 						if i := firstBitDiff(u, w); i >= 0 {
-							t.Errorf("%s: matrix %d differs at %d: %v with unit weights, %v under the multiply", what, m, i, u[i], w[i])
+							t.Errorf("%s: matrix %d differs at %d: %v over the pattern, %v under the multiply", what, m, i, u[i], w[i])
 						}
 					}
-					if firstBitDiff(unitGot[0].Data, twoGot[0].Data) < 0 {
-						t.Errorf("%s: the weight of 2 did not reach the output: the multiply is gone from the weighted plan too", what)
+					if firstBitDiff(patGot[0].Data, twoGot[0].Data) < 0 {
+						t.Errorf("%s: the weight of 2 did not reach the output: the multiply is gone from the valued plan", what)
 					}
 				}
 			}

@@ -125,8 +125,9 @@ func checkRebinds(t *testing.T, what string, m rebindModel, opt fuse.Options, pa
 // the golden kinds and a 2-head GAT, at both widths, training and inference,
 // on three workers (C is tall enough that every sweep splits). So does a
 // plan FromTables bound to the row blocks of other queries, and a plan whose
-// dead buffers are poisoned. A training plan over a weighted mask refuses a
-// pattern that flips whether A's values are all 1, in both directions.
+// dead buffers are poisoned. A training plan over a weighted mask refuses an
+// adjacency that flips between a pattern (Val nil) and valued, in both
+// directions, and binds a ones-valued one over a weighted compile.
 func TestPlanRebindBitwise(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(3))
 	a, b, c := weightedGraph(150, 900, 31), weightedGraph(60, 300, 32), weightedGraph(400, 2400, 33)
@@ -147,26 +148,28 @@ func TestPlanRebindBitwise(t *testing.T) {
 	})
 
 	t.Run("unit-weights", func(t *testing.T) {
-		unit := func(w *sparse.CSR) *sparse.CSR {
-			ones := make([]float64, w.NNZ())
-			for i := range ones {
-				ones[i] = 1
-			}
-			return w.WithValues(ones)
+		// ua, ub: patterns (Val nil); a ones-valued twin counts as weighted.
+		ua := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, Col: a.Col}
+		ub := &sparse.CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: c.RowPtr, Col: c.Col}
+		ones := make([]float64, a.NNZ())
+		for i := range ones {
+			ones[i] = 1
 		}
-		ua, ub := unit(a), unit(c)
 		va := rebindModels()[0] // a weighted mask with a VJP under training
 		for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 			g, _ := va.build(a)
 			weighted := g.MustCompile(fuse.Options{Train: true, DType: dt})
 			if weighted.Bind(ua) {
-				t.Errorf("%s: a training plan over weighted values bound a unit-valued pattern", dt)
+				t.Errorf("%s: a training plan over weighted values bound a pattern", dt)
+			}
+			if !weighted.Bind(a.WithValues(ones)) {
+				t.Errorf("%s: a training plan over weighted values refused the ones-valued twin", dt)
 			}
 			weighted.Release()
 			g, _ = va.build(ua)
 			unitPlan := g.MustCompile(fuse.Options{Train: true, DType: dt})
 			if unitPlan.Bind(b) {
-				t.Errorf("%s: a training plan over unit values bound a weighted pattern", dt)
+				t.Errorf("%s: a training plan over a pattern bound a weighted adjacency", dt)
 			}
 			unitPlan.Release()
 			// Within one kind the plan binds, and inference binds across kinds.

@@ -20,7 +20,7 @@ func permuteGraph(a *sparse.CSR, perm []int) *sparse.CSR {
 	c := sparse.NewCOO(a.Rows, a.Cols, a.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			c.AppendVal(inv[i], inv[a.Col[p]], a.Val[p])
+			c.AppendFrom(inv[i], inv[a.Col[p]], a.Val, p)
 		}
 	}
 	return sparse.FromCOO(c)

@@ -78,7 +78,7 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 				[]int32{int32(i), d.Adj.Col[p]}); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, binary.LittleEndian, d.Adj.Val[p]); err != nil {
+			if err := binary.Write(bw, binary.LittleEndian, d.Adj.ValueAt(p)); err != nil {
 				return err
 			}
 		}
@@ -105,7 +105,8 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadDataset parses a dataset written by WriteDataset.
+// ReadDataset parses a dataset written by WriteDataset; the adjacency is a
+// pattern when its values are all exactly 1, as ReadCOOBinary's.
 func ReadDataset(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(datasetMagic))
@@ -160,7 +161,7 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	d := &Dataset{
-		Adj:       sparse.FromCOO(coo),
+		Adj:       sparse.PatternIfUnit(sparse.FromCOO(coo)),
 		Features:  feats,
 		Labels:    make([]int, n),
 		Classes:   classes,

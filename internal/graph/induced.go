@@ -70,6 +70,7 @@ func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
 // id + 1) and builds each row of the result in place from a's row, sorting
 // it if asked to and its mapped columns are not already strictly ascending.
 // A call costs the rows it reads plus O(d log d) per sorted row of length d.
+// A pattern's block is a pattern.
 func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 	m := BorrowMarks(max(a.Rows, a.Cols))
 	local := m.At
@@ -94,16 +95,19 @@ func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 				ascending = false
 			}
 			col = append(col, lj-1)
-			val = append(val, a.Val[lo+int64(q)])
+			val = sparse.AppendValues(val, a.Val, lo+int64(q), lo+int64(q)+1)
 		}
-		if sorted && !ascending {
+		if sorted && !ascending && a.Val == nil {
+			slices.Sort(col[start:])
+			col = col[:start+len(slices.Compact(col[start:]))]
+		} else if sorted && !ascending {
 			col, val = m.sortRow(col, val, start)
 		}
 		rowPtr[li+1] = int64(len(col))
 	}
 	out := &sparse.CSR{Rows: r, Cols: len(vertices), RowPtr: rowPtr,
 		Col: append(make([]int32, 0, len(col)), col...),
-		Val: append(make([]float64, 0, len(val)), val...)}
+		Val: append(sparse.ValuesLike(a.Val, len(val))[:0], val...)}
 	m.col, m.val = col, val
 	m.Release(vertices)
 	return out
@@ -113,7 +117,7 @@ func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 // under its global column ids, in a's order: the rows of the global product a
 // query for those vertices reads, A[rows, :]. With within non-nil, only the
 // entries whose column is one of within stay — the rows of an ego network cut
-// at its edge.
+// at its edge. A pattern's block is a pattern.
 func RowBlock(a *sparse.CSR, rows, within []int32) *sparse.CSR {
 	rowPtr := make([]int64, len(rows)+1)
 	if within == nil {
@@ -121,10 +125,10 @@ func RowBlock(a *sparse.CSR, rows, within []int32) *sparse.CSR {
 			rowPtr[x+1] = rowPtr[x] + a.RowPtr[v+1] - a.RowPtr[v]
 		}
 		out := &sparse.CSR{Rows: len(rows), Cols: a.Cols, RowPtr: rowPtr,
-			Col: make([]int32, rowPtr[len(rows)]), Val: make([]float64, rowPtr[len(rows)])}
+			Col: make([]int32, rowPtr[len(rows)]), Val: sparse.ValuesLike(a.Val, int(rowPtr[len(rows)]))[:0]}
 		for x, v := range rows {
 			copy(out.Col[rowPtr[x]:rowPtr[x+1]], a.Col[a.RowPtr[v]:a.RowPtr[v+1]])
-			copy(out.Val[rowPtr[x]:rowPtr[x+1]], a.Val[a.RowPtr[v]:a.RowPtr[v+1]])
+			out.Val = sparse.AppendValues(out.Val, a.Val, a.RowPtr[v], a.RowPtr[v+1])
 		}
 		return out
 	}
@@ -133,13 +137,13 @@ func RowBlock(a *sparse.CSR, rows, within []int32) *sparse.CSR {
 		m.At[v] = 1
 	}
 	var col []int32
-	var val []float64
+	val := sparse.ValuesLike(a.Val, 0)
 	for x, v := range rows {
 		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
 		for q, c := range a.Col[lo:hi] {
 			if m.At[c] != 0 {
 				col = append(col, c)
-				val = append(val, a.Val[lo+int64(q)])
+				val = sparse.AppendValues(val, a.Val, lo+int64(q), lo+int64(q)+1)
 			}
 		}
 		rowPtr[x+1] = int64(len(col))

@@ -36,7 +36,7 @@ func weighted(a *sparse.CSR, seed int64) *sparse.CSR {
 func entry(a *sparse.CSR, i, j int32) (float64, bool) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	if q, ok := slices.BinarySearch(a.Col[lo:hi], j); ok {
-		return a.Val[lo+int64(q)], true
+		return a.ValueAt(lo + int64(q)), true
 	}
 	return 0, false
 }
@@ -63,8 +63,8 @@ func checkInduced(t *testing.T, a, sub *sparse.CSR, vs []int32) {
 		}
 		for q, y := range row {
 			want, ok := entry(a, vx, vs[y])
-			if !ok || sub.Val[lo+int64(q)] != want {
-				t.Fatalf("entry (%d,%d) = %v, a(%d,%d) = %v (present %t)", x, y, sub.Val[lo+int64(q)], vx, vs[y], want, ok)
+			if !ok || sub.ValueAt(lo+int64(q)) != want {
+				t.Fatalf("entry (%d,%d) = %v, a(%d,%d) = %v (present %t)", x, y, sub.ValueAt(lo+int64(q)), vx, vs[y], want, ok)
 			}
 		}
 		inside := 0
@@ -199,7 +199,11 @@ func checkBounds(t *testing.T, a *sparse.CSR, seeds, verts []int32, bounds []int
 // row returns row i of a: its columns and values.
 func row(a *sparse.CSR, i int32) ([]int32, []float64) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	return a.Col[lo:hi], a.Val[lo:hi]
+	vals := make([]float64, hi-lo)
+	for q := range vals {
+		vals[q] = a.ValueAt(lo + int64(q))
+	}
+	return a.Col[lo:hi], vals
 }
 
 // checkBlocks holds the message-flow blocks of an ego query to a and to the

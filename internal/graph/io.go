@@ -72,9 +72,9 @@ func ReadCOOText(r io.Reader) (*sparse.CSR, error) {
 	return sparse.FromCOO(coo), nil
 }
 
-// WriteCOOBinary writes a (values included) in the repository's binary COO
-// format: magic, rows, cols, nnz, then (row, col int32, val float64)
-// triples, all little-endian.
+// WriteCOOBinary writes a (values included, 1 for a pattern's) in the
+// repository's binary COO format: magic, rows, cols, nnz, then (row, col
+// int32, val float64) triples, all little-endian.
 func WriteCOOBinary(w io.Writer, a *sparse.CSR) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binMagic); err != nil {
@@ -92,7 +92,7 @@ func WriteCOOBinary(w io.Writer, a *sparse.CSR) error {
 			if err := binary.Write(bw, binary.LittleEndian, a.Col[p]); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, binary.LittleEndian, a.Val[p]); err != nil {
+			if err := binary.Write(bw, binary.LittleEndian, a.ValueAt(p)); err != nil {
 				return err
 			}
 		}
@@ -100,7 +100,9 @@ func WriteCOOBinary(w io.Writer, a *sparse.CSR) error {
 	return bw.Flush()
 }
 
-// ReadCOOBinary reads the binary COO format written by WriteCOOBinary.
+// ReadCOOBinary reads the binary COO format written by WriteCOOBinary: a
+// pattern when every value it sums to is exactly 1 (sparse.PatternIfUnit,
+// after duplicates are summed).
 func ReadCOOBinary(r io.Reader) (*sparse.CSR, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binMagic))
@@ -149,7 +151,7 @@ func ReadCOOBinary(r io.Reader) (*sparse.CSR, error) {
 		}
 		coo.AppendVal(i, j, v)
 	}
-	return sparse.FromCOO(coo), nil
+	return sparse.PatternIfUnit(sparse.FromCOO(coo)), nil
 }
 
 // SaveFile writes a to path, choosing the format by extension: ".txt"/".el"

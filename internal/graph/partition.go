@@ -99,7 +99,10 @@ func (p Prep) Apply(a *sparse.CSR) *sparse.CSR {
 // must be sorted (the CSR convention). Each row's column range is two
 // binary searches; the preprocessing is applied inside the block: the
 // diagonal entry merged in on the real rows it crosses, unit values, and
-// GCN's D̂^{-½} from the degrees of only the vertices the block touches.
+// GCN's D̂^{-½} from the degrees of only the vertices the block touches. A
+// pattern's block under PrepNone is a pattern, and under PrepSelfLoops so is
+// any block with no sum 0, as AddSelfLoops decides for the whole; GCN's
+// block holds its values.
 func Block(a *sparse.CSR, p Prep, r0, c0, rows, cols int) *sparse.CSR {
 	if p != PrepNone && a.Rows != a.Cols {
 		panic("graph: Block preprocesses a square matrix only")
@@ -130,7 +133,9 @@ func Block(a *sparse.CSR, p Prep, r0, c0, rows, cols int) *sparse.CSR {
 		}
 	}
 	out.Col = make([]int32, out.RowPtr[rows])
-	out.Val = make([]float64, out.RowPtr[rows])
+	if a.Val != nil || p == PrepGCN {
+		out.Val = make([]float64, out.RowPtr[rows])
+	}
 	var rs, cs []float64 // GCN: D̂^{-½} of the block's rows and columns
 	if p == PrepGCN {
 		rs = invSqrtDegrees(a, r0, r0+live)
@@ -159,7 +164,10 @@ func Block(a *sparse.CSR, p Prep, r0, c0, rows, cols int) *sparse.CSR {
 			plo, phi, diag := span(i)
 			q := out.RowPtr[r]
 			put := func(j int, v float64) {
-				out.Col[q], out.Val[q] = int32(j-c0), value(i, j, v)
+				out.Col[q] = int32(j - c0)
+				if out.Val != nil {
+					out.Val[q] = value(i, j, v)
+				}
 				q++
 			}
 			for k := plo; k < phi; k++ {
@@ -168,13 +176,16 @@ func Block(a *sparse.CSR, p Prep, r0, c0, rows, cols int) *sparse.CSR {
 					put(i, 0) // the diagonal entry Â adds: 0 + 1
 					diag = false
 				}
-				put(j, a.Val[k])
+				put(j, a.ValueAt(k))
 			}
 			if diag {
 				put(i, 0)
 			}
 		}
 	})
+	if p == PrepSelfLoops {
+		return sparse.PatternIfUnit(out)
+	}
 	return out
 }
 
@@ -187,7 +198,7 @@ func invSqrtDegrees(a *sparse.CSR, lo, hi int) []float64 {
 		for v := l; v < h; v++ {
 			i, d, diag := lo+v, 0, false
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				val := a.Val[k]
+				val := a.ValueAt(k)
 				if int(a.Col[k]) == i {
 					val, diag = val+1, true
 				}

@@ -77,7 +77,7 @@ func cutViaCOO(a *sparse.CSR, r0, c0, rows, cols int) *sparse.CSR {
 	for i := r0; i < min(r0+rows, a.Rows); i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			if j := int(a.Col[p]); j >= c0 && j < c0+cols {
-				coo.AppendVal(int32(i-r0), int32(j-c0), a.Val[p])
+				coo.AppendFrom(int32(i-r0), int32(j-c0), a.Val, p)
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func awkwardGraph() *sparse.CSR {
 			continue // an empty row
 		}
 		for p := k.RowPtr[i]; p < k.RowPtr[i+1]; p++ {
-			j, v := k.Col[p], k.Val[p]
+			j, v := k.Col[p], k.ValueAt(p)
 			if (i+int(j))%5 == 0 {
 				v = 0
 			}
@@ -115,7 +115,7 @@ func awkwardGraph() *sparse.CSR {
 func sameBits(t *testing.T, what string, got, want *sparse.CSR) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) ||
-		!slices.Equal(got.Col, want.Col) || len(got.Val) != len(want.Val) {
+		!slices.Equal(got.Col, want.Col) || len(got.Val) != len(want.Val) || (got.Val == nil) != (want.Val == nil) {
 		t.Fatalf("%s: pattern differs from the cut of the preprocessed whole", what)
 	}
 	for q := range got.Val {

@@ -13,7 +13,8 @@ import (
 // place with value 0). Entries already on the diagonal are preserved — one
 // entry per position. It is one pass over A's rows: each row is copied with
 // its diagonal entry merged in at its column's place, as A.Add(I) would,
-// and every value written as the unit the sum maps to.
+// and every value written as the unit the sum maps to. Â is a pattern unless
+// a sum is 0 — always for a pattern, whose sums with I are all 1 or 2.
 func AddSelfLoops(a *sparse.CSR) *sparse.CSR {
 	if a.Rows != a.Cols {
 		panic("graph: AddSelfLoops needs a square matrix")
@@ -35,38 +36,45 @@ func AddSelfLoops(a *sparse.CSR) *sparse.CSR {
 		out.RowPtr[i+1] = out.RowPtr[i] + n
 	}
 	out.Col = make([]int32, out.RowPtr[a.Rows])
-	out.Val = make([]float64, out.RowPtr[a.Rows])
+	out.Val = sparse.ValuesLike(a.Val, int(out.RowPtr[a.Rows]))
 	par.Range(a.Rows, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			q, diag, pending := out.RowPtr[i], int32(i), true
+			put := func(j int32, v float64) {
+				out.Col[q] = j
+				if out.Val != nil {
+					out.Val[q] = unit(v)
+				}
+				q++
+			}
 			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				j, v := a.Col[p], a.Val[p]
+				j, v := a.Col[p], a.ValueAt(p)
 				switch {
 				case pending && j == diag:
 					v, pending = v+1, false
 				case pending && j > diag:
-					out.Col[q], out.Val[q], pending = diag, 1, false
-					q++
+					put(diag, 1)
+					pending = false
 				}
-				out.Col[q], out.Val[q] = j, unit(v)
-				q++
+				put(j, v)
 			}
 			if pending {
-				out.Col[q], out.Val[q] = diag, 1
+				put(diag, 1)
 			}
 		}
 	})
-	return out
+	return sparse.PatternIfUnit(out)
 }
 
-// Symmetrize returns the pattern of A + Aᵀ with unit values.
+// Symmetrize returns the pattern of A + Aᵀ with unit values: a pattern
+// unless a sum is 0.
 func Symmetrize(a *sparse.CSR) *sparse.CSR {
-	return a.AddTranspose().Apply(func(v float64) float64 {
+	return sparse.PatternIfUnit(a.AddTranspose().Apply(func(v float64) float64 {
 		if v != 0 {
 			return 1
 		}
 		return 0
-	})
+	}))
 }
 
 // RemoveSelfLoops drops diagonal entries.
@@ -75,7 +83,7 @@ func RemoveSelfLoops(a *sparse.CSR) *sparse.CSR {
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			if int(a.Col[p]) != i {
-				coo.AppendVal(int32(i), a.Col[p], a.Val[p])
+				coo.AppendFrom(int32(i), a.Col[p], a.Val, p)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ type Graph struct {
 	N      int
 	OutPtr []int64
 	OutCol []int32
-	OutVal []float64
+	OutVal []float64 // nil for a pattern: every weight 1
 	InPtr  []int64
 	InCol  []int32 // source vertex of each in-edge
 	InPos  []int64 // out-edge index of each in-edge

@@ -5,6 +5,7 @@ import (
 
 	"agnn/internal/gnn"
 	"agnn/internal/par"
+	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
 
@@ -167,7 +168,7 @@ func (l *VALayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
 	hp := project(h, l.W.Value)
 	psi := edgeDotRows(g, h, h)
 	for p := range psi {
-		psi[p] *= g.OutVal[p]
+		psi[p] *= sparse.ValueAt(g.OutVal, int64(p))
 	}
 	k := hp.Cols
 	z := tensor.NewDense(g.N, k)
@@ -208,11 +209,11 @@ func (l *VALayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 				i := int(g.InCol[q])
 				pos := g.InPos[q]
 				tensor.Axpy(l.psi[pos], m.Row(i), hrow)
-				tensor.Axpy(psiBar[pos]*g.OutVal[pos], l.h.Row(i), hrow)
+				tensor.Axpy(psiBar[pos]*sparse.ValueAt(g.OutVal, pos), l.h.Row(i), hrow)
 			}
 			// i-side score path: Σ over out-edges (v→j) of ψ̄ᵃ_vj·h_j.
 			for p := g.OutPtr[v]; p < g.OutPtr[v+1]; p++ {
-				tensor.Axpy(psiBar[p]*g.OutVal[p], l.h.Row(int(g.OutCol[p])), hrow)
+				tensor.Axpy(psiBar[p]*sparse.ValueAt(g.OutVal, p), l.h.Row(int(g.OutCol[p])), hrow)
 			}
 		}
 	})
@@ -273,7 +274,7 @@ func (l *AGNNLayer) Forward(h *tensor.Dense, training bool) *tensor.Dense {
 	par.Range(g.N, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for p := g.OutPtr[i]; p < g.OutPtr[i+1]; p++ {
-				cos[p] *= g.OutVal[p] * inv[i] * inv[g.OutCol[p]]
+				cos[p] *= sparse.ValueAt(g.OutVal, p) * inv[i] * inv[g.OutCol[p]]
 			}
 		}
 	})
@@ -322,7 +323,7 @@ func (l *AGNNLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 			rowD := 0.0
 			for p := g.OutPtr[v]; p < g.OutPtr[v+1]; p++ {
 				j := int(g.OutCol[p])
-				sb := cBar[p] * g.OutVal[p] * l.inv[v] * l.inv[j]
+				sb := cBar[p] * sparse.ValueAt(g.OutVal, p) * l.inv[v] * l.inv[j]
 				tensor.Axpy(sb, l.h.Row(j), hrow)
 				rowD += cBar[p] * l.cos[p]
 			}
@@ -330,7 +331,7 @@ func (l *AGNNLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 			for q := g.InPtr[v]; q < g.InPtr[v+1]; q++ {
 				i := int(g.InCol[q])
 				pos := g.InPos[q]
-				sb := cBar[pos] * g.OutVal[pos] * l.inv[i] * l.inv[v]
+				sb := cBar[pos] * sparse.ValueAt(g.OutVal, pos) * l.inv[i] * l.inv[v]
 				tensor.Axpy(sb, l.h.Row(i), hrow)
 				colD += cBar[pos] * l.cos[pos]
 			}
@@ -450,7 +451,8 @@ func (l *GATLayer) Backward(gOut *tensor.Dense) *tensor.Dense {
 	return project(hpBar, l.W.Value.T())
 }
 
-// aggregateEdges computes z_i = Σ_{j∈N(i)} w_p · x_j for per-edge weights w.
+// aggregateEdges computes z_i = Σ_{j∈N(i)} w_p · x_j for per-edge weights w
+// (nil: a pattern's ones).
 func aggregateEdges(g *Graph, w []float64, x *tensor.Dense) *tensor.Dense {
 	k := x.Cols
 	z := tensor.NewDense(g.N, k)
@@ -458,7 +460,7 @@ func aggregateEdges(g *Graph, w []float64, x *tensor.Dense) *tensor.Dense {
 		for i := lo; i < hi; i++ {
 			zrow := z.Row(i)
 			for p := g.OutPtr[i]; p < g.OutPtr[i+1]; p++ {
-				tensor.Axpy(w[p], x.Row(int(g.OutCol[p])), zrow)
+				tensor.Axpy(sparse.ValueAt(w, p), x.Row(int(g.OutCol[p])), zrow)
 			}
 		}
 	})
@@ -466,7 +468,7 @@ func aggregateEdges(g *Graph, w []float64, x *tensor.Dense) *tensor.Dense {
 }
 
 // gatherScaled computes y_v = Σ over in-edges (i→v) of w_pos · x_i — the
-// race-free gather form of the scatter Σ_i w·x_i → y_j.
+// race-free gather form of the scatter Σ_i w·x_i → y_j (w nil: ones).
 func gatherScaled(g *Graph, w []float64, x *tensor.Dense) *tensor.Dense {
 	k := x.Cols
 	y := tensor.NewDense(g.N, k)
@@ -474,7 +476,7 @@ func gatherScaled(g *Graph, w []float64, x *tensor.Dense) *tensor.Dense {
 		for v := lo; v < hi; v++ {
 			yrow := y.Row(v)
 			for q := g.InPtr[v]; q < g.InPtr[v+1]; q++ {
-				tensor.Axpy(w[g.InPos[q]], x.Row(int(g.InCol[q])), yrow)
+				tensor.Axpy(sparse.ValueAt(w, g.InPos[q]), x.Row(int(g.InCol[q])), yrow)
 			}
 		}
 	})

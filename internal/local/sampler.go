@@ -48,7 +48,7 @@ func NeighborhoodExpand(g *Graph, seeds []int32, hops int) *Batch {
 	for li, v := range vertices {
 		for p := g.OutPtr[v]; p < g.OutPtr[v+1]; p++ {
 			if lj, ok := localID[g.OutCol[p]]; ok {
-				coo.AppendVal(int32(li), lj, g.OutVal[p])
+				coo.AppendFrom(int32(li), lj, g.OutVal, p)
 			}
 		}
 	}

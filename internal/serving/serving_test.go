@@ -423,11 +423,11 @@ func egoTestGraph(t *testing.T) (*sparse.CSR, *tensor.Dense) {
 	coo := sparse.NewCOO(n, n, ds.Adj.NNZ()+4)
 	for i := 0; i < ds.Adj.Rows; i++ {
 		for q := ds.Adj.RowPtr[i]; q < ds.Adj.RowPtr[i+1]; q++ {
-			coo.AppendVal(int32(i), ds.Adj.Col[q], ds.Adj.Val[q])
+			coo.Append(int32(i), ds.Adj.Col[q])
 		}
 	}
 	for _, e := range [][2]int32{{81, 82}, {82, 81}, {82, 83}, {83, 82}} {
-		coo.AppendVal(e[0], e[1], 1)
+		coo.Append(e[0], e[1])
 	}
 	feats := tensor.RandN(n, ds.Features.Cols, 1, rand.New(rand.NewSource(42)))
 	feats.SliceRows(0, ds.Adj.Rows).CopyFrom(ds.Features)

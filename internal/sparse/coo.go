@@ -6,12 +6,22 @@
 // All matrices in this package use 32-bit column indices; graphs are
 // limited to 2^31-1 vertices and non-zeros, far beyond what a single
 // simulated node processes in this reproduction.
+//
+// A matrix without values (Val nil, in a COO or a CSR) is a pattern: every
+// stored value is 1. The paper's adjacency A is a sparsity mask, so that is
+// what an unweighted graph is from its construction on; only a weighted one
+// (GCN's D̂^{-½}·Â·D̂^{-½}, explicit edge weights) holds a value per entry.
+// Every kernel here reads a pattern as its ones-valued twin, bit for bit.
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // COO is a coordinate-format sparse matrix. Val may be nil, in which case
-// every stored entry has the implicit value 1 (a pattern/adjacency matrix).
+// every stored entry has the implicit value 1 (a pattern/adjacency matrix),
+// and FromCOO builds a pattern CSR from it without allocating a value.
 type COO struct {
 	Rows, Cols int
 	Row, Col   []int32
@@ -54,8 +64,19 @@ func (c *COO) AppendVal(i, j int32, v float64) {
 	c.Val = append(c.Val, v)
 }
 
-// validate panics on out-of-range indices.
+// AppendFrom adds entry (i, j) with value vals[p], or a pattern entry when
+// vals is nil: copying a CSR's entries with its Val keeps a pattern a
+// pattern. Every call on one COO passes a valued vals or every call nil.
+func (c *COO) AppendFrom(i, j int32, vals []float64, p int64) {
+	c.Row, c.Col, c.Val = append(c.Row, i), append(c.Col, j), AppendValues(c.Val, vals, p, p+1)
+}
+
+// validate panics on out-of-range indices and on 2³¹ or more entries, past
+// what the 32-bit entry positions of Transposed address.
 func (c *COO) validate() {
+	if len(c.Row) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d entries, more than 2³¹−1", len(c.Row)))
+	}
 	for p := range c.Row {
 		if c.Row[p] < 0 || int(c.Row[p]) >= c.Rows || c.Col[p] < 0 || int(c.Col[p]) >= c.Cols {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) outside %d×%d", c.Row[p], c.Col[p], c.Rows, c.Cols))

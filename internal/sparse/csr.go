@@ -17,11 +17,16 @@ import (
 // of all of these); only Val differs. This is the concrete realization of
 // the paper's observation that "the output almost always has the same
 // sparsity pattern as the adjacency matrix".
+//
+// Val == nil makes the matrix a pattern: every stored value is 1 and none is
+// held, which is what the adjacency of an unweighted graph — the paper's mask
+// A — is. Every method and kernel of this package reads a pattern as its
+// ones-valued twin, to the bit (ValueAt); the builders keep a pattern one.
 type CSR struct {
 	Rows, Cols int
-	RowPtr     []int64 // len Rows+1
-	Col        []int32 // len NNZ
-	Val        []float64
+	RowPtr     []int64   // len Rows+1
+	Col        []int32   // len NNZ
+	Val        []float64 // len NNZ, or nil: a pattern
 
 	transposed     *Transposed // TransposedPattern's memo
 	transposedOnce sync.Once
@@ -32,17 +37,92 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (s *CSR) NNZ() int { return len(s.Col) }
 
+// ValueAt returns the value of entry p: Val[p], or 1 in a pattern.
+func (s *CSR) ValueAt(p int64) float64 { return ValueAt(s.Val, p) }
+
+// ValueAt returns vals[p], or 1 where vals is nil: entry p's value in a
+// matrix holding vals, a pattern's one.
+func ValueAt(vals []float64, p int64) float64 {
+	if vals == nil {
+		return 1
+	}
+	return vals[p]
+}
+
+// ValuesLike returns n zeroed values for a matrix built from the entries of
+// one holding vals, or nil when vals is nil: whatever is built from a
+// pattern's entries is a pattern.
+func ValuesLike(vals []float64, n int) []float64 {
+	if vals == nil {
+		return nil
+	}
+	return make([]float64, n)
+}
+
+// AppendValues appends vals[b:e] to dst, or nothing for a pattern (vals
+// nil), beside the entries a builder copies from it.
+func AppendValues(dst, vals []float64, b, e int64) []float64 {
+	if vals == nil {
+		return dst
+	}
+	return append(dst, vals[b:e]...)
+}
+
+// PatternIfUnit drops s's values when every one of them is exactly 1 and
+// returns s, which must not be shared yet: a unit-valued result (Â's units,
+// a file written from a pattern) is a pattern.
+func PatternIfUnit(s *CSR) *CSR {
+	if !slices.ContainsFunc(s.Val, func(v float64) bool { return v != 1 }) {
+		s.Val = nil
+	}
+	return s
+}
+
+// RowValues returns the reader of the values of entries [b, e) of a matrix
+// on pat's pattern held in vals: vals[b:e], or, for a pattern (vals nil), as
+// many ones from a shared row of them — so one kernel that takes a value
+// slice runs both.
+func RowValues[T tensor.Elem](pat *CSR, vals []T) func(b, e int64) []T {
+	if vals != nil {
+		return func(b, e int64) []T { return vals[b:e] }
+	}
+	ones := onesRow[T](pat.MaxRowNNZ())
+	return func(b, e int64) []T { return ones[:e-b] }
+}
+
+// ones holds, per width, the longest row of ones RowValues has handed out.
+// A row is never written once filled; a longer request replaces it.
+var ones = struct {
+	sync.Mutex
+	rows map[any]any // T(0) → []T
+}{rows: map[any]any{}}
+
+// onesRow returns n ones at width T.
+func onesRow[T tensor.Elem](n int) []T {
+	ones.Lock()
+	defer ones.Unlock()
+	row, _ := ones.rows[T(0)].([]T)
+	if len(row) < n {
+		row = make([]T, n)
+		for q := range row {
+			row[q] = 1
+		}
+		ones.rows[T(0)] = row
+	}
+	return row[:n]
+}
+
 // FromCOO builds a CSR from a COO, sorting entries and summing duplicates.
-// A nil-valued (pattern) COO yields unit values with duplicates collapsed.
-// The entries are counted per row and scattered, in input order, straight
-// into what becomes Col (and Val); each row is then sorted and deduplicated
-// in place, the rows split over par.Range. The sort is stable, so the
-// duplicates of a weighted COO are summed in input order. The COO is left as
-// it was.
+// A pattern COO (Val nil) yields a pattern, duplicates collapsed, and never
+// holds a value. The entries are counted per row and scattered, in input
+// order, straight into what becomes Col (and Val); each row is then sorted
+// and deduplicated in place, the rows split over par.Range. The sort is
+// stable, so the duplicates of a weighted COO are summed in input order. The
+// COO is left as it was.
 func FromCOO(c *COO) *CSR {
 	c.validate()
 	n := c.Len()
-	out := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1), Col: make([]int32, n), Val: make([]float64, n)}
+	out := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1), Col: make([]int32, n), Val: ValuesLike(c.Val, n)}
 	for _, i := range c.Row {
 		out.RowPtr[i+1]++
 	}
@@ -68,30 +148,28 @@ func FromCOO(c *COO) *CSR {
 	par.Range(c.Rows, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			start, end := out.RowPtr[i], out.RowPtr[i+1]
-			cols, vals := out.Col[start:end], out.Val[start:end]
+			cols := out.Col[start:end]
 			if c.Val == nil {
 				slices.Sort(cols)
-			} else {
-				es := scratch[w][:0]
-				for q, j := range cols {
-					es = append(es, entry{j, vals[q]})
-				}
-				slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
-				for q, e := range es {
-					cols[q], vals[q] = e.col, e.val
-				}
-				scratch[w] = es
+				next[i] = int64(len(slices.Compact(cols)))
+				continue
 			}
+			vals := out.Val[start:end]
+			es := scratch[w][:0]
+			for q, j := range cols {
+				es = append(es, entry{j, vals[q]})
+			}
+			slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
 			m := 0
-			for q := range cols {
-				switch {
-				case m > 0 && cols[q] == cols[m-1]:
-					vals[m-1] += vals[q] // a weighted duplicate; a pattern's values are set below
-				default:
-					cols[m], vals[m] = cols[q], vals[q]
-					m++
+			for _, e := range es {
+				if m > 0 && e.col == cols[m-1] {
+					vals[m-1] += e.val
+					continue
 				}
+				cols[m], vals[m] = e.col, e.val
+				m++
 			}
+			scratch[w] = es
 			next[i] = int64(m)
 		}
 	})
@@ -100,27 +178,26 @@ func FromCOO(c *COO) *CSR {
 	for i := 0; i < c.Rows; i++ {
 		start, m := out.RowPtr[i], next[i]
 		copy(out.Col[w:w+m], out.Col[start:start+m])
-		copy(out.Val[w:w+m], out.Val[start:start+m])
+		if c.Val != nil {
+			copy(out.Val[w:w+m], out.Val[start:start+m])
+		}
 		out.RowPtr[i] = w
 		w += m
 	}
 	out.RowPtr[c.Rows] = w
-	out.Col, out.Val = out.Col[:w:w], out.Val[:w:w]
-	if c.Val == nil {
-		for q := range out.Val {
-			out.Val[q] = 1
-		}
+	out.Col = out.Col[:w:w]
+	if c.Val != nil {
+		out.Val = out.Val[:w:w]
 	}
 	return out
 }
 
-// Identity returns the n×n identity matrix.
+// Identity returns the n×n identity matrix, a pattern.
 func Identity(n int) *CSR {
-	s := &CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+1), Col: make([]int32, n), Val: make([]float64, n)}
+	s := &CSR{Rows: n, Cols: n, RowPtr: make([]int64, n+1), Col: make([]int32, n)}
 	for i := 0; i < n; i++ {
 		s.RowPtr[i+1] = int64(i + 1)
 		s.Col[i] = int32(i)
-		s.Val[i] = 1
 	}
 	return s
 }
@@ -130,7 +207,7 @@ func (s *CSR) Clone() *CSR {
 	out := &CSR{Rows: s.Rows, Cols: s.Cols,
 		RowPtr: append([]int64(nil), s.RowPtr...),
 		Col:    append([]int32(nil), s.Col...),
-		Val:    append([]float64(nil), s.Val...)}
+		Val:    slices.Clone(s.Val)}
 	return out
 }
 
@@ -171,14 +248,14 @@ func (s *CSR) SamePattern(b *CSR) bool {
 // Transpose returns Sᵀ in CSR form (counting-sort construction, O(nnz)).
 func (s *CSR) Transpose() *CSR { return s.transpose(nil) }
 
-// transpose builds Sᵀ with its values or, src non-nil, with the position in
-// S of each of its entries instead.
-func (s *CSR) transpose(src []int64) *CSR {
+// transpose builds Sᵀ with its values (none for a pattern) or, src non-nil,
+// with the position in S of each of its entries instead.
+func (s *CSR) transpose(src []uint32) *CSR {
 	out := &CSR{Rows: s.Cols, Cols: s.Rows,
 		RowPtr: make([]int64, s.Cols+1),
 		Col:    make([]int32, s.NNZ())}
 	if src == nil {
-		out.Val = make([]float64, s.NNZ())
+		out.Val = ValuesLike(s.Val, s.NNZ())
 	}
 	for _, j := range s.Col {
 		out.RowPtr[j+1]++
@@ -194,8 +271,8 @@ func (s *CSR) transpose(src []int64) *CSR {
 			next[j]++
 			out.Col[q] = int32(i)
 			if src != nil {
-				src[q] = p
-			} else {
+				src[q] = uint32(p)
+			} else if out.Val != nil {
 				out.Val[q] = s.Val[p]
 			}
 		}
@@ -205,12 +282,13 @@ func (s *CSR) transpose(src []int64) *CSR {
 
 // Transposed is the pattern of Sᵀ together with where each of its entries
 // sits in S, which is all it takes to sweep any matrix on S's pattern by
-// columns: entry q of Sᵀ's row j carries value vals[Src[q]].
+// columns: entry q of Sᵀ's row j carries value vals[Src[q]]. The positions
+// are 32-bit: a COO holds fewer than 2³¹ entries (COO.validate).
 type Transposed struct {
-	Pat *CSR    // Sᵀ's pattern — Rows, Cols, RowPtr, Col; Val is nil
-	Src []int64 // entry q of Sᵀ is entry Src[q] of S
+	Pat *CSR     // Sᵀ's pattern — Rows, Cols, RowPtr, Col; Val is nil
+	Src []uint32 // entry q of Sᵀ is entry Src[q] of S
 
-	dst     []int64 // Dst's memo
+	dst     []uint32 // Dst's memo
 	dstOnce sync.Once
 }
 
@@ -218,11 +296,11 @@ type Transposed struct {
 // sweep over S's rows writes through it what a sweep over Sᵀ's rows then
 // reads contiguously. Computed on first use and shared, like the Transposed
 // itself, so only the patterns some sweep writes that way pay for it.
-func (t *Transposed) Dst() []int64 {
+func (t *Transposed) Dst() []uint32 {
 	t.dstOnce.Do(func() {
-		t.dst = make([]int64, len(t.Src))
+		t.dst = make([]uint32, len(t.Src))
 		for q, p := range t.Src {
-			t.dst[p] = int64(q)
+			t.dst[p] = uint32(q)
 		}
 	})
 	return t.dst
@@ -234,7 +312,7 @@ func (t *Transposed) Dst() []int64 {
 // (RowPtr, Col) must not change afterwards; Val may.
 func (s *CSR) TransposedPattern() *Transposed {
 	s.transposedOnce.Do(func() {
-		src := make([]int64, s.NNZ())
+		src := make([]uint32, s.NNZ())
 		s.transposed = &Transposed{Pat: s.transpose(src), Src: src}
 	})
 	return s.transposed
@@ -264,7 +342,7 @@ func (s *CSR) Apply(f func(float64) float64) *CSR {
 	vals := make([]float64, s.NNZ())
 	par.Range(s.NNZ(), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			vals[p] = f(s.Val[p])
+			vals[p] = f(s.ValueAt(int64(p)))
 		}
 	})
 	return s.WithValues(vals)
@@ -283,7 +361,7 @@ func (s *CSR) AddSamePattern(b *CSR) *CSR {
 	vals := make([]float64, s.NNZ())
 	par.Range(s.NNZ(), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
-			vals[p] = s.Val[p] + b.Val[p]
+			vals[p] = s.ValueAt(int64(p)) + b.ValueAt(int64(p))
 		}
 	})
 	return s.WithValues(vals)
@@ -314,13 +392,13 @@ func (s *CSR) Add(b *CSR) *CSR {
 			for pa < ea || pb < eb {
 				switch {
 				case pb >= eb || (pa < ea && s.Col[pa] < b.Col[pb]):
-					out.Col[q], out.Val[q] = s.Col[pa], s.Val[pa]
+					out.Col[q], out.Val[q] = s.Col[pa], s.ValueAt(pa)
 					pa++
 				case pa >= ea || b.Col[pb] < s.Col[pa]:
-					out.Col[q], out.Val[q] = b.Col[pb], b.Val[pb]
+					out.Col[q], out.Val[q] = b.Col[pb], b.ValueAt(pb)
 					pb++
 				default:
-					out.Col[q], out.Val[q] = s.Col[pa], s.Val[pa]+b.Val[pb]
+					out.Col[q], out.Val[q] = s.Col[pa], s.ValueAt(pa)+b.ValueAt(pb)
 					pa++
 					pb++
 				}
@@ -360,7 +438,7 @@ func (s *CSR) RowSums() []float64 {
 		for i := lo; i < hi; i++ {
 			acc := 0.0
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				acc += s.Val[p]
+				acc += s.ValueAt(p)
 			}
 			out[i] = acc
 		}
@@ -378,7 +456,7 @@ func (s *CSR) ScaleRows(r []float64) *CSR {
 		for i := lo; i < hi; i++ {
 			ri := r[i]
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				vals[p] = s.Val[p] * ri
+				vals[p] = s.ValueAt(p) * ri
 			}
 		}
 	})
@@ -398,7 +476,7 @@ func (s *CSR) ScaleRowsCols(r, c []float64) *CSR {
 		for i := lo; i < hi; i++ {
 			ri := r[i]
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				vals[p] = s.Val[p] * ri * c[s.Col[p]]
+				vals[p] = s.ValueAt(p) * ri * c[s.Col[p]]
 			}
 		}
 	})
@@ -410,7 +488,7 @@ func (s *CSR) ToDense() *tensor.Dense {
 	out := tensor.NewDense(s.Rows, s.Cols)
 	for i := 0; i < s.Rows; i++ {
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			out.Set(i, int(s.Col[p]), out.At(i, int(s.Col[p]))+s.Val[p])
+			out.Set(i, int(s.Col[p]), out.At(i, int(s.Col[p]))+s.ValueAt(p))
 		}
 	}
 	return out

@@ -148,7 +148,7 @@ func TestTranspose(t *testing.T) {
 	}
 	dst := tp.Dst()
 	for q, p := range tp.Src {
-		if s.Val[p] != st.Val[q] || dst[p] != int64(q) {
+		if s.Val[p] != st.Val[q] || dst[p] != uint32(q) {
 			t.Fatalf("entry %d of Sᵀ: Src %d (value %v, want %v), Dst[Src] = %d", q, p, s.Val[p], st.Val[q], dst[p])
 		}
 	}

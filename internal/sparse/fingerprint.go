@@ -3,7 +3,7 @@ package sparse
 import "math"
 
 // Fingerprint returns a 64-bit content hash of the matrix: dimensions,
-// sparsity pattern (RowPtr, Col) and values. Two CSR matrices with equal
+// sparsity pattern (RowPtr, Col) and values, a pattern's as ones. Two CSR matrices with equal
 // fingerprints and equal (Rows, NNZ) are almost surely the same operand.
 //
 // The hash is word-granular FNV-1a — one multiply per int64/float64 word
@@ -29,8 +29,8 @@ func (a *CSR) Fingerprint() uint64 {
 	for _, c := range a.Col {
 		mix(uint64(uint32(c)))
 	}
-	for _, v := range a.Val {
-		mix(math.Float64bits(v))
+	for p := range a.Col {
+		mix(math.Float64bits(a.ValueAt(int64(p))))
 	}
 	return h
 }

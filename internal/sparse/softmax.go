@@ -29,13 +29,13 @@ func RowSoftmaxInto(vals []float64, s *CSR) {
 			}
 			m := math.Inf(-1)
 			for p := b; p < e; p++ {
-				if s.Val[p] > m {
-					m = s.Val[p]
+				if v := s.ValueAt(p); v > m {
+					m = v
 				}
 			}
 			sum := 0.0
 			for p := b; p < e; p++ {
-				v := math.Exp(s.Val[p] - m)
+				v := math.Exp(s.ValueAt(p) - m)
 				vals[p] = v
 				sum += v
 			}

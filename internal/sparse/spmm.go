@@ -26,14 +26,14 @@ func (s *CSR) MulDenseInto(out, x *tensor.Dense) {
 	defer obs.Start("spmm").End()
 	k := x.Cols
 	tc := tensor.TileCols(x.Rows, k, 8)
-	idx := s.Index()
+	idx, vals := s.Index(), RowValues(s, s.Val)
 	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
 		clear(out.Data[lo*k : hi*k])
 		for c0 := 0; c0 < k; c0 += tc {
 			c1 := min(c0+tc, k)
 			for i := lo; i < hi; i++ {
 				b, e := s.RowPtr[i], s.RowPtr[i+1]
-				GatherAxpy(out.Data[i*k+c0:i*k+c1], s.Val[b:e], idx.Slice(b, e), x.Data, k, c0)
+				GatherAxpy(out.Data[i*k+c0:i*k+c1], vals(b, e), idx.Slice(b, e), x.Data, k, c0)
 			}
 		}
 	})

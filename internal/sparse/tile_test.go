@@ -40,25 +40,34 @@ func TestMulDenseIntoTiledBitwiseIdentical(t *testing.T) {
 // storage. The only per-call allocation either way is the escaping
 // parallel-range closure (the compiled plans prebuild theirs once, which is
 // what their zero-alloc steady-state tests pin down), so tiled and untiled
-// counts must be identical and must not scale with the stripe count.
+// counts must be identical and must not scale with the stripe count. A
+// pattern reads its ones from a shared row, so it allocates what its
+// ones-valued twin does.
 func TestTilingAddsNoAllocations(t *testing.T) {
 	old := par.Workers()
 	par.SetWorkers(1)
 	defer par.SetWorkers(old)
 	defer tensor.SetTileBudget(0)
 
-	s, x := randCSRWide(64, 4, 32, 62)
-	out := tensor.NewDense(s.Rows, x.Cols)
-	s.MulDenseInto(out, x) // warm up
+	valued, x := randCSRWide(64, 4, 32, 62)
+	var allocs []float64
+	for _, s := range []*CSR{valued, patternOf(valued)} {
+		out := tensor.NewDense(s.Rows, x.Cols)
+		s.MulDenseInto(out, x) // warm up
 
-	tensor.SetTileBudget(0) // whole stripe fits: single pass
-	af64 := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
-	tensor.SetTileBudget(1) // minimum stripe width: 4 passes
-	afTiled := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
-	if afTiled != af64 {
-		t.Errorf("tiling changed allocations: %.1f untiled vs %.1f tiled objects/op", af64, afTiled)
+		tensor.SetTileBudget(0) // whole stripe fits: single pass
+		af64 := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
+		tensor.SetTileBudget(1) // minimum stripe width: 4 passes
+		afTiled := testing.AllocsPerRun(20, func() { s.MulDenseInto(out, x) })
+		if afTiled != af64 {
+			t.Errorf("pattern %t: tiling changed allocations: %.1f untiled vs %.1f tiled objects/op", s.Val == nil, af64, afTiled)
+		}
+		if afTiled > 2 {
+			t.Errorf("pattern %t: tiled MulDenseInto allocates %.1f objects/op, want at most the range closures", s.Val == nil, afTiled)
+		}
+		allocs = append(allocs, afTiled)
 	}
-	if afTiled > 2 {
-		t.Errorf("tiled MulDenseInto allocates %.1f objects/op, want at most the range closures", afTiled)
+	if allocs[1] != allocs[0] {
+		t.Errorf("MulDenseInto allocates %.1f objects/op over a pattern, %.1f over its valued twin", allocs[1], allocs[0])
 	}
 }
