@@ -12,14 +12,14 @@ const DefaultMailboxCap = 1024
 
 // ChanWorld is the in-process transport: all p ranks live in one process
 // and exchange messages over a shared matrix of buffered channels, each
-// payload copied into a recycled buffer of the receiver's. It is the
-// implementation every test, benchmark and -race run exercises.
+// payload copied into a buffer of the process's wire pool, which the
+// receiver hands back. It is the implementation every test, benchmark and
+// -race run exercises.
 type ChanWorld struct {
-	p     int
-	box   [][]chan Message    // box[to][from]
-	words []recycler[float64] // words[to]: the payload buffers of messages to rank `to`
-	down  chan struct{}       // closed on the first Abort: world poisoned
-	once  sync.Once
+	p    int
+	box  [][]chan Message // box[to][from]
+	down chan struct{}    // closed on the first Abort: world poisoned
+	once sync.Once
 }
 
 // NewChanWorld creates the shared mailbox matrix of a p-rank world.
@@ -27,7 +27,7 @@ func NewChanWorld(p int) (*ChanWorld, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("net: world size %d, want >= 1", p)
 	}
-	w := &ChanWorld{p: p, down: make(chan struct{}), words: make([]recycler[float64], p)}
+	w := &ChanWorld{p: p, down: make(chan struct{})}
 	w.box = make([][]chan Message, p)
 	for to := 0; to < p; to++ {
 		w.box[to] = make([]chan Message, p)
@@ -59,10 +59,10 @@ type chanEndpoint struct {
 func (e *chanEndpoint) Size() int { return e.w.p }
 func (e *chanEndpoint) Rank() int { return e.rank }
 
-// Send copies the borrowed words into one of the receiver's recycled
-// buffers, the one copy a payload makes between the two ranks' buffers.
+// Send copies the borrowed words into a pooled payload buffer, the one copy
+// a payload makes between the two ranks' buffers.
 func (e *chanEndpoint) Send(to int, m Message) error {
-	data := e.w.words[to].get(len(m.Data))
+	data := wire.payload(len(m.Data))
 	copy(data, m.Data)
 	m.Data = data
 	select {
@@ -75,7 +75,7 @@ func (e *chanEndpoint) Send(to int, m Message) error {
 
 func (e *chanEndpoint) Inbox(from int) <-chan Message { return e.w.box[e.rank][from] }
 
-func (e *chanEndpoint) Recycle(data []float64) { e.w.words[e.rank].put(data) }
+func (e *chanEndpoint) Recycle(data []float64) { wire.put(data) }
 
 // Abort poisons the shared matrix. The dist runtime performs its own
 // failure broadcast (the closed failCh every blocked receive selects on);

@@ -267,12 +267,12 @@ func decodeAck(p []byte) (uint64, error) {
 // the kind byte come first, into buf, and are checked; a control frame is
 // then read whole into buf, which grows to the largest one seen. A data
 // frame's fixed header lands in buf and is checked too, and only then does
-// the frame take a word buffer from words, into which its payload is read
+// the frame take a payload buffer from pool, into which its words are read
 // straight from the stream: no frame buffer holds the words in between.
 type frameReader struct {
-	r     io.Reader
-	words *recycler[float64] // nil allocates each data frame's words
-	buf   []byte
+	r    io.Reader
+	pool *wordPool // nil allocates each data frame's words
+	buf  []byte
 }
 
 // inFrame is one frame as read. size is its length on the wire, prefix
@@ -328,9 +328,9 @@ func (fr *frameReader) next() (f inFrame, err error) {
 	if f.wireSeq, f.msg.Hdr, nwords, err = decodeData(h, n); err != nil {
 		return f, corruptFrame{err}
 	}
-	data := fr.words.get(nwords)
+	data := fr.pool.payload(nwords)
 	if _, err := io.ReadFull(fr.r, wordBytes(data)); err != nil {
-		fr.words.put(data)
+		fr.pool.put(data)
 		return f, fmt.Errorf("net: truncated frame: %w", err)
 	}
 	wordsFromWire(data)

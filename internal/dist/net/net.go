@@ -39,8 +39,8 @@ import (
 // not care) plus the causal header stamped by the sender.
 //
 // Data is borrowed, never handed over: Send reads the sender's words during
-// the call only, and an arrival's Data is a buffer of the receiving
-// endpoint's, which the receiver owns until it hands it back with Recycle.
+// the call only, and an arrival's Data is a buffer of the process's wire
+// pool, which the receiver owns until it hands it back with Recycle.
 type Message struct {
 	Data []float64
 	Hdr  causal.Header
@@ -74,17 +74,18 @@ type Endpoint interface {
 	// Rank returns the local rank in [0, p).
 	Rank() int
 	// Send transfers m to peer rank `to`. It borrows m.Data for the call
-	// only — the channel world copies the words into a recycled buffer, TCP
-	// encodes them into the frame — so the caller may overwrite them as
-	// soon as Send returns.
+	// only — the channel world copies the words into a pooled buffer, TCP
+	// encodes them into a pooled frame — so the caller may overwrite them
+	// as soon as Send returns.
 	Send(to int, m Message) error
 	// Inbox returns the arrival channel for messages from peer `from`.
 	// Messages from one peer are delivered in send order, exactly once.
 	Inbox(from int) <-chan Message
-	// Recycle hands back the Data of a message taken from an inbox once the
-	// caller has copied or reduced it, so a later arrival can land in the
-	// same storage; the caller must not touch it afterwards. Data never
-	// handed back simply stays the caller's.
+	// Recycle hands the Data of a message taken from an inbox back to the
+	// process's wire pool once the caller has copied or reduced it, so a
+	// later arrival or frame of its size, on any endpoint, can use the same
+	// storage; the caller must not touch it afterwards. Data never handed
+	// back simply stays the caller's.
 	Recycle(data []float64)
 	// Abort broadcasts that failedRank is down — this rank itself, or a
 	// relay of a failure detected locally — and poisons the endpoint so

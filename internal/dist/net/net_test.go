@@ -45,8 +45,8 @@ func TestDataFrameRoundTrip(t *testing.T) {
 
 // readData reads one data frame through the streaming reader, as a
 // connection's read loop does.
-func readData(stream []byte, words *recycler[float64]) (uint64, Message, error) {
-	f, err := (&frameReader{r: bytes.NewReader(stream), words: words}).next()
+func readData(stream []byte, pool *wordPool) (uint64, Message, error) {
+	f, err := (&frameReader{r: bytes.NewReader(stream), pool: pool}).next()
 	return f.wireSeq, f.msg, err
 }
 
@@ -55,13 +55,13 @@ func readData(stream []byte, words *recycler[float64]) (uint64, Message, error) 
 // the words is a failed read, and the buffer it took goes back.
 func TestDataFrameRejectsCorruption(t *testing.T) {
 	frame := encodeData(nil, 7, Message{Data: []float64{1, 2, 3}})
-	var words recycler[float64]
-	free := make([]float64, 3)
+	var words wordPool
+	free := words.payload(3)
 	words.put(free)
 	stillFree := func(what string) {
 		t.Helper()
-		if got := words.get(3); &got[0] != &free[0] {
-			t.Errorf("%s: the recycled buffer is not free", what)
+		if got := words.payload(3); &got[0] != &free[0] {
+			t.Errorf("%s: the pooled buffer is not free", what)
 		}
 		words.put(free)
 	}
@@ -135,40 +135,139 @@ func TestWordCodecMatchesPerWord(t *testing.T) {
 		if len(frame) != dataFrameLen(n) || !bytes.Equal(frame[4+dataFrameHeaderLen:], want) {
 			t.Fatalf("n=%d: frame payload differs from the per-word codec", n)
 		}
-		var words recycler[float64]
-		words.put(make([]float64, n))
+		var words wordPool
+		words.put(words.take(n))
 		if _, m, err := readData(frame, &words); err != nil || !bytes.Equal(wordBytes(m.Data), wordBytes(back)) {
 			t.Fatalf("n=%d: frame does not decode to its words (err %v)", n, err)
 		}
 	}
 }
 
-// TestRecyclerExactCapacity: a buffer comes back only for its own length,
-// and the free list stops growing at recycleKeep, dropping the oldest.
-func TestRecyclerExactCapacity(t *testing.T) {
-	var r recycler[float64]
-	a, b := r.get(8), r.get(16)
-	r.put(a)
-	r.put(b)
-	if got := r.get(8); &got[0] != &a[0] {
-		t.Error("an 8-word get did not reuse the 8-word buffer")
+// TestWordPool: a buffer comes back only for its own message size; one
+// buffer is both that size's received payload and its data frame, whose
+// words start on a word of the buffer; a 0-word payload is no buffer, a
+// 0-word frame is. Traffic of ever-new sizes keeps the bytes free and out
+// within twice the most bytes ever out at once.
+func TestWordPool(t *testing.T) {
+	var pool wordPool
+	a, b := pool.payload(8), pool.payload(16)
+	pool.put(a)
+	pool.put(b)
+	if got := pool.payload(8); &got[0] != &a[0] || len(got) != 8 {
+		t.Error("an 8-word payload did not reuse the 8-word buffer")
 	}
-	if got := r.get(12); &got[0] == &b[0] || len(got) != 12 {
-		t.Error("a 12-word get took the 16-word buffer")
+	if got := pool.payload(12); &got[0] == &b[0] || len(got) != 12 {
+		t.Error("a 12-word payload took the 16-word buffer")
 	}
-	if r.get(0) != nil {
-		t.Error("a 0-word get returned a buffer")
+	if pool.payload(0) != nil {
+		t.Error("a 0-word payload is a buffer")
 	}
-	first := make([]float64, 1)
-	r.put(first)
-	for i := 0; i < recycleKeep; i++ {
-		r.put(make([]float64, 2))
+
+	for _, n := range []int{0, 1, 7} {
+		buf, frame := pool.frame(n)
+		if len(frame) != dataFrameLen(n) {
+			t.Fatalf("n=%d: frame view of %d bytes, want %d", n, len(frame), dataFrameLen(n))
+		}
+		m := Message{Data: testWords(n), Hdr: causal.Header{Src: 1, Seq: 2, Step: 3}}
+		if !bytes.Equal(encodeData(frame, 9, m), encodeData(nil, 9, m)) {
+			t.Fatalf("n=%d: the frame view does not hold the frame", n)
+		}
+		// The frame is the buffer's bytes [3, 8(n+frameWords)): its words
+		// start on word frameWords.
+		words := buf[:cap(buf)]
+		if cap(buf) != n+frameWords || &frame[0] != &wordBytes(words)[3] || 4+dataFrameHeaderLen != 8*frameWords-3 {
+			t.Fatalf("n=%d: the frame's words do not start on word %d of its buffer", n, frameWords)
+		}
+		pool.put(buf)
+		if n == 0 {
+			continue
+		}
+		if got := pool.payload(n); &got[0] != &words[0] || len(got) != n {
+			t.Fatalf("n=%d: a payload did not reuse the frame's buffer", n)
+		}
+		if got, _ := pool.frame(n); &got[0] == &words[0] {
+			t.Fatalf("n=%d: a frame took the buffer the payload holds", n)
+		}
 	}
-	if len(r.free) != recycleKeep {
-		t.Fatalf("free list holds %d buffers, want %d", len(r.free), recycleKeep)
+
+	var fresh wordPool
+	within := func(what string, n int) {
+		t.Helper()
+		if fresh.freeB+fresh.outB > 2*fresh.peak {
+			t.Fatalf("%s %d sizes: %d B free, %d B out, peak %d B out", what, n, fresh.freeB, fresh.outB, fresh.peak)
+		}
 	}
-	if got := r.get(1); &got[0] == &first[0] {
-		t.Error("the oldest buffer survived the bound")
+	for n := 1; n <= 500; n++ {
+		fresh.put(fresh.payload(n))
+		within("after", n)
+	}
+	held := fresh.payload(1000)
+	for n := 1; n <= 500; n++ {
+		fresh.put(fresh.payload(n))
+		within("with a large buffer out, after", n)
+	}
+	fresh.put(held)
+	within("after all", 1000)
+}
+
+// TestTCPCloseReturnsPool: an endpoint hands what it keeps for its peers —
+// the replay queue, the reorder buffer — back to the wire pool when it
+// closes. So once every endpoint of a world has closed and every received
+// payload has been recycled, nothing the world took from the pool is out,
+// dropped connections and resent frames included.
+func TestTCPCloseReturnsPool(t *testing.T) {
+	out := func() int {
+		wire.mu.Lock()
+		defer wire.mu.Unlock()
+		return wire.outB
+	}
+	for _, drop := range []bool{false, true} {
+		t.Run(map[bool]string{false: "clean", true: "conn-drop"}[drop], func(t *testing.T) {
+			before := out()
+			var writes atomic.Int64
+			eps := dialWorld(t, 3, func(cfg *TCPConfig) {
+				if drop && cfg.Rank == 0 {
+					cfg.OnWire = func(attempt int) (bool, time.Duration) {
+						return attempt == 1 && writes.Add(1)%7 == 0, 0
+					}
+				}
+			})
+			const msgs = 50
+			for i := 0; i < msgs; i++ {
+				for from := range eps {
+					for to := range eps {
+						if err := eps[from].Send(to, Message{Data: testWords(i % 9)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			for to := range eps {
+				for from := range eps {
+					for i := 0; i < msgs; i++ {
+						select {
+						case m := <-eps[to].Inbox(from):
+							eps[to].Recycle(m.Data)
+						case <-time.After(5 * time.Second):
+							t.Fatalf("rank %d: message %d from rank %d never arrived", to, i, from)
+						}
+					}
+				}
+			}
+			if drop && eps[0].WireStats().Reconnects == 0 {
+				t.Error("expected at least one reconnect")
+			}
+			for _, ep := range eps {
+				ep.Close()
+			}
+			// A read loop hands back the buffer of a frame the close cut
+			// short once its read fails.
+			for deadline := time.Now().Add(5 * time.Second); out() != before; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the wire pool has %d B out after the world closed, want %d", out(), before)
+				}
+			}
+		})
 	}
 }
 
@@ -479,13 +578,13 @@ func connDropNoLoss(t *testing.T, clean int) {
 	}
 	stream(0, clean)
 	if clean > 0 {
-		// Wait until ACKs have recycled frames of both replay queues.
+		// Wait until ACKs have handed frames of both replay queues back.
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			if recycledFrames(eps[0]) > 0 && recycledFrames(eps[1]) > 0 {
+			if unackedFrames(eps[0], 1) < clean && unackedFrames(eps[1], 0) < clean {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatal("no ACK recycled a frame")
+				t.Fatal("no ACK handed a frame back")
 			}
 		}
 		dropping.Store(true)
@@ -496,11 +595,12 @@ func connDropNoLoss(t *testing.T, clean int) {
 	}
 }
 
-// recycledFrames is the number of frame buffers waiting for reuse.
-func recycledFrames(e *TCPEndpoint) int {
-	e.frames.mu.Lock()
-	defer e.frames.mu.Unlock()
-	return len(e.frames.free)
+// unackedFrames is the length of e's replay queue to peer.
+func unackedFrames(e *TCPEndpoint, peer int) int {
+	p := e.peers[peer]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.unacked)
 }
 
 // TestTCPAckBeyondWindowIsCorrupt (regression): an ACK naming frames this
@@ -536,11 +636,7 @@ func TestTCPAckBeyondWindowIsCorrupt(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("an ACK beyond the send window was accepted")
 	}
-	p := eps[0].peers[1]
-	p.mu.Lock()
-	n := len(p.unacked)
-	p.mu.Unlock()
-	if n != sent {
+	if n := unackedFrames(eps[0], 1); n != sent {
 		t.Errorf("replay queue holds %d frames after the refused ACK, want %d", n, sent)
 	}
 }
@@ -732,14 +828,14 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(short)
 	const dirt = 0xdeadbeefdeadbeef
 	f.Fuzz(func(t *testing.T, p []byte) {
-		// Read into a dirty recycled buffer of the length the payload would
+		// Read into a dirty pooled buffer of the length the payload would
 		// fill: a rejected frame must leave it untouched and still free, an
 		// accepted one must return its own words and none of the buffer's
 		// previous ones.
-		var words recycler[float64]
+		var words wordPool
 		var dirty []float64
 		if n := (len(p) - dataFrameHeaderLen) / 8; n > 0 && n <= 1<<16 {
-			dirty = make([]float64, n)
+			dirty = words.payload(n)
 			for i := range dirty {
 				dirty[i] = math.Float64frombits(dirt)
 			}
@@ -747,7 +843,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		}
 		stream := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
 		stream = append(stream, p...)
-		fr := frameReader{r: bytes.NewReader(stream), words: &words}
+		fr := frameReader{r: bytes.NewReader(stream), pool: &words}
 		got, err := fr.next()
 		switch {
 		case err == nil && got.kind == frameData:
@@ -764,11 +860,11 @@ func FuzzDecodeFrames(f *testing.F) {
 			// that hands the buffer it took back.
 			if len(m.Data) > 0 {
 				words.put(m.Data)
-				cut := frameReader{r: bytes.NewReader(stream[:len(stream)-1]), words: &words}
+				cut := frameReader{r: bytes.NewReader(stream[:len(stream)-1]), pool: &words}
 				if _, err := cut.next(); err == nil {
 					t.Fatalf("a data frame cut short was accepted")
 				}
-				if back := words.get(len(m.Data)); &back[0] != &m.Data[0] {
+				if back := words.payload(len(m.Data)); &back[0] != &m.Data[0] {
 					t.Fatalf("a data frame cut short kept its word buffer")
 				}
 			}
@@ -779,11 +875,11 @@ func FuzzDecodeFrames(f *testing.F) {
 		case dirty != nil:
 			for i, v := range dirty {
 				if math.Float64bits(v) != dirt {
-					t.Fatalf("rejected frame wrote word %d of the recycled buffer", i)
+					t.Fatalf("rejected frame wrote word %d of the pooled buffer", i)
 				}
 			}
-			if got := words.get(len(dirty)); &got[0] != &dirty[0] {
-				t.Fatalf("rejected frame took the recycled buffer")
+			if got := words.payload(len(dirty)); &got[0] != &dirty[0] {
+				t.Fatalf("rejected frame took the pooled buffer")
 			}
 		}
 		_, _, _ = decodeHello(p)

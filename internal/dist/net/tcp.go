@@ -76,7 +76,7 @@ func (c *TCPConfig) defaults() {
 
 // ackEveryBytes is how much of a peer's stream the receiver releases
 // between two prompt ACKs. It bounds the peer's replay queue — and the
-// frames it keeps from the free list — to this plus what is in flight,
+// frames it keeps out of the wire pool — to this plus what is in flight,
 // whatever the heartbeat period.
 const ackEveryBytes = 1 << 20
 
@@ -114,7 +114,7 @@ type tcpPeer struct {
 	// sender whose Write succeeded cannot know whether the peer read the
 	// frame — so every reconnect replays the whole queue and the receiver's
 	// sequence dedup discards what already arrived. An ACK pops the frames
-	// it covers off the front and recycles them. The peer ACKs as soon as
+	// it covers off the front into the wire pool. The peer ACKs as soon as
 	// it has released ackEveryBytes of this stream, and on every heartbeat,
 	// so the queue holds about ackEveryBytes plus what is in flight.
 	unacked []sentFrame
@@ -131,10 +131,12 @@ type tcpPeer struct {
 	failed   atomic.Bool // peer declared failed: stop detecting it again
 }
 
-// sentFrame is a data frame in the replay queue.
+// sentFrame is a data frame in the replay queue: the frame view of a pooled
+// buffer, kept with the buffer the ACK hands back.
 type sentFrame struct {
 	seq   uint64
 	frame []byte
+	buf   []float64
 }
 
 // TCPEndpoint is one rank of a multi-process world over TCP or Unix
@@ -159,13 +161,6 @@ type TCPEndpoint struct {
 
 	firstAttach chan struct{} // one token per peer's first connection (bootstrap count)
 	ackWake     chan struct{} // one slot: a peer's prompt ACK is due (ackSoon)
-
-	// A data frame's life: encoded once into a buffer from frames, written,
-	// held in its peer's replay queue, recycled when the cumulative ACK
-	// passes it. Received words are read from the socket straight into a
-	// buffer from words, which the receiver hands back through Recycle.
-	frames recycler[byte]
-	words  recycler[float64]
 
 	bytesTx, bytesRx, framesTx, framesRx atomic.Uint64
 	dialRetries, reconnects, writeNanos  atomic.Uint64
@@ -440,12 +435,12 @@ func (e *TCPEndpoint) attach(rank int, addr string, conn gonet.Conn) {
 }
 
 // readLoop drains one connection until it dies, dispatching frames. A data
-// frame's words are read straight into a buffer of e.words (frameReader).
+// frame's words are read straight into a pooled buffer (frameReader).
 // It never writes: a reader blocked on a write would stop draining its
 // socket, and two such ranks would wait on each other; an ACK it owes is
 // written by the heartbeat goroutine (ackSoon).
 func (e *TCPEndpoint) readLoop(p *tcpPeer, conn gonet.Conn) {
-	fr := frameReader{r: conn, words: &e.words}
+	fr := frameReader{r: conn, pool: &wire}
 	for {
 		conn.SetReadDeadline(time.Now().Add(e.cfg.PeerTimeout))
 		f, err := fr.next()
@@ -497,9 +492,9 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer, conn gonet.Conn) {
 
 // acked applies the peer's cumulative ACK: every frame below upto has been
 // released to its inbox, so the replay queue's front up to there is popped
-// and recycled. An ACK beyond the frames this side has written is a corrupt
-// or stale stream and is refused with the queue intact — the frames it
-// would drop may be exactly the ones the next reconnect must replay.
+// into the wire pool. An ACK beyond the frames this side has written is a
+// corrupt or stale stream and is refused with the queue intact — the frames
+// it would drop may be exactly the ones the next reconnect must replay.
 func (e *TCPEndpoint) acked(p *tcpPeer, upto uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -508,7 +503,7 @@ func (e *TCPEndpoint) acked(p *tcpPeer, upto uint64) error {
 	}
 	k := 0
 	for ; k < len(p.unacked) && p.unacked[k].seq < upto; k++ {
-		e.frames.put(p.unacked[k].frame)
+		wire.put(p.unacked[k].buf)
 	}
 	n := copy(p.unacked, p.unacked[k:])
 	clear(p.unacked[n:])
@@ -517,18 +512,23 @@ func (e *TCPEndpoint) acked(p *tcpPeer, upto uint64) error {
 }
 
 // deliver releases data frames to the inbox in wire-sequence order,
-// discarding duplicates from resends after a reconnect. Every ackEveryBytes
-// released it asks for a prompt ACK. Returns false if the world stopped
-// while blocked on a full inbox.
+// discarding duplicates from resends after a reconnect, and every frame once
+// the endpoint has stopped. Every ackEveryBytes released it asks for a
+// prompt ACK. Returns false if the world stopped while blocked on a full
+// inbox.
 func (e *TCPEndpoint) deliver(p *tcpPeer, seq uint64, m Message) bool {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	if seq < p.wireIn.Load() {
-		e.words.put(m.Data)
-		return true // duplicate of an already released frame
+	if seq < p.wireIn.Load() || e.down.Load() || e.closed.Load() {
+		wire.put(m.Data)
+		return true // a duplicate of a released frame, or nobody will take it
 	}
 	if len(p.pending) >= maxPendingFrames {
-		e.peerFailed(p.rank, fmt.Errorf("net: rank %d reorder buffer overflow (seq %d, expecting %d)", p.rank, seq, p.wireIn.Load()))
+		wire.put(m.Data)
+		err := fmt.Errorf("net: rank %d reorder buffer overflow (seq %d, expecting %d)", p.rank, seq, p.wireIn.Load())
+		p.rmu.Unlock() // peerFailed → handler → Abort → release wants p.rmu
+		e.peerFailed(p.rank, err)
+		p.rmu.Lock() // re-lock for the deferred unlock
 		return false
 	}
 	p.pending[seq] = m
@@ -542,6 +542,7 @@ func (e *TCPEndpoint) deliver(p *tcpPeer, seq uint64, m Message) bool {
 		select {
 		case p.inbox <- next:
 		case <-e.stopCh:
+			wire.put(next.Data)
 			return false
 		}
 		p.wireIn.Store(in + 1)
@@ -620,8 +621,8 @@ func (e *TCPEndpoint) Rank() int { return e.cfg.Rank }
 // Inbox returns the in-order arrival channel for one peer.
 func (e *TCPEndpoint) Inbox(from int) <-chan Message { return e.peers[from].inbox }
 
-// Recycle hands a received payload back for a later arrival's words.
-func (e *TCPEndpoint) Recycle(data []float64) { e.words.put(data) }
+// Recycle hands a received payload back to the wire pool.
+func (e *TCPEndpoint) Recycle(data []float64) { wire.put(data) }
 
 // SetFailureHandler installs the peer-failure callback.
 func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) {
@@ -631,9 +632,9 @@ func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) {
 }
 
 // Send frames m to peer `to`, redialing and resending on connection loss:
-// the words are encoded straight from m.Data into a recycled frame, which
-// the replay queue keeps until the peer ACKs it. Self-sends bypass the wire
-// and copy the words into a recycled payload buffer instead.
+// the words are encoded straight from m.Data into a frame of the wire pool,
+// which the replay queue keeps until the peer ACKs it. Self-sends bypass the
+// wire and copy the words into a pooled payload buffer instead.
 func (e *TCPEndpoint) Send(to int, m Message) error {
 	if e.down.Load() {
 		return ErrWorldDown
@@ -643,13 +644,14 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 	}
 	p := e.peers[to]
 	if to == e.cfg.Rank {
-		data := e.words.get(len(m.Data))
+		data := wire.payload(len(m.Data))
 		copy(data, m.Data)
 		m.Data = data
 		select {
 		case p.inbox <- m:
 			return nil
 		case <-e.stopCh:
+			wire.put(data)
 			return ErrWorldDown
 		}
 	}
@@ -664,15 +666,18 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 	}
 	seq := p.wireOut
 	p.wireOut++
-	frame := encodeData(e.frames.get(dataFrameLen(len(m.Data))), seq, m)
+	buf, frame := wire.frame(len(m.Data))
+	encodeData(frame, seq, m)
 
 	backoff := e.cfg.DialBackoff
 	var lastErr error
 	for attempt := 0; attempt <= e.cfg.DialRetries; attempt++ {
-		if e.down.Load() {
+		if e.down.Load() || e.closed.Load() {
+			wire.put(buf)
 			return ErrWorldDown
 		}
 		if p.failed.Load() {
+			wire.put(buf)
 			return fmt.Errorf("net: rank %d already declared failed", to)
 		}
 		if p.conn == nil {
@@ -701,7 +706,7 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 			e.noteTx(len(frame))
 			// Keep the frame for replay until the peer ACKs past it: the
 			// write reaching the kernel does not mean the peer read it.
-			p.unacked = append(p.unacked, sentFrame{seq, frame})
+			p.unacked = append(p.unacked, sentFrame{seq, frame, buf})
 			return nil
 		}
 		lastErr = err
@@ -710,6 +715,7 @@ func (e *TCPEndpoint) Send(to int, m Message) error {
 			p.conn = nil
 		}
 	}
+	wire.put(buf)
 	err := fmt.Errorf("net: send to rank %d: %w", to, lastErr)
 	p.mu.Unlock() // peerFailed → handler → dist fail → Abort wants peer mutexes
 	e.peerFailed(to, err)
@@ -885,6 +891,7 @@ func (e *TCPEndpoint) Abort(failedRank int, cause error) {
 		e.writeControl(p, frame)
 	}
 	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.release()
 }
 
 // Goodbye announces clean completion so peers treat the connection
@@ -924,7 +931,29 @@ func (e *TCPEndpoint) Close() error {
 		}
 		p.mu.Unlock()
 	}
+	e.release()
 	return nil
+}
+
+// release hands the buffers the endpoint keeps for its peers back to the
+// wire pool: the replay queues and the reorder buffers. Abort and Close call
+// it once the endpoint has stopped, after which Send and deliver add
+// nothing to either.
+func (e *TCPEndpoint) release() {
+	for _, p := range e.peers {
+		p.mu.Lock()
+		for _, f := range p.unacked {
+			wire.put(f.buf)
+		}
+		p.unacked = nil
+		p.mu.Unlock()
+		p.rmu.Lock()
+		for _, m := range p.pending {
+			wire.put(m.Data)
+		}
+		clear(p.pending)
+		p.rmu.Unlock()
+	}
 }
 
 // WireStats returns the endpoint's cumulative socket accounting.

@@ -12,6 +12,7 @@ import (
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
+	"agnn/internal/obs/metrics"
 	"agnn/internal/sparse"
 )
 
@@ -187,6 +188,32 @@ func TestGridCollectivesZeroAllocs(t *testing.T) {
 				t.Fatalf("%v allocations per grid layer's collectives, want 0", n)
 			}
 		})
+	}
+}
+
+// TestGridTCPWirePoolSteady: a warm 4-rank loopback TCP grid draws its
+// frames and received payloads from buffers the process's wire pool already
+// holds, so the pool's bytes, as its gauge reads them, are the same after
+// step 2 as after step 10, and within the peak the other gauge keeps.
+func TestGridTCPWirePoolSteady(t *testing.T) {
+	w := newGridWorld(t, true, dist.Options{}, layerCollectives)
+	defer w.close()
+	w.warm(t)
+	var after2 float64
+	for step := 1; step <= 10; step++ {
+		w.step(t)
+		if step == 2 {
+			after2 = metrics.NetPoolBytes.Value()
+		}
+	}
+	if after2 == 0 {
+		t.Fatal("the wire pool's gauge reads 0 B on a TCP grid")
+	}
+	if got := metrics.NetPoolBytes.Value(); got != after2 {
+		t.Fatalf("the wire pool holds %.0f B after step 10, %.0f B after step 2", got, after2)
+	}
+	if peak := metrics.NetPoolPeakBytes.Value(); peak < after2 {
+		t.Fatalf("the wire pool's peak gauge reads %.0f B below its %.0f B", peak, after2)
 	}
 }
 

@@ -204,7 +204,8 @@ func TestOneRecordPerSite(t *testing.T) {
 // emitted after a 2×2 training run before the telemetry stores were merged,
 // less the three overlap families of the retired overlapped row
 // engine and the plan cache's eviction counter and byte gauge, which left
-// with the cache: dashboards and agnn-report key on them.
+// with the cache, plus the wire pool's two byte gauges: dashboards and
+// agnn-report key on them.
 var parentFamilies = strings.Fields(`
 	agnn_arena_live_bytes agnn_arena_peak_bytes agnn_checkpoint_seconds agnn_collective_bytes
 	agnn_comm_bytes_total agnn_comm_measured_words agnn_comm_msgs_total agnn_comm_predicted_words
@@ -215,7 +216,7 @@ var parentFamilies = strings.Fields(`
 	agnn_go_gc_pause_seconds_p50 agnn_go_gc_pause_seconds_p99 agnn_go_goroutines agnn_go_heap_goal_bytes
 	agnn_go_heap_live_bytes agnn_go_sched_latency_seconds_p50 agnn_go_sched_latency_seconds_p99
 	agnn_layer_measured_seconds agnn_layer_predicted_seconds agnn_net_bytes_total
-	agnn_net_dial_retries_total agnn_op_bytes_total agnn_op_flops_total agnn_plan_bytes_total agnn_plan_flops_total
+	agnn_net_dial_retries_total agnn_net_pool_bytes agnn_net_pool_peak_bytes agnn_op_bytes_total agnn_op_flops_total agnn_plan_bytes_total agnn_plan_flops_total
 	agnn_plan_nnz_total agnn_plan_op_seconds agnn_plan_ops_total
 	agnn_plancache_hits agnn_plancache_misses agnn_rank_failures_total
 	agnn_rank_wait_seconds agnn_recovery_seconds agnn_serve_batch_vertices agnn_serve_latency_p50_seconds

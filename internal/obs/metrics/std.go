@@ -81,6 +81,10 @@ var (
 		"Failed dial attempts during rendezvous bootstrap and post-drop reconnects.")
 	NetBytesTotal = Default.CounterVec("agnn_net_bytes_total",
 		"Frame bytes moved over the wire transport, by direction (tx, rx).", "dir")
+	NetPoolBytes = Default.Gauge("agnn_net_pool_bytes",
+		"Bytes of wire buffers (frames and received payloads) the process's pool holds, free and out.")
+	NetPoolPeakBytes = Default.Gauge("agnn_net_pool_peak_bytes",
+		"High-water mark of agnn_net_pool_bytes.")
 
 	// Cost-model validation: set by internal/costmodel's Validate* calls.
 	CommPredictedWords = Default.Gauge("agnn_comm_predicted_words",
