@@ -95,9 +95,8 @@ type planOp struct {
 }
 
 // workerSlots grows a per-worker scratch slice to the current worker cap.
-// One extra slot: the weighted scheduler may emit Workers()+1 chunks.
 func workerSlots[S any](slots []S) []S {
-	if need := par.Workers() + 1; len(slots) < need {
+	if need := par.Workers(); len(slots) < need {
 		grown := make([]S, need)
 		copy(grown, slots)
 		return grown

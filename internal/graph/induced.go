@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"slices"
 	"sync"
 
 	"agnn/internal/sparse"
@@ -17,8 +16,7 @@ type Marks struct {
 	// induced's row scratch, kept with the array it belongs beside.
 	col  []int32
 	val  []float64
-	keys []uint64
-	tmp  []float64
+	rows sparse.RowSorter
 }
 
 var marksPool sync.Pool
@@ -69,7 +67,8 @@ func InducedRows(a *sparse.CSR, vertices []int32, r int) *sparse.CSR {
 // induced maps global ids to local ones through a pooled mark array (local
 // id + 1) and builds each row of the result in place from a's row, sorting
 // it if asked to and its mapped columns are not already strictly ascending.
-// A call costs the rows it reads plus O(d log d) per sorted row of length d.
+// A call costs the rows it reads plus O(d) per sorted row of length d
+// (sparse.RowSorter).
 // A pattern's block is a pattern.
 func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 	m := BorrowMarks(max(a.Rows, a.Cols))
@@ -97,11 +96,16 @@ func induced(a *sparse.CSR, vertices []int32, r int, sorted bool) *sparse.CSR {
 			col = append(col, lj-1)
 			val = sparse.AppendValues(val, a.Val, lo+int64(q), lo+int64(q)+1)
 		}
-		if sorted && !ascending && a.Val == nil {
-			slices.Sort(col[start:])
-			col = col[:start+len(slices.Compact(col[start:]))]
-		} else if sorted && !ascending {
-			col, val = m.sortRow(col, val, start)
+		if sorted && !ascending {
+			var rowVals []float64
+			if a.Val != nil {
+				rowVals = val[start:]
+			}
+			end := start + m.rows.SortRow(col[start:], rowVals, len(vertices))
+			col = col[:end]
+			if a.Val != nil {
+				val = val[:end]
+			}
 		}
 		rowPtr[li+1] = int64(len(col))
 	}
@@ -150,29 +154,4 @@ func RowBlock(a *sparse.CSR, rows, within []int32) *sparse.CSR {
 	}
 	m.Release(within)
 	return &sparse.CSR{Rows: len(rows), Cols: a.Cols, RowPtr: rowPtr, Col: col, Val: val}
-}
-
-// sortRow sorts the row col[start:], val[start:] by column, summing the
-// values of a repeated column in their original order, and returns the
-// slices cut to the row's new end.
-func (m *Marks) sortRow(col []int32, val []float64, start int) ([]int32, []float64) {
-	rc, rv := col[start:], val[start:]
-	keys := m.keys[:0]
-	for q, c := range rc {
-		keys = append(keys, uint64(uint32(c))<<32|uint64(q))
-	}
-	slices.Sort(keys)
-	tmp := append(m.tmp[:0], rv...)
-	w := 0
-	for _, k := range keys {
-		c, v := int32(k>>32), tmp[uint32(k)]
-		if w > 0 && rc[w-1] == c {
-			rv[w-1] += v
-			continue
-		}
-		rc[w], rv[w] = c, v
-		w++
-	}
-	m.keys, m.tmp = keys, tmp
-	return col[:start+w], val[:start+w]
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"agnn/internal/par"
 	"agnn/internal/sparse"
 )
 
@@ -37,7 +36,7 @@ func AddSelfLoops(a *sparse.CSR) *sparse.CSR {
 	}
 	out.Col = make([]int32, out.RowPtr[a.Rows])
 	out.Val = sparse.ValuesLike(a.Val, int(out.RowPtr[a.Rows]))
-	par.Range(a.Rows, func(_, lo, hi int) {
+	out.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			q, diag, pending := out.RowPtr[i], int32(i), true
 			put := func(j int32, v float64) {

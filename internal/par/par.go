@@ -107,11 +107,11 @@ func Split(n int, fn func(worker, lo, hi int)) {
 	runEven(n, (n+w-1)/w, fn)
 }
 
-// RangeWeighted runs fn over [0, n) split into chunks of approximately equal
-// total weight, where weight(i) is the cost of index i (e.g. the number of
-// non-zeros in row i of a sparse matrix). This is the nnz-balanced schedule
-// used by every sparse kernel; DESIGN.md calls the row-count-balanced
-// alternative out for ablation. For steady-state call sites (compiled plan
+// RangeWeighted runs fn over [0, n) split into at most Workers() chunks of
+// approximately equal total weight, where weight(i) is the cost of index i
+// (e.g. the number of non-zeros in row i of a sparse matrix). This is the
+// nnz-balanced schedule used by every sparse kernel; DESIGN.md calls the
+// row-count-balanced alternative out for ablation. For steady-state call sites (compiled plan
 // ops) prefer NewCuts + RangeCuts, which hoists the O(n) weight scan out of
 // the hot path.
 func RangeWeighted(n int, weight func(i int) int64, fn func(worker, lo, hi int)) {
@@ -139,12 +139,12 @@ func RangeWeighted(n int, weight func(i int) int64, fn func(worker, lo, hi int))
 }
 
 // maxStackChunks bounds the scratch boundary array RangeWeighted keeps on
-// the stack: the weighted scheduler emits at most w+1 chunks.
+// the stack: the weighted scheduler emits at most w chunks.
 const maxStackChunks = 512
 
 // weightedCuts computes the chunk boundaries of the weighted schedule into
-// dst (reused storage): dst[0] = 0, dst[len-1] = n. Returns nil when the
-// total weight is zero.
+// dst (reused storage): dst[0] = 0, dst[len-1] = n, at most w chunks, so
+// worker ids stay below w. Returns nil when the total weight is zero.
 func weightedCuts(n int, weight func(i int) int64, w int, dst []int) []int {
 	var total int64
 	for i := 0; i < n; i++ {
@@ -156,14 +156,17 @@ func weightedCuts(n int, weight func(i int) int64, w int, dst []int) []int {
 	target := (total + int64(w) - 1) / int64(w)
 	dst = append(dst, 0)
 	var acc int64
-	for i := 0; i < n; i++ {
+	// After w−1 cuts the rest is the last chunk. When the cuts land exactly on
+	// the target, what follows the (w−1)th holds the remaining weight and any
+	// zero-weight tail, which would otherwise open a chunk of its own.
+	for i := 0; i < n-1 && len(dst) < w; i++ {
 		acc += weight(i)
-		if acc >= target || i == n-1 {
+		if acc >= target {
 			dst = append(dst, i+1)
 			acc = 0
 		}
 	}
-	return dst
+	return append(dst, n)
 }
 
 // Cuts caches the weight-balanced chunk boundaries for a fixed weight
@@ -205,7 +208,7 @@ func (c *Cuts) compute(w int) *cutSet {
 	if c.n > 0 {
 		eff := splitWorkers(c.n, w)
 		if eff > 1 {
-			cs.bounds = weightedCuts(c.n, c.weight, eff, make([]int, 0, eff+2))
+			cs.bounds = weightedCuts(c.n, c.weight, eff, make([]int, 0, eff+1))
 		}
 		if cs.bounds == nil {
 			cs.bounds = evenCuts(c.n, eff)

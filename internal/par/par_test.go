@@ -184,6 +184,48 @@ func TestRangeWeightedParallelBalancing(t *testing.T) {
 	}
 }
 
+// TestWeightedWorkerIDsBelowCap cuts weights that the workers' shares divide
+// exactly, followed by zero-weight indices: every cut lands on the target, and
+// the zero-weight tail must join the last chunk, so no worker id reaches the
+// cap. Both weighted schedulers are checked.
+func TestWeightedWorkerIDsBelowCap(t *testing.T) {
+	for _, w := range []int{2, 3, 4, 7} {
+		prev := SetWorkers(w)
+		n := 200*w + 5 // past minGrain, so even 2 workers split
+		weight := func(i int) int64 {
+			if i < 200*w {
+				return 1
+			}
+			return 0
+		}
+		cuts := NewCuts(n, weight)
+		for name, run := range map[string]func(func(worker, lo, hi int)){
+			"RangeWeighted": func(fn func(worker, lo, hi int)) { RangeWeighted(n, weight, fn) },
+			"RangeCuts":     func(fn func(worker, lo, hi int)) { RangeCuts(cuts, fn) },
+		} {
+			seen := make([]int32, n)
+			var bad atomic.Int32
+			run(func(worker, lo, hi int) {
+				if worker < 0 || worker >= w {
+					bad.Add(1)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+			})
+			if bad.Load() != 0 {
+				t.Errorf("%s workers=%d: %d chunks had a worker id outside [0, %d)", name, w, bad.Load(), w)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("%s workers=%d: index %d visited %d times", name, w, i, c)
+				}
+			}
+		}
+		SetWorkers(prev)
+	}
+}
+
 func TestRangeWeightedSingleWorker(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)

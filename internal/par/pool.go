@@ -57,9 +57,8 @@ func worker() {
 }
 
 // doneCap is the buffer of pooled completion channels. It must cover the
-// largest possible number of outstanding chunks per call (Workers()+1 for
-// the weighted scheduler); calls needing more get a fresh channel that is
-// not returned to the pool.
+// largest possible number of outstanding chunks per call (Workers()); calls
+// needing more get a fresh channel that is not returned to the pool.
 const doneCap = 1024
 
 var donePool = sync.Pool{New: func() any { return make(chan struct{}, doneCap) }}

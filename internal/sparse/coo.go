@@ -14,10 +14,7 @@
 // Every kernel here reads a pattern as its ones-valued twin, bit for bit.
 package sparse
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // COO is a coordinate-format sparse matrix. Val may be nil, in which case
 // every stored entry has the implicit value 1 (a pattern/adjacency matrix),
@@ -71,15 +68,16 @@ func (c *COO) AppendFrom(i, j int32, vals []float64, p int64) {
 	c.Row, c.Col, c.Val = append(c.Row, i), append(c.Col, j), AppendValues(c.Val, vals, p, p+1)
 }
 
-// validate panics on out-of-range indices and on 2³¹ or more entries, past
-// what the 32-bit entry positions of Transposed address.
-func (c *COO) validate() {
-	if len(c.Row) > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: %d entries, more than 2³¹−1", len(c.Row)))
-	}
-	for p := range c.Row {
-		if c.Row[p] < 0 || int(c.Row[p]) >= c.Rows || c.Col[p] < 0 || int(c.Col[p]) >= c.Cols {
-			panic(fmt.Sprintf("sparse: entry (%d,%d) outside %d×%d", c.Row[p], c.Col[p], c.Rows, c.Cols))
+// countRows adds each row's number of entries to counts[i] (len Rows),
+// validating every entry as it counts it: it panics on an index outside the
+// shape.
+func (c *COO) countRows(counts []int32) {
+	counts = counts[:c.Rows]
+	cols := c.Col[:len(c.Row)]
+	for p, i := range c.Row {
+		if uint(i) >= uint(len(counts)) || uint(cols[p]) >= uint(c.Cols) {
+			panic(fmt.Sprintf("sparse: entry (%d,%d) outside %d×%d", i, cols[p], c.Rows, c.Cols))
 		}
+		counts[i]++
 	}
 }

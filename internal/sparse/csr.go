@@ -1,8 +1,8 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -114,69 +114,54 @@ func onesRow[T tensor.Elem](n int) []T {
 
 // FromCOO builds a CSR from a COO, sorting entries and summing duplicates.
 // A pattern COO (Val nil) yields a pattern, duplicates collapsed, and never
-// holds a value. The entries are counted per row and scattered, in input
-// order, straight into what becomes Col (and Val); each row is then sorted
-// and deduplicated in place, the rows split over par.Range. The sort is
-// stable, so the duplicates of a weighted COO are summed in input order. The
-// COO is left as it was.
+// holds a value. It is O(nnz), and holds nothing beside the result but a
+// count per row and a RowSorter's scratch per worker:
+//   - one pass validates the entries and counts them per row;
+//   - one pass scatters them, in input order, straight into what becomes Col
+//     (and Val);
+//   - the rows are split over the workers by their entries, and each worker
+//     orders and deduplicates its rows in place with the row kernel;
+//   - one pass closes the gaps the duplicates left.
+//
+// The row kernel is stable, so the duplicates of a weighted COO are summed in
+// input order. The COO is left as it was.
 func FromCOO(c *COO) *CSR {
-	c.validate()
 	n := c.Len()
+	if n > math.MaxInt32 { // past what Transposed's 32-bit entry positions address
+		panic(fmt.Sprintf("sparse: %d entries, more than 2³¹−1", n))
+	}
 	out := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1), Col: make([]int32, n), Val: ValuesLike(c.Val, n)}
-	for _, i := range c.Row {
-		out.RowPtr[i+1]++
+	// next[i] counts row i's entries, then is where its next entry goes,
+	// then its length once its duplicates are gone.
+	next := make([]int32, c.Rows)
+	c.countRows(next)
+	for i, k := range next {
+		out.RowPtr[i+1] = out.RowPtr[i] + int64(k)
+		next[i] = int32(out.RowPtr[i])
 	}
-	for i := 0; i < c.Rows; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
-	}
-	next := slices.Clone(out.RowPtr[:c.Rows])
 	for p, i := range c.Row {
-		q := next[i]
-		next[i]++
-		out.Col[q] = c.Col[p]
+		out.Col[next[i]] = c.Col[p]
 		if c.Val != nil {
-			out.Val[q] = c.Val[p]
+			out.Val[next[i]] = c.Val[p]
 		}
+		next[i]++
 	}
-	// Sort and deduplicate every row in place; next[i] becomes the row's
-	// length once its duplicates are gone.
-	type entry struct {
-		col int32
-		val float64
-	}
-	scratch := make([][]entry, par.Workers())
-	par.Range(c.Rows, func(w, lo, hi int) {
+	sorters := make([]RowSorter, par.Workers())
+	out.RangeRows(func(w, lo, hi int) {
+		s := &sorters[w]
 		for i := lo; i < hi; i++ {
 			start, end := out.RowPtr[i], out.RowPtr[i+1]
-			cols := out.Col[start:end]
-			if c.Val == nil {
-				slices.Sort(cols)
-				next[i] = int64(len(slices.Compact(cols)))
-				continue
+			var vals []float64
+			if out.Val != nil {
+				vals = out.Val[start:end]
 			}
-			vals := out.Val[start:end]
-			es := scratch[w][:0]
-			for q, j := range cols {
-				es = append(es, entry{j, vals[q]})
-			}
-			slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
-			m := 0
-			for _, e := range es {
-				if m > 0 && e.col == cols[m-1] {
-					vals[m-1] += e.val
-					continue
-				}
-				cols[m], vals[m] = e.col, e.val
-				m++
-			}
-			scratch[w] = es
-			next[i] = int64(m)
+			next[i] = int32(s.SortRow(out.Col[start:end], vals, c.Cols))
 		}
 	})
 	// Close the gaps the duplicates left, row by row.
 	w := int64(0)
 	for i := 0; i < c.Rows; i++ {
-		start, m := out.RowPtr[i], next[i]
+		start, m := out.RowPtr[i], int64(next[i])
 		copy(out.Col[w:w+m], out.Col[start:start+m])
 		if c.Val != nil {
 			copy(out.Val[w:w+m], out.Val[start:start+m])
@@ -384,7 +369,7 @@ func (s *CSR) Add(b *CSR) *CSR {
 	}
 	out.Col = make([]int32, out.RowPtr[s.Rows])
 	out.Val = make([]float64, out.RowPtr[s.Rows])
-	par.Range(s.Rows, func(_, lo, hi int) {
+	out.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			q := out.RowPtr[i]
 			pa, ea := s.RowPtr[i], s.RowPtr[i+1]
@@ -434,7 +419,7 @@ func (s *CSR) AddTranspose() *CSR { return s.Add(s.Transpose()) }
 // RowSums returns the vector of row sums (sum(X) = X·1 on the pattern).
 func (s *CSR) RowSums() []float64 {
 	out := make([]float64, s.Rows)
-	par.Range(s.Rows, func(_, lo, hi int) {
+	s.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			acc := 0.0
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
@@ -452,7 +437,7 @@ func (s *CSR) ScaleRows(r []float64) *CSR {
 		panic("sparse: ScaleRows length mismatch")
 	}
 	vals := make([]float64, s.NNZ())
-	par.Range(s.Rows, func(_, lo, hi int) {
+	s.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ri := r[i]
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
@@ -472,7 +457,7 @@ func (s *CSR) ScaleRowsCols(r, c []float64) *CSR {
 		panic("sparse: ScaleRowsCols length mismatch")
 	}
 	vals := make([]float64, s.NNZ())
-	par.Range(s.Rows, func(_, lo, hi int) {
+	s.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ri := r[i]
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
@@ -496,6 +481,13 @@ func (s *CSR) ToDense() *tensor.Dense {
 
 // RowNNZ returns the number of stored entries in row i.
 func (s *CSR) RowNNZ(i int) int { return int(s.RowPtr[i+1] - s.RowPtr[i]) }
+
+// RangeRows runs fn over the rows [0, Rows) split over the workers by their
+// entries (par.RangeWeighted on the row lengths): a row sweep's work goes with
+// its entries, and a skewed pattern's first rows can hold most of them.
+func (s *CSR) RangeRows(fn func(worker, lo, hi int)) {
+	par.RangeWeighted(s.Rows, func(i int) int64 { return s.RowPtr[i+1] - s.RowPtr[i] }, fn)
+}
 
 // MaxRowNNZ returns the maximum row degree d of the pattern.
 func (s *CSR) MaxRowNNZ() int {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"agnn/internal/obs"
-	"agnn/internal/par"
 )
 
 // RowSoftmaxInto implements the graph softmax of Section 4.2,
@@ -21,7 +20,7 @@ func RowSoftmaxInto(vals []float64, s *CSR) {
 	if len(vals) != s.NNZ() {
 		panic("sparse: RowSoftmaxInto value length mismatch")
 	}
-	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
+	s.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b, e := s.RowPtr[i], s.RowPtr[i+1]
 			if b == e {

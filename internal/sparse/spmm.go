@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"agnn/internal/obs"
-	"agnn/internal/par"
 	"agnn/internal/tensor"
 )
 
@@ -27,7 +26,7 @@ func (s *CSR) MulDenseInto(out, x *tensor.Dense) {
 	k := x.Cols
 	tc := tensor.TileCols(x.Rows, k, 8)
 	idx, vals := s.Index(), RowValues(s, s.Val)
-	par.RangeWeighted(s.Rows, func(i int) int64 { return int64(s.RowNNZ(i)) }, func(_, lo, hi int) {
+	s.RangeRows(func(_, lo, hi int) {
 		clear(out.Data[lo*k : hi*k])
 		for c0 := 0; c0 < k; c0 += tc {
 			c1 := min(c0+tc, k)
@@ -52,7 +51,7 @@ func SDDMM(pat *CSR, x, y *tensor.Dense) *CSR {
 	k := x.Cols
 	vals := make([]float64, pat.NNZ())
 	idx := pat.Index()
-	par.RangeWeighted(pat.Rows, func(i int) int64 { return int64(pat.RowNNZ(i)) }, func(_, lo, hi int) {
+	pat.RangeRows(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b, e := pat.RowPtr[i], pat.RowPtr[i+1]
 			GatherDots(vals[b:e], x.Data[i*k:(i+1)*k], idx.Slice(b, e), y.Data, k, 0)

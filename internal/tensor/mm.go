@@ -127,10 +127,10 @@ type TMMScratch struct {
 	partials []*Dense
 }
 
-// ensure grows the scratch to the current worker count (plus one: the
-// weighted scheduler may emit one extra chunk) and the requested shape.
+// ensure grows the scratch to the current worker count and the requested
+// shape.
 func (s *TMMScratch) ensure(k, m int) []*Dense {
-	need := par.Workers() + 1
+	need := par.Workers()
 	if len(s.partials) < need {
 		grown := make([]*Dense, need)
 		copy(grown, s.partials)
