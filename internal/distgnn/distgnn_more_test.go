@@ -228,6 +228,9 @@ func TestGatherOutputRank0Only(t *testing.T) {
 	}
 }
 
+// TestSliceOwnedBlockPadding: on a 3×3 grid over 10 vertices the diagonal
+// blocks hold 4, 4 and 2 of BR = 4 rows. The whole ones are views of h's rows,
+// sharing its storage; the ragged last one is a copy, zero-padded to BR.
 func TestSliceOwnedBlockPadding(t *testing.T) {
 	a := graph.ErdosRenyi(10, 30, 37) // n=10, p=4 → b=5, no padding; p=9 → b=4, pad 2
 	cfg := testCfg(gnn.GCN, 1, 2, 2, 2)
@@ -249,6 +252,10 @@ func TestSliceOwnedBlockPadding(t *testing.T) {
 			t.Errorf("block rows %d != BR %d", blk.Rows, e.BR)
 		}
 		lo, hi := e.OwnedRange()
+		// A whole block is a view of h's rows; a padded one, a copy.
+		if view, whole := &blk.Data[0] == &h.Data[lo*h.Cols], hi-lo == e.BR; view != whole {
+			t.Errorf("rows [%d, %d) of a %d-row block: shares h's storage %v, want %v", lo, hi, e.BR, view, whole)
+		}
 		for r := lo; r < hi; r++ {
 			if blk.At(r-lo, 0) != h.At(r, 0) {
 				t.Error("owned block content wrong")

@@ -195,14 +195,20 @@ func (e *GlobalEngine) OwnedRange() (int, int) {
 	return lo, min(lo+e.BR, e.N)
 }
 
-// SliceOwnedBlock extracts this rank's diagonal feature block (padded to BR
-// rows) from a replicated full feature matrix; nil on off-diagonal ranks.
+// SliceOwnedBlock returns this rank's diagonal feature block, BR rows, of a
+// replicated full feature matrix h; nil on off-diagonal ranks. A whole block
+// (hi−lo == BR) is a row view of h that shares its storage: the engine only
+// reads it, so h must stay as it is while the block is in use. A ragged last
+// block is a copy, zero-padded to BR rows.
 func (e *GlobalEngine) SliceOwnedBlock(h *tensor.Dense) *tensor.Dense {
 	if !e.Diag {
 		return nil
 	}
-	out := tensor.NewDense(e.BR, h.Cols)
 	lo, hi := e.OwnedRange()
+	if hi-lo == e.BR {
+		return h.SliceRows(lo, hi)
+	}
+	out := tensor.NewDense(e.BR, h.Cols)
 	for r := lo; r < hi; r++ {
 		copy(out.Row(r-lo), h.Row(r))
 	}

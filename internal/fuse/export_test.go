@@ -20,15 +20,21 @@ func BackwardOps(p *Plan) []string {
 // returns the frontier (Graph.Frontier) with the values that plan computed
 // for it, read out of its buffers after the whole forward sweep.
 func QueryFrontierValues(g *Graph, h tensor.Typed, dt tensor.DType) ([]*Node, []tensor.Typed) {
-	frontier := g.Frontier()
+	p := QueryPlan(g, dt)
+	p.ForwardTyped(h)
+	return g.Frontier(), p.x.values()[1:]
+}
+
+// QueryPlan compiles the plan QueryFrontierValues runs: the inference plan
+// for g, which hands the frontier's values on typed beside its output.
+func QueryPlan(g *Graph, dt tensor.DType) *Plan {
 	c := g.cut()
-	c.outs = append(c.outs, frontier...)
+	c.outs = append(c.outs, g.Frontier()...)
 	p, err := lower(g, Options{DType: dt}, g.dag.consumers(), c, tensor.NewArena())
 	if err != nil {
 		panic(err)
 	}
-	p.ForwardTyped(h)
-	return frontier, p.x.values()[1:]
+	return p
 }
 
 // Buffer is one buffer of a step's planned workspace: the plan it belongs
@@ -36,8 +42,9 @@ func QueryFrontierValues(g *Graph, h tensor.Typed, dt tensor.DType) ([]*Node, []
 // forward ops and the widening of its output, then every plan's seed,
 // backward ops and the widening of its input cotangent in reverse — its
 // first word in the step's slab (-1: it has no bytes), whether its plan
-// hands it to the caller (the output, the input cotangent), and the last
-// position of its plan.
+// hands it to the caller (the output, the input cotangent), the last
+// position of its plan and — where the step overlays it on its float64 copy,
+// whose widen is its last reader — the name of that copy.
 type Buffer struct {
 	Plan, Name  string
 	Bytes       int64
@@ -45,6 +52,7 @@ type Buffer struct {
 	Off         int
 	Keep        bool
 	End         int
+	Inside      string
 }
 
 // Words returns the buffer's length in the slab.
@@ -67,10 +75,17 @@ func KeepBuffers() (restore func()) {
 func Buffers(p *Plan) []Buffer {
 	out := make([]Buffer, len(p.step.lifetimes))
 	for i, b := range p.step.lifetimes {
-		out[i] = Buffer{Plan: b.plan, Name: b.name, Bytes: b.bytes, First: b.first, Last: b.last, Off: b.off, Keep: b.keep, End: b.end}
+		out[i] = Buffer{Plan: b.plan, Name: b.name, Bytes: b.bytes, First: b.first, Last: b.last, Off: b.off, Keep: b.keep, End: b.end, Inside: b.inside}
 	}
 	return out
 }
+
+// Spread widens src into dst as an overlaid pair's widen does: top-down, in
+// place where src lies on dst's first words. It reuses its loop body from one
+// call to the next.
+func Spread(dst []float64, src []float32) { spreadF32.run(dst, src) }
+
+var spreadF32 spread[float32]
 
 // LayOut lays out the step of p, as its first run would.
 func LayOut(p *Plan) { p.ready() }

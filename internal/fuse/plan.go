@@ -115,6 +115,9 @@ type Plan struct {
 	build                          func() // builds the op bodies over the storage its step gave the buffers
 	stepBytes                      int64  // bytes of its step's slab attributed to the plan (Step.place)
 	poison, keepLife               bool   // compiled under the test hooks poisonDead, keepLifetimes
+	// handsOuts: the plan hands the values of its cut's outs on typed (a
+	// prefix plan), so its output is read after any widen.
+	handsOuts bool
 
 	ranForward bool
 	released   bool
@@ -176,6 +179,10 @@ type exec[T elem] struct {
 	narrow     castSweep[T, float64]
 	widen      castSweep[float64, T]
 	same       castSweep[T, T] // an output cotangent arriving at width T
+	spread     spread[T]       // the widen of an overlaid pair (Step.place), in place
+	// spreadOut, spreadGin: the overlaid copy holds the latest forward result,
+	// input cotangent, and its source is gone: widened once per sweep.
+	spreadOut, spreadGin bool
 
 	zero zeroSweep[T] // cotangent buffers zeroed before each backward
 
@@ -212,6 +219,39 @@ func (c *castSweep[D, S]) run(dst []D, src []S) {
 	c.dst, c.src = dst, src
 	par.Range(len(src), c.body)
 	c.dst, c.src = nil, nil // keep no hold on the caller's matrix
+}
+
+// spread is the widen of an overlaid pair: the source lies on the first half
+// of its float64 copy's words (Step.place), so the copy is written top-down
+// in halving rounds — [⌈hi/2⌉, hi), then the half below it, and so on down to
+// element 0. A round writes bytes from 8⌈hi/2⌉ ≥ 4·hi on, past every source
+// element it has not yet read, and reads below that: each round is one
+// parallel sweep with nothing shared between its reads and its writes.
+// Element-wise, so the bits are tensor.Cast's. The loop body is built on
+// first use and kept, like castSweep's.
+type spread[T elem] struct {
+	dst  []float64
+	src  []T
+	lo   int // the current round's first element
+	body func(worker, lo, hi int)
+}
+
+func (c *spread[T]) run(dst []float64, src []T) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("fuse: cast length mismatch %d vs %d", len(dst), len(src)))
+	}
+	if c.body == nil {
+		c.body = func(_, lo, hi int) { tensor.Cast(c.dst[c.lo+lo:c.lo+hi], c.src[c.lo+lo:c.lo+hi]) }
+	}
+	c.dst, c.src = dst, src
+	for hi := len(src); hi > 0; hi = c.lo {
+		c.lo = (hi + 1) / 2
+		if hi == 1 {
+			c.lo = 0 // element 0 reads its source word before writing over it
+		}
+		par.Range(hi-c.lo, c.body)
+	}
+	c.dst, c.src = nil, nil
 }
 
 // zeroSweep clears a set of a training plan's cotangent buffers — at the seed
@@ -311,13 +351,16 @@ func (e *exec[T]) bind(i int, h tensor.Typed) {
 	}
 }
 
+// refresh starts a forward sweep: its result is not yet widened.
 func (e *exec[T]) refresh() {
+	e.spreadOut = false
 	for _, s := range e.shadows {
 		e.narrow.run(s.local.Data, s.master.Data)
 	}
 }
 
 func (e *exec[T]) seed(g tensor.Typed) {
+	e.spreadGin = false
 	e.zero.run()
 	if e.offDiag {
 		return
@@ -355,9 +398,9 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	if e.offDiag {
 		return nil
 	}
-	src, buf := e.output.dense, e.outF
+	src, buf, cp, spread := e.output.dense, e.outF, e.plan.outF, &e.spreadOut
 	if back {
-		src, buf = e.leaves[0].gdense, e.ginF
+		src, buf, cp, spread = e.leaves[0].gdense, e.ginF, e.plan.ginF, &e.spreadGin
 	}
 	if d, ok := any(src).(*tensor.Mat[float64]); ok {
 		return (*tensor.Dense)(d)
@@ -365,7 +408,13 @@ func (e *exec[T]) dense(back bool) *tensor.Dense {
 	if len(buf.Data) != len(src.Data) {
 		panic("fuse: plan " + e.plan.Name + ": a float64 result where its step planned none")
 	}
-	e.widen.run(buf.Data, src.Data)
+	switch {
+	case cp.inner == nil:
+		e.widen.run(buf.Data, src.Data)
+	case !*spread:
+		e.spread.run(buf.Data, src.Data)
+		*spread = true
+	}
 	return (*tensor.Dense)(buf)
 }
 
@@ -535,6 +584,7 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 		cast: !aliased, poison: poisonDead, keepLife: keepLifetimes}
 	p.stats.DType = opt.DType
 	p.unit = g.pat.Val == nil
+	p.handsOuts = len(c.outs) != 1 || c.outs[0] != g.output
 	e.plan, lay.p = p, p
 
 	// sp returns (creating on demand) the typed state of a node. Creation
@@ -1578,7 +1628,9 @@ func (p *Plan) forward() tensor.Typed {
 // Output returns the result of the latest forward sweep as float64: the
 // plan's own buffer at that width, a widened copy at float32 — in a buffer
 // of the step, which a plan alone always has and a step that hands the
-// result on typed does not.
+// result on typed does not. Where nothing reads the float32 result after the
+// widen, the step places the copy over it: the typed matrix ForwardTyped
+// returned is then gone once Output has run.
 func (p *Plan) Output() *tensor.Dense { return p.x.dense(false) }
 
 // checkShape panics unless v is what the plan can bind at node m (a vector
@@ -1710,7 +1762,8 @@ func (p *Plan) BackwardTyped(g tensor.Typed) tensor.Typed {
 }
 
 // InputGrad returns the input cotangent of the latest backward sweep as
-// float64 (see Output), valid as Backward's result is.
+// float64 (see Output: the typed one BackwardTyped returned may be gone once
+// it has run), valid as Backward's result is.
 func (p *Plan) InputGrad() *tensor.Dense { return p.x.dense(true) }
 
 // Bind points the plan at adjacency a. It keeps everything compile derived

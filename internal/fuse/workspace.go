@@ -28,7 +28,7 @@ import (
 // matrix header or slice field a buffer has views its range of the slab at
 // the buffer's own width (tensor.View).
 //
-// Three rules keep every result what a plan with a buffer per node computes:
+// Four rules keep every result what a plan with a buffer per node computes:
 //   - a cotangent accumulated into (+=) is cleared at the start of its own
 //     interval — in the seed's one parallel sweep when nothing else placed
 //     over its range is live between the seed and its first writer,
@@ -40,6 +40,14 @@ import (
 //     plan alone reads what the first did. Where a step hands one plan's
 //     result to the next, the result lives on to the last position that
 //     reads it there (Step.Set);
+//   - a casting plan's float64 copy — of its output, of its input cotangent —
+//     is placed over its narrower source only where the widen is the
+//     source's last reader (overlay): the source lies on the first half of
+//     the copy's range, and the widen runs top-down (spread), reading every
+//     source word before writing over it. A training plan's output, which
+//     σ's VJP reads later, a prefix plan's, handed on typed with its cut's
+//     outs, and a result handed typed to the next plan of the step keep
+//     words of their own;
 //   - what persists between steps — values bound from the caller, parameters
 //     and their gradients, A's values at the plan's width or in Aᵀ's order —
 //     is not planned here at all.
@@ -63,9 +71,12 @@ type span struct {
 	keep        bool // handed to the caller: live to the end of its plan's part
 	from, to    int  // its interval on the step's timeline
 	off         int  // its first word in the step's slab (-1: it has no bytes)
+	// An overlaid pair (overlay): on the float64 copy, the source lying on
+	// its first words; on the source, the copy. Nil otherwise.
+	inner, outer *span
 
 	attach func(raw []float64) // views raw — its range of the slab, nil when it has none
-	fill   func()              // writes NaN over it (poisonDead)
+	fill   func(skip int)      // writes NaN over it past its first skip words (poisonDead)
 }
 
 // live reports whether b is live at step position i.
@@ -106,10 +117,11 @@ func newBuffer[T elem](p *Plan, name string, words func() int) *buffer[T] {
 			*v = b.data
 		}
 	}
-	b.fill = func() {
+	b.fill = func(skip int) {
 		nan := T(math.NaN())
-		for q := range b.data {
-			b.data[q] = nan
+		tail := b.data[min(skip*8/width, len(b.data)):]
+		for q := range tail {
+			tail[q] = nan
 		}
 	}
 	p.spans = append(p.spans, &b.span)
@@ -413,8 +425,15 @@ func (s *Step) layout() {
 			}
 		}
 	}
+	for _, b := range s.spans {
+		b.inner, b.outer = nil, nil
+	}
 	for _, p := range s.plans {
 		p.stepBytes = 0
+		if !p.handsOuts {
+			overlay(p.out, p.outF)
+		}
+		overlay(p.gin, p.ginF)
 	}
 	s.place(slices.ContainsFunc(s.plans, func(p *Plan) bool { return p.poison }))
 	s.bind()
@@ -429,7 +448,11 @@ func (s *Step) layout() {
 			if p.train {
 				end = p.bo + p.nb - 1
 			}
-			s.lifetimes = append(s.lifetimes, lifetime{p.Name, b.name, int64(b.bytes), b.from, b.to, b.off, b.keep, end})
+			inside := ""
+			if b.outer != nil {
+				inside = b.outer.name
+			}
+			s.lifetimes = append(s.lifetimes, lifetime{p.Name, b.name, int64(b.bytes), b.from, b.to, b.off, b.keep, end, inside})
 		}
 	}
 }
@@ -441,43 +464,76 @@ func extend(b *span, to int) {
 	}
 }
 
+// overlay makes the float64 copy cp of src the home of src as well when the
+// widen into cp is the last position reading src: src is then placed on cp's
+// first words (place) and widened in place (spread).
+func overlay(src, cp *span) {
+	if src != nil && cp != nil && src.bytes > 0 && src.bytes <= cp.bytes && src.to == cp.from {
+		cp.inner, src.outer = src, cp
+	}
+}
+
 // place gives every buffer with bytes its offset in the slab: largest first
 // — of equal ones, the one live latest first — each at the lowest offset
 // where no buffer placed before it and live while it is overlaps it. A
 // buffer's offset is 0 or where such a buffer ends, so the ranges leave no
-// gap. Each word of the slab counts in the stepBytes of the plan of the
-// first buffer placed over it, so the plans' counts add up to the slab. With
-// separate no two buffers share a word.
+// gap. An overlaid pair is placed as one, with its copy: the source at the
+// copy's offset, each part checked against every buffer live while it is.
+// Each word of the slab counts in the stepBytes of the plan of the first
+// buffer placed over it, so the plans' counts add up to the slab. With
+// separate no two buffers share a word but an overlaid pair's.
 func (s *Step) place(separate bool) {
 	order := s.order[:0]
 	for _, b := range s.spans {
 		b.off = -1
-		if b.bytes > 0 {
+		if b.bytes > 0 && b.outer == nil {
 			order = append(order, b)
 		}
 	}
 	slices.SortStableFunc(order, func(a, b *span) int {
 		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(b.to, a.to))
 	})
+	// apart returns how many words from b's offset a placed o keeps b out of:
+	// b's own where their intervals overlap, else its inner source's where
+	// those do, else none.
+	apart := func(b, o *span) int {
+		switch in := b.inner; {
+		case separate || o.from <= b.to && b.from <= o.to:
+			return b.words()
+		case in != nil && o.from <= in.to && in.from <= o.to:
+			return in.words()
+		}
+		return 0
+	}
 	s.words = 0
 	covered := s.covered[:0] // the slab's ranges placed so far, disjoint and sorted
 	for i, b := range order {
 		near := s.near[:0]
 		for _, o := range order[:i] {
-			if separate || o.from <= b.to && b.from <= o.to {
+			if apart(b, o) > 0 {
 				near = append(near, o)
+			}
+			if in := o.inner; in != nil && apart(b, in) > 0 {
+				near = append(near, in)
 			}
 		}
 		slices.SortFunc(near, func(a, b *span) int { return cmp.Compare(a.off, b.off) })
+		// The lowest offset no near buffer keeps b out of: each move puts lo
+		// past a buffer in the way, and a pass that moves nothing ends.
 		lo := 0
-		for _, o := range near {
-			if o.off >= lo+b.words() {
-				break
+		for moved := true; moved; {
+			moved = false
+			for _, o := range near {
+				if lo < o.off+o.words() && o.off < lo+apart(b, o) {
+					lo, moved = o.off+o.words(), true
+				}
 			}
-			lo = max(lo, o.off+o.words())
 		}
 		hi := lo + b.words()
 		b.off, s.near = lo, near
+		if b.inner != nil {
+			b.inner.off = lo
+		}
 		s.words = max(s.words, hi)
 		fresh := hi - lo
 		for _, c := range covered {
@@ -517,18 +573,23 @@ func (s *Step) bind() {
 	}
 }
 
-// poisonAt fills every buffer of the step not live at position i with NaN.
+// poisonAt fills every buffer of the step not live at position i with NaN:
+// of an overlaid pair, only the words neither part is live over.
 func (s *Step) poisonAt(i int) {
 	for _, b := range s.spans {
-		if !b.live(i) {
-			b.fill()
+		switch {
+		case b.live(i), b.outer != nil && b.outer.live(i):
+		case b.inner != nil && b.inner.live(i):
+			b.fill(b.inner.words())
+		default:
+			b.fill(0)
 		}
 	}
 }
 
 // lifetime is what a step keeps of a planned buffer for tests: its plan and
-// name, its bytes, its interval and offset, and the last position of its
-// plan.
+// name, its bytes, its interval and offset, the last position of its plan
+// and, overlaid, the name of the copy it lies in.
 type lifetime struct {
 	plan, name  string
 	bytes       int64
@@ -536,4 +597,5 @@ type lifetime struct {
 	off         int
 	keep        bool
 	end         int
+	inside      string
 }

@@ -2,13 +2,16 @@ package fuse_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"agnn/internal/fuse"
 	"agnn/internal/gnn"
 	"agnn/internal/graph"
+	"agnn/internal/par"
 	"agnn/internal/sparse"
 	"agnn/internal/tensor"
 )
@@ -57,7 +60,7 @@ func (offDiagGrid) AllreduceRow([]float64, bool)      {}
 
 // slabBytes returns the bytes of a step's slab — the end of its last
 // placed buffer, in float64 words — and the most bytes live at any one
-// position.
+// position, an overlaid pair counted once: as its copy where both are live.
 func slabBytes(bufs []fuse.Buffer) (slab, live int64) {
 	last := 0
 	for _, b := range bufs {
@@ -69,7 +72,9 @@ func slabBytes(bufs []fuse.Buffer) (slab, live int64) {
 	for i := 0; i <= last; i++ {
 		var at int64
 		for _, b := range bufs {
-			if b.First <= i && i <= b.Last {
+			if b.First <= i && i <= b.Last && !slices.ContainsFunc(bufs, func(o fuse.Buffer) bool {
+				return inside(b, o) && o.First <= i && i <= o.Last
+			}) {
 				at += b.Bytes
 			}
 		}
@@ -78,10 +83,18 @@ func slabBytes(bufs []fuse.Buffer) (slab, live int64) {
 	return slab, live
 }
 
+// inside reports whether b is overlaid on its float64 copy o as a step may
+// place a pair: named by b, on o's first words, no longer than o, and read
+// last at o's first position, the widen.
+func inside(b, o fuse.Buffer) bool {
+	return b.Inside != "" && b.Inside == o.Name && b.Plan == o.Plan &&
+		b.Off == o.Off && b.Words() <= o.Words() && b.Last == o.First
+}
+
 // checkLayout asserts a step's layout invariants: no two buffers live at one
-// position share a word of the slab, what a plan hands its caller is live to
-// the end of the plan's part of the step, and the plans' statistics count
-// the slab.
+// position share a word of the slab but an overlaid pair (inside), what a
+// plan hands its caller is live to the end of the plan's part of the step,
+// and the plans' statistics count the slab.
 func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 	t.Helper()
 	bufs := fuse.Buffers(p)
@@ -92,7 +105,13 @@ func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 		if b.Keep && b.Last < b.End {
 			t.Errorf("%s: %s.%s, handed to the caller, is live until %d, its plan until %d", what, b.Plan, b.Name, b.Last, b.End)
 		}
+		if b.Inside != "" && !slices.ContainsFunc(bufs, func(o fuse.Buffer) bool { return inside(b, o) }) {
+			t.Errorf("%s: %s.%s [%d, %d] at %d is overlaid on %s, which it is not on the first words of, or read after", what, b.Plan, b.Name, b.First, b.Last, b.Off, b.Inside)
+		}
 		for _, o := range bufs[i+1:] {
+			if inside(b, o) || inside(o, b) {
+				continue
+			}
 			if b.Shares(o) && o.First <= b.Last && b.First <= o.Last {
 				t.Errorf("%s: %s.%s [%d, %d] and %s.%s [%d, %d] share words from %d and %d", what, b.Plan, b.Name, b.First, b.Last, o.Plan, o.Name, o.First, o.Last, b.Off, o.Off)
 			}
@@ -214,7 +233,7 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 					pb := fuse.Buffers(poisoned)
 					for i, b := range pb {
 						for _, o := range pb[i+1:] {
-							if b.Shares(o) {
+							if b.Shares(o) && !inside(b, o) && !inside(o, b) {
 								t.Errorf("%s: the poisoned plan places %s and %s over one word", what, b.Name, o.Name)
 							}
 						}
@@ -317,7 +336,7 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 			pb := fuse.Buffers(poisoned)
 			for i, b := range pb {
 				for _, o := range pb[i+1:] {
-					if b.Shares(o) {
+					if b.Shares(o) && !inside(b, o) && !inside(o, b) {
 						t.Errorf("%s: the poisoned step places %s.%s and %s.%s over one word", c.name, b.Plan, b.Name, o.Plan, o.Name)
 					}
 				}
@@ -357,11 +376,13 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 
 	t.Run("infer-hub shape", func(t *testing.T) {
 		// Three float32 AGNN layers as infer-hub builds them, on a hub-heavy
-		// Kronecker graph, one inference step. The most bytes live at once
-		// are at the last position, where the last layer's output is widened
-		// to float64: n·k float32 words and n·k float64 ones. Each layer's
-		// ΨH and Z, and the first layer's narrowed input, take turns in that
-		// room.
+		// Kronecker graph, one inference step. The last layer's output is
+		// widened to float64 over its own words (the widen is its last
+		// reader), so the last position holds n·k float64 words and nothing
+		// else. The most bytes live at once are n·k·8 + 4n: an aggregation's
+		// operand and its result, n·k float32 words each, and the row norms'
+		// n. Each layer's ΨH and Z, and the first layer's narrowed input,
+		// take turns in that room.
 		const k = 32
 		g := graph.Kronecker(10, 16, 5)
 		m, err := gnn.New(gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, Seed: 4, DType: tensor.F32}, g)
@@ -372,7 +393,7 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		m.Forward(tensor.RandN(g.Rows, k, 1, rand.New(rand.NewSource(6))), false)
 		_, p := m.Layers[0].(layerPlans).Plans()
 		checkLayout(t, "infer-hub shape", p)
-		pinStep(t, "infer-hub shape", p, int64(g.Rows*k*(4+8)))
+		pinStep(t, "infer-hub shape", p, int64(g.Rows*(8*k+4)))
 	})
 }
 
@@ -398,4 +419,120 @@ func sumBytes(bufs []fuse.Buffer) (n int64) {
 		n += b.Bytes
 	}
 	return n
+}
+
+// TestSpreadWidensInPlace: the widen of an overlaid pair, with the float32
+// source on the first words of its float64 copy, writes tensor.Cast's bits —
+// at lengths around the halving rounds' and the worker pool's edges and at
+// infer-hub's n·k, on 1, 2 and 3 workers — and allocates nothing once warm.
+func TestSpreadWidensInPlace(t *testing.T) {
+	old := par.Workers()
+	defer par.SetWorkers(old)
+	rng := rand.New(rand.NewSource(12))
+	for _, workers := range []int{1, 2, 3} {
+		par.SetWorkers(workers)
+		for _, n := range []int{0, 1, 2, 3, 4095, 4096, 4097, 65537, 65536 * 32} {
+			src := make([]float32, n)
+			for i := range src {
+				src[i] = float32(rng.NormFloat64() * math.Exp(20*rng.NormFloat64()))
+			}
+			if n > 3 {
+				src[1], src[2], src[3] = float32(math.Inf(-1)), math.SmallestNonzeroFloat32, float32(math.NaN())
+			}
+			want := make([]float64, n)
+			tensor.Cast(want, src)
+			buf := make([]float64, n)
+			over := tensor.View[float32](buf, n)
+			copy(over, src)
+			fuse.Spread(buf, over)
+			for i := range want {
+				if math.Float64bits(buf[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("workers=%d n=%d: element %d is %v, Cast gives %v", workers, n, i, buf[i], want[i])
+				}
+			}
+			if raceEnabled || n == 0 {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(5, func() { fuse.Spread(buf, tensor.View[float32](buf, n)) }); allocs != 0 {
+				t.Errorf("workers=%d n=%d: the widen allocates %.1f objects, want 0", workers, n, allocs)
+			}
+		}
+	}
+}
+
+// TestOverlayOnlyWhereTheWidenReadsLast: a step places a float32 result on
+// the first words of its float64 copy only where the widen is the result's
+// last reader. In a float32 training step the layers hand each other typed
+// activations and cotangents, and σ's VJP reads the last layer's output after
+// its widen: only the first layer's input cotangent is overlaid. In the
+// inference step of the same model only the last layer's output is; the
+// typed hand-offs between layers are not. A training plan alone overlays its
+// input cotangent and widens it once per sweep: a second InputGrad returns
+// the same bits. A plan that hands its cut's outs on typed beside its output
+// (a serving prefix's) overlays nothing.
+func TestOverlayOnlyWhereTheWidenReadsLast(t *testing.T) {
+	defer fuse.KeepBuffers()()
+	a := weightedGraph(300, 1800, 41)
+	const k = 5
+	h := randDense(rand.New(rand.NewSource(3)), a.Rows, k)
+	// overlaid lists the step's overlaid buffers, each as "name in copy",
+	// with whether it is read last at the step's last position.
+	overlaid := func(p *fuse.Plan) (pairs []string, last bool) {
+		bufs := fuse.Buffers(p)
+		end := 0
+		for _, b := range bufs {
+			end = max(end, b.End)
+		}
+		last = true
+		for _, b := range bufs {
+			if b.Inside != "" {
+				pairs = append(pairs, b.Name+" in "+b.Inside)
+				last = last && b.Last == end
+			}
+		}
+		return pairs, last
+	}
+	for _, train := range []bool{true, false} {
+		m, err := gnn.New(gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, Seed: 8, DType: tensor.F32}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := m.Forward(h, train)
+		tp, ip := m.Layers[0].(layerPlans).Plans()
+		p, want := ip, "Z in Hout.f64"
+		if train {
+			m.Backward(out.Clone())
+			p, want = tp, "H.grad in H.grad.f64"
+		}
+		checkLayout(t, fmt.Sprintf("agnn-f32 train=%v", train), p)
+		if pairs, last := overlaid(p); len(pairs) != 1 || pairs[0] != want || !last {
+			t.Errorf("agnn-f32 train=%v: overlaid %q (read last at the step's end: %v), want only %q there", train, pairs, last, want)
+		}
+		m.ReleasePlans()
+	}
+
+	// An overlaid pair is widened once per sweep: asking again returns the
+	// same bits, not a widen of what the first wrote over its source.
+	rng := rand.New(rand.NewSource(5))
+	w, beta := randParam(rng, "W", k, k), randParam(rng, "beta", 1, 1)
+	alone := buildAGNN(a, w, beta, k).MustCompile(fuse.Options{Train: true, DType: tensor.F32})
+	defer alone.Release()
+	alone.Forward(h)
+	gin := alone.Backward(randDense(rng, a.Rows, k)).Clone()
+	if pairs, _ := overlaid(alone); len(pairs) != 1 {
+		t.Errorf("a float32 training plan alone overlays %q, want its input cotangent", pairs)
+	}
+	if j := firstBitDiff(gin.Data, alone.InputGrad().Data); j >= 0 {
+		t.Errorf("a second InputGrad differs at %d", j)
+	}
+
+	g := fuse.NewGraph("gat", a)
+	gnn.NewGATLayer(a, k, k, gnn.ReLU(), 0.2, rand.New(rand.NewSource(4))).DAG(g, g.InputDense("H", a.Rows, k))
+	p := fuse.QueryPlan(g, tensor.F32)
+	defer p.Release()
+	p.ForwardTyped(tensor.Typed{F64: h})
+	p.Output()
+	if pairs, _ := overlaid(p); len(pairs) != 0 {
+		t.Errorf("a plan handing its cut's outs on typed overlays %q", pairs)
+	}
 }
