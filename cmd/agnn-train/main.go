@@ -46,11 +46,11 @@ func main() {
 	seed := flag.Int64("s", 0, "random seed")
 	trainFrac := flag.Float64("train", 0.7, "training-mask fraction (synthetic dataset)")
 	heads := flag.Int("heads", 1, "GAT attention heads (>1 enables the multi-head extension)")
-	dtype := flag.String("dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision; single node or a square process grid)")
+	dtype := flag.String("dtype", "f64", "element width of the compiled plans: f64 (default, bitwise-stable) or f32 (mixed precision; single node or any process count)")
 	savePath := flag.String("save", "", "write a weight checkpoint here after training")
 	loadPath := flag.String("load", "", "initialize weights from this checkpoint")
 	profile := flag.Bool("profile", false, "print the per-layer wall-time table after training")
-	ranks := flag.Int("p", 1, "simulated process count (>1 must be a perfect square; enables the distributed grid engine)")
+	ranks := flag.Int("p", 1, "simulated process count (>1 trains on the distributed grid engine: √p×√p when p is a perfect square, p×1 otherwise)")
 	faultSpec := flag.String("faults", "", "fault-injection spec, e.g. 'crash:rank=3,round=12;delay:p=0.01,ms=5' (docs/ROBUSTNESS.md; distributed mode)")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the fault injector's RNG streams")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for full training-state checkpoints (distributed mode)")

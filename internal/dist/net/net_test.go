@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	gonet "net"
 	"strings"
@@ -462,6 +463,42 @@ func TestTCPLateRendezvous(t *testing.T) {
 	m := <-ep0.Inbox(1)
 	if m.Data[0] != 7 {
 		t.Errorf("got %v", m.Data[0])
+	}
+}
+
+// TestTCPPeerListensAfterRendezvous: a rank above 0 opens its listener only
+// once its rendezvous connection exists — rank 0 then holds the rendezvous
+// port, so the peer's auto-assigned port cannot be it — and closes that
+// connection when the listen fails.
+func TestTCPPeerListensAfterRendezvous(t *testing.T) {
+	rdv, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdv.Close()
+	refused := errors.New("listen refused by the test")
+	var accepted gonet.Conn
+	defer func(orig func(string, string) (gonet.Listener, error)) { listen = orig }(listen)
+	listen = func(string, string) (gonet.Listener, error) {
+		// A connection already dialled waits in the accept queue; one not
+		// yet dialled never arrives, for the peer is blocked right here.
+		rdv.(*gonet.TCPListener).SetDeadline(time.Now().Add(2 * time.Second))
+		var err error
+		if accepted, err = rdv.Accept(); err != nil {
+			t.Errorf("the peer listens before its rendezvous connection exists: %v", err)
+		}
+		return nil, refused
+	}
+	if _, err := DialTCP(fastCfg(1, 2, rdv.Addr().String())); !errors.Is(err, refused) {
+		t.Fatalf("DialTCP: %v, want the refused listen", err)
+	}
+	if accepted == nil {
+		return
+	}
+	defer accepted.Close()
+	accepted.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := accepted.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("rendezvous connection after the failed listen: read %d bytes, %v; want EOF", n, err)
 	}
 }
 

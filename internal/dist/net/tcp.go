@@ -184,7 +184,8 @@ func (e *TCPEndpoint) event(code uint32, a int64) {
 
 // DialTCP bootstraps this rank into the world and blocks until the full
 // mesh is established: rank 0 listens at the rendezvous address and
-// collects a HELLO from every peer, answers with the address table, and
+// collects a HELLO from every peer (a peer opens its own listener only once
+// its rendezvous connection is up), answers with the address table, and
 // each rank then dials every lower-ranked peer directly. Dials use
 // bounded retry with exponential backoff and jitter, so start order does
 // not matter.
@@ -220,28 +221,40 @@ func DialTCP(cfg TCPConfig) (*TCPEndpoint, error) {
 	}
 
 	// Every rank listens: rank 0 at the rendezvous, others at their own
-	// (possibly auto-assigned loopback) address.
+	// (possibly auto-assigned loopback) address, once their rendezvous
+	// connection is up. Rank 0 then holds the rendezvous port, so no peer's
+	// auto-assigned port can be the one a slower rank 0 is about to bind.
+	deadline := time.Now().Add(cfg.BootstrapTimeout)
 	listenAddr := cfg.Addr
+	var rdv gonet.Conn
 	if cfg.Rank == 0 {
 		listenAddr = cfg.Rendezvous
-	} else if listenAddr == "" {
-		if cfg.Network != "tcp" {
-			return nil, fmt.Errorf("net: rank %d needs an explicit -addr on network %q", cfg.Rank, cfg.Network)
+	} else {
+		if listenAddr == "" {
+			if cfg.Network != "tcp" {
+				return nil, fmt.Errorf("net: rank %d needs an explicit -addr on network %q", cfg.Rank, cfg.Network)
+			}
+			listenAddr = "127.0.0.1:0"
 		}
-		listenAddr = "127.0.0.1:0"
+		var err error
+		if rdv, err = e.dialRetry(cfg.Rendezvous); err != nil {
+			return nil, fmt.Errorf("net: rank %d rendezvous %s: %w", cfg.Rank, cfg.Rendezvous, err)
+		}
 	}
-	ln, err := gonet.Listen(cfg.Network, listenAddr)
+	ln, err := listen(cfg.Network, listenAddr)
 	if err != nil {
+		if rdv != nil {
+			rdv.Close()
+		}
 		return nil, fmt.Errorf("net: rank %d listen %s: %w", cfg.Rank, listenAddr, err)
 	}
 	e.ln = ln
 	go e.acceptLoop()
 
-	deadline := time.Now().Add(cfg.BootstrapTimeout)
 	if cfg.Rank == 0 {
 		err = e.bootstrapRoot(deadline)
 	} else {
-		err = e.bootstrapPeer(ln.Addr().String(), deadline)
+		err = e.bootstrapPeer(rdv, ln.Addr().String(), deadline)
 	}
 	if err != nil {
 		e.Close()
@@ -274,13 +287,10 @@ func (e *TCPEndpoint) bootstrapRoot(deadline time.Time) error {
 	return nil
 }
 
-// bootstrapPeer dials the rendezvous, reads the address table, then dials
-// every rank between 0 and itself and waits for the ranks above to dial in.
-func (e *TCPEndpoint) bootstrapPeer(ownAddr string, deadline time.Time) error {
-	conn, err := e.dialRetry(e.cfg.Rendezvous)
-	if err != nil {
-		return fmt.Errorf("net: rank %d rendezvous %s: %w", e.cfg.Rank, e.cfg.Rendezvous, err)
-	}
+// bootstrapPeer greets rank 0 over the rendezvous connection conn, reads the
+// address table, then dials every rank between 0 and itself and waits for
+// the ranks above to dial in.
+func (e *TCPEndpoint) bootstrapPeer(conn gonet.Conn, ownAddr string, deadline time.Time) error {
 	hello := encodeHello(e.cfg.Rank, ownAddr)
 	conn.SetWriteDeadline(time.Now().Add(e.cfg.WriteTimeout))
 	if _, err := conn.Write(hello); err != nil {
@@ -349,6 +359,9 @@ func (e *TCPEndpoint) awaitMesh(want int, deadline time.Time) error {
 	}
 	return nil
 }
+
+// listen opens a rank's listener; a variable so that a test can see when.
+var listen = gonet.Listen
 
 // dialRetry dials with bounded attempts, exponential backoff and jitter.
 func (e *TCPEndpoint) dialRetry(addr string) (gonet.Conn, error) {

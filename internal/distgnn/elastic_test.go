@@ -12,87 +12,50 @@ import (
 	"agnn/internal/dist/faults"
 	distnet "agnn/internal/dist/net"
 	"agnn/internal/fuse"
-	"agnn/internal/gnn"
+	"agnn/internal/tensor"
 )
-
-// trainLocalLosses runs the 1D local engine's full-batch TrainStep for a
-// few epochs at world size p and returns the per-epoch losses (identical
-// on every rank by construction).
-func trainLocalLosses(t *testing.T, spec TrainSpec, p, epochs int) []float64 {
-	t.Helper()
-	losses := make([]float64, epochs)
-	var mu sync.Mutex
-	_, errs, err := dist.TryRun(p, dist.Options{RecvTimeout: 20 * time.Second}, func(c *dist.Comm) error {
-		e, err := NewLocalEngine(c, spec.A, spec.Cfg)
-		if err != nil {
-			return err
-		}
-		opt := spec.NewOpt()
-		x := spec.X.SliceRows(e.Lo, e.Hi).Clone()
-		for ep := 0; ep < epochs; ep++ {
-			l := e.TrainStep(x, spec.Labels, spec.Mask, opt)
-			if c.Rank() == 0 {
-				mu.Lock()
-				losses[ep] = l
-				mu.Unlock()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first := dist.FirstError(errs); first != nil {
-		t.Fatal(first)
-	}
-	return losses
-}
-
-// TestLocalEngineTrainStepDeterministic: two runs at the same world size
-// reproduce the loss trajectory bitwise.
-func TestLocalEngineTrainStepDeterministic(t *testing.T) {
-	spec := resilientSpec(t, 3, 3)
-	a := trainLocalLosses(t, spec, 3, 3)
-	b := trainLocalLosses(t, spec, 3, 3)
-	for ep := range a {
-		if a[ep] != b[ep] {
-			t.Errorf("epoch %d: %v vs %v — local engine not deterministic", ep, a[ep], b[ep])
-		}
-	}
-}
 
 // TestElasticRecoveryShrinksWorld: a rank crash at p=4 with Elastic set
 // resumes from the last checkpoint at p=3 — a non-square size, so recovery
-// repartitions onto the 1D local engine — and trains to completion.
+// repartitions onto the 3×1 grid — and trains to completion, at both widths
+// and with one or three GAT heads.
 func TestElasticRecoveryShrinksWorld(t *testing.T) {
 	const p, epochs = 4, 5
-	spec := resilientSpec(t, p, epochs)
-	spec.CheckpointDir = t.TempDir()
-	spec.CheckpointEvery = 1
-	spec.RecvTimeout = 10 * time.Second
-	spec.Elastic = true
-	spec.MinRanks = 2
-	spec.Faults = faults.New(faults.Spec{Clauses: []faults.Clause{{
-		Kind: faults.Crash, Rank: 1, Round: 40,
-	}}}, 1, p)
+	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
+		for _, heads := range []int{1, 3} {
+			name := fmt.Sprintf("%s/GAT", dt)
+			if heads > 1 {
+				name += fmt.Sprintf("-%dheads", heads)
+			}
+			t.Run(name, func(t *testing.T) {
+				spec := resilientSpec(t, p, epochs)
+				spec.Cfg.DType, spec.Cfg.Heads = dt, heads
+				spec.CheckpointDir = t.TempDir()
+				spec.CheckpointEvery = 1
+				spec.RecvTimeout = 10 * time.Second
+				spec.Elastic = true
+				spec.MinRanks = 2
+				spec.Faults = faults.New(faults.Spec{Clauses: []faults.Clause{{
+					Kind: faults.Crash, Rank: 1, Round: 40,
+				}}}, 1, p)
 
-	res, err := TrainResilient(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Restarts == 0 {
-		t.Fatal("crash never fired; elastic path untested")
-	}
-	if res.FinalWorld != p-res.Restarts {
-		t.Errorf("FinalWorld = %d after %d restart(s), want %d", res.FinalWorld, res.Restarts, p-res.Restarts)
-	}
-	for ep, l := range res.Losses {
-		if l == 0 {
-			t.Errorf("epoch %d loss missing after elastic recovery", ep)
+				res, err := TrainResilient(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.FinalWorld != p-1 {
+					t.Fatalf("FinalWorld = %d after %d restart(s), want %d", res.FinalWorld, res.Restarts, p-1)
+				}
+				for ep, l := range res.Losses {
+					if l == 0 {
+						t.Errorf("epoch %d loss missing after elastic recovery", ep)
+					}
+				}
+				if res.Params == nil {
+					t.Error("no final parameter snapshot")
+				}
+			})
 		}
-	}
-	if res.Params == nil {
-		t.Error("no final parameter snapshot")
 	}
 }
 
@@ -120,14 +83,14 @@ func TestElasticFloorHoldsAtMinRanks(t *testing.T) {
 	}
 }
 
-// TestCrossEngineCheckpointRestore: a checkpoint written by the 2D grid
-// engine at p=4 restores into a p=3 local-engine world (and vice versa) —
-// the world-size independence elastic recovery depends on.
-func TestCrossEngineCheckpointRestore(t *testing.T) {
+// TestCheckpointRestoresAcrossGridShapes: a checkpoint written on the 2×2
+// grid restores into a 3×1 grid world — the world-size independence elastic
+// recovery depends on.
+func TestCheckpointRestoresAcrossGridShapes(t *testing.T) {
 	const epochs = 4
 	dir := t.TempDir()
 
-	// Phase 1: train the first half on the square world (grid engine).
+	// Phase 1: train the first half on the square world (2×2 grid).
 	spec := resilientSpec(t, 4, 2)
 	spec.CheckpointDir = dir
 	res1, err := TrainResilient(spec)
@@ -138,7 +101,7 @@ func TestCrossEngineCheckpointRestore(t *testing.T) {
 		t.Fatalf("phase 1 world = %d", res1.FinalWorld)
 	}
 
-	// Phase 2: resume the remaining epochs at p=3 (local engine).
+	// Phase 2: resume the remaining epochs at p=3 (3×1 grid).
 	spec2 := resilientSpec(t, 3, epochs)
 	spec2.CheckpointDir = dir
 	spec2.Resume = true
@@ -151,7 +114,7 @@ func TestCrossEngineCheckpointRestore(t *testing.T) {
 	}
 	for ep := 2; ep < epochs; ep++ {
 		if res2.Losses[ep] == 0 {
-			t.Errorf("epoch %d loss missing after cross-engine resume", ep)
+			t.Errorf("epoch %d loss missing after resuming on another grid", ep)
 		}
 	}
 }
@@ -222,9 +185,9 @@ func TestSurvivorsNameFailedRank(t *testing.T) {
 
 // TestTrainWorkerOverChanTransport: the per-process TrainWorker entry run
 // over the in-process channel transport produces the same losses as the
-// monolithic TryRun path at the same world size, bitwise — on the 1D local
-// engine (p = 2) and on the 2D grid (p = 4), whose plans every worker must
-// have released by the time it does.
+// monolithic TryRun path at the same world size, bitwise — on the 2×1 grid
+// (p = 2) and on the 2×2 grid (p = 4), whose plans every worker must have
+// released by the time it does.
 func TestTrainWorkerOverChanTransport(t *testing.T) {
 	const epochs = 3
 	for _, p := range []int{2, 4} {
@@ -271,12 +234,3 @@ func TestTrainWorkerOverChanTransport(t *testing.T) {
 		}
 	}
 }
-
-// Interface conformance: both engines satisfy the dispatch seam.
-var (
-	_ trainEngine = (*GlobalEngine)(nil)
-	_ trainEngine = (*LocalEngine)(nil)
-)
-
-// Silence the unused-import guard if gnn types end up only in signatures.
-var _ gnn.Optimizer = (*gnn.Adam)(nil)

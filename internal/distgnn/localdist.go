@@ -152,115 +152,10 @@ func (e *LocalEngine) Forward(hOwned *tensor.Dense) *tensor.Dense {
 	nOwned := e.Hi - e.Lo
 	h := hOwned
 	for i := range e.model.Layers {
-		out := e.model.LayerForward(i, e.haloExchange(h), false)
+		out := e.model.LayerForward(i, e.haloExchange(h))
 		h = out.SliceRows(0, nOwned).Clone()
 	}
 	return h
-}
-
-// haloReduce is the adjoint of haloExchange: the halo rows of gExt carry
-// gradient contributions to vertices owned by other ranks. Each is sent
-// back to its owner (the reverse of the forward pull, so the volume is the
-// same Θ(k·halo)) and added into the owned-row gradient. The alltoall's
-// rank order and the in-order Axpy accumulation are deterministic, so
-// repeated runs at the same world size reproduce bitwise.
-func (e *LocalEngine) haloReduce(gExt *tensor.Dense) *tensor.Dense {
-	sp := e.C.StartSpan("halo_reduce")
-	defer sp.End()
-	p := e.C.Size()
-	k := gExt.Cols
-	nOwned := e.Hi - e.Lo
-	out := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		buf := make([]float64, 0, len(e.needFrom[r])*k)
-		for _, v := range e.needFrom[r] {
-			buf = append(buf, gExt.Row(int(e.localCol(v)))...)
-		}
-		out[r] = buf
-	}
-	in := e.C.Alltoallv(out)
-	g := tensor.NewDense(nOwned, k)
-	for i := 0; i < nOwned; i++ {
-		copy(g.Row(i), gExt.Row(i))
-	}
-	for r := 0; r < p; r++ {
-		for x, v := range e.sendTo[r] {
-			tensor.Axpy(1, in[r][x*k:(x+1)*k], g.Row(int(v)-e.Lo))
-		}
-	}
-	return g
-}
-
-// TrainStep runs one distributed full-batch training iteration on the 1D
-// partition: per-layer halo exchange forward, local masked cross-entropy
-// over owned rows (two scalars allreduced), backward with the reverse halo
-// exchange returning halo-row gradients to their owners, then a global
-// gradient allreduce and a replicated optimizer step — the same invariants
-// as GlobalEngine.TrainStep, so checkpoints written by either engine resume
-// on the other. hOwned is this rank's owned feature rows; labels and mask
-// are global (replicated). Returns the global mean loss.
-func (e *LocalEngine) TrainStep(hOwned *tensor.Dense, labels []int, mask []bool, opt gnn.Optimizer) float64 {
-	sp := e.C.StartSpan("train_step")
-	defer sp.End()
-	nOwned := e.Hi - e.Lo
-	e.model.ZeroGrad()
-
-	// Forward with caching: each layer sees the extended [owned ++ halo]
-	// matrix and caches its intermediates for Backward.
-	h := hOwned
-	for i := range e.model.Layers {
-		out := e.model.LayerForward(i, e.haloExchange(h), true)
-		h = out.SliceRows(0, nOwned).Clone()
-	}
-
-	// Masked cross-entropy over owned vertices; only the (sum, count) pair
-	// crosses the network, mirroring GlobalEngine.EvalLoss.
-	ls := e.C.StartSpan("loss")
-	localLoss, localCount, grad := (&gnn.CrossEntropyLoss{Labels: labels, Mask: mask}).Sums(h, e.Lo, nOwned)
-	tot := e.C.Allreduce([]float64{localLoss, localCount})
-	if tot[1] > 0 {
-		grad.ScaleInPlace(1 / tot[1])
-	}
-	ls.End()
-
-	// Backward: a layer's output halo rows are never consumed, so their
-	// gradient is zero; its input halo rows accumulate gradient through the
-	// attention scores and aggregation, and haloReduce returns those
-	// contributions to the owning ranks before the next (earlier) layer.
-	bw := e.C.StartSpan("backward")
-	g := grad
-	for i := len(e.model.Layers) - 1; i >= 0; i-- {
-		ext := tensor.NewDense(nOwned+len(e.halo), g.Cols)
-		for r := 0; r < nOwned; r++ {
-			copy(ext.Row(r), g.Row(r))
-		}
-		g = e.haloReduce(e.model.LayerBackward(i, ext))
-	}
-	bw.End()
-
-	// Global gradient allreduce, then the replicated optimizer step.
-	ps := e.model.Params()
-	total := 0
-	for _, pp := range ps {
-		total += len(pp.Grad.Data)
-	}
-	buf := make([]float64, 0, total)
-	for _, pp := range ps {
-		buf = append(buf, pp.Grad.Data...)
-	}
-	buf = e.C.Allreduce(buf)
-	off := 0
-	for _, pp := range ps {
-		copy(pp.Grad.Data, buf[off:off+len(pp.Grad.Data)])
-		off += len(pp.Grad.Data)
-	}
-	st := e.C.StartSpan("opt_step")
-	opt.Step(ps)
-	st.End()
-	if tot[1] == 0 {
-		return 0
-	}
-	return tot[0] / tot[1]
 }
 
 // GatherOutput assembles the full output on rank 0 (test helper).

@@ -19,11 +19,11 @@ import (
 )
 
 // TrainSpec describes a resilient distributed full-batch training job on
-// the 2D grid engine. All fields are SPMD inputs: every simulated rank
+// the grid engine. All fields are SPMD inputs: every simulated rank
 // sees the same values, mirroring how each process of an MPI job parses
 // the same command line.
 type TrainSpec struct {
-	P      int                          // world size (must be a perfect square for the grid)
+	P      int                          // world size: √P×√P grid when a perfect square, else P×1
 	A      *sparse.CSR                  // adjacency (replicated; each rank slices its block)
 	X      *tensor.Dense                // full feature matrix, n×InDim
 	Labels []int                        // per-vertex class labels
@@ -44,8 +44,8 @@ type TrainSpec struct {
 	// instead of rebuilding at P: survivors repartition the graph at the new
 	// size (checkpoints are world-size independent — weights are replicated)
 	// and resume from the last durable epoch. MinRanks bounds the shrink
-	// (default 1). Non-square sizes train on the 1D local engine, square
-	// sizes on the 2D grid.
+	// (default 1). Every size trains on the grid: a square one on √p×√p,
+	// any other on p×1, so a checkpoint moves between them unchanged.
 	Elastic  bool
 	MinRanks int
 
@@ -238,48 +238,24 @@ func TrainWorker(spec TrainSpec, ep distnet.Endpoint) (*TrainResult, error) {
 	return res, runErr
 }
 
-// trainEngine is the slice of engine surface the resilient loop needs; the
-// 2D grid engine and the 1D local engine both provide it, so elastic
-// recovery can fall from a square world onto any survivor count.
-type trainEngine interface {
-	Params() []*gnn.Param
-	TrainStep(x *tensor.Dense, labels []int, mask []bool, opt gnn.Optimizer) float64
-}
-
-// newTrainEngine dispatches on world size: perfect squares get the 2D grid
-// engine (the paper's layout), everything else the 1D local-formulation
-// engine. Both draw the same replicated parameters from Cfg.Seed (names W,
-// beta, a1, a2 in layer order), so a checkpoint written under either layout
-// restores under the other — the property elastic recovery relies on when
-// p=4 shrinks to p=3. Returns the engine, this rank's input block, and what
-// releases the engine's plans (the local engine holds none).
-func newTrainEngine(c *dist.Comm, spec TrainSpec) (trainEngine, *tensor.Dense, func(), error) {
-	if _, err := graph.SquareGrid(c.Size()); err == nil {
-		e, err := NewGlobalEngine(c, spec.A, spec.Cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return e, e.SliceOwnedBlock(spec.X), e.Close, nil
-	}
-	e, err := NewLocalEngine(c, spec.A, spec.Cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e, spec.X.SliceRows(e.Lo, e.Hi).Clone(), func() {}, nil
-}
-
-// trainRanks is the per-rank body of generation g: build the engine, apply
-// g's checkpoint, run epochs [g.From, spec.Epochs), checkpointing at every
+// trainRanks is the per-rank body of generation g: build the engine — the
+// √p×√p grid when p is a perfect square, the p×1 grid otherwise — apply g's
+// checkpoint, run epochs [g.From, spec.Epochs), checkpointing at every
 // boundary multiple of spec.CheckpointEvery, and stop at the first
 // non-finite loss (gnn.FiniteLoss).
 func trainRanks(c *dist.Comm, spec TrainSpec, g Generation, res *TrainResult, mu *sync.Mutex) error {
-	e, xd, closeEngine, err := newTrainEngine(c, spec)
+	newEngine := NewGlobalEngine
+	if _, err := graph.SquareGrid(c.Size()); err != nil {
+		newEngine = NewRowGrid
+	}
+	e, err := newEngine(c, spec.A, spec.Cfg)
 	if err != nil {
 		return err
 	}
 	// Deferred, so it also runs when a rank failure unwinds this body: the
 	// next attempt's engines then start with no plan of this one live.
-	defer closeEngine()
+	defer e.Close()
+	xd := e.SliceOwnedBlock(spec.X)
 	opt := spec.NewOpt()
 	params := e.Params()
 

@@ -181,25 +181,17 @@ func (m *Model) backwardLayer(i int, x handoff) handoff {
 	return x
 }
 
-// LayerForward and LayerBackward run one layer of the model on a float64
-// matrix, for an engine that moves data between layers itself (the
-// halo-exchanging local engine): the layer is timed as in Forward and
-// Backward. They are the layer's own Forward and Backward, in whatever step
-// its plan runs: the model's, which from then on plans every float64
-// crossing of a float32 layer, or the plan's own when the model has run no
-// step. What they return is valid as Layer.Forward's result is; run a step's
-// layers in order, forward then backward, as Forward and Backward do.
-func (m *Model) LayerForward(i int, h *tensor.Dense, training bool) *tensor.Dense {
+// LayerForward runs layer i of the model's inference on a float64 matrix,
+// for an engine that moves data between layers itself (the halo-exchanging
+// local engine): the layer is timed as in Forward. It is the layer's own
+// inference Forward, in whatever step its plan runs: the model's, which from
+// then on plans every float64 crossing of a float32 layer, or the plan's own
+// when the model has run no step. What it returns is valid as Layer.Forward's
+// result is; run a pass's layers in order, as Forward does.
+func (m *Model) LayerForward(i int, h *tensor.Dense) *tensor.Dense {
 	site, t0 := m.layerSites()[i], obs.Now()
-	out := m.Layers[i].Forward(h, training)
+	out := m.Layers[i].Forward(h, false)
 	site.Forward(t0)
-	return out
-}
-
-func (m *Model) LayerBackward(i int, g *tensor.Dense) *tensor.Dense {
-	site, t0 := m.layerSites()[i], obs.Now()
-	out := m.Layers[i].Backward(g)
-	site.Backward(t0)
 	return out
 }
 
