@@ -99,7 +99,7 @@ func (c *Comm) bcast(buf []float64, root int, inPlace bool) []float64 {
 			}
 		}
 	} else {
-		hdr := c.Recv(root)
+		hdr := c.recv(root)
 		n = int(hdr[0])
 		c.recycle(hdr)
 		switch {
@@ -159,7 +159,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 		recvIdx := (c.me - 1 - t + 2*g) % g
 		c.word[0] = float64(lens[sendIdx])
 		c.Send(right, c.word[:])
-		in := c.Recv(left)
+		in := c.recv(left)
 		lens[recvIdx] = int(in[0])
 		c.recycle(in)
 	}
@@ -191,25 +191,43 @@ func (c *Comm) AllgatherInto(buf []float64) {
 // group's sum, the other chunks partial sums.
 func (c *Comm) ReduceScatterInto(buf []float64) { c.reduceScatter(buf, OpSum) }
 
-// ReduceOp is a commutative, associative element-wise reduction operator.
-type ReduceOp func(a, b float64) float64
+// ReduceOp is a commutative, associative element-wise reduction: the sum, the
+// maximum or the minimum.
+type ReduceOp uint8
 
-// OpSum, OpMax and OpMin are the standard reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
+// OpSum, OpMax and OpMin are the reductions a collective can run.
+const (
+	OpSum ReduceOp = iota
+	OpMax
+	OpMin
 )
+
+// into reduces in into dst element-wise, dst[i] = op(dst[i], in[i]), in one
+// loop per operator. OpMax keeps dst[i] only where it is greater than in[i],
+// OpMin only where it is less: a NaN in in wins either way.
+func (op ReduceOp) into(dst, in []float64) {
+	dst = dst[:len(in)]
+	switch op {
+	case OpSum:
+		for i, v := range in {
+			dst[i] += v
+		}
+	case OpMax:
+		for i, v := range in {
+			if !(dst[i] > v) {
+				dst[i] = v
+			}
+		}
+	case OpMin:
+		for i, v := range in {
+			if !(dst[i] < v) {
+				dst[i] = v
+			}
+		}
+	default:
+		panic(fmt.Sprintf("dist: reduction operator %d", op))
+	}
+}
 
 // reduceScatter is the ring reduce-scatter in place: afterwards this rank's
 // chunk of buf holds the group's reduction, the other chunks partial ones.
@@ -229,11 +247,8 @@ func (c *Comm) reduceScatter(buf []float64, op ReduceOp) split {
 		lo, hi := sp.chunk((c.me - 1 - t + 2*g) % g)
 		c.Send(right, buf[lo:hi])
 		lo, hi = sp.chunk((c.me - 2 - t + 3*g) % g)
-		in := c.Recv(left)
-		dst := buf[lo:hi]
-		for i, v := range in {
-			dst[i] = op(dst[i], v)
-		}
+		in := c.recv(left)
+		op.into(buf[lo:hi], in)
 		c.recycle(in)
 	}
 	return sp

@@ -600,8 +600,16 @@ func (c *Comm) sendFailed(to int, err error) {
 // Recv blocks until a message from group rank `from` arrives, the world's
 // receive deadline expires (the rank then aborts with ErrRecvTimeout), or
 // another rank fails (the rank unwinds with ErrRankFailed). The returned
-// buffer is the caller's to keep.
+// buffer is the caller's to keep: the wire pool no longer counts it.
 func (c *Comm) Recv(from int) []float64 {
+	in := c.recv(from)
+	c.w.eps[c.global].Keep(in)
+	return in
+}
+
+// recv is Recv for a collective that copies or reduces what it receives: the
+// payload stays a buffer of the wire pool, for the collective to recycle.
+func (c *Comm) recv(from int) []float64 {
 	if c.w.failed.Load() {
 		c.abortSurvivor()
 	}
@@ -640,7 +648,7 @@ func (c *Comm) Recv(from int) []float64 {
 // recvInto is the collectives' receive: the payload is borrowed — copied
 // into dst and handed straight back to the endpoint for the next arrival.
 func (c *Comm) recvInto(from int, dst []float64) {
-	in := c.Recv(from)
+	in := c.recv(from)
 	copy(dst, in)
 	c.recycle(in)
 }

@@ -321,6 +321,42 @@ func TestAllreduceOpMaxMin(t *testing.T) {
 	}
 }
 
+// TestReduceOpInto: each operator's loop computes dst = op(dst, in) with
+// the bits of the two-argument form — a + b, a if a > b else b, a if a < b
+// else b — over signed zeros, infinities and NaN on either side.
+func TestReduceOpInto(t *testing.T) {
+	ref := map[ReduceOp]func(a, b float64) float64{
+		OpSum: func(a, b float64) float64 { return a + b },
+		OpMax: func(a, b float64) float64 {
+			if a > b {
+				return a
+			}
+			return b
+		},
+		OpMin: func(a, b float64) float64 {
+			if a < b {
+				return a
+			}
+			return b
+		},
+	}
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, math.Inf(1), math.Inf(-1), math.NaN(), 1e-310}
+	for op, f := range ref {
+		var dst, in, want []float64
+		for _, a := range vals {
+			for _, b := range vals {
+				dst, in, want = append(dst, a), append(in, b), append(want, f(a, b))
+			}
+		}
+		op.into(dst, in)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Errorf("op %d: %v, %v gives %v, want %v", op, vals[i/len(vals)], in[i], dst[i], want[i])
+			}
+		}
+	}
+}
+
 func TestReduceScatterOpMax(t *testing.T) {
 	Run(4, func(c *Comm) {
 		data := make([]float64, 8)

@@ -77,6 +77,8 @@ func (e *chanEndpoint) Inbox(from int) <-chan Message { return e.w.box[e.rank][f
 
 func (e *chanEndpoint) Recycle(data []float64) { wire.put(data) }
 
+func (e *chanEndpoint) Keep(data []float64) { wire.forget(data) }
+
 // Abort poisons the shared matrix. The dist runtime performs its own
 // failure broadcast (the closed failCh every blocked receive selects on);
 // the transport's job is only to unblock senders.

@@ -40,7 +40,9 @@ import (
 //
 // Data is borrowed, never handed over: Send reads the sender's words during
 // the call only, and an arrival's Data is a buffer of the process's wire
-// pool, which the receiver owns until it hands it back with Recycle.
+// pool. The receiver hands it back with Recycle once it has copied or
+// reduced it, or keeps it and says so with Keep, so that the pool stops
+// counting it.
 type Message struct {
 	Data []float64
 	Hdr  causal.Header
@@ -84,9 +86,12 @@ type Endpoint interface {
 	// Recycle hands the Data of a message taken from an inbox back to the
 	// process's wire pool once the caller has copied or reduced it, so a
 	// later arrival or frame of its size, on any endpoint, can use the same
-	// storage; the caller must not touch it afterwards. Data never handed
-	// back simply stays the caller's.
+	// storage; the caller must not touch it afterwards.
 	Recycle(data []float64)
+	// Keep takes the Data of a message taken from an inbox out of the wire
+	// pool's count: the caller keeps it, and the pool never sees it again.
+	// Every arrival's Data goes to Recycle or to Keep.
+	Keep(data []float64)
 	// Abort broadcasts that failedRank is down — this rank itself, or a
 	// relay of a failure detected locally — and poisons the endpoint so
 	// blocked sends unwind. Idempotent.

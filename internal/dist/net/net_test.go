@@ -217,11 +217,7 @@ func TestWordPool(t *testing.T) {
 // payload has been recycled, nothing the world took from the pool is out,
 // dropped connections and resent frames included.
 func TestTCPCloseReturnsPool(t *testing.T) {
-	out := func() int {
-		wire.mu.Lock()
-		defer wire.mu.Unlock()
-		return wire.outB
-	}
+	out := WireOut
 	for _, drop := range []bool{false, true} {
 		t.Run(map[bool]string{false: "clean", true: "conn-drop"}[drop], func(t *testing.T) {
 			before := out()

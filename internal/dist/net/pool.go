@@ -70,6 +70,17 @@ func (p *wordPool) frame(n int) ([]float64, []byte) {
 	return b, wordBytes(b[:cap(b)])[3:]
 }
 
+// forget stops counting a buffer take returned as out: its caller keeps it,
+// and it never comes back.
+func (p *wordPool) forget(b []float64) {
+	if p == nil || cap(b) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.outB -= 8 * cap(b)
+	p.mu.Unlock()
+}
+
 // put hands back a buffer take returned; the caller must not touch it
 // afterwards.
 func (p *wordPool) put(b []float64) {

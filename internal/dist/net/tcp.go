@@ -637,6 +637,10 @@ func (e *TCPEndpoint) Inbox(from int) <-chan Message { return e.peers[from].inbo
 // Recycle hands a received payload back to the wire pool.
 func (e *TCPEndpoint) Recycle(data []float64) { wire.put(data) }
 
+// Keep takes a received payload the caller keeps out of the wire pool's
+// count.
+func (e *TCPEndpoint) Keep(data []float64) { wire.forget(data) }
+
 // SetFailureHandler installs the peer-failure callback.
 func (e *TCPEndpoint) SetFailureHandler(h FailureHandler) {
 	e.hmu.Lock()

@@ -38,19 +38,25 @@ func QueryPlan(g *Graph, dt tensor.DType) *Plan {
 }
 
 // Buffer is one buffer of a step's planned workspace: the plan it belongs
-// to, its size, the positions of the step it is live over — every plan's
-// forward ops and the widening of its output, then every plan's seed,
-// backward ops and the widening of its input cotangent in reverse — its
-// first word in the step's slab (-1: it has no bytes), whether its plan
-// hands it to the caller (the output, the input cotangent), the last
-// position of its plan and — where the step overlays it on its float64 copy,
-// whose widen is its last reader — the name of that copy.
+// to and that plan's place in the step, its size, the positions of the step
+// it is live over — every plan's forward ops and the widening of its output,
+// then every plan's seed, backward ops and the widening of its input
+// cotangent in reverse — the first and the last position of its plan
+// touching it, its plan's seed (-1: an inference plan), its first word in the
+// step's slab (-1: it has no bytes), which of its plan's results it is
+// ("out": the output, a cut's out or the output's float64 copy; "gin": the
+// input cotangent or its copy; "" otherwise), the last position of its plan
+// and — where the step overlays it on its float64 copy, whose widen is its
+// last reader — the name of that copy.
 type Buffer struct {
 	Plan, Name  string
+	Index       int
 	Bytes       int64
 	First, Last int
+	Touch       [2]int
+	Seed        int
 	Off         int
-	Keep        bool
+	Hands       string
 	End         int
 	Inside      string
 }
@@ -75,7 +81,8 @@ func KeepBuffers() (restore func()) {
 func Buffers(p *Plan) []Buffer {
 	out := make([]Buffer, len(p.step.lifetimes))
 	for i, b := range p.step.lifetimes {
-		out[i] = Buffer{Plan: b.plan, Name: b.name, Bytes: b.bytes, First: b.first, Last: b.last, Off: b.off, Keep: b.keep, End: b.end, Inside: b.inside}
+		out[i] = Buffer{Plan: b.plan, Name: b.name, Index: b.index, Bytes: b.bytes, First: b.first, Last: b.last, Touch: b.touch,
+			Seed: b.seed, Off: b.off, Hands: b.hands, End: b.end, Inside: b.inside}
 	}
 	return out
 }

@@ -104,6 +104,7 @@ type Plan struct {
 	step      *Step
 	spans     []*span // every planned buffer, the ports below included
 	in        []*span // per leaf, its value as the plan reads it: narrowed storage where a float64 one crosses
+	outs      []*span // the values of its cut's outs, the output's among them
 	out, outF *span   // the output value, and its float64 copy (casting plans)
 	gin, ginF *span   // the input cotangent, and its float64 copy (casting training plans)
 	og        *span   // the output cotangent as the plan reads it
@@ -131,6 +132,9 @@ func (p *Plan) at(i int) int {
 	}
 	return p.bo + i - p.nf
 }
+
+// end returns the step position of the plan's last position.
+func (p *Plan) end() int { return p.at(p.nf + p.nb - 1) }
 
 // boundary is the face of a plan's typed execution state.
 type boundary interface {
@@ -750,7 +754,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			// what Backward returns.
 			if opt.Train {
 				cotangent(n)
-				grad[n].keep = true
 			}
 		case s.hasParam:
 			if aliased {
@@ -817,11 +820,11 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			}
 		}
 	}
-	// What the step hands its caller stays live to its end; the output
+	// The plan's results, which its step may hand its caller; the output
 	// cotangent is loaded whole by the seed.
 	for _, n := range c.outs {
 		if b := val[n]; b != nil {
-			b.keep = true
+			p.outs = append(p.outs, &b.span)
 		}
 	}
 	if b := grad[g.output]; b != nil {
@@ -844,7 +847,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			}
 			return e.output.rows * e.output.cols
 		})
-		outF.keep = true
 		e.outF, p.outF = outF.mat(e.output.rows, e.output.cols), &outF.span
 	}
 	if opt.Train {
@@ -864,7 +866,6 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				}
 				return in.rows * in.cols
 			})
-			ginF.keep = true
 			e.ginF, p.ginF = ginF.mat(in.rows, in.cols), &ginF.span
 		}
 	}
@@ -1737,7 +1738,11 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 // buffers, and returns the cotangent of the input. That is the step's
 // storage, shared with buffers the forward sweep writes: it is valid until a
 // later position of the step reuses it — for a plan alone, until its next
-// Forward or Backward. Clone it to hold it across one.
+// Forward. Clone it to hold it across one. Each forward value dies at the
+// last backward op that reads it, so a Backward reads the values of the
+// Forward just before it: a second Backward without a Forward in between
+// reads dead words, and what it returns and accumulates is undefined
+// (Model.Backward panics there).
 func (p *Plan) Backward(g *tensor.Dense) *tensor.Dense {
 	p.step.widen(p, true)
 	p.BackwardTyped(tensor.Typed{F64: g})

@@ -33,13 +33,17 @@ import (
 //     interval — in the seed's one parallel sweep when nothing else placed
 //     over its range is live between the seed and its first writer,
 //     otherwise just before that writer;
-//   - what a plan hands its caller — the output, the values of the cut's outs
-//     and the input cotangent — stays live to the end of the plan's part of
-//     the step, so nothing the plan writes after it shares its storage; so
-//     does a forward value the backward reads, so that a second Backward of a
-//     plan alone reads what the first did. Where a step hands one plan's
-//     result to the next, the result lives on to the last position that
-//     reads it there (Step.Set);
+//   - a buffer lives from the first position touching it to the last, a
+//     forward value the backward reads included: it dies at its last
+//     reader, so a Backward reads the values of the Forward just before it
+//     (Plan.Backward, Model.Backward). Only what the step hands its caller —
+//     the last plan's output and the values of its cut's outs, the first
+//     plan's input cotangent, and the float64 copies of both — stays live to
+//     the end of its plan's part, so nothing the step writes after it shares
+//     its storage while the caller may read it. Where a step hands one
+//     plan's result to the next, and the next plan's input cotangent back,
+//     the value lives on to the last position that reads it there
+//     (Step.Set);
 //   - a casting plan's float64 copy — of its output, of its input cotangent —
 //     is placed over its narrower source only where the widen is the
 //     source's last reader (overlay): the source lies on the first half of
@@ -66,9 +70,7 @@ type span struct {
 	size        func() int // its bytes under the pattern the plan is bound to
 	bytes       int
 	first, last int  // the positions of its plan touching it, the first and the last (first < 0: none yet)
-	start       int  // first as close left it: clears may move it to the seed
 	zero        bool // accumulated into: cleared at the start of its interval
-	keep        bool // handed to the caller: live to the end of its plan's part
 	from, to    int  // its interval on the step's timeline
 	off         int  // its first word in the step's slab (-1: it has no bytes)
 	// An overlaid pair (overlay): on the float64 copy, the source lying on
@@ -165,12 +167,10 @@ func touch[T elem](i int, bufs ...*buffer[T]) {
 	}
 }
 
-// close ends every interval of p's buffers. A buffer handed to the caller
-// stays live to end, the plan's last position, and so does a value the
-// forward writes and the backward reads: a Backward can then be repeated
-// without a Forward in between and read the same values. An accumulated
-// buffer no op touched is cleared at the seed; any other untouched one is
-// live for the whole of the plan's part.
+// close ends every interval of p's buffers at the positions touching it: a
+// buffer lives from the first of them to the last. An accumulated buffer no
+// op touched is cleared at the seed; any other untouched one is live for the
+// whole of the plan's part.
 func (p *Plan) close(seed, end int) {
 	for _, b := range p.spans {
 		switch {
@@ -179,10 +179,6 @@ func (p *Plan) close(seed, end int) {
 		case b.first < 0:
 			b.first, b.last = 0, end
 		}
-		if b.keep || b.first < seed && b.last >= seed {
-			b.last = end
-		}
-		b.start = b.first
 	}
 }
 
@@ -304,10 +300,10 @@ func alone(p *Plan) {
 // last position of the other that reads it; the input cotangent, to the last
 // of the one that reads it. Between plans that are not linked (a layer
 // without a plan in between) each crossing is a float64 matrix, which lives
-// as long as either plan could read it. in64 reports that the first plan is
-// handed a float64 input. Each plan leaves the step it was in. A step Set to
-// what it already runs does nothing; otherwise it is laid out before its next
-// position runs.
+// to the last position of either plan that reads it. in64 reports that the
+// first plan is handed a float64 input. Each plan leaves the step it was in.
+// A step Set to what it already runs does nothing; otherwise it is laid out
+// before its next position runs.
 func (s *Step) Set(plans []*Plan, linked []bool, in64 bool) {
 	if !s.stale && s.in64 == in64 && slices.Equal(s.plans, plans) && slices.Equal(s.linked, linked) {
 		return
@@ -400,10 +396,18 @@ func (s *Step) layout() {
 		p.ranForward = false
 		for _, b := range p.spans {
 			b.bytes = b.size()
-			b.from, b.to = p.at(b.start), p.at(b.last)
+			b.from, b.to = p.at(b.first), p.at(b.last)
 			s.spans = append(s.spans, b)
 		}
 	}
+	// What the step hands its caller lives to the end of its plan's part.
+	first, lp := s.plans[0], s.plans[last]
+	for _, b := range lp.outs {
+		extend(b, lp.end())
+	}
+	extend(lp.outF, lp.end())
+	extend(first.gin, first.end())
+	extend(first.ginF, first.end())
 	for k := 0; k < last; k++ {
 		a, b, direct := s.plans[k], s.plans[k+1], s.linked[k]
 		reach := 0
@@ -441,18 +445,32 @@ func (s *Step) layout() {
 		p.build()
 	}
 	if slices.ContainsFunc(s.plans, func(p *Plan) bool { return p.keepLife }) {
-		s.lifetimes = s.lifetimes[:0]
-		for _, b := range s.spans {
-			p := b.plan
-			end := p.fo + p.nf - 1
-			if p.train {
-				end = p.bo + p.nb - 1
+		s.record()
+	}
+}
+
+// record keeps the step's buffers for tests (lifetimes).
+func (s *Step) record() {
+	s.lifetimes = s.lifetimes[:0]
+	for k, p := range s.plans {
+		seed := -1
+		if p.train {
+			seed = p.bo
+		}
+		for _, b := range p.spans {
+			hands := ""
+			switch {
+			case b == p.outF || slices.Contains(p.outs, b):
+				hands = "out"
+			case b == p.gin || b == p.ginF:
+				hands = "gin"
 			}
 			inside := ""
 			if b.outer != nil {
 				inside = b.outer.name
 			}
-			s.lifetimes = append(s.lifetimes, lifetime{p.Name, b.name, int64(b.bytes), b.from, b.to, b.off, b.keep, end, inside})
+			s.lifetimes = append(s.lifetimes, lifetime{p.Name, b.name, k, int64(b.bytes), b.from, b.to,
+				[2]int{p.at(b.first), p.at(b.last)}, seed, b.off, hands, p.end(), inside})
 		}
 	}
 }
@@ -474,9 +492,9 @@ func overlay(src, cp *span) {
 }
 
 // place gives every buffer with bytes its offset in the slab: largest first
-// — of equal ones, the one live latest first — each at the lowest offset
-// where no buffer placed before it and live while it is overlaps it. A
-// buffer's offset is 0 or where such a buffer ends, so the ranges leave no
+// — of equal ones, the one whose interval ends first — each at the lowest
+// offset where no buffer placed before it and live while it is overlaps it.
+// A buffer's offset is 0 or where such a buffer ends, so the ranges leave no
 // gap. An overlaid pair is placed as one, with its copy: the source at the
 // copy's offset, each part checked against every buffer live while it is.
 // Each word of the slab counts in the stepBytes of the plan of the first
@@ -491,7 +509,7 @@ func (s *Step) place(separate bool) {
 		}
 	}
 	slices.SortStableFunc(order, func(a, b *span) int {
-		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(b.to, a.to))
+		return cmp.Or(cmp.Compare(b.bytes, a.bytes), cmp.Compare(a.to, b.to))
 	})
 	// apart returns how many words from b's offset a placed o keeps b out of:
 	// b's own where their intervals overlap, else its inner source's where
@@ -587,15 +605,22 @@ func (s *Step) poisonAt(i int) {
 	}
 }
 
-// lifetime is what a step keeps of a planned buffer for tests: its plan and
-// name, its bytes, its interval and offset, the last position of its plan
-// and, overlaid, the name of the copy it lies in.
+// lifetime is what a step keeps of a planned buffer for tests: its plan, its
+// plan's place in the step and its name, its bytes, its interval, the first
+// and the last position of its plan touching it, its plan's seed (-1: none),
+// its offset, what of its plan's results it is ("out": the output, a cut's
+// out or the output's float64 copy; "gin": the input cotangent or its copy;
+// "" otherwise), the last position of its plan and, overlaid, the name of the
+// copy it lies in.
 type lifetime struct {
 	plan, name  string
+	index       int
 	bytes       int64
 	first, last int
+	touch       [2]int
+	seed        int
 	off         int
-	keep        bool
+	hands       string
 	end         int
 	inside      string
 }

@@ -92,18 +92,47 @@ func inside(b, o fuse.Buffer) bool {
 }
 
 // checkLayout asserts a step's layout invariants: no two buffers live at one
-// position share a word of the slab but an overlaid pair (inside), what a
-// plan hands its caller is live to the end of the plan's part of the step,
-// and the plans' statistics count the slab.
+// position share a word of the slab but an overlaid pair (inside); each
+// buffer lives from the first position touching it (an accumulated one
+// cleared in its plan's seed sweep: from the seed) to the last; what the step
+// hands its caller — the last plan's results, the first plan's input
+// cotangent — lives to the end of its plan's part; a result or an input
+// cotangent one plan hands another lives to the last position the reader
+// touches it; and the plans' statistics count the slab.
 func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 	t.Helper()
 	bufs := fuse.Buffers(p)
 	if len(bufs) == 0 {
 		t.Errorf("%s: no planned buffers recorded (compiled before KeepBuffers?)", what)
 	}
+	// reader returns the last position at which plan k reads what the plan
+	// before or after it hands it: its in ports, or its output cotangent.
+	reader := func(k int, port string) int {
+		last := -1
+		for _, o := range bufs {
+			if o.Index == k && strings.HasSuffix(o.Name, port) && (port == ".grad.in" || !strings.HasSuffix(o.Name, ".grad.in")) {
+				last = max(last, o.Touch[1])
+			}
+		}
+		return last
+	}
+	plans := len(fuse.StepPlans(p))
 	for i, b := range bufs {
-		if b.Keep && b.Last < b.End {
-			t.Errorf("%s: %s.%s, handed to the caller, is live until %d, its plan until %d", what, b.Plan, b.Name, b.Last, b.End)
+		if b.First != b.Touch[0] && !(b.First == b.Seed && b.Seed < b.Touch[0]) {
+			t.Errorf("%s: %s.%s is live from %d, first touched at %d (its plan's seed: %d)", what, b.Plan, b.Name, b.First, b.Touch[0], b.Seed)
+		}
+		last, handoff := b.Touch[1], -1
+		switch {
+		case b.Hands == "out" && b.Index == plans-1, b.Hands == "gin" && b.Index == 0:
+			last = b.End
+		case b.Hands == "out":
+			handoff = max(last, reader(b.Index+1, ".in"))
+		case b.Hands == "gin":
+			handoff = max(last, reader(b.Index-1, ".grad.in"))
+		}
+		if b.Last != last && b.Last != handoff {
+			t.Errorf("%s: %s.%s (plan %d of %d, hands %q) is live until %d; last touched at %d, its plan ends at %d, a hand-off's reader at %d",
+				what, b.Plan, b.Name, b.Index, plans, b.Hands, b.Last, b.Touch[1], b.End, handoff)
 		}
 		if b.Inside != "" && !slices.ContainsFunc(bufs, func(o fuse.Buffer) bool { return inside(b, o) }) {
 			t.Errorf("%s: %s.%s [%d, %d] at %d is overlaid on %s, which it is not on the first words of, or read after", what, b.Plan, b.Name, b.First, b.Last, b.Off, b.Inside)
@@ -129,18 +158,20 @@ func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 // TestWorkspaceSlotsDisjoint runs the golden-test matrix — VA, AGNN, GAT,
 // GCN, GIN, 2- and 3-head GAT, each at both widths, training and inference,
 // fused and NoAttnFuse, and GAT and VA on a 1×1 grid — and checks each plan's
-// workspace layout: no two buffers live at one position over one word of the
-// slab, the output and the input cotangent live to the end of their plan's
-// part, the heads' C̄ buffers over the same words. It then compiles every plan
-// again with poisoned storage, words of its own for every buffer and NaN in
-// each buffer wherever the step is outside its interval, and requires the
-// same bits over two steps: an op touching a buffer where its interval says
-// it is dead would read NaN. The same holds for whole models, whose layers'
-// plans are one step: a two-layer float64 GAT training and inferring, three
-// float32 AGNN layers, a two-head GAT and a GAT on a 1×1 grid. Finally the
-// slabs of an off-diagonal grid rank's GAT plan, and of the two model steps
-// the benchmark's workloads run, scaled down, are the most bytes each has
-// live at once.
+// workspace layout (checkLayout: no two buffers live at one position over
+// one word of the slab, each buffer live from its first to its last touch but
+// what the step hands on) and the heads' C̄ buffers over the same words. It
+// then compiles every plan again with poisoned storage, words of its own for
+// every buffer and NaN in each buffer wherever the step is outside its
+// interval, and requires the same bits over two steps: an op touching a
+// buffer where its interval says it is dead would read NaN. The same holds
+// for whole models, whose layers' plans are one step: a two-layer float64 GAT
+// training and inferring, three float32 AGNN layers, a two-head GAT, a GAT on
+// a 1×1 grid and two models with a dropout layer between their first two
+// layers. A model's second Backward without a Forward panics. Finally the
+// slab of an off-diagonal grid rank's GAT plan and of the infer-hub-shaped
+// model step are the most bytes each has live at once, and the
+// train-flat-shaped step's slab and most bytes live at once are pinned.
 func TestWorkspaceSlotsDisjoint(t *testing.T) {
 	defer fuse.KeepBuffers()()
 	a := weightedGraph(300, 1800, 41)
@@ -278,19 +309,25 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		// results. Each model runs two steps, and again with every buffer on
 		// words of its own and NaN wherever the step says it is dead: a layer
 		// reading a buffer of another outside its interval — the previous
-		// layer's output after the hand-off ends, say — would read NaN.
+		// layer's output after the hand-off ends, say — would read NaN. A
+		// dropout layer (drop ≥ 0: its rate) between the first two layers
+		// makes their crossing a float64 matrix the step does not link: at
+		// rate 0 the next layer reads the previous one's output itself.
 		for _, c := range []struct {
 			name  string
 			cfg   gnn.Config
 			grid  bool
 			train bool
+			drop  float64
 		}{
-			{"gat-f64-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, true},
-			{"gat-f64-infer", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, false},
-			{"agnn-f32-infer", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, false},
-			{"agnn-f32-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true},
-			{"gat-2head-train", gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true},
-			{"gat-grid-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, true, true},
+			{"gat-f64-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, true, -1},
+			{"gat-f64-infer", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, false, -1},
+			{"agnn-f32-infer", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, false, -1},
+			{"agnn-f32-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, -1},
+			{"gat-2head-train", gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, -1},
+			{"gat-grid-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, true, true, -1},
+			{"gat-f64-dropout0-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, 0},
+			{"agnn-f32-dropout-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, 0.5},
 		} {
 			run := func(poison bool) (*fuse.Plan, []*tensor.Dense, *gnn.Model) {
 				cfg := c.cfg
@@ -301,6 +338,9 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 				}
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.drop >= 0 {
+					m.Layers = slices.Insert(m.Layers, 1, gnn.Layer(gnn.NewDropout(c.drop, 1)))
 				}
 				rng := rand.New(rand.NewSource(9))
 				h := randDense(rng, a.Rows, k)
@@ -351,14 +391,39 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		}
 	})
 
+	t.Run("backward twice", func(t *testing.T) {
+		// A forward value dies at the last backward op reading it, so a
+		// second Backward without a Forward in between would read dead
+		// words: a model's panics.
+		rng := rand.New(rand.NewSource(11))
+		m, err := gnn.New(gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, Seed: 8}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.ReleasePlans()
+		out := m.Forward(randDense(rng, a.Rows, k), true)
+		g := randDense(rng, out.Rows, out.Cols)
+		m.Backward(g)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Backward before Forward") {
+				t.Errorf("a model's second Backward recovered %v, want the Backward before Forward panic", r)
+			}
+		}()
+		m.Backward(g)
+	})
+
 	// The two shapes the benchmark's workloads step, scaled down: each
-	// step's slab is the most bytes it has live at one position, pinned.
+	// step's slab and the most bytes it has live at one position, pinned.
 	t.Run("train-flat shape", func(t *testing.T) {
 		// A two-layer GAT as train-flat builds it (k → k → classes, about 28
-		// entries a row), one training step. The most bytes live at once are
-		// at layer 0's fused VJP (Hp, H̄p, Z, Z̄, u, v, ū, v̄, the row
-		// statistics and C̄); layer 1's buffers all fit in what layer 0 only
-		// needs later, so the step holds no more than layer 0 alone.
+		// entries a row), one training step. Layer 0's output Z dies at its σ
+		// VJP, the last to read it, so it is not live at layer 0's fused VJP.
+		// The most bytes live at once are at layer 1's fused VJP: layer 0's
+		// forward values its backward reads (Hp, Z, u, v, the row statistics)
+		// beside layer 1's Hp, H̄p, Z, Z̄, u, v, ū, v̄, row statistics and C̄.
+		// The slab holds 672 words more: the large buffers' turns leave two
+		// n·k ranges to what layer 1's fused VJP has live, and C̄'s nnz words
+		// do not tile them with the n- and n·classes-word buffers.
 		const k, classes = 32, 8
 		g := graph.ErdosRenyi(1024, 14000, 3)
 		m, err := gnn.New(gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: classes, SelfLoops: true, Seed: 4}, g)
@@ -371,7 +436,7 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		m.Backward(tensor.RandN(out.Rows, out.Cols, 1, rand.New(rand.NewSource(7))))
 		p := m.Layers[0].(interface{ Plan() *fuse.Plan }).Plan()
 		checkLayout(t, "train-flat shape", p)
-		pinStep(t, "train-flat shape", p, 1329920)
+		pinStep(t, "train-flat shape", p, 1105920, 1100544)
 	})
 
 	t.Run("infer-hub shape", func(t *testing.T) {
@@ -393,19 +458,20 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		m.Forward(tensor.RandN(g.Rows, k, 1, rand.New(rand.NewSource(6))), false)
 		_, p := m.Layers[0].(layerPlans).Plans()
 		checkLayout(t, "infer-hub shape", p)
-		pinStep(t, "infer-hub shape", p, int64(g.Rows*(8*k+4)))
+		n := int64(g.Rows * (8*k + 4))
+		pinStep(t, "infer-hub shape", p, n, n)
 	})
 }
 
-// pinStep requires p's step to hold exactly want bytes in its slab, the most
-// it has live at one position.
-func pinStep(t *testing.T, what string, p *fuse.Plan, want int64) {
+// pinStep requires p's step to hold exactly slab bytes in its slab, and live
+// bytes to be the most it has live at one position.
+func pinStep(t *testing.T, what string, p *fuse.Plan, slab, live int64) {
 	t.Helper()
 	bufs := fuse.Buffers(p)
-	slab, live := slabBytes(bufs)
-	t.Logf("%s: %d B in the slab, at most %d live at once, %d B with a buffer each", what, slab, live, sumBytes(bufs))
-	if slab != want || live != want {
-		t.Errorf("%s: the slab holds %d B, %d live at once; want %d each", what, slab, live, want)
+	gotSlab, gotLive := slabBytes(bufs)
+	t.Logf("%s: %d B in the slab, at most %d live at once, %d B with a buffer each", what, gotSlab, gotLive, sumBytes(bufs))
+	if gotSlab != slab || gotLive != live {
+		t.Errorf("%s: the slab holds %d B, %d live at once; want %d and %d", what, gotSlab, gotLive, slab, live)
 	}
 }
 

@@ -67,6 +67,9 @@ type Model struct {
 	steps  [2]*fuse.Step
 	plans  []*fuse.Plan // scratch of begin
 	linked []bool
+	// forwarded: a training Forward ran since the last Backward, which reads
+	// its values.
+	forwarded bool
 }
 
 // CheckTrainable reports whether every layer supports training, identifying
@@ -94,6 +97,7 @@ func (m *Model) CheckTrainable() error {
 // converts once on the way in and once on the way out; any other layer is
 // handed a float64 matrix.
 func (m *Model) Forward(h *tensor.Dense, training bool) *tensor.Dense {
+	m.forwarded = m.forwarded || training
 	x := handoff{m: tensor.Typed{F64: h}}
 	m.begin(training, x.m, nil)
 	for i := range m.Layers {
@@ -200,9 +204,14 @@ func (m *Model) LayerForward(i int, h *tensor.Dense) *tensor.Dense {
 // features (useful for gradient checking and for stacking models). The
 // cotangent travels as the activation does in Forward, through the step the
 // training Forward laid out: each layer's backward needs that Forward's
-// values, so a second Backward needs a Forward first. The result is valid
+// values, which die at the last backward op reading them, so a second
+// Backward without a training Forward first panics. The result is valid
 // until the next Forward of the model.
 func (m *Model) Backward(g *tensor.Dense) *tensor.Dense {
+	if !m.forwarded {
+		panic("gnn: Model.Backward before Forward: a Backward reads the values of the training Forward just before it")
+	}
+	m.forwarded = false
 	x := handoff{m: tensor.Typed{F64: g}}
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		x = m.backwardLayer(i, x)
