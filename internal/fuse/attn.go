@@ -95,7 +95,9 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f sco
 // opAttnFusedVJP is the backward of a fused attention aggregation Z = Ψ·X
 // over GAT's scores, Ψ = softmax(A ⊙ LeakyReLU(u·1ᵀ + 1·vᵀ)): the VJP chain
 // spmm ← softmax ← mask ← lrelu ← u·1ᵀ + 1·vᵀ the compiler derives, run as
-// two sweeps over the pattern instead of one or two per op.
+// two sweeps over the pattern instead of one or two per op. It keeps no
+// buffer of nnz words: what crosses from one sweep to the other is ρ, one
+// word per row.
 //
 // Ψ itself is not stored: the forward (opAttnFused) kept only each row's max
 // m_i and reciprocal sum c_i in stats, and both sweeps recompute Ψ_ij where
@@ -106,22 +108,27 @@ func opAttnFused[T elem](pat *sparse.CSR, cuts *par.Cuts, vals, stats []T, f sco
 //
 // The row sweep runs on row i what the per-op VJPs run on it, in their
 // order: Ψ_i· into one per-worker scratch row; Ψ̄_ij = Z̄[i,:]·X[j,:]
-// (opSpMMVJP's GatherDots) into another; ρ_i and the softmax apply; A's
-// values, under a weighted mask; LeakyReLU′ at u_i + v_j, u_i held and v_j
-// gathered; the row sum into ū_i. It writes C̄_ij to the entry's position in
-// Sᵀ's order (dst, the inverse of the transpose's Src) in cbar, the one nnz
-// buffer and the one scattered access left. The transposed sweep then works
-// on row j of Sᵀ: it gathers u_i, m_i and c_i by the row's column ids (n-long
-// vectors, cache-resident), takes A_ij through Src, recomputes the row's
-// Ψ_ij into scratch, and accumulates X̄[j,:] += Σ_i Ψ_ij·Z̄[i,:] through
-// GatherAxpy and v̄_j += Σ_i C̄_ij from cbar, contiguously. Every entry gets
-// the per-op VJPs' operations and every row and column sum its order, so
-// the two lowerings agree bit for bit (NoAttnFuse compiles the per-op chain).
-func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T], dst []uint32,
-	stats, cbar []T, f score[T], weights []T, slope T, x, out, u, v *spec[T]) func() {
+// (opSpMMVJP's GatherDots) into another; ρ_i = Σ_j Ψ̄_ij·Ψ_ij, kept in rho;
+// then per entry C̄_ij = Ψ_ij·(Ψ̄_ij − ρ_i), times A's value under a weighted
+// mask, times LeakyReLU′ at u_i + v_j (u_i held, v_j gathered); their row sum
+// into ū_i. The transposed sweep then works on row j of Sᵀ: it gathers u_i,
+// m_i, c_i and ρ_i by the row's column ids (n-long vectors, cache-resident),
+// takes A_ij through Src, recomputes the row's Ψ_ij into scratch, and
+// accumulates X̄[j,:] += Σ_i Ψ_ij·Z̄[i,:] through GatherAxpy. Over the same
+// Z̄ rows GatherDots forms Ψ̄_ij = X[j,:]·Z̄[i,:] a second time, the row
+// sweep's bits — a product commutes exactly, and the dot's lane order does
+// not depend on which row is held — and each C̄_ij is formed again with the
+// row sweep's operations, in the loop that scales Ψ_ij, to be summed into
+// v̄_j in Sᵀ's order. One more k-wide dot per entry buys the nnz words of C̄
+// and the scatter through the inverse of Src. Every entry gets the per-op
+// VJPs' operations and every row and column sum its order, so the two
+// lowerings agree bit for bit (NoAttnFuse compiles the per-op chain).
+func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transposedRows[T],
+	stats, rho []T, f score[T], weights []T, slope T, x, out, u, v *spec[T]) func() {
 	idx := pat.Index()
-	maxRow := pat.MaxRowNNZ()
+	maxRow := max(pat.MaxRowNNZ(), tr.patT.MaxRowNNZ())
 	psiRow := rowSampler(pat, f.row, weights, false, nil)
+	// Two rows per worker — Ψ and Ψ̄ — in either sweep.
 	scratch := &rowScratch[T]{maxRow: 2 * maxRow}
 	rowBody := func(worker, lo, hi int) {
 		og, xd := out.gdense, x.dense
@@ -138,34 +145,35 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 				scaleRow(p, stats[2*i+1])
 			}
 			sparse.GatherDots(g, og.Data[i*k:(i+1)*k], cols, xd.Data, k, 0)
-			var rho T
+			var r T
 			for q, gq := range g {
-				rho += gq * p[q]
+				r += gq * p[q]
 			}
+			rho[i] = r
 			ui := uv[i]
 			var sum T
 			for q, j := range cols.Cols() {
-				c := p[q] * (g[q] - rho)
+				c := p[q] * (g[q] - r)
 				if weights != nil {
 					c *= weights[b+int64(q)]
 				}
 				c *= lreluD(ui+vv[j], slope)
 				sum += c
-				cbar[dst[b+int64(q)]] = c
 			}
 			ug[i] += sum
 		}
 	}
 	patT, idxT, src := tr.patT, tr.idxT, tr.src
 	colBody := func(worker, lo, hi int) {
-		og, xg, vg := out.gdense, x.gdense, v.gvec
+		og, xd, xg, vg := out.gdense, x.dense, x.gdense, v.gvec
 		k := xg.Cols
 		uv, vv := u.vec, v.vec
-		buf := tr.scratch.row(worker)
+		buf := scratch.row(worker)
 		for j := lo; j < hi; j++ {
 			prefetchRow(patT, idxT, j, og)
 			b, e := patT.RowPtr[j], patT.RowPtr[j+1]
-			cols, psi := idxT.Slice(b, e), buf[:e-b]
+			cols, psi, g := idxT.Slice(b, e), buf[:e-b], buf[maxRow:][:e-b]
+			sparse.GatherDots(g, xd.Data[j*k:(j+1)*k], cols, og.Data, k, 0)
 			// s_ij − m_i, then exp(· − 0): x − 0 is x, so each lane sees the
 			// argument the forward's ExpRow formed as s_ij − m_i.
 			vj := vv[j]
@@ -177,20 +185,23 @@ func opAttnFusedVJP[T elem](pat *sparse.CSR, cuts, cutsT *par.Cuts, tr *transpos
 				psi[q] = s - stats[2*i]
 			}
 			sparse.ExpRow(psi, psi, 0)
-			for q, i := range cols.Cols() {
-				psi[q] *= stats[2*i+1]
-			}
-			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], psi, cols, og.Data, k, 0)
 			var sum T
-			for _, c := range cbar[b:e] {
+			for q, i := range cols.Cols() {
+				p := psi[q] * stats[2*i+1]
+				psi[q] = p
+				c := p * (g[q] - rho[i])
+				if weights != nil {
+					c *= weights[src[b+int64(q)]]
+				}
+				c *= lreluD(uv[i]+vj, slope)
 				sum += c
 			}
+			sparse.GatherAxpy(xg.Data[j*k:(j+1)*k], psi, cols, og.Data, k, 0)
 			vg[j] += sum
 		}
 	}
 	return func() {
 		scratch.ensure()
-		tr.scratch.ensure()
 		par.RangeCuts(cuts, rowBody)
 		par.RangeCuts(cutsT, colBody)
 	}

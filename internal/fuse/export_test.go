@@ -46,8 +46,9 @@ func QueryPlan(g *Graph, dt tensor.DType) *Plan {
 // step's slab (-1: it has no bytes), which of its plan's results it is
 // ("out": the output, a cut's out or the output's float64 copy; "gin": the
 // input cotangent or its copy; "" otherwise), the last position of its plan
-// and — where the step overlays it on its float64 copy, whose widen is its
-// last reader — the name of that copy.
+// and — where the step overlays it on a buffer born where it dies, its
+// float64 copy, whose widen is its last reader, or the cotangent σ's VJP
+// writes over it — the name of that buffer and its plan's place in the step.
 type Buffer struct {
 	Plan, Name  string
 	Index       int
@@ -59,6 +60,7 @@ type Buffer struct {
 	Hands       string
 	End         int
 	Inside      string
+	InsideAt    int
 }
 
 // Words returns the buffer's length in the slab.
@@ -82,7 +84,7 @@ func Buffers(p *Plan) []Buffer {
 	out := make([]Buffer, len(p.step.lifetimes))
 	for i, b := range p.step.lifetimes {
 		out[i] = Buffer{Plan: b.plan, Name: b.name, Index: b.index, Bytes: b.bytes, First: b.first, Last: b.last, Touch: b.touch,
-			Seed: b.seed, Off: b.off, Hands: b.hands, End: b.end, Inside: b.inside}
+			Seed: b.seed, Off: b.off, Hands: b.hands, End: b.end, Inside: b.inside, InsideAt: b.insideAt}
 	}
 	return out
 }

@@ -567,10 +567,25 @@ func opGINCombine[T elem](agg, h, eps, out *spec[T]) func() {
 
 // opSigmaVJP accumulates z̄ += ḡ ⊙ σ'(z), with σ' evaluated at the stored
 // pre-activation (the gnn.Activation contract) and the same native bodies
-// as opSigma for the piecewise-linear activations.
-func opSigmaVJP[T elem](z, out *spec[T]) func() {
+// as opSigma for the piecewise-linear activations. With set — σ's VJP is the
+// one writer of z̄, which is then not cleared — it writes z̄ = 0 + ḡ ⊙ σ'(z)
+// instead, the bits of the clear and the accumulate (−0 included: 0 + −0 is
+// +0). Element t is read before it is written and nothing else is, so z̄ may
+// lie on ḡ's words: σ's VJP then overwrites the cotangent it consumes.
+func opSigmaVJP[T elem](z, out *spec[T], set bool) func() {
 	var body func(worker, lo, hi int)
 	switch act := out.act; {
+	case act.Name == "relu" && set:
+		body = func(_, lo, hi int) {
+			zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				if zd[i] > 0 {
+					zg[i] = 0 + og[i]
+				} else {
+					zg[i] = 0
+				}
+			}
+		}
 	case act.Name == "relu":
 		body = func(_, lo, hi int) {
 			zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
@@ -580,11 +595,26 @@ func opSigmaVJP[T elem](z, out *spec[T]) func() {
 				}
 			}
 		}
+	case act.isIdentity() && set:
+		body = func(_, lo, hi int) {
+			zg, og := z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				zg[i] = 0 + og[i]
+			}
+		}
 	case act.isIdentity():
 		body = func(_, lo, hi int) {
 			zg, og := z.gdense.Data, out.gdense.Data
 			for i := lo; i < hi; i++ {
 				zg[i] += og[i]
+			}
+		}
+	case set:
+		df := act.DF
+		body = func(_, lo, hi int) {
+			zd, zg, og := z.dense.Data, z.gdense.Data, out.gdense.Data
+			for i := lo; i < hi; i++ {
+				zg[i] = 0 + og[i]*T(df(float64(zd[i])))
 			}
 		}
 	default:

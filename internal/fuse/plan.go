@@ -110,6 +110,10 @@ type Plan struct {
 	og        *span   // the output cotangent as the plan reads it
 	nf, nb    int     // positions of its forward part (ops, widen) and backward part (seed, ops, widen)
 	fo, bo    int     // where its step places the two parts
+	// zbar: σ's operand cotangent, where σ is the output, its cotangent is
+	// read by reference and its VJP is zbar's one writer — what the step may
+	// place over the cotangent the next plan hands in (Step.layout).
+	zbar *span
 	// cast: narrower than float64, so float64 matrices cross by copy; the
 	// wide flags say which crossings its step planned that copy for.
 	cast, wideIn, wideOut, wideGin bool
@@ -1157,7 +1161,21 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 			case reduceOps[ax]:
 				vjp = func() func() { return opBcast(w, ax, sp(n.Inputs[0]), true) }
 			case "sigma":
-				vjp = func() func() { return opSigmaVJP(sp(n.Inputs[0]), s) }
+				// σ's VJP is the one writer of its operand's cotangent where
+				// the operand is no leaf, σ its only consumer and the
+				// cotangent its own — or, on the diagonal, a reduce's, which
+				// is its partial's, consumed by the reduce alone — not a
+				// broadcast source's. It then writes the cotangent uncleared.
+				z := n.Inputs[0]
+				_, bcast, coll := collective(z.Op)
+				set := grad[z] != nil && !leaf[z] && z.Op != "input" && len(cons[z]) == 1 && !(coll && bcast)
+				if set {
+					grad[z].zero = false
+					if n == g.output && e.seedByRef {
+						p.zbar = &grad[z].span
+					}
+				}
+				vjp = func() func() { return opSigmaVJP(sp(z), s, set) }
 			case "mm":
 				vjp = func() func() { return opMMVJP(sp(n.Inputs[0]), sp(n.Inputs[1]), s, &partialsScratch[T]{}) }
 			case "matvec":
@@ -1174,20 +1192,20 @@ func compile[T elem](g *Graph, opt Options, cons map[*Node][]*Node, c cut, ws *t
 				vjp = func() func() { return opMeanVJP(operands(n), s) }
 			case "spmm":
 				if psi := attnAgg[n]; attnBwd[psi] {
-					// C̄ lives inside the op: written by its row sweep, summed
+					// ρ lives inside the op: written by its row sweep, read
 					// by its transposed one.
 					mask := psi.Inputs[0]
 					score := mask.Inputs[1]
 					add := score.Inputs[0]
 					u, v, x := add.Inputs[0].Inputs[0], add.Inputs[1].Inputs[0], n.Inputs[1]
-					var cbar []T
-					cb := lay.add(n.ID+".cbar", nnzWords)
-					cb.view(&cbar)
+					var rho []T
+					rb := lay.add(n.ID+".rho", rowWords)
+					rb.view(&rho)
 					op = "fused-attn"
-					uses = reads([]*buffer[T]{grad[n], stat[psi], grad[x], grad[u], grad[v], cb, val[x]}, score, inlineBwd)
+					uses = reads([]*buffer[T]{grad[n], stat[psi], grad[x], grad[u], grad[v], rb, val[x]}, score, inlineBwd)
 					vjp = func() func() {
-						return opAttnFusedVJP(pat, cuts, cutsT, tr, pat.TransposedPattern().Dst(), sp(psi).stats,
-							cbar, composeScore(sp, row, score), maskWeights(sp(mask)), T(sp(score).slope),
+						return opAttnFusedVJP(pat, cuts, cutsT, tr, sp(psi).stats, rho,
+							composeScore(sp, row, score), maskWeights(sp(mask)), T(sp(score).slope),
 							sp(x), s, sp(u), sp(v))
 					}
 					break
@@ -1698,11 +1716,11 @@ func opCost(g *Graph, n *Node, op string, nnz int, backward bool) (flops, swept 
 	case "fused-attn":
 		if backward {
 			// opAttnFusedVJP, counted as it runs over its two sweeps: per
-			// non-zero the Ψ̄ dot product and the Sᵀ·Z̄ axpy (2c each), ρ and
-			// the softmax apply (4), LeakyReLU′ (2), the row and column sums
-			// (2), and Ψ recomputed in each sweep — score, shift, exp and
-			// scale (4 each).
-			return 4*nz*c + 16*nz, 2 * nz
+			// non-zero the Ψ̄ dot product in each sweep and the Sᵀ·Z̄ axpy
+			// (2c each), ρ (2), the softmax apply and LeakyReLU′ in each
+			// sweep (4 each), the row and column sums (2), and Ψ recomputed
+			// in each sweep — score, shift, exp and scale (4 each).
+			return 6*nz*c + 20*nz, 2 * nz
 		}
 		// Score sampling (+softmax for the GAT/AGNN shape) plus the
 		// aggregation, all in one sweep.

@@ -91,18 +91,19 @@ func opBytes(g *Graph, n *Node, op string, nnz int, backward bool, kept, fb int6
 	case "fused-attn":
 		if backward {
 			// opAttnFusedVJP's two sweeps, neither of which reads a stored
-			// Ψ. The row sweep reads per non-zero a gathered X row and v_j
-			// and writes C̄ at the entry's Sᵀ position, and per row Z̄'s
-			// row, u_i, ū_i and the row's max and reciprocal sum; the
-			// transposed sweep reads C̄ back contiguously and gathers a Z̄
-			// row and u_i, m_i and c_i per non-zero, and per row reads v_j
-			// and updates X̄'s row and v̄_j. The values are counted as they
-			// move, not doubled: doubled, the two gathered rows per non-zero
-			// would count four times and the estimate would exceed the
-			// per-op VJPs' it replaces. The index words — the columns of S
-			// and of Sᵀ, and the int64 Sᵀ positions — are doubled, as every
+			// Ψ or writes anything per non-zero. The row sweep reads per
+			// non-zero a gathered X row and v_j, and per row Z̄'s row, u_i,
+			// ū_i and the row's max and reciprocal sum, and writes ρ_i; the
+			// transposed sweep gathers per non-zero a Z̄ row — both its
+			// products read it — and u_i, m_i, c_i and ρ_i, and per row reads
+			// v_j and X's row and updates X̄'s row and v̄_j. The values are
+			// counted as they move, not doubled: doubled, the two gathered
+			// rows per non-zero would count four times and the estimate
+			// would exceed the per-op VJPs' it replaces. The index words —
+			// the columns of S and of Sᵀ, each walked by its sweep's gathers
+			// and again by its per-entry loop — are doubled, as every
 			// backward estimate's are.
-			return 2*(2*indexBytes+8)*nz + fb*(nz*(2*c+6)+r*(3*c+8))
+			return 2*4*indexBytes*nz + fb*(nz*(2*c+5)+r*(4*c+8))
 		}
 		// One sweep: indices + two score operands (+ the gathered row of a
 		// dot-product chain) in, one gathered X row per non-zero, output

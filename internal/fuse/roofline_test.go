@@ -177,12 +177,12 @@ func TestOpBytesModelShapes(t *testing.T) {
 	}
 	// Its training forward keeps each row's max and reciprocal sum for the
 	// backward, which recomputes Ψ, not the nnz scores; its backward reads
-	// no Ψ, writes and reads C̄ once, and gathers u_i, m_i and c_i per
+	// no Ψ, keeps ρ per row, no C̄, and gathers u_i, m_i, c_i and ρ_i per
 	// non-zero.
 	if want := gat.ForwardBytes + 2*fb*r; fused.ForwardBytes != want {
 		t.Errorf("GAT training forward bytes = %d, want the inference forward's + 2·n row statistics = %d", fused.ForwardBytes, want)
 	}
-	attnBwd := 2*(2*4+8)*nz + fb*(nz*(2*k+6)+r*(3*k+8))
+	attnBwd := 2*4*4*nz + fb*(nz*(2*k+5)+r*(4*k+8))
 	if want := 2*(mm+matvecs+sigma) + attnBwd; fused.BackwardBytes != want {
 		t.Errorf("GAT backward bytes = %d, want the dense VJPs' %d + the fused attention VJP's %d",
 			fused.BackwardBytes, 2*(mm+matvecs+sigma), attnBwd)

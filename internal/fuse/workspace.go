@@ -14,7 +14,7 @@ import (
 // seed (Backward loading the output cotangent), the backward ops and the
 // widening of its input cotangent. Every buffer compile plans for a step —
 // node values, cotangents, the chain cotangents on the pattern, a softmax's
-// row statistics, the fused VJP's C̄, a grid softmax's row exchange, and a
+// row statistics, the fused VJP's ρ, a grid softmax's row exchange, and a
 // casting plan's narrowed inputs and widened results — is live from the first
 // position that touches it to the last one.
 //
@@ -51,7 +51,10 @@ import (
 //     source word before writing over it. A training plan's output, which
 //     σ's VJP reads later, a prefix plan's, handed on typed with its cut's
 //     outs, and a result handed typed to the next plan of the step keep
-//     words of their own;
+//     words of their own. The same overlay places σ's Z̄ on the Ḣ a linked
+//     float64 plan hands in by reference where σ's VJP, Z̄'s one writer,
+//     is Ḣ's last reader: it reads each word of Ḣ before it writes Z̄'s
+//     (opSigmaVJP);
 //   - what persists between steps — values bound from the caller, parameters
 //     and their gradients, A's values at the plan's width or in Aᵀ's order —
 //     is not planned here at all.
@@ -74,7 +77,8 @@ type span struct {
 	from, to    int  // its interval on the step's timeline
 	off         int  // its first word in the step's slab (-1: it has no bytes)
 	// An overlaid pair (overlay): on the float64 copy, the source lying on
-	// its first words; on the source, the copy. Nil otherwise.
+	// its first words; on the source, the copy. (Of a σ pair, Z̄ is the
+	// copy and Ḣ the source.) Nil otherwise.
 	inner, outer *span
 
 	attach func(raw []float64) // views raw — its range of the slab, nil when it has none
@@ -439,6 +443,12 @@ func (s *Step) layout() {
 		}
 		overlay(p.gin, p.ginF)
 	}
+	// σ's VJP overwrites the cotangent a linked float64 plan hands in.
+	for k := 0; k < last; k++ {
+		if a, b := s.plans[k], s.plans[k+1]; s.linked[k] && !a.cast && !b.cast {
+			overlay(b.gin, a.zbar)
+		}
+	}
 	s.place(slices.ContainsFunc(s.plans, func(p *Plan) bool { return p.poison }))
 	s.bind()
 	for _, p := range s.plans {
@@ -465,12 +475,12 @@ func (s *Step) record() {
 			case b == p.gin || b == p.ginF:
 				hands = "gin"
 			}
-			inside := ""
+			inside, in := "", -1
 			if b.outer != nil {
-				inside = b.outer.name
+				inside, in = b.outer.name, slices.Index(s.plans, b.outer.plan)
 			}
 			s.lifetimes = append(s.lifetimes, lifetime{p.Name, b.name, k, int64(b.bytes), b.from, b.to,
-				[2]int{p.at(b.first), p.at(b.last)}, seed, b.off, hands, p.end(), inside})
+				[2]int{p.at(b.first), p.at(b.last)}, seed, b.off, hands, p.end(), inside, in})
 		}
 	}
 }
@@ -482,9 +492,10 @@ func extend(b *span, to int) {
 	}
 }
 
-// overlay makes the float64 copy cp of src the home of src as well when the
-// widen into cp is the last position reading src: src is then placed on cp's
-// first words (place) and widened in place (spread).
+// overlay makes cp the home of src as well when src dies at the position cp
+// is born at, which reads src before it writes cp: src is then placed on
+// cp's first words (place). cp is src's float64 copy, widened in place
+// (spread), or σ's Z̄ over the Ḣ its VJP reads (opSigmaVJP).
 func overlay(src, cp *span) {
 	if src != nil && cp != nil && src.bytes > 0 && src.bytes <= cp.bytes && src.to == cp.from {
 		cp.inner, src.outer = src, cp
@@ -611,7 +622,7 @@ func (s *Step) poisonAt(i int) {
 // its offset, what of its plan's results it is ("out": the output, a cut's
 // out or the output's float64 copy; "gin": the input cotangent or its copy;
 // "" otherwise), the last position of its plan and, overlaid, the name of the
-// copy it lies in.
+// buffer it lies in and that buffer's plan's place in the step.
 type lifetime struct {
 	plan, name  string
 	index       int
@@ -623,4 +634,5 @@ type lifetime struct {
 	hands       string
 	end         int
 	inside      string
+	insideAt    int
 }

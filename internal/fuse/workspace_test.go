@@ -83,16 +83,21 @@ func slabBytes(bufs []fuse.Buffer) (slab, live int64) {
 	return slab, live
 }
 
-// inside reports whether b is overlaid on its float64 copy o as a step may
-// place a pair: named by b, on o's first words, no longer than o, and read
-// last at o's first position, the widen.
+// inside reports whether b is overlaid on o as a step may place a pair:
+// named by b, on o's first words, no longer than o, and read last at o's
+// first position. Either o is b's float64 copy, in b's plan, and that
+// position is the widen; or b is the input cotangent Ḣ a plan hands the plan
+// before it, and o the cotangent Z̄ that plan's σ VJP writes over Ḣ as it
+// reads it.
 func inside(b, o fuse.Buffer) bool {
-	return b.Inside != "" && b.Inside == o.Name && b.Plan == o.Plan &&
+	pair := b.Inside != "" && b.Inside == o.Name && b.InsideAt == o.Index &&
 		b.Off == o.Off && b.Words() <= o.Words() && b.Last == o.First
+	return pair && (b.Index == o.Index || b.Hands == "gin" && o.Index == b.Index-1)
 }
 
 // checkLayout asserts a step's layout invariants: no two buffers live at one
-// position share a word of the slab but an overlaid pair (inside); each
+// position share a word of the slab but an overlaid pair (inside: a float64
+// copy over its source, or σ's Z̄ over the Ḣ it is computed from); each
 // buffer lives from the first position touching it (an accumulated one
 // cleared in its plan's seed sweep: from the seed) to the last; what the step
 // hands its caller — the last plan's results, the first plan's input
@@ -160,7 +165,7 @@ func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 // fused and NoAttnFuse, and GAT and VA on a 1×1 grid — and checks each plan's
 // workspace layout (checkLayout: no two buffers live at one position over
 // one word of the slab, each buffer live from its first to its last touch but
-// what the step hands on) and the heads' C̄ buffers over the same words. It
+// what the step hands on) and each head's ρ live at its fused VJP alone. It
 // then compiles every plan again with poisoned storage, words of its own for
 // every buffer and NaN in each buffer wherever the step is outside its
 // interval, and requires the same bits over two steps: an op touching a
@@ -168,7 +173,10 @@ func checkLayout(t *testing.T, what string, p *fuse.Plan) {
 // for whole models, whose layers' plans are one step: a two-layer float64 GAT
 // training and inferring, three float32 AGNN layers, a two-head GAT, a GAT on
 // a 1×1 grid and two models with a dropout layer between their first two
-// layers. A model's second Backward without a Forward panics. Finally the
+// layers; a float64 training step linking its layers places the first
+// layer's Z̄ over the Ḣ the second hands it, and the poisoned run, which
+// fills Ḣ's words only where neither is live, keeps the bits. A model's
+// second Backward without a Forward panics. Finally the
 // slab of an off-diagonal grid rank's GAT plan and of the infer-hub-shaped
 // model step are the most bytes each has live at once, and the
 // train-flat-shaped step's slab and most bytes live at once are pinned.
@@ -249,16 +257,18 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 					}
 					p, want := run(false)
 					checkLayout(t, what, p)
-					// Each head's C̄ lives inside its own fused VJP: they all
-					// lie over the same words.
-					cbar := map[int]int{}
+					// Each head's ρ lives inside its own fused VJP, at one
+					// position no other head's shares.
+					at := map[int]int{}
 					for _, b := range fuse.Buffers(p) {
-						if strings.HasSuffix(b.Name, ".cbar") {
-							cbar[b.Off]++
+						if strings.HasSuffix(b.Name, ".rho") {
+							if b.First != b.Last {
+								t.Errorf("%s: %s lives over [%d, %d], want one position", what, b.Name, b.First, b.Last)
+							}
+							if at[b.First]++; at[b.First] > 1 {
+								t.Errorf("%s: two heads' ρ live at position %d", what, b.First)
+							}
 						}
-					}
-					if len(cbar) > 1 {
-						t.Errorf("%s: the heads' C̄ buffers lie at %d offsets, want one", what, len(cbar))
 					}
 					poisoned, got := run(true)
 					pb := fuse.Buffers(poisoned)
@@ -313,21 +323,28 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		// dropout layer (drop ≥ 0: its rate) between the first two layers
 		// makes their crossing a float64 matrix the step does not link: at
 		// rate 0 the next layer reads the previous one's output itself.
+		// sigma is how many σ pairs (Z̄ over the Ḣ the next layer hands in)
+		// the step places: one per linked float64 hand-off of a training
+		// step whose layer ends in σ; none after the heads' mean, none at
+		// float32, where the seed copies Ḣ and is its last reader, and none
+		// across the dropout.
 		for _, c := range []struct {
 			name  string
 			cfg   gnn.Config
 			grid  bool
 			train bool
 			drop  float64
+			sigma int
 		}{
-			{"gat-f64-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, true, -1},
-			{"gat-f64-infer", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, false, -1},
-			{"agnn-f32-infer", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, false, -1},
-			{"agnn-f32-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, -1},
-			{"gat-2head-train", gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, -1},
-			{"gat-grid-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, true, true, -1},
-			{"gat-f64-dropout0-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, 0},
-			{"agnn-f32-dropout-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, 0.5},
+			{"gat-f64-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, true, -1, 1},
+			{"gat-f64-infer", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3, SelfLoops: true}, false, false, -1, 0},
+			{"agnn-f32-infer", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, false, -1, 0},
+			{"agnn-f32-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, -1, 0},
+			{"agnn-f64-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k}, false, true, -1, 2},
+			{"gat-2head-train", gnn.Config{Model: gnn.GAT, Layers: 2, Heads: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, -1, 0},
+			{"gat-grid-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, true, true, -1, 1},
+			{"gat-f64-dropout0-train", gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: 3}, false, true, 0, 0},
+			{"agnn-f32-dropout-train", gnn.Config{Model: gnn.AGNN, Layers: 3, InDim: k, HiddenDim: k, OutDim: k, DType: tensor.F32}, false, true, 0.5, 0},
 		} {
 			run := func(poison bool) (*fuse.Plan, []*tensor.Dense, *gnn.Model) {
 				cfg := c.cfg
@@ -372,6 +389,15 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 				t.Errorf("%s: the step runs %d plans, want every layer's", c.name, n)
 			}
 			checkLayout(t, c.name, p)
+			sigma := 0
+			for _, b := range fuse.Buffers(p) {
+				if b.Hands == "gin" && b.Inside != "" && b.InsideAt == b.Index-1 {
+					sigma++
+				}
+			}
+			if sigma != c.sigma {
+				t.Errorf("%s: the step places %d σ pairs, want %d", c.name, sigma, c.sigma)
+			}
 			poisoned, got, pm := run(true)
 			pb := fuse.Buffers(poisoned)
 			for i, b := range pb {
@@ -417,13 +443,13 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 	t.Run("train-flat shape", func(t *testing.T) {
 		// A two-layer GAT as train-flat builds it (k → k → classes, about 28
 		// entries a row), one training step. Layer 0's output Z dies at its σ
-		// VJP, the last to read it, so it is not live at layer 0's fused VJP.
-		// The most bytes live at once are at layer 1's fused VJP: layer 0's
-		// forward values its backward reads (Hp, Z, u, v, the row statistics)
-		// beside layer 1's Hp, H̄p, Z, Z̄, u, v, ū, v̄, row statistics and C̄.
-		// The slab holds 672 words more: the large buffers' turns leave two
-		// n·k ranges to what layer 1's fused VJP has live, and C̄'s nnz words
-		// do not tile them with the n- and n·classes-word buffers.
+		// VJP, the last to read it, so it is not live at layer 0's fused VJP;
+		// there its Z̄ lies over the H̄ layer 1 hands it, and the fused VJPs
+		// keep n words of ρ, no nnz buffer. The most bytes live at once are
+		// at layer 1's weight VJP: layer 0's forward values its backward
+		// reads (Hp, Z — layer 1's input, in place — u, v, the row
+		// statistics) beside layer 1's H̄, H̄p and Z, its output. The slab
+		// holds exactly that.
 		const k, classes = 32, 8
 		g := graph.ErdosRenyi(1024, 14000, 3)
 		m, err := gnn.New(gnn.Config{Model: gnn.GAT, Layers: 2, InDim: k, HiddenDim: k, OutDim: classes, SelfLoops: true, Seed: 4}, g)
@@ -436,7 +462,7 @@ func TestWorkspaceSlotsDisjoint(t *testing.T) {
 		m.Backward(tensor.RandN(out.Rows, out.Cols, 1, rand.New(rand.NewSource(7))))
 		p := m.Layers[0].(interface{ Plan() *fuse.Plan }).Plan()
 		checkLayout(t, "train-flat shape", p)
-		pinStep(t, "train-flat shape", p, 1105920, 1100544)
+		pinStep(t, "train-flat shape", p, 950272, 950272)
 	})
 
 	t.Run("infer-hub shape", func(t *testing.T) {

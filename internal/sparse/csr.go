@@ -272,35 +272,58 @@ func (s *CSR) transpose(src []uint32) *CSR {
 type Transposed struct {
 	Pat *CSR     // Sᵀ's pattern — Rows, Cols, RowPtr, Col; Val is nil
 	Src []uint32 // entry q of Sᵀ is entry Src[q] of S
-
-	dst     []uint32 // Dst's memo
-	dstOnce sync.Once
-}
-
-// Dst returns the inverse of Src: entry p of S is entry Dst()[p] of Sᵀ. A
-// sweep over S's rows writes through it what a sweep over Sᵀ's rows then
-// reads contiguously. Computed on first use and shared, like the Transposed
-// itself, so only the patterns some sweep writes that way pay for it.
-func (t *Transposed) Dst() []uint32 {
-	t.dstOnce.Do(func() {
-		t.dst = make([]uint32, len(t.Src))
-		for q, p := range t.Src {
-			t.dst[p] = uint32(q)
-		}
-	})
-	return t.dst
 }
 
 // TransposedPattern returns the transposed pattern of S, computed on first
 // use and shared by every later caller (read-only): the compiled training
 // plans of all layers over one adjacency sweep the same copy. The pattern
 // (RowPtr, Col) must not change afterwards; Val may.
+//
+// A symmetric pattern is its own transpose: Pat is then S itself, or for a
+// valued S a header over S's RowPtr and Col without values, and only Src is
+// new — an involution, entry (i, j) of S at the position of (j, i).
 func (s *CSR) TransposedPattern() *Transposed {
 	s.transposedOnce.Do(func() {
 		src := make([]uint32, s.NNZ())
-		s.transposed = &Transposed{Pat: s.transpose(src), Src: src}
+		switch {
+		case !s.scatterSymmetric(src):
+			s.transposed = &Transposed{Pat: s.transpose(src), Src: src}
+		case s.Val == nil:
+			s.transposed = &Transposed{Pat: s, Src: src}
+		default:
+			s.transposed = &Transposed{Pat: &CSR{Rows: s.Rows, Cols: s.Cols, RowPtr: s.RowPtr, Col: s.Col}, Src: src}
+		}
 	})
 	return s.transposed
+}
+
+// scatterSymmetric reports whether S's pattern is its transpose's, in the
+// one scatter pass that builds Sᵀ's Src as though Sᵀ's rows were S's: entry
+// (i, j) of S, rows taken in order, goes to the next free place of row j of
+// S, which must hold column i. Every entry matching makes that map a
+// bijection onto S's entries (no row overflows, so each row is filled
+// exactly) under which each (i, j) has its (j, i): the pattern is symmetric,
+// and src (nil: not written) is Sᵀ's Src. It stops at the first mismatch,
+// src then partly written. Its one allocation is a cursor per row.
+func (s *CSR) scatterSymmetric(src []uint32) bool {
+	if s.Rows != s.Cols {
+		return false
+	}
+	next := append([]int64(nil), s.RowPtr[:s.Rows]...)
+	for i := 0; i < s.Rows; i++ {
+		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+			j := s.Col[p]
+			q := next[j]
+			if q == s.RowPtr[j+1] || s.Col[q] != int32(i) {
+				return false
+			}
+			next[j]++
+			if src != nil {
+				src[q] = uint32(p)
+			}
+		}
+	}
+	return true
 }
 
 // Index returns Col as the checked index the row primitives gather through
@@ -314,13 +337,9 @@ func (s *CSR) Index() Index {
 
 // IsSymmetricPattern reports whether the sparsity pattern equals that of the
 // transpose (the usual case for the undirected graphs that dominate GNN
-// workloads; cf. Section 5.2).
-func (s *CSR) IsSymmetricPattern() bool {
-	if s.Rows != s.Cols {
-		return false
-	}
-	return s.SamePattern(s.Transpose())
-}
+// workloads; cf. Section 5.2): TransposedPattern's one-pass check, which
+// builds no transpose.
+func (s *CSR) IsSymmetricPattern() bool { return s.scatterSymmetric(nil) }
 
 // Apply returns a same-pattern matrix with f applied to every value.
 func (s *CSR) Apply(f func(float64) float64) *CSR {

@@ -141,17 +141,154 @@ func TestTranspose(t *testing.T) {
 	if !st.Transpose().ToDense().ApproxEqual(s.ToDense(), 0) {
 		t.Fatal("(Sᵀ)ᵀ != S")
 	}
-	// The pattern form: entry q of Sᵀ is entry Src[q] of S, and Dst maps back.
+	// The pattern form: entry q of Sᵀ is entry Src[q] of S.
 	tp := s.TransposedPattern()
 	if !tp.Pat.SamePattern(st) {
 		t.Fatal("TransposedPattern's pattern differs from Transpose's")
 	}
-	dst := tp.Dst()
 	for q, p := range tp.Src {
-		if s.Val[p] != st.Val[q] || dst[p] != uint32(q) {
-			t.Fatalf("entry %d of Sᵀ: Src %d (value %v, want %v), Dst[Src] = %d", q, p, s.Val[p], st.Val[q], dst[p])
+		if s.Val[p] != st.Val[q] {
+			t.Fatalf("entry %d of Sᵀ: Src %d (value %v, want %v)", q, p, s.Val[p], st.Val[q])
 		}
 	}
+}
+
+// checkTransposed holds s.TransposedPattern() to the transpose built the
+// general way: Pat is Sᵀ's pattern, without values; Src is what transpose
+// writes; S keeps its values. A symmetric pattern — exactly when
+// IsSymmetricPattern agrees with SamePattern(Transpose()) that it is one —
+// is its own transpose: Pat's RowPtr and Col are S's slices (Pat is S itself
+// for a pattern) and Src is an involution. Any other keeps slices of its own.
+func checkTransposed(t *testing.T, what string, s *CSR) {
+	t.Helper()
+	vals := slices.Clone(s.Val)
+	want := make([]uint32, s.NNZ())
+	st := s.transpose(want)
+	sym := s.Rows == s.Cols && s.SamePattern(s.Transpose())
+	if got := s.IsSymmetricPattern(); got != sym {
+		t.Errorf("%s: IsSymmetricPattern %v, SamePattern(Transpose()) %v", what, got, sym)
+	}
+	tp := s.TransposedPattern()
+	if tp.Pat.Val != nil || tp.Pat.Rows != s.Cols || tp.Pat.Cols != s.Rows || !tp.Pat.SamePattern(st) {
+		t.Fatalf("%s: Pat is %d×%d (values %v), not Sᵀ's pattern", what, tp.Pat.Rows, tp.Pat.Cols, tp.Pat.Val != nil)
+	}
+	if !slices.Equal(tp.Src, want) {
+		t.Errorf("%s: Src %v, transpose builds %v", what, tp.Src, want)
+	}
+	if (vals == nil) != (s.Val == nil) || !slices.Equal(s.Val, vals) {
+		t.Errorf("%s: S's values changed", what)
+	}
+	shares := len(s.Col) > 0 && &tp.Pat.Col[0] == &s.Col[0] && &tp.Pat.RowPtr[0] == &s.RowPtr[0]
+	if len(s.Col) > 0 && shares != sym {
+		t.Errorf("%s: Pat shares S's slices: %v, the pattern is symmetric: %v", what, shares, sym)
+	}
+	if sym && s.Val == nil && tp.Pat != s {
+		t.Errorf("%s: a symmetric pattern's Pat is not the pattern itself", what)
+	}
+	for q, p := range tp.Src {
+		if sym && tp.Src[p] != uint32(q) {
+			t.Fatalf("%s: Src[Src[%d]] = %d", what, q, tp.Src[p])
+		}
+	}
+}
+
+// cooOf builds a rows×cols CSR from (i, j) pairs: a pattern, or with
+// weighted the values 1, 2, 3, ….
+func cooOf(rows, cols int, weighted bool, pairs ...int32) *CSR {
+	c := NewCOO(rows, cols, len(pairs)/2)
+	for q := 0; q+1 < len(pairs); q += 2 {
+		if weighted {
+			c.AppendVal(pairs[q], pairs[q+1], float64(q/2+1))
+		} else {
+			c.Append(pairs[q], pairs[q+1])
+		}
+	}
+	return FromCOO(c)
+}
+
+// TestTransposedPattern: a symmetric pattern, weighted or not, shares S's
+// pattern as its transpose; a directed cycle, whose every row and column
+// holds one entry, and a matrix symmetric in its first rows before one are
+// caught by the one-pass check — the second after part of Src is written —
+// and transposed the general way; so are a rectangular matrix and matrices
+// with empty rows, symmetric or not.
+func TestTransposedPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	undirected := func(n int, weighted bool) *CSR {
+		a := randPattern(n, n, 0.3, rng)
+		c := NewCOO(n, n, 2*a.NNZ())
+		for i := 0; i < n; i++ {
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				j := a.Col[p]
+				if weighted {
+					w := rng.NormFloat64()
+					c.AppendVal(int32(i), j, w)
+					c.AppendVal(j, int32(i), w)
+				} else {
+					c.Append(int32(i), j)
+					c.Append(j, int32(i))
+				}
+			}
+		}
+		return FromCOO(c)
+	}
+	for _, c := range []struct {
+		name string
+		s    *CSR
+		sym  bool
+	}{
+		{"symmetric pattern", undirected(17, false), true},
+		{"weighted symmetric", undirected(17, true), true},
+		{"directed cycle", cooOf(4, 4, false, 0, 1, 1, 2, 2, 3, 3, 0), false},
+		{"symmetric rows, then a directed cycle", cooOf(5, 5, true, 0, 1, 1, 0, 2, 3, 3, 4, 4, 2), false},
+		{"rectangular", randSparse(6, 11, 0.3, rng), false},
+		{"rectangular pattern", randPattern(9, 4, 0.3, rng), false},
+		{"empty rows, symmetric", cooOf(6, 6, false, 1, 4, 4, 1, 4, 4), true},
+		{"empty rows, asymmetric", cooOf(6, 6, true, 1, 4, 4, 4, 5, 1), false},
+		{"empty", cooOf(3, 3, false), true},
+	} {
+		if got := c.s.IsSymmetricPattern(); got != c.sym {
+			t.Errorf("%s: IsSymmetricPattern %v, want %v", c.name, got, c.sym)
+		}
+		checkTransposed(t, c.name, c.s)
+	}
+}
+
+// FuzzTransposedPattern decodes a matrix from raw bytes — its shape, whether
+// it holds values, whether each entry comes with its mirror, then (i, j)
+// pairs — and holds its TransposedPattern to checkTransposed.
+func FuzzTransposedPattern(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 1, 0, 1, 1, 2, 2, 3, 3, 0})
+	f.Add([]byte{4, 4, 0, 0, 0, 1, 1, 2, 2, 3, 3, 0})
+	f.Add([]byte{5, 5, 1, 1, 0, 1, 2, 3, 4, 4})
+	f.Add([]byte{3, 7, 1, 0, 0, 6, 2, 1, 1, 1})
+	f.Add([]byte{6, 6, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		rows, cols := int(data[0]%16)+1, int(data[1]%16)+1
+		weighted, mirror := data[2]&1 == 1, data[3]&1 == 1
+		if mirror {
+			cols = rows
+		}
+		c := NewCOO(rows, cols, len(data))
+		add := func(i, j int32, v float64) {
+			if weighted {
+				c.AppendVal(i, j, v)
+			} else {
+				c.Append(i, j)
+			}
+		}
+		for q := 4; q+1 < len(data); q += 2 {
+			i, j := int32(int(data[q])%rows), int32(int(data[q+1])%cols)
+			add(i, j, float64(q))
+			if mirror {
+				add(j, i, float64(q))
+			}
+		}
+		checkTransposed(t, "fuzzed", FromCOO(c))
+	})
 }
 
 func TestWithValuesSharesPattern(t *testing.T) {
